@@ -6,7 +6,8 @@ WORKERS ?= 4
 ENV      = PYTHONPATH=src
 
 .PHONY: check lint analyze test test-engine test-coding bench bench-baseline \
-        profile docs-check sweep-smoke fault-smoke figures examples clean
+        profile docs-check sweep-smoke fault-smoke bench-smoke figures examples \
+        clean
 
 # The pre-merge gate: lint, the static invariant analyzer, the engine
 # differential tests (fail fast on a hot-path regression), then the full
@@ -76,6 +77,12 @@ sweep-smoke:
 # diagnosis is loud, and crash/recover sweeps stay parallel == serial.
 fault-smoke:
 	$(ENV) $(PYTHON) scripts/fault_smoke.py
+
+# The end-to-end benchmark (bench/, BENCHMARK.json) still measures this
+# tree: its own tests, then a quick traced kilonode_flow run that must be
+# correct, with no failed operation and every traced entry point resolved.
+bench-smoke:
+	$(PYTHON) scripts/bench_smoke.py
 
 # Run (and cache under results/) every paper-figure scenario preset.
 figures:

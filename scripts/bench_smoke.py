@@ -1,0 +1,52 @@
+#!/usr/bin/env python3
+"""bench-smoke: the benchmark still measures this tree (``make bench-smoke``, and CI).
+
+``python3 -m bench`` reaches into the program through entry points resolved
+by dotted name at run time, and prints ``correct`` / ``failed`` instead of
+exiting nonzero — so a refactor that renames a traced function, changes a
+simulated outcome between a warm-up and its repeat, or strands a flow is
+otherwise first seen at the next benchmark run.  Two steps, from the repo
+root:
+
+1. ``python3 -m pytest bench -q`` — the benchmark's own tests (outside
+   tier-1's ``testpaths``);
+2. ``python3 -m bench --quick --workload kilonode_flow --trace 1`` — three
+   units plus the traced pass of the workload that builds the most per
+   simulator; the result line must say ``correct``, no failed operation and
+   ``trace.missing`` = 0.
+
+Exit status 0 on success; any violated step raises.  The timings of a
+``--quick`` run mean nothing and are not looked at.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def main() -> int:
+    subprocess.run([sys.executable, "-m", "pytest", "bench", "-q",
+                    "-p", "no:cacheprovider"], cwd=REPO_ROOT, check=True,
+                   timeout=600)
+    done = subprocess.run([sys.executable, "-m", "bench", "--quick",
+                           "--workload", "kilonode_flow", "--trace", "1"],
+                          cwd=REPO_ROOT, check=True, stdout=subprocess.PIPE,
+                          text=True, timeout=600)
+    result = json.loads(done.stdout.splitlines()[-1])
+    missing = result["metrics"]["trace.missing"]["value"]
+    if not result["correct"] or result["failed"] or missing:
+        raise RuntimeError(f"bench: kilonode_flow: correct={result['correct']}, "
+                           f"{result['failed']} of {result['attempted']} operations "
+                           f"failed, {missing:g} traced entry point(s) missing")
+    print(f"bench-smoke: ok ({result['attempted']} operations, "
+          f"every traced entry point resolved)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,6 +18,8 @@ import math
 import numpy as np
 
 from repro.metrics.etx import best_path, etx_to_destination, hop_count
+from repro.sim.medium import sense_row
+from repro.sim.radio import ChannelConfig
 from repro.topology.graph import Topology
 
 
@@ -53,21 +55,21 @@ def random_pairs(topology: Topology, count: int, seed: int = 0,
 
 
 def spatial_reuse_pairs(topology: Topology, count: int, seed: int = 0,
-                        path_hops: int = 4, isolation_threshold: float = 0.10,
-                        common_neighbor_threshold: float = 0.20) -> list[tuple[int, int]]:
+                        path_hops: int = 4,
+                        channel: ChannelConfig | None = None) -> list[tuple[int, int]]:
     """Pairs whose best path has ``path_hops`` hops and whose first and last
     hop transmitters can transmit concurrently (Fig 4-4's selection).
 
     The first-hop transmitter is the source; the last-hop transmitter is the
     next-to-last node of the best path.  Concurrency requires that the two
-    cannot carrier-sense each other, which in the simulator's channel model
-    means (a) they cannot decode each other (delivery below
-    ``isolation_threshold``) and (b) they do not both reach a common
-    neighbour with delivery at least ``common_neighbor_threshold`` (the
-    extended-sense rule of :class:`repro.sim.radio.ChannelConfig`).
+    cannot carrier-sense each other, decided by the medium's own rule
+    (:func:`repro.sim.medium.sense_row`) under ``channel`` — the default
+    :class:`~repro.sim.radio.ChannelConfig` unless the simulations to be
+    run over these pairs use another.
     """
     rng = np.random.default_rng(seed)
-    delivery = topology.delivery_matrix()
+    delivery = topology.delivery_view()
+    channel = channel if channel is not None else ChannelConfig()
     candidates = []
     for source, destination in reachable_pairs(topology, min_hops=path_hops):
         try:
@@ -76,16 +78,7 @@ def spatial_reuse_pairs(topology: Topology, count: int, seed: int = 0,
             continue
         if len(path) - 1 != path_hops:
             continue
-        last_hop_sender = path[-2]
-        forward = topology.delivery(source, last_hop_sender)
-        backward = topology.delivery(last_hop_sender, source)
-        if forward > isolation_threshold or backward > isolation_threshold:
-            continue
-        shares_neighbor = bool(np.any(
-            (delivery[source] >= common_neighbor_threshold)
-            & (delivery[last_hop_sender] >= common_neighbor_threshold)
-        ))
-        if shares_neighbor:
+        if sense_row(delivery, channel, source)[path[-2]]:
             continue
         candidates.append((source, destination))
     if not candidates:

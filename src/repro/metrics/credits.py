@@ -185,7 +185,7 @@ def tx_credits(topology: Topology, order: list[int], z: np.ndarray) -> np.ndarra
     credit is left at zero — MORE clocks the source by batch ACKs instead.
     """
     credits = np.zeros(topology.node_count)
-    delivery = topology.delivery_matrix()
+    delivery = topology.delivery_view()
     for position, node in enumerate(order):
         if position == len(order) - 1:
             continue  # the source
@@ -286,7 +286,7 @@ def load_distribution(topology: Topology, source: int, destination: int,
     participants, distances = candidate_forwarders(topology, source, destination,
                                                    metric="eotx", threshold=threshold)
     count = topology.node_count
-    delivery = topology.delivery_matrix()
+    delivery = topology.delivery_view()
     order = participants
     n = len(order)
     load = np.zeros(count)

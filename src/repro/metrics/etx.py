@@ -50,7 +50,7 @@ def _link_cost_matrix(topology: Topology, ack_aware: bool,
     arithmetic (``1 / p`` rsp. ``1 / (p_fwd * p_rev)``), so every matrix
     entry is bit-equal to the scalar call.
     """
-    delivery = topology.delivery_matrix()
+    delivery = topology.delivery_view()
     usable = delivery > threshold
     if ack_aware:
         usable &= usable.T

@@ -106,9 +106,13 @@ class ChannelModel:
         self._base: np.ndarray | None = None
 
     def bind(self, topology: Topology) -> None:
-        """Attach the model to a topology; called by the medium once."""
+        """Attach the model to a topology; called by the medium once.
+
+        The nominal matrix is the topology's own, held read-only rather
+        than copied: the topology is not to be edited under a live medium.
+        """
         self.topology = topology
-        self._base = topology.delivery_matrix()
+        self._base = topology.delivery_view()
         self._prepare()
 
     def _prepare(self) -> None:
@@ -136,9 +140,15 @@ class ChannelModel:
         raise NotImplementedError
 
     def mean_matrix(self) -> np.ndarray:
-        """Long-run average delivery matrix (sense / interference levels)."""
+        """Long-run average delivery matrix (sense / interference levels).
+
+        Read-only: the nominal matrix itself where that is the mean, so
+        the caller must not (and cannot) write to it.
+        """
         assert self._base is not None, "bind() must be called first"
-        return self._base.copy()
+        mean = self._base.view()
+        mean.flags.writeable = False
+        return mean
 
 
 class StaticBernoulli(ChannelModel):

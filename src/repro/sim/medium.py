@@ -27,11 +27,17 @@ per-node loop), a single delivery-row gather from the channel model, and a
 vectorized interference mask.  Only frames where a *capture* draw could
 occur fall back to the scalar loop, because capture draws interleave with
 delivery draws in the RNG stream.
+
+Everything the medium derives from the delivery matrix is per sender and
+built on that sender's first use from its own row and column
+(:func:`sense_row`, the eligible-receiver rows): a simulator over a
+1000-node mesh pays for the dozen nodes that transmit, not for N² pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -56,6 +62,54 @@ class Transmission:
     def overlaps(self, other: "Transmission") -> bool:
         """True if the two transmissions are on the air at the same time."""
         return self.start < other.end and other.start < self.end
+
+
+def sense_row(delivery: np.ndarray, channel: ChannelConfig,
+              sender: int) -> np.ndarray:
+    """Which nodes carrier-sense ``sender`` (a boolean row over all nodes).
+
+    Real radios sense energy well below the level needed to decode a
+    frame: the carrier-sense range is roughly twice the communication
+    range.  With only a delivery-probability matrix available we model
+    that as: ``i`` senses ``j`` if either can decode the other at all
+    (delivery above the sense threshold) **or** if both can deliver
+    reasonably well to some common neighbour — i.e. they are within two
+    "good hops" of each other, which is where their transmissions could
+    actually collide.  Without this, every pair of forwarders beyond
+    decode range becomes a hidden terminal, which grossly overstates
+    collisions relative to a real 802.11 deployment.
+
+    This is the one statement of the rule: the medium derives its
+    per-sender rows from it, and the Fig 4-4 pair selection
+    (:func:`repro.experiments.workloads.spatial_reuse_pairs`) asks it
+    which transmitters can share the air.  The work is the sender's
+    row and column plus one column per good neighbour — no N×N product.
+    """
+    outgoing = delivery[sender]
+    row = ((outgoing > channel.sense_threshold)
+           | (delivery[:, sender] > channel.sense_threshold))
+    good_neighbors = outgoing >= channel.neighbor_sense_threshold
+    row |= (delivery[:, good_neighbors]
+            >= channel.neighbor_sense_threshold).any(axis=1)
+    row[sender] = False
+    return row
+
+
+class _PerSender(dict):
+    """``sender -> value``, derived on the sender's first use.
+
+    A hit is a plain dict index (``__missing__`` runs only on a miss), so
+    the per-frame lookups cost what the eager per-node tables did while a
+    simulator only ever pays for the nodes that transmit.
+    """
+
+    def __init__(self, derive: Callable[[int], Any]) -> None:
+        super().__init__()
+        self._derive = derive
+
+    def __missing__(self, sender: int) -> Any:
+        value = self[sender] = self._derive(sender)
+        return value
 
 
 class WirelessMedium:
@@ -109,41 +163,44 @@ class WirelessMedium:
         self.captures = 0
 
     def _rebuild_channel_state(self) -> None:
-        """(Re)derive every matrix/cache that depends on the channel base.
+        """Forget everything derived from the channel base.
 
         Called once at construction and — under a dynamic topology — at
         every epoch boundary: this is the epoch-keyed invalidation of the
-        per-sender eligible-row and single-interferer pair caches.
+        per-sender sense rows, eligible rows and single-interferer pair
+        cache.  Nothing is derived here; each sender's tables are built
+        from its own row on its first use in the epoch.
         """
         # Long-run average deliveries: carrier-sense audibility and
         # interference levels track mean signal energy, not the
         # instantaneous fade (for the static model this IS the topology
         # matrix, preserving the original behaviour bit for bit).
         self._delivery = self.model.mean_matrix()
-        self._sense = self._build_sense_matrix(self._delivery, self.channel)
         # Plain-python sense rows: the per-transmission carrier-sense probes
-        # in is_busy/busy_until are scalar lookups, where list indexing beats
-        # numpy scalar indexing several-fold.
-        self._sense_rows: list[list[bool]] = self._sense.tolist()
-        self._row_indices: list[np.ndarray] = []
-        self._row_probabilities: list[np.ndarray] = []
-        if self._static:
-            # Under a static channel the eligible-receiver set of every
-            # sender never changes within an epoch: precompute the index
-            # gather and the matching probability row once, leaving one
-            # batched RNG draw plus one comparison per interference-free
-            # frame.
-            for sender in range(self.topology.node_count):
-                row = self._delivery[sender]
-                eligible = row > 0.0
-                eligible[sender] = False
-                indices = np.nonzero(eligible)[0]
-                self._row_indices.append(indices)
-                self._row_probabilities.append(row[indices])
+        # are scalar lookups, where list indexing beats numpy scalar
+        # indexing several-fold.
+        self._sense_rows: dict[int, list[bool]] = _PerSender(
+            self._derive_sense_row)
+        # sender -> (indices, probabilities) of its eligible receivers.
+        # Under a static channel that set never changes within an epoch,
+        # leaving one batched RNG draw plus one comparison per
+        # interference-free frame.
+        self._eligible_rows: dict[int, tuple[np.ndarray, np.ndarray]] = \
+            _PerSender(self._derive_eligible_row)
         # (sender, interferer) -> (indices, probabilities, survivable,
         # capture_possible); lazily built single-interferer resolution
         # cache for the static channel (see _resolve_static_pair).
         self._pair_cache: dict[tuple[int, int], tuple] = {}
+
+    def _derive_sense_row(self, sender: int) -> list[bool]:
+        return sense_row(self._delivery, self.channel, sender).tolist()
+
+    def _derive_eligible_row(self, sender: int) -> tuple[np.ndarray, np.ndarray]:
+        row = self._delivery[sender]
+        eligible = row > 0.0
+        eligible[sender] = False
+        indices = np.nonzero(eligible)[0]
+        return indices, row[indices]
 
     # ------------------------------------------------------------------ #
     # Dynamic topology (mobility / link churn)
@@ -187,18 +244,10 @@ class WirelessMedium:
 
     @staticmethod
     def _build_sense_matrix(delivery: np.ndarray, channel: ChannelConfig) -> np.ndarray:
-        """Which node pairs can carrier-sense each other.
+        """Dense all-pairs form of :func:`sense_row` (an N×N product).
 
-        Real radios sense energy well below the level needed to decode a
-        frame: the carrier-sense range is roughly twice the communication
-        range.  With only a delivery-probability matrix available we model
-        that as: ``i`` senses ``j`` if it can decode it at all
-        (delivery above the sense threshold) **or** if both can deliver
-        reasonably well to some common neighbour — i.e. they are within two
-        "good hops" of each other, which is where their transmissions could
-        actually collide.  Without this, every pair of forwarders beyond
-        decode range becomes a hidden terminal, which grossly overstates
-        collisions relative to a real 802.11 deployment.
+        Nothing at run time calls this: it is the reference the tests hold
+        the per-sender rows against, row for row.
         """
         audible = delivery > channel.sense_threshold
         common = (delivery >= channel.neighbor_sense_threshold) @ \
@@ -213,12 +262,12 @@ class WirelessMedium:
 
     def can_sense(self, listener: int, transmitter: int) -> bool:
         """True if ``listener`` senses energy from ``transmitter``'s frames."""
-        return bool(self._sense[transmitter, listener])
+        return self._sense_rows[transmitter][listener]
 
     def is_busy(self, node: int, now: float) -> bool:
         """Carrier-sense outcome at ``node``: True if any audible frame is in the air."""
         self._expire(now)
-        sense = self._sense_rows if self.fast else self._sense
+        sense = self._sense_rows
         for transmission in self._active:
             if transmission.end <= now:
                 continue
@@ -233,7 +282,7 @@ class WirelessMedium:
         """Time at which the medium (as sensed by ``node``) becomes idle."""
         self._expire(now)
         latest = now
-        sense = self._sense_rows if self.fast else self._sense
+        sense = self._sense_rows
         for transmission in self._active:
             if transmission.end <= now:
                 continue
@@ -332,9 +381,9 @@ class WirelessMedium:
                 # probabilities are precomputed per sender, so one batched
                 # draw — consuming the exact RNG stream of the general path
                 # — resolves the frame.
-                indices = self._row_indices[sender]
+                indices, probabilities = self._eligible_rows[sender]
                 draws = self._random(indices.size)
-                receivers = indices[draws < self._row_probabilities[sender]].tolist()
+                receivers = indices[draws < probabilities].tolist()
                 self.receptions += len(receivers)
             elif len(overlapping) == 1:
                 other_sender = overlapping[0].frame.sender
@@ -385,12 +434,9 @@ class WirelessMedium:
         """
         entry = self._pair_cache.get((sender, interferer))
         if entry is None:
-            row = self._delivery[sender]
-            eligible = row > 0.0
-            eligible[sender] = False
-            eligible[interferer] = False
-            indices = np.nonzero(eligible)[0]
-            probabilities = row[indices]
+            indices, probabilities = self._eligible_rows[sender]
+            listening = indices != interferer  # half duplex
+            indices, probabilities = indices[listening], probabilities[listening]
             levels = self._delivery[interferer][indices]
             audible = levels > self.channel.interference_threshold
             capture_possible = bool((audible & (probabilities - levels
@@ -455,11 +501,12 @@ class WirelessMedium:
                         overlapping: list[Transmission]) -> list[int]:
         """The reference per-node loop (also the capture-draw fallback)."""
         receivers: list[int] = []
-        for node in range(self.topology.node_count):
+        # Only the sender's non-zero links, in ascending node order: the
+        # draws (one per candidate) are those of a walk over every node.
+        candidates = np.nonzero(probabilities > 0.0)[0]
+        for node, probability in zip(candidates.tolist(),
+                                     probabilities[candidates].tolist()):
             if node == sender:
-                continue
-            probability = float(probabilities[node])
-            if probability <= 0.0:
                 continue
             # Half duplex: a node transmitting during the frame cannot decode it.
             if any(other.frame.sender == node for other in overlapping):

@@ -66,16 +66,16 @@ def probe_estimated_topology(topology: Topology,
     if probe_count < 0:
         raise ValueError("probe_count must be non-negative")
     rng = np.random.default_rng(seed)
-    true_delivery = topology.delivery_matrix()
-    probe_delivery = np.where(true_delivery > 0.0,
-                              true_delivery ** optimism_exponent, 0.0)
+    true_delivery = topology.delivery_view()
+    # Only the links that exist are exponentiated and probed; a zero link
+    # stays zero and (binomial draws nothing at p = 0) takes no randomness,
+    # so the stream is that of probing the whole matrix in row-major order.
+    links = np.nonzero(true_delivery)
+    probe_delivery = true_delivery[links] ** optimism_exponent
     if probe_count > 0:
-        successes = rng.binomial(probe_count, np.clip(probe_delivery, 0.0, 1.0))
-        estimated = successes / probe_count
-        # A link never observed to deliver a probe is invisible to routing.
-        estimated[probe_delivery <= 0.0] = 0.0
-    else:
-        estimated = probe_delivery
+        probe_delivery = rng.binomial(probe_count, probe_delivery) / probe_count
+    estimated = np.zeros_like(true_delivery)
+    estimated[links] = probe_delivery
     # Carry positions iff every node has one (an explicit all-nodes check:
     # truthiness of node 0's position alone silently dropped coordinates,
     # which the mobility layer depends on surviving estimation).

@@ -74,23 +74,52 @@ def margin_to_delivery(margin_db, logistic_scale: float = _DELIVERY_LOGISTIC_SCA
     return np.where(probability < min_delivery, 0.0, probability)
 
 
-def _distance_to_delivery(distance: float, floors_crossed: int,
-                          rng: np.random.Generator) -> float:
-    """Map a link distance (and floor separation) to a delivery probability.
+def _row_delivery(distance: np.ndarray, floors_crossed: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Map one node's link distances (and floor separations) to delivery.
 
     Log-distance path loss with log-normal shadowing gives an SNR margin,
     which a logistic curve converts into a frame delivery probability; this
     produces the long tail of intermediate-quality links that Roofnet-style
     measurements (and the paper's testbed) report.
+
+    Each link takes one shadowing and one ambient-loss draw, scalar and in
+    link order — a seed's topology depends on that stream — while the
+    propagation math runs once over the row.  Coincident nodes
+    (``distance <= 0``) deliver perfectly and take no draws.
     """
-    if distance <= 0:
-        return 1.0
-    shadowing_db = rng.normal(0.0, _SHADOWING_SIGMA_DB)
-    margin_db = (path_loss_margin_db(distance)
-                 - _FLOOR_PENALTY_DB * floors_crossed + shadowing_db)
-    probability = margin_to_delivery(
-        margin_db, ambient_factor=1.0 - rng.uniform(0.0, _AMBIENT_LOSS_MAX))
-    return float(probability)
+    apart = distance > 0
+    normal, uniform = rng.normal, rng.uniform
+    draws = np.array([(normal(0.0, _SHADOWING_SIGMA_DB),
+                       uniform(0.0, _AMBIENT_LOSS_MAX))
+                      for _ in range(int(apart.sum()))]).reshape(-1, 2)
+    margin_db = (path_loss_margin_db(distance[apart])
+                 - _FLOOR_PENALTY_DB * floors_crossed[apart] + draws[:, 0])
+    delivery = np.ones(distance.shape)
+    delivery[apart] = margin_to_delivery(margin_db,
+                                         ambient_factor=1.0 - draws[:, 1])
+    return delivery
+
+
+def _pairwise_delivery(positions: list[tuple[float, float, float]],
+                       rng: np.random.Generator) -> np.ndarray:
+    """Symmetric delivery matrix over ``positions`` (4 m between floors).
+
+    Links are drawn pair by pair in ``(i, j > i)`` order; the temporaries
+    are one row long.
+    """
+    coords = np.asarray(positions, dtype=float)
+    x, y, z = coords[:, 0], coords[:, 1], coords[:, 2]
+    count = len(positions)
+    delivery = np.zeros((count, count), dtype=float)
+    for i in range(count - 1):
+        rest = slice(i + 1, count)
+        distance = np.hypot(x[i] - x[rest], y[i] - y[rest])
+        floors_crossed = np.rint(np.abs(z[i] - z[rest]) / 4.0)
+        row = _row_delivery(distance, floors_crossed, rng)
+        delivery[i, rest] = row
+        delivery[rest, i] = row
+    return delivery
 
 
 def indoor_testbed(node_count: int = 20, floors: int = 3, floor_width: float = 90.0,
@@ -118,18 +147,7 @@ def indoor_testbed(node_count: int = 20, floors: int = 3, floor_width: float = 9
         z = floor * 4.0
         positions.append((float(x), float(y), float(z)))
 
-    delivery = np.zeros((node_count, node_count), dtype=float)
-    for i in range(node_count):
-        for j in range(i + 1, node_count):
-            xi, yi, zi = positions[i]
-            xj, yj, zj = positions[j]
-            distance = float(np.hypot(xi - xj, yi - yj))
-            floors_crossed = int(round(abs(zi - zj) / 4.0))
-            probability = _distance_to_delivery(distance, floors_crossed, rng)
-            delivery[i, j] = probability
-            delivery[j, i] = probability
-
-    topology = Topology(delivery, positions=positions)
+    topology = Topology(_pairwise_delivery(positions, rng), positions=positions)
     _ensure_connected(topology, positions, rng)
     return topology
 
@@ -145,7 +163,7 @@ def _ensure_connected(topology: Topology, positions: list[tuple[float, float, fl
     """
     while not topology.connectivity_check():
         count = topology.node_count
-        usable = topology.delivery_matrix() > 0.05
+        usable = topology.delivery_view() > 0.05
         reachable = np.zeros(count, dtype=bool)
         stack = [0]
         reachable[0] = True
@@ -186,15 +204,7 @@ def random_geometric(node_count: int = 16, area: float = 120.0, seed: int = 0) -
     rng = np.random.default_rng(seed)
     positions = [(float(rng.uniform(0.0, area)), float(rng.uniform(0.0, area)), 0.0)
                  for _ in range(node_count)]
-    delivery = np.zeros((node_count, node_count), dtype=float)
-    for i in range(node_count):
-        for j in range(i + 1, node_count):
-            xi, yi, _ = positions[i]
-            xj, yj, _ = positions[j]
-            distance = float(np.hypot(xi - xj, yi - yj))
-            probability = _distance_to_delivery(distance, 0, rng)
-            delivery[i, j] = delivery[j, i] = probability
-    topology = Topology(delivery, positions=positions)
+    topology = Topology(_pairwise_delivery(positions, rng), positions=positions)
     _ensure_connected(topology, positions, rng)
     return topology
 

@@ -54,6 +54,8 @@ class Topology:
             raise ValueError("delivery probabilities must lie in [0, 1]")
         self._delivery = matrix.copy()
         np.fill_diagonal(self._delivery, 0.0)
+        self._view = self._delivery.view()
+        self._view.flags.writeable = False
         count = matrix.shape[0]
         if positions is not None and len(positions) != count:
             raise ValueError("positions length must match node count")
@@ -80,6 +82,15 @@ class Topology:
     def delivery_matrix(self) -> np.ndarray:
         """Copy of the full delivery-probability matrix."""
         return self._delivery.copy()
+
+    def delivery_view(self) -> np.ndarray:
+        """The delivery-probability matrix itself, read-only (no copy).
+
+        For readers that only look: the view tracks :meth:`set_delivery`,
+        and writing through it raises.  Callers that want to edit the
+        matrix take :meth:`delivery_matrix`'s copy instead.
+        """
+        return self._view
 
     def node_positions(self) -> list[tuple[float, ...]] | None:
         """Positions of all nodes, or ``None`` unless every node has one.
@@ -122,17 +133,17 @@ class Topology:
 
     def neighbors(self, node: int, threshold: float = 0.0) -> list[int]:
         """Nodes reachable from ``node`` with delivery probability > threshold."""
-        return [j for j in range(self.node_count)
-                if j != node and self._delivery[node, j] > threshold]
+        reachable = self._delivery[node] > threshold
+        reachable[node] = False
+        return np.nonzero(reachable)[0].tolist()
 
     def links(self, threshold: float = 0.0) -> list[tuple[int, int, float]]:
         """All directed links with delivery probability above ``threshold``."""
-        result = []
-        for i in range(self.node_count):
-            for j in range(self.node_count):
-                if i != j and self._delivery[i, j] > threshold:
-                    result.append((i, j, float(self._delivery[i, j])))
-        return result
+        senders, receivers = np.nonzero(self._delivery > threshold)
+        distinct = senders != receivers
+        senders, receivers = senders[distinct], receivers[distinct]
+        return list(zip(senders.tolist(), receivers.tolist(),
+                        self._delivery[senders, receivers].tolist()))
 
     # ------------------------------------------------------------------ #
     # Derived statistics (used to calibrate the synthetic testbed)

@@ -112,7 +112,7 @@ class MobilityModel:
     def bind(self, topology: Topology) -> None:
         """Attach the process to a topology; called by the medium once."""
         self.topology = topology
-        self._base = topology.delivery_matrix()
+        self._base = topology.delivery_view()
         positions = topology.node_positions()
         self._coords0 = None
         if positions is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.experiments.stats import (
@@ -22,6 +23,8 @@ from repro.experiments.workloads import (
     spatial_reuse_pairs,
 )
 from repro.metrics.etx import best_path
+from repro.sim.medium import WirelessMedium
+from repro.sim.radio import ChannelConfig
 from repro.topology.generator import chain
 
 
@@ -94,6 +97,25 @@ class TestWorkloads:
             assert len(path) - 1 == 4
             last_hop_sender = path[-2]
             assert testbed.delivery(source, last_hop_sender) <= 0.10
+
+    def test_spatial_reuse_pairs_follow_the_medium_sense_rule(self, testbed):
+        """Pair selection and the medium share one carrier-sense rule, so a
+        threshold change moves both together."""
+        four_hop = [(source, destination, best_path(testbed, source, destination))
+                    for source, destination in reachable_pairs(testbed, min_hops=4)]
+        selected = {}
+        for channel in (ChannelConfig(),
+                        ChannelConfig(sense_threshold=0.3,
+                                      neighbor_sense_threshold=0.6)):
+            medium = WirelessMedium(testbed, channel, np.random.default_rng(0))
+            selected[channel] = set(spatial_reuse_pairs(testbed, 1000,
+                                                        channel=channel))
+            assert selected[channel] == {
+                (source, destination) for source, destination, path in four_hop
+                if len(path) - 1 == 4 and not medium.can_sense(path[-2], source)}
+        default, deafer = selected.values()
+        assert default == set(spatial_reuse_pairs(testbed, 1000))
+        assert default and default < deafer
 
     def test_multiflow_sets_shape(self, testbed):
         sets = multiflow_sets(testbed, flows_per_set=3, set_count=5, seed=2)

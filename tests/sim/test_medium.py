@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.protocols.more import setup_more_flow
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.medium import WirelessMedium
-from repro.sim.radio import ChannelConfig
+from repro.sim.radio import ChannelConfig, SimConfig
+from repro.sim.simulator import Simulator
+from repro.topology.generator import random_geometric
 from repro.topology.graph import Topology
+from repro.topology.mobility import MarkovLinkChurn
 
 
 def make_frame(sender, receiver=BROADCAST, flow=1):
@@ -147,3 +153,83 @@ class TestCollisions:
         tx_a = medium.begin(make_frame(0), now=0.0, airtime=0.002, bitrate=5_500_000)
         medium.begin(make_frame(1), now=0.0005, airtime=0.002, bitrate=5_500_000)
         assert medium.complete(tx_a, now=0.002) == [2]
+
+
+def _random_mesh_matrix(node_count: int, density: float, seed: int) -> np.ndarray:
+    """An asymmetric random delivery matrix with about ``density`` links."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.random((node_count, node_count))
+    matrix[rng.random((node_count, node_count)) >= density] = 0.0
+    return matrix
+
+
+_thresholds = st.floats(min_value=0.0, max_value=1.0)
+
+
+class TestPerSenderTables:
+    """The lazily derived per-sender tables vs the dense N×N oracle."""
+
+    @staticmethod
+    def _assert_rows_match_oracle(medium: WirelessMedium) -> None:
+        oracle = WirelessMedium._build_sense_matrix(medium._delivery,
+                                                    medium.channel)
+        for sender in range(medium.topology.node_count):
+            assert medium._sense_rows[sender] == oracle[sender].tolist()
+            for listener in range(medium.topology.node_count):
+                assert medium.can_sense(listener, sender) == oracle[sender, listener]
+
+    @given(node_count=st.integers(min_value=2, max_value=12),
+           density=st.floats(min_value=0.0, max_value=1.0),
+           seed=st.integers(min_value=0, max_value=10_000),
+           sense=_thresholds, neighbor=_thresholds, fast=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_sense_rows_equal_dense_oracle(self, node_count, density, seed,
+                                           sense, neighbor, fast):
+        topology = Topology(_random_mesh_matrix(node_count, density, seed))
+        channel = ChannelConfig(sense_threshold=sense,
+                                neighbor_sense_threshold=neighbor)
+        medium = WirelessMedium(topology, channel, np.random.default_rng(0),
+                                fast=fast)
+        assert not medium._sense_rows  # nothing derived at build time
+        self._assert_rows_match_oracle(medium)
+
+    @given(node_count=st.integers(min_value=3, max_value=10),
+           seed=st.integers(min_value=0, max_value=10_000),
+           sense=_thresholds, neighbor=_thresholds, fast=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_are_rederived_after_an_epoch_advance(self, node_count, seed,
+                                                       sense, neighbor, fast):
+        topology = Topology(_random_mesh_matrix(node_count, 0.7, seed))
+        channel = ChannelConfig(sense_threshold=sense,
+                                neighbor_sense_threshold=neighbor)
+        churn = MarkovLinkChurn(seed=seed, epoch_length=1.0, mean_up_time=1.0,
+                                mean_down_time=1.0)
+        medium = WirelessMedium(topology, channel, np.random.default_rng(0),
+                                fast=fast, mobility=churn)
+        self._assert_rows_match_oracle(medium)
+        stale = dict(medium._sense_rows)
+        medium.begin(make_frame(0), now=4.5, airtime=0.002, bitrate=5_500_000)
+        assert medium._epoch == 4
+        assert not medium._sense_rows and not medium._eligible_rows
+        self._assert_rows_match_oracle(medium)
+        assert all(medium._sense_rows[sender] is not row
+                   for sender, row in stale.items())
+
+    def test_only_transmitters_get_tables(self):
+        """One capped MORE flow on a 300-node mesh derives tables for the
+        nodes that put a frame on the air and for no one else."""
+        topology = random_geometric(node_count=300, area=515.0, seed=5)
+        sim = Simulator(topology, SimConfig(seed=3))
+        medium = sim.medium
+        assert not medium._sense_rows and not medium._eligible_rows
+        setup_more_flow(sim, topology, 17, 250, total_packets=32, batch_size=32,
+                        coding_payload_size=16, max_relays=10, seed=3)
+        sim.run(until=60.0, stop_condition=sim.stats.all_flows_complete)
+        assert sim.stats.all_flows_complete()
+        transmitters = {node.node_id for node in sim.nodes
+                        if node.mac.stats.data_transmissions
+                        + node.mac.stats.control_transmissions}
+        assert set(sim.stats.data_transmissions) <= transmitters
+        assert 2 <= len(transmitters) <= 12
+        assert set(medium._sense_rows) | set(medium._eligible_rows) == transmitters
+        assert len(medium._eligible_rows) == len(transmitters)

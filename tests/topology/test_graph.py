@@ -80,6 +80,36 @@ class TestAccessors:
         matrix[0, 1] = 0.0
         assert topo.delivery(0, 1) == 0.8
 
+    def test_delivery_view_is_read_only_and_live(self):
+        topo = Topology(square_matrix([[0, 0.8], [0.8, 0]]))
+        view = topo.delivery_view()
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            view[0][1] = 0.0  # rows of the view are read-only too
+        assert topo.delivery(0, 1) == 0.8
+        topo.set_delivery(0, 1, 0.5)
+        assert view[0, 1] == 0.5  # no copy: the view tracks the topology
+        assert np.array_equal(view, topo.delivery_matrix())
+
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, 0.3, 1.0])
+    def test_neighbors_and_links_match_the_per_pair_scan(self, threshold):
+        rng = np.random.default_rng(4)
+        matrix = rng.random((9, 9))
+        matrix[rng.random((9, 9)) < 0.4] = 0.0
+        topo = Topology(matrix)
+        count = topo.node_count
+        expected_links = [(i, j, topo.delivery(i, j))
+                          for i in range(count) for j in range(count)
+                          if i != j and topo.delivery(i, j) > threshold]
+        links = topo.links(threshold)
+        assert links == expected_links
+        assert all(type(i) is int and type(j) is int and type(p) is float
+                   for i, j, p in links)
+        for node in range(count):
+            assert topo.neighbors(node, threshold) == [
+                j for i, j, _ in expected_links if i == node]
+
     def test_average_loss_rate(self):
         topo = Topology(square_matrix([[0, 0.8, 0], [0.8, 0, 0.6], [0, 0.6, 0]]))
         assert topo.average_loss_rate() == pytest.approx(0.3)
