@@ -5,13 +5,13 @@ PYTHON  ?= python
 WORKERS ?= 4
 ENV      = PYTHONPATH=src
 
-.PHONY: check lint analyze test test-engine test-coding bench bench-baseline \
-        profile docs-check sweep-smoke fault-smoke bench-smoke figures examples \
-        clean
+.PHONY: check lint analyze test test-engine test-coding golden bench \
+        bench-baseline profile docs-check sweep-smoke fault-smoke bench-smoke \
+        figures examples clean
 
-# The pre-merge gate: lint, the static invariant analyzer, the engine
-# differential tests (fail fast on a hot-path regression), then the full
-# tier-1 suite.
+# The pre-merge gate: lint, the static invariant analyzer, the golden-trace
+# tests (fail fast on a hot-path behaviour change), then the full tier-1
+# suite.
 check: lint analyze test-engine test
 
 # Style/correctness lint: `ruff check` when ruff is installed, the
@@ -21,7 +21,7 @@ lint:
 	$(ENV) $(PYTHON) scripts/lint.py
 
 # repro-check: the repo-specific static invariant analyzer (determinism,
-# engine parity, config threading, hot-path hygiene, style) plus the
+# event lifecycle, config threading, hot-path hygiene, style) plus the
 # strict-mypy typed-core gate when mypy is installed.  Rules and
 # suppression syntax are catalogued in docs/invariants.md.
 analyze:
@@ -32,13 +32,20 @@ test:
 	$(ENV) $(PYTHON) -m pytest -x -q
 
 # The engine hot-path gate alone: scheduler unit/property tests plus the
-# fast-vs-legacy full-run differential (bit-identical traces).
+# full-run traces held bit-identical to tests/golden_traces.json.
 test-engine:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/sim/test_events.py \
-		tests/sim/test_engine_differential.py
+		tests/sim/test_engine_differential.py \
+		tests/sim/test_fault_differential.py \
+		tests/scenarios/test_dynamic_scenarios.py
 
-# The coding/GF gate alone: every buffer engine and elimination kernel
-# against the scalar reference (property streams, edge cases, differential
+# Rewrite tests/golden_traces.json from this tree.  The only way the golden
+# file changes: its diff is a behaviour change to be argued in the PR.
+golden:
+	$(ENV) $(PYTHON) scripts/golden_traces.py
+
+# The coding/GF gate alone: the coding buffer and the elimination kernel
+# against their scalar oracles (property streams, edge cases, differential
 # suites).  The CI coverage job runs the same selection under pytest-cov.
 test-coding:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/coding tests/gf
@@ -48,15 +55,14 @@ test-coding:
 bench:
 	$(ENV) $(PYTHON) -m pytest -q benchmarks $(PYTEST_ARGS)
 
-# Re-measure the perf baseline and rewrite BENCH_coding.json (kernel MB/s,
-# packets/s per pipeline stage, medium frames/s vectorized-vs-scalar,
-# wall-clock per protocol).  Not part of tier-1; run before/after perf work
-# to quantify the change.
+# Re-measure the stage-level figures and rewrite BENCH_coding.json (kernel
+# MB/s, packets/s per pipeline stage, medium frames/s, wall-clock per
+# protocol).  Not part of tier-1; the regression floor is `python3 -m bench`.
 bench-baseline:
 	$(ENV) $(PYTHON) scripts/bench_baseline.py
 
 # cProfile one preset flow and print the hot spots (PROFILE_ARGS passes
-# --preset/--protocol/--engine/--top through to scripts/profile_run.py).
+# --preset/--protocol/--top through to scripts/profile_run.py).
 profile:
 	$(ENV) $(PYTHON) scripts/profile_run.py $(PROFILE_ARGS)
 

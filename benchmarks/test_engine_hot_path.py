@@ -1,24 +1,11 @@
-"""Engine hot-path floors: fast scheduler and protocol paths vs the legacy engine.
+"""Engine hot-path floor: the 200-node scale preset under an absolute ceiling.
 
-The event-engine overhaul (tuple-heap scheduler with lazy cancellation,
-closure-free MAC, cached medium resolution, MORE/ExOR agent fast paths) is
-asserted here against the retained pre-refactor implementations
-(``SimConfig(engine="legacy")``), on the exact workloads whose committed
-baselines live in ``BENCH_coding.json`` (schema ``bench-baseline/v3``, see
-``make bench-baseline`` and docs/performance.md):
-
-* scheduler events/s on the canonical timer workload (≥ 1.5x floor;
-  measured ~2.3x);
-* end-to-end MORE wall clock on the fig_4_2-style single-flow run (≥ 1.5x
-  live floor; the committed baselines show ≥ 2x against the pre-refactor
-  v2 measurement — the live floor is set conservatively because both sides
-  of the ratio move under machine load);
-* the ``large_mesh_200`` scale preset completes, delivers, and stays under
-  a generous absolute wall-clock ceiling.
-
-All ratios are measured interleaved and best-of-N so transient load hits
-both sides alike.  Bit-identity of the two engines is not asserted here —
-that is tier-1 territory (``tests/sim/test_engine_differential.py``).
+The ``large_mesh_200`` scale preset completes a MORE transfer, delivers
+every packet, and stays under a generous absolute wall-clock ceiling.  The
+normalised end-to-end floors live in ``BENCHMARK.json`` (``python3 -m
+bench``: ``norm_cost`` per workload); bit-identity of the hot paths is
+tier-1 territory (``tests/sim/test_engine_differential.py`` against the
+committed golden traces).
 """
 
 from __future__ import annotations
@@ -27,82 +14,13 @@ import time
 
 import pytest
 
-from repro.experiments.runner import RunConfig, run_single_flow
+from repro.experiments.runner import run_single_flow
 from repro.scenarios import build_topology, get_preset
-from repro.sim.events import (
-    BENCH_EVENTS,
-    EventQueue,
-    LegacyEventQueue,
-    pump_timer_workload,
-)
 
 pytestmark = pytest.mark.perf_strict
 
-#: Conservative live floors (committed measurements are well above these;
-#: the margin absorbs machine-load jitter on the loser *and* the winner).
-ENGINE_EPS_FLOOR = 1.5
-MORE_WALL_FLOOR = 1.5
 #: Generous ceiling for one MORE flow on the 200-node mesh (measured ~0.3 s).
 LARGE_MESH_WALL_CEILING = 5.0
-
-ROUNDS = 5
-
-
-def _interleaved_best(tasks: dict[str, callable], rounds: int = ROUNDS) -> dict[str, float]:
-    """Best-of wall clock per task, rounds interleaved across tasks."""
-    best = {name: float("inf") for name in tasks}
-    for _ in range(rounds):
-        for name, task in tasks.items():
-            start = time.perf_counter()
-            task()
-            best[name] = min(best[name], time.perf_counter() - start)
-    return best
-
-
-def test_scheduler_events_per_second_floor():
-    """The tuple-heap scheduler clears the legacy queue by a wide margin."""
-    digests = {}
-
-    def run(name, factory):
-        def task():
-            queue = factory()
-            digests[name] = pump_timer_workload(queue)
-        return task
-
-    best = _interleaved_best({"fast": run("fast", EventQueue),
-                              "legacy": run("legacy", LegacyEventQueue)})
-    assert digests["fast"] == digests["legacy"]  # identical dispatch sequence
-    speedup = best["legacy"] / best["fast"]
-    eps = BENCH_EVENTS / best["fast"]
-    assert speedup >= ENGINE_EPS_FLOOR, (
-        f"scheduler speedup {speedup:.2f}x below {ENGINE_EPS_FLOOR}x "
-        f"({eps:,.0f} events/s fast)")
-
-
-def test_more_fig_4_2_wall_clock_floor():
-    """End-to-end MORE on the fig_4_2-style single flow: fast vs legacy engine."""
-    topology = build_topology(get_preset("fig_4_2").topology)
-    results = {}
-
-    def run(engine):
-        config = RunConfig(total_packets=96, batch_size=32, packet_size=1500,
-                           seed=2, engine=engine)
-
-        def task():
-            results[engine] = run_single_flow(topology, "MORE", 17, 2,
-                                              config=config)
-        return task
-
-    best = _interleaved_best({"fast": run("fast"), "legacy": run("legacy")})
-    # Same trace either way (the cheap end-to-end identity check; the full
-    # RNG-state differential lives in tier-1).
-    assert results["fast"].delivered_packets == results["legacy"].delivered_packets
-    assert results["fast"].duration == results["legacy"].duration
-    assert results["fast"].data_transmissions == results["legacy"].data_transmissions
-    speedup = best["legacy"] / best["fast"]
-    assert speedup >= MORE_WALL_FLOOR, (
-        f"MORE end-to-end speedup {speedup:.2f}x below {MORE_WALL_FLOOR}x "
-        f"(fast {best['fast']:.3f}s, legacy {best['legacy']:.3f}s)")
 
 
 def test_large_mesh_200_completes_under_ceiling():

@@ -1,7 +1,7 @@
 """Micro-benchmarks of the computational primitives underneath MORE.
 
 These complement Table 4.1: GF(2^8) vector kernels (the inner loop of all
-coding, including the selectable ``gf_vecmat`` elimination variants), the
+coding, including the ``gf_vecmat`` elimination kernel), the
 EOTX algorithms of Chapter 5 and Algorithm 1 on the full 20-node testbed,
 and one end-to-end simulated transfer per protocol.
 
@@ -20,7 +20,7 @@ import pytest
 
 from repro.experiments.runner import RunConfig, run_single_flow
 from repro.gf.arithmetic import scale_and_add, vec_scale
-from repro.gf.kernels import VECMAT_KERNELS, gf_vecmat, gf_vecmat_reference
+from repro.gf.kernels import gf_vecmat, gf_vecmat_reference
 from repro.metrics.credits import forwarding_plan
 from repro.metrics.eotx import eotx_bellman_ford, eotx_dijkstra
 from repro.metrics.lp import solve_min_cost_flow
@@ -48,15 +48,11 @@ def test_gf_scale_and_add(benchmark):
     benchmark(scale_and_add, accumulator, PACKET, 0x53)
 
 
-@pytest.mark.parametrize("name", sorted(VECMAT_KERNELS))
-def test_gf_vecmat_kernel(benchmark, name):
-    """One elimination step (vector @ active slice) per selectable kernel.
-
-    ``mul`` (the default MUL-table gather) measures fastest under numpy;
-    ``nibble`` (split 4 KiB tables) and ``logexp`` are the documented
-    alternatives — the rows let any machine read off its own crossover.
-    """
-    result = benchmark(VECMAT_KERNELS[name], ELIM_VECTOR, ELIM_MATRIX)
+@pytest.mark.parametrize("kernel", [gf_vecmat], ids=["mul"])
+def test_gf_vecmat_kernel(benchmark, kernel):
+    """One elimination step (vector @ active slice) through the MUL-table
+    gather, reported under its historical id."""
+    result = benchmark(kernel, ELIM_VECTOR, ELIM_MATRIX)
     np.testing.assert_array_equal(
         result, gf_vecmat_reference(ELIM_VECTOR, ELIM_MATRIX))
 

@@ -1,44 +1,29 @@
 #!/usr/bin/env python3
-"""bench-baseline: record the engine, coding and medium performance floor.
+"""bench-baseline: record stage-level throughput of the engine, coding and medium.
 
 Runs the coding micro-benchmarks (GF(2^8) kernels, encoder/buffer/decoder
 packet rates, one small end-to-end transfer per protocol), the
 medium-resolution stage (frames/s through ``WirelessMedium.complete`` on a
-50-node mesh, vectorized vs the reference scalar loop) and the
-event-engine stage (events/s through the scheduler, fast vs legacy queue;
-end-to-end MORE wall-clock fast vs legacy engine; the ``large_mesh_200``
-scale preset) and writes the results to ``BENCH_coding.json`` at the repo
-root, so later PRs have a committed baseline to regress against:
+50-node mesh), the event-engine stage (events/s through the scheduler, the
+``large_mesh_200`` and ``kilonode`` scale presets) and the sweep stage, and
+writes the results to ``BENCH_coding.json`` at the repo root:
 
     make bench-baseline                 # or
     PYTHONPATH=src python scripts/bench_baseline.py [output.json]
 
-Schema ``bench-baseline/v3`` added the ``engine`` section (``engine_eps``,
-``engine_eps_legacy``, ``engine_speedup``, ``more_end_to_end_speedup``,
-``large_mesh_200_wall_seconds``) and a ``sim_fps`` field (data frames on
-the air per wall-clock second) for every protocol entry.  Schema
-``bench-baseline/v4`` adds the ``decode_engines`` stage (insert-plus-decode
-packet rates for the vectorized / eager / scalar coding-buffer engines and
-the speedup against the v3 committed decode baseline) and the kilonode
-entries in ``engine`` (``kilonode_wall_seconds`` / ``kilonode_sim_fps``:
-the 1000-node preset).  ``destination_decode_pps`` now *includes* the
-final ``decode()`` call — the deferred-transform engine moves the payload
-back-substitution there, so an insert-only loop would overstate it — see
-docs/performance.md for how to read the file.
-
-Schema ``bench-baseline/v5`` adds the ``sweep`` stage (cold multi-sweep
-cells/s through the persistent-pool orchestrator vs the PR 1 fresh-pool
-runner, the steady-state warm-pool ratio, and the warm-cache replay of the
-whole workload through the content-addressed store) and
-``recode_speedup_vs_v4_baseline`` in ``coding_pps`` (the forwarder recode
-rate against the committed v4 figure — the associativity-fused
-``combine_rows`` path).
+Schema ``bench-baseline/v6`` holds absolute figures only: every ratio
+against an implementation kept alive to be slow (the v3–v5 ``*_speedup`` /
+``*_legacy`` / per-engine fields) went with those implementations.  These
+are stage-level raw numbers of one machine; the regression floor is the
+calibration-normalised ``norm_cost`` of ``python3 -m bench``
+(``BENCHMARK.json``) — see docs/performance.md for how to read both.
+``destination_decode_pps`` *includes* the final ``decode()`` call — the
+deferred-transform buffer moves the payload back-substitution there, so an
+insert-only loop would overstate it.
 
 Every quantity is measured best-of-N (minimum over rounds), the same
 discipline as :func:`repro.experiments.figures.table_4_1`: transient
-machine load inflates individual rounds, never the reported figure.  The
-file holds the machine-independent *shape* of the numbers; comparisons
-across machines should look at ratios, not absolutes.
+machine load inflates individual rounds, never the reported figure.
 """
 
 from __future__ import annotations
@@ -48,7 +33,6 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +40,6 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.coding.buffer import ENGINES                  # noqa: E402
 from repro.coding.decoder import BatchDecoder            # noqa: E402
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder  # noqa: E402
 from repro.coding.packet import make_batch               # noqa: E402
@@ -79,7 +62,6 @@ from repro.scenarios import build_topology, get_preset   # noqa: E402
 from repro.sim.events import (                           # noqa: E402
     BENCH_EVENTS,
     EventQueue,
-    LegacyEventQueue,
     pump_timer_workload,
 )
 from repro.sim.medium import WirelessMedium              # noqa: E402
@@ -89,17 +71,6 @@ from repro.topology.generator import random_geometric    # noqa: E402
 K = 32
 PACKET_SIZE = 1500
 ROUNDS = 5
-#: ``destination_decode_pps`` committed by the bench-baseline/v3 run (the
-#: eager engine, insert loop only).  The vectorized engine's floor is 3x
-#: this figure — asserted by ``benchmarks/test_decode_floor.py`` and
-#: recorded here as ``decode_speedup_vs_v3_baseline``.
-V3_DECODE_BASELINE_PPS = 3790.919869913409
-#: ``forwarder_recode_pps`` committed by the bench-baseline/v4 run (vecmat
-#: over K materialised recode rows per emitted packet).  The fused
-#: ``combine_rows`` path must clear 1.5x this figure — asserted by
-#: ``benchmarks/test_sweep_floor.py`` and recorded here as
-#: ``recode_speedup_vs_v4_baseline``.
-V4_RECODE_BASELINE_PPS = 7352.648894919501
 MEDIUM_NODES = WirelessMedium.BENCH_NODE_COUNT
 MEDIUM_FRAMES = WirelessMedium.BENCH_FRAMES
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_coding.json"
@@ -152,7 +123,7 @@ def coding_benchmarks() -> dict[str, float]:
         decoder = BatchDecoder(batch_size=K, packet_size=PACKET_SIZE)
         for coded in packets:
             decoder.add_packet(coded)
-        decoder.decode()  # deferred engines back-substitute here
+        decoder.decode()  # the deferred back-substitution lands here
 
     decode_s = best_of(lambda: timed(decode_batch)) / K
 
@@ -171,91 +142,27 @@ def coding_benchmarks() -> dict[str, float]:
         "source_encode_batched_pps": 1.0 / batched_s,
         "destination_decode_pps": 1.0 / decode_s,
         "forwarder_recode_pps": 1.0 / recode_s,
-        "recode_speedup_vs_v4_baseline": 1.0 / recode_s / V4_RECODE_BASELINE_PPS,
     }
-
-
-def decode_engine_benchmarks() -> dict[str, float]:
-    """Insert-plus-decode packet rates for every coding-buffer engine.
-
-    One measured unit is a full destination batch: K coded packets through
-    ``BatchDecoder.add_packet`` followed by ``decode()`` — the quantity
-    the deferred-transform (vectorized) engine actually changes, and the
-    same one ``benchmarks/test_decode_floor.py`` holds to 3x the v3
-    committed baseline.
-    """
-    batch = make_batch(batch_size=K, packet_size=PACKET_SIZE,
-                       rng=np.random.default_rng(1))
-    encoder = SourceEncoder(batch, np.random.default_rng(2))
-    packets = encoder.next_packets(K)
-
-    def decode_with(engine: str) -> float:
-        def once() -> None:
-            decoder = BatchDecoder(batch_size=K, packet_size=PACKET_SIZE,
-                                   engine=engine)
-            for coded in packets:
-                decoder.add_packet(coded)
-            decoder.decode()
-        return best_of(lambda: timed(once)) / K
-
-    rates = {f"decode_{engine}_pps": 1.0 / decode_with(engine)
-             for engine in ENGINES}
-    rates["decode_engine_speedup"] = (
-        rates["decode_vectorized_pps"] / rates["decode_eager_pps"])
-    rates["decode_speedup_vs_v3_baseline"] = (
-        rates["decode_vectorized_pps"] / V3_DECODE_BASELINE_PPS)
-    return rates
 
 
 def medium_benchmarks() -> dict[str, float]:
-    """Frames per second through ``WirelessMedium.complete`` on a 50-node mesh.
-
-    Measures the vectorized reception-resolution path against the reference
-    scalar loop — same topology, same seed, back-to-back, and the exact
-    schedule (``WirelessMedium.pump_broadcast_frames``) the perf-strict
-    floor in ``benchmarks/test_vectorized_medium.py`` asserts on — so the
-    recorded ratio and the asserted floor measure the same quantity.
-    """
+    """Frames per second through ``WirelessMedium.complete`` on a 50-node mesh
+    (the ``WirelessMedium.pump_broadcast_frames`` schedule)."""
     topology = random_geometric(node_count=MEDIUM_NODES,
                                 area=WirelessMedium.BENCH_AREA,
                                 seed=WirelessMedium.BENCH_TOPOLOGY_SEED)
-
-    elapsed = {}
-    for label, vectorized in (("vectorized", True), ("scalar", False)):
-        medium = WirelessMedium(
-            topology, ChannelConfig(),
-            np.random.default_rng(WirelessMedium.BENCH_RNG_SEED),
-            vectorized=vectorized)
-        elapsed[label] = best_of(
-            lambda: timed(lambda: medium.pump_broadcast_frames(MEDIUM_FRAMES)))
-    return {
-        "reception_vectorized_fps": MEDIUM_FRAMES / elapsed["vectorized"],
-        "reception_scalar_fps": MEDIUM_FRAMES / elapsed["scalar"],
-        "reception_speedup": elapsed["scalar"] / elapsed["vectorized"],
-    }
+    medium = WirelessMedium(topology, ChannelConfig(),
+                            np.random.default_rng(WirelessMedium.BENCH_RNG_SEED))
+    elapsed = best_of(
+        lambda: timed(lambda: medium.pump_broadcast_frames(MEDIUM_FRAMES)))
+    return {"reception_fps": MEDIUM_FRAMES / elapsed}
 
 
 def engine_benchmarks() -> dict[str, float]:
-    """Events per second through the scheduler, fast vs legacy queue.
-
-    Same workload (``repro.sim.events.pump_timer_workload``) as the
-    perf-strict floor in ``benchmarks/test_engine_hot_path.py``, so the
-    committed events/s figure and the asserted speedup measure the same
-    quantity.
-    """
-    def run_queue(factory) -> float:
-        def once() -> float:
-            queue = factory()
-            return timed(lambda: pump_timer_workload(queue))
-        return best_of(once)
-
-    fast_s = run_queue(EventQueue)
-    legacy_s = run_queue(LegacyEventQueue)
-    return {
-        "engine_eps": BENCH_EVENTS / fast_s,
-        "engine_eps_legacy": BENCH_EVENTS / legacy_s,
-        "engine_speedup": legacy_s / fast_s,
-    }
+    """Events per second through the scheduler on the canonical timer
+    workload (``repro.sim.events.pump_timer_workload``)."""
+    elapsed = best_of(lambda: timed(lambda: pump_timer_workload(EventQueue())))
+    return {"engine_eps": BENCH_EVENTS / elapsed}
 
 
 def _measure_flow(topology, protocol: str, source: int, destination: int,
@@ -285,17 +192,11 @@ def protocol_benchmarks() -> dict[str, dict[str, float]]:
         config = RunConfig(total_packets=96, batch_size=K, packet_size=PACKET_SIZE,
                            seed=2)
         results[protocol] = _measure_flow(topology, protocol, 17, 2, config)
-    # The payload-free mode on the same MORE transfer, for the speedup ratio.
+    # The payload-free mode on the same MORE transfer.
     vector_config = RunConfig(total_packets=96, batch_size=K,
                               packet_size=PACKET_SIZE, seed=2, vector_only=True)
     results["MORE/vector-only"] = _measure_flow(topology, "MORE", 17, 2,
                                                 vector_config)
-    # The legacy (pre-refactor) engine on the same MORE transfer: the
-    # committed end-to-end measurement of the engine overhaul.
-    legacy_config = RunConfig(total_packets=96, batch_size=K,
-                              packet_size=PACKET_SIZE, seed=2, engine="legacy")
-    results["MORE/legacy-engine"] = _measure_flow(topology, "MORE", 17, 2,
-                                                  legacy_config)
     return results
 
 
@@ -305,14 +206,10 @@ def scale_benchmarks() -> dict[str, float]:
     topology = build_topology(spec.topology)
     source, destination = spec.workload.params["pairs"][0]
     config = spec.run_config(seed=spec.seeds[0])
-    fast = _measure_flow(topology, "MORE", source, destination, config, rounds=3)
-    legacy = _measure_flow(topology, "MORE", source, destination,
-                           replace(config, engine="legacy"), rounds=3)
+    flow = _measure_flow(topology, "MORE", source, destination, config, rounds=3)
     return {
-        "large_mesh_200_wall_seconds": fast["wall_seconds"],
-        "large_mesh_200_sim_fps": fast["sim_fps"],
-        "large_mesh_200_engine_speedup":
-            legacy["wall_seconds"] / fast["wall_seconds"],
+        "large_mesh_200_wall_seconds": flow["wall_seconds"],
+        "large_mesh_200_sim_fps": flow["sim_fps"],
     }
 
 
@@ -339,10 +236,10 @@ def sweep_benchmarks() -> dict[str, float]:
 
     * **cold**: ``shutdown_shared_pools()`` before each measured round, so
       the orchestrator pays its full 8-worker spin-up inside the timing —
-      the honest like-for-like comparison, and the one the 1.5x floor in
-      ``benchmarks/test_sweep_floor.py`` asserts;
+      the honest like-for-like comparison with the PR 1 runner (the pair
+      ``benchmarks/test_sweep_floor.py`` holds 1.5x apart);
     * **warm pool**: the same round with the pool already up — the
-      steady-state ratio a long parameter study actually sees;
+      steady-state rate a long parameter study actually sees;
     * **warm replay**: the whole workload re-run against a populated
       content-addressed store — every cell must come back as a hit
       (``sweep_warm_replay_recomputed`` is committed so a silent cache
@@ -390,8 +287,7 @@ def sweep_benchmarks() -> dict[str, float]:
     return {
         "sweep_cold_cells_per_s_pr1": BENCH_CELLS / pr1_s,
         "sweep_cold_cells_per_s": BENCH_CELLS / cold_s,
-        "sweep_cold_speedup": pr1_s / cold_s,
-        "sweep_warm_pool_speedup": pr1_s / warm_s,
+        "sweep_warm_pool_cells_per_s": BENCH_CELLS / warm_s,
         "sweep_warm_replay_seconds": replay_s,
         "sweep_warm_replay_recomputed": float(recomputed),
     }
@@ -399,20 +295,14 @@ def sweep_benchmarks() -> dict[str, float]:
 
 def main(argv: list[str]) -> int:
     output = Path(argv[0]) if argv else DEFAULT_OUTPUT
-    protocols = protocol_benchmarks()
     engine = engine_benchmarks()
-    engine["more_end_to_end_speedup"] = (
-        protocols["MORE/legacy-engine"]["wall_seconds"]
-        / protocols["MORE"]["wall_seconds"])
     engine.update(scale_benchmarks())
     engine.update(kilonode_benchmarks())
     report = {
-        "schema": "bench-baseline/v5",
+        "schema": "bench-baseline/v6",
         "config": {"batch_size": K, "packet_size": PACKET_SIZE, "rounds": ROUNDS,
                    "medium_nodes": MEDIUM_NODES, "medium_frames": MEDIUM_FRAMES,
                    "engine_events": BENCH_EVENTS,
-                   "v3_decode_baseline_pps": V3_DECODE_BASELINE_PPS,
-                   "v4_recode_baseline_pps": V4_RECODE_BASELINE_PPS,
                    "sweep_sweeps": BENCH_SWEEPS,
                    "sweep_seeds_per_sweep": BENCH_SEEDS_PER_SWEEP,
                    "sweep_workers": BENCH_WORKERS},
@@ -423,11 +313,10 @@ def main(argv: list[str]) -> int:
         },
         "kernels_mbps": kernel_benchmarks(),
         "coding_pps": coding_benchmarks(),
-        "decode_engines": decode_engine_benchmarks(),
         "medium_fps": medium_benchmarks(),
         "engine": engine,
         "sweep": sweep_benchmarks(),
-        "protocols": protocols,
+        "protocols": protocol_benchmarks(),
     }
     output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")

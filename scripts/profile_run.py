@@ -6,7 +6,7 @@ perf change (see docs/performance.md):
 
     make profile                                        # fig_4_2 MORE
     PYTHONPATH=src python scripts/profile_run.py --preset fig_4_2 \
-        --protocol MORE --engine legacy --top 30
+        --protocol MORE --top 30
 
 One warm-up run happens outside the profiler (imports, table builds and
 cache priming would otherwise dominate), then ``--runs`` profiled runs.
@@ -25,7 +25,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.experiments.runner import run_single_flow    # noqa: E402
 from repro.scenarios import build_pairs, build_topology, get_preset  # noqa: E402
-from repro.sim.radio import ENGINE_MODES  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -35,8 +34,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(default: fig_4_2)")
     parser.add_argument("--protocol", default="MORE",
                         choices=("MORE", "ExOR", "Srcr"))
-    parser.add_argument("--engine", default="fast", choices=ENGINE_MODES,
-                        help="hot-path selection (legacy = pre-refactor paths)")
     parser.add_argument("--seed", type=int, default=2)
     parser.add_argument("--runs", type=int, default=1,
                         help="profiled runs (after one unprofiled warm-up)")
@@ -50,7 +47,6 @@ def main(argv: list[str] | None = None) -> int:
     topology = build_topology(spec.topology)
     source, destination = build_pairs(spec.workload, topology, args.seed)[0]
     config = spec.run_config(args.seed)
-    config.engine = args.engine
 
     def run() -> None:
         run_single_flow(topology, args.protocol, source, destination,
@@ -64,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     profiler.disable()
 
     print(f"# {args.preset} {args.protocol} {source}->{destination} "
-          f"engine={args.engine} seed={args.seed} runs={args.runs}")
+          f"seed={args.seed} runs={args.runs}")
     stats = pstats.Stats(profiler)
     stats.sort_stats(args.sort).print_stats(args.top)
     return 0

@@ -1,8 +1,8 @@
 """repro-check: the repo-specific static invariant analyzer.
 
 The differential test suites defend this reproduction's contracts
-*dynamically*: engine=fast/legacy traces must match bit for bit, every
-random draw must be a pure function of ``(seed, counter)``, every
+*dynamically*: full-run traces must match the committed golden traces bit
+for bit, every random draw must be a pure function of ``(seed, counter)``, every
 ``RunConfig`` knob must actually reach the simulator.  A violated contract
 only surfaces once a trace diverges — often many PRs later.  This package
 enforces the same contracts *statically*, at ``make analyze`` time, as an
@@ -19,12 +19,6 @@ AST-walking rule framework with repo-specific rules:
     Counter-based purity: channel/mobility realisation classes must not
     store (and later advance) a mutable ``Generator`` between queries —
     randomness is re-derived per ``(seed, counter)`` query instead.
-
-``ENG001``
-    Engine parity: registered dual/triple-path implementations
-    (``EventQueue``/``LegacyEventQueue``, the ``BatchBuffer`` engine
-    selector, ``VECMAT_KERNELS``) must keep identical public signatures so
-    API drift fails the build before a differential test has to catch it.
 
 ``DET101``
     Whole-program RNG provenance (interprocedural, via the call-graph +
@@ -103,7 +97,6 @@ from repro.analysis import config_threading  # noqa: F401  (registration import)
 from repro.analysis import determinism  # noqa: F401  (registration import)
 from repro.analysis import hotpath  # noqa: F401  (registration import)
 from repro.analysis import lifecycle  # noqa: F401  (registration import)
-from repro.analysis import parity  # noqa: F401  (registration import)
 from repro.analysis import rng_provenance  # noqa: F401  (registration import)
 from repro.analysis import style  # noqa: F401  (registration import)
 from repro.analysis import suppressions  # noqa: F401  (registration import)
@@ -113,9 +106,8 @@ from repro.analysis import suppressions  # noqa: F401  (registration import)
 STYLE_RULES = ("SYN001", "E501", "W191", "W291", "W293", "F401")
 
 #: The repo-specific invariant rules (everything that is not style).
-INVARIANT_RULES = ("DET001", "DET002", "DET003", "DET101", "ENG001",
-                   "EVT101", "CFG001", "CFG101", "CACHE001", "PERF001",
-                   "SUP001")
+INVARIANT_RULES = ("DET001", "DET002", "DET003", "DET101", "EVT101",
+                   "CFG001", "CFG101", "CACHE001", "PERF001", "SUP001")
 
 __all__ = [
     "AnalysisConfig",

@@ -114,7 +114,7 @@ class ClassInfo:
 def _annotation_names(annotation: ast.expr | None) -> Iterator[str]:
     """Candidate class names in an annotation (unions split, quotes dropped).
 
-    ``"EventQueue | LegacyEventQueue"``, ``Optional[Simulator]`` and plain
+    ``"ChannelSpec | None"``, ``Optional[Simulator]`` and plain
     ``Topology`` all yield their member names; ``None`` / unknown shapes
     yield nothing.
     """

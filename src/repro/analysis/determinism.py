@@ -6,7 +6,7 @@ The paper's structure-vs-randomness claim is only reproducible because
 every random draw in this codebase is a pure function of ``(seed,
 counter)``: back-to-back protocol runs at one seed must see the identical
 channel, parallel sweep cells must equal serial ones bit for bit, and the
-engine differential tests compare exact ``bit_generator.state``.  One
+golden-trace tests compare exact ``bit_generator.state``.  One
 unseeded generator — or one wall-clock read leaking into simulated
 behaviour — silently breaks all of that, and the dynamic tests only notice
 once a trace diverges.  These rules reject the constructs at parse time.

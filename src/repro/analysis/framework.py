@@ -14,7 +14,7 @@ Three pieces, deliberately small:
   so the CLI, ``make lint``'s fallback and the tests all address rules by
   name through one table.
 
-Per-rule knobs (which modules are hot, which classes form an engine pair,
+Per-rule knobs (which modules are hot, which modules must stay counter-based,
 where the config dataclass lives) are fields of :class:`AnalysisConfig`
 rather than hard-coded in the rules, which is what lets the fixture tests
 point a rule at a known-bad synthetic tree.
@@ -237,26 +237,6 @@ class AnalysisConfig:
     fault_modules: tuple[str, ...] = (
         "src/repro/sim/faults.py",
     )
-    #: (path, reference class, path, variant class) engine pairs: every
-    #: public method/property of the reference must exist on the variant
-    #: with a matching signature (extra trailing defaulted params allowed).
-    parity_class_pairs: tuple[tuple[str, str, str, str], ...] = (
-        ("src/repro/sim/events.py", "LegacyEventQueue",
-         "src/repro/sim/events.py", "EventQueue"),
-    )
-    #: (path, registry dict name, extra function names): every function in
-    #: the dict literal plus the extras must share one parameter list.
-    parity_function_families: tuple[tuple[str, str, tuple[str, ...]], ...] = (
-        ("src/repro/gf/kernels.py", "VECMAT_KERNELS", ("gf_vecmat_reference",)),
-    )
-    #: Classes whose ``__init__`` must agree on the named selector keywords
-    #: (names *and* defaults): the engine/kernel selector surface.
-    parity_selector_classes: tuple[tuple[tuple[str, str], ...], ...] = (
-        (("src/repro/coding/buffer.py", "BatchBuffer"),
-         ("src/repro/coding/decoder.py", "BatchDecoder")),
-    )
-    #: Keywords the selector classes above must agree on.
-    parity_selector_keywords: tuple[str, ...] = ("fast", "engine", "kernel")
     #: Where the experiment config dataclass lives (CFG001).
     config_class: tuple[str, str] = ("src/repro/experiments/runner.py", "RunConfig")
     #: The scenario-spec module whose run/override plumbing CFG001 checks.
@@ -282,10 +262,9 @@ class AnalysisConfig:
         "random", "integers", "normal", "uniform", "choice", "shuffle",
         "permutation", "exponential", "standard_normal", "bytes")
     #: Classes whose handle-returning ``schedule*()`` calls EVT101 polices
-    #: (the queue pair plus the :class:`Simulator` facade).
+    #: (the queue plus the :class:`Simulator` facade).
     event_queue_classes: tuple[tuple[str, str], ...] = (
         ("src/repro/sim/events.py", "EventQueue"),
-        ("src/repro/sim/events.py", "LegacyEventQueue"),
         ("src/repro/sim/simulator.py", "Simulator"),
     )
     #: The handle-returning schedule methods (the ``schedule_callback*``
@@ -296,7 +275,7 @@ class AnalysisConfig:
     #: path -> class names that must keep ``__slots__`` (literal assignment
     #: or ``@dataclass(slots=True)``).
     slots_classes: dict[str, tuple[str, ...]] = field(default_factory=lambda: {
-        "src/repro/sim/events.py": ("EventHandle", "LegacyEventHandle"),
+        "src/repro/sim/events.py": ("EventHandle",),
         "src/repro/sim/medium.py": ("Transmission",),
         "src/repro/sim/frames.py": ("Frame",),
         "src/repro/protocols/more/agent.py": ("MoreDataPayload", "MoreAckPayload"),

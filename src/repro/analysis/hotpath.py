@@ -9,9 +9,7 @@ these modules.  This rule keeps those wins from silently eroding:
   ``@dataclass(slots=True)``) — dict-backed instances on the per-frame
   path cost both allocation and attribute-lookup time;
 * no ``lambda`` anywhere in a hot module — closures allocated per event
-  were precisely the pattern PR 4 replaced with bound methods (the
-  retained legacy reference paths carry explicit
-  ``# repro: allow-PERF001`` annotations);
+  were precisely the pattern PR 4 replaced with bound methods;
 * no ``print`` — stdout in the event loop is both a performance cliff and
   a determinism hazard for tools that parse run output.
 """

@@ -12,8 +12,8 @@ half across function boundaries:
 * **main-RNG leakage** — a value tagged with the main root arrives at a
   draw inside a counter-based module.  One such draw advances the main
   stream a data-dependent number of times, which desynchronises every
-  downstream consumer between engine variants (the exact divergence the
-  differential tests exist to catch, now rejected at parse time);
+  downstream consumer (the exact divergence the golden-trace tests
+  exist to catch, now rejected at parse time);
 * **query-order dependence** — a draw inside a counter-based module whose
   receiver was read from an instance attribute holding a generator.
   However the generator got there (constructed elsewhere and passed in —

@@ -99,8 +99,6 @@ def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
         spec.seeds = tuple(int(seed) for seed in args.seeds.split(","))
     if getattr(args, "vector_only", False):
         spec = spec.with_overrides({"run.vector_only": True})
-    if getattr(args, "decode_engine", None):
-        spec = spec.with_overrides({"run.decode_engine": args.decode_engine})
     return spec
 
 
@@ -120,13 +118,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, sweep: bool) -> None:
     parser.add_argument("--vector-only", action="store_true", dest="vector_only",
                         help="payload-free fast path (run.vector_only=true): "
                              "identical throughput/rank results, less arithmetic")
-    parser.add_argument("--decode-engine", dest="decode_engine",
-                        choices=("auto", "vectorized", "eager", "scalar"),
-                        help="coding-buffer insertion engine "
-                             "(run.decode_engine): auto follows the "
-                             "simulator engine; vectorized defers payload "
-                             "back-substitution, scalar is the reference "
-                             "(bit-identical results)")
     parser.add_argument("--channel", metavar="KIND",
                         help="channel model: static, gilbert_elliott, "
                              "distance_fading or trace (tune parameters with "

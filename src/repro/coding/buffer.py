@@ -14,37 +14,19 @@ payload so the destination can later decode with a cheap back-substitution
 free pass (the rows are maintained in *reduced* row-echelon form as the
 paper's decoder does).
 
-Three engines implement the same contract (selected by ``engine=``, all
-bit-identical — GF(2^8) arithmetic is exact, so any algebraically equal
-reformulation produces the same bytes):
-
-``vectorized`` (the default)
-    Payload arithmetic leaves the per-insert path entirely.  Each stored
-    row is the code vector *augmented with a transform row*: the row's
-    linear combination over the raw payloads admitted so far.  Inserts
-    eliminate over the ``K x 2K`` combined matrix (code columns + transform
-    columns) and stash the raw payload untouched; the reduced payload
-    matrix is materialised lazily — one ``(rank, rank) @ (rank, S)``
-    product, cached until the next insert — when a decode, pre-code or
-    inspection actually needs the bytes.  Deferring the back-substitution
-    this way is what turns per-packet payload elimination (two O(K * S)
-    row passes per arrival) into a single batched product per rank
-    advance/batch completion.
-
-``eager``
-    The pre-deferral vectorized path: payload rows are reduced in place on
-    every insert with the same kernels.  Kept selectable so the deferral
-    itself stays measurable.
-
-``scalar``
-    The original reference schedule — payloads reduced eagerly through the
-    general matmul dispatch — retained as the reference side of the engine
-    differential and property tests.
-
-The elimination inner loop's ``vector @ matrix`` kernel is itself
-selectable (``kernel=``, see :data:`repro.gf.kernels.VECMAT_KERNELS`):
-``mul`` (64 KiB product-table gather, the measured default), ``nibble``
-(split 4 KiB tables) or ``logexp`` (LOG/EXP gather).
+Payload arithmetic leaves the per-insert path entirely.  Each stored row
+is the code vector *augmented with a transform row*: the row's linear
+combination over the raw payloads admitted so far.  Inserts eliminate over
+the ``K x 2K`` combined matrix (code columns + transform columns) and stash
+the raw payload untouched; the reduced payload matrix is materialised
+lazily — one ``(rank, rank) @ (rank, S)`` product, cached until the next
+insert — when a decode, pre-code or inspection actually needs the bytes.
+Deferring the back-substitution this way is what turns per-packet payload
+elimination (two O(K * S) row passes per arrival) into a single batched
+product per rank advance/batch completion.  GF(2^8) arithmetic is exact,
+so the deferred form produces the same bytes as the per-row Python-loop
+Gauss–Jordan it is tested against (``ScalarBatchBuffer`` in
+``tests/coding/test_vectorized_differential.py``).
 
 Because the stored matrix is in *reduced* row-echelon form, reducing an
 incoming vector against all pivots simultaneously (one ``(1, r) @ (r, K)``
@@ -61,18 +43,8 @@ import numpy as np
 
 from repro.coding.packet import CodedPacket
 from repro.gf.arithmetic import _zero_bytes, vec_scale
-from repro.gf.kernels import (
-    ShiftedRows,
-    gf_matmul,
-    gf_outer,
-    gf_vecmat,
-    gf_vecmat_reference,
-    resolve_vecmat,
-)
+from repro.gf.kernels import ShiftedRows, gf_matmul, gf_vecmat
 from repro.gf.tables import INV, MUL
-
-#: The insertion engines of :class:`BatchBuffer`; all bit-identical.
-ENGINES = ("vectorized", "eager", "scalar")
 
 
 class BatchBuffer:
@@ -87,64 +59,40 @@ class BatchBuffer:
         track_payloads: when False only code vectors are stored; forwarders
             that merely need rank information (e.g. in analytical tests) can
             avoid the payload memory.
-        fast: legacy selector kept for the PR 4 engine dual-pathing:
-            ``fast=True`` maps to the ``vectorized`` engine, ``fast=False``
-            to the ``scalar`` reference.  An explicit ``engine=`` wins.
-        engine: ``"vectorized"``, ``"eager"`` or ``"scalar"`` (see module
-            docstring); ``None`` derives the engine from ``fast``.
-        kernel: the elimination inner-loop kernel for the ``vectorized``
-            engine — a key of :data:`repro.gf.kernels.VECMAT_KERNELS`.
     """
 
-    def __init__(self, batch_size: int, packet_size: int, track_payloads: bool = True,
-                 fast: bool = True, engine: str | None = None,
-                 kernel: str = "mul") -> None:
+    def __init__(self, batch_size: int, packet_size: int,
+                 track_payloads: bool = True) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if packet_size < 0:
             raise ValueError("packet_size must be non-negative")
-        if engine is None:
-            engine = "vectorized" if fast else "scalar"
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.batch_size = batch_size
         self.packet_size = packet_size
         self.track_payloads = track_payloads
-        self.engine = engine
-        #: Mirrors the engine choice for the PR 4-era dual-path call sites:
-        #: True for the optimised engines, False for the scalar reference.
-        self.fast = engine != "scalar"
-        self._vecmat = resolve_vecmat(kernel)
-        self.kernel = kernel
         self._occupied = np.zeros(batch_size, dtype=bool)
         self._rank = 0
         self.received = 0
         self.innovative = 0
-        if engine == "vectorized":
-            # Combined matrix: columns [0, K) hold the reduced code vectors,
-            # columns [K, 2K) the transform rows (coefficients over the raw
-            # payloads in admission order).  Transform columns are only
-            # maintained when payload bytes can ever be asked for.
-            self._with_transform = track_payloads and packet_size > 0
-            width = 2 * batch_size if self._with_transform else batch_size
-            self._ops = np.zeros((batch_size, width), dtype=np.uint8)
-            self._matrix = self._ops[:, :batch_size]
-            self._raw = (np.zeros((batch_size, packet_size), dtype=np.uint8)
-                         if self._with_transform else None)
-            self._payload_cache: np.ndarray | None = None
-            # Cached shifted-row expansion of the admitted raw payloads for
-            # the pre-code fast path; rebuilt lazily after each insert
-            # (building costs about one direct vecmat, so the cache never
-            # loses even under fully interleaved insert/pre-code traffic).
-            self._raw_operand: ShiftedRows | None = None
-            self._payload_rows = None
-        else:
-            # Row i, when occupied, has its leading non-zero coefficient at
-            # column i.  Unoccupied rows stay all-zero.
-            self._ops = None
-            self._matrix = np.zeros((batch_size, batch_size), dtype=np.uint8)
-            self._payload_rows = (np.zeros((batch_size, packet_size), dtype=np.uint8)
-                                  if track_payloads else None)
+        # Combined matrix: columns [0, K) hold the reduced code vectors
+        # (row i, when occupied, has its leading non-zero coefficient at
+        # column i; unoccupied rows stay all-zero), columns [K, 2K) the
+        # transform rows (coefficients over the raw payloads in admission
+        # order).  Transform columns are only maintained when payload bytes
+        # can ever be asked for.
+        self._with_transform = track_payloads and packet_size > 0
+        width = 2 * batch_size if self._with_transform else batch_size
+        self._ops = np.zeros((batch_size, width), dtype=np.uint8)
+        self._cols = np.arange(width)
+        self._matrix = self._ops[:, :batch_size]
+        self._raw = (np.zeros((batch_size, packet_size), dtype=np.uint8)
+                     if self._with_transform else None)
+        self._payload_cache: np.ndarray | None = None
+        # Cached shifted-row expansion of the admitted raw payloads for
+        # the pre-code fast path; rebuilt lazily after each insert
+        # (building costs about one direct vecmat, so the cache never
+        # loses even under fully interleaved insert/pre-code traffic).
+        self._raw_operand: ShiftedRows | None = None
 
     @property
     def rank(self) -> int:
@@ -174,23 +122,7 @@ class BatchBuffer:
                 f"buffer batch size {self.batch_size}"
             )
         self.received += 1
-        if self.engine == "vectorized":
-            return self._add_vectorized(packet)
-        return self._add_eager(packet)
-
-    def add_packets(self, packets: Iterable[CodedPacket]) -> list[bool]:
-        """Insert a whole reception event's packets; one verdict per packet.
-
-        The batch-insert entry point of the vectorized engine: payload
-        back-substitution is deferred across the entire event, so N inserts
-        cost N code-vector eliminations and zero payload arithmetic — the
-        payload matrix materialises once, on the first decode or pre-code
-        after the event.
-        """
-        return [self.add(packet) for packet in packets]
-
-    def _add_vectorized(self, packet: CodedPacket) -> bool:
-        """Deferred-transform insert: code vector + transform row only."""
+        # Deferred-transform insert: code vector + transform row only.
         batch_size = self.batch_size
         with_transform = self._with_transform
         if self.track_payloads:
@@ -215,8 +147,8 @@ class BatchBuffer:
         if pivots.size:
             coefficients = extended[pivots]
             if coefficients.tobytes() != _zero_bytes(pivots.size):
-                extended[:width] ^= self._vecmat(
-                    coefficients, ops[pivots.reshape(-1, 1), self._cols(width)])
+                extended[:width] ^= gf_vecmat(
+                    coefficients, ops[pivots.reshape(-1, 1), self._cols[:width]])
         remaining = np.nonzero(extended[:batch_size])[0]
         if remaining.size == 0:
             # Vector reduced to zero: the packet is not innovative; its
@@ -245,80 +177,15 @@ class BatchBuffer:
         self._raw_operand = None
         return True
 
-    def _cols(self, width: int) -> np.ndarray:
-        """Column index vector for active-width advanced indexing."""
-        cols = getattr(self, "_cols_cache", None)
-        if cols is None:
-            cols = self._cols_cache = np.arange(self._ops.shape[1])
-        return cols[:width]
+    def add_packets(self, packets: Iterable[CodedPacket]) -> list[bool]:
+        """Insert a whole reception event's packets; one verdict per packet.
 
-    def _add_eager(self, packet: CodedPacket) -> bool:
-        """The eager engines: payload rows reduced in place per insert."""
-        vector = packet.code_vector.copy()
-        payload = packet.payload.copy() if self.track_payloads else None
-        if payload is not None and payload.shape[0] != self.packet_size:
-            raise ValueError(
-                f"payload length {payload.shape[0]} does not match buffer packet size "
-                f"{self.packet_size}"
-            )
-
-        # Phase 1: reduce the incoming vector against *every* stored pivot
-        # row in one kernel call.  Stored rows are reduced, so the pivot
-        # coefficients read from the incoming vector cannot change mid-pass
-        # and the simultaneous reduction equals the sequential one.  The
-        # payload reduction is deferred until the vector proves innovative:
-        # a packet that reduces to zero discards its payload unread, so
-        # non-innovative arrivals never pay for payload arithmetic (the
-        # reductions commute — both are XORs of rows scaled by the same
-        # pre-reduction coefficients — so deferral is bit-identical).
-        pivots = np.nonzero(self._occupied)[0]
-        fast = self.fast
-        vecmat = gf_vecmat if fast else gf_vecmat_reference
-        coefficients = None
-        if pivots.size:
-            coefficients = vector[pivots]
-            if (coefficients.tobytes() != _zero_bytes(pivots.size)) if fast \
-                    else coefficients.any():
-                vector ^= vecmat(coefficients, self._matrix[pivots])
-                if not fast and payload is not None and self.packet_size:
-                    # Reference schedule: the payload is reduced eagerly,
-                    # before the innovation outcome is known.
-                    payload ^= vecmat(coefficients, self._payload_rows[pivots])
-            else:
-                coefficients = None
-
-        # Phase 2: the first remaining non-zero column (necessarily pivot
-        # free) becomes the new pivot; normalise and clean the other rows.
-        remaining = np.nonzero(vector)[0]
-        if fast and coefficients is not None and remaining.size \
-                and payload is not None and self.packet_size:
-            payload ^= gf_vecmat(coefficients, self._payload_rows[pivots])
-        if remaining.size == 0:
-            # Vector reduced to zero: the packet is not innovative.
-            return False
-        column = int(remaining[0])
-        inverse = int(INV[int(vector[column])])
-        vector = vec_scale(vector, inverse)
-        if payload is not None:
-            payload = vec_scale(payload, inverse)
-        if pivots.size:
-            factors = self._matrix[pivots, column]
-            mask = factors != 0
-            hit = pivots[mask]
-            if hit.size:
-                # Rank-1 update: clear the new pivot column from every
-                # stored row at once.
-                hit_factors = factors[mask]
-                self._matrix[hit] ^= gf_outer(hit_factors, vector)
-                if self.track_payloads and self.packet_size and payload is not None:
-                    self._payload_rows[hit] ^= gf_outer(hit_factors, payload)
-        self._matrix[column] = vector
-        if self._payload_rows is not None and payload is not None:
-            self._payload_rows[column] = payload
-        self._occupied[column] = True
-        self._rank += 1
-        self.innovative += 1
-        return True
+        Payload back-substitution is deferred across the entire event, so N
+        inserts cost N code-vector eliminations and zero payload arithmetic
+        — the payload matrix materialises once, on the first decode or
+        pre-code after the event.
+        """
+        return [self.add(packet) for packet in packets]
 
     def is_innovative(self, code_vector: np.ndarray) -> bool:
         """Check whether a code vector would be innovative, without inserting it."""
@@ -358,15 +225,12 @@ class BatchBuffer:
     def payload_matrix(self) -> np.ndarray:
         """Return the stored payloads stacked as a rank x S matrix.
 
-        Under the ``vectorized`` engine this is where the deferred
-        back-substitution lands: the reduced payloads are one
-        ``transform @ raw_payloads`` product, computed on first request
-        after a rank advance and cached until the next insert.
+        This is where the deferred back-substitution lands: the reduced
+        payloads are one ``transform @ raw_payloads`` product, computed on
+        first request after a rank advance and cached until the next insert.
         """
         if not self.track_payloads:
             raise RuntimeError("buffer was created without payload tracking")
-        if self.engine != "vectorized":
-            return self._payload_rows[self._occupied].copy()
         cache = self._payload_cache
         if cache is None:
             cache = self._payload_cache = self._materialize_payloads()
@@ -384,10 +248,9 @@ class BatchBuffer:
     def combine_rows(self, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One linear combination over the stored rows, payloads left deferred.
 
-        The forwarder pre-code fast path (``vectorized`` engine only):
-        returns ``(code_vector, payload)`` for ``coefficients @ rows``
-        without ever materialising the reduced payload matrix.  The payload
-        combination is re-associated through the stored transform::
+        The forwarder pre-code fast path: returns ``(code_vector, payload)``
+        for ``coefficients @ rows`` without ever materialising the reduced
+        payload matrix.  The payload combination is re-associated through the stored transform::
 
             c @ (T @ R)  ==  (c @ T) @ R
 
@@ -406,8 +269,6 @@ class BatchBuffer:
             The combined code vector (length K) and payload (length S),
             both freshly owned.
         """
-        if self.engine != "vectorized":
-            raise RuntimeError("combine_rows is a vectorized-engine fast path")
         count = self._rank
         if count == 0:
             raise RuntimeError("cannot combine over an empty buffer")
@@ -415,14 +276,14 @@ class BatchBuffer:
             raise ValueError(
                 f"expected {count} combination coefficients, "
                 f"got {coefficients.shape[0]}")
-        vector = self._vecmat(coefficients, self._matrix[self._occupied])
+        vector = gf_vecmat(coefficients, self._matrix[self._occupied])
         if not self._with_transform:
             payload = np.zeros(self.packet_size, dtype=np.uint8)
         elif self._payload_cache is not None:
-            payload = self._vecmat(coefficients, self._payload_cache)
+            payload = gf_vecmat(coefficients, self._payload_cache)
         else:
             batch_size = self.batch_size
-            reduced = self._vecmat(
+            reduced = gf_vecmat(
                 coefficients,
                 self._ops[self._occupied, batch_size:batch_size + count])
             if self._raw_operand is None:
@@ -454,15 +315,10 @@ class BatchBuffer:
 
     def clear(self) -> None:
         """Drop all stored state (used when a batch is flushed)."""
-        if self._ops is not None:
-            self._ops[:] = 0
-            if self._raw is not None:
-                self._raw[:] = 0
-            self._payload_cache = None
-            self._raw_operand = None
-        else:
-            self._matrix[:] = 0
-            if self._payload_rows is not None:
-                self._payload_rows[:] = 0
+        self._ops[:] = 0
+        if self._raw is not None:
+            self._raw[:] = 0
+        self._payload_cache = None
+        self._raw_operand = None
         self._occupied[:] = False
         self._rank = 0

@@ -6,10 +6,10 @@ vectors (Section 3.1.3).  Two implementations are provided:
 
 * :class:`BatchDecoder` — the production decoder, built on
   :class:`~repro.coding.buffer.BatchBuffer`, which performs incremental
-  Gauss–Jordan elimination per arrival.  Under the default ``vectorized``
-  engine the payload back-substitution is deferred: inserts touch code
-  vectors (plus the transform columns) only, and :meth:`BatchDecoder.decode`
-  materialises all K native payloads with a single batched product.
+  Gauss–Jordan elimination per arrival.  The payload back-substitution is
+  deferred: inserts touch code vectors (plus the transform columns) only,
+  and :meth:`BatchDecoder.decode` materialises all K native payloads with a
+  single batched product.
 * :func:`decode_by_inversion` — the literal matrix-inversion formulation
   from the paper, used as a cross-check in tests and benchmarks.
 """
@@ -26,21 +26,11 @@ from repro.gf.matrix import SingularMatrixError, invert, matmul
 
 
 class BatchDecoder:
-    """Collects coded packets of one batch and decodes once full rank.
+    """Collects coded packets of one batch and decodes once full rank."""
 
-    ``engine`` / ``kernel`` select the insertion engine and elimination
-    kernel of the underlying buffer (see
-    :class:`~repro.coding.buffer.BatchBuffer`); ``fast`` is the PR 4-era
-    selector (``True`` = ``vectorized``, ``False`` = ``scalar``) that an
-    explicit ``engine=`` overrides.
-    """
-
-    def __init__(self, batch_size: int, packet_size: int, batch_id: int = 0,
-                 fast: bool = True, engine: str | None = None,
-                 kernel: str = "mul") -> None:
+    def __init__(self, batch_size: int, packet_size: int, batch_id: int = 0) -> None:
         self.batch_id = batch_id
-        self.buffer = BatchBuffer(batch_size, packet_size, fast=fast,
-                                  engine=engine, kernel=kernel)
+        self.buffer = BatchBuffer(batch_size, packet_size)
 
     @property
     def rank(self) -> int:
@@ -64,8 +54,8 @@ class BatchDecoder:
     def add_packets(self, packets: Iterable[CodedPacket]) -> list[bool]:
         """Insert one reception event's packets; one verdict per packet.
 
-        Under the ``vectorized`` engine the whole event costs only
-        code-vector eliminations — no payload arithmetic happens until
+        The whole event costs only code-vector eliminations — no payload
+        arithmetic happens until
         :meth:`decode` (or an explicit payload inspection) materialises the
         deferred back-substitution in one batched product.
         """

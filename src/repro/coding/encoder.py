@@ -37,7 +37,7 @@ from repro.gf.arithmetic import (
     random_nonzero_coefficient,
     scale_and_add,
 )
-from repro.gf.kernels import ShiftedRows, gf_vecmat, gf_vecmat_reference
+from repro.gf.kernels import ShiftedRows
 
 
 class SourceEncoder:
@@ -110,16 +110,10 @@ class ForwarderEncoder:
     """
 
     def __init__(self, batch_size: int, packet_size: int, rng: np.random.Generator,
-                 batch_id: int = 0, fast: bool = True,
-                 engine: str | None = None, kernel: str = "mul") -> None:
-        self.buffer = BatchBuffer(batch_size, packet_size, fast=fast,
-                                  engine=engine, kernel=kernel)
+                 batch_id: int = 0) -> None:
+        self.buffer = BatchBuffer(batch_size, packet_size)
         self.rng = rng
         self.batch_id = batch_id
-        #: ``fast=False`` routes the pre-code products through the original
-        #: matmul dispatch (the engine differential reference path).  The
-        #: buffer resolves the ``fast``/``engine`` precedence; mirror it.
-        self.fast = self.buffer.fast
         self._precoded_vector: np.ndarray | None = None
         self._precoded_payload: np.ndarray | None = None
         self.packets_generated = 0
@@ -166,19 +160,10 @@ class ForwarderEncoder:
             self._precoded_payload = None
             return
         coefficients = random_code_vector(self.buffer.rank, self.rng)
-        if self.buffer.engine == "vectorized":
-            # Fast path: combine through the deferred transform without
-            # materialising (and copying) the reduced payload matrix —
-            # bit-identical by GF associativity, pinned by the engine
-            # differential tests.
-            self._precoded_vector, self._precoded_payload = \
-                self.buffer.combine_rows(coefficients)
-            return
-        vecmat = gf_vecmat if self.fast else gf_vecmat_reference
-        self._precoded_vector = vecmat(coefficients,
-                                       self.buffer.coefficient_matrix())
-        self._precoded_payload = vecmat(coefficients,
-                                        self.buffer.payload_matrix())
+        # Combine through the deferred transform without materialising (and
+        # copying) the reduced payload matrix.
+        self._precoded_vector, self._precoded_payload = \
+            self.buffer.combine_rows(coefficients)
 
     def has_data(self) -> bool:
         """True if the forwarder has anything to transmit."""

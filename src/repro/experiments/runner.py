@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.coding.buffer import ENGINES as CODING_ENGINES
 from repro.experiments.refresh import FlowSupervisor, LinkStateRefresher
 from repro.protocols.exor import setup_exor_flow
 from repro.protocols.more import setup_more_flow
@@ -114,16 +113,6 @@ class RunConfig:
     #: axis (``run.refresh_period``).  Accepts the string ``"inf"`` so the
     #: axis stays plain JSON.
     refresh_period: float = math.inf
-    #: Event-engine / hot-path selection: ``fast`` (default) or ``legacy``
-    #: (the pre-optimisation reference; bit-identical results, slower —
-    #: see :class:`repro.sim.radio.SimConfig` and docs/performance.md).
-    engine: str = "fast"
-    #: Coding-buffer insertion engine for MORE flows: ``auto`` (default;
-    #: follows ``engine`` — vectorized deferred-transform under ``fast``,
-    #: the scalar reference under ``legacy``) or an explicit
-    #: ``vectorized`` / ``eager`` / ``scalar``.  All bit-identical; see
-    #: :class:`repro.coding.buffer.BatchBuffer` and docs/performance.md.
-    decode_engine: str = "auto"
     #: Cap on each MORE flow's forwarder-list length (the relay-count axis
     #: of the kilonode tier): the ``N`` highest-expected-load relays are
     #: kept in place of the 10% pruning rule, which degenerates at kilonode
@@ -153,11 +142,6 @@ class RunConfig:
         self.refresh_period = float(self.refresh_period)
         if self.refresh_period <= 0:
             raise ValueError("refresh_period must be positive (inf = never)")
-        if self.decode_engine not in ("auto",) + CODING_ENGINES:
-            raise ValueError(
-                f"unknown decode_engine {self.decode_engine!r}; expected "
-                f"'auto' or one of {CODING_ENGINES}"
-            )
         self.progress_timeout = float(self.progress_timeout)
         if self.progress_timeout <= 0:
             raise ValueError("progress_timeout must be positive (inf = never)")
@@ -210,7 +194,6 @@ def _make_simulator(topology: Topology, config: RunConfig, bitrate: int | None =
     sim_config = SimConfig(phy=phy, seed=config.seed, max_duration=config.max_duration,
                            channel_model=config.channel_spec(),
                            mobility=config.mobility_spec(),
-                           engine=config.engine,
                            faults=config.faults_spec(),
                            monitor=config.monitor,
                            monitor_interval=config.monitor_interval)
@@ -235,7 +218,6 @@ def _install_flow(sim: Simulator, topology: Topology, protocol: str, source: int
             metric=config.more_metric,
             seed=flow_seed,
             control_topology=control_topology,
-            decode_engine=config.decode_engine,
             max_relays=config.max_relays,
         )
         return handle

@@ -25,14 +25,6 @@ operations:
     Row-wise scaling by a coefficient per row, plain and XOR-accumulating —
     the batched form of :func:`repro.gf.arithmetic.scale_and_add`.
 
-``gf_vecmat_nibble`` / ``gf_vecmat_logexp``
-    Alternative formulations of the elimination inner loop, selectable per
-    buffer through :data:`VECMAT_KERNELS` (see
-    :class:`repro.coding.buffer.BatchBuffer`'s ``kernel`` argument).  All
-    three produce bit-identical results — GF(2^8) arithmetic is exact — so
-    the choice is purely a performance trade-off; see the table-size notes
-    on each kernel and docs/performance.md for the measured crossovers.
-
 All kernels are exact: GF(2^8) arithmetic has no rounding, so the
 vectorized results are bit-identical to the scalar loops they replace
 (the differential tests in ``tests/coding`` assert exactly that).
@@ -57,15 +49,9 @@ Two formulations are used, picked by operand shape:
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.gf.tables import EXP, FIELD_SIZE, LOG, MUL
-
-#: The calling convention every elimination kernel shares:
-#: ``(vector, matrix) -> vector @ matrix`` over GF(2^8).
-VecmatKernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 #: Upper bound on the intermediate (rows, k, s) tensors of the gather path.
 _CHUNK_BYTES = 1 << 23  # 8 MiB
@@ -247,97 +233,15 @@ def gf_vecmat(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 
 
 def gf_vecmat_reference(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """The original ``vector @ matrix`` route: through :func:`gf_matmul`.
+    """The ``vector @ matrix`` oracle: through :func:`gf_matmul`.
 
-    Kept as the measurable pre-optimisation reduction path (engine
-    differential tests and the legacy-mode buffers); bit-identical to
-    :func:`gf_vecmat`, just slower for single-vector shapes.
+    Nothing at run time calls this: it is the reference the tests hold
+    :func:`gf_vecmat` against, bit for bit.
     """
     coefficients = np.asarray(vector, dtype=np.uint8)
     if coefficients.ndim != 1:
         raise ValueError(f"vector must be 1-D, got shape {coefficients.shape}")
     return gf_matmul(coefficients[None, :], matrix)[0]
-
-
-#: Split (nibble) product tables, 4 KiB each: ``_NIB_LO[c, x] = c * x`` for
-#: the low nibble ``x`` in 0..15, and ``_NIB_HI[c, h] = c * (h << 4)`` for
-#: the high nibble.  Field multiplication is GF(2)-linear in each operand,
-#: so ``c * m = _NIB_LO[c, m & 0xF] ^ _NIB_HI[c, m >> 4]`` — two gathers
-#: into tables an eighth the size of the 64 KiB ``MUL`` table.
-_NIB_LO = MUL[:, :16].copy()
-_NIB_HI = MUL[:, ::16].copy()
-
-
-def _vec_operands(vector: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Shared validation for the ``vector @ matrix`` kernel family."""
-    coefficients = np.asarray(vector, dtype=np.uint8)
-    if coefficients.ndim != 1:
-        raise ValueError(f"vector must be 1-D, got shape {coefficients.shape}")
-    right = _as_matrix(matrix, "matrix")
-    if right.shape[0] != coefficients.shape[0]:
-        raise ValueError(
-            f"inner dimensions do not match: (1, {coefficients.shape[0]}) @ "
-            f"{right.shape}"
-        )
-    return coefficients, right
-
-
-def gf_vecmat_nibble(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``vector @ matrix`` via the split (nibble) product tables.
-
-    Bit-identical to :func:`gf_vecmat`; trades the single 64 KiB-table
-    gather for two gathers into 4 KiB tables that fit in L1 alongside the
-    matrix rows.  In numpy the extra gather + XOR outweighs the locality
-    win at every shape the elimination loop sees (see docs/performance.md),
-    so this stays a selectable alternative rather than the default; in a
-    cache-constrained native port the trade-off flips.
-    """
-    coefficients, right = _vec_operands(vector, matrix)
-    if coefficients.shape[0] == 0 or right.shape[1] == 0:
-        return np.zeros(right.shape[1], dtype=np.uint8)
-    column = coefficients[:, None]
-    products = _NIB_LO[column, right & 0x0F]
-    products ^= _NIB_HI[column, right >> 4]
-    return np.bitwise_xor.reduce(products, axis=0)
-
-
-def gf_vecmat_logexp(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``vector @ matrix`` via the LOG/EXP (add-exponents) formulation.
-
-    Bit-identical to :func:`gf_vecmat`; one gather into the 0.5 KiB log
-    table per operand plus one into the 2 KiB padded antilog, with the
-    zero-sentinel trick absorbing zero operands without masking.  The
-    int16 exponent intermediate makes it slower than the MUL-table gather
-    for the elimination shapes, but its tables are the smallest of the
-    family.
-    """
-    coefficients, right = _vec_operands(vector, matrix)
-    if coefficients.shape[0] == 0 or right.shape[1] == 0:
-        return np.zeros(right.shape[1], dtype=np.uint8)
-    exponents = _LOG16[coefficients[:, None]] + _LOG16[right]
-    return np.bitwise_xor.reduce(_EXP_PAD[exponents], axis=0)
-
-
-#: The selectable ``vector @ matrix`` kernels for the elimination inner
-#: loop, keyed by the name :class:`repro.coding.buffer.BatchBuffer` and the
-#: property-test harness use.  ``mul`` (the 64 KiB product-table gather) is
-#: the measured default; all entries are bit-identical.
-VECMAT_KERNELS: dict[str, VecmatKernel] = {
-    "mul": gf_vecmat,
-    "nibble": gf_vecmat_nibble,
-    "logexp": gf_vecmat_logexp,
-}
-
-
-def resolve_vecmat(name: str) -> VecmatKernel:
-    """Look up an elimination kernel by name (see :data:`VECMAT_KERNELS`)."""
-    try:
-        return VECMAT_KERNELS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown vecmat kernel {name!r}; expected one of "
-            f"{sorted(VECMAT_KERNELS)}"
-        ) from None
 
 
 def gf_outer(column: np.ndarray, row: np.ndarray) -> np.ndarray:

@@ -28,10 +28,6 @@ class ProtocolAgent:
         self.node_id = node_id
         self.node: "SimNode | None" = None
         self.sim: "Simulator | None" = None
-        #: Mirrors ``Simulator.fast_engine`` once bound: agents keep their
-        #: original (pre-optimisation) reception paths alive under
-        #: ``SimConfig(engine="legacy")`` for differential testing.
-        self._fast = True
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -41,8 +37,7 @@ class ProtocolAgent:
         """Called when the agent is attached to a simulation node."""
         self.node = node
         self.sim = node.sim
-        self._fast = getattr(node.sim, "fast_engine", True)
-        if self._fast and type(self).notify_pending is ProtocolAgent.notify_pending:
+        if type(self).notify_pending is ProtocolAgent.notify_pending:
             # Shadow the delegating method with the node's bound one: the
             # agent pokes the MAC on most receptions, and the indirection
             # (method frame + None guard) is pure overhead once bound.

@@ -68,12 +68,6 @@ class MoreFlowSpec:
         total_packets: total native packets in the transfer.
         batch_count: number of batches.
         bitrate: optional fixed bit-rate override for this flow's data.
-        decode_engine: insertion-engine selector for this flow's buffers
-            and decoders (``"auto"`` follows the simulator engine:
-            ``vectorized`` under the fast engine, ``scalar`` under
-            ``engine="legacy"``; an explicit ``"vectorized"`` / ``"eager"``
-            / ``"scalar"`` pins it — see
-            :class:`repro.coding.buffer.BatchBuffer`).
         max_relays: optional cap on the forwarder list length (the
             relay-count axis of the kilonode tier); ``None`` keeps the
             full pruned plan.
@@ -92,7 +86,6 @@ class MoreFlowSpec:
     total_packets: int
     batch_count: int
     bitrate: int | None = None
-    decode_engine: str = "auto"
     max_relays: int | None = None
     # Per-flow constants, memoised on first use (the spec is immutable once
     # installed and these sit on the per-frame hot path).
@@ -116,30 +109,21 @@ class MoreFlowSpec:
         self._header_forwarders = None
 
     def header_size(self) -> int:
-        """Size of the MORE data header for this flow (computed once)."""
+        """Size of the MORE data header for this flow: a representative
+        header is built and measured once."""
         size = self._header_size
         if size is None:
-            size = self._header_size = self.compute_header_size()
+            header = MoreHeader(
+                packet_type=MorePacketType.DATA,
+                source=self.source,
+                destination=self.destination,
+                flow_id=self.flow_id,
+                batch_id=0,
+                code_vector=np.zeros(self.batch_size, dtype=np.uint8),
+                forwarders=self.forwarders,
+            )
+            size = self._header_size = header.size_bytes()
         return size
-
-    def compute_header_size(self) -> int:
-        """Build a representative header and measure it (uncached).
-
-        The per-frame hot path goes through the memoised
-        :meth:`header_size`; this is the raw computation, also used by the
-        legacy engine mode so the reference measurement keeps the original
-        per-frame cost.
-        """
-        header = MoreHeader(
-            packet_type=MorePacketType.DATA,
-            source=self.source,
-            destination=self.destination,
-            flow_id=self.flow_id,
-            batch_id=0,
-            code_vector=np.zeros(self.batch_size, dtype=np.uint8),
-            forwarders=self.forwarders,
-        )
-        return header.size_bytes()
 
     def data_frame_size(self) -> int:
         """On-air payload size of a MORE data frame."""
@@ -173,24 +157,6 @@ class MoreFlowSpec:
         if position + 1 >= len(self.ack_route):
             return None
         return self.ack_route[position + 1]
-
-    def buffer_engine(self) -> str | None:
-        """The ``engine=`` argument for this flow's buffers and decoders.
-
-        ``"auto"`` maps to ``None`` so the buffer derives the engine from
-        the agent's ``fast`` flag (vectorized under the fast simulator
-        engine, the scalar reference under ``engine="legacy"``); anything
-        else is passed through verbatim.
-        """
-        return None if self.decode_engine == "auto" else self.decode_engine
-
-    def is_upstream(self, sender: int, receiver: int) -> bool:
-        """True if ``sender`` is farther from the destination than ``receiver``."""
-        sender_distance = self.distances.get(sender)
-        receiver_distance = self.distances.get(receiver)
-        if sender_distance is None or receiver_distance is None:
-            return False
-        return sender_distance > receiver_distance
 
 
 @dataclass(slots=True)
@@ -234,12 +200,10 @@ class _SourceState:
 class _ForwarderState:
     """Per-flow state held by an intermediate forwarder."""
 
-    def __init__(self, spec: MoreFlowSpec, node_id: int, rng: np.random.Generator,
-                 fast: bool = True) -> None:
+    def __init__(self, spec: MoreFlowSpec, node_id: int, rng: np.random.Generator) -> None:
         self.spec = spec
         self.node_id = node_id
         self.rng = rng
-        self.fast = fast
         self.credit = 0.0
         self.current_batch = 0
         self.encoder: ForwarderEncoder | None = None
@@ -278,8 +242,6 @@ class _ForwarderState:
                 packet_size=self.spec.coding_payload_size,
                 rng=self.rng,
                 batch_id=batch_id,
-                fast=self.fast,
-                engine=self.spec.buffer_engine(),
             )
         return self.encoder
 
@@ -289,15 +251,14 @@ class _ForwarderState:
         self.credit = 0.0
         self.encoder = None
 
-    def handle_data(self, header: MoreHeader, coded: CodedPacket,
-                    fast: bool = False) -> bool:
+    def handle_data(self, header: MoreHeader, coded: CodedPacket) -> bool:
         """Process a data packet heard for this flow; return True if buffered."""
         if header.batch_id < self.current_batch:
             return False
         if header.batch_id > self.current_batch:
             self.flush(header.batch_id)
         encoder = self._ensure_encoder(coded.batch_size, header.batch_id)
-        if fast and encoder.buffer.is_full:
+        if encoder.buffer.is_full:
             # Full rank: no vector can be innovative, and a non-innovative
             # insert draws no randomness — skip the GF elimination outright.
             return False
@@ -313,9 +274,8 @@ class _ForwarderState:
 class _DestinationState:
     """Per-flow state held by the destination node."""
 
-    def __init__(self, spec: MoreFlowSpec, fast: bool = True) -> None:
+    def __init__(self, spec: MoreFlowSpec) -> None:
         self.spec = spec
-        self.fast = fast
         self.current_batch = 0
         self.decoder: BatchDecoder | None = None
         self.completed: set[int] = set()
@@ -328,8 +288,6 @@ class _DestinationState:
                 batch_size=batch_size,
                 packet_size=self.spec.coding_payload_size,
                 batch_id=batch_id,
-                fast=self.fast,
-                engine=self.spec.buffer_engine(),
             )
         return self.decoder
 
@@ -390,8 +348,8 @@ class MoreAgent(ProtocolAgent):
     def install_forwarder(self, spec: MoreFlowSpec) -> None:
         """Install forwarder-side state for a flow this node may relay."""
         self.specs[spec.flow_id] = spec
-        self.forward_flows[spec.flow_id] = _ForwarderState(spec, self.node_id,
-                                                           self.rng, fast=self._fast)
+        self.forward_flows[spec.flow_id] = _ForwarderState(
+            spec, self.node_id, self.rng)
         self._refresh_flow_shape()
 
     def _refresh_flow_shape(self) -> None:
@@ -406,7 +364,7 @@ class MoreAgent(ProtocolAgent):
     def install_destination(self, spec: MoreFlowSpec) -> None:
         """Install destination-side state for a flow terminating at this node."""
         self.specs[spec.flow_id] = spec
-        self.destination_flows[spec.flow_id] = _DestinationState(spec, fast=self._fast)
+        self.destination_flows[spec.flow_id] = _DestinationState(spec)
 
     def install_ack_relay(self, spec: MoreFlowSpec) -> None:
         """Register the flow spec so this node can relay its batch ACKs."""
@@ -419,47 +377,41 @@ class MoreAgent(ProtocolAgent):
     def has_pending(self, now: float) -> bool:
         if self._ack_queue:
             return True
-        if self._fast:
-            single = self._single_source
-            if single is not None:
-                return not single[1].done
-            single = self._single_forwarder
-            if single is not None:
-                return single[1].backlogged
-            for state in self.source_flows.values():
-                if not state.done:
-                    return True
-            for state in self.forward_flows.values():
-                if state.backlogged:
-                    return True
-            return False
-        # Reference path: the original generator-expression scans.
-        if any(not state.done for state in self.source_flows.values()):
-            return True
-        return any(state.backlogged for state in self.forward_flows.values())
+        single = self._single_source
+        if single is not None:
+            return not single[1].done
+        single = self._single_forwarder
+        if single is not None:
+            return single[1].backlogged
+        for state in self.source_flows.values():
+            if not state.done:
+                return True
+        for state in self.forward_flows.values():
+            if state.backlogged:
+                return True
+        return False
 
     def on_transmit_opportunity(self, now: float) -> Frame | None:
         # Batch ACKs have strict priority (Section 3.2.2).
         if self._ack_queue:
             return self._ack_queue[0]
-        if self._fast:
-            # Single-flow fast paths (the overwhelmingly common agent
-            # shapes): round-robin over one backlogged flow always lands on
-            # it, so skip building and sorting the flow-id list.
-            single = self._single_source
-            if single is not None:
-                flow_id, state = single
-                if state.done:
-                    return None
-                self._round_robin = 0
-                return self._make_source_frame(flow_id, state)
-            single = self._single_forwarder
-            if single is not None:
-                flow_id, state = single
-                if not state.backlogged:
-                    return None
-                self._round_robin = 0
-                return self._make_forwarder_frame(flow_id)
+        # Single-flow fast paths (the overwhelmingly common agent
+        # shapes): round-robin over one backlogged flow always lands on
+        # it, so skip building and sorting the flow-id list.
+        single = self._single_source
+        if single is not None:
+            flow_id, state = single
+            if state.done:
+                return None
+            self._round_robin = 0
+            return self._make_source_frame(flow_id, state)
+        single = self._single_forwarder
+        if single is not None:
+            flow_id, state = single
+            if not state.backlogged:
+                return None
+            self._round_robin = 0
+            return self._make_forwarder_frame(flow_id)
         flows = self._backlogged_flow_ids()
         if not flows:
             return None
@@ -493,10 +445,7 @@ class MoreAgent(ProtocolAgent):
             state = self.source_flows[flow_id]
         spec = state.spec
         encoder = state.encoders[state.current_batch]
-        # The dedicated single-packet encode path skips the batch-matrix
-        # scaffolding; legacy mode keeps the original batched-call pattern
-        # (same draws, same packet, different constant factor).
-        coded = encoder.next_packet() if self._fast else encoder.next_packets(1)[0]
+        coded = encoder.next_packet()
         header = self._make_data_header(spec, flow_id, state.current_batch, coded)
         self.data_sent += 1
         return Frame(
@@ -504,35 +453,18 @@ class MoreAgent(ProtocolAgent):
             receiver=BROADCAST,
             kind=FrameKind.DATA,
             flow_id=flow_id,
-            size_bytes=self._frame_size(spec),
+            size_bytes=spec.data_frame_size(),
             payload=MoreDataPayload(header=header, coded=coded),
         )
 
     def _make_data_header(self, spec: MoreFlowSpec, flow_id: int, batch_id: int,
                           coded: CodedPacket) -> MoreHeader:
-        """Per-transmission header; normalisation-free under the fast engine."""
-        if self._fast:
-            # The code vector is uint8 by construction and the spec's header
-            # forwarder list is pre-truncated, so __post_init__ has nothing
-            # to do — skip it.
-            return MoreHeader.for_data(spec.source, spec.destination, flow_id,
-                                       batch_id, coded.code_vector,
-                                       spec.header_forwarders())
-        return MoreHeader(
-            packet_type=MorePacketType.DATA,
-            source=spec.source,
-            destination=spec.destination,
-            flow_id=flow_id,
-            batch_id=batch_id,
-            code_vector=coded.code_vector,
-            forwarders=spec.forwarders,
-        )
-
-    def _frame_size(self, spec: MoreFlowSpec) -> int:
-        """On-air data-frame size (memoised on the spec under the fast engine)."""
-        if self._fast:
-            return spec.data_frame_size()
-        return spec.packet_size + spec.compute_header_size()
+        """Per-transmission header, built normalisation-free: the code
+        vector is uint8 by construction and the spec's header forwarder
+        list is pre-truncated, so ``__post_init__`` has nothing to do."""
+        return MoreHeader.for_data(spec.source, spec.destination, flow_id,
+                                   batch_id, coded.code_vector,
+                                   spec.header_forwarders())
 
     def _make_forwarder_frame(self, flow_id: int) -> Frame | None:
         state = self.forward_flows.get(flow_id)
@@ -549,7 +481,7 @@ class MoreAgent(ProtocolAgent):
             receiver=BROADCAST,
             kind=FrameKind.DATA,
             flow_id=flow_id,
-            size_bytes=self._frame_size(spec),
+            size_bytes=spec.data_frame_size(),
             payload=MoreDataPayload(header=header, coded=coded),
         )
 
@@ -605,21 +537,17 @@ class MoreAgent(ProtocolAgent):
         self._queue_ack(spec, ack.batch_id)
 
     def _handle_data(self, frame: Frame, payload: MoreDataPayload, now: float) -> None:
-        if not self._fast:
-            self._handle_data_legacy(frame, payload, now)
-            return
         header = payload.header
         flow_id = header.flow_id
         # Per-flow roles are disjoint (a node sources, forwards or decodes a
         # given flow), so dispatch straight off the role tables; nodes with
         # neither role for this flow — the source hearing itself, ACK-route
-        # relays, bystanders — fall through and ignore the packet, exactly
-        # like the reference path's membership checks.
+        # relays, bystanders — fall through and ignore the packet.
         state = self.forward_flows.get(flow_id)
         if state is not None:
             # Forwarders pruned from the header by the MAX_FORWARDERS cap
-            # must ignore the flow's data (the membership test of the
-            # reference path, precomputed per flow).
+            # must ignore the flow's data (header membership, precomputed
+            # per flow).
             if not state.listed:
                 return
             batch_id = header.batch_id
@@ -630,7 +558,7 @@ class MoreAgent(ProtocolAgent):
                 if batch_id > state.current_batch:
                     state.flush(batch_id)
                 state.credit += state.tx_credit
-            if state.handle_data(header, payload.coded, True):
+            if state.handle_data(header, payload.coded):
                 self.innovative_received += 1
             else:
                 self.non_innovative_received += 1
@@ -642,44 +570,6 @@ class MoreAgent(ProtocolAgent):
             spec = self.specs.get(flow_id)
             if spec is not None:
                 self._handle_data_at_destination(spec, header, payload.coded, now)
-
-    def _handle_data_legacy(self, frame: Frame, payload: MoreDataPayload,
-                            now: float) -> None:
-        """The reference (pre-optimisation) reception path, bit-identical to
-        :meth:`_handle_data` and kept live under ``engine="legacy"``."""
-        header = payload.header
-        spec = self.specs.get(header.flow_id)
-        if spec is None:
-            return
-        node_id = self.node_id
-
-        if node_id == spec.destination:
-            self._handle_data_at_destination(spec, header, payload.coded, now)
-            return
-
-        if node_id not in header.forwarder_ids() and node_id != spec.source:
-            return
-        if node_id == spec.source:
-            # The source ignores data packets of its own flow.
-            return
-
-        state = self.forward_flows.get(header.flow_id)
-        if state is None:
-            return
-        if header.batch_id >= state.current_batch \
-                and spec.is_upstream(frame.sender, node_id):
-            # Credit increases for every packet heard from upstream
-            # (Section 3.3.3), before the innovation check.
-            if header.batch_id > state.current_batch:
-                state.flush(header.batch_id)
-            state.credit += state.tx_credit
-        innovative = state.handle_data(header, payload.coded)
-        if innovative:
-            self.innovative_received += 1
-        else:
-            self.non_innovative_received += 1
-        if state.backlogged:
-            self.notify_pending()
 
     def _handle_data_at_destination(self, spec: MoreFlowSpec, header: MoreHeader,
                                     coded: CodedPacket, now: float) -> None:

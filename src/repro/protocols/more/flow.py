@@ -95,7 +95,6 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
                     seed: int = 0, flow_id: int | None = None,
                     start_time: float = 0.0,
                     control_topology: Topology | None = None,
-                    decode_engine: str = "auto",
                     max_relays: int | None = None) -> MoreFlowHandle:
     """Install a MORE file transfer from ``source`` to ``destination``.
 
@@ -128,9 +127,6 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
         seed: seed for the per-node coding RNGs.
         flow_id: explicit flow id (auto-assigned when omitted).
         start_time: when the source starts transmitting.
-        decode_engine: buffer/decoder insertion engine for this flow
-            (``"auto"`` follows the simulator engine; see
-            :class:`repro.coding.buffer.BatchBuffer`).
         max_relays: cap the forwarder list at this many relays — the
             highest-expected-load ones, replacing the 10% pruning rule
             (:func:`repro.metrics.credits.cap_forwarders`).  This is the
@@ -193,7 +189,6 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
         total_packets=total,
         batch_count=len(batches),
         bitrate=bitrate,
-        decode_engine=decode_engine,
         max_relays=max_relays,
     )
 

@@ -11,7 +11,7 @@ from repro.sim.channels import (
     TraceDriven,
     build_channel_model,
 )
-from repro.sim.events import EventHandle, EventQueue, LegacyEventQueue
+from repro.sim.events import EventHandle, EventQueue
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.mac import CsmaMac, MacState
 from repro.sim.medium import Transmission, WirelessMedium
@@ -43,7 +43,6 @@ __all__ = [
     "build_channel_model",
     "EventHandle",
     "EventQueue",
-    "LegacyEventQueue",
     "FlowRecord",
     "Frame",
     "FrameKind",

@@ -15,17 +15,13 @@ simulation, so the implementation is deliberately allocation-light:
   compaction pass keeping the heap small when cancelled entries dominate;
 * :meth:`EventQueue.run` hoists attribute lookups out of the dispatch loop.
 
-:class:`LegacyEventQueue` is the original (pre-optimisation) implementation,
-kept as the reference side of the engine differential tests
-(``tests/sim/test_engine_differential.py``) and of the hot-path benchmark
-(``benchmarks/test_engine_hot_path.py``): both queues run the exact same
-event sequences, one of them just does it faster.
+Dispatch order is exactly ``sorted(key=(time, sequence))`` over the live
+events, which is what ``tests/sim/test_events.py`` holds the queue to.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 
@@ -238,120 +234,6 @@ class EventQueue:
 
 
 # --------------------------------------------------------------------------- #
-# Reference implementation (the pre-optimisation engine)
-# --------------------------------------------------------------------------- #
-
-
-@dataclass(order=True)
-class _LegacyScheduledEvent:
-    """Internal heap entry of the legacy queue; ordering is (time, sequence)."""
-
-    time: float
-    sequence: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
-class LegacyEventHandle:
-    """Handle returned by :meth:`LegacyEventQueue.schedule`."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: _LegacyScheduledEvent) -> None:
-        self._event = event
-
-    def cancel(self) -> None:
-        """Prevent the event's callback from running (idempotent)."""
-        self._event.cancelled = True
-
-    @property
-    def time(self) -> float:
-        """Scheduled firing time."""
-        return self._event.time
-
-    @property
-    def cancelled(self) -> bool:
-        """True if the event has been cancelled."""
-        return self._event.cancelled
-
-
-class LegacyEventQueue:
-    """The original dataclass-heap scheduler, kept as the differential and
-    benchmark reference for :class:`EventQueue` (select it with
-    ``SimConfig(engine="legacy")``).  Dispatch order, tie-breaking and the
-    public API are identical; only the constant factors differ."""
-
-    def __init__(self) -> None:
-        self._heap: list[_LegacyScheduledEvent] = []
-        self._sequence = 0
-        self.now = 0.0
-        self.processed = 0
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> LegacyEventHandle:
-        """Schedule ``callback`` to run ``delay`` seconds from the current time."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule an event in the past (delay={delay})")
-        event = _LegacyScheduledEvent(time=self.now + delay, sequence=self._sequence,
-                                      callback=callback)
-        self._sequence += 1
-        heapq.heappush(self._heap, event)
-        return LegacyEventHandle(event)
-
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> LegacyEventHandle:
-        """Schedule ``callback`` at an absolute simulation time."""
-        return self.schedule(max(0.0, time - self.now), callback)
-
-    def schedule_callback(self, delay: float, callback: Callable[[], None]) -> None:
-        """Fire-and-forget :meth:`schedule`: no cancel handle is created.
-
-        The legacy heap stores a full event record either way; the variant
-        exists so callers can state no-cancel intent identically on both
-        engines (same ``(time, sequence)`` keys, same dispatch order).
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule an event in the past (delay={delay})")
-        event = _LegacyScheduledEvent(time=self.now + delay, sequence=self._sequence,
-                                      callback=callback)
-        self._sequence += 1
-        heapq.heappush(self._heap, event)
-
-    def schedule_callback_at(self, time: float, callback: Callable[[], None]) -> None:
-        """Fire-and-forget :meth:`schedule_at`: no cancel handle is created."""
-        self.schedule_callback(max(0.0, time - self.now), callback)
-
-    @property
-    def empty(self) -> bool:
-        """True if no pending (non-cancelled) events remain (O(n) scan)."""
-        return not any(not e.cancelled for e in self._heap)
-
-    def run(self, until: float | None = None,
-            stop_condition: Callable[[], bool] | None = None,
-            max_events: int | None = None) -> float:
-        """Process events in time order (see :meth:`EventQueue.run`)."""
-        processed_here = 0
-        while self._heap:
-            event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if until is not None and event.time > until:
-                self.now = until
-                return self.now
-            heapq.heappop(self._heap)
-            self.now = event.time
-            event.callback()
-            self.processed += 1
-            processed_here += 1
-            if stop_condition is not None and stop_condition():
-                return self.now
-            if max_events is not None and processed_here >= max_events:
-                return self.now
-        if until is not None:
-            self.now = max(self.now, until)
-        return self.now
-
-
-# --------------------------------------------------------------------------- #
 # Canonical scheduler benchmark workload
 # --------------------------------------------------------------------------- #
 
@@ -363,7 +245,7 @@ BENCH_EVENTS = 60_000
 BENCH_CANCEL_EVERY = 3
 
 
-def pump_timer_workload(queue: "EventQueue | LegacyEventQueue",
+def pump_timer_workload(queue: EventQueue,
                         events: int = BENCH_EVENTS,
                         timers: int = BENCH_TIMERS,
                         cancel_every: int = BENCH_CANCEL_EVERY) -> int:
@@ -373,9 +255,8 @@ def pump_timer_workload(queue: "EventQueue | LegacyEventQueue",
     retransmission/backoff traffic of a busy mesh; every ``cancel_every``-th
     firing additionally schedules a watchdog and immediately cancels it
     (the dominant handle pattern of the CSMA MAC), exercising lazy
-    cancellation and compaction.  Works on any queue with the
-    ``schedule``/``run`` API; the returned digest lets differential tests
-    assert both queues dispatched the identical sequence.
+    cancellation and compaction.  The returned digest pins the dispatched
+    sequence (``tests/sim/test_events.py`` holds it to a committed value).
     """
     fired = 0
     digest = 0

@@ -28,9 +28,7 @@ allocation-free: completion and ARQ-turnaround callbacks are bound methods
 the MAC rather than in a per-frame closure), frame kinds dispatch on enum
 identity, and the event queue / medium / PHY / agent references are cached
 at construction instead of being re-resolved through the simulator on every
-call.  ``SimConfig(engine="legacy")`` restores the original closure-based
-path — bit-identical, just slower — as the reference side of the engine
-differential tests and benchmark.
+call.
 """
 
 from __future__ import annotations
@@ -85,7 +83,6 @@ class CsmaMac:
         self.agent = None
         self.state = MacState.IDLE
         self.stats = MacStats()
-        self._fast = getattr(simulator, "fast_engine", True)
         self._current_frame: Frame | None = None
         self._attempt = 0
         self._pending_handle = None
@@ -127,38 +124,23 @@ class CsmaMac:
     # Channel access
     # ------------------------------------------------------------------ #
 
-    def _backoff_delay(self) -> float:
-        """DIFS plus a random backoff drawn from the current contention window.
-
-        The reference formulation; the fast engine inlines the equivalent
-        draw (precomputed windows, cached timing constants) in
-        :meth:`_start_contention`.
-        """
-        window = self.phy.contention_window(self._attempt)
-        slots = int(self.rng.integers(0, window + 1))
-        return self.phy.difs + self.phy.backoff_time(slots)
-
     def _start_contention(self, now: float | None = None) -> None:
-        """Schedule the next transmission attempt respecting carrier sense."""
+        """Schedule the next transmission attempt respecting carrier sense:
+        DIFS plus a random backoff drawn from the current contention window,
+        after the medium (as sensed here) goes idle."""
         self.state = MacState.CONTENDING
         events = self.events
         if now is None:
             now = events.now
-        medium = self.medium
-        if self._fast:
-            # _backoff_delay inlined: the per-attempt window is precomputed
-            # and the PHY timing constants are cached floats.
-            attempt = self._attempt
-            window = self._windows[attempt] if attempt < self._window_count \
-                else self.phy.contention_window(attempt)
-            delay = self._difs + int(self._draw_slots(0, window + 1)) * self._slot_time
-            horizon = medium.busy_horizon(self.node_id, now)
-            if horizon > now:
-                delay += horizon - now
-        else:
-            delay = self._backoff_delay()
-            if medium.is_busy(self.node_id, now):
-                delay += medium.busy_until(self.node_id, now) - now
+        # The per-attempt window is precomputed and the PHY timing
+        # constants are cached floats.
+        attempt = self._attempt
+        window = self._windows[attempt] if attempt < self._window_count \
+            else self.phy.contention_window(attempt)
+        delay = self._difs + int(self._draw_slots(0, window + 1)) * self._slot_time
+        horizon = self.medium.busy_horizon(self.node_id, now)
+        if horizon > now:
+            delay += horizon - now
         self._pending_handle = events.schedule(delay, self._attempt_transmission)
 
     def _attempt_transmission(self) -> None:
@@ -199,46 +181,29 @@ class CsmaMac:
             bitrate = agent.select_bitrate(frame)
         if bitrate is None:
             bitrate = self.phy.bitrate
-        if self._fast:
-            key = (frame.size_bytes, bitrate)
-            airtime = self._airtimes.get(key)
-            if airtime is None:
-                airtime = self._airtimes[key] = self.phy.frame_airtime(
-                    frame.size_bytes, bitrate)
-        else:
-            airtime = self.phy.frame_airtime(frame.size_bytes, bitrate)
+        key = (frame.size_bytes, bitrate)
+        airtime = self._airtimes.get(key)
+        if airtime is None:
+            airtime = self._airtimes[key] = self.phy.frame_airtime(
+                frame.size_bytes, bitrate)
         now = self.events.now
-        transmission = self.medium.begin(frame, now, airtime, bitrate)
+        self._inflight = self.medium.begin(frame, now, airtime, bitrate)
         stats = self.stats
-        if self._fast:
-            is_data = frame.kind is FrameKind.DATA
-        else:  # reference path: the original string-compare dispatch
-            is_data = frame.kind.value == "data"
-        if is_data:
+        if frame.kind is FrameKind.DATA:
             stats.data_transmissions += 1
         else:
             stats.control_transmissions += 1
         stats.busy_time += airtime
         if agent is not None:
             agent.on_transmission_started(frame, now)
-        if self._fast:
-            self._inflight = transmission
-            self.events.schedule_callback(airtime, self._complete_inflight)
-        else:
-            # repro: allow-PERF001 — retained legacy reference path (per-frame
-            # closures are exactly what the fast path above replaces)
-            # repro: allow-EVT101 — the legacy branch stays byte-faithful to
-            # the original handle-returning call the fast path replaces
-            self.events.schedule(airtime, lambda: self._complete(transmission))
+        self.events.schedule_callback(airtime, self._complete)
 
-    def _complete_inflight(self) -> None:
-        """Bound-method completion callback (no per-frame closure)."""
+    def _complete(self) -> None:
+        """Resolve receptions and run the ARQ logic once the frame leaves the
+        air (a bound-method callback: the transmission rides in a slot, not
+        in a per-frame closure)."""
         transmission = self._inflight
         self._inflight = None
-        self._complete(transmission)
-
-    def _complete(self, transmission: Transmission) -> None:
-        """Resolve receptions and run the ARQ logic once the frame leaves the air."""
         now = self.events.now
         receivers = self.medium.complete(transmission, now)
         frame = transmission.frame
@@ -248,44 +213,21 @@ class CsmaMac:
             self._finish_frame(frame, success=True)
             return
 
-        delivered = frame.receiver in receivers
-        turnaround = self._turnaround if self._fast \
-            else self.phy.sifs + self.phy.ack_airtime()
-        if delivered:
+        # Either way the MAC holds for the virtual ACK turnaround.
+        self.state = MacState.WAITING_TURNAROUND
+        if frame.receiver in receivers:
             self.stats.unicast_successes += 1
-            if self._fast:
-                self._finish_success = True
-                self._defer(turnaround, self._finish_inflight)
-            else:
-                # repro: allow-PERF001 — retained legacy reference path
-                self._defer(turnaround, lambda: self._finish_frame(frame, success=True))
+            self._finish_success = True
+            self.events.schedule_callback(self._turnaround, self._finish_inflight)
             return
         # No MAC ACK: retry with a larger contention window or give up.
         self.stats.retries += 1
         if self._attempt > self.phy.retry_limit:
             self.stats.unicast_drops += 1
-            if self._fast:
-                self._finish_success = False
-                self._defer(turnaround, self._finish_inflight)
-            else:
-                # repro: allow-PERF001 — retained legacy reference path
-                self._defer(turnaround, lambda: self._finish_frame(frame, success=False))
+            self._finish_success = False
+            self.events.schedule_callback(self._turnaround, self._finish_inflight)
             return
-        self.state = MacState.WAITING_TURNAROUND
-        if self._fast:
-            self.events.schedule_callback(turnaround, self._start_contention)
-        else:
-            # repro: allow-EVT101 — retained legacy reference path
-            self.events.schedule(turnaround, self._start_contention)
-
-    def _defer(self, delay: float, action) -> None:
-        """Hold the MAC for the virtual ACK turnaround, then continue."""
-        self.state = MacState.WAITING_TURNAROUND
-        if self._fast:
-            self.events.schedule_callback(delay, action)
-        else:
-            # repro: allow-EVT101 — retained legacy reference path
-            self.events.schedule(delay, action)
+        self.events.schedule_callback(self._turnaround, self._start_contention)
 
     def _finish_inflight(self) -> None:
         """Bound-method ARQ-finish callback (no per-frame closure)."""

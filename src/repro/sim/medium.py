@@ -59,10 +59,6 @@ class Transmission:
     #: Filled in when the transmission completes: node ids that received it.
     receivers: list[int] = field(default_factory=list)
 
-    def overlaps(self, other: "Transmission") -> bool:
-        """True if the two transmissions are on the air at the same time."""
-        return self.start < other.end and other.start < self.end
-
 
 def sense_row(delivery: np.ndarray, channel: ChannelConfig,
               sender: int) -> np.ndarray:
@@ -117,7 +113,6 @@ class WirelessMedium:
 
     def __init__(self, topology: Topology, channel: ChannelConfig,
                  rng: np.random.Generator, model: ChannelModel | None = None,
-                 vectorized: bool = True, fast: bool = True,
                  mobility: MobilityModel | None = None,
                  faults=None) -> None:
         self.topology = topology
@@ -141,15 +136,9 @@ class WirelessMedium:
         self._random = rng.random
         self._active: list[Transmission] = []
         self._history: list[Transmission] = []
-        self.vectorized = vectorized
-        #: Enables the interference-free static-channel resolution cache
-        #: (disabled under ``SimConfig(engine="legacy")`` so the reference
-        #: engine measures the original per-frame row/eligibility work).
-        self.fast = fast
+        #: Static channel: the per-sender resolution caches apply.
         self._static = type(self.model) is StaticBernoulli
         self._max_airtime = 0.0
-        # One flag instead of three attribute probes per completed frame.
-        self._fast_static = self.fast and self._static and self.vectorized
         if self._dynamic:
             # Adopt the epoch-0 realisation before any caches are built.
             self.model.update_base(mobility.delivery_at(0),
@@ -343,38 +332,38 @@ class WirelessMedium:
         # began meanwhile).
         sender = transmission.frame.sender
         prune = False
-        if self.fast:
-            # Gather overlapping transmissions without concatenating the
-            # active and history lists (the order — active first, then
-            # history — is load-bearing: capture draws consume RNG state in
-            # list order), comparing the interval bounds inline.  The same
-            # history scan notes whether anything has aged out, so the
-            # prune pass only runs when it will remove something.
-            start = transmission.start
-            end = transmission.end
-            horizon = self.channel.history_horizon
-            if horizon < self._max_airtime:
-                horizon = self._max_airtime
-            cutoff = now - horizon
-            overlapping: list[Transmission] = []
-            for other in self._active:
-                if other is not transmission \
-                        and start < other.end and other.start < end:
-                    overlapping.append(other)
-            for other in self._history:
-                other_end = other.end
-                if other_end < cutoff:
-                    prune = True
-                elif other is not transmission \
-                        and start < other_end and other.start < end:
-                    overlapping.append(other)
-        else:
-            overlapping = [
-                other for other in self._active + self._history
-                if other is not transmission and other.overlaps(transmission)
-            ]
+        # Gather overlapping transmissions without concatenating the
+        # active and history lists (the order — active first, then
+        # history — is load-bearing: capture draws consume RNG state in
+        # list order), comparing the interval bounds inline.  The same
+        # history scan notes whether anything has aged out, so the
+        # history is rebuilt only when that will remove something.
+        start = transmission.start
+        end = transmission.end
+        # Any transmission still able to complete started no earlier than
+        # ``now - max_airtime``, so a history entry whose end precedes that
+        # can never overlap one: the horizon tracks the longest observed
+        # airtime (plus the configured floor), which keeps the overlap
+        # scan short for ordinary frames and stops long frames at low
+        # bitrates from outliving the window.
+        horizon = self.channel.history_horizon
+        if horizon < self._max_airtime:
+            horizon = self._max_airtime
+        cutoff = now - horizon
+        overlapping: list[Transmission] = []
+        for other in self._active:
+            if other is not transmission \
+                    and start < other.end and other.start < end:
+                overlapping.append(other)
+        for other in self._history:
+            other_end = other.end
+            if other_end < cutoff:
+                prune = True
+            elif other is not transmission \
+                    and start < other_end and other.start < end:
+                overlapping.append(other)
         receivers = None
-        if self._fast_static:
+        if self._static:
             if not overlapping:
                 # Interference-free static-channel fast path (the
                 # overwhelmingly common case): the eligible set and
@@ -392,9 +381,8 @@ class WirelessMedium:
         if receivers is None:
             probabilities = self.model.delivery_row(sender, transmission.start,
                                                     transmission.end)
-            if self.vectorized:
-                receivers = self._resolve_vectorized(sender, probabilities,
-                                                     overlapping)
+            receivers = self._resolve_vectorized(sender, probabilities,
+                                                 overlapping)
             if receivers is None:
                 receivers = self._resolve_scalar(sender, probabilities, overlapping)
         if self.faults is not None:
@@ -406,19 +394,13 @@ class WirelessMedium:
                 self.receptions -= len(receivers) - len(kept)
                 receivers = kept
         transmission.receivers = receivers
-        if self.fast:
-            try:
-                self._active.remove(transmission)
-            except ValueError:
-                pass
-            self._history.append(transmission)
-            if prune:
-                self._prune_history(now)
-        else:
-            if transmission in self._active:
-                self._active.remove(transmission)
-            self._history.append(transmission)
-            self._prune_history(now)
+        try:
+            self._active.remove(transmission)
+        except ValueError:
+            pass
+        self._history.append(transmission)
+        if prune:
+            self._history = [t for t in self._history if t.end >= cutoff]
         return receivers
 
     def _resolve_static_pair(self, sender: int, interferer: int) -> list[int] | None:
@@ -548,12 +530,11 @@ class WirelessMedium:
     def _expire(self, now: float) -> None:
         """Move finished transmissions that were never completed explicitly."""
         active = self._active
-        if self.fast:
-            for transmission in active:
-                if transmission.end <= now and transmission.receivers:
-                    break
-            else:
-                return  # nothing to move (the common case): no list churn
+        for transmission in active:
+            if transmission.end <= now and transmission.receivers:
+                break
+        else:
+            return  # nothing to move (the common case): no list churn
         still_active = []
         for transmission in active:
             if transmission.end <= now and transmission.receivers:
@@ -562,10 +543,8 @@ class WirelessMedium:
                 still_active.append(transmission)
         self._active = still_active
 
-    #: Canonical reception-resolution benchmark workload, shared by
-    #: ``benchmarks/test_vectorized_medium.py`` (the ≥ 3× perf-strict floor)
-    #: and ``scripts/bench_baseline.py`` (the committed frames/s baseline) so
-    #: both measure the same quantity: a ``random_geometric(node_count=
+    #: Canonical reception-resolution workload of ``scripts/bench_baseline.py``
+    #: (the committed frames/s baseline): a ``random_geometric(node_count=
     #: BENCH_NODE_COUNT, area=BENCH_AREA, seed=BENCH_TOPOLOGY_SEED)`` mesh,
     #: medium RNG seed ``BENCH_RNG_SEED``, ``BENCH_FRAMES`` pumped frames.
     BENCH_NODE_COUNT = 50
@@ -579,11 +558,8 @@ class WirelessMedium:
                               size_bytes: int = 1500) -> list[list[int]]:
         """Drive ``frames`` back-to-back broadcasts from a rotating sender.
 
-        The canonical reception-resolution measurement/differential harness:
-        ``make bench-baseline`` and ``benchmarks/test_vectorized_medium.py``
-        both time exactly this schedule, so the committed frames/s baseline
-        and the asserted speedup floor measure the same quantity.  Returns
-        one receiver list per frame (for equivalence checks).
+        The schedule ``make bench-baseline`` times for the committed
+        frames/s baseline.  Returns one receiver list per frame.
         """
         outcomes = []
         clock = 0.0
@@ -596,27 +572,3 @@ class WirelessMedium:
             outcomes.append(self.complete(transmission, now=clock + airtime))
             clock += spacing
         return outcomes
-
-    def _prune_history(self, now: float) -> None:
-        """Forget completed transmissions that can no longer interfere.
-
-        Any transmission still able to complete started no earlier than
-        ``now - max_airtime``, so a history entry whose end precedes that
-        can never overlap one: the horizon tracks the longest observed
-        airtime (plus the configured floor) instead of the old hard-coded
-        0.1 s, which both keeps the overlap scan short for ordinary frames
-        and stops long frames at low bitrates from outliving the window.
-        """
-        history = self._history
-        horizon = self.channel.history_horizon
-        if horizon < self._max_airtime:
-            horizon = self._max_airtime
-        cutoff = now - horizon
-        if self.fast:
-            # Rebuild the list only when something actually falls out.
-            for transmission in history:
-                if transmission.end < cutoff:
-                    self._history = [t for t in history if t.end >= cutoff]
-                    return
-        else:
-            self._history = [t for t in history if t.end >= cutoff]

@@ -235,7 +235,7 @@ class SimMonitor:
 
         # No-event deadlock: this tick has already been popped, so an empty
         # queue means nothing else will ever run — yet flows are incomplete.
-        # (`empty` tracks live, non-cancelled entries on both engines.)
+        # (`empty` tracks live, non-cancelled entries.)
         if sim.events.empty:
             raise self._diagnose(
                 "event queue drained with incomplete flows (deadlock)")

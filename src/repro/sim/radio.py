@@ -113,27 +113,13 @@ class ChannelConfig:
     history_horizon: float = 0.0
 
 
-#: Engine modes understood by :class:`SimConfig` / the simulator: ``fast``
-#: is the tuple-heap scheduler plus all hot-path fast paths, ``legacy`` the
-#: original implementations kept for differential tests and benchmarking.
-ENGINE_MODES = ("fast", "legacy")
-
-
 @dataclass
 class SimConfig:
     """Top-level simulator configuration.
 
     ``channel_model`` selects the channel model feeding the medium's
     per-frame delivery probabilities (see :mod:`repro.sim.channels`);
-    ``None`` is the static Bernoulli matrix — the paper's model and the
-    pre-refactor behaviour, bit for bit.  ``vectorized_medium`` exists for
-    differential testing of the batched reception path against the
-    reference per-node loop.  ``engine`` likewise exists for differential
-    testing and benchmarking of the event-engine hot paths: ``legacy``
-    selects the original scheduler plus the original (allocation-heavy)
-    MAC/medium/agent code paths; results are bit-identical either way, the
-    ``fast`` engine is just ≥2x quicker on protocol workloads (see
-    docs/performance.md).
+    ``None`` is the static Bernoulli matrix — the paper's model.
     """
 
     phy: PhyConfig = field(default_factory=PhyConfig)
@@ -146,12 +132,6 @@ class SimConfig:
     #: Mobility / link-churn spec (``None`` = static topology — today's
     #: behaviour, bit for bit; see :mod:`repro.topology.mobility`).
     mobility: MobilitySpec | None = None
-    #: Resolve receptions with the vectorized fast path (scalar reference
-    #: loop when False; results are bit-identical either way).
-    vectorized_medium: bool = True
-    #: Event-engine / hot-path selection (``fast`` or ``legacy``; results
-    #: are bit-identical either way).
-    engine: str = "fast"
     #: Fault-process spec (``None`` = fault-free — today's behaviour, bit
     #: for bit; see :mod:`repro.sim.faults`).
     faults: FaultSpec | None = None
@@ -162,8 +142,5 @@ class SimConfig:
     monitor_interval: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINE_MODES:
-            raise ValueError(f"unknown engine {self.engine!r}; expected one of "
-                             f"{ENGINE_MODES}")
         if self.monitor_interval <= 0.0:
             raise ValueError("monitor_interval must be positive")

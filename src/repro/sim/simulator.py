@@ -7,7 +7,7 @@ from typing import Callable
 import numpy as np
 
 from repro.sim.channels import build_channel_model
-from repro.sim.events import EventHandle, EventQueue, LegacyEventQueue
+from repro.sim.events import EventHandle, EventQueue
 from repro.sim.faults import FaultInjector, build_fault_model
 from repro.sim.monitor import SimMonitor
 from repro.topology.mobility import build_mobility_model
@@ -27,18 +27,12 @@ class Simulator:
         sim = Simulator(topology, SimConfig(seed=1))
         agents = build_more_flow(sim, source, destination, file_bytes)
         sim.run(until=60.0, stop_condition=sim.stats.all_flows_complete)
-
-    ``SimConfig.engine`` selects the hot-path implementation: ``fast`` (the
-    default) or ``legacy`` (the original scheduler and per-frame code paths,
-    kept as the bit-identical reference for differential tests and the
-    engine benchmark).
     """
 
     def __init__(self, topology: Topology, config: SimConfig | None = None) -> None:
         self.topology = topology
         self.config = config if config is not None else SimConfig()
-        self.fast_engine = self.config.engine != "legacy"
-        self.events = EventQueue() if self.fast_engine else LegacyEventQueue()
+        self.events = EventQueue()
         self.rng = np.random.default_rng(self.config.seed)
         # The channel model draws from its own seed-derived stream, so a
         # static-channel simulation consumes the main RNG exactly as before.
@@ -59,8 +53,6 @@ class Simulator:
                        if fault_model is not None else None)
         self.medium = WirelessMedium(topology, self.config.channel, self.rng,
                                      model=model,
-                                     vectorized=self.config.vectorized_medium,
-                                     fast=self.fast_engine,
                                      mobility=mobility,
                                      faults=self.faults)
         # node id -> attached agent (or None); the flat list saves the
@@ -107,31 +99,22 @@ class Simulator:
 
         A ``stop_condition`` that is a bound method of this simulator's
         :class:`StatsCollector` (``sim.stats.all_flows_complete``, the
-        standard case) is a pure function of the statistics, so under the
-        fast engine it is re-evaluated only after events that changed the
-        stats (tracked by ``StatsCollector.version``) instead of after every
-        scheduler event.  The stopping event is identical: such a condition
-        cannot change value between versions.
+        standard case) is a pure function of the statistics, so it is
+        re-evaluated only after events that changed the stats (tracked by
+        ``StatsCollector.version``) instead of after every scheduler event.
+        The stopping event is identical: such a condition cannot change
+        value between versions.
         """
         horizon = until if until is not None else self.config.max_duration
         if self.monitor is not None and not self.monitor.installed:
             self.monitor.install()
-        condition = stop_condition
         version_source = None
         if (stop_condition is not None
                 and getattr(stop_condition, "__self__", None) is self.stats):
-            if self.fast_engine:
-                version_source = self.stats
-            elif stop_condition.__func__ is StatsCollector.all_flows_complete:
-                # Legacy engine: evaluate the original per-flow scan after
-                # every event, like the pre-refactor run loop did.
-                condition = self.stats.all_flows_complete_scan
-        if self.fast_engine:
-            return self.events.run(until=horizon, stop_condition=condition,
-                                   max_events=max_events,
-                                   version_source=version_source)
-        return self.events.run(until=horizon, stop_condition=condition,
-                               max_events=max_events)
+            version_source = self.stats
+        return self.events.run(until=horizon, stop_condition=stop_condition,
+                               max_events=max_events,
+                               version_source=version_source)
 
     # ------------------------------------------------------------------ #
     # Agent management and frame delivery
@@ -148,24 +131,14 @@ class Simulator:
         the MAC-level destination — overhearing is an essential part of
         opportunistic routing (and of MORE's ACK snooping).
         """
-        if self.fast_engine:
-            if frame.kind is FrameKind.DATA:
-                self.stats.record_data_transmission(frame.sender)
-            agents = self._agents
-            now = self.events.now
-            for node_id in receivers:
-                agent = agents[node_id]
-                if agent is not None:
-                    agent.on_frame_received(frame, now)
-            return
-        # Reference path: the original string-compare dispatch and
-        # per-receiver node indirection.
-        if frame.kind.value == "data":
+        if frame.kind is FrameKind.DATA:
             self.stats.record_data_transmission(frame.sender)
+        agents = self._agents
+        now = self.events.now
         for node_id in receivers:
-            agent = self.nodes[node_id].agent
+            agent = agents[node_id]
             if agent is not None:
-                agent.on_frame_received(frame, self.now)
+                agent.on_frame_received(frame, now)
 
     def trigger_node(self, node_id: int) -> None:
         """Poke a node's MAC (used by agents when new traffic appears)."""

@@ -151,15 +151,6 @@ class StatsCollector:
         """
         return self._incomplete == 0 and bool(self.flows)
 
-    def all_flows_complete_scan(self) -> bool:
-        """Reference (pre-optimisation) evaluation: a scan over every flow.
-
-        Semantically identical to :meth:`all_flows_complete`; the simulator
-        substitutes this under ``engine="legacy"`` so the reference
-        measurement keeps the original per-event stop-condition cost.
-        """
-        return bool(self.flows) and all(f.finished for f in self.flows.values())
-
     def total_data_transmissions(self) -> int:
         """Total data-frame transmissions across all nodes."""
         return sum(self.data_transmissions.values())

@@ -1,4 +1,4 @@
-"""ENG001/PERF001 fixture tests: engine parity and hot-path hygiene."""
+"""PERF001 fixture tests: hot-path hygiene."""
 
 from __future__ import annotations
 
@@ -13,161 +13,6 @@ def write(root, relative, text):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
     return path
-
-
-PAIR_OK = """
-class Legacy:
-    def schedule(self, delay, callback):
-        pass
-
-    @property
-    def empty(self):
-        return True
-
-    def run(self, until=None, max_events=None):
-        return 0.0
-
-
-class Fast:
-    def schedule(self, delay, callback):
-        pass
-
-    @property
-    def empty(self):
-        return True
-
-    def run(self, until=None, max_events=None, version_source=None):
-        return 0.0
-
-    def schedule_callback(self, delay, callback):
-        pass
-"""
-
-
-def pair_config():
-    return replace(
-        AnalysisConfig(),
-        parity_class_pairs=(("src/repro/q.py", "Legacy",
-                             "src/repro/q.py", "Fast"),),
-        parity_function_families=(),
-        parity_selector_classes=(),
-    )
-
-
-def test_eng001_accepts_reference_plus_extensions(tmp_path):
-    write(tmp_path, "src/repro/q.py", PAIR_OK)
-    assert run_rules(tmp_path, config=pair_config(), select=["ENG001"]) == []
-
-
-PAIR_MISSING = """
-class Legacy:
-    def schedule(self, delay, callback):
-        pass
-
-
-class Fast:
-    def run(self, until=None):
-        return 0.0
-"""
-
-
-def test_eng001_flags_missing_method(tmp_path):
-    write(tmp_path, "src/repro/q.py", PAIR_MISSING)
-    findings = run_rules(tmp_path, config=pair_config(), select=["ENG001"])
-    assert any("lacks public method `schedule`" in f.message for f in findings)
-
-
-def test_eng001_flags_default_drift(tmp_path):
-    write(tmp_path, "src/repro/q.py", PAIR_OK.replace(
-        "def run(self, until=None, max_events=None, version_source=None):",
-        "def run(self, until=0.0, max_events=None, version_source=None):"))
-    findings = run_rules(tmp_path, config=pair_config(), select=["ENG001"])
-    assert any("drifted" in f.message for f in findings)
-
-
-def test_eng001_flags_undefaulted_extra_param(tmp_path):
-    write(tmp_path, "src/repro/q.py", PAIR_OK.replace(
-        "def run(self, until=None, max_events=None, version_source=None):",
-        "def run(self, until=None, max_events=None, *, version_source):"))
-    findings = run_rules(tmp_path, config=pair_config(), select=["ENG001"])
-    assert any("must carry a default" in f.message for f in findings)
-
-
-FAMILY = """
-KERNELS = {"a": impl_a, "b": impl_b}
-
-
-def impl_a(vector, matrix):
-    return vector
-
-
-def impl_b(vector, matrix):
-    return vector
-
-
-def impl_ref(vector, matrix):
-    return vector
-"""
-
-
-def family_config():
-    return replace(
-        AnalysisConfig(),
-        parity_class_pairs=(),
-        parity_function_families=(("src/repro/k.py", "KERNELS",
-                                   ("impl_ref",)),),
-        parity_selector_classes=(),
-    )
-
-
-def test_eng001_accepts_uniform_kernel_family(tmp_path):
-    write(tmp_path, "src/repro/k.py", FAMILY)
-    assert run_rules(tmp_path, config=family_config(), select=["ENG001"]) == []
-
-
-def test_eng001_flags_kernel_signature_divergence(tmp_path):
-    write(tmp_path, "src/repro/k.py",
-          FAMILY.replace("def impl_b(vector, matrix):",
-                         "def impl_b(matrix, vector):"))
-    findings = run_rules(tmp_path, config=family_config(), select=["ENG001"])
-    assert any("does not match the family signature" in f.message
-               for f in findings)
-
-
-SELECTORS = """
-class Buffer:
-    def __init__(self, n, fast=True, engine=None, kernel="mul"):
-        pass
-
-
-class Decoder:
-    def __init__(self, n, batch_id=0, fast=True, engine=None, kernel="mul"):
-        pass
-"""
-
-
-def selector_config():
-    return replace(
-        AnalysisConfig(),
-        parity_class_pairs=(),
-        parity_function_families=(),
-        parity_selector_classes=(
-            (("src/repro/s.py", "Buffer"), ("src/repro/s.py", "Decoder")),),
-    )
-
-
-def test_eng001_accepts_matching_selectors(tmp_path):
-    write(tmp_path, "src/repro/s.py", SELECTORS)
-    assert run_rules(tmp_path, config=selector_config(),
-                     select=["ENG001"]) == []
-
-
-def test_eng001_flags_selector_default_drift(tmp_path):
-    write(tmp_path, "src/repro/s.py",
-          SELECTORS.replace('kernel="mul"):\n        pass\n',
-                            'kernel="nibble"):\n        pass\n', 1))
-    findings = run_rules(tmp_path, config=selector_config(), select=["ENG001"])
-    assert any("drifted" in f.message for f in findings)
 
 
 def hot_config():

@@ -1,9 +1,9 @@
-"""Constructor and input validation of the coding buffer, per engine.
+"""Constructor and input validation of the coding buffer.
 
 The property/differential suites drive well-formed streams; these tests
 pin the rejection paths — bad constructor arguments, mismatched operand
-shapes, payload access on payload-free buffers — which every engine must
-refuse identically (same exception type, before any state mutation).
+shapes, payload access on payload-free buffers — which must be refused
+before any state mutation.
 """
 
 from __future__ import annotations
@@ -11,11 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.coding.buffer import ENGINES, BatchBuffer
+from repro.coding.buffer import BatchBuffer
 from repro.coding.packet import CodedPacket
 
 K = 8
 S = 16
+
+#: The buffer under test, reported under the id it has always had.
+BUFFER = pytest.mark.parametrize("make_buffer", [BatchBuffer], ids=["vectorized"])
 
 
 def _packet(vector_bytes, payload_size=S):
@@ -24,10 +27,6 @@ def _packet(vector_bytes, payload_size=S):
         vector[index] = value
     return CodedPacket(code_vector=vector,
                        payload=np.arange(payload_size, dtype=np.uint8))
-
-
-def test_engine_roster_is_the_documented_one():
-    assert ENGINES == ("vectorized", "eager", "scalar")
 
 
 def test_batch_size_must_be_positive():
@@ -41,59 +40,54 @@ def test_packet_size_must_be_non_negative():
 
 
 def test_unknown_engine_is_rejected():
-    with pytest.raises(ValueError, match="unknown engine"):
-        BatchBuffer(batch_size=K, packet_size=S, engine="gpu")
+    """There is one insertion engine: the buffer takes no selector for it."""
+    for selector in ("engine", "fast"):
+        with pytest.raises(TypeError):
+            BatchBuffer(batch_size=K, packet_size=S, **{selector: "gpu"})
 
 
 def test_unknown_kernel_is_rejected():
-    with pytest.raises(ValueError, match="unknown"):
+    """... and one elimination kernel."""
+    with pytest.raises(TypeError):
         BatchBuffer(batch_size=K, packet_size=S, kernel="simd")
 
 
-def test_explicit_engine_overrides_fast_flag():
-    assert BatchBuffer(K, S, fast=False, engine="vectorized").engine == "vectorized"
-    assert BatchBuffer(K, S, fast=True, engine="scalar").engine == "scalar"
-    assert BatchBuffer(K, S, fast=True).engine == "vectorized"
-    assert BatchBuffer(K, S, fast=False).engine == "scalar"
-
-
-@pytest.mark.parametrize("engine", ENGINES)
-def test_mismatched_payload_length_is_rejected(engine):
-    buffer = BatchBuffer(batch_size=K, packet_size=S, engine=engine)
+@BUFFER
+def test_mismatched_payload_length_is_rejected(make_buffer):
+    buffer = make_buffer(batch_size=K, packet_size=S)
     bad = _packet({0: 1}, payload_size=S + 3)
     with pytest.raises(ValueError, match="payload length"):
         buffer.add(bad)
     assert buffer.rank == 0  # rejected before any state mutation
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_payload_matrix_requires_payload_tracking(engine):
-    buffer = BatchBuffer(batch_size=K, packet_size=0, track_payloads=False,
-                         engine=engine)
+@BUFFER
+def test_payload_matrix_requires_payload_tracking(make_buffer):
+    buffer = make_buffer(batch_size=K, packet_size=0, track_payloads=False)
     with pytest.raises(RuntimeError, match="without payload tracking"):
         buffer.payload_matrix()
     with pytest.raises(RuntimeError):
         buffer.decode()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_decode_before_full_rank_is_an_error(engine):
-    buffer = BatchBuffer(batch_size=K, packet_size=S, engine=engine)
+@BUFFER
+def test_decode_before_full_rank_is_an_error(make_buffer):
+    buffer = make_buffer(batch_size=K, packet_size=S)
     buffer.add(_packet({0: 1}))
     with pytest.raises(RuntimeError):
         buffer.decode()
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_is_innovative_validates_vector_length(engine):
-    buffer = BatchBuffer(batch_size=K, packet_size=S, engine=engine)
+@BUFFER
+def test_is_innovative_validates_vector_length(make_buffer):
+    buffer = make_buffer(batch_size=K, packet_size=S)
     with pytest.raises(ValueError, match="length"):
         buffer.is_innovative(np.ones(K + 1, dtype=np.uint8))
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_is_innovative_without_insertion(engine):
-    buffer = BatchBuffer(batch_size=K, packet_size=S, engine=engine)
+@BUFFER
+def test_is_innovative_without_insertion(make_buffer):
+    buffer = make_buffer(batch_size=K, packet_size=S)
     zero = np.zeros(K, dtype=np.uint8)
     assert not buffer.is_innovative(zero)
     assert buffer.is_innovative(np.ones(K, dtype=np.uint8))
@@ -105,10 +99,9 @@ def test_is_innovative_without_insertion(engine):
     assert buffer.rank == 1  # the probe inserted nothing
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_stored_packets_without_payload_tracking_are_zero_padded(engine):
-    buffer = BatchBuffer(batch_size=K, packet_size=S, track_payloads=False,
-                         engine=engine)
+@BUFFER
+def test_stored_packets_without_payload_tracking_are_zero_padded(make_buffer):
+    buffer = make_buffer(batch_size=K, packet_size=S, track_payloads=False)
     vector = np.zeros(K, dtype=np.uint8)
     vector[2] = 7
     buffer.add(CodedPacket(code_vector=vector,

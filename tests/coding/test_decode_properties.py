@@ -1,19 +1,19 @@
-"""Property-based differential tests of the coding-buffer engines.
+"""Property-based differential tests of the coding buffer.
 
-The insertion engines of :class:`repro.coding.buffer.BatchBuffer` —
-``vectorized`` (deferred transform, any elimination kernel), ``eager``
-(the PR 2–4 fast path) and ``scalar`` (the reference) — implement the same
-incremental Gauss–Jordan over GF(2^8), which is exact arithmetic: every
-engine must agree **bit for bit** on every observable at every step, not
-merely converge to the same decode.
+:class:`repro.coding.buffer.BatchBuffer` (deferred-transform insertion) and
+the test-local ``ScalarBatchBuffer`` oracle (the per-row Python-loop
+Gauss–Jordan of ``test_vectorized_differential.py``) implement the same
+incremental Gauss–Jordan over GF(2^8), which is exact arithmetic: they
+must agree **bit for bit** on every observable at every step, not merely
+converge to the same decode.
 
 The harness replays ≥200 deterministic seeded-random insertion streams
-(8 parametrized groups x 25 seeds) through one buffer per engine/kernel
-configuration in lockstep.  Streams are drawn adversarially: batch sizes
-down to K=1, payload widths including S=0 and S=1, rank-deficient streams
-confined to a random d-dimensional subspace (d < K never reaches full
-rank), duplicate re-insertions of earlier packets, linear combinations of
-earlier packets (non-innovative but non-zero) and all-zero code vectors.
+(8 parametrized groups x 25 seeds) through the buffer and the oracle in
+lockstep.  Streams are drawn adversarially: batch sizes down to K=1,
+payload widths including S=0 and S=1, rank-deficient streams confined to a
+random d-dimensional subspace (d < K never reaches full rank), duplicate
+re-insertions of earlier packets, linear combinations of earlier packets
+(non-innovative but non-zero) and all-zero code vectors.
 Payloads are always consistent codewords of one ground-truth native set,
 so full-rank streams additionally check ``decode()`` against the natives
 — the end-to-end correctness anchor.
@@ -31,14 +31,10 @@ import pytest
 from repro.coding.buffer import BatchBuffer
 from repro.coding.packet import CodedPacket
 from repro.gf.kernels import gf_vecmat_reference
+from test_vectorized_differential import ScalarBatchBuffer
 
-#: (engine, kernel) configurations differentially tested against "scalar".
-CONFIGURATIONS = (
-    ("vectorized", "mul"),
-    ("vectorized", "nibble"),
-    ("vectorized", "logexp"),
-    ("eager", "mul"),
-)
+#: The buffer under test, reported under the id it has always had.
+BUFFER = pytest.mark.parametrize("make_buffer", [BatchBuffer], ids=["vectorized-mul"])
 
 GROUPS = 8
 SEEDS_PER_GROUP = 25  # 8 x 25 = 200 cases per run
@@ -85,8 +81,8 @@ def _make_stream(rng: np.random.Generator):
     return batch_size, packet_size, natives, packets
 
 
-def _run_stream(buffer: BatchBuffer, packets) -> list[bool]:
-    return [buffer.add(packet) for packet in packets]
+def _run_stream(buffer, packets) -> list[bool]:
+    return [buffer.add(packet.copy()) for packet in packets]
 
 
 @pytest.mark.parametrize("group", range(GROUPS))
@@ -95,46 +91,39 @@ def test_engines_bit_identical_on_seeded_random_streams(group):
         rng = np.random.default_rng((4100, group, index))
         batch_size, packet_size, natives, packets = _make_stream(rng)
 
-        reference = BatchBuffer(batch_size=batch_size, packet_size=packet_size,
-                                engine="scalar")
+        reference = ScalarBatchBuffer(batch_size, packet_size)
         expected_verdicts = _run_stream(reference, packets)
 
-        for engine, kernel in CONFIGURATIONS:
-            buffer = BatchBuffer(batch_size=batch_size, packet_size=packet_size,
-                                 engine=engine, kernel=kernel)
-            verdicts = _run_stream(buffer, packets)
-            label = f"{engine}/{kernel} seed (4100, {group}, {index})"
-            assert verdicts == expected_verdicts, label
-            assert buffer.rank == reference.rank, label
-            assert buffer.received == reference.received, label
-            assert buffer.innovative == reference.innovative, label
-            assert buffer.is_full == reference.is_full, label
+        buffer = BatchBuffer(batch_size=batch_size, packet_size=packet_size)
+        verdicts = _run_stream(buffer, packets)
+        label = f"seed (4100, {group}, {index})"
+        assert verdicts == expected_verdicts, label
+        assert buffer.rank == reference.rank, label
+        assert buffer.received == len(packets), label
+        assert buffer.innovative == sum(expected_verdicts), label
+        assert buffer.is_full == (reference.rank == batch_size), label
+        np.testing.assert_array_equal(
+            buffer.coefficient_matrix(), reference.coefficient_matrix(),
+            err_msg=f"coefficient matrix diverged: {label}")
+        np.testing.assert_array_equal(
+            buffer.payload_matrix(), reference.payload_matrix(),
+            err_msg=f"payload matrix diverged: {label}")
+        if buffer.is_full:
+            # At full rank the oracle's reduced payload rows are the decode.
             np.testing.assert_array_equal(
-                buffer.coefficient_matrix(), reference.coefficient_matrix(),
-                err_msg=f"coefficient matrix diverged: {label}")
-            np.testing.assert_array_equal(
-                buffer.payload_matrix(), reference.payload_matrix(),
-                err_msg=f"payload matrix diverged: {label}")
-            if buffer.is_full:
-                decoded = buffer.decode()
-                np.testing.assert_array_equal(
-                    decoded, reference.decode(),
-                    err_msg=f"decode diverged: {label}")
-                np.testing.assert_array_equal(
-                    decoded, natives,
-                    err_msg=f"decode != ground-truth natives: {label}")
+                buffer.decode(), natives,
+                err_msg=f"decode != ground-truth natives: {label}")
 
 
-@pytest.mark.parametrize("engine,kernel", CONFIGURATIONS)
-def test_vector_only_engines_track_identical_rank(engine, kernel):
+@BUFFER
+def test_vector_only_engines_track_identical_rank(make_buffer):
     """track_payloads=False streams: rank trajectories match the reference."""
     for seed in range(12):
         rng = np.random.default_rng((4200, seed))
         batch_size, _, _, packets = _make_stream(rng)
-        reference = BatchBuffer(batch_size=batch_size, packet_size=0,
-                                track_payloads=False, engine="scalar")
-        buffer = BatchBuffer(batch_size=batch_size, packet_size=0,
-                             track_payloads=False, engine=engine, kernel=kernel)
+        reference = ScalarBatchBuffer(batch_size, packet_size=0)
+        buffer = make_buffer(batch_size=batch_size, packet_size=0,
+                             track_payloads=False)
         stripped = [CodedPacket(code_vector=p.code_vector,
                                 payload=np.zeros(0, dtype=np.uint8))
                     for p in packets]
@@ -144,8 +133,8 @@ def test_vector_only_engines_track_identical_rank(engine, kernel):
                                       reference.coefficient_matrix())
 
 
-@pytest.mark.parametrize("engine,kernel", CONFIGURATIONS)
-def test_clear_resets_state_identically(engine, kernel):
+@BUFFER
+def test_clear_resets_state_identically(make_buffer):
     """After clear(), a second stream behaves exactly like a fresh buffer."""
     rng = np.random.default_rng(4300)
     batch_size, packet_size, _, first = _make_stream(rng)
@@ -153,12 +142,10 @@ def test_clear_resets_state_identically(engine, kernel):
         batch_size2, packet_size2, _, second = _make_stream(rng)
         if (batch_size2, packet_size2) == (batch_size, packet_size):
             break
-    recycled = BatchBuffer(batch_size=batch_size, packet_size=packet_size,
-                           engine=engine, kernel=kernel)
+    recycled = make_buffer(batch_size=batch_size, packet_size=packet_size)
     _run_stream(recycled, first)
     recycled.clear()
-    fresh = BatchBuffer(batch_size=batch_size, packet_size=packet_size,
-                        engine=engine, kernel=kernel)
+    fresh = make_buffer(batch_size=batch_size, packet_size=packet_size)
     assert _run_stream(recycled, second) == _run_stream(fresh, second)
     assert recycled.rank == fresh.rank
     np.testing.assert_array_equal(recycled.coefficient_matrix(),

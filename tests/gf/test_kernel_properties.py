@@ -1,20 +1,18 @@
-"""Property-based differential tests of the elimination kernels.
+"""Property-based differential tests of the elimination kernel.
 
-Every ``gf_vecmat`` variant — the MUL-table gather (``mul``), the split
-4 KiB nibble tables (``nibble``) and the LOG/EXP formulation (``logexp``)
-— computes the same algebraic quantity, ``vector @ matrix`` over GF(2^8),
-so each must be **bit-identical** to the scalar ``gf_vecmat_reference``
-loop on every input.  GF arithmetic is exact (no rounding), which is what
-makes this differential harness decisive: any mismatch is a bug, never
-tolerance noise.
+``gf_vecmat`` — the MUL-table gather, reported under its historical id
+``mul`` — computes ``vector @ matrix`` over GF(2^8), so it must be
+**bit-identical** to the ``gf_vecmat_reference`` oracle on every input.
+GF arithmetic is exact (no rounding), which is what makes this differential
+harness decisive: any mismatch is a bug, never tolerance noise.
 
-The harness drives ≥200 deterministic seeded-random cases per run across
+The harness drives 70 deterministic seeded-random cases per run across
 operand shapes (m rows up to 64, n columns up to 96, including the m=1 and
 n=1 degenerate shapes), plus adversarial constructions: the all-zero
 vector, all-zero matrices, saturated 0xFF operands and single-element
 operands.  Algebraic laws (linearity in the vector argument, consistency
-with ``gf_matmul`` rows) pin the kernels to the mathematics rather than
-to each other.
+with ``gf_matmul`` rows) pin the kernel to the mathematics rather than
+to the oracle alone.
 """
 
 from __future__ import annotations
@@ -22,16 +20,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gf.kernels import (
-    VECMAT_KERNELS,
-    gf_matmul,
-    gf_vecmat_reference,
-    resolve_vecmat,
-)
+from repro.gf.kernels import gf_matmul, gf_vecmat, gf_vecmat_reference
 
-KERNEL_NAMES = sorted(VECMAT_KERNELS)
+KERNELS = {"mul": gf_vecmat}
+KERNEL_NAMES = sorted(KERNELS)
 
-#: Seeded-random differential cases per kernel (3 kernels x 70 = 210 >= 200).
+#: Seeded-random differential cases.
 CASE_COUNT = 70
 
 
@@ -58,7 +52,7 @@ def _random_operands(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_kernels_match_reference_on_seeded_random_cases(name):
-    kernel = VECMAT_KERNELS[name]
+    kernel = KERNELS[name]
     for seed in range(CASE_COUNT):
         rng = np.random.default_rng((9000, seed))
         vector, matrix = _random_operands(rng)
@@ -78,14 +72,14 @@ def test_kernels_match_reference_on_degenerate_shapes(name, m, n):
     vector = rng.integers(0, 256, size=m, dtype=np.uint8)
     matrix = rng.integers(0, 256, size=(m, n), dtype=np.uint8)
     np.testing.assert_array_equal(
-        VECMAT_KERNELS[name](vector, matrix),
+        KERNELS[name](vector, matrix),
         gf_vecmat_reference(vector, matrix))
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_kernels_are_linear_in_the_vector(name):
     """vecmat(a ^ b, M) == vecmat(a, M) ^ vecmat(b, M) (GF(2^8) addition)."""
-    kernel = VECMAT_KERNELS[name]
+    kernel = KERNELS[name]
     for seed in range(24):
         rng = np.random.default_rng((9200, seed))
         m = int(rng.integers(1, 33))
@@ -100,7 +94,7 @@ def test_kernels_are_linear_in_the_vector(name):
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_kernels_agree_with_matmul_rows(name):
     """Row i of gf_matmul(C, P) is vecmat(C[i], P) — one algebra, two APIs."""
-    kernel = VECMAT_KERNELS[name]
+    kernel = KERNELS[name]
     rng = np.random.default_rng(9300)
     coefficients = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
     payloads = rng.integers(0, 256, size=(16, 40), dtype=np.uint8)
@@ -113,23 +107,13 @@ def test_kernels_agree_with_matmul_rows(name):
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_zero_vector_yields_zero_output(name):
     matrix = np.arange(64, dtype=np.uint8).reshape(8, 8)
-    result = VECMAT_KERNELS[name](np.zeros(8, dtype=np.uint8), matrix)
+    result = KERNELS[name](np.zeros(8, dtype=np.uint8), matrix)
     assert not result.any()
-
-
-def test_resolve_vecmat_returns_registered_kernels():
-    for name in KERNEL_NAMES:
-        assert resolve_vecmat(name) is VECMAT_KERNELS[name]
-
-
-def test_resolve_vecmat_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown"):
-        resolve_vecmat("simd")
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_kernels_validate_operand_shapes(name):
-    kernel = VECMAT_KERNELS[name]
+    kernel = KERNELS[name]
     with pytest.raises(ValueError):
         kernel(np.zeros(3, dtype=np.uint8), np.zeros((4, 5), dtype=np.uint8))
     with pytest.raises(ValueError):
@@ -148,7 +132,7 @@ def test_reference_kernel_validates_operand_shapes():
 @pytest.mark.parametrize("name", KERNEL_NAMES)
 def test_kernels_handle_empty_operands(name):
     """Zero rows and zero-width rows both yield an empty/zero result."""
-    kernel = VECMAT_KERNELS[name]
+    kernel = KERNELS[name]
     no_rows = kernel(np.zeros(0, dtype=np.uint8),
                      np.zeros((0, 7), dtype=np.uint8))
     assert no_rows.shape == (7,) and not no_rows.any()

@@ -1,0 +1,118 @@
+"""The one full-run trace helper and the committed golden traces.
+
+``tests/golden_traces.json`` freezes every observable of a complete
+simulation — the main RNG's exact ``bit_generator.state``, the final clock,
+per-flow statistics, the medium counters and ``events.processed`` — over
+the preset x protocol x seed x fault grid below.  The differential suites
+(``tests/sim/test_engine_differential.py``, ``test_fault_differential.py``,
+``tests/scenarios/test_dynamic_scenarios.py``) assert ``run_trace(...) ==
+GOLDEN[...]``: the file is the behavioural contract any hot-path change
+must hold.  It is rewritten only by ``make golden``
+(``scripts/golden_traces.py``), and a diff in it is a behaviour change to
+be argued in review, never noise.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+from repro.experiments.runner import _install_flow, _make_simulator, run_flows
+from repro.scenarios import build_pairs, build_topology, get_preset
+
+GOLDEN_PATH = Path(__file__).with_name("golden_traces.json")
+
+SEEDS = (1, 5, 17)
+
+#: Three presets spanning the hot paths: a lossy chain (MORE's bread and
+#: butter), a bursty Gilbert-Elliott channel (non-static model: the static
+#: row caches must disengage), and a mid-size random-geometric mesh.
+PRESETS = ("chain_smoke", "bursty_chain", "random_geometric_16")
+
+#: Aggressive churn so every preset sees crashes inside its short run.
+CHURN = {"kind": "crash_recover",
+         "params": {"mean_uptime": 0.1, "mean_downtime": 0.05}}
+
+#: The two concurrent MORE flows of the ``multiflow_grid`` entry.
+MULTIFLOW_PAIRS = [(0, 15), (12, 3)]
+
+#: (preset, protocol, seed, under CHURN) for every single-flow entry.
+GRID = (
+    [(preset, "MORE", seed, churn)
+     for churn in (False, True) for preset in PRESETS for seed in SEEDS]
+    + [("chain_smoke", protocol, seed, False)
+       for protocol in ("ExOR", "Srcr") for seed in (1, 17)]
+    + [("chain_smoke", protocol, 1, True) for protocol in ("ExOR", "Srcr")]
+)
+
+
+def key(preset_name: str, protocol: str, seed: int, churn: bool = False) -> str:
+    """The golden file's key for one run."""
+    return f"{preset_name}/{protocol}/{seed}" + ("/crash_recover" if churn else "")
+
+
+def run_trace(preset_name: str, protocol: str, seed: int, **overrides) -> dict:
+    """One full simulation; returns every observable a run is pinned on.
+
+    ``overrides`` are set on the preset's ``RunConfig`` (``faults=CHURN``,
+    ``monitor=True``...).  The result holds only JSON-native values, so it
+    compares equal to its own round trip through the golden file.
+    """
+    spec = get_preset(preset_name)
+    topology = build_topology(spec.topology)
+    source, destination = build_pairs(spec.workload, topology, seed)[0]
+    config = spec.run_config(seed)
+    for name, value in overrides.items():
+        setattr(config, name, value)
+    # run_flows drives the same steps but does not expose the simulator.
+    sim = _make_simulator(topology, config)
+    control = config.control_view(topology)
+    flow_id = _install_flow(sim, topology, protocol, source, destination, config,
+                            flow_seed=seed, control_topology=control).flow_id
+    sim.run(until=config.max_duration, stop_condition=sim.stats.all_flows_complete)
+    record = sim.stats.flows[flow_id]
+    # Flow ids come from a process-global counter, so they differ between
+    # back-to-back runs; the records are listed without them.
+    flows = [[r.source, r.destination, r.total_packets, r.packet_size,
+              r.start_time, r.end_time, r.delivered_packets,
+              r.delivered_batches, r.duplicate_packets]
+             for r in sim.stats.flows.values()]
+    faults = [sim.faults.crashes, sim.faults.recoveries] if sim.faults else None
+    return {
+        "rng_state": sim.rng.bit_generator.state,
+        "now": sim.now,
+        "flow": [record.delivered_packets, record.delivered_batches,
+                 record.duplicate_packets, record.completed, record.aborted,
+                 record.start_time, record.end_time],
+        "stats_flows": flows,
+        "data_transmissions": [list(item) for item in
+                               sorted(sim.stats.data_transmissions.items())],
+        "stats_version": sim.stats.version,
+        "medium": [sim.medium.transmissions, sim.medium.receptions,
+                   sim.medium.collisions, sim.medium.captures],
+        "events": sim.events.processed,
+        "faults": faults,
+    }
+
+
+def run_multiflow_trace() -> list:
+    """Two concurrent MORE flows on ``multiflow_grid`` through ``run_flows``
+    (shared agents, round-robin paths): the per-flow results."""
+    spec = get_preset("multiflow_grid")
+    flows = run_flows(build_topology(spec.topology), "MORE", MULTIFLOW_PAIRS,
+                      config=spec.run_config(1))
+    return [[f.throughput_pkts, f.delivered_packets, f.duration, f.completed,
+             f.data_transmissions] for f in flows]
+
+
+def compute_golden() -> dict:
+    """Every entry of the golden file, from the tree under test."""
+    entries = {key(preset, protocol, seed, churn):
+               run_trace(preset, protocol, seed, **({"faults": CHURN} if churn else {}))
+               for preset, protocol, seed, churn in GRID}
+    entries["multiflow_grid/MORE/1"] = run_multiflow_trace()
+    return entries
+
+
+def load_golden() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())

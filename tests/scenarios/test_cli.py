@@ -52,6 +52,46 @@ def test_run_unknown_preset_fails():
     assert proc.returncode != 0
 
 
+def _assert_one_line_error(proc, message: str) -> None:
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    (line,) = proc.stderr.strip().splitlines()
+    assert line.startswith("repro: error: ") and message in line
+
+
+#: The CLI flag that used to select a coding-buffer implementation, and the
+#: ``RunConfig`` field it set.
+REMOVED_FLAG = "--decode-engine"
+REMOVED_FLAG_FIELD = REMOVED_FLAG.lstrip("-").replace("-", "_")
+
+
+@pytest.mark.parametrize("field,value", [("engine", "legacy"),
+                                         (REMOVED_FLAG_FIELD, "eager")])
+def test_removed_run_knobs_are_rejected_as_overrides(field, value, tmp_path):
+    """The deleted engine selectors die at the boundary, never silently."""
+    proc = repro_cli("run", "--preset", "chain_smoke", "--no-cache",
+                     "--set", f"run.{field}={value}", cwd=tmp_path)
+    _assert_one_line_error(proc, f"unknown RunConfig field {field!r}")
+
+
+def test_removed_run_knob_is_rejected_in_a_spec_file(tmp_path):
+    spec = json.loads(repro_cli("show", "--preset", "chain_smoke").stdout)
+    spec["run"]["engine"] = "legacy"
+    spec_file = tmp_path / "scenario.json"
+    spec_file.write_text(json.dumps(spec))
+    proc = repro_cli("run", "--spec", str(spec_file), "--no-cache", cwd=tmp_path)
+    _assert_one_line_error(proc, "unknown RunConfig field")
+
+
+def test_removed_cli_flag_is_an_argparse_error(tmp_path):
+    proc = repro_cli("run", "--preset", "chain_smoke", "--no-cache",
+                     REMOVED_FLAG, "x", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {REMOVED_FLAG}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_without_spec_or_preset_fails():
     proc = repro_cli("run")
     assert proc.returncode != 0

@@ -7,7 +7,7 @@ replays deterministically at a fixed seed (same seed => identical epoch
 realisations regardless of worker placement), parallel sweeps over the
 staleness axis are bit-identical to serial ones, and — the differential —
 ``mobility=None`` with ``refresh_period=inf`` runs are bit-identical to the
-PR 4 fast engine, pinned against golden traces captured from it.
+pre-mobility tree, pinned against golden traces captured from it.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from golden import key, load_golden, run_trace
 from repro.cli import main
 from repro.experiments.parallel import run_sweep
 from repro.scenarios import (
@@ -25,7 +26,6 @@ from repro.scenarios import (
     TopologySpec,
     WorkloadSpec,
     build_mobility,
-    build_pairs,
     build_topology,
     get_preset,
     run_cell,
@@ -38,33 +38,16 @@ DYNAMIC_PRESETS = {
     "stale_state_sweep": "random_waypoint",
 }
 
-#: Golden traces captured from the PR 4 fast engine (pre-mobility tree):
-#: (main-RNG pcg64 state, pcg64 inc, final clock, delivered packets,
-#: events processed) for one full run.  The static-dynamics differential:
-#: a build with the mobility subsystem present but disabled must reproduce
-#: these bit for bit.
-GOLDEN_STATIC_TRACES = {
-    ("chain_smoke", "MORE", 1): (
-        162140210354676107214045394051413108219,
-        194290289479364712180083596243593368443,
-        0.3284936363636375, 32, 959),
-    ("chain_smoke", "ExOR", 1): (
-        262489020669285114974504501367586825698,
-        194290289479364712180083596243593368443,
-        0.41581072727272755, 32, 643),
-    ("chain_smoke", "Srcr", 1): (
-        270021135536480147669701859807227879090,
-        194290289479364712180083596243593368443,
-        0.5227596363636337, 32, 604),
-    ("random_geometric_16", "MORE", 5): (
-        225090244961469672381902328286757372011,
-        233193750087604940414945475171846202189,
-        0.8756043636363703, 64, 799),
-    ("bursty_chain", "MORE", 17): (
-        250607238007632569152345185912597926028,
-        78856291631749604729656725519709880197,
-        1.479055636363662, 64, 3885),
-}
+#: The static-dynamics differential: a build with the mobility subsystem
+#: present but disabled must reproduce these golden traces (captured before
+#: the subsystem existed, now entries of ``tests/golden_traces.json``).
+GOLDEN_STATIC_RUNS = (
+    ("bursty_chain", "MORE", 17),
+    ("chain_smoke", "ExOR", 1),
+    ("chain_smoke", "MORE", 1),
+    ("chain_smoke", "Srcr", 1),
+    ("random_geometric_16", "MORE", 5),
+)
 
 
 def _shrink(spec: ScenarioSpec) -> ScenarioSpec:
@@ -202,31 +185,15 @@ class TestStaleStateSweep:
 
 
 class TestStaticDynamicsDifferential:
-    """mobility=None + refresh_period=inf == the PR 4 fast engine, bit for bit."""
+    """mobility=None + refresh_period=inf == the pre-mobility tree, bit for bit."""
 
-    @pytest.mark.parametrize("preset_name,protocol,seed",
-                             sorted(GOLDEN_STATIC_TRACES))
+    @pytest.mark.parametrize("preset_name,protocol,seed", GOLDEN_STATIC_RUNS)
     def test_static_run_matches_golden_trace(self, preset_name, protocol, seed):
-        from repro.experiments.runner import _install_flow, _make_simulator
-
-        spec = get_preset(preset_name)
-        topology = build_topology(spec.topology)
-        source, destination = build_pairs(spec.workload, topology, seed)[0]
-        config = spec.run_config(seed)
+        config = get_preset(preset_name).run_config(seed)
         assert config.mobility is None
         assert config.refresh_period == float("inf")
-        sim = _make_simulator(topology, config)
-        assert sim.medium.mobility is None
-        control = config.control_view(topology)
-        handle = _install_flow(sim, topology, protocol, source, destination,
-                               config, flow_seed=seed, control_topology=control)
-        sim.run(until=config.max_duration,
-                stop_condition=sim.stats.all_flows_complete)
-        state = sim.rng.bit_generator.state
-        trace = (state["state"]["state"], state["state"]["inc"], sim.now,
-                 sim.stats.flows[handle.flow_id].delivered_packets,
-                 sim.events.processed)
-        assert trace == GOLDEN_STATIC_TRACES[(preset_name, protocol, seed)]
+        assert run_trace(preset_name, protocol, seed) \
+            == load_golden()[key(preset_name, protocol, seed)]
 
     def test_explicit_static_config_equals_default(self):
         """Passing mobility=None / refresh_period=inf explicitly is the

@@ -1,104 +1,47 @@
-"""Differential tests: the fast engine vs the legacy (pre-refactor) engine.
+"""Golden-trace tests: complete simulations, pinned bit for bit.
 
-The event-engine overhaul (PR 4) rebuilt the scheduler, the MAC transmit
-path, the medium's resolution caches and the MORE/ExOR agent hot paths.
-``SimConfig(engine="legacy")`` keeps the original implementations live;
-these tests drive complete simulations through both engines — across
+The scheduler, the MAC transmit path, the medium's resolution caches and
+the protocol agents' hot paths each have exactly one implementation; what
+pins their behaviour is ``tests/golden_traces.json`` (see
+``tests/golden.py``).  These tests drive complete simulations — across
 presets, protocols, seeds and channel models — and assert *bit-identical*
-traces: the exact ``bit_generator.state`` of the main RNG afterwards, full
-:class:`~repro.sim.trace.StatsCollector` equality, the medium counters and
-the final clock.  This is the same pin pattern as
+traces against it: the exact ``bit_generator.state`` of the main RNG
+afterwards, the per-flow statistics, the medium counters, the processed
+event count and the final clock.  This is the same pin pattern as
 ``tests/sim/test_medium_differential.py``, one level up the stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
-from repro.experiments.runner import run_flows
-from repro.scenarios import build_pairs, build_topology, get_preset
+from golden import PRESETS, SEEDS, key, load_golden, run_multiflow_trace, run_trace
 from repro.sim.radio import SimConfig
 
-SEEDS = (1, 5, 17)
-
-#: Three presets spanning the hot paths: a lossy chain (MORE's bread and
-#: butter), a bursty Gilbert-Elliott channel (non-static model: the static
-#: row caches must disengage), and a mid-size random-geometric mesh.
-PRESETS = ("chain_smoke", "bursty_chain", "random_geometric_16")
-
-
-def _run_trace(preset_name: str, protocol: str, seed: int, engine: str):
-    """One full simulation; returns every observable the engines must agree on."""
-    spec = get_preset(preset_name)
-    topology = build_topology(spec.topology)
-    source, destination = build_pairs(spec.workload, topology, seed)[0]
-    config = spec.run_config(seed)
-    config.engine = engine
-    # run_flows drives Simulator + agents end to end but does not expose the
-    # simulator, so rebuild the essentials here.
-    from repro.experiments.runner import _install_flow, _make_simulator
-
-    sim = _make_simulator(topology, config)
-    control = config.control_view(topology)
-    flow_id = _install_flow(sim, topology, protocol, source, destination, config,
-                            flow_seed=seed, control_topology=control).flow_id
-    sim.run(until=config.max_duration, stop_condition=sim.stats.all_flows_complete)
-    record = sim.stats.flows[flow_id]
-    # Flow ids come from a process-global counter, so they differ between
-    # back-to-back runs; strip them before comparing the records.
-    flows = [(r.source, r.destination, r.total_packets, r.packet_size,
-              r.start_time, r.end_time, r.delivered_packets,
-              r.delivered_batches, r.duplicate_packets)
-             for r in sim.stats.flows.values()]
-    return {
-        "rng_state": sim.rng.bit_generator.state,
-        "now": sim.now,
-        "flow": (record.delivered_packets, record.delivered_batches,
-                 record.duplicate_packets, record.completed, record.start_time,
-                 record.end_time),
-        "stats_flows": flows,
-        "data_transmissions": dict(sim.stats.data_transmissions),
-        "stats_version": sim.stats.version,
-        "medium": (sim.medium.transmissions, sim.medium.receptions,
-                   sim.medium.collisions, sim.medium.captures),
-        "events": sim.events.processed,
-    }
+GOLDEN = load_golden()
 
 
 @pytest.mark.parametrize("preset_name", PRESETS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_more_full_run_bit_identical(preset_name, seed):
-    """MORE end-to-end: exact RNG state + stats equality, fast vs legacy."""
-    fast = _run_trace(preset_name, "MORE", seed, "fast")
-    legacy = _run_trace(preset_name, "MORE", seed, "legacy")
-    assert fast == legacy
+    """MORE end-to-end: exact RNG state + stats equality with the golden run."""
+    assert run_trace(preset_name, "MORE", seed) == GOLDEN[key(preset_name, "MORE", seed)]
 
 
 @pytest.mark.parametrize("protocol", ("ExOR", "Srcr"))
 @pytest.mark.parametrize("seed", (1, 17))
 def test_other_protocols_bit_identical(protocol, seed):
-    """ExOR and Srcr ride the same MAC/medium/engine: identical traces too."""
-    fast = _run_trace("chain_smoke", protocol, seed, "fast")
-    legacy = _run_trace("chain_smoke", protocol, seed, "legacy")
-    assert fast == legacy
+    """ExOR and Srcr ride the same MAC/medium/engine: pinned traces too."""
+    assert run_trace("chain_smoke", protocol, seed) \
+        == GOLDEN[key("chain_smoke", protocol, seed)]
 
 
 def test_multiflow_bit_identical():
-    """Concurrent flows (shared agents, round-robin paths) agree too."""
-    spec = get_preset("multiflow_grid")
-    topology = build_topology(spec.topology)
-    config = spec.run_config(1)
-    results = {}
-    for engine in ("fast", "legacy"):
-        cfg = replace(config, engine=engine)
-        flows = run_flows(topology, "MORE", [(0, 15), (12, 3)], config=cfg)
-        results[engine] = [(f.throughput_pkts, f.delivered_packets, f.duration,
-                            f.completed, f.data_transmissions) for f in flows]
-    assert results["fast"] == results["legacy"]
+    """Concurrent flows (shared agents, round-robin paths) are pinned too."""
+    assert run_multiflow_trace() == GOLDEN["multiflow_grid/MORE/1"]
 
 
 def test_engine_mode_validation():
-    with pytest.raises(ValueError, match="unknown engine"):
+    """There is one engine: ``SimConfig`` takes no selector for it."""
+    with pytest.raises(TypeError):
         SimConfig(engine="warp")

@@ -1,4 +1,4 @@
-"""Differential tests for the fault subsystem's no-op and engine contracts.
+"""Differential tests for the fault subsystem's no-op and determinism contracts.
 
 Two bit-identity pins, in the style of ``test_engine_differential``:
 
@@ -7,66 +7,29 @@ Two bit-identity pins, in the style of ``test_engine_differential``:
   monitor off: the subsystem's `is not None` guards add no behaviour, and
   a monitored run differs from an unmonitored one only by the monitor's
   own tick events (``events.processed``), never by the trace;
-* **engine parity under faults** — with a crash/recover process active,
-  the fast and legacy engines still agree bit for bit (exact RNG state,
-  stats, medium counters, clock), because receiver filtering happens
-  after the channel draws and fault randomness lives on a private
-  counter-based stream.
+* **golden traces under faults** — with a crash/recover process active,
+  every run still reproduces its committed golden trace bit for bit (exact
+  RNG state, stats, medium counters, clock, crash/recovery counts),
+  because receiver filtering happens after the channel draws and fault
+  randomness lives on a private counter-based stream.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import _install_flow, _make_simulator
-from repro.scenarios import build_pairs, build_topology, get_preset
+from golden import CHURN, PRESETS, SEEDS, key, load_golden, run_trace
 
-SEEDS = (1, 5, 17)
-PRESETS = ("chain_smoke", "bursty_chain", "random_geometric_16")
-
-#: Aggressive churn so every preset sees crashes inside its short run.
-_CHURN = {"kind": "crash_recover",
-          "params": {"mean_uptime": 0.1, "mean_downtime": 0.05}}
-
-
-def _run_trace(preset_name, protocol, seed, engine="fast", **overrides):
-    """One full simulation; returns every observable the runs must agree on."""
-    spec = get_preset(preset_name)
-    topology = build_topology(spec.topology)
-    source, destination = build_pairs(spec.workload, topology, seed)[0]
-    config = spec.run_config(seed)
-    config.engine = engine
-    for name, value in overrides.items():
-        setattr(config, name, value)
-    sim = _make_simulator(topology, config)
-    control = config.control_view(topology)
-    flow_id = _install_flow(sim, topology, protocol, source, destination, config,
-                            flow_seed=seed, control_topology=control).flow_id
-    sim.run(until=config.max_duration, stop_condition=sim.stats.all_flows_complete)
-    record = sim.stats.flows[flow_id]
-    faults = (sim.faults.crashes, sim.faults.recoveries) if sim.faults else None
-    return {
-        "rng_state": sim.rng.bit_generator.state,
-        "now": sim.now,
-        "flow": (record.delivered_packets, record.delivered_batches,
-                 record.duplicate_packets, record.completed, record.aborted,
-                 record.start_time, record.end_time),
-        "data_transmissions": dict(sim.stats.data_transmissions),
-        "stats_version": sim.stats.version,
-        "medium": (sim.medium.transmissions, sim.medium.receptions,
-                   sim.medium.collisions, sim.medium.captures),
-        "events": sim.events.processed,
-        "faults": faults,
-    }
+GOLDEN = load_golden()
 
 
 @pytest.mark.parametrize("preset_name", PRESETS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fault_free_defaults_bit_identical_to_explicit_none(preset_name, seed):
     """faults=None defaults == explicit kind-none spec with monitor off."""
-    implicit = _run_trace(preset_name, "MORE", seed)
-    explicit = _run_trace(preset_name, "MORE", seed,
-                          faults={"kind": "none", "params": {}}, monitor=False)
+    implicit = run_trace(preset_name, "MORE", seed)
+    explicit = run_trace(preset_name, "MORE", seed,
+                         faults={"kind": "none", "params": {}}, monitor=False)
     assert implicit == explicit
 
 
@@ -77,9 +40,9 @@ def test_monitor_changes_nothing_but_its_own_ticks(preset_name, seed):
     # 0.5 s ticks: frequent enough to fire many times inside these runs,
     # coarse enough not to flag the transient ACK-recovery quiet windows a
     # lossy chain legitimately has (the monitor's default is 1 s).
-    off = _run_trace(preset_name, "MORE", seed)
-    on = _run_trace(preset_name, "MORE", seed, monitor=True,
-                    monitor_interval=0.5)
+    off = run_trace(preset_name, "MORE", seed)
+    on = run_trace(preset_name, "MORE", seed, monitor=True,
+                   monitor_interval=0.5)
     assert on["events"] >= off["events"]
     del on["events"], off["events"]
     assert on == off
@@ -88,23 +51,20 @@ def test_monitor_changes_nothing_but_its_own_ticks(preset_name, seed):
 @pytest.mark.parametrize("preset_name", PRESETS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_crash_recover_bit_identical_across_engines(preset_name, seed):
-    """With churn active, fast and legacy engines still agree exactly."""
-    fast = _run_trace(preset_name, "MORE", seed, engine="fast", faults=_CHURN)
-    legacy = _run_trace(preset_name, "MORE", seed, engine="legacy", faults=_CHURN)
-    assert fast["faults"] is not None and fast["faults"] != (0, 0)
-    assert fast == legacy
+    """With churn active, the run still reproduces its golden trace exactly."""
+    trace = run_trace(preset_name, "MORE", seed, faults=CHURN)
+    assert trace["faults"] is not None and trace["faults"] != [0, 0]
+    assert trace == GOLDEN[key(preset_name, "MORE", seed, churn=True)]
 
 
 @pytest.mark.parametrize("protocol", ("ExOR", "Srcr"))
 def test_other_protocols_bit_identical_under_faults(protocol):
-    fast = _run_trace("chain_smoke", protocol, 1, engine="fast", faults=_CHURN)
-    legacy = _run_trace("chain_smoke", protocol, 1, engine="legacy",
-                        faults=_CHURN)
-    assert fast == legacy
+    assert run_trace("chain_smoke", protocol, 1, faults=CHURN) \
+        == GOLDEN[key("chain_smoke", protocol, 1, churn=True)]
 
 
 def test_crash_realisation_is_a_pure_function_of_the_seed():
     """Back-to-back runs replay the exact same crash/recover timeline."""
-    first = _run_trace("chain_smoke", "MORE", 5, faults=_CHURN)
-    second = _run_trace("chain_smoke", "MORE", 5, faults=_CHURN)
+    first = run_trace("chain_smoke", "MORE", 5, faults=CHURN)
+    second = run_trace("chain_smoke", "MORE", 5, faults=CHURN)
     assert first == second

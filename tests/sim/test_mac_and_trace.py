@@ -186,6 +186,11 @@ class TestPendingHandleLifecycle:
         assert sim.nodes[0].mac._pending_handle is None
 
 
+def _scan(stats: StatsCollector) -> bool:
+    """``all_flows_complete`` evaluated the slow way: a scan over every flow."""
+    return bool(stats.flows) and all(f.finished for f in stats.flows.values())
+
+
 class TestStatsCollector:
     def test_flow_lifecycle(self):
         stats = StatsCollector()
@@ -220,13 +225,13 @@ class TestStatsCollector:
         assert stats.all_flows_complete()
 
     def test_counter_and_scan_agree(self):
-        """The O(1) counter and the reference scan are interchangeable."""
+        """The O(1) counter and the per-flow scan it replaced are interchangeable."""
         stats = StatsCollector()
-        assert stats.all_flows_complete() == stats.all_flows_complete_scan()
+        assert stats.all_flows_complete() == _scan(stats)
         stats.register_flow(1, 0, 1, total_packets=2, packet_size=10, start_time=0.0)
-        assert stats.all_flows_complete() == stats.all_flows_complete_scan() is False
+        assert stats.all_flows_complete() == _scan(stats) is False
         stats.record_delivery(1, 2, now=1.0)
-        assert stats.all_flows_complete() == stats.all_flows_complete_scan() is True
+        assert stats.all_flows_complete() == _scan(stats) is True
 
     def test_zero_packet_flow_does_not_break_completion_counter(self):
         """A flow complete at registration must not drive the counter negative."""
@@ -236,7 +241,7 @@ class TestStatsCollector:
         stats.record_delivery(1, 1, now=1.0)  # spurious delivery on a done flow
         stats.register_flow(2, 1, 0, total_packets=1, packet_size=10, start_time=0.0)
         assert not stats.all_flows_complete()  # counter must still see flow 2
-        assert stats.all_flows_complete() == stats.all_flows_complete_scan()
+        assert stats.all_flows_complete() == _scan(stats)
         stats.record_delivery(2, 1, now=2.0)
         assert stats.all_flows_complete()
 
@@ -247,7 +252,7 @@ class TestStatsCollector:
         stats.register_flow(1, 0, 1, total_packets=2, packet_size=10, start_time=0.5)
         stats.record_delivery(1, 2, now=1.0)
         assert stats.all_flows_complete()
-        assert stats.all_flows_complete() == stats.all_flows_complete_scan()
+        assert stats.all_flows_complete() == _scan(stats)
 
     def test_duplicates_and_transmissions(self):
         stats = StatsCollector()

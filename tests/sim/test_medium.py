@@ -181,31 +181,30 @@ class TestPerSenderTables:
     @given(node_count=st.integers(min_value=2, max_value=12),
            density=st.floats(min_value=0.0, max_value=1.0),
            seed=st.integers(min_value=0, max_value=10_000),
-           sense=_thresholds, neighbor=_thresholds, fast=st.booleans())
+           sense=_thresholds, neighbor=_thresholds)
     @settings(max_examples=60, deadline=None)
     def test_sense_rows_equal_dense_oracle(self, node_count, density, seed,
-                                           sense, neighbor, fast):
+                                           sense, neighbor):
         topology = Topology(_random_mesh_matrix(node_count, density, seed))
         channel = ChannelConfig(sense_threshold=sense,
                                 neighbor_sense_threshold=neighbor)
-        medium = WirelessMedium(topology, channel, np.random.default_rng(0),
-                                fast=fast)
+        medium = WirelessMedium(topology, channel, np.random.default_rng(0))
         assert not medium._sense_rows  # nothing derived at build time
         self._assert_rows_match_oracle(medium)
 
     @given(node_count=st.integers(min_value=3, max_value=10),
            seed=st.integers(min_value=0, max_value=10_000),
-           sense=_thresholds, neighbor=_thresholds, fast=st.booleans())
+           sense=_thresholds, neighbor=_thresholds)
     @settings(max_examples=30, deadline=None)
     def test_rows_are_rederived_after_an_epoch_advance(self, node_count, seed,
-                                                       sense, neighbor, fast):
+                                                       sense, neighbor):
         topology = Topology(_random_mesh_matrix(node_count, 0.7, seed))
         channel = ChannelConfig(sense_threshold=sense,
                                 neighbor_sense_threshold=neighbor)
         churn = MarkovLinkChurn(seed=seed, epoch_length=1.0, mean_up_time=1.0,
                                 mean_down_time=1.0)
         medium = WirelessMedium(topology, channel, np.random.default_rng(0),
-                                fast=fast, mobility=churn)
+                                mobility=churn)
         self._assert_rows_match_oracle(medium)
         stale = dict(medium._sense_rows)
         medium.begin(make_frame(0), now=4.5, airtime=0.002, bitrate=5_500_000)

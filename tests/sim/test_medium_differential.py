@@ -3,7 +3,8 @@
 The medium resolves all receivers of a completed frame in one vectorized
 pass (batched RNG draws over the eligible receivers in node order, a single
 delivery-row gather, a vectorized interference mask).  These tests drive
-the vectorized and the reference scalar implementations with identical
+the medium and its scalar oracle (:class:`ScalarMedium`: every frame forced
+through ``WirelessMedium._resolve_scalar``) with identical
 transmission schedules across several topologies and seeds — mirroring
 ``tests/coding/test_vectorized_differential.py`` — and assert bit-identical
 behaviour: the same receiver sets, the same statistics counters and the
@@ -36,6 +37,21 @@ TOPOLOGIES = {
     "grid_4x4": lambda: grid(4, 4),
     "chain_5": lambda: chain(5, link_delivery=0.7, skip_delivery=0.2),
 }
+
+
+class ScalarMedium(WirelessMedium):
+    """The oracle: every frame resolved by the reference per-node loop."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._static = False  # no per-sender resolution caches
+
+    def _resolve_vectorized(self, sender, probabilities, overlapping):
+        return None  # "a capture draw could interleave": take the scalar loop
+
+
+#: The medium and its oracle: every test drives both and compares.
+MEDIA = (WirelessMedium, ScalarMedium)
 
 
 def _make_frame(sender: int) -> Frame:
@@ -81,23 +97,18 @@ def _drive_schedule(medium: WirelessMedium, schedule_rng: np.random.Generator,
 def test_vectorized_reception_bit_identical_to_scalar(topology_name, seed):
     """Same schedule, same seed: identical receivers, counters, RNG position."""
     topology = TOPOLOGIES[topology_name]()
-    media = {
-        vectorized: WirelessMedium(topology, ChannelConfig(),
-                                   np.random.default_rng(seed),
-                                   vectorized=vectorized)
-        for vectorized in (True, False)
-    }
-    outcomes = {
-        vectorized: _drive_schedule(medium, np.random.default_rng(seed + 5000),
-                                    topology.node_count)
-        for vectorized, medium in media.items()
-    }
-    assert outcomes[True] == outcomes[False]
+    medium, oracle = (medium_class(topology, ChannelConfig(),
+                                   np.random.default_rng(seed))
+                      for medium_class in MEDIA)
+    outcomes = [_drive_schedule(each, np.random.default_rng(seed + 5000),
+                                topology.node_count)
+                for each in (medium, oracle)]
+    assert outcomes[0] == outcomes[1]
     for counter in ("transmissions", "receptions", "collisions", "captures"):
-        assert getattr(media[True], counter) == getattr(media[False], counter), counter
+        assert getattr(medium, counter) == getattr(oracle, counter), counter
     # The decisive check: both implementations consumed the exact same
     # number of draws from the exact same stream.
-    assert media[True].rng.bit_generator.state == media[False].rng.bit_generator.state
+    assert medium.rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -119,11 +130,10 @@ def test_capture_heavy_schedule_still_identical(seed):
     from repro.topology.graph import Topology
 
     results = {}
-    for vectorized in (True, False):
-        medium = WirelessMedium(Topology(delivery),
-                                ChannelConfig(capture_probability=0.7),
-                                np.random.default_rng(seed),
-                                vectorized=vectorized)
+    for medium_class in MEDIA:
+        medium = medium_class(Topology(delivery),
+                              ChannelConfig(capture_probability=0.7),
+                              np.random.default_rng(seed))
         received = []
         clock = 0.0
         for _ in range(80):
@@ -134,27 +144,29 @@ def test_capture_heavy_schedule_still_identical(seed):
             received.append(medium.complete(tx_a, now=clock + 0.002))
             received.append(medium.complete(tx_b, now=clock + 0.0025))
             clock += 0.01
-        results[vectorized] = (received, medium.captures, medium.collisions,
+        results[medium_class] = (received, medium.captures, medium.collisions,
                                medium.rng.bit_generator.state)
-    assert results[True] == results[False]
-    assert results[True][1] > 0  # the schedule actually exercised capture
+    assert results[WirelessMedium] == results[ScalarMedium]
+    assert results[WirelessMedium][1] > 0  # the schedule actually exercised capture
 
 
 @pytest.mark.parametrize("seed", (1, 7))
-def test_full_more_transfer_identical_across_paths(seed):
+def test_full_more_transfer_identical_across_paths(seed, monkeypatch):
     """An end-to-end MORE transfer is invariant to the reception path."""
     topology = chain(3, link_delivery=0.7, skip_delivery=0.2)
     stats = {}
-    for vectorized in (True, False):
-        sim = Simulator(topology, SimConfig(seed=seed, vectorized_medium=vectorized))
+    for medium_class in MEDIA:
+        monkeypatch.setattr("repro.sim.simulator.WirelessMedium", medium_class)
+        sim = Simulator(topology, SimConfig(seed=seed))
+        assert type(sim.medium) is medium_class
         setup_more_flow(sim, topology, 0, 3, total_packets=32, batch_size=16,
                         packet_size=256, coding_payload_size=16, seed=seed)
         sim.run(until=60.0, stop_condition=sim.stats.all_flows_complete)
         record = next(iter(sim.stats.flows.values()))
-        stats[vectorized] = (sim.now, record.delivered_packets, record.completed,
+        stats[medium_class] = (sim.now, record.delivered_packets, record.completed,
                              sim.medium.receptions, sim.medium.collisions,
                              sim.rng.bit_generator.state)
-    assert stats[True] == stats[False]
+    assert stats[WirelessMedium] == stats[ScalarMedium]
 
 
 @pytest.mark.parametrize("seed", (0, 3))
@@ -166,13 +178,12 @@ def test_vectorized_identity_holds_under_nonstatic_channel(seed):
     """
     topology = grid(3, 3)
     outcomes = {}
-    for vectorized in (True, False):
-        medium = WirelessMedium(
+    for medium_class in MEDIA:
+        medium = medium_class(
             topology, ChannelConfig(), np.random.default_rng(seed),
             model=GilbertElliott(seed=seed, mean_good_time=0.02,
-                                 mean_bad_time=0.005),
-            vectorized=vectorized)
-        outcomes[vectorized] = _drive_schedule(
+                                 mean_bad_time=0.005))
+        outcomes[medium_class] = _drive_schedule(
             medium, np.random.default_rng(seed + 100), topology.node_count,
             rounds=80)
-    assert outcomes[True] == outcomes[False]
+    assert outcomes[WirelessMedium] == outcomes[ScalarMedium]
