@@ -66,7 +66,8 @@ bench-baseline:
 profile:
 	$(ENV) $(PYTHON) scripts/profile_run.py $(PROFILE_ARGS)
 
-# Every repro.* name referenced in README.md and docs/ must resolve.
+# Every repro.* name and every `--preset name` referenced in README.md and
+# docs/ must resolve.
 docs-check:
 	$(ENV) $(PYTHON) scripts/docs_check.py README.md docs/paper-map.md \
 		docs/scenarios.md docs/performance.md docs/invariants.md \

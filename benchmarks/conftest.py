@@ -8,10 +8,42 @@ minutes; pass ``--paper-scale`` to run the full-size experiments.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.runner import RunConfig
-from repro.scenarios import build_topology, get_preset
+from repro.scenarios import ScenarioSpec, build_topology, get_preset
+
+#: Per figure preset: (sample-size workload parameter, reduced value, paper's).
+FIGURE_SAMPLES = {
+    "fig_4_2": ("count", 10, 200),
+    "fig_4_3": ("count", 10, 200),
+    "fig_4_4": ("count", 5, 20),
+    "fig_4_5": ("set_count", 2, 40),
+    "fig_4_6": ("count", 8, 40),
+    "fig_4_7": ("count", 4, 40),
+    "fig_5_1": ("count", 15, 100),
+}
+
+#: The reduced transfer every benchmark runs, and the paper's 5 MB one
+#: (3495 x 1500 B packets) that ``--paper-scale`` lays over it.
+REDUCED_RUN = {"total_packets": 96, "batch_size": 32, "packet_size": 1500, "seed": 1}
+PAPER_RUN = {"total_packets": 3495, "max_duration": 600.0}
+
+
+def figure_spec(preset: str, paper_scale: bool) -> ScenarioSpec:
+    """A figure's preset at benchmark (reduced) or paper scale."""
+    spec = get_preset(preset)
+    parameter, reduced, paper = FIGURE_SAMPLES[preset]
+    spec.workload.params[parameter] = paper if paper_scale else reduced
+    spec.run.update(REDUCED_RUN)
+    if paper_scale:
+        spec.run.update(PAPER_RUN)
+    elif preset == "fig_4_7":
+        # K=128 needs a 256-packet transfer; the reduced sweep stops at 64.
+        spec.sweep["run.batch_size"] = (8, 16, 32, 64)
+    return spec
 
 
 def pytest_addoption(parser):
@@ -66,22 +98,9 @@ def testbed():
 
 @pytest.fixture(scope="session")
 def run_config(paper_scale) -> RunConfig:
-    """Per-flow transfer configuration (scaled or full size).
-
-    Derived from the ``fig_4_2`` scenario preset; ``--paper-scale`` applies
-    the paper's 5 MB transfer (3495 x 1500 B packets) as run overrides.
-    """
-    spec = get_preset("fig_4_2")
-    spec.run.update({"total_packets": 96, "batch_size": 32, "packet_size": 1500})
-    if paper_scale:
-        spec.run.update({"total_packets": 3495, "max_duration": 600.0})
-    return spec.run_config(seed=1)
-
-
-@pytest.fixture(scope="session")
-def pair_count(paper_scale) -> int:
-    """Number of random source-destination pairs per experiment."""
-    return 200 if paper_scale else 10
+    """Per-flow transfer configuration (scaled or full size) of the ablations:
+    the one the figure benchmarks run."""
+    return figure_spec("fig_4_2", paper_scale).run_config()
 
 
 def run_once(benchmark, func, *args, **kwargs):
@@ -90,14 +109,11 @@ def run_once(benchmark, func, *args, **kwargs):
                               warmup_rounds=0)
 
 
-RESULTS_DIR = None
-
-
-def save_report(result) -> None:
-    """Persist a figure report under <repo-root>/results/ for EXPERIMENTS.md."""
-    import pathlib
-
-    results_dir = pathlib.Path(__file__).resolve().parent.parent / "results"
-    results_dir.mkdir(exist_ok=True)
-    path = results_dir / f"{result.name}.txt"
+def run_figure(benchmark, view, preset: str, paper_scale: bool):
+    """Run a figure view once on its scaled preset, print its report and rewrite
+    the tracked ``results/<figure>.txt`` (a diff there is a behaviour change)."""
+    result = run_once(benchmark, view, figure_spec(preset, paper_scale))
+    print("\n" + result.report)
+    path = Path(__file__).resolve().parent.parent / "results" / f"{result.name}.txt"
     path.write_text(result.report + "\n", encoding="utf-8")
+    return result

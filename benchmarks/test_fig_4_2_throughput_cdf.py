@@ -12,14 +12,11 @@ from __future__ import annotations
 
 from repro.experiments.figures import figure_4_2
 
-from conftest import run_once, save_report
+from conftest import run_figure
 
 
-def test_figure_4_2_unicast_throughput(benchmark, testbed, run_config, pair_count):
-    result = run_once(benchmark, figure_4_2, topology=testbed, pair_count=pair_count,
-                      seed=1, config=run_config)
-    print("\n" + result.report)
-    save_report(result)
+def test_figure_4_2_unicast_throughput(benchmark, paper_scale):
+    result = run_figure(benchmark, figure_4_2, "fig_4_2", paper_scale)
 
     more_over_exor = result.summary["more_over_exor_median_gain"]
     more_over_srcr = result.summary["more_over_srcr_median_gain"]

@@ -9,14 +9,11 @@ from __future__ import annotations
 
 from repro.experiments.figures import figure_4_3
 
-from conftest import run_once, save_report
+from conftest import run_figure
 
 
-def test_figure_4_3_scatter(benchmark, testbed, run_config, pair_count):
-    result = run_once(benchmark, figure_4_3, topology=testbed, pair_count=pair_count,
-                      seed=1, config=run_config)
-    print("\n" + result.report)
-    save_report(result)
+def test_figure_4_3_scatter(benchmark, paper_scale):
+    result = run_figure(benchmark, figure_4_3, "fig_4_3", paper_scale)
 
     # Opportunistic routing helps the challenged half of the pairs much more
     # than the already-good half.

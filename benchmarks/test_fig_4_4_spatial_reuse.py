@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from repro.experiments.figures import figure_4_4
 
-from conftest import run_once, save_report
+from conftest import run_figure
 
 
-def test_figure_4_4_spatial_reuse(benchmark, testbed, run_config, paper_scale):
-    pair_count = 20 if paper_scale else 5
-    result = run_once(benchmark, figure_4_4, topology=testbed, pair_count=pair_count,
-                      seed=2, config=run_config)
-    print("\n" + result.report)
-    save_report(result)
+def test_figure_4_4_spatial_reuse(benchmark, paper_scale):
+    result = run_figure(benchmark, figure_4_4, "fig_4_4", paper_scale)
 
     gain_over_exor = result.summary["more_over_exor_median_gain"]
     # MORE must stay ahead of ExOR on these flows (the paper reports ~1.5x;

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from repro.experiments.figures import figure_4_5
 
-from conftest import run_once, save_report
+from conftest import run_figure
 
 
-def test_figure_4_5_multiflow(benchmark, testbed, run_config, paper_scale):
-    runs_per_point = 40 if paper_scale else 2
-    result = run_once(benchmark, figure_4_5, topology=testbed, max_flows=4,
-                      runs_per_point=runs_per_point, seed=3, config=run_config)
-    print("\n" + result.report)
-    save_report(result)
+def test_figure_4_5_multiflow(benchmark, paper_scale):
+    result = run_figure(benchmark, figure_4_5, "fig_4_5", paper_scale)
 
     for protocol in ("MORE", "ExOR", "Srcr"):
         assert len(result.series[protocol]) == 4

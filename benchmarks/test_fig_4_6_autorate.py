@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from repro.experiments.figures import figure_4_6
 
-from conftest import run_once, save_report
+from conftest import run_figure
 
 
-def test_figure_4_6_autorate(benchmark, testbed, run_config, paper_scale):
-    pair_count = 40 if paper_scale else 8
-    result = run_once(benchmark, figure_4_6, topology=testbed, pair_count=pair_count,
-                      seed=4, config=run_config)
-    print("\n" + result.report)
-    save_report(result)
+def test_figure_4_6_autorate(benchmark, paper_scale):
+    result = run_figure(benchmark, figure_4_6, "fig_4_6", paper_scale)
 
     # MORE keeps a clear advantage over Srcr-with-autorate.
     assert result.summary["more_over_srcr_autorate_median_gain"] > 1.1

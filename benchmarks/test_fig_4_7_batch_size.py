@@ -10,16 +10,11 @@ from __future__ import annotations
 
 from repro.experiments.figures import figure_4_7
 
-from conftest import run_once, save_report
+from conftest import run_figure
 
 
-def test_figure_4_7_batch_size(benchmark, testbed, run_config, paper_scale):
-    pair_count = 40 if paper_scale else 4
-    batch_sizes = (8, 16, 32, 64, 128) if paper_scale else (8, 16, 32, 64)
-    result = run_once(benchmark, figure_4_7, topology=testbed, pair_count=pair_count,
-                      seed=5, batch_sizes=batch_sizes, config=run_config)
-    print("\n" + result.report)
-    save_report(result)
+def test_figure_4_7_batch_size(benchmark, paper_scale):
+    result = run_figure(benchmark, figure_4_7, "fig_4_7", paper_scale)
 
     # MORE's throughput at K=8 stays close to its K=32 value (the paper's
     # headline claim for this figure) ...

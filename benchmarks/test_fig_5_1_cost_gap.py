@@ -10,16 +10,11 @@ from __future__ import annotations
 
 from repro.experiments.figures import figure_5_1
 
-from conftest import run_once, save_report
+from conftest import run_figure
 
 
 def test_figure_5_1_cost_gap(benchmark, paper_scale):
-    testbed_pairs = 100 if paper_scale else 15
-    result = run_once(benchmark, figure_5_1,
-                      bridge_deliveries=(0.3, 0.2, 0.1, 0.06),
-                      branch_count=8, testbed_pairs=testbed_pairs, seed=6)
-    print("\n" + result.report)
-    save_report(result)
+    result = run_figure(benchmark, figure_5_1, "fig_5_1", paper_scale)
 
     analytic = result.series["analytic_gap"]
     measured = result.series["measured_gap"]

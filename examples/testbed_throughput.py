@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.parallel import run_scenario
+from repro.experiments.orchestrator import run_scenario
 from repro.scenarios import get_preset
 
 

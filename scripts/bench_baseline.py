@@ -54,7 +54,6 @@ from repro.experiments.orchestrator.bench import (  # noqa: E402
     BENCH_WORKERS,
     bench_sweep_specs,
 )
-from repro.experiments.parallel import run_cells         # noqa: E402
 from repro.experiments.runner import PROTOCOLS, RunConfig, run_single_flow  # noqa: E402
 from repro.gf.arithmetic import scale_and_add            # noqa: E402
 from repro.gf.kernels import ShiftedRows, gf_matmul      # noqa: E402
@@ -227,17 +226,14 @@ def kilonode_benchmarks() -> dict[str, float]:
 
 
 def sweep_benchmarks() -> dict[str, float]:
-    """Cells per second through the sweep orchestrator vs the PR 1 runner.
+    """Cells per second through the sweep orchestrator.
 
     The workload (:mod:`repro.experiments.orchestrator.bench`) is 16
-    successive 8-cell sweeps — the many-small-sweeps shape where the PR 1
-    runner forks a fresh pool per ``run_cells`` call while the orchestrator
-    keeps one warm.  Three figures:
+    successive 8-cell sweeps — the many-small-sweeps shape of a parameter
+    study.  Three figures:
 
     * **cold**: ``shutdown_shared_pools()`` before each measured round, so
-      the orchestrator pays its full 8-worker spin-up inside the timing —
-      the honest like-for-like comparison with the PR 1 runner (the pair
-      ``benchmarks/test_sweep_floor.py`` holds 1.5x apart);
+      the orchestrator pays its full 8-worker spin-up inside the timing;
     * **warm pool**: the same round with the pool already up — the
       steady-state rate a long parameter study actually sees;
     * **warm replay**: the whole workload re-run against a populated
@@ -246,10 +242,6 @@ def sweep_benchmarks() -> dict[str, float]:
       miss shows up in review, not just in wall clock).
     """
     specs = bench_sweep_specs()
-
-    def pr1_round() -> float:
-        return timed(lambda: [run_cells(spec.expand(), workers=BENCH_WORKERS)
-                              for spec in specs])
 
     def cold_round() -> float:
         shutdown_shared_pools()  # spin-up counts against the cold figure
@@ -263,7 +255,6 @@ def sweep_benchmarks() -> dict[str, float]:
                                         results_dir=None)
                               for spec in specs])
 
-    pr1_s = best_of(pr1_round, rounds=3)
     cold_s = best_of(cold_round, rounds=3)
     warm_s = best_of(warm_round, rounds=3)
 
@@ -285,7 +276,6 @@ def sweep_benchmarks() -> dict[str, float]:
         replay_s = best_of(replay_round, rounds=3)
     shutdown_shared_pools()  # leave no idle daemons behind for later stages
     return {
-        "sweep_cold_cells_per_s_pr1": BENCH_CELLS / pr1_s,
         "sweep_cold_cells_per_s": BENCH_CELLS / cold_s,
         "sweep_warm_pool_cells_per_s": BENCH_CELLS / warm_s,
         "sweep_warm_replay_seconds": replay_s,

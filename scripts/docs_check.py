@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""docs-check: every ``repro.*`` dotted name in the docs must resolve.
+"""docs-check: every ``repro.*`` dotted name and ``--preset`` in the docs must resolve.
 
 Scans the given markdown files (default: README.md and docs/*.md) for
 tokens like ``repro.metrics.etx.link_etx``, imports the longest importable
-module prefix of each and resolves the remainder with ``getattr``.  Exits
-non-zero listing every token that no longer matches the code, so renames
-cannot silently rot the documentation.
+module prefix of each and resolves the remainder with ``getattr``; every
+``--preset name`` must name a registered scenario preset.  Exits non-zero
+listing every token that no longer matches the code, so renames cannot
+silently rot the documentation.
 
 Run via ``make docs-check`` (needs ``PYTHONPATH=src``).
 """
@@ -18,6 +19,8 @@ import sys
 from pathlib import Path
 
 TOKEN = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
+#: A concrete preset on a command line (``--preset NAME`` is a placeholder).
+PRESET = re.compile(r"--preset[ =]([a-z][a-z0-9_]*)")
 
 DEFAULT_FILES = ["README.md", "docs/paper-map.md", "docs/scenarios.md"]
 
@@ -40,6 +43,8 @@ def resolve(token: str) -> None:
 
 
 def main(argv: list[str]) -> int:
+    from repro.scenarios import PRESETS
+
     files = [Path(name) for name in (argv or DEFAULT_FILES)]
     failures: list[tuple[Path, str, str]] = []
     checked: set[str] = set()
@@ -47,7 +52,10 @@ def main(argv: list[str]) -> int:
         if not path.is_file():
             failures.append((path, "<file>", "file not found"))
             continue
-        for token in sorted(set(TOKEN.findall(path.read_text(encoding="utf-8")))):
+        text = path.read_text(encoding="utf-8")
+        for name in sorted(set(PRESET.findall(text)) - set(PRESETS)):
+            failures.append((path, f"--preset {name}", "no such preset"))
+        for token in sorted(set(TOKEN.findall(text))):
             try:
                 resolve(token)
             except Exception as error:  # noqa: BLE001 - report every failure kind
@@ -59,8 +67,8 @@ def main(argv: list[str]) -> int:
         for path, token, reason in failures:
             print(f"  {path}: {token}  ({reason})", file=sys.stderr)
         return 1
-    print(f"docs-check: {len(checked)} distinct repro.* references resolve "
-          f"across {len(files)} file(s)")
+    print(f"docs-check: {len(checked)} distinct repro.* references (and every "
+          f"--preset name) resolve across {len(files)} file(s)")
     return 0
 
 

@@ -40,14 +40,13 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.experiments.orchestrator.engine import DEFAULT_RETRIES
-from repro.experiments.orchestrator.store import ResultStore
-from repro.experiments.parallel import (
+from repro.experiments.orchestrator.engine import (
     DEFAULT_RESULTS_DIR,
-    load_cached_results,
+    DEFAULT_RETRIES,
     run_scenario,
     run_sweep,
 )
+from repro.experiments.orchestrator.store import ResultStore
 from repro.experiments.stats import summarize
 from repro.scenarios import ScenarioSpec, get_preset, list_presets
 
@@ -194,21 +193,8 @@ def _command_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _warn_legacy_cache(results_dir: str, scenario: str) -> None:
-    """Point out pre-store flat-cache files, which are never read back."""
-    legacy = ResultStore(results_dir, code="").legacy_cell_files(scenario)
-    if legacy:
-        print(f"repro: note: ignoring {len(legacy)} pre-orchestrator cache "
-              f"file(s) under {results_dir}/{scenario}/ — the store now lives "
-              f"in {results_dir}/store/ keyed by (spec, seed, code version); "
-              "delete the old files to silence this note",
-              file=sys.stderr)
-
-
 def _command_sweep(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
-    if not args.no_cache:
-        _warn_legacy_cache(args.results_dir, spec.name)
     result = run_sweep(
         spec, workers=args.workers,
         results_dir=None if args.no_cache else args.results_dir,
@@ -221,7 +207,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_report(args: argparse.Namespace) -> int:
-    grouped = load_cached_results(args.results_dir, scenarios=args.scenarios or None)
+    grouped = ResultStore(args.results_dir, code="").iter_results(args.scenarios or None)
     if not grouped:
         print(f"no cached results under {args.results_dir}/ "
               "(run `python -m repro sweep --preset ...` first)")
@@ -273,12 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="pin a single replication seed")
     run.set_defaults(func=_command_run)
 
-    sweep = commands.add_parser(
-        "sweep", help="run a full sweep across worker processes",
-        epilog="migration: the pre-orchestrator flat cache "
-               "(results/<scenario>/cell-*.json) carries no code version and "
-               "is never read; results now live in results/store/ keyed by "
-               "(spec, seed, code version) — delete the old files at leisure.")
+    sweep = commands.add_parser("sweep", help="run a full sweep across worker processes")
     _add_spec_arguments(sweep, sweep=True)
     sweep.set_defaults(func=_command_sweep)
 

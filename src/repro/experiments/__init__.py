@@ -3,7 +3,6 @@
 from repro.experiments.figures import (
     ALL_FIGURES,
     FigureResult,
-    default_testbed,
     figure_4_2,
     figure_4_3,
     figure_4_4,
@@ -13,11 +12,9 @@ from repro.experiments.figures import (
     figure_5_1,
     table_4_1,
 )
-from repro.experiments.parallel import (
+from repro.experiments.orchestrator import (
     DEFAULT_RESULTS_DIR,
     SweepResult,
-    load_cached_results,
-    run_cells,
     run_scenario,
     run_sweep,
 )
@@ -25,7 +22,6 @@ from repro.experiments.runner import (
     PROTOCOLS,
     FlowResult,
     RunConfig,
-    compare_protocols,
     run_flows,
     run_single_flow,
 )
@@ -49,8 +45,6 @@ __all__ = [
     "SweepResult",
     "cdf",
     "challenged_pairs",
-    "compare_protocols",
-    "default_testbed",
     "figure_4_2",
     "figure_4_3",
     "figure_4_4",
@@ -58,14 +52,12 @@ __all__ = [
     "figure_4_6",
     "figure_4_7",
     "figure_5_1",
-    "load_cached_results",
     "median",
     "median_gain",
     "multiflow_sets",
     "percentile",
     "random_pairs",
     "reachable_pairs",
-    "run_cells",
     "run_flows",
     "run_scenario",
     "run_single_flow",

@@ -13,10 +13,6 @@ Public surface:
 * :mod:`~repro.experiments.orchestrator.engine` — ``run_sweep`` /
   ``run_scenario`` tying the above together with per-cell retry, a
   worker-inactivity watchdog and crashed-worker replacement.
-
-:mod:`repro.experiments.parallel` remains the compatibility face of this
-package: its ``run_sweep`` / ``run_scenario`` are thin shims over
-:mod:`~repro.experiments.orchestrator.engine`.
 """
 
 from repro.experiments.orchestrator.engine import (

@@ -5,14 +5,12 @@ perf-strict floor in ``benchmarks/test_sweep_floor.py`` must measure the
 same quantity, so the workload lives here — the same pattern as
 :func:`repro.sim.events.pump_timer_workload` for the engine stage.
 
-The shape is chosen to exercise what the orchestrator actually changes.
-The PR 1 runner forks a fresh multiprocessing pool for *every*
-``run_cells`` call, so a workload of many small successive sweeps — the
-shape real parameter studies have — pays the fork/import tax over and
-over.  The orchestrator's persistent pool pays it once.  Hence: many
-sweeps, each of a few sub-second cells (gap mode on a short lossy chain),
-rather than one big sweep whose cell cost would drown the dispatch path
-both runners share.
+The shape is chosen to exercise the orchestrator itself: a parameter
+study is many small successive sweeps, and a fresh pool per sweep would
+pay the fork/import tax over and over where the persistent pool pays it
+once.  Hence: many sweeps, each of a few sub-second cells (gap mode on a
+short lossy chain), rather than one big sweep whose cell cost would drown
+the dispatch path.
 
 Seeds are disjoint across sweeps so a results-dir'd run stores
 :data:`BENCH_CELLS` distinct cells (the warm-replay measurement replays

@@ -1,8 +1,7 @@
 """The sweep engine: content-addressed caching + persistent-worker dispatch.
 
-``run_sweep`` here is the real implementation behind
-:func:`repro.experiments.parallel.run_sweep` (kept as a thin shim for
-compatibility).  The flow per sweep:
+``run_sweep`` is what ``python -m repro run`` / ``sweep`` and every
+programmatic sweep call.  The flow per sweep:
 
 1. expand the spec into cells and compute every cell's
    :class:`~repro.experiments.orchestrator.store.CellKey` up front;
@@ -38,6 +37,7 @@ from repro.experiments.orchestrator.workers import (
     MSG_DONE,
     MSG_ERROR,
     MSG_IDLE,
+    MSG_INVALID,
     WorkerPool,
     shared_pool,
 )
@@ -229,7 +229,8 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
     exception moves its positions back to ``queue`` (attempt count bumped)
     and is replaced; a position that exceeds ``retries`` extra attempts
     raises :class:`SweepError` for the whole sweep — a sweep with holes in
-    it is not a result.
+    it is not a result.  A cell that rejects its spec (``ValueError``) is
+    not retried: the error is raised here as the serial path raises it.
     """
     from repro.scenarios.execute import CellResult
 
@@ -325,6 +326,8 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
                 finished.add(position)
                 complete(position, CellResult.from_dict(payload),
                          attempts[position])
+        elif tag == MSG_INVALID:
+            raise ValueError(payload)
         elif tag == MSG_ERROR:
             outstanding[owner].discard(position)
             if position in finished:

@@ -22,10 +22,8 @@ Layout under the results root (``results/`` by default)::
 
 Entries are written atomically (temp file + rename), so a sweep killed
 mid-write can never leave a truncated entry that later replays as data —
-unreadable entries are recomputed.  The flat PR 1 layout
-(``results/<scenario>/cell-<hash>.json``) carries no code version and is
-**never read**; :meth:`ResultStore.legacy_cell_files` lets the CLI report
-the stale files so the user can delete them.
+unreadable entries are recomputed.  Nothing outside ``results/store/`` is
+ever read back.
 """
 
 from __future__ import annotations
@@ -195,7 +193,7 @@ class ResultStore:
     def sweeps_dir(self) -> Path:
         return self.root / SWEEPS_DIRNAME
 
-    # -- loaders and migration --------------------------------------------- #
+    # -- loaders ----------------------------------------------------------- #
 
     def iter_results(self, scenarios: list[str] | None = None
                      ) -> dict[str, list["CellResult"]]:
@@ -219,16 +217,3 @@ class ResultStore:
             if cells:
                 grouped[directory.name] = cells
         return grouped
-
-    def legacy_cell_files(self, scenario: str | None = None) -> list[Path]:
-        """Pre-store flat-cache files (``results/<scenario>/cell-*.json``).
-
-        These carry neither a resolved-config fingerprint nor a code
-        version, so they are never read back; callers surface them so the
-        user knows the old cache is being ignored.
-        """
-        if not self.results_dir.is_dir():
-            return []
-        pattern = f"{scenario}/cell-*.json" if scenario else "*/cell-*.json"
-        return [path for path in sorted(self.results_dir.glob(pattern))
-                if STORE_DIRNAME not in path.relative_to(self.results_dir).parts]

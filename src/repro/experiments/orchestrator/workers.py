@@ -43,6 +43,7 @@ from typing import Any
 #: once per finished batch so the engine can dispatch the next one).
 MSG_DONE = "done"
 MSG_ERROR = "error"
+MSG_INVALID = "invalid"
 MSG_IDLE = "idle"
 
 
@@ -96,6 +97,10 @@ def _worker_main(task_queue: Any, result_queue: Any,
                 fault.fire(position)
             try:
                 result = run_cell_dict(cell_dict)
+            except ValueError as error:
+                # A bad spec fails the same way on every attempt: report it
+                # as the serial path would raise it, not as a crash to retry.
+                result_queue.put((MSG_INVALID, task_id, position, str(error)))
             except Exception:  # noqa: BLE001 - shipped to the engine verbatim
                 result_queue.put((MSG_ERROR, task_id, position,
                                   traceback.format_exc()))

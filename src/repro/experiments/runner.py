@@ -1,7 +1,7 @@
 """Flow runner: execute one experiment (one or more flows) on the simulator.
 
-The runner is what every figure-reproduction function and benchmark calls:
-it builds a fresh :class:`~repro.sim.simulator.Simulator` over a topology,
+The runner is what the scenario executor (:mod:`repro.scenarios.execute`)
+calls for every flow: it builds a fresh :class:`~repro.sim.simulator.Simulator` over a topology,
 installs the requested protocol's flows, runs to completion (or a time
 limit) and returns per-flow throughput in packets per second — the metric
 the paper reports.
@@ -303,22 +303,3 @@ def run_single_flow(topology: Topology, protocol: str, source: int, destination:
     """Run one flow in isolation and return its result."""
     return run_flows(topology, protocol, [(source, destination)], config=config,
                      bitrate=bitrate)[0]
-
-
-def compare_protocols(topology: Topology, pairs: list[tuple[int, int]],
-                      protocols: tuple[str, ...] = PROTOCOLS,
-                      config: RunConfig | None = None,
-                      bitrate: int | None = None) -> dict[str, list[FlowResult]]:
-    """Run every pair as a single flow under each protocol (the Fig 4-2 method).
-
-    The same source-destination pairs and the same RNG seeds are reused
-    across protocols, mirroring the paper's back-to-back runs.
-    """
-    results: dict[str, list[FlowResult]] = {name: [] for name in protocols}
-    for source, destination in pairs:
-        for protocol in protocols:
-            results[protocol].append(
-                run_single_flow(topology, protocol, source, destination, config=config,
-                                bitrate=bitrate)
-            )
-    return results

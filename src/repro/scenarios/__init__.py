@@ -4,7 +4,7 @@
 plain data; :mod:`repro.scenarios.presets` names ready-made specs for every
 paper figure plus generic mesh studies; :mod:`repro.scenarios.execute` runs
 one (scenario, seed) cell.  Sweeps across worker processes live in
-:mod:`repro.experiments.parallel`; the front door is ``python -m repro``.
+:mod:`repro.experiments.orchestrator`; the front door is ``python -m repro``.
 """
 
 from repro.scenarios.build import (

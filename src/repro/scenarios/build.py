@@ -19,6 +19,7 @@ from repro.experiments.workloads import (
     random_pairs,
     spatial_reuse_pairs,
 )
+from repro.params import call_with_params
 from repro.sim.channels import (
     CHANNEL_MODELS,
     ChannelModel,
@@ -100,7 +101,7 @@ def build_topology(spec: TopologySpec) -> Topology:
     except KeyError:
         raise ValueError(f"unknown topology kind {spec.kind!r}; expected one of "
                          f"{sorted(TOPOLOGY_BUILDERS)}") from None
-    return builder(**spec.params)
+    return call_with_params("topology", spec.kind, builder, **spec.params)
 
 
 def _workload_seed(spec: WorkloadSpec, default_seed: int) -> int:
@@ -112,8 +113,8 @@ def build_pairs(spec: WorkloadSpec, topology: Topology,
     """The source-destination pairs of a single-flow-at-a-time workload.
 
     ``default_seed`` (the cell seed) drives pair selection unless the
-    workload params pin their own ``seed`` — the same convention the paper
-    harnesses use, where one seed covers both selection and simulation.
+    workload params pin their own ``seed``: one seed covers both selection
+    and simulation.
     """
     params: dict[str, Any] = dict(spec.params)
     params.pop("seed", None)
@@ -122,22 +123,22 @@ def build_pairs(spec: WorkloadSpec, topology: Topology,
         pairs = params.get("pairs", [])
         return [(int(source), int(destination)) for source, destination in pairs]
     if spec.kind == "random_pairs":
-        return random_pairs(topology, count=int(params.pop("count", 10)), seed=seed,
-                            **params)
+        return call_with_params("workload", spec.kind, random_pairs, topology,
+                                count=int(params.pop("count", 10)), seed=seed, **params)
     if spec.kind == "spatial_reuse":
         count = int(params.pop("count", 6))
         path_hops = int(params.pop("path_hops", 4))
-        pairs = spatial_reuse_pairs(topology, count, seed=seed, path_hops=path_hops,
-                                    **params)
+        pairs = call_with_params("workload", spec.kind, spatial_reuse_pairs, topology,
+                                 count, seed=seed, path_hops=path_hops, **params)
         if not pairs:
-            # Same fallback as the Figure 4-4 harness: the longest available
-            # paths when no concurrent first/last-hop pair exists.
+            # Fall back to the longest available paths when no concurrent
+            # first/last-hop pair exists (small or dense topologies).
             pairs = random_pairs(topology, count, seed=seed,
                                  min_hops=max(2, path_hops - 1))
         return pairs
     if spec.kind == "challenged":
-        return challenged_pairs(topology, count=int(params.pop("count", 10)), seed=seed,
-                                **params)
+        return call_with_params("workload", spec.kind, challenged_pairs, topology,
+                                count=int(params.pop("count", 10)), seed=seed, **params)
     raise ValueError(f"workload kind {spec.kind!r} does not describe plain pairs; "
                      f"expected one of {WORKLOAD_KINDS[:4]}")
 
@@ -147,16 +148,21 @@ def build_flow_sets(spec: WorkloadSpec, topology: Topology,
     """The concurrent flow sets of a ``multiflow`` workload.
 
     Draws ``set_count`` independent sets of ``flows_per_set`` pairs and
-    truncates each to ``flow_count`` flows — the prefix construction of the
-    Figure 4-5 harness, which keeps the series comparable across counts.
+    truncates each to ``flow_count`` flows.  The paper's Figure 4-5
+    averages 40 independent runs per point; reusing the prefixes of one
+    draw for every count keeps the series comparable across counts and
+    removes most of the pair-selection noise at reduced scale.
     """
     if spec.kind != "multiflow":
         raise ValueError(f"expected a multiflow workload, got {spec.kind!r}")
+    params: dict[str, Any] = dict(spec.params)
+    params.pop("seed", None)
     seed = _workload_seed(spec, default_seed)
-    flows_per_set = int(spec.params.get("flows_per_set", 4))
-    set_count = int(spec.params.get("set_count", 3))
-    flow_count = int(spec.params.get("flow_count", flows_per_set))
+    flows_per_set = int(params.pop("flows_per_set", 4))
+    set_count = int(params.pop("set_count", 3))
+    flow_count = int(params.pop("flow_count", flows_per_set))
     if not 1 <= flow_count <= flows_per_set:
         raise ValueError(f"flow_count must be in [1, {flows_per_set}], got {flow_count}")
-    base_sets = multiflow_sets(topology, flows_per_set, set_count, seed=seed)
+    base_sets = call_with_params("workload", spec.kind, multiflow_sets, topology,
+                                 flows_per_set, set_count, seed=seed, **params)
     return [flow_set[:flow_count] for flow_set in base_sets]

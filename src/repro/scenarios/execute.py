@@ -2,9 +2,10 @@
 
 A cell is completely self-contained (topology spec + workload spec + run
 config + one seed), so this module is the unit that
-:mod:`repro.experiments.parallel` ships to worker processes.  Results are
-plain data (:class:`CellResult`) that round-trips through JSON for the
-``results/`` cache.
+:mod:`repro.experiments.orchestrator` ships to worker processes and the
+one executor behind the figure views of :mod:`repro.experiments.figures`.
+Results are plain data (:class:`CellResult`) that round-trips through JSON
+for the ``results/`` cache.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ def _abort_notes(results) -> list[str]:
 
 
 def _throughput_cell(cell: ScenarioCell) -> CellResult:
+    """Every pair as a single flow under each protocol (the Fig 4-2 method).
+
+    The same pairs and the same RNG seeds are reused across protocols,
+    mirroring the paper's back-to-back runs.
+    """
     spec = cell.scenario
     topology = build_topology(spec.topology)
     pairs = build_pairs(spec.workload, topology, cell.seed)

@@ -1,12 +1,11 @@
 """Named scenario presets: the paper's figures plus generic mesh studies.
 
-Each preset is a fully-declarative :class:`~repro.scenarios.spec.ScenarioSpec`
-whose defaults mirror the corresponding harness in
-:mod:`repro.experiments.figures` — same topology, same workload selection
-seed, same run seed — so running a preset through the scenario layer
-reproduces the serial figure harness bit-for-bit.  Presets are looked up by
-name from the CLI (``python -m repro run --preset fig_4_2``) and from code
-via :func:`get_preset`.
+Each preset is a fully-declarative :class:`~repro.scenarios.spec.ScenarioSpec`.
+The ``fig_*`` presets are the one definition of the paper's figures:
+:mod:`repro.experiments.figures` holds a view over each (summary statistics
+and report text) and describes no experiment of its own.  Presets are
+looked up by name from the CLI (``python -m repro run --preset fig_4_2``)
+and from code via :func:`get_preset`.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from repro.sim.faults import FaultSpec
 from repro.sim.radio import RATE_5_5MBPS, RATE_11MBPS
 from repro.topology.mobility import MobilitySpec
 
-#: The synthetic 20-node, 3-floor indoor testbed of every Chapter 4 figure
-#: (``repro.experiments.figures.default_testbed``).
+#: The synthetic 20-node, 3-floor indoor testbed of every Chapter 4 figure.
 _TESTBED = TopologySpec("indoor_testbed", {"node_count": 20, "floors": 3, "seed": 7})
 
 PRESETS: dict[str, ScenarioSpec] = {}

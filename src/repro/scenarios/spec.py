@@ -4,7 +4,7 @@ A scenario describes *what* to simulate — topology, workload, protocols,
 transfer configuration, replication seeds and sweep axes — as plain data
 that round-trips through dicts and JSON.  Execution lives in
 :mod:`repro.scenarios.execute` (one cell) and
-:mod:`repro.experiments.parallel` (a whole sweep across worker processes);
+:mod:`repro.experiments.orchestrator` (a whole sweep across worker processes);
 named presets covering the paper's figures live in
 :mod:`repro.scenarios.presets`.
 
@@ -32,10 +32,23 @@ from repro.topology.mobility import MOBILITY_KINDS, MobilitySpec
 #: Execution modes understood by :func:`repro.scenarios.execute.run_cell`.
 MODES = ("throughput", "multiflow", "gap")
 
-#: A transfer always spans at least this many batches, mirroring the
-#: Figure 4-7 harness (``total_packets = max(2 * K, total_packets)``) so a
-#: batch-size sweep never degenerates into a sub-batch transfer.
+#: A transfer always spans at least this many batches
+#: (``total_packets = max(2 * K, total_packets)``), so a batch-size sweep
+#: (Figure 4-7) never degenerates into a sub-batch transfer.
 MIN_BATCHES_PER_TRANSFER = 2
+
+
+def _reject_section_fields(run_fields: Any) -> None:
+    """Refuse the ``RunConfig`` fields a scenario fills from its own sections.
+
+    A ``run.channel`` would run one model while the ``channel`` section, the
+    stored spec JSON and ``repro show`` name another.
+    """
+    for name in ("channel", "mobility", "faults"):
+        if name in run_fields:
+            raise ValueError(f"run.{name} is not settable; describe the model in the "
+                             f"scenario's {name} section (channel.* / mobility.* / "
+                             "faults.* overrides)")
 
 
 def _apply_dotted(spec: "ScenarioSpec", path: str, value: Any) -> None:
@@ -46,6 +59,7 @@ def _apply_dotted(spec: "ScenarioSpec", path: str, value: Any) -> None:
             raise ValueError(f"run overrides need a single field name, got {path!r}")
         if rest not in {f.name for f in fields(RunConfig)}:
             raise ValueError(f"unknown RunConfig field {rest!r} in axis {path!r}")
+        _reject_section_fields((rest,))
         spec.run[rest] = value
     elif head in ("topology", "workload"):
         target = getattr(spec, head)
@@ -136,8 +150,8 @@ class WorkloadSpec:
     ``kind`` selects a generator from :mod:`repro.experiments.workloads`
     (``random_pairs``, ``spatial_reuse``, ``challenged``, ``explicit``,
     ``multiflow``); ``params`` are its arguments.  If ``params`` carries no
-    ``seed``, the cell's seed is used, matching the paper harnesses where
-    one seed drives both pair selection and the simulator.
+    ``seed``, the cell's seed is used: one seed drives both pair selection
+    and the simulator.
     """
 
     kind: str
@@ -296,15 +310,16 @@ class ScenarioSpec:
         if unknown:
             raise ValueError(f"unknown RunConfig fields in scenario {self.name!r}: "
                              f"{sorted(unknown)}")
+        _reject_section_fields(self.run)
         values = dict(self.run)
         if seed is not None:
             values.setdefault("seed", int(seed))
         if not self.channel.is_static:
-            values.setdefault("channel", self.channel.to_dict())
+            values["channel"] = self.channel.to_dict()
         if not self.mobility.is_static:
-            values.setdefault("mobility", self.mobility.to_dict())
+            values["mobility"] = self.mobility.to_dict()
         if not self.faults.is_none:
-            values.setdefault("faults", self.faults.to_dict())
+            values["faults"] = self.faults.to_dict()
         config = RunConfig(**values)
         config.total_packets = max(config.total_packets,
                                    MIN_BATCHES_PER_TRANSFER * config.batch_size)

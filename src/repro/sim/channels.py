@@ -48,6 +48,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.params import call_with_params
 from repro.rng import splitmix64 as _splitmix64
 from repro.topology import generator as _propagation
 from repro.topology.generator import margin_to_delivery, path_loss_margin_db
@@ -513,10 +514,4 @@ def build_channel_model(spec: ChannelSpec | None, seed: int = 0) -> ChannelModel
                          f"{sorted(CHANNEL_MODELS)}") from None
     params = dict(spec.params)
     params.setdefault("seed", int(seed))
-    try:
-        return cls(**params)
-    except TypeError as error:
-        # Surface bad `channel.<param>` overrides as a one-line user error
-        # (the CLI turns ValueError into `repro: error: ...`).
-        raise ValueError(f"bad parameter for channel {spec.kind!r}: {error}") \
-            from None
+    return call_with_params("channel", spec.kind, cls, **params)

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.params import call_with_params
 from repro.rng import splitmix64 as _splitmix64
 from repro.sim.frames import Frame, FrameKind
 
@@ -319,12 +320,7 @@ def build_fault_model(spec: FaultSpec | None, seed: int = 0) -> FaultModel | Non
                          f"of {FAULT_KINDS}") from None
     params = dict(spec.params)
     params.setdefault("seed", int(seed))
-    try:
-        return cls(**params)
-    except TypeError as error:
-        # Surface bad `faults.<param>` overrides as a one-line user error.
-        raise ValueError(f"bad parameter for faults {spec.kind!r}: {error}") \
-            from None
+    return call_with_params("faults", spec.kind, cls, **params)
 
 
 class FaultInjector:

@@ -50,6 +50,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.params import call_with_params
 from repro.rng import splitmix64 as _splitmix64
 from repro.topology.generator import margin_to_delivery, path_loss_margin_db
 from repro.topology.graph import Topology
@@ -471,9 +472,4 @@ def build_mobility_model(spec: MobilitySpec | None,
                          f"of {MOBILITY_KINDS}") from None
     params = dict(spec.params)
     params.setdefault("seed", int(seed))
-    try:
-        return cls(**params)
-    except TypeError as error:
-        # Surface bad `mobility.<param>` overrides as a one-line user error.
-        raise ValueError(f"bad parameter for mobility {spec.kind!r}: {error}") \
-            from None
+    return call_with_params("mobility", spec.kind, cls, **params)

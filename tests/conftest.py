@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.topology.generator import (
     chain,
     cost_gap_topology,
@@ -55,3 +56,19 @@ def testbed():
 def gap_topology():
     """The Figure 5-1 ETX-vs-EOTX gap topology."""
     return cost_gap_topology(bridge_delivery=0.1, branch_count=8)
+
+
+@pytest.fixture
+def tiny_sweep() -> ScenarioSpec:
+    """A sub-second two-cell sweep on a lossy chain."""
+    return ScenarioSpec(
+        name="tiny_sweep",
+        topology=TopologySpec("chain", {"hops": 3, "link_delivery": 0.7,
+                                        "skip_delivery": 0.2}),
+        workload=WorkloadSpec("explicit", {"pairs": [[0, 3]]}),
+        protocols=("MORE", "Srcr"),
+        run={"total_packets": 32, "batch_size": 8, "packet_size": 256,
+             "coding_payload_size": 16},
+        seeds=(1,),
+        sweep={"run.batch_size": (8, 16)},
+    )

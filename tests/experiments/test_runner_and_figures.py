@@ -1,4 +1,4 @@
-"""Integration tests for the experiment runner and the figure harnesses.
+"""Integration tests for the experiment runner and the figure views.
 
 These use deliberately tiny workloads (few packets, few pairs, small
 topologies) so the whole suite stays fast; the benchmarks run the
@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.figures import figure_5_1, table_4_1
+from repro.experiments.figures import ALL_FIGURES, figure_5_1, table_4_1
 from repro.experiments.runner import (
     PROTOCOLS,
     RunConfig,
-    compare_protocols,
     run_flows,
     run_single_flow,
 )
-from repro.topology.generator import chain, diamond, indoor_testbed, two_hop_relay
+from repro.scenarios import build_flow_sets, build_pairs, build_topology, get_preset
+from repro.topology.generator import chain, diamond, indoor_testbed
 
 FAST = RunConfig(total_packets=16, batch_size=8, packet_size=500,
                  coding_payload_size=8, max_duration=60.0, seed=1)
@@ -44,12 +44,6 @@ class TestRunner:
         results = run_flows(topo, "MORE", [(0, destination), (destination, 0)], config=FAST)
         assert len(results) == 2
         assert all(r.completed for r in results)
-
-    def test_compare_protocols_shapes(self):
-        topo = two_hop_relay()
-        results = compare_protocols(topo, [(0, 2)], config=FAST)
-        assert set(results) == set(PROTOCOLS)
-        assert all(len(flows) == 1 for flows in results.values())
 
     def test_results_are_reproducible(self):
         topo = chain(2, link_delivery=0.7)
@@ -109,7 +103,8 @@ class TestFigureHarnesses:
         assert "Table 4.1" in result.report
 
     def test_figure_5_1_gap_series(self):
-        result = figure_5_1(bridge_deliveries=(0.2, 0.1), branch_count=4, testbed_pairs=6)
+        spec = get_preset("fig_5_1").with_overrides({"workload.count": 6})
+        result = figure_5_1(spec, bridge_deliveries=(0.2, 0.1), branch_count=4)
         analytic = result.series["analytic_gap"]
         measured = result.series["measured_gap"]
         assert len(analytic) == len(measured) == 2
@@ -118,3 +113,28 @@ class TestFigureHarnesses:
         assert analytic[1] > analytic[0]
         assert measured[1] > measured[0]
         assert result.summary["testbed_median_gap_affected"] < 0.2
+
+    def test_views_report_the_pairs_of_their_spec(self):
+        """A view selects nothing itself: the pairs / flow sets it reports are
+        the ones ``build_pairs`` / ``build_flow_sets`` derive from its spec."""
+        tiny = {"run.total_packets": 16, "run.batch_size": 8, "run.packet_size": 500,
+                "run.coding_payload_size": 8}
+        for number in ("4_2", "4_3", "4_4", "4_6", "4_7", "5_1"):
+            spec = get_preset(f"fig_{number}").with_overrides({**tiny, "workload.count": 2})
+            if number == "4_7":
+                spec.sweep["run.batch_size"] = (8, 16)
+            result = ALL_FIGURES[f"figure_{number}"](spec)
+            cell = spec.expand()[0]
+            pairs = build_pairs(cell.scenario.workload, build_topology(spec.topology),
+                                cell.seed)
+            assert result.extras["pairs"] == [list(pair) for pair in pairs]
+
+        spec = get_preset("fig_4_5").with_overrides(
+            {**tiny, "workload.flows_per_set": 2, "workload.set_count": 1})
+        spec.sweep["workload.flow_count"] = (1, 2)
+        result = ALL_FIGURES["figure_4_5"](spec)
+        cell = spec.expand()[-1]  # the full sets; smaller counts run their prefixes
+        flow_sets = build_flow_sets(cell.scenario.workload, build_topology(spec.topology),
+                                    cell.seed)
+        assert result.extras["flow_sets"] \
+            == [[list(pair) for pair in flow_set] for flow_set in flow_sets]

@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.experiments.parallel import run_sweep
+from repro.experiments.orchestrator import run_sweep
 from repro.scenarios import (
     CHANNEL_KINDS,
     ChannelSpec,

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenarios import ScenarioSpec
+from repro.cli import main
+from repro.scenarios import ScenarioSpec, get_preset
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -52,12 +53,14 @@ def test_run_unknown_preset_fails():
     assert proc.returncode != 0
 
 
-def _assert_one_line_error(proc, message: str) -> None:
-    assert proc.returncode != 0
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
-    (line,) = proc.stderr.strip().splitlines()
-    assert line.startswith("repro: error: ") and message in line
+def _one_line_error(capsys, *args: str) -> str:
+    """Run the CLI in-process; it must print one error line and return 2."""
+    assert main(list(args)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.strip().splitlines()
+    assert line.startswith("repro: error: ")
+    return line
 
 
 #: The CLI flag that used to select a coding-buffer implementation, and the
@@ -68,20 +71,25 @@ REMOVED_FLAG_FIELD = REMOVED_FLAG.lstrip("-").replace("-", "_")
 
 @pytest.mark.parametrize("field,value", [("engine", "legacy"),
                                          (REMOVED_FLAG_FIELD, "eager")])
-def test_removed_run_knobs_are_rejected_as_overrides(field, value, tmp_path):
+def test_removed_run_knobs_are_rejected_as_overrides(field, value, capsys):
     """The deleted engine selectors die at the boundary, never silently."""
-    proc = repro_cli("run", "--preset", "chain_smoke", "--no-cache",
-                     "--set", f"run.{field}={value}", cwd=tmp_path)
-    _assert_one_line_error(proc, f"unknown RunConfig field {field!r}")
+    line = _one_line_error(capsys, "run", "--preset", "chain_smoke", "--no-cache",
+                           "--set", f"run.{field}={value}")
+    assert f"unknown RunConfig field {field!r}" in line
 
 
-def test_removed_run_knob_is_rejected_in_a_spec_file(tmp_path):
-    spec = json.loads(repro_cli("show", "--preset", "chain_smoke").stdout)
-    spec["run"]["engine"] = "legacy"
+def _spec_file_with_run(tmp_path, field: str, value) -> str:
+    spec = get_preset("chain_smoke").to_dict()
+    spec["run"][field] = value
     spec_file = tmp_path / "scenario.json"
     spec_file.write_text(json.dumps(spec))
-    proc = repro_cli("run", "--spec", str(spec_file), "--no-cache", cwd=tmp_path)
-    _assert_one_line_error(proc, "unknown RunConfig field")
+    return str(spec_file)
+
+
+def test_removed_run_knob_is_rejected_in_a_spec_file(capsys, tmp_path):
+    spec_file = _spec_file_with_run(tmp_path, "engine", "legacy")
+    line = _one_line_error(capsys, "run", "--spec", spec_file, "--no-cache")
+    assert "unknown RunConfig field" in line
 
 
 def test_removed_cli_flag_is_an_argparse_error(tmp_path):
@@ -90,6 +98,34 @@ def test_removed_cli_flag_is_an_argparse_error(tmp_path):
     assert proc.returncode == 2
     assert f"unrecognized arguments: {REMOVED_FLAG}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ("run", "--preset", "chain_smoke", "--set", "topology.bogus=3"),
+    ("run", "--preset", "fig_4_2", "--set", "workload.bogus=3"),
+    ("run", "--preset", "multiflow_grid", "--set", "workload.bogus=3"),
+    # Default worker count: the cells fail inside pool workers.
+    ("sweep", "--preset", "chain_smoke", "--axis", "topology.bogus=1,2"),
+], ids=["topology", "pairs", "flow_sets", "sweep_axis"])
+def test_bad_topology_or_workload_parameter_is_a_one_line_error(command, capsys):
+    """Same shape as a bad ``channel.*`` / ``mobility.*`` / ``faults.*``."""
+    line = _one_line_error(capsys, *command, "--no-cache")
+    section = command[-1].partition(".")[0]
+    assert f"bad parameter for {section} " in line
+    assert "unexpected keyword argument 'bogus'" in line
+
+
+@pytest.mark.parametrize("section", ["channel", "mobility", "faults"])
+def test_run_cannot_shadow_a_scenario_section(section, capsys, tmp_path):
+    """``run.channel`` used to override the ``channel`` section silently."""
+    line = _one_line_error(capsys, "show", "--preset", "chain_smoke",
+                           "--set", f'run.{section}={{"kind": "none"}}')
+    assert f"run.{section} is not settable" in line
+    assert "channel.* / mobility.* / faults.*" in line
+
+    spec_file = _spec_file_with_run(tmp_path, section, {"kind": "none"})
+    line = _one_line_error(capsys, "run", "--spec", spec_file, "--no-cache")
+    assert f"run.{section} is not settable" in line
 
 
 def test_run_without_spec_or_preset_fails():

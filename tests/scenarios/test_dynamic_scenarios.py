@@ -18,7 +18,7 @@ import pytest
 
 from golden import key, load_golden, run_trace
 from repro.cli import main
-from repro.experiments.parallel import run_sweep
+from repro.experiments.orchestrator import run_sweep
 from repro.scenarios import (
     MOBILITY_KINDS,
     MobilitySpec,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.parallel import run_sweep
+from repro.experiments.orchestrator import run_sweep
 from repro.experiments.runner import RunConfig, run_single_flow
 from repro.scenarios import get_preset, run_cell
 from repro.sim.monitor import StallDiagnosis

@@ -26,25 +26,9 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.orchestrator.store import CellKey
 from repro.experiments.runner import RunConfig
-from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec, get_preset
+from repro.scenarios import ScenarioSpec, get_preset
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
-
-
-@pytest.fixture
-def tiny_sweep() -> ScenarioSpec:
-    """A sub-second two-cell sweep on a lossy chain."""
-    return ScenarioSpec(
-        name="tiny_sweep",
-        topology=TopologySpec("chain", {"hops": 3, "link_delivery": 0.7,
-                                        "skip_delivery": 0.2}),
-        workload=WorkloadSpec("explicit", {"pairs": [[0, 3]]}),
-        protocols=("MORE", "Srcr"),
-        run={"total_packets": 32, "batch_size": 8, "packet_size": 256,
-             "coding_payload_size": 16},
-        seeds=(1,),
-        sweep={"run.batch_size": (8, 16)},
-    )
 
 
 @pytest.fixture
@@ -106,13 +90,12 @@ class TestCacheKeys:
 
     def test_legacy_flat_cache_is_never_read(self, tiny_sweep, tmp_path):
         first = run_sweep(tiny_sweep, workers=1, results_dir=tmp_path)
-        # Plant a PR 1-style flat cache entry; the store must ignore it.
+        # Plant a flat cache entry outside results/store/; it must be ignored.
         legacy_dir = tmp_path / "tiny_sweep"
         legacy_dir.mkdir()
         legacy = legacy_dir / "cell-0123456789abcdef.json"
         legacy.write_text(json.dumps({"cell": {}, "result": first.cells[0].to_dict()}))
         store = ResultStore(tmp_path, code="")
-        assert store.legacy_cell_files() == [legacy]
         # The report loader only walks the store, so the planted file is
         # invisible; both real cells still load from under results/store/.
         assert len(store.iter_results(["tiny_sweep"])["tiny_sweep"]) == 2

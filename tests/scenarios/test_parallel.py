@@ -1,36 +1,11 @@
-"""Parallel sweep runner: serial == parallel, figure equivalence, caching."""
+"""Parallel sweep runner: serial == parallel, caching."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.experiments.figures import figure_4_2
-from repro.experiments.orchestrator.store import ResultStore
-from repro.experiments.parallel import (
-    load_cached_results,
-    run_scenario,
-    run_sweep,
-)
-from repro.experiments.runner import RunConfig
-from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec, get_preset, run_cell
-
-
-@pytest.fixture
-def tiny_sweep() -> ScenarioSpec:
-    """A sub-second two-cell sweep on a lossy chain."""
-    return ScenarioSpec(
-        name="tiny_sweep",
-        topology=TopologySpec("chain", {"hops": 3, "link_delivery": 0.7,
-                                        "skip_delivery": 0.2}),
-        workload=WorkloadSpec("explicit", {"pairs": [[0, 3]]}),
-        protocols=("MORE", "Srcr"),
-        run={"total_packets": 32, "batch_size": 8, "packet_size": 256,
-             "coding_payload_size": 16},
-        seeds=(1,),
-        sweep={"run.batch_size": (8, 16)},
-    )
+from repro.experiments.orchestrator import ResultStore, run_scenario, run_sweep
+from repro.scenarios import get_preset
 
 
 def test_parallel_matches_serial_bit_for_bit(tiny_sweep):
@@ -38,19 +13,6 @@ def test_parallel_matches_serial_bit_for_bit(tiny_sweep):
     parallel = run_sweep(tiny_sweep, workers=2, results_dir=None)
     assert [cell.to_dict() for cell in serial.cells] \
         == [cell.to_dict() for cell in parallel.cells]
-
-
-def test_scenario_layer_matches_figure_4_2_bit_for_bit():
-    """The acceptance check: the fig_4_2 preset reproduces the serial figure
-    harness exactly (reduced pair count / transfer size for test speed)."""
-    spec = get_preset("fig_4_2")
-    spec.workload.params["count"] = 3
-    spec.run["total_packets"] = 64
-    result = run_cell(spec.expand()[0])
-    figure = figure_4_2(pair_count=3, seed=1,
-                        config=RunConfig(total_packets=64, seed=1))
-    for protocol in ("MORE", "ExOR", "Srcr"):
-        assert result.series[protocol] == figure.series[protocol]
 
 
 def test_multiflow_parallel_matches_serial():
@@ -92,7 +54,7 @@ class TestCaching:
         assert set(payload) == {"key", "cell", "result"}
         assert set(payload["key"]) == {"scenario", "spec_hash", "seed",
                                        "code_version"}
-        grouped = load_cached_results(tmp_path)
+        grouped = ResultStore(tmp_path, code="").iter_results()
         assert set(grouped) == {"tiny_sweep"}
         assert len(grouped["tiny_sweep"]) == 2
 

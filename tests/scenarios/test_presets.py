@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.experiments.figures import default_testbed
+from repro.experiments.figures import ALL_FIGURES
 from repro.scenarios import (
     MODES,
     build_flow_sets,
@@ -65,17 +64,27 @@ def test_preset_round_trips_through_json():
         assert clone == spec
 
 
-def test_fig_4_2_topology_matches_figure_harness():
-    """The preset must describe the exact testbed the figure harness builds."""
-    preset_mesh = build_topology(get_preset("fig_4_2").topology)
-    figure_mesh = default_testbed()
-    assert np.array_equal(preset_mesh.delivery_matrix(), figure_mesh.delivery_matrix())
+def test_fig_4_2_topology_matches_figure_harness(monkeypatch):
+    """A figure view given no spec runs its preset: the first cell it hands
+    the executor is the preset's first cell, for every figure."""
+
+    class Handed(Exception):
+        pass
+
+    def refuse(cell):
+        raise Handed(cell)
+
+    monkeypatch.setattr("repro.scenarios.execute.run_cell", refuse)
+    for preset in FIGURE_PRESETS:
+        with pytest.raises(Handed) as handed:
+            ALL_FIGURES[preset.replace("fig_", "figure_")]()
+        assert handed.value.args[0] == get_preset(preset).expand()[0]
 
 
 def test_fig_4_7_sweeps_the_paper_batch_sizes():
     spec = get_preset("fig_4_7")
     assert spec.sweep["run.batch_size"] == (8, 16, 32, 64, 128)
-    # K=128 cells stretch the transfer to two batches, like the figure harness.
+    # K=128 cells stretch the transfer to two batches.
     largest = [cell for cell in spec.expand()
                if cell.axes["run.batch_size"] == 128][0]
     assert largest.scenario.run_config(largest.seed).total_packets == 256
