@@ -6,8 +6,7 @@ WORKERS ?= 4
 ENV      = PYTHONPATH=src
 
 .PHONY: check lint analyze test test-engine test-coding golden bench \
-        bench-baseline profile docs-check sweep-smoke fault-smoke bench-smoke \
-        figures examples clean
+        docs-check sweep-smoke fault-smoke bench-smoke figures examples clean
 
 # The pre-merge gate: lint, the static invariant analyzer, the golden-trace
 # tests (fail fast on a hot-path behaviour change), then the full tier-1
@@ -54,17 +53,6 @@ test-coding:
 # the full 5 MB transfers).
 bench:
 	$(ENV) $(PYTHON) -m pytest -q benchmarks $(PYTEST_ARGS)
-
-# Re-measure the stage-level figures and rewrite BENCH_coding.json (kernel
-# MB/s, packets/s per pipeline stage, medium frames/s, wall-clock per
-# protocol).  Not part of tier-1; the regression floor is `python3 -m bench`.
-bench-baseline:
-	$(ENV) $(PYTHON) scripts/bench_baseline.py
-
-# cProfile one preset flow and print the hot spots (PROFILE_ARGS passes
-# --preset/--protocol/--top through to scripts/profile_run.py).
-profile:
-	$(ENV) $(PYTHON) scripts/profile_run.py $(PROFILE_ARGS)
 
 # Every repro.* name and every `--preset name` referenced in README.md and
 # docs/ must resolve.

@@ -4,14 +4,13 @@ Two wall-clock contracts, both behind ``--perf-strict`` like every timing
 threshold in this suite:
 
 * the orchestrator replays the shared sweep workload
-  (:mod:`repro.experiments.orchestrator.bench` — the exact workload the
-  committed ``sweep`` stage of ``make bench-baseline`` records) from a
+  (:mod:`repro.experiments.orchestrator.bench`) from a
   warm content-addressed store within a fixed wall budget, recomputing
   nothing;
 * the forwarder recode path (``combine_rows``: one fused coefficient
   product instead of materialising K recode rows per emitted packet) at
-  least **1.5x** the ``forwarder_recode_pps`` committed by the
-  bench-baseline/v4 run.
+  least **1.5x** the ``forwarder_recode_pps`` one machine measured before
+  the fused path landed (the constant below).
 
 Bit-identity of the fused recode path and of pooled-vs-serial sweeps is
 *not* a timing property and is asserted unconditionally in
@@ -39,9 +38,8 @@ from repro.experiments.orchestrator.bench import (
 
 K = 32
 PACKET_SIZE = 1500
-#: ``coding_pps.forwarder_recode_pps`` committed by the bench-baseline/v4
-#: run — the same constant ``scripts/bench_baseline.py`` records as
-#: ``recode_speedup_vs_v4_baseline``.
+#: Forwarder recode packets/s before the fused ``combine_rows`` path, as
+#: measured once by the since-deleted stage-baseline script (its v4 run).
 RECODE_BASELINE_PPS = 7352.648894919501
 #: The multiple of the v4 rate the recode path claims.
 FLOOR = 1.5
@@ -92,8 +90,7 @@ def test_forwarder_recode_floor_vs_v4_baseline():
         for _ in range(K // 2):
             forwarder.next_packet()
 
-    # Same recipe as coding_benchmarks() in scripts/bench_baseline.py,
-    # more rounds: each round is short enough for scheduler noise.
+    # Best of many short rounds: each is short enough for scheduler noise.
     gc.collect()
     recode_s = min(_timed(recode_batch) for _ in range(15)) / K
     pps = 1.0 / recode_s

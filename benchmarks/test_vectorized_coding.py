@@ -72,8 +72,6 @@ def test_batched_encoding_speedup():
     Still, it is a wall-clock ratio, and a sufficiently bursty box can
     stretch one side more than the other — so like every other timing
     threshold it lives behind ``--perf-strict`` and out of tier-1.
-    ``make bench-baseline`` records the same quantity in
-    ``BENCH_coding.json`` for regression tracking.
     """
     batch = make_batch(batch_size=K, packet_size=PACKET_SIZE,
                        rng=np.random.default_rng(0))

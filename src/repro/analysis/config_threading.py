@@ -10,7 +10,7 @@ as an attribute read (``config.<field>`` / ``self.<field>``) somewhere in
 ``src/repro`` outside the field's own declaration and outside
 ``__post_init__`` (validation alone is not threading).  A field nobody
 reads is a lint error.  Reads inside the config class's other methods
-count: helpers like ``channel_spec()`` are the threading for their fields.
+count: helpers like ``control_view()`` are the threading for their fields.
 
 The rule also pins the structural plumbing that makes ``run.*`` overrides
 and JSON round-tripping automatic for every field:

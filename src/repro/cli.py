@@ -49,6 +49,7 @@ from repro.experiments.orchestrator.engine import (
 from repro.experiments.orchestrator.store import ResultStore
 from repro.experiments.stats import summarize
 from repro.scenarios import ScenarioSpec, get_preset, list_presets
+from repro.scenarios.spec import MODEL_SECTIONS
 
 
 def _parse_value(text: str) -> Any:
@@ -77,15 +78,12 @@ def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
     else:
         raise SystemExit("error: provide --preset NAME or --spec FILE "
                          "(see `python -m repro list`)")
-    # --channel/--mobility first: switching kind resets the model params, so
-    # the user's --set channel.<param> / mobility.<param> overrides must
-    # land on the new model.
-    if getattr(args, "channel", None):
-        spec = spec.with_overrides({"channel.kind": args.channel})
-    if getattr(args, "mobility", None):
-        spec = spec.with_overrides({"mobility.kind": args.mobility})
-    if getattr(args, "faults", None):
-        spec = spec.with_overrides({"faults.kind": args.faults})
+    # The section flags first: switching kind resets the model params, so
+    # the user's --set channel.<param> / mobility.<param> / faults.<param>
+    # overrides must land on the new model.
+    for name in MODEL_SECTIONS:
+        if getattr(args, name, None):
+            spec = spec.with_overrides({f"{name}.kind": getattr(args, name)})
     if getattr(args, "monitor", False):
         spec = spec.with_overrides({"run.monitor": True})
     for assignment in args.set or []:
@@ -99,6 +97,15 @@ def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
     if getattr(args, "vector_only", False):
         spec = spec.with_overrides({"run.vector_only": True})
     return spec
+
+
+def _add_section_flags(parser: argparse.ArgumentParser) -> None:
+    """``--channel`` / ``--mobility`` / ``--faults KIND``: one flag per model section."""
+    for name, (_, kinds) in MODEL_SECTIONS.items():
+        parser.add_argument(
+            f"--{name}", metavar="KIND",
+            help=f"{name} model: {', '.join(kinds)} (tune with --set "
+                 f"{name}.<param>=value; see docs/scenarios.md)")
 
 
 def _add_spec_arguments(parser: argparse.ArgumentParser, sweep: bool) -> None:
@@ -117,22 +124,7 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, sweep: bool) -> None:
     parser.add_argument("--vector-only", action="store_true", dest="vector_only",
                         help="payload-free fast path (run.vector_only=true): "
                              "identical throughput/rank results, less arithmetic")
-    parser.add_argument("--channel", metavar="KIND",
-                        help="channel model: static, gilbert_elliott, "
-                             "distance_fading or trace (tune parameters with "
-                             "--set channel.<param>=value)")
-    parser.add_argument("--mobility", metavar="KIND",
-                        help="dynamic-topology model: none, link_churn, "
-                             "random_walk or random_waypoint (tune with "
-                             "--set mobility.<param>=value; pair with "
-                             "--set run.refresh_period=SECONDS for an "
-                             "online control plane)")
-    parser.add_argument("--faults", metavar="KIND",
-                        help="fault-injection process: none, ack_blackout, "
-                             "control_silence, crash_recover or scheduled "
-                             "(tune with --set faults.<param>=value; pair "
-                             "with --set run.progress_timeout=SECONDS for "
-                             "structured aborts instead of hangs)")
+    _add_section_flags(parser)
     parser.add_argument("--monitor", action="store_true",
                         help="enable the runtime liveness monitor "
                              "(run.monitor=true): stalls raise a one-screen "
@@ -248,9 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     show.add_argument("--preset")
     show.add_argument("--spec")
     show.add_argument("--set", action="append", metavar="PATH=VALUE")
-    show.add_argument("--channel", metavar="KIND")
-    show.add_argument("--mobility", metavar="KIND")
-    show.add_argument("--faults", metavar="KIND")
+    _add_section_flags(show)
     show.add_argument("--monitor", action="store_true")
     show.set_defaults(func=_command_show, axis=None, seeds=None)
 

@@ -1,9 +1,5 @@
-"""The shared cold-sweep benchmark workload.
-
-``scripts/bench_baseline.py`` (the committed ``sweep`` stage) and the
-perf-strict floor in ``benchmarks/test_sweep_floor.py`` must measure the
-same quantity, so the workload lives here — the same pattern as
-:func:`repro.sim.events.pump_timer_workload` for the engine stage.
+"""The many-small-sweeps workload of the perf-strict floor in
+``benchmarks/test_sweep_floor.py``.
 
 The shape is chosen to exercise the orchestrator itself: a parameter
 study is many small successive sweeps, and a fresh pool per sweep would
@@ -21,11 +17,11 @@ from __future__ import annotations
 
 from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec
 
-#: Successive sweeps per measured round (each forks a fresh PR 1 pool).
+#: Successive sweeps per measured round.
 BENCH_SWEEPS = 16
 #: Seeds (= cells: one protocol, no sweep axes) per sweep.
 BENCH_SEEDS_PER_SWEEP = 8
-#: Worker processes both runners are offered.
+#: Worker processes the sweeps are offered.
 BENCH_WORKERS = 8
 #: Total cells per measured round.
 BENCH_CELLS = BENCH_SWEEPS * BENCH_SEEDS_PER_SWEEP

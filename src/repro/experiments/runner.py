@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.experiments.refresh import FlowSupervisor, LinkStateRefresher
 from repro.protocols.exor import setup_exor_flow
@@ -58,9 +57,27 @@ class FlowResult:
         return self.throughput_pkts
 
 
+@dataclass(frozen=True)
+class Environment:
+    """The world a transfer runs in: a scenario's three model sections.
+
+    The default is the paper's: static Bernoulli links, immobile nodes, no
+    faults.  :meth:`repro.scenarios.spec.ScenarioSpec.environment` hands out
+    a scenario's own.
+    """
+
+    channel: ChannelSpec = field(default_factory=ChannelSpec)
+    mobility: MobilitySpec = field(default_factory=MobilitySpec)
+    faults: FaultSpec = field(default_factory=FaultSpec)
+
+
 @dataclass
 class RunConfig:
-    """Knobs shared by all experiment runs.
+    """The transfer, protocol and control-plane parameters of one run.
+
+    What the transfer runs *in* — channel model, mobility, faults — is not
+    here: it is the :class:`Environment`, described by the scenario's
+    ``channel`` / ``mobility`` / ``faults`` sections.
 
     The defaults are scaled down from the paper's 5 MB transfers so the whole
     benchmark suite runs in minutes; pass ``total_packets=3495`` (5 MB /
@@ -70,12 +87,6 @@ class RunConfig:
     link-quality estimates fed to every protocol's control plane (see
     :mod:`repro.topology.estimation`); set the exponent to 1.0 and probes to
     0 for a perfectly informed control plane (the ablation case).
-
-    ``channel`` selects the channel model the medium resolves receptions
-    against, as a :class:`~repro.sim.channels.ChannelSpec` dict
-    (``{"kind": ..., "params": {...}}``); ``None`` is the static Bernoulli
-    delivery matrix.  Scenario specs thread their ``channel`` section
-    through here (see :meth:`repro.scenarios.spec.ScenarioSpec.run_config`).
 
     ``vector_only`` enables the payload-free fast path: delivery, rank
     progression and throughput are fully determined by code vectors, so
@@ -100,11 +111,6 @@ class RunConfig:
     estimation_exponent: float = DEFAULT_OPTIMISM_EXPONENT
     estimation_probes: int = DEFAULT_PROBE_COUNT
     vector_only: bool = False
-    channel: dict[str, Any] | None = field(default=None)
-    #: Mobility / link-churn model for a dynamic topology, as a
-    #: :class:`~repro.topology.mobility.MobilitySpec` dict (``None`` =
-    #: static topology, today's behaviour bit for bit).
-    mobility: dict[str, Any] | None = field(default=None)
     #: Seconds between link-state refreshes: a recurring simulator event
     #: that re-probes the (possibly moved) topology and rebuilds every
     #: flow's forwarding plan / forwarder list / route mid-flow.  ``inf``
@@ -119,11 +125,6 @@ class RunConfig:
     #: density (see :func:`repro.metrics.credits.cap_forwarders`).
     #: ``None`` keeps the full pruned plan.
     max_relays: int | None = None
-    #: Fault-process spec (node crash/recover, ACK blackouts, control
-    #: silence) as a :class:`~repro.sim.faults.FaultSpec` dict (``None`` =
-    #: fault-free, today's behaviour bit for bit; see
-    #: :mod:`repro.sim.faults`).
-    faults: dict[str, Any] | None = field(default=None)
     #: Attach the :class:`~repro.sim.monitor.SimMonitor` liveness checker:
     #: invariant violations raise a structured
     #: :class:`~repro.sim.monitor.StallDiagnosis` instead of hanging.
@@ -148,27 +149,17 @@ class RunConfig:
         self.monitor_interval = float(self.monitor_interval)
         if self.monitor_interval <= 0:
             raise ValueError("monitor_interval must be positive")
-
-    def channel_spec(self) -> ChannelSpec | None:
-        """The channel-model spec for the simulator (``None`` = static)."""
-        if self.channel is None:
-            return None
-        spec = ChannelSpec.from_dict(self.channel)
-        return None if spec.is_static else spec
-
-    def mobility_spec(self) -> MobilitySpec | None:
-        """The mobility spec for the simulator (``None`` = static)."""
-        if self.mobility is None:
-            return None
-        spec = MobilitySpec.from_dict(self.mobility)
-        return None if spec.is_static else spec
-
-    def faults_spec(self) -> FaultSpec | None:
-        """The fault-process spec for the simulator (``None`` = fault-free)."""
-        if self.faults is None:
-            return None
-        spec = FaultSpec.from_dict(self.faults)
-        return None if spec.is_none else spec
+        for name in ("total_packets", "batch_size", "packet_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("max_duration", "estimation_exponent"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("coding_payload_size", "estimation_probes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
+        if self.max_relays is not None and self.max_relays < 1:
+            raise ValueError("max_relays must be at least 1 (None = no cap)")
 
     def control_view(self, topology: Topology,
                      seed: int | tuple[int, ...] | None = None) -> Topology:
@@ -189,12 +180,15 @@ class RunConfig:
         )
 
 
-def _make_simulator(topology: Topology, config: RunConfig, bitrate: int | None = None) -> Simulator:
-    phy = PhyConfig(bitrate=bitrate if bitrate is not None else config.bitrate)
-    sim_config = SimConfig(phy=phy, seed=config.seed, max_duration=config.max_duration,
-                           channel_model=config.channel_spec(),
-                           mobility=config.mobility_spec(),
-                           faults=config.faults_spec(),
+def _make_simulator(topology: Topology, config: RunConfig,
+                    environment: Environment | None = None) -> Simulator:
+    if environment is None:
+        environment = Environment()
+    sim_config = SimConfig(phy=PhyConfig(bitrate=config.bitrate), seed=config.seed,
+                           max_duration=config.max_duration,
+                           channel_model=environment.channel,
+                           mobility=environment.mobility,
+                           faults=environment.faults,
                            monitor=config.monitor,
                            monitor_interval=config.monitor_interval)
     return Simulator(topology, sim_config)
@@ -243,13 +237,15 @@ def _install_flow(sim: Simulator, topology: Topology, protocol: str, source: int
 
 
 def run_flows(topology: Topology, protocol: str, pairs: list[tuple[int, int]],
-              config: RunConfig | None = None, bitrate: int | None = None) -> list[FlowResult]:
+              config: RunConfig | None = None,
+              environment: Environment | None = None) -> list[FlowResult]:
     """Run one simulation with all ``pairs`` as concurrent flows of ``protocol``.
 
+    ``environment`` defaults to the static, immobile, fault-free world.
     Returns one :class:`FlowResult` per pair, in order.
     """
     run_config = config if config is not None else RunConfig()
-    sim = _make_simulator(topology, run_config, bitrate=bitrate)
+    sim = _make_simulator(topology, run_config, environment)
     control = run_config.control_view(topology)
     handles = []
     for index, (source, destination) in enumerate(pairs):
@@ -299,7 +295,8 @@ def run_flows(topology: Topology, protocol: str, pairs: list[tuple[int, int]],
 
 
 def run_single_flow(topology: Topology, protocol: str, source: int, destination: int,
-                    config: RunConfig | None = None, bitrate: int | None = None) -> FlowResult:
+                    config: RunConfig | None = None,
+                    environment: Environment | None = None) -> FlowResult:
     """Run one flow in isolation and return its result."""
     return run_flows(topology, protocol, [(source, destination)], config=config,
-                     bitrate=bitrate)[0]
+                     environment=environment)[0]

@@ -1,12 +1,38 @@
-"""The ``params`` of a scenario section (``topology``, ``workload``, ``channel``,
-``mobility``, ``faults``) end as keyword arguments, and they come from outside
-the program: spec files and ``--set`` / ``--axis`` overrides."""
+"""A scenario section (``topology``, ``workload``, ``channel``, ``mobility``,
+``faults``) is a ``{kind, params}`` pair: ``kind`` names an entry of the
+section's registry and ``params`` end as that entry's keyword arguments.  Both
+come from outside the program: spec files and ``--set`` / ``--axis`` overrides."""
 
 from __future__ import annotations
 
-from typing import Any, Callable, TypeVar
+from dataclasses import dataclass, field
+from typing import Any, Callable, ClassVar, Collection, Mapping, TypeVar
 
 T = TypeVar("T")
+S = TypeVar("S", bound="SectionSpec")
+
+
+@dataclass
+class SectionSpec:
+    """One ``{kind, params}`` section; round-trips through dicts/JSON.
+
+    Subclasses state their ``label`` (the word error messages use) and, where
+    the section has one, a default ``kind``.
+    """
+
+    label: ClassVar[str] = "section"
+
+    kind: str
+    params: dict[str, Any] = field(default_factory=dict)
+
+    def to_dict(self) -> dict[str, Any]:
+        return {"kind": self.kind, "params": dict(self.params)}
+
+    @classmethod
+    def from_dict(cls: type[S], data: dict[str, Any]) -> S:
+        if "kind" not in data:
+            raise ValueError(f"{cls.label} spec needs a 'kind' field")
+        return cls(kind=data["kind"], params=dict(data.get("params", {})))
 
 
 def call_with_params(section: str, kind: str, factory: Callable[..., T],
@@ -21,3 +47,33 @@ def call_with_params(section: str, kind: str, factory: Callable[..., T],
         return factory(*args, **params)
     except TypeError as error:
         raise ValueError(f"bad parameter for {section} {kind!r}: {error}") from None
+
+
+def check_kind(spec: SectionSpec, kinds: Collection[str]) -> None:
+    """``spec.kind`` must be one of the section's ``kinds``."""
+    if spec.kind not in kinds:
+        raise ValueError(f"unknown {spec.label} kind {spec.kind!r}; expected one "
+                         f"of {tuple(kinds)}")
+
+
+def build_model(section: str, spec: SectionSpec | None,
+                models: Mapping[str, Callable[..., T]], kinds: Collection[str],
+                seed: int) -> T | None:
+    """The live model a ``channel`` / ``mobility`` / ``faults`` spec describes.
+
+    No spec builds ``None``, and so does a kind among ``kinds`` but not
+    ``models`` (``"none"``): the section's no-model kind, which takes no
+    parameters.  ``seed`` (normally the cell seed) drives the model's private
+    RNG stream unless the spec params pin their own ``seed`` — the same
+    convention the workload builders use.
+    """
+    if spec is None:
+        return None
+    check_kind(spec, kinds)
+    if spec.kind not in models:
+        if spec.params:
+            raise ValueError(f"{spec.label} kind {spec.kind!r} accepts no parameters")
+        return None
+    params = dict(spec.params)
+    params.setdefault("seed", int(seed))
+    return call_with_params(section, spec.kind, models[spec.kind], **params)

@@ -8,12 +8,9 @@ one (scenario, seed) cell.  Sweeps across worker processes live in
 """
 
 from repro.scenarios.build import (
-    CHANNEL_KINDS,
     TOPOLOGY_BUILDERS,
     WORKLOAD_KINDS,
-    build_channel,
     build_flow_sets,
-    build_mobility,
     build_pairs,
     build_topology,
 )
@@ -31,7 +28,6 @@ from repro.scenarios.spec import (
 )
 
 __all__ = [
-    "CHANNEL_KINDS",
     "CellResult",
     "ChannelSpec",
     "MIN_BATCHES_PER_TRANSFER",
@@ -45,9 +41,7 @@ __all__ = [
     "TopologySpec",
     "WORKLOAD_KINDS",
     "WorkloadSpec",
-    "build_channel",
     "build_flow_sets",
-    "build_mobility",
     "build_pairs",
     "build_topology",
     "get_preset",

@@ -1,12 +1,12 @@
-"""Materialise the declarative parts of a scenario: topology, workload, channel.
+"""Materialise the declarative parts of a scenario: topology and workload.
 
 The builders are pure dispatch: a :class:`~repro.scenarios.spec.TopologySpec`
-names a generator from :mod:`repro.topology.generator`, a
+names a generator from :mod:`repro.topology.generator` and a
 :class:`~repro.scenarios.spec.WorkloadSpec` names a pair selector from
-:mod:`repro.experiments.workloads`, and a
-:class:`~repro.sim.channels.ChannelSpec` names a channel model from
-:mod:`repro.sim.channels`.  Everything is deterministic given the spec (and
-the cell seed, when the spec does not pin its own).
+:mod:`repro.experiments.workloads`.  Everything is deterministic given the
+spec (and the cell seed, when the spec does not pin its own).  The
+``channel`` / ``mobility`` / ``faults`` sections are built by the simulator
+itself (``build_*_model`` in :class:`~repro.sim.simulator.Simulator`).
 """
 
 from __future__ import annotations
@@ -20,18 +20,7 @@ from repro.experiments.workloads import (
     spatial_reuse_pairs,
 )
 from repro.params import call_with_params
-from repro.sim.channels import (
-    CHANNEL_MODELS,
-    ChannelModel,
-    ChannelSpec,
-    build_channel_model,
-)
 from repro.scenarios.spec import TopologySpec, WorkloadSpec
-from repro.topology.mobility import (
-    MobilityModel,
-    MobilitySpec,
-    build_mobility_model,
-)
 from repro.topology.generator import (
     chain,
     cost_gap_topology,
@@ -58,41 +47,6 @@ TOPOLOGY_BUILDERS: dict[str, Callable[..., Topology]] = {
 
 #: Workload kinds addressable from a :class:`WorkloadSpec`.
 WORKLOAD_KINDS = ("random_pairs", "spatial_reuse", "challenged", "explicit", "multiflow")
-
-#: Channel-model kinds addressable from a scenario's ``channel`` section.
-CHANNEL_KINDS = tuple(sorted(CHANNEL_MODELS))
-
-
-def build_channel(spec: ChannelSpec, topology: Topology,
-                  default_seed: int = 0) -> ChannelModel:
-    """Instantiate (and bind) the channel model a spec describes.
-
-    ``default_seed`` (the cell seed) drives the model's private RNG stream
-    unless the channel params pin their own ``seed``.  The experiment
-    runner builds its model through :class:`~repro.sim.radio.SimConfig`;
-    this helper serves tests and ad-hoc studies that work with a bare
-    :class:`~repro.sim.medium.WirelessMedium`.
-    """
-    model = build_channel_model(spec, seed=default_seed)
-    model.bind(topology)
-    return model
-
-
-def build_mobility(spec: MobilitySpec, topology: Topology,
-                   default_seed: int = 0) -> MobilityModel | None:
-    """Instantiate (and bind) the mobility process a spec describes.
-
-    ``default_seed`` (the cell seed) drives the model's private RNG stream
-    unless the mobility params pin their own ``seed``.  Returns ``None``
-    for a static spec.  The experiment runner builds its process through
-    :class:`~repro.sim.radio.SimConfig`; this helper serves tests and
-    ad-hoc studies working with a bare topology.
-    """
-    model = build_mobility_model(spec, seed=default_seed)
-    if model is not None:
-        model.bind(topology)
-    return model
-
 
 def build_topology(spec: TopologySpec) -> Topology:
     """Instantiate the topology a spec describes."""

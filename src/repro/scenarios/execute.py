@@ -102,11 +102,13 @@ def _throughput_cell(cell: ScenarioCell) -> CellResult:
     topology = build_topology(spec.topology)
     pairs = build_pairs(spec.workload, topology, cell.seed)
     base = spec.run_config(cell.seed)
+    environment = spec.environment()
     series: dict[str, list[float]] = {}
     aborted: dict[str, list[str]] = {}
     for token in spec.protocols:
         protocol, config = _resolve_protocol(token, base)
-        results = [run_single_flow(topology, protocol, source, destination, config=config)
+        results = [run_single_flow(topology, protocol, source, destination, config=config,
+                                   environment=environment)
                    for source, destination in pairs]
         series[token] = [result.throughput_pkts for result in results]
         notes = _abort_notes(results)
@@ -136,6 +138,7 @@ def _multiflow_cell(cell: ScenarioCell) -> CellResult:
     topology = build_topology(spec.topology)
     flow_sets = build_flow_sets(spec.workload, topology, cell.seed)
     config = spec.run_config(cell.seed)
+    environment = spec.environment()
     series: dict[str, list[float]] = {}
     aborted: dict[str, list[str]] = {}
     for token in spec.protocols:
@@ -143,7 +146,8 @@ def _multiflow_cell(cell: ScenarioCell) -> CellResult:
         throughputs: list[float] = []
         notes: list[str] = []
         for flow_set in flow_sets:
-            results = run_flows(topology, protocol, flow_set, config=protocol_config)
+            results = run_flows(topology, protocol, flow_set, config=protocol_config,
+                                environment=environment)
             throughputs.extend(result.throughput_pkts for result in results)
             notes.extend(_abort_notes(results))
         series[token] = throughputs

@@ -24,7 +24,8 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any
 
-from repro.experiments.runner import PROTOCOLS, RunConfig
+from repro.experiments.runner import PROTOCOLS, Environment, RunConfig
+from repro.params import SectionSpec, check_kind
 from repro.sim.channels import CHANNEL_MODELS, ChannelSpec
 from repro.sim.faults import FAULT_KINDS, FaultSpec
 from repro.topology.mobility import MOBILITY_KINDS, MobilitySpec
@@ -38,17 +39,14 @@ MODES = ("throughput", "multiflow", "gap")
 MIN_BATCHES_PER_TRANSFER = 2
 
 
-def _reject_section_fields(run_fields: Any) -> None:
-    """Refuse the ``RunConfig`` fields a scenario fills from its own sections.
-
-    A ``run.channel`` would run one model while the ``channel`` section, the
-    stored spec JSON and ``repro show`` name another.
-    """
-    for name in ("channel", "mobility", "faults"):
-        if name in run_fields:
-            raise ValueError(f"run.{name} is not settable; describe the model in the "
-                             f"scenario's {name} section (channel.* / mobility.* / "
-                             "faults.* overrides)")
+#: The model sections of a scenario (its :class:`Environment`): section name →
+#: (spec class, accepted kinds).  Drives validation, dotted overrides, the JSON
+#: round trip and the CLI's ``--channel`` / ``--mobility`` / ``--faults``.
+MODEL_SECTIONS: dict[str, tuple[type[SectionSpec], tuple[str, ...]]] = {
+    "channel": (ChannelSpec, tuple(CHANNEL_MODELS)),
+    "mobility": (MobilitySpec, MOBILITY_KINDS),
+    "faults": (FaultSpec, FAULT_KINDS),
+}
 
 
 def _apply_dotted(spec: "ScenarioSpec", path: str, value: Any) -> None:
@@ -59,7 +57,6 @@ def _apply_dotted(spec: "ScenarioSpec", path: str, value: Any) -> None:
             raise ValueError(f"run overrides need a single field name, got {path!r}")
         if rest not in {f.name for f in fields(RunConfig)}:
             raise ValueError(f"unknown RunConfig field {rest!r} in axis {path!r}")
-        _reject_section_fields((rest,))
         spec.run[rest] = value
     elif head in ("topology", "workload"):
         target = getattr(spec, head)
@@ -69,45 +66,20 @@ def _apply_dotted(spec: "ScenarioSpec", path: str, value: Any) -> None:
             target.kind = value
         else:
             target.params[rest] = value
-    elif head == "channel":
+    elif head in MODEL_SECTIONS:
         # `channel=gilbert_elliott` (a bare kind) and `channel.kind=...` both
         # switch the model; `channel.<param>` sets one model parameter, so
-        # channel axes are sweepable like any other.  Switching to a
-        # *different* kind resets the params: the old model's knobs would be
-        # unknown keywords for the new one.
+        # model axes (fading depth, churn rate, crash rate) are sweepable
+        # like any other.  Switching to a *different* kind resets the params:
+        # the old model's knobs would be unknown keywords for the new one.
         if not rest or rest == "kind":
-            if value not in CHANNEL_MODELS:
-                raise ValueError(f"unknown channel kind {value!r}; expected one "
-                                 f"of {sorted(CHANNEL_MODELS)}")
-            if value != spec.channel.kind:
-                spec.channel = ChannelSpec(kind=value)
+            spec_cls, kinds = MODEL_SECTIONS[head]
+            section = spec_cls(kind=value)
+            check_kind(section, kinds)
+            if value != getattr(spec, head).kind:
+                setattr(spec, head, section)
         else:
-            spec.channel.params[rest] = value
-    elif head == "mobility":
-        # Same conventions as `channel`: a bare kind (or `mobility.kind`)
-        # switches the model and resets stale params; `mobility.<param>`
-        # sets one parameter, so mobility axes are sweepable too.
-        if not rest or rest == "kind":
-            if value not in MOBILITY_KINDS:
-                raise ValueError(f"unknown mobility kind {value!r}; expected "
-                                 f"one of {MOBILITY_KINDS}")
-            if value != spec.mobility.kind:
-                spec.mobility = MobilitySpec(kind=value)
-        else:
-            spec.mobility.params[rest] = value
-    elif head == "faults":
-        # Same conventions as `channel`/`mobility`: a bare kind (or
-        # `faults.kind`) switches the fault process and resets stale params;
-        # `faults.<param>` sets one parameter, making fault severity (crash
-        # rates, outage windows) a sweepable axis like any other.
-        if not rest or rest == "kind":
-            if value not in FAULT_KINDS:
-                raise ValueError(f"unknown faults kind {value!r}; expected "
-                                 f"one of {FAULT_KINDS}")
-            if value != spec.faults.kind:
-                spec.faults = FaultSpec(kind=value)
-        else:
-            spec.faults.params[rest] = value
+            getattr(spec, head).params[rest] = value
     elif head == "protocols" and not rest:
         # A bare string means one protocol, not a tuple of its characters.
         spec.protocols = (value,) if isinstance(value, str) else tuple(value)
@@ -120,8 +92,7 @@ def _apply_dotted(spec: "ScenarioSpec", path: str, value: Any) -> None:
         )
 
 
-@dataclass
-class TopologySpec:
+class TopologySpec(SectionSpec):
     """Which topology generator to call and with what parameters.
 
     ``kind`` names a generator in :mod:`repro.topology.generator` (see
@@ -130,21 +101,10 @@ class TopologySpec:
     a TopologySpec fully determines the mesh.
     """
 
-    kind: str
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TopologySpec":
-        if "kind" not in data:
-            raise ValueError("topology spec needs a 'kind' field")
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
+    label = "topology"
 
 
-@dataclass
-class WorkloadSpec:
+class WorkloadSpec(SectionSpec):
     """Which source-destination pairs (or flow sets) the experiment drives.
 
     ``kind`` selects a generator from :mod:`repro.experiments.workloads`
@@ -154,17 +114,7 @@ class WorkloadSpec:
     and the simulator.
     """
 
-    kind: str
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "WorkloadSpec":
-        if "kind" not in data:
-            raise ValueError("workload spec needs a 'kind' field")
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
+    label = "workload"
 
 
 @dataclass
@@ -224,21 +174,12 @@ class ScenarioSpec:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if isinstance(self.protocols, str):
             self.protocols = (self.protocols,)
-        if isinstance(self.channel, dict):
-            self.channel = ChannelSpec.from_dict(self.channel)
-        if self.channel.kind not in CHANNEL_MODELS:
-            raise ValueError(f"unknown channel kind {self.channel.kind!r}; "
-                             f"expected one of {sorted(CHANNEL_MODELS)}")
-        if isinstance(self.mobility, dict):
-            self.mobility = MobilitySpec.from_dict(self.mobility)
-        if self.mobility.kind not in MOBILITY_KINDS:
-            raise ValueError(f"unknown mobility kind {self.mobility.kind!r}; "
-                             f"expected one of {MOBILITY_KINDS}")
-        if isinstance(self.faults, dict):
-            self.faults = FaultSpec.from_dict(self.faults)
-        if self.faults.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown faults kind {self.faults.kind!r}; "
-                             f"expected one of {FAULT_KINDS}")
+        for name, (spec_cls, kinds) in MODEL_SECTIONS.items():
+            section = getattr(self, name)
+            if isinstance(section, dict):
+                section = spec_cls.from_dict(section)
+                setattr(self, name, section)
+            check_kind(section, kinds)
         self.protocols = tuple(self.protocols)
         self.seeds = tuple(int(s) for s in self.seeds)
         self.sweep = {path: tuple(values) for path, values in self.sweep.items()}
@@ -253,9 +194,7 @@ class ScenarioSpec:
             "workload": self.workload.to_dict(),
             "protocols": list(self.protocols),
             "mode": self.mode,
-            "channel": self.channel.to_dict(),
-            "mobility": self.mobility.to_dict(),
-            "faults": self.faults.to_dict(),
+            **{name: getattr(self, name).to_dict() for name in MODEL_SECTIONS},
             "run": dict(self.run),
             "seeds": list(self.seeds),
             "sweep": {path: list(values) for path, values in self.sweep.items()},
@@ -274,9 +213,8 @@ class ScenarioSpec:
             workload=WorkloadSpec.from_dict(data["workload"]),
             protocols=data.get("protocols", PROTOCOLS),  # __post_init__ normalises
             mode=data.get("mode", "throughput"),
-            channel=ChannelSpec.from_dict(data.get("channel", {"kind": "static"})),
-            mobility=MobilitySpec.from_dict(data.get("mobility", {"kind": "none"})),
-            faults=FaultSpec.from_dict(data.get("faults", {"kind": "none"})),
+            # __post_init__ turns the section dicts into their spec classes.
+            **{name: data[name] for name in MODEL_SECTIONS if name in data},
             run=dict(data.get("run", {})),
             seeds=tuple(data.get("seeds", (1,))),
             sweep={path: tuple(vals) for path, vals in data.get("sweep", {}).items()},
@@ -310,20 +248,17 @@ class ScenarioSpec:
         if unknown:
             raise ValueError(f"unknown RunConfig fields in scenario {self.name!r}: "
                              f"{sorted(unknown)}")
-        _reject_section_fields(self.run)
         values = dict(self.run)
         if seed is not None:
             values.setdefault("seed", int(seed))
-        if not self.channel.is_static:
-            values["channel"] = self.channel.to_dict()
-        if not self.mobility.is_static:
-            values["mobility"] = self.mobility.to_dict()
-        if not self.faults.is_none:
-            values["faults"] = self.faults.to_dict()
         config = RunConfig(**values)
         config.total_packets = max(config.total_packets,
                                    MIN_BATCHES_PER_TRANSFER * config.batch_size)
         return config
+
+    def environment(self) -> Environment:
+        """The world every cell of this scenario runs in: its model sections."""
+        return Environment(**{name: getattr(self, name) for name in MODEL_SECTIONS})
 
     def expand(self) -> list["ScenarioCell"]:
         """All cells of this sweep: cartesian product of sweep axes × seeds.

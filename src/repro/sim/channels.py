@@ -42,13 +42,12 @@ paper's back-to-back testbed runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
-from repro.params import call_with_params
+from repro.params import SectionSpec, build_model
 from repro.rng import splitmix64 as _splitmix64
 from repro.topology import generator as _propagation
 from repro.topology.generator import margin_to_delivery, path_loss_margin_db
@@ -60,31 +59,16 @@ _CHANNEL_STREAM = 0xC8A77E1
 
 
 @dataclass
-class ChannelSpec:
+class ChannelSpec(SectionSpec):
     """Declarative channel-model description: ``kind`` plus its parameters.
 
-    Round-trips through dicts/JSON inside a scenario spec.  ``params`` are
-    keyword arguments of the model named by ``kind`` (see
+    ``params`` are keyword arguments of the model named by ``kind`` (see
     :data:`CHANNEL_MODELS`); an optional ``seed`` param pins the channel
     RNG stream independently of the cell seed.
     """
 
+    label = "channel"
     kind: str = "static"
-    params: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def is_static(self) -> bool:
-        """True if this spec describes the default (static Bernoulli) channel."""
-        return self.kind == "static" and not self.params
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ChannelSpec":
-        if "kind" not in data:
-            raise ValueError("channel spec needs a 'kind' field")
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
 
 
 class ChannelModel:
@@ -499,19 +483,8 @@ CHANNEL_MODELS: dict[str, type[ChannelModel]] = {
 
 
 def build_channel_model(spec: ChannelSpec | None, seed: int = 0) -> ChannelModel:
-    """Instantiate the model a spec describes (``None`` means static).
-
-    ``seed`` (normally the cell seed) drives the model's private RNG stream
-    unless the spec params pin their own ``seed`` — the same convention the
-    workload builders use.
-    """
-    if spec is None:
-        return StaticBernoulli()
-    try:
-        cls = CHANNEL_MODELS[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown channel kind {spec.kind!r}; expected one of "
-                         f"{sorted(CHANNEL_MODELS)}") from None
-    params = dict(spec.params)
-    params.setdefault("seed", int(seed))
-    return call_with_params("channel", spec.kind, cls, **params)
+    """Instantiate the model a spec describes (``None`` means static); see
+    :func:`repro.params.build_model` for the seeding convention."""
+    # Every channel kind is a model: the registry is also the list of kinds.
+    return (build_model("channel", spec, CHANNEL_MODELS, CHANNEL_MODELS, seed)
+            or StaticBernoulli())

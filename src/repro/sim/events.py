@@ -237,9 +237,8 @@ class EventQueue:
 # Canonical scheduler benchmark workload
 # --------------------------------------------------------------------------- #
 
-#: Shared by ``benchmarks/test_engine_hot_path.py`` (the perf-strict
-#: events/s floor) and ``scripts/bench_baseline.py`` (the committed
-#: ``engine_eps`` baseline) so both measure the same quantity.
+#: What ``python3 -m bench`` times for ``sim.events.pump_eps`` (resolved by
+#: name in ``bench/harness.py``); ``tests/sim/test_events.py`` pins its digest.
 BENCH_TIMERS = 32
 BENCH_EVENTS = 60_000
 BENCH_CANCEL_EVERY = 3

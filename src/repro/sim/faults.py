@@ -39,13 +39,13 @@ randomness: it is bit-identical to a simulator without the subsystem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.params import call_with_params
+from repro.params import SectionSpec, build_model
 from repro.rng import splitmix64 as _splitmix64
 from repro.sim.frames import Frame, FrameKind
 
@@ -58,32 +58,17 @@ _FAULT_STREAM = 0xFA17B05
 
 
 @dataclass
-class FaultSpec:
+class FaultSpec(SectionSpec):
     """Declarative fault-process description: ``kind`` plus its parameters.
 
-    Round-trips through dicts/JSON inside a scenario spec.  ``params`` are
-    keyword arguments of the model named by ``kind`` (see
+    ``params`` are keyword arguments of the model named by ``kind`` (see
     :data:`FAULT_MODELS`); an optional ``seed`` param pins the fault RNG
     stream independently of the cell seed.  ``kind="none"`` is a fault-free
     scenario (today's behaviour, bit for bit).
     """
 
+    label = "fault"
     kind: str = "none"
-    params: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def is_none(self) -> bool:
-        """True if this spec describes a fault-free simulation."""
-        return self.kind == "none" and not self.params
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "FaultSpec":
-        if "kind" not in data:
-            raise ValueError("fault spec needs a 'kind' field")
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
 
 
 class FaultModel:
@@ -303,24 +288,9 @@ FAULT_KINDS = ("none",) + tuple(sorted(FAULT_MODELS))
 
 
 def build_fault_model(spec: FaultSpec | None, seed: int = 0) -> FaultModel | None:
-    """Instantiate the process a spec describes (``None``/none = fault-free).
-
-    ``seed`` (normally the cell seed) drives the model's private RNG stream
-    unless the spec params pin their own ``seed`` — the same convention as
-    the channel and mobility models.
-    """
-    if spec is None or spec.kind == "none":
-        if spec is not None and spec.params:
-            raise ValueError("fault kind 'none' accepts no parameters")
-        return None
-    try:
-        cls = FAULT_MODELS[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown fault kind {spec.kind!r}; expected one "
-                         f"of {FAULT_KINDS}") from None
-    params = dict(spec.params)
-    params.setdefault("seed", int(seed))
-    return call_with_params("faults", spec.kind, cls, **params)
+    """Instantiate the process a spec describes (``None``/none = fault-free);
+    see :func:`repro.params.build_model` for the seeding convention."""
+    return build_model("faults", spec, FAULT_MODELS, FAULT_KINDS, seed)
 
 
 class FaultInjector:

@@ -42,7 +42,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.sim.channels import ChannelModel, StaticBernoulli
-from repro.sim.frames import BROADCAST, Frame, FrameKind
+from repro.sim.frames import Frame
 from repro.sim.radio import ChannelConfig
 from repro.topology.graph import Topology
 from repro.topology.mobility import MobilityModel
@@ -542,33 +542,3 @@ class WirelessMedium:
             else:
                 still_active.append(transmission)
         self._active = still_active
-
-    #: Canonical reception-resolution workload of ``scripts/bench_baseline.py``
-    #: (the committed frames/s baseline): a ``random_geometric(node_count=
-    #: BENCH_NODE_COUNT, area=BENCH_AREA, seed=BENCH_TOPOLOGY_SEED)`` mesh,
-    #: medium RNG seed ``BENCH_RNG_SEED``, ``BENCH_FRAMES`` pumped frames.
-    BENCH_NODE_COUNT = 50
-    BENCH_AREA = 220.0
-    BENCH_TOPOLOGY_SEED = 1
-    BENCH_RNG_SEED = 3
-    BENCH_FRAMES = 400
-
-    def pump_broadcast_frames(self, frames: int = 400, airtime: float = 0.002,
-                              spacing: float = 0.003,
-                              size_bytes: int = 1500) -> list[list[int]]:
-        """Drive ``frames`` back-to-back broadcasts from a rotating sender.
-
-        The schedule ``make bench-baseline`` times for the committed
-        frames/s baseline.  Returns one receiver list per frame.
-        """
-        outcomes = []
-        clock = 0.0
-        node_count = self.topology.node_count
-        for index in range(frames):
-            frame = Frame(sender=index % node_count, receiver=BROADCAST,
-                          kind=FrameKind.DATA, flow_id=1, size_bytes=size_bytes)
-            transmission = self.begin(frame, now=clock, airtime=airtime,
-                                      bitrate=5_500_000)
-            outcomes.append(self.complete(transmission, now=clock + airtime))
-            clock += spacing
-        return outcomes

@@ -45,12 +45,11 @@ turns it into a live process (``None`` for a static scenario).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.params import call_with_params
+from repro.params import SectionSpec, build_model
 from repro.rng import splitmix64 as _splitmix64
 from repro.topology.generator import margin_to_delivery, path_loss_margin_db
 from repro.topology.graph import Topology
@@ -62,32 +61,17 @@ _MOBILITY_STREAM = 0x0B171E5
 
 
 @dataclass
-class MobilitySpec:
+class MobilitySpec(SectionSpec):
     """Declarative mobility description: ``kind`` plus its parameters.
 
-    Round-trips through dicts/JSON inside a scenario spec.  ``params`` are
-    keyword arguments of the model named by ``kind`` (see
+    ``params`` are keyword arguments of the model named by ``kind`` (see
     :data:`MOBILITY_MODELS`); an optional ``seed`` param pins the mobility
     RNG stream independently of the cell seed.  ``kind="none"`` is a
     static scenario (today's behaviour, bit for bit).
     """
 
+    label = "mobility"
     kind: str = "none"
-    params: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def is_static(self) -> bool:
-        """True if this spec describes a static (immobile) topology."""
-        return self.kind == "none" and not self.params
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "params": dict(self.params)}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "MobilitySpec":
-        if "kind" not in data:
-            raise ValueError("mobility spec needs a 'kind' field")
-        return cls(kind=data["kind"], params=dict(data.get("params", {})))
 
 
 class MobilityModel:
@@ -455,21 +439,6 @@ MOBILITY_KINDS = ("none",) + tuple(sorted(MOBILITY_MODELS))
 
 def build_mobility_model(spec: MobilitySpec | None,
                          seed: int = 0) -> MobilityModel | None:
-    """Instantiate the process a spec describes (``None``/static = no motion).
-
-    ``seed`` (normally the cell seed) drives the model's private RNG stream
-    unless the spec params pin their own ``seed`` — the same convention as
-    the channel models.
-    """
-    if spec is None or spec.kind == "none":
-        if spec is not None and spec.params:
-            raise ValueError("mobility kind 'none' accepts no parameters")
-        return None
-    try:
-        cls = MOBILITY_MODELS[spec.kind]
-    except KeyError:
-        raise ValueError(f"unknown mobility kind {spec.kind!r}; expected one "
-                         f"of {MOBILITY_KINDS}") from None
-    params = dict(spec.params)
-    params.setdefault("seed", int(seed))
-    return call_with_params("mobility", spec.kind, cls, **params)
+    """Instantiate the process a spec describes (``None``/static = no motion);
+    see :func:`repro.params.build_model` for the seeding convention."""
+    return build_model("mobility", spec, MOBILITY_MODELS, MOBILITY_KINDS, seed)

@@ -19,7 +19,7 @@ from repro.experiments.refresh import (
     refresh_more_flow,
     refresh_srcr_flow,
 )
-from repro.experiments.runner import RunConfig, run_single_flow
+from repro.experiments.runner import Environment, RunConfig, run_single_flow
 from repro.protocols.exor.agent import setup_exor_flow
 from repro.protocols.more.agent import MoreAgent
 from repro.protocols.more.flow import setup_more_flow
@@ -28,6 +28,7 @@ from repro.sim.radio import SimConfig
 from repro.sim.simulator import Simulator
 from repro.topology.generator import chain, diamond
 from repro.topology.graph import Topology
+from repro.topology.mobility import MobilitySpec
 
 
 def _diamond_views():
@@ -290,13 +291,13 @@ class TestEndToEnd:
         topology = chain(4, link_delivery=0.75, skip_delivery=0.25)
         config = RunConfig(total_packets=24, batch_size=8, packet_size=256,
                            coding_payload_size=8, seed=1, max_duration=30.0,
-                           refresh_period=0.5,
-                           mobility={"kind": "link_churn",
-                                     "params": {"mean_up_time": 3.0,
-                                                "mean_down_time": 0.5,
-                                                "down_scale": 0.2,
-                                                "epoch_length": 0.25}})
-        result = run_single_flow(topology, protocol, 0, 4, config=config)
+                           refresh_period=0.5)
+        churn = MobilitySpec("link_churn", {"mean_up_time": 3.0,
+                                            "mean_down_time": 0.5,
+                                            "down_scale": 0.2,
+                                            "epoch_length": 0.25})
+        result = run_single_flow(topology, protocol, 0, 4, config=config,
+                                 environment=Environment(mobility=churn))
         assert result.completed
         assert result.delivered_packets == result.total_packets
 

@@ -7,6 +7,8 @@ full-scale versions.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.figures import ALL_FIGURES, figure_5_1, table_4_1
@@ -53,8 +55,8 @@ class TestRunner:
 
     def test_bitrate_override_changes_throughput(self):
         topo = chain(1, link_delivery=0.85)
-        slow = run_single_flow(topo, "Srcr", 0, 1, config=FAST, bitrate=1_000_000)
-        fast = run_single_flow(topo, "Srcr", 0, 1, config=FAST, bitrate=11_000_000)
+        slow = run_single_flow(topo, "Srcr", 0, 1, config=replace(FAST, bitrate=1_000_000))
+        fast = run_single_flow(topo, "Srcr", 0, 1, config=replace(FAST, bitrate=11_000_000))
         assert fast.throughput_pkts > slow.throughput_pkts
 
     def test_control_view_toggle(self):

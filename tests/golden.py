@@ -17,8 +17,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from dataclasses import replace
+
 from repro.experiments.runner import _install_flow, _make_simulator, run_flows
 from repro.scenarios import build_pairs, build_topology, get_preset
+from repro.sim.faults import FaultSpec
 
 GOLDEN_PATH = Path(__file__).with_name("golden_traces.json")
 
@@ -30,8 +33,7 @@ SEEDS = (1, 5, 17)
 PRESETS = ("chain_smoke", "bursty_chain", "random_geometric_16")
 
 #: Aggressive churn so every preset sees crashes inside its short run.
-CHURN = {"kind": "crash_recover",
-         "params": {"mean_uptime": 0.1, "mean_downtime": 0.05}}
+CHURN = FaultSpec("crash_recover", {"mean_uptime": 0.1, "mean_downtime": 0.05})
 
 #: The two concurrent MORE flows of the ``multiflow_grid`` entry.
 MULTIFLOW_PAIRS = [(0, 15), (12, 3)]
@@ -51,21 +53,25 @@ def key(preset_name: str, protocol: str, seed: int, churn: bool = False) -> str:
     return f"{preset_name}/{protocol}/{seed}" + ("/crash_recover" if churn else "")
 
 
-def run_trace(preset_name: str, protocol: str, seed: int, **overrides) -> dict:
+def run_trace(preset_name: str, protocol: str, seed: int,
+              faults: FaultSpec | None = None, **overrides) -> dict:
     """One full simulation; returns every observable a run is pinned on.
 
-    ``overrides`` are set on the preset's ``RunConfig`` (``faults=CHURN``,
-    ``monitor=True``...).  The result holds only JSON-native values, so it
-    compares equal to its own round trip through the golden file.
+    The run happens in the preset's environment, with ``faults`` (``CHURN``)
+    in place of its fault section when given; ``overrides`` are set on the
+    preset's ``RunConfig`` (``monitor=True``...).  The result holds only
+    JSON-native values, so it compares equal to its own round trip through
+    the golden file.
     """
     spec = get_preset(preset_name)
     topology = build_topology(spec.topology)
     source, destination = build_pairs(spec.workload, topology, seed)[0]
-    config = spec.run_config(seed)
-    for name, value in overrides.items():
-        setattr(config, name, value)
+    config = replace(spec.run_config(seed), **overrides)
+    environment = spec.environment()
+    if faults is not None:
+        environment = replace(environment, faults=faults)
     # run_flows drives the same steps but does not expose the simulator.
-    sim = _make_simulator(topology, config)
+    sim = _make_simulator(topology, config, environment)
     control = config.control_view(topology)
     flow_id = _install_flow(sim, topology, protocol, source, destination, config,
                             flow_seed=seed, control_topology=control).flow_id
@@ -108,7 +114,7 @@ def run_multiflow_trace() -> list:
 def compute_golden() -> dict:
     """Every entry of the golden file, from the tree under test."""
     entries = {key(preset, protocol, seed, churn):
-               run_trace(preset, protocol, seed, **({"faults": CHURN} if churn else {}))
+               run_trace(preset, protocol, seed, faults=CHURN if churn else None)
                for preset, protocol, seed, churn in GRID}
     entries["multiflow_grid/MORE/1"] = run_multiflow_trace()
     return entries

@@ -16,17 +16,15 @@ import pytest
 from repro.cli import main
 from repro.experiments.orchestrator import run_sweep
 from repro.scenarios import (
-    CHANNEL_KINDS,
     ChannelSpec,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    build_channel,
     build_topology,
     get_preset,
     run_cell,
 )
-from repro.sim.channels import CHANNEL_MODELS
+from repro.sim.channels import CHANNEL_MODELS, build_channel_model
 
 #: One registered preset per channel model kind.
 CHANNEL_PRESETS = {
@@ -49,7 +47,7 @@ def _shrink(spec: ScenarioSpec) -> ScenarioSpec:
 
 class TestSpecIntegration:
     def test_every_kind_selectable_via_json(self):
-        for kind in CHANNEL_KINDS:
+        for kind in sorted(CHANNEL_MODELS):
             params = {"series": {"0-1": [0.5]}} if kind == "trace" else {}
             spec = ScenarioSpec(
                 name=f"json_{kind}",
@@ -68,7 +66,7 @@ class TestSpecIntegration:
         }
         spec = ScenarioSpec.from_dict(data)
         assert spec.channel == ChannelSpec()
-        assert spec.run_config(seed=1).channel is None
+        assert spec.environment().channel == ChannelSpec()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown channel kind"):
@@ -85,7 +83,6 @@ class TestSpecIntegration:
         spec = get_preset("bursty_chain")
         swapped = spec.with_overrides({"channel.kind": "static"})
         assert swapped.channel == ChannelSpec()
-        assert swapped.run_config(seed=1).channel is None
         # Same kind: params survive (so kind + param overrides compose).
         kept = spec.with_overrides({"channel.kind": "gilbert_elliott"})
         assert kept.channel.params == spec.channel.params
@@ -106,15 +103,16 @@ class TestSpecIntegration:
         assert len({cell.key() for cell in cells}) == 2
 
     def test_run_config_carries_channel(self):
+        """Not any more: the section itself is the run's environment."""
         spec = get_preset("bursty_chain")
-        config = spec.run_config(seed=3)
-        assert config.channel == spec.channel.to_dict()
-        assert config.channel_spec().kind == "gilbert_elliott"
+        assert spec.environment().channel is spec.channel
+        assert not hasattr(spec.run_config(seed=3), "channel")
 
     def test_build_channel_dispatch(self):
         spec = get_preset("fading_grid")
         topology = build_topology(spec.topology)
-        model = build_channel(spec.channel, topology, default_seed=5)
+        model = build_channel_model(spec.channel, seed=5)
+        model.bind(topology)
         assert model.kind == "distance_fading"
         assert model.seed == 5
         assert model.delivery_row(0, 0.0, 0.002).shape == (topology.node_count,)

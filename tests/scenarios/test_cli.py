@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.experiments.runner import RunConfig
 from repro.scenarios import ScenarioSpec, get_preset
 
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -117,15 +120,55 @@ def test_bad_topology_or_workload_parameter_is_a_one_line_error(command, capsys)
 
 @pytest.mark.parametrize("section", ["channel", "mobility", "faults"])
 def test_run_cannot_shadow_a_scenario_section(section, capsys, tmp_path):
-    """``run.channel`` used to override the ``channel`` section silently."""
+    """``run.channel`` used to override the ``channel`` section silently; the
+    sections are now the only home, so it is one more unknown field."""
     line = _one_line_error(capsys, "show", "--preset", "chain_smoke",
                            "--set", f'run.{section}={{"kind": "none"}}')
-    assert f"run.{section} is not settable" in line
-    assert "channel.* / mobility.* / faults.*" in line
+    assert f"unknown RunConfig field {section!r}" in line
 
     spec_file = _spec_file_with_run(tmp_path, section, {"kind": "none"})
     line = _one_line_error(capsys, "run", "--spec", spec_file, "--no-cache")
-    assert f"run.{section} is not settable" in line
+    assert "unknown RunConfig field" in line and section in line
+
+
+def test_no_run_field_shadows_a_scenario_field():
+    """What keeps the test above true for a section added tomorrow."""
+    assert not ({f.name for f in fields(RunConfig)}
+                & {f.name for f in fields(ScenarioSpec)})
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that is still running after a minute (pytest-timeout is not
+    a dependency); the handler runs between bytecodes of the main thread."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("total_packets", -5), ("packet_size", 0),
+    ("max_relays", 0), ("max_duration", -1), ("coding_payload_size", -1),
+    ("estimation_probes", -1), ("estimation_exponent", 0),
+])
+def test_out_of_range_run_value_is_a_one_line_error(field, value, capsys, tmp_path,
+                                                    deadline):
+    """``run.batch_size=0`` used to hang; the others ran and reported nonsense."""
+    override = f"run.{field}={value}"
+    line = _one_line_error(capsys, "run", "--preset", "chain_smoke", "--no-cache",
+                           "--set", override)
+    assert f"{field} must " in line
+    # Default worker count: the cells fail inside pool workers.
+    line = _one_line_error(capsys, "sweep", "--preset", "chain_smoke", "--no-cache",
+                           "--axis", f"{override},16")
+    assert f"{field} must " in line
+    spec_file = _spec_file_with_run(tmp_path, field, value)
+    line = _one_line_error(capsys, "run", "--spec", spec_file, "--no-cache")
+    assert f"{field} must " in line
 
 
 def test_run_without_spec_or_preset_fails():

@@ -25,11 +25,11 @@ from repro.scenarios import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    build_mobility,
     build_topology,
     get_preset,
     run_cell,
 )
+from repro.topology.mobility import build_mobility_model
 
 #: The dynamic presets and their mobility kind.
 DYNAMIC_PRESETS = {
@@ -80,9 +80,7 @@ class TestSpecIntegration:
         }
         spec = ScenarioSpec.from_dict(data)
         assert spec.mobility == MobilitySpec()
-        config = spec.run_config(seed=1)
-        assert config.mobility is None
-        assert config.mobility_spec() is None
+        assert spec.environment().mobility == MobilitySpec()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown mobility kind"):
@@ -97,7 +95,6 @@ class TestSpecIntegration:
         spec = get_preset("mobile_mesh")
         swapped = spec.with_overrides({"mobility.kind": "none"})
         assert swapped.mobility == MobilitySpec()
-        assert swapped.run_config(seed=1).mobility is None
         kept = spec.with_overrides({"mobility.kind": "random_waypoint"})
         assert kept.mobility.params == spec.mobility.params
         with pytest.raises(ValueError, match="unknown mobility kind"):
@@ -115,20 +112,21 @@ class TestSpecIntegration:
         assert len({cell.key() for cell in cells}) == 2
 
     def test_run_config_carries_mobility(self):
+        """Not any more: the section itself is the run's environment."""
         spec = get_preset("churn_chain")
-        config = spec.run_config(seed=3)
-        assert config.mobility == spec.mobility.to_dict()
-        assert config.mobility_spec().kind == "link_churn"
+        assert spec.environment().mobility is spec.mobility
+        assert not hasattr(spec.run_config(seed=3), "mobility")
 
     def test_build_mobility_dispatch(self):
         spec = get_preset("mobile_mesh")
         topology = build_topology(spec.topology)
-        model = build_mobility(spec.mobility, topology, default_seed=5)
+        model = build_mobility_model(spec.mobility, seed=5)
+        model.bind(topology)
         assert model.kind == "random_waypoint"
         assert model.seed == 5
         assert model.delivery_at(3).shape == (topology.node_count,
                                               topology.node_count)
-        assert build_mobility(MobilitySpec(), topology) is None
+        assert build_mobility_model(MobilitySpec(), seed=5) is None
 
 
 class TestDynamicPresets:
@@ -189,16 +187,16 @@ class TestStaticDynamicsDifferential:
 
     @pytest.mark.parametrize("preset_name,protocol,seed", GOLDEN_STATIC_RUNS)
     def test_static_run_matches_golden_trace(self, preset_name, protocol, seed):
-        config = get_preset(preset_name).run_config(seed)
-        assert config.mobility is None
-        assert config.refresh_period == float("inf")
+        spec = get_preset(preset_name)
+        assert spec.mobility == MobilitySpec()
+        assert spec.run_config(seed).refresh_period == float("inf")
         assert run_trace(preset_name, protocol, seed) \
             == load_golden()[key(preset_name, protocol, seed)]
 
     def test_explicit_static_config_equals_default(self):
-        """Passing mobility=None / refresh_period=inf explicitly is the
+        """Passing a static mobility / refresh_period=inf explicitly is the
         same code path as not mentioning dynamics at all."""
-        from repro.experiments.runner import RunConfig, run_single_flow
+        from repro.experiments.runner import Environment, RunConfig, run_single_flow
 
         topology = build_topology(get_preset("chain_smoke").topology)
         base = dict(total_packets=16, batch_size=8, packet_size=256,
@@ -207,7 +205,8 @@ class TestStaticDynamicsDifferential:
                                   config=RunConfig(**base))
         explicit = run_single_flow(
             topology, "MORE", 0, 3,
-            config=RunConfig(mobility=None, refresh_period="inf", **base))
+            config=RunConfig(refresh_period="inf", **base),
+            environment=Environment(mobility=MobilitySpec("none")))
         assert default == explicit
 
 

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from repro.experiments.orchestrator import run_sweep
-from repro.experiments.runner import RunConfig, run_single_flow
+from repro.experiments.runner import Environment, RunConfig, run_single_flow
 from repro.scenarios import get_preset, run_cell
+from repro.sim.faults import FaultSpec
 from repro.sim.monitor import StallDiagnosis
 from repro.topology.graph import Topology
 
@@ -32,23 +33,22 @@ def chain_topology(hops=3, delivery=0.9):
     return Topology(matrix)
 
 
-def crash_all_relays_config(**overrides):
-    """Both relays of the 3-hop chain die mid-batch and stay down."""
-    defaults = dict(
-        seed=1, total_packets=32, batch_size=16, packet_size=256,
-        coding_payload_size=16, max_duration=30.0,
-        faults={"kind": "scheduled",
-                "params": {"downs": {1: [[0.01, 1e9]], 2: [[0.01, 1e9]]}}},
-        refresh_period=0.5, progress_timeout=0.5)
-    defaults.update(overrides)
-    return RunConfig(**defaults)
+def run_with_relays_down(protocol, until=1e9):
+    """One flow over the 3-hop chain whose two relays die mid-batch and stay
+    down until ``until``."""
+    config = RunConfig(seed=1, total_packets=32, batch_size=16, packet_size=256,
+                       coding_payload_size=16, max_duration=30.0,
+                       refresh_period=0.5, progress_timeout=0.5)
+    outage = FaultSpec("scheduled", {"downs": {1: [[0.01, until]],
+                                               2: [[0.01, until]]}})
+    return run_single_flow(chain_topology(), protocol, 0, 3, config=config,
+                           environment=Environment(faults=outage))
 
 
 class TestStructuredAborts:
     @pytest.mark.parametrize("protocol", ("MORE", "ExOR", "Srcr"))
     def test_all_forwarders_crashed_aborts_instead_of_hanging(self, protocol):
-        result = run_single_flow(chain_topology(), protocol, 0, 3,
-                                 config=crash_all_relays_config())
+        result = run_with_relays_down(protocol)
         assert result.aborted and not result.completed
         assert "no progress" in result.abort_reason
         assert "down nodes [1, 2]" in result.abort_reason
@@ -58,20 +58,15 @@ class TestStructuredAborts:
 
     @pytest.mark.parametrize("protocol", ("MORE", "ExOR", "Srcr"))
     def test_abort_is_deterministic(self, protocol):
-        first = run_single_flow(chain_topology(), protocol, 0, 3,
-                                config=crash_all_relays_config())
-        second = run_single_flow(chain_topology(), protocol, 0, 3,
-                                 config=crash_all_relays_config())
+        first = run_with_relays_down(protocol)
+        second = run_with_relays_down(protocol)
         assert (first.aborted, first.abort_reason, first.duration,
                 first.delivered_packets) \
             == (second.aborted, second.abort_reason, second.duration,
                 second.delivered_packets)
 
     def test_recovery_before_timeout_completes_normally(self):
-        config = crash_all_relays_config(
-            faults={"kind": "scheduled",
-                    "params": {"downs": {1: [[0.01, 0.2]], 2: [[0.01, 0.2]]}}})
-        result = run_single_flow(chain_topology(), "MORE", 0, 3, config=config)
+        result = run_with_relays_down("MORE", until=0.2)
         assert result.completed and not result.aborted
 
 

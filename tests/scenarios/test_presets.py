@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.experiments.figures import ALL_FIGURES
@@ -23,6 +25,24 @@ def test_registry_contains_paper_figures():
     names = {spec.name for spec in list_presets()}
     assert set(FIGURE_PRESETS) <= names
     assert {"chain_smoke", "grid_5x5", "random_geometric_16"} <= names
+
+
+def test_preset_schema_digest():
+    """The scenario JSON and cell keys the result store is addressed by.
+
+    A section refactor that moves one byte of either would silently orphan
+    ``results/store/``; it has to come here and change this value instead.
+    """
+    presets = sorted(list_presets(), key=lambda spec: spec.name)
+    digest = hashlib.sha256()
+    cells = 0
+    for spec in presets:
+        digest.update(spec.to_json().encode())
+        for cell in spec.expand():
+            digest.update(cell.key().encode())
+            cells += 1
+    assert (len(presets), cells) == (27, 50)
+    assert digest.hexdigest()[:16] == "bc4f05c7713ff56a"
 
 
 def test_get_preset_unknown_name():

@@ -26,11 +26,6 @@ class TestChannelSpec:
         clone = ChannelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
 
-    def test_is_static(self):
-        assert ChannelSpec().is_static
-        assert not ChannelSpec("gilbert_elliott").is_static
-        assert not ChannelSpec("static", {"seed": 3}).is_static
-
     def test_missing_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             ChannelSpec.from_dict({"params": {}})

@@ -24,12 +24,12 @@ from repro.topology.graph import Topology
 class TestFaultSpec:
     def test_default_is_none(self):
         spec = FaultSpec()
-        assert spec.kind == "none" and spec.is_none
+        assert spec.kind == "none" and not spec.params
 
     def test_round_trip(self):
         spec = FaultSpec("crash_recover", {"mean_uptime": 4.0})
         again = FaultSpec.from_dict(spec.to_dict())
-        assert again == spec and not again.is_none
+        assert again == spec
 
     def test_from_dict_requires_kind(self):
         with pytest.raises(ValueError, match="'kind'"):

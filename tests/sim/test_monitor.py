@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.runner import RunConfig, run_single_flow
+from repro.experiments.runner import Environment, RunConfig, run_single_flow
+from repro.sim.faults import FaultSpec
 from repro.sim.monitor import SimMonitor, StallDiagnosis
 from repro.sim.radio import SimConfig
 from repro.sim.simulator import Simulator
@@ -56,19 +57,19 @@ class TestHealthyRuns:
 
 
 class TestStallDetection:
-    def stranded_config(self, **overrides):
+    def run_stranded(self, protocol, **overrides):
         # Both relays die mid-batch and never recover; without the
         # supervisor's progress_timeout the flow would hang to max_duration.
-        return run_config(
-            faults={"kind": "scheduled",
-                    "params": {"downs": {1: [[0.01, 1e9]], 2: [[0.01, 1e9]]}}},
-            monitor=True, **overrides)
+        stranded = Environment(faults=FaultSpec(
+            "scheduled", {"downs": {1: [[0.01, 1e9]], 2: [[0.01, 1e9]]}}))
+        return run_single_flow(chain_topology(), protocol, 0, 3,
+                               config=run_config(monitor=True, **overrides),
+                               environment=stranded)
 
     @pytest.mark.parametrize("protocol", ("MORE", "ExOR", "Srcr"))
     def test_stranded_flow_raises_one_screen_diagnosis(self, protocol):
         with pytest.raises(StallDiagnosis) as excinfo:
-            run_single_flow(chain_topology(), protocol, 0, 3,
-                            config=self.stranded_config())
+            self.run_stranded(protocol)
         diagnosis = excinfo.value
         assert "no progress" in diagnosis.reason
         assert diagnosis.down_nodes == frozenset({1, 2})
@@ -79,16 +80,14 @@ class TestStallDetection:
 
     def test_flagged_within_one_check_interval_of_the_stall(self):
         with pytest.raises(StallDiagnosis) as excinfo:
-            run_single_flow(chain_topology(), "MORE", 0, 3,
-                            config=self.stranded_config(monitor_interval=0.5))
+            self.run_stranded("MORE", monitor_interval=0.5)
         # Crash at t=0.01: the next check that sees a frozen fingerprint
         # (at most two intervals after the crash) must raise.
         assert excinfo.value.now <= 0.01 + 2 * 0.5
 
     def test_more_diagnosis_carries_rank_and_credits(self):
         with pytest.raises(StallDiagnosis) as excinfo:
-            run_single_flow(chain_topology(), "MORE", 0, 3,
-                            config=self.stranded_config())
+            self.run_stranded("MORE")
         (info,) = excinfo.value.flows.values()
         assert info["total"] == 32
         assert "credits" in info and "rank" in info

@@ -36,8 +36,6 @@ class TestSpec:
         spec = MobilitySpec("random_waypoint", {"speed_max": 4.0})
         clone = MobilitySpec.from_dict(spec.to_dict())
         assert clone == spec
-        assert not spec.is_static
-        assert MobilitySpec().is_static
 
     def test_build_dispatch_and_none(self):
         assert build_mobility_model(None) is None
