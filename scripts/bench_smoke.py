@@ -10,10 +10,12 @@ root:
 
 1. ``python3 -m pytest bench -q`` — the benchmark's own tests (outside
    tier-1's ``testpaths``);
-2. ``python3 -m bench --quick --workload kilonode_flow --trace 1`` — three
-   units plus the traced pass of the workload that builds the most per
-   simulator; the result line must say ``correct``, no failed operation and
-   ``trace.missing`` = 0.
+2. ``python3 -m bench --quick --workload W --trace 1`` for ``kilonode_flow``
+   (the workload that builds the most per simulator) and ``mesh_seed_sweep``
+   (the only one that enters ``scenarios/`` and the orchestrator, so the only
+   one whose ``build_topology`` / ``run_cell`` spans resolve to anything) —
+   three units plus the traced pass each; the result line must say
+   ``correct``, no failed operation and ``trace.missing`` = 0.
 
 Exit status 0 on success; any violated step raises.  The timings of a
 ``--quick`` run mean nothing and are not looked at.
@@ -28,23 +30,26 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
+WORKLOADS = ("kilonode_flow", "mesh_seed_sweep")
+
 
 def main() -> int:
     subprocess.run([sys.executable, "-m", "pytest", "bench", "-q",
                     "-p", "no:cacheprovider"], cwd=REPO_ROOT, check=True,
                    timeout=600)
-    done = subprocess.run([sys.executable, "-m", "bench", "--quick",
-                           "--workload", "kilonode_flow", "--trace", "1"],
-                          cwd=REPO_ROOT, check=True, stdout=subprocess.PIPE,
-                          text=True, timeout=600)
-    result = json.loads(done.stdout.splitlines()[-1])
-    missing = result["metrics"]["trace.missing"]["value"]
-    if not result["correct"] or result["failed"] or missing:
-        raise RuntimeError(f"bench: kilonode_flow: correct={result['correct']}, "
-                           f"{result['failed']} of {result['attempted']} operations "
-                           f"failed, {missing:g} traced entry point(s) missing")
-    print(f"bench-smoke: ok ({result['attempted']} operations, "
-          f"every traced entry point resolved)")
+    for workload in WORKLOADS:
+        done = subprocess.run([sys.executable, "-m", "bench", "--quick",
+                               "--workload", workload, "--trace", "1"],
+                              cwd=REPO_ROOT, check=True, stdout=subprocess.PIPE,
+                              text=True, timeout=600)
+        result = json.loads(done.stdout.splitlines()[-1])
+        missing = result["metrics"]["trace.missing"]["value"]
+        if not result["correct"] or result["failed"] or missing:
+            raise RuntimeError(f"bench: {workload}: correct={result['correct']}, "
+                               f"{result['failed']} of {result['attempted']} operations "
+                               f"failed, {missing:g} traced entry point(s) missing")
+        print(f"bench-smoke: {workload} ok ({result['attempted']} operations, "
+              f"every traced entry point resolved)")
     return 0
 
 

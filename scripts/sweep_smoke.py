@@ -10,7 +10,8 @@ contract under pytest; this script is the standalone gate ``make
 sweep-smoke`` (and CI) runs against the installed tree:
 
 1. start the sweep (8 cells, 4 workers) in a scratch directory;
-2. SIGKILL it as soon as the first cell file lands;
+2. SIGKILL it as soon as the first cell file lands — none of its worker
+   processes may be alive a few seconds later;
 3. re-run the identical command — it must report every survivor as a
    cache hit and finish the rest;
 4. run the same sweep uninterrupted in a second scratch directory and
@@ -53,8 +54,21 @@ def _run(cwd: Path) -> dict:
     return json.loads(done.stdout)
 
 
+def live_processes() -> dict[int, int]:
+    """``pid -> parent pid`` of every process that is not a zombie."""
+    listing = subprocess.run(["ps", "-A", "-o", "pid=,ppid=,stat="], check=True,
+                             capture_output=True, text=True).stdout
+    rows = (line.split() for line in listing.splitlines())
+    return {int(pid): int(ppid) for pid, ppid, state in rows
+            if not state.startswith("Z")}
+
+
 def kill_mid_sweep(cwd: Path) -> int:
-    """Start the sweep, SIGKILL once a cell lands, return survivor count."""
+    """Start the sweep, SIGKILL once a cell lands, return survivor count.
+
+    The pool must die with it: no worker outlives the kill by more than its
+    parent-watch period and the cell it had in hand.
+    """
     store = cwd / "results" / "store" / "chain_smoke"
     process = subprocess.Popen(SWEEP, cwd=cwd, env=_env(),
                                stdout=subprocess.DEVNULL,
@@ -67,10 +81,18 @@ def kill_mid_sweep(cwd: Path) -> int:
             if process.poll() is not None:
                 break  # finished whole before the kill: still a valid resume
             time.sleep(0.01)
+        workers = {pid for pid, parent in live_processes().items()
+                   if parent == process.pid}
         if process.poll() is None:
             process.send_signal(signal.SIGKILL)
     finally:
         process.wait(timeout=60)
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and live_processes().keys() & workers:
+        time.sleep(0.1)
+    orphans = live_processes().keys() & workers
+    assert not orphans, f"workers {sorted(orphans)} outlived their killed sweep"
+    print(f"sweep-smoke: all {len(workers)} workers exited with the killed sweep")
     return len(list(store.glob("cell-*.json")))
 
 

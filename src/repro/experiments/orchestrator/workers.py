@@ -19,9 +19,15 @@ numpy + GF-table import bill.  Here workers are long-lived:
   :func:`repro.experiments.orchestrator.engine.run_sweep` for the
   retry/timeout policy).
 
-Workers are daemons: an orchestrator killed with SIGKILL takes its pool
-down with it, which is exactly what the resume path wants (the store holds
-every completed cell; nothing else survives, nothing else needs to).
+Workers are daemons, which stops them when the orchestrator exits normally.
+An orchestrator killed with SIGKILL runs no exit handler, so every worker
+also watches for it: while it waits for a task, and between the cells of a
+batch, it checks that its parent is still the process that started the pool
+and exits when it is not — at most :data:`ORPHAN_POLL_SECONDS` after the
+kill if idle, after the cell in hand otherwise.  That is what the resume
+path wants (the store holds every completed cell; nothing else survives,
+nothing else needs to), and it frees the meshes the worker kept
+(:func:`repro.scenarios.build.build_topology`).
 
 :class:`WorkerFaultSpec` is deliberate test instrumentation — the retry/timeout
 tests inject a crash or a hang at a known cell position without patching
@@ -37,6 +43,7 @@ import multiprocessing.context
 import os
 import time
 from dataclasses import dataclass
+from queue import Empty
 from typing import Any
 
 #: Queue message tags streamed back by workers, one per cell (plus ``idle``
@@ -45,6 +52,9 @@ MSG_DONE = "done"
 MSG_ERROR = "error"
 MSG_INVALID = "invalid"
 MSG_IDLE = "idle"
+
+#: How often an idle worker checks that the process that started it is alive.
+ORPHAN_POLL_SECONDS = 1.0
 
 
 @dataclass(frozen=True)
@@ -81,18 +91,24 @@ class WorkerFaultSpec:
 
 
 def _worker_main(task_queue: Any, result_queue: Any,
-                 fault: WorkerFaultSpec | None) -> None:
-    """One worker's lifetime: import once, then run cell batches forever."""
+                 fault: WorkerFaultSpec | None, pool_pid: int) -> None:
+    """One worker's lifetime: import once, then run cell batches until told
+    to stop or until the pool's process (``pool_pid``) is gone."""
     import traceback
 
     from repro.scenarios.execute import run_cell_dict
 
-    while True:
-        message = task_queue.get()
+    while os.getppid() == pool_pid:
+        try:
+            message = task_queue.get(timeout=ORPHAN_POLL_SECONDS)
+        except Empty:
+            continue
         if message is None:
             return
         task_id, items = message
         for position, cell_dict in items:
+            if os.getppid() != pool_pid:
+                break
             if fault is not None:
                 fault.fire(position)
             try:
@@ -107,6 +123,9 @@ def _worker_main(task_queue: Any, result_queue: Any,
             else:
                 result_queue.put((MSG_DONE, task_id, position, result))
         result_queue.put((MSG_IDLE, task_id, None, None))
+    # The pool's process is gone and nobody reads the results any more: do
+    # not wait to flush them on the way out.
+    result_queue.cancel_join_thread()
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -125,8 +144,8 @@ class Worker:
         self._fault = fault
         self.task_queue = context.Queue()
         self.process = context.Process(
-            target=_worker_main, args=(self.task_queue, result_queue, fault),
-            daemon=True)
+            target=_worker_main,
+            args=(self.task_queue, result_queue, fault, os.getpid()), daemon=True)
         self.process.start()
 
     def submit(self, task_id: int, items: list[tuple[int, dict]]) -> None:

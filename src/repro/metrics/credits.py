@@ -25,7 +25,7 @@ This module implements the machinery of Section 3.2.1 and Section 5.6:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -130,7 +130,7 @@ def expected_transmissions(topology: Topology, source: int, destination: int,
     participants, distances = candidate_forwarders(topology, source, destination,
                                                    metric=metric, threshold=threshold)
     count = topology.node_count
-    eps = topology.loss_matrix()
+    delivery = topology.delivery_view()
     order = participants  # order[0] = destination ... order[-1] = source
     n = len(order)
     load = np.zeros(count)
@@ -143,11 +143,13 @@ def expected_transmissions(topology: Topology, source: int, destination: int,
         node = order[position]
         if load[node] <= 0.0:
             continue
+        # eps[node, closer] for every strictly closer node, nearest first.
+        eps = (1.0 - delivery[node, order[:position]]).tolist()
         # Probability that at least one strictly closer node hears node's
         # transmission.
         miss_all_closer = 1.0
-        for closer_position in range(position):
-            miss_all_closer *= eps[node, order[closer_position]]
+        for miss in eps:
+            miss_all_closer *= miss
         success = 1.0 - miss_all_closer
         if success <= 0.0:
             # The node cannot make progress; it is useless as a forwarder.
@@ -159,9 +161,9 @@ def expected_transmissions(topology: Topology, source: int, destination: int,
         # receives from node that no node even closer received.
         miss_closer_prefix = 1.0
         for closer_position in range(1, position):
-            closer = order[closer_position]
-            miss_closer_prefix *= eps[node, order[closer_position - 1]]
-            load[closer] += z[node] * miss_closer_prefix * (1.0 - eps[node, closer])
+            miss_closer_prefix *= eps[closer_position - 1]
+            load[order[closer_position]] += z[node] * miss_closer_prefix \
+                * (1.0 - eps[closer_position])
 
     credits = tx_credits(topology, order, z)
     return TransmissionPlan(
@@ -348,11 +350,21 @@ def forwarding_plan(topology: Topology, source: int, destination: int,
     of pruning that survives kilonode densities, where the 10% rule keeps
     no relay at all.  ``None`` (the default) keeps the fraction rule,
     today's behaviour bit for bit.
+
+    A plan is a function of the link state and these arguments only, so it
+    is derived once per topology (:meth:`Topology.derived`): every flow,
+    protocol and seed planning this pair over the same control view reads
+    one plan.  Its arrays are read-only; the lists are the caller's own.
     """
-    plan = expected_transmissions(topology, source, destination, metric=metric,
-                                  threshold=threshold)
-    if max_forwarders is not None:
-        plan = cap_forwarders(topology, plan, max_forwarders)
-    elif prune:
-        plan = prune_forwarders(topology, plan, fraction=pruning_fraction)
-    return plan
+    def derive() -> TransmissionPlan:
+        plan = expected_transmissions(topology, source, destination, metric=metric,
+                                      threshold=threshold)
+        if max_forwarders is not None:
+            return cap_forwarders(topology, plan, max_forwarders)
+        if prune:
+            return prune_forwarders(topology, plan, fraction=pruning_fraction)
+        return plan
+
+    plan = topology.derived(("forwarding_plan", source, destination, metric, prune,
+                             pruning_fraction, threshold, max_forwarders), derive)
+    return replace(plan, participants=list(plan.participants), x=dict(plan.x))

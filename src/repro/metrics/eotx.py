@@ -25,15 +25,14 @@ import math
 
 import numpy as np
 
-from repro.metrics.etx import DEFAULT_LINK_THRESHOLD
+from repro.metrics.etx import DEFAULT_LINK_THRESHOLD, link_rows
 from repro.topology.graph import Topology
 
 
 def _usable_delivery(topology: Topology, threshold: float) -> np.ndarray:
     """Delivery matrix with sub-threshold links zeroed out."""
-    delivery = topology.delivery_matrix()
-    delivery[delivery <= threshold] = 0.0
-    return delivery
+    delivery = topology.delivery_view()
+    return np.where(delivery > threshold, delivery, 0.0)
 
 
 def eotx_dijkstra(topology: Topology, destination: int,
@@ -49,37 +48,45 @@ def eotx_dijkstra(topology: Topology, destination: int,
       transmission from ``i``.
 
     so that ``d(i) = T[i] / (1 - P[i])`` once all cheaper nodes are closed,
-    which is exactly the closed form (5.15).
+    which is exactly the closed form (5.15).  Closing a node updates the
+    open nodes of its in-neighbour row (:func:`repro.metrics.etx.link_rows`)
+    with one array operation each — the senders that can reach it, not
+    every open node of the mesh.
 
     Returns:
-        A vector ``d`` with ``d[destination] == 0`` and ``inf`` for nodes
-        that cannot reach the destination at all.
+        A read-only vector ``d`` with ``d[destination] == 0`` and ``inf``
+        for nodes that cannot reach the destination at all, derived once per
+        topology and destination
+        (:meth:`repro.topology.graph.Topology.derived`).
     """
-    delivery = _usable_delivery(topology, threshold)
-    count = topology.node_count
-    d = np.full(count, math.inf)
-    T = np.ones(count)
-    P = np.ones(count)
-    d[destination] = 0.0
-    open_nodes = set(range(count))
-    heap: list[tuple[float, int]] = [(0.0, destination)]
-    closed = np.zeros(count, dtype=bool)
-    while heap:
-        cost, node = heapq.heappop(heap)
-        if closed[node] or cost > d[node]:
-            continue
-        closed[node] = True
-        open_nodes.discard(node)
-        for i in list(open_nodes):
-            p = delivery[i, node]
-            if p <= 0.0:
+    def derive() -> np.ndarray:
+        rows = link_rows(topology, threshold=threshold)
+        indptr = rows.indptr.tolist()
+        count = topology.node_count
+        d = np.full(count, math.inf)
+        T = np.ones(count)
+        P = np.ones(count)
+        d[destination] = 0.0
+        heap: list[tuple[float, int]] = [(0.0, destination)]
+        closed = np.zeros(count, dtype=bool)
+        while heap:
+            cost, node = heapq.heappop(heap)
+            if closed[node] or cost > d[node]:
                 continue
-            T[i] += p * P[i] * d[node]
-            P[i] *= 1.0 - p
-            if P[i] < 1.0:
-                d[i] = T[i] / (1.0 - P[i])
-                heapq.heappush(heap, (float(d[i]), i))
-    return d
+            closed[node] = True
+            row = slice(indptr[node], indptr[node + 1])
+            still_open = ~closed[rows.senders[row]]
+            senders = rows.senders[row][still_open]
+            p = rows.delivery[row][still_open]
+            T[senders] += p * P[senders] * d[node]
+            P[senders] *= 1.0 - p
+            senders = senders[P[senders] < 1.0]
+            d[senders] = T[senders] / (1.0 - P[senders])
+            for entry in zip(d[senders].tolist(), senders.tolist()):
+                heapq.heappush(heap, entry)
+        return d
+
+    return topology.derived(("eotx", destination, threshold), derive)
 
 
 def eotx_bellman_ford(topology: Topology, destination: int,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,68 +43,111 @@ def link_etx(topology: Topology, sender: int, receiver: int, ack_aware: bool = F
     return 1.0 / forward
 
 
-def _link_cost_matrix(topology: Topology, ack_aware: bool,
-                      threshold: float) -> np.ndarray:
-    """``cost[s, r]`` = ETX of the directed link ``s -> r`` (inf if unusable).
+class LinkRows(NamedTuple):
+    """The usable links of a mesh, grouped by receiver, with their costs.
 
-    The vectorized form of :func:`link_etx` over the whole mesh — identical
-    arithmetic (``1 / p`` rsp. ``1 / (p_fwd * p_rev)``), so every matrix
-    entry is bit-equal to the scalar call.
+    Row ``r`` — the links *into* ``r`` — is the slice
+    ``indptr[r]:indptr[r + 1]`` of the three per-link arrays, senders in
+    ascending order.  O(links), not N×N: what a Dijkstra toward a
+    destination relaxes when it settles ``r``.
+
+    Attributes:
+        indptr: row boundaries, ``node_count + 1`` entries.
+        senders: sending node of each link.
+        delivery: forward delivery probability of each link.
+        cost: link ETX — ``1 / p`` rsp. ``1 / (p_fwd * p_rev)``, the
+            arithmetic of :func:`link_etx`, so bit-equal to the scalar call.
     """
-    delivery = topology.delivery_view()
-    usable = delivery > threshold
-    if ack_aware:
-        usable &= usable.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cost = 1.0 / (delivery * delivery.T)
-    else:
-        with np.errstate(divide="ignore"):
-            cost = 1.0 / delivery
-    return np.where(usable, cost, math.inf)
+
+    indptr: np.ndarray
+    senders: np.ndarray
+    delivery: np.ndarray
+    cost: np.ndarray
+
+
+def link_rows(topology: Topology, ack_aware: bool = False,
+              threshold: float = DEFAULT_LINK_THRESHOLD) -> LinkRows:
+    """The usable links of ``topology`` by receiver (derived once per topology).
+
+    A link is usable when its delivery probability exceeds ``threshold``
+    (in both directions if ``ack_aware``); a link that delivers nothing
+    has infinite ETX under any threshold and is left out.
+    """
+    def derive() -> LinkRows:
+        delivery = topology.delivery_view()
+        usable = delivery > max(threshold, 0.0)
+        if ack_aware:
+            usable &= usable.T
+        receivers, senders = np.nonzero(usable.T)
+        forward = delivery[senders, receivers]
+        if ack_aware:
+            # The product of two tiny probabilities can underflow to zero.
+            with np.errstate(divide="ignore"):
+                cost = 1.0 / (forward * delivery[receivers, senders])
+        else:
+            cost = 1.0 / forward
+        indptr = np.zeros(topology.node_count + 1, dtype=np.intp)
+        np.cumsum(np.bincount(receivers, minlength=topology.node_count), out=indptr[1:])
+        return LinkRows(indptr, senders, forward, cost)
+
+    return topology.derived(("link_rows", ack_aware, threshold), derive)
+
+
+def _routes_to(topology: Topology, destination: int, ack_aware: bool,
+               threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(distances, next_hop)`` of every node toward ``destination`` (Dijkstra).
+
+    Derived once per topology and destination.  Settling a node relaxes its
+    in-neighbour row with one array operation, and every candidate is the
+    ``settled + link cost`` sum of the per-link formulation, so the
+    distances do not depend on tie-breaking among equal heap keys.
+
+    ``next_hop[i]`` is ``argmin_j(cost[i, j] + distances[j])``, the lowest
+    ``j`` on ties (``-1`` where there is none).  Every ``j`` attaining the
+    minimum settles before ``i`` — link costs are at least 1, which is also
+    why a settled node is never relaxed again — so the relaxations see all
+    of them: the first sets the distance, a later one of equal cost takes
+    over only if its index is lower.
+    """
+    def derive() -> tuple[np.ndarray, np.ndarray]:
+        rows = link_rows(topology, ack_aware, threshold)
+        indptr = rows.indptr.tolist()
+        count = topology.node_count
+        distances = np.full(count, math.inf)
+        distances[destination] = 0.0
+        next_hop = np.full(count, -1, dtype=np.intp)
+        heap: list[tuple[float, int]] = [(0.0, destination)]
+        while heap:
+            distance, node = heapq.heappop(heap)
+            if distance > distances[node]:
+                continue  # superseded by a shorter entry for the same node
+            row = slice(indptr[node], indptr[node + 1])
+            senders = rows.senders[row]
+            candidates = distance + rows.cost[row]
+            known = distances[senders]
+            shorter = candidates < known
+            tied = (candidates == known) & (node < next_hop[senders])
+            next_hop[senders[shorter | tied]] = node
+            if shorter.any():
+                senders, candidates = senders[shorter], candidates[shorter]
+                distances[senders] = candidates
+                for entry in zip(candidates.tolist(), senders.tolist()):
+                    heapq.heappush(heap, entry)
+        return distances, next_hop
+
+    return topology.derived(("etx_routes", destination, ack_aware, threshold), derive)
 
 
 def etx_to_destination(topology: Topology, destination: int, ack_aware: bool = False,
-                       threshold: float = DEFAULT_LINK_THRESHOLD,
-                       cost_matrix: np.ndarray | None = None) -> np.ndarray:
-    """Best-path ETX from every node to ``destination`` (Dijkstra).
-
-    The relaxation step is vectorized: settling a node relaxes every
-    in-neighbour with one array operation instead of a per-link python
-    loop, which is what makes control-plane setup on 200-node meshes
-    affordable.  Distances are identical to the per-link formulation —
-    every candidate is the same ``settled + 1/p`` sum, and Dijkstra's final
-    distances do not depend on tie-breaking among equal keys.
-
-    Args:
-        cost_matrix: optional precomputed :func:`_link_cost_matrix` (must
-            match ``ack_aware``/``threshold``); callers that run several
-            queries on one topology pass it to skip the O(n^2) rebuild.
+                       threshold: float = DEFAULT_LINK_THRESHOLD) -> np.ndarray:
+    """Best-path ETX from every node to ``destination``.
 
     Returns:
-        A vector ``d`` with ``d[destination] == 0`` and ``d[i] == inf`` for
-        nodes with no usable path.
+        A read-only vector ``d`` with ``d[destination] == 0`` and
+        ``d[i] == inf`` for nodes with no usable path, shared by every
+        caller (:meth:`repro.topology.graph.Topology.derived`).
     """
-    count = topology.node_count
-    cost = cost_matrix if cost_matrix is not None \
-        else _link_cost_matrix(topology, ack_aware, threshold)
-    distances = np.full(count, math.inf)
-    distances[destination] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, destination)]
-    visited = np.zeros(count, dtype=bool)
-    while heap:
-        distance, node = heapq.heappop(heap)
-        if visited[node]:
-            continue
-        visited[node] = True
-        # Relax every link neighbor -> node at once (distances are toward
-        # the destination).
-        candidates = distance + cost[:, node]
-        improved = np.nonzero((candidates < distances) & ~visited)[0]
-        if improved.size:
-            distances[improved] = candidates[improved]
-            for neighbor in improved:
-                heapq.heappush(heap, (float(candidates[neighbor]), int(neighbor)))
-    return distances
+    return _routes_to(topology, destination, ack_aware, threshold)[0]
 
 
 def best_path(topology: Topology, source: int, destination: int, ack_aware: bool = False,
@@ -111,32 +155,17 @@ def best_path(topology: Topology, source: int, destination: int, ack_aware: bool
     """The minimum-ETX path from ``source`` to ``destination``.
 
     Returns:
-        The node list ``[source, ..., destination]``.
+        The node list ``[source, ..., destination]`` (a new list every call).
 
     Raises:
         ValueError: if no usable path exists.
     """
-    cost = _link_cost_matrix(topology, ack_aware, threshold)
-    distances = etx_to_destination(topology, destination, ack_aware=ack_aware,
-                                   threshold=threshold, cost_matrix=cost)
+    distances, next_hop = _routes_to(topology, destination, ack_aware, threshold)
     if math.isinf(distances[source]):
         raise ValueError(f"no usable path from {source} to {destination}")
-    count = topology.node_count
     path = [source]
-    current = source
-    excluded = np.zeros(count, dtype=bool)
-    excluded[source] = True
-    while current != destination:
-        # One vectorized scan per hop; argmin picks the lowest-index
-        # minimum, matching the strict-improvement scalar scan.
-        candidates = cost[current] + distances
-        candidates[excluded] = math.inf
-        best_next = int(np.argmin(candidates))
-        if math.isinf(candidates[best_next]):
-            raise ValueError(f"path reconstruction stuck at node {current}")
-        path.append(best_next)
-        excluded[best_next] = True
-        current = best_next
+    while path[-1] != destination:
+        path.append(int(next_hop[path[-1]]))
     return path
 
 

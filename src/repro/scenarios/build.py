@@ -11,6 +11,8 @@ itself (``build_*_model`` in :class:`~repro.sim.simulator.Simulator`).
 
 from __future__ import annotations
 
+import json
+from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.experiments.workloads import (
@@ -48,14 +50,39 @@ TOPOLOGY_BUILDERS: dict[str, Callable[..., Topology]] = {
 #: Workload kinds addressable from a :class:`WorkloadSpec`.
 WORKLOAD_KINDS = ("random_pairs", "spatial_reuse", "challenged", "explicit", "multiflow")
 
+#: How many built meshes :func:`build_topology` keeps (least recently used
+#: goes first): a sweep's consecutive cells share one or two.
+TOPOLOGY_CACHE_SIZE = 4
+
+_built: OrderedDict[str, Topology] = OrderedDict()
+
+
 def build_topology(spec: TopologySpec) -> Topology:
-    """Instantiate the topology a spec describes."""
+    """The topology a spec describes — the same object for the same spec.
+
+    A :class:`TopologySpec` fully determines the mesh, so the last
+    :data:`TOPOLOGY_CACHE_SIZE` meshes built in this process are kept, keyed
+    on the spec's canonical JSON, and the cells, figure views and flows a
+    process runs over one topology section generate it once and share what
+    is derived from it (:meth:`repro.topology.graph.Topology.derived`).
+    The mesh is therefore shared: to edit one, build a new
+    :class:`Topology` from its ``delivery_matrix()``.
+    """
+    key = json.dumps(spec.to_dict(), sort_keys=True)
+    topology = _built.get(key)
+    if topology is not None:
+        _built.move_to_end(key)
+        return topology
     try:
         builder = TOPOLOGY_BUILDERS[spec.kind]
     except KeyError:
         raise ValueError(f"unknown topology kind {spec.kind!r}; expected one of "
                          f"{sorted(TOPOLOGY_BUILDERS)}") from None
-    return call_with_params("topology", spec.kind, builder, **spec.params)
+    topology = call_with_params("topology", spec.kind, builder, **spec.params)
+    _built[key] = topology
+    if len(_built) > TOPOLOGY_CACHE_SIZE:
+        _built.popitem(last=False)
+    return topology
 
 
 def _workload_seed(spec: WorkloadSpec, default_seed: int) -> int:

@@ -190,8 +190,8 @@ register(ScenarioSpec(
                 "per protocol (the event-engine hot-path workload)",
     topology=TopologySpec("random_geometric", {"node_count": 200, "area": 420.0,
                                                "seed": 11}),
-    # Explicit far pair (7 ETX hops): pair selection by hop count is
-    # O(n^2 Dijkstra) at this scale, which would dwarf the simulation.
+    # Explicit far pair (7 ETX hops): pair selection by hop count runs one
+    # Dijkstra per node (about a second at this scale), as long as the flow.
     workload=WorkloadSpec("explicit", {"pairs": [[168, 0]]}),
     run={"total_packets": 64, "batch_size": 32, "coding_payload_size": 16,
          "max_duration": 60.0},
@@ -233,7 +233,7 @@ register(ScenarioSpec(
                 "highest-load relays",
     topology=copy.deepcopy(_KILONODE_MESH),
     # Explicit pair (node 441 is 4 ETX hops from node 0): hop-count pair
-    # selection is O(n^2 Dijkstra) at this scale.
+    # selection runs one Dijkstra per node, far longer than the flow here.
     workload=WorkloadSpec("explicit", {"pairs": [[441, 0]]}),
     protocols=("MORE",),
     run={"total_packets": 64, "batch_size": 32, "coding_payload_size": 16,

@@ -59,13 +59,26 @@ def probe_estimated_topology(topology: Topology,
         seed: RNG seed for the sampling noise.
 
     Returns:
-        A new :class:`Topology` with the estimated delivery probabilities.
+        A :class:`Topology` with the estimated delivery probabilities.  With
+        ``probe_count == 0`` nothing is drawn, the view is the same for
+        every seed, and it is derived once per ``topology``
+        (:meth:`Topology.derived`): every such call returns the same
+        object, so the plans derived from it are shared too.  To edit it,
+        build a new :class:`Topology` from its ``delivery_matrix()``.  A
+        sampled view (``probe_count > 0``) is a new object every call.
     """
     if not 0.0 < optimism_exponent <= 1.0:
         raise ValueError("optimism_exponent must lie in (0, 1]")
     if probe_count < 0:
         raise ValueError("probe_count must be non-negative")
-    rng = np.random.default_rng(seed)
+    if probe_count == 0:
+        return topology.derived(("control_view", optimism_exponent),
+                                lambda: _estimate(topology, optimism_exponent, 0, seed))
+    return _estimate(topology, optimism_exponent, probe_count, seed)
+
+
+def _estimate(topology: Topology, optimism_exponent: float, probe_count: int,
+              seed: int | tuple[int, ...]) -> Topology:
     true_delivery = topology.delivery_view()
     # Only the links that exist are exponentiated and probed; a zero link
     # stays zero and (binomial draws nothing at p = 0) takes no randomness,
@@ -73,6 +86,7 @@ def probe_estimated_topology(topology: Topology,
     links = np.nonzero(true_delivery)
     probe_delivery = true_delivery[links] ** optimism_exponent
     if probe_count > 0:
+        rng = np.random.default_rng(seed)
         probe_delivery = rng.binomial(probe_count, probe_delivery) / probe_count
     estimated = np.zeros_like(true_delivery)
     estimated[links] = probe_delivery

@@ -18,9 +18,24 @@ simulator also honours unless an interference event intervenes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Callable, Hashable, TypeVar
 
 import numpy as np
+
+T = TypeVar("T")
+
+
+def _read_only(value: Any) -> None:
+    """Make every array in ``value`` (an array, a tuple or a dataclass) read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    elif is_dataclass(value):
+        for entry in fields(value):
+            _read_only(getattr(value, entry.name))
 
 
 @dataclass(frozen=True)
@@ -56,6 +71,7 @@ class Topology:
         np.fill_diagonal(self._delivery, 0.0)
         self._view = self._delivery.view()
         self._view.flags.writeable = False
+        self._derived: dict[Hashable, Any] = {}
         count = matrix.shape[0]
         if positions is not None and len(positions) != count:
             raise ValueError("positions length must match node count")
@@ -92,6 +108,24 @@ class Topology:
         """
         return self._view
 
+    def derived(self, key: Hashable, derive: Callable[[], T]) -> T:
+        """``derive()``, computed once per ``key`` while the matrix stays as it is.
+
+        The one memo of what the control plane derives from a topology's
+        link state alone — the probe-free control view, the link-cost rows,
+        the per-destination distance vectors, the forwarding plans — so
+        every flow, protocol and seed run over this topology reads one
+        copy.  :meth:`set_delivery` drops all of it.  Every caller gets the
+        same object, so the arrays in it are made read-only; a function
+        that hands out a list returns a fresh copy of it.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = derive()
+            _read_only(value)
+            self._derived[key] = value
+        return value
+
     def node_positions(self) -> list[tuple[float, ...]] | None:
         """Positions of all nodes, or ``None`` unless every node has one.
 
@@ -122,7 +156,11 @@ class Topology:
 
     def set_delivery(self, sender: int, receiver: int, probability: float,
                      symmetric: bool = False) -> None:
-        """Set the delivery probability of a directed (or symmetric) link."""
+        """Set the delivery probability of a directed (or symmetric) link.
+
+        The only writer of the matrix, and so the only thing that
+        invalidates what :meth:`derived` holds.
+        """
         if not 0.0 <= probability <= 1.0:
             raise ValueError("delivery probability must lie in [0, 1]")
         if sender == receiver:
@@ -130,6 +168,7 @@ class Topology:
         self._delivery[sender, receiver] = probability
         if symmetric:
             self._delivery[receiver, sender] = probability
+        self._derived.clear()
 
     def neighbors(self, node: int, threshold: float = 0.0) -> list[int]:
         """Nodes reachable from ``node`` with delivery probability > threshold."""

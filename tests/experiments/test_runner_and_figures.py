@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.figures import ALL_FIGURES, figure_5_1, table_4_1
 from repro.experiments.runner import (
     PROTOCOLS,
@@ -19,7 +21,8 @@ from repro.experiments.runner import (
     run_single_flow,
 )
 from repro.scenarios import build_flow_sets, build_pairs, build_topology, get_preset
-from repro.topology.generator import chain, diamond, indoor_testbed
+from repro.topology.estimation import probe_estimated_topology
+from repro.topology.generator import chain, diamond, indoor_testbed, random_geometric
 
 FAST = RunConfig(total_packets=16, batch_size=8, packet_size=500,
                  coding_payload_size=8, max_duration=60.0, seed=1)
@@ -67,6 +70,49 @@ class TestRunner:
         assert view is topo
         noisy = RunConfig(total_packets=8, batch_size=8, packet_size=500)
         assert noisy.control_view(topo) is not topo
+
+
+class TestControlPlaneIsDerivedOnce:
+    """Two flows over one mesh at different run seeds: what the control
+    plane derives is counted, not timed (the 1000-node claim at 300 nodes)."""
+
+    PAIR = (17, 250)
+
+    @pytest.fixture
+    def mesh(self):
+        return random_geometric(node_count=300, area=515.0, seed=5)
+
+    def _two_flows(self, mesh, probes):
+        for seed in (3, 4):
+            config = RunConfig(total_packets=32, batch_size=32, max_relays=10,
+                               max_duration=60.0, estimation_probes=probes, seed=seed)
+            assert run_single_flow(mesh, "MORE", *self.PAIR, config=config).completed
+
+    def test_probe_free_control_plane_is_shared_across_seeds(self, mesh):
+        self._two_flows(mesh, probes=0)
+        # On the mesh: the one control view.  On the view: one link table,
+        # one plan, one Dijkstra per distinct destination (the flow's, and
+        # the source as the batch ACKs' destination).
+        (key,) = mesh._derived
+        assert key[0] == "control_view"
+        source, destination = self.PAIR
+        derived = sorted((kind, *rest[:1]) for kind, *rest in mesh._derived[key]._derived)
+        assert derived == [("etx_routes", source), ("etx_routes", destination),
+                           ("forwarding_plan", source), ("link_rows", False)]
+
+    def test_sampled_control_views_are_per_seed(self, mesh, monkeypatch):
+        views = []
+
+        def recording(*args, **kwargs):
+            views.append(probe_estimated_topology(*args, **kwargs))
+            return views[-1]
+        monkeypatch.setattr(runner, "probe_estimated_topology", recording)
+        self._two_flows(mesh, probes=100)
+        first, second = views
+        assert first is not second
+        assert not np.array_equal(first.delivery_view(), second.delivery_view())
+        assert not mesh._derived  # a sampled view is not kept on the mesh ...
+        assert first._derived and second._derived  # ... each plans from its own
 
 
 class TestOpportunisticGain:

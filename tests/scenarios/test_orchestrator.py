@@ -184,6 +184,15 @@ def _cli_env() -> dict[str, str]:
     return env
 
 
+def _live_processes() -> dict[int, int]:
+    """``pid -> parent pid`` of every process that is not a zombie."""
+    listing = subprocess.run(["ps", "-A", "-o", "pid=,ppid=,stat="], check=True,
+                             capture_output=True, text=True).stdout
+    rows = (line.split() for line in listing.splitlines())
+    return {int(pid): int(ppid) for pid, ppid, state in rows
+            if not state.startswith("Z")}
+
+
 class TestResumeAfterKill:
     def test_sigkill_resume_runs_only_missing_cells(self, tmp_path):
         workdir = tmp_path / "killed"
@@ -202,12 +211,21 @@ class TestResumeAfterKill:
                 if process.poll() is not None:
                     break  # finished before we could kill it; still a resume
                 time.sleep(0.01)
+            workers = {pid for pid, parent in _live_processes().items()
+                       if parent == process.pid}
             if process.poll() is None:
                 process.send_signal(signal.SIGKILL)
         finally:
             process.wait(timeout=60)
         survivors = len(list(store_dir.glob("cell-*.json")))
         assert survivors >= 1  # something completed before the kill
+
+        # The pool dies with its orchestrator: no worker outlives the kill
+        # by more than its parent-watch period and the cell it had in hand.
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and _live_processes().keys() & workers:
+            time.sleep(0.1)
+        assert not _live_processes().keys() & workers
 
         resumed = subprocess.run(_sweep_command(), cwd=workdir, env=_cli_env(),
                                  capture_output=True, text=True, timeout=300)
