@@ -74,9 +74,9 @@ fault-smoke:
 	$(ENV) $(PYTHON) scripts/fault_smoke.py
 
 # The end-to-end benchmark (bench/, BENCHMARK.json) still measures this
-# tree: its own tests, then quick traced kilonode_flow and mesh_seed_sweep
-# runs that must be correct, with no failed operation and every traced entry
-# point resolved.
+# tree: its own tests, then quick traced kilonode_flow, mesh_seed_sweep and
+# coded_payload runs that must be correct, with no failed operation and
+# every traced entry point resolved.
 bench-smoke:
 	$(PYTHON) scripts/bench_smoke.py
 

@@ -11,11 +11,14 @@ root:
 1. ``python3 -m pytest bench -q`` — the benchmark's own tests (outside
    tier-1's ``testpaths``);
 2. ``python3 -m bench --quick --workload W --trace 1`` for ``kilonode_flow``
-   (the workload that builds the most per simulator) and ``mesh_seed_sweep``
+   (the workload that builds the most per simulator), ``mesh_seed_sweep``
    (the only one that enters ``scenarios/`` and the orchestrator, so the only
-   one whose ``build_topology`` / ``run_cell`` spans resolve to anything) —
-   three units plus the traced pass each; the result line must say
-   ``correct``, no failed operation and ``trace.missing`` = 0.
+   one whose ``build_topology`` / ``run_cell`` spans resolve to anything) and
+   ``coded_payload`` (the only one whose set-up sends a real file through
+   ``setup_more_flow(file_bytes=…)`` and compares ``decoded_bytes()``, and
+   the only one where the coding and GF spans carry payload bytes) — three
+   units plus the traced pass each; the result line must say ``correct``,
+   no failed operation and ``trace.missing`` = 0.
 
 Exit status 0 on success; any violated step raises.  The timings of a
 ``--quick`` run mean nothing and are not looked at.
@@ -30,7 +33,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-WORKLOADS = ("kilonode_flow", "mesh_seed_sweep")
+WORKLOADS = ("kilonode_flow", "mesh_seed_sweep", "coded_payload")
 
 
 def main() -> int:

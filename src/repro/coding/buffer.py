@@ -20,7 +20,8 @@ combination over the raw payloads admitted so far.  Inserts eliminate over
 the ``K x 2K`` combined matrix (code columns + transform columns) and stash
 the raw payload untouched; the reduced payload matrix is materialised
 lazily — one ``(rank, rank) @ (rank, S)`` product, cached until the next
-insert — when a decode, pre-code or inspection actually needs the bytes.
+insert — when a decode or inspection actually needs the bytes (a pre-code
+never does: :meth:`BatchBuffer.combine_rows`).
 Deferring the back-substitution this way is what turns per-packet payload
 elimination (two O(K * S) row passes per arrival) into a single batched
 product per rank advance/batch completion.  GF(2^8) arithmetic is exact,
@@ -83,15 +84,14 @@ class BatchBuffer:
         self._with_transform = track_payloads and packet_size > 0
         width = 2 * batch_size if self._with_transform else batch_size
         self._ops = np.zeros((batch_size, width), dtype=np.uint8)
-        self._cols = np.arange(width)
         self._matrix = self._ops[:, :batch_size]
         self._raw = (np.zeros((batch_size, packet_size), dtype=np.uint8)
                      if self._with_transform else None)
         self._payload_cache: np.ndarray | None = None
-        # Cached shifted-row expansion of the admitted raw payloads for
-        # the pre-code fast path; rebuilt lazily after each insert
-        # (building costs about one direct vecmat, so the cache never
-        # loses even under fully interleaved insert/pre-code traffic).
+        # The admitted raw payloads as a pre-code operand, created by the
+        # batch's first pre-code and kept until the batch is flushed: raw
+        # slots are append-only, so each pre-code only announces the rows
+        # admitted since the last one.
         self._raw_operand: ShiftedRows | None = None
 
     @property
@@ -147,8 +147,7 @@ class BatchBuffer:
         if pivots.size:
             coefficients = extended[pivots]
             if coefficients.tobytes() != _zero_bytes(pivots.size):
-                extended[:width] ^= gf_vecmat(
-                    coefficients, ops[pivots.reshape(-1, 1), self._cols[:width]])
+                extended[:width] ^= gf_vecmat(coefficients, ops[pivots, :width])
         remaining = np.nonzero(extended[:batch_size])[0]
         if remaining.size == 0:
             # Vector reduced to zero: the packet is not innovative; its
@@ -174,7 +173,6 @@ class BatchBuffer:
         if with_transform:
             self._raw[slot] = payload
         self._payload_cache = None
-        self._raw_operand = None
         return True
 
     def add_packets(self, packets: Iterable[CodedPacket]) -> list[bool]:
@@ -248,18 +246,20 @@ class BatchBuffer:
     def combine_rows(self, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One linear combination over the stored rows, payloads left deferred.
 
-        The forwarder pre-code fast path: returns ``(code_vector, payload)``
-        for ``coefficients @ rows`` without ever materialising the reduced
-        payload matrix.  The payload combination is re-associated through the stored transform::
+        The forwarder pre-code path: returns ``(code_vector, payload)`` for
+        ``coefficients @ rows`` without ever materialising the reduced
+        payload matrix.  The payload combination is re-associated through
+        the stored transform::
 
             c @ (T @ R)  ==  (c @ T) @ R
 
         which is exact in GF(2^8), so the bytes match the materialised path
         bit for bit while costing ``O(r^2 + r*S)`` instead of the
         ``O(r^2 * S)`` back-substitution (plus a full matrix copy) per
-        pre-code.  When the reduced payloads happen to be materialised
-        already (a decode ran since the last insert), the cached matrix is
-        combined directly — one ``(1, r) @ (r, S)`` product.
+        pre-code.  ``c @ [M | T]`` is one product over the stored
+        ``[code | transform]`` rows, and the raw payloads ``R`` are an
+        append-only operand (:class:`~repro.gf.kernels.ShiftedRows`): a
+        pre-code prepares only the rows admitted since the previous one.
 
         Args:
             coefficients: one combination coefficient per stored row, in
@@ -276,20 +276,18 @@ class BatchBuffer:
             raise ValueError(
                 f"expected {count} combination coefficients, "
                 f"got {coefficients.shape[0]}")
-        vector = gf_vecmat(coefficients, self._matrix[self._occupied])
         if not self._with_transform:
-            payload = np.zeros(self.packet_size, dtype=np.uint8)
-        elif self._payload_cache is not None:
-            payload = gf_vecmat(coefficients, self._payload_cache)
+            return (gf_vecmat(coefficients, self._matrix[self._occupied]),
+                    np.zeros(self.packet_size, dtype=np.uint8))
+        batch_size = self.batch_size
+        combined = gf_vecmat(coefficients,
+                             self._ops[self._occupied, :batch_size + count])
+        operand = self._raw_operand
+        if operand is None:
+            operand = self._raw_operand = ShiftedRows(self._raw, count)
         else:
-            batch_size = self.batch_size
-            reduced = gf_vecmat(
-                coefficients,
-                self._ops[self._occupied, batch_size:batch_size + count])
-            if self._raw_operand is None:
-                self._raw_operand = ShiftedRows(self._raw[:count])
-            payload = self._raw_operand.vecmul(reduced)
-        return vector, payload
+            operand.grow(count)
+        return combined[:batch_size], operand.vecmul(combined[batch_size:])
 
     def decode(self) -> np.ndarray:
         """Recover the K native payloads; requires a full-rank buffer.

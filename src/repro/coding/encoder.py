@@ -20,10 +20,11 @@ packet carries information.
 
 Ownership invariant: a :class:`~repro.coding.packet.CodedPacket` handed out
 by ``next_packet`` / ``next_packets`` never aliases encoder-internal state —
-the arrays a packet carries are private copies, so later ``add_packet``
-calls (which update the pre-coded combination in place) cannot mutate a
-packet already given to the MAC layer.  The forwarder additionally drops
-its own references to the handed-out arrays before re-coding.
+the arrays a packet carries were allocated for it and the encoder keeps no
+reference to them, so later ``add_packet`` calls (which update the
+pre-coded combination in place) cannot mutate a packet already given to
+the MAC layer.  The forwarder hands its pre-coded arrays over and drops its
+own references before re-coding.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class SourceEncoder:
         self.batch = batch
         self.rng = rng
         self._payloads = batch.payload_matrix()
-        # The batch payloads never change, so the shifted-row stack is built
+        # The batch payloads never change, so the coding operand is built
         # once (on first use — sources hold encoders for future batches too)
         # and every coded packet afterwards is a single XOR-reduce.
         self._operand: ShiftedRows | None = None
@@ -179,16 +180,12 @@ class ForwarderEncoder:
             self._start_precode()
         if self._precoded_vector is None or self._precoded_payload is None:
             raise RuntimeError("forwarder has no buffered packets to code over")
-        # CodedPacket copies its arrays on construction; dropping our own
-        # references before re-coding makes the ownership transfer explicit —
-        # nothing the encoder does afterwards (add_packet folds, re-coding)
-        # can alias the packet now owned by the caller.
-        packet = CodedPacket(
-            code_vector=self._precoded_vector,
-            payload=self._precoded_payload,
-            batch_id=self.batch_id,
-        )
-        assert packet.code_vector is not self._precoded_vector
+        # The pre-coded arrays were allocated by ``combine_rows`` for this
+        # packet alone; the packet takes them and the encoder drops its
+        # references, so nothing it does afterwards (add_packet folds,
+        # re-coding) can alias the packet now owned by the caller.
+        packet = CodedPacket.from_owned(self._precoded_vector, self._precoded_payload,
+                                        batch_id=self.batch_id)
         self._precoded_vector = None
         self._precoded_payload = None
         self.packets_generated += 1

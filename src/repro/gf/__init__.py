@@ -21,14 +21,7 @@ from repro.gf.arithmetic import (
     vec_mul,
     vec_scale,
 )
-from repro.gf.kernels import (
-    ShiftedRows,
-    gf_matmul,
-    gf_outer,
-    gf_vecmat,
-    scale_and_add_rows,
-    scale_rows,
-)
+from repro.gf.kernels import ShiftedRows, gf_matmul, gf_vecmat
 from repro.gf.matrix import (
     SingularMatrixError,
     invert,
@@ -52,7 +45,6 @@ __all__ = [
     "add",
     "div",
     "gf_matmul",
-    "gf_outer",
     "gf_vecmat",
     "inv",
     "invert",
@@ -66,8 +58,6 @@ __all__ = [
     "rank",
     "row_reduce",
     "scale_and_add",
-    "scale_and_add_rows",
-    "scale_rows",
     "solve",
     "sub",
     "vec_add",

@@ -7,44 +7,48 @@ that coding N packets, pre-coding over a forwarder's buffer, or reducing a
 vector against a stored row-echelon matrix is a handful of numpy array
 operations:
 
+``gf_vecmat``
+    ``vector @ B`` for one coefficient vector: the innovation check, the
+    incremental Gauss-Jordan reduction and a forwarder's combination over
+    its stored ``[code | transform]`` rows — the ``(1, r) @ (r, K)``
+    products of the hot receive path.
+
 ``gf_matmul``
-    ``C = A @ B`` over the field: the workhorse.  Encoding N packets of a
-    K-packet batch is one ``(N, K) @ (K, S)`` product; reducing an incoming
-    vector against stored pivot rows is a ``(1, r) @ (r, K)`` product.
+    ``C = A @ B`` over the field.  Materialising a buffer's deferred
+    payloads is one ``(r, r) @ (r, S)`` product.
 
 ``ShiftedRows``
-    A cacheable expansion of a right operand for repeated products against
-    the *same* matrix (the source encoder codes thousands of packets over
-    one fixed batch).  See below for the formulation.
-
-``gf_outer``
-    Outer product ``column[:, None] * row[None, :]`` — the rank-1 update
-    used when a new pivot is eliminated from every stored row at once.
-
-``scale_rows`` / ``scale_and_add_rows``
-    Row-wise scaling by a coefficient per row, plain and XOR-accumulating —
-    the batched form of :func:`repro.gf.arithmetic.scale_and_add`.
+    A right operand kept for repeated products against the *same* rows: the
+    source encoder codes thousands of packets over one fixed batch, and a
+    forwarder pre-codes over raw payloads that are only ever appended to.
+    See below for the formulation.
 
 All kernels are exact: GF(2^8) arithmetic has no rounding, so the
 vectorized results are bit-identical to the scalar loops they replace
 (the differential tests in ``tests/coding`` assert exactly that).
 
-Two formulations are used, picked by operand shape:
+Three formulations are used, picked by operand shape:
 
-* **LOG/EXP gather** (small products): ``a * b = EXP[LOG[a] + LOG[b]]``
-  with a sentinel logarithm for zero, evaluated as one broadcast gather
-  into a 2 KiB table that stays resident in L1.  This beats the 64 KiB
-  product table for the ``(1, r) @ (r, K)`` reductions on the hot
-  receive path, where building any per-operand structure would dominate.
+* **MUL-table gather** (single vectors, narrow rows): one fancy index into
+  the 64 KiB product table plus one XOR-reduce, no per-operand structure
+  at all.  ``gf_vecmat`` always takes it, and so does
+  ``ShiftedRows.vecmul`` for rows up to ``VEC_GATHER_MAX_WIDTH`` bytes
+  (every preset's 16-byte coded payloads), which therefore build nothing.
+
+* **LOG/EXP gather** (small matrix products): ``a * b = EXP[LOG[a] +
+  LOG[b]]`` with a sentinel logarithm for zero, evaluated as one broadcast
+  gather into a 2 KiB table that stays resident in L1 — ``gf_matmul`` for
+  fewer than eight output rows or columns.
 
 * **XOR of shifted rows** (large products): multiplication by a field
   element is GF(2)-linear, so ``c * row`` is the XOR of ``x^j * row`` over
   the set bits ``j`` of ``c``.  Stacking the eight polynomial shifts of
-  every row of ``B`` once turns each output row into an XOR-reduce of
-  ~4K selected rows, processed eight bytes at a time through a ``uint64``
+  every row of ``B`` turns each output row into an XOR-reduce of ~4K
+  selected rows, processed eight bytes at a time through a ``uint64``
   view — roughly an order of magnitude faster than per-byte table lookups
-  for batch-sized products, and the stack is cacheable across calls
-  (:class:`ShiftedRows`).
+  for batch-sized products.  A row's eight stack lines depend on that row
+  alone, so the stack is built once per row: :class:`ShiftedRows` expands
+  only the rows appended since the last product.
 """
 
 from __future__ import annotations
@@ -70,9 +74,8 @@ _LOG16[1:] = LOG[1:].astype(np.int16)
 _EXP_PAD = np.zeros(2 * _LOG_ZERO + 1, dtype=np.uint8)
 _EXP_PAD[:510] = EXP[:510]
 
-#: Reducing polynomial reduced to uint16 work width (x^8 := 0x1B after the
-#: overflow bit is dropped).
-_POLY_LOW = 0x11B
+#: The reducing polynomial below its x^8 term: what x^8 folds back to.
+_POLY_LOW = 0x1B
 
 
 def _as_matrix(array: np.ndarray, name: str) -> np.ndarray:
@@ -98,48 +101,78 @@ def _matmul_gather(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _xtimes(matrix: np.ndarray) -> np.ndarray:
-    """Multiply every element by x (the generator polynomial shift)."""
-    wide = matrix.astype(np.uint16)
-    return (((wide << 1) ^ ((wide >> 7) * _POLY_LOW)) & 0xFF).astype(np.uint8)
+    """Multiply every element by x (the generator polynomial shift).
+
+    All in ``uint8``: the left shift drops the overflowing x^8 bit, which
+    the second term folds back in as the reducing polynomial's low bits.
+    """
+    return (matrix << 1) ^ ((matrix >> 7) * _POLY_LOW)
 
 
 class ShiftedRows:
-    """The stacked-shifted-rows expansion of a right operand ``B``.
+    """A right operand ``B`` for repeated products, append-only by rows.
 
     For each row ``k`` of ``B`` the eight products ``x^j * B[k]`` are
-    precomputed and stacked (row ``8 k + j``).  ``c * B[k]`` is then the
-    XOR of the stacked rows selected by the set bits of ``c``, and a full
-    ``(N, K) @ B`` product is one XOR-reduce per output row over a
-    ``uint64`` view of the stack — no table gathers at all.
+    stacked (row ``8 k + j``).  ``c * B[k]`` is then the XOR of the stacked
+    rows selected by the set bits of ``c``, and a full ``(N, K) @ B``
+    product is one XOR-reduce per output row over a ``uint64`` view of the
+    stack — no table gathers at all.
 
-    Build once per right operand and reuse: the source encoder keeps one
-    instance per batch, so each coded packet costs a single reduce.
+    The operand is the first ``rows`` rows of ``matrix`` (all of them by
+    default) and keeps reading that ``uint8`` array: a caller that fills
+    further rows in place — a forwarder's raw payload slots — announces
+    them with :meth:`grow`, and only those rows are expanded.  Rows already
+    announced must not change.
+
+    What is built follows from the row width and the product asked for:
+    :meth:`vecmul` serves rows up to ``VEC_GATHER_MAX_WIDTH`` bytes from the
+    matrix itself, so such an operand has no stack until :meth:`matmul` is
+    called; a wider one expands each row as it is announced; a zero-width
+    one never runs a kernel.
     """
 
-    #: Row widths up to this use the cached-log gather for single-vector
+    #: Row widths up to this use the MUL-table gather for single-vector
     #: products (measured crossover: the gather wins below ~64 bytes, the
     #: uint64 stack XOR wins for full 1500-byte payloads).
     VEC_GATHER_MAX_WIDTH = 64
 
-    def __init__(self, matrix: np.ndarray) -> None:
-        rows = _as_matrix(matrix, "matrix")
-        self.k, self.s = rows.shape
-        # Pad the row width to a multiple of 8 so the stack can be viewed
-        # as uint64 words.
-        padded = (self.s + 7) // 8 * 8
-        self._stack = np.zeros((self.k * 8, padded), dtype=np.uint8)
-        shifted = rows
-        for j in range(8):
-            self._stack[j::8, : self.s] = shifted
-            if j < 7:
-                shifted = _xtimes(shifted)
-        self._words = self._stack.view(np.uint64) if padded else None
-        # Original operand rows, kept for the narrow single-vector products
-        # of the per-transmission encode path (one MUL-table gather beats
-        # the stacked XOR below ~64-byte rows; wide operands never use it).
-        self._rows: np.ndarray | None = None
-        if self.s and self.s <= self.VEC_GATHER_MAX_WIDTH:
-            self._rows = rows
+    def __init__(self, matrix: np.ndarray, rows: int | None = None) -> None:
+        self._matrix = _as_matrix(matrix, "matrix")
+        self.k = 0
+        self.s = self._matrix.shape[1]
+        self._words: np.ndarray | None = None
+        self._expanded = 0
+        self.grow(self._matrix.shape[0] if rows is None else rows)
+
+    def grow(self, rows: int) -> None:
+        """The operand is now the first ``rows`` rows of its matrix."""
+        if not self.k <= rows <= self._matrix.shape[0]:
+            raise ValueError(
+                f"an operand of {self.k} rows over a {self._matrix.shape} matrix "
+                f"cannot grow to {rows}")
+        self.k = rows
+        self._rows = self._matrix[:rows]
+        if self.s > self.VEC_GATHER_MAX_WIDTH:
+            self._expand()
+
+    def _expand(self) -> np.ndarray:
+        """The ``uint64`` stack, with every announced row's shifts in it."""
+        words = self._words
+        if words is None:
+            # Room for every row the matrix can hold, the row width padded
+            # to whole words; pages are touched as rows are expanded.
+            words = self._words = np.zeros(
+                (self._matrix.shape[0] * 8, (self.s + 7) // 8), dtype=np.uint64)
+        start, stop = self._expanded, self.k
+        if start < stop:
+            stack = words.view(np.uint8)
+            shifted = self._rows[start:]
+            for j in range(8):
+                stack[8 * start + j:8 * stop:8, :self.s] = shifted
+                if j < 7:
+                    shifted = _xtimes(shifted)
+            self._expanded = stop
+        return words
 
     def vecmul(self, vector: np.ndarray) -> np.ndarray:
         """``vector @ B`` for one 1-D coefficient vector (hot encode path).
@@ -148,15 +181,16 @@ class ShiftedRows:
         take one MUL-table gather plus one XOR-reduce (no per-call operand
         prep), wide ones the stacked-XOR formulation.
         """
-        rows = self._rows
-        if rows is None:
+        if self.s > self.VEC_GATHER_MAX_WIDTH:
             return self.matmul(vector.reshape(1, -1))[0]
         if vector.shape[0] != self.k:
             raise ValueError(
                 f"inner dimensions do not match: ({vector.shape[0]},) @ "
                 f"({self.k}, {self.s})"
             )
-        return np.bitwise_xor.reduce(MUL[vector[:, None], rows], axis=0)
+        if not self.s:
+            return np.zeros(0, dtype=np.uint8)
+        return np.bitwise_xor.reduce(MUL[vector[:, None], self._rows], axis=0)
 
     def matmul(self, a: np.ndarray) -> np.ndarray:
         """``a @ B`` over GF(2^8) for an ``(n, k)`` coefficient matrix."""
@@ -166,15 +200,16 @@ class ShiftedRows:
             raise ValueError(
                 f"inner dimensions do not match: {left.shape} @ ({self.k}, {self.s})"
             )
-        if self._words is None or n == 0 or self.k == 0:
+        if n == 0 or self.k == 0 or self.s == 0:
             return np.zeros((n, self.s), dtype=np.uint8)
+        words = self._expand()
         bits = np.unpackbits(left[:, :, None], axis=2,
                              bitorder="little").reshape(n, self.k * 8)
-        out = np.zeros((n, self._words.shape[1]), dtype=np.uint64)
+        out = np.zeros((n, words.shape[1]), dtype=np.uint64)
         for i in range(n):
             selected = np.nonzero(bits[i])[0]
             if selected.size:
-                np.bitwise_xor.reduce(self._words[selected], axis=0, out=out[i])
+                np.bitwise_xor.reduce(words[selected], axis=0, out=out[i])
         return out.view(np.uint8)[:, : self.s]
 
 
@@ -242,43 +277,3 @@ def gf_vecmat_reference(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     if coefficients.ndim != 1:
         raise ValueError(f"vector must be 1-D, got shape {coefficients.shape}")
     return gf_matmul(coefficients[None, :], matrix)[0]
-
-
-def gf_outer(column: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Outer product ``column ⊗ row`` over GF(2^8).
-
-    Returns the ``(len(column), len(row))`` matrix whose entry ``(i, j)``
-    is ``column[i] * row[j]`` — the rank-1 update eliminating a new pivot
-    from every stored row in one shot.
-    """
-    c = np.asarray(column, dtype=np.uint8)
-    r = np.asarray(row, dtype=np.uint8)
-    if c.ndim != 1 or r.ndim != 1:
-        raise ValueError("gf_outer expects 1-D operands")
-    return _EXP_PAD[_LOG16[c[:, None]] + _LOG16[r[None, :]]]
-
-
-def scale_rows(matrix: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Multiply row ``i`` of ``matrix`` by ``coefficients[i]``, returning a copy."""
-    rows = _as_matrix(matrix, "matrix")
-    factors = np.asarray(coefficients, dtype=np.uint8)
-    if factors.ndim != 1 or factors.shape[0] != rows.shape[0]:
-        raise ValueError(
-            f"need one coefficient per row: {factors.shape} vs {rows.shape}"
-        )
-    return _EXP_PAD[_LOG16[factors[:, None]] + _LOG16[rows]]
-
-
-def scale_and_add_rows(accumulator: np.ndarray, matrix: np.ndarray,
-                       coefficients: np.ndarray) -> None:
-    """In-place ``accumulator[i] ^= coefficients[i] * matrix[i]`` for every row.
-
-    The batched form of :func:`repro.gf.arithmetic.scale_and_add`: one call
-    folds N scaled packets into N accumulators.
-    """
-    rows = _as_matrix(matrix, "matrix")
-    if accumulator.shape != rows.shape:
-        raise ValueError(
-            f"accumulator shape {accumulator.shape} does not match {rows.shape}"
-        )
-    np.bitwise_xor(accumulator, scale_rows(rows, coefficients), out=accumulator)

@@ -49,6 +49,15 @@ def call_with_params(section: str, kind: str, factory: Callable[..., T],
         raise ValueError(f"bad parameter for {section} {kind!r}: {error}") from None
 
 
+def pop_count(spec: SectionSpec, params: dict[str, Any], name: str, default: int) -> int:
+    """``params.pop(name, default)`` as an integer; fewer than one is a one-line error."""
+    count = int(params.pop(name, default))
+    if count < 1:
+        raise ValueError(f"bad parameter for {spec.label} {spec.kind!r}: {name} must "
+                         f"be at least 1, got {count}")
+    return count
+
+
 def check_kind(spec: SectionSpec, kinds: Collection[str]) -> None:
     """``spec.kind`` must be one of the section's ``kinds``."""
     if spec.kind not in kinds:

@@ -284,22 +284,31 @@ class _ExorFlowState:
             self.batch_map[packet_index] = min(self.batch_map[packet_index], self.rank)
         return new
 
+    def _holders(self) -> list[int]:
+        """The batch map over the packets this batch has, as plain ints."""
+        return self.batch_map[:self.spec.batch_packet_count(self.batch_id)].tolist()
+
     def responsibility(self) -> list[int]:
-        """Packets this node should forward on its turn.
+        """Packets this node should forward on its turn, in index order.
 
         A node forwards the packets it holds for which it is (to its
         knowledge) the highest-priority holder.
         """
         packets = self.packets_received(self.batch_id)
-        if not packets:
-            return []
-        count = self.spec.batch_packet_count(self.batch_id)
-        batch_map = self.batch_map
         rank = self.rank
-        return sorted(
-            idx for idx in packets
-            if idx < count and batch_map[idx] == rank
-        )
+        return [index for index, holder in enumerate(self._holders())
+                if holder == rank and index in packets]
+
+    def has_responsibility(self) -> bool:
+        """Whether :meth:`responsibility` is non-empty: the MAC's poll, asked
+        far more often than a turn is prepared, so it builds no list."""
+        packets = self.packets_received(self.batch_id)
+        if not packets:
+            return False
+        holders = self._holders()
+        rank = self.rank
+        return rank in holders and any(
+            index < len(holders) and holders[index] == rank for index in packets)
 
 
 class ExorAgent(ProtocolAgent):
@@ -386,7 +395,7 @@ class ExorAgent(ProtocolAgent):
             return False
         if self.node_id == spec.destination:
             return True  # the destination always broadcasts its map
-        return bool(state.responsibility())
+        return state.has_responsibility()
 
     def _prepare_turn(self, flow_id: int) -> None:
         """Build the turn queue when the token arrives."""

@@ -21,7 +21,7 @@ from repro.experiments.workloads import (
     random_pairs,
     spatial_reuse_pairs,
 )
-from repro.params import call_with_params
+from repro.params import call_with_params, pop_count
 from repro.scenarios.spec import TopologySpec, WorkloadSpec
 from repro.topology.generator import (
     chain,
@@ -105,9 +105,10 @@ def build_pairs(spec: WorkloadSpec, topology: Topology,
         return [(int(source), int(destination)) for source, destination in pairs]
     if spec.kind == "random_pairs":
         return call_with_params("workload", spec.kind, random_pairs, topology,
-                                count=int(params.pop("count", 10)), seed=seed, **params)
+                                count=pop_count(spec, params, "count", 10), seed=seed,
+                                **params)
     if spec.kind == "spatial_reuse":
-        count = int(params.pop("count", 6))
+        count = pop_count(spec, params, "count", 6)
         path_hops = int(params.pop("path_hops", 4))
         pairs = call_with_params("workload", spec.kind, spatial_reuse_pairs, topology,
                                  count, seed=seed, path_hops=path_hops, **params)
@@ -119,7 +120,8 @@ def build_pairs(spec: WorkloadSpec, topology: Topology,
         return pairs
     if spec.kind == "challenged":
         return call_with_params("workload", spec.kind, challenged_pairs, topology,
-                                count=int(params.pop("count", 10)), seed=seed, **params)
+                                count=pop_count(spec, params, "count", 10), seed=seed,
+                                **params)
     raise ValueError(f"workload kind {spec.kind!r} does not describe plain pairs; "
                      f"expected one of {WORKLOAD_KINDS[:4]}")
 
@@ -139,10 +141,10 @@ def build_flow_sets(spec: WorkloadSpec, topology: Topology,
     params: dict[str, Any] = dict(spec.params)
     params.pop("seed", None)
     seed = _workload_seed(spec, default_seed)
-    flows_per_set = int(params.pop("flows_per_set", 4))
-    set_count = int(params.pop("set_count", 3))
-    flow_count = int(params.pop("flow_count", flows_per_set))
-    if not 1 <= flow_count <= flows_per_set:
+    flows_per_set = pop_count(spec, params, "flows_per_set", 4)
+    set_count = pop_count(spec, params, "set_count", 3)
+    flow_count = pop_count(spec, params, "flow_count", flows_per_set)
+    if flow_count > flows_per_set:
         raise ValueError(f"flow_count must be in [1, {flows_per_set}], got {flow_count}")
     base_sets = call_with_params("workload", spec.kind, multiflow_sets, topology,
                                  flows_per_set, set_count, seed=seed, **params)

@@ -201,6 +201,8 @@ def random_geometric(node_count: int = 16, area: float = 120.0, seed: int = 0) -
     """
     if node_count < 2:
         raise ValueError("a mesh needs at least two nodes")
+    if not area > 0:
+        raise ValueError(f"area must be positive, got {area}")
     rng = np.random.default_rng(seed)
     positions = [(float(rng.uniform(0.0, area)), float(rng.uniform(0.0, area)), 0.0)
                  for _ in range(node_count)]

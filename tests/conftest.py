@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.gf import kernels
 from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.topology.generator import (
     chain,
@@ -20,6 +21,22 @@ from repro.topology.generator import (
 def rng() -> np.random.Generator:
     """Deterministic RNG for tests."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def shifted_rows(monkeypatch) -> list[int]:
+    """Row counts of every ``repro.gf.kernels._xtimes`` call: what a
+    :class:`~repro.gf.kernels.ShiftedRows` expands (seven calls per
+    expansion, one per polynomial shift)."""
+    calls: list[int] = []
+    original = kernels._xtimes
+
+    def counting(matrix: np.ndarray) -> np.ndarray:
+        calls.append(matrix.shape[0])
+        return original(matrix)
+
+    monkeypatch.setattr(kernels, "_xtimes", counting)
+    return calls
 
 
 @pytest.fixture

@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gf.arithmetic import add, mul, scale_and_add
-from repro.gf.kernels import (
-    ShiftedRows,
-    gf_matmul,
-    gf_outer,
-    gf_vecmat,
-    scale_and_add_rows,
-    scale_rows,
-)
+from repro.gf.arithmetic import add, mul
+from repro.gf.kernels import ShiftedRows, gf_matmul, gf_vecmat
 
 
 def reference_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,44 +100,6 @@ class TestVectorAndRowKernels:
         v = rng.integers(0, 256, 6, dtype=np.uint8)
         m = rng.integers(0, 256, (6, 11), dtype=np.uint8)
         assert np.array_equal(gf_vecmat(v, m), reference_matmul(v[None, :], m)[0])
-
-    def test_gf_outer_matches_scalar(self, rng):
-        c = rng.integers(0, 256, 5, dtype=np.uint8)
-        r = rng.integers(0, 256, 9, dtype=np.uint8)
-        outer = gf_outer(c, r)
-        for i in range(5):
-            for j in range(9):
-                assert outer[i, j] == mul(int(c[i]), int(r[j]))
-
-    def test_scale_rows_matches_scale_and_add(self, rng):
-        m = rng.integers(0, 256, (4, 20), dtype=np.uint8)
-        factors = rng.integers(0, 256, 4, dtype=np.uint8)
-        scaled = scale_rows(m, factors)
-        for i in range(4):
-            expected = np.zeros(20, dtype=np.uint8)
-            scale_and_add(expected, m[i], int(factors[i]))
-            assert np.array_equal(scaled[i], expected)
-
-    def test_scale_and_add_rows_in_place(self, rng):
-        m = rng.integers(0, 256, (3, 15), dtype=np.uint8)
-        acc = rng.integers(0, 256, (3, 15), dtype=np.uint8)
-        factors = rng.integers(0, 256, 3, dtype=np.uint8)
-        expected = acc.copy()
-        for i in range(3):
-            scale_and_add(expected[i], m[i], int(factors[i]))
-        scale_and_add_rows(acc, m, factors)
-        assert np.array_equal(acc, expected)
-
-    def test_shape_mismatches_rejected(self, rng):
-        with pytest.raises(ValueError):
-            scale_rows(np.zeros((3, 4), dtype=np.uint8),
-                       np.zeros(2, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            scale_and_add_rows(np.zeros((2, 4), dtype=np.uint8),
-                               np.zeros((3, 4), dtype=np.uint8),
-                               np.zeros(3, dtype=np.uint8))
-        with pytest.raises(ValueError):
-            gf_outer(np.zeros((2, 2), dtype=np.uint8), np.zeros(2, dtype=np.uint8))
 
 
 @given(st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=10),

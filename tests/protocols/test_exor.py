@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.protocols.exor import ExorAgent, setup_exor_flow
-from repro.protocols.exor.agent import ExorDataPayload
+from repro.protocols.exor.agent import (
+    INERT_RANK,
+    ExorDataPayload,
+    ExorFlowSpec,
+    _ExorFlowState,
+)
 from repro.sim.radio import SimConfig
 from repro.sim.simulator import Simulator
 from repro.topology.generator import chain, diamond, two_hop_relay
@@ -113,6 +120,51 @@ class TestStrictSchedule:
         claim[1] = 0
         state.merge_map(claim)
         assert state.responsibility() == [0]
+
+
+def _responsibility_by_scan(state) -> list[int]:
+    """``_ExorFlowState.responsibility`` as it was before the batch map was
+    compared in one vector operation (verbatim): the reference."""
+    packets = state.packets_received(state.batch_id)
+    if not packets:
+        return []
+    count = state.spec.batch_packet_count(state.batch_id)
+    batch_map = state.batch_map
+    rank = state.rank
+    return sorted(
+        idx for idx in packets
+        if idx < count and batch_map[idx] == rank
+    )
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_responsibility_equals_the_per_packet_scan(data):
+    """Random maps, ranks (``INERT_RANK`` included), held sets and a short
+    last batch: the same list, and ``has_responsibility`` says whether it
+    is empty."""
+    batch_size = data.draw(st.integers(1, 12), label="batch_size")
+    participants = list(range(data.draw(st.integers(2, 6), label="participants")))
+    batch_count = data.draw(st.integers(1, 3), label="batch_count")
+    short = data.draw(st.integers(0, batch_size - 1), label="short")
+    spec = ExorFlowSpec(flow_id=1, source=participants[-1], destination=0,
+                        batch_size=batch_size, packet_size=400,
+                        participants=participants, forward_route=[], reverse_route=[],
+                        total_packets=batch_size * batch_count - short,
+                        batch_count=batch_count)
+    rank = data.draw(st.sampled_from([*participants, INERT_RANK]), label="rank")
+    state = _ExorFlowState(spec, rank)
+    state.reset_for_batch(data.draw(st.integers(0, batch_count - 1), label="batch_id"))
+    state.batch_map[:] = data.draw(
+        st.lists(st.sampled_from([*participants, rank]), min_size=batch_size,
+                 max_size=batch_size), label="batch_map")
+    state.packets_received(state.batch_id).update(
+        data.draw(st.sets(st.integers(0, batch_size - 1)), label="held"))
+
+    expected = _responsibility_by_scan(state)
+    assert state.responsibility() == expected
+    assert all(type(index) is int for index in state.responsibility())
+    assert state.has_responsibility() == bool(expected)
 
 
 class TestCompletionThreshold:

@@ -171,6 +171,26 @@ def test_out_of_range_run_value_is_a_one_line_error(field, value, capsys, tmp_pa
     assert f"{field} must " in line
 
 
+@pytest.mark.parametrize("preset,override,message", [
+    # numpy's "high - low < 0" before; area=0 ran a mesh with every node on one point.
+    ("random_geometric_16", "topology.area=-1", "area must be positive"),
+    ("random_geometric_16", "topology.area=0", "area must be positive"),
+    # Ran no flow, printed an empty table and exited 0.
+    ("random_geometric_16", "workload.count=0", "count must be at least 1"),
+    ("multiflow_grid", "workload.flows_per_set=0", "flows_per_set must be at least 1"),
+    ("multiflow_grid", "workload.set_count=0", "set_count must be at least 1"),
+])
+def test_out_of_range_section_value_is_a_one_line_error(preset, override, message,
+                                                        capsys):
+    line = _one_line_error(capsys, "run", "--preset", preset, "--no-cache",
+                           "--set", override)
+    assert message in line
+    # Default worker count: the cells fail inside pool workers.
+    line = _one_line_error(capsys, "sweep", "--preset", preset, "--no-cache",
+                           "--axis", f"{override},7")
+    assert message in line
+
+
 def test_run_without_spec_or_preset_fails():
     proc = repro_cli("run")
     assert proc.returncode != 0
