@@ -5,13 +5,13 @@ PYTHON  ?= python
 WORKERS ?= 4
 ENV      = PYTHONPATH=src
 
-.PHONY: check lint analyze test test-engine test-coding golden bench \
-        docs-check sweep-smoke fault-smoke bench-smoke figures examples clean
+.PHONY: check lint analyze import-check test test-engine test-coding golden \
+        bench docs-check sweep-smoke fault-smoke bench-smoke figures examples clean
 
-# The pre-merge gate: lint, the static invariant analyzer, the golden-trace
-# tests (fail fast on a hot-path behaviour change), then the full tier-1
-# suite.
-check: lint analyze test-engine test
+# The pre-merge gate: lint, the static invariant analyzer, the import
+# budget, the golden-trace tests (fail fast on a hot-path behaviour change),
+# then the full tier-1 suite.
+check: lint analyze import-check test-engine test
 
 # Style/correctness lint: `ruff check` when ruff is installed, the
 # repro.analysis style rules (syntax, line length, trailing whitespace,
@@ -25,6 +25,14 @@ lint:
 # suppression syntax are catalogued in docs/invariants.md.
 analyze:
 	$(ENV) $(PYTHON) -m repro.analysis
+
+# The import budget: a fresh interpreter that imports the CLI, the runner,
+# the orchestrator and the scenario layer loads numpy and the stdlib only
+# (no scipy, no test tooling).  The twelve costliest imports are printed for
+# the log: cumulative microseconds, sorted.
+import-check:
+	$(ENV) $(PYTHON) -m pytest -q tests/test_cold_start.py
+	$(ENV) $(PYTHON) -X importtime -c "import repro.cli" 2>&1 | sort -t'|' -k2 -n | tail -12
 
 # Tier-1 verification: the full suite (tests/ + benchmarks/), fail-fast.
 test:

@@ -117,6 +117,7 @@ def test_forwarding_plan_on_testbed(benchmark, testbed):
 
 def test_min_cost_flow_lp(benchmark):
     """The reference LP of Section 5.3 on an 8-node mesh (prefix constraints)."""
+    pytest.importorskip("scipy")
     topo = random_mesh(8, density=0.5, seed=3)
     solution = benchmark.pedantic(
         solve_min_cost_flow, args=(topo, 7, 0), kwargs={"prefix_constraints_only": True},

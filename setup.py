@@ -25,7 +25,10 @@ setup(
         "numpy>=1.22",
     ],
     extras_require={
-        "test": ["pytest>=7", "pytest-benchmark", "hypothesis"],
+        # scipy is the solver behind the LP reference oracle
+        # (repro.metrics.lp.solve_min_cost_flow): tests/metrics/test_lp.py
+        # and examples/metric_analysis.py need it, no simulation does.
+        "test": ["pytest>=7", "pytest-benchmark", "hypothesis", "scipy"],
         # Static-analysis extras: `make analyze` runs the repro.analysis
         # rules with the stdlib alone, but enforces the strict-mypy
         # typed-core gate (and full-strength ruff linting) when these are

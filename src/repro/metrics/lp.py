@@ -15,7 +15,9 @@ The number of cost constraints is exponential in the node degree, which is
 why the paper's O(n^2) EOTX algorithms matter; this module implements the
 *reference* LP (full subset enumeration, independent losses) with
 :func:`scipy.optimize.linprog` so that tests can verify Proposition 4:
-``EOTX(source) == LP optimum``.
+``EOTX(source) == LP optimum``.  scipy is a test extra, imported by
+:func:`solve_min_cost_flow` alone: no simulation needs the solver, so
+importing this module (and all of ``repro``) loads no scipy.
 
 A polynomial-size variant, :func:`solve_min_cost_flow` with
 ``prefix_constraints_only=True``, keeps only the constraints on the
@@ -29,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.metrics.etx import DEFAULT_LINK_THRESHOLD
 from repro.metrics.eotx import eotx_dijkstra
@@ -92,7 +93,13 @@ def solve_min_cost_flow(topology: Topology, source: int, destination: int,
     Raises:
         ValueError: if the source cannot reach the destination, or subset
             enumeration would be too large.
+        ImportError: if scipy is not installed.
     """
+    try:
+        from scipy.optimize import linprog
+    except ImportError:
+        raise ImportError("the LP reference needs scipy: "
+                          "pip install more-repro[test]") from None
     if source == destination:
         raise ValueError("source and destination must differ")
     delivery = topology.delivery_matrix()

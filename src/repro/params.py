@@ -35,26 +35,31 @@ class SectionSpec:
         return cls(kind=data["kind"], params=dict(data.get("params", {})))
 
 
+def bad_parameter(section: str, kind: str, problem: object) -> ValueError:
+    """The error a rejected ``<section>.<param>`` value raises: the CLI prints
+    it as ``repro: error: bad parameter for <section> '<kind>': ...``, exit 2."""
+    return ValueError(f"bad parameter for {section} {kind!r}: {problem}")
+
+
 def call_with_params(section: str, kind: str, factory: Callable[..., T],
                      *args: Any, **params: Any) -> T:
     """``factory(*args, **params)``; a bad ``<section>.<param>`` is a one-line error.
 
     An unknown, missing or mistyped keyword raises ``TypeError`` in the
-    callee; it is re-raised as the ``ValueError`` the CLI prints as
-    ``repro: error: bad parameter for <section> '<kind>': ...``.
+    callee; it is re-raised as :func:`bad_parameter`'s ``ValueError``.
     """
     try:
         return factory(*args, **params)
     except TypeError as error:
-        raise ValueError(f"bad parameter for {section} {kind!r}: {error}") from None
+        raise bad_parameter(section, kind, error) from None
 
 
 def pop_count(spec: SectionSpec, params: dict[str, Any], name: str, default: int) -> int:
     """``params.pop(name, default)`` as an integer; fewer than one is a one-line error."""
     count = int(params.pop(name, default))
     if count < 1:
-        raise ValueError(f"bad parameter for {spec.label} {spec.kind!r}: {name} must "
-                         f"be at least 1, got {count}")
+        raise bad_parameter(spec.label, spec.kind,
+                            f"{name} must be at least 1, got {count}")
     return count
 
 

@@ -88,16 +88,16 @@ class CsmaMac:
         self._pending_handle = None
         self._inflight: Transmission | None = None
         self._finish_success = False
-        # Per-attempt contention windows and PHY timing constants, resolved
-        # once: the exponentiation in ``contention_window`` and the frozen
-        # dataclass field lookups would otherwise run on every backoff.
+        # Per-attempt contention windows and PHY timing constants, so that
+        # no backoff pays the exponentiation in ``contention_window`` or a
+        # frozen dataclass field lookup.  The table and the turnaround are
+        # derived once per ``PhyConfig`` and shared by every MAC built on it.
         phy = self.phy
-        self._windows = tuple(phy.contention_window(attempt)
-                              for attempt in range(phy.retry_limit + 2))
+        self._windows = phy.contention_windows
         self._window_count = len(self._windows)
         self._difs = phy.difs
         self._slot_time = phy.slot_time
-        self._turnaround = phy.sifs + phy.ack_airtime()
+        self._turnaround = phy.ack_turnaround
         self._draw_slots = simulator.rng.integers
         # (size_bytes, bitrate) -> airtime; flows reuse a handful of sizes.
         self._airtimes: dict[tuple[int, int], float] = {}

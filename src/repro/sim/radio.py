@@ -9,6 +9,7 @@ the absolute throughput scale of the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.sim.channels import ChannelSpec
 from repro.sim.faults import FaultSpec
@@ -74,6 +75,22 @@ class PhyConfig:
         """Contention window for the given (0-based) retry attempt."""
         window = (self.cw_min + 1) * (2 ** attempt) - 1
         return min(window, self.cw_max)
+
+    @cached_property
+    def contention_windows(self) -> tuple[int, ...]:
+        """:meth:`contention_window` of attempts ``0 .. retry_limit + 1``.
+
+        Derived on first use and shared by every MAC built on this
+        configuration (the instance is frozen, so the table cannot go stale).
+        """
+        return tuple(self.contention_window(attempt)
+                     for attempt in range(self.retry_limit + 2))
+
+    @cached_property
+    def ack_turnaround(self) -> float:
+        """SIFS plus the MAC ACK's airtime: how long a unicast sender holds
+        the medium for the acknowledgement.  Shared like the table above."""
+        return self.sifs + self.ack_airtime()
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.params import bad_parameter
 from repro.topology.graph import Topology
 
 #: Reference distance (m) at which delivery is essentially perfect.
@@ -74,6 +75,12 @@ def margin_to_delivery(margin_db, logistic_scale: float = _DELIVERY_LOGISTIC_SCA
     return np.where(probability < min_delivery, 0.0, probability)
 
 
+def _require(kind: str, holds: bool, problem: str) -> None:
+    """Reject an out-of-range parameter of generator ``kind`` in one line."""
+    if not holds:
+        raise bad_parameter("topology", kind, problem)
+
+
 def _row_delivery(distance: np.ndarray, floors_crossed: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Map one node's link distances (and floor separations) to delivery.
@@ -85,19 +92,22 @@ def _row_delivery(distance: np.ndarray, floors_crossed: np.ndarray,
 
     Each link takes one shadowing and one ambient-loss draw, scalar and in
     link order — a seed's topology depends on that stream — while the
-    propagation math runs once over the row.  Coincident nodes
-    (``distance <= 0``) deliver perfectly and take no draws.
+    propagation math runs once over the row.  The draws go through the
+    generator's argument-free entry points, at half the cost per call, and
+    are scaled over the row: ``0.0 + sigma * z`` and ``0.0 + a * u`` are what
+    ``normal(0.0, sigma)`` and ``uniform(0.0, a)`` compute, bit for bit.
+    Coincident nodes (``distance <= 0``) deliver perfectly and take no draws.
     """
     apart = distance > 0
-    normal, uniform = rng.normal, rng.uniform
-    draws = np.array([(normal(0.0, _SHADOWING_SIGMA_DB),
-                       uniform(0.0, _AMBIENT_LOSS_MAX))
-                      for _ in range(int(apart.sum()))]).reshape(-1, 2)
+    draws = np.array([draw() for draw in
+                      (rng.standard_normal, rng.random) * int(apart.sum())])
+    shadowing_db = 0.0 + _SHADOWING_SIGMA_DB * draws[0::2]
+    ambient_loss = 0.0 + _AMBIENT_LOSS_MAX * draws[1::2]
     margin_db = (path_loss_margin_db(distance[apart])
-                 - _FLOOR_PENALTY_DB * floors_crossed[apart] + draws[:, 0])
+                 - _FLOOR_PENALTY_DB * floors_crossed[apart] + shadowing_db)
     delivery = np.ones(distance.shape)
     delivery[apart] = margin_to_delivery(margin_db,
-                                         ambient_factor=1.0 - draws[:, 1])
+                                         ambient_factor=1.0 - ambient_loss)
     return delivery
 
 
@@ -137,6 +147,11 @@ def indoor_testbed(node_count: int = 20, floors: int = 3, floor_width: float = 9
     Returns:
         A connected :class:`Topology` with symmetric links and 3-D positions.
     """
+    _require("indoor_testbed", node_count >= 2,
+             f"node_count must be at least 2, got {node_count}")
+    _require("indoor_testbed", floors >= 1, f"floors must be at least 1, got {floors}")
+    for name, extent in (("floor_width", floor_width), ("floor_depth", floor_depth)):
+        _require("indoor_testbed", extent > 0, f"{name} must be positive, got {extent}")
     rng = np.random.default_rng(seed)
     positions: list[tuple[float, float, float]] = []
     per_floor = int(np.ceil(node_count / floors))
@@ -199,10 +214,9 @@ def random_geometric(node_count: int = 16, area: float = 120.0, seed: int = 0) -
     This is the outdoor-style counterpart of the indoor testbed and the
     topology family used by relay-count/rate studies of MORE.
     """
-    if node_count < 2:
-        raise ValueError("a mesh needs at least two nodes")
-    if not area > 0:
-        raise ValueError(f"area must be positive, got {area}")
+    _require("random_geometric", node_count >= 2,
+             f"node_count must be at least 2, got {node_count}")
+    _require("random_geometric", area > 0, f"area must be positive, got {area}")
     rng = np.random.default_rng(seed)
     positions = [(float(rng.uniform(0.0, area)), float(rng.uniform(0.0, area)), 0.0)
                  for _ in range(node_count)]
@@ -267,6 +281,8 @@ def diamond(source_to_relays: float = 0.5, relays_to_destination: float = 0.5,
 def grid(rows: int, cols: int, link_delivery: float = 0.7,
          diagonal_delivery: float = 0.3) -> Topology:
     """A rows x cols grid mesh with optional diagonal links."""
+    for name, size in (("rows", rows), ("cols", cols)):
+        _require("grid", size >= 1, f"{name} must be at least 1, got {size}")
     count = rows * cols
     delivery = np.zeros((count, count))
     positions = []

@@ -10,6 +10,8 @@ from repro.metrics.eotx import eotx_dijkstra
 from repro.metrics.lp import solve_min_cost_flow, verify_flow_conservation
 from repro.topology.generator import chain, diamond, random_mesh, two_hop_relay
 
+pytest.importorskip("scipy")  # a test extra: the solver behind the LP oracle
+
 
 class TestLpBasics:
     def test_single_link(self):

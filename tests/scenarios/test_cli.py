@@ -19,12 +19,16 @@ from repro.scenarios import ScenarioSpec, get_preset
 _SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def repro_cli(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+def _python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "repro", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env,
                           cwd=str(cwd) if cwd else None, timeout=300)
+
+
+def repro_cli(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    return _python("-m", "repro", *args, cwd=cwd)
 
 
 def test_list_names_every_figure_preset():
@@ -49,6 +53,21 @@ def test_run_preset_with_override(tmp_path):
     assert "[chain_smoke]" in proc.stdout
     assert "MORE" in proc.stdout
     assert not (tmp_path / "results").exists()  # --no-cache writes nothing
+
+
+@pytest.mark.parametrize("command", [
+    ("list",),
+    ("run", "--preset", "chain_smoke", "--no-cache"),
+    ("run", "--preset", "fig_5_1", "--no-cache"),  # the analytic path
+], ids=["list", "simulated", "analytic"])
+def test_cli_runs_without_scipy(command, tmp_path):
+    """numpy is the only runtime requirement: scipy (a test extra, the LP
+    oracle's solver) used to be imported by every command."""
+    masked = ("import sys; sys.modules['scipy'] = None; from repro.cli import main; "
+              "raise SystemExit(main(sys.argv[1:]))")
+    proc = _python("-c", masked, *command, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
 
 
 def test_run_unknown_preset_fails():
@@ -179,11 +198,24 @@ def test_out_of_range_run_value_is_a_one_line_error(field, value, capsys, tmp_pa
     ("random_geometric_16", "workload.count=0", "count must be at least 1"),
     ("multiflow_grid", "workload.flows_per_set=0", "flows_per_set must be at least 1"),
     ("multiflow_grid", "workload.set_count=0", "set_count must be at least 1"),
+    # A ZeroDivisionError traceback before.
+    ("fig_5_1", "topology.floors=0", "'indoor_testbed': floors must be at least 1"),
+    # Ran a testbed squeezed onto a line; numpy's "high - low < 0" for -2.
+    ("fig_5_1", "topology.floor_width=0", "floor_width must be positive"),
+    ("fig_5_1", "topology.floor_depth=-2", "floor_depth must be positive"),
+    # One node, or none, is no mesh: pair selection complained ("no reachable
+    # pairs with the requested hop count"), or numpy ("negative dimensions").
+    ("fig_5_1", "topology.node_count=1", "node_count must be at least 2"),
+    ("random_geometric_16", "topology.node_count=1",
+     "'random_geometric': node_count must be at least 2"),
+    ("grid_5x5", "topology.rows=0", "'grid': rows must be at least 1"),
+    ("grid_5x5", "topology.cols=-1", "cols must be at least 1"),
 ])
 def test_out_of_range_section_value_is_a_one_line_error(preset, override, message,
                                                         capsys):
     line = _one_line_error(capsys, "run", "--preset", preset, "--no-cache",
                            "--set", override)
+    assert "bad parameter for " in line
     assert message in line
     # Default worker count: the cells fail inside pool workers.
     line = _one_line_error(capsys, "sweep", "--preset", preset, "--no-cache",

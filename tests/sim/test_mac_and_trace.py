@@ -8,7 +8,7 @@ import pytest
 from repro.protocols.base import ProtocolAgent
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.mac import MacState
-from repro.sim.radio import SimConfig
+from repro.sim.radio import PhyConfig, SimConfig
 from repro.sim.simulator import Simulator
 from repro.sim.trace import FlowRecord, StatsCollector
 from repro.topology.graph import Topology
@@ -115,6 +115,38 @@ class TestMacUnicast:
         sim.run(until=5.0)
         assert sender.sent and sender.sent[0][1] is True
         assert sim.medium.transmissions >= 1
+
+
+class TestContentionWindows:
+    """The per-attempt window table is derived once per ``PhyConfig`` and
+    shared; a MAC on any configuration backs off as ``contention_window`` says."""
+
+    def test_backoff_draws_follow_contention_window(self):
+        phy = PhyConfig(cw_min=15, retry_limit=3)
+        matrix = np.array([[0, 0.0], [0.0, 0]])
+        sim = Simulator(Topology(matrix), SimConfig(phy=phy, seed=0))
+        mac = sim.nodes[0].mac
+        assert mac._windows == tuple(phy.contention_window(attempt)
+                                     for attempt in range(phy.retry_limit + 2))
+        assert mac._windows is sim.nodes[1].mac._windows
+        assert mac._turnaround == phy.sifs + phy.ack_airtime()
+
+        bounds = []
+        draw = mac._draw_slots
+        mac._draw_slots = lambda low, high: bounds.append((low, high)) or draw(low, high)
+        sender = ScriptedAgent(0, [data_frame(0, receiver=1)])
+        sim.attach_agent(0, sender)
+        sim.trigger_node(0)
+        sim.run(until=5.0)
+        # A dead link: one backoff per attempt, the window doubling from 15.
+        assert sender.sent[0][1] is False
+        assert bounds == [(0, 16), (0, 32), (0, 64), (0, 128)]
+
+        # Past the table (no ARQ gets there): computed, not indexed.
+        bounds.clear()
+        mac._attempt = len(mac._windows) + 4
+        mac._start_contention()
+        assert bounds == [(0, phy.contention_window(mac._attempt) + 1)] == [(0, 1024)]
 
 
 class TestCarrierSenseSerialization:

@@ -6,6 +6,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics.etx import best_path, etx_to_destination
 from repro.topology.generator import (
@@ -194,8 +196,12 @@ class TestGeneratorGoldens:
          "2d17bb12bc624221d2b8c1d11690e3a039c6db000937a9359f1fe1073cdaf9a4"),
         (lambda: random_geometric(200, 420.0, 11),
          "a2d37c996f6bdf97d6d5fa3476f3d99c14ac7b5202a817507091817ffcad2010"),
+        # The kilonode mesh, recorded before the draws moved to the
+        # generator's argument-free entry points.
+        (lambda: random_geometric(1000, 940.0, 21),
+         "2e4816b3555deea957cd9a2bf767f854a649839731ddc6e5fb3ed8924d9b88c8"),
     ], ids=["indoor_testbed_s7", "random_geometric_50_s1",
-            "random_geometric_200_s11"])
+            "random_geometric_200_s11", "random_geometric_1000_s21"])
     def test_seeded_topologies_are_pinned(self, build, expected):
         topology = build()
         assert _digest(topology.delivery_matrix(),
@@ -212,3 +218,51 @@ class TestGeneratorGoldens:
         # Nine apart pairs, two draws each: the stream sits where the
         # per-pair generator left it.
         assert rng.random() == 0.676689351831066
+
+
+def _pairwise_delivery_reference(positions, rng: np.random.Generator) -> np.ndarray:
+    """The loop ``_pairwise_delivery`` replaced, draw expression verbatim:
+    ``normal(0.0, sigma)`` / ``uniform(0.0, a)`` tuples, one pair per link."""
+    coords = np.asarray(positions, dtype=float)
+    x, y, z = coords[:, 0], coords[:, 1], coords[:, 2]
+    count = len(positions)
+    delivery = np.zeros((count, count), dtype=float)
+    normal, uniform = rng.normal, rng.uniform
+    for i in range(count - 1):
+        rest = slice(i + 1, count)
+        distance = np.hypot(x[i] - x[rest], y[i] - y[rest])
+        floors_crossed = np.rint(np.abs(z[i] - z[rest]) / 4.0)
+        apart = distance > 0
+        draws = np.array([(normal(0.0, generator._SHADOWING_SIGMA_DB),
+                           uniform(0.0, generator._AMBIENT_LOSS_MAX))
+                          for _ in range(int(apart.sum()))]).reshape(-1, 2)
+        margin_db = (generator.path_loss_margin_db(distance[apart])
+                     - generator._FLOOR_PENALTY_DB * floors_crossed[apart] + draws[:, 0])
+        row = np.ones(distance.shape)
+        row[apart] = generator.margin_to_delivery(margin_db,
+                                                  ambient_factor=1.0 - draws[:, 1])
+        delivery[i, rest] = row
+        delivery[rest, i] = row
+    return delivery
+
+
+#: Coordinates on a coarse lattice or anywhere on the floor: lattice points
+#: collide, so coincident nodes (which take no draws) turn up in most meshes.
+_coordinate = st.one_of(st.sampled_from([0.0, 30.0, 60.0]),
+                        st.floats(0.0, 90.0, allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda floors: st.lists(
+           st.tuples(_coordinate, _coordinate,
+                     st.integers(0, floors - 1).map(lambda floor: floor * 4.0)),
+           min_size=2, max_size=40)),
+       st.integers(0, 2**32 - 1))
+def test_pairwise_delivery_matches_the_per_pair_loop(positions, seed):
+    """Same bytes out, and the stream left where the loop left it — so
+    ``_ensure_connected``'s patch-link draws land where they did."""
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    delivery = generator._pairwise_delivery(positions, rng)
+    reference = _pairwise_delivery_reference(positions, reference_rng)
+    assert delivery.tobytes() == reference.tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
