@@ -88,7 +88,7 @@ def test_forwarder_recode_floor_vs_v4_baseline():
         for coded in packets[: K // 2]:
             forwarder.add_packet(coded)
         for _ in range(K // 2):
-            forwarder.next_packet()
+            forwarder.next_packet().payload  # built on first read: time it
 
     # Best of many short rounds: each is short enough for scheduler noise.
     gc.collect()

@@ -18,7 +18,12 @@ root:
    ``setup_more_flow(file_bytes=…)`` and compares ``decoded_bytes()``, and
    the only one where the coding and GF spans carry payload bytes) — three
    units plus the traced pass each; the result line must say ``correct``,
-   no failed operation and ``trace.missing`` = 0.
+   no failed operation and ``trace.missing`` = 0.  On ``coded_payload`` the
+   traced unit must also run fewer GF matrix products than it puts frames
+   on the air (``gf.matmul_calls < sim.frames``): a packet's 1500 bytes are
+   computed when a listener stores it, and most frames are stored by no
+   one, so a regression to one product per transmission is caught by
+   exact counts rather than by timing.
 
 Exit status 0 on success; any violated step raises.  The timings of a
 ``--quick`` run mean nothing and are not looked at.
@@ -51,6 +56,13 @@ def main() -> int:
             raise RuntimeError(f"bench: {workload}: correct={result['correct']}, "
                                f"{result['failed']} of {result['attempted']} operations "
                                f"failed, {missing:g} traced entry point(s) missing")
+        if workload == "coded_payload":
+            products = result["metrics"]["gf.matmul_calls"]["value"]
+            frames = result["metrics"]["sim.frames"]["value"]
+            if products >= frames:
+                raise RuntimeError(f"bench: {workload}: {products:g} GF matrix products "
+                                   f"for {frames:g} frames on the air: payloads are "
+                                   f"built per transmission, not per stored packet")
         print(f"bench-smoke: {workload} ok ({result['attempted']} operations, "
               f"every traced entry point resolved)")
     return 0

@@ -20,8 +20,11 @@ combination over the raw payloads admitted so far.  Inserts eliminate over
 the ``K x 2K`` combined matrix (code columns + transform columns) and stash
 the raw payload untouched; the reduced payload matrix is materialised
 lazily — one ``(rank, rank) @ (rank, S)`` product, cached until the next
-insert — when a decode or inspection actually needs the bytes (a pre-code
-never does: :meth:`BatchBuffer.combine_rows`).
+insert — when a decode or inspection actually needs the bytes.  A pre-code
+never does (:meth:`BatchBuffer.combine_rows` returns coefficients over the
+raw slots, and the packet coded from them builds its bytes only if a
+listener stores it), and neither does an arrival that turns out not to be
+innovative: ``add`` reads a packet's payload in its innovative branch only.
 Deferring the back-substitution this way is what turns per-packet payload
 elimination (two O(K * S) row passes per arrival) into a single batched
 product per rank advance/batch completion.  GF(2^8) arithmetic is exact,
@@ -42,9 +45,9 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.coding.packet import CodedPacket
+from repro.coding.packet import CodedPacket, PayloadRows
 from repro.gf.arithmetic import _zero_bytes, vec_scale
-from repro.gf.kernels import ShiftedRows, gf_matmul, gf_vecmat
+from repro.gf.kernels import gf_matmul, gf_vecmat
 from repro.gf.tables import INV, MUL
 
 
@@ -85,14 +88,14 @@ class BatchBuffer:
         width = 2 * batch_size if self._with_transform else batch_size
         self._ops = np.zeros((batch_size, width), dtype=np.uint8)
         self._matrix = self._ops[:, :batch_size]
-        self._raw = (np.zeros((batch_size, packet_size), dtype=np.uint8)
-                     if self._with_transform else None)
+        #: The admitted raw payloads, one slot per innovative arrival in
+        #: admission order (zero-width when no bytes are kept): the operand
+        #: of every packet re-coded from this buffer.  Slots are append-only
+        #: and a flush moves on to fresh ones, so a packet handed out
+        #: earlier can build its bytes from them at any later time.
+        self.raw = PayloadRows(np.zeros(
+            (batch_size, packet_size if self._with_transform else 0), dtype=np.uint8))
         self._payload_cache: np.ndarray | None = None
-        # The admitted raw payloads as a pre-code operand, created by the
-        # batch's first pre-code and kept until the batch is flushed: raw
-        # slots are append-only, so each pre-code only announces the rows
-        # admitted since the last one.
-        self._raw_operand: ShiftedRows | None = None
 
     @property
     def rank(self) -> int:
@@ -125,13 +128,11 @@ class BatchBuffer:
         # Deferred-transform insert: code vector + transform row only.
         batch_size = self.batch_size
         with_transform = self._with_transform
-        if self.track_payloads:
-            payload = packet.payload
-            if payload.shape[0] != self.packet_size:
-                raise ValueError(
-                    f"payload length {payload.shape[0]} does not match buffer "
-                    f"packet size {self.packet_size}"
-                )
+        if self.track_payloads and packet.size != self.packet_size:
+            raise ValueError(
+                f"payload length {packet.size} does not match buffer "
+                f"packet size {self.packet_size}"
+            )
         ops = self._ops
         slot = self._rank
         extended = np.zeros(ops.shape[1], dtype=np.uint8)
@@ -171,7 +172,8 @@ class BatchBuffer:
         self._rank += 1
         self.innovative += 1
         if with_transform:
-            self._raw[slot] = payload
+            # The one read of the packet's bytes on the receive path.
+            self.raw.matrix[slot] = packet.payload
         self._payload_cache = None
         return True
 
@@ -181,7 +183,7 @@ class BatchBuffer:
         Payload back-substitution is deferred across the entire event, so N
         inserts cost N code-vector eliminations and zero payload arithmetic
         — the payload matrix materialises once, on the first decode or
-        pre-code after the event.
+        inspection after the event.
         """
         return [self.add(packet) for packet in packets]
 
@@ -241,33 +243,34 @@ class BatchBuffer:
             return np.zeros((count, self.packet_size), dtype=np.uint8)
         batch_size = self.batch_size
         transform = self._ops[self._occupied, batch_size:batch_size + count]
-        return gf_matmul(transform, self._raw[:count])
+        return gf_matmul(transform, self.raw.matrix[:count])
 
     def combine_rows(self, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One linear combination over the stored rows, payloads left deferred.
+        """One linear combination over the stored rows, as a code vector and
+        a mix over the raw payload slots — no payload byte is touched.
 
-        The forwarder pre-code path: returns ``(code_vector, payload)`` for
-        ``coefficients @ rows`` without ever materialising the reduced
-        payload matrix.  The payload combination is re-associated through
-        the stored transform::
+        The forwarder pre-code path: ``coefficients @ [M | T]`` is one
+        product over the stored ``[code | transform]`` rows.  Its code half
+        is the combined code vector; its transform half ``c @ T`` is the
+        combined payload expressed over the raw slots :attr:`raw`, because
+        the reduced payloads are ``T @ R``::
 
             c @ (T @ R)  ==  (c @ T) @ R
 
-        which is exact in GF(2^8), so the bytes match the materialised path
-        bit for bit while costing ``O(r^2 + r*S)`` instead of the
-        ``O(r^2 * S)`` back-substitution (plus a full matrix copy) per
-        pre-code.  ``c @ [M | T]`` is one product over the stored
-        ``[code | transform]`` rows, and the raw payloads ``R`` are an
-        append-only operand (:class:`~repro.gf.kernels.ShiftedRows`): a
-        pre-code prepares only the rows admitted since the previous one.
+        which is exact in GF(2^8), so a packet that builds its bytes as
+        ``mix @ R`` gets the bytes of the materialised path bit for bit at
+        ``O(r^2 + r*S)`` instead of ``O(r^2 * S)`` — and one that is never
+        stored pays the ``O(r^2)`` alone.
 
         Args:
             coefficients: one combination coefficient per stored row, in
                 pivot-column order (the order of :meth:`coefficient_matrix`).
 
         Returns:
-            The combined code vector (length K) and payload (length S),
-            both freshly owned.
+            The combined code vector (length K) and the mix (one
+            coefficient per raw slot the buffer can hold, zero beyond the
+            slots filled so far; empty when no payload bytes are kept).
+            Both are views of one freshly owned row.
         """
         count = self._rank
         if count == 0:
@@ -276,18 +279,16 @@ class BatchBuffer:
             raise ValueError(
                 f"expected {count} combination coefficients, "
                 f"got {coefficients.shape[0]}")
-        if not self._with_transform:
-            return (gf_vecmat(coefficients, self._matrix[self._occupied]),
-                    np.zeros(self.packet_size, dtype=np.uint8))
         batch_size = self.batch_size
-        combined = gf_vecmat(coefficients,
-                             self._ops[self._occupied, :batch_size + count])
-        operand = self._raw_operand
-        if operand is None:
-            operand = self._raw_operand = ShiftedRows(self._raw, count)
+        if not self._with_transform:
+            row = gf_vecmat(coefficients, self._matrix[self._occupied])
         else:
-            operand.grow(count)
-        return combined[:batch_size], operand.vecmul(combined[batch_size:])
+            # Full width, so that later arrivals can be folded in at their
+            # slots; the product runs over the columns in use.
+            width = batch_size + count
+            row = np.zeros(2 * batch_size, dtype=np.uint8)
+            row[:width] = gf_vecmat(coefficients, self._ops[self._occupied, :width])
+        return row[:batch_size], row[batch_size:]
 
     def decode(self) -> np.ndarray:
         """Recover the K native payloads; requires a full-rank buffer.
@@ -314,9 +315,9 @@ class BatchBuffer:
     def clear(self) -> None:
         """Drop all stored state (used when a batch is flushed)."""
         self._ops[:] = 0
-        if self._raw is not None:
-            self._raw[:] = 0
+        # Fresh slots, not zeroed ones: packets handed out from this batch
+        # may still build their bytes from the old.
+        self.raw = self.raw.successor()
         self._payload_cache = None
-        self._raw_operand = None
         self._occupied[:] = False
         self._rank = 0

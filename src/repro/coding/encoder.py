@@ -18,13 +18,20 @@ Both encoders draw their combination coefficients through
 re-draws the (astronomically unlikely) all-zero vector so every transmitted
 packet carries information.
 
-Ownership invariant: a :class:`~repro.coding.packet.CodedPacket` handed out
-by ``next_packet`` / ``next_packets`` never aliases encoder-internal state —
-the arrays a packet carries were allocated for it and the encoder keeps no
-reference to them, so later ``add_packet`` calls (which update the
-pre-coded combination in place) cannot mutate a packet already given to
-the MAC layer.  The forwarder hands its pre-coded arrays over and drops its
-own references before re-coding.
+Ownership invariant, in its deferred form: ``next_packet`` hands out the
+code vector plus the *recipe* for the bytes — the sender's own
+:class:`~repro.coding.packet.PayloadRows` and one coefficient row over them
+— and the product runs when the packet's ``payload`` is first read (a
+packet nobody stores never runs it).  Whenever that is, the bytes equal the
+product taken at the hand-out: the code vector and the coefficient row were
+allocated for this packet and the encoder keeps no reference to them, the
+row covers the rows filled by then, filled rows never change (natives are
+fixed; a forwarder's raw slots are append-only), and a flush continues on
+fresh rows rather than zeroing the ones unread packets still point at.  So
+neither later ``add_packet`` calls, nor hand-outs, nor ``reset`` can reach a
+packet already given to the MAC layer.  Every sender derives bytes from what
+it holds — a forwarder from its raw slots, never from the source's natives
+— so a decoded file verifies the re-coding along the whole path.
 """
 
 from __future__ import annotations
@@ -32,13 +39,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.coding.buffer import BatchBuffer
-from repro.coding.packet import Batch, CodedPacket
+from repro.coding.packet import Batch, CodedPacket, PayloadRows
 from repro.gf.arithmetic import (
     random_code_vector,
     random_nonzero_coefficient,
     scale_and_add,
 )
-from repro.gf.kernels import ShiftedRows
 
 
 class SourceEncoder:
@@ -49,11 +55,9 @@ class SourceEncoder:
             raise ValueError("cannot encode an empty batch")
         self.batch = batch
         self.rng = rng
-        self._payloads = batch.payload_matrix()
-        # The batch payloads never change, so the coding operand is built
-        # once (on first use — sources hold encoders for future batches too)
-        # and every coded packet afterwards is a single XOR-reduce.
-        self._operand: ShiftedRows | None = None
+        # The batch payloads never change: every packet's bytes are one
+        # product against these rows, whenever it is asked for.
+        self._rows = PayloadRows(batch.payload_matrix())
         self.packets_generated = 0
 
     @property
@@ -61,20 +65,23 @@ class SourceEncoder:
         """K, the number of native packets coded over."""
         return self.batch.size
 
+    @property
+    def payloads_built(self) -> int:
+        """How many of the generated packets had their bytes computed."""
+        return self._rows.built
+
     def next_packet(self) -> CodedPacket:
         """Produce a fresh coded packet over all K native packets.
 
-        The single-packet form of :meth:`next_packets` (same draws, same
-        arithmetic), without the batch-matrix scaffolding: one code-vector
-        draw and one ``vector @ B`` kernel call per transmission.
+        One code-vector draw per transmission, exactly as
+        :meth:`next_packets` draws it; the ``vector @ B`` kernel call waits
+        for the first read of the packet's payload.
         """
-        if self._operand is None:
-            self._operand = ShiftedRows(self._payloads)
         coefficients = random_code_vector(self.batch.size, self.rng)
-        payload = self._operand.vecmul(coefficients)
         self.packets_generated += 1
-        return CodedPacket.from_owned(coefficients, payload,
-                                      batch_id=self.batch.batch_id)
+        # At the source the code vector is itself the row over the natives.
+        return CodedPacket.deferred(coefficients, self._rows, coefficients,
+                                    batch_id=self.batch.batch_id)
 
     def next_packets(self, count: int) -> list[CodedPacket]:
         """Produce ``count`` fresh coded packets with one batched kernel call.
@@ -82,16 +89,16 @@ class SourceEncoder:
         The coefficient rows are drawn exactly as ``count`` sequential
         :meth:`next_packet` calls would draw them (one vector per call, with
         the all-zero re-draw guard), so the two paths are bit-identical for
-        the same RNG state; only the payload arithmetic is batched.
+        the same RNG state.  This is the eager form — every payload is built
+        here, in one product — and the oracle deferred packets are tested
+        against.
         """
         if count <= 0:
             raise ValueError("count must be positive")
         coefficients = np.empty((count, self.batch_size), dtype=np.uint8)
         for i in range(count):
             coefficients[i] = random_code_vector(self.batch_size, self.rng)
-        if self._operand is None:
-            self._operand = ShiftedRows(self._payloads)
-        payloads = self._operand.matmul(coefficients)
+        payloads = self._rows.matmul(coefficients)
         self.packets_generated += count
         # Both matrices were allocated for this call alone, so the packets
         # can own their rows outright — no defensive copy needed.
@@ -108,6 +115,10 @@ class ForwarderEncoder:
     The encoder owns a :class:`BatchBuffer`.  ``add_packet`` inserts a heard
     packet; if it is innovative it is also folded into the pre-coded packet
     so the next transmission reflects everything the node knows.
+
+    The pre-coded packet is kept as the one ``[code | mix]`` row
+    :meth:`BatchBuffer.combine_rows` produces: its code vector, and its
+    bytes as coefficients over the buffer's raw payload slots.
     """
 
     def __init__(self, batch_size: int, packet_size: int, rng: np.random.Generator,
@@ -116,7 +127,7 @@ class ForwarderEncoder:
         self.rng = rng
         self.batch_id = batch_id
         self._precoded_vector: np.ndarray | None = None
-        self._precoded_payload: np.ndarray | None = None
+        self._precoded_mix: np.ndarray | None = None
         self.packets_generated = 0
 
     @property
@@ -124,22 +135,31 @@ class ForwarderEncoder:
         """Number of innovative packets buffered."""
         return self.buffer.rank
 
+    @property
+    def payloads_built(self) -> int:
+        """How many of the generated packets had their bytes computed."""
+        return self.buffer.raw.built
+
     def add_packet(self, packet: CodedPacket) -> bool:
         """Insert a heard packet; returns True iff it was innovative.
 
         Innovative arrivals are multiplied by a fresh random coefficient and
         added to the pre-coded packet (Section 3.2.3(c)), keeping it current
-        without recomputing the whole combination.
+        without recomputing the whole combination: the arrival's bytes sit
+        untouched in the raw slot it was just given, so folding them in is
+        writing the coefficient at that slot of the mix.
         """
         innovative = self.buffer.add(packet)
         if innovative:
-            if self._precoded_vector is None:
+            vector, mix = self._precoded_vector, self._precoded_mix
+            if vector is None or mix is None:
                 self._start_precode()
             else:
                 coefficient = random_nonzero_coefficient(self.rng)
-                scale_and_add(self._precoded_vector, packet.code_vector, coefficient)
-                scale_and_add(self._precoded_payload, packet.payload, coefficient)
-                if not self._precoded_vector.any():
+                scale_and_add(vector, packet.code_vector, coefficient)
+                if mix.shape[0]:
+                    mix[self.buffer.rank - 1] ^= coefficient
+                if not vector.any():
                     # Degenerate fold: cannot happen when the arrival was
                     # genuinely innovative (an independent vector never
                     # cancels the stored combination), but re-code from the
@@ -152,18 +172,16 @@ class ForwarderEncoder:
 
         One combination vector is drawn over the buffered rows (with the
         shared all-zero re-draw guard) and applied as a single ``(1, r) @
-        (r, K)`` kernel product.  The buffered rows are linearly
+        (r, K + r)`` kernel product.  The buffered rows are linearly
         independent, so any non-zero combination yields a non-zero code
         vector.
         """
         if self.buffer.rank == 0:
             self._precoded_vector = None
-            self._precoded_payload = None
+            self._precoded_mix = None
             return
         coefficients = random_code_vector(self.buffer.rank, self.rng)
-        # Combine through the deferred transform without materialising (and
-        # copying) the reduced payload matrix.
-        self._precoded_vector, self._precoded_payload = \
+        self._precoded_vector, self._precoded_mix = \
             self.buffer.combine_rows(coefficients)
 
     def has_data(self) -> bool:
@@ -176,18 +194,21 @@ class ForwarderEncoder:
         Raises:
             RuntimeError: if no innovative packet has been buffered yet.
         """
-        if self._precoded_vector is None or self._precoded_payload is None:
+        if self._precoded_vector is None or self._precoded_mix is None:
             self._start_precode()
-        if self._precoded_vector is None or self._precoded_payload is None:
+        if self._precoded_vector is None or self._precoded_mix is None:
             raise RuntimeError("forwarder has no buffered packets to code over")
-        # The pre-coded arrays were allocated by ``combine_rows`` for this
-        # packet alone; the packet takes them and the encoder drops its
+        # The pre-coded row was allocated by ``combine_rows`` for this
+        # packet alone; the packet takes it and the encoder drops its
         # references, so nothing it does afterwards (add_packet folds,
-        # re-coding) can alias the packet now owned by the caller.
-        packet = CodedPacket.from_owned(self._precoded_vector, self._precoded_payload,
-                                        batch_id=self.batch_id)
+        # re-coding) can alias the packet now owned by the caller.  The mix
+        # is cut to the raw slots filled so far: what the packet's bytes are
+        # made of, whatever the buffer admits before they are read.
+        packet = CodedPacket.deferred(self._precoded_vector, self.buffer.raw,
+                                      self._precoded_mix[:self.buffer.rank],
+                                      batch_id=self.batch_id)
         self._precoded_vector = None
-        self._precoded_payload = None
+        self._precoded_mix = None
         self.packets_generated += 1
         # As soon as the transmission starts, pre-code the next packet
         # (Section 3.3.3, sender side).
@@ -198,6 +219,6 @@ class ForwarderEncoder:
         """Flush buffered packets (batch acked or superseded)."""
         self.buffer.clear()
         self._precoded_vector = None
-        self._precoded_payload = None
+        self._precoded_mix = None
         if batch_id is not None:
             self.batch_id = batch_id

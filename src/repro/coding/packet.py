@@ -3,7 +3,9 @@
 MORE distinguishes *native* packets (the K uncoded packets of a batch) from
 *coded* packets (random linear combinations of natives, Table 3.1).  A coded
 packet carries a *code vector* of K coefficients describing how it was
-derived from the natives, plus the combined payload bytes.
+derived from the natives, plus the combined payload bytes — computed when
+they are first read (:class:`PayloadRows`), because most packets put on the
+air are never stored by anyone.
 
 Payloads are numpy ``uint8`` vectors; every byte is one GF(2^8) element.
 """
@@ -13,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.gf.kernels import ShiftedRows
 
 #: Default packet payload size used throughout the evaluation (Section 4.1.2).
 DEFAULT_PACKET_SIZE = 1500
@@ -58,27 +62,103 @@ class NativePacket:
         return self.payload.tobytes()
 
 
-@dataclass(frozen=True)
+class PayloadRows:
+    """The payload rows a sender holds, as the operand of its packets' bytes.
+
+    A source holds the K native payloads of a batch; a forwarder holds the
+    raw payloads of its innovative arrivals, one slot per arrival in
+    admission order.  Rows are append-only: a filled row never changes, and
+    a sender that starts over (a flushed batch) continues on a
+    :meth:`successor` with a fresh matrix, so a product over the first ``n``
+    rows means the same bytes whenever it is asked for.
+
+    Nothing is built until a product is: the
+    :class:`~repro.gf.kernels.ShiftedRows` operand is created by the first
+    one and grown to the rows each later one reaches.
+    """
+
+    __slots__ = ("matrix", "_operand", "_built")
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
+        self._operand: ShiftedRows | None = None
+        # One count per sender, shared along the chain of successors.
+        self._built = [0]
+
+    @property
+    def built(self) -> int:
+        """Payloads computed from this sender's rows so far."""
+        return self._built[0]
+
+    def successor(self) -> "PayloadRows":
+        """Empty rows of the same shape for the sender's next batch.
+
+        This object stays as the packets handed out before the flush know
+        it; only the count of built payloads carries over.
+        """
+        rows = PayloadRows(np.zeros_like(self.matrix))
+        rows._built = self._built
+        return rows
+
+    def _over(self, count: int) -> ShiftedRows:
+        """The operand, covering at least the first ``count`` rows."""
+        operand = self._operand
+        if operand is None:
+            operand = self._operand = ShiftedRows(self.matrix, count)
+        elif operand.k < count:
+            operand.grow(count)
+        return operand
+
+    def combine(self, row: np.ndarray) -> np.ndarray:
+        """``row @ matrix[:len(row)]``: the bytes of one coded packet."""
+        count = row.shape[0]
+        operand = self._over(count)
+        if operand.k > count:
+            # A late read: the rows filled since carry coefficient zero.
+            padded = np.zeros(operand.k, dtype=np.uint8)
+            padded[:count] = row
+            row = padded
+        self._built[0] += 1
+        return operand.vecmul(row)
+
+    def matmul(self, coefficients: np.ndarray) -> np.ndarray:
+        """``coefficients @ matrix``, one payload per coefficient row."""
+        self._built[0] += coefficients.shape[0]
+        return self._over(self.matrix.shape[0]).matmul(coefficients)
+
+
 class CodedPacket:
     """A random linear combination of the native packets of one batch.
 
+    The payload bytes are a read-on-demand property.  A packet built by the
+    constructor or :meth:`from_owned` has them from the start; one built by
+    :meth:`deferred` carries the recipe instead — its sender's
+    :class:`PayloadRows` and one coefficient row over them — and runs the
+    product on the first read of :attr:`payload`, after which it owns the
+    bytes and forgets the recipe.  A packet nobody stores (a non-innovative
+    or unheard transmission) never runs it; :attr:`size` does not read.
+
+    Packets compare and hash by identity: two packets are the same packet,
+    not merely equal bytes.
+
     Attributes:
-        batch_size: K, the number of native packets in the batch.
         code_vector: length-K uint8 vector of combination coefficients.
         payload: combined payload bytes.
         batch_id: identifier of the batch this packet belongs to.
     """
 
-    code_vector: np.ndarray
-    payload: np.ndarray
-    batch_id: int = 0
+    __slots__ = ("code_vector", "batch_id", "_payload", "_rows", "_row")
 
-    def __post_init__(self) -> None:
-        vector = np.asarray(self.code_vector, dtype=np.uint8)
+    def __init__(self, code_vector: np.ndarray,
+                 payload: np.ndarray | bytes | bytearray, batch_id: int = 0) -> None:
+        vector = np.asarray(code_vector, dtype=np.uint8)
         if vector.ndim != 1:
             raise ValueError("code vector must be 1-D")
-        object.__setattr__(self, "code_vector", vector.copy())
-        object.__setattr__(self, "payload", _as_payload(self.payload))
+        self.code_vector = vector.copy()
+        self.batch_id = batch_id
+        self._payload: np.ndarray | None = _as_payload(payload)
+        self._rows: PayloadRows | None = None
+        self._row: np.ndarray | None = None
 
     @classmethod
     def from_owned(cls, code_vector: np.ndarray, payload: np.ndarray,
@@ -87,17 +167,46 @@ class CodedPacket:
 
         The caller transfers ownership: both arrays must be uint8, 1-D and
         referenced by nothing that will mutate them afterwards.  Encoders
-        use this on the batched fast path where the arrays are slices of a
+        use this on the batched path where the arrays are slices of a
         matrix allocated for this call alone; external callers should use
         the normal constructor, which copies.
         """
         assert code_vector.dtype == np.uint8 and code_vector.ndim == 1
         assert payload.dtype == np.uint8 and payload.ndim == 1
-        packet = object.__new__(cls)
-        object.__setattr__(packet, "code_vector", code_vector)
-        object.__setattr__(packet, "payload", payload)
-        object.__setattr__(packet, "batch_id", batch_id)
+        packet = cls.__new__(cls)
+        packet.code_vector = code_vector
+        packet.batch_id = batch_id
+        packet._payload = payload
+        packet._rows = packet._row = None
         return packet
+
+    @classmethod
+    def deferred(cls, code_vector: np.ndarray, rows: PayloadRows, row: np.ndarray,
+                 batch_id: int = 0) -> "CodedPacket":
+        """A packet whose bytes are ``row @ rows.matrix[:len(row)]``, unbuilt.
+
+        The caller transfers ownership of ``code_vector`` and ``row`` (both
+        uint8, 1-D) as for :meth:`from_owned`; ``rows`` stays the sender's,
+        which only ever appends to it.
+        """
+        assert code_vector.dtype == np.uint8 and code_vector.ndim == 1
+        assert row.dtype == np.uint8 and row.ndim == 1
+        packet = cls.__new__(cls)
+        packet.code_vector = code_vector
+        packet.batch_id = batch_id
+        packet._payload = None
+        packet._rows = rows
+        packet._row = row
+        return packet
+
+    @property
+    def payload(self) -> np.ndarray:
+        """Combined payload bytes (computed, once, by the first read)."""
+        payload = self._payload
+        if payload is None:
+            payload = self._payload = self._rows.combine(self._row)
+            self._rows = self._row = None
+        return payload
 
     @property
     def batch_size(self) -> int:
@@ -106,20 +215,20 @@ class CodedPacket:
 
     @property
     def size(self) -> int:
-        """Payload length in bytes."""
-        return int(self.payload.shape[0])
+        """Payload length in bytes (known without building the payload)."""
+        payload = self._payload
+        if payload is None:
+            return int(self._rows.matrix.shape[1])
+        return int(payload.shape[0])
 
     def is_zero(self) -> bool:
         """True if the code vector is all zeros (carries no information)."""
         return not bool(self.code_vector.any())
 
     def copy(self) -> "CodedPacket":
-        """Return an independent copy of this packet."""
-        return CodedPacket(
-            code_vector=self.code_vector.copy(),
-            payload=self.payload.copy(),
-            batch_id=self.batch_id,
-        )
+        """Return an independent copy of this packet (its bytes built)."""
+        # The constructor copies both arrays.
+        return CodedPacket(self.code_vector, self.payload, self.batch_id)
 
 
 @dataclass

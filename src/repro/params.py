@@ -79,7 +79,9 @@ def build_model(section: str, spec: SectionSpec | None,
     ``models`` (``"none"``): the section's no-model kind, which takes no
     parameters.  ``seed`` (normally the cell seed) drives the model's private
     RNG stream unless the spec params pin their own ``seed`` — the same
-    convention the workload builders use.
+    convention the workload builders use.  A parameter the model's constructor
+    rejects — unknown, mistyped (``TypeError``) or out of range, NaN included
+    (its own ``ValueError``) — is re-raised as :func:`bad_parameter`'s error.
     """
     if spec is None:
         return None
@@ -90,4 +92,7 @@ def build_model(section: str, spec: SectionSpec | None,
         return None
     params = dict(spec.params)
     params.setdefault("seed", int(seed))
-    return call_with_params(section, spec.kind, models[spec.kind], **params)
+    try:
+        return models[spec.kind](**params)
+    except (TypeError, ValueError) as error:
+        raise bad_parameter(section, spec.kind, error) from None

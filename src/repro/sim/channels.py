@@ -182,10 +182,11 @@ class GilbertElliott(ChannelModel):
                  bad_scale: float = 0.2, mean_good_time: float = 1.0,
                  mean_bad_time: float = 0.1) -> None:
         super().__init__(seed)
-        if mean_good_time <= 0 or mean_bad_time <= 0:
+        if not (mean_good_time > 0 and mean_bad_time > 0):
             raise ValueError("state sojourn times must be positive")
-        if not (0.0 <= bad_scale <= good_scale):
-            raise ValueError("need 0 <= bad_scale <= good_scale")
+        if not (0.0 <= bad_scale <= good_scale <= 1.0):
+            # A multiplier above one would push a delivery probability past 1.
+            raise ValueError("need 0 <= bad_scale <= good_scale <= 1")
         self.good_scale = float(good_scale)
         self.bad_scale = float(bad_scale)
         self.mean_good_time = float(mean_good_time)
@@ -297,8 +298,16 @@ class DistanceFading(ChannelModel):
                  logistic_scale: float = _propagation._DELIVERY_LOGISTIC_SCALE,
                  max_delivery: float = _propagation._MAX_DELIVERY) -> None:
         super().__init__(seed)
-        if coherence_time <= 0:
-            raise ValueError("coherence_time must be positive")
+        for name, value in (("coherence_time", coherence_time),
+                            ("reference_distance", reference_distance),
+                            ("path_loss_exponent", path_loss_exponent),
+                            ("logistic_scale", logistic_scale)):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive")
+        if not shadowing_sigma_db >= 0:
+            raise ValueError("shadowing_sigma_db must be non-negative")
+        if not 0 < max_delivery <= 1:
+            raise ValueError("max_delivery must be in (0, 1]")
         self.coherence_time = float(coherence_time)
         self.reference_distance = float(reference_distance)
         self.path_loss_exponent = float(path_loss_exponent)
@@ -395,7 +404,7 @@ class TraceDriven(ChannelModel):
                  path: str | None = None, interval: float = 1.0,
                  wrap: bool = True) -> None:
         super().__init__(seed)
-        if interval <= 0:
+        if not interval > 0:
             raise ValueError("trace interval must be positive")
         self.interval = float(interval)
         self.wrap = bool(wrap)

@@ -175,7 +175,7 @@ class CrashRecover(FaultModel):
         super().__init__(seed)
         self.mean_uptime = float(mean_uptime)
         self.mean_downtime = float(mean_downtime)
-        if self.mean_uptime <= 0.0 or self.mean_downtime <= 0.0:
+        if not (self.mean_uptime > 0.0 and self.mean_downtime > 0.0):
             raise ValueError("crash_recover holding-time means must be positive")
         self._nodes = None if nodes is None else frozenset(int(n) for n in nodes)
         self._protect = frozenset(int(n) for n in protect)
@@ -239,11 +239,11 @@ class AckBlackout(FaultModel):
         self.period = float(period)
         self.duration = float(duration)
         self.offset = float(offset)
-        if self.period <= 0.0:
+        if not self.period > 0.0:
             raise ValueError("ack_blackout period must be positive")
         if not 0.0 < self.duration <= self.period:
             raise ValueError("ack_blackout duration must be in (0, period]")
-        if self.offset < 0.0:
+        if not self.offset >= 0.0:
             raise ValueError("ack_blackout offset must be non-negative")
 
     def ack_blackout(self, now: float) -> bool:
@@ -268,7 +268,7 @@ class ControlSilence(FaultModel):
         super().__init__(seed)
         self._silent = frozenset(int(n) for n in nodes)
         self.start = float(start)
-        if self.start < 0.0:
+        if not self.start >= 0.0:
             raise ValueError("control_silence start must be non-negative")
 
     def control_silent_nodes(self, now: float) -> frozenset[int]:

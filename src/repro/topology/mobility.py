@@ -86,7 +86,7 @@ class MobilityModel:
     kind = "none"
 
     def __init__(self, seed: int = 0, epoch_length: float = 1.0) -> None:
-        if epoch_length <= 0:
+        if not epoch_length > 0:
             raise ValueError("epoch_length must be positive")
         self.seed = int(seed)
         self.epoch_length = float(epoch_length)
@@ -144,7 +144,7 @@ class _PositionMobility(MobilityModel):
     def __init__(self, seed: int = 0, epoch_length: float = 1.0,
                  area: float | None = None) -> None:
         super().__init__(seed, epoch_length)
-        if area is not None and area <= 0:
+        if area is not None and not area > 0:
             raise ValueError("area must be positive")
         self.area = None if area is None else float(area)
         self._delivery_epoch = -1
@@ -220,7 +220,7 @@ class RandomWaypoint(_PositionMobility):
         super().__init__(seed, epoch_length, area)
         if not 0 < speed_min <= speed_max:
             raise ValueError("need 0 < speed_min <= speed_max")
-        if pause_time < 0:
+        if not pause_time >= 0:
             raise ValueError("pause_time must be non-negative")
         self.speed_min = float(speed_min)
         self.speed_max = float(speed_max)
@@ -353,7 +353,7 @@ class MarkovLinkChurn(MobilityModel):
                  mean_up_time: float = 5.0, mean_down_time: float = 1.0,
                  down_scale: float = 0.0, symmetric: bool = True) -> None:
         super().__init__(seed, epoch_length)
-        if mean_up_time <= 0 or mean_down_time <= 0:
+        if not (mean_up_time > 0 and mean_down_time > 0):
             raise ValueError("state sojourn times must be positive")
         if not 0.0 <= down_scale <= 1.0:
             raise ValueError("down_scale must lie in [0, 1]")

@@ -1,15 +1,23 @@
-"""The forwarder's append-only payload operand must not be observable.
+"""Neither the append-only operand nor the deferred product may be observable.
 
-:class:`~repro.coding.buffer.BatchBuffer` keeps one
-:class:`~repro.gf.kernels.ShiftedRows` over its raw payload slots for the
-life of a batch and announces only the rows admitted since the last
-pre-code.  Every code vector and payload byte a forwarder hands out must
-equal what the two references produce under any interleaving of inserts,
-combinations, hand-outs, inspections and flushes:
+A :class:`~repro.coding.buffer.BatchBuffer` keeps its raw payload slots as
+one :class:`~repro.coding.packet.PayloadRows` for the life of a batch; the
+packets a forwarder hands out carry coefficients over those slots and build
+their bytes when first read, growing the operand by the rows admitted since
+the last product.  Every code vector and payload byte must equal what the
+eager references produce under any interleaving of inserts, combinations,
+hand-outs, inspections, flushes *and reads* — a packet first read after
+later arrivals, after later hand-outs, after its sender flushed the batch
+or never before the very end carries the bytes it would have been given at
+the hand-out:
 
-* :class:`RebuildingBatchBuffer` — ``combine_rows`` as it was when ``add``
-  dropped the operand and the next pre-code rebuilt it over all admitted
-  rows (verbatim), driven by the same random draws;
+* :class:`EagerForwarder` over :class:`RebuildingBatchBuffer` — the
+  forwarder as it was when every pre-code built its bytes, every innovative
+  arrival folded its bytes in with ``scale_and_add`` and ``add`` dropped the
+  operand for the next pre-code to rebuild over all admitted rows
+  (verbatim), driven by the same random draws;
+* ``SourceEncoder.next_packets`` — the eager batched source, for the
+  deferred single-packet form;
 * ``ScalarBatchBuffer`` — the per-row Python-loop Gauss–Jordan, plus scalar
   ``scale_and_add`` loops over its rows / over the native payloads.
 """
@@ -25,12 +33,19 @@ from test_vectorized_differential import ScalarBatchBuffer
 from repro.coding.buffer import BatchBuffer
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder
 from repro.coding.packet import CodedPacket, make_batch
-from repro.gf.arithmetic import scale_and_add
+from repro.gf.arithmetic import (
+    random_code_vector,
+    random_nonzero_coefficient,
+    scale_and_add,
+)
 from repro.gf.kernels import ShiftedRows, gf_vecmat
 
 
 class RebuildingBatchBuffer(BatchBuffer):
-    """A buffer whose every insert discards the pre-code operand."""
+    """A buffer that combines bytes at once, from an operand every insert
+    discards."""
+
+    _raw_operand: ShiftedRows | None = None
 
     def add(self, packet: CodedPacket) -> bool:
         innovative = super().add(packet)
@@ -38,14 +53,8 @@ class RebuildingBatchBuffer(BatchBuffer):
             self._raw_operand = None
         return innovative
 
-    def combine_rows(self, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def combine_eagerly(self, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         count = self._rank
-        if count == 0:
-            raise RuntimeError("cannot combine over an empty buffer")
-        if coefficients.shape[0] != count:
-            raise ValueError(
-                f"expected {count} combination coefficients, "
-                f"got {coefficients.shape[0]}")
         vector = gf_vecmat(coefficients, self._matrix[self._occupied])
         if not self._with_transform:
             payload = np.zeros(self.packet_size, dtype=np.uint8)
@@ -57,16 +66,44 @@ class RebuildingBatchBuffer(BatchBuffer):
                 coefficients,
                 self._ops[self._occupied, batch_size:batch_size + count])
             if self._raw_operand is None:
-                self._raw_operand = ShiftedRows(self._raw[:count])
+                self._raw_operand = ShiftedRows(self.raw.matrix[:count])
             payload = self._raw_operand.vecmul(reduced)
         return vector, payload
 
 
-def _rebuilding_forwarder(batch_size: int, packet_size: int,
-                          rng: np.random.Generator) -> ForwarderEncoder:
-    forwarder = ForwarderEncoder(batch_size, packet_size, rng)
-    forwarder.buffer = RebuildingBatchBuffer(batch_size, packet_size)
-    return forwarder
+class EagerForwarder:
+    """``ForwarderEncoder`` before payloads were deferred, draw for draw."""
+
+    def __init__(self, batch_size: int, packet_size: int, rng: np.random.Generator,
+                 batch_id: int = 0) -> None:
+        self.buffer = RebuildingBatchBuffer(batch_size, packet_size)
+        self.rng = rng
+        self.batch_id = batch_id
+        self._vector: np.ndarray | None = None
+        self._payload: np.ndarray | None = None
+
+    def add_packet(self, packet: CodedPacket) -> bool:
+        innovative = self.buffer.add(packet)
+        if innovative:
+            if self._vector is None:
+                self._start_precode()
+            else:
+                coefficient = random_nonzero_coefficient(self.rng)
+                scale_and_add(self._vector, packet.code_vector, coefficient)
+                scale_and_add(self._payload, packet.payload, coefficient)
+        return innovative
+
+    def _start_precode(self) -> None:
+        coefficients = random_code_vector(self.buffer.rank, self.rng)
+        self._vector, self._payload = self.buffer.combine_eagerly(coefficients)
+
+    def next_packet(self) -> CodedPacket:
+        if self._vector is None:
+            self._start_precode()
+        packet = CodedPacket.from_owned(self._vector, self._payload,
+                                        batch_id=self.batch_id)
+        self._start_precode()
+        return packet
 
 
 def _scalar_combination(coefficients: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -78,12 +115,13 @@ def _scalar_combination(coefficients: np.ndarray, rows: np.ndarray) -> np.ndarra
 
 def _assert_same_packet(actual: CodedPacket, expected: CodedPacket) -> None:
     assert actual.code_vector.tobytes() == expected.code_vector.tobytes()
+    assert actual.size == expected.size
     assert actual.payload.tobytes() == expected.payload.tobytes()
     assert actual.batch_id == expected.batch_id
 
 
 OPERATIONS = ("add", "add", "add", "duplicate", "next_packet", "next_packet",
-              "combine", "payload_matrix", "reset")
+              "read", "combine", "payload_matrix", "reset")
 
 
 @given(batch_size=st.integers(1, 10), packet_size=st.sampled_from([0, 1, 16, 65, 1500]),
@@ -95,47 +133,68 @@ def test_any_interleaving_matches_both_references(batch_size, packet_size, seed,
     source_rng = np.random.default_rng(seed)
     reference_rng = np.random.default_rng((seed, 1))
     forwarder = ForwarderEncoder(batch_size, packet_size, np.random.default_rng((seed, 1)))
-    rebuilding = _rebuilding_forwarder(batch_size, packet_size, reference_rng)
-    handed_out: list[tuple[CodedPacket, bytes, bytes]] = []
+    eager = EagerForwarder(batch_size, packet_size, reference_rng)
+    #: Every deferred packet handed out, with its sender, the packet an
+    #: eager sender built at that moment and ``code_vector @ natives``.
+    handed_out: list[tuple[CodedPacket, object, CodedPacket, bytes]] = []
+    unread: list[tuple[CodedPacket, object]] = []
+    sources: list[SourceEncoder] = []
+    combined = 0
 
-    def new_batch() -> tuple[np.ndarray, SourceEncoder, ScalarBatchBuffer]:
+    def new_batch() -> tuple[np.ndarray, SourceEncoder, SourceEncoder, ScalarBatchBuffer]:
         batch = make_batch(batch_size, packet_size, rng=source_rng)
-        return (batch.payload_matrix(), SourceEncoder(batch, source_rng),
+        draws = (seed, 2, len(sources))
+        sources.append(SourceEncoder(batch, np.random.default_rng(draws)))
+        return (batch.payload_matrix(), sources[-1],
+                SourceEncoder(batch, np.random.default_rng(draws)),
                 ScalarBatchBuffer(batch_size, packet_size))
 
-    natives, source, scalar = new_batch()
+    def hand_out(packet: CodedPacket, sender: object, expected: CodedPacket) -> None:
+        assert packet.code_vector.any()
+        for other, _, _, _ in handed_out:
+            assert not np.shares_memory(packet.code_vector, other.code_vector)
+        handed_out.append((packet, sender, expected, _scalar_combination(
+            packet.code_vector, natives).tobytes()))
+        unread.append((packet, sender))
+
+    def built_by(sender: object) -> int:
+        return (sum(1 for _, other, _, _ in handed_out if other is sender)
+                - sum(1 for _, other in unread if other is sender))
+
+    natives, source, oracle, scalar = new_batch()
     last: CodedPacket | None = None
     for operation in operations:
         if operation in ("add", "duplicate"):
             if operation == "add" or last is None:
-                last = source.next_packet()
+                # The deferred packet stays unread; the forwarders are fed
+                # its eager twin.
+                last = oracle.next_packets(1)[0]
+                hand_out(source.next_packet(), source, last)
             verdict = scalar.add(last.copy())
             assert forwarder.add_packet(last.copy()) == verdict
-            assert rebuilding.add_packet(last.copy()) == verdict
+            assert eager.add_packet(last.copy()) == verdict
             assert forwarder.rank == scalar.rank
         elif operation == "next_packet":
             if not forwarder.has_data():
                 with pytest.raises(RuntimeError):
                     forwarder.next_packet()
                 continue
-            packet = forwarder.next_packet()
-            _assert_same_packet(packet, rebuilding.next_packet())
-            assert packet.code_vector.any()
-            assert packet.payload.tobytes() == \
-                _scalar_combination(packet.code_vector, natives).tobytes()
-            for other, _, _ in handed_out:
-                assert not np.shares_memory(packet.code_vector, other.code_vector)
-                assert not np.shares_memory(packet.payload, other.payload)
-            handed_out.append((packet, packet.code_vector.tobytes(),
-                               packet.payload.tobytes()))
+            hand_out(forwarder.next_packet(), forwarder, eager.next_packet())
+        elif operation == "read":
+            for packet, _ in unread:
+                assert packet.payload.shape == (packet_size,)
+            unread.clear()
         elif operation == "combine":
             if not forwarder.has_data():
                 continue
             coefficients = source_rng.integers(0, 256, forwarder.rank, dtype=np.uint8)
-            vector, payload = forwarder.buffer.combine_rows(coefficients)
-            expected_vector, expected_payload = rebuilding.buffer.combine_rows(coefficients)
+            vector, mix = forwarder.buffer.combine_rows(coefficients)
+            payload = forwarder.buffer.raw.combine(mix[:forwarder.rank])
+            combined += 1
+            expected_vector, expected_payload = eager.buffer.combine_eagerly(coefficients)
             assert vector.tobytes() == expected_vector.tobytes()
             assert payload.tobytes() == expected_payload.tobytes()
+            assert not mix[forwarder.rank:].any()
             assert vector.tobytes() == _scalar_combination(
                 coefficients, scalar.coefficient_matrix()).tobytes()
             assert payload.tobytes() == _scalar_combination(
@@ -144,32 +203,48 @@ def test_any_interleaving_matches_both_references(batch_size, packet_size, seed,
             # Materialises (and caches) the reduced payloads mid-batch.
             assert forwarder.buffer.payload_matrix().tobytes() == \
                 scalar.payload_matrix().tobytes()
-            assert rebuilding.buffer.payload_matrix().tobytes() == \
+            assert eager.buffer.payload_matrix().tobytes() == \
                 scalar.payload_matrix().tobytes()
         else:
             # The flushed production buffer is reused; its reference starts
-            # over with a buffer that has never held a row.
+            # over with a buffer that has never held a row, and the source
+            # moves to its next batch.
             forwarder.reset(batch_id=forwarder.batch_id + 1)
-            rebuilding = _rebuilding_forwarder(batch_size, packet_size, reference_rng)
-            rebuilding.batch_id = forwarder.batch_id
-            natives, source, scalar = new_batch()
+            eager = EagerForwarder(batch_size, packet_size, reference_rng,
+                                   batch_id=forwarder.batch_id)
+            natives, source, oracle, scalar = new_batch()
             last = None
             assert forwarder.rank == 0 and not forwarder.has_data()
-        # Nothing the encoder did since changed a packet it gave away, and
-        # what it holds now is not what it gave away.
-        for packet, vector_bytes, payload_bytes in handed_out:
-            assert packet.code_vector.tobytes() == vector_bytes
-            assert packet.payload.tobytes() == payload_bytes
-            if forwarder._precoded_vector is not None:
+        # What the encoder holds now is not what it gave away, and only a
+        # read builds bytes.
+        if forwarder._precoded_vector is not None:
+            for packet, _, _, _ in handed_out:
                 assert not np.shares_memory(packet.code_vector,
                                             forwarder._precoded_vector)
-                assert not np.shares_memory(packet.payload,
-                                            forwarder._precoded_payload)
+        for packet, _ in unread:
+            assert packet.size == packet_size
+        assert forwarder.payloads_built == built_by(forwarder) + combined
+        assert source.payloads_built == built_by(source)
+    # Nothing the senders did since changed a packet they gave away, and a
+    # first read this late — after every arrival, hand-out and flush, the
+    # source batches later — yields the bytes of the eager product.
+    # Latest first, so an earlier packet's mix is shorter than the operand
+    # the later ones have grown by the time it is read.
+    for packet, _, expected, native_bytes in reversed(handed_out):
+        _assert_same_packet(packet, expected)
+        assert packet.payload.tobytes() == native_bytes
+    for index, (packet, _, _, _) in enumerate(handed_out):
+        for other, _, _, _ in handed_out[:index]:
+            assert not np.shares_memory(packet.payload, other.payload)
+    unread.clear()
+    assert forwarder.payloads_built == built_by(forwarder) + combined
+    assert [sender.payloads_built for sender in sources] == \
+        [built_by(sender) for sender in sources]
 
 
 @pytest.mark.parametrize("packet_size", [16, 1500])
 def test_reused_buffer_equals_a_fresh_one(packet_size, rng):
-    """Stale stack rows of a flushed batch cannot leak into the next one."""
+    """Stale rows of a flushed batch cannot leak into the next one."""
     batch_size = 8
     reused = BatchBuffer(batch_size, packet_size)
     for _ in range(3):
@@ -179,9 +254,12 @@ def test_reused_buffer_equals_a_fresh_one(packet_size, rng):
             packet = source.next_packet()
             assert reused.add(packet.copy()) == fresh.add(packet.copy())
             coefficients = rng.integers(0, 256, fresh.rank, dtype=np.uint8)
-            for actual, expected in zip(reused.combine_rows(coefficients),
-                                        fresh.combine_rows(coefficients)):
-                assert actual.tobytes() == expected.tobytes()
+            vector, mix = reused.combine_rows(coefficients)
+            expected_vector, expected_mix = fresh.combine_rows(coefficients)
+            assert vector.tobytes() == expected_vector.tobytes()
+            assert mix.tobytes() == expected_mix.tobytes()
+            assert reused.raw.combine(mix[:fresh.rank]).tobytes() == \
+                fresh.raw.combine(expected_mix[:fresh.rank]).tobytes()
         reused.clear()
         assert reused.rank == 0
 
@@ -198,22 +276,26 @@ def test_combine_rows_rejects_what_it_cannot_combine(rng):
 @pytest.mark.parametrize("packet_size,rows_per_arrival", [(1500, 7), (16, 0), (0, 0)])
 def test_a_batch_of_precodes_expands_each_row_once(packet_size, rows_per_arrival,
                                                    rng, shifted_rows):
-    """Insert-then-pre-code K times: 7 K rows through ``_xtimes`` (one new
-    row, seven shifts, per arrival) where rebuilding the operand took
-    7 K (K + 1) / 2; none at all for a narrow or vector-only payload."""
+    """Insert, hand out and read K times: 7 K rows through ``_xtimes`` (one
+    new row, seven shifts, per arrival) where rebuilding the operand took
+    7 K (K + 1) / 2; none at all for a narrow or vector-only payload — nor
+    for a wide one nobody reads."""
     batch_size = 32
     source = SourceEncoder(make_batch(batch_size, packet_size, rng=rng), rng)
     packets = source.next_packets(batch_size)
     shifted_rows.clear()  # the source's own full-batch operand
 
-    def rows_shifted(forwarder: ForwarderEncoder) -> int:
+    def rows_shifted(forwarder: ForwarderEncoder | EagerForwarder, read: bool) -> int:
         shifted_rows.clear()
         for packet in packets:
             assert forwarder.add_packet(packet)
-            forwarder.next_packet()
+            handed_out = forwarder.next_packet()
+            if read:
+                handed_out.payload
         return sum(shifted_rows)
 
-    assert rows_shifted(ForwarderEncoder(batch_size, packet_size, rng)) == \
+    assert rows_shifted(ForwarderEncoder(batch_size, packet_size, rng), True) == \
         rows_per_arrival * batch_size
-    assert rows_shifted(_rebuilding_forwarder(batch_size, packet_size, rng)) == \
+    assert rows_shifted(ForwarderEncoder(batch_size, packet_size, rng), False) == 0
+    assert rows_shifted(EagerForwarder(batch_size, packet_size, rng), False) == \
         rows_per_arrival * batch_size * (batch_size + 1) // 2

@@ -4,7 +4,8 @@ Two classes of bug are pinned down here:
 
 * **Aliasing**: a packet handed out by an encoder must never change when
   the encoder's internal state is later updated in place (the forwarder
-  folds new arrivals into its pre-coded combination with ``scale_and_add``).
+  folds new arrivals into its pre-coded ``[code | mix]`` row) — including
+  the bytes a packet has not built yet.
 * **Degenerate draws**: the all-zero coefficient vector must be re-drawn
   wherever random combinations are formed — source coding, forwarder
   pre-coding — via the single shared guard
@@ -19,6 +20,7 @@ import pytest
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder
 from repro.coding.packet import make_batch
 from repro.gf.arithmetic import random_code_vector, vec_scale
+from repro.gf.kernels import gf_vecmat
 
 
 class StubRng:
@@ -93,10 +95,14 @@ class TestRandomCodeVectorGuard:
         coefficient = 7
         forwarder.rng = StubRng([coefficient])
         forwarder._precoded_vector = vec_scale(incoming.code_vector, coefficient)
-        forwarder._precoded_payload = vec_scale(incoming.payload, coefficient)
+        forwarder._precoded_mix = np.zeros(4, dtype=np.uint8)
         assert forwarder.add_packet(incoming)
         assert forwarder._precoded_vector is not None
         assert forwarder._precoded_vector.any()
+        # Re-coded over both stored rows, bytes included.
+        recoded = forwarder.next_packet()
+        assert np.array_equal(recoded.payload,
+                              gf_vecmat(recoded.code_vector, batch.payload_matrix()))
 
 
 class TestHandedOutPacketsAreImmutable:
@@ -108,17 +114,22 @@ class TestHandedOutPacketsAreImmutable:
         forwarder.add_packet(source.next_packet())
 
         handed_out = forwarder.next_packet()
+        unread = forwarder.next_packet()
         vector_snapshot = handed_out.code_vector.copy()
         payload_snapshot = handed_out.payload.copy()
+        unread_payload = gf_vecmat(unread.code_vector, batch.payload_matrix())
 
         # Every subsequent arrival folds into the (new) pre-coded packet in
-        # place; none of it may reach the packet already handed out.
+        # place; none of it may reach the packets already handed out,
+        # whether or not their bytes were built by then.
         for _ in range(6):
             forwarder.add_packet(source.next_packet())
-        forwarder.next_packet()
+        # Built over all four raw slots, before the packet that knows two.
+        assert forwarder.next_packet().payload.shape == (16,)
 
         assert np.array_equal(handed_out.code_vector, vector_snapshot)
         assert np.array_equal(handed_out.payload, payload_snapshot)
+        assert np.array_equal(unread.payload, unread_payload)
 
     def test_forwarder_drops_references_on_handout(self, rng):
         batch = make_batch(batch_size=3, packet_size=8, rng=rng)
@@ -126,10 +137,10 @@ class TestHandedOutPacketsAreImmutable:
         forwarder = ForwarderEncoder(batch_size=3, packet_size=8, rng=rng)
         forwarder.add_packet(source.next_packet())
         packet = forwarder.next_packet()
-        # The freshly pre-coded internal arrays must be distinct objects
-        # from the ones inside the handed-out packet.
-        assert forwarder._precoded_vector is not packet.code_vector
-        assert forwarder._precoded_payload is not packet.payload
+        # The freshly pre-coded internal row must share nothing with the
+        # one inside the handed-out packet.
+        assert not np.shares_memory(forwarder._precoded_vector, packet.code_vector)
+        assert not np.shares_memory(forwarder._precoded_mix, packet._row)
 
     def test_source_packets_independent_of_each_other(self, rng):
         batch = make_batch(batch_size=4, packet_size=16, rng=rng)

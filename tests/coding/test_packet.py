@@ -56,6 +56,11 @@ class TestCodedPacket:
         clone.code_vector[0] = 9
         assert packet.code_vector[0] == 1
 
+    def test_compares_and_hashes_by_identity(self):
+        packet = CodedPacket(code_vector=np.array([1, 2], dtype=np.uint8), payload=b"xy")
+        assert packet == packet and packet != packet.copy()
+        assert len({packet, packet.copy(), packet}) == 2
+
 
 class TestBatch:
     def test_payload_matrix_shape(self, rng):

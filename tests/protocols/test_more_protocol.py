@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.coding.packet import PayloadRows
 from repro.protocols.more import setup_more_flow
 from repro.sim.radio import SimConfig
 from repro.sim.simulator import Simulator
@@ -27,6 +28,43 @@ class TestEndToEndTransfer:
         record = sim.stats.flows[handle.flow_id]
         assert record.completed
         assert handle.decoded_bytes()[: len(data)] == data
+
+    def test_payloads_are_built_only_for_packets_somebody_stores(self, rng, monkeypatch):
+        """Full-size payloads over a lossy multi-hop chain: the file arrives
+        intact although most transmitted packets never had their bytes
+        computed (lost, or not innovative where they were heard), and a
+        vector-only run computes none at all."""
+        products: list[int] = []
+        combine = PayloadRows.combine
+
+        def counting_combine(rows, row):
+            products.append(row.shape[0])
+            return combine(rows, row)
+
+        monkeypatch.setattr(PayloadRows, "combine", counting_combine)
+        topo = chain(3, link_delivery=0.6, skip_delivery=0.2)
+        data = rng.integers(0, 256, 24 * 1500, dtype=np.uint8).tobytes()
+        sim, handle = run_flow(topo, 0, 3, file_bytes=data, batch_size=8, packet_size=1500)
+        assert sim.stats.flows[handle.flow_id].completed
+        assert handle.decoded_bytes()[: len(data)] == data
+        encoders = handle.source_agent.source_flows[handle.flow_id].encoders
+        generated = sum(encoder.packets_generated for encoder in encoders)
+        built = sum(encoder.payloads_built for encoder in encoders)
+        assert len(encoders) == 3 and all(encoder.payloads_built for encoder in encoders)
+        assert 24 <= built < generated
+        # Forwarders re-code from their own raw slots, and likewise only
+        # for a listener that stores the packet.
+        sent = sum(node.agent.data_sent for node in sim.nodes if node.agent is not None)
+        assert built < len(products) < sent
+
+        del products[:]
+        sim, handle = run_flow(topo, 0, 3, total_packets=24, batch_size=8,
+                               packet_size=1500, vector_only=True)
+        assert sim.stats.flows[handle.flow_id].completed
+        encoders = handle.source_agent.source_flows[handle.flow_id].encoders
+        assert sum(encoder.packets_generated for encoder in encoders) > 24
+        assert not any(encoder.payloads_built for encoder in encoders)
+        assert products == []
 
     def test_one_hop_flow(self):
         topo = chain(1, link_delivery=0.8)

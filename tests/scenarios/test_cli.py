@@ -223,6 +223,45 @@ def test_out_of_range_section_value_is_a_one_line_error(preset, override, messag
     assert message in line
 
 
+@pytest.mark.parametrize("preset,override,message", [
+    # Ran to completion: delivery "probabilities" scaled sevenfold / capped at 5.
+    ("bursty_chain", "channel.good_scale=7",
+     "channel 'gilbert_elliott': need 0 <= bad_scale <= good_scale <= 1"),
+    ("fading_grid", "channel.max_delivery=5",
+     "channel 'distance_fading': max_delivery must be in (0, 1]"),
+    ("fading_grid", "channel.max_delivery=0", "max_delivery must be in (0, 1]"),
+    # A numpy divide-by-zero warning and a run over NaN margins, or no error at all.
+    ("fading_grid", "channel.path_loss_exponent=0", "path_loss_exponent must be positive"),
+    ("fading_grid", "channel.reference_distance=-1", "reference_distance must be positive"),
+    ("fading_grid", "channel.logistic_scale=0", "logistic_scale must be positive"),
+    ("fading_grid", "channel.shadowing_sigma_db=-1", "shadowing_sigma_db must be non-negative"),
+    # Rejected before, as bare text naming neither section nor kind.
+    ("bursty_chain", "channel.mean_good_time=0",
+     "channel 'gilbert_elliott': state sojourn times must be positive"),
+    ("mobile_mesh", "mobility.epoch_length=0",
+     "mobility 'random_waypoint': epoch_length must be positive"),
+    ("node_churn_mesh", "faults.mean_downtime=-1",
+     "faults 'crash_recover': crash_recover holding-time means must be positive"),
+    # NaN is neither positive nor ``<= 0``: it passed every such check.
+    ("node_churn_mesh", "faults.mean_uptime=NaN", "holding-time means must be positive"),
+    ("bursty_chain", "channel.mean_bad_time=NaN", "state sojourn times must be positive"),
+    ("fading_grid", "channel.coherence_time=NaN", "coherence_time must be positive"),
+])
+def test_out_of_range_model_value_is_a_one_line_error(preset, override, message, capsys,
+                                                      deadline):
+    """``channel.*`` / ``mobility.*`` / ``faults.*`` values die at the door in the
+    spelling ``topology.*`` / ``workload.*`` ones do."""
+    line = _one_line_error(capsys, "run", "--preset", preset, "--no-cache",
+                           "--set", override)
+    section = override.partition(".")[0]
+    assert f"bad parameter for {section} " in line
+    assert message in line
+    # Default worker count: the cells fail inside pool workers.
+    line = _one_line_error(capsys, "sweep", "--preset", preset, "--no-cache",
+                           "--axis", f"{override},-3")
+    assert message in line
+
+
 def test_run_without_spec_or_preset_fails():
     proc = repro_cli("run")
     assert proc.returncode != 0
