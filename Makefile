@@ -39,7 +39,9 @@ test:
 	$(ENV) $(PYTHON) -m pytest -x -q
 
 # The engine hot-path gate alone: scheduler unit/property tests plus the
-# full-run traces held bit-identical to tests/golden_traces.json.
+# full-run traces held bit-identical to tests/golden_traces.json — static
+# runs, runs under faults, and the runs whose control plane recurs (the
+# refreshing / supervised presets and three re-planned concurrent flows).
 test-engine:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/sim/test_events.py \
 		tests/sim/test_engine_differential.py \

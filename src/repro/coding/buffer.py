@@ -46,7 +46,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.coding.packet import CodedPacket, PayloadRows
-from repro.gf.arithmetic import _zero_bytes, vec_scale
+from repro.gf.arithmetic import vec_scale, zero_bytes
 from repro.gf.kernels import gf_matmul, gf_vecmat
 from repro.gf.tables import INV, MUL
 
@@ -147,7 +147,7 @@ class BatchBuffer:
         pivots = np.nonzero(self._occupied)[0]
         if pivots.size:
             coefficients = extended[pivots]
-            if coefficients.tobytes() != _zero_bytes(pivots.size):
+            if coefficients.tobytes() != zero_bytes(pivots.size):
                 extended[:width] ^= gf_vecmat(coefficients, ops[pivots, :width])
         remaining = np.nonzero(extended[:batch_size])[0]
         if remaining.size == 0:

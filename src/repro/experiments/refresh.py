@@ -13,11 +13,17 @@ a :class:`LinkStateRefresher` is a recurring simulator event that, every
 2. re-runs the probe estimation of Section 3.1.1 over it
    (:func:`~repro.topology.estimation.probe_estimated_topology`, with fresh
    sampling noise per refresh), and
-3. rebuilds every installed flow's control state **mid-flow**: MORE's
-   forwarder list + TX credits + ACK route (Algorithm 1 + Eq. 3.3 +
-   pruning), ExOR's prioritised participant list and cleanup/ACK routes,
-   and Srcr's best-ETX route (with detour next-hops for relays stranded
+3. re-plans every installed flow **mid-flow** over those estimates through
+   its handle's ``replan`` (:meth:`repro.protocols.base.FlowHandle.replan`,
+   the code that planned the flow at set-up, with what the flow was set up
+   with): MORE's forwarder list + TX credits + ACK route (Algorithm 1 +
+   Eq. 3.3 + pruning), ExOR's prioritised participant list and cleanup/ACK
+   routes, Srcr's best-ETX route (with detour next-hops for relays stranded
    off the new route by in-flight packets).
+
+The :class:`FlowSupervisor` is the same loop driven by lack of progress
+instead of the clock.  Neither knows a protocol: a flow is anything with a
+``flow_id`` and a ``replan(control)``.
 
 ``refresh_period=inf`` (the default) schedules nothing at all, reproducing
 today's static plans bit for bit; sweeping ``run.refresh_period`` turns
@@ -38,24 +44,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from repro.metrics.credits import forwarding_plan
-from repro.metrics.etx import best_path
-from repro.protocols.exor.agent import (
-    ExorAgent,
-    ExorFlowHandle,
-    _get_or_create_agent as _exor_agent,
-)
-from repro.protocols.more.agent import MoreAgent
-from repro.protocols.more.flow import (
-    MoreFlowHandle,
-    _get_or_create_agent as _more_agent,
-)
-from repro.protocols.more.header import ForwarderEntry
-from repro.protocols.srcr.agent import (
-    SrcrAgent,
-    SrcrFlowHandle,
-    _get_or_create_agent as _srcr_agent,
-)
 from repro.topology.graph import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -88,8 +76,59 @@ def mask_dead_nodes(topology: Topology, dead: frozenset[int]) -> Topology:
                     names=[node.name for node in topology.nodes])
 
 
-class LinkStateRefresher:
-    """Recurring mid-flow control-plane rebuild for a set of flow handles.
+class _ControlLoop:
+    """A recurring control-plane event over a set of flow handles."""
+
+    def __init__(self, sim: "Simulator", handles: list, config: "RunConfig",
+                 period: float) -> None:
+        self.sim = sim
+        self.handles = list(handles)
+        self.config = config
+        self.period = float(period)
+
+    @property
+    def enabled(self) -> bool:
+        """True if a finite period and at least one flow make the loop real."""
+        return bool(self.handles) and math.isfinite(self.period) and self.period > 0
+
+    def install(self) -> "_ControlLoop":
+        """Schedule the first round; a no-op for a period of ``inf``.
+
+        With the loop disabled not even an event is scheduled, so static
+        runs are bit-identical to a build without this subsystem.
+        """
+        if self.enabled:
+            self.sim.schedule_callback(self.period, self._tick)
+        return self
+
+    def _tick(self) -> None:
+        raise NotImplementedError
+
+    def _noise_stream(self) -> tuple[int, ...]:
+        """What, after the run seed, keys this round's probe noise."""
+        raise NotImplementedError
+
+    def control_view(self) -> Topology:
+        """The link-state estimates of this round.
+
+        Probes measure the topology *as it stands now*
+        (:meth:`RunConfig.control_view` over the medium's current
+        snapshot); each round draws fresh probe noise from its own
+        ``(seed, *stream)`` generator, so estimates are independent samples
+        yet replay identically run to run.  Crashed and control-silent
+        nodes answer no probes, so the view masks them out and plans route
+        around them (:func:`mask_dead_nodes`).
+        """
+        sim = self.sim
+        topology = sim.medium.effective_topology(sim.now)
+        if sim.faults is not None:
+            topology = mask_dead_nodes(topology, sim.faults.control_dead(sim.now))
+        return self.config.control_view(
+            topology, seed=(self.config.seed, *self._noise_stream()))
+
+
+class LinkStateRefresher(_ControlLoop):
+    """Recurring mid-flow re-plan of every flow, each ``refresh_period``.
 
     Attributes:
         refreshes: completed refresh rounds.
@@ -98,53 +137,19 @@ class LinkStateRefresher:
     """
 
     def __init__(self, sim: "Simulator", handles: list, config: "RunConfig") -> None:
-        self.sim = sim
-        self.handles = list(handles)
-        self.config = config
-        self.period = float(config.refresh_period)
+        super().__init__(sim, handles, config, config.refresh_period)
         self.refreshes = 0
         self.skipped_flows = 0
 
-    @property
-    def enabled(self) -> bool:
-        """True if a finite period and at least one flow make refreshing real."""
-        return bool(self.handles) and math.isfinite(self.period) and self.period > 0
-
-    def install(self) -> "LinkStateRefresher":
-        """Schedule the first refresh; a no-op for ``refresh_period=inf``.
-
-        With refreshing disabled not even an event is scheduled, so static
-        runs are bit-identical to a build without this subsystem.
-        """
-        if self.enabled:
-            self.sim.schedule_callback(self.period, self._tick)
-        return self
-
-    def control_view(self) -> Topology:
-        """The link-state estimates of this refresh round.
-
-        Probes measure the topology *as it stands now*
-        (:meth:`RunConfig.control_view` over the medium's current
-        snapshot); each round uses a fresh probe-noise stream seeded by
-        ``(seed, round)`` so estimates are independent samples yet replay
-        identically run to run.  Crashed and control-silent nodes answer
-        no probes, so the view masks them out and plans route around them
-        (:func:`mask_dead_nodes`).
-        """
-        true_topology = self.sim.medium.effective_topology(self.sim.now)
-        faults = self.sim.faults
-        if faults is not None:
-            true_topology = mask_dead_nodes(
-                true_topology, faults.control_dead(self.sim.now))
-        return self.config.control_view(true_topology,
-                                        seed=(self.config.seed, self.refreshes))
+    def _noise_stream(self) -> tuple[int, ...]:
+        return (self.refreshes,)
 
     def _tick(self) -> None:
         self.refreshes += 1
         control = self.control_view()
         for handle in self.handles:
             try:
-                refresh_flow(self.sim, handle, control, self.config)
+                handle.replan(control)
             except ValueError:
                 # Endpoints disconnected in the control view: keep the
                 # stale plan, retry next round (what a real control plane
@@ -153,7 +158,7 @@ class LinkStateRefresher:
         self.sim.schedule_callback(self.period, self._tick)
 
 
-class FlowSupervisor:
+class FlowSupervisor(_ControlLoop):
     """Per-flow progress watchdog: bounded re-plans, then a structured abort.
 
     The graceful-degradation half of the fault story.  Every
@@ -180,42 +185,15 @@ class FlowSupervisor:
 
     def __init__(self, sim: "Simulator", handles: list,
                  config: "RunConfig") -> None:
-        self.sim = sim
-        self.handles = list(handles)
-        self.config = config
-        self.period = float(config.progress_timeout)
+        super().__init__(sim, handles, config, config.progress_timeout)
         self.total_replans = 0
         self.aborts = 0
         self._replans: dict[int, int] = {}
         self._fingerprints: dict[int, tuple[int, int, int]] = {}
 
-    @property
-    def enabled(self) -> bool:
-        """True if a finite timeout and at least one flow make it real."""
-        return bool(self.handles) and math.isfinite(self.period) \
-            and self.period > 0
-
-    def install(self) -> "FlowSupervisor":
-        """Schedule the first check; a no-op for ``progress_timeout=inf``."""
-        if self.enabled:
-            self.sim.schedule_callback(self.period, self._tick)
-        return self
-
-    def control_view(self) -> Topology:
-        """Fault-masked link estimates for a recovery re-plan.
-
-        Draws from its own ``(seed, stream, re-plan index)`` probe-noise
-        stream so recovery never perturbs the periodic refresher's.
-        """
-        sim = self.sim
-        topology = sim.medium.effective_topology(sim.now)
-        faults = sim.faults
-        if faults is not None:
-            topology = mask_dead_nodes(topology,
-                                       faults.control_dead(sim.now))
-        return self.config.control_view(
-            topology,
-            seed=(self.config.seed, _SUPERVISOR_STREAM, self.total_replans))
+    def _noise_stream(self) -> tuple[int, ...]:
+        # Its own stream, so recovery never perturbs the periodic refresher's.
+        return (_SUPERVISOR_STREAM, self.total_replans)
 
     def _tick(self) -> None:
         sim = self.sim
@@ -241,7 +219,7 @@ class FlowSupervisor:
                 if control is None:
                     control = self.control_view()
                 try:
-                    refresh_flow(sim, handle, control, self.config)
+                    handle.replan(control)
                 except ValueError:
                     # Endpoints unreachable in the masked view (the crash
                     # partitioned the mesh, or an endpoint is down): keep
@@ -259,131 +237,3 @@ class FlowSupervisor:
                             f"{replans} recovery re-plan(s); down nodes "
                             f"{down}"))
         self.sim.schedule_callback(self.period, self._tick)
-
-
-def refresh_flow(sim: "Simulator", handle, control: Topology,
-                 config: "RunConfig") -> None:
-    """Rebuild one flow's control state from fresh link estimates."""
-    if isinstance(handle, MoreFlowHandle):
-        refresh_more_flow(sim, handle, control, config)
-    elif isinstance(handle, ExorFlowHandle):
-        refresh_exor_flow(sim, handle, control, config)
-    elif isinstance(handle, SrcrFlowHandle):
-        refresh_srcr_flow(sim, handle, control, config)
-    else:
-        raise TypeError(f"cannot refresh flow handle of type {type(handle).__name__}")
-
-
-def refresh_more_flow(sim: "Simulator", handle: MoreFlowHandle,
-                      control: Topology, config: "RunConfig") -> None:
-    """Recompute a MORE flow's plan (Algorithm 1 + Eq. 3.3 + pruning) in place.
-
-    The :class:`~repro.protocols.more.agent.MoreFlowSpec` is one object
-    shared by every agent of the flow, so mutating its plan fields (and
-    dropping the memoised header constants) retargets all of them at once;
-    newly recruited forwarders and ACK relays get state installed, and every
-    existing forwarder re-derives its cached credits / upstream sets.
-    """
-    spec = handle.spec
-    # A flow set up with a relay cap (kilonode relay-count axis) keeps the
-    # same cap across refreshes — top-N by expected load, not the 10% rule.
-    plan = forwarding_plan(control, spec.source, spec.destination,
-                           metric=config.more_metric, prune=True,
-                           max_forwarders=spec.max_relays)
-    ack_route = best_path(control, spec.destination, spec.source)
-    intermediates = plan.forwarder_list(include_endpoints=False)
-    spec.forwarders = [
-        ForwarderEntry(node_id=node, tx_credit=float(plan.tx_credit[node]))
-        for node in intermediates
-    ]
-    spec.tx_credit = {node: float(plan.tx_credit[node]) for node in plan.participants}
-    spec.distances = {node: float(plan.distances[node]) for node in plan.participants}
-    spec.ack_route = ack_route
-    spec.invalidate_plan_caches()
-    for node in intermediates:
-        agent = _more_agent(sim, node, config.seed)
-        if spec.flow_id not in agent.forward_flows:
-            agent.install_forwarder(spec)
-    for node in ack_route[1:-1]:
-        agent = _more_agent(sim, node, config.seed)
-        if spec.flow_id not in agent.specs:
-            agent.install_ack_relay(spec)
-    for sim_node in sim.nodes:
-        agent = sim_node.agent
-        if isinstance(agent, MoreAgent):
-            state = agent.forward_flows.get(spec.flow_id)
-            if state is not None:
-                state.refresh_from_spec()
-
-
-def refresh_exor_flow(sim: "Simulator", handle: ExorFlowHandle,
-                      control: Topology, config: "RunConfig") -> None:
-    """Recompute an ExOR flow's prioritised forwarder list and routes.
-
-    Participants are re-ranked by the fresh ETX distances; nodes keep their
-    transfer progress (:meth:`~repro.protocols.exor.agent.ExorAgent.adopt_flow`
-    is the idempotent installer) and the strict schedule clamps its position
-    into the resized list.
-    """
-    spec = handle.spec
-    # Compute everything that can fail BEFORE the first spec mutation, so a
-    # ValueError (e.g. an asymmetric control view with no reverse route)
-    # leaves the old plan fully intact for the caller to keep.
-    plan = forwarding_plan(control, spec.source, spec.destination,
-                           metric="etx", prune=True)
-    forward_route = best_path(control, spec.source, spec.destination)
-    reverse_route = best_path(control, spec.destination, spec.source)
-    spec.participants = list(plan.participants)
-    spec.forward_route = forward_route
-    spec.reverse_route = reverse_route
-    spec.invalidate_plan_caches()
-    involved = set(spec.participants) | set(spec.forward_route) \
-        | set(spec.reverse_route)
-    for node in involved:
-        _exor_agent(sim, node).adopt_flow(spec, handle.scheduler)
-    for sim_node in sim.nodes:
-        agent = sim_node.agent
-        if sim_node.node_id not in involved and isinstance(agent, ExorAgent) \
-                and spec.flow_id in agent.specs:
-            agent.adopt_flow(spec, handle.scheduler)
-    handle.scheduler.notice_participants_changed()
-
-
-def refresh_srcr_flow(sim: "Simulator", handle: SrcrFlowHandle,
-                      control: Topology, config: "RunConfig") -> None:
-    """Recompute an Srcr flow's best-ETX route; detour stranded relays.
-
-    Relays holding queued packets but lying off the new route get per-node
-    detour next-hops (their own best path to the destination, spliced onto
-    the new route where they meet it) so in-flight traffic keeps moving —
-    without them the old route's tail would strand packets forever.
-    """
-    spec = handle.spec
-    route = best_path(control, spec.source, spec.destination)
-    spec.route = route
-    spec.detours = {}
-    autorate = config.srcr_autorate
-    for node in route:
-        _srcr_agent(sim, node, autorate).install_flow(spec)
-    route_set = set(route)
-    for sim_node in sim.nodes:
-        agent = sim_node.agent
-        if not isinstance(agent, SrcrAgent):
-            continue
-        queue = agent.queues.get(spec.flow_id)
-        if not queue:
-            continue
-        node_id = sim_node.node_id
-        if node_id not in route_set and node_id not in spec.detours \
-                and node_id != spec.destination:
-            try:
-                path = best_path(control, node_id, spec.destination)
-            except ValueError:
-                continue  # currently unreachable: strand until next refresh
-            for hop, following in zip(path, path[1:]):
-                if hop in route_set:
-                    break
-                spec.detours[hop] = following
-                _srcr_agent(sim, following, autorate).install_flow(spec)
-        # The next hop may have changed while the node sat idle.
-        sim.trigger_node(node_id)

@@ -1,10 +1,12 @@
 """Flow runner: execute one experiment (one or more flows) on the simulator.
 
 The runner is what the scenario executor (:mod:`repro.scenarios.execute`)
-calls for every flow: it builds a fresh :class:`~repro.sim.simulator.Simulator` over a topology,
-installs the requested protocol's flows, runs to completion (or a time
-limit) and returns per-flow throughput in packets per second — the metric
-the paper reports.
+calls for every flow.  :func:`start_flows` is the one place a run is
+started: it builds a fresh :class:`~repro.sim.simulator.Simulator` over a
+topology, installs the requested protocol's flows and arms the online
+control plane; :func:`run_flows` runs that to completion (or a time limit)
+and returns per-flow throughput in packets per second — the metric the
+paper reports.
 """
 
 from __future__ import annotations
@@ -180,29 +182,20 @@ class RunConfig:
         )
 
 
-def _make_simulator(topology: Topology, config: RunConfig,
-                    environment: Environment | None = None) -> Simulator:
-    if environment is None:
-        environment = Environment()
-    sim_config = SimConfig(phy=PhyConfig(bitrate=config.bitrate), seed=config.seed,
-                           max_duration=config.max_duration,
-                           channel_model=environment.channel,
-                           mobility=environment.mobility,
-                           faults=environment.faults,
-                           monitor=config.monitor,
-                           monitor_interval=config.monitor_interval)
-    return Simulator(topology, sim_config)
-
-
 def _install_flow(sim: Simulator, topology: Topology, protocol: str, source: int,
                   destination: int, config: RunConfig, flow_seed: int,
                   control_topology: Topology | None = None):
-    """Install one flow of the requested protocol; returns its handle."""
+    """Install one flow of the requested protocol; returns its handle.
+
+    The one place the protocol knobs of ``config`` (``more_metric``,
+    ``max_relays``, ``srcr_autorate``) are read: the handle keeps them, so
+    a later re-plan never consults a config again.
+    """
     if protocol == "MORE":
         # vector_only supersedes the configured coding payload width (the
         # whole point of the mode is a zero-byte payload).
         coding_size = None if config.vector_only else config.coding_payload_size
-        handle = setup_more_flow(
+        return setup_more_flow(
             sim, topology, source, destination,
             total_packets=config.total_packets,
             batch_size=config.batch_size,
@@ -214,26 +207,61 @@ def _install_flow(sim: Simulator, topology: Topology, protocol: str, source: int
             control_topology=control_topology,
             max_relays=config.max_relays,
         )
-        return handle
     if protocol == "ExOR":
-        handle = setup_exor_flow(
+        return setup_exor_flow(
             sim, topology, source, destination,
             total_packets=config.total_packets,
             batch_size=config.batch_size,
             packet_size=config.packet_size,
             control_topology=control_topology,
         )
-        return handle
     if protocol == "Srcr":
-        handle = setup_srcr_flow(
+        return setup_srcr_flow(
             sim, topology, source, destination,
             total_packets=config.total_packets,
             packet_size=config.packet_size,
             use_autorate=config.srcr_autorate,
             control_topology=control_topology,
         )
-        return handle
     raise ValueError(f"unknown protocol {protocol!r}; expected one of {PROTOCOLS}")
+
+
+def start_flows(topology: Topology, protocol: str, pairs: list[tuple[int, int]],
+                config: RunConfig | None = None,
+                environment: Environment | None = None) -> tuple[Simulator, list]:
+    """Everything of a run that happens before the clock starts.
+
+    Builds the simulator, installs one ``protocol`` flow per pair (flow
+    ``index`` is seeded ``config.seed + index``) and arms the online control
+    plane; returns the simulator and the flow handles, in pair order.
+    :func:`run_flows` runs it and collects the results; callers that need
+    the finished simulator itself (the golden traces) run it themselves.
+    """
+    run_config = config if config is not None else RunConfig()
+    if environment is None:
+        environment = Environment()
+    sim = Simulator(topology, SimConfig(
+        phy=PhyConfig(bitrate=run_config.bitrate), seed=run_config.seed,
+        max_duration=run_config.max_duration,
+        channel_model=environment.channel, mobility=environment.mobility,
+        faults=environment.faults,
+        monitor=run_config.monitor, monitor_interval=run_config.monitor_interval))
+    control = run_config.control_view(topology)
+    handles = [
+        _install_flow(sim, topology, protocol, source, destination, run_config,
+                      flow_seed=run_config.seed + index, control_topology=control)
+        for index, (source, destination) in enumerate(pairs)
+    ]
+    # Online control plane: with a finite refresh_period, re-probe the
+    # (possibly moved) topology mid-flow and rebuild every flow's plan.
+    # refresh_period=inf schedules nothing — bit-identical static plans.
+    LinkStateRefresher(sim, handles, run_config).install()
+    # Graceful degradation under faults: with a finite progress_timeout, a
+    # stalled flow is re-planned around crashed nodes a bounded number of
+    # times and then aborted as a structured outcome (never an endless run).
+    # progress_timeout=inf schedules nothing — bit-identical to before.
+    FlowSupervisor(sim, handles, run_config).install()
+    return sim, handles
 
 
 def run_flows(topology: Topology, protocol: str, pairs: list[tuple[int, int]],
@@ -244,30 +272,12 @@ def run_flows(topology: Topology, protocol: str, pairs: list[tuple[int, int]],
     ``environment`` defaults to the static, immobile, fault-free world.
     Returns one :class:`FlowResult` per pair, in order.
     """
-    run_config = config if config is not None else RunConfig()
-    sim = _make_simulator(topology, run_config, environment)
-    control = run_config.control_view(topology)
-    handles = []
-    for index, (source, destination) in enumerate(pairs):
-        handles.append(
-            _install_flow(sim, topology, protocol, source, destination, run_config,
-                          flow_seed=run_config.seed + index, control_topology=control)
-        )
-    flow_ids = [handle.flow_id for handle in handles]
-    # Online control plane: with a finite refresh_period, re-probe the
-    # (possibly moved) topology mid-flow and rebuild every flow's plan.
-    # refresh_period=inf schedules nothing — bit-identical static plans.
-    LinkStateRefresher(sim, handles, run_config).install()
-    # Graceful degradation under faults: with a finite progress_timeout, a
-    # stalled flow is re-planned around crashed nodes a bounded number of
-    # times and then aborted as a structured outcome (never an endless run).
-    # progress_timeout=inf schedules nothing — bit-identical to before.
-    FlowSupervisor(sim, handles, run_config).install()
-    sim.run(until=run_config.max_duration,
-            stop_condition=sim.stats.all_flows_complete)
+    sim, handles = start_flows(topology, protocol, pairs, config, environment)
+    # The simulator's own horizon is the config's max_duration.
+    sim.run(stop_condition=sim.stats.all_flows_complete)
     results = []
-    for flow_id, (source, destination) in zip(flow_ids, pairs):
-        record = sim.stats.flows[flow_id]
+    for handle, (source, destination) in zip(handles, pairs):
+        record = handle.record
         if record.completed:
             throughput = record.throughput_pkts()
             duration = record.duration or 0.0

@@ -105,12 +105,14 @@ def vec_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return MUL[a, b]
 
 
-#: count -> bytes(count); the all-zero images used by the degenerate-draw
-#: guard (a raw-bytes compare is ~10x cheaper than ndarray.any() at K<=128).
+#: count -> bytes(count), filled by :func:`zero_bytes`.
 _ZERO_BYTES: dict[int, bytes] = {}
 
 
-def _zero_bytes(count: int) -> bytes:
+def zero_bytes(count: int) -> bytes:
+    """``bytes(count)``, kept: the all-zero image the degenerate-draw guards
+    compare ``ndarray.tobytes()`` against (a raw-bytes compare is ~10x
+    cheaper than ``ndarray.any()`` at K <= 128)."""
     zero = _ZERO_BYTES.get(count)
     if zero is None:
         zero = _ZERO_BYTES[count] = bytes(count)
@@ -141,7 +143,7 @@ def random_code_vector(count: int, rng: np.random.Generator) -> np.ndarray:
     shared by the source encoder (coefficients over native packets) and the
     forwarder encoder (combination coefficients over buffered packets).
     """
-    zero = _zero_bytes(count)
+    zero = zero_bytes(count)
     coefficients = rng.integers(0, FIELD_SIZE, size=count, dtype=np.uint8)
     while coefficients.tobytes() == zero:
         coefficients = rng.integers(0, FIELD_SIZE, size=count, dtype=np.uint8)

@@ -1,4 +1,5 @@
-"""Common protocol-agent interface.
+"""What the three protocols share: the per-node agent interface and the
+per-flow handle.
 
 A :class:`ProtocolAgent` is the per-node half of a routing protocol.  It is
 pull-driven by the MAC: the MAC asks ``has_pending`` / ``on_transmit_opportunity``
@@ -6,17 +7,25 @@ when it wins channel access, and pushes ``on_frame_received`` for every frame
 the node successfully decodes (including overheard frames addressed to other
 nodes).  This mirrors the architecture in Figure 3-2 of the paper and keeps
 every protocol strictly above the MAC, which is MORE's whole point.
+
+A :class:`FlowHandle` is the per-flow half: what ``setup_*_flow`` returns,
+and the owner of the flow's control plane (:meth:`FlowHandle.replan`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.sim.frames import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.node import SimNode
     from repro.sim.simulator import Simulator
+    from repro.sim.trace import FlowRecord
+    from repro.topology.graph import Topology
+
+AgentT = TypeVar("AgentT", bound="ProtocolAgent")
 
 
 class ProtocolAgent:
@@ -73,3 +82,63 @@ class ProtocolAgent:
     def select_bitrate(self, frame: Frame) -> int | None:
         """Bit-rate override for ``frame`` (None = simulator default)."""
         return None
+
+
+def get_or_create_agent(sim: "Simulator", node_id: int, agent_class: type[AgentT],
+                        **options: Any) -> AgentT:
+    """The node's ``agent_class`` agent, created and attached if it runs none.
+
+    ``options`` are the constructor's keyword arguments; they apply only to
+    an agent created here, so an agent is configured by the flow that first
+    installs it.  A node hosts one protocol: asking for another raises
+    ``TypeError``.
+    """
+    existing = sim.nodes[node_id].agent
+    if existing is None:
+        agent = agent_class(node_id, **options)
+        sim.attach_agent(node_id, agent)
+        return agent
+    if not isinstance(existing, agent_class):
+        raise TypeError(
+            f"node {node_id} already runs {existing.protocol_name}; cannot add "
+            f"a flow of {agent_class.protocol_name}")
+    return existing
+
+
+@dataclass
+class FlowHandle:
+    """One installed flow: its spec, its simulator and its control plane.
+
+    Set-up, the periodic link-state refresh and fault recovery all plan a
+    flow through :meth:`replan`.  The protocols subclass this with what
+    their plan depends on besides the control view (MORE's metric, pruning
+    and coding seed, ExOR's pruning, Srcr's autorate), remembered from
+    set-up so every re-plan is computed the way the first plan was,
+    whatever configuration the caller holds by then.
+    """
+
+    spec: Any
+    sim: "Simulator" = field(repr=False)
+
+    @property
+    def flow_id(self) -> int:
+        """Flow identifier."""
+        return self.spec.flow_id
+
+    @property
+    def record(self) -> "FlowRecord":
+        """The flow's delivery statistics."""
+        return self.sim.stats.flows[self.spec.flow_id]
+
+    def replan(self, control: "Topology") -> None:
+        """Compute the flow's plan from ``control`` (the link qualities as
+        the routing layer believes them to be) and install it.
+
+        Idempotent: nodes the plan recruits get per-flow state, nodes
+        already in the flow keep their transfer progress, nodes it drops
+        keep what they hold but stop taking part.  Every path computation
+        runs before the first change, so a ``ValueError`` (the endpoints
+        are disconnected in ``control``) leaves the previous plan intact
+        for the caller to keep.
+        """
+        raise NotImplementedError

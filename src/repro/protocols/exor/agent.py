@@ -22,11 +22,15 @@ Simplifications (see DESIGN.md): the turn hand-off uses a shared scheduler
 object instead of the fragile timing estimates real ExOR needs, and the
 completion signal (90% reached) stops the schedule directly rather than
 propagating through batch maps.  Both favour ExOR slightly.
+
+The control plane is :meth:`ExorFlowHandle.replan`: the prioritised
+participant list and the cleanup / ACK routes, from a control view.
+:func:`setup_exor_flow` calls it once; the link-state refresh loop and fault
+recovery (:mod:`repro.experiments.refresh`) call it again mid-flow.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -34,10 +38,9 @@ import numpy as np
 
 from repro.metrics.credits import forwarding_plan
 from repro.metrics.etx import best_path
-from repro.protocols.base import ProtocolAgent
+from repro.protocols.base import FlowHandle, ProtocolAgent, get_or_create_agent
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.simulator import Simulator
-from repro.sim.trace import FlowRecord
 from repro.topology.graph import Topology
 
 #: ExOR per-packet header: addressing + batch map (one byte per packet).
@@ -61,8 +64,6 @@ INERT_RANK = 1 << 20
 #: fragment is the allowance the ExOR design uses; a flat per-turn guard of a
 #: couple of data-frame times is the equivalent at our abstraction level.
 DEFAULT_TURN_GUARD_TIME = 5e-3
-
-_flow_ids = itertools.count(20_000)
 
 
 @dataclass
@@ -93,7 +94,7 @@ class ExorFlowSpec:
         return ranks.get(node_id)
 
     def invalidate_plan_caches(self) -> None:
-        """Drop the memoised rank map after a link-state refresh rebuilt
+        """Drop the memoised rank map after a re-plan rebuilt
         ``participants`` / ``forward_route`` / ``reverse_route`` in place."""
         self._rank_map = None
 
@@ -332,25 +333,12 @@ class ExorAgent(ProtocolAgent):
     # ------------------------------------------------------------------ #
 
     def install_flow(self, spec: ExorFlowSpec, scheduler: ExorScheduler) -> None:
-        """Register a flow on this node (any role)."""
-        self.specs[spec.flow_id] = spec
-        self.schedulers[spec.flow_id] = scheduler
-        rank = spec.rank(self.node_id)
-        if rank is not None:
-            self.flows[spec.flow_id] = _ExorFlowState(spec, rank)
-        if self.node_id == spec.source:
-            self.source_progress[spec.flow_id] = 0
-        if self.node_id == spec.destination:
-            self.destination_done[spec.flow_id] = set()
-            self.cleanup_requested[spec.flow_id] = set()
+        """Register a flow on this node (any role), or re-rank it after a re-plan.
 
-    def adopt_flow(self, spec: ExorFlowSpec, scheduler: ExorScheduler) -> None:
-        """Idempotent :meth:`install_flow` for mid-flow plan refreshes.
-
-        Newly recruited participants get fresh per-flow state; nodes that
-        already track the flow keep their transfer progress (source batch
-        counter, destination ACK bookkeeping) and only have their priority
-        rank re-derived from the refreshed participant list.
+        Idempotent: a node the plan newly names gets fresh per-flow state;
+        a node that already tracks the flow keeps its transfer progress
+        (source batch counter, destination ACK bookkeeping) and only has
+        its priority rank re-derived from the participant list.
         """
         self.specs[spec.flow_id] = spec
         self.schedulers[spec.flow_id] = scheduler
@@ -658,73 +646,82 @@ class ExorAgent(ProtocolAgent):
 
 
 @dataclass
-class ExorFlowHandle:
-    """Handle returned by :func:`setup_exor_flow`."""
+class ExorFlowHandle(FlowHandle):
+    """Handle returned by :func:`setup_exor_flow`: the flow's control plane."""
 
     spec: ExorFlowSpec
-    record: FlowRecord
     scheduler: ExorScheduler
+    #: Whether the 10% rule prunes the participant list, at set-up and at
+    #: every re-plan after it.
+    prune: bool
 
-    @property
-    def flow_id(self) -> int:
-        """Flow identifier."""
-        return self.spec.flow_id
+    def replan(self, control: Topology) -> None:
+        """Re-rank the participants by ``control``'s ETX distances and
+        recompute the cleanup / ACK routes, in place.
 
-
-def _get_or_create_agent(sim: Simulator, node_id: int) -> ExorAgent:
-    existing = sim.nodes[node_id].agent
-    if existing is None:
-        agent = ExorAgent(node_id)
-        sim.attach_agent(node_id, agent)
-        return agent
-    if not isinstance(existing, ExorAgent):
-        raise TypeError(
-            f"node {node_id} already runs {existing.protocol_name}; cannot add an ExOR flow"
-        )
-    return existing
+        Nodes keep their transfer progress (:meth:`ExorAgent.install_flow`
+        is idempotent), nodes dropped from the list go inert, and the strict
+        schedule clamps its position into the resized list.
+        """
+        spec = self.spec
+        # Compute everything that can fail BEFORE the first spec mutation,
+        # so a ValueError (e.g. an asymmetric control view with no reverse
+        # route) leaves the old plan fully intact for the caller to keep.
+        plan = forwarding_plan(control, spec.source, spec.destination,
+                               metric="etx", prune=self.prune)
+        forward_route = best_path(control, spec.source, spec.destination)
+        reverse_route = best_path(control, spec.destination, spec.source)
+        spec.participants = list(plan.participants)  # destination first ... source last
+        spec.forward_route = forward_route
+        spec.reverse_route = reverse_route
+        spec.invalidate_plan_caches()
+        involved = set(spec.participants) | set(forward_route) | set(reverse_route)
+        for node in involved:
+            get_or_create_agent(self.sim, node, ExorAgent).install_flow(
+                spec, self.scheduler)
+        for sim_node in self.sim.nodes:
+            agent = sim_node.agent
+            if sim_node.node_id not in involved and isinstance(agent, ExorAgent) \
+                    and spec.flow_id in agent.specs:
+                agent.install_flow(spec, self.scheduler)
+        self.scheduler.notice_participants_changed()
 
 
 def setup_exor_flow(sim: Simulator, topology: Topology, source: int, destination: int,
                     *, total_packets: int, batch_size: int = 32, packet_size: int = 1500,
                     completion_threshold: float = DEFAULT_COMPLETION_THRESHOLD,
-                    bitrate: int | None = None, flow_id: int | None = None,
-                    start_time: float = 0.0, prune: bool = True,
+                    bitrate: int | None = None, prune: bool = True,
                     control_topology: Topology | None = None) -> ExorFlowHandle:
     """Install an ExOR file transfer from ``source`` to ``destination``.
 
     ``control_topology`` carries the link-quality estimates used to build the
     forwarder list and the cleanup/ACK routes (defaults to the true topology).
+    ``prune`` stays with the flow: every later :meth:`ExorFlowHandle.replan`
+    uses it.
     """
-    if flow_id is None:
-        flow_id = next(_flow_ids)
-    control = control_topology if control_topology is not None else topology
-    plan = forwarding_plan(control, source, destination, metric="etx", prune=prune)
-    participants = list(plan.participants)  # destination first ... source last
-    forward_route = best_path(control, source, destination)
-    reverse_route = best_path(control, destination, source)
+    flow_id = sim.new_flow_id()
     batch_count = max(1, int(np.ceil(total_packets / batch_size)))
+    # The plan fields are empty until the first replan() below fills them.
     spec = ExorFlowSpec(
         flow_id=flow_id,
         source=source,
         destination=destination,
         batch_size=batch_size,
         packet_size=packet_size,
-        participants=participants,
-        forward_route=forward_route,
-        reverse_route=reverse_route,
+        participants=[],
+        forward_route=[],
+        reverse_route=[],
         total_packets=total_packets,
         batch_count=batch_count,
         completion_threshold=completion_threshold,
         bitrate=bitrate,
     )
-    scheduler = ExorScheduler(spec, sim)
-    involved = set(participants) | set(forward_route) | set(reverse_route)
-    for node in involved:
-        _get_or_create_agent(sim, node).install_flow(spec, scheduler)
-    record = sim.stats.register_flow(flow_id, source, destination, total_packets,
-                                     packet_size, start_time)
+    handle = ExorFlowHandle(spec=spec, sim=sim, scheduler=ExorScheduler(spec, sim),
+                            prune=prune)
+    handle.replan(control_topology if control_topology is not None else topology)
+    sim.stats.register_flow(flow_id, source, destination, total_packets, packet_size,
+                            0.0)
     source_agent = sim.nodes[source].agent
     assert isinstance(source_agent, ExorAgent)
-    sim.events.schedule_callback_at(start_time,
-                                    lambda: source_agent.start_flow(flow_id))
-    return ExorFlowHandle(spec=spec, record=record, scheduler=scheduler)
+    sim.events.schedule_callback_at(0.0, lambda: source_agent.start_flow(flow_id))
+    return handle

@@ -87,8 +87,8 @@ class MoreFlowSpec:
     batch_count: int
     bitrate: int | None = None
     max_relays: int | None = None
-    # Per-flow constants, memoised on first use (the spec is immutable once
-    # installed and these sit on the per-frame hot path).
+    # Per-flow constants, memoised on first use (between re-plans the spec
+    # does not change, and these sit on the per-frame hot path).
     _header_size: int | None = field(default=None, init=False, repr=False,
                                      compare=False)
     _forwarder_id_set: frozenset[int] | None = field(default=None, init=False,
@@ -97,12 +97,13 @@ class MoreFlowSpec:
                                                             repr=False, compare=False)
 
     def invalidate_plan_caches(self) -> None:
-        """Drop the memoised per-flow constants after a plan refresh.
+        """Drop the memoised per-flow constants after a re-plan.
 
-        The link-state refresh loop mutates ``forwarders`` / ``tx_credit``
-        / ``distances`` / ``ack_route`` in place (the spec object is shared
-        by every agent of the flow); the memoised header size and forwarder
-        sets must be recomputed from the new plan.
+        :meth:`~repro.protocols.more.flow.MoreFlowHandle.replan` rewrites
+        ``forwarders`` / ``tx_credit`` / ``distances`` / ``ack_route`` in
+        place (the spec object is shared by every agent of the flow); the
+        memoised header size and forwarder sets must be recomputed from the
+        new plan.
         """
         self._header_size = None
         self._forwarder_id_set = None
@@ -212,8 +213,8 @@ class _ForwarderState:
     def refresh_from_spec(self) -> None:
         """(Re)derive the cached per-node plan constants from the spec.
 
-        Called at construction and again by the link-state refresh loop
-        after the shared spec's plan fields were rebuilt mid-flow.
+        Called at construction and again by every re-plan, after the
+        shared spec's plan fields were rebuilt.
         """
         spec = self.spec
         node_id = self.node_id

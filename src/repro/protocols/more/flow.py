@@ -1,15 +1,17 @@
 """MORE flow construction: plumbing a file transfer into the simulator.
 
-:func:`setup_more_flow` does the work of the source's control plane
-(Section 3.1.1): it computes the ETX distances, the forwarder list, the TX
-credits (Algorithm 1 + Eq. 3.3 + pruning), splits the file into batches and
-installs :class:`~repro.protocols.more.agent.MoreAgent` state at every
-participating node.
+:meth:`MoreFlowHandle.replan` does the work of the source's control plane
+(Section 3.1.1): from a control view it computes the ETX distances, the
+forwarder list and the TX credits (Algorithm 1 + Eq. 3.3 + pruning) and the
+ACK route, and installs :class:`~repro.protocols.more.agent.MoreAgent` state
+at every node the plan names.  :func:`setup_more_flow` splits the file into
+batches, installs the two endpoints and calls it once; the link-state
+refresh loop and fault recovery (:mod:`repro.experiments.refresh`) call it
+again mid-flow.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,28 +19,71 @@ import numpy as np
 from repro.coding.packet import Batch, NativePacket, split_file
 from repro.metrics.credits import forwarding_plan
 from repro.metrics.etx import best_path
+from repro.protocols.base import FlowHandle, get_or_create_agent
 from repro.protocols.more.agent import MoreAgent, MoreFlowSpec
 from repro.protocols.more.header import ForwarderEntry
 from repro.sim.simulator import Simulator
-from repro.sim.trace import FlowRecord
 from repro.topology.graph import Topology
-
-_flow_ids = itertools.count(1)
 
 
 @dataclass
-class MoreFlowHandle:
-    """Handle returned by :func:`setup_more_flow` for inspecting the flow."""
+class MoreFlowHandle(FlowHandle):
+    """Handle returned by :func:`setup_more_flow`: the flow's control plane
+    and the destination's decoded bytes."""
 
     spec: MoreFlowSpec
-    record: FlowRecord
     source_agent: MoreAgent
     destination_agent: MoreAgent
+    #: What the plan depends on besides the control view (and the spec's
+    #: ``max_relays``): the ordering metric, whether the 10% rule applies,
+    #: and the seed of the coding RNG of every agent this flow creates.
+    metric: str
+    prune: bool
+    seed: int
 
-    @property
-    def flow_id(self) -> int:
-        """Flow identifier."""
-        return self.spec.flow_id
+    def replan(self, control: Topology) -> None:
+        """Algorithm 1 + Eq. 3.3 + pruning over ``control``, installed in place.
+
+        The :class:`~repro.protocols.more.agent.MoreFlowSpec` is one object
+        shared by every agent of the flow, so rewriting its plan fields (and
+        dropping the memoised header constants) retargets all of them at
+        once; recruited forwarders and ACK relays get state installed — an
+        agent created here is seeded like the ones set-up created — and
+        every forwarder, old or new, re-derives its cached credit and
+        upstream set.  A forwarder the plan drops keeps its state but is no
+        longer listed, so it ignores the flow's data.
+        """
+        spec = self.spec
+        # A flow set up with a relay cap (kilonode relay-count axis) keeps
+        # the same cap across re-plans — top-N by expected load, not the
+        # 10% rule.
+        plan = forwarding_plan(control, spec.source, spec.destination,
+                               metric=self.metric, prune=self.prune,
+                               max_forwarders=spec.max_relays)
+        ack_route = best_path(control, spec.destination, spec.source)
+        intermediates = plan.forwarder_list(include_endpoints=False)
+        spec.forwarders = [
+            ForwarderEntry(node_id=node, tx_credit=float(plan.tx_credit[node]))
+            for node in intermediates
+        ]
+        spec.tx_credit = {node: float(plan.tx_credit[node]) for node in plan.participants}
+        spec.distances = {node: float(plan.distances[node]) for node in plan.participants}
+        spec.ack_route = ack_route
+        spec.invalidate_plan_caches()
+        for node in intermediates:
+            agent = get_or_create_agent(self.sim, node, MoreAgent, seed=self.seed)
+            if spec.flow_id not in agent.forward_flows:
+                agent.install_forwarder(spec)
+        for node in ack_route[1:-1]:
+            agent = get_or_create_agent(self.sim, node, MoreAgent, seed=self.seed)
+            if spec.flow_id not in agent.specs:
+                agent.install_ack_relay(spec)
+        for sim_node in self.sim.nodes:
+            agent = sim_node.agent
+            if isinstance(agent, MoreAgent):
+                state = agent.forward_flows.get(spec.flow_id)
+                if state is not None:
+                    state.refresh_from_spec()
 
     def decoded_payloads(self) -> list[np.ndarray]:
         """Native payloads recovered by the destination, in order."""
@@ -51,20 +96,6 @@ class MoreFlowHandle:
         if not payloads:
             return b""
         return b"".join(p.tobytes() for p in payloads)
-
-
-def _get_or_create_agent(sim: Simulator, node_id: int, seed: int) -> MoreAgent:
-    """Return the node's MoreAgent, creating and attaching one if needed."""
-    existing = sim.nodes[node_id].agent
-    if existing is None:
-        agent = MoreAgent(node_id, seed=seed)
-        sim.attach_agent(node_id, agent)
-        return agent
-    if not isinstance(existing, MoreAgent):
-        raise TypeError(
-            f"node {node_id} already runs {existing.protocol_name}; cannot add a MORE flow"
-        )
-    return existing
 
 
 def _synthetic_batches(total_packets: int, batch_size: int, payload_size: int,
@@ -92,8 +123,7 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
                     coding_payload_size: int | None = None,
                     vector_only: bool = False, metric: str = "etx",
                     prune: bool = True, bitrate: int | None = None,
-                    seed: int = 0, flow_id: int | None = None,
-                    start_time: float = 0.0,
+                    seed: int = 0,
                     control_topology: Topology | None = None,
                     max_relays: int | None = None) -> MoreFlowHandle:
     """Install a MORE file transfer from ``source`` to ``destination``.
@@ -102,7 +132,8 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
 
     Args:
         sim: the simulator the flow runs in.
-        topology: the mesh (used for ETX/credit computation and routes).
+        topology: the mesh; the control view when no ``control_topology``
+            is given.
         source / destination: endpoints of the transfer.
         file_bytes: actual file contents (end-to-end integrity verifiable).
         total_packets: alternatively, the number of native packets to send
@@ -124,9 +155,7 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
             ``topology``.
         prune: apply the 10% forwarder pruning rule.
         bitrate: optional fixed data bit-rate for this flow.
-        seed: seed for the per-node coding RNGs.
-        flow_id: explicit flow id (auto-assigned when omitted).
-        start_time: when the source starts transmitting.
+        seed: seed for the per-node coding RNGs and the synthetic payloads.
         max_relays: cap the forwarder list at this many relays — the
             highest-expected-load ones, replacing the 10% pruning rule
             (:func:`repro.metrics.credits.cap_forwarders`).  This is the
@@ -134,6 +163,9 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
             degenerates (load spreads so thin no relay reaches 10% of the
             total and the flow strands).  ``None`` keeps the full pruned
             plan, today's behaviour bit for bit.
+
+    ``metric``, ``prune``, ``max_relays`` and ``seed`` stay with the flow:
+    every later :meth:`MoreFlowHandle.replan` uses them.
 
     Returns:
         A :class:`MoreFlowHandle`.
@@ -147,9 +179,7 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
             "vector_only forces a zero-byte coding payload; do not also pass "
             "coding_payload_size"
         )
-    if flow_id is None:
-        flow_id = next(_flow_ids)
-
+    flow_id = sim.new_flow_id()
     rng = np.random.default_rng((seed, flow_id))
     if file_bytes is not None:
         coding_size = coding_payload_size if coding_payload_size is not None else packet_size
@@ -163,18 +193,7 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
         batches = _synthetic_batches(total_packets, batch_size, coding_size, rng)
     total = sum(batch.size for batch in batches)
 
-    control = control_topology if control_topology is not None else topology
-    plan = forwarding_plan(control, source, destination, metric=metric, prune=prune,
-                           max_forwarders=max_relays)
-    intermediates = plan.forwarder_list(include_endpoints=False)
-    forwarder_entries = [
-        ForwarderEntry(node_id=node, tx_credit=float(plan.tx_credit[node]))
-        for node in intermediates
-    ]
-    tx_credit = {node: float(plan.tx_credit[node]) for node in plan.participants}
-    distances = {node: float(plan.distances[node]) for node in plan.participants}
-    ack_route = best_path(control, destination, source)
-
+    # The plan fields are empty until the first replan() below fills them.
     spec = MoreFlowSpec(
         flow_id=flow_id,
         source=source,
@@ -182,29 +201,23 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
         batch_size=batch_size,
         packet_size=packet_size,
         coding_payload_size=coding_size,
-        forwarders=forwarder_entries,
-        tx_credit=tx_credit,
-        distances=distances,
-        ack_route=ack_route,
+        forwarders=[],
+        tx_credit={},
+        distances={},
+        ack_route=[],
         total_packets=total,
         batch_count=len(batches),
         bitrate=bitrate,
         max_relays=max_relays,
     )
-
-    source_agent = _get_or_create_agent(sim, source, seed)
+    source_agent = get_or_create_agent(sim, source, MoreAgent, seed=seed)
     source_agent.install_source(spec, batches)
-    destination_agent = _get_or_create_agent(sim, destination, seed)
+    destination_agent = get_or_create_agent(sim, destination, MoreAgent, seed=seed)
     destination_agent.install_destination(spec)
-    for node in intermediates:
-        _get_or_create_agent(sim, node, seed).install_forwarder(spec)
-    for node in ack_route[1:-1]:
-        agent = _get_or_create_agent(sim, node, seed)
-        if flow_id not in agent.specs:
-            agent.install_ack_relay(spec)
-
-    record = sim.stats.register_flow(flow_id, source, destination, total, packet_size,
-                                     start_time)
-    sim.events.schedule_callback_at(start_time, lambda: sim.trigger_node(source))
-    return MoreFlowHandle(spec=spec, record=record, source_agent=source_agent,
-                          destination_agent=destination_agent)
+    handle = MoreFlowHandle(spec=spec, sim=sim, source_agent=source_agent,
+                            destination_agent=destination_agent, metric=metric,
+                            prune=prune, seed=seed)
+    handle.replan(control_topology if control_topology is not None else topology)
+    sim.stats.register_flow(flow_id, source, destination, total, packet_size, 0.0)
+    sim.events.schedule_callback_at(0.0, lambda: sim.trigger_node(source))
+    return handle

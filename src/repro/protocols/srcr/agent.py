@@ -6,31 +6,29 @@ nothing is learned from overheard packets.  Optionally the sender runs an
 Onoe-style autorate controller per nexthop (Section 4.4).
 
 Simplifications relative to the Roofnet implementation (documented in
-DESIGN.md): routes are computed once per flow from the known delivery
-probabilities (no probe traffic is simulated), per-node queues are not
-bounded, and a frame that exhausts its MAC retries is re-queued rather than
-dropped, which gives the reliable-file-transfer semantics the evaluation
-measures throughput over.
+DESIGN.md): a route is computed from the delivery probabilities of a control
+view (no probe traffic is simulated) — once at set-up, and again whenever
+the link-state refresh loop or fault recovery
+(:mod:`repro.experiments.refresh`) calls :meth:`SrcrFlowHandle.replan` —
+per-node queues are not bounded, and a frame that exhausts its MAC retries
+is re-queued rather than dropped, which gives the reliable-file-transfer
+semantics the evaluation measures throughput over.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.metrics.etx import best_path
-from repro.protocols.base import ProtocolAgent
+from repro.protocols.base import FlowHandle, ProtocolAgent, get_or_create_agent
 from repro.sim.autorate import OnoeRateController
 from repro.sim.frames import Frame, FrameKind
 from repro.sim.simulator import Simulator
-from repro.sim.trace import FlowRecord
 from repro.topology.graph import Topology
 
 #: Routing/transport header bytes added to every Srcr data frame.
 SRCR_HEADER_BYTES = 24
-
-_flow_ids = itertools.count(10_000)
 
 
 @dataclass
@@ -45,8 +43,8 @@ class SrcrFlowSpec:
     total_packets: int
     bitrate: int | None = None
     #: Per-node next hops for relays stranded off the main route by a
-    #: link-state refresh (node -> next hop toward the destination).
-    #: Rebuilt on every refresh; empty for static (never-refreshed) flows.
+    #: re-plan (node -> next hop toward the destination).  Rebuilt on every
+    #: re-plan; empty for static (planned-once) flows.
     detours: dict[int, int] = field(default_factory=dict)
 
     def next_hop(self, node_id: int) -> int | None:
@@ -90,7 +88,8 @@ class SrcrAgent(ProtocolAgent):
     # ------------------------------------------------------------------ #
 
     def install_flow(self, spec: SrcrFlowSpec) -> None:
-        """Register a flow whose route traverses (or originates at) this node."""
+        """Register a flow whose route traverses (or originates at) this node;
+        a node that already carries it keeps its queue."""
         self.specs[spec.flow_id] = spec
         self.queues.setdefault(spec.flow_id, deque())
         if self.node_id == spec.destination:
@@ -187,61 +186,81 @@ class SrcrAgent(ProtocolAgent):
 
 
 @dataclass
-class SrcrFlowHandle:
-    """Handle returned by :func:`setup_srcr_flow`."""
+class SrcrFlowHandle(FlowHandle):
+    """Handle returned by :func:`setup_srcr_flow`: the flow's control plane."""
 
     spec: SrcrFlowSpec
-    record: FlowRecord
+    #: Whether the agents this flow creates run the Onoe rate controller.
+    use_autorate: bool
 
-    @property
-    def flow_id(self) -> int:
-        """Flow identifier."""
-        return self.spec.flow_id
+    def replan(self, control: Topology) -> None:
+        """Route over ``control``'s best ETX path; detour stranded relays.
 
-
-def _get_or_create_agent(sim: Simulator, node_id: int, use_autorate: bool) -> SrcrAgent:
-    existing = sim.nodes[node_id].agent
-    if existing is None:
-        agent = SrcrAgent(node_id, use_autorate=use_autorate)
-        sim.attach_agent(node_id, agent)
-        return agent
-    if not isinstance(existing, SrcrAgent):
-        raise TypeError(
-            f"node {node_id} already runs {existing.protocol_name}; cannot add an Srcr flow"
-        )
-    return existing
+        Relays holding queued packets but lying off the new route get
+        per-node detour next-hops (their own best path to the destination,
+        spliced onto the new route where they meet it) so in-flight traffic
+        keeps moving — without them the old route's tail would strand
+        packets forever.
+        """
+        spec = self.spec
+        sim = self.sim
+        autorate = self.use_autorate
+        route = best_path(control, spec.source, spec.destination)
+        spec.route = route
+        spec.detours = {}
+        for node in route:
+            get_or_create_agent(sim, node, SrcrAgent,
+                                use_autorate=autorate).install_flow(spec)
+        route_set = set(route)
+        for sim_node in sim.nodes:
+            agent = sim_node.agent
+            if not isinstance(agent, SrcrAgent) or not agent.queues.get(spec.flow_id):
+                continue
+            node_id = sim_node.node_id
+            if node_id not in route_set and node_id not in spec.detours \
+                    and node_id != spec.destination:
+                try:
+                    path = best_path(control, node_id, spec.destination)
+                except ValueError:
+                    continue  # currently unreachable: strand until the next re-plan
+                for hop, following in zip(path, path[1:]):
+                    if hop in route_set:
+                        break
+                    spec.detours[hop] = following
+                    get_or_create_agent(sim, following, SrcrAgent,
+                                        use_autorate=autorate).install_flow(spec)
+            # The next hop may have changed while the node sat idle.
+            sim.trigger_node(node_id)
 
 
 def setup_srcr_flow(sim: Simulator, topology: Topology, source: int, destination: int,
                     *, total_packets: int, packet_size: int = 1500,
                     use_autorate: bool = False, bitrate: int | None = None,
-                    flow_id: int | None = None, start_time: float = 0.0,
                     control_topology: Topology | None = None) -> SrcrFlowHandle:
     """Install an Srcr file transfer from ``source`` to ``destination``.
 
     ``control_topology`` carries the link-quality estimates the route is
-    computed from (defaults to the true topology).
+    computed from (defaults to the true topology).  ``use_autorate`` stays
+    with the flow: relays a later :meth:`SrcrFlowHandle.replan` recruits run
+    the same rate control.
     """
-    if flow_id is None:
-        flow_id = next(_flow_ids)
-    control = control_topology if control_topology is not None else topology
-    route = best_path(control, source, destination)
+    flow_id = sim.new_flow_id()
+    # The route is empty until the first replan() below fills it.
     spec = SrcrFlowSpec(
         flow_id=flow_id,
         source=source,
         destination=destination,
-        route=route,
+        route=[],
         packet_size=packet_size,
         total_packets=total_packets,
         bitrate=bitrate,
     )
-    for node in route:
-        agent = _get_or_create_agent(sim, node, use_autorate)
-        agent.install_flow(spec)
+    handle = SrcrFlowHandle(spec=spec, sim=sim, use_autorate=use_autorate)
+    handle.replan(control_topology if control_topology is not None else topology)
     source_agent = sim.nodes[source].agent
     assert isinstance(source_agent, SrcrAgent)
-    record = sim.stats.register_flow(flow_id, source, destination, total_packets,
-                                     packet_size, start_time)
+    sim.stats.register_flow(flow_id, source, destination, total_packets, packet_size,
+                            0.0)
     sim.events.schedule_callback_at(
-        start_time, lambda: source_agent.enqueue_source_packets(flow_id))
-    return SrcrFlowHandle(spec=spec, record=record)
+        0.0, lambda: source_agent.enqueue_source_packets(flow_id))
+    return handle

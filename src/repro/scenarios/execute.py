@@ -17,7 +17,7 @@ from repro.experiments.runner import RunConfig, run_flows, run_single_flow
 from repro.experiments.stats import median_gain, summarize
 from repro.metrics.gap import gap_survey, summarize_gaps
 from repro.scenarios.build import build_flow_sets, build_pairs, build_topology
-from repro.scenarios.spec import ScenarioCell
+from repro.scenarios.spec import PROTOCOL_TOKENS, ScenarioCell
 
 
 @dataclass
@@ -77,13 +77,12 @@ class CellResult:
 def _resolve_protocol(token: str, base: RunConfig) -> tuple[str, RunConfig]:
     """Map a protocol token to (runner protocol name, per-protocol config).
 
-    ``Srcr/auto`` is Srcr with Onoe-style autorate enabled — the extra
-    baseline of Figure 4-6.  Plain tokens pass through with the shared
-    config.
+    Looked up in :data:`~repro.scenarios.spec.PROTOCOL_TOKENS`, which the
+    spec was validated against when it was built: plain tokens pass through
+    with the shared config, ``Srcr/auto`` is Srcr with autorate on.
     """
-    if token == "Srcr/auto":
-        return "Srcr", replace(base, srcr_autorate=True)
-    return token, base
+    protocol, overrides = PROTOCOL_TOKENS[token]
+    return protocol, replace(base, **overrides) if overrides else base
 
 
 def _abort_notes(results) -> list[str]:

@@ -33,6 +33,16 @@ from repro.topology.mobility import MOBILITY_KINDS, MobilitySpec
 #: Execution modes understood by :func:`repro.scenarios.execute.run_cell`.
 MODES = ("throughput", "multiflow", "gap")
 
+#: Every token a scenario's ``protocols`` may hold, as (runner protocol,
+#: ``RunConfig`` fields the token sets): the runner's names, plus ``Srcr/auto``
+#: — Srcr with Onoe-style autorate, the extra baseline of Figure 4-6.  The
+#: spec validates against it and :mod:`repro.scenarios.execute` resolves
+#: tokens through it, so the two cannot drift.
+PROTOCOL_TOKENS: dict[str, tuple[str, dict[str, Any]]] = {
+    **{name: (name, {}) for name in PROTOCOLS},
+    "Srcr/auto": ("Srcr", {"srcr_autorate": True}),
+}
+
 #: A transfer always spans at least this many batches
 #: (``total_packets = max(2 * K, total_packets)``), so a batch-size sweep
 #: (Figure 4-7) never degenerates into a sub-batch transfer.
@@ -47,6 +57,21 @@ MODEL_SECTIONS: dict[str, tuple[type[SectionSpec], tuple[str, ...]]] = {
     "mobility": (MobilitySpec, MOBILITY_KINDS),
     "faults": (FaultSpec, FAULT_KINDS),
 }
+
+
+def _protocol_tokens(value: str | tuple | list) -> tuple[str, ...]:
+    """``protocols`` as a tuple of accepted tokens.
+
+    A bare string means one protocol, not a tuple of its characters.  An
+    unknown token dies here — when the spec is built or overridden — and
+    not after the cells of the tokens listed before it have run.
+    """
+    tokens = (value,) if isinstance(value, str) else tuple(value)
+    for token in tokens:
+        if token not in PROTOCOL_TOKENS:
+            raise ValueError(f"unknown protocol {token!r}; expected one of "
+                             f"{tuple(PROTOCOL_TOKENS)}")
+    return tokens
 
 
 def _apply_dotted(spec: "ScenarioSpec", path: str, value: Any) -> None:
@@ -81,8 +106,7 @@ def _apply_dotted(spec: "ScenarioSpec", path: str, value: Any) -> None:
         else:
             getattr(spec, head).params[rest] = value
     elif head == "protocols" and not rest:
-        # A bare string means one protocol, not a tuple of its characters.
-        spec.protocols = (value,) if isinstance(value, str) else tuple(value)
+        spec.protocols = _protocol_tokens(value)
     elif head == "mode" and not rest:
         spec.mode = str(value)
     else:
@@ -172,15 +196,13 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if isinstance(self.protocols, str):
-            self.protocols = (self.protocols,)
+        self.protocols = _protocol_tokens(self.protocols)
         for name, (spec_cls, kinds) in MODEL_SECTIONS.items():
             section = getattr(self, name)
             if isinstance(section, dict):
                 section = spec_cls.from_dict(section)
                 setattr(self, name, section)
             check_kind(section, kinds)
-        self.protocols = tuple(self.protocols)
         self.seeds = tuple(int(s) for s in self.seeds)
         self.sweep = {path: tuple(values) for path, values in self.sweep.items()}
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -25,7 +26,8 @@ class Simulator:
     Typical use::
 
         sim = Simulator(topology, SimConfig(seed=1))
-        agents = build_more_flow(sim, source, destination, file_bytes)
+        handle = setup_more_flow(sim, topology, source, destination,
+                                 file_bytes=file_bytes)
         sim.run(until=60.0, stop_condition=sim.stats.all_flows_complete)
     """
 
@@ -61,6 +63,7 @@ class Simulator:
         self._agents: list = [None] * topology.node_count
         self.nodes = [SimNode(i, self) for i in range(topology.node_count)]
         self.stats = StatsCollector()
+        self._flow_ids = itertools.count(1)
         if self.faults is not None:
             self.faults.install()
         self.monitor = (SimMonitor(self, interval=self.config.monitor_interval)
@@ -123,6 +126,12 @@ class Simulator:
     def attach_agent(self, node_id: int, agent) -> None:
         """Attach ``agent`` to node ``node_id``."""
         self.nodes[node_id].attach(agent)
+
+    def new_flow_id(self) -> int:
+        """The next unused flow id of this run: 1, 2, ... in set-up order,
+        whatever the protocol.  Flow ids seed per-flow randomness, so they
+        must not depend on what else the process has simulated."""
+        return next(self._flow_ids)
 
     def deliver(self, frame: Frame, receivers: list[int]) -> None:
         """Hand a completed frame to the agents of every node that received it.

@@ -1,32 +1,31 @@
 """Online link-state refresh: mid-flow control-plane rebuilds per protocol.
 
 Covers the refresh loop itself (scheduling, the inf no-op, disconnected
-control views) and each protocol's in-place plan rebuild: MORE forwarder
-recruitment + cache invalidation, ExOR participant re-ranking without
-losing transfer progress, Srcr re-routing with detours for stranded relays.
+control views) and each protocol's in-place re-plan (``handle.replan``):
+MORE forwarder recruitment + cache invalidation, ExOR participant re-ranking
+without losing transfer progress, Srcr re-routing with detours for stranded
+relays — and that a re-plan is computed the way the flow was set up,
+whatever configuration the refresh loop holds.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
-from repro.experiments.refresh import (
-    LinkStateRefresher,
-    refresh_exor_flow,
-    refresh_more_flow,
-    refresh_srcr_flow,
-)
+from repro.experiments.refresh import LinkStateRefresher
 from repro.experiments.runner import Environment, RunConfig, run_single_flow
+from repro.metrics.credits import forwarding_plan
 from repro.protocols.exor.agent import setup_exor_flow
 from repro.protocols.more.agent import MoreAgent
 from repro.protocols.more.flow import setup_more_flow
 from repro.protocols.srcr.agent import SrcrAgent, setup_srcr_flow
 from repro.sim.radio import SimConfig
 from repro.sim.simulator import Simulator
-from repro.topology.generator import chain, diamond
+from repro.topology.generator import chain, diamond, indoor_testbed
 from repro.topology.graph import Topology
 from repro.topology.mobility import MobilitySpec
 
@@ -108,8 +107,7 @@ class TestMoreRefresh:
         assert sim.nodes[2].agent is None
         old_header_size = spec.header_size()
 
-        config = RunConfig(seed=1, estimation_exponent=1.0, estimation_probes=0)
-        refresh_more_flow(sim, handle, full, config)
+        handle.replan(full)
 
         assert spec.forwarder_id_set() == {1, 2}
         assert 2 in spec.tx_credit and 2 in spec.distances
@@ -131,8 +129,7 @@ class TestMoreRefresh:
                                  coding_payload_size=4, control_topology=full)
         spec = handle.spec
         assert 2 in spec.forwarder_id_set()
-        config = RunConfig(seed=1, estimation_exponent=1.0, estimation_probes=0)
-        refresh_more_flow(sim, handle, weak, config)
+        handle.replan(weak)
         assert spec.forwarder_id_set() == {1}
         state = sim.nodes[2].agent.forward_flows[spec.flow_id]
         assert not state.listed  # ignores the flow's data from now on
@@ -151,8 +148,7 @@ class TestExorRefresh:
         destination_agent = sim.nodes[3].agent
         destination_agent.destination_done[spec.flow_id].add(0)
 
-        config = RunConfig(seed=1, estimation_exponent=1.0, estimation_probes=0)
-        refresh_exor_flow(sim, handle, full, config)
+        handle.replan(full)
 
         assert 2 in spec.participants
         assert spec.rank(2) is not None
@@ -184,9 +180,8 @@ class TestExorRefresh:
         rank_before = {node: spec.rank(node) for node in spec.participants}
         asymmetric = full.delivery_matrix()
         asymmetric[3, :] = 0.0  # the destination can reach nobody
-        config = RunConfig(seed=1, estimation_exponent=1.0, estimation_probes=0)
         with pytest.raises(ValueError):
-            refresh_exor_flow(sim, handle, Topology(asymmetric), config)
+            handle.replan(Topology(asymmetric))
         assert (list(spec.participants), list(spec.forward_route),
                 list(spec.reverse_route)) == before
         # The memoised rank map still matches the (unchanged) participants.
@@ -210,8 +205,7 @@ class TestExorRefresh:
         source_agent.start_flow(spec.flow_id)
         state = source_agent.flows[spec.flow_id]
         old_rank = state.rank
-        config = RunConfig(seed=1, estimation_exponent=1.0, estimation_probes=0)
-        refresh_exor_flow(sim, handle, weak, config)  # relay 2 pruned
+        handle.replan(weak)  # relay 2 pruned
         assert state.rank < old_rank
         assert state.responsibility() == [0, 1, 2, 3]
 
@@ -222,8 +216,7 @@ class TestExorRefresh:
                                  control_topology=full)
         spec = handle.spec
         assert 2 in spec.participants
-        config = RunConfig(seed=1, estimation_exponent=1.0, estimation_probes=0)
-        refresh_exor_flow(sim, handle, weak, config)
+        handle.replan(weak)
         assert 2 not in spec.participants
         state = sim.nodes[2].agent.flows[spec.flow_id]
         state.packets_received(state.batch_id).add(0)
@@ -249,8 +242,7 @@ class TestSrcrRefresh:
         assert isinstance(relay, SrcrAgent)
         relay.queues[spec.flow_id].extend([3, 4])
 
-        config = RunConfig(seed=1, estimation_exponent=1.0, estimation_probes=0)
-        refresh_srcr_flow(sim, handle, control, config)
+        handle.replan(control)
 
         assert spec.route == [0, 1, 3, 4]
         assert spec.next_hop(2) == 3  # the stranded relay keeps forwarding
@@ -279,10 +271,122 @@ class TestSrcrRefresh:
         topology = chain(3, link_delivery=0.8)
         sim = Simulator(topology, SimConfig(seed=1))
         handle = setup_srcr_flow(sim, topology, 0, 3, total_packets=4)
-        config = RunConfig(seed=1, estimation_exponent=1.0, estimation_probes=0)
-        refresh_srcr_flow(sim, handle, topology, config)
+        handle.replan(topology)
         assert handle.spec.detours == {}
         assert handle.spec.route == [0, 1, 2, 3]
+
+
+def _refresh_once(sim, handle, view, **config) -> None:
+    """One round of a refresh loop that holds ``config`` and probes ``view``."""
+    refresher = LinkStateRefresher(sim, [handle],
+                                   RunConfig(seed=1, refresh_period=1.0, **config))
+    refresher.control_view = lambda: view
+    refresher._tick()
+    assert refresher.refreshes == 1 and refresher.skipped_flows == 0
+
+
+class TestFlowKeepsWhatItWasSetUpWith:
+    """A re-plan reads the flow, not the configuration of whoever calls it."""
+
+    #: On this testbed pair the 10% rule keeps 3 of 19 participants, and the
+    #: ETX and EOTX orders pick different relays for pair 0 -> 17.
+    TESTBED = indoor_testbed(floors=3, seed=7)
+
+    def test_unpruned_more_flow_stays_unpruned(self):
+        testbed = self.TESTBED
+        assert len(forwarding_plan(testbed, 17, 2).participants) == 3
+        sim = Simulator(testbed, SimConfig(seed=1))
+        handle = setup_more_flow(sim, testbed, 17, 2, total_packets=8, batch_size=4,
+                                 coding_payload_size=4, prune=False)
+        assert len(handle.spec.tx_credit) == 19
+        before = [entry.node_id for entry in handle.spec.forwarders]
+        _refresh_once(sim, handle, testbed)
+        assert [entry.node_id for entry in handle.spec.forwarders] == before
+        assert len(handle.spec.tx_credit) == 19
+
+    def test_unpruned_exor_flow_stays_unpruned(self):
+        testbed = self.TESTBED
+        sim = Simulator(testbed, SimConfig(seed=1))
+        handle = setup_exor_flow(sim, testbed, 17, 2, total_packets=8, batch_size=4,
+                                 prune=False)
+        before = list(handle.spec.participants)
+        assert len(before) == 19
+        _refresh_once(sim, handle, testbed)
+        assert handle.spec.participants == before
+
+    def test_eotx_flow_replans_with_eotx(self):
+        testbed = self.TESTBED
+        etx = forwarding_plan(testbed, 0, 17, metric="etx").participants
+        eotx = forwarding_plan(testbed, 0, 17, metric="eotx").participants
+        assert etx != eotx
+        sim = Simulator(testbed, SimConfig(seed=1))
+        handle = setup_more_flow(sim, testbed, 0, 17, total_packets=8, batch_size=4,
+                                 coding_payload_size=4, metric="eotx")
+        assert sorted(handle.spec.tx_credit) == sorted(eotx)
+        # The loop's own config says "etx" (the default); the flow wins.
+        _refresh_once(sim, handle, testbed, more_metric="etx")
+        assert sorted(handle.spec.tx_credit) == sorted(eotx)
+
+    def test_capped_flow_keeps_its_cap(self):
+        testbed = self.TESTBED
+        sim = Simulator(testbed, SimConfig(seed=1))
+        handle = setup_more_flow(sim, testbed, 17, 2, total_packets=8, batch_size=4,
+                                 coding_payload_size=4, max_relays=5)
+        assert len(handle.spec.forwarders) == 5
+        _refresh_once(sim, handle, testbed, max_relays=None)
+        assert len(handle.spec.forwarders) == 5
+
+    def test_autorate_flow_recruits_autorate_relays(self):
+        full, weak = _diamond_views()
+        sim = Simulator(full, SimConfig(seed=1))
+        handle = setup_srcr_flow(sim, full, 0, 3, total_packets=4,
+                                 use_autorate=True, control_topology=weak)
+        assert handle.spec.route == [0, 1, 3]
+        assert sim.nodes[2].agent is None
+        other = full.delivery_matrix()
+        for a, b in ((0, 1), (1, 0), (1, 3), (3, 1)):
+            other[a, b] = 0.0
+        _refresh_once(sim, handle, Topology(other), srcr_autorate=False)
+        assert handle.spec.route == [0, 2, 3]
+        recruit = sim.nodes[2].agent
+        assert isinstance(recruit, SrcrAgent)
+        assert recruit.use_autorate and recruit.rate_controller is not None
+
+    def test_recruited_more_agent_is_seeded_by_its_flow(self):
+        """One rule: a node's agent is seeded by the flow that first installs
+        it, whether set-up or a later re-plan gets there first."""
+        full, weak = _diamond_views()
+        sim = Simulator(full, SimConfig(seed=1))
+        handle = setup_more_flow(sim, full, 0, 3, total_packets=8, batch_size=4,
+                                 coding_payload_size=4, seed=5,
+                                 control_topology=weak)
+        assert sim.nodes[2].agent is None
+        _refresh_once(sim, handle, full)
+        expected = MoreAgent(2, seed=5).rng.bit_generator.state
+        assert sim.nodes[2].agent.rng.bit_generator.state == expected
+        assert sim.nodes[1].agent.rng.bit_generator.state \
+            == MoreAgent(1, seed=5).rng.bit_generator.state
+
+    @pytest.mark.parametrize("protocol", ("MORE", "ExOR", "Srcr"))
+    def test_disconnected_view_raises_and_leaves_the_spec_untouched(self, protocol):
+        full, _ = _diamond_views()
+        sim = Simulator(full, SimConfig(seed=1))
+        if protocol == "MORE":
+            handle = setup_more_flow(sim, full, 0, 3, total_packets=8, batch_size=4,
+                                     coding_payload_size=4)
+            plan_fields = ("forwarders", "tx_credit", "distances", "ack_route")
+        elif protocol == "ExOR":
+            handle = setup_exor_flow(sim, full, 0, 3, total_packets=8, batch_size=4)
+            plan_fields = ("participants", "forward_route", "reverse_route")
+        else:
+            handle = setup_srcr_flow(sim, full, 0, 3, total_packets=8)
+            plan_fields = ("route", "detours")
+        spec = handle.spec
+        before = {name: copy.deepcopy(getattr(spec, name)) for name in plan_fields}
+        assert all(before[name] for name in plan_fields if name != "detours")
+        with pytest.raises(ValueError):
+            handle.replan(Topology(np.zeros((4, 4))))
+        assert {name: getattr(spec, name) for name in plan_fields} == before
 
 
 class TestEndToEnd:

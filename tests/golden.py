@@ -3,7 +3,10 @@
 ``tests/golden_traces.json`` freezes every observable of a complete
 simulation — the main RNG's exact ``bit_generator.state``, the final clock,
 per-flow statistics, the medium counters and ``events.processed`` — over
-the preset x protocol x seed x fault grid below.  The differential suites
+the preset x protocol x seed x fault grid below.  A trace is set up by
+``repro.experiments.runner.start_flows``, the one place a run is started,
+so the link-state refresh loop and the progress supervisor are inside what
+it pins whenever the preset arms them.  The differential suites
 (``tests/sim/test_engine_differential.py``, ``test_fault_differential.py``,
 ``tests/scenarios/test_dynamic_scenarios.py``) assert ``run_trace(...) ==
 GOLDEN[...]``: the file is the behavioural contract any hot-path change
@@ -19,7 +22,7 @@ from pathlib import Path
 
 from dataclasses import replace
 
-from repro.experiments.runner import _install_flow, _make_simulator, run_flows
+from repro.experiments.runner import PROTOCOLS, run_flows, start_flows
 from repro.scenarios import build_pairs, build_topology, get_preset
 from repro.sim.faults import FaultSpec
 
@@ -38,6 +41,19 @@ CHURN = FaultSpec("crash_recover", {"mean_uptime": 0.1, "mean_downtime": 0.05})
 #: The two concurrent MORE flows of the ``multiflow_grid`` entry.
 MULTIFLOW_PAIRS = [(0, 15), (12, 3)]
 
+#: The presets whose control plane recurs: link churn and mobility under a
+#: periodic link-state refresh, node crashes under refresh plus the progress
+#: supervisor.  Run at the presets' own ``refresh_period`` /
+#: ``progress_timeout``, so every mid-flow re-plan is inside the trace.
+REFRESH_PRESETS = ("churn_chain", "mobile_mesh", "node_churn_mesh")
+
+#: Seed of the three-flow ``mobile_mesh`` entries.  Of seeds 1-24 it is the
+#: one at which the MORE run tells apart how a relay recruited mid-flow
+#: seeds its coding RNG (a draw of such a relay decides an innovation; the
+#: flow results otherwise depend on code vectors only through rank), so the
+#: entry pins the rule: an agent is seeded by the flow that first installs it.
+REFRESH_MULTIFLOW_SEED = 16
+
 #: (preset, protocol, seed, under CHURN) for every single-flow entry.
 GRID = (
     [(preset, "MORE", seed, churn)
@@ -45,6 +61,8 @@ GRID = (
     + [("chain_smoke", protocol, seed, False)
        for protocol in ("ExOR", "Srcr") for seed in (1, 17)]
     + [("chain_smoke", protocol, 1, True) for protocol in ("ExOR", "Srcr")]
+    + [(preset, protocol, 1, False)
+       for preset in REFRESH_PRESETS for protocol in PROTOCOLS]
 )
 
 
@@ -70,15 +88,12 @@ def run_trace(preset_name: str, protocol: str, seed: int,
     environment = spec.environment()
     if faults is not None:
         environment = replace(environment, faults=faults)
-    # run_flows drives the same steps but does not expose the simulator.
-    sim = _make_simulator(topology, config, environment)
-    control = config.control_view(topology)
-    flow_id = _install_flow(sim, topology, protocol, source, destination, config,
-                            flow_seed=seed, control_topology=control).flow_id
+    # The set-up run_flows performs (refresher and supervisor included),
+    # stopped short of the run: a trace reads the finished simulator.
+    sim, (handle,) = start_flows(topology, protocol, [(source, destination)],
+                                 config, environment)
     sim.run(until=config.max_duration, stop_condition=sim.stats.all_flows_complete)
-    record = sim.stats.flows[flow_id]
-    # Flow ids come from a process-global counter, so they differ between
-    # back-to-back runs; the records are listed without them.
+    record = handle.record
     flows = [[r.source, r.destination, r.total_packets, r.packet_size,
               r.start_time, r.end_time, r.delivered_packets,
               r.delivered_batches, r.duplicate_packets]
@@ -101,14 +116,32 @@ def run_trace(preset_name: str, protocol: str, seed: int,
     }
 
 
+def _flow_results(flows) -> list:
+    return [[f.throughput_pkts, f.delivered_packets, f.duration, f.completed,
+             f.data_transmissions] for f in flows]
+
+
 def run_multiflow_trace() -> list:
     """Two concurrent MORE flows on ``multiflow_grid`` through ``run_flows``
     (shared agents, round-robin paths): the per-flow results."""
     spec = get_preset("multiflow_grid")
     flows = run_flows(build_topology(spec.topology), "MORE", MULTIFLOW_PAIRS,
                       config=spec.run_config(1))
-    return [[f.throughput_pkts, f.delivered_packets, f.duration, f.completed,
-             f.data_transmissions] for f in flows]
+    return _flow_results(flows)
+
+
+def run_refreshing_multiflow_trace(protocol: str) -> list:
+    """Three concurrent flows of ``protocol`` on ``mobile_mesh`` (its first
+    three pairs) through ``run_flows``, re-planned every second while the
+    nodes move: recruits join agents that other flows already installed, or
+    get a new agent from whichever flow reaches them first."""
+    spec = get_preset("mobile_mesh")
+    topology = build_topology(spec.topology)
+    seed = REFRESH_MULTIFLOW_SEED
+    pairs = build_pairs(spec.workload, topology, seed)[:3]
+    flows = run_flows(topology, protocol, pairs, config=spec.run_config(seed),
+                      environment=spec.environment())
+    return _flow_results(flows)
 
 
 def compute_golden() -> dict:
@@ -117,6 +150,9 @@ def compute_golden() -> dict:
                run_trace(preset, protocol, seed, faults=CHURN if churn else None)
                for preset, protocol, seed, churn in GRID}
     entries["multiflow_grid/MORE/1"] = run_multiflow_trace()
+    for protocol in PROTOCOLS:
+        entries[f"mobile_mesh/3flows/{protocol}/{REFRESH_MULTIFLOW_SEED}"] = \
+            run_refreshing_multiflow_trace(protocol)
     return entries
 
 

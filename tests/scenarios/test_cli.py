@@ -123,6 +123,34 @@ def test_removed_cli_flag_is_an_argparse_error(tmp_path):
 
 
 @pytest.mark.parametrize("command", [
+    ("show", "--preset", "grid_5x5", "--set", 'protocols=["Bogus"]'),
+    ("run", "--preset", "grid_5x5", "--no-cache", "--set", 'protocols=["MORE","Bogus"]'),
+    ("run", "--preset", "chain_smoke", "--no-cache", "--set", "protocols=Bogus"),
+    # Default worker count: caught while the sweep expands, before any worker starts.
+    ("sweep", "--preset", "chain_smoke", "--no-cache", "--axis", "protocols=MORE,Bogus"),
+], ids=["show", "run_after_a_good_token", "bare_string", "sweep_axis"])
+def test_unknown_protocol_token_is_a_one_line_error(command, capsys, monkeypatch):
+    """``show`` used to print the spec and exit 0; ``run`` ran every MORE flow
+    first and only then named the token, from a list without ``Srcr/auto``."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a flow ran before the token was rejected")
+    monkeypatch.setattr("repro.scenarios.execute.run_single_flow", no_run)
+    line = _one_line_error(capsys, *command)
+    assert "unknown protocol 'Bogus'" in line
+    assert "expected one of ('MORE', 'ExOR', 'Srcr', 'Srcr/auto')" in line
+
+
+def test_unknown_protocol_token_is_rejected_in_a_spec_file(capsys, tmp_path):
+    spec = get_preset("chain_smoke").to_dict()
+    spec["protocols"] = ["Srcr/auto", "Bogus"]
+    spec_file = tmp_path / "scenario.json"
+    spec_file.write_text(json.dumps(spec))
+    for command in ("show", "run"):
+        line = _one_line_error(capsys, command, "--spec", str(spec_file))
+        assert "unknown protocol 'Bogus'" in line
+
+
+@pytest.mark.parametrize("command", [
     ("run", "--preset", "chain_smoke", "--set", "topology.bogus=3"),
     ("run", "--preset", "fig_4_2", "--set", "workload.bogus=3"),
     ("run", "--preset", "multiflow_grid", "--set", "workload.bogus=3"),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import RunConfig
+from repro.experiments.runner import PROTOCOLS, RunConfig
 from repro.scenarios import (
     MIN_BATCHES_PER_TRANSFER,
     ScenarioCell,
@@ -73,6 +73,26 @@ class TestOverrides:
         data = sweep_spec.to_dict()
         data["protocols"] = "Srcr"
         assert ScenarioSpec.from_dict(data).protocols == ("Srcr",)
+
+    def test_unknown_protocol_token_rejected_wherever_it_enters(self, sweep_spec):
+        from repro.scenarios.execute import _resolve_protocol
+        from repro.scenarios.spec import PROTOCOL_TOKENS
+
+        with pytest.raises(ValueError, match="unknown protocol 'More'"):
+            sweep_spec.with_overrides({"protocols": ["MORE", "More"]})
+        data = sweep_spec.to_dict()
+        data["protocols"] = ["Srcr/auto", "exor"]
+        with pytest.raises(ValueError, match=r"unknown protocol 'exor'.*'Srcr/auto'"):
+            ScenarioSpec.from_dict(data)
+        sweep_spec.sweep["protocols"] = ("MORE", "Bogus")
+        with pytest.raises(ValueError, match="unknown protocol 'Bogus'"):
+            sweep_spec.expand()
+        # Every accepted token resolves to a protocol the runner knows.
+        base = sweep_spec.run_config(1)
+        assert {_resolve_protocol(token, base)[0] for token in PROTOCOL_TOKENS} \
+            == set(PROTOCOLS)
+        assert _resolve_protocol("Srcr/auto", base)[1].srcr_autorate
+        assert _resolve_protocol("Srcr", base)[1] is base
 
     def test_from_dict_missing_required_fields(self, sweep_spec):
         data = sweep_spec.to_dict()

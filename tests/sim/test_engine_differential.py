@@ -15,7 +15,18 @@ from __future__ import annotations
 
 import pytest
 
-from golden import PRESETS, SEEDS, key, load_golden, run_multiflow_trace, run_trace
+from golden import (
+    PRESETS,
+    REFRESH_MULTIFLOW_SEED,
+    REFRESH_PRESETS,
+    SEEDS,
+    key,
+    load_golden,
+    run_multiflow_trace,
+    run_refreshing_multiflow_trace,
+    run_trace,
+)
+from repro.experiments.runner import PROTOCOLS
 from repro.sim.radio import SimConfig
 
 GOLDEN = load_golden()
@@ -39,6 +50,22 @@ def test_other_protocols_bit_identical(protocol, seed):
 def test_multiflow_bit_identical():
     """Concurrent flows (shared agents, round-robin paths) are pinned too."""
     assert run_multiflow_trace() == GOLDEN["multiflow_grid/MORE/1"]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize("preset_name", REFRESH_PRESETS)
+def test_replanned_run_bit_identical(preset_name, protocol):
+    """The control plane recurs mid-flow (periodic link-state refresh, and on
+    ``node_churn_mesh`` the supervisor's recovery re-plans): what a re-plan
+    installs, keeps and drops is pinned like the data path."""
+    assert run_trace(preset_name, protocol, 1) == GOLDEN[key(preset_name, protocol, 1)]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_replanned_multiflow_bit_identical(protocol):
+    """Three flows re-planned while they share (and recruit) agents."""
+    assert run_refreshing_multiflow_trace(protocol) \
+        == GOLDEN[f"mobile_mesh/3flows/{protocol}/{REFRESH_MULTIFLOW_SEED}"]
 
 
 def test_engine_mode_validation():
