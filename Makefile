@@ -10,8 +10,9 @@ ENV      = PYTHONPATH=src
 
 # The pre-merge gate: lint, the static invariant analyzer, the import
 # budget, the golden-trace tests (fail fast on a hot-path behaviour change),
-# then the full tier-1 suite.
-check: lint analyze import-check test-engine test
+# the coding/GF differentials (fail fast on a coefficient or a row), then
+# the full tier-1 suite.
+check: lint analyze import-check test-engine test-coding test
 
 # Style/correctness lint: `ruff check` when ruff is installed, the
 # repro.analysis style rules (syntax, line length, trailing whitespace,
@@ -53,9 +54,10 @@ test-engine:
 golden:
 	$(ENV) $(PYTHON) scripts/golden_traces.py
 
-# The coding/GF gate alone: the coding buffer and the elimination kernel
-# against their scalar oracles (property streams, edge cases, differential
-# suites).  The CI coverage job runs the same selection under pytest-cov.
+# The coding/GF gate alone: the coding buffer, the coefficient stream and
+# the GF kernels against their scalar / numpy oracles (property streams,
+# edge cases, differential suites; ~6 s).  The CI coverage job runs the same
+# selection under pytest-cov.
 test-coding:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/coding tests/gf
 

@@ -30,6 +30,7 @@ from repro.cli import main as repro_main
 from repro.coding.decoder import BatchDecoder
 from repro.coding.encoder import SourceEncoder
 from repro.coding.packet import make_batch
+from repro.gf.arithmetic import CoefficientStream
 
 K = 32
 PACKET_SIZE = 1500
@@ -46,7 +47,7 @@ def full_rank_packets():
     """K coded packets spanning a K-size batch (same seeds as the bench)."""
     batch = make_batch(batch_size=K, packet_size=PACKET_SIZE,
                        rng=np.random.default_rng(1))
-    encoder = SourceEncoder(batch, np.random.default_rng(2))
+    encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(2)))
     return encoder.next_packets(K)
 
 

@@ -35,6 +35,7 @@ from repro.experiments.orchestrator.bench import (
     BENCH_WORKERS,
     bench_sweep_specs,
 )
+from repro.gf.arithmetic import CoefficientStream
 
 K = 32
 PACKET_SIZE = 1500
@@ -80,11 +81,13 @@ def test_forwarder_recode_floor_vs_v4_baseline():
     """The fused combine_rows recode path >= 1.5x the committed v4 rate."""
     batch = make_batch(batch_size=K, packet_size=PACKET_SIZE,
                        rng=np.random.default_rng(1))
-    packets = SourceEncoder(batch, np.random.default_rng(2)).next_packets(K)
+    packets = SourceEncoder(
+        batch, CoefficientStream(np.random.default_rng(2))).next_packets(K)
 
     def recode_batch() -> None:
-        forwarder = ForwarderEncoder(batch_size=K, packet_size=PACKET_SIZE,
-                                     rng=np.random.default_rng(3))
+        forwarder = ForwarderEncoder(
+            batch_size=K, packet_size=PACKET_SIZE,
+            stream=CoefficientStream(np.random.default_rng(3)))
         for coded in packets[: K // 2]:
             forwarder.add_packet(coded)
         for _ in range(K // 2):

@@ -31,6 +31,7 @@ from repro.coding.decoder import BatchDecoder
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder
 from repro.coding.packet import make_batch
 from repro.experiments.figures import table_4_1
+from repro.gf.arithmetic import CoefficientStream
 from repro.gf.kernels import gf_vecmat
 
 K = 32
@@ -44,20 +45,20 @@ def batch():
 
 def test_coding_at_source(benchmark, batch):
     """Cost of producing one coded packet at the source (paper: 270 us)."""
-    encoder = SourceEncoder(batch, np.random.default_rng(1))
+    encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(1)))
     benchmark(lambda: encoder.next_packet().payload)
 
 
 def test_batched_coding_at_source(benchmark, batch):
     """Per-packet cost when the source codes a whole batch in one kernel call."""
-    encoder = SourceEncoder(batch, np.random.default_rng(1))
+    encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(1)))
     result = benchmark(encoder.next_packets, K)
     assert len(result) == K
 
 
 def test_independence_check(benchmark, batch):
     """Cost of the linear-independence check per packet (paper: 10 us)."""
-    encoder = SourceEncoder(batch, np.random.default_rng(2))
+    encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(2)))
     buffer = BatchBuffer(K, PACKET_SIZE, track_payloads=False)
     packets = encoder.next_packets(K)
     for packet in packets[: K // 2]:
@@ -69,7 +70,7 @@ def test_independence_check(benchmark, batch):
 
 def test_decoding_per_packet(benchmark, batch):
     """Cost of a whole batch at the destination: K inserts and the decode."""
-    encoder = SourceEncoder(batch, np.random.default_rng(3))
+    encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(3)))
     packets = encoder.next_packets(K)
 
     def decode_full_batch():
@@ -86,11 +87,11 @@ def test_decoding_per_packet(benchmark, batch):
 def test_recode_at_forwarder(benchmark, batch):
     """Cost of a batch at a forwarder that transmits as often as it hears:
     per arrival one insert, one hand-out and one pre-code (Section 3.2.3(c))."""
-    encoder = SourceEncoder(batch, np.random.default_rng(4))
+    encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(4)))
     packets = encoder.next_packets(K)
 
     def recode_full_batch():
-        forwarder = ForwarderEncoder(K, PACKET_SIZE, np.random.default_rng(5))
+        forwarder = ForwarderEncoder(K, PACKET_SIZE, CoefficientStream(np.random.default_rng(5)))
         recoded = [forwarder.next_packet()
                    for packet in packets if forwarder.add_packet(packet)]
         for packet in recoded:

@@ -24,7 +24,7 @@ import pytest
 
 from repro.coding.encoder import SourceEncoder
 from repro.coding.packet import CodedPacket, make_batch
-from repro.gf.arithmetic import random_code_vector, scale_and_add
+from repro.gf.arithmetic import CoefficientStream, random_code_vector, scale_and_add
 from repro.gf.kernels import ShiftedRows, gf_matmul
 from repro.scenarios import get_preset
 from repro.scenarios.execute import run_cell
@@ -55,7 +55,7 @@ def test_batched_encoding_bit_identical():
     """next_packets(K) and the old per-packet loop produce the same packets."""
     batch = make_batch(batch_size=K, packet_size=PACKET_SIZE,
                        rng=np.random.default_rng(0))
-    encoder = SourceEncoder(batch, np.random.default_rng(7))
+    encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(7)))
     batched = encoder.next_packets(K)
     reference = _encode_scalar(batch.payload_matrix(), np.random.default_rng(7), K)
     for new, old in zip(batched, reference):
@@ -76,7 +76,7 @@ def test_batched_encoding_speedup():
     batch = make_batch(batch_size=K, packet_size=PACKET_SIZE,
                        rng=np.random.default_rng(0))
     payloads = batch.payload_matrix()
-    encoder = SourceEncoder(batch, np.random.default_rng(1))
+    encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(1)))
     encoder.next_packets(K)  # build the shifted-row stack outside the timing
     scalar_rng = np.random.default_rng(1)
 

@@ -23,7 +23,13 @@ root:
    on the air (``gf.matmul_calls < sim.frames``): a packet's 1500 bytes are
    computed when a listener stores it, and most frames are stored by no
    one, so a regression to one product per transmission is caught by
-   exact counts rather than by timing.
+   exact counts rather than by timing.  On the two meshes it must run
+   fewer single-vector GF kernel calls than buffer inserts
+   (``gf.vecmat_calls < coding.insert_calls``): the buffer eliminates and
+   combines over its rows without a numpy kernel, and the only such calls
+   left are stored packets' 16 payload bytes — a regression to one kernel
+   call per elimination (there were two to three per insert) is caught the
+   same way.
 
 Exit status 0 on success; any violated step raises.  The timings of a
 ``--quick`` run mean nothing and are not looked at.
@@ -63,6 +69,13 @@ def main() -> int:
                 raise RuntimeError(f"bench: {workload}: {products:g} GF matrix products "
                                    f"for {frames:g} frames on the air: payloads are "
                                    f"built per transmission, not per stored packet")
+        else:  # the two meshes
+            kernels = result["metrics"]["gf.vecmat_calls"]["value"]
+            inserts = result["metrics"]["coding.insert_calls"]["value"]
+            if kernels >= inserts:
+                raise RuntimeError(f"bench: {workload}: {kernels:g} single-vector GF "
+                                   f"kernel calls for {inserts:g} buffer inserts: the "
+                                   f"row-echelon algebra is back on numpy kernels")
         print(f"bench-smoke: {workload} ok ({result['attempted']} operations, "
               f"every traced entry point resolved)")
     return 0

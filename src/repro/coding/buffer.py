@@ -17,7 +17,7 @@ paper's decoder does).
 Payload arithmetic leaves the per-insert path entirely.  Each stored row
 is the code vector *augmented with a transform row*: the row's linear
 combination over the raw payloads admitted so far.  Inserts eliminate over
-the ``K x 2K`` combined matrix (code columns + transform columns) and stash
+the ``2K``-byte combined rows (code columns + transform columns) and stash
 the raw payload untouched; the reduced payload matrix is materialised
 lazily — one ``(rank, rank) @ (rank, S)`` product, cached until the next
 insert — when a decode or inspection actually needs the bytes.  A pre-code
@@ -32,23 +32,36 @@ so the deferred form produces the same bytes as the per-row Python-loop
 Gauss–Jordan it is tested against (``ScalarBatchBuffer`` in
 ``tests/coding/test_vectorized_differential.py``).
 
-Because the stored matrix is in *reduced* row-echelon form, reducing an
-incoming vector against all pivots simultaneously (one ``(1, r) @ (r, K)``
-product) is bit-identical to the paper's sequential row-by-row elimination:
-no stored row has a non-zero entry in another row's pivot column, so no
-reduction step can change the coefficient a later step reads.
+The algebra runs on no array.  A row is K (or 2K) bytes, far below the
+size at which a numpy call earns its fixed cost, so each row is kept as
+one Python int (its bytes, little-endian): adding two rows is one ``^``,
+and scaling one by a coefficient is ``bytes.translate`` through that
+coefficient's row of the product table
+(:data:`repro.gf.tables.MUL_ROWS`) — the paper's lookup-table multiply,
+literally.  Arrays appear where payload bytes or a caller-visible matrix
+do.
+
+Because the stored rows are in *reduced* row-echelon form, every
+coefficient the reduction of an incoming vector needs can be read from the
+*incoming* bytes up front, which is bit-identical to the paper's sequential
+row-by-row elimination: no stored row has a non-zero entry in another row's
+pivot column, so no reduction step can change the coefficient a later step
+reads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Iterable
 
 import numpy as np
 
 from repro.coding.packet import CodedPacket, PayloadRows
-from repro.gf.arithmetic import vec_scale, zero_bytes
-from repro.gf.kernels import gf_matmul, gf_vecmat
-from repro.gf.tables import INV, MUL
+from repro.gf.kernels import gf_matmul
+from repro.gf.tables import INV, MUL_ROWS
+
+#: ``_INVERSE[a]`` as a Python int, without a numpy scalar in between.
+_INVERSE = INV.tobytes()
 
 
 class BatchBuffer:
@@ -74,20 +87,17 @@ class BatchBuffer:
         self.batch_size = batch_size
         self.packet_size = packet_size
         self.track_payloads = track_payloads
-        self._occupied = np.zeros(batch_size, dtype=bool)
-        self._rank = 0
         self.received = 0
         self.innovative = 0
-        # Combined matrix: columns [0, K) hold the reduced code vectors
-        # (row i, when occupied, has its leading non-zero coefficient at
-        # column i; unoccupied rows stay all-zero), columns [K, 2K) the
-        # transform rows (coefficients over the raw payloads in admission
-        # order).  Transform columns are only maintained when payload bytes
-        # can ever be asked for.
+        # A row's bytes: [0, K) the reduced code vector, whose leading
+        # non-zero coefficient is a 1 at the row's pivot column; [K, 2K) the
+        # transform (coefficients over the raw payloads in admission order),
+        # kept only when payload bytes can ever be asked for.
         self._with_transform = track_payloads and packet_size > 0
-        width = 2 * batch_size if self._with_transform else batch_size
-        self._ops = np.zeros((batch_size, width), dtype=np.uint8)
-        self._matrix = self._ops[:, :batch_size]
+        self._width = 2 * batch_size if self._with_transform else batch_size
+        #: The pivot columns present, increasing, and the row of each.
+        self._pivots: list[int] = []
+        self._rows: list[int] = []
         #: The admitted raw payloads, one slot per innovative arrival in
         #: admission order (zero-width when no bytes are kept): the operand
         #: of every packet re-coded from this buffer.  Slots are append-only
@@ -100,16 +110,30 @@ class BatchBuffer:
     @property
     def rank(self) -> int:
         """Current rank (number of innovative packets stored)."""
-        return self._rank
+        return len(self._pivots)
 
     @property
     def is_full(self) -> bool:
         """True when the buffer holds K linearly independent packets."""
-        return self._rank >= self.batch_size
+        return len(self._pivots) >= self.batch_size
 
     def occupied_pivots(self) -> list[int]:
         """Return the pivot columns currently present, in increasing order."""
-        return [int(i) for i in np.nonzero(self._occupied)[0]]
+        return list(self._pivots)
+
+    def _combination(self, start: int, coefficients: Iterable[int]) -> int:
+        """``start`` plus the stored rows scaled by ``coefficients`` (one per
+        row, in pivot-column order): the one loop behind the reduction of an
+        arrival, the dry-run innovation check and a forwarder's pre-code."""
+        width = self._width
+        from_bytes = int.from_bytes
+        tables = MUL_ROWS
+        for coefficient, row in zip(coefficients, self._rows):
+            if coefficient:
+                start ^= from_bytes(
+                    row.to_bytes(width, "little").translate(tables[coefficient]),
+                    "little")
+        return start
 
     def add(self, packet: CodedPacket) -> bool:
         """Insert a coded packet; return True iff it was innovative.
@@ -119,59 +143,53 @@ class BatchBuffer:
         admitted, rows above it are also cleared in that column so the stored
         matrix stays in *reduced* row-echelon form.
         """
-        if packet.batch_size != self.batch_size:
-            raise ValueError(
-                f"packet code vector length {packet.batch_size} does not match "
-                f"buffer batch size {self.batch_size}"
-            )
-        self.received += 1
-        # Deferred-transform insert: code vector + transform row only.
         batch_size = self.batch_size
-        with_transform = self._with_transform
+        vector = packet.code_vector
+        if vector.shape[0] != batch_size:
+            raise ValueError(
+                f"packet code vector length {vector.shape[0]} does not match "
+                f"buffer batch size {batch_size}"
+            )
         if self.track_payloads and packet.size != self.packet_size:
             raise ValueError(
                 f"payload length {packet.size} does not match buffer "
                 f"packet size {self.packet_size}"
             )
-        ops = self._ops
-        slot = self._rank
-        extended = np.zeros(ops.shape[1], dtype=np.uint8)
-        extended[:batch_size] = packet.code_vector
-        if with_transform and slot < batch_size:
+        self.received += 1
+        pivots = self._pivots
+        rows = self._rows
+        slot = len(pivots)
+        code = vector.tobytes()
+        extended = int.from_bytes(code, "little")
+        if self._with_transform and slot < batch_size:
             # This arrival would occupy raw slot ``slot``; rows carry their
             # combination over admitted arrivals in the transform columns.
-            extended[batch_size + slot] = 1
-        # Active width: code columns plus the transform columns in use.  No
-        # stored row (nor the incoming one) has a non-zero entry beyond it.
-        width = batch_size + slot + 1 if with_transform else batch_size
-        pivots = np.nonzero(self._occupied)[0]
-        if pivots.size:
-            coefficients = extended[pivots]
-            if coefficients.tobytes() != zero_bytes(pivots.size):
-                extended[:width] ^= gf_vecmat(coefficients, ops[pivots, :width])
-        remaining = np.nonzero(extended[:batch_size])[0]
-        if remaining.size == 0:
+            extended |= 1 << (8 * (batch_size + slot))
+        extended = self._combination(extended, map(code.__getitem__, pivots))
+        reduced = extended.to_bytes(self._width, "little")
+        remaining = reduced[:batch_size].lstrip(b"\0")
+        if not remaining:
             # Vector reduced to zero: the packet is not innovative; its
             # payload was never read.
             return False
-        column = int(remaining[0])
-        inverse = int(INV[int(extended[column])])
+        column = batch_size - len(remaining)
+        inverse = _INVERSE[remaining[0]]
         if inverse != 1:
-            extended[:width] = vec_scale(extended[:width], inverse)
-        if pivots.size:
-            factors = ops[pivots, column]
-            mask = factors != 0
-            hit = pivots[mask]
-            if hit.size:
-                # Rank-1 update clearing the new pivot column from every
-                # stored row at once; the MUL-table outer product beats the
-                # LOG/EXP formulation at these widths.
-                ops[hit, :width] ^= MUL[factors[mask][:, None], extended[:width]]
-        ops[column] = extended
-        self._occupied[column] = True
-        self._rank += 1
+            reduced = reduced.translate(MUL_ROWS[inverse])
+            extended = int.from_bytes(reduced, "little")
+        # Clear the new pivot column from every stored row.
+        shift = 8 * column
+        from_bytes = int.from_bytes
+        tables = MUL_ROWS
+        for index, row in enumerate(rows):
+            factor = (row >> shift) & 0xFF
+            if factor:
+                rows[index] = row ^ from_bytes(reduced.translate(tables[factor]), "little")
+        index = bisect(pivots, column)
+        pivots.insert(index, column)
+        rows.insert(index, extended)
         self.innovative += 1
-        if with_transform:
+        if self._with_transform:
             # The one read of the packet's bytes on the receive path.
             self.raw.matrix[slot] = packet.payload
         self._payload_cache = None
@@ -192,35 +210,32 @@ class BatchBuffer:
         vector = np.asarray(code_vector, dtype=np.uint8)
         if vector.shape[0] != self.batch_size:
             raise ValueError("code vector length does not match batch size")
-        if self._rank == 0:
-            return bool(vector.any())
-        if self.is_full:
-            return False
-        pivots = np.nonzero(self._occupied)[0]
-        coefficients = vector[pivots]
-        if not coefficients.any():
-            return bool(vector.any())
-        reduced = vector ^ gf_vecmat(coefficients, self._matrix[pivots])
-        return bool(reduced.any())
+        code = vector.tobytes()
+        reduced = self._combination(int.from_bytes(code, "little"),
+                                    map(code.__getitem__, self._pivots))
+        # The code columns are the low K bytes; the rest is transform.
+        return bool(reduced & ((1 << (8 * self.batch_size)) - 1))
+
+    def _columns(self, start: int, stop: int) -> np.ndarray:
+        """Bytes ``[start, stop)`` of every stored row, as a fresh matrix."""
+        width = self._width
+        data = bytearray().join(row.to_bytes(width, "little")[start:stop]
+                                for row in self._rows)
+        return np.frombuffer(data, dtype=np.uint8).reshape(len(self._rows), stop - start)
 
     def stored_packets(self) -> list[CodedPacket]:
         """Return the stored (reduced) packets as :class:`CodedPacket` objects."""
-        pivots = self.occupied_pivots()
-        if not pivots:
-            return []
+        vectors = self.coefficient_matrix()
         if self.track_payloads:
             payloads = self.payload_matrix()
         else:
-            payloads = np.zeros((len(pivots), self.packet_size), dtype=np.uint8)
-        return [
-            CodedPacket(code_vector=self._matrix[column].copy(),
-                        payload=payloads[index].copy())
-            for index, column in enumerate(pivots)
-        ]
+            payloads = np.zeros((len(vectors), self.packet_size), dtype=np.uint8)
+        return [CodedPacket(code_vector=vector, payload=payload)
+                for vector, payload in zip(vectors, payloads)]
 
     def coefficient_matrix(self) -> np.ndarray:
         """Return the stored code vectors stacked as a rank x K matrix."""
-        return self._matrix[self._occupied].copy()
+        return self._columns(0, self.batch_size)
 
     def payload_matrix(self) -> np.ndarray:
         """Return the stored payloads stacked as a rank x S matrix.
@@ -238,11 +253,11 @@ class BatchBuffer:
 
     def _materialize_payloads(self) -> np.ndarray:
         """Reduce the admitted raw payloads through the stored transform."""
-        count = self._rank
+        count = self.rank
         if not self._with_transform or count == 0:
             return np.zeros((count, self.packet_size), dtype=np.uint8)
         batch_size = self.batch_size
-        transform = self._ops[self._occupied, batch_size:batch_size + count]
+        transform = self._columns(batch_size, batch_size + count)
         return gf_matmul(transform, self.raw.matrix[:count])
 
     def combine_rows(self, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,7 +265,7 @@ class BatchBuffer:
         a mix over the raw payload slots — no payload byte is touched.
 
         The forwarder pre-code path: ``coefficients @ [M | T]`` is one
-        product over the stored ``[code | transform]`` rows.  Its code half
+        combination of the stored ``[code | transform]`` rows.  Its code half
         is the combined code vector; its transform half ``c @ T`` is the
         combined payload expressed over the raw slots :attr:`raw`, because
         the reduced payloads are ``T @ R``::
@@ -272,22 +287,19 @@ class BatchBuffer:
             slots filled so far; empty when no payload bytes are kept).
             Both are views of one freshly owned row.
         """
-        count = self._rank
+        count = self.rank
         if count == 0:
             raise RuntimeError("cannot combine over an empty buffer")
         if coefficients.shape[0] != count:
             raise ValueError(
                 f"expected {count} combination coefficients, "
                 f"got {coefficients.shape[0]}")
+        combined = self._combination(
+            0, np.asarray(coefficients, dtype=np.uint8).tobytes())
+        # Full width, so that later arrivals can be folded in at their slots.
+        row = np.frombuffer(bytearray(combined.to_bytes(self._width, "little")),
+                            dtype=np.uint8)
         batch_size = self.batch_size
-        if not self._with_transform:
-            row = gf_vecmat(coefficients, self._matrix[self._occupied])
-        else:
-            # Full width, so that later arrivals can be folded in at their
-            # slots; the product runs over the columns in use.
-            width = batch_size + count
-            row = np.zeros(2 * batch_size, dtype=np.uint8)
-            row[:width] = gf_vecmat(coefficients, self._ops[self._occupied, :width])
         return row[:batch_size], row[batch_size:]
 
     def decode(self) -> np.ndarray:
@@ -308,16 +320,15 @@ class BatchBuffer:
             raise RuntimeError("cannot decode a buffer created without payload tracking")
         if not self.is_full:
             raise RuntimeError(
-                f"cannot decode: rank {self._rank} < batch size {self.batch_size}"
+                f"cannot decode: rank {self.rank} < batch size {self.batch_size}"
             )
         return self.payload_matrix()
 
     def clear(self) -> None:
         """Drop all stored state (used when a batch is flushed)."""
-        self._ops[:] = 0
+        self._pivots.clear()
+        self._rows.clear()
         # Fresh slots, not zeroed ones: packets handed out from this batch
         # may still build their bytes from the old.
         self.raw = self.raw.successor()
         self._payload_cache = None
-        self._occupied[:] = False
-        self._rank = 0

@@ -13,10 +13,13 @@ Two encoders are provided:
   innovative packets arrive, so no coding delay is inserted in front of a
   transmission.
 
-Both encoders draw their combination coefficients through
-:func:`repro.gf.arithmetic.random_code_vector`, the shared guard that
+Both encoders draw their combination coefficients from a
+:class:`~repro.gf.arithmetic.CoefficientStream` — the node's coding
+generator, read in blocks — whose ``code_vector`` is the shared guard that
 re-draws the (astronomically unlikely) all-zero vector so every transmitted
-packet carries information.
+packet carries information.  The stream is handed in, never made here: a
+node's encoders (every flow it sources or relays) share the one stream that
+owns the node's generator.
 
 Ownership invariant, in its deferred form: ``next_packet`` hands out the
 code vector plus the *recipe* for the bytes — the sender's own
@@ -40,21 +43,17 @@ import numpy as np
 
 from repro.coding.buffer import BatchBuffer
 from repro.coding.packet import Batch, CodedPacket, PayloadRows
-from repro.gf.arithmetic import (
-    random_code_vector,
-    random_nonzero_coefficient,
-    scale_and_add,
-)
+from repro.gf.arithmetic import CoefficientStream, scale_and_add
 
 
 class SourceEncoder:
     """Generates random linear combinations of a batch's native packets."""
 
-    def __init__(self, batch: Batch, rng: np.random.Generator) -> None:
+    def __init__(self, batch: Batch, stream: CoefficientStream) -> None:
         if batch.size == 0:
             raise ValueError("cannot encode an empty batch")
         self.batch = batch
-        self.rng = rng
+        self.stream = stream
         # The batch payloads never change: every packet's bytes are one
         # product against these rows, whenever it is asked for.
         self._rows = PayloadRows(batch.payload_matrix())
@@ -77,7 +76,7 @@ class SourceEncoder:
         :meth:`next_packets` draws it; the ``vector @ B`` kernel call waits
         for the first read of the packet's payload.
         """
-        coefficients = random_code_vector(self.batch.size, self.rng)
+        coefficients = self.stream.code_vector(self.batch.size)
         self.packets_generated += 1
         # At the source the code vector is itself the row over the natives.
         return CodedPacket.deferred(coefficients, self._rows, coefficients,
@@ -88,16 +87,16 @@ class SourceEncoder:
 
         The coefficient rows are drawn exactly as ``count`` sequential
         :meth:`next_packet` calls would draw them (one vector per call, with
-        the all-zero re-draw guard), so the two paths are bit-identical for
-        the same RNG state.  This is the eager form — every payload is built
-        here, in one product — and the oracle deferred packets are tested
-        against.
+        the all-zero re-draw guard), so the two paths are bit-identical from
+        the same stream position.  This is the eager form — every payload is
+        built here, in one product — and the oracle deferred packets are
+        tested against.
         """
         if count <= 0:
             raise ValueError("count must be positive")
         coefficients = np.empty((count, self.batch_size), dtype=np.uint8)
         for i in range(count):
-            coefficients[i] = random_code_vector(self.batch_size, self.rng)
+            coefficients[i] = self.stream.code_vector(self.batch_size)
         payloads = self._rows.matmul(coefficients)
         self.packets_generated += count
         # Both matrices were allocated for this call alone, so the packets
@@ -121,10 +120,10 @@ class ForwarderEncoder:
     bytes as coefficients over the buffer's raw payload slots.
     """
 
-    def __init__(self, batch_size: int, packet_size: int, rng: np.random.Generator,
+    def __init__(self, batch_size: int, packet_size: int, stream: CoefficientStream,
                  batch_id: int = 0) -> None:
         self.buffer = BatchBuffer(batch_size, packet_size)
-        self.rng = rng
+        self.stream = stream
         self.batch_id = batch_id
         self._precoded_vector: np.ndarray | None = None
         self._precoded_mix: np.ndarray | None = None
@@ -155,7 +154,7 @@ class ForwarderEncoder:
             if vector is None or mix is None:
                 self._start_precode()
             else:
-                coefficient = random_nonzero_coefficient(self.rng)
+                coefficient = self.stream.nonzero_coefficient()
                 scale_and_add(vector, packet.code_vector, coefficient)
                 if mix.shape[0]:
                     mix[self.buffer.rank - 1] ^= coefficient
@@ -172,7 +171,7 @@ class ForwarderEncoder:
 
         One combination vector is drawn over the buffered rows (with the
         shared all-zero re-draw guard) and applied as a single ``(1, r) @
-        (r, K + r)`` kernel product.  The buffered rows are linearly
+        (r, K + r)`` combination.  The buffered rows are linearly
         independent, so any non-zero combination yields a non-zero code
         vector.
         """
@@ -180,7 +179,7 @@ class ForwarderEncoder:
             self._precoded_vector = None
             self._precoded_mix = None
             return
-        coefficients = random_code_vector(self.buffer.rank, self.rng)
+        coefficients = self.stream.code_vector(self.buffer.rank)
         self._precoded_vector, self._precoded_mix = \
             self.buffer.combine_rows(coefficients)
 

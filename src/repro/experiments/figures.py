@@ -26,6 +26,7 @@ from repro.coding.decoder import BatchDecoder
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder
 from repro.coding.packet import make_batch
 from repro.experiments.stats import cdf, median, median_gain, pairwise_gains, summarize
+from repro.gf.arithmetic import CoefficientStream
 from repro.metrics.gap import figure_5_1_gap, gap_survey
 from repro.topology.generator import cost_gap_topology
 
@@ -312,7 +313,8 @@ def table_4_1(batch_size: int = 32, packet_size: int = 1500, iterations: int = 5
     """
     rng = np.random.default_rng(seed)
     batch = make_batch(batch_size=batch_size, packet_size=packet_size, rng=rng)
-    encoder = SourceEncoder(batch, rng)
+    stream = CoefficientStream(rng)
+    encoder = SourceEncoder(batch, stream)
 
     def best_of(measure) -> float:
         """Minimum per-operation time (in us) over ``rounds`` measurements."""
@@ -342,7 +344,7 @@ def table_4_1(batch_size: int = 32, packet_size: int = 1500, iterations: int = 5
     decoding_us = best_of(measure_decoding)
 
     def measure_recoding() -> float:
-        forwarder = ForwarderEncoder(batch_size, packet_size, rng)
+        forwarder = ForwarderEncoder(batch_size, packet_size, stream)
         packets = encoder.next_packets(batch_size)
         # repro: allow-DET001 — Figure-11 harness measures real CPU cost
         start = time.perf_counter()

@@ -7,6 +7,7 @@ decoder.
 """
 
 from repro.gf.arithmetic import (
+    CoefficientStream,
     add,
     div,
     inv,
@@ -31,14 +32,16 @@ from repro.gf.matrix import (
     row_reduce,
     solve,
 )
-from repro.gf.tables import EXP, FIELD_SIZE, INV, LOG, MUL, MUL_TABLE_BYTES
+from repro.gf.tables import EXP, FIELD_SIZE, INV, LOG, MUL, MUL_ROWS, MUL_TABLE_BYTES
 
 __all__ = [
+    "CoefficientStream",
     "EXP",
     "FIELD_SIZE",
     "INV",
     "LOG",
     "MUL",
+    "MUL_ROWS",
     "MUL_TABLE_BYTES",
     "ShiftedRows",
     "SingularMatrixError",

@@ -1,11 +1,15 @@
-"""Scalar and vectorised arithmetic over GF(2^8).
+"""Scalar and vectorised arithmetic over GF(2^8), and the coefficient draws.
 
-Two layers are provided:
+Three layers are provided:
 
 * scalar helpers (``add``, ``mul``, ``div``, ``inv``, ``pow``) operating on
   Python ints, used by the matrix code and in tests;
 * vectorised kernels operating on numpy ``uint8`` arrays, used on packet
-  payloads, where a 1500-byte packet is a vector of 1500 field elements.
+  payloads, where a 1500-byte packet is a vector of 1500 field elements;
+* the random coefficients network coding runs on:
+  :class:`CoefficientStream`, which reads a node's coding generator in
+  blocks, beside the per-draw numpy calls it is held to
+  (``random_code_vector``, ``random_nonzero_coefficient``).
 
 The vector kernels implement exactly the operations MORE performs per packet:
 multiply a payload by a coefficient and XOR-accumulate it into a buffer
@@ -130,7 +134,11 @@ def random_coefficients(count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_nonzero_coefficient(rng: np.random.Generator) -> int:
-    """Draw a single non-zero random field element."""
+    """Draw a single non-zero random field element.
+
+    The reference :meth:`CoefficientStream.nonzero_coefficient` is held to,
+    draw for draw; nothing at run time calls it.
+    """
     return int(rng.integers(1, FIELD_SIZE))
 
 
@@ -139,12 +147,89 @@ def random_code_vector(count: int, rng: np.random.Generator) -> np.ndarray:
 
     Individual zero coefficients are allowed (they are in random linear
     network coding), but an all-zero vector would produce a packet that
-    carries no information, so it is re-drawn.  This is the single guard
-    shared by the source encoder (coefficients over native packets) and the
-    forwarder encoder (combination coefficients over buffered packets).
+    carries no information, so it is re-drawn.  This is the reference
+    :meth:`CoefficientStream.code_vector` is held to, draw for draw; nothing
+    at run time calls it.
     """
+    if count < 1:
+        raise ValueError(f"a code vector has at least one coefficient, got {count}")
     zero = zero_bytes(count)
     coefficients = rng.integers(0, FIELD_SIZE, size=count, dtype=np.uint8)
     while coefficients.tobytes() == zero:
         coefficients = rng.integers(0, FIELD_SIZE, size=count, dtype=np.uint8)
     return coefficients
+
+
+#: Rejection threshold of Lemire's bounded draw over [0, 255) from one
+#: 32-bit word (it is 1: only the word 0 is rejected).
+_LEMIRE_THRESHOLD = ((1 << 32) - (FIELD_SIZE - 1)) % (FIELD_SIZE - 1)
+
+
+class CoefficientStream:
+    """The coding coefficients of one generator, read in blocks.
+
+    Every coefficient a node codes with comes from the 32-bit words of its
+    generator, and numpy's two bounded-integer entry points consume them by
+    fixed rules: ``integers(0, 256, size=n, dtype=uint8)`` takes the next
+    ``ceil(n / 4)`` words and returns their first ``n`` bytes, low byte
+    first (the rest of the last word is dropped), and scalar
+    ``integers(1, 256)`` is Lemire's bounded draw over one word at a time.
+    So a block of words fetched ahead with one call and handed out in slices
+    *is* the stream :func:`random_code_vector` and
+    :func:`random_nonzero_coefficient` read from the same generator — at a
+    slice and a compare per draw instead of ``Generator.integers``'s fixed
+    cost (``tests/gf/test_coefficient_stream.py`` holds the two together
+    and is the test that speaks if numpy changes either path).
+
+    The stream owns its generator: nothing else may draw from it, and a
+    generator gets one stream (two would each fetch ahead).  Nothing is
+    drawn before the first request, so a node that never codes leaves its
+    generator untouched.
+    """
+
+    #: Words fetched per refill (4 KiB of coefficients).
+    BLOCK = 1024
+
+    __slots__ = ("rng", "_words", "_next")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        #: Fetched words as little-endian bytes, and the offset of the first
+        #: unread one.
+        self._words = b""
+        self._next = 0
+
+    def _take(self, words: int) -> int:
+        """Consume ``words`` words; the offset of the first in ``_words``."""
+        start = self._next
+        stop = start + 4 * words
+        if stop > len(self._words):
+            # The unread tail is carried over: words are consumed in order.
+            fetched = self.rng.integers(0, 1 << 32, size=max(self.BLOCK, words),
+                                        dtype=np.uint32)
+            self._words = self._words[start:] + fetched.astype("<u4", copy=False).tobytes()
+            start, stop = 0, 4 * words
+        self._next = stop
+        return start
+
+    def code_vector(self, count: int) -> np.ndarray:
+        """The next random code vector of ``count`` coefficients, as an
+        array of its own; the degenerate all-zero vector is re-drawn."""
+        if count < 1:
+            raise ValueError(f"a code vector has at least one coefficient, got {count}")
+        words = (count + 3) >> 2
+        zero = zero_bytes(count)
+        while True:
+            start = self._take(words)
+            coefficients = self._words[start:start + count]
+            if coefficients != zero:
+                return np.frombuffer(bytearray(coefficients), dtype=np.uint8)
+
+    def nonzero_coefficient(self) -> int:
+        """The next single non-zero random field element."""
+        while True:
+            start = self._take(1)
+            scaled = int.from_bytes(self._words[start:start + 4], "little") \
+                * (FIELD_SIZE - 1)
+            if (scaled & 0xFFFFFFFF) >= _LEMIRE_THRESHOLD:
+                return 1 + (scaled >> 32)

@@ -1,17 +1,18 @@
 """Vectorized batch-coding kernels over GF(2^8).
 
 The scalar helpers in :mod:`repro.gf.arithmetic` operate one coefficient at
-a time, which forces every encoder and buffer to run a K-iteration Python
-loop per packet.  These kernels lift the arithmetic to whole matrices so
-that coding N packets, pre-coding over a forwarder's buffer, or reducing a
-vector against a stored row-echelon matrix is a handful of numpy array
-operations:
+a time, which would force every encoder to run a K-iteration Python loop
+over S-byte rows per packet.  These kernels lift the arithmetic on *payload
+bytes* to whole matrices, so that coding N packets or materialising a
+buffer's payloads is a handful of numpy array operations.  (The K-byte code
+vectors are below the size at which a numpy call earns its fixed cost:
+:class:`repro.coding.buffer.BatchBuffer` eliminates and combines over them
+without these kernels.)
 
 ``gf_vecmat``
-    ``vector @ B`` for one coefficient vector: the innovation check, the
-    incremental Gauss-Jordan reduction and a forwarder's combination over
-    its stored ``[code | transform]`` rows — the ``(1, r) @ (r, K)``
-    products of the hot receive path.
+    ``vector @ B`` for one coefficient vector, for any ``B``: the public
+    single-vector product and the oracle the tests hold the buffer's
+    combinations and the packets' bytes to.
 
 ``gf_matmul``
     ``C = A @ B`` over the field.  Materialising a buffer's deferred
@@ -235,8 +236,7 @@ def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if n == 0 or k == 0 or s == 0:
         return np.zeros((n, s), dtype=np.uint8)
     # Building the shifted-row stack costs ~8 passes over B; it pays off
-    # once several output rows amortise it.  Single-vector reductions (the
-    # hot receive path) stay on the gather formulation.
+    # once several output rows amortise it.
     if n >= 8 and s >= 8:
         return ShiftedRows(right).matmul(left)
     return _matmul_gather(left, right)
@@ -245,10 +245,9 @@ def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def gf_vecmat(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """``vector @ matrix`` over GF(2^8) for a 1-D coefficient vector.
 
-    The single-packet form used by the innovation check and the incremental
-    Gauss–Jordan reduction — the hottest kernel entry point, so the gather
-    runs directly (no matmul dispatch, no chunking, no output staging);
-    results are bit-identical to ``gf_matmul(vector[None, :], matrix)[0]``.
+    The single-vector form: the gather runs directly (no matmul dispatch,
+    no chunking, no output staging); results are bit-identical to
+    ``gf_matmul(vector[None, :], matrix)[0]``.
     """
     coefficients = np.asarray(vector, dtype=np.uint8)
     if coefficients.ndim != 1:

@@ -15,6 +15,12 @@ This module builds exactly those tables once at import time:
     The full 256x256 product table (numpy ``uint8``), i.e. the paper's
     64 KiB lookup table.  ``MUL[a, b] == gf_mul(a, b)``.
 
+``MUL_ROWS``
+    The same table as 256 ``bytes`` rows: ``data.translate(MUL_ROWS[c])``
+    multiplies every byte of ``data`` by ``c`` — the lookup-table multiply
+    over a ``bytes`` object, which is how the coding buffer scales its
+    K-byte rows without a numpy call.
+
 ``INV``
     Multiplicative inverses; ``INV[0]`` is defined as 0 and never used by
     callers that respect field semantics.
@@ -91,6 +97,7 @@ def _build_inverse_table(exp: np.ndarray, log: np.ndarray) -> np.ndarray:
 
 EXP, LOG = _build_exp_log()
 MUL = _build_mul_table(EXP, LOG)
+MUL_ROWS: tuple[bytes, ...] = tuple(row.tobytes() for row in MUL)
 INV = _build_inverse_table(EXP, LOG)
 
 #: Size in bytes of the product table, reported for the memory-overhead

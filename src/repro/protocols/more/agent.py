@@ -27,6 +27,7 @@ import numpy as np
 from repro.coding.decoder import BatchDecoder
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder
 from repro.coding.packet import Batch, CodedPacket
+from repro.gf.arithmetic import CoefficientStream
 from repro.protocols.base import ProtocolAgent
 from repro.protocols.more.header import (
     MAX_FORWARDERS,
@@ -179,9 +180,10 @@ class MoreAckPayload:
 class _SourceState:
     """Per-flow state held by the source node."""
 
-    def __init__(self, spec: MoreFlowSpec, batches: list[Batch], rng: np.random.Generator) -> None:
+    def __init__(self, spec: MoreFlowSpec, batches: list[Batch],
+                 stream: CoefficientStream) -> None:
         self.spec = spec
-        self.encoders = [SourceEncoder(batch, rng) for batch in batches]
+        self.encoders = [SourceEncoder(batch, stream) for batch in batches]
         self.batches = batches
         self.current_batch = 0
         self.acked: set[int] = set()
@@ -201,10 +203,11 @@ class _SourceState:
 class _ForwarderState:
     """Per-flow state held by an intermediate forwarder."""
 
-    def __init__(self, spec: MoreFlowSpec, node_id: int, rng: np.random.Generator) -> None:
+    def __init__(self, spec: MoreFlowSpec, node_id: int,
+                 stream: CoefficientStream) -> None:
         self.spec = spec
         self.node_id = node_id
-        self.rng = rng
+        self.stream = stream
         self.credit = 0.0
         self.current_batch = 0
         self.encoder: ForwarderEncoder | None = None
@@ -241,7 +244,7 @@ class _ForwarderState:
             self.encoder = ForwarderEncoder(
                 batch_size=batch_size,
                 packet_size=self.spec.coding_payload_size,
-                rng=self.rng,
+                stream=self.stream,
                 batch_id=batch_id,
             )
         return self.encoder
@@ -318,6 +321,10 @@ class MoreAgent(ProtocolAgent):
     def __init__(self, node_id: int, seed: int = 0) -> None:
         super().__init__(node_id)
         self.rng = np.random.default_rng((seed, node_id))
+        # Every coefficient this node codes with, for whichever flow and in
+        # whichever role, is read from this one stream over its generator
+        # (which stays untouched until the node first codes).
+        self.coefficients = CoefficientStream(self.rng)
         self.source_flows: dict[int, _SourceState] = {}
         self.forward_flows: dict[int, _ForwarderState] = {}
         self.destination_flows: dict[int, _DestinationState] = {}
@@ -343,14 +350,14 @@ class MoreAgent(ProtocolAgent):
     def install_source(self, spec: MoreFlowSpec, batches: list[Batch]) -> None:
         """Install source-side state for a flow originating at this node."""
         self.specs[spec.flow_id] = spec
-        self.source_flows[spec.flow_id] = _SourceState(spec, batches, self.rng)
+        self.source_flows[spec.flow_id] = _SourceState(spec, batches, self.coefficients)
         self._refresh_flow_shape()
 
     def install_forwarder(self, spec: MoreFlowSpec) -> None:
         """Install forwarder-side state for a flow this node may relay."""
         self.specs[spec.flow_id] = spec
         self.forward_flows[spec.flow_id] = _ForwarderState(
-            spec, self.node_id, self.rng)
+            spec, self.node_id, self.coefficients)
         self._refresh_flow_shape()
 
     def _refresh_flow_shape(self) -> None:

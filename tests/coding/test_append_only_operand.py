@@ -11,11 +11,13 @@ later arrivals, after later hand-outs, after its sender flushed the batch
 or never before the very end carries the bytes it would have been given at
 the hand-out:
 
-* :class:`EagerForwarder` over :class:`RebuildingBatchBuffer` — the
-  forwarder as it was when every pre-code built its bytes, every innovative
-  arrival folded its bytes in with ``scale_and_add`` and ``add`` dropped the
-  operand for the next pre-code to rebuild over all admitted rows
-  (verbatim), driven by the same random draws;
+* :class:`EagerForwarder` — the forwarder as it was when every pre-code
+  built its bytes and every innovative arrival folded its bytes in with
+  ``scale_and_add``: one combination over the buffer's materialised
+  ``coefficient_matrix()`` / ``payload_matrix()`` per pre-code, its
+  coefficients drawn by the reference functions
+  (``random_code_vector`` / ``random_nonzero_coefficient``) from a twin of
+  the generator the production encoder's stream reads in blocks;
 * ``SourceEncoder.next_packets`` — the eager batched source, for the
   deferred single-packet form;
 * ``ScalarBatchBuffer`` — the per-row Python-loop Gauss–Jordan, plus scalar
@@ -34,41 +36,12 @@ from repro.coding.buffer import BatchBuffer
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder
 from repro.coding.packet import CodedPacket, make_batch
 from repro.gf.arithmetic import (
+    CoefficientStream,
     random_code_vector,
     random_nonzero_coefficient,
     scale_and_add,
 )
-from repro.gf.kernels import ShiftedRows, gf_vecmat
-
-
-class RebuildingBatchBuffer(BatchBuffer):
-    """A buffer that combines bytes at once, from an operand every insert
-    discards."""
-
-    _raw_operand: ShiftedRows | None = None
-
-    def add(self, packet: CodedPacket) -> bool:
-        innovative = super().add(packet)
-        if innovative:
-            self._raw_operand = None
-        return innovative
-
-    def combine_eagerly(self, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        count = self._rank
-        vector = gf_vecmat(coefficients, self._matrix[self._occupied])
-        if not self._with_transform:
-            payload = np.zeros(self.packet_size, dtype=np.uint8)
-        elif self._payload_cache is not None:
-            payload = gf_vecmat(coefficients, self._payload_cache)
-        else:
-            batch_size = self.batch_size
-            reduced = gf_vecmat(
-                coefficients,
-                self._ops[self._occupied, batch_size:batch_size + count])
-            if self._raw_operand is None:
-                self._raw_operand = ShiftedRows(self.raw.matrix[:count])
-            payload = self._raw_operand.vecmul(reduced)
-        return vector, payload
+from repro.gf.kernels import gf_vecmat
 
 
 class EagerForwarder:
@@ -76,7 +49,7 @@ class EagerForwarder:
 
     def __init__(self, batch_size: int, packet_size: int, rng: np.random.Generator,
                  batch_id: int = 0) -> None:
-        self.buffer = RebuildingBatchBuffer(batch_size, packet_size)
+        self.buffer = BatchBuffer(batch_size, packet_size)
         self.rng = rng
         self.batch_id = batch_id
         self._vector: np.ndarray | None = None
@@ -93,9 +66,14 @@ class EagerForwarder:
                 scale_and_add(self._payload, packet.payload, coefficient)
         return innovative
 
+    def combine_eagerly(self, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The combined vector and its bytes, at once, from the stored rows."""
+        return (gf_vecmat(coefficients, self.buffer.coefficient_matrix()),
+                gf_vecmat(coefficients, self.buffer.payload_matrix()))
+
     def _start_precode(self) -> None:
         coefficients = random_code_vector(self.buffer.rank, self.rng)
-        self._vector, self._payload = self.buffer.combine_eagerly(coefficients)
+        self._vector, self._payload = self.combine_eagerly(coefficients)
 
     def next_packet(self) -> CodedPacket:
         if self._vector is None:
@@ -132,7 +110,8 @@ def test_any_interleaving_matches_both_references(batch_size, packet_size, seed,
                                                   operations):
     source_rng = np.random.default_rng(seed)
     reference_rng = np.random.default_rng((seed, 1))
-    forwarder = ForwarderEncoder(batch_size, packet_size, np.random.default_rng((seed, 1)))
+    forwarder = ForwarderEncoder(batch_size, packet_size,
+                                 CoefficientStream(np.random.default_rng((seed, 1))))
     eager = EagerForwarder(batch_size, packet_size, reference_rng)
     #: Every deferred packet handed out, with its sender, the packet an
     #: eager sender built at that moment and ``code_vector @ natives``.
@@ -144,9 +123,10 @@ def test_any_interleaving_matches_both_references(batch_size, packet_size, seed,
     def new_batch() -> tuple[np.ndarray, SourceEncoder, SourceEncoder, ScalarBatchBuffer]:
         batch = make_batch(batch_size, packet_size, rng=source_rng)
         draws = (seed, 2, len(sources))
-        sources.append(SourceEncoder(batch, np.random.default_rng(draws)))
+        sources.append(SourceEncoder(
+            batch, CoefficientStream(np.random.default_rng(draws))))
         return (batch.payload_matrix(), sources[-1],
-                SourceEncoder(batch, np.random.default_rng(draws)),
+                SourceEncoder(batch, CoefficientStream(np.random.default_rng(draws))),
                 ScalarBatchBuffer(batch_size, packet_size))
 
     def hand_out(packet: CodedPacket, sender: object, expected: CodedPacket) -> None:
@@ -191,7 +171,7 @@ def test_any_interleaving_matches_both_references(batch_size, packet_size, seed,
             vector, mix = forwarder.buffer.combine_rows(coefficients)
             payload = forwarder.buffer.raw.combine(mix[:forwarder.rank])
             combined += 1
-            expected_vector, expected_payload = eager.buffer.combine_eagerly(coefficients)
+            expected_vector, expected_payload = eager.combine_eagerly(coefficients)
             assert vector.tobytes() == expected_vector.tobytes()
             assert payload.tobytes() == expected_payload.tobytes()
             assert not mix[forwarder.rank:].any()
@@ -243,13 +223,13 @@ def test_any_interleaving_matches_both_references(batch_size, packet_size, seed,
 
 
 @pytest.mark.parametrize("packet_size", [16, 1500])
-def test_reused_buffer_equals_a_fresh_one(packet_size, rng):
+def test_reused_buffer_equals_a_fresh_one(packet_size, rng, stream):
     """Stale rows of a flushed batch cannot leak into the next one."""
     batch_size = 8
     reused = BatchBuffer(batch_size, packet_size)
     for _ in range(3):
         fresh = BatchBuffer(batch_size, packet_size)
-        source = SourceEncoder(make_batch(batch_size, packet_size, rng=rng), rng)
+        source = SourceEncoder(make_batch(batch_size, packet_size, rng=rng), stream)
         while not fresh.is_full:
             packet = source.next_packet()
             assert reused.add(packet.copy()) == fresh.add(packet.copy())
@@ -264,24 +244,26 @@ def test_reused_buffer_equals_a_fresh_one(packet_size, rng):
         assert reused.rank == 0
 
 
-def test_combine_rows_rejects_what_it_cannot_combine(rng):
+def test_combine_rows_rejects_what_it_cannot_combine(rng, stream):
     buffer = BatchBuffer(4, 16)
     with pytest.raises(RuntimeError, match="empty buffer"):
         buffer.combine_rows(np.zeros(0, dtype=np.uint8))
-    buffer.add(SourceEncoder(make_batch(4, 16, rng=rng), rng).next_packet())
+    buffer.add(SourceEncoder(make_batch(4, 16, rng=rng), stream).next_packet())
     with pytest.raises(ValueError, match="expected 1 combination coefficients"):
         buffer.combine_rows(np.ones(2, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("packet_size,rows_per_arrival", [(1500, 7), (16, 0), (0, 0)])
 def test_a_batch_of_precodes_expands_each_row_once(packet_size, rows_per_arrival,
-                                                   rng, shifted_rows):
+                                                   rng, stream, shifted_rows):
     """Insert, hand out and read K times: 7 K rows through ``_xtimes`` (one
-    new row, seven shifts, per arrival) where rebuilding the operand took
-    7 K (K + 1) / 2; none at all for a narrow or vector-only payload — nor
-    for a wide one nobody reads."""
+    new row, seven shifts, per arrival); none at all for a narrow or
+    vector-only payload — nor for a wide one nobody reads.  The eager
+    reference materialises all r reduced payloads for every pre-code, which
+    expands r rows each time once ``gf_matmul`` takes its shifted-row path
+    (r >= 8)."""
     batch_size = 32
-    source = SourceEncoder(make_batch(batch_size, packet_size, rng=rng), rng)
+    source = SourceEncoder(make_batch(batch_size, packet_size, rng=rng), stream)
     packets = source.next_packets(batch_size)
     shifted_rows.clear()  # the source's own full-batch operand
 
@@ -294,8 +276,8 @@ def test_a_batch_of_precodes_expands_each_row_once(packet_size, rows_per_arrival
                 handed_out.payload
         return sum(shifted_rows)
 
-    assert rows_shifted(ForwarderEncoder(batch_size, packet_size, rng), True) == \
+    assert rows_shifted(ForwarderEncoder(batch_size, packet_size, stream), True) == \
         rows_per_arrival * batch_size
-    assert rows_shifted(ForwarderEncoder(batch_size, packet_size, rng), False) == 0
+    assert rows_shifted(ForwarderEncoder(batch_size, packet_size, stream), False) == 0
     assert rows_shifted(EagerForwarder(batch_size, packet_size, rng), False) == \
-        rows_per_arrival * batch_size * (batch_size + 1) // 2
+        (7 * sum(range(8, batch_size + 1)) if packet_size else 0)

@@ -92,9 +92,9 @@ class TestEchelonStructure:
         assert pivots == sorted(pivots)
         assert len(pivots) == buffer.rank
 
-    def test_full_rank_buffer_holds_identity(self, rng):
+    def test_full_rank_buffer_holds_identity(self, rng, stream):
         batch = make_batch(batch_size=5, packet_size=12, rng=rng)
-        encoder = SourceEncoder(batch, rng)
+        encoder = SourceEncoder(batch, stream)
         buffer = BatchBuffer(5, 12)
         while not buffer.is_full:
             buffer.add(encoder.next_packet())
@@ -109,9 +109,9 @@ class TestEchelonStructure:
 
 
 class TestDecodeViaBuffer:
-    def test_decode_recovers_native_payloads(self, rng):
+    def test_decode_recovers_native_payloads(self, rng, stream):
         batch = make_batch(batch_size=6, packet_size=50, rng=rng)
-        encoder = SourceEncoder(batch, rng)
+        encoder = SourceEncoder(batch, stream)
         buffer = BatchBuffer(6, 50)
         while not buffer.is_full:
             buffer.add(encoder.next_packet())

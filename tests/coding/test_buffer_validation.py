@@ -58,7 +58,21 @@ def test_mismatched_payload_length_is_rejected(make_buffer):
     bad = _packet({0: 1}, payload_size=S + 3)
     with pytest.raises(ValueError, match="payload length"):
         buffer.add(bad)
-    assert buffer.rank == 0  # rejected before any state mutation
+    # Rejected before any state mutation: a refused packet is not counted.
+    assert (buffer.rank, buffer.received, buffer.innovative) == (0, 0, 0)
+
+
+@BUFFER
+def test_mismatched_code_vector_length_is_rejected(make_buffer):
+    buffer = make_buffer(batch_size=K, packet_size=S)
+    bad = CodedPacket(code_vector=np.ones(K + 1, dtype=np.uint8),
+                      payload=np.zeros(S, dtype=np.uint8))
+    with pytest.raises(ValueError, match="code vector length"):
+        buffer.add(bad)
+    assert (buffer.rank, buffer.received, buffer.innovative) == (0, 0, 0)
+    # ... and what it is given afterwards is counted from zero.
+    assert buffer.add(_packet({0: 1}))
+    assert (buffer.rank, buffer.received, buffer.innovative) == (1, 1, 1)
 
 
 @BUFFER

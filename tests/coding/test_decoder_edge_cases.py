@@ -21,6 +21,7 @@ import pytest
 from repro.coding.decoder import BatchDecoder, decode_by_inversion
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder
 from repro.coding.packet import make_batch
+from repro.gf.arithmetic import CoefficientStream
 from repro.gf.kernels import gf_vecmat_reference
 from repro.gf.matrix import rank as matrix_rank
 
@@ -39,7 +40,7 @@ def _coded_packets(count: int, batch_size: int = K,
                    packet_size: int = PACKET_SIZE, seed: int = 7):
     batch = make_batch(batch_size=batch_size, packet_size=packet_size,
                        rng=np.random.default_rng(seed))
-    encoder = SourceEncoder(batch, np.random.default_rng(seed + 1))
+    encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(seed + 1)))
     return batch, encoder.next_packets(count)
 
 
@@ -97,8 +98,9 @@ def test_vector_only_decode_at_k64(make_decoder):
 def test_forwarder_precodes_rank_deficient_buffer(make_forwarder):
     """Pre-coding from r < K innovative packets stays in the heard subspace."""
     batch, packets = _coded_packets(K // 4)
-    forwarder = make_forwarder(batch_size=K, packet_size=PACKET_SIZE,
-                               rng=np.random.default_rng(23))
+    forwarder = make_forwarder(
+        batch_size=K, packet_size=PACKET_SIZE,
+        stream=CoefficientStream(np.random.default_rng(23)))
     for coded in packets:
         forwarder.add_packet(coded)
     assert forwarder.buffer.rank == len(packets)

@@ -9,7 +9,8 @@ Two classes of bug are pinned down here:
 * **Degenerate draws**: the all-zero coefficient vector must be re-drawn
   wherever random combinations are formed — source coding, forwarder
   pre-coding — via the single shared guard
-  :func:`repro.gf.arithmetic.random_code_vector`.
+  :meth:`repro.gf.arithmetic.CoefficientStream.code_vector`, driven here
+  through the generator words it reads.
 """
 
 from __future__ import annotations
@@ -19,65 +20,65 @@ import pytest
 
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder
 from repro.coding.packet import make_batch
-from repro.gf.arithmetic import random_code_vector, vec_scale
+from repro.gf.arithmetic import CoefficientStream, vec_scale
 from repro.gf.kernels import gf_vecmat
 
 
-class StubRng:
-    """Serves pre-canned draws; delegates anything unexpected to a real rng."""
+class StubWords:
+    """A generator whose first 32-bit words are canned (the rest come from a
+    real one): what a :class:`CoefficientStream` reads, word for word."""
 
-    def __init__(self, canned: list[np.ndarray], seed: int = 0) -> None:
-        self.canned = list(canned)
+    def __init__(self, words: list[int], seed: int = 0) -> None:
+        self.words = list(words)
         self.fallback = np.random.default_rng(seed)
-        self.calls = 0
 
     def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
-        self.calls += 1
-        if self.canned:
-            draw = self.canned.pop(0)
-            if size is not None and np.shape(draw) != (np.prod(size),) \
-                    and np.shape(draw) != tuple(np.atleast_1d(size)):
-                raise AssertionError(
-                    f"stub draw shape {np.shape(draw)} does not match size {size}")
-            return np.asarray(draw, dtype=dtype) if size is not None else draw
-        return self.fallback.integers(low, high, size=size, dtype=dtype,
-                                      endpoint=endpoint)
+        # The one call a stream makes.
+        assert (low, high, dtype, endpoint) == (0, 1 << 32, np.uint32, False)
+        block = self.fallback.integers(low, high, size=size, dtype=dtype)
+        canned, self.words = self.words[:size], self.words[size:]
+        block[:len(canned)] = canned
+        return block
+
+
+def _word(*coefficients: int) -> int:
+    """The word whose little-endian bytes are ``coefficients``."""
+    return int.from_bytes(bytes(coefficients).ljust(4, b"\0"), "little")
 
 
 class TestRandomCodeVectorGuard:
     def test_redraws_all_zero_vector(self):
-        zero = np.zeros(4, dtype=np.uint8)
         real = np.array([3, 0, 7, 1], dtype=np.uint8)
-        rng = StubRng([zero, zero, real])
-        drawn = random_code_vector(4, rng)
-        assert np.array_equal(drawn, real)
-        assert rng.calls == 3
+        stream = CoefficientStream(StubWords([0, 0, _word(*real), _word(8)]))
+        assert np.array_equal(stream.code_vector(4), real)
+        # Three words went into it: the next draw starts at the fourth.
+        assert stream.code_vector(1).tolist() == [8]
 
     def test_source_encoder_skips_zero_draw(self, rng):
         batch = make_batch(batch_size=3, packet_size=8, rng=rng)
-        zero = np.zeros(3, dtype=np.uint8)
-        real = np.array([0, 5, 0], dtype=np.uint8)
-        encoder = SourceEncoder(batch, StubRng([zero, real]))
+        # The fourth byte of a word is not part of a 3-coefficient vector.
+        stub = StubWords([_word(0, 0, 0, 9), _word(0, 5, 0)])
+        encoder = SourceEncoder(batch, CoefficientStream(stub))
         packet = encoder.next_packet()
-        assert np.array_equal(packet.code_vector, real)
+        assert packet.code_vector.tolist() == [0, 5, 0]
 
-    def test_forwarder_precode_skips_zero_draw(self, rng):
+    def test_forwarder_precode_skips_zero_draw(self, rng, stream):
         batch = make_batch(batch_size=3, packet_size=8, rng=rng)
-        source = SourceEncoder(batch, rng)
+        source = SourceEncoder(batch, stream)
         first = source.next_packet()
         # The stub drives only the forwarder: its first pre-code draw (over
-        # the single buffered packet) comes up all-zero and must be re-drawn.
-        zero = np.zeros(1, dtype=np.uint8)
-        combo = np.array([9], dtype=np.uint8)
+        # the single buffered packet: the low byte of one word) comes up
+        # all-zero and must be re-drawn.
+        stub = StubWords([_word(0, 1, 2, 3), _word(9)])
         forwarder = ForwarderEncoder(batch_size=3, packet_size=8,
-                                     rng=StubRng([zero, combo]))
+                                     stream=CoefficientStream(stub))
         assert forwarder.add_packet(first)
-        assert forwarder._precoded_vector is not None
-        assert forwarder._precoded_vector.any()
+        (stored,) = forwarder.buffer.coefficient_matrix()
+        assert np.array_equal(forwarder._precoded_vector, vec_scale(stored, 9))
         recoded = forwarder.next_packet()
         assert recoded.code_vector.any()
 
-    def test_forwarder_fold_guard_recovers_from_cancellation(self, rng):
+    def test_forwarder_fold_guard_recovers_from_cancellation(self, rng, stream):
         """If an in-place fold ever cancels the combination, it is rebuilt.
 
         The cancellation cannot arise from a genuinely innovative arrival
@@ -85,15 +86,18 @@ class TestRandomCodeVectorGuard:
         forced into the pathological position directly.
         """
         batch = make_batch(batch_size=4, packet_size=8, rng=rng)
-        source = SourceEncoder(batch, rng)
+        source = SourceEncoder(batch, stream)
         forwarder = ForwarderEncoder(batch_size=4, packet_size=8,
-                                     rng=np.random.default_rng(5))
+                                     stream=CoefficientStream(np.random.default_rng(5)))
         forwarder.add_packet(source.next_packet())
         incoming = source.next_packet()
-        # Pin the next fold coefficient, then plant a pre-coded vector that
-        # the fold will cancel exactly.
+        # Pin the next fold coefficient (the bounded draw maps this word to
+        # it), then plant a pre-coded vector that the fold will cancel
+        # exactly.
         coefficient = 7
-        forwarder.rng = StubRng([coefficient])
+        word = ((coefficient - 1) << 32) // 255 + 1
+        assert CoefficientStream(StubWords([word])).nonzero_coefficient() == coefficient
+        forwarder.stream = CoefficientStream(StubWords([word]))
         forwarder._precoded_vector = vec_scale(incoming.code_vector, coefficient)
         forwarder._precoded_mix = np.zeros(4, dtype=np.uint8)
         assert forwarder.add_packet(incoming)
@@ -106,10 +110,10 @@ class TestRandomCodeVectorGuard:
 
 
 class TestHandedOutPacketsAreImmutable:
-    def test_forwarder_packet_unchanged_by_later_arrivals(self, rng):
+    def test_forwarder_packet_unchanged_by_later_arrivals(self, rng, stream):
         batch = make_batch(batch_size=4, packet_size=16, rng=rng)
-        source = SourceEncoder(batch, rng)
-        forwarder = ForwarderEncoder(batch_size=4, packet_size=16, rng=rng)
+        source = SourceEncoder(batch, stream)
+        forwarder = ForwarderEncoder(batch_size=4, packet_size=16, stream=stream)
         forwarder.add_packet(source.next_packet())
         forwarder.add_packet(source.next_packet())
 
@@ -131,10 +135,10 @@ class TestHandedOutPacketsAreImmutable:
         assert np.array_equal(handed_out.payload, payload_snapshot)
         assert np.array_equal(unread.payload, unread_payload)
 
-    def test_forwarder_drops_references_on_handout(self, rng):
+    def test_forwarder_drops_references_on_handout(self, rng, stream):
         batch = make_batch(batch_size=3, packet_size=8, rng=rng)
-        source = SourceEncoder(batch, rng)
-        forwarder = ForwarderEncoder(batch_size=3, packet_size=8, rng=rng)
+        source = SourceEncoder(batch, stream)
+        forwarder = ForwarderEncoder(batch_size=3, packet_size=8, stream=stream)
         forwarder.add_packet(source.next_packet())
         packet = forwarder.next_packet()
         # The freshly pre-coded internal row must share nothing with the
@@ -142,9 +146,9 @@ class TestHandedOutPacketsAreImmutable:
         assert not np.shares_memory(forwarder._precoded_vector, packet.code_vector)
         assert not np.shares_memory(forwarder._precoded_mix, packet._row)
 
-    def test_source_packets_independent_of_each_other(self, rng):
+    def test_source_packets_independent_of_each_other(self, rng, stream):
         batch = make_batch(batch_size=4, packet_size=16, rng=rng)
-        encoder = SourceEncoder(batch, rng)
+        encoder = SourceEncoder(batch, stream)
         packets = encoder.next_packets(4)
         snapshots = [(p.code_vector.copy(), p.payload.copy()) for p in packets]
         # Mutating one packet's arrays must not leak into its siblings
@@ -155,10 +159,10 @@ class TestHandedOutPacketsAreImmutable:
             assert np.array_equal(packet.code_vector, vector)
             assert np.array_equal(packet.payload, payload)
 
-    def test_buffer_does_not_alias_inserted_packets(self, rng):
+    def test_buffer_does_not_alias_inserted_packets(self, rng, stream):
         batch = make_batch(batch_size=3, packet_size=8, rng=rng)
-        source = SourceEncoder(batch, rng)
-        forwarder = ForwarderEncoder(batch_size=3, packet_size=8, rng=rng)
+        source = SourceEncoder(batch, stream)
+        forwarder = ForwarderEncoder(batch_size=3, packet_size=8, stream=stream)
         packet = source.next_packet()
         forwarder.add_packet(packet)
         stored = forwarder.buffer.stored_packets()[0]
@@ -167,8 +171,8 @@ class TestHandedOutPacketsAreImmutable:
 
 
 @pytest.mark.parametrize("count", [0, -3])
-def test_next_packets_rejects_non_positive_count(count, rng):
+def test_next_packets_rejects_non_positive_count(count, rng, stream):
     batch = make_batch(batch_size=3, packet_size=8, rng=rng)
-    encoder = SourceEncoder(batch, rng)
+    encoder = SourceEncoder(batch, stream)
     with pytest.raises(ValueError):
         encoder.next_packets(count)

@@ -1,13 +1,17 @@
-"""Differential tests: the vectorized coding engine vs the scalar path.
+"""Differential tests: the production coding engine vs the scalar path.
 
-The production encoders and :class:`~repro.coding.buffer.BatchBuffer` run on
-the kernels in :mod:`repro.gf.kernels`.  These tests re-implement the
-pre-vectorization scalar algorithms (K-iteration ``scale_and_add`` loops,
-row-by-row Gauss–Jordan) and drive both implementations with identical
-inputs across K in {8, 16, 32}, packet sizes {0, 1, 1500} and several
-seeds, asserting bit-identical behaviour end to end: the same coded
-packets, the same per-arrival innovative verdicts and rank trajectory, and
-the same decoded payloads.
+The production encoders run on the kernels in :mod:`repro.gf.kernels` and
+draw from a :class:`~repro.gf.arithmetic.CoefficientStream`;
+:class:`~repro.coding.buffer.BatchBuffer` keeps its rows as Python ints
+scaled through the product table.  These tests re-implement the scalar
+algorithms they replaced (K-iteration ``scale_and_add`` loops, row-by-row
+Gauss–Jordan over numpy rows, one ``Generator.integers`` call per code
+vector) and drive both implementations with identical inputs across K in
+{8, 16, 32}, packet sizes {0, 1, 1500} and several seeds, asserting
+bit-identical behaviour end to end: the same coded packets, the same
+per-arrival innovative verdicts and rank trajectory, and the same decoded
+payloads; and across K in {1, 8, 32, 128} a buffer recycled by ``clear()``,
+with and without payload tracking, fed dependent and half-zero vectors.
 """
 
 from __future__ import annotations
@@ -18,7 +22,13 @@ import pytest
 from repro.coding.buffer import BatchBuffer
 from repro.coding.encoder import SourceEncoder
 from repro.coding.packet import CodedPacket, make_batch
-from repro.gf.arithmetic import random_code_vector, scale_and_add, vec_scale
+from repro.gf.arithmetic import (
+    CoefficientStream,
+    random_code_vector,
+    scale_and_add,
+    vec_scale,
+)
+from repro.gf.kernels import gf_vecmat
 from repro.gf.tables import INV
 
 BATCH_SIZES = (8, 16, 32)
@@ -27,7 +37,8 @@ SEEDS = (0, 1, 17)
 
 
 class ScalarBatchBuffer:
-    """The pre-vectorization BatchBuffer: per-row Python-loop Gauss–Jordan."""
+    """The reference BatchBuffer: per-row Python-loop Gauss–Jordan over numpy
+    rows, payloads eliminated with their vectors."""
 
     def __init__(self, batch_size: int, packet_size: int) -> None:
         self.batch_size = batch_size
@@ -123,7 +134,7 @@ def test_source_encoder_bit_identical_to_scalar(batch_size, packet_size, seed):
     """Batched and scalar encoding produce byte-for-byte identical packets."""
     batch = make_batch(batch_size=batch_size, packet_size=packet_size,
                        rng=np.random.default_rng(seed))
-    encoder = SourceEncoder(batch, np.random.default_rng(seed + 1000))
+    encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(seed + 1000)))
     reference_rng = np.random.default_rng(seed + 1000)
 
     batched = encoder.next_packets(batch_size + 3)
@@ -167,7 +178,7 @@ def test_decode_recovers_natives_for_all_sizes(batch_size, seed):
     for packet_size in PACKET_SIZES:
         rng = np.random.default_rng(seed)
         batch = make_batch(batch_size=batch_size, packet_size=packet_size, rng=rng)
-        encoder = SourceEncoder(batch, rng)
+        encoder = SourceEncoder(batch, CoefficientStream(rng))
         buffer = BatchBuffer(batch_size, packet_size)
         attempts = 0
         while not buffer.is_full:
@@ -177,3 +188,79 @@ def test_decode_recovers_natives_for_all_sizes(batch_size, seed):
         decoded = buffer.decode()
         assert decoded.shape == (batch_size, packet_size)
         assert np.array_equal(decoded, batch.payload_matrix())
+
+
+def _awkward_vectors(batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """One batch's worth of code vectors that fill the buffer the hard way:
+    vectors whose leading or trailing half is zero, dense ones, multiples and
+    sums of what was sent before (dependent), the zero vector, and unit
+    vectors at the end so that every batch completes."""
+    half = batch_size // 2
+    vectors: list[np.ndarray] = []
+    for index in range(batch_size + 2):
+        vector = rng.integers(0, 256, batch_size, dtype=np.uint8)
+        if index % 3 == 0:
+            vector[:half] = 0
+        elif index % 3 == 1:
+            vector[half:] = 0
+        vectors.append(vector)
+        if index % 4 == 1:
+            vectors.append(vec_scale(vectors[-1], int(rng.integers(2, 256))))
+        if index % 4 == 3:
+            vectors.append(vectors[-1] ^ vec_scale(vectors[-2], int(rng.integers(1, 256))))
+    vectors.append(np.zeros(batch_size, dtype=np.uint8))
+    vectors.extend(np.eye(batch_size, dtype=np.uint8))
+    return vectors
+
+
+@pytest.mark.parametrize("batch_size", (1, 8, 32, 128))
+@pytest.mark.parametrize("packet_size,track_payloads",
+                         [(0, True), (16, True), (16, False)],
+                         ids=["vector_only", "payloads", "untracked"])
+def test_recycled_buffer_matches_scalar(batch_size, packet_size, track_payloads):
+    """Every accessor of a buffer reused across batches agrees with a scalar
+    buffer that has never held a row: verdicts, counters, pivots, matrices,
+    the dry-run check, ``combine_rows`` and the decode."""
+    rng = np.random.default_rng(batch_size)
+    buffer = BatchBuffer(batch_size, packet_size, track_payloads=track_payloads)
+    received = innovative = 0
+    for _ in range(2):
+        natives = rng.integers(0, 256, (batch_size, packet_size), dtype=np.uint8)
+        scalar = ScalarBatchBuffer(batch_size, packet_size)
+        for vector in _awkward_vectors(batch_size, rng):
+            packet = CodedPacket(vector, gf_vecmat(vector, natives))
+            expected = scalar.add(packet.copy())
+            assert buffer.is_innovative(vector) == expected
+            assert buffer.add(packet) == expected
+            received += 1
+            innovative += expected
+            assert (buffer.received, buffer.innovative) == (received, innovative)
+            assert buffer.rank == scalar.rank
+            assert buffer.is_full == (scalar.rank == batch_size)
+            stored = scalar.coefficient_matrix()
+            assert buffer.occupied_pivots() == \
+                [int(np.nonzero(row)[0][0]) for row in stored]
+            assert buffer.coefficient_matrix().tobytes() == stored.tobytes()
+            if not scalar.rank:
+                continue
+            coefficients = rng.integers(0, 256, scalar.rank, dtype=np.uint8)
+            coefficients[::3] = 0
+            combined, mix = buffer.combine_rows(coefficients)
+            assert combined.tobytes() == gf_vecmat(coefficients, stored).tobytes()
+            # A fresh writable row each time: the forwarder folds into it.
+            assert combined.flags.writeable and mix.flags.writeable
+            assert not np.shares_memory(combined, buffer.combine_rows(coefficients)[0])
+            if track_payloads:
+                payloads = scalar.payload_matrix()
+                assert buffer.payload_matrix().tobytes() == payloads.tobytes()
+                assert buffer.raw.combine(mix[:scalar.rank]).tobytes() == \
+                    gf_vecmat(coefficients, payloads).tobytes()
+        assert buffer.is_full
+        for packet, vector in zip(buffer.stored_packets(), stored):
+            assert packet.code_vector.tobytes() == vector.tobytes()
+            assert packet.size == packet_size
+        if track_payloads:
+            assert buffer.decode().tobytes() == natives.tobytes()
+        buffer.clear()
+        assert buffer.rank == 0 and buffer.occupied_pivots() == []
+        assert buffer.coefficient_matrix().shape == (0, batch_size)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import signal
+
 import numpy as np
 import pytest
 
 from repro.gf import kernels
+from repro.gf.arithmetic import CoefficientStream
 from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.topology.generator import (
     chain,
@@ -21,6 +24,27 @@ from repro.topology.generator import (
 def rng() -> np.random.Generator:
     """Deterministic RNG for tests."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that is still running after a minute (pytest-timeout is not
+    a dependency); the handler runs between bytecodes of the main thread."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after 60 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def stream() -> CoefficientStream:
+    """Coding coefficients for the encoders under test: one stream over a
+    deterministic generator of its own (an encoder is handed a stream, and a
+    generator has one)."""
+    return CoefficientStream(np.random.default_rng(4321))
 
 
 @pytest.fixture

@@ -44,6 +44,14 @@ def test_multiplication_by_zero_and_one():
     assert np.all(tables.MUL[values, 1] == values)
 
 
+def test_mul_rows_are_the_table_as_translate_tables():
+    """``bytes.translate`` through row ``c`` multiplies every byte by ``c``."""
+    everything = bytes(range(256))
+    assert len(tables.MUL_ROWS) == 256
+    for c in range(256):
+        assert everything.translate(tables.MUL_ROWS[c]) == tables.MUL[c].tobytes()
+
+
 def test_mul_table_symmetry():
     assert np.array_equal(tables.MUL, tables.MUL.T)
 

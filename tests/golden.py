@@ -3,7 +3,8 @@
 ``tests/golden_traces.json`` freezes every observable of a complete
 simulation — the main RNG's exact ``bit_generator.state``, the final clock,
 per-flow statistics, the medium counters and ``events.processed`` — over
-the preset x protocol x seed x fault grid below.  A trace is set up by
+the preset x protocol x seed x fault grid below, and, for three MORE runs,
+every code vector put on the air (``CODE_VECTOR_RUNS``).  A trace is set up by
 ``repro.experiments.runner.start_flows``, the one place a run is started,
 so the link-state refresh loop and the progress supervisor are inside what
 it pins whenever the preset arms them.  The differential suites
@@ -17,12 +18,14 @@ be argued in review, never noise.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 from dataclasses import replace
 
 from repro.experiments.runner import PROTOCOLS, run_flows, start_flows
+from repro.protocols.more.agent import MoreDataPayload
 from repro.scenarios import build_pairs, build_topology, get_preset
 from repro.sim.faults import FaultSpec
 
@@ -53,6 +56,22 @@ REFRESH_PRESETS = ("churn_chain", "mobile_mesh", "node_churn_mesh")
 #: flow results otherwise depend on code vectors only through rank), so the
 #: entry pins the rule: an agent is seeded by the flow that first installs it.
 REFRESH_MULTIFLOW_SEED = 16
+
+#: MORE runs pinned on the coefficients themselves: key -> (preset, seed,
+#: explicit pairs or how many of the preset's own).  Flow results depend on
+#: code vectors only through rank, so these are what holds a coding
+#: generator's draws in place, one entry per way a node's stream is read:
+#: a single flow on the testbed (a source's vectors; each forwarder's
+#: pre-code draws and fold coefficients); two flows of which node 5 sources
+#: the second and forwards the first (one stream, three kinds of draw
+#: interleaved); and the three re-planned ``mobile_mesh`` flows, where node 2
+#: is recruited mid-run into an agent of its own and relays all three.
+CODE_VECTOR_RUNS = {
+    "code_vectors/fig_4_2/1flow/1": ("fig_4_2", 1, 1),
+    "code_vectors/multiflow_grid/2flows/1": ("multiflow_grid", 1, [(0, 15), (5, 3)]),
+    f"code_vectors/mobile_mesh/3flows/{REFRESH_MULTIFLOW_SEED}":
+        ("mobile_mesh", REFRESH_MULTIFLOW_SEED, 3),
+}
 
 #: (preset, protocol, seed, under CHURN) for every single-flow entry.
 GRID = (
@@ -144,6 +163,41 @@ def run_refreshing_multiflow_trace(protocol: str) -> list:
     return _flow_results(flows)
 
 
+def run_code_vector_trace(name: str) -> dict:
+    """One ``CODE_VECTOR_RUNS`` entry: sha256 over the code vector of every
+    MORE data frame, source's and forwarders' alike, in the order the frames
+    went on the air; how many each node sent per flow (flow ids count the
+    pairs from 1); and the senders whose agent a re-plan created mid-run."""
+    preset_name, seed, pairs = CODE_VECTOR_RUNS[name]
+    spec = get_preset(preset_name)
+    topology = build_topology(spec.topology)
+    if isinstance(pairs, int):
+        pairs = build_pairs(spec.workload, topology, seed)[:pairs]
+    config = spec.run_config(seed)
+    sim, _ = start_flows(topology, "MORE", pairs, config, spec.environment())
+    installed = {node.node_id for node in sim.nodes if node.agent is not None}
+    digest = hashlib.sha256()
+    frames: dict[tuple[int, int], int] = {}
+    begin = sim.medium.begin
+
+    def recording_begin(frame, now, airtime, bitrate):
+        if frame.payload.__class__ is MoreDataPayload:
+            digest.update(frame.payload.coded.code_vector.tobytes())
+            sent = (frame.sender, frame.flow_id)
+            frames[sent] = frames.get(sent, 0) + 1
+        return begin(frame, now, airtime, bitrate)
+
+    sim.medium.begin = recording_begin
+    sim.run(until=config.max_duration, stop_condition=sim.stats.all_flows_complete)
+    return {
+        "pairs": [list(pair) for pair in pairs],
+        "frames": [[sender, flow_id, count]
+                   for (sender, flow_id), count in sorted(frames.items())],
+        "recruited": sorted({sender for sender, _ in frames} - installed),
+        "sha256": digest.hexdigest(),
+    }
+
+
 def compute_golden() -> dict:
     """Every entry of the golden file, from the tree under test."""
     entries = {key(preset, protocol, seed, churn):
@@ -153,6 +207,8 @@ def compute_golden() -> dict:
     for protocol in PROTOCOLS:
         entries[f"mobile_mesh/3flows/{protocol}/{REFRESH_MULTIFLOW_SEED}"] = \
             run_refreshing_multiflow_trace(protocol)
+    for name in CODE_VECTOR_RUNS:
+        entries[name] = run_code_vector_trace(name)
     return entries
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
 from dataclasses import fields
@@ -182,19 +181,6 @@ def test_no_run_field_shadows_a_scenario_field():
     """What keeps the test above true for a section added tomorrow."""
     assert not ({f.name for f in fields(RunConfig)}
                 & {f.name for f in fields(ScenarioSpec)})
-
-
-@pytest.fixture
-def deadline():
-    """Fail a test that is still running after a minute (pytest-timeout is not
-    a dependency); the handler runs between bytecodes of the main thread."""
-    def expire(signum, frame):
-        raise TimeoutError("still running after 60 s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("field,value", [

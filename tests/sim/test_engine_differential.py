@@ -16,12 +16,14 @@ from __future__ import annotations
 import pytest
 
 from golden import (
+    CODE_VECTOR_RUNS,
     PRESETS,
     REFRESH_MULTIFLOW_SEED,
     REFRESH_PRESETS,
     SEEDS,
     key,
     load_golden,
+    run_code_vector_trace,
     run_multiflow_trace,
     run_refreshing_multiflow_trace,
     run_trace,
@@ -66,6 +68,23 @@ def test_replanned_multiflow_bit_identical(protocol):
     """Three flows re-planned while they share (and recruit) agents."""
     assert run_refreshing_multiflow_trace(protocol) \
         == GOLDEN[f"mobile_mesh/3flows/{protocol}/{REFRESH_MULTIFLOW_SEED}"]
+
+
+@pytest.mark.parametrize("name", CODE_VECTOR_RUNS)
+def test_code_vectors_bit_identical(name):
+    """Every coefficient a MORE node put on the air, in order: flow results
+    see code vectors only through rank, so this is the pin on how a coding
+    generator is read (a source's vectors, a forwarder's pre-code draws and
+    fold coefficients, several flows sharing one node's stream)."""
+    trace = run_code_vector_trace(name)
+    assert trace == GOLDEN[name]
+    # The entries are the shapes they are named for.
+    sent = {(sender, flow_id) for sender, flow_id, _ in trace["frames"]}
+    sources = {pair[0]: flow_id for flow_id, pair in enumerate(trace["pairs"], 1)}
+    relayed_by_a_source = [node for node, flow_id in sent
+                           if sources.get(node, flow_id) != flow_id]
+    assert bool(relayed_by_a_source) == (len(trace["pairs"]) > 1)
+    assert bool(trace["recruited"]) == ("mobile_mesh" in name)
 
 
 def test_engine_mode_validation():
