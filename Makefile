@@ -1,5 +1,7 @@
 # Developer entry points.  Everything runs from the repo root with the
-# in-tree package (PYTHONPATH=src); no install required.
+# in-tree package (PYTHONPATH=src); no install required.  The analyzer
+# (repro_check/) and the benchmark (bench/) are tooling beside src/ and run
+# as `python -m <package>` from here.
 
 PYTHON  ?= python
 WORKERS ?= 4
@@ -8,24 +10,24 @@ ENV      = PYTHONPATH=src
 .PHONY: check lint analyze import-check test test-engine test-coding golden \
         bench docs-check sweep-smoke fault-smoke bench-smoke figures examples clean
 
-# The pre-merge gate: lint, the static invariant analyzer, the import
-# budget, the golden-trace tests (fail fast on a hot-path behaviour change),
-# the coding/GF differentials (fail fast on a coefficient or a row), then
-# the full tier-1 suite.
-check: lint analyze import-check test-engine test-coding test
+# The pre-merge gate: the static analyzer (style rules included, so `lint`
+# is not run again), the import budget, the golden-trace tests (fail fast on
+# a hot-path behaviour change), the coding/GF differentials (fail fast on a
+# coefficient or a row), then the full tier-1 suite.
+check: analyze import-check test-engine test-coding test
 
-# Style/correctness lint: `ruff check` when ruff is installed, the
-# repro.analysis style rules (syntax, line length, trailing whitespace,
-# unused imports) otherwise.  Configuration lives in pyproject.toml.
+# Style lint alone: the analyzer's six style rules (syntax, line length,
+# tabs, trailing whitespace, unused imports), stdlib only.  CI also runs
+# `ruff check`, configured in pyproject.toml.
 lint:
-	$(ENV) $(PYTHON) scripts/lint.py
+	$(PYTHON) -m repro_check --select SYN001,E501,W191,W291,W293,F401
 
-# repro-check: the repo-specific static invariant analyzer (determinism,
-# event lifecycle, config threading, hot-path hygiene, style) plus the
-# strict-mypy typed-core gate when mypy is installed.  Rules and
-# suppression syntax are catalogued in docs/invariants.md.
+# repro-check: every rule of the repo-specific static analyzer (determinism,
+# RNG provenance, event lifecycle, config threading, stale suppressions,
+# style) plus the strict-mypy typed-core gate when mypy is installed.  Rules
+# and suppression syntax are catalogued in docs/invariants.md.
 analyze:
-	$(ENV) $(PYTHON) -m repro.analysis
+	$(PYTHON) -m repro_check
 
 # The import budget: a fresh interpreter that imports the CLI, the runner,
 # the orchestrator and the scenario layer loads numpy and the stdlib only

@@ -3,10 +3,9 @@
 Two wall-clock contracts, both behind ``--perf-strict`` like every timing
 threshold in this suite:
 
-* the orchestrator replays the shared sweep workload
-  (:mod:`repro.experiments.orchestrator.bench`) from a
-  warm content-addressed store within a fixed wall budget, recomputing
-  nothing;
+* the orchestrator replays the many-small-sweeps workload
+  (:func:`bench_sweep_specs` below) from a warm content-addressed store
+  within a fixed wall budget, recomputing nothing;
 * the forwarder recode path (``combine_rows``: one fused coefficient
   product instead of materialising K recode rows per emitted packet) at
   least **1.5x** the ``forwarder_recode_pps`` one machine measured before
@@ -30,12 +29,8 @@ import pytest
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder
 from repro.coding.packet import make_batch
 from repro.experiments.orchestrator import run_sweep, shutdown_shared_pools
-from repro.experiments.orchestrator.bench import (
-    BENCH_CELLS,
-    BENCH_WORKERS,
-    bench_sweep_specs,
-)
 from repro.gf.arithmetic import CoefficientStream
+from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec
 
 K = 32
 PACKET_SIZE = 1500
@@ -47,6 +42,37 @@ FLOOR = 1.5
 #: Warm-cache replay of all BENCH_CELLS cells must finish within this
 #: budget — pure store reads, measured at ~2 orders of magnitude under it.
 WARM_REPLAY_BUDGET_S = 2.0
+
+# The sweep workload is shaped to exercise the orchestrator itself: a
+# parameter study is many small successive sweeps, each of a few sub-second
+# cells (gap mode on a short lossy chain), rather than one big sweep whose
+# cell cost would drown the dispatch path.
+#: Successive sweeps per measured round.
+BENCH_SWEEPS = 16
+#: Seeds (= cells: one protocol, no sweep axes) per sweep.
+BENCH_SEEDS_PER_SWEEP = 8
+#: Worker processes the sweeps are offered.
+BENCH_WORKERS = 8
+#: Total cells per measured round.
+BENCH_CELLS = BENCH_SWEEPS * BENCH_SEEDS_PER_SWEEP
+
+
+def bench_sweep_specs() -> list[ScenarioSpec]:
+    """16 sweeps x 8 gap-mode chain cells; seeds are disjoint across sweeps,
+    so a populated store holds :data:`BENCH_CELLS` distinct cells."""
+    return [
+        ScenarioSpec(
+            name="bench_sweep",
+            topology=TopologySpec("chain", {"hops": 4, "link_delivery": 0.7,
+                                            "skip_delivery": 0.25}),
+            workload=WorkloadSpec("explicit", {"pairs": [[0, 4]]}),
+            protocols=("MORE",),
+            mode="gap",
+            seeds=tuple(range(100 * index + 1,
+                              100 * index + 1 + BENCH_SEEDS_PER_SWEEP)),
+        )
+        for index in range(BENCH_SWEEPS)
+    ]
 
 
 def _timed(func) -> float:

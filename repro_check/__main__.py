@@ -1,9 +1,8 @@
-"""``python -m repro.analysis`` — the repro-check CLI.
+"""``python -m repro_check`` — the repro-check CLI.
 
 Runs every registered rule (style + invariants) over the repository, then
 the strict-mypy gate, and exits non-zero on any finding.  ``make analyze``
-invokes exactly this; ``make lint``'s stdlib fallback invokes the style
-subset through the same registry.
+invokes exactly this; ``make lint`` selects the style rules.
 """
 
 from __future__ import annotations
@@ -12,13 +11,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis import all_rules, run_rules
-from repro.analysis.mypy_gate import run_mypy
+from repro_check import all_rules, run_rules
+from repro_check.mypy_gate import run_mypy
 
 
 def _repo_root() -> Path:
-    # src/repro/analysis/__main__.py -> repository root three levels up.
-    return Path(__file__).resolve().parents[3]
+    # repro_check/__main__.py -> the repository root is the package's parent.
+    return Path(__file__).resolve().parents[1]
 
 
 def _github_annotation(finding) -> str:

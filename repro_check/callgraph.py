@@ -22,7 +22,7 @@ shared substrate the cross-function rules query:
   :meth:`CallGraph.reachable_from` can answer "does this code ever run?"
   generously enough for a liveness rule to trust its negatives.
 
-Everything is a pure function of the parsed :class:`~repro.analysis
+Everything is a pure function of the parsed :class:`~repro_check
 .framework.Project`; :func:`get_callgraph` memoises one graph per project
 snapshot so the three interprocedural rules share a single build.
 """
@@ -33,7 +33,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.analysis.framework import (
+from repro_check.framework import (
     AnalysisConfig,
     Project,
     SourceFile,

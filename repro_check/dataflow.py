@@ -17,13 +17,15 @@ Locations:
 Atoms are the values the rules track, seeded at construction sites:
 
 * ``("gen", path, line, seeded)`` — one per ``numpy.random`` generator
-  construction (``seeded`` when the call takes an explicit seed);
+  construction (``seeded`` when the call takes an explicit seed) and one
+  per ``.spawn()`` call, whose children are new generators (an element
+  taken out of the list, ``rng.spawn(1)[0]``, carries the list's atoms);
 * ``("main",)`` — a pseudo-atom injected at the configured main-RNG
   attribute (:attr:`AnalysisConfig.rng_main_root`), so "did the main
   stream leak here" is one set-membership test;
 * ``("stored", class_id, attr)`` — injected at every counter-module
   instance attribute that holds a generator, marking values whose draw
-  count depends on query order (the interprocedural DET002).
+  count depends on query order.
 
 Assignments, attribute stores, returns and resolved call argument/param
 bindings become edges; :meth:`DataFlow.tags` answers which atoms reach a
@@ -38,13 +40,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.callgraph import (
+from repro_check.callgraph import (
     CallGraph,
     FunctionInfo,
     get_callgraph,
     walk_unit,
 )
-from repro.analysis.framework import (
+from repro_check.framework import (
     AnalysisConfig,
     Project,
     resolve_call_name,
@@ -183,8 +185,10 @@ class DataFlow:
         if isinstance(expr, ast.Call):
             maker = resolve_call_name(
                 expr.func, self.graph._aliases.get(info.module, {}))
-            if maker in GENERATOR_MAKERS:
-                seeded = bool(expr.args or expr.keywords)
+            spawned = isinstance(expr.func, ast.Attribute) \
+                and expr.func.attr == "spawn"
+            if maker in GENERATOR_MAKERS or spawned:
+                seeded = spawned or bool(expr.args or expr.keywords)
                 atom = ("gen", info.source.relative, expr.lineno, seeded)
                 self.atoms.add(atom)
                 return [atom]
@@ -200,7 +204,7 @@ class DataFlow:
             for value in expr.values:
                 sources += self._value_sources(value, info)
             return sources
-        if isinstance(expr, (ast.Await, ast.NamedExpr)):
+        if isinstance(expr, (ast.Await, ast.NamedExpr, ast.Subscript)):
             return self._value_sources(expr.value, info)
         return []
 
@@ -235,7 +239,7 @@ class DataFlow:
         self._spread(seeds)
         # Round 2: every counter-module attribute holding a generator is a
         # query-order hazard; values read from it carry a STORED atom.
-        counter = set(self.config.purity_modules) | set(self.config.fault_modules)
+        counter = self.config.counter_modules
         stored_seeds: list[tuple[tuple, Atom]] = []
         for location, tags in list(self._tags.items()):
             if location[0] != "attr":
@@ -314,7 +318,7 @@ class DataFlow:
 def get_dataflow(project: Project, config: AnalysisConfig) -> DataFlow:
     """One memoised :class:`DataFlow` per project snapshot."""
     key = (config.src_prefix, config.src_root, config.rng_main_root,
-           config.purity_modules, config.fault_modules)
+           config.counter_modules)
     cache = getattr(project, "_dataflow_cache", None)
     if cache is None:
         cache = {}

@@ -11,13 +11,13 @@ Three pieces, deliberately small:
   objects; the framework filters findings through ``# repro: allow-<RULE>``
   suppression comments and sorts them for stable output.
 * the registry — rules self-register at import time via :func:`register`,
-  so the CLI, ``make lint``'s fallback and the tests all address rules by
-  name through one table.
+  so the CLI (``make analyze``, ``make lint``) and the tests all address
+  rules by name through one table.
 
-Per-rule knobs (which modules are hot, which modules must stay counter-based,
-where the config dataclass lives) are fields of :class:`AnalysisConfig`
-rather than hard-coded in the rules, which is what lets the fixture tests
-point a rule at a known-bad synthetic tree.
+Where a rule looks (which modules must stay counter-based, where the config
+dataclass lives) is a field of :class:`AnalysisConfig` rather than hard-coded
+in the rule, which is what lets the fixture tests point a rule at a
+known-bad synthetic tree.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -207,11 +207,12 @@ class Project:
 
 @dataclass
 class AnalysisConfig:
-    """Per-rule registries and knobs; defaults describe *this* repository."""
+    """Where each rule looks; the defaults describe *this* repository."""
 
-    #: Directories/files the style rules cover (the old lint.py targets).
-    style_targets: tuple[str, ...] = ("src", "tests", "benchmarks", "scripts",
-                                      "examples", "setup.py")
+    #: Directories/files the analyzer loads; the style rules cover all of
+    #: them (mirrors ``tool.ruff.include``).
+    style_targets: tuple[str, ...] = ("src", "repro_check", "tests", "benchmarks",
+                                      "scripts", "examples", "setup.py")
     #: Maximum source line length (mirrors ``tool.ruff.line-length``).
     line_length: int = 100
     #: The package subtree the determinism/invariant rules police.
@@ -219,76 +220,29 @@ class AnalysisConfig:
     #: Import root: dotted module names derive from paths under here
     #: (``src/repro/sim/events.py`` -> ``repro.sim.events``).
     src_root: str = "src"
-    #: Wall-clock callables DET001 rejects inside :attr:`src_prefix`.
-    wallclock_calls: tuple[str, ...] = (
-        "time.time", "time.time_ns", "time.perf_counter", "time.perf_counter_ns",
-        "time.monotonic", "time.monotonic_ns", "time.process_time",
-        "time.process_time_ns", "datetime.datetime.now", "datetime.datetime.today",
-        "datetime.datetime.utcnow", "datetime.date.today",
-    )
-    #: Modules whose realisation classes must stay counter-based (DET002).
-    purity_modules: tuple[str, ...] = (
+    #: Modules whose realisations must stay counter-based (DET101): a
+    #: channel, mobility or fault realisation is a pure function of
+    #: ``(seed, counter)``, so crash schedules and fading epochs are the same
+    #: serial or parallel, first query or hundredth.
+    counter_modules: tuple[str, ...] = (
         "src/repro/sim/channels.py",
         "src/repro/topology/mobility.py",
-    )
-    #: Fault-process modules held to the same counter-based purity (DET003):
-    #: a fault realisation must be a pure function of (seed, node, counter)
-    #: so crash schedules are identical across serial/parallel execution.
-    fault_modules: tuple[str, ...] = (
         "src/repro/sim/faults.py",
     )
-    #: Where the experiment config dataclass lives (CFG001).
+    #: Where the experiment config dataclass lives (CFG101).
     config_class: tuple[str, str] = ("src/repro/experiments/runner.py", "RunConfig")
-    #: The scenario-spec module whose run/override plumbing CFG001 checks.
-    spec_module: str = "src/repro/scenarios/spec.py"
-    #: Where the content-addressed store's config fingerprint lives (CACHE001).
-    cache_store_module: str = "src/repro/experiments/orchestrator/store.py"
-    #: The function that must feed every config field into the spec hash.
-    cache_hash_function: str = "config_fingerprint"
-    #: Hot modules PERF001 polices for lambdas / ``print``.
-    hot_modules: tuple[str, ...] = (
-        "src/repro/sim/events.py",
-        "src/repro/sim/mac.py",
-        "src/repro/sim/medium.py",
-        "src/repro/gf/kernels.py",
-        "src/repro/protocols/more/agent.py",
-    )
     #: The attribute holding the main simulation Generator — DET101's MAIN
     #: stream root (path, class, attribute).
     rng_main_root: tuple[str, str, str] = (
         "src/repro/sim/simulator.py", "Simulator", "rng")
-    #: Generator methods DET101 treats as draw sites.
-    rng_draw_methods: tuple[str, ...] = (
-        "random", "integers", "normal", "uniform", "choice", "shuffle",
-        "permutation", "exponential", "standard_normal", "bytes")
     #: Classes whose handle-returning ``schedule*()`` calls EVT101 polices
     #: (the queue plus the :class:`Simulator` facade).
     event_queue_classes: tuple[tuple[str, str], ...] = (
         ("src/repro/sim/events.py", "EventQueue"),
         ("src/repro/sim/simulator.py", "Simulator"),
     )
-    #: The handle-returning schedule methods (the ``schedule_callback*``
-    #: fire-and-forget variants are the sanctioned discard path).
-    schedule_methods: tuple[str, ...] = ("schedule", "schedule_at")
     #: Modules whose public surface seeds CFG101's reachability walk.
     entry_modules: tuple[str, ...] = ("repro.cli", "repro.experiments.figures")
-    #: path -> class names that must keep ``__slots__`` (literal assignment
-    #: or ``@dataclass(slots=True)``).
-    slots_classes: dict[str, tuple[str, ...]] = field(default_factory=lambda: {
-        "src/repro/sim/events.py": ("EventHandle",),
-        "src/repro/sim/medium.py": ("Transmission",),
-        "src/repro/sim/frames.py": ("Frame",),
-        "src/repro/protocols/more/agent.py": ("MoreDataPayload", "MoreAckPayload"),
-        "src/repro/protocols/more/header.py": ("MoreHeader",),
-    })
-
-    def project_targets(self) -> tuple[str, ...]:
-        """Everything any rule looks at (style targets already cover src)."""
-        return self.style_targets
-
-    def with_root_targets(self, targets: tuple[str, ...]) -> "AnalysisConfig":
-        """A copy scanning different targets (used by fixture tests)."""
-        return replace(self, style_targets=targets)
 
 
 class Rule:
@@ -329,9 +283,24 @@ def get_rule(name: str) -> Rule:
         ) from None
 
 
-#: The unused-suppression audit is driven by the framework itself (only
-#: ``run_rules`` knows which suppressions fired), not by a Rule.check.
-SUPPRESSION_AUDIT_RULE = "SUP001"
+@register
+class UnusedSuppression(Rule):
+    """SUP001: every ``# repro: allow-<RULE>`` must suppress a finding.
+
+    A stale suppression documents a violation that no longer exists and
+    swallows the next genuine finding that lands on its line.  Only
+    :func:`run_rules` knows which suppressions absorbed a finding, so the
+    audit runs there; this class puts the rule in the registry
+    (``--list-rules``, ``--select``) and yields nothing of its own.
+    """
+
+    name = "SUP001"
+    description = ("every `# repro: allow-<RULE>` comment must suppress an "
+                   "actual finding of a rule that ran (stale suppressions "
+                   "hide the next real violation)")
+
+    def check(self, project: Project, config: AnalysisConfig) -> Iterable[Finding]:
+        return ()
 
 
 def run_rules(root: Path | str, config: AnalysisConfig | None = None,
@@ -339,25 +308,26 @@ def run_rules(root: Path | str, config: AnalysisConfig | None = None,
     """Run the selected rules (default: all) over ``root``; sorted findings.
 
     Findings on lines carrying a matching ``# repro: allow-<RULE>``
-    suppression are dropped here, so every caller — CLI, lint fallback,
-    tests — sees identical suppression semantics.  When ``SUP001`` is in
-    the selection the framework additionally audits the suppressions
-    themselves: an ``allow-<RULE>`` comment that suppressed nothing is a
-    finding (a suppression is only audited against rules that actually
-    ran this invocation, so a partial ``--select`` never flags comments
-    belonging to rules it skipped — except for ``--select SUP001`` alone,
-    which runs every other rule silently to audit against the full set).
+    suppression are dropped here, so every caller — CLI and tests — sees
+    identical suppression semantics.  When ``SUP001`` is in the selection
+    the framework additionally audits the suppressions themselves: an
+    ``allow-<RULE>`` comment that suppressed nothing is a finding (a
+    suppression is only audited against rules that actually ran this
+    invocation, so a partial ``--select`` never flags comments belonging to
+    rules it skipped — except for ``--select SUP001`` alone, which runs
+    every other rule silently to audit against the full set).
     """
     config = config if config is not None else AnalysisConfig()
-    project = Project(Path(root), config.project_targets())
+    project = Project(Path(root), config.style_targets)
     names = list(select) if select is not None else sorted(_REGISTRY)
     for name in names:
         get_rule(name)  # unknown names error out before any rule runs
-    audit = SUPPRESSION_AUDIT_RULE in names
-    executed = [name for name in names if name != SUPPRESSION_AUDIT_RULE]
+    sup001 = UnusedSuppression.name
+    audit = sup001 in names
+    executed = [name for name in names if name != sup001]
     report = True
     if audit and not executed:
-        executed = sorted(set(_REGISTRY) - {SUPPRESSION_AUDIT_RULE})
+        executed = sorted(set(_REGISTRY) - {sup001})
         report = False  # rules run only to credit suppressions
     findings: list[Finding] = []
     used: dict[str, set[tuple[int, str]]] = {}
@@ -380,11 +350,11 @@ def run_rules(root: Path | str, config: AnalysisConfig | None = None,
             for line, rule_name, file_scope in source.suppression_sites():
                 if rule_name not in audited or (line, rule_name) in used_here:
                     continue
-                if source.is_suppressed(SUPPRESSION_AUDIT_RULE, line):
+                if source.is_suppressed(sup001, line):
                     continue
                 scope = "anywhere in this file" if file_scope else "here"
                 findings.append(Finding(
-                    SUPPRESSION_AUDIT_RULE, source.relative, line,
+                    sup001, source.relative, line,
                     f"unused suppression: `# repro: allow-{rule_name}` "
                     f"matches no {rule_name} finding {scope} — remove it "
                     "(or fix the rule selection)"))

@@ -34,20 +34,24 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.callgraph import (
+from repro_check.callgraph import (
     CallGraph,
     FunctionInfo,
     get_callgraph,
     walk_unit,
 )
-from repro.analysis.dataflow import DataFlow, get_dataflow
-from repro.analysis.framework import (
+from repro_check.dataflow import DataFlow, get_dataflow
+from repro_check.framework import (
     AnalysisConfig,
     Finding,
     Project,
     Rule,
     register,
 )
+
+#: The handle-returning schedule methods (the ``schedule_callback*``
+#: fire-and-forget variants are the sanctioned discard path).
+_SCHEDULE_METHODS = frozenset({"schedule", "schedule_at"})
 
 
 @register
@@ -70,11 +74,10 @@ class EventHandleLifecycle(Rule):
             if class_id is not None}
         if not queue_ids:
             return
-        methods = set(config.schedule_methods)
         #: (class_id, attr) -> first store site (source, line, method name)
         attr_stores: dict[tuple[str, str], tuple] = {}
         for info in graph.functions.values():
-            yield from self._check_function(info, graph, queue_ids, methods,
+            yield from self._check_function(info, graph, queue_ids,
                                             attr_stores)
         for (class_id, attr), (source, line, _) in sorted(attr_stores.items()):
             if self._class_cancels(graph, flow, class_id, attr):
@@ -92,18 +95,17 @@ class EventHandleLifecycle(Rule):
     # -- per-function contexts --------------------------------------------- #
 
     def _is_schedule_call(self, node: ast.AST, info: FunctionInfo,
-                          graph: CallGraph, queue_ids: set[str],
-                          methods: set[str]) -> bool:
+                          graph: CallGraph, queue_ids: set[str]) -> bool:
         return (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in methods
+                and node.func.attr in _SCHEDULE_METHODS
                 and bool(graph.expr_types(node.func.value, info) & queue_ids))
 
     def _check_function(self, info: FunctionInfo, graph: CallGraph,
-                        queue_ids: set[str], methods: set[str],
+                        queue_ids: set[str],
                         attr_stores: dict) -> Iterator[Finding]:
         def is_sched(node: ast.AST) -> bool:
-            return self._is_schedule_call(node, info, graph, queue_ids, methods)
+            return self._is_schedule_call(node, info, graph, queue_ids)
 
         locals_to_check: list[tuple[str, ast.Call]] = []
         # Shallow walk: nested defs are their own FunctionInfo units, so

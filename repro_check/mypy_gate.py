@@ -14,11 +14,11 @@ starts small and is meant to only ever grow:
 * :mod:`repro.topology.mobility`
 * :mod:`repro.experiments.orchestrator.store`
 
-mypy is a third-party tool and hermetic containers may not ship it, so —
-exactly like ruff in ``scripts/lint.py`` — the gate runs mypy when it is
-importable and reports a skip otherwise.  CI installs mypy explicitly, so
-the gate is always enforced before merge; the flag configuration lives in
-``pyproject.toml`` under ``[tool.mypy]``.
+mypy is a third-party tool and hermetic containers may not ship it, so the
+gate runs mypy when it is importable and reports a skip otherwise.  CI's
+``analyze`` job installs mypy explicitly, so the gate is always enforced
+before merge; the flag configuration lives in ``pyproject.toml`` under
+``[tool.mypy]``.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ every random draw in the simulator is attributable to a *declared stream
 root*: the main simulation Generator (``Simulator.rng``, seeded once from
 ``RunConfig.seed``), or a throwaway generator derived per query from a
 ``(seed, stream, counter)`` tuple (channel, mobility, fault,
-refresh-probe streams).  DET002/DET003 police the storage half of that
-contract per file; DET101 uses the dataflow layer to police the *flow*
-half across function boundaries:
+refresh-probe streams).  DET001 polices construction per file; DET101
+uses the dataflow layer to police *flow* across function boundaries:
 
 * **main-RNG leakage** — a value tagged with the main root arrives at a
   draw inside a counter-based module.  One such draw advances the main
@@ -16,9 +15,10 @@ half across function boundaries:
   exist to catch, now rejected at parse time);
 * **query-order dependence** — a draw inside a counter-based module whose
   receiver was read from an instance attribute holding a generator.
-  However the generator got there (constructed elsewhere and passed in —
-  invisible to DET002), its draw count now depends on how many queries
-  came before (the PR 5 shared-Onoe-window bug class);
+  However the generator got there (built in ``__init__``, ``.spawn()``ed
+  from another, or constructed elsewhere and passed in), its draw count
+  now depends on how many queries came before (the PR 5
+  shared-Onoe-window bug class);
 * **stream confusion** — one instance attribute is *directly* assigned
   generators from two or more distinct construction sites, so draws
   through it mix streams depending on which assignment ran last.
@@ -39,15 +39,20 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.callgraph import FunctionInfo, get_callgraph, walk_unit
-from repro.analysis.dataflow import MAIN_ATOM, DataFlow, get_dataflow
-from repro.analysis.framework import (
+from repro_check.callgraph import FunctionInfo, get_callgraph, walk_unit
+from repro_check.dataflow import MAIN_ATOM, DataFlow, get_dataflow
+from repro_check.framework import (
     AnalysisConfig,
     Finding,
     Project,
     Rule,
     register,
 )
+
+#: ``Generator`` methods that advance the stream: the draw sites.
+_DRAW_METHODS = frozenset({
+    "random", "integers", "normal", "uniform", "choice", "shuffle",
+    "permutation", "exponential", "standard_normal", "bytes"})
 
 
 @register
@@ -63,24 +68,21 @@ class RngProvenance(Rule):
     def check(self, project: Project, config: AnalysisConfig) -> Iterable[Finding]:
         graph = get_callgraph(project, config)
         flow = get_dataflow(project, config)
-        counter = set(config.purity_modules) | set(config.fault_modules)
-        draw_methods = set(config.rng_draw_methods)
         for info in graph.functions.values():
-            if info.source.relative not in counter:
-                continue
-            yield from self._check_draws(info, graph, flow, draw_methods)
+            if info.source.relative in config.counter_modules:
+                yield from self._check_draws(info, flow)
         yield from self._check_stream_confusion(graph, flow)
 
     # -- draws inside counter-based modules -------------------------------- #
 
-    def _check_draws(self, info: FunctionInfo, graph, flow: DataFlow,
-                     draw_methods: set[str]) -> Iterator[Finding]:
+    def _check_draws(self, info: FunctionInfo,
+                     flow: DataFlow) -> Iterator[Finding]:
         # Shallow walk: nested defs are their own FunctionInfo units, so
         # descending into them here would double-report every draw.
         for node in walk_unit(info.node.body):
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in draw_methods):
+                    and node.func.attr in _DRAW_METHODS):
                 continue
             tags = flow.expr_tags(node.func.value, info)
             if not tags:

@@ -1,9 +1,8 @@
-"""Style rules: the stdlib lint subset, now framework rules.
+"""Style rules: the stdlib lint subset.
 
-These are the checks ``scripts/lint.py`` enforces when ruff is not
-installed (hermetic containers run exactly this path), ported onto the
-:mod:`repro.analysis` framework so the lint fallback, the ``repro-check``
-CLI and the fixture tests share one implementation per rule:
+``make lint`` selects exactly these; with no ruff in a hermetic container
+they are the lint that runs (CI adds ``ruff check`` as its own step), on the
+same framework, CLI and fixture tests as the invariant rules:
 
 * **SYN001** — the file parses at all;
 * **E501** — lines longer than the configured limit;
@@ -11,9 +10,8 @@ CLI and the fixture tests share one implementation per rule:
 * **W291/W293** — trailing whitespace on code / blank lines;
 * **F401** — imports never used in the module.  ``__init__.py`` re-export
   hubs, ``import x as x`` / ``from m import x as x`` explicit re-exports,
-  names referenced from string constants (``__all__``, doctests) and —
-  fixing a long-standing fallback bug — imports guarded by
-  ``if TYPE_CHECKING:`` are all exempt.
+  names referenced from string constants (``__all__``, doctests) and
+  imports guarded by ``if TYPE_CHECKING:`` are all exempt.
 
 Unlike the invariant rules these cover every configured target directory,
 not just ``src/repro``.
@@ -25,7 +23,7 @@ import ast
 import re
 from typing import Iterable, Iterator
 
-from repro.analysis.framework import (
+from repro_check.framework import (
     AnalysisConfig,
     Finding,
     Project,

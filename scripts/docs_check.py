@@ -2,11 +2,12 @@
 """docs-check: every ``repro.*`` dotted name and ``--preset`` in the docs must resolve.
 
 Scans the given markdown files (default: README.md and docs/*.md) for
-tokens like ``repro.metrics.etx.link_etx``, imports the longest importable
-module prefix of each and resolves the remainder with ``getattr``; every
-``--preset name`` must name a registered scenario preset.  Exits non-zero
-listing every token that no longer matches the code, so renames cannot
-silently rot the documentation.
+tokens like ``repro.metrics.etx.link_etx`` — and ``repro_check.*``, the
+analyzer beside ``src/`` — imports the longest importable module prefix of
+each and resolves the remainder with ``getattr``; every ``--preset name``
+must name a registered scenario preset.  Exits non-zero listing every token
+that no longer matches the code, so renames cannot silently rot the
+documentation.
 
 Run via ``make docs-check`` (needs ``PYTHONPATH=src``).
 """
@@ -18,11 +19,15 @@ import re
 import sys
 from pathlib import Path
 
-TOKEN = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
+TOKEN = re.compile(r"\brepro(?:_check)?(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 #: A concrete preset on a command line (``--preset NAME`` is a placeholder).
 PRESET = re.compile(r"--preset[ =]([a-z][a-z0-9_]*)")
 
 DEFAULT_FILES = ["README.md", "docs/paper-map.md", "docs/scenarios.md"]
+
+# repro_check is not installed and not under src/: it resolves from the
+# repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 
 def resolve(token: str) -> None:
@@ -67,7 +72,7 @@ def main(argv: list[str]) -> int:
         for path, token, reason in failures:
             print(f"  {path}: {token}  ({reason})", file=sys.stderr)
         return 1
-    print(f"docs-check: {len(checked)} distinct repro.* references (and every "
+    print(f"docs-check: {len(checked)} distinct repro.* / repro_check.* references (and every "
           f"--preset name) resolve across {len(files)} file(s)")
     return 0
 

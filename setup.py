@@ -29,10 +29,11 @@ setup(
         # (repro.metrics.lp.solve_min_cost_flow): tests/metrics/test_lp.py
         # and examples/metric_analysis.py need it, no simulation does.
         "test": ["pytest>=7", "pytest-benchmark", "hypothesis", "scipy"],
-        # Static-analysis extras: `make analyze` runs the repro.analysis
-        # rules with the stdlib alone, but enforces the strict-mypy
-        # typed-core gate (and full-strength ruff linting) when these are
-        # installed.  CI installs them explicitly.
+        # Static-analysis extras.  The analyzer itself (repro_check/, beside
+        # src/) is repository tooling: find_packages(where="src") does not
+        # ship it, and `make analyze` runs its rules with the stdlib alone.
+        # mypy adds the strict typed-core gate to it, ruff is CI's second
+        # lint; CI installs both explicitly.
         "dev": ["mypy>=1.8", "ruff"],
     },
     entry_points={

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.experiments.orchestrator.store import ResultStore, canonical_json
@@ -72,12 +71,3 @@ class SweepJournal:
             except json.JSONDecodeError:
                 continue  # torn tail from a kill mid-append
         return records
-
-    @staticmethod
-    def load_all(results_dir: str | Path) -> list[Path]:
-        """Every journal file under a results root (newest last by name)."""
-        store = ResultStore(results_dir, code="")
-        directory = store.sweeps_dir()
-        if not directory.is_dir():
-            return []
-        return sorted(directory.glob("*.jsonl"))

@@ -8,8 +8,8 @@ has two aliasing holes the sweep orchestrator closes:
   the knob lands could be served results computed before it existed.  The
   store therefore hashes the **fully resolved** config — every
   ``fields(RunConfig)`` member, defaults included — so introducing (or
-  re-defaulting) a knob changes every key it could influence.  The
-  ``CACHE001`` repro-check rule pins this invariant statically.
+  re-defaulting) a knob changes every key it could influence
+  (``tests/scenarios/test_spec.py`` pins this per field).
 * results are only as durable as the code that produced them.  Each key
   carries a **code version** — a content hash of every ``*.py`` file under
   ``src/repro`` — so a kernel change honestly invalidates the cache
@@ -69,9 +69,9 @@ def config_fingerprint(config: RunConfig) -> dict[str, Any]:
     """Every resolved ``RunConfig`` field, by name — the spec-hash payload.
 
     Enumerating ``fields(RunConfig)`` (rather than listing knobs by hand)
-    is what guarantees a field added tomorrow feeds the hash today; the
-    ``CACHE001`` analyzer rule rejects any rewrite that loses the
-    enumeration without covering every declared field explicitly.
+    is what guarantees a field added tomorrow feeds the hash today
+    (``tests/scenarios/test_spec.py`` changes each field and watches the
+    spec hash move).
     """
     fingerprint: dict[str, Any] = {}
     for config_field in fields(RunConfig):

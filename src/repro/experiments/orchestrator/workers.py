@@ -217,10 +217,6 @@ class WorkerPool:
         self.workers[index] = replacement
         return replacement
 
-    def worker_pids(self) -> list[int | None]:
-        """The workers' PIDs (stable across sweeps while the pool is warm)."""
-        return [worker.process.pid for worker in self.workers]
-
     def shutdown(self) -> None:
         if self.closed:
             return

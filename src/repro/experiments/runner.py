@@ -12,7 +12,7 @@ paper reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.experiments.refresh import FlowSupervisor, LinkStateRefresher
 from repro.protocols.exor import setup_exor_flow
@@ -71,6 +71,33 @@ class Environment:
     channel: ChannelSpec = field(default_factory=ChannelSpec)
     mobility: MobilitySpec = field(default_factory=MobilitySpec)
     faults: FaultSpec = field(default_factory=FaultSpec)
+
+
+#: What a ``RunConfig`` field of each declared type accepts, and in words.
+_FIELD_KINDS = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def _as_declared(name: str, declared: str, value):
+    """``value`` as field ``name``'s declared type, or a one-line ``ValueError``.
+
+    A scenario's ``run`` section arrives as JSON or ``--set`` text, so a
+    value can be any JSON type: an ``int`` field takes an integer (no
+    ``bool``, no ``1.5``), a ``float`` field a finite-or-infinite number or
+    the string ``"inf"`` (JSON has no infinity; never NaN), a ``bool`` field
+    a ``bool`` (not a truthy string), ``| None`` also ``None``.
+    """
+    kind, _, optional = declared.partition(" | ")
+    if value is None and optional == "None":
+        return None
+    if kind == "float" and value == "inf":
+        return math.inf
+    accepted, in_words = _FIELD_KINDS[kind]
+    # To isinstance a bool is an int; NaN is the value unequal to itself.
+    if (not isinstance(value, accepted) or value != value
+            or (isinstance(value, bool) and kind != "bool")):
+        raise ValueError(f"{name} must be {in_words}, got {value!r}")
+    return float(value) if kind == "float" else value
 
 
 @dataclass
@@ -142,13 +169,13 @@ class RunConfig:
     progress_timeout: float = math.inf
 
     def __post_init__(self) -> None:
-        self.refresh_period = float(self.refresh_period)
+        for spec in fields(self):
+            setattr(self, spec.name,
+                    _as_declared(spec.name, spec.type, getattr(self, spec.name)))
         if self.refresh_period <= 0:
             raise ValueError("refresh_period must be positive (inf = never)")
-        self.progress_timeout = float(self.progress_timeout)
         if self.progress_timeout <= 0:
             raise ValueError("progress_timeout must be positive (inf = never)")
-        self.monitor_interval = float(self.monitor_interval)
         if self.monitor_interval <= 0:
             raise ValueError("monitor_interval must be positive")
         for name in ("total_packets", "batch_size", "packet_size"):

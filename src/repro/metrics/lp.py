@@ -54,12 +54,6 @@ class FlowSolution:
     status: str
 
 
-def _neighbor_sets(delivery: np.ndarray, node: int, threshold: float) -> list[int]:
-    """Usable receivers of ``node``'s transmissions."""
-    return [j for j in range(delivery.shape[0])
-            if j != node and delivery[node, j] > threshold]
-
-
 def _subset_probability(delivery: np.ndarray, node: int, subset: tuple[int, ...]) -> float:
     """q_iK = probability at least one node of ``subset`` receives from ``node``."""
     miss = 1.0

@@ -31,7 +31,7 @@ the event queue.
 
 Determinism: fault randomness derives from the cell seed mixed with a
 private stream key via *counter-based* draws (no ``Generator`` state is
-ever stored — enforced statically by the DET003 repro-check rule), and a
+ever stored — enforced statically by the DET101 repro-check rule), and a
 ``faults=None`` / kind ``"none"`` run schedules no events and draws no
 randomness: it is bit-identical to a simulator without the subsystem.
 """

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.callgraph import (
+from repro_check.callgraph import (
     CallGraph,
     get_callgraph,
     module_name_for,
     walk_unit,
 )
-from repro.analysis.framework import AnalysisConfig, Project
+from repro_check.framework import AnalysisConfig, Project
 
 
 def write(root, relative, text):

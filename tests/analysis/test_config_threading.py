@@ -1,30 +1,21 @@
-"""CFG001: the un-threaded-field detector, proven live against the real tree.
+"""CFG101: the un-threaded-field detector, proven live against the real tree.
 
 The acceptance test of the rule: copy the shipped ``src/repro`` package,
 inject a fake ``RunConfig`` field nobody reads, and assert the analyzer
-rejects the tree (while the unmodified copy stays clean).  Synthetic
-fixtures then pin the spec-plumbing half of the rule.
+rejects the tree (while the unmodified copy stays clean).  That every field
+is overridable, round-trips and keys the cache is stated on the running code
+by ``tests/scenarios/test_spec.py``.
 """
 
 from __future__ import annotations
 
 import shutil
-from dataclasses import replace
 from pathlib import Path
 
-import repro
-from repro.analysis import run_rules
-from repro.analysis.framework import AnalysisConfig
+from repro_check import run_rules
 
-REPO_SRC = Path(repro.__file__).resolve().parent  # <repo>/src/repro
+REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 RUNNER = "src/repro/experiments/runner.py"
-
-
-def write(root, relative, text):
-    path = root / relative
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    return path
 
 
 def copy_tree(tmp_path) -> Path:
@@ -35,7 +26,7 @@ def copy_tree(tmp_path) -> Path:
 
 def test_shipped_tree_is_fully_threaded(tmp_path):
     root = copy_tree(tmp_path)
-    assert run_rules(root, select=["CFG001"]) == []
+    assert run_rules(root, select=["CFG101"]) == []
 
 
 def test_fake_unthreaded_field_is_rejected(tmp_path):
@@ -46,7 +37,7 @@ def test_fake_unthreaded_field_is_rejected(tmp_path):
     assert marker in text  # the injection anchor still exists
     runner.write_text(text.replace(
         marker, marker + "\n    fake_knob: int = 0", 1), encoding="utf-8")
-    findings = run_rules(root, select=["CFG001"])
+    findings = run_rules(root, select=["CFG101"])
     assert len(findings) == 1
     assert "fake_knob" in findings[0].message
     assert "never read" in findings[0].message
@@ -66,68 +57,5 @@ def test_validation_in_post_init_does_not_count_as_threading(tmp_path):
         "            raise ValueError(\"fake_knob must be non-negative\")", 1)
     assert "fake_knob < 0" in injected
     runner.write_text(injected, encoding="utf-8")
-    findings = run_rules(root, select=["CFG001"])
+    findings = run_rules(root, select=["CFG101"])
     assert len(findings) == 1 and "fake_knob" in findings[0].message
-
-
-MINI_CONFIG = """
-from dataclasses import dataclass
-
-
-@dataclass
-class MiniConfig:
-    knob: int = 1
-"""
-
-MINI_CONSUMER = "def use(config):\n    return config.knob + 1\n"
-
-MINI_SPEC = """
-from dataclasses import fields
-
-from repro.experiments.mini import MiniConfig
-
-
-class ScenarioSpec:
-    def to_dict(self):
-        return {"run": {}}
-
-    @classmethod
-    def from_dict(cls, data):
-        data.get("run")
-        return cls()
-
-
-def check(path):
-    return path in {f.name for f in fields(MiniConfig)}
-"""
-
-
-def mini_config():
-    return replace(AnalysisConfig(),
-                   config_class=("src/repro/experiments/mini.py", "MiniConfig"),
-                   spec_module="src/repro/spec.py")
-
-
-def test_spec_plumbing_accepts_the_full_pattern(tmp_path):
-    write(tmp_path, "src/repro/experiments/mini.py", MINI_CONFIG)
-    write(tmp_path, "src/repro/consumer.py", MINI_CONSUMER)
-    write(tmp_path, "src/repro/spec.py", MINI_SPEC)
-    assert run_rules(tmp_path, config=mini_config(), select=["CFG001"]) == []
-
-
-def test_spec_must_validate_against_dataclass_fields(tmp_path):
-    write(tmp_path, "src/repro/experiments/mini.py", MINI_CONFIG)
-    write(tmp_path, "src/repro/consumer.py", MINI_CONSUMER)
-    write(tmp_path, "src/repro/spec.py",
-          MINI_SPEC.replace("{f.name for f in fields(MiniConfig)}", "set()"))
-    findings = run_rules(tmp_path, config=mini_config(), select=["CFG001"])
-    assert any("fields(MiniConfig)" in f.message for f in findings)
-
-
-def test_spec_round_trip_must_carry_the_run_section(tmp_path):
-    write(tmp_path, "src/repro/experiments/mini.py", MINI_CONFIG)
-    write(tmp_path, "src/repro/consumer.py", MINI_CONSUMER)
-    write(tmp_path, "src/repro/spec.py",
-          MINI_SPEC.replace('return {"run": {}}', "return {}"))
-    findings = run_rules(tmp_path, config=mini_config(), select=["CFG001"])
-    assert any("to_dict" in f.message for f in findings)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.analysis.dataflow import MAIN_ATOM, get_dataflow
-from repro.analysis.framework import AnalysisConfig, Project
+from repro_check.dataflow import MAIN_ATOM, get_dataflow
+from repro_check.framework import AnalysisConfig, Project
 
 
 def write(root, relative, text):
@@ -64,8 +64,7 @@ def test_stored_atom_marks_counter_module_attributes(tmp_path):
           "        self.rng = rng\n"
           "def build():\n"
           "    return Window(np.random.default_rng(3))\n")
-    flow = flow_for(tmp_path, purity_modules=("src/repro/chan.py",),
-                    fault_modules=())
+    flow = flow_for(tmp_path, counter_modules=("src/repro/chan.py",))
     tags = flow.tags(("attr", "repro.chan:Window", "rng"))
     assert ("stored", "repro.chan:Window", "rng") in tags
 
@@ -114,7 +113,7 @@ def test_origins_walks_flow_backwards(tmp_path):
 def test_unresolvable_expressions_contribute_nothing(tmp_path):
     write(tmp_path, "src/repro/dark.py",
           "def use(mystery):\n"
-          "    value = mystery.spawn()\n"
+          "    value = mystery.derive()\n"
           "    return value.random()\n")
     flow = flow_for(tmp_path)
     assert flow.tags(("local", "repro.dark:use", "value")) == frozenset()

@@ -1,11 +1,8 @@
-"""DET001/DET002/DET003 fixture tests: seeded randomness and counter purity."""
+"""DET001 fixture tests, and the stored-generator fixtures DET101 took over."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from repro.analysis import run_rules
-from repro.analysis.framework import AnalysisConfig
+from repro_check import run_rules
 
 
 def write(root, relative, text):
@@ -58,11 +55,13 @@ def test_det001_ignores_code_outside_src_prefix(tmp_path):
     assert run_rules(tmp_path, select=["DET001"]) == []
 
 
+# The reject fixtures of the deleted DET002 (a generator stored on a
+# channel/mobility/fault realisation), drawn from: DET101 is the one rule
+# for the invariant, at the draw that makes the storage harmful.
+
 def det2(tmp_path, body):
     write(tmp_path, "src/repro/sim/channels.py", body)
-    config = replace(AnalysisConfig(),
-                     purity_modules=("src/repro/sim/channels.py",))
-    return run_rules(tmp_path, config=config, select=["DET002"])
+    return run_rules(tmp_path, select=["DET101"])
 
 
 def test_det002_flags_generator_stored_on_self(tmp_path):
@@ -70,17 +69,22 @@ def test_det002_flags_generator_stored_on_self(tmp_path):
                     "import numpy as np\n"
                     "class Fading:\n"
                     "    def __init__(self, seed):\n"
-                    "        self.rng = np.random.default_rng(seed)\n")
-    assert len(findings) == 1
-    assert "pure functions" in findings[0].message
+                    "        self.rng = np.random.default_rng(seed)\n"
+                    "    def sample(self):\n"
+                    "        return self.rng.uniform()\n")
+    assert [f.line for f in findings] == [6]
+    assert "stored on `Fading.rng`" in findings[0].message
 
 
 def test_det002_flags_spawned_children(tmp_path):
     findings = det2(tmp_path,
                     "class Fading:\n"
                     "    def __init__(self, rng):\n"
-                    "        self.child = rng.spawn(1)[0]\n")
-    assert len(findings) == 1
+                    "        self.child = rng.spawn(1)[0]\n"
+                    "    def sample(self):\n"
+                    "        return self.child.uniform()\n")
+    assert [f.line for f in findings] == [5]
+    assert "stored on `Fading.child`" in findings[0].message
 
 
 def test_det002_accepts_per_query_generators(tmp_path):
@@ -92,46 +96,3 @@ def test_det002_accepts_per_query_generators(tmp_path):
                 "    def sample(self, epoch):\n"
                 "        rng = np.random.default_rng((self.seed, epoch))\n"
                 "        return rng.uniform()\n") == []
-
-
-def det3(tmp_path, body):
-    write(tmp_path, "src/repro/sim/faults.py", body)
-    config = replace(AnalysisConfig(),
-                     fault_modules=("src/repro/sim/faults.py",))
-    return run_rules(tmp_path, config=config, select=["DET003"])
-
-
-def test_det003_flags_generator_stored_on_fault_model(tmp_path):
-    findings = det3(tmp_path,
-                    "import numpy as np\n"
-                    "class CrashRecover:\n"
-                    "    def __init__(self, seed):\n"
-                    "        self.rng = np.random.default_rng(seed)\n")
-    assert len(findings) == 1
-    assert findings[0].rule == "DET003"
-    assert "pure functions" in findings[0].message
-
-
-def test_det003_flags_spawned_children(tmp_path):
-    findings = det3(tmp_path,
-                    "class CrashRecover:\n"
-                    "    def __init__(self, rng):\n"
-                    "        self.chain_rng = rng.spawn(1)[0]\n")
-    assert len(findings) == 1 and findings[0].rule == "DET003"
-
-
-def test_det003_accepts_counter_based_fault_chains(tmp_path):
-    assert det3(tmp_path,
-                "import numpy as np\n"
-                "class CrashRecover:\n"
-                "    def __init__(self, seed):\n"
-                "        self.seed = seed\n"
-                "    def transition(self, node, counter):\n"
-                "        rng = np.random.default_rng((self.seed, node, counter))\n"
-                "        return rng.uniform()\n") == []
-
-
-def test_det003_covers_the_real_fault_module():
-    from pathlib import Path
-    repo = Path(__file__).resolve().parents[2]
-    assert run_rules(repo, select=["DET003"]) == []

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import replace
 from pathlib import Path
 
-from repro.analysis import run_rules
-from repro.analysis.framework import AnalysisConfig
+from repro_check import run_rules
+from repro_check.framework import AnalysisConfig
 
 QUEUE = ("class Handle:\n"
          "    def cancel(self):\n"

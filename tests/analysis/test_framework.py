@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import ast
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import INVARIANT_RULES, STYLE_RULES, all_rules, get_rule, run_rules
-from repro.analysis.framework import (
+from repro_check import STYLE_RULES, all_rules, get_rule, run_rules
+from repro_check.framework import (
     AnalysisConfig,
     Finding,
     Project,
@@ -23,10 +25,16 @@ def write(root, relative, text):
     return path
 
 
+INVARIANTS_DOC = Path(__file__).resolve().parents[2] / "docs" / "invariants.md"
+
+
 def test_every_documented_rule_is_registered():
-    names = set(all_rules())
-    assert set(STYLE_RULES) <= names
-    assert set(INVARIANT_RULES) <= names
+    """docs/invariants.md has one ``### RULE —`` heading per registered rule,
+    and the rules ``make lint`` selects are the style rules."""
+    documented = re.findall(r"^### ([A-Z]+[0-9]+) ", INVARIANTS_DOC.read_text(),
+                            flags=re.MULTILINE)
+    assert sorted(documented) == sorted(all_rules())
+    assert set(STYLE_RULES) < set(all_rules())
 
 
 def test_rules_have_names_and_descriptions():
@@ -74,7 +82,7 @@ def test_standalone_suppression_covers_next_code_line(tmp_path):
 def test_suppression_is_rule_specific(tmp_path):
     write(tmp_path, "src/repro/x.py",
           "import time\n"
-          "t = time.time()  # repro: allow-PERF001\n")
+          "t = time.time()  # repro: allow-EVT101\n")
     findings = run_rules(tmp_path, select=["DET001"])
     assert [f.rule for f in findings] == ["DET001"]
 
@@ -103,5 +111,9 @@ def test_import_aliases_resolve_calls():
 def test_config_defaults_describe_this_repo():
     config = AnalysisConfig()
     assert config.src_prefix == "src/repro"
-    assert "src" in config.project_targets()
-    assert config.with_root_targets(("src",)).style_targets == ("src",)
+    root = Path(__file__).resolve().parents[2]
+    assert all((root / target).exists() for target in config.style_targets)
+    assert all((root / module).is_file() for module in config.counter_modules)
+    # The analyzer lints itself; ruff covers the same files.
+    assert "repro_check" in config.style_targets
+    assert "repro_check/**/*.py" in (root / "pyproject.toml").read_text()

@@ -13,8 +13,10 @@ import shutil
 from dataclasses import replace
 from pathlib import Path
 
-from repro.analysis import run_rules
-from repro.analysis.framework import AnalysisConfig
+import pytest
+
+from repro_check import STYLE_RULES, all_rules, run_rules
+from repro_check.framework import AnalysisConfig
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "historical"
 
@@ -66,8 +68,7 @@ def test_pr4_repair_with_cancel_on_teardown_is_accepted(tmp_path):
 # -- PR 5: the shared Onoe window -> DET101 --------------------------------- #
 
 PR5_WINDOW_CONFIG = dict(
-    purity_modules=("src/repro/channel.py",),
-    fault_modules=(),
+    counter_modules=("src/repro/channel.py",),
 )
 
 
@@ -127,8 +128,10 @@ PR5_NODE0_CONFIG = dict(
 def test_pr5_node0_dead_read_passes_cfg001_but_fails_cfg101(tmp_path):
     root = deploy(tmp_path, "pr5_node0_truthiness")
     config = replace(AnalysisConfig(), **PR5_NODE0_CONFIG)
-    # The text-level rule is satisfied — the field *is* read somewhere ...
-    assert run_rules(root, config=config, select=["CFG001"]) == []
+    # A text-level check (the deleted CFG001) is satisfied — the field *is*
+    # read somewhere ...
+    assert "config.node0_at_origin" in (
+        root / "src/repro/placement.py").read_text(encoding="utf-8")
     # ... but the read is unreachable from the entry point.
     findings = run_rules(root, config=config, select=["CFG101"])
     assert len(findings) == 1
@@ -151,3 +154,41 @@ def test_pr5_node0_repair_restores_the_call_site(tmp_path):
           "    return (config.seed, positions)\n")
     config = replace(AnalysisConfig(), **PR5_NODE0_CONFIG)
     assert run_rules(root, config=config, select=["CFG101"]) == []
+
+
+# -- every invariant rule has a bug it exists to catch ---------------------- #
+
+#: The exemption PR 14 had to sweep up by hand, as an edit to the PR 4 tree:
+#: the handle-returning call became fire-and-forget and its comment stayed,
+#: ready to swallow the next handle leaked on that line.  (Spelled here, not
+#: in a fixture file, where the repository's own SUP001 audit would find it.)
+STALE_EXEMPTION = (
+    "src/repro/mac.py",
+    "        self._pending_handle = self.events.schedule(0.001, self.on_complete)\n",
+    "        # repro: allow-EVT101 — retained legacy reference path\n"
+    "        self.events.schedule_callback(0.001, self.on_complete)\n")
+
+#: rule -> (fixture, edit or None, config overrides, what its finding names).
+#: ``wallclock_seed`` is reconstructed: a default seed read from the host clock.
+CORPUS = {
+    "EVT101": ("pr4_pending_handle", None, PR4_CONFIG, "Mac._pending_handle"),
+    "DET101": ("pr5_onoe_window", None, PR5_WINDOW_CONFIG, "OnoeWindow.rng"),
+    "CFG101": ("pr5_node0_truthiness", None, PR5_NODE0_CONFIG, "node0_at_origin"),
+    "DET001": ("wallclock_seed", None, {}, "time.time"),
+    "SUP001": ("pr4_pending_handle", STALE_EXEMPTION, PR4_CONFIG, "allow-EVT101"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(set(all_rules()) - set(STYLE_RULES)))
+def test_every_invariant_rule_catches_a_bug_in_the_corpus(rule, tmp_path):
+    assert rule in CORPUS, (
+        f"{rule} catches no historical or reconstructed bug: add its fixture "
+        "to the corpus or delete the rule")
+    fixture, edit, overrides, named = CORPUS[rule]
+    root = deploy(tmp_path, fixture)
+    if edit is not None:
+        patch(root, *edit)
+    config = replace(AnalysisConfig(), **overrides)
+    findings = run_rules(root, config=config, select=[rule])
+    assert findings and {finding.rule for finding in findings} == {rule}
+    assert any(named in finding.message for finding in findings)

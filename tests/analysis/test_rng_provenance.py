@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.analysis import run_rules
-from repro.analysis.framework import AnalysisConfig
+from repro_check import run_rules
+from repro_check.framework import AnalysisConfig
 
 
 def write(root, relative, text):
@@ -17,8 +17,7 @@ def write(root, relative, text):
 
 def det_config(**overrides) -> AnalysisConfig:
     defaults = dict(
-        purity_modules=("src/repro/chan.py",),
-        fault_modules=(),
+        counter_modules=("src/repro/chan.py",),
         rng_main_root=("src/repro/sim.py", "Sim", "rng"),
     )
     defaults.update(overrides)

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import repro
-from repro.analysis import STYLE_RULES, all_rules, run_rules
-from repro.analysis.__main__ import main
+from repro_check import STYLE_RULES, all_rules, run_rules
+from repro_check.__main__ import main
 
-REPO_ROOT = Path(repro.__file__).resolve().parents[2]
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def test_repository_is_clean_under_every_rule():
@@ -23,7 +22,7 @@ def test_cli_exits_zero_on_the_repository(capsys):
 
 
 def test_cli_select_subset(capsys):
-    assert main(["--select", "det001,CFG001"]) == 0
+    assert main(["--select", "det001,CFG101"]) == 0
     assert "analyze: clean" in capsys.readouterr().out
 
 
@@ -44,7 +43,9 @@ def test_cli_list_rules_names_every_registered_rule(capsys):
 
 
 def test_style_subset_matches_lint_contract():
-    # make lint's fallback runs exactly these rules through the framework.
+    # make lint selects exactly these rules, by name, on the one CLI.
     assert set(STYLE_RULES) == {"SYN001", "E501", "W191", "W291", "W293",
                                 "F401"}
+    makefile = (REPO_ROOT / "Makefile").read_text(encoding="utf-8")
+    assert f"-m repro_check --select {','.join(STYLE_RULES)}\n" in makefile
     assert run_rules(REPO_ROOT, select=STYLE_RULES) == []

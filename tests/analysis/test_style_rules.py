@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis import STYLE_RULES, run_rules
+from repro_check import STYLE_RULES, run_rules
 
 
 def write(root, relative, text):

@@ -409,4 +409,7 @@ class TestEndToEnd:
         with pytest.raises(ValueError, match="refresh_period"):
             RunConfig(refresh_period=0.0)
         assert math.isinf(RunConfig(refresh_period="inf").refresh_period)
-        assert RunConfig(refresh_period="2.5").refresh_period == 2.5
+        assert RunConfig(refresh_period=2).refresh_period == 2.0
+        # "inf" is the one documented string: JSON has no infinity.
+        with pytest.raises(ValueError, match="refresh_period must be a number"):
+            RunConfig(refresh_period="2.5")

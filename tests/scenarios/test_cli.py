@@ -187,6 +187,15 @@ def test_no_run_field_shadows_a_scenario_field():
     ("batch_size", 0), ("total_packets", -5), ("packet_size", 0),
     ("max_relays", 0), ("max_duration", -1), ("coding_payload_size", -1),
     ("estimation_probes", -1), ("estimation_exponent", 0),
+    # Wrong-typed values: these four were a TypeError traceback, exit 1 ...
+    ("batch_size", "abc"), ("max_duration", "abc"), ("max_relays", "abc"),
+    ("estimation_exponent", "nan"),
+    # ... `true` ran 1-byte packets and reported a 6x gain, exit 0; the rest
+    # ran to a normal-looking report (NaN: the text from --set, the float
+    # from the spec file).
+    ("packet_size", "true"), ("total_packets", 1.5), ("vector_only", "maybe"),
+    ("refresh_period", float("nan")), ("progress_timeout", float("nan")),
+    ("monitor_interval", float("nan")),
 ])
 def test_out_of_range_run_value_is_a_one_line_error(field, value, capsys, tmp_path,
                                                     deadline):

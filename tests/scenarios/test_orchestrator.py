@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -70,6 +71,18 @@ class TestCacheKeys:
         assert code_version(tree) == first
         (tree / "a.py").write_text("x = 2\n")
         assert code_version(tree) != first
+
+        # The key covers the simulator package and nothing beside it: in a
+        # copy of this repository's layout it is the live key, before and
+        # after a byte changes under the analyzer's directory.
+        repo = Path(__file__).resolve().parents[2]
+        for directory in ("src/repro", "repro_check"):
+            shutil.copytree(repo / directory, tmp_path / directory,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        assert code_version(tmp_path / "src" / "repro") == code_version()
+        with open(tmp_path / "repro_check" / "style.py", "a") as rule:
+            rule.write("# edited\n")
+        assert code_version(tmp_path / "src" / "repro") == code_version()
 
     def test_code_version_miss_forces_recompute(self, tiny_sweep, tmp_path):
         store = ResultStore(tmp_path)

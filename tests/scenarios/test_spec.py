@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 import pytest
 
+from repro.experiments.orchestrator.store import spec_hash
 from repro.experiments.runner import PROTOCOLS, RunConfig
 from repro.scenarios import (
     MIN_BATCHES_PER_TRANSFER,
@@ -142,7 +146,34 @@ class TestExpansion:
         assert base.key() != other.key()
 
 
+def _another(value):
+    """A valid value of ``value``'s type that is not ``value``."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value + 1.0 if math.isfinite(value) else 2.0
+    return {"etx": "eotx", None: 3}[value]  # more_metric, max_relays
+
+
 class TestRunConfig:
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_every_field_is_overridable_round_trips_and_keys_the_cache(
+            self, name, sweep_spec):
+        """What makes a new ``RunConfig`` field sweepable, resumable and safe to
+        cache with no edit elsewhere — or fails here, naming it."""
+        value = _another(getattr(sweep_spec.run_config(), name))
+        changed = sweep_spec.with_overrides({f"run.{name}": value})
+        assert getattr(changed.run_config(), name) == value
+        reloaded = ScenarioSpec.from_json(changed.to_json())
+        assert getattr(reloaded.run_config(), name) == value
+
+        def key(spec):
+            return spec_hash(ScenarioCell(scenario=spec, seed=1))
+        assert key(changed) != key(sweep_spec)
+        assert key(reloaded) == key(changed)
+
     def test_seed_defaults_to_cell_seed(self, sweep_spec):
         assert sweep_spec.run_config(seed=9).seed == 9
 

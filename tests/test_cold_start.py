@@ -7,8 +7,10 @@ and 40 MiB) once rode along with all of them; this holds the line.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -62,6 +64,17 @@ def test_importing_the_run_path_loads_no_solver_or_test_tooling():
         optimum, eotx, is_solution, conserved = report["lp"]
         assert optimum == pytest.approx(eotx, abs=1e-6)
         assert is_solution and conserved
+
+
+def test_the_analyzer_is_outside_the_runtime_package():
+    """``src/repro`` is the simulator: the static analyzer is tooling beside
+    it (``repro_check/``), so it is neither installed with the package nor
+    hashed into the result store's code key."""
+    assert importlib.util.find_spec("repro.analysis") is None
+    package = Path(_SRC) / "repro"
+    imports_it = re.compile(r"^\s*(?:import|from)\s+repro_check\b", re.MULTILINE)
+    assert [path.relative_to(package).as_posix() for path in package.rglob("*.py")
+            if imports_it.search(path.read_text(encoding="utf-8"))] == []
 
 
 def test_lp_without_scipy_is_a_one_line_error(monkeypatch):
