@@ -63,8 +63,7 @@ golden:
 test-coding:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/coding tests/gf
 
-# The paper-evaluation benchmarks only (add PYTEST_ARGS=--paper-scale for
-# the full 5 MB transfers).
+# The paper-evaluation benchmarks only.
 bench:
 	$(ENV) $(PYTHON) -m pytest -q benchmarks $(PYTEST_ARGS)
 
@@ -94,15 +93,10 @@ fault-smoke:
 bench-smoke:
 	$(PYTHON) scripts/bench_smoke.py
 
-# Run (and cache under results/) every paper-figure scenario preset.
+# Every paper figure (cells cached under results/store/): its report, then
+# each claim's statistic against its band.  Fails when one is out of band.
 figures:
-	$(ENV) $(PYTHON) -m repro sweep --preset fig_4_2 --workers $(WORKERS)
-	$(ENV) $(PYTHON) -m repro sweep --preset fig_4_4 --workers $(WORKERS)
-	$(ENV) $(PYTHON) -m repro sweep --preset fig_4_5 --workers $(WORKERS)
-	$(ENV) $(PYTHON) -m repro sweep --preset fig_4_6 --workers $(WORKERS)
-	$(ENV) $(PYTHON) -m repro sweep --preset fig_4_7 --workers $(WORKERS)
-	$(ENV) $(PYTHON) -m repro sweep --preset fig_5_1 --workers $(WORKERS)
-	$(ENV) $(PYTHON) -m repro report
+	$(ENV) $(PYTHON) -m repro figure --workers $(WORKERS)
 
 # The narrated walk-throughs.
 examples:

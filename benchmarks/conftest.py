@@ -1,58 +1,21 @@
 """Shared fixtures and helpers for the benchmark suite.
 
-Every benchmark regenerates one table or figure of the paper's evaluation
-(plus a few ablations and micro-benchmarks).  The simulation workloads are
-scaled down from the paper's 5 MB transfers so the whole suite finishes in
-minutes; pass ``--paper-scale`` to run the full-size experiments.
+The paper's figures and their claims are one table,
+:data:`repro.experiments.figures.FIGURES`, which ``test_figures.py`` is
+parametrised over; the other modules are ablations and micro-benchmarks.
+Everything runs at the figure presets' scale, three batches per transfer;
+the paper's sample sizes are a switch of ``python -m repro figure``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.experiments.runner import RunConfig
-from repro.scenarios import ScenarioSpec, build_topology, get_preset
-
-#: Per figure preset: (sample-size workload parameter, reduced value, paper's).
-FIGURE_SAMPLES = {
-    "fig_4_2": ("count", 10, 200),
-    "fig_4_3": ("count", 10, 200),
-    "fig_4_4": ("count", 5, 20),
-    "fig_4_5": ("set_count", 2, 40),
-    "fig_4_6": ("count", 8, 40),
-    "fig_4_7": ("count", 4, 40),
-    "fig_5_1": ("count", 15, 100),
-}
-
-#: The reduced transfer every benchmark runs, and the paper's 5 MB one
-#: (3495 x 1500 B packets) that ``--paper-scale`` lays over it.
-REDUCED_RUN = {"total_packets": 96, "batch_size": 32, "packet_size": 1500, "seed": 1}
-PAPER_RUN = {"total_packets": 3495, "max_duration": 600.0}
-
-
-def figure_spec(preset: str, paper_scale: bool) -> ScenarioSpec:
-    """A figure's preset at benchmark (reduced) or paper scale."""
-    spec = get_preset(preset)
-    parameter, reduced, paper = FIGURE_SAMPLES[preset]
-    spec.workload.params[parameter] = paper if paper_scale else reduced
-    spec.run.update(REDUCED_RUN)
-    if paper_scale:
-        spec.run.update(PAPER_RUN)
-    elif preset == "fig_4_7":
-        # K=128 needs a 256-packet transfer; the reduced sweep stops at 64.
-        spec.sweep["run.batch_size"] = (8, 16, 32, 64)
-    return spec
+from repro.scenarios import build_topology, get_preset
 
 
 def pytest_addoption(parser):
-    parser.addoption(
-        "--paper-scale",
-        action="store_true",
-        default=False,
-        help="run the full-scale experiments (5 MB transfers, paper pair counts)",
-    )
     parser.addoption(
         "--perf-strict",
         action="store_true",
@@ -81,12 +44,6 @@ def pytest_collection_modifyitems(config, items):
 
 
 @pytest.fixture(scope="session")
-def paper_scale(request) -> bool:
-    """True when the user asked for full-scale experiment runs."""
-    return request.config.getoption("--paper-scale")
-
-
-@pytest.fixture(scope="session")
 def testbed():
     """The synthetic 20-node indoor testbed shared by all benchmarks.
 
@@ -97,23 +54,13 @@ def testbed():
 
 
 @pytest.fixture(scope="session")
-def run_config(paper_scale) -> RunConfig:
-    """Per-flow transfer configuration (scaled or full size) of the ablations:
-    the one the figure benchmarks run."""
-    return figure_spec("fig_4_2", paper_scale).run_config()
+def run_config() -> RunConfig:
+    """Per-flow transfer configuration of the ablations: the one the figure
+    presets run."""
+    return get_preset("fig_4_2").run_config()
 
 
 def run_once(benchmark, func, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1,
                               warmup_rounds=0)
-
-
-def run_figure(benchmark, view, preset: str, paper_scale: bool):
-    """Run a figure view once on its scaled preset, print its report and rewrite
-    the tracked ``results/<figure>.txt`` (a diff there is a behaviour change)."""
-    result = run_once(benchmark, view, figure_spec(preset, paper_scale))
-    print("\n" + result.report)
-    path = Path(__file__).resolve().parent.parent / "results" / f"{result.name}.txt"
-    path.write_text(result.report + "\n", encoding="utf-8")
-    return result

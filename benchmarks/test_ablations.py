@@ -25,9 +25,9 @@ def _median_throughput(testbed, protocol, pairs, config):
     return float(np.median([r.throughput_pkts for r in results]))
 
 
-def test_ablation_more_ordering_metric(benchmark, testbed, run_config, paper_scale):
+def test_ablation_more_ordering_metric(benchmark, testbed, run_config):
     """ETX-ordered vs EOTX-ordered MORE (Section 5.7 predicts a tiny gap)."""
-    pairs = random_pairs(testbed, 20 if paper_scale else 5, seed=11)
+    pairs = random_pairs(testbed, 5, seed=11)
 
     def run_both():
         etx_config = RunConfig(**{**run_config.__dict__, "more_metric": "etx"})
@@ -42,14 +42,14 @@ def test_ablation_more_ordering_metric(benchmark, testbed, run_config, paper_sca
     assert eotx_median == pytest.approx(etx_median, rel=0.5)
 
 
-def test_ablation_forwarder_pruning(benchmark, testbed, run_config, paper_scale):
+def test_ablation_forwarder_pruning(benchmark, testbed, run_config):
     """The 10% pruning rule trades a little transmission diversity for less
     contention; it must not cripple throughput."""
     from repro.protocols.more import setup_more_flow
     from repro.sim.radio import PhyConfig, SimConfig
     from repro.sim.simulator import Simulator
 
-    pairs = random_pairs(testbed, 12 if paper_scale else 4, seed=12)
+    pairs = random_pairs(testbed, 4, seed=12)
 
     def run_variant(prune: bool) -> float:
         throughputs = []
@@ -79,7 +79,7 @@ def test_ablation_forwarder_pruning(benchmark, testbed, run_config, paper_scale)
     assert pruned > 0.5 * unpruned
 
 
-def test_ablation_control_plane_estimation(benchmark, testbed, run_config, paper_scale):
+def test_ablation_control_plane_estimation(benchmark, testbed, run_config):
     """Perfectly informed vs probe-estimated control plane.
 
     Best-path routing relies entirely on the accuracy of its link estimates,
@@ -87,7 +87,7 @@ def test_ablation_control_plane_estimation(benchmark, testbed, run_config, paper
     this asymmetry is the core of the paper's motivation for opportunistic
     routing.
     """
-    pairs = random_pairs(testbed, 16 if paper_scale else 6, seed=13)
+    pairs = random_pairs(testbed, 6, seed=13)
 
     def run_matrix():
         noisy = RunConfig(**{**run_config.__dict__})

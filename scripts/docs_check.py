@@ -5,7 +5,9 @@ Scans the given markdown files (default: README.md and docs/*.md) for
 tokens like ``repro.metrics.etx.link_etx`` — and ``repro_check.*``, the
 analyzer beside ``src/`` — imports the longest importable module prefix of
 each and resolves the remainder with ``getattr``; every ``--preset name``
-must name a registered scenario preset.  Exits non-zero listing every token
+must name a registered scenario preset; and the claim ids in
+``docs/paper-map.md``'s claim table must be exactly those of
+``repro.experiments.figures.FIGURES``.  Exits non-zero listing every token
 that no longer matches the code, so renames cannot silently rot the
 documentation.
 
@@ -22,6 +24,9 @@ from pathlib import Path
 TOKEN = re.compile(r"\brepro(?:_check)?(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 #: A concrete preset on a command line (``--preset NAME`` is a placeholder).
 PRESET = re.compile(r"--preset[ =]([a-z][a-z0-9_]*)")
+#: A claim id as the claim table writes it, and the file that holds the table.
+CLAIM = re.compile(r"`(fig_\d+_\d+\.[a-z0-9_]+)`")
+CLAIMS_FILE = "paper-map.md"
 
 DEFAULT_FILES = ["README.md", "docs/paper-map.md", "docs/scenarios.md"]
 
@@ -48,8 +53,10 @@ def resolve(token: str) -> None:
 
 
 def main(argv: list[str]) -> int:
+    from repro.experiments.figures import FIGURES
     from repro.scenarios import PRESETS
 
+    claims = {claim.id for row in FIGURES.values() for claim in row.claims}
     files = [Path(name) for name in (argv or DEFAULT_FILES)]
     failures: list[tuple[Path, str, str]] = []
     checked: set[str] = set()
@@ -60,6 +67,12 @@ def main(argv: list[str]) -> int:
         text = path.read_text(encoding="utf-8")
         for name in sorted(set(PRESET.findall(text)) - set(PRESETS)):
             failures.append((path, f"--preset {name}", "no such preset"))
+        if path.name == CLAIMS_FILE:
+            documented = set(CLAIM.findall(text))
+            for name in sorted(documented - claims):
+                failures.append((path, name, "no such claim in FIGURES"))
+            for name in sorted(claims - documented):
+                failures.append((path, name, "claim of FIGURES missing from the table"))
         for token in sorted(set(TOKEN.findall(text))):
             try:
                 resolve(token)

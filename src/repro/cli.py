@@ -7,6 +7,7 @@
     python -m repro run   --preset chain_smoke    # one scenario, serially
     python -m repro sweep --preset fig_4_7 --workers 4
     python -m repro report                        # summarize cached results
+    python -m repro figure --workers 4            # the paper's results and claims
 
 ``run`` and ``sweep`` accept either ``--preset NAME`` (see
 :mod:`repro.scenarios.presets`) or ``--spec FILE`` (a ScenarioSpec as JSON,
@@ -27,7 +28,11 @@ what changed — including after a kill: re-running the same sweep command
 resumes with only the missing cells (``--force`` recomputes everything).
 ``sweep`` streams progress (cells/s, ETA, running partial aggregate) to
 stderr with ``--progress`` and tolerates crashed or wedged workers via
-``--retries`` / ``--cell-timeout``.
+``--retries`` / ``--cell-timeout``.  ``figure [NAME ...]`` (default: all)
+runs rows of :data:`repro.experiments.figures.FIGURES` through the same
+store and pool and prints each report, then one line per claim (statistic,
+value, band, the paper's value, ok / out-of-band); ``--paper-scale`` runs the
+paper's sample sizes and 5 MB transfers (about an hour; resumable).
 
 Also installable as a console script (``repro = repro.cli:main``).
 """
@@ -108,17 +113,21 @@ def _add_section_flags(parser: argparse.ArgumentParser) -> None:
                  f"{name}.<param>=value; see docs/scenarios.md)")
 
 
-def _add_spec_arguments(parser: argparse.ArgumentParser, sweep: bool) -> None:
-    parser.add_argument("--preset", help="name of a registered scenario preset")
-    parser.add_argument("--spec", help="path to a ScenarioSpec JSON file")
-    parser.add_argument("--set", action="append", metavar="PATH=VALUE",
-                        help="dotted-path override, e.g. run.batch_size=16")
-    parser.add_argument("--workers", type=int, default=1 if not sweep else 4,
+def _add_store_arguments(parser: argparse.ArgumentParser, workers: int) -> None:
+    parser.add_argument("--workers", type=int, default=workers,
                         help="worker processes for uncached cells")
     parser.add_argument("--results-dir", default=str(DEFAULT_RESULTS_DIR),
                         help="cache root (default: results/)")
     parser.add_argument("--no-cache", action="store_true",
                         help="neither read nor write the results cache")
+
+
+def _add_spec_arguments(parser: argparse.ArgumentParser, sweep: bool) -> None:
+    parser.add_argument("--preset", help="name of a registered scenario preset")
+    parser.add_argument("--spec", help="path to a ScenarioSpec JSON file")
+    parser.add_argument("--set", action="append", metavar="PATH=VALUE",
+                        help="dotted-path override, e.g. run.batch_size=16")
+    _add_store_arguments(parser, workers=4 if sweep else 1)
     parser.add_argument("--force", action="store_true",
                         help="recompute cells even when cached")
     parser.add_argument("--vector-only", action="store_true", dest="vector_only",
@@ -225,6 +234,22 @@ def _command_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _command_figure(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import FIGURES, run_figure
+
+    in_band = True
+    for name in args.names or FIGURES:
+        result = run_figure(name, paper_scale=args.paper_scale, workers=args.workers,
+                            results_dir=None if args.no_cache else args.results_dir)
+        print(result.report)
+        for claim in FIGURES[name].claims:
+            print("  " + claim.line(result.summary))
+            in_band = in_band and claim.holds(result.summary)
+        print()
+        print(f"{name}: {result.computed_cells} cell(s) simulated", file=sys.stderr)
+    return 0 if in_band else 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -257,6 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("scenarios", nargs="*", help="limit to these scenario names")
     report.add_argument("--results-dir", default=str(DEFAULT_RESULTS_DIR))
     report.set_defaults(func=_command_report)
+
+    figure = commands.add_parser(
+        "figure", help="run paper figures and check their claims against the bands")
+    figure.add_argument("names", nargs="*", metavar="NAME",
+                        help="rows of repro.experiments.figures.FIGURES (default: all)")
+    figure.add_argument("--paper-scale", action="store_true", dest="paper_scale",
+                        help="the paper's sample sizes and 3495-packet transfers")
+    _add_store_arguments(figure, workers=1)
+    figure.set_defaults(func=_command_figure)
 
     return parser
 

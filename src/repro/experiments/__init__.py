@@ -1,17 +1,6 @@
 """Experiment harness reproducing the paper's evaluation (Chapter 4 and 5.7)."""
 
-from repro.experiments.figures import (
-    ALL_FIGURES,
-    FigureResult,
-    figure_4_2,
-    figure_4_3,
-    figure_4_4,
-    figure_4_5,
-    figure_4_6,
-    figure_4_7,
-    figure_5_1,
-    table_4_1,
-)
+from repro.experiments.figures import FIGURES, FigureResult, run_figure
 from repro.experiments.orchestrator import (
     DEFAULT_RESULTS_DIR,
     SweepResult,
@@ -35,8 +24,8 @@ from repro.experiments.workloads import (
 )
 
 __all__ = [
-    "ALL_FIGURES",
     "DEFAULT_RESULTS_DIR",
+    "FIGURES",
     "FigureResult",
     "FlowResult",
     "PROTOCOLS",
@@ -45,24 +34,17 @@ __all__ = [
     "SweepResult",
     "cdf",
     "challenged_pairs",
-    "figure_4_2",
-    "figure_4_3",
-    "figure_4_4",
-    "figure_4_5",
-    "figure_4_6",
-    "figure_4_7",
-    "figure_5_1",
     "median",
     "median_gain",
     "multiflow_sets",
     "percentile",
     "random_pairs",
     "reachable_pairs",
+    "run_figure",
     "run_flows",
     "run_scenario",
     "run_single_flow",
     "run_sweep",
     "spatial_reuse_pairs",
     "summarize",
-    "table_4_1",
 ]

@@ -1,11 +1,18 @@
 """Named scenario presets: the paper's figures plus generic mesh studies.
 
 Each preset is a fully-declarative :class:`~repro.scenarios.spec.ScenarioSpec`.
-The ``fig_*`` presets are the one definition of the paper's figures:
-:mod:`repro.experiments.figures` holds a view over each (summary statistics
-and report text) and describes no experiment of its own.  Presets are
-looked up by name from the CLI (``python -m repro run --preset fig_4_2``)
-and from code via :func:`get_preset`.
+The ``fig_*`` presets are the one definition of the paper's experiments, at
+the scale tier-1 runs and ``results/figure_*.txt`` records; the rows of
+:data:`repro.experiments.figures.FIGURES` hold, beside each, the overlay
+that scales it to the paper's sample sizes, the view that computes the
+paper's statistics from its cells, and the bands those are held to.
+Presets are looked up by name from the CLI (``python -m repro run --preset
+fig_4_2``) and from code via :func:`get_preset`.
+
+The figure presets pin ``run.seed = 1``: a cell's seed then selects the
+pairs (or flow sets) only, and every replication seed replays the same
+loss draws.  Seed-averaged bands (ROADMAP item 1) must lift the pin, which
+moves every ``results/figure_*.txt``.
 """
 
 from __future__ import annotations
@@ -20,6 +27,10 @@ from repro.topology.mobility import MobilitySpec
 
 #: The synthetic 20-node, 3-floor indoor testbed of every Chapter 4 figure.
 _TESTBED = TopologySpec("indoor_testbed", {"node_count": 20, "floors": 3, "seed": 7})
+
+#: The transfer every figure preset runs: three batches of 1500 B packets,
+#: and the pinned simulator seed the module docstring explains.
+_FIGURE_RUN = {"total_packets": 96, "batch_size": 32, "packet_size": 1500, "seed": 1}
 
 PRESETS: dict[str, ScenarioSpec] = {}
 
@@ -50,19 +61,11 @@ def list_presets() -> list[ScenarioSpec]:
 
 register(ScenarioSpec(
     name="fig_4_2",
-    description="Fig 4-2: unicast throughput CDF, MORE vs ExOR vs Srcr over "
-                "random testbed pairs",
+    description="Fig 4-2 and 4-3: unicast throughput of MORE vs ExOR vs Srcr "
+                "over random testbed pairs (CDF and per-pair scatter)",
     topology=copy.deepcopy(_TESTBED),
-    workload=WorkloadSpec("random_pairs", {"count": 12}),
-    seeds=(1,),
-))
-
-register(ScenarioSpec(
-    name="fig_4_3",
-    description="Fig 4-3: per-pair scatter vs Srcr (same runs as fig_4_2; the "
-                "scatter is a different view of the same data)",
-    topology=copy.deepcopy(_TESTBED),
-    workload=WorkloadSpec("random_pairs", {"count": 12}),
+    workload=WorkloadSpec("random_pairs", {"count": 10}),
+    run=dict(_FIGURE_RUN),
     seeds=(1,),
 ))
 
@@ -71,7 +74,8 @@ register(ScenarioSpec(
     description="Fig 4-4: spatial reuse on 4-hop paths whose first and last "
                 "hop can transmit concurrently",
     topology=copy.deepcopy(_TESTBED),
-    workload=WorkloadSpec("spatial_reuse", {"count": 6, "path_hops": 4}),
+    workload=WorkloadSpec("spatial_reuse", {"count": 5, "path_hops": 4}),
+    run=dict(_FIGURE_RUN),
     seeds=(2,),
 ))
 
@@ -80,8 +84,9 @@ register(ScenarioSpec(
     description="Fig 4-5: average per-flow throughput vs number of concurrent "
                 "flows (sweep workload.flow_count)",
     topology=copy.deepcopy(_TESTBED),
-    workload=WorkloadSpec("multiflow", {"flows_per_set": 4, "set_count": 3}),
+    workload=WorkloadSpec("multiflow", {"flows_per_set": 4, "set_count": 2}),
     mode="multiflow",
+    run=dict(_FIGURE_RUN),
     seeds=(3,),
     sweep={"workload.flow_count": (1, 2, 3, 4)},
 ))
@@ -93,7 +98,7 @@ register(ScenarioSpec(
     topology=copy.deepcopy(_TESTBED),
     workload=WorkloadSpec("random_pairs", {"count": 8}),
     protocols=("MORE", "ExOR", "Srcr", "Srcr/auto"),
-    run={"bitrate": RATE_11MBPS},
+    run={"bitrate": RATE_11MBPS, **_FIGURE_RUN},
     seeds=(4,),
 ))
 
@@ -102,10 +107,12 @@ register(ScenarioSpec(
     description="Fig 4-7: batch-size sensitivity, MORE vs ExOR "
                 "(sweep run.batch_size)",
     topology=copy.deepcopy(_TESTBED),
-    workload=WorkloadSpec("random_pairs", {"count": 6}),
+    workload=WorkloadSpec("random_pairs", {"count": 4}),
     protocols=("MORE", "ExOR"),
+    run=dict(_FIGURE_RUN),
     seeds=(5,),
-    sweep={"run.batch_size": (8, 16, 32, 64, 128)},
+    # The paper's K = 128 needs a 256-packet transfer: paper scale only.
+    sweep={"run.batch_size": (8, 16, 32, 64)},
 ))
 
 register(ScenarioSpec(
@@ -113,8 +120,9 @@ register(ScenarioSpec(
     description="Section 5.7: ETX-vs-EOTX ordering-gap survey on the testbed "
                 "(analytic, no packet simulation)",
     topology=TopologySpec("indoor_testbed", {"node_count": 20, "floors": 3, "seed": 6}),
-    workload=WorkloadSpec("random_pairs", {"count": 20}),
+    workload=WorkloadSpec("random_pairs", {"count": 15}),
     mode="gap",
+    run=dict(_FIGURE_RUN),
     seeds=(6,),
 ))
 

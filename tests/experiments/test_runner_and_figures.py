@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.figures import ALL_FIGURES, figure_5_1, table_4_1
+from repro.experiments.figures import FIGURES, figure_5_1, table_4_1
+from repro.experiments.orchestrator import run_sweep
 from repro.experiments.runner import (
     PROTOCOLS,
     RunConfig,
@@ -152,7 +153,8 @@ class TestFigureHarnesses:
 
     def test_figure_5_1_gap_series(self):
         spec = get_preset("fig_5_1").with_overrides({"workload.count": 6})
-        result = figure_5_1(spec, bridge_deliveries=(0.2, 0.1), branch_count=4)
+        result = figure_5_1(spec, run_sweep(spec, results_dir=None).cells,
+                            bridge_deliveries=(0.2, 0.1), branch_count=4)
         analytic = result.series["analytic_gap"]
         measured = result.series["measured_gap"]
         assert len(analytic) == len(measured) == 2
@@ -168,10 +170,12 @@ class TestFigureHarnesses:
         tiny = {"run.total_packets": 16, "run.batch_size": 8, "run.packet_size": 500,
                 "run.coding_payload_size": 8}
         for number in ("4_2", "4_3", "4_4", "4_6", "4_7", "5_1"):
-            spec = get_preset(f"fig_{number}").with_overrides({**tiny, "workload.count": 2})
+            preset = FIGURES[f"figure_{number}"].preset
+            spec = get_preset(preset).with_overrides({**tiny, "workload.count": 2})
             if number == "4_7":
                 spec.sweep["run.batch_size"] = (8, 16)
-            result = ALL_FIGURES[f"figure_{number}"](spec)
+            cells = run_sweep(spec, results_dir=None).cells
+            result = FIGURES[f"figure_{number}"].view(spec, cells)
             cell = spec.expand()[0]
             pairs = build_pairs(cell.scenario.workload, build_topology(spec.topology),
                                 cell.seed)
@@ -180,7 +184,7 @@ class TestFigureHarnesses:
         spec = get_preset("fig_4_5").with_overrides(
             {**tiny, "workload.flows_per_set": 2, "workload.set_count": 1})
         spec.sweep["workload.flow_count"] = (1, 2)
-        result = ALL_FIGURES["figure_4_5"](spec)
+        result = FIGURES["figure_4_5"].view(spec, run_sweep(spec, results_dir=None).cells)
         cell = spec.expand()[-1]  # the full sets; smaller counts run their prefixes
         flow_sets = build_flow_sets(cell.scenario.workload, build_topology(spec.topology),
                                     cell.seed)

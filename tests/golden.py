@@ -67,7 +67,9 @@ REFRESH_MULTIFLOW_SEED = 16
 #: interleaved); and the three re-planned ``mobile_mesh`` flows, where node 2
 #: is recruited mid-run into an agent of its own and relays all three.
 CODE_VECTOR_RUNS = {
-    "code_vectors/fig_4_2/1flow/1": ("fig_4_2", 1, 1),
+    # Named, not "the preset's first pair": selection is not prefix-stable in
+    # the preset's pair count.
+    "code_vectors/fig_4_2/1flow/1": ("fig_4_2", 1, [(14, 0)]),
     "code_vectors/multiflow_grid/2flows/1": ("multiflow_grid", 1, [(0, 15), (5, 3)]),
     f"code_vectors/mobile_mesh/3flows/{REFRESH_MULTIFLOW_SEED}":
         ("mobile_mesh", REFRESH_MULTIFLOW_SEED, 3),

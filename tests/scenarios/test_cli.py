@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.experiments.figures import FIGURES
 from repro.experiments.runner import RunConfig
 from repro.scenarios import ScenarioSpec, get_preset
 
@@ -335,3 +336,29 @@ def test_show_paper_presets(preset):
     proc = repro_cli("show", "--preset", preset)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["name"] == preset
+
+
+def test_figure_prints_each_report_then_one_line_per_claim(tmp_path, capsys):
+    """Two views of one preset against one store simulate once, and a re-run
+    simulates nothing and prints the same bytes."""
+    command = ["figure", "figure_4_2", "figure_4_3", "--results-dir", str(tmp_path)]
+    assert main(command) == 0
+    first = capsys.readouterr()
+    assert first.err.splitlines() == ["figure_4_2: 1 cell(s) simulated",
+                                      "figure_4_3: 0 cell(s) simulated"]
+    for name, block in zip(command[1:3], first.out.split("\n\n")):
+        report, *claims = block.split("\n  ")
+        assert report + "\n" == (Path(_SRC).parent / "results" / f"{name}.txt").read_text()
+        assert [line.split(":")[0] for line in claims] \
+            == [claim.id for claim in FIGURES[name].claims]
+        assert all(line.endswith(" -- ok") for line in claims)
+
+    assert main(command) == 0
+    again = capsys.readouterr()
+    assert again.out == first.out
+    assert "1 cell(s)" not in again.err
+
+
+def test_unknown_figure_is_a_one_line_error(capsys):
+    line = _one_line_error(capsys, "figure", "figure_9_9", "--no-cache")
+    assert "unknown figure 'figure_9_9'" in line and "figure_4_2" in line

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.figures import FIGURES
 from repro.scenarios import (
     MODES,
     build_flow_sets,
@@ -17,8 +17,7 @@ from repro.scenarios import (
 )
 
 #: Every paper figure the scenario layer covers.
-FIGURE_PRESETS = ("fig_4_2", "fig_4_3", "fig_4_4", "fig_4_5", "fig_4_6", "fig_4_7",
-                  "fig_5_1")
+FIGURE_PRESETS = ("fig_4_2", "fig_4_4", "fig_4_5", "fig_4_6", "fig_4_7", "fig_5_1")
 
 
 def test_registry_contains_paper_figures():
@@ -41,8 +40,8 @@ def test_preset_schema_digest():
         for cell in spec.expand():
             digest.update(cell.key().encode())
             cells += 1
-    assert (len(presets), cells) == (27, 50)
-    assert digest.hexdigest()[:16] == "bc4f05c7713ff56a"
+    assert (len(presets), cells) == (26, 48)
+    assert digest.hexdigest()[:16] == "83b6c73446f70092"
 
 
 def test_get_preset_unknown_name():
@@ -55,8 +54,8 @@ def test_get_preset_returns_isolated_copies():
     first.run["total_packets"] = 7
     first.workload.params["count"] = 999
     second = get_preset("fig_4_2")
-    assert "total_packets" not in second.run
-    assert second.workload.params["count"] == 12
+    assert second.run["total_packets"] == 96
+    assert second.workload.params["count"] == 10
 
 
 @pytest.mark.parametrize("spec", list_presets(), ids=lambda spec: spec.name)
@@ -84,27 +83,41 @@ def test_preset_round_trips_through_json():
         assert clone == spec
 
 
-def test_fig_4_2_topology_matches_figure_harness(monkeypatch):
-    """A figure view given no spec runs its preset: the first cell it hands
-    the executor is the preset's first cell, for every figure."""
+def test_every_figure_preset_is_run_by_a_row_of_the_figure_table():
+    registered = {spec.name for spec in list_presets() if spec.name.startswith("fig_")}
+    assert registered == set(FIGURE_PRESETS) \
+        == {row.preset for row in FIGURES.values() if row.preset}
 
-    class Handed(Exception):
-        pass
 
-    def refuse(cell):
-        raise Handed(cell)
-
-    monkeypatch.setattr("repro.scenarios.execute.run_cell", refuse)
-    for preset in FIGURE_PRESETS:
-        with pytest.raises(Handed) as handed:
-            ALL_FIGURES[preset.replace("fig_", "figure_")]()
-        assert handed.value.args[0] == get_preset(preset).expand()[0]
+def test_paper_scale_specs_expand():
+    """The paper-scale specs, which tier-1 never runs, still resolve."""
+    paper = {row.name: row.at_paper_scale(get_preset(row.preset))
+             for row in FIGURES.values() if row.preset}
+    for spec in paper.values():
+        for cell in spec.expand():
+            config = cell.scenario.run_config(cell.seed)
+            assert (config.total_packets, config.max_duration) == (3495, 600.0)
+    samples = {name: spec.workload.params.get("count", spec.workload.params.get("set_count"))
+               for name, spec in paper.items()}
+    assert samples == {"figure_4_2": 200, "figure_4_3": 200, "figure_4_4": 20,
+                       "figure_4_5": 40, "figure_4_6": 40, "figure_4_7": 40,
+                       "figure_5_1": 100}
+    assert [cell.axes["run.batch_size"] for cell in paper["figure_4_7"].expand()] \
+        == [8, 16, 32, 64, 128]
+    assert [(cell.axes["workload.flow_count"], cell.scenario.workload.params["set_count"])
+            for cell in paper["figure_4_5"].expand()] == [(1, 40), (2, 40), (3, 40), (4, 40)]
+    # Two views of one experiment: the same cells, hence the same store keys.
+    assert [cell.key() for cell in paper["figure_4_2"].expand()] \
+        == [cell.key() for cell in paper["figure_4_3"].expand()]
 
 
 def test_fig_4_7_sweeps_the_paper_batch_sizes():
+    paper_sizes = FIGURES["figure_4_7"].paper["run.batch_size"]
+    assert paper_sizes == (8, 16, 32, 64, 128)
     spec = get_preset("fig_4_7")
-    assert spec.sweep["run.batch_size"] == (8, 16, 32, 64, 128)
-    # K=128 cells stretch the transfer to two batches.
+    assert spec.sweep["run.batch_size"] == paper_sizes[:-1]
+    # A K=128 cell stretches the preset's 96-packet transfer to two batches.
+    spec.sweep["run.batch_size"] = paper_sizes
     largest = [cell for cell in spec.expand()
                if cell.axes["run.batch_size"] == 128][0]
     assert largest.scenario.run_config(largest.seed).total_packets == 256
