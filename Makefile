@@ -8,7 +8,7 @@ WORKERS ?= 4
 ENV      = PYTHONPATH=src
 
 .PHONY: check lint analyze import-check test test-engine test-coding golden \
-        bench docs-check sweep-smoke fault-smoke bench-smoke figures examples clean
+        docs-check sweep-smoke fault-smoke bench-smoke figures examples clean
 
 # The pre-merge gate: the static analyzer (style rules included, so `lint`
 # is not run again), the import budget, the golden-trace tests (fail fast on
@@ -63,10 +63,6 @@ golden:
 test-coding:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/coding tests/gf
 
-# The paper-evaluation benchmarks only.
-bench:
-	$(ENV) $(PYTHON) -m pytest -q benchmarks $(PYTEST_ARGS)
-
 # Every repro.* name and every `--preset name` referenced in README.md and
 # docs/ must resolve.
 docs-check:
@@ -106,5 +102,5 @@ examples:
 	$(ENV) $(PYTHON) examples/multi_flow.py
 
 clean:
-	rm -rf .pytest_cache .benchmarks
+	rm -rf .pytest_cache
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

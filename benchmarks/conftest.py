@@ -1,10 +1,12 @@
-"""Shared fixtures and helpers for the benchmark suite.
+"""Shared fixtures of the paper-evaluation suite.
 
 The paper's figures and their claims are one table,
 :data:`repro.experiments.figures.FIGURES`, which ``test_figures.py`` is
-parametrised over; the other modules are ablations and micro-benchmarks.
-Everything runs at the figure presets' scale, three batches per transfer;
-the paper's sample sizes are a switch of ``python -m repro figure``.
+parametrised over; the other modules are ablations and the coding checks
+behind Table 4.1.  Everything runs at the figure presets' scale, three
+batches per transfer; the paper's sample sizes are a switch of ``python -m
+repro figure``.  Nothing here times anything: speed is measured by
+``python3 -m bench``.
 """
 
 from __future__ import annotations
@@ -15,39 +17,11 @@ from repro.experiments.runner import RunConfig
 from repro.scenarios import build_topology, get_preset
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--perf-strict",
-        action="store_true",
-        default=False,
-        help="enforce hard wall-clock thresholds (timing-ratio assertions); "
-             "off by default so tier-1 cannot flake under machine load",
-    )
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "perf_strict: hard wall-clock threshold assertions; skipped unless "
-        "--perf-strict is given (they can fail spuriously on loaded machines)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--perf-strict"):
-        return
-    skip = pytest.mark.skip(
-        reason="wall-clock threshold assertion; opt in with --perf-strict")
-    for item in items:
-        if "perf_strict" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture(scope="session")
 def testbed():
-    """The synthetic 20-node indoor testbed shared by all benchmarks.
+    """The synthetic 20-node indoor testbed shared by the ablations.
 
-    Resolved through the scenario layer so benchmarks and the ``repro`` CLI
+    Resolved through the scenario layer so the suite and the ``repro`` CLI
     are guaranteed to simulate the same mesh.
     """
     return build_topology(get_preset("fig_4_2").topology)
@@ -58,9 +32,3 @@ def run_config() -> RunConfig:
     """Per-flow transfer configuration of the ablations: the one the figure
     presets run."""
     return get_preset("fig_4_2").run_config()
-
-
-def run_once(benchmark, func, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1,
-                              warmup_rounds=0)

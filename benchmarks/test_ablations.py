@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablations of the modelling and design choices behind the figures.
 
 These do not correspond to a specific paper figure; they quantify how much
 each modelling/design ingredient matters on the synthetic testbed:
@@ -17,32 +17,26 @@ import pytest
 from repro.experiments.runner import RunConfig, run_single_flow
 from repro.experiments.workloads import random_pairs
 
-from conftest import run_once
-
 
 def _median_throughput(testbed, protocol, pairs, config):
     results = [run_single_flow(testbed, protocol, s, d, config=config) for s, d in pairs]
     return float(np.median([r.throughput_pkts for r in results]))
 
 
-def test_ablation_more_ordering_metric(benchmark, testbed, run_config):
+def test_ablation_more_ordering_metric(testbed, run_config):
     """ETX-ordered vs EOTX-ordered MORE (Section 5.7 predicts a tiny gap)."""
     pairs = random_pairs(testbed, 5, seed=11)
-
-    def run_both():
-        etx_config = RunConfig(**{**run_config.__dict__, "more_metric": "etx"})
-        eotx_config = RunConfig(**{**run_config.__dict__, "more_metric": "eotx"})
-        return (_median_throughput(testbed, "MORE", pairs, etx_config),
-                _median_throughput(testbed, "MORE", pairs, eotx_config))
-
-    etx_median, eotx_median = run_once(benchmark, run_both)
+    etx_config = RunConfig(**{**run_config.__dict__, "more_metric": "etx"})
+    eotx_config = RunConfig(**{**run_config.__dict__, "more_metric": "eotx"})
+    etx_median = _median_throughput(testbed, "MORE", pairs, etx_config)
+    eotx_median = _median_throughput(testbed, "MORE", pairs, eotx_config)
     print(f"\nMORE median throughput: ETX order {etx_median:.1f} pkt/s, "
           f"EOTX order {eotx_median:.1f} pkt/s")
     # Section 5.7: the ordering choice barely matters in practice.
     assert eotx_median == pytest.approx(etx_median, rel=0.5)
 
 
-def test_ablation_forwarder_pruning(benchmark, testbed, run_config):
+def test_ablation_forwarder_pruning(testbed, run_config):
     """The 10% pruning rule trades a little transmission diversity for less
     contention; it must not cripple throughput."""
     from repro.protocols.more import setup_more_flow
@@ -71,15 +65,12 @@ def test_ablation_forwarder_pruning(benchmark, testbed, run_config):
             throughputs.append(record.delivered_packets / max(duration, 1e-9))
         return float(np.median(throughputs))
 
-    def run_both():
-        return run_variant(True), run_variant(False)
-
-    pruned, unpruned = run_once(benchmark, run_both)
+    pruned, unpruned = run_variant(True), run_variant(False)
     print(f"\nMORE median throughput: pruned {pruned:.1f} pkt/s, unpruned {unpruned:.1f} pkt/s")
     assert pruned > 0.5 * unpruned
 
 
-def test_ablation_control_plane_estimation(benchmark, testbed, run_config):
+def test_ablation_control_plane_estimation(testbed, run_config):
     """Perfectly informed vs probe-estimated control plane.
 
     Best-path routing relies entirely on the accuracy of its link estimates,
@@ -88,19 +79,15 @@ def test_ablation_control_plane_estimation(benchmark, testbed, run_config):
     routing.
     """
     pairs = random_pairs(testbed, 6, seed=13)
-
-    def run_matrix():
-        noisy = RunConfig(**{**run_config.__dict__})
-        perfect = RunConfig(**{**run_config.__dict__,
-                               "estimation_exponent": 1.0, "estimation_probes": 0})
-        return {
-            ("Srcr", "probe"): _median_throughput(testbed, "Srcr", pairs, noisy),
-            ("Srcr", "perfect"): _median_throughput(testbed, "Srcr", pairs, perfect),
-            ("MORE", "probe"): _median_throughput(testbed, "MORE", pairs, noisy),
-            ("MORE", "perfect"): _median_throughput(testbed, "MORE", pairs, perfect),
-        }
-
-    results = run_once(benchmark, run_matrix)
+    noisy = RunConfig(**{**run_config.__dict__})
+    perfect = RunConfig(**{**run_config.__dict__,
+                           "estimation_exponent": 1.0, "estimation_probes": 0})
+    results = {
+        ("Srcr", "probe"): _median_throughput(testbed, "Srcr", pairs, noisy),
+        ("Srcr", "perfect"): _median_throughput(testbed, "Srcr", pairs, perfect),
+        ("MORE", "probe"): _median_throughput(testbed, "MORE", pairs, noisy),
+        ("MORE", "perfect"): _median_throughput(testbed, "MORE", pairs, perfect),
+    }
     print("\ncontrol-plane ablation (median pkt/s):")
     for (protocol, mode), value in results.items():
         print(f"  {protocol:<5} {mode:<8} {value:8.1f}")

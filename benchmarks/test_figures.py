@@ -24,7 +24,8 @@ from repro.scenarios import PRESETS, get_preset
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 #: The rows that run a scenario.  Table 4.1 is wall-clock: no cells, no
-#: claims, no tracked report (``test_table_4_1_coding_cost.py`` has it).
+#: claims, no tracked report (``python -m repro figure table_4_1`` prints it,
+#: ``python3 -m bench --trace 1`` measures its layers).
 SIMULATED = [row.name for row in FIGURES.values() if row.preset]
 
 

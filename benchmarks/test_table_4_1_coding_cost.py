@@ -1,22 +1,15 @@
-"""Table 4.1: computational cost of MORE's packet operations.
+"""Table 4.1: what its timed loops do, checked without a clock.
 
 Paper numbers (Celeron 800 MHz, K=32, 1500 B packets): independence check
-10 us, coding at the source 270 us, decoding 260 us, implying a 44 Mb/s
-coding-throughput bound.  Absolute times differ on modern hardware; the
-*structure* — coding and decoding are comparable and dominate, the
-independence check is roughly an order of magnitude cheaper — must hold.
-"Decoding" includes the payload back-substitution ``decode()`` performs,
-and the table carries one row the paper folds into its coding budget:
-re-coding at a forwarder (Section 3.2.3(c)).  A coded packet builds its
-payload when it is first read, so every coding cost here reads ``payload``
-inside the timed region: what is timed is what a radio would put on the air.
+10 us, coding at the source 270 us, decoding 260 us.  The table is reported
+by ``python -m repro figure table_4_1`` and is not gated here, because its
+numbers are wall-clock; the layers behind it are measured, normalised, by
+``python3 -m bench --trace 1`` (``coding.*_share``, ``gf.mb_per_cu``).
 
-All quantities are measured best-of-N (see
-:func:`repro.experiments.figures.table_4_1`), and the hard threshold
-assertions on timing ratios are opt-in via ``--perf-strict``: a loaded
-machine can stretch any single measurement, so tier-1 only checks that the
-table is well-formed while the strict variant enforces the paper's
-structural claims.
+What is checked is that the table measures the right work: a coded packet
+builds its payload when it is first read, so the coding rows must read every
+packet they time (counted, not timed), and the coding, independence check,
+decode and re-code each row times give the right answer.
 """
 
 from __future__ import annotations
@@ -30,7 +23,7 @@ from repro.coding.buffer import BatchBuffer
 from repro.coding.decoder import BatchDecoder
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder
 from repro.coding.packet import make_batch
-from repro.experiments.figures import table_4_1
+from repro.experiments import figures
 from repro.gf.arithmetic import CoefficientStream
 from repro.gf.kernels import gf_vecmat
 
@@ -43,62 +36,62 @@ def batch():
     return make_batch(batch_size=K, packet_size=PACKET_SIZE, rng=np.random.default_rng(0))
 
 
-def test_coding_at_source(benchmark, batch):
-    """Cost of producing one coded packet at the source (paper: 270 us)."""
+def test_coding_at_source(batch):
+    """The "coding at the source" row's work: one packet, built once on first read."""
     encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(1)))
-    benchmark(lambda: encoder.next_packet().payload)
+    packet = encoder.next_packet()
+    assert encoder.payloads_built == 0
+    expected = gf_vecmat(packet.code_vector, batch.payload_matrix())
+    assert np.array_equal(packet.payload, expected)
+    assert np.array_equal(packet.payload, expected)
+    assert encoder.payloads_built == 1
 
 
-def test_batched_coding_at_source(benchmark, batch):
-    """Per-packet cost when the source codes a whole batch in one kernel call."""
+def test_batched_coding_at_source(batch):
+    """One kernel call codes a whole batch: K packets the destination decodes."""
     encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(1)))
-    result = benchmark(encoder.next_packets, K)
-    assert len(result) == K
-
-
-def test_independence_check(benchmark, batch):
-    """Cost of the linear-independence check per packet (paper: 10 us)."""
-    encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(2)))
-    buffer = BatchBuffer(K, PACKET_SIZE, track_payloads=False)
     packets = encoder.next_packets(K)
+    assert len(packets) == K == encoder.payloads_built
+    decoder = BatchDecoder(batch_size=K, packet_size=PACKET_SIZE)
+    decoder.add_packets(packets)
+    assert np.array_equal(np.stack([native.payload for native in decoder.decode()]),
+                          batch.payload_matrix())
+
+
+def test_independence_check(batch):
+    """The row's probe answers from code vectors alone (Section 3.2.3(b))."""
+    packets = SourceEncoder(batch, CoefficientStream(np.random.default_rng(2))).next_packets(K)
+    buffer = BatchBuffer(K, PACKET_SIZE, track_payloads=False)
     for packet in packets[: K // 2]:
         buffer.add(packet)
-    probe = packets[-1].code_vector
+    assert buffer.rank == K // 2
+    assert buffer.is_innovative(packets[-1].code_vector)
+    assert not buffer.is_innovative(packets[0].code_vector)
+    combination = gf_vecmat(np.arange(1, K // 2 + 1, dtype=np.uint8),
+                            np.stack([packet.code_vector for packet in packets[: K // 2]]))
+    assert not buffer.is_innovative(combination)
+    assert buffer.rank == K // 2
 
-    benchmark(buffer.is_innovative, probe)
 
-
-def test_decoding_per_packet(benchmark, batch):
-    """Cost of a whole batch at the destination: K inserts and the decode."""
-    encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(3)))
-    packets = encoder.next_packets(K)
-
-    def decode_full_batch():
-        decoder = BatchDecoder(batch_size=K, packet_size=PACKET_SIZE)
-        for packet in packets:
-            decoder.add_packet(packet)
-        return decoder.decode()
-
-    natives = benchmark(decode_full_batch)
+def test_decoding_per_packet(batch):
+    """The "decoding" row's work — K inserts and the decode — gives the natives."""
+    packets = SourceEncoder(batch, CoefficientStream(np.random.default_rng(3))).next_packets(K)
+    decoder = BatchDecoder(batch_size=K, packet_size=PACKET_SIZE)
+    for packet in packets:
+        decoder.add_packet(packet)
+    natives = decoder.decode()
     assert np.array_equal(np.stack([native.payload for native in natives]),
                           batch.payload_matrix())
 
 
-def test_recode_at_forwarder(benchmark, batch):
-    """Cost of a batch at a forwarder that transmits as often as it hears:
-    per arrival one insert, one hand-out and one pre-code (Section 3.2.3(c))."""
-    encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(4)))
-    packets = encoder.next_packets(K)
-
-    def recode_full_batch():
-        forwarder = ForwarderEncoder(K, PACKET_SIZE, CoefficientStream(np.random.default_rng(5)))
-        recoded = [forwarder.next_packet()
-                   for packet in packets if forwarder.add_packet(packet)]
-        for packet in recoded:
-            packet.payload
-        return recoded, forwarder
-
-    recoded, forwarder = benchmark(recode_full_batch)
+def test_recode_at_forwarder(batch):
+    """The "re-coding" row's work — per arrival one insert, one hand-out and
+    one pre-code (Section 3.2.3(c)) — sends combinations of the batch."""
+    packets = SourceEncoder(batch, CoefficientStream(np.random.default_rng(4))).next_packets(K)
+    forwarder = ForwarderEncoder(K, PACKET_SIZE, CoefficientStream(np.random.default_rng(5)))
+    recoded = [forwarder.next_packet() for packet in packets if forwarder.add_packet(packet)]
+    for packet in recoded:
+        packet.payload
     assert len(recoded) == K == forwarder.payloads_built
     decoder = BatchDecoder(batch_size=K, packet_size=PACKET_SIZE)
     decoder.add_packets(packets)
@@ -107,66 +100,42 @@ def test_recode_at_forwarder(benchmark, batch):
         assert np.array_equal(gf_vecmat(packet.code_vector, natives), packet.payload)
 
 
-def test_table_4_1_report(benchmark):
-    """Regenerate the whole table and check it is well-formed.
+def test_table_4_1_reads_every_payload_it_times(monkeypatch):
+    """The coding rows time the payload product, not the code-vector draw alone.
 
-    Only load-insensitive facts are asserted here; the timing-ratio
-    thresholds live in :func:`test_table_4_1_structural_thresholds` behind
-    ``--perf-strict``.
+    Counted on the encoders ``table_4_1`` builds: one payload built per
+    packet handed out inside the timed loops — ``rounds x iterations`` by
+    the source's ``next_packet`` (what its eager ``next_packets`` builds for
+    the other rows is set aside) and ``rounds x K`` over the forwarders.  A
+    loop that dropped ``.payload`` unread builds none.
     """
-    result = benchmark.pedantic(table_4_1, kwargs={"iterations": 20}, rounds=1,
-                                iterations=1, warmup_rounds=0)
-    # Printed, never saved: wall-clock microseconds are not a golden result.
-    print("\n" + result.report)
-    summary = result.summary
+    sources, forwarders = [], []
+
+    class Source(SourceEncoder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.eager = 0
+            sources.append(self)
+
+        def next_packets(self, count):
+            self.eager += count
+            return super().next_packets(count)
+
+    class Forwarder(ForwarderEncoder):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            forwarders.append(self)
+
+    monkeypatch.setattr(figures, "SourceEncoder", Source)
+    monkeypatch.setattr(figures, "ForwarderEncoder", Forwarder)
+    rounds, iterations = 3, 10
+    result = figures.table_4_1(iterations=iterations, rounds=rounds)
+
+    (source,) = sources
+    assert source.payloads_built - source.eager == rounds * iterations
+    assert len(forwarders) == rounds
+    assert sum(forwarder.payloads_built for forwarder in forwarders) == rounds * K
     for name in ("independence_check_us", "coding_at_source_us", "decoding_us",
                  "recoding_at_forwarder_us", "throughput_mbps_bound"):
-        assert math.isfinite(summary[name]) and summary[name] > 0.0, name
+        assert math.isfinite(result.summary[name]) and result.summary[name] > 0.0, name
     assert "Table 4.1" in result.report
-
-
-def test_coding_at_source_times_the_payload_product():
-    """The "coding at the source" row grows with the packet: it times the product.
-
-    A 1500-byte row costs about twice a 16-byte one here (measured 2.0-2.2:
-    the code-vector draw is a fixed ~10 us of both), where a loop that
-    dropped the packet unread would time the draw alone and report a ratio
-    of one.  Best of interleaved measurements, so a host that changes speed
-    between two of them does not decide the ratio.
-    """
-    best = {PACKET_SIZE: math.inf, 16: math.inf}
-    for _ in range(3):
-        for size in best:
-            summary = table_4_1(packet_size=size, iterations=20, rounds=3).summary
-            best[size] = min(best[size], summary["coding_at_source_us"])
-    assert best[PACKET_SIZE] > 1.5 * best[16], best
-
-
-@pytest.mark.perf_strict
-def test_table_4_1_structural_thresholds():
-    """The paper's structural claims as hard ratios (opt-in, can flake).
-
-    Best-of-N measurement makes these robust on an idle machine, but a
-    sufficiently loaded box can still stretch one quantity more than
-    another, so they stay out of tier-1.
-    """
-    summary = table_4_1(iterations=20).summary
-    # The independence check remains the cheapest operation (the paper's
-    # Section 3.2.3(b) point: forwarders never touch payload bytes).
-    assert summary["independence_check_us"] < summary["coding_at_source_us"]
-    assert summary["independence_check_us"] < summary["decoding_us"]
-    # Coding and decoding are comparable (paper: 270 vs 260 us).  With the
-    # payload back-substitution counted, decoding a packet costs two to
-    # three source codings here (measured ratio 0.35-0.55): the band holds
-    # the paper's ratio of about one and excludes the 0.8+ that timing the
-    # inserts alone used to report as well as an order-of-magnitude gap.
-    ratio = summary["coding_at_source_us"] / summary["decoding_us"]
-    assert 0.1 < ratio < 0.8
-    # A forwarder's arrival (insert + hand-out + pre-code) costs more than
-    # a source coding and stays within the same order of magnitude: one new
-    # operand row per arrival, not a rebuilt one per buffered packet.
-    recode_ratio = summary["recoding_at_forwarder_us"] / summary["coding_at_source_us"]
-    assert 1.0 < recode_ratio < 12.0
-    # The implied coding-throughput bound comfortably exceeds the paper's
-    # 44 Mb/s on modern hardware (it only needs to beat the radio).
-    assert summary["throughput_mbps_bound"] > 44.0

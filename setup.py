@@ -28,7 +28,7 @@ setup(
         # scipy is the solver behind the LP reference oracle
         # (repro.metrics.lp.solve_min_cost_flow): tests/metrics/test_lp.py
         # and examples/metric_analysis.py need it, no simulation does.
-        "test": ["pytest>=7", "pytest-benchmark", "hypothesis", "scipy"],
+        "test": ["pytest>=7", "hypothesis", "scipy"],
         # Static-analysis extras.  The analyzer itself (repro_check/, beside
         # src/) is repository tooling: find_packages(where="src") does not
         # ship it, and `make analyze` runs its rules with the stdlib alone.

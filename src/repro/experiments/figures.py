@@ -349,7 +349,8 @@ def table_4_1(batch_size: int = 32, packet_size: int = 1500, iterations: int = 5
     the source 270 us, decoding 260 us per 1500 B packet at K=32.  Absolute
     values differ on modern hardware; the structural claims (coding and
     decoding cost are comparable and dominate, the independence check is an
-    order of magnitude cheaper, cost scales with K) are checked instead.
+    order of magnitude cheaper, cost scales with K) are what to read it for;
+    being wall-clock, the table is reported and never gated.
 
     Decoding is everything the destination does for a batch — K inserts and
     the payload back-substitution they defer to ``decode()`` — per packet.
@@ -610,8 +611,8 @@ FIGURES: dict[str, Figure] = {row.name: row for row in (
               "flat and ExOR hurt at K = 8; suspects: four pairs per K, and an idealised "
               "scheduler that understates ExOR's per-batch cost"),
     )),
-    # Wall-clock: its claims are timing ratios, held (the hard ones behind
-    # --perf-strict) by benchmarks/test_table_4_1_coding_cost.py, not bands.
+    # Wall-clock, so no claims: reported by `python -m repro figure table_4_1`,
+    # gated nowhere; `python3 -m bench --trace 1` measures its layers normalised.
     Figure("table_4_1", None, lambda _spec, _cells: table_4_1()),
     Figure("figure_5_1", "fig_5_1", figure_5_1, _paper(count=100), (
         Claim("fig_5_1.gap_unbounded", "max_gap", "unbounded (limit: 8 branches)", 2.0, _INF),

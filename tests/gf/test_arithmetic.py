@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf import arithmetic as gf
+from repro.gf import tables
+from repro.gf.kernels import gf_vecmat
 
 field_element = st.integers(min_value=0, max_value=255)
 nonzero_element = st.integers(min_value=1, max_value=255)
@@ -153,3 +155,30 @@ class TestVectorKernels:
         values = {gf.random_nonzero_coefficient(rng) for _ in range(300)}
         assert 0 not in values
         assert min(values) >= 1 and max(values) <= 255
+
+
+#: A 1500-byte packet holding every byte value, for the kernels at coding size.
+PACKET = np.resize(np.random.default_rng(0).permutation(256).astype(np.uint8), 1500)
+
+
+def test_gf_vector_scale():
+    """Scaling a packet by every coefficient matches bit-by-bit multiplication."""
+    for coefficient in range(256):
+        row = np.array([tables._carryless_multiply(value, coefficient)
+                        for value in range(256)], dtype=np.uint8)
+        assert np.array_equal(gf.vec_scale(PACKET, coefficient), row[PACKET])
+
+
+def test_gf_scale_and_add():
+    """The coding inner loop over a batch is one row of the batch product, and
+    running it again cancels it (the field has characteristic 2)."""
+    rng = np.random.default_rng(1)
+    packets = rng.integers(0, 256, (32, PACKET.size), dtype=np.uint8)
+    coefficients = rng.integers(0, 256, 32, dtype=np.uint8)
+    accumulator = np.zeros(PACKET.size, dtype=np.uint8)
+    for packet, coefficient in zip(packets, coefficients):
+        gf.scale_and_add(accumulator, packet, int(coefficient))
+    assert np.array_equal(accumulator, gf_vecmat(coefficients, packets))
+    for packet, coefficient in zip(packets, coefficients):
+        gf.scale_and_add(accumulator, packet, int(coefficient))
+    assert not accumulator.any()

@@ -111,3 +111,12 @@ def test_property_matmul_matches_reference(n, k, s, seed):
     a = rng.integers(0, 256, (n, k), dtype=np.uint8)
     b = rng.integers(0, 256, (k, s), dtype=np.uint8)
     assert np.array_equal(gf_matmul(a, b), reference_matmul(a, b))
+
+
+def test_gf_vecmat_kernel():
+    """One elimination step of the decode path at K=32: a pivot-row vector
+    against the (K, K + rank + 1)-wide active slice."""
+    rng = np.random.default_rng(5)
+    vector = rng.integers(0, 256, 32, dtype=np.uint8)
+    matrix = rng.integers(0, 256, (32, 65), dtype=np.uint8)
+    assert np.array_equal(gf_vecmat(vector, matrix), reference_matmul(vector[None, :], matrix)[0])

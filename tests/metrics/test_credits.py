@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.credits import (
+    DEFAULT_PRUNING_FRACTION,
     candidate_forwarders,
     expected_transmissions,
     forwarding_plan,
@@ -19,6 +20,7 @@ from repro.metrics.credits import (
 from repro.metrics.eotx import eotx_dijkstra
 from repro.metrics.etx import etx_to_destination
 from repro.topology.generator import chain, random_mesh, two_hop_relay
+from repro.topology.graph import Topology
 
 
 def naive_algorithm_1(topology, order):
@@ -233,3 +235,19 @@ def test_property_credits_reproduce_z_in_expectation(size, seed):
         if plan.tx_credit[node] > 0:
             assert plan.tx_credit[node] * expected_receptions == pytest.approx(
                 plan.z[node], rel=1e-9)
+
+
+def test_forwarding_plan_on_testbed(testbed):
+    """Algorithm 1 + Eq. 3.3 + pruning for the testbed's 17 -> 2 flow: the
+    shared plan equals one derived afresh, and every relay it keeps carries
+    at least the pruning fraction of the unpruned plan's transmissions."""
+    plan = forwarding_plan(testbed, 17, 2)
+    fresh = forwarding_plan(Topology(testbed.delivery_view()), 17, 2)
+    assert plan.participants == fresh.participants
+    assert np.array_equal(plan.z, fresh.z)
+    assert np.array_equal(plan.tx_credit, fresh.tx_credit)
+    assert plan.participants[0] == 2 and plan.participants[-1] == 17
+    unpruned = forwarding_plan(testbed, 17, 2, prune=False)
+    assert unpruned.total_cost >= eotx_dijkstra(testbed, 2)[17] - 1e-9
+    for node in plan.forwarder_list():
+        assert plan.z[node] >= DEFAULT_PRUNING_FRACTION * unpruned.total_cost

@@ -155,3 +155,28 @@ def test_property_eotx_never_exceeds_etx(size, seed):
     for node in range(size):
         if not math.isinf(etx[node]):
             assert eotx[node] <= etx[node] + 1e-9
+
+
+def _underived(topology: Topology) -> Topology:
+    """A copy with nothing derived from it yet (``Topology.derived`` is empty)."""
+    return Topology(topology.delivery_view(), positions=topology.node_positions())
+
+
+def test_eotx_dijkstra_on_testbed(testbed):
+    """Algorithm 5 over the 20-node testbed, for every destination: computed
+    afresh it equals the shared memoized copy, which callers cannot write."""
+    for destination in range(testbed.node_count):
+        shared = eotx_dijkstra(testbed, destination)
+        assert not shared.flags.writeable
+        assert np.array_equal(eotx_dijkstra(_underived(testbed), destination), shared)
+        assert shared[destination] == 0.0 and np.isfinite(shared).all()
+
+
+def test_eotx_bellman_ford_on_testbed(testbed):
+    """Algorithms 3+4 over the 20-node testbed, for every destination: they
+    agree with Algorithm 5 and never exceed the single-path ETX."""
+    for destination in range(testbed.node_count):
+        costs = eotx_bellman_ford(testbed, destination)
+        assert np.isfinite(costs).all()
+        assert_costs_close(costs, eotx_dijkstra(testbed, destination), tol=1e-6)
+        assert (costs <= etx_to_destination(testbed, destination) + 1e-9).all()

@@ -92,3 +92,12 @@ def test_property_lp_optimum_equals_eotx(size, seed):
     eotx = eotx_dijkstra(topo, destination)
     lp = solve_min_cost_flow(topo, source, destination, prefix_constraints_only=True)
     assert lp.total_cost == pytest.approx(eotx[source], rel=1e-5, abs=1e-6)
+
+
+def test_min_cost_flow_lp():
+    """The reference LP of Section 5.3 on an 8-node mesh (prefix constraints)
+    conserves flow and meets the EOTX (Proposition 4)."""
+    topo = random_mesh(8, density=0.5, seed=3)
+    solution = solve_min_cost_flow(topo, 7, 0, prefix_constraints_only=True)
+    assert verify_flow_conservation(solution, 7, 0)
+    assert solution.total_cost == pytest.approx(eotx_dijkstra(topo, 0)[7], rel=1e-5, abs=1e-6)

@@ -59,7 +59,8 @@ def test_run_preset_with_override(tmp_path):
     ("list",),
     ("run", "--preset", "chain_smoke", "--no-cache"),
     ("run", "--preset", "fig_5_1", "--no-cache"),  # the analytic path
-], ids=["list", "simulated", "analytic"])
+    ("run", "--preset", "kilonode", "--no-cache"),  # the 1000-node tier, end to end
+], ids=["list", "simulated", "analytic", "kilonode"])
 def test_cli_runs_without_scipy(command, tmp_path):
     """numpy is the only runtime requirement: scipy (a test extra, the LP
     oracle's solver) used to be imported by every command."""

@@ -7,6 +7,7 @@ import hashlib
 import pytest
 
 from repro.experiments.figures import FIGURES
+from repro.experiments.runner import run_single_flow
 from repro.scenarios import (
     MODES,
     build_flow_sets,
@@ -75,6 +76,17 @@ def test_every_preset_is_well_formed(spec):
         assert flow_sets and all(flow_sets)
     else:
         assert build_pairs(cell.scenario.workload, topology, cell.seed)
+
+
+def test_large_mesh_200_transfer_delivers_every_packet():
+    """The 200-node scale preset's pinned far pair completes a MORE transfer."""
+    spec = get_preset("large_mesh_200")
+    source, destination = spec.workload.params["pairs"][0]
+    config = spec.run_config(seed=spec.seeds[0])
+    result = run_single_flow(build_topology(spec.topology), "MORE", source, destination,
+                             config=config)
+    assert result.completed
+    assert result.delivered_packets == config.total_packets
 
 
 def test_preset_round_trips_through_json():
