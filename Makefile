@@ -77,8 +77,8 @@ sweep-smoke:
 	$(ENV) $(PYTHON) scripts/sweep_smoke.py
 
 # End-to-end fault-injection smoke through the real CLI: all-relays-crashed
-# runs abort with structured reasons (never hang), the monitor's stall
-# diagnosis is loud, and crash/recover sweeps stay parallel == serial.
+# runs abort with structured reasons that carry the diagnosis (never hang),
+# and crash/recover sweeps stay parallel == serial.
 fault-smoke:
 	$(ENV) $(PYTHON) scripts/fault_smoke.py
 

@@ -10,7 +10,6 @@ starts small and is meant to only ever grow:
 * :mod:`repro.rng`
 * :mod:`repro.sim.events`
 * :mod:`repro.sim.faults`
-* :mod:`repro.sim.monitor`
 * :mod:`repro.topology.mobility`
 * :mod:`repro.experiments.orchestrator.store`
 
@@ -35,7 +34,6 @@ STRICT_MODULES = (
     "repro.rng",
     "repro.sim.events",
     "repro.sim.faults",
-    "repro.sim.monitor",
     "repro.topology.mobility",
     "repro.experiments.orchestrator.store",
 )

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""fault-smoke: fault injection and liveness monitoring through the real CLI.
+"""fault-smoke: fault injection and the liveness watchdog through the real CLI.
 
 The fault subsystem's headline contracts, asserted end-to-end against the
 installed tree (``make fault-smoke``, and CI):
@@ -7,11 +7,9 @@ installed tree (``make fault-smoke``, and CI):
 1. **structured aborts, not hangs** — killing every relay of the
    ``chain_smoke`` flow mid-batch with a finite ``run.progress_timeout``
    must exit 0 with every protocol's flow reported as aborted (the
-   ``*_aborted`` summary counters and ``meta.aborted_flows`` notes);
-2. **stalls are loud** — the same kill with the monitor armed and no
-   progress timeout must exit nonzero with a one-screen ``stall
-   diagnosis`` naming the down nodes on stderr, within seconds;
-3. **fault determinism** — the ``crash_recover_sweep`` preset aggregated
+   ``*_aborted`` summary counters and ``meta.aborted_flows`` notes), each
+   note naming the down nodes and MORE's also its rank and credits;
+2. **fault determinism** — the ``crash_recover_sweep`` preset aggregated
    with 1 worker equals the 2-worker run byte for byte.
 
 Exit status 0 on success; any violated step raises.
@@ -61,26 +59,14 @@ def check_structured_aborts(cwd: Path) -> None:
             raise RuntimeError(f"{protocol}: expected 1 aborted flow, "
                                f"summary says {count!r}")
         (note,) = result["meta"]["aborted_flows"][protocol]
-        if "no progress" not in note or "down nodes [1, 2]" not in note:
+        wanted = ["no progress", "down nodes [1, 2]"]
+        if protocol == "MORE":
+            wanted += ["destination rank", "forwarder credits"]
+        if not all(piece in note for piece in wanted):
             raise RuntimeError(f"{protocol}: abort note lacks forensics: "
                                f"{note!r}")
     print("fault-smoke: all-relays-crashed run aborted all 3 protocols "
           "with structured reasons")
-
-
-def check_monitor_raises(cwd: Path) -> None:
-    done = _repro(["run", "--preset", "chain_smoke", "--no-cache",
-                   "--faults", "scheduled", "--monitor",
-                   "--set", f"faults.downs={_KILL_RELAYS}"], cwd)
-    if done.returncode == 0:
-        raise RuntimeError("monitored stranded run exited 0 — the stall "
-                           "went unnoticed")
-    if "stall diagnosis" not in done.stderr \
-            or "down nodes: [1, 2]" not in done.stderr:
-        raise RuntimeError(f"stderr lacks the one-screen diagnosis:\n"
-                           f"{done.stderr[-2000:]}")
-    print("fault-smoke: monitored stranded run raised a stall diagnosis "
-          "naming the down nodes")
 
 
 def check_sweep_determinism(serial_dir: Path, parallel_dir: Path) -> None:
@@ -103,7 +89,6 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as a, \
             tempfile.TemporaryDirectory() as b:
         check_structured_aborts(Path(a))
-        check_monitor_raises(Path(a))
         check_sweep_determinism(Path(a), Path(b))
     return 0
 

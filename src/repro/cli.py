@@ -20,7 +20,8 @@ link-state staleness).  ``--channel KIND`` swaps the channel model
 ``--mobility KIND`` the dynamic-topology model (``none``, ``link_churn``,
 ``random_walk``, ``random_waypoint``); ``--faults KIND`` injects node
 failures (``crash_recover``, ``scheduled``, ``ack_blackout``,
-``control_silence``) and ``--monitor`` arms the runtime liveness monitor
+``control_silence``); pair it with ``--set run.progress_timeout=SECONDS``
+so a stalled flow ends as a structured abort that carries its diagnosis
 (see ``docs/faults.md``).  Results land in the
 content-addressed store under ``results/store/<scenario>/`` keyed by
 ``(spec-hash, seed, code-version)``, so repeated invocations only simulate
@@ -89,8 +90,6 @@ def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
     for name in MODEL_SECTIONS:
         if getattr(args, name, None):
             spec = spec.with_overrides({f"{name}.kind": getattr(args, name)})
-    if getattr(args, "monitor", False):
-        spec = spec.with_overrides({"run.monitor": True})
     for assignment in args.set or []:
         path, value = _parse_assignment(assignment)
         spec = spec.with_overrides({path: _parse_value(value)})
@@ -134,10 +133,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, sweep: bool) -> None:
                         help="payload-free fast path (run.vector_only=true): "
                              "identical throughput/rank results, less arithmetic")
     _add_section_flags(parser)
-    parser.add_argument("--monitor", action="store_true",
-                        help="enable the runtime liveness monitor "
-                             "(run.monitor=true): stalls raise a one-screen "
-                             "StallDiagnosis instead of hanging")
     parser.add_argument("--json", action="store_true",
                         help="print the full result as JSON instead of a report")
     if sweep:
@@ -266,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     show.add_argument("--spec")
     show.add_argument("--set", action="append", metavar="PATH=VALUE")
     _add_section_flags(show)
-    show.add_argument("--monitor", action="store_true")
     show.set_defaults(func=_command_show, axis=None, seeds=None)
 
     run = commands.add_parser("run", help="run one scenario (serial by default)")

@@ -24,6 +24,7 @@ can leak into a cell's bytes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -265,15 +266,17 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
         """What liveness forensics exist for an externally-killed cell.
 
         A timed-out or crashed worker dies from the outside, so the only
-        in-run forensics are whatever :class:`~repro.sim.monitor.SimMonitor`
-        would have raised — and that reaches us as an in-worker exception
-        (the MSG_ERROR path), never here.  Spell out which case this is so
-        a timeout line tells the user how to get a StallDiagnosis next time.
+        in-run forensics are the abort reasons the
+        :class:`~repro.experiments.refresh.FlowSupervisor` writes into a
+        finished cell — never here.  Spell out which case this is so a
+        timeout line tells the user how to get a diagnosis next time.
         """
-        if cells[position].scenario.run.get("monitor"):
-            return ("monitor enabled but no StallDiagnosis surfaced before "
-                    "the kill; lower run.monitor_interval")
-        return "no diagnosis: monitor disabled (rerun with run.monitor=true)"
+        timeout = cells[position].scenario.run.get("progress_timeout", "inf")
+        if math.isfinite(float(timeout)):
+            return ("progress watchdog enabled but no flow aborted before "
+                    "the kill; lower run.progress_timeout")
+        return ("no diagnosis: progress watchdog disabled (rerun with "
+                "run.progress_timeout=SECONDS)")
 
     def recycle(index: int, reason: str) -> None:
         """Kill + replace worker ``index``; requeue its unfinished cells."""

@@ -22,8 +22,10 @@ a :class:`LinkStateRefresher` is a recurring simulator event that, every
    off the new route by in-flight packets).
 
 The :class:`FlowSupervisor` is the same loop driven by lack of progress
-instead of the clock.  Neither knows a protocol: a flow is anything with a
-``flow_id`` and a ``replan(control)``.
+instead of the clock, and the run's one liveness watchdog.  Neither knows a
+protocol: a flow is anything with a ``flow_id`` and a ``replan(control)``,
+and what the watchdog reads of the agents is probed duck-typed
+(:func:`probe_flows`).
 
 ``refresh_period=inf`` (the default) schedules nothing at all, reproducing
 today's static plans bit for bit; sweeping ``run.refresh_period`` turns
@@ -54,6 +56,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 #: replans never consume the periodic refresher's ``(seed, round)`` stream.
 _SUPERVISOR_STREAM = 0x5FA17
 
+#: Forwarder credit may dip just below zero (the credit rule spends a whole
+#: transmission after its threshold check); anything lower is a conservation
+#: bug.
+_CREDIT_FLOOR = -1.0 - 1e-9
+
+#: A flow may hold at most ``max(_QUEUE_BOUND_FLOOR, _QUEUE_BOUND_FACTOR *
+#: offered packets)`` packets queued at one node (the floor keeps a tiny
+#: flow's start-up burst from tripping it): a runaway-retransmission guard.
+_QUEUE_BOUND_FACTOR = 4
+_QUEUE_BOUND_FLOOR = 64
+
 
 def mask_dead_nodes(topology: Topology, dead: frozenset[int]) -> Topology:
     """The control plane's view of a topology with ``dead`` nodes in it.
@@ -69,11 +82,50 @@ def mask_dead_nodes(topology: Topology, dead: frozenset[int]) -> Topology:
     indices = sorted(dead)
     delivery[indices, :] = 0.0
     delivery[:, indices] = 0.0
-    positions = [node.position for node in topology.nodes]
-    if not any(positions):
-        positions = None
-    return Topology(delivery, positions=positions,
+    return Topology(delivery, positions=topology.node_positions(),
                     names=[node.name for node in topology.nodes])
+
+
+def probe_flows(sim: "Simulator") -> dict[int, dict]:
+    """What the watchdog reads of each unfinished flow, probed duck-typed.
+
+    Per flow id: ``progress``, the fingerprint whose every change counts as
+    progress — delivered packets, batches and duplicates; the destination's
+    current batch, completed batches and decoder rank; the source's current
+    batch and acknowledged batches; queue lengths — and the forensics an
+    abort reports: the destination ``rank`` (``None`` for a protocol without
+    a decoder), forwarder ``credits`` and ``queued`` packets, per node in
+    node order.
+    Credit is not in the fingerprint: spending it is not progress.
+    """
+    probes = {
+        flow_id: {"progress": [record.delivered_packets,
+                               record.delivered_batches,
+                               record.duplicate_packets],
+                  "rank": None, "credits": {}, "queued": {}}
+        for flow_id, record in sim.stats.flows.items() if not record.finished}
+    for node in sim.nodes:
+        agent = node.agent
+        if agent is None:
+            continue
+        for flow_id, state in getattr(agent, "destination_flows", {}).items():
+            if flow_id in probes:
+                rank = state.decoder.rank if state.decoder is not None else 0
+                probes[flow_id]["rank"] = rank
+                probes[flow_id]["progress"] += [
+                    state.current_batch, len(state.completed), rank]
+        for flow_id, state in getattr(agent, "source_flows", {}).items():
+            if flow_id in probes:
+                probes[flow_id]["progress"] += [state.current_batch,
+                                                len(state.acked)]
+        for flow_id, queue in getattr(agent, "queues", {}).items():
+            if flow_id in probes:
+                probes[flow_id]["progress"].append(len(queue))
+                probes[flow_id]["queued"][node.node_id] = len(queue)
+        for flow_id, state in getattr(agent, "forward_flows", {}).items():
+            if flow_id in probes:
+                probes[flow_id]["credits"][node.node_id] = state.credit
+    return probes
 
 
 class _ControlLoop:
@@ -159,18 +211,21 @@ class LinkStateRefresher(_ControlLoop):
 
 
 class FlowSupervisor(_ControlLoop):
-    """Per-flow progress watchdog: bounded re-plans, then a structured abort.
+    """The liveness watchdog: bounded re-plans, then a structured abort.
 
-    The graceful-degradation half of the fault story.  Every
-    ``progress_timeout`` simulated seconds each unfinished flow's delivery
-    counters are compared against the previous check; a flow that moved
-    nothing for a whole period is first **re-planned** over the
-    fault-masked control view (up to :data:`MAX_REPLANS` times — MORE
-    repairs its forwarder set and credits, ExOR re-ranks, Srcr detours)
-    and, once re-plans are exhausted, **aborted** via
-    :meth:`~repro.sim.trace.StatsCollector.record_abort` — a structured
-    ``FlowAborted`` outcome that terminates the run instead of letting a
-    crashed forwarder set spin it to ``max_duration``.
+    Every ``progress_timeout`` simulated seconds each unfinished flow is
+    probed (:func:`probe_flows`).  The first check only records a baseline.
+    A flow whose progress fingerprint has not changed since the last change
+    it showed is first **re-planned** over the fault-masked control view
+    (up to :data:`MAX_REPLANS` times — MORE repairs its forwarder set and
+    credits, ExOR re-ranks, Srcr detours) and, once re-plans are exhausted,
+    **aborted** via :meth:`~repro.sim.trace.StatsCollector.record_abort` —
+    a structured ``FlowAborted`` outcome that terminates the run instead of
+    letting a crashed forwarder set spin it to ``max_duration``.  A flow
+    that breaks a safety invariant — a forwarder's credit below one
+    transmission of debt, or a queue past the bound — is aborted at once.
+    Either reason ends with the down nodes and the flow's forensics:
+    delivered/total, destination rank, forwarder credits, queued packets.
 
     ``progress_timeout=inf`` (the default) schedules nothing at all:
     unsupervised runs are bit-identical to a build without this class.
@@ -189,7 +244,7 @@ class FlowSupervisor(_ControlLoop):
         self.total_replans = 0
         self.aborts = 0
         self._replans: dict[int, int] = {}
-        self._fingerprints: dict[int, tuple[int, int, int]] = {}
+        self._fingerprints: dict[int, tuple] = {}
 
     def _noise_stream(self) -> tuple[int, ...]:
         # Its own stream, so recovery never perturbs the periodic refresher's.
@@ -200,15 +255,19 @@ class FlowSupervisor(_ControlLoop):
         stats = sim.stats
         if stats.all_flows_complete():
             return  # terminal: every flow finished, stop rescheduling
-        now = sim.events.now
+        probes = probe_flows(sim)
+        offered = sum(record.total_packets for record in stats.flows.values())
+        queue_bound = max(_QUEUE_BOUND_FLOOR, _QUEUE_BOUND_FACTOR * offered)
         control: Topology | None = None
         for handle in self.handles:
-            record = stats.flows[handle.flow_id]
-            if record.finished:
+            probe = probes.get(handle.flow_id)
+            if probe is None:
+                continue  # finished
+            violation = _violation(probe, queue_bound)
+            if violation is not None:
+                self._abort(handle.flow_id, violation, probe)
                 continue
-            fingerprint = (record.delivered_packets,
-                           record.delivered_batches,
-                           record.duplicate_packets)
+            fingerprint = tuple(probe["progress"])
             if fingerprint != self._fingerprints.get(handle.flow_id):
                 self._fingerprints[handle.flow_id] = fingerprint
                 continue
@@ -225,15 +284,40 @@ class FlowSupervisor(_ControlLoop):
                     # partitioned the mesh, or an endpoint is down): keep
                     # the stale plan; retry or abort at the next check.
                     pass
-                sim.trigger_node(record.source)
+                sim.trigger_node(stats.flows[handle.flow_id].source)
             else:
-                self.aborts += 1
-                faults = sim.faults
-                down = sorted(faults.down_nodes()) if faults is not None \
-                    else []
-                stats.record_abort(
-                    handle.flow_id, now,
-                    reason=(f"no progress for {self.period:g}s after "
-                            f"{replans} recovery re-plan(s); down nodes "
-                            f"{down}"))
+                self._abort(handle.flow_id,
+                            f"no progress for {self.period:g}s after "
+                            f"{replans} recovery re-plan(s)", probe)
         self.sim.schedule_callback(self.period, self._tick)
+
+    def _abort(self, flow_id: int, why: str, probe: dict) -> None:
+        """End ``flow_id`` as a structured abort; the reason is one line."""
+        self.aborts += 1
+        sim = self.sim
+        record = sim.stats.flows[flow_id]
+        down = sorted(sim.faults.down_nodes()) if sim.faults is not None else []
+        forensics = [f"delivered {record.delivered_packets}/{record.total_packets}"]
+        if probe["rank"] is not None:
+            forensics.append(f"destination rank {probe['rank']}")
+        if probe["credits"]:
+            credits = ", ".join(f"{node}:{credit:.2f}"
+                                for node, credit in probe["credits"].items())
+            forensics.append(f"forwarder credits [{credits}]")
+        if probe["queued"]:
+            forensics.append(f"queued packets {sum(probe['queued'].values())}")
+        sim.stats.record_abort(
+            flow_id, sim.now,
+            reason=f"{why}; down nodes {down}; {', '.join(forensics)}")
+
+
+def _violation(probe: dict, queue_bound: int) -> str | None:
+    """The safety invariant ``probe`` breaks, in words, or ``None``."""
+    for node, credit in probe["credits"].items():
+        if not math.isfinite(credit) or credit < _CREDIT_FLOOR:
+            return f"credit conservation violated at node {node}: credit={credit!r}"
+    for node, queued in probe["queued"].items():
+        if queued > queue_bound:
+            return (f"queue bound exceeded at node {node}: {queued} packets "
+                    f"queued (bound {queue_bound})")
+    return None

@@ -154,18 +154,13 @@ class RunConfig:
     #: density (see :func:`repro.metrics.credits.cap_forwarders`).
     #: ``None`` keeps the full pruned plan.
     max_relays: int | None = None
-    #: Attach the :class:`~repro.sim.monitor.SimMonitor` liveness checker:
-    #: invariant violations raise a structured
-    #: :class:`~repro.sim.monitor.StallDiagnosis` instead of hanging.
-    monitor: bool = False
-    #: Monitor check period in simulated seconds.
-    monitor_interval: float = 1.0
     #: Seconds a flow may go without progress before the
-    #: :class:`~repro.experiments.refresh.FlowSupervisor` re-plans it around
-    #: crashed nodes and, after bounded retries, aborts it as a structured
-    #: ``FlowAborted`` outcome.  ``inf`` (the default) supervises nothing —
-    #: not even an event is scheduled.  Accepts the string ``"inf"`` so the
-    #: axis stays plain JSON.
+    #: :class:`~repro.experiments.refresh.FlowSupervisor`, the run's
+    #: liveness watchdog, re-plans it around crashed nodes and, after
+    #: bounded retries, aborts it as a structured ``FlowAborted`` outcome
+    #: whose reason carries the diagnosis.  ``inf`` (the default) supervises
+    #: nothing — not even an event is scheduled.  Accepts the string
+    #: ``"inf"`` so the axis stays plain JSON.
     progress_timeout: float = math.inf
 
     def __post_init__(self) -> None:
@@ -176,8 +171,6 @@ class RunConfig:
             raise ValueError("refresh_period must be positive (inf = never)")
         if self.progress_timeout <= 0:
             raise ValueError("progress_timeout must be positive (inf = never)")
-        if self.monitor_interval <= 0:
-            raise ValueError("monitor_interval must be positive")
         for name in ("total_packets", "batch_size", "packet_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -271,8 +264,7 @@ def start_flows(topology: Topology, protocol: str, pairs: list[tuple[int, int]],
         phy=PhyConfig(bitrate=run_config.bitrate), seed=run_config.seed,
         max_duration=run_config.max_duration,
         channel_model=environment.channel, mobility=environment.mobility,
-        faults=environment.faults,
-        monitor=run_config.monitor, monitor_interval=run_config.monitor_interval))
+        faults=environment.faults))
     control = run_config.control_view(topology)
     handles = [
         _install_flow(sim, topology, protocol, source, destination, run_config,
@@ -305,21 +297,15 @@ def run_flows(topology: Topology, protocol: str, pairs: list[tuple[int, int]],
     results = []
     for handle, (source, destination) in zip(handles, pairs):
         record = handle.record
-        if record.completed:
-            throughput = record.throughput_pkts()
-            duration = record.duration or 0.0
-        elif record.aborted:
-            duration = max((record.end_time or sim.now) - record.start_time,
-                           1e-9)
-            throughput = record.delivered_packets / duration
-        else:
-            duration = max(sim.now - record.start_time, 1e-9)
-            throughput = record.delivered_packets / duration
+        # Completed and aborted flows end at their end_time; one still
+        # running at the horizon ends now.
+        end = record.end_time if record.end_time is not None else sim.now
+        duration = max(end - record.start_time, 1e-9)
         results.append(FlowResult(
             protocol=protocol,
             source=source,
             destination=destination,
-            throughput_pkts=throughput,
+            throughput_pkts=record.delivered_packets / duration,
             duration=duration,
             delivered_packets=record.delivered_packets,
             total_packets=record.total_packets,

@@ -382,8 +382,8 @@ register(ScenarioSpec(
 ))
 
 # --------------------------------------------------------------------------- #
-# Fault injection: node crashes, outages and liveness monitoring
-# (see repro.sim.faults, repro.sim.monitor and docs/faults.md)
+# Fault injection: node crashes, outages and the liveness watchdog
+# (see repro.sim.faults, repro.experiments.refresh and docs/faults.md)
 # --------------------------------------------------------------------------- #
 
 register(ScenarioSpec(
@@ -420,14 +420,14 @@ register(ScenarioSpec(
 register(ScenarioSpec(
     name="kilonode_stranded",
     description="Regression: the PR 6 kilonode stranding pathology (10% "
-                "pruning leaves no forwarders) with the liveness monitor on — "
-                "running it raises a StallDiagnosis instead of hanging",
+                "pruning leaves no forwarders) under the progress watchdog — "
+                "its recovery re-plans deliver the file instead of hanging",
     topology=copy.deepcopy(_KILONODE_MESH),
     workload=WorkloadSpec("explicit", {"pairs": [[441, 0]]}),
     protocols=("MORE",),
     # Deliberately NO run.max_relays: the uncapped 10% rule is the bug.
     run={"total_packets": 64, "batch_size": 32, "coding_payload_size": 16,
-         "max_duration": 60.0, "monitor": True, "monitor_interval": 1.0},
+         "max_duration": 60.0, "progress_timeout": 0.5},
     seeds=(1,),
 ))
 

@@ -164,8 +164,8 @@ class ScenarioSpec:
             (:class:`~repro.sim.faults.FaultSpec`); defaults to fault-free.
             Same seeding convention as ``channel``.  Pair with a finite
             ``run.progress_timeout`` so crashed forwarders trigger recovery
-            re-plans and, failing that, a structured abort instead of a
-            hang; set ``run.monitor`` for in-run liveness checking.
+            re-plans and, failing that, a structured abort whose reason
+            carries the diagnosis, instead of a hang.
         protocols: protocol tokens; plain names (``MORE``, ``ExOR``,
             ``Srcr``) or variants such as ``Srcr/auto`` (Srcr with Onoe-style
             autorate, the Figure 4-6 baseline).

@@ -152,12 +152,3 @@ class SimConfig:
     #: Fault-process spec (``None`` = fault-free — today's behaviour, bit
     #: for bit; see :mod:`repro.sim.faults`).
     faults: FaultSpec | None = None
-    #: Attach a :class:`~repro.sim.monitor.SimMonitor` liveness checker to
-    #: the event loop (off by default: a monitored run adds tick events).
-    monitor: bool = False
-    #: Monitor check period in simulated seconds.
-    monitor_interval: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.monitor_interval <= 0.0:
-            raise ValueError("monitor_interval must be positive")

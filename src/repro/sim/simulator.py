@@ -10,7 +10,6 @@ import numpy as np
 from repro.sim.channels import build_channel_model
 from repro.sim.events import EventHandle, EventQueue
 from repro.sim.faults import FaultInjector, build_fault_model
-from repro.sim.monitor import SimMonitor
 from repro.topology.mobility import build_mobility_model
 from repro.sim.frames import Frame, FrameKind
 from repro.sim.medium import WirelessMedium
@@ -66,8 +65,6 @@ class Simulator:
         self._flow_ids = itertools.count(1)
         if self.faults is not None:
             self.faults.install()
-        self.monitor = (SimMonitor(self, interval=self.config.monitor_interval)
-                        if self.config.monitor else None)
 
     # ------------------------------------------------------------------ #
     # Clock and scheduling
@@ -109,8 +106,6 @@ class Simulator:
         value between versions.
         """
         horizon = until if until is not None else self.config.max_duration
-        if self.monitor is not None and not self.monitor.installed:
-            self.monitor.install()
         version_source = None
         if (stop_condition is not None
                 and getattr(stop_condition, "__self__", None) is self.stats):

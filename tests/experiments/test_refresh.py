@@ -5,19 +5,27 @@ control views) and each protocol's in-place re-plan (``handle.replan``):
 MORE forwarder recruitment + cache invalidation, ExOR participant re-ranking
 without losing transfer progress, Srcr re-routing with detours for stranded
 relays — and that a re-plan is computed the way the flow was set up,
-whatever configuration the refresh loop holds.
+whatever configuration the refresh loop holds.  The progress watchdog's
+safety checks (credit floor, queue bound) each end a flow with the broken
+invariant named in its abort reason.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.experiments.refresh import LinkStateRefresher
-from repro.experiments.runner import Environment, RunConfig, run_single_flow
+from repro.experiments.refresh import FlowSupervisor, LinkStateRefresher
+from repro.experiments.runner import (
+    Environment,
+    RunConfig,
+    run_single_flow,
+    start_flows,
+)
 from repro.metrics.credits import forwarding_plan
 from repro.protocols.exor.agent import setup_exor_flow
 from repro.protocols.more.agent import MoreAgent
@@ -387,6 +395,58 @@ class TestFlowKeepsWhatItWasSetUpWith:
         with pytest.raises(ValueError):
             handle.replan(Topology(np.zeros((4, 4))))
         assert {name: getattr(spec, name) for name in plan_fields} == before
+
+
+def _supervised_chain(protocol):
+    """A healthy 3-hop chain flow under a 0.1 s progress watchdog, not run yet."""
+    config = RunConfig(seed=1, total_packets=32, batch_size=16, packet_size=256,
+                       coding_payload_size=16, max_duration=30.0,
+                       progress_timeout=0.1)
+    sim, (handle,) = start_flows(chain(3, link_delivery=0.9), protocol, [(0, 3)],
+                                 config)
+    return sim, handle
+
+
+class TestWatchdogSafetyChecks:
+    """A broken invariant ends the flow at the next check, named in the reason."""
+
+    def test_credit_below_the_floor_aborts_the_flow(self):
+        sim, handle = _supervised_chain("MORE")
+        sim.nodes[1].agent.forward_flows[handle.flow_id].credit = -1e6
+        sim.run(stop_condition=sim.stats.all_flows_complete)
+        record = handle.record
+        assert record.aborted and record.end_time == pytest.approx(0.1)
+        assert record.abort_reason.startswith(
+            "credit conservation violated at node 1: credit=-")
+        assert "forwarder credits [1:" in record.abort_reason
+
+    def test_queue_past_the_bound_aborts_the_flow(self):
+        sim, handle = _supervised_chain("Srcr")
+        # The bound is max(64, 4 x 32 offered packets) = 128.
+        sim.nodes[1].agent.queues[handle.flow_id].extend([0] * 10_000)
+        sim.run(stop_condition=sim.stats.all_flows_complete)
+        record = handle.record
+        assert record.aborted and record.end_time == pytest.approx(0.1)
+        assert record.abort_reason.startswith("queue bound exceeded at node 1: ")
+        assert "(bound 128)" in record.abort_reason
+
+    def test_flow_that_never_starts_ends_as_an_abort(self):
+        """No agent, no traffic: the event queue would drain with the flow
+        incomplete.  The watchdog's own ticks keep it alive, and the flow is
+        aborted once its re-plans are spent."""
+        topology = chain(3, link_delivery=0.9)
+        sim = Simulator(topology, SimConfig(seed=1))
+        sim.stats.register_flow(1, source=0, destination=3, total_packets=8,
+                                packet_size=256, start_time=0.0)
+        stub = SimpleNamespace(flow_id=1, replan=lambda control: None)
+        FlowSupervisor(sim, [stub], RunConfig(seed=1, progress_timeout=0.5)).install()
+        sim.run(until=30.0, stop_condition=sim.stats.all_flows_complete)
+        record = sim.stats.flows[1]
+        assert record.aborted
+        # Baseline, then three re-plans, then the abort: five checks.
+        assert record.end_time == pytest.approx(5 * 0.5)
+        assert record.abort_reason == ("no progress for 0.5s after 3 recovery "
+                                       "re-plan(s); down nodes []; delivered 0/8")
 
 
 class TestEndToEnd:

@@ -98,7 +98,7 @@ def run_trace(preset_name: str, protocol: str, seed: int,
 
     The run happens in the preset's environment, with ``faults`` (``CHURN``)
     in place of its fault section when given; ``overrides`` are set on the
-    preset's ``RunConfig`` (``monitor=True``...).  The result holds only
+    preset's ``RunConfig`` (``progress_timeout=0.5``...).  The result holds only
     JSON-native values, so it compares equal to its own round trip through
     the golden file.
     """

@@ -93,9 +93,11 @@ REMOVED_FLAG_FIELD = REMOVED_FLAG.lstrip("-").replace("-", "_")
 
 
 @pytest.mark.parametrize("field,value", [("engine", "legacy"),
-                                         (REMOVED_FLAG_FIELD, "eager")])
+                                         (REMOVED_FLAG_FIELD, "eager"),
+                                         ("monitor", "true")])
 def test_removed_run_knobs_are_rejected_as_overrides(field, value, capsys):
-    """The deleted engine selectors die at the boundary, never silently."""
+    """The deleted engine selectors and liveness-monitor switch die at the
+    boundary, never silently."""
     line = _one_line_error(capsys, "run", "--preset", "chain_smoke", "--no-cache",
                            "--set", f"run.{field}={value}")
     assert f"unknown RunConfig field {field!r}" in line
@@ -110,9 +112,10 @@ def _spec_file_with_run(tmp_path, field: str, value) -> str:
 
 
 def test_removed_run_knob_is_rejected_in_a_spec_file(capsys, tmp_path):
-    spec_file = _spec_file_with_run(tmp_path, "engine", "legacy")
-    line = _one_line_error(capsys, "run", "--spec", spec_file, "--no-cache")
-    assert "unknown RunConfig field" in line
+    for field, value in (("engine", "legacy"), ("monitor", True)):
+        spec_file = _spec_file_with_run(tmp_path, field, value)
+        line = _one_line_error(capsys, "run", "--spec", spec_file, "--no-cache")
+        assert f"unknown RunConfig fields in scenario 'chain_smoke': [{field!r}]" in line
 
 
 def test_removed_cli_flag_is_an_argparse_error(tmp_path):
@@ -197,7 +200,6 @@ def test_no_run_field_shadows_a_scenario_field():
     # from the spec file).
     ("packet_size", "true"), ("total_packets", 1.5), ("vector_only", "maybe"),
     ("refresh_period", float("nan")), ("progress_timeout", float("nan")),
-    ("monitor_interval", float("nan")),
 ])
 def test_out_of_range_run_value_is_a_one_line_error(field, value, capsys, tmp_path,
                                                     deadline):

@@ -4,12 +4,13 @@ The acceptance contract of the fault subsystem, end to end:
 
 * crashing **every** MORE forwarder mid-batch yields a structured
   ``FlowAborted`` outcome (``FlowResult.aborted`` + a reason naming the
-  down nodes) for all three protocols — never a hang;
+  down nodes, with MORE's rank and credits) for all three protocols —
+  never a hang;
 * the outcome is deterministic: parallel sweep cells equal serial ones bit
   for bit with a crash/recover process active;
-* the ``kilonode_stranded`` regression preset reconstructs the PR 6
-  stranded-flow pathology and the monitor flags it within one check
-  interval instead of letting it hang to ``max_duration``.
+* the ``kilonode_stranded`` regression preset reconstructs the kilonode
+  stranded-flow pathology, and the progress watchdog's recovery re-plans
+  deliver the file, because a batch whose rank still grows is progressing.
 """
 
 from __future__ import annotations
@@ -18,10 +19,14 @@ import numpy as np
 import pytest
 
 from repro.experiments.orchestrator import run_sweep
-from repro.experiments.runner import Environment, RunConfig, run_single_flow
-from repro.scenarios import get_preset, run_cell
+from repro.experiments.runner import (
+    Environment,
+    RunConfig,
+    run_single_flow,
+    start_flows,
+)
+from repro.scenarios import build_pairs, build_topology, get_preset, run_cell
 from repro.sim.faults import FaultSpec
-from repro.sim.monitor import StallDiagnosis
 from repro.topology.graph import Topology
 
 
@@ -52,6 +57,11 @@ class TestStructuredAborts:
         assert result.aborted and not result.completed
         assert "no progress" in result.abort_reason
         assert "down nodes [1, 2]" in result.abort_reason
+        assert f"delivered {result.delivered_packets}/32" in result.abort_reason
+        # Only MORE has a decoder and forwarder credits to report.
+        assert ("destination rank" in result.abort_reason) == (protocol == "MORE")
+        assert ("forwarder credits [1:" in result.abort_reason) \
+            == (protocol == "MORE")
         # The abort fired after the supervisor's bounded re-plans, long
         # before max_duration: graceful degradation, not a timeout.
         assert result.duration < 30.0
@@ -102,17 +112,24 @@ class TestFaultPresets:
 
 
 class TestKilonodeStrandedRegression:
-    def test_monitor_flags_the_pr6_pathology_within_one_interval(self):
-        """The PR 6 silent hang, reconstructed: uncapped 10% pruning on the
-        kilonode mesh strands the flow; the monitor turns the former
-        60-second hang into a first-interval StallDiagnosis."""
-        preset = get_preset("kilonode_stranded")
-        assert "max_relays" not in preset.run  # the uncapped rule IS the bug
-        assert preset.run["monitor"] is True
-        with pytest.raises(StallDiagnosis) as excinfo:
-            run_cell(preset.expand()[0])
-        diagnosis = excinfo.value
-        assert diagnosis.ticks == 1  # flagged at the very first check
-        assert diagnosis.now == pytest.approx(preset.run["monitor_interval"])
-        (info,) = diagnosis.flows.values()
-        assert info["delivered"] == 0 and info["rank"] == 0
+    def test_watchdog_counts_rank_growth_as_progress(self):
+        """Uncapped 10% pruning on the kilonode mesh strands the flow until
+        the watchdog re-plans it; the re-planned batches then take longer
+        than one ``progress_timeout`` to decode.  A watchdog that looked only
+        at delivery counters aborted the flow at t = 6.5 s with 32/64
+        delivered; one that counts rank growth delivers the whole file."""
+        spec = get_preset("kilonode_stranded")
+        assert "max_relays" not in spec.run  # the uncapped rule IS the bug
+        topology = build_topology(spec.topology)
+        config = spec.run_config(1)
+        sim, (handle,) = start_flows(topology, "MORE",
+                                     build_pairs(spec.workload, topology, 1),
+                                     config, spec.environment())
+        replans = []
+        replan = handle.replan
+        handle.replan = lambda control: (replans.append(sim.now), replan(control))
+        sim.run(stop_condition=sim.stats.all_flows_complete)
+        record = handle.record
+        assert record.completed and not record.aborted, record.abort_reason
+        assert replans
+        assert record.end_time < config.max_duration / 2

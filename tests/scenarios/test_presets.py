@@ -42,7 +42,7 @@ def test_preset_schema_digest():
             digest.update(cell.key().encode())
             cells += 1
     assert (len(presets), cells) == (26, 48)
-    assert digest.hexdigest()[:16] == "83b6c73446f70092"
+    assert digest.hexdigest()[:16] == "7fe520854f947054"
 
 
 def test_get_preset_unknown_name():

@@ -2,12 +2,13 @@
 
 Three bit-identity pins, in the style of ``test_engine_differential``:
 
-* **absence** — a run with the fault/monitor fields at their defaults is
-  bit-identical to one passing an explicit ``kind="none"`` spec with the
-  monitor off, and a run given no environment to one given the default
+* **absence** — a run with the fault/watchdog fields at their defaults is
+  bit-identical to one passing an explicit ``kind="none"`` spec with no
+  progress timeout, and a run given no environment to one given the default
   ``Environment()``: the subsystem's `is not None` guards add no
-  behaviour, and a monitored run differs from an unmonitored one only by
-  the monitor's own tick events (``events.processed``), never by the trace;
+  behaviour, and a watched run of a healthy flow differs from an unwatched
+  one only by the watchdog's own tick events (``events.processed``), never
+  by the trace;
 * **one route** — a scenario's ``channel`` / ``mobility`` / ``faults``
   sections reach the simulator as ``spec.environment()``: ``run_cell``
   equals ``run_single_flow`` given that environment, flow for flow;
@@ -19,6 +20,8 @@ Three bit-identity pins, in the style of ``test_engine_differential``:
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
@@ -33,11 +36,11 @@ GOLDEN = load_golden()
 @pytest.mark.parametrize("preset_name", PRESETS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fault_free_defaults_bit_identical_to_explicit_none(preset_name, seed):
-    """Default fault section == explicit kind-none spec with monitor off,
-    and no environment == the explicit default one."""
+    """Default fault section == explicit kind-none spec with no progress
+    timeout, and no environment == the explicit default one."""
     implicit = run_trace(preset_name, "MORE", seed)
     explicit = run_trace(preset_name, "MORE", seed, faults=FaultSpec("none"),
-                         monitor=False)
+                         progress_timeout=math.inf)
     assert implicit == explicit
 
     spec = get_preset(preset_name)
@@ -72,14 +75,13 @@ def test_scenario_sections_reach_the_simulator_as_the_environment():
 
 @pytest.mark.parametrize("preset_name", PRESETS)
 @pytest.mark.parametrize("seed", (1, 17))
-def test_monitor_changes_nothing_but_its_own_ticks(preset_name, seed):
-    """Monitor on == monitor off, modulo the tick events it schedules."""
+def test_watchdog_changes_nothing_but_its_own_ticks(preset_name, seed):
+    """Watchdog on == watchdog off, modulo the tick events it schedules."""
     # 0.5 s ticks: frequent enough to fire many times inside these runs,
     # coarse enough not to flag the transient ACK-recovery quiet windows a
-    # lossy chain legitimately has (the monitor's default is 1 s).
-    off = run_trace(preset_name, "MORE", seed)
-    on = run_trace(preset_name, "MORE", seed, monitor=True,
-                   monitor_interval=0.5)
+    # lossy chain legitimately has, so no healthy flow is re-planned.
+    off = run_trace(preset_name, "MORE", seed, progress_timeout=math.inf)
+    on = run_trace(preset_name, "MORE", seed, progress_timeout=0.5)
     assert on["events"] >= off["events"]
     del on["events"], off["events"]
     assert on == off
