@@ -222,7 +222,7 @@ class AnalysisConfig:
     src_root: str = "src"
     #: Modules whose realisations must stay counter-based (DET101): a
     #: channel, mobility or fault realisation is a pure function of
-    #: ``(seed, counter)``, so crash schedules and fading epochs are the same
+    #: ``(seed, counter)``, so crash schedules and burst chains are the same
     #: serial or parallel, first query or hundredth.
     counter_modules: tuple[str, ...] = (
         "src/repro/sim/channels.py",

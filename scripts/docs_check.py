@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""docs-check: every ``repro.*`` dotted name and ``--preset`` in the docs must resolve.
+"""docs-check: every ``repro.*`` name, ``--preset`` and model kind in the docs must resolve.
 
 Scans the given markdown files (default: README.md and docs/*.md) for
 tokens like ``repro.metrics.etx.link_etx`` — and ``repro_check.*``, the
 analyzer beside ``src/`` — imports the longest importable module prefix of
 each and resolves the remainder with ``getattr``; every ``--preset name``
-must name a registered scenario preset; and the claim ids in
+must name a registered scenario preset; every ``--channel`` /
+``--mobility`` / ``--faults KIND`` must name a kind its section accepts
+(``repro.scenarios.spec.MODEL_SECTIONS``); and the claim ids in
 ``docs/paper-map.md``'s claim table must be exactly those of
 ``repro.experiments.figures.FIGURES``.  Exits non-zero listing every token
 that no longer matches the code, so renames cannot silently rot the
@@ -24,6 +26,8 @@ from pathlib import Path
 TOKEN = re.compile(r"\brepro(?:_check)?(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 #: A concrete preset on a command line (``--preset NAME`` is a placeholder).
 PRESET = re.compile(r"--preset[ =]([a-z][a-z0-9_]*)")
+#: A concrete model kind on a command line (``--channel KIND`` is a placeholder).
+MODEL_KIND = re.compile(r"--(channel|mobility|faults)[ =]([a-z][a-z0-9_]*)")
 #: A claim id as the claim table writes it, and the file that holds the table.
 CLAIM = re.compile(r"`(fig_\d+_\d+\.[a-z0-9_]+)`")
 CLAIMS_FILE = "paper-map.md"
@@ -55,6 +59,7 @@ def resolve(token: str) -> None:
 def main(argv: list[str]) -> int:
     from repro.experiments.figures import FIGURES
     from repro.scenarios import PRESETS
+    from repro.scenarios.spec import MODEL_SECTIONS
 
     claims = {claim.id for row in FIGURES.values() for claim in row.claims}
     files = [Path(name) for name in (argv or DEFAULT_FILES)]
@@ -67,6 +72,9 @@ def main(argv: list[str]) -> int:
         text = path.read_text(encoding="utf-8")
         for name in sorted(set(PRESET.findall(text)) - set(PRESETS)):
             failures.append((path, f"--preset {name}", "no such preset"))
+        for section, kind in sorted(set(MODEL_KIND.findall(text))):
+            if kind not in MODEL_SECTIONS[section][1]:
+                failures.append((path, f"--{section} {kind}", f"no such {section} kind"))
         if path.name == CLAIMS_FILE:
             documented = set(CLAIM.findall(text))
             for name in sorted(documented - claims):
@@ -86,7 +94,7 @@ def main(argv: list[str]) -> int:
             print(f"  {path}: {token}  ({reason})", file=sys.stderr)
         return 1
     print(f"docs-check: {len(checked)} distinct repro.* / repro_check.* references (and every "
-          f"--preset name) resolve across {len(files)} file(s)")
+          f"--preset name and model kind) resolve across {len(files)} file(s)")
     return 0
 
 

@@ -15,14 +15,12 @@ e.g. from ``show``).  ``--set path=value`` applies one dotted-path override
 (``run.batch_size=16``, ``workload.count=4``, ``channel.mean_bad_time=0.05``);
 ``--axis path=v1,v2,...`` adds or replaces a sweep axis (``channel.*`` /
 ``mobility.*`` axes sweep model parameters; ``run.refresh_period`` sweeps
-link-state staleness).  ``--channel KIND`` swaps the channel model
-(``static``, ``gilbert_elliott``, ``distance_fading``, ``trace``) and
-``--mobility KIND`` the dynamic-topology model (``none``, ``link_churn``,
-``random_walk``, ``random_waypoint``); ``--faults KIND`` injects node
-failures (``crash_recover``, ``scheduled``, ``ack_blackout``,
-``control_silence``); pair it with ``--set run.progress_timeout=SECONDS``
-so a stalled flow ends as a structured abort that carries its diagnosis
-(see ``docs/faults.md``).  Results land in the
+link-state staleness).  ``--channel KIND`` swaps the channel model,
+``--mobility KIND`` the dynamic-topology model and ``--faults KIND``
+injects node failures (``--help`` lists the kinds of each); pair
+``--faults`` with ``--set run.progress_timeout=SECONDS`` so a stalled flow
+ends as a structured abort that carries its diagnosis (see
+``docs/faults.md``).  Results land in the
 content-addressed store under ``results/store/<scenario>/`` keyed by
 ``(spec-hash, seed, code-version)``, so repeated invocations only simulate
 what changed — including after a kill: re-running the same sweep command
@@ -162,14 +160,18 @@ def _emit(result, as_json: bool) -> None:
 
 
 def _command_list(_args: argparse.Namespace) -> int:
+    from repro.experiments.figures import FIGURES
+
     rows = []
     for spec in list_presets():
         cells = len(spec.expand())
-        rows.append((spec.name, spec.mode, cells, spec.description))
+        # The claims a preset is held to: those of every figure row run on it.
+        claims = sum(len(row.claims) for row in FIGURES.values() if row.preset == spec.name)
+        rows.append((spec.name, spec.mode, cells, claims or "-", spec.description))
     width = max(len(row[0]) for row in rows)
-    print(f"{'name':<{width}}  {'mode':<10} {'cells':>5}  description")
-    for name, mode, cells, description in rows:
-        print(f"{name:<{width}}  {mode:<10} {cells:>5}  {description}")
+    print(f"{'name':<{width}}  {'mode':<10} {'cells':>5} {'claims':>6}  description")
+    for name, mode, cells, claims, description in rows:
+        print(f"{name:<{width}}  {mode:<10} {cells:>5} {claims:>6}  {description}")
     return 0
 
 

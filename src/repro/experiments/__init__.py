@@ -16,7 +16,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.stats import Summary, cdf, median, median_gain, percentile, summarize
 from repro.experiments.workloads import (
-    challenged_pairs,
     multiflow_sets,
     random_pairs,
     reachable_pairs,
@@ -33,7 +32,6 @@ __all__ = [
     "Summary",
     "SweepResult",
     "cdf",
-    "challenged_pairs",
     "median",
     "median_gain",
     "multiflow_sets",

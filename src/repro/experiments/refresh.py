@@ -71,7 +71,7 @@ _QUEUE_BOUND_FLOOR = 64
 def mask_dead_nodes(topology: Topology, dead: frozenset[int]) -> Topology:
     """The control plane's view of a topology with ``dead`` nodes in it.
 
-    A crashed (or control-silent) node answers no probes, so every link
+    A crashed node answers no probes, so every link
     into or out of it measures as zero — plans computed over the masked
     view route around the corpse.  Returns ``topology`` itself when
     nothing is dead.
@@ -167,14 +167,14 @@ class _ControlLoop:
         (:meth:`RunConfig.control_view` over the medium's current
         snapshot); each round draws fresh probe noise from its own
         ``(seed, *stream)`` generator, so estimates are independent samples
-        yet replay identically run to run.  Crashed and control-silent
-        nodes answer no probes, so the view masks them out and plans route
-        around them (:func:`mask_dead_nodes`).
+        yet replay identically run to run.  Crashed nodes answer no probes,
+        so the view masks them out and plans route around them
+        (:func:`mask_dead_nodes`).
         """
         sim = self.sim
         topology = sim.medium.effective_topology(sim.now)
         if sim.faults is not None:
-            topology = mask_dead_nodes(topology, sim.faults.control_dead(sim.now))
+            topology = mask_dead_nodes(topology, sim.faults.down_nodes())
         return self.config.control_view(
             topology, seed=(self.config.seed, *self._noise_stream()))
 

@@ -102,23 +102,3 @@ def multiflow_sets(topology: Topology, flows_per_set: int, set_count: int,
         sets.append([candidates[int(i)] for i in indices])
     return sets
 
-
-def challenged_pairs(topology: Topology, count: int, seed: int = 0,
-                     max_direct_delivery: float = 0.2, min_hops: int = 2) -> list[tuple[int, int]]:
-    """Pairs with poor direct connectivity and multi-hop best paths.
-
-    These are the "challenged flows" for which the paper reports the biggest
-    opportunistic-routing gains (Section 4.2.2).
-    """
-    rng = np.random.default_rng(seed)
-    candidates = [
-        (source, destination)
-        for source, destination in reachable_pairs(topology, min_hops=min_hops)
-        if topology.delivery(source, destination) <= max_direct_delivery
-    ]
-    if not candidates:
-        return []
-    if count >= len(candidates):
-        return candidates
-    indices = rng.choice(len(candidates), size=count, replace=False)
-    return [candidates[int(i)] for i in indices]

@@ -2,7 +2,7 @@
 
 ``ScenarioSpec`` (:mod:`repro.scenarios.spec`) describes an experiment as
 plain data; :mod:`repro.scenarios.presets` names ready-made specs for every
-paper figure plus generic mesh studies; :mod:`repro.scenarios.execute` runs
+paper figure, fixture and extension study; :mod:`repro.scenarios.execute` runs
 one (scenario, seed) cell.  Sweeps across worker processes live in
 :mod:`repro.experiments.orchestrator`; the front door is ``python -m repro``.
 """

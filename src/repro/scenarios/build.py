@@ -15,12 +15,7 @@ import json
 from collections import OrderedDict
 from typing import Any, Callable
 
-from repro.experiments.workloads import (
-    challenged_pairs,
-    multiflow_sets,
-    random_pairs,
-    spatial_reuse_pairs,
-)
+from repro.experiments.workloads import multiflow_sets, random_pairs, spatial_reuse_pairs
 from repro.params import call_with_params, pop_count
 from repro.scenarios.spec import TopologySpec, WorkloadSpec
 from repro.topology.generator import (
@@ -47,8 +42,12 @@ TOPOLOGY_BUILDERS: dict[str, Callable[..., Topology]] = {
     "cost_gap": cost_gap_topology,
 }
 
+#: Workload kinds that describe plain source-destination pairs
+#: (:func:`build_pairs`).
+PAIR_WORKLOAD_KINDS = ("random_pairs", "spatial_reuse", "explicit")
+
 #: Workload kinds addressable from a :class:`WorkloadSpec`.
-WORKLOAD_KINDS = ("random_pairs", "spatial_reuse", "challenged", "explicit", "multiflow")
+WORKLOAD_KINDS = PAIR_WORKLOAD_KINDS + ("multiflow",)
 
 #: How many built meshes :func:`build_topology` keeps (least recently used
 #: goes first): a sweep's consecutive cells share one or two.
@@ -118,12 +117,8 @@ def build_pairs(spec: WorkloadSpec, topology: Topology,
             pairs = random_pairs(topology, count, seed=seed,
                                  min_hops=max(2, path_hops - 1))
         return pairs
-    if spec.kind == "challenged":
-        return call_with_params("workload", spec.kind, challenged_pairs, topology,
-                                count=pop_count(spec, params, "count", 10), seed=seed,
-                                **params)
     raise ValueError(f"workload kind {spec.kind!r} does not describe plain pairs; "
-                     f"expected one of {WORKLOAD_KINDS[:4]}")
+                     f"expected one of {PAIR_WORKLOAD_KINDS}")
 
 
 def build_flow_sets(spec: WorkloadSpec, topology: Topology,

@@ -1,11 +1,13 @@
-"""Named scenario presets: the paper's figures plus generic mesh studies.
+"""Named scenario presets: the paper's figures, fixtures and extension studies.
 
 Each preset is a fully-declarative :class:`~repro.scenarios.spec.ScenarioSpec`.
 The ``fig_*`` presets are the one definition of the paper's experiments, at
 the scale tier-1 runs and ``results/figure_*.txt`` records; the rows of
 :data:`repro.experiments.figures.FIGURES` hold, beside each, the overlay
 that scales it to the paper's sample sizes, the view that computes the
-paper's statistics from its cells, and the bands those are held to.
+paper's statistics from its cells, and the bands those are held to.  Every
+other preset is a fixture a test, golden trace or benchmark runs, or an
+extension study whose claim source ``docs/scenarios.md`` names.
 Presets are looked up by name from the CLI (``python -m repro run --preset
 fig_4_2``) and from code via :func:`get_preset`.
 
@@ -127,7 +129,7 @@ register(ScenarioSpec(
 ))
 
 # --------------------------------------------------------------------------- #
-# Generic scenario families beyond the paper
+# Fixtures: the small scenarios the tests and golden traces run
 # --------------------------------------------------------------------------- #
 
 register(ScenarioSpec(
@@ -143,16 +145,6 @@ register(ScenarioSpec(
 ))
 
 register(ScenarioSpec(
-    name="grid_5x5",
-    description="5x5 grid mesh with diagonal links, random pairs, all three "
-                "protocols",
-    topology=TopologySpec("grid", {"rows": 5, "cols": 5}),
-    workload=WorkloadSpec("random_pairs", {"count": 8, "min_hops": 2}),
-    run={"total_packets": 64},
-    seeds=(1,),
-))
-
-register(ScenarioSpec(
     name="random_geometric_16",
     description="16-node random geometric mesh (outdoor-style Roofnet loss "
                 "profile), random pairs",
@@ -161,19 +153,6 @@ register(ScenarioSpec(
     workload=WorkloadSpec("random_pairs", {"count": 8}),
     run={"total_packets": 64},
     seeds=(1,),
-))
-
-register(ScenarioSpec(
-    name="chain_batch_sweep",
-    description="Batch-size sweep (K=8..64) for MORE vs ExOR on a lossy "
-                "4-hop chain",
-    topology=TopologySpec("chain", {"hops": 4, "link_delivery": 0.7,
-                                    "skip_delivery": 0.2}),
-    workload=WorkloadSpec("explicit", {"pairs": [[0, 4]]}),
-    protocols=("MORE", "ExOR"),
-    run={"total_packets": 64, "packet_size": 512, "coding_payload_size": 16},
-    seeds=(1,),
-    sweep={"run.batch_size": (8, 16, 32, 64)},
 ))
 
 register(ScenarioSpec(
@@ -203,18 +182,6 @@ register(ScenarioSpec(
     workload=WorkloadSpec("explicit", {"pairs": [[168, 0]]}),
     run={"total_packets": 64, "batch_size": 32, "coding_payload_size": 16,
          "max_duration": 60.0},
-    seeds=(1,),
-))
-
-register(ScenarioSpec(
-    name="multiflow_scale",
-    description="Scale tier: 8 concurrent flows on a 48-node random-geometric "
-                "mesh (contention at scale)",
-    topology=TopologySpec("random_geometric", {"node_count": 48, "area": 200.0,
-                                               "seed": 11}),
-    workload=WorkloadSpec("multiflow", {"flows_per_set": 8, "set_count": 1}),
-    mode="multiflow",
-    run={"total_packets": 48, "coding_payload_size": 16, "max_duration": 60.0},
     seeds=(1,),
 ))
 
@@ -290,42 +257,6 @@ register(ScenarioSpec(
                                             "mean_good_time": 0.5,
                                             "mean_bad_time": 0.08}),
     run={"total_packets": 64, "packet_size": 512, "coding_payload_size": 16},
-    seeds=(1,),
-))
-
-register(ScenarioSpec(
-    name="fading_grid",
-    description="Block-fading 4x4 grid: log-distance path loss + shadowing "
-                "redrawn every coherence interval over the grid coordinates",
-    topology=TopologySpec("grid", {"rows": 4, "cols": 4}),
-    workload=WorkloadSpec("random_pairs", {"count": 6, "min_hops": 2}),
-    channel=ChannelSpec("distance_fading", {"coherence_time": 0.5,
-                                            "shadowing_sigma_db": 5.0}),
-    run={"total_packets": 48},
-    seeds=(1,),
-))
-
-register(ScenarioSpec(
-    name="trace_random_geometric",
-    description="Trace-driven replay on the 16-node random-geometric mesh: "
-                "selected links walk a Roofnet-style delivery time series",
-    topology=TopologySpec("random_geometric", {"node_count": 16, "area": 120.0,
-                                               "seed": 2}),
-    workload=WorkloadSpec("random_pairs", {"count": 6}),
-    channel=ChannelSpec("trace", {
-        "interval": 0.5,
-        # A bimodal Roofnet-style series: long good stretches punctuated by
-        # deep fades, applied symmetrically to a handful of mid-mesh links.
-        "series": {
-            "0-4": [0.9, 0.85, 0.3, 0.1, 0.8, 0.9, 0.2, 0.7],
-            "4-0": [0.9, 0.85, 0.3, 0.1, 0.8, 0.9, 0.2, 0.7],
-            "3-7": [0.6, 0.1, 0.05, 0.6, 0.7, 0.1, 0.6, 0.65],
-            "7-3": [0.6, 0.1, 0.05, 0.6, 0.7, 0.1, 0.6, 0.65],
-            "5-9": [0.8, 0.8, 0.75, 0.2, 0.1, 0.8, 0.85, 0.3],
-            "9-5": [0.8, 0.8, 0.75, 0.2, 0.1, 0.8, 0.85, 0.3],
-        },
-    }),
-    run={"total_packets": 48},
     seeds=(1,),
 ))
 

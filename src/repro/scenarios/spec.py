@@ -94,7 +94,7 @@ def _apply_dotted(spec: "ScenarioSpec", path: str, value: Any) -> None:
     elif head in MODEL_SECTIONS:
         # `channel=gilbert_elliott` (a bare kind) and `channel.kind=...` both
         # switch the model; `channel.<param>` sets one model parameter, so
-        # model axes (fading depth, churn rate, crash rate) are sweepable
+        # model axes (burst depth, churn rate, crash rate) are sweepable
         # like any other.  Switching to a *different* kind resets the params:
         # the old model's knobs would be unknown keywords for the new one.
         if not rest or rest == "kind":
@@ -132,8 +132,8 @@ class WorkloadSpec(SectionSpec):
     """Which source-destination pairs (or flow sets) the experiment drives.
 
     ``kind`` selects a generator from :mod:`repro.experiments.workloads`
-    (``random_pairs``, ``spatial_reuse``, ``challenged``, ``explicit``,
-    ``multiflow``); ``params`` are its arguments.  If ``params`` carries no
+    (``random_pairs``, ``spatial_reuse``, ``explicit``, ``multiflow``);
+    ``params`` are its arguments.  If ``params`` carries no
     ``seed``, the cell's seed is used: one seed drives both pair selection
     and the simulator.
     """

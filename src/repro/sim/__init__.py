@@ -5,10 +5,8 @@ from repro.sim.channels import (
     CHANNEL_MODELS,
     ChannelModel,
     ChannelSpec,
-    DistanceFading,
     GilbertElliott,
     StaticBernoulli,
-    TraceDriven,
     build_channel_model,
 )
 from repro.sim.events import EventHandle, EventQueue
@@ -36,10 +34,8 @@ __all__ = [
     "ChannelModel",
     "ChannelSpec",
     "CsmaMac",
-    "DistanceFading",
     "GilbertElliott",
     "StaticBernoulli",
-    "TraceDriven",
     "build_channel_model",
     "EventHandle",
     "EventQueue",

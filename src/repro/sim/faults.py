@@ -15,12 +15,6 @@ scenario can sweep, mirroring :class:`~repro.sim.channels.ChannelSpec` /
   a pure function of ``(seed, node, k)`` via the shared SplitMix64 in
   :mod:`repro.rng`, so realisations replay exactly regardless of event
   interleaving and never touch the simulator's main RNG stream.
-* :class:`AckBlackout` — periodic windows during which batch-ACK frames
-  are suppressed on the air (the ACK-path failure MORE's Section 3.4
-  tail-end is sensitive to), pure window arithmetic, no randomness.
-* :class:`ControlSilence` — nodes that stop answering the control plane
-  (link-state probes) while still forwarding data: the refresh loop plans
-  around them as if they were gone.
 
 A :class:`FaultSpec` is the declarative form (``kind`` + ``params``) that
 rides inside :class:`~repro.scenarios.spec.ScenarioSpec` JSON, the
@@ -47,7 +41,7 @@ import numpy as np
 
 from repro.params import SectionSpec, build_model
 from repro.rng import splitmix64 as _splitmix64
-from repro.sim.frames import Frame, FrameKind
+from repro.sim.frames import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.sim.simulator import Simulator
@@ -75,12 +69,9 @@ class FaultModel:
     """A deterministic fault process over the simulation's node set.
 
     Subclasses describe *when* nodes are down (:meth:`next_transition` /
-    :meth:`initial_down`), whether the batch-ACK path is currently blacked
-    out (:meth:`ack_blackout`), and which nodes are invisible to the
-    control plane (:meth:`control_silent_nodes`).  All answers must be
-    pure functions of ``(seed, node, counter)`` — the injector may query
-    them in any order and a fixed seed must replay the exact same fault
-    realisation.
+    :meth:`initial_down`).  All answers must be pure functions of
+    ``(seed, node, counter)`` — the injector may query them in any order
+    and a fixed seed must replay the exact same fault realisation.
     """
 
     kind = "none"
@@ -102,15 +93,6 @@ class FaultModel:
         ``after`` (``None`` = the node never changes state again)."""
         return None
 
-    def ack_blackout(self, now: float) -> bool:
-        """True while batch-ACK frames are suppressed on the air."""
-        return False
-
-    def control_silent_nodes(self, now: float) -> frozenset[int]:
-        """Nodes currently invisible to control-plane probes (data plane
-        unaffected)."""
-        return frozenset()
-
 
 class ScheduledOutages(FaultModel):
     """Explicit per-node down windows: the reproducible kill experiment.
@@ -122,7 +104,8 @@ class ScheduledOutages(FaultModel):
 
     kind = "scheduled"
 
-    def __init__(self, downs: dict[Any, Any] | None = None, seed: int = 0) -> None:
+    def __init__(self, downs: dict[int | str, list[list[float]]] | None = None,
+                 seed: int = 0) -> None:
         super().__init__(seed)
         windows: dict[int, list[tuple[float, float]]] = {}
         for node, spans in (downs or {}).items():
@@ -154,8 +137,8 @@ class ScheduledOutages(FaultModel):
 class CrashRecover(FaultModel):
     """Stochastic crash/recover: per-node alternating up/down renewal chains.
 
-    Every node (optionally restricted by ``nodes`` / excluding ``protect``,
-    so a preset can pin its flow endpoints alive) alternates exponential
+    Every node (excluding ``protect``, so a preset can pin its flow
+    endpoints alive) alternates exponential
     up-times of mean ``mean_uptime`` and down-times of mean
     ``mean_downtime``.  The k-th holding time of node *n* is derived from
     one SplitMix64 draw at counter ``(seed, n, k)`` — a pure function, so
@@ -170,21 +153,14 @@ class CrashRecover(FaultModel):
     _CYCLES_PER_BLOCK = 8
 
     def __init__(self, mean_uptime: float = 30.0, mean_downtime: float = 5.0,
-                 nodes: list[int] | None = None, protect: list[int] = (),
-                 seed: int = 0) -> None:
+                 protect: list[int] = (), seed: int = 0) -> None:
         super().__init__(seed)
         self.mean_uptime = float(mean_uptime)
         self.mean_downtime = float(mean_downtime)
         if not (self.mean_uptime > 0.0 and self.mean_downtime > 0.0):
             raise ValueError("crash_recover holding-time means must be positive")
-        self._nodes = None if nodes is None else frozenset(int(n) for n in nodes)
         self._protect = frozenset(int(n) for n in protect)
         self._chains: dict[int, list[tuple[float, bool]]] = {}
-
-    def _affected(self, node: int) -> bool:
-        if node in self._protect:
-            return False
-        return self._nodes is None or node in self._nodes
 
     def _uniform(self, node: int, counters: np.ndarray) -> np.ndarray:
         """Counter-based uniforms in (0, 1] for ``(seed, node, counter)``."""
@@ -210,7 +186,7 @@ class CrashRecover(FaultModel):
             chain.append((clock, False))
 
     def next_transition(self, node: int, after: float) -> tuple[float, bool] | None:
-        if not self._affected(node):
+        if node in self._protect:
             return None
         chain = self._chains.setdefault(node, [])
         while not chain or chain[-1][0] <= after:
@@ -221,66 +197,10 @@ class CrashRecover(FaultModel):
         raise AssertionError("unreachable: chain extended past `after`")
 
 
-class AckBlackout(FaultModel):
-    """Periodic batch-ACK suppression windows (pure window arithmetic).
-
-    Batch-ACK frames whose reception completes inside
-    ``[offset + i*period, offset + i*period + duration)`` are lost on the
-    air for every receiver.  Data and control frames are unaffected — this
-    isolates the ACK path, the part of MORE a single lost frame hurts most
-    (the source keeps flooding an already-decoded batch).
-    """
-
-    kind = "ack_blackout"
-
-    def __init__(self, period: float = 10.0, duration: float = 2.0,
-                 offset: float = 0.0, seed: int = 0) -> None:
-        super().__init__(seed)
-        self.period = float(period)
-        self.duration = float(duration)
-        self.offset = float(offset)
-        if not self.period > 0.0:
-            raise ValueError("ack_blackout period must be positive")
-        if not 0.0 < self.duration <= self.period:
-            raise ValueError("ack_blackout duration must be in (0, period]")
-        if not self.offset >= 0.0:
-            raise ValueError("ack_blackout offset must be non-negative")
-
-    def ack_blackout(self, now: float) -> bool:
-        if now < self.offset:
-            return False
-        return math.fmod(now - self.offset, self.period) < self.duration
-
-
-class ControlSilence(FaultModel):
-    """Nodes that stop answering link-state probes from ``start`` onwards.
-
-    The data plane is untouched — the node still forwards — but the
-    refresh loop's control view masks it out, so re-planned forwarder
-    sets / routes route around a node that is actually alive.  This is the
-    staleness dual of a crash: the plan is wrong, the network is fine.
-    """
-
-    kind = "control_silence"
-
-    def __init__(self, nodes: list[int] = (), start: float = 0.0,
-                 seed: int = 0) -> None:
-        super().__init__(seed)
-        self._silent = frozenset(int(n) for n in nodes)
-        self.start = float(start)
-        if not self.start >= 0.0:
-            raise ValueError("control_silence start must be non-negative")
-
-    def control_silent_nodes(self, now: float) -> frozenset[int]:
-        return self._silent if now >= self.start else frozenset()
-
-
 #: Fault models addressable from a :class:`FaultSpec`.
 FAULT_MODELS: dict[str, type[FaultModel]] = {
     ScheduledOutages.kind: ScheduledOutages,
     CrashRecover.kind: CrashRecover,
-    AckBlackout.kind: AckBlackout,
-    ControlSilence.kind: ControlSilence,
 }
 
 #: Spec kinds accepted by :func:`build_fault_model` (``none`` = fault-free).
@@ -341,17 +261,9 @@ class FaultInjector:
         """The set of currently crashed nodes (diagnosis / control plane)."""
         return frozenset(node for node, down in enumerate(self._down) if down)
 
-    def control_dead(self, now: float) -> frozenset[int]:
-        """Nodes the control plane must plan around right now: crashed
-        nodes plus control-silent ones."""
-        return self.down_nodes() | self.model.control_silent_nodes(now)
-
-    def filter_receivers(self, frame: Frame, receivers: list[int],
-                         now: float) -> list[int]:
+    def filter_receivers(self, frame: Frame, receivers: list[int]) -> list[int]:
         """Drop receptions faults forbid; called by the medium after the
         channel draws so the RNG stream is fault-independent."""
-        if frame.kind is FrameKind.BATCH_ACK and self.model.ack_blackout(now):
-            return []
         if self._down_count == 0:
             return receivers
         down = self._down

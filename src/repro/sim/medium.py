@@ -2,8 +2,8 @@
 
 The medium decides, for every transmission, which nodes receive it.  Per-link
 delivery probabilities come from a pluggable :class:`~repro.sim.channels.ChannelModel`
-(static Bernoulli by default — the paper's model — or bursty / fading /
-trace-driven variants).  The model:
+(static Bernoulli by default — the paper's model — or bursty
+Gilbert-Elliott loss).  The model:
 
 * **Independent losses** — each potential receiver flips a coin with the
   link delivery probability (the paper's model, Sections 3.2.1 and 5.3.1);
@@ -141,8 +141,7 @@ class WirelessMedium:
         self._max_airtime = 0.0
         if self._dynamic:
             # Adopt the epoch-0 realisation before any caches are built.
-            self.model.update_base(mobility.delivery_at(0),
-                                   mobility.positions_at(0))
+            self.model.update_base(mobility.delivery_at(0))
             self._epoch = 0
         self._rebuild_channel_state()
         # Statistics.
@@ -207,8 +206,7 @@ class WirelessMedium:
         if epoch <= self._epoch:
             return
         self._epoch = epoch
-        self.model.update_base(self.mobility.delivery_at(epoch),
-                               self.mobility.positions_at(epoch))
+        self.model.update_base(self.mobility.delivery_at(epoch))
         self._rebuild_channel_state()
 
     def effective_topology(self, now: float) -> Topology:
@@ -386,8 +384,7 @@ class WirelessMedium:
             if receivers is None:
                 receivers = self._resolve_scalar(sender, probabilities, overlapping)
         if self.faults is not None:
-            kept = self.faults.filter_receivers(transmission.frame, receivers,
-                                                now)
+            kept = self.faults.filter_receivers(transmission.frame, receivers)
             if len(kept) != len(receivers):
                 # Keep the receptions counter meaning "frames delivered to
                 # a live radio", whichever resolve path counted them.

@@ -22,7 +22,6 @@ from repro.topology.mobility import (
     MarkovLinkChurn,
     MobilityModel,
     MobilitySpec,
-    RandomWalk,
     RandomWaypoint,
     build_mobility_model,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "MobilityModel",
     "MobilitySpec",
     "Node",
-    "RandomWalk",
     "RandomWaypoint",
     "Topology",
     "build_mobility_model",

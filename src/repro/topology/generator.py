@@ -44,35 +44,30 @@ _AMBIENT_LOSS_MAX = 0.15
 _MIN_DELIVERY = 0.05
 
 
-def path_loss_margin_db(distance, reference_distance: float = _REFERENCE_DISTANCE,
-                        path_loss_exponent: float = _PATH_LOSS_EXPONENT,
-                        snr_at_reference_db: float = _SNR_AT_REFERENCE_DB):
+def path_loss_margin_db(distance):
     """SNR margin (dB) at ``distance`` under the log-distance model.
 
     Accepts scalars or arrays.  This is the one propagation formula shared
-    by the static generators here and the time-varying
-    :class:`repro.sim.channels.DistanceFading` channel model, so a fading
-    channel over a generated mesh is consistent with its nominal matrix.
+    by the static generators here and the position-based
+    :class:`repro.topology.mobility.RandomWaypoint` model, which evaluates
+    it (without shadowing) at every epoch's node coordinates.
     """
-    ratio = np.maximum(distance, 0.1) / reference_distance
-    return snr_at_reference_db - 10.0 * path_loss_exponent * np.log10(ratio)
+    ratio = np.maximum(distance, 0.1) / _REFERENCE_DISTANCE
+    return _SNR_AT_REFERENCE_DB - 10.0 * _PATH_LOSS_EXPONENT * np.log10(ratio)
 
 
-def margin_to_delivery(margin_db, logistic_scale: float = _DELIVERY_LOGISTIC_SCALE,
-                       max_delivery: float = _MAX_DELIVERY,
-                       min_delivery: float = _MIN_DELIVERY,
-                       ambient_factor=1.0):
+def margin_to_delivery(margin_db, ambient_factor=1.0):
     """Map an SNR margin to a frame delivery probability (scalar or array).
 
     Logistic curve, multiplied by any ambient-loss factor, capped at
-    ``max_delivery``, with sub-``min_delivery`` links cut to zero — the
+    ``_MAX_DELIVERY``, with sub-``_MIN_DELIVERY`` links cut to zero — the
     shared tail end of the propagation model above.
     """
     probability = 1.0 / (1.0 + np.exp(-np.asarray(margin_db, dtype=float)
-                                      / logistic_scale))
+                                      / _DELIVERY_LOGISTIC_SCALE))
     probability = probability * ambient_factor
-    probability = np.minimum(probability, max_delivery)
-    return np.where(probability < min_delivery, 0.0, probability)
+    probability = np.minimum(probability, _MAX_DELIVERY)
+    return np.where(probability < _MIN_DELIVERY, 0.0, probability)
 
 
 def _require(kind: str, holds: bool, problem: str) -> None:

@@ -8,11 +8,8 @@ the topology actually changes under the protocols.  This module provides the
 dynamics:
 
 * :class:`RandomWaypoint` — each node repeatedly picks a uniform target in
-  the arena, travels to it at a uniform-random speed, pauses, and repeats
-  (the classic MANET mobility model).
-* :class:`RandomWalk` — each epoch every node takes a step of
-  uniform-random speed in a uniform-random direction, reflecting at the
-  arena bounds (Brownian-style drift for slow topology ageing).
+  the arena, travels to it at a uniform-random speed, and repeats (the
+  classic MANET mobility model).
 * :class:`MarkovLinkChurn` — position-free link flapping: every link runs a
   two-state up/down Markov chain on the epoch grid; down links have their
   delivery scaled by ``down_scale``.  This is the model for topologies
@@ -20,16 +17,15 @@ dynamics:
 
 Realisations are sampled on a configurable **epoch grid**
 (``epoch_length`` seconds per epoch) and are a *pure function of
-``(seed, epoch)``*, exactly like the PR 3 channel models: waypoint legs are
-drawn from ``default_rng((seed, stream, node, leg))``, random-walk steps
-from ``default_rng((seed, stream, epoch))`` and churn flips from a
-counter-based SplitMix64 over ``(seed, link, epoch)``.  No draw ever
+``(seed, epoch)``*, exactly like the channel models: waypoint legs are
+drawn from ``default_rng((seed, stream, node, leg))`` and churn flips from
+a counter-based SplitMix64 over ``(seed, link, epoch)``.  No draw ever
 touches the simulator's main generator, and querying epochs in any order
 replays the identical trajectory — which is what keeps back-to-back
 protocol runs at one seed on the *same* dynamic topology and parallel
 sweep cells bit-identical to serial ones.
 
-Position-based models derive each epoch's delivery matrix from the node
+:class:`RandomWaypoint` derives each epoch's delivery matrix from the node
 coordinates through the *same* propagation formula the static generators
 use (:func:`repro.topology.generator.path_loss_margin_db` +
 :func:`~repro.topology.generator.margin_to_delivery`, no shadowing), so a
@@ -90,13 +86,11 @@ class MobilityModel:
             raise ValueError("epoch_length must be positive")
         self.seed = int(seed)
         self.epoch_length = float(epoch_length)
-        self.topology: Topology | None = None
         self._base: np.ndarray | None = None
         self._coords0: np.ndarray | None = None
 
     def bind(self, topology: Topology) -> None:
         """Attach the process to a topology; called by the medium once."""
-        self.topology = topology
         self._base = topology.delivery_view()
         positions = topology.node_positions()
         self._coords0 = None
@@ -130,23 +124,42 @@ class MobilityModel:
         return base
 
 
-class _PositionMobility(MobilityModel):
-    """Shared machinery of the position-based models.
+class RandomWaypoint(MobilityModel):
+    """The classic random-waypoint model on the epoch grid.
+
+    Each node's trajectory is a sequence of *legs*: pick a uniform target
+    in the arena, travel there at a speed uniform in
+    ``[speed_min, speed_max]``, repeat.  Leg k of node i is drawn from
+    ``default_rng((seed, stream, i, k))``, so the whole trajectory — and
+    hence every epoch realisation — is a pure function of the seed.
 
     The arena is ``[x0, x1] x [y0, y1]``: the initial positions' bounding
     box unless ``area`` pins a ``[0, area]`` square.  Motion is 2-D; any z
     coordinate (building floor) is frozen.  Each epoch's delivery matrix
     comes from the shared log-distance propagation formula evaluated at the
-    epoch's coordinates (deterministic — compose with a
-    :class:`~repro.sim.channels.DistanceFading` channel for fading on top).
+    epoch's coordinates.
+
+    Args:
+        epoch_length: seconds per epoch-grid step.
+        speed_min / speed_max: node speed range in m/s.
+        area: side of a ``[0, area]`` square arena (default: the initial
+            positions' bounding box).
+        seed: mobility RNG stream seed (defaults to the cell seed).
     """
 
+    kind = "random_waypoint"
+
     def __init__(self, seed: int = 0, epoch_length: float = 1.0,
+                 speed_min: float = 0.5, speed_max: float = 2.0,
                  area: float | None = None) -> None:
         super().__init__(seed, epoch_length)
         if area is not None and not area > 0:
             raise ValueError("area must be positive")
+        if not 0 < speed_min <= speed_max:
+            raise ValueError("need 0 < speed_min <= speed_max")
         self.area = None if area is None else float(area)
+        self.speed_min = float(speed_min)
+        self.speed_max = float(speed_max)
         self._delivery_epoch = -1
         self._delivery: np.ndarray | None = None
 
@@ -167,74 +180,20 @@ class _PositionMobility(MobilityModel):
         self._low, self._high = low, high
         self._delivery_epoch = -1
         self._delivery = None
+        count = self._coords.shape[0]
+        # Per-node leg lists: (p0, p1, travel_time) plus the cumulative
+        # end-of-leg times, extended lazily.
+        self._legs: list[list[tuple[np.ndarray, np.ndarray, float]]] = \
+            [[] for _ in range(count)]
+        self._leg_ends: list[list[float]] = [[] for _ in range(count)]
+        self._positions_cache: dict[int, np.ndarray] = {}
 
     @property
     def _coords(self) -> np.ndarray:
         """The bound initial coordinates (:meth:`_prepare` guarantees them)."""
         coords = self._coords0
-        assert coords is not None, "position mobility used before bind()"
+        assert coords is not None, "random_waypoint used before bind()"
         return coords
-
-    def positions_at(self, epoch: int) -> np.ndarray:
-        # Position models always move nodes; narrows the base class's
-        # ``np.ndarray | None`` for delivery_at below.
-        raise NotImplementedError
-
-    def delivery_at(self, epoch: int) -> np.ndarray:
-        delivery = self._delivery
-        if delivery is None or epoch != self._delivery_epoch:
-            coords = self.positions_at(epoch)
-            deltas = coords[:, None, :] - coords[None, :, :]
-            distance = np.sqrt((deltas ** 2).sum(axis=2))
-            delivery = margin_to_delivery(path_loss_margin_db(distance))
-            np.fill_diagonal(delivery, 0.0)
-            self._delivery = delivery
-            self._delivery_epoch = epoch
-        return delivery
-
-
-class RandomWaypoint(_PositionMobility):
-    """The classic random-waypoint model on the epoch grid.
-
-    Each node's trajectory is a sequence of *legs*: pick a uniform target
-    in the arena, travel there at a speed uniform in
-    ``[speed_min, speed_max]``, pause for ``pause_time``, repeat.  Leg k of
-    node i is drawn from ``default_rng((seed, stream, i, k))``, so the
-    whole trajectory — and hence every epoch realisation — is a pure
-    function of the seed.
-
-    Args:
-        epoch_length: seconds per epoch-grid step.
-        speed_min / speed_max: node speed range in m/s.
-        pause_time: dwell time at each waypoint, seconds.
-        area: side of a ``[0, area]`` square arena (default: the initial
-            positions' bounding box).
-        seed: mobility RNG stream seed (defaults to the cell seed).
-    """
-
-    kind = "random_waypoint"
-
-    def __init__(self, seed: int = 0, epoch_length: float = 1.0,
-                 speed_min: float = 0.5, speed_max: float = 2.0,
-                 pause_time: float = 0.0, area: float | None = None) -> None:
-        super().__init__(seed, epoch_length, area)
-        if not 0 < speed_min <= speed_max:
-            raise ValueError("need 0 < speed_min <= speed_max")
-        if not pause_time >= 0:
-            raise ValueError("pause_time must be non-negative")
-        self.speed_min = float(speed_min)
-        self.speed_max = float(speed_max)
-        self.pause_time = float(pause_time)
-
-    def _prepare(self) -> None:
-        super()._prepare()
-        count = self._coords.shape[0]
-        # Per-node leg lists: (p0, p1, travel_time) plus the cumulative
-        # end-of-leg times (travel + pause), extended lazily.
-        self._legs: list[list[tuple[np.ndarray, np.ndarray, float]]] = \
-            [[] for _ in range(count)]
-        self._leg_ends: list[list[float]] = [[] for _ in range(count)]
-        self._positions_cache: dict[int, np.ndarray] = {}
 
     def _extend_legs(self, node: int, until: float) -> None:
         legs = self._legs[node]
@@ -247,7 +206,7 @@ class RandomWaypoint(_PositionMobility):
             speed = rng.uniform(self.speed_min, self.speed_max)
             travel = float(np.linalg.norm(target - start)) / speed
             legs.append((start, target, travel))
-            ends.append((ends[-1] if ends else 0.0) + travel + self.pause_time)
+            ends.append((ends[-1] if ends else 0.0) + travel)
 
     def _node_position(self, node: int, t: float) -> np.ndarray:
         self._extend_legs(node, t)
@@ -270,60 +229,17 @@ class RandomWaypoint(_PositionMobility):
             cached = self._positions_cache[epoch] = coords
         return cached
 
-
-class RandomWalk(_PositionMobility):
-    """Reflected random walk: one uniform-direction step per node per epoch.
-
-    Every epoch each node moves ``speed * epoch_length`` metres (speed
-    uniform in ``[speed_min, speed_max]``) in a uniform-random direction,
-    reflecting off the arena bounds.  The step field of epoch k is drawn
-    from ``default_rng((seed, stream, k))`` for all nodes at once, so the
-    trajectory folds deterministically from epoch 0 whatever the query
-    order.
-
-    Args:
-        epoch_length: seconds per epoch-grid step.
-        speed_min / speed_max: node speed range in m/s.
-        area: side of a ``[0, area]`` square arena (default: the initial
-            positions' bounding box).
-        seed: mobility RNG stream seed (defaults to the cell seed).
-    """
-
-    kind = "random_walk"
-
-    def __init__(self, seed: int = 0, epoch_length: float = 1.0,
-                 speed_min: float = 0.2, speed_max: float = 1.5,
-                 area: float | None = None) -> None:
-        super().__init__(seed, epoch_length, area)
-        if not 0 <= speed_min <= speed_max:
-            raise ValueError("need 0 <= speed_min <= speed_max")
-        self.speed_min = float(speed_min)
-        self.speed_max = float(speed_max)
-
-    def _prepare(self) -> None:
-        super()._prepare()
-        self._trajectory: list[np.ndarray] = [self._coords.copy()]
-
-    def positions_at(self, epoch: int) -> np.ndarray:
-        trajectory = self._trajectory
-        while len(trajectory) <= epoch:
-            step_epoch = len(trajectory)
-            rng = np.random.default_rng((self.seed, _MOBILITY_STREAM, step_epoch))
-            count = self._coords.shape[0]
-            angle = rng.uniform(0.0, 2.0 * np.pi, size=count)
-            speed = rng.uniform(self.speed_min, self.speed_max, size=count)
-            step = (speed * self.epoch_length)[:, None] \
-                * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-            coords = trajectory[-1].copy()
-            moved = coords[:, :2] + step
-            # Reflect at the arena bounds (possibly more than once for
-            # steps longer than the arena — folded, not clamped).
-            span = self._high - self._low
-            folded = np.mod(moved - self._low, 2.0 * span)
-            coords[:, :2] = self._low + np.where(folded > span,
-                                                 2.0 * span - folded, folded)
-            trajectory.append(coords)
-        return trajectory[epoch]
+    def delivery_at(self, epoch: int) -> np.ndarray:
+        delivery = self._delivery
+        if delivery is None or epoch != self._delivery_epoch:
+            coords = self.positions_at(epoch)
+            deltas = coords[:, None, :] - coords[None, :, :]
+            distance = np.sqrt((deltas ** 2).sum(axis=2))
+            delivery = margin_to_delivery(path_loss_margin_db(distance))
+            np.fill_diagonal(delivery, 0.0)
+            self._delivery = delivery
+            self._delivery_epoch = epoch
+        return delivery
 
 
 class MarkovLinkChurn(MobilityModel):
@@ -342,16 +258,16 @@ class MarkovLinkChurn(MobilityModel):
         mean_up_time: mean sojourn in the up state, seconds.
         mean_down_time: mean sojourn in the down state, seconds.
         down_scale: delivery multiplier while a link is down (0 = outage).
-        symmetric: churn both directions of a link together (default), as
-            physical obstructions do.
         seed: mobility RNG stream seed (defaults to the cell seed).
+
+    Both directions of a link churn together, as physical obstructions do.
     """
 
     kind = "link_churn"
 
     def __init__(self, seed: int = 0, epoch_length: float = 1.0,
                  mean_up_time: float = 5.0, mean_down_time: float = 1.0,
-                 down_scale: float = 0.0, symmetric: bool = True) -> None:
+                 down_scale: float = 0.0) -> None:
         super().__init__(seed, epoch_length)
         if not (mean_up_time > 0 and mean_down_time > 0):
             raise ValueError("state sojourn times must be positive")
@@ -360,7 +276,6 @@ class MarkovLinkChurn(MobilityModel):
         self.mean_up_time = float(mean_up_time)
         self.mean_down_time = float(mean_down_time)
         self.down_scale = float(down_scale)
-        self.symmetric = bool(symmetric)
 
     def _uniform(self, epoch: int) -> np.ndarray:
         """Counter-based uniforms in [0, 1) for every link at one epoch."""
@@ -374,13 +289,10 @@ class MarkovLinkChurn(MobilityModel):
         count = self._bound_base().shape[0]
         grid_i, grid_j = np.meshgrid(np.arange(count), np.arange(count),
                                      indexing="ij")
-        if self.symmetric:
-            # Both directions of a pair share one chain (one link id).
-            pair_lo = np.minimum(grid_i, grid_j)
-            pair_hi = np.maximum(grid_i, grid_j)
-            self._link_ids = (pair_lo * count + pair_hi).astype(np.uint64)
-        else:
-            self._link_ids = (grid_i * count + grid_j).astype(np.uint64)
+        # Both directions of a pair share one chain (one link id).
+        pair_lo = np.minimum(grid_i, grid_j)
+        pair_hi = np.maximum(grid_i, grid_j)
+        self._link_ids = (pair_lo * count + pair_hi).astype(np.uint64)
         total = self.mean_up_time + self.mean_down_time
         self._p_up_stationary = self.mean_up_time / total
         self._p_drop = 1.0 - float(np.exp(-self.epoch_length / self.mean_up_time))
@@ -429,7 +341,6 @@ class MarkovLinkChurn(MobilityModel):
 #: Mobility models addressable from a :class:`MobilitySpec`.
 MOBILITY_MODELS: dict[str, type[MobilityModel]] = {
     RandomWaypoint.kind: RandomWaypoint,
-    RandomWalk.kind: RandomWalk,
     MarkovLinkChurn.kind: MarkovLinkChurn,
 }
 

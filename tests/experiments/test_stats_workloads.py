@@ -16,7 +16,6 @@ from repro.experiments.stats import (
     summarize,
 )
 from repro.experiments.workloads import (
-    challenged_pairs,
     multiflow_sets,
     random_pairs,
     reachable_pairs,
@@ -128,8 +127,3 @@ class TestWorkloads:
         topo = chain(1, link_delivery=0.9)
         with pytest.raises(ValueError):
             multiflow_sets(topo, flows_per_set=10, set_count=1)
-
-    def test_challenged_pairs_have_poor_direct_links(self, testbed):
-        pairs = challenged_pairs(testbed, 10, seed=3)
-        for source, destination in pairs:
-            assert testbed.delivery(source, destination) <= 0.2

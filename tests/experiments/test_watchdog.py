@@ -15,7 +15,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.experiments.refresh import FlowSupervisor, mask_dead_nodes, probe_flows
+from repro.experiments.refresh import (
+    FlowSupervisor,
+    LinkStateRefresher,
+    mask_dead_nodes,
+    probe_flows,
+)
 from repro.experiments.runner import Environment, RunConfig, start_flows
 from repro.sim.faults import FaultSpec
 from repro.sim.radio import SimConfig
@@ -145,3 +150,16 @@ class TestMaskDeadNodes:
         assert matrix[0, 2] == matrix[2, 0] == 0.5
         assert masked.node_positions() == topology.node_positions()
         assert [node.name for node in masked.nodes] == ["a", "b", "c"]
+
+    def test_control_view_masks_exactly_the_down_nodes(self):
+        """The refresh loop plans around a node while it is down, and sees it
+        again once it recovers."""
+        faults = FaultSpec("scheduled", {"downs": {1: [[0.1, 0.3]]}})
+        sim = Simulator(chain(3, link_delivery=0.9), SimConfig(seed=0, faults=faults))
+        refresher = LinkStateRefresher(sim, [], run_config(refresh_period=0.05))
+        sim.run(until=0.2)
+        view = refresher.control_view().delivery_matrix()
+        assert not view[1, :].any() and not view[:, 1].any()
+        assert view[2, 3] > 0.0
+        sim.run(until=0.4)
+        assert refresher.control_view().delivery_matrix()[0, 1] > 0.0

@@ -1,38 +1,56 @@
 """Channel models through the scenario layer: JSON, presets, CLI, parallel.
 
-Covers the acceptance criteria of the channel-subsystem refactor: all four
-channel models are selectable via ScenarioSpec JSON and the CLI, every
-channel preset replays deterministically at a fixed seed, and concurrent
-multiflow cells under a non-static (Gilbert-Elliott) channel are
-bit-identical between serial and parallel execution.
+Every channel model is selectable via ScenarioSpec JSON and the CLI, a
+preset runs every registered kind of every scenario section, every channel
+preset replays deterministically at a fixed seed, and concurrent multiflow
+cells under a non-static (Gilbert-Elliott) channel are bit-identical
+between serial and parallel execution.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
+import typing
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.experiments.orchestrator import run_sweep
 from repro.scenarios import (
+    WORKLOAD_KINDS,
     ChannelSpec,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
     build_topology,
     get_preset,
+    list_presets,
     run_cell,
 )
 from repro.sim.channels import CHANNEL_MODELS, build_channel_model
+from repro.sim.faults import FAULT_MODELS
+from repro.topology.mobility import MOBILITY_MODELS
 
-#: One registered preset per channel model kind.
-CHANNEL_PRESETS = {
-    "static": "chain_smoke",
-    "gilbert_elliott": "bursty_chain",
-    "distance_fading": "fading_grid",
-    "trace": "trace_random_geometric",
+_REPO = Path(__file__).resolve().parents[2]
+
+#: Every kind a scenario section can name, by section.
+REGISTRIES = {
+    "channel": tuple(CHANNEL_MODELS),
+    "mobility": tuple(MOBILITY_MODELS),
+    "faults": tuple(FAULT_MODELS),
+    "workload": WORKLOAD_KINDS,
 }
+
+#: The kinds no preset runs, and the test file that runs each instead.
+FIXTURE_KINDS = {("faults", "scheduled"): "tests/experiments/test_watchdog.py"}
+
+
+def _preset_using(section: str, kind: str) -> str | None:
+    """The first registered preset (by name) whose ``section`` is ``kind``."""
+    return next((spec.name for spec in list_presets()
+                 if getattr(spec, section).kind == kind), None)
 
 
 def _shrink(spec: ScenarioSpec) -> ScenarioSpec:
@@ -48,12 +66,11 @@ def _shrink(spec: ScenarioSpec) -> ScenarioSpec:
 class TestSpecIntegration:
     def test_every_kind_selectable_via_json(self):
         for kind in sorted(CHANNEL_MODELS):
-            params = {"series": {"0-1": [0.5]}} if kind == "trace" else {}
             spec = ScenarioSpec(
                 name=f"json_{kind}",
                 topology=TopologySpec("chain", {"hops": 3}),
                 workload=WorkloadSpec("explicit", {"pairs": [[0, 3]]}),
-                channel=ChannelSpec(kind, params),
+                channel=ChannelSpec(kind),
             )
             clone = ScenarioSpec.from_json(spec.to_json())
             assert clone.channel == spec.channel
@@ -109,25 +126,53 @@ class TestSpecIntegration:
         assert not hasattr(spec.run_config(seed=3), "channel")
 
     def test_build_channel_dispatch(self):
-        spec = get_preset("fading_grid")
+        spec = get_preset("bursty_chain")
         topology = build_topology(spec.topology)
         model = build_channel_model(spec.channel, seed=5)
         model.bind(topology)
-        assert model.kind == "distance_fading"
+        assert model.kind == "gilbert_elliott"
         assert model.seed == 5
         assert model.delivery_row(0, 0.0, 0.002).shape == (topology.node_count,)
 
 
-class TestChannelPresets:
-    def test_one_preset_per_model(self):
-        assert set(CHANNEL_PRESETS) == set(CHANNEL_MODELS)
-        for kind, name in CHANNEL_PRESETS.items():
-            assert get_preset(name).channel.kind == kind
+@pytest.mark.parametrize("model", [model for registry in
+                                   (CHANNEL_MODELS, MOBILITY_MODELS, FAULT_MODELS)
+                                   for model in registry.values()],
+                         ids=lambda model: model.kind)
+def test_model_constructor_type_hints_resolve(model):
+    """A constructor annotation naming an unimported type is a NameError here."""
+    assert "seed" in typing.get_type_hints(model.__init__)
 
-    @pytest.mark.parametrize("kind", sorted(CHANNEL_PRESETS))
+
+@pytest.mark.parametrize("module,name", [
+    ("repro.sim.channels", "DistanceFading"),
+    ("repro.sim.channels", "TraceDriven"),
+    ("repro.topology.mobility", "RandomWalk"),
+    ("repro.sim.faults", "AckBlackout"),
+    ("repro.sim.faults", "ControlSilence"),
+    ("repro.experiments.workloads", "challenged_pairs"),
+])
+def test_deleted_model_does_not_import(module, name):
+    """A deleted kind leaves no class, alias or shim behind."""
+    assert not hasattr(importlib.import_module(module), name)
+
+
+class TestChannelPresets:
+    @pytest.mark.parametrize("section", sorted(REGISTRIES))
+    def test_one_preset_per_model(self, section):
+        """A kind no preset, claim or fixture runs is dead code: the table
+        cannot regrow one unseen."""
+        for kind in REGISTRIES[section]:
+            fixture = FIXTURE_KINDS.get((section, kind))
+            if fixture is None:
+                assert _preset_using(section, kind), f"no preset runs {section} {kind!r}"
+            else:
+                assert f'"{kind}"' in (_REPO / fixture).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("kind", sorted(CHANNEL_MODELS))
     def test_preset_runs_and_replays_deterministically(self, kind):
         """Same seed, same cell: byte-identical results on a re-run."""
-        spec = _shrink(get_preset(CHANNEL_PRESETS[kind]))
+        spec = _shrink(get_preset(_preset_using("channel", kind)))
         cell = spec.expand()[0]
         first = run_cell(cell)
         again = run_cell(spec.expand()[0])
@@ -191,13 +236,15 @@ class TestCli:
         assert payload["cells"][0]["series"]["MORE"]
 
     def test_channel_flag_composes_with_set_params(self, capsys):
-        """--channel KIND then --set channel.<param> lands on the new model."""
-        assert main(["show", "--preset", "chain_smoke",
-                     "--channel", "distance_fading",
-                     "--set", "channel.coherence_time=0.25"]) == 0
+        """--channel KIND then --set channel.<param> lands on the model; the
+        preset's own kind keeps its params."""
+        assert main(["show", "--preset", "bursty_chain",
+                     "--channel", "gilbert_elliott",
+                     "--set", "channel.mean_bad_time=0.25"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["channel"] == {"kind": "distance_fading",
-                                   "params": {"coherence_time": 0.25}}
+        assert data["channel"] == {"kind": "gilbert_elliott",
+                                   "params": {"bad_scale": 0.2, "mean_good_time": 0.5,
+                                              "mean_bad_time": 0.25}}
 
     def test_run_with_channel_flag(self, capsys, tmp_path):
         assert main(["run", "--preset", "chain_smoke", "--no-cache",

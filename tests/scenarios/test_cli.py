@@ -32,10 +32,22 @@ def repro_cli(*args: str, cwd: Path | None = None) -> subprocess.CompletedProces
 
 
 def test_list_names_every_figure_preset():
+    """The ``claims`` column counts the ``FIGURES`` claims of every row run on
+    a preset: both views of ``fig_4_2``, and ``-`` where no claim exists yet."""
     proc = repro_cli("list")
     assert proc.returncode == 0, proc.stderr
     for name in ("fig_4_2", "fig_4_5", "fig_4_7", "fig_5_1", "chain_smoke"):
         assert name in proc.stdout
+    header, *lines = proc.stdout.splitlines()
+    assert header.split()[:4] == ["name", "mode", "cells", "claims"]
+    claims = {line.split()[0]: line.split()[3] for line in lines}
+    assert claims["fig_4_2"] == str(len(FIGURES["figure_4_2"].claims)
+                                    + len(FIGURES["figure_4_3"].claims)) == "6"
+    assert claims["fig_4_7"] == "1"
+    for name in ("stale_state_sweep", "mobile_mesh", "churn_chain", "crash_recover_sweep",
+                 "node_churn_mesh", "kilonode_relays", "kilonode_bitrate", "bursty_chain",
+                 "multiflow_bursty", "chain_smoke"):
+        assert claims[name] == "-"
 
 
 def test_show_emits_a_loadable_spec():
@@ -127,8 +139,9 @@ def test_removed_cli_flag_is_an_argparse_error(tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    ("show", "--preset", "grid_5x5", "--set", 'protocols=["Bogus"]'),
-    ("run", "--preset", "grid_5x5", "--no-cache", "--set", 'protocols=["MORE","Bogus"]'),
+    ("show", "--preset", "random_geometric_16", "--set", 'protocols=["Bogus"]'),
+    ("run", "--preset", "random_geometric_16", "--no-cache",
+     "--set", 'protocols=["MORE","Bogus"]'),
     ("run", "--preset", "chain_smoke", "--no-cache", "--set", "protocols=Bogus"),
     # Default worker count: caught while the sweep expands, before any worker starts.
     ("sweep", "--preset", "chain_smoke", "--no-cache", "--axis", "protocols=MORE,Bogus"),
@@ -235,8 +248,8 @@ def test_out_of_range_run_value_is_a_one_line_error(field, value, capsys, tmp_pa
     ("fig_5_1", "topology.node_count=1", "node_count must be at least 2"),
     ("random_geometric_16", "topology.node_count=1",
      "'random_geometric': node_count must be at least 2"),
-    ("grid_5x5", "topology.rows=0", "'grid': rows must be at least 1"),
-    ("grid_5x5", "topology.cols=-1", "cols must be at least 1"),
+    ("multiflow_grid", "topology.rows=0", "'grid': rows must be at least 1"),
+    ("multiflow_grid", "topology.cols=-1", "cols must be at least 1"),
 ])
 def test_out_of_range_section_value_is_a_one_line_error(preset, override, message,
                                                         capsys):
@@ -251,17 +264,9 @@ def test_out_of_range_section_value_is_a_one_line_error(preset, override, messag
 
 
 @pytest.mark.parametrize("preset,override,message", [
-    # Ran to completion: delivery "probabilities" scaled sevenfold / capped at 5.
-    ("bursty_chain", "channel.good_scale=7",
-     "channel 'gilbert_elliott': need 0 <= bad_scale <= good_scale <= 1"),
-    ("fading_grid", "channel.max_delivery=5",
-     "channel 'distance_fading': max_delivery must be in (0, 1]"),
-    ("fading_grid", "channel.max_delivery=0", "max_delivery must be in (0, 1]"),
-    # A numpy divide-by-zero warning and a run over NaN margins, or no error at all.
-    ("fading_grid", "channel.path_loss_exponent=0", "path_loss_exponent must be positive"),
-    ("fading_grid", "channel.reference_distance=-1", "reference_distance must be positive"),
-    ("fading_grid", "channel.logistic_scale=0", "logistic_scale must be positive"),
-    ("fading_grid", "channel.shadowing_sigma_db=-1", "shadowing_sigma_db must be non-negative"),
+    # Ran to completion: delivery "probabilities" scaled sevenfold.
+    ("bursty_chain", "channel.bad_scale=7",
+     "channel 'gilbert_elliott': need 0 <= bad_scale <= 1"),
     # Rejected before, as bare text naming neither section nor kind.
     ("bursty_chain", "channel.mean_good_time=0",
      "channel 'gilbert_elliott': state sojourn times must be positive"),
@@ -272,7 +277,6 @@ def test_out_of_range_section_value_is_a_one_line_error(preset, override, messag
     # NaN is neither positive nor ``<= 0``: it passed every such check.
     ("node_churn_mesh", "faults.mean_uptime=NaN", "holding-time means must be positive"),
     ("bursty_chain", "channel.mean_bad_time=NaN", "state sojourn times must be positive"),
-    ("fading_grid", "channel.coherence_time=NaN", "coherence_time must be positive"),
 ])
 def test_out_of_range_model_value_is_a_one_line_error(preset, override, message, capsys,
                                                       deadline):
@@ -287,6 +291,53 @@ def test_out_of_range_model_value_is_a_one_line_error(preset, override, message,
     line = _one_line_error(capsys, "sweep", "--preset", preset, "--no-cache",
                            "--axis", f"{override},-3")
     assert message in line
+
+
+@pytest.mark.parametrize("section,kind,word", [
+    ("channel", "distance_fading", "channel"),
+    ("channel", "trace", "channel"),
+    ("mobility", "random_walk", "mobility"),
+    ("faults", "ack_blackout", "fault"),
+    ("faults", "control_silence", "fault"),
+])
+def test_deleted_model_kind_is_an_unknown_kind(section, kind, word, capsys):
+    """No alias survives a deleted kind: it is the one-line unknown-kind error."""
+    line = _one_line_error(capsys, "run", "--preset", "chain_smoke", "--no-cache",
+                           f"--{section}", kind)
+    assert f"unknown {word} kind {kind!r}; expected one of (" in line
+
+
+def test_workload_kind_error_names_the_plain_pair_kinds(capsys):
+    line = _one_line_error(capsys, "run", "--preset", "chain_smoke", "--no-cache",
+                           "--set", "workload.kind=challenged")
+    assert "workload kind 'challenged' does not describe plain pairs" in line
+    assert "('random_pairs', 'spatial_reuse', 'explicit')" in line
+    assert "multiflow" not in line
+
+
+@pytest.mark.parametrize("preset", ["chain_batch_sweep", "multiflow_scale", "grid_5x5",
+                                    "fading_grid", "trace_random_geometric"])
+def test_deleted_preset_is_an_unknown_preset(preset):
+    """The message as the interpreter prints it, with exit status 1."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--preset", preset, "--no-cache"])
+    (line,) = str(exit_info.value.code).splitlines()
+    assert line.startswith(f"repro: error: unknown preset {preset!r}; ")
+
+
+@pytest.mark.parametrize("preset,override,model", [
+    ("bursty_chain", "channel.good_scale=1", "GilbertElliott"),
+    ("mobile_mesh", "mobility.pause_time=0", "RandomWaypoint"),
+    ("churn_chain", "mobility.symmetric=true", "MarkovLinkChurn"),
+    ("node_churn_mesh", "faults.nodes=[1]", "CrashRecover"),
+])
+def test_fixed_model_parameter_is_a_bad_parameter(preset, override, model, capsys):
+    """A parameter fixed at its old default is an unknown keyword, not ignored."""
+    line = _one_line_error(capsys, "run", "--preset", preset, "--no-cache",
+                           "--set", override)
+    name = override.partition(".")[2].partition("=")[0]
+    assert f"bad parameter for {override.partition('.')[0]} " in line
+    assert f"{model}.__init__() got an unexpected keyword argument {name!r}" in line
 
 
 def test_run_without_spec_or_preset_fails():

@@ -66,7 +66,7 @@ class TestSpecIntegration:
             name="json_mobility",
             topology=TopologySpec("grid", {"rows": 3, "cols": 3}),
             workload=WorkloadSpec("explicit", {"pairs": [[0, 8]]}),
-            mobility=MobilitySpec("random_walk", {"speed_max": 3.0}),
+            mobility=MobilitySpec("random_waypoint", {"speed_max": 3.0}),
             run={"refresh_period": 2.0},
         )
         clone = ScenarioSpec.from_json(spec.to_json())

@@ -24,7 +24,7 @@ FIGURE_PRESETS = ("fig_4_2", "fig_4_4", "fig_4_5", "fig_4_6", "fig_4_7", "fig_5_
 def test_registry_contains_paper_figures():
     names = {spec.name for spec in list_presets()}
     assert set(FIGURE_PRESETS) <= names
-    assert {"chain_smoke", "grid_5x5", "random_geometric_16"} <= names
+    assert {"chain_smoke", "multiflow_grid", "random_geometric_16"} <= names
 
 
 def test_preset_schema_digest():
@@ -41,8 +41,8 @@ def test_preset_schema_digest():
         for cell in spec.expand():
             digest.update(cell.key().encode())
             cells += 1
-    assert (len(presets), cells) == (26, 48)
-    assert digest.hexdigest()[:16] == "7fe520854f947054"
+    assert (len(presets), cells) == (21, 40)
+    assert digest.hexdigest()[:16] == "f0e4fc0bb37c3ed0"
 
 
 def test_get_preset_unknown_name():

@@ -8,8 +8,6 @@ import pytest
 from repro.protocols.base import ProtocolAgent
 from repro.sim.faults import (
     FAULT_KINDS,
-    AckBlackout,
-    ControlSilence,
     CrashRecover,
     FaultSpec,
     ScheduledOutages,
@@ -63,8 +61,7 @@ class TestBuildFaultModel:
         assert model.seed == 4
 
     def test_every_kind_is_registered(self):
-        assert FAULT_KINDS == ("none", "ack_blackout", "control_silence",
-                               "crash_recover", "scheduled")
+        assert FAULT_KINDS == ("none", "crash_recover", "scheduled")
 
 
 class TestScheduledOutages:
@@ -116,42 +113,15 @@ class TestCrashRecover:
         other = CrashRecover(seed=2)
         assert model.next_transition(0, 0.0) != other.next_transition(0, 0.0)
 
-    def test_protect_and_nodes_restrict_the_process(self):
-        model = CrashRecover(nodes=[1, 2], protect=[2], seed=1)
-        assert model.next_transition(0, 0.0) is None  # not in nodes
-        assert model.next_transition(2, 0.0) is None  # protected
+    def test_protect_exempts_nodes_from_the_process(self):
+        model = CrashRecover(protect=[0, 2], seed=1)
+        assert model.next_transition(0, 0.0) is None  # protected
+        assert model.next_transition(2, 0.0) is None
         assert model.next_transition(1, 0.0) is not None
 
     def test_rejects_nonpositive_means(self):
         with pytest.raises(ValueError, match="positive"):
             CrashRecover(mean_uptime=0.0)
-
-
-class TestAckBlackout:
-    def test_window_arithmetic(self):
-        model = AckBlackout(period=10.0, duration=2.0, offset=1.0)
-        assert not model.ack_blackout(0.5)  # before the first window
-        assert model.ack_blackout(1.0)
-        assert model.ack_blackout(2.9)
-        assert not model.ack_blackout(3.0)
-        assert model.ack_blackout(11.5)  # second period
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="period"):
-            AckBlackout(period=0.0)
-        with pytest.raises(ValueError, match="duration"):
-            AckBlackout(period=1.0, duration=2.0)
-
-
-class TestControlSilence:
-    def test_silent_from_start_time(self):
-        model = ControlSilence(nodes=[3, 5], start=2.0)
-        assert model.control_silent_nodes(1.9) == frozenset()
-        assert model.control_silent_nodes(2.0) == frozenset({3, 5})
-
-    def test_rejects_negative_start(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            ControlSilence(start=-1.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -229,18 +199,13 @@ class TestFaultInjector:
         assert sim.faults.recoveries == 1
         assert sim.faults.down_nodes() == frozenset()
 
-    def test_ack_blackout_drops_only_batch_acks(self):
-        sim, _ = chatty_sim(FaultSpec("ack_blackout",
-                                      {"period": 10.0, "duration": 10.0}))
-        ack = Frame(sender=0, receiver=1, kind=FrameKind.BATCH_ACK,
-                    flow_id=1, size_bytes=60)
-        data = Frame(sender=0, receiver=BROADCAST, kind=FrameKind.DATA,
-                     flow_id=1, size_bytes=60)
-        assert sim.faults.filter_receivers(ack, [1], now=1.0) == []
-        assert sim.faults.filter_receivers(data, [1], now=1.0) == [1]
-
-    def test_control_dead_merges_crashes_and_silence(self):
-        sim, _ = chatty_sim(FaultSpec("control_silence", {"nodes": [1]}),
+    @pytest.mark.parametrize("kind", list(FrameKind), ids=lambda kind: kind.value)
+    def test_only_down_radios_filter_a_frame_of_any_kind(self, kind):
+        """No frame kind is dropped on its own: a live sender reaches every
+        live receiver, and a down sender reaches no one."""
+        sim, _ = chatty_sim(FaultSpec("scheduled", {"downs": {2: [[0.0, 10.0]]}}),
                             node_count=3)
-        assert sim.faults.control_dead(0.0) == frozenset({1})
-        assert sim.faults.down_nodes() == frozenset()  # data plane alive
+        frame = Frame(sender=0, receiver=BROADCAST, kind=kind, flow_id=1, size_bytes=60)
+        assert sim.faults.filter_receivers(frame, [1, 2]) == [1]
+        dead = Frame(sender=2, receiver=BROADCAST, kind=kind, flow_id=1, size_bytes=60)
+        assert sim.faults.filter_receivers(dead, [0, 1]) == []

@@ -108,27 +108,9 @@ class TestRandomWaypoint:
         with pytest.raises(ValueError):
             RandomWaypoint(speed_min=0.0)
         with pytest.raises(ValueError):
-            RandomWaypoint(pause_time=-1.0)
+            RandomWaypoint(area=0.0)
         with pytest.raises(ValueError):
             RandomWaypoint(epoch_length=0.0)
-
-
-class TestRandomWalk:
-    def test_step_size_bounded_by_speed(self):
-        model = _bound("random_walk", speed_min=1.0, speed_max=2.0,
-                       epoch_length=0.5)
-        a = model.positions_at(3)[:, :2]
-        b = model.positions_at(4)[:, :2]
-        step = np.linalg.norm(b - a, axis=1)
-        # Reflection can only shorten the displacement, never lengthen it.
-        assert step.max() <= 2.0 * 0.5 + 1e-9
-
-    def test_reflection_keeps_nodes_in_arena(self):
-        model = _bound("random_walk", speed_min=30.0, speed_max=60.0,
-                       epoch_length=1.0, area=80.0)
-        for epoch in range(8):
-            coords = model.positions_at(epoch)[:, :2]
-            assert coords.min() >= -1e-9 and coords.max() <= 80.0 + 1e-9
 
 
 class TestMarkovLinkChurn:
