@@ -82,8 +82,8 @@ def mask_dead_nodes(topology: Topology, dead: frozenset[int]) -> Topology:
     indices = sorted(dead)
     delivery[indices, :] = 0.0
     delivery[:, indices] = 0.0
-    return Topology(delivery, positions=topology.node_positions(),
-                    names=[node.name for node in topology.nodes])
+    return Topology.from_owned(delivery, positions=topology.node_positions(),
+                               names=[node.name for node in topology.nodes])
 
 
 def probe_flows(sim: "Simulator") -> dict[int, dict]:

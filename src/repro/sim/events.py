@@ -108,10 +108,11 @@ class EventQueue:
     def schedule_callback(self, delay: float, callback: Callable[[], None]) -> None:
         """Fire-and-forget :meth:`schedule`: no cancel handle is created.
 
-        The MAC's completion/turnaround events never cancel, so the hot
-        path skips materialising an :class:`EventHandle` per event; the
-        callback itself rides in the heap tuple.  Dispatch order is
-        unchanged (same ``(time, sequence)`` key space).
+        The MAC's contention, completion and turnaround events never
+        cancel, so the hot path skips materialising an
+        :class:`EventHandle` per event; the callback itself rides in the
+        heap tuple.  Dispatch order is unchanged (same ``(time,
+        sequence)`` key space).
         """
         if delay < 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay})")
@@ -252,9 +253,11 @@ def pump_timer_workload(queue: EventQueue,
 
     ``timers`` self-rescheduling timers with co-prime periods model the MAC
     retransmission/backoff traffic of a busy mesh; every ``cancel_every``-th
-    firing additionally schedules a watchdog and immediately cancels it
-    (the dominant handle pattern of the CSMA MAC), exercising lazy
-    cancellation and compaction.  The returned digest pins the dispatched
+    firing additionally schedules a watchdog and immediately cancels it (a
+    timeout armed and then disarmed), exercising the handle path, lazy
+    cancellation and compaction.  The CSMA MAC itself schedules without
+    handles (:meth:`EventQueue.schedule_callback`); this load is what a
+    caller that does cancel pays.  The returned digest pins the dispatched
     sequence (``tests/sim/test_events.py`` holds it to a committed value).
     """
     fired = 0
@@ -272,7 +275,7 @@ def pump_timer_workload(queue: EventQueue,
                 if fired % cancel_every == 0:
                     watchdog = queue.schedule(period * 2.0, tick)
                     watchdog.cancel()
-                    _ = handle  # keep the live handle pattern of the MAC
+                    _ = handle  # the live timer keeps its handle
         return tick
 
     for index in range(timers):

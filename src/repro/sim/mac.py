@@ -85,7 +85,6 @@ class CsmaMac:
         self.stats = MacStats()
         self._current_frame: Frame | None = None
         self._attempt = 0
-        self._pending_handle = None
         self._inflight: Transmission | None = None
         self._finish_success = False
         # Per-attempt contention windows and PHY timing constants, so that
@@ -124,10 +123,17 @@ class CsmaMac:
     # Channel access
     # ------------------------------------------------------------------ #
 
-    def _start_contention(self, now: float | None = None) -> None:
+    def _start_contention(self, now: float | None = None,
+                          horizon: float | None = None) -> None:
         """Schedule the next transmission attempt respecting carrier sense:
         DIFS plus a random backoff drawn from the current contention window,
-        after the medium (as sensed here) goes idle."""
+        after the medium (as sensed here) goes idle.
+
+        A caller that has just sensed the medium at ``now`` passes what it
+        found as ``horizon`` (:meth:`WirelessMedium.busy_horizon`), so a
+        deferral scans the air once.  The attempt is never cancelled, so it
+        is scheduled without a handle.
+        """
         self.state = MacState.CONTENDING
         events = self.events
         if now is None:
@@ -138,14 +144,14 @@ class CsmaMac:
         window = self._windows[attempt] if attempt < self._window_count \
             else self.phy.contention_window(attempt)
         delay = self._difs + int(self._draw_slots(0, window + 1)) * self._slot_time
-        horizon = self.medium.busy_horizon(self.node_id, now)
+        if horizon is None:
+            horizon = self.medium.busy_horizon(self.node_id, now)
         if horizon > now:
             delay += horizon - now
-        self._pending_handle = events.schedule(delay, self._attempt_transmission)
+        events.schedule_callback(delay, self._attempt_transmission)
 
     def _attempt_transmission(self) -> None:
         """Fire when the backoff expires: transmit if the medium is still idle."""
-        self._pending_handle = None
         now = self.events.now
         if self.faults is not None and self.faults.down(self.node_id):
             # Crashed during backoff/turnaround: the NIC forgets the frame
@@ -157,9 +163,10 @@ class CsmaMac:
             else:
                 self.state = MacState.IDLE
             return
-        if self.medium.is_busy(self.node_id, now):
+        horizon = self.medium.busy_horizon(self.node_id, now)
+        if horizon > now:
             # Someone grabbed the channel during our backoff; defer again.
-            self._start_contention(now)
+            self._start_contention(now, horizon)
             return
         frame = self._current_frame
         if frame is None:
@@ -235,14 +242,6 @@ class CsmaMac:
 
     def _finish_frame(self, frame: Frame, success: bool) -> None:
         """Report the outcome to the agent and look for more work."""
-        # Drop the contention handle of the finished frame: leaving it in
-        # place leaked a stale (already-fired or superseded) handle across
-        # frames, pinning the old event alive and inviting a stale cancel
-        # to be confused with the next frame's contention.
-        handle = self._pending_handle
-        if handle is not None:
-            handle.cancel()
-            self._pending_handle = None
         frame.mac_attempts = self._attempt
         self._current_frame = None
         self._attempt = 0

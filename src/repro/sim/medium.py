@@ -36,6 +36,7 @@ built on that sender's first use from its own row and column
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -135,7 +136,7 @@ class WirelessMedium:
         # Bound draw method: complete() runs once per frame.
         self._random = rng.random
         self._active: list[Transmission] = []
-        self._history: list[Transmission] = []
+        self._history: deque[Transmission] = deque()
         #: Static channel: the per-sender resolution caches apply.
         self._static = type(self.model) is StaticBernoulli
         self._max_airtime = 0.0
@@ -226,8 +227,8 @@ class WirelessMedium:
         else:
             positions = [tuple(float(value) for value in row) for row in coords]
         names = [node.name for node in self.topology.nodes]
-        return Topology(np.clip(delivery, 0.0, 1.0), positions=positions,
-                        names=names)
+        return Topology.from_owned(np.clip(delivery, 0.0, 1.0), positions=positions,
+                                   names=names)
 
     @staticmethod
     def _build_sense_matrix(delivery: np.ndarray, channel: ChannelConfig) -> np.ndarray:
@@ -253,7 +254,6 @@ class WirelessMedium:
 
     def is_busy(self, node: int, now: float) -> bool:
         """Carrier-sense outcome at ``node``: True if any audible frame is in the air."""
-        self._expire(now)
         sense = self._sense_rows
         for transmission in self._active:
             if transmission.end <= now:
@@ -267,7 +267,6 @@ class WirelessMedium:
 
     def busy_until(self, node: int, now: float) -> float:
         """Time at which the medium (as sensed by ``node``) becomes idle."""
-        self._expire(now)
         latest = now
         sense = self._sense_rows
         for transmission in self._active:
@@ -283,9 +282,8 @@ class WirelessMedium:
 
         Returns ``now`` when the medium is idle as sensed by ``node``,
         otherwise the time the last audible transmission ends — saving the
-        MAC a second scan (and a second expiry pass) per contention.
+        MAC a second scan per contention.
         """
-        self._expire(now)
         latest = now
         sense_rows = self._sense_rows
         for transmission in self._active:
@@ -309,7 +307,6 @@ class WirelessMedium:
         """Register the start of a transmission; returns its record."""
         if self._dynamic:
             self._advance_epoch(now)
-        self._expire(now)
         transmission = Transmission(frame=frame, start=now, end=now + airtime, bitrate=bitrate)
         self._active.append(transmission)
         self.transmissions += 1
@@ -329,13 +326,10 @@ class WirelessMedium:
         # medium held when it went on the air (or newer, if a later frame
         # began meanwhile).
         sender = transmission.frame.sender
-        prune = False
         # Gather overlapping transmissions without concatenating the
         # active and history lists (the order — active first, then
         # history — is load-bearing: capture draws consume RNG state in
-        # list order), comparing the interval bounds inline.  The same
-        # history scan notes whether anything has aged out, so the
-        # history is rebuilt only when that will remove something.
+        # list order), comparing the interval bounds inline.
         start = transmission.start
         end = transmission.end
         # Any transmission still able to complete started no earlier than
@@ -347,18 +341,20 @@ class WirelessMedium:
         horizon = self.channel.history_horizon
         if horizon < self._max_airtime:
             horizon = self._max_airtime
+        # Frames complete in time order, so the history's ends never
+        # decrease and what has aged out is a prefix.
         cutoff = now - horizon
+        history = self._history
+        while history and history[0].end < cutoff:
+            history.popleft()
         overlapping: list[Transmission] = []
         for other in self._active:
             if other is not transmission \
                     and start < other.end and other.start < end:
                 overlapping.append(other)
-        for other in self._history:
-            other_end = other.end
-            if other_end < cutoff:
-                prune = True
-            elif other is not transmission \
-                    and start < other_end and other.start < end:
+        for other in history:
+            if other is not transmission \
+                    and start < other.end and other.start < end:
                 overlapping.append(other)
         receivers = None
         if self._static:
@@ -395,9 +391,7 @@ class WirelessMedium:
             self._active.remove(transmission)
         except ValueError:
             pass
-        self._history.append(transmission)
-        if prune:
-            self._history = [t for t in self._history if t.end >= cutoff]
+        history.append(transmission)
         return receivers
 
     def _resolve_static_pair(self, sender: int, interferer: int) -> list[int] | None:
@@ -519,23 +513,3 @@ class WirelessMedium:
                     continue
             return True
         return False
-
-    # ------------------------------------------------------------------ #
-    # Housekeeping
-    # ------------------------------------------------------------------ #
-
-    def _expire(self, now: float) -> None:
-        """Move finished transmissions that were never completed explicitly."""
-        active = self._active
-        for transmission in active:
-            if transmission.end <= now and transmission.receivers:
-                break
-        else:
-            return  # nothing to move (the common case): no list churn
-        still_active = []
-        for transmission in active:
-            if transmission.end <= now and transmission.receivers:
-                self._history.append(transmission)
-            else:
-                still_active.append(transmission)
-        self._active = still_active

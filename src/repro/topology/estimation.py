@@ -79,23 +79,22 @@ def probe_estimated_topology(topology: Topology,
 
 def _estimate(topology: Topology, optimism_exponent: float, probe_count: int,
               seed: int | tuple[int, ...]) -> Topology:
-    true_delivery = topology.delivery_view()
-    # Only the links that exist are exponentiated and probed; a zero link
-    # stays zero and (binomial draws nothing at p = 0) takes no randomness,
-    # so the stream is that of probing the whole matrix in row-major order.
-    links = np.nonzero(true_delivery)
-    probe_delivery = true_delivery[links] ** optimism_exponent
+    # One N×N array and no temporary of that size: a zero link stays zero
+    # under the positive exponent, and a link stays non-zero.
+    estimated = topology.delivery_view() ** optimism_exponent
     if probe_count > 0:
+        # Only the links that exist are probed; a zero link takes no
+        # randomness (binomial draws nothing at p = 0), so the stream is
+        # that of probing the whole matrix in row-major order.
+        links = estimated > 0.0
         rng = np.random.default_rng(seed)
-        probe_delivery = rng.binomial(probe_count, probe_delivery) / probe_count
-    estimated = np.zeros_like(true_delivery)
-    estimated[links] = probe_delivery
+        estimated[links] = rng.binomial(probe_count, estimated[links]) / probe_count
     # Carry positions iff every node has one (an explicit all-nodes check:
     # truthiness of node 0's position alone silently dropped coordinates,
     # which the mobility layer depends on surviving estimation).
     positions = topology.node_positions()
     names = [node.name for node in topology.nodes]
-    return Topology(estimated, positions=positions, names=names)
+    return Topology.from_owned(estimated, positions=positions, names=names)
 
 
 def perfect_estimates(topology: Topology) -> Topology:

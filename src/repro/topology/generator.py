@@ -157,7 +157,7 @@ def indoor_testbed(node_count: int = 20, floors: int = 3, floor_width: float = 9
         z = floor * 4.0
         positions.append((float(x), float(y), float(z)))
 
-    topology = Topology(_pairwise_delivery(positions, rng), positions=positions)
+    topology = Topology.from_owned(_pairwise_delivery(positions, rng), positions=positions)
     _ensure_connected(topology, positions, rng)
     return topology
 
@@ -215,7 +215,7 @@ def random_geometric(node_count: int = 16, area: float = 120.0, seed: int = 0) -
     rng = np.random.default_rng(seed)
     positions = [(float(rng.uniform(0.0, area)), float(rng.uniform(0.0, area)), 0.0)
                  for _ in range(node_count)]
-    topology = Topology(_pairwise_delivery(positions, rng), positions=positions)
+    topology = Topology.from_owned(_pairwise_delivery(positions, rng), positions=positions)
     _ensure_connected(topology, positions, rng)
     return topology
 
@@ -231,7 +231,7 @@ def two_hop_relay(source_to_relay: float = 1.0, relay_to_destination: float = 1.
     delivery[0, 1] = delivery[1, 0] = source_to_relay
     delivery[1, 2] = delivery[2, 1] = relay_to_destination
     delivery[0, 2] = delivery[2, 0] = source_to_destination
-    return Topology(delivery, names=["src", "R", "dst"])
+    return Topology.from_owned(delivery, names=["src", "R", "dst"])
 
 
 def chain(hops: int, link_delivery: float = 0.8, skip_delivery: float = 0.0) -> Topology:
@@ -250,7 +250,7 @@ def chain(hops: int, link_delivery: float = 0.8, skip_delivery: float = 0.0) -> 
     if skip_delivery > 0:
         for i in range(count - 2):
             delivery[i, i + 2] = delivery[i + 2, i] = skip_delivery
-    return Topology(delivery)
+    return Topology.from_owned(delivery)
 
 
 def diamond(source_to_relays: float = 0.5, relays_to_destination: float = 0.5,
@@ -270,7 +270,7 @@ def diamond(source_to_relays: float = 0.5, relays_to_destination: float = 0.5,
         delivery[relay, destination] = delivery[destination, relay] = relays_to_destination
     if direct > 0:
         delivery[0, destination] = delivery[destination, 0] = direct
-    return Topology(delivery)
+    return Topology.from_owned(delivery)
 
 
 def grid(rows: int, cols: int, link_delivery: float = 0.7,
@@ -300,7 +300,7 @@ def grid(rows: int, cols: int, link_delivery: float = 0.7,
             if diagonal_delivery > 0 and c > 0 and r + 1 < rows:
                 diag = node + cols - 1
                 delivery[node, diag] = delivery[diag, node] = diagonal_delivery
-    return Topology(delivery, positions=positions)
+    return Topology.from_owned(delivery, positions=positions)
 
 
 def random_mesh(node_count: int, density: float = 0.4, seed: int = 0,
@@ -318,7 +318,7 @@ def random_mesh(node_count: int, density: float = 0.4, seed: int = 0,
                 if rng.random() < density:
                     quality = rng.uniform(min_delivery, max_delivery)
                     delivery[i, j] = delivery[j, i] = quality
-        topology = Topology(delivery)
+        topology = Topology.from_owned(delivery)
         if node_count <= 1 or topology.connectivity_check(threshold=min_delivery / 2):
             return topology
     raise RuntimeError("failed to generate a connected random mesh; raise density")
@@ -359,4 +359,4 @@ def cost_gap_topology(bridge_delivery: float = 0.1, branch_count: int = 8) -> To
         delivery[node_b, node_c] = delivery[node_c, node_b] = bridge_delivery
         delivery[node_c, destination] = delivery[destination, node_c] = 1.0
     names = ["src", "A", "B"] + [f"C{i + 1}" for i in range(branch_count)] + ["dst"]
-    return Topology(delivery, names=names)
+    return Topology.from_owned(delivery, names=names)

@@ -62,14 +62,35 @@ class Topology:
 
     def __init__(self, delivery: np.ndarray, positions: list[tuple[float, ...]] | None = None,
                  names: list[str] | None = None) -> None:
-        matrix = np.asarray(delivery, dtype=float)
+        self._adopt(np.array(delivery, dtype=float, order="C"), positions, names)
+
+    @classmethod
+    def from_owned(cls, matrix: np.ndarray, positions: list[tuple[float, ...]] | None = None,
+                   names: list[str] | None = None) -> "Topology":
+        """Wrap a freshly-built delivery matrix without the defensive copy.
+
+        The caller transfers ownership: ``matrix`` must be float64 and
+        referenced by nothing that will read or write it afterwards.  Its
+        diagonal is zeroed in place.  Builders that have just allocated
+        the matrix use this, so an N×N mesh exists once rather than twice;
+        external callers should use the constructor, which copies.
+        """
+        assert matrix.dtype == np.float64
+        topology = cls.__new__(cls)
+        topology._adopt(matrix, positions, names)
+        return topology
+
+    def _adopt(self, matrix: np.ndarray, positions: list[tuple[float, ...]] | None,
+               names: list[str] | None) -> None:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("delivery matrix must be square")
-        if np.any((matrix < 0) | (matrix > 1)):
+        # min/max rather than an elementwise mask: no N×N temporaries, and
+        # a NaN passes exactly as it passes the two comparisons.
+        if matrix.size and (matrix.min() < 0 or matrix.max() > 1):
             raise ValueError("delivery probabilities must lie in [0, 1]")
-        self._delivery = matrix.copy()
-        np.fill_diagonal(self._delivery, 0.0)
-        self._view = self._delivery.view()
+        np.fill_diagonal(matrix, 0.0)
+        self._delivery = matrix
+        self._view = matrix.view()
         self._view.flags.writeable = False
         self._derived: dict[Hashable, Any] = {}
         count = matrix.shape[0]
@@ -245,7 +266,7 @@ class Topology:
         all_positions = self.node_positions()
         positions = [all_positions[i] for i in node_ids] if all_positions else None
         names = [self.nodes[i].name for i in node_ids]
-        return Topology(matrix, positions=positions, names=names)
+        return Topology.from_owned(matrix, positions=positions, names=names)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Topology(nodes={self.node_count}, links={len(self.links())})"

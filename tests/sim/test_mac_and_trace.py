@@ -166,56 +166,38 @@ class TestCarrierSenseSerialization:
         assert len(a.sent) == 10 and len(b.sent) == 10
 
 
-class TestPendingHandleLifecycle:
-    """Regression: the contention handle must not leak across frames.
+class TestContentionWithoutHandles:
+    """The MAC schedules every event fire-and-forget.
 
-    The seed MAC assigned ``_pending_handle`` in ``_start_contention`` but
-    never cancelled or cleared it, so after a frame finished the MAC kept a
-    stale handle to an already-fired (or superseded) event alive; a late
-    ``cancel()`` on it was indistinguishable from cancelling the *next*
-    frame's contention.  ``_finish_frame`` now cancels and clears it.
+    No MAC event is ever cancelled, so none needs a handle: the MAC never
+    calls ``EventQueue.schedule``, and a MAC gone idle leaves neither a live
+    event nor a cancelled heap entry behind it — whether its frames were
+    broadcast, acknowledged or dropped after the last retry.
     """
 
-    def test_handle_cleared_after_each_frame(self):
-        sim = two_node_sim()
-        sender = ScriptedAgent(0, [data_frame(0) for _ in range(3)])
-        sim.attach_agent(0, sender)
-        sim.attach_agent(1, ScriptedAgent(1))
-        sim.trigger_node(0)
-        mac = sim.nodes[0].mac
-        assert mac._pending_handle is not None  # contention scheduled
-        sim.run(until=1.0)
-        assert len(sender.sent) == 3
-        assert mac._pending_handle is None  # nothing leaks once idle
-
-    def test_stale_handle_cannot_cancel_next_frame(self):
-        """A handle grabbed during frame 1 must be dead by frame 2."""
-        sim = two_node_sim()
-        sender = ScriptedAgent(0, [data_frame(0), data_frame(0)])
-        sim.attach_agent(0, sender)
-        sim.attach_agent(1, ScriptedAgent(1))
-        sim.trigger_node(0)
-        mac = sim.nodes[0].mac
-        stale = mac._pending_handle
-        assert stale is not None
-        # Let the first frame complete; the MAC immediately contends for
-        # the second, creating a fresh handle.
-        sim.run(until=1.0, stop_condition=lambda: len(sender.sent) >= 1)
-        # Cancelling the old frame's handle must not kill frame 2.
-        stale.cancel()
-        sim.run(until=2.0)
-        assert len(sender.sent) == 2
-        assert sim.nodes[0].mac.state is MacState.IDLE
-
-    def test_handle_cleared_on_unicast_drop(self):
-        sim = two_node_sim(delivery=0.0)
-        sender = ScriptedAgent(0, [data_frame(0, receiver=1)])
+    @pytest.mark.parametrize("delivery, receiver, frames, success", [
+        (1.0, BROADCAST, 3, True),   # back-to-back broadcasts
+        (0.5, 1, 3, True),           # unicast with retries (seed 3)
+        (0.0, 1, 1, False),          # unicast dropped after the retry limit
+    ], ids=["broadcast", "unicast_retries", "unicast_drop"])
+    def test_idle_mac_leaves_no_event(self, monkeypatch, delivery, receiver,
+                                      frames, success):
+        sim = two_node_sim(delivery=delivery, seed=3)
+        scheduled = []
+        schedule = sim.events.schedule
+        monkeypatch.setattr(sim.events, "schedule",
+                            lambda *args: scheduled.append(args) or schedule(*args))
+        sender = ScriptedAgent(0, [data_frame(0, receiver=receiver)
+                                   for _ in range(frames)])
         sim.attach_agent(0, sender)
         sim.attach_agent(1, ScriptedAgent(1))
         sim.trigger_node(0)
         sim.run(until=5.0)
-        assert sender.sent[0][1] is False
-        assert sim.nodes[0].mac._pending_handle is None
+        assert [ok for _, ok in sender.sent] == [success] * frames
+        assert scheduled == []
+        assert sim.nodes[0].mac.state is MacState.IDLE
+        assert sim.events.empty and sim.events._heap == []
+        assert sim.events._cancelled == 0
 
 
 def _scan(stats: StatsCollector) -> bool:

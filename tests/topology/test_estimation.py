@@ -90,6 +90,23 @@ class TestProbeEstimates:
         assert np.allclose(a.delivery_matrix(), b.delivery_matrix())
         assert not np.allclose(a.delivery_matrix(), c.delivery_matrix())
 
+    @pytest.mark.parametrize("exponent", [0.45, 0.5, 1.0])
+    @pytest.mark.parametrize("probes", [0, 100])
+    def test_matches_the_per_link_reference(self, testbed, exponent, probes):
+        """Bit for bit what exponentiating and probing the non-zero links
+        alone, in row-major order, gives."""
+        true_delivery = testbed.delivery_matrix()
+        links = np.nonzero(true_delivery)
+        expected_links = true_delivery[links] ** exponent
+        if probes:
+            rng = np.random.default_rng((5, 2))
+            expected_links = rng.binomial(probes, expected_links) / probes
+        expected = np.zeros_like(true_delivery)
+        expected[links] = expected_links
+        estimated = probe_estimated_topology(testbed, optimism_exponent=exponent,
+                                             probe_count=probes, seed=(5, 2))
+        assert estimated.delivery_matrix().tobytes() == expected.tobytes()
+
     def test_invalid_arguments(self, testbed):
         with pytest.raises(ValueError):
             probe_estimated_topology(testbed, optimism_exponent=0.0)

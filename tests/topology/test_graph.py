@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.topology.estimation import probe_estimated_topology
+from repro.topology.generator import random_geometric
 from repro.topology.graph import Node, Topology
 
 
@@ -47,6 +51,57 @@ class TestConstruction:
             Topology(np.zeros((2, 2)), positions=[(0, 0)])
         with pytest.raises(ValueError):
             Topology(np.zeros((2, 2)), names=["only-one"])
+
+    def test_constructor_copies_its_input(self):
+        matrix = square_matrix([[0.9, 0.5], [0.5, 0]])
+        topo = Topology(matrix)
+        matrix[0, 1] = 0.1
+        assert topo.delivery(0, 1) == 0.5
+        assert matrix[0, 0] == 0.9  # the caller's diagonal is left alone
+        assert Topology([[0, 1], [1, 0]]).delivery(0, 1) == 1.0  # list, int input
+
+
+class TestFromOwned:
+    def test_keeps_the_array_and_zeroes_its_diagonal(self):
+        matrix = square_matrix([[0.9, 0.5], [0.5, 0.9]])
+        topo = Topology.from_owned(matrix, positions=[(0, 0), (1, 1)], names=["a", "b"])
+        assert np.shares_memory(topo.delivery_view(), matrix)
+        assert matrix[0, 0] == matrix[1, 1] == 0.0
+        assert topo.delivery(0, 1) == 0.5
+        assert [node.name for node in topo.nodes] == ["a", "b"]
+
+    @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros(4),
+                                        square_matrix([[0, 1.5], [0.5, 0]]),
+                                        square_matrix([[0, -0.1], [0.5, 0]])])
+    def test_rejects_what_the_constructor_rejects(self, matrix):
+        with pytest.raises(ValueError):
+            Topology(matrix)
+        with pytest.raises(ValueError):
+            Topology.from_owned(matrix.copy())
+
+    def test_empty_topology(self):
+        assert Topology.from_owned(np.zeros((0, 0))).node_count == 0
+
+
+def test_mesh_and_control_view_each_hold_one_matrix():
+    """Building a mesh, and its probe-free control view, allocates one N×N
+    float64 each: a copy on top would put the traced peak near 2×."""
+    count = 400
+    matrix_bytes = count * count * 8
+    # Warm-up: the first run imports what numpy loads lazily.
+    probe_estimated_topology(random_geometric(node_count=4), probe_count=0)
+    tracemalloc.start()
+    try:
+        mesh = random_geometric(node_count=count)
+        _, mesh_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        probe_estimated_topology(mesh, probe_count=0)
+        _, view_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mesh_peak < 1.5 * matrix_bytes
+    assert view_peak - before < 1.5 * matrix_bytes
 
 
 class TestAccessors:
