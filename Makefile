@@ -23,8 +23,7 @@ lint:
 	$(PYTHON) -m repro_check --select SYN001,E501,W191,W291,W293,F401
 
 # repro-check: every rule of the repo-specific static analyzer (determinism,
-# RNG provenance, event lifecycle, config threading, stale suppressions,
-# style) plus the strict-mypy typed-core gate when mypy is installed.  Rules
+# RNG provenance, config threading, stale suppressions, style) plus the strict-mypy typed-core gate when mypy is installed.  Rules
 # and suppression syntax are catalogued in docs/invariants.md.
 analyze:
 	$(PYTHON) -m repro_check
@@ -66,8 +65,8 @@ golden:
 test-coding:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/coding tests/gf
 
-# Every repro.* name and every `--preset name` referenced in README.md and
-# docs/ must resolve.
+# Every repro.* name, every `--preset name` and every `run.<field>`
+# referenced in README.md and docs/ must resolve.
 docs-check:
 	$(ENV) $(PYTHON) scripts/docs_check.py README.md docs/paper-map.md \
 		docs/scenarios.md docs/performance.md docs/invariants.md \

@@ -27,13 +27,6 @@ with the package nor part of the result store's code key.
     construction sites, and every resolvable draw must trace back to a
     declared stream root.
 
-``EVT101``
-    Event-handle lifecycle: every handle-returning ``schedule``/
-    ``schedule_at`` call must store a handle that some teardown path
-    cancels, hand it to its caller, or use the fire-and-forget
-    ``schedule_callback`` variants instead (the PR 4 ``_pending_handle``
-    leak class, caught statically).
-
 ``CFG101``
     Config threading: every ``RunConfig`` field must be read by code
     *reachable* from the CLI/figure entry points through the call graph —
@@ -63,7 +56,7 @@ rationale and the full suppression syntax.
 The interprocedural rules sit on a shared whole-program substrate:
 :mod:`repro_check.callgraph` (module index, type-lite inference,
 call/reference graph, reachability) and :mod:`repro_check.dataflow`
-(abstract-location value flow for generator and handle provenance), both
+(abstract-location value flow for generator provenance), both
 built once per project snapshot and memoised.
 """
 
@@ -80,7 +73,6 @@ from repro_check.framework import (
 # Importing the rule modules registers their rules with the framework.
 from repro_check import config_threading  # noqa: F401  (registration import)
 from repro_check import determinism  # noqa: F401  (registration import)
-from repro_check import lifecycle  # noqa: F401  (registration import)
 from repro_check import rng_provenance  # noqa: F401  (registration import)
 from repro_check import style  # noqa: F401  (registration import)
 

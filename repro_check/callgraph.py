@@ -2,9 +2,8 @@
 
 The per-file rules of PR 7 stop at function boundaries, but the bug
 classes this analyzer exists for — a main-RNG draw smuggled into a
-counter-based module through a helper, a schedule handle leaked three
-calls away from the teardown that should cancel it, a config field whose
-only reader is dead code — are *interprocedural*.  This module builds the
+counter-based module through a helper, a config field whose only reader
+is dead code — are *interprocedural*.  This module builds the
 shared substrate the cross-function rules query:
 
 * a **module index** — repo paths under ``src_root`` mapped to dotted
@@ -24,7 +23,7 @@ shared substrate the cross-function rules query:
 
 Everything is a pure function of the parsed :class:`~repro_check
 .framework.Project`; :func:`get_callgraph` memoises one graph per project
-snapshot so the three interprocedural rules share a single build.
+snapshot so the interprocedural rules share a single build.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Interprocedural value flow: where do generators come from, where do they go.
 
 A lightweight Andersen-style points-to analysis over *abstract locations*
-— flow-insensitive, context-insensitive, and deliberately so: the rules
-built on it (DET101 RNG provenance, EVT101 handle lifecycle) ask
-reachability questions ("can a main-RNG value arrive at this draw site?",
-"does any cancel() receiver alias this attribute?") where merging all
-paths is the sound direction.
+— flow-insensitive, context-insensitive, and deliberately so: the rule
+built on it (DET101 RNG provenance) asks reachability questions ("can a
+main-RNG value arrive at this draw site?") where merging all paths is the
+sound direction.
 
 Locations:
 
@@ -281,12 +280,6 @@ class DataFlow:
     def tags(self, location: Location) -> frozenset[Atom]:
         return frozenset(self._tags.get(location, ()))
 
-    def expr_locations(self, expr: ast.expr,
-                       info: FunctionInfo) -> list[Location]:
-        """The locations a receiver expression reads from (no atoms)."""
-        return [source for source in self._value_sources(expr, info)
-                if source not in self.atoms]
-
     def expr_tags(self, expr: ast.expr, info: FunctionInfo) -> frozenset[Atom]:
         """Atoms reaching an expression: its locations' tags plus any
         construction atom the expression itself is."""
@@ -297,22 +290,6 @@ class DataFlow:
             else:
                 found |= self._tags.get(source, set())
         return frozenset(found)
-
-    def origins(self, locations: list[Location]) -> set[tuple]:
-        """Everything flowing (transitively) *into* the given locations."""
-        reverse: dict[Location, set[tuple]] = {}
-        for source, destinations in self.forward.items():
-            for destination in destinations:
-                reverse.setdefault(destination, set()).add(source)
-        seen: set[tuple] = set()
-        work = list(locations)
-        while work:
-            location = work.pop()
-            for source in reverse.get(location, ()):
-                if source not in seen:
-                    seen.add(source)
-                    work.append(source)
-        return seen
 
 
 def get_dataflow(project: Project, config: AnalysisConfig) -> DataFlow:

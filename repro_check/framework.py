@@ -235,12 +235,6 @@ class AnalysisConfig:
     #: stream root (path, class, attribute).
     rng_main_root: tuple[str, str, str] = (
         "src/repro/sim/simulator.py", "Simulator", "rng")
-    #: Classes whose handle-returning ``schedule*()`` calls EVT101 polices
-    #: (the queue plus the :class:`Simulator` facade).
-    event_queue_classes: tuple[tuple[str, str], ...] = (
-        ("src/repro/sim/events.py", "EventQueue"),
-        ("src/repro/sim/simulator.py", "Simulator"),
-    )
     #: Modules whose public surface seeds CFG101's reachability walk.
     entry_modules: tuple[str, ...] = ("repro.cli", "repro.experiments.figures")
 

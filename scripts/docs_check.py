@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""docs-check: every ``repro.*`` name, ``--preset`` and model kind in the docs must resolve.
+"""docs-check: every ``repro.*`` name, ``--preset``, model kind and ``run.<field>`` must resolve.
 
 Scans the given markdown files (default: README.md and docs/*.md) for
 tokens like ``repro.metrics.etx.link_etx`` — and ``repro_check.*``, the
@@ -7,7 +7,9 @@ analyzer beside ``src/`` — imports the longest importable module prefix of
 each and resolves the remainder with ``getattr``; every ``--preset name``
 must name a registered scenario preset; every ``--channel`` /
 ``--mobility`` / ``--faults KIND`` must name a kind its section accepts
-(``repro.scenarios.spec.MODEL_SECTIONS``); and the claim ids in
+(``repro.scenarios.spec.MODEL_SECTIONS``); every ``run.<field>`` in a code
+span or after ``--set`` / ``--axis`` must name a field of
+``repro.experiments.runner.RunConfig``; and the claim ids in
 ``docs/paper-map.md``'s claim table must be exactly those of
 ``repro.experiments.figures.FIGURES``.  Exits non-zero listing every token
 that no longer matches the code, so renames cannot silently rot the
@@ -21,6 +23,7 @@ from __future__ import annotations
 import importlib
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 TOKEN = re.compile(r"\brepro(?:_check)?(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
@@ -28,6 +31,11 @@ TOKEN = re.compile(r"\brepro(?:_check)?(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 PRESET = re.compile(r"--preset[ =]([a-z][a-z0-9_]*)")
 #: A concrete model kind on a command line (``--channel KIND`` is a placeholder).
 MODEL_KIND = re.compile(r"--(channel|mobility|faults)[ =]([a-z][a-z0-9_]*)")
+#: A ``RunConfig`` field as the docs name one: ``run.<field>`` inside a code
+#: span, or after ``--set`` / ``--axis`` on a command line.
+CODE_SPAN = re.compile(r"`[^`\n]+`")
+RUN_FIELD = re.compile(r"(?<![\w.])run\.([A-Za-z_][A-Za-z0-9_]*)")
+RUN_OPTION = re.compile(r"--(?:set|axis)[ =]['\"]?run\.([A-Za-z_][A-Za-z0-9_]*)")
 #: A claim id as the claim table writes it, and the file that holds the table.
 CLAIM = re.compile(r"`(fig_\d+_\d+\.[a-z0-9_]+)`")
 CLAIMS_FILE = "paper-map.md"
@@ -58,10 +66,12 @@ def resolve(token: str) -> None:
 
 def main(argv: list[str]) -> int:
     from repro.experiments.figures import FIGURES
+    from repro.experiments.runner import RunConfig
     from repro.scenarios import PRESETS
     from repro.scenarios.spec import MODEL_SECTIONS
 
     claims = {claim.id for row in FIGURES.values() for claim in row.claims}
+    run_fields = {field.name for field in fields(RunConfig)}
     files = [Path(name) for name in (argv or DEFAULT_FILES)]
     failures: list[tuple[Path, str, str]] = []
     checked: set[str] = set()
@@ -75,6 +85,11 @@ def main(argv: list[str]) -> int:
         for section, kind in sorted(set(MODEL_KIND.findall(text))):
             if kind not in MODEL_SECTIONS[section][1]:
                 failures.append((path, f"--{section} {kind}", f"no such {section} kind"))
+        named = set(RUN_OPTION.findall(text))
+        for span in CODE_SPAN.findall(text):
+            named.update(RUN_FIELD.findall(span))
+        for name in sorted(named - run_fields):
+            failures.append((path, f"run.{name}", "no such RunConfig field"))
         if path.name == CLAIMS_FILE:
             documented = set(CLAIM.findall(text))
             for name in sorted(documented - claims):
@@ -94,7 +109,7 @@ def main(argv: list[str]) -> int:
             print(f"  {path}: {token}  ({reason})", file=sys.stderr)
         return 1
     print(f"docs-check: {len(checked)} distinct repro.* / repro_check.* references (and every "
-          f"--preset name and model kind) resolve across {len(files)} file(s)")
+          f"--preset name, model kind and run.<field>) resolve across {len(files)} file(s)")
     return 0
 
 

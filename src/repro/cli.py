@@ -96,8 +96,6 @@ def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
         spec.sweep[path] = tuple(_parse_value(item) for item in values.split(","))
     if getattr(args, "seeds", None):
         spec.seeds = tuple(int(seed) for seed in args.seeds.split(","))
-    if getattr(args, "vector_only", False):
-        spec = spec.with_overrides({"run.vector_only": True})
     return spec
 
 
@@ -127,9 +125,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser, sweep: bool) -> None:
     _add_store_arguments(parser, workers=4 if sweep else 1)
     parser.add_argument("--force", action="store_true",
                         help="recompute cells even when cached")
-    parser.add_argument("--vector-only", action="store_true", dest="vector_only",
-                        help="payload-free fast path (run.vector_only=true): "
-                             "identical throughput/rank results, less arithmetic")
     _add_section_flags(parser)
     parser.add_argument("--json", action="store_true",
                         help="print the full result as JSON instead of a report")
@@ -185,7 +180,7 @@ def _command_run(args: argparse.Namespace) -> int:
     result = run_scenario(
         spec, seed=args.seed, workers=args.workers,
         results_dir=None if args.no_cache else args.results_dir,
-        cache=not args.no_cache, force=args.force,
+        force=args.force,
     )
     _emit(result, args.json)
     return 0
@@ -196,8 +191,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     result = run_sweep(
         spec, workers=args.workers,
         results_dir=None if args.no_cache else args.results_dir,
-        cache=not args.no_cache, force=args.force,
-        retries=args.retries, cell_timeout=args.cell_timeout,
+        force=args.force, retries=args.retries, cell_timeout=args.cell_timeout,
         progress=args.progress,
     )
     _emit(result, args.json)

@@ -67,6 +67,11 @@ _MAX_BATCH = 32
 class SweepError(RuntimeError):
     """A cell exhausted its retries (worker traceback in the message)."""
 
+    def __init__(self, message: str, position: int, attempts: int) -> None:
+        super().__init__(message)
+        self.position = position
+        self.attempts = attempts
+
 
 @dataclass
 class SweepResult:
@@ -110,7 +115,7 @@ class SweepResult:
 
 def run_sweep(spec: ScenarioSpec, workers: int = 1,
               results_dir: str | Path | None = DEFAULT_RESULTS_DIR,
-              cache: bool = True, force: bool = False,
+              force: bool = False,
               retries: int = DEFAULT_RETRIES,
               cell_timeout: float | None = DEFAULT_CELL_TIMEOUT,
               progress: bool = False,
@@ -120,9 +125,8 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1,
     Args:
         spec: the scenario to expand and run.
         workers: worker processes for uncached cells (1 = in-process serial).
-        results_dir: results root (``None`` disables the store entirely).
-        cache: read and write the content-addressed store under
-            ``results_dir``.
+        results_dir: root of the content-addressed store, read and written
+            (``None`` disables the store entirely).
         force: recompute every cell even when stored (overwrites entries).
         retries: extra attempts per cell after a crash, hang or exception
             before the sweep fails with :class:`SweepError`.
@@ -141,8 +145,7 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1,
     # repro: allow-DET001 — sweep wall-time is reporting only, never behaviour
     started = time.perf_counter()
     cells = spec.expand()
-    use_store = cache and results_dir is not None
-    store = ResultStore(results_dir) if use_store else None
+    store = ResultStore(results_dir) if results_dir is not None else None
     keys: list[CellKey | None] = [store.key_for(cell) if store else None
                                   for cell in cells]
 
@@ -180,9 +183,15 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1,
         if workers <= 1 and pool is None:
             _run_serial(cells, pending, complete)
         else:
-            _run_pooled(cells, pending, complete, printer,
-                        pool if pool is not None else shared_pool(max(1, workers)),
-                        retries=retries, cell_timeout=cell_timeout)
+            try:
+                _run_pooled(cells, pending, complete, printer,
+                            pool if pool is not None else shared_pool(max(1, workers)),
+                            retries=retries, cell_timeout=cell_timeout)
+            except SweepError as error:
+                if journal is not None:
+                    journal.cell(error.position, keys[error.position].render(),
+                                 "failed", error.attempts)
+                raise
 
     printer.finish()
     if journal is not None:
@@ -200,14 +209,13 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1,
 
 def run_scenario(spec: ScenarioSpec, seed: int | None = None, workers: int = 1,
                  results_dir: str | Path | None = DEFAULT_RESULTS_DIR,
-                 cache: bool = True, force: bool = False,
-                 **options: Any) -> SweepResult:
+                 force: bool = False, **options: Any) -> SweepResult:
     """Run a scenario, optionally pinned to a single seed (the CLI ``run`` verb)."""
     if seed is not None:
         spec = spec.with_overrides({})
         spec.seeds = (int(seed),)
-    return run_sweep(spec, workers=workers, results_dir=results_dir, cache=cache,
-                     force=force, **options)
+    return run_sweep(spec, workers=workers, results_dir=results_dir, force=force,
+                     **options)
 
 
 def _run_serial(cells: list[ScenarioCell], pending: list[int],
@@ -288,7 +296,8 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
             if attempts[position] > retries:
                 raise SweepError(
                     f"cell {position} failed after {attempts[position]} attempt(s): "
-                    f"worker {reason}; {diagnosis_note(position)}")
+                    f"worker {reason}; {diagnosis_note(position)}",
+                    position, attempts[position])
             printer.retry(f"{reason}; {diagnosis_note(position)}", position)
             queue.append(position)
         pool.replace(index)
@@ -338,7 +347,7 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
             if attempts[position] > retries:
                 raise SweepError(
                     f"cell {position} failed after {attempts[position]} "
-                    f"attempt(s):\n{payload}")
+                    f"attempt(s):\n{payload}", position, attempts[position])
             printer.retry("cell raised", position)
             queue.append(position)
             dispatch(owner)

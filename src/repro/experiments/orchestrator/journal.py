@@ -7,8 +7,10 @@ code version), living beside the store at
 * a ``start`` record naming the scenario, the full cell-key manifest and
   how many cells the store already held, then
 * one ``cell`` record per cell as it completes (``status`` is ``cached``,
-  ``computed``, ``retried`` or ``failed``), and finally
-* a ``finish`` record with the computed/cached totals.
+  ``computed`` or ``retried``), and finally
+* a ``finish`` record with the computed/cached totals — or, when a cell
+  exhausts its retries, a ``cell`` record with status ``failed`` and its
+  attempt count, after which the sweep raises and writes no ``finish``.
 
 The *store* is the source of truth for resume — a killed sweep's completed
 cells are found by key lookup, never by replaying the journal — so the

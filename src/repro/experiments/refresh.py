@@ -150,7 +150,7 @@ class _ControlLoop:
         runs are bit-identical to a build without this subsystem.
         """
         if self.enabled:
-            self.sim.schedule_callback(self.period, self._tick)
+            self.sim.events.schedule(self.period, self._tick)
         return self
 
     def _tick(self) -> None:
@@ -207,7 +207,7 @@ class LinkStateRefresher(_ControlLoop):
                 # stale plan, retry next round (what a real control plane
                 # does when probes stop returning).
                 self.skipped_flows += 1
-        self.sim.schedule_callback(self.period, self._tick)
+        self.sim.events.schedule(self.period, self._tick)
 
 
 class FlowSupervisor(_ControlLoop):
@@ -289,7 +289,7 @@ class FlowSupervisor(_ControlLoop):
                 self._abort(handle.flow_id,
                             f"no progress for {self.period:g}s after "
                             f"{replans} recovery re-plan(s)", probe)
-        self.sim.schedule_callback(self.period, self._tick)
+        self.sim.events.schedule(self.period, self._tick)
 
     def _abort(self, flow_id: int, why: str, probe: dict) -> None:
         """End ``flow_id`` as a structured abort; the reason is one line."""

@@ -53,11 +53,6 @@ class FlowResult:
     aborted: bool = False
     abort_reason: str = ""
 
-    @property
-    def throughput(self) -> float:
-        """Alias for ``throughput_pkts`` (packets per second)."""
-        return self.throughput_pkts
-
 
 @dataclass(frozen=True)
 class Environment:
@@ -124,8 +119,8 @@ class RunConfig:
     ``coding_payload_size``; air time still uses ``packet_size``).  Results
     are bit-identical to a payload-carrying run
     with the same seeds — empty RNG draws consume no generator state — just
-    faster.  Set it per scenario with the ``run.vector_only`` override or
-    ``repro run/sweep --vector-only``.
+    faster.  Set it per scenario with ``repro run/sweep --set
+    run.vector_only=true``.
     """
 
     total_packets: int = 96

@@ -18,10 +18,12 @@ comparison with MORE:
   after which the remaining packets are delivered by traditional hop-by-hop
   unicast routing and the batch is acknowledged on the reverse path.
 
-Simplifications (see DESIGN.md): the turn hand-off uses a shared scheduler
-object instead of the fragile timing estimates real ExOR needs, and the
-completion signal (90% reached) stops the schedule directly rather than
-propagating through batch maps.  Both favour ExOR slightly.
+Simplifications (the "Model simplifications" table of docs/paper-map.md):
+the turn hand-off uses a shared scheduler object instead of the fragile
+timing estimates real ExOR needs, the completion signal (90% reached) stops
+the schedule directly rather than propagating through batch maps, and a
+flat guard time stands in for each forwarder's padded timing estimate.
+The first two favour ExOR.
 
 The control plane is :meth:`ExorFlowHandle.replan`: the prioritised
 participant list and the cleanup / ACK routes, from a control view.
@@ -196,7 +198,7 @@ class ExorScheduler:
         # must pad its timing estimate (the scheduling cost the paper blames
         # for ExOR's lost spatial reuse and fragile utilisation).
         batch_epoch = self.batch_id
-        self.sim.schedule_callback(
+        self.sim.events.schedule(
             self.turn_guard_time,
             lambda: self._grant_if_current(next_position, batch_epoch))
 
@@ -723,5 +725,5 @@ def setup_exor_flow(sim: Simulator, topology: Topology, source: int, destination
                             0.0)
     source_agent = sim.nodes[source].agent
     assert isinstance(source_agent, ExorAgent)
-    sim.events.schedule_callback_at(0.0, lambda: source_agent.start_flow(flow_id))
+    sim.events.schedule_at(0.0, lambda: source_agent.start_flow(flow_id))
     return handle

@@ -219,5 +219,5 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
                             prune=prune, seed=seed)
     handle.replan(control_topology if control_topology is not None else topology)
     sim.stats.register_flow(flow_id, source, destination, total, packet_size, 0.0)
-    sim.events.schedule_callback_at(0.0, lambda: sim.trigger_node(source))
+    sim.events.schedule_at(0.0, lambda: sim.trigger_node(source))
     return handle

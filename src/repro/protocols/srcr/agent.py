@@ -5,8 +5,9 @@ every hop forwards packets to its fixed nexthop using link-layer ARQ, and
 nothing is learned from overheard packets.  Optionally the sender runs an
 Onoe-style autorate controller per nexthop (Section 4.4).
 
-Simplifications relative to the Roofnet implementation (documented in
-DESIGN.md): a route is computed from the delivery probabilities of a control
+Simplifications relative to the Roofnet implementation (the "Model
+simplifications" table of docs/paper-map.md): a route is computed from the
+delivery probabilities of a control
 view (no probe traffic is simulated) — once at set-up, and again whenever
 the link-state refresh loop or fault recovery
 (:mod:`repro.experiments.refresh`) calls :meth:`SrcrFlowHandle.replan` —
@@ -261,6 +262,6 @@ def setup_srcr_flow(sim: Simulator, topology: Topology, source: int, destination
     assert isinstance(source_agent, SrcrAgent)
     sim.stats.register_flow(flow_id, source, destination, total_packets, packet_size,
                             0.0)
-    sim.events.schedule_callback_at(
+    sim.events.schedule_at(
         0.0, lambda: source_agent.enqueue_source_packets(flow_id))
     return handle

@@ -9,7 +9,7 @@ from repro.sim.channels import (
     StaticBernoulli,
     build_channel_model,
 )
-from repro.sim.events import EventHandle, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.mac import CsmaMac, MacState
 from repro.sim.medium import Transmission, WirelessMedium
@@ -37,7 +37,6 @@ __all__ = [
     "GilbertElliott",
     "StaticBernoulli",
     "build_channel_model",
-    "EventHandle",
     "EventQueue",
     "FlowRecord",
     "Frame",

@@ -246,7 +246,7 @@ class FaultInjector:
             transition = self.model.next_transition(node, 0.0)
             if transition is not None:
                 time, down = transition
-                events.schedule_callback_at(
+                events.schedule_at(
                     time, partial(self._transition, node, down))
 
     # ------------------------------------------------------------------ #
@@ -294,5 +294,5 @@ class FaultInjector:
         transition = self.model.next_transition(node, now)
         if transition is not None:
             time, next_down = transition
-            self.sim.events.schedule_callback_at(
+            self.sim.events.schedule_at(
                 time, partial(self._transition, node, next_down))

@@ -131,8 +131,7 @@ class CsmaMac:
 
         A caller that has just sensed the medium at ``now`` passes what it
         found as ``horizon`` (:meth:`WirelessMedium.busy_horizon`), so a
-        deferral scans the air once.  The attempt is never cancelled, so it
-        is scheduled without a handle.
+        deferral scans the air once.
         """
         self.state = MacState.CONTENDING
         events = self.events
@@ -148,7 +147,7 @@ class CsmaMac:
             horizon = self.medium.busy_horizon(self.node_id, now)
         if horizon > now:
             delay += horizon - now
-        events.schedule_callback(delay, self._attempt_transmission)
+        events.schedule(delay, self._attempt_transmission)
 
     def _attempt_transmission(self) -> None:
         """Fire when the backoff expires: transmit if the medium is still idle."""
@@ -203,7 +202,7 @@ class CsmaMac:
         stats.busy_time += airtime
         if agent is not None:
             agent.on_transmission_started(frame, now)
-        self.events.schedule_callback(airtime, self._complete)
+        self.events.schedule(airtime, self._complete)
 
     def _complete(self) -> None:
         """Resolve receptions and run the ARQ logic once the frame leaves the
@@ -225,16 +224,16 @@ class CsmaMac:
         if frame.receiver in receivers:
             self.stats.unicast_successes += 1
             self._finish_success = True
-            self.events.schedule_callback(self._turnaround, self._finish_inflight)
+            self.events.schedule(self._turnaround, self._finish_inflight)
             return
         # No MAC ACK: retry with a larger contention window or give up.
         self.stats.retries += 1
         if self._attempt > self.phy.retry_limit:
             self.stats.unicast_drops += 1
             self._finish_success = False
-            self.events.schedule_callback(self._turnaround, self._finish_inflight)
+            self.events.schedule(self._turnaround, self._finish_inflight)
             return
-        self.events.schedule_callback(self._turnaround, self._start_contention)
+        self.events.schedule(self._turnaround, self._start_contention)
 
     def _finish_inflight(self) -> None:
         """Bound-method ARQ-finish callback (no per-frame closure)."""

@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from repro.sim.channels import build_channel_model
-from repro.sim.events import EventHandle, EventQueue
+from repro.sim.events import EventQueue
 from repro.sim.faults import FaultInjector, build_fault_model
 from repro.topology.mobility import build_mobility_model
 from repro.sim.frames import Frame, FrameKind
@@ -74,23 +74,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self.events.now
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
-        """Schedule ``callback`` after ``delay`` simulated seconds."""
-        return self.events.schedule(delay, callback)
-
-    def schedule_callback(self, delay: float, callback: Callable[[], None]) -> None:
-        """Fire-and-forget :meth:`schedule`: no cancel handle is created.
-
-        Dispatch order is identical to :meth:`schedule` (same
-        ``(time, sequence)`` key space); use this when no teardown path
-        ever cancels the event.
-        """
-        self.events.schedule_callback(delay, callback)
-
-    def schedule_callback_at(self, time: float, callback: Callable[[], None]) -> None:
-        """Fire-and-forget absolute-time scheduling; see :meth:`schedule_callback`."""
-        self.events.schedule_callback_at(time, callback)
 
     def run(self, until: float | None = None,
             stop_condition: Callable[[], bool] | None = None,

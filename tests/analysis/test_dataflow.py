@@ -1,4 +1,4 @@
-"""The dataflow substrate: atom propagation, stored streams, origins."""
+"""The dataflow substrate: atom propagation and stored streams."""
 
 from __future__ import annotations
 
@@ -92,22 +92,6 @@ def test_direct_attr_atoms_exclude_parameter_injection(tmp_path):
     # ...while full propagation still sees both construction sites arrive.
     arrived = flow.tags(("attr", "repro.enc:Injected", "rng"))
     assert len([tag for tag in arrived if tag[0] == "gen"]) == 2
-
-
-def test_origins_walks_flow_backwards(tmp_path):
-    write(tmp_path, "src/repro/pipe.py",
-          "class Box:\n"
-          "    def __init__(self):\n"
-          "        self.item = None\n"
-          "def fill(box: Box, thing):\n"
-          "    box.item = thing\n"
-          "def read(box: Box):\n"
-          "    got = box.item\n"
-          "    return got\n")
-    flow = flow_for(tmp_path)
-    origins = flow.origins([("local", "repro.pipe:read", "got")])
-    assert ("attr", "repro.pipe:Box", "item") in origins
-    assert ("local", "repro.pipe:fill", "thing") in origins
 
 
 def test_unresolvable_expressions_contribute_nothing(tmp_path):

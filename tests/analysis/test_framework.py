@@ -82,7 +82,7 @@ def test_standalone_suppression_covers_next_code_line(tmp_path):
 def test_suppression_is_rule_specific(tmp_path):
     write(tmp_path, "src/repro/x.py",
           "import time\n"
-          "t = time.time()  # repro: allow-EVT101\n")
+          "t = time.time()  # repro: allow-CFG101\n")
     findings = run_rules(tmp_path, select=["DET001"])
     assert [f.rule for f in findings] == ["DET001"]
 

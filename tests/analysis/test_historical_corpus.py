@@ -33,38 +33,6 @@ def patch(root, relative, old, new):
     path.write_text(text.replace(old, new), encoding="utf-8")
 
 
-# -- PR 4: the `_pending_handle` leak -> EVT101 ----------------------------- #
-
-PR4_CONFIG = dict(
-    event_queue_classes=(("src/repro/events.py", "EventQueue"),),
-)
-
-
-def test_pr4_pending_handle_leak_is_flagged(tmp_path):
-    root = deploy(tmp_path, "pr4_pending_handle")
-    config = replace(AnalysisConfig(), **PR4_CONFIG)
-    findings = run_rules(root, config=config, select=["EVT101"])
-    assert len(findings) == 1
-    assert findings[0].path == "src/repro/mac.py"
-    assert "Mac._pending_handle" in findings[0].message
-    assert "no method of `Mac` ever cancels it" in findings[0].message
-
-
-def test_pr4_repair_with_cancel_on_teardown_is_accepted(tmp_path):
-    root = deploy(tmp_path, "pr4_pending_handle")
-    patch(root, "src/repro/mac.py",
-          "    def abort(self):\n"
-          "        # The bug: the attribute is cleared, the event still fires.\n"
-          "        self._pending_handle = None\n",
-          "    def abort(self):\n"
-          "        held = self._pending_handle\n"
-          "        if held is not None:\n"
-          "            held.cancel()\n"
-          "        self._pending_handle = None\n")
-    config = replace(AnalysisConfig(), **PR4_CONFIG)
-    assert run_rules(root, config=config, select=["EVT101"]) == []
-
-
 # -- PR 5: the shared Onoe window -> DET101 --------------------------------- #
 
 PR5_WINDOW_CONFIG = dict(
@@ -158,24 +126,23 @@ def test_pr5_node0_repair_restores_the_call_site(tmp_path):
 
 # -- every invariant rule has a bug it exists to catch ---------------------- #
 
-#: The exemption PR 14 had to sweep up by hand, as an edit to the PR 4 tree:
-#: the handle-returning call became fire-and-forget and its comment stayed,
-#: ready to swallow the next handle leaked on that line.  (Spelled here, not
-#: in a fixture file, where the repository's own SUP001 audit would find it.)
+#: A stale exemption, as an edit to the ``wallclock_seed`` tree: the clock
+#: read became a fixed default and its comment stayed, ready to swallow the
+#: next wall-clock read on that line.  (Spelled here, not in a fixture file,
+#: where the repository's own SUP001 audit would find it.)
 STALE_EXEMPTION = (
-    "src/repro/mac.py",
-    "        self._pending_handle = self.events.schedule(0.001, self.on_complete)\n",
-    "        # repro: allow-EVT101 — retained legacy reference path\n"
-    "        self.events.schedule_callback(0.001, self.on_complete)\n")
+    "src/repro/workload.py",
+    "        seed = int(time.time())\n",
+    "        # repro: allow-DET001 — any seed will do\n"
+    "        seed = 0\n")
 
 #: rule -> (fixture, edit or None, config overrides, what its finding names).
 #: ``wallclock_seed`` is reconstructed: a default seed read from the host clock.
 CORPUS = {
-    "EVT101": ("pr4_pending_handle", None, PR4_CONFIG, "Mac._pending_handle"),
     "DET101": ("pr5_onoe_window", None, PR5_WINDOW_CONFIG, "OnoeWindow.rng"),
     "CFG101": ("pr5_node0_truthiness", None, PR5_NODE0_CONFIG, "node0_at_origin"),
     "DET001": ("wallclock_seed", None, {}, "time.time"),
-    "SUP001": ("pr4_pending_handle", STALE_EXEMPTION, PR4_CONFIG, "allow-EVT101"),
+    "SUP001": ("wallclock_seed", STALE_EXEMPTION, {}, "allow-DET001"),
 }
 
 

@@ -63,6 +63,11 @@ class TestRunner:
         fast = run_single_flow(topo, "Srcr", 0, 1, config=replace(FAST, bitrate=11_000_000))
         assert fast.throughput_pkts > slow.throughput_pkts
 
+    def test_throughput_is_one_field_in_packets_per_second(self):
+        result = run_single_flow(chain(1, link_delivery=0.85), "Srcr", 0, 1, config=FAST)
+        assert result.throughput_pkts == result.delivered_packets / result.duration
+        assert not hasattr(result, "throughput")  # no alias beside the field
+
     def test_control_view_toggle(self):
         perfect = RunConfig(total_packets=8, batch_size=8, packet_size=500,
                             estimation_exponent=1.0, estimation_probes=0)

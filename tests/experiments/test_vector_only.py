@@ -95,9 +95,12 @@ def test_run_config_override_path():
     assert get_preset("chain_smoke").run_config(seed=1).vector_only is False
 
 
-def test_cli_vector_only_flag():
+def test_cli_sets_vector_only_with_set():
     parser = build_parser()
-    args = parser.parse_args(["run", "--preset", "chain_smoke", "--vector-only"])
+    args = parser.parse_args(["run", "--preset", "chain_smoke",
+                              "--set", "run.vector_only=true"])
     assert _load_spec(args).run["vector_only"] is True
     args = parser.parse_args(["run", "--preset", "chain_smoke"])
     assert "vector_only" not in _load_spec(args).run
+    with pytest.raises(SystemExit):  # no flag of its own
+        parser.parse_args(["run", "--preset", "chain_smoke", "--vector-only"])

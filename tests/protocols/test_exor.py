@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +13,10 @@ from repro.protocols.exor.agent import (
     INERT_RANK,
     ExorDataPayload,
     ExorFlowSpec,
+    ExorScheduler,
     _ExorFlowState,
 )
+from repro.sim.events import EventQueue
 from repro.sim.radio import SimConfig
 from repro.sim.simulator import Simulator
 from repro.topology.generator import chain, diamond, two_hop_relay
@@ -120,6 +124,59 @@ class TestStrictSchedule:
         claim[1] = 0
         state.merge_map(claim)
         assert state.responsibility() == [0]
+
+
+class _SchedulerSim:
+    """The slice of a simulator ``ExorScheduler`` touches: a queue, nodes
+    without ExOR agents (every turn has traffic) and a trigger log."""
+
+    def __init__(self, node_count: int) -> None:
+        self.events = EventQueue()
+        self.nodes = {node: SimpleNamespace(agent=None) for node in range(node_count)}
+        self.triggered: list[int] = []
+
+    def trigger_node(self, node: int) -> None:
+        self.triggered.append(node)
+
+
+class TestDeferredTurnGrant:
+    """A turn passes after the guard time unless its batch moved on: a stale
+    grant is dropped by its epoch check when it fires, never cancelled."""
+
+    @staticmethod
+    def _scheduler():
+        sim = _SchedulerSim(3)
+        # Priority order: destination 2, forwarder 1, source 0.
+        spec = SimpleNamespace(participants=[2, 1, 0], flow_id=0)
+        return sim, ExorScheduler(spec, sim, turn_guard_time=0.5)
+
+    def test_turn_passes_after_the_guard_time(self):
+        sim, scheduler = self._scheduler()
+        scheduler.start_batch(0)
+        scheduler.finish_turn(0)
+        assert scheduler.holder == 0  # the forwarder waits out the guard
+        sim.events.run()
+        assert sim.events.now == 0.5
+        assert scheduler.holder == 1
+        assert sim.triggered == [0, 1]
+
+    def test_grant_from_a_finished_batch_is_dropped(self):
+        sim, scheduler = self._scheduler()
+        scheduler.start_batch(0)
+        scheduler.finish_turn(0)
+        scheduler.start_batch(1)  # the source holds the new batch's first turn
+        sim.events.run()
+        assert scheduler.holder == 0
+        assert sim.triggered == [0, 0]
+
+    def test_grant_after_stop_is_dropped(self):
+        sim, scheduler = self._scheduler()
+        scheduler.start_batch(0)
+        scheduler.finish_turn(0)
+        scheduler.stop()
+        sim.events.run()
+        assert scheduler.holder is None and not scheduler.active
+        assert sim.triggered == [0]
 
 
 def _responsibility_by_scan(state) -> list[int]:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.experiments.figures import FIGURES
 from repro.experiments.runner import RunConfig
@@ -136,6 +137,40 @@ def test_removed_cli_flag_is_an_argparse_error(tmp_path):
     assert proc.returncode == 2
     assert f"unrecognized arguments: {REMOVED_FLAG}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_vector_only_has_no_flag_of_its_own(verb, capsys):
+    """``--set run.vector_only=true`` is the one way to ask for it."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, "--preset", "chain_smoke", "--no-cache", "--vector-only"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --vector-only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb,entry", [("run", "run_scenario"), ("sweep", "run_sweep")])
+def test_no_cache_reaches_the_orchestrator_as_no_results_dir(verb, entry, tmp_path,
+                                                             monkeypatch, capsys):
+    """``--no-cache`` is ``results_dir=None`` alone, even beside an explicit
+    ``--results-dir``; without it that directory is read and written."""
+    calls = []
+    real = getattr(cli, entry)
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, entry, recording)
+    results_dir = tmp_path / "results"
+    command = [verb, "--preset", "chain_smoke", "--set", "run.total_packets=16",
+               "--workers", "1", "--results-dir", str(results_dir)]
+    assert main([*command, "--no-cache"]) == 0
+    assert calls[-1]["results_dir"] is None and "cache" not in calls[-1]
+    assert not results_dir.exists()
+    assert main(command) == 0
+    assert calls[-1]["results_dir"] == str(results_dir)
+    assert list(results_dir.glob("store/chain_smoke/cell-*.json"))
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("command", [

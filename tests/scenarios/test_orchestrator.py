@@ -149,12 +149,37 @@ class TestRetryTimeout:
         fault = WorkerFaultSpec(kind="crash", positions=(0,),
                           marker=str(tmp_path / "always.marker"), once=False)
         pool = WorkerPool(2, fault=fault)
+        results_dir = tmp_path / "results"
         try:
             with pytest.raises(SweepError, match="cell 0"):
-                run_sweep(quick_cells, workers=2, results_dir=None,
+                run_sweep(quick_cells, workers=2, results_dir=results_dir,
                           pool=pool, cell_timeout=10.0, retries=1)
         finally:
             pool.shutdown()
+        # The journal names the cell that failed and how often it was tried.
+        records = SweepJournal(ResultStore(results_dir), quick_cells).records()
+        assert records[-1]["event"] == "cell"
+        assert {key: records[-1][key] for key in ("index", "status", "attempt")} \
+            == {"index": 0, "status": "failed", "attempt": 2}
+        assert "finish" not in [record["event"] for record in records]
+
+    def test_recovered_cell_is_journaled_as_retried_not_failed(self, quick_cells,
+                                                               tmp_path):
+        fault = WorkerFaultSpec(kind="crash", positions=(1,),
+                          marker=str(tmp_path / "once.marker"))
+        pool = WorkerPool(2, fault=fault)
+        results_dir = tmp_path / "results"
+        try:
+            run_sweep(quick_cells, workers=2, results_dir=results_dir,
+                      pool=pool, cell_timeout=10.0, retries=1)
+        finally:
+            pool.shutdown()
+        records = SweepJournal(ResultStore(results_dir), quick_cells).records()
+        statuses = {record["index"]: (record["status"], record["attempt"])
+                    for record in records if record["event"] == "cell"}
+        assert statuses[1] == ("retried", 2)
+        assert "failed" not in {status for status, _ in statuses.values()}
+        assert records[-1] == {"event": "finish", "computed": 4, "cached": 0}
 
 
 class TestJournal:

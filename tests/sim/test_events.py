@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.sim.events import (
-    COMPACTION_MIN_CANCELLED,
+    BENCH_EVENTS,
+    BENCH_TIMERS,
     EventQueue,
     pump_timer_workload,
 )
+from repro.sim.simulator import Simulator
 
 
 class TestScheduling:
@@ -101,119 +103,94 @@ class TestRunControl:
         queue.run()
         assert queue.processed == 3
 
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
+    def test_empty_tracks_pending_events(self):
         queue = EventQueue()
-        fired = []
-        handle = queue.schedule(1.0, lambda: fired.append("x"))
-        handle.cancel()
-        queue.run()
-        assert fired == []
-        assert handle.cancelled
-
-    def test_empty_property_ignores_cancelled(self):
-        queue = EventQueue()
-        handle = queue.schedule(1.0, lambda: None)
+        assert queue.empty
+        queue.schedule(1.0, lambda: None)
+        queue.schedule_at(2.0, lambda: None)
         assert not queue.empty
-        handle.cancel()
-        assert queue.empty
-
-    def test_handle_time(self):
-        queue = EventQueue()
-        handle = queue.schedule(2.5, lambda: None)
-        assert handle.time == 2.5
-
-    def test_cancel_after_firing_is_a_noop(self):
-        queue = EventQueue()
-        fired = []
-        handle = queue.schedule(1.0, lambda: fired.append("x"))
-        queue.run()
-        assert fired == ["x"]
-        assert not handle.cancelled  # fired, not cancelled
-        handle.cancel()  # must not corrupt the live counter
-        assert queue.empty
-        queue.schedule(1.0, lambda: fired.append("y"))
+        queue.run(max_events=1)
         assert not queue.empty
         queue.run()
-        assert fired == ["x", "y"]
-
-    def test_empty_is_o1_not_a_heap_scan(self):
-        """Lazy cancellation: ``empty`` comes from the live counter while
-        cancelled entries still physically sit in the heap."""
-        queue = EventQueue()
-        handles = [queue.schedule(1.0, lambda: None) for _ in range(10)]
-        for handle in handles:
-            handle.cancel()
-        # Below the compaction threshold nothing is swept, so the heap
-        # still holds every cancelled entry — yet the queue reports empty,
-        # which only a counter (not an any() scan-and-pop) can do in O(1).
         assert queue.empty
-        assert len(queue._heap) == 10
-        assert queue._live == 0
-        assert queue.run() == 0.0  # draining the corpses fires nothing
-        assert queue.processed == 0
 
-
-class TestCompaction:
-    def test_heap_compacts_when_cancelled_dominate(self):
+    def test_until_leaves_later_events_pending(self):
         queue = EventQueue()
-        keep = []
-        live = [queue.schedule(float(i + 1), lambda i=i: keep.append(i))
-                for i in range(5)]
-        cancelled = [queue.schedule(10.0 + i, lambda: keep.append(-1))
-                     for i in range(COMPACTION_MIN_CANCELLED + 10)]
-        for handle in cancelled:
-            handle.cancel()
-        # Cancelled entries outnumbered live ones beyond the threshold, so a
-        # compaction pass ran: far fewer entries remain than were scheduled
-        # (only the live ones plus the post-compaction cancellations).
-        assert len(queue._heap) < len(cancelled)
-        assert len(queue._heap) >= len(live)
+        fired = []
+        queue.schedule(1.0, lambda: fired.append(queue.now))
+        queue.schedule(5.0, lambda: fired.append(queue.now))
+        queue.run(until=2.0)
         assert not queue.empty
-        fired_before = len(keep)
-        queue.run()
-        assert len(keep) == fired_before + len(live)
+        assert queue.run() == 5.0
+        assert fired == [1.0, 5.0]
 
-    def test_compaction_never_reorders_events(self):
+    def test_max_events_resumes_where_it_stopped(self):
         queue = EventQueue()
         fired = []
-        # Interleave survivors (including same-time ties) with victims.
-        for i in range(COMPACTION_MIN_CANCELLED + 20):
-            queue.schedule(1.0 + (i % 3) * 0.5, lambda i=i: fired.append(i))
-        victims = [queue.schedule(0.5, lambda: fired.append(-1))
-                   for _ in range(COMPACTION_MIN_CANCELLED + 20)]
-        for handle in victims:
-            handle.cancel()
+        for i in range(6):
+            queue.schedule(float(6 - i), lambda i=i: fired.append(i))
+        queue.run(max_events=2)
+        assert fired == [5, 4]
         queue.run()
-        # Survivors fire in (time, insertion-order) sequence: for each of
-        # the three time buckets, indices ascend.
-        assert -1 not in fired
-        buckets = {0: [], 1: [], 2: []}
-        for index in fired:
-            buckets[index % 3].append(index)
-        assert fired == sorted(fired, key=lambda i: ((i % 3), i))
-        for bucket in buckets.values():
-            assert bucket == sorted(bucket)
+        assert fired == [5, 4, 3, 2, 1, 0]
+        assert queue.processed == 6
 
-
-class TestHandleFreeScheduling:
-    def test_schedule_callback_orders_with_handles(self):
+    def test_raising_callback_keeps_the_count_and_the_rest_of_the_queue(self):
         queue = EventQueue()
         fired = []
-        queue.schedule(2.0, lambda: fired.append("handle"))
-        queue.schedule_callback(1.0, lambda: fired.append("raw-early"))
-        queue.schedule_callback(2.0, lambda: fired.append("raw-tie"))
-        queue.schedule(2.0, lambda: fired.append("handle-tie"))
-        queue.run()
-        # Ties break by insertion order regardless of entry flavour.
-        assert fired == ["raw-early", "handle", "raw-tie", "handle-tie"]
-        assert queue.processed == 4
-        assert queue.empty
 
-    def test_schedule_callback_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            EventQueue().schedule_callback(-0.5, lambda: None)
+        def boom():
+            raise RuntimeError("boom")
+
+        queue.schedule(1.0, lambda: fired.append(1))
+        queue.schedule(2.0, boom)
+        queue.schedule(3.0, lambda: fired.append(3))
+        with pytest.raises(RuntimeError, match="boom"):
+            queue.run()
+        # Only the event that completed is counted; the clock stands at the
+        # failed event and the later one still fires on the next run.
+        assert queue.processed == 1
+        assert queue.now == 2.0
+        queue.run()
+        assert fired == [1, 3]
+        assert queue.processed == 2
+
+    def test_zero_delay_from_a_callback_fires_after_queued_ties(self):
+        queue = EventQueue()
+        fired = []
+        queue.schedule(1.0, lambda: queue.schedule(0.0, lambda: fired.append("nested")))
+        queue.schedule(1.0, lambda: fired.append("queued"))
+        queue.run()
+        assert fired == ["queued", "nested"]
+
+    def test_schedule_and_schedule_at_share_one_key_space(self):
+        queue = EventQueue()
+        fired = []
+        queue.schedule(2.0, lambda: fired.append("delay"))
+        queue.schedule_at(1.0, lambda: fired.append("at-early"))
+        queue.schedule_at(2.0, lambda: fired.append("at-tie"))
+        queue.schedule(2.0, lambda: fired.append("delay-tie"))
+        queue.run()
+        # Ties break by insertion order whichever method scheduled them.
+        assert fired == ["at-early", "delay", "at-tie", "delay-tie"]
+
+
+class TestOneEventKind:
+    """Every scheduled event fires: scheduling hands back nothing to keep."""
+
+    @pytest.mark.parametrize("method", ["schedule", "schedule_at"])
+    def test_scheduling_returns_nothing(self, method):
+        queue = EventQueue()
+        assert getattr(queue, method)(1.0, lambda: None) is None
+        assert not queue.empty
+
+    def test_public_surface_is_two_schedulers_run_and_empty(self):
+        public = {name for name in dir(EventQueue) if not name.startswith("_")}
+        assert public == {"schedule", "schedule_at", "run", "empty"}
+
+    def test_simulator_schedules_through_its_queue_only(self):
+        public = {name for name in dir(Simulator) if not name.startswith("_")}
+        assert not {name for name in public if name.startswith("schedule")}
 
 
 class TestVersionGatedStopCondition:
@@ -275,27 +252,39 @@ class TestEngineParity:
         assert queue.now == 156.17433999999963
         assert queue.processed == 5_000
 
+    def test_timer_workload_default_call_runs_the_bench_event_count(self):
+        """``pump(queue)`` with its defaults is what the benchmark times: it
+        dispatches exactly ``BENCH_EVENTS`` events and leaves the next tick
+        of every timer but the last to fire pending."""
+        queue = EventQueue()
+        pump_timer_workload(queue)
+        assert queue.processed == BENCH_EVENTS
+        queue.run()  # the leftover ticks fire once and reschedule nothing
+        assert queue.processed == BENCH_EVENTS + BENCH_TIMERS - 1
+        assert queue.empty
+
     @pytest.mark.parametrize("seed", (0, 1, 2, 3))
-    def test_random_schedule_cancel_script_matches_legacy(self, seed):
+    def test_random_schedule_script_fires_in_key_order(self, seed):
         """Property-style check: a random interleaving of schedule /
-        schedule_at / cancel / run steps fires exactly the live events, in
-        ``(time, sequence)`` order (tie-break determinism included)."""
+        schedule_at / run steps fires every event, in ``(time, sequence)``
+        order (tie-break determinism included)."""
         queue = EventQueue()
         rng = np.random.default_rng(seed)
         fired = []
         expected = []
-        handles = []
-        live = {}  # sequence number -> (time, sequence) of each pending event
+        pending = {}  # sequence number -> (time, sequence) of each pending event
+        scheduled = 0
 
         def schedule(method, argument, time):
-            label = len(handles)  # every event is scheduled here: == sequence
-            handles.append(method(
-                argument, lambda: fired.append((label, round(queue.now, 9)))))
-            live[label] = (time, label)
+            nonlocal scheduled
+            label = scheduled  # every event is scheduled here: == sequence
+            scheduled += 1
+            method(argument, lambda: fired.append((label, round(queue.now, 9))))
+            pending[label] = (time, label)
 
         def run(max_events=None):
-            for label in sorted(live, key=live.get)[:max_events]:
-                expected.append((label, round(live.pop(label)[0], 9)))
+            for label in sorted(pending, key=pending.get)[:max_events]:
+                expected.append((label, round(pending.pop(label)[0], 9)))
             queue.run(max_events=max_events)
 
         for _ in range(300):
@@ -303,15 +292,11 @@ class TestEngineParity:
             if action < 5:
                 delay = float(rng.uniform(0, 2.0))
                 schedule(queue.schedule, delay, queue.now + delay)
-            elif action < 7:
+            elif action < 8:
                 # schedule_at clamps times in the past to "now".
                 at = float(queue.now + rng.uniform(-0.5, 1.5))
                 schedule(queue.schedule_at, at,
                          queue.now + max(0.0, at - queue.now))
-            elif action < 9 and handles:
-                label = int(rng.integers(0, len(handles)))
-                handles[label].cancel()
-                live.pop(label, None)  # cancelling a fired event is a no-op
             else:
                 run(int(rng.integers(1, 6)))
         run()

