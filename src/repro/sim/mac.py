@@ -72,9 +72,8 @@ class CsmaMac:
         self.sim = simulator
         self.phy = simulator.config.phy
         # Hot-path collaborators, resolved once (the simulator builds its
-        # event queue, RNG and medium before any node/MAC exists).
+        # event queue, backoff draw and medium before any node/MAC exists).
         self.events = simulator.events
-        self.rng = simulator.rng
         self.medium = simulator.medium
         #: Fault injector (``None`` = fault-free): a crashed node's MAC
         #: neither starts contention nor fires a pending attempt.
@@ -97,7 +96,7 @@ class CsmaMac:
         self._difs = phy.difs
         self._slot_time = phy.slot_time
         self._turnaround = phy.ack_turnaround
-        self._draw_slots = simulator.rng.integers
+        self._draw_slots = simulator.backoff_draw
         # (size_bytes, bitrate) -> airtime; flows reuse a handful of sizes.
         self._airtimes: dict[tuple[int, int], float] = {}
 
@@ -142,7 +141,7 @@ class CsmaMac:
         attempt = self._attempt
         window = self._windows[attempt] if attempt < self._window_count \
             else self.phy.contention_window(attempt)
-        delay = self._difs + int(self._draw_slots(0, window + 1)) * self._slot_time
+        delay = self._difs + self._draw_slots(window + 1) * self._slot_time
         if horizon is None:
             horizon = self.medium.busy_horizon(self.node_id, now)
         if horizon > now:

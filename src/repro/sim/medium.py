@@ -295,10 +295,6 @@ class WirelessMedium:
                 latest = end
         return latest
 
-    def node_is_transmitting(self, node: int, now: float) -> bool:
-        """True if ``node`` has a frame on the air at time ``now``."""
-        return any(t.frame.sender == node and t.start <= now < t.end for t in self._active)
-
     # ------------------------------------------------------------------ #
     # Transmission lifecycle
     # ------------------------------------------------------------------ #

@@ -40,7 +40,8 @@ class PhyConfig:
         mac_overhead_bytes: MAC header + FCS bytes added to every frame.
         ack_bytes: size of a MAC-level ACK frame.
         ack_bitrate: rate at which MAC ACKs are sent.
-        retry_limit: maximum transmission attempts for unicast frames.
+        retry_limit: retransmissions allowed after a unicast frame's first
+            attempt: the MAC sends it at most ``retry_limit + 1`` times.
     """
 
     bitrate: int = RATE_5_5MBPS
@@ -54,6 +55,24 @@ class PhyConfig:
     ack_bytes: int = 14
     ack_bitrate: int = RATE_1MBPS
     retry_limit: int = 7
+
+    def __post_init__(self) -> None:
+        # A window of w slots is a draw below w + 1, and the MAC's backoff
+        # draw (repro.rng.bounded_draw) takes spans up to 2**32 - 1.
+        for name, valid, requirement in (
+                ("cw_min", self.cw_min >= 0, ">= 0"),
+                ("cw_max", self.cw_min <= self.cw_max <= 2**32 - 2,
+                 f">= cw_min ({self.cw_min}) and <= 2**32 - 2"),
+                ("retry_limit", self.retry_limit >= 0, ">= 0"),
+                ("slot_time", self.slot_time > 0, "> 0"),
+                ("difs", self.difs >= 0, ">= 0"),
+                ("sifs", self.sifs >= 0, ">= 0"),
+                ("preamble_time", self.preamble_time >= 0, ">= 0"),
+                ("bitrate", self.bitrate > 0, "> 0"),
+                ("ack_bitrate", self.ack_bitrate > 0, "> 0")):
+            if not valid:
+                raise ValueError(f"PhyConfig.{name} must be {requirement}, "
+                                 f"got {getattr(self, name)!r}")
 
     def frame_airtime(self, payload_bytes: int, bitrate: int | None = None) -> float:
         """Time (s) a data frame of ``payload_bytes`` occupies the medium."""

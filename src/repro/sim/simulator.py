@@ -7,6 +7,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.rng import bounded_draw
 from repro.sim.channels import build_channel_model
 from repro.sim.events import EventQueue
 from repro.sim.faults import FaultInjector, build_fault_model
@@ -35,6 +36,9 @@ class Simulator:
         self.config = config if config is not None else SimConfig()
         self.events = EventQueue()
         self.rng = np.random.default_rng(self.config.seed)
+        #: Every MAC's backoff draw: ``backoff_draw(span)`` reads ``rng`` as
+        #: ``rng.integers(0, span)`` would (:func:`repro.rng.bounded_draw`).
+        self.backoff_draw = bounded_draw(self.rng)
         # The channel model draws from its own seed-derived stream, so a
         # static-channel simulation consumes the main RNG exactly as before.
         model = build_channel_model(self.config.channel_model,

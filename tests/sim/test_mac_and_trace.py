@@ -117,12 +117,27 @@ class TestMacUnicast:
         assert sim.medium.transmissions >= 1
 
 
+class StartRecordingAgent(ScriptedAgent):
+    """Also records when each of its transmissions goes on the air."""
+
+    def __init__(self, node_id, frames=None):
+        super().__init__(node_id, frames)
+        self.starts = []
+
+    def on_transmission_started(self, frame, now):
+        self.starts.append(now)
+
+
 class TestContentionWindows:
     """The per-attempt window table is derived once per ``PhyConfig`` and
     shared; a MAC on any configuration backs off as ``contention_window`` says."""
 
-    def test_backoff_draws_follow_contention_window(self):
-        phy = PhyConfig(cw_min=15, retry_limit=3)
+    @pytest.mark.parametrize("cw_min, spans, past_table_span", [
+        (15, [16, 32, 64, 128], 1024),  # capped at cw_max
+        (0, [1, 2, 4, 8], 512),         # a one-slot first window draws nothing
+    ])
+    def test_backoff_draws_follow_contention_window(self, cw_min, spans, past_table_span):
+        phy = PhyConfig(cw_min=cw_min, retry_limit=3)
         matrix = np.array([[0, 0.0], [0.0, 0]])
         sim = Simulator(Topology(matrix), SimConfig(phy=phy, seed=0))
         mac = sim.nodes[0].mac
@@ -131,22 +146,32 @@ class TestContentionWindows:
         assert mac._windows is sim.nodes[1].mac._windows
         assert mac._turnaround == phy.sifs + phy.ack_airtime()
 
-        bounds = []
-        draw = mac._draw_slots
-        mac._draw_slots = lambda low, high: bounds.append((low, high)) or draw(low, high)
-        sender = ScriptedAgent(0, [data_frame(0, receiver=1)])
+        sender = StartRecordingAgent(0, [data_frame(0, receiver=1)])
         sim.attach_agent(0, sender)
         sim.trigger_node(0)
         sim.run(until=5.0)
-        # A dead link: one backoff per attempt, the window doubling from 15.
+        # A dead link draws no reception words, so the main generator serves
+        # the backoffs alone: each attempt waits DIFS plus a draw from its
+        # window, as ``integers`` gives it on a twin generator.
         assert sender.sent[0][1] is False
-        assert bounds == [(0, 16), (0, 32), (0, 64), (0, 128)]
+        twin = np.random.default_rng(0)
+        airtime = phy.frame_airtime(data_frame(0).size_bytes)
+        contention_began = [0.0] + [start + airtime + phy.ack_turnaround
+                                    for start in sender.starts[:-1]]
+        delays = [start - began for start, began in zip(sender.starts, contention_began)]
+        assert delays == pytest.approx(
+            [phy.difs + int(twin.integers(0, span)) * phy.slot_time for span in spans])
+        assert sim.rng.bit_generator.state == twin.bit_generator.state
 
         # Past the table (no ARQ gets there): computed, not indexed.
-        bounds.clear()
         mac._attempt = len(mac._windows) + 4
+        assert phy.contention_window(mac._attempt) + 1 == past_table_span
+        began = sim.now
         mac._start_contention()
-        assert bounds == [(0, phy.contention_window(mac._attempt) + 1)] == [(0, 1024)]
+        fired = sim.run(max_events=1)
+        assert fired - began == pytest.approx(
+            phy.difs + int(twin.integers(0, past_table_span)) * phy.slot_time)
+        assert sim.rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestCarrierSenseSerialization:

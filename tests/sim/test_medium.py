@@ -93,11 +93,16 @@ class TestCarrierSense:
         assert medium.busy_until(1, 0.001) == pytest.approx(0.002)
         assert medium.busy_until(1, 0.005) == pytest.approx(0.005)
 
-    def test_node_is_transmitting(self):
-        medium, _ = make_medium([[0, 0.9], [0.9, 0]])
+    def test_busy_horizon(self):
+        """A node's own frame holds it busy as an audible one does."""
+        medium, _ = make_medium([[0, 0.9, 0.0], [0.9, 0, 0.0], [0.0, 0.0, 0]])
         medium.begin(make_frame(0), now=0.0, airtime=0.002, bitrate=5_500_000)
-        assert medium.node_is_transmitting(0, 0.001)
-        assert not medium.node_is_transmitting(1, 0.001)
+        assert medium.busy_horizon(0, 0.001) == pytest.approx(0.002)
+        assert medium.busy_horizon(1, 0.001) == pytest.approx(0.002)
+        assert medium.busy_horizon(2, 0.001) == 0.001
+        medium.begin(make_frame(1), now=0.001, airtime=0.002, bitrate=5_500_000)
+        assert medium.busy_horizon(0, 0.0015) == pytest.approx(0.003)
+        assert medium.busy_horizon(0, 0.003) == 0.003
 
 
 class TestCollisions:

@@ -55,6 +55,28 @@ class TestPhyTiming:
         phy = PhyConfig()
         assert phy.backoff_time(3) == pytest.approx(3 * phy.slot_time)
 
+    @pytest.mark.parametrize("field, value", [
+        ("cw_min", -1),             # used to die at the first contention
+        ("cw_max", 15),             # below cw_min: every window silently cw_max
+        ("cw_max", 2**32 - 1),      # a window the backoff draw cannot span
+        ("retry_limit", -3),        # used to run with an empty window table
+        ("slot_time", 0.0),
+        ("slot_time", -20e-6),      # used to die mid-run, scheduling in the past
+        ("slot_time", float("nan")),
+        ("difs", -50e-6),
+        ("sifs", -1e-6),
+        ("preamble_time", -1.0),
+        ("bitrate", 0),
+        ("ack_bitrate", -1),
+    ])
+    def test_bad_values_are_refused_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=rf"^PhyConfig\.{field} must be .*, got "):
+            PhyConfig(**{field: value})
+
+    def test_a_one_slot_first_window_is_legal(self):
+        phy = PhyConfig(cw_min=0, cw_max=0, retry_limit=0, difs=0.0, sifs=0.0)
+        assert phy.contention_windows == (0, 0)
+
     def test_sim_config_defaults(self):
         config = SimConfig()
         assert config.phy.bitrate == RATE_5_5MBPS
