@@ -165,8 +165,9 @@ class GilbertElliott(ChannelModel):
     def __init__(self, seed: int = 0, bad_scale: float = 0.2,
                  mean_good_time: float = 1.0, mean_bad_time: float = 0.1) -> None:
         super().__init__(seed)
-        if not (mean_good_time > 0 and mean_bad_time > 0):
-            raise ValueError("state sojourn times must be positive")
+        # An infinite sojourn has no stationary mix (inf / inf is NaN).
+        if not (0 < mean_good_time < np.inf and 0 < mean_bad_time < np.inf):
+            raise ValueError("state sojourn times must be positive and finite")
         if not (0.0 <= bad_scale <= 1.0):
             # A multiplier above one would push a delivery probability past 1.
             raise ValueError("need 0 <= bad_scale <= 1")

@@ -192,7 +192,7 @@ class CsmaMac:
             airtime = self._airtimes[key] = self.phy.frame_airtime(
                 frame.size_bytes, bitrate)
         now = self.events.now
-        self._inflight = self.medium.begin(frame, now, airtime, bitrate)
+        self._inflight = self.medium.begin(frame, now, airtime)
         stats = self.stats
         if frame.kind is FrameKind.DATA:
             stats.data_transmissions += 1

@@ -21,17 +21,24 @@ Gilbert-Elliott loss).  The model:
   transmission is audible above the sense threshold; this is what enables
   spatial reuse (distant transmitters do not block each other).
 
-Reception resolution is vectorized: one batched RNG draw over the eligible
-receivers (in node order, so the stream is bit-identical to the original
-per-node loop), a single delivery-row gather from the channel model, and a
-vectorized interference mask.  Only frames where a *capture* draw could
-occur fall back to the scalar loop, because capture draws interleave with
-delivery draws in the RNG stream.
+Every frame resolves the same way: :meth:`WirelessMedium._plan` turns the
+sender's delivery row and the senders of the overlapping frames into a
+*reception plan* — the eligible receivers in node order, their
+probabilities, which of them survive the audible interferers, and whether
+a capture draw could occur — and one batched RNG draw over those receivers
+(in node order, so the stream is bit-identical to the per-node loop)
+decides the frame.  Under a static channel a plan is a pure function of
+``(sender, overlapping senders)`` and is memoised per mobility epoch;
+under Gilbert-Elliott it is derived per frame from the model's delivery
+row.  Only frames whose plan says a *capture* draw could occur go to the
+scalar loop (:meth:`WirelessMedium._resolve_scalar`), because capture
+draws interleave with delivery draws in the RNG stream; that loop keeps
+its own half-duplex and interference logic and is the tests' oracle.
 
-Everything the medium derives from the delivery matrix is per sender and
-built on that sender's first use from its own row and column
-(:func:`sense_row`, the eligible-receiver rows): a simulator over a
-1000-node mesh pays for the dozen nodes that transmit, not for N² pairs.
+Everything the medium derives from the delivery matrix is built on a
+sender's first use from its own row and column (:func:`sense_row`, the
+plans): a simulator over a 1000-node mesh pays for the dozen nodes that
+transmit, not for N² pairs.
 """
 
 from __future__ import annotations
@@ -56,7 +63,6 @@ class Transmission:
     frame: Frame
     start: float
     end: float
-    bitrate: int
     #: Filled in when the transmission completes: node ids that received it.
     receivers: list[int] = field(default_factory=list)
 
@@ -127,7 +133,7 @@ class WirelessMedium:
         self.faults = faults
         #: Dynamic-topology process (``None`` = static, today's behaviour
         #: bit for bit).  When present, every epoch boundary re-bases the
-        #: channel model and invalidates the per-sender resolution caches.
+        #: channel model and forgets the sense rows and reception plans.
         self.mobility = mobility
         self._dynamic = mobility is not None
         self._epoch = -1
@@ -137,7 +143,8 @@ class WirelessMedium:
         self._random = rng.random
         self._active: list[Transmission] = []
         self._history: deque[Transmission] = deque()
-        #: Static channel: the per-sender resolution caches apply.
+        #: Static channel: a reception plan depends on the overlapping
+        #: senders alone, so plans are memoised.
         self._static = type(self.model) is StaticBernoulli
         self._max_airtime = 0.0
         if self._dynamic:
@@ -156,9 +163,9 @@ class WirelessMedium:
 
         Called once at construction and — under a dynamic topology — at
         every epoch boundary: this is the epoch-keyed invalidation of the
-        per-sender sense rows, eligible rows and single-interferer pair
-        cache.  Nothing is derived here; each sender's tables are built
-        from its own row on its first use in the epoch.
+        sense rows and the reception-plan memo.  Nothing is derived here;
+        each sender's row and plans are built on their first use in the
+        epoch.
         """
         # Long-run average deliveries: carrier-sense audibility and
         # interference levels track mean signal energy, not the
@@ -170,26 +177,13 @@ class WirelessMedium:
         # indexing several-fold.
         self._sense_rows: dict[int, list[bool]] = _PerSender(
             self._derive_sense_row)
-        # sender -> (indices, probabilities) of its eligible receivers.
-        # Under a static channel that set never changes within an epoch,
-        # leaving one batched RNG draw plus one comparison per
-        # interference-free frame.
-        self._eligible_rows: dict[int, tuple[np.ndarray, np.ndarray]] = \
-            _PerSender(self._derive_eligible_row)
-        # (sender, interferer) -> (indices, probabilities, survivable,
-        # capture_possible); lazily built single-interferer resolution
-        # cache for the static channel (see _resolve_static_pair).
-        self._pair_cache: dict[tuple[int, int], tuple] = {}
+        # (sender, overlapping senders) -> the frame's reception plan
+        # (see _plan).  Static channel only: there the plan never changes
+        # within an epoch, leaving one batched draw per frame.
+        self._plans: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     def _derive_sense_row(self, sender: int) -> list[bool]:
         return sense_row(self._delivery, self.channel, sender).tolist()
-
-    def _derive_eligible_row(self, sender: int) -> tuple[np.ndarray, np.ndarray]:
-        row = self._delivery[sender]
-        eligible = row > 0.0
-        eligible[sender] = False
-        indices = np.nonzero(eligible)[0]
-        return indices, row[indices]
 
     # ------------------------------------------------------------------ #
     # Dynamic topology (mobility / link churn)
@@ -299,11 +293,11 @@ class WirelessMedium:
     # Transmission lifecycle
     # ------------------------------------------------------------------ #
 
-    def begin(self, frame: Frame, now: float, airtime: float, bitrate: int) -> Transmission:
+    def begin(self, frame: Frame, now: float, airtime: float) -> Transmission:
         """Register the start of a transmission; returns its record."""
         if self._dynamic:
             self._advance_epoch(now)
-        transmission = Transmission(frame=frame, start=now, end=now + airtime, bitrate=bitrate)
+        transmission = Transmission(frame=frame, start=now, end=now + airtime)
         self._active.append(transmission)
         self.transmissions += 1
         self._max_airtime = max(self._max_airtime, airtime)
@@ -331,15 +325,11 @@ class WirelessMedium:
         # Any transmission still able to complete started no earlier than
         # ``now - max_airtime``, so a history entry whose end precedes that
         # can never overlap one: the horizon tracks the longest observed
-        # airtime (plus the configured floor), which keeps the overlap
-        # scan short for ordinary frames and stops long frames at low
-        # bitrates from outliving the window.
-        horizon = self.channel.history_horizon
-        if horizon < self._max_airtime:
-            horizon = self._max_airtime
+        # airtime, which keeps the overlap scan short for ordinary frames
+        # and stops long frames at low bitrates from outliving the window.
         # Frames complete in time order, so the history's ends never
         # decrease and what has aged out is a prefix.
-        cutoff = now - horizon
+        cutoff = now - self._max_airtime
         history = self._history
         while history and history[0].end < cutoff:
             history.popleft()
@@ -352,34 +342,38 @@ class WirelessMedium:
             if other is not transmission \
                     and start < other.end and other.start < end:
                 overlapping.append(other)
-        receivers = None
+        senders = tuple([other.frame.sender for other in overlapping])
         if self._static:
-            if not overlapping:
-                # Interference-free static-channel fast path (the
-                # overwhelmingly common case): the eligible set and
-                # probabilities are precomputed per sender, so one batched
-                # draw — consuming the exact RNG stream of the general path
-                # — resolves the frame.
-                indices, probabilities = self._eligible_rows[sender]
-                draws = self._random(indices.size)
-                receivers = indices[draws < probabilities].tolist()
-                self.receptions += len(receivers)
-            elif len(overlapping) == 1:
-                other_sender = overlapping[0].frame.sender
-                if other_sender != sender:
-                    receivers = self._resolve_static_pair(sender, other_sender)
-        if receivers is None:
-            probabilities = self.model.delivery_row(sender, transmission.start,
-                                                    transmission.end)
-            receivers = self._resolve_vectorized(sender, probabilities,
-                                                 overlapping)
-            if receivers is None:
-                receivers = self._resolve_scalar(sender, probabilities, overlapping)
+            row = None  # read below by a capture frame only
+            key = (sender, senders)
+            plan = self._plans.get(key)
+            if plan is None:
+                plan = self._plans[key] = self._plan(
+                    sender, self._delivery[sender], senders)
+        else:
+            row = self.model.delivery_row(sender, start, end)
+            plan = self._plan(sender, row, senders)
+        indices, probabilities, survivable, capture_possible = plan
+        if capture_possible:
+            if row is None:
+                row = self._delivery[sender]
+            receivers = self._resolve_scalar(sender, row, overlapping)
+        else:
+            # One draw per eligible receiver, in node order: the stream the
+            # scalar loop would consume.
+            delivered = self._random(indices.size) < probabilities
+            if survivable is None:
+                receivers = indices[delivered].tolist()
+            else:
+                survived = delivered & survivable
+                self.collisions += int(delivered.sum()) - int(survived.sum())
+                receivers = indices[survived].tolist()
+            self.receptions += len(receivers)
         if self.faults is not None:
             kept = self.faults.filter_receivers(transmission.frame, receivers)
             if len(kept) != len(receivers):
                 # Keep the receptions counter meaning "frames delivered to
-                # a live radio", whichever resolve path counted them.
+                # a live radio", whichever way the frame was resolved.
                 self.receptions -= len(receivers) - len(kept)
                 receivers = kept
         transmission.receivers = receivers
@@ -390,85 +384,46 @@ class WirelessMedium:
         history.append(transmission)
         return receivers
 
-    def _resolve_static_pair(self, sender: int, interferer: int) -> list[int] | None:
-        """One-interferer resolution over the static channel, fully cached.
+    def _plan(self, sender: int, row: np.ndarray,
+              senders: tuple[int, ...]) -> tuple:
+        """Everything about one frame's reception except the draws.
 
-        The eligible set (minus the half-duplex interferer), its delivery
-        probabilities, the per-receiver corruption mask and whether any
-        receiver could see a capture draw are all pure functions of the
-        (sender, interferer) pair under a static channel — computed once,
-        leaving one batched RNG draw per frame.  Returns ``None`` when a
-        capture draw could occur (the caller falls back to the general
-        path, exactly like :meth:`_resolve_vectorized` does).
+        ``row`` holds the frame's delivery probabilities and ``senders``
+        the senders of the frames that overlapped it.  Returns
+        ``(indices, probabilities, survivable, capture_possible)``: the
+        eligible receivers in node order (the order the draws are consumed
+        in) and their probabilities; a mask over them of the receivers no
+        audible interferer corrupts (``None`` when none is corrupted); and
+        whether a capture draw could occur, in which case the caller takes
+        :meth:`_resolve_scalar`, because capture draws interleave with the
+        delivery draws.
         """
-        entry = self._pair_cache.get((sender, interferer))
-        if entry is None:
-            indices, probabilities = self._eligible_rows[sender]
-            listening = indices != interferer  # half duplex
-            indices, probabilities = indices[listening], probabilities[listening]
-            levels = self._delivery[interferer][indices]
-            audible = levels > self.channel.interference_threshold
-            capture_possible = bool((audible & (probabilities - levels
-                                                >= self.channel.capture_margin)).any())
-            entry = (indices, probabilities, ~audible, capture_possible)
-            self._pair_cache[(sender, interferer)] = entry
-        indices, probabilities, survivable, capture_possible = entry
-        if capture_possible:
-            return None
-        draws = self._random(indices.size)
-        delivered = draws < probabilities
-        survived = delivered & survivable
-        self.collisions += int(delivered.sum()) - int(survived.sum())
-        receivers = indices[survived].tolist()
-        self.receptions += len(receivers)
-        return receivers
-
-    def _resolve_vectorized(self, sender: int, probabilities: np.ndarray,
-                            overlapping: list[Transmission]) -> list[int] | None:
-        """One-pass reception resolution: batched draws, vectorized masks.
-
-        Consumes exactly one RNG draw per eligible receiver in node order —
-        the same stream as :meth:`_resolve_scalar` — so results are
-        bit-identical.  Returns ``None`` when a capture draw could interleave
-        with the delivery draws (the only case the batched stream cannot
-        reproduce); the caller then takes the scalar path.
-        """
-        eligible = probabilities > 0.0
+        eligible = row > 0.0
         eligible[sender] = False
-        if overlapping:
-            # Half duplex: nodes with a frame of their own on the air
-            # (including the sender's other frames) cannot decode this one.
-            senders = np.array([other.frame.sender for other in overlapping],
-                               dtype=np.intp)
-            eligible[senders] = False
-            interferers = senders[senders != sender]
-            if interferers.size:
-                # levels[m, node]: how audible interferer m is at each node.
-                levels = self._delivery[interferers]
-                audible = levels > self.channel.interference_threshold
-                capture_possible = audible & (probabilities[None, :] - levels
-                                              >= self.channel.capture_margin)
-                if bool((capture_possible.any(axis=0) & eligible).any()):
-                    return None  # capture draws would interleave: scalar path
-                corrupted = audible.any(axis=0)
-                indices = np.nonzero(eligible)[0]
-                draws = self.rng.random(indices.size)
-                delivered = draws < probabilities[indices]
-                survived = delivered & ~corrupted[indices]
-                self.collisions += int(delivered.sum()) - int(survived.sum())
-                receivers = indices[survived].tolist()
-                self.receptions += len(receivers)
-                return receivers
-        # Interference-free fast path (the overwhelmingly common case).
+        # Half duplex: nodes with a frame of their own on the air (the
+        # sender's other frames included) cannot decode this one.
+        eligible[list(senders)] = False
         indices = np.nonzero(eligible)[0]
-        draws = self.rng.random(indices.size)
-        receivers = indices[draws < probabilities[indices]].tolist()
-        self.receptions += len(receivers)
-        return receivers
+        probabilities = row[indices]
+        interferers = [other for other in senders if other != sender]
+        if not interferers:
+            return indices, probabilities, None, False
+        # levels[m, k]: how audible interferer m is at eligible receiver k.
+        levels = self._delivery[interferers][:, indices]
+        audible = levels > self.channel.interference_threshold
+        capture_possible = bool((audible & (probabilities - levels
+                                            >= self.channel.capture_margin)).any())
+        corrupted = audible.any(axis=0)
+        survivable = ~corrupted if corrupted.any() else None
+        return indices, probabilities, survivable, capture_possible
 
     def _resolve_scalar(self, sender: int, probabilities: np.ndarray,
                         overlapping: list[Transmission]) -> list[int]:
-        """The reference per-node loop (also the capture-draw fallback)."""
+        """The reference per-node loop: the capture fallback and the oracle.
+
+        It keeps its own half-duplex and interference rules rather than
+        reading a plan, so the tests can hold :meth:`_plan` against it.
+        """
         receivers: list[int] = []
         # Only the sender's non-zero links, in ascending node order: the
         # draws (one per candidate) are those of a walk over every node.

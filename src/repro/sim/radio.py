@@ -132,13 +132,6 @@ class ChannelConfig:
             save the reception (Section 4.2.3 discusses capture).
         capture_probability: probability that capture succeeds when the
             margin condition holds.
-        history_horizon: floor (seconds) on how long a completed
-            transmission stays in the medium's interference history.  The
-            effective horizon is ``max(history_horizon, longest observed
-            airtime)``, so long frames at low bitrates never outlive the
-            window; entries older than one maximum airtime provably cannot
-            overlap any transmission that can still complete, hence the
-            default floor of 0.
     """
 
     sense_threshold: float = 0.10
@@ -146,7 +139,6 @@ class ChannelConfig:
     interference_threshold: float = 0.10
     capture_margin: float = 0.35
     capture_probability: float = 0.7
-    history_horizon: float = 0.0
 
 
 @dataclass

@@ -269,8 +269,9 @@ class MarkovLinkChurn(MobilityModel):
                  mean_up_time: float = 5.0, mean_down_time: float = 1.0,
                  down_scale: float = 0.0) -> None:
         super().__init__(seed, epoch_length)
-        if not (mean_up_time > 0 and mean_down_time > 0):
-            raise ValueError("state sojourn times must be positive")
+        # An infinite sojourn has no stationary mix (inf / inf is NaN).
+        if not (0 < mean_up_time < np.inf and 0 < mean_down_time < np.inf):
+            raise ValueError("state sojourn times must be positive and finite")
         if not 0.0 <= down_scale <= 1.0:
             raise ValueError("down_scale must lie in [0, 1]")
         self.mean_up_time = float(mean_up_time)

@@ -182,12 +182,12 @@ def run_code_vector_trace(name: str) -> dict:
     frames: dict[tuple[int, int], int] = {}
     begin = sim.medium.begin
 
-    def recording_begin(frame, now, airtime, bitrate):
+    def recording_begin(frame, now, airtime):
         if frame.payload.__class__ is MoreDataPayload:
             digest.update(frame.payload.coded.code_vector.tobytes())
             sent = (frame.sender, frame.flow_id)
             frames[sent] = frames.get(sent, 0) + 1
-        return begin(frame, now, airtime, bitrate)
+        return begin(frame, now, airtime)
 
     sim.medium.begin = recording_begin
     sim.run(until=config.max_duration, stop_condition=sim.stats.all_flows_complete)

@@ -77,10 +77,10 @@ class TestStrictSchedule:
         intervals = []
         original_begin = sim.medium.begin
 
-        def tracking_begin(frame, now, airtime, bitrate):
+        def tracking_begin(frame, now, airtime):
             if isinstance(frame.payload, ExorDataPayload):
                 intervals.append((now, now + airtime))
-            return original_begin(frame, now, airtime, bitrate)
+            return original_begin(frame, now, airtime)
 
         sim.medium.begin = tracking_begin
         sim.run(until=90.0, stop_condition=sim.stats.all_flows_complete)

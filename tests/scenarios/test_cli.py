@@ -312,6 +312,16 @@ def test_out_of_range_section_value_is_a_one_line_error(preset, override, messag
     # NaN is neither positive nor ``<= 0``: it passed every such check.
     ("node_churn_mesh", "faults.mean_uptime=NaN", "holding-time means must be positive"),
     ("bursty_chain", "channel.mean_bad_time=NaN", "state sojourn times must be positive"),
+    # --set parses JSON, so Infinity arrives as inf: the stationary share
+    # T/(T+T') was NaN, which switched the medium's carrier sense and
+    # interference off under Gilbert-Elliott and started every churned link
+    # down; both ran to exit 0.
+    ("bursty_chain", "channel.mean_good_time=Infinity",
+     "channel 'gilbert_elliott': state sojourn times must be positive and finite"),
+    ("bursty_chain", "channel.mean_bad_time=Infinity", "must be positive and finite"),
+    ("churn_chain", "mobility.mean_up_time=Infinity",
+     "mobility 'link_churn': state sojourn times must be positive and finite"),
+    ("churn_chain", "mobility.mean_down_time=Infinity", "must be positive and finite"),
 ])
 def test_out_of_range_model_value_is_a_one_line_error(preset, override, message, capsys,
                                                       deadline):

@@ -145,6 +145,13 @@ class TestGilbertElliott:
         with pytest.raises(ValueError, match="bad_scale"):
             GilbertElliott(bad_scale=1.5)
 
+    @pytest.mark.parametrize("name", ["mean_good_time", "mean_bad_time"])
+    def test_infinite_sojourn_rejected(self, name):
+        """inf/(inf + T) is NaN: mean_matrix() was all NaN, which switched
+        the medium's carrier sense and interference off."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            GilbertElliott(**{name: float("inf")})
+
     def test_mean_matrix_is_stationary_average(self):
         topology = chain(2, link_delivery=0.6)
         model = GilbertElliott(seed=1, bad_scale=0.1,

@@ -33,12 +33,12 @@ class TestLossModel:
         medium, _ = make_medium([[0, 1.0], [1.0, 0]])
         for i in range(20):
             start = i * 0.01
-            tx = medium.begin(make_frame(0), now=start, airtime=0.002, bitrate=5_500_000)
+            tx = medium.begin(make_frame(0), now=start, airtime=0.002)
             assert medium.complete(tx, now=start + 0.002) == [1]
 
     def test_zero_link_never_delivers(self):
         medium, _ = make_medium([[0, 0.0], [0.0, 0]])
-        tx = medium.begin(make_frame(0), now=0.0, airtime=0.002, bitrate=5_500_000)
+        tx = medium.begin(make_frame(0), now=0.0, airtime=0.002)
         assert medium.complete(tx, now=0.002) == []
 
     def test_loss_statistics_match_probability(self):
@@ -46,18 +46,18 @@ class TestLossModel:
         received = 0
         for i in range(2000):
             start = i * 0.01
-            tx = medium.begin(make_frame(0), now=start, airtime=0.002, bitrate=5_500_000)
+            tx = medium.begin(make_frame(0), now=start, airtime=0.002)
             received += len(medium.complete(tx, now=start + 0.002))
         assert 0.45 < received / 2000 < 0.55
 
     def test_broadcast_reaches_multiple_receivers(self):
         medium, _ = make_medium([[0, 1.0, 1.0], [1, 0, 0], [1, 0, 0]])
-        tx = medium.begin(make_frame(0), now=0.0, airtime=0.002, bitrate=5_500_000)
+        tx = medium.begin(make_frame(0), now=0.0, airtime=0.002)
         assert sorted(medium.complete(tx, now=0.002)) == [1, 2]
 
     def test_statistics_counters(self):
         medium, _ = make_medium([[0, 1.0], [1.0, 0]])
-        tx = medium.begin(make_frame(0), now=0.0, airtime=0.002, bitrate=5_500_000)
+        tx = medium.begin(make_frame(0), now=0.0, airtime=0.002)
         medium.complete(tx, now=0.002)
         assert medium.transmissions == 1
         assert medium.receptions == 1
@@ -66,7 +66,7 @@ class TestLossModel:
 class TestCarrierSense:
     def test_busy_while_audible_transmission_in_flight(self):
         medium, _ = make_medium([[0, 0.9, 0.9], [0.9, 0, 0.9], [0.9, 0.9, 0]])
-        medium.begin(make_frame(0), now=0.0, airtime=0.002, bitrate=5_500_000)
+        medium.begin(make_frame(0), now=0.0, airtime=0.002)
         assert medium.is_busy(1, 0.001)
         assert medium.is_busy(0, 0.001)   # own transmission
         assert not medium.is_busy(1, 0.003)
@@ -76,7 +76,7 @@ class TestCarrierSense:
         # common neighbour, so it cannot sense node 0's transmissions.
         matrix = [[0, 0.9, 0.0], [0.9, 0, 0.0], [0.0, 0.0, 0]]
         medium, _ = make_medium(matrix)
-        medium.begin(make_frame(0), now=0.0, airtime=0.002, bitrate=5_500_000)
+        medium.begin(make_frame(0), now=0.0, airtime=0.002)
         assert not medium.is_busy(2, 0.001)
 
     def test_hidden_terminals_with_common_neighbor_sense_each_other(self):
@@ -89,18 +89,18 @@ class TestCarrierSense:
 
     def test_busy_until(self):
         medium, _ = make_medium([[0, 0.9], [0.9, 0]])
-        medium.begin(make_frame(0), now=0.0, airtime=0.002, bitrate=5_500_000)
+        medium.begin(make_frame(0), now=0.0, airtime=0.002)
         assert medium.busy_until(1, 0.001) == pytest.approx(0.002)
         assert medium.busy_until(1, 0.005) == pytest.approx(0.005)
 
     def test_busy_horizon(self):
         """A node's own frame holds it busy as an audible one does."""
         medium, _ = make_medium([[0, 0.9, 0.0], [0.9, 0, 0.0], [0.0, 0.0, 0]])
-        medium.begin(make_frame(0), now=0.0, airtime=0.002, bitrate=5_500_000)
+        medium.begin(make_frame(0), now=0.0, airtime=0.002)
         assert medium.busy_horizon(0, 0.001) == pytest.approx(0.002)
         assert medium.busy_horizon(1, 0.001) == pytest.approx(0.002)
         assert medium.busy_horizon(2, 0.001) == 0.001
-        medium.begin(make_frame(1), now=0.001, airtime=0.002, bitrate=5_500_000)
+        medium.begin(make_frame(1), now=0.001, airtime=0.002)
         assert medium.busy_horizon(0, 0.0015) == pytest.approx(0.003)
         assert medium.busy_horizon(0, 0.003) == 0.003
 
@@ -111,8 +111,8 @@ class TestCollisions:
         destroy each other (no capture)."""
         matrix = [[0, 0.0, 0.6], [0.0, 0, 0.6], [0.6, 0.6, 0]]
         medium, _ = make_medium(matrix, seed=1, capture_probability=0.0)
-        tx_a = medium.begin(make_frame(0), now=0.0, airtime=0.002, bitrate=5_500_000)
-        tx_b = medium.begin(make_frame(1), now=0.001, airtime=0.002, bitrate=5_500_000)
+        tx_a = medium.begin(make_frame(0), now=0.0, airtime=0.002)
+        tx_b = medium.begin(make_frame(1), now=0.001, airtime=0.002)
         received_a = medium.complete(tx_a, now=0.002)
         received_b = medium.complete(tx_b, now=0.003)
         assert received_a == [] and received_b == []
@@ -126,9 +126,8 @@ class TestCollisions:
         captured = 0
         for i in range(50):
             start = i * 0.01
-            tx_a = medium.begin(make_frame(0), now=start, airtime=0.002, bitrate=5_500_000)
-            tx_b = medium.begin(make_frame(1), now=start + 0.0005, airtime=0.002,
-                                bitrate=5_500_000)
+            tx_a = medium.begin(make_frame(0), now=start, airtime=0.002)
+            tx_b = medium.begin(make_frame(1), now=start + 0.0005, airtime=0.002)
             if 2 in medium.complete(tx_a, now=start + 0.002):
                 captured += 1
             medium.complete(tx_b, now=start + 0.0025)
@@ -139,24 +138,24 @@ class TestCollisions:
         """A node transmitting cannot simultaneously receive."""
         matrix = [[0, 0.9], [0.9, 0]]
         medium, _ = make_medium(matrix)
-        tx_a = medium.begin(make_frame(0), now=0.0, airtime=0.002, bitrate=5_500_000)
-        tx_b = medium.begin(make_frame(1), now=0.001, airtime=0.002, bitrate=5_500_000)
+        tx_a = medium.begin(make_frame(0), now=0.0, airtime=0.002)
+        tx_b = medium.begin(make_frame(1), now=0.001, airtime=0.002)
         assert medium.complete(tx_a, now=0.002) == []
         assert medium.complete(tx_b, now=0.003) == []
 
     def test_non_overlapping_transmissions_do_not_interfere(self):
         matrix = [[0, 0.0, 1.0], [0.0, 0, 1.0], [1.0, 1.0, 0]]
         medium, _ = make_medium(matrix, interference_threshold=0.05)
-        tx_a = medium.begin(make_frame(0), now=0.0, airtime=0.002, bitrate=5_500_000)
+        tx_a = medium.begin(make_frame(0), now=0.0, airtime=0.002)
         assert medium.complete(tx_a, now=0.002) == [2]
-        tx_b = medium.begin(make_frame(1), now=0.003, airtime=0.002, bitrate=5_500_000)
+        tx_b = medium.begin(make_frame(1), now=0.003, airtime=0.002)
         assert medium.complete(tx_b, now=0.005) == [2]
 
     def test_weak_interferer_below_threshold_ignored(self):
         matrix = [[0, 0.0, 1.0], [0.0, 0, 0.04], [1.0, 0.04, 0]]
         medium, _ = make_medium(matrix, interference_threshold=0.05)
-        tx_a = medium.begin(make_frame(0), now=0.0, airtime=0.002, bitrate=5_500_000)
-        medium.begin(make_frame(1), now=0.0005, airtime=0.002, bitrate=5_500_000)
+        tx_a = medium.begin(make_frame(0), now=0.0, airtime=0.002)
+        medium.begin(make_frame(1), now=0.0005, airtime=0.002)
         assert medium.complete(tx_a, now=0.002) == [2]
 
 
@@ -211,10 +210,13 @@ class TestPerSenderTables:
         medium = WirelessMedium(topology, channel, np.random.default_rng(0),
                                 mobility=churn)
         self._assert_rows_match_oracle(medium)
+        tx = medium.begin(make_frame(0), now=0.5, airtime=0.002)
+        medium.complete(tx, now=0.502)
+        assert set(medium._plans) == {(0, ())}
         stale = dict(medium._sense_rows)
-        medium.begin(make_frame(0), now=4.5, airtime=0.002, bitrate=5_500_000)
+        medium.begin(make_frame(0), now=4.5, airtime=0.002)
         assert medium._epoch == 4
-        assert not medium._sense_rows and not medium._eligible_rows
+        assert not medium._sense_rows and not medium._plans
         self._assert_rows_match_oracle(medium)
         assert all(medium._sense_rows[sender] is not row
                    for sender, row in stale.items())
@@ -225,7 +227,7 @@ class TestPerSenderTables:
         topology = random_geometric(node_count=300, area=515.0, seed=5)
         sim = Simulator(topology, SimConfig(seed=3))
         medium = sim.medium
-        assert not medium._sense_rows and not medium._eligible_rows
+        assert not medium._sense_rows and not medium._plans
         setup_more_flow(sim, topology, 17, 250, total_packets=32, batch_size=32,
                         coding_payload_size=16, max_relays=10, seed=3)
         sim.run(until=60.0, stop_condition=sim.stats.all_flows_complete)
@@ -235,5 +237,8 @@ class TestPerSenderTables:
                         + node.mac.stats.control_transmissions}
         assert set(sim.stats.data_transmissions) <= transmitters
         assert 2 <= len(transmitters) <= 12
-        assert set(medium._sense_rows) | set(medium._eligible_rows) == transmitters
-        assert len(medium._eligible_rows) == len(transmitters)
+        # A plan is keyed on its sender and the senders it overlapped.
+        assert {sender for sender, _ in medium._plans} == transmitters
+        assert {node for sender, overlapping in medium._plans
+                for node in (sender, *overlapping)} <= transmitters
+        assert set(medium._sense_rows) <= transmitters

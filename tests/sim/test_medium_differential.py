@@ -1,11 +1,11 @@
-"""Differential tests: vectorized reception resolution vs the scalar loop.
+"""Differential tests: the reception plan and its batched draw vs the scalar loop.
 
-The medium resolves all receivers of a completed frame in one vectorized
-pass (batched RNG draws over the eligible receivers in node order, a single
-delivery-row gather, a vectorized interference mask).  These tests drive
-the medium and its scalar oracle (:class:`ScalarMedium`: every frame forced
-through ``WirelessMedium._resolve_scalar``) with identical
-transmission schedules across several topologies and seeds — mirroring
+The medium resolves a completed frame from a reception plan (the eligible
+receivers in node order, their probabilities, the interference mask) and one
+batched RNG draw over those receivers.  These tests drive the medium and its
+scalar oracle (:class:`ScalarMedium`: every frame forced through
+``WirelessMedium._resolve_scalar``) with identical transmission schedules
+across several topologies, seeds and channel models — mirroring
 ``tests/coding/test_vectorized_differential.py`` — and assert bit-identical
 behaviour: the same receiver sets, the same statistics counters and the
 same main-RNG stream position afterwards.
@@ -42,16 +42,36 @@ TOPOLOGIES = {
 class ScalarMedium(WirelessMedium):
     """The oracle: every frame resolved by the reference per-node loop."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._static = False  # no per-sender resolution caches
-
-    def _resolve_vectorized(self, sender, probabilities, overlapping):
-        return None  # "a capture draw could interleave": take the scalar loop
+    def _plan(self, sender, row, senders):
+        # "A capture draw could occur": the frame takes the scalar loop.
+        return (*super()._plan(sender, row, senders)[:3], True)
 
 
 #: The medium and its oracle: every test drives both and compares.
 MEDIA = (WirelessMedium, ScalarMedium)
+
+#: Every kind of frame a plan can describe.
+PLAN_BRANCHES = {"no interferer", "own frame", "one interferer",
+                 "two interferers", "capture"}
+
+
+class BranchRecordingMedium(WirelessMedium):
+    """The medium under test, noting which kind of plan each frame needed."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.branches: set[str] = set()
+        super().__init__(*args, **kwargs)
+
+    def _plan(self, sender, row, senders):
+        plan = super()._plan(sender, row, senders)
+        interferers = set(senders) - {sender}
+        if plan[3]:
+            self.branches.add("capture")
+        elif interferers:
+            self.branches.add(("one interferer", "two interferers")[len(interferers) - 1])
+        else:
+            self.branches.add("own frame" if senders else "no interferer")
+        return plan
 
 
 def _make_frame(sender: int) -> Frame:
@@ -63,10 +83,13 @@ def _drive_schedule(medium: WirelessMedium, schedule_rng: np.random.Generator,
                     node_count: int, rounds: int = 120) -> list[list[int]]:
     """Replay a randomized schedule with deliberate overlaps on ``medium``.
 
-    About half the rounds start a second, overlapping transmission from a
-    different sender, exercising half-duplex exclusion, the interference
-    mask and (on suitable topologies) capture draws.  The schedule itself is
-    drawn from ``schedule_rng`` so both media see identical traffic.
+    A round puts up to three frames on the air at once: about a third of
+    the rounds add one overlapping frame and a quarter add two, from any
+    node — the round's first sender included, so a sender's own frames
+    overlap now and then.  That exercises half-duplex exclusion, one and
+    two interferers, the interference mask and (on suitable topologies)
+    capture draws.  The schedule is drawn from ``schedule_rng`` so both
+    media see identical traffic.
     """
     outcomes: list[list[int]] = []
     clock = 0.0
@@ -74,21 +97,15 @@ def _drive_schedule(medium: WirelessMedium, schedule_rng: np.random.Generator,
     for _ in range(rounds):
         clock += float(schedule_rng.uniform(0.001, 0.01))
         first = int(schedule_rng.integers(0, node_count))
-        tx_a = medium.begin(_make_frame(first), now=clock, airtime=airtime,
-                            bitrate=5_500_000)
-        tx_b = None
-        if schedule_rng.random() < 0.5:
-            second = int(schedule_rng.integers(0, node_count))
-            if second != first:
-                offset = float(schedule_rng.uniform(0.0, airtime))
-                tx_b = medium.begin(_make_frame(second), now=clock + offset,
-                                    airtime=airtime, bitrate=5_500_000)
-        outcomes.append(medium.complete(tx_a, now=clock + airtime))
-        if tx_b is not None:
-            outcomes.append(medium.complete(tx_b, now=tx_b.end))
-            clock = tx_b.end
-        else:
-            clock += airtime
+        on_air = [medium.begin(_make_frame(first), now=clock, airtime=airtime)]
+        extra = int(schedule_rng.choice(3, p=(0.4, 0.35, 0.25)))
+        for offset in sorted(schedule_rng.uniform(0.0, airtime, size=extra).tolist()):
+            sender = int(schedule_rng.integers(0, node_count))
+            on_air.append(medium.begin(_make_frame(sender), now=clock + offset,
+                                       airtime=airtime))
+        for transmission in on_air:
+            outcomes.append(medium.complete(transmission, now=transmission.end))
+        clock = on_air[-1].end
     return outcomes
 
 
@@ -137,10 +154,8 @@ def test_capture_heavy_schedule_still_identical(seed):
         received = []
         clock = 0.0
         for _ in range(80):
-            tx_a = medium.begin(_make_frame(0), now=clock, airtime=0.002,
-                                bitrate=5_500_000)
-            tx_b = medium.begin(_make_frame(1), now=clock + 0.0005, airtime=0.002,
-                                bitrate=5_500_000)
+            tx_a = medium.begin(_make_frame(0), now=clock, airtime=0.002)
+            tx_b = medium.begin(_make_frame(1), now=clock + 0.0005, airtime=0.002)
             received.append(medium.complete(tx_a, now=clock + 0.002))
             received.append(medium.complete(tx_b, now=clock + 0.0025))
             clock += 0.01
@@ -187,3 +202,24 @@ def test_vectorized_identity_holds_under_nonstatic_channel(seed):
             medium, np.random.default_rng(seed + 100), topology.node_count,
             rounds=80)
     assert outcomes[WirelessMedium] == outcomes[ScalarMedium]
+
+
+@pytest.mark.parametrize("channel", ("static", "gilbert_elliott"))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_plan_branch_meets_the_oracle(channel, seed):
+    """No interferer, the sender's own frame, one and two interferers and
+    capture: each kind of plan is met, and the oracle agrees on all of them."""
+    topology = TOPOLOGIES["indoor_testbed_20"]()
+    results = {}
+    for medium_class in (BranchRecordingMedium, ScalarMedium):
+        model = None if channel == "static" else GilbertElliott(
+            seed=seed, mean_good_time=0.02, mean_bad_time=0.005)
+        medium = medium_class(topology, ChannelConfig(), np.random.default_rng(seed),
+                              model=model)
+        outcomes = _drive_schedule(medium, np.random.default_rng(seed + 100),
+                                   topology.node_count, rounds=200)
+        results[medium_class] = (outcomes, medium.receptions, medium.collisions,
+                                 medium.captures, medium.rng.bit_generator.state)
+        if medium_class is BranchRecordingMedium:
+            assert medium.branches == PLAN_BRANCHES
+    assert results[BranchRecordingMedium] == results[ScalarMedium]

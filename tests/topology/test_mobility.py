@@ -154,3 +154,9 @@ class TestMarkovLinkChurn:
             MarkovLinkChurn(mean_up_time=0.0)
         with pytest.raises(ValueError):
             MarkovLinkChurn(down_scale=1.5)
+
+    @pytest.mark.parametrize("name", ["mean_up_time", "mean_down_time"])
+    def test_infinite_sojourn_rejected(self, name):
+        """inf/(inf + T) is NaN: every link used to start down."""
+        with pytest.raises(ValueError, match="positive and finite"):
+            MarkovLinkChurn(**{name: float("inf")})
