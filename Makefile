@@ -42,8 +42,10 @@ test:
 
 # The engine hot-path gate alone: scheduler unit/property tests, the medium
 # against its scalar oracle and its carrier-sense oracle (plus the per-epoch
-# reception-plan memo), the MAC's backoff draw against
-# Generator.integers and the MAC's unit tests, plus the full-run traces
+# reception-plan memo), the main generator's word stream (coins, capture
+# coins, backoff draws and hand-backs) against per-call draws on a twin
+# generator, the coin bound against numpy's next_double comparison and the
+# MAC's unit tests, plus the full-run traces
 # held bit-identical to tests/golden_traces.json — static runs, runs under
 # faults, and the runs whose control plane recurs (the refreshing /
 # supervised presets and three re-planned concurrent flows).
@@ -51,7 +53,7 @@ test-engine:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/sim/test_events.py \
 		tests/sim/test_medium.py \
 		tests/sim/test_medium_differential.py \
-		tests/sim/test_backoff_draw.py \
+		tests/sim/test_word_stream.py \
 		tests/sim/test_mac_and_trace.py \
 		tests/sim/test_engine_differential.py \
 		tests/sim/test_fault_differential.py \

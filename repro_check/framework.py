@@ -231,10 +231,12 @@ class AnalysisConfig:
     )
     #: Where the experiment config dataclass lives (CFG101).
     config_class: tuple[str, str] = ("src/repro/experiments/runner.py", "RunConfig")
-    #: The attribute holding the main simulation Generator — DET101's MAIN
-    #: stream root (path, class, attribute).
+    #: The attribute holding the main simulation generator's one reader,
+    #: its :class:`repro.rng.WordStream` — DET101's MAIN stream root (path,
+    #: class, attribute).  ``Simulator.rng`` is a property over it that
+    #: nothing assigns, so rooting there would leave the check vacuous.
     rng_main_root: tuple[str, str, str] = (
-        "src/repro/sim/simulator.py", "Simulator", "rng")
+        "src/repro/sim/simulator.py", "Simulator", "words")
     #: Modules whose public surface seeds CFG101's reachability walk.
     entry_modules: tuple[str, ...] = ("repro.cli", "repro.experiments.figures")
 

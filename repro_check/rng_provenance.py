@@ -2,11 +2,12 @@
 
 The paper's structure-for-randomness trade is only reproducible because
 every random draw in the simulator is attributable to a *declared stream
-root*: the main simulation Generator (``Simulator.rng``, seeded once from
-``RunConfig.seed``), or a throwaway generator derived per query from a
-``(seed, stream, counter)`` tuple (channel, mobility, fault,
-refresh-probe streams).  DET001 polices construction per file; DET101
-uses the dataflow layer to police *flow* across function boundaries:
+root*: the main simulation generator (seeded once from ``RunConfig.seed``
+and read through its one word stream, ``Simulator.words``), or a
+throwaway generator derived per query from a ``(seed, stream, counter)``
+tuple (channel, mobility, fault, refresh-probe streams).  DET001 polices
+construction per file; DET101 uses the dataflow layer to police *flow*
+across function boundaries:
 
 * **main-RNG leakage** — a value tagged with the main root arrives at a
   draw inside a counter-based module.  One such draw advances the main
@@ -49,10 +50,12 @@ from repro_check.framework import (
     register,
 )
 
-#: ``Generator`` methods that advance the stream: the draw sites.
+#: ``Generator`` methods that advance the stream, and the word-reading
+#: methods of :class:`repro.rng.WordStream`: the draw sites.
 _DRAW_METHODS = frozenset({
     "random", "integers", "normal", "uniform", "choice", "shuffle",
-    "permutation", "exponential", "standard_normal", "bytes"})
+    "permutation", "exponential", "standard_normal", "bytes",
+    "take", "word", "bounded"})
 
 
 @register

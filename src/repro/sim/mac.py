@@ -72,7 +72,7 @@ class CsmaMac:
         self.sim = simulator
         self.phy = simulator.config.phy
         # Hot-path collaborators, resolved once (the simulator builds its
-        # event queue, backoff draw and medium before any node/MAC exists).
+        # event queue, word stream and medium before any node/MAC exists).
         self.events = simulator.events
         self.medium = simulator.medium
         #: Fault injector (``None`` = fault-free): a crashed node's MAC
@@ -96,7 +96,7 @@ class CsmaMac:
         self._difs = phy.difs
         self._slot_time = phy.slot_time
         self._turnaround = phy.ack_turnaround
-        self._draw_slots = simulator.backoff_draw
+        self._draw_slots = simulator.words.bounded
         # (size_bytes, bitrate) -> airtime; flows reuse a handful of sizes.
         self._airtimes: dict[tuple[int, int], float] = {}
 

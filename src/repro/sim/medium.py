@@ -23,17 +23,22 @@ Gilbert-Elliott loss).  The model:
 
 Every frame resolves the same way: :meth:`WirelessMedium._plan` turns the
 sender's delivery row and the senders of the overlapping frames into a
-*reception plan* — the eligible receivers in node order, their
-probabilities, which of them survive the audible interferers, and whether
-a capture draw could occur — and one batched RNG draw over those receivers
-(in node order, so the stream is bit-identical to the per-node loop)
-decides the frame.  Under a static channel a plan is a pure function of
-``(sender, overlapping senders)`` and is memoised per mobility epoch;
-under Gilbert-Elliott it is derived per frame from the model's delivery
-row.  Only frames whose plan says a *capture* draw could occur go to the
-scalar loop (:meth:`WirelessMedium._resolve_scalar`), because capture
-draws interleave with delivery draws in the RNG stream; that loop keeps
-its own half-duplex and interference logic and is the tests' oracle.
+*reception plan* — plain lists of the eligible receivers in node order,
+their coins' word bounds, which of them survive the audible interferers,
+and, where a capture draw could occur, each receiver's capture chain — and
+:meth:`WirelessMedium._resolve` decides the frame from it, with no numpy
+call: a receiver hears the frame when its coin, one word of the main
+generator's :class:`~repro.rng.WordStream`, falls below its bound
+(``compress(receivers, map(lt, words, thresholds))``); a receiver with a
+capture chain reads one capture coin per capturable interferer right after
+its own coin, as the per-node loop does.  The stream is shared with every
+MAC's backoff draw and read in call order, so the words are those the
+per-call ``random(n) < p`` / ``random() < q`` draws would consume.  Under a
+static channel a plan is a pure function of ``(sender, overlapping
+senders)`` and is memoised per mobility epoch; under Gilbert-Elliott it is
+derived per frame from the model's delivery row.  The scalar loop
+(:meth:`WirelessMedium._resolve_scalar`) keeps its own half-duplex and
+interference logic and is only the tests' oracle.
 
 Everything the medium derives from the delivery matrix is built on a
 sender's first use from its own row and column (:func:`sense_row`, the
@@ -45,10 +50,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import and_, lt
 from typing import Any, Callable
 
 import numpy as np
 
+from repro.rng import WordStream, threshold
 from repro.sim.channels import ChannelModel, StaticBernoulli
 from repro.sim.frames import Frame
 from repro.sim.radio import ChannelConfig
@@ -119,12 +127,19 @@ class WirelessMedium:
     """Shared-channel model deciding receptions, collisions and carrier sense."""
 
     def __init__(self, topology: Topology, channel: ChannelConfig,
-                 rng: np.random.Generator, model: ChannelModel | None = None,
+                 rng: np.random.Generator | WordStream,
+                 model: ChannelModel | None = None,
                  mobility: MobilityModel | None = None,
                  faults=None) -> None:
         self.topology = topology
         self.channel = channel
-        self.rng = rng
+        #: The main generator's words: the simulator's stream, shared with
+        #: its MACs, or a stream of its own over a bare generator.
+        self._words = rng if isinstance(rng, WordStream) else WordStream(rng)
+        # Bound readers: complete() runs once per frame.
+        self._take = self._words.take
+        self._word = self._words.word
+        self._capture_threshold = threshold(channel.capture_probability)
         self.model = model if model is not None else StaticBernoulli()
         self.model.bind(topology)
         #: Fault injector (``None`` = fault-free, today's behaviour bit for
@@ -139,8 +154,6 @@ class WirelessMedium:
         self._epoch = -1
         if self._dynamic:
             mobility.bind(topology)
-        # Bound draw method: complete() runs once per frame.
-        self._random = rng.random
         self._active: list[Transmission] = []
         self._history: deque[Transmission] = deque()
         #: Static channel: a reception plan depends on the overlapping
@@ -157,6 +170,12 @@ class WirelessMedium:
         self.receptions = 0
         self.collisions = 0
         self.captures = 0
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The main generator, handed back at its logical position
+        (:meth:`repro.rng.WordStream.generator`)."""
+        return self._words.generator()
 
     def _rebuild_channel_state(self) -> None:
         """Forget everything derived from the channel base.
@@ -179,7 +198,7 @@ class WirelessMedium:
             self._derive_sense_row)
         # (sender, overlapping senders) -> the frame's reception plan
         # (see _plan).  Static channel only: there the plan never changes
-        # within an epoch, leaving one batched draw per frame.
+        # within an epoch, leaving only the coins per frame.
         self._plans: dict[tuple[int, tuple[int, ...]], tuple] = {}
 
     def _derive_sense_row(self, sender: int) -> list[bool]:
@@ -344,7 +363,7 @@ class WirelessMedium:
                 overlapping.append(other)
         senders = tuple([other.frame.sender for other in overlapping])
         if self._static:
-            row = None  # read below by a capture frame only
+            row = None
             key = (sender, senders)
             plan = self._plans.get(key)
             if plan is None:
@@ -353,22 +372,7 @@ class WirelessMedium:
         else:
             row = self.model.delivery_row(sender, start, end)
             plan = self._plan(sender, row, senders)
-        indices, probabilities, survivable, capture_possible = plan
-        if capture_possible:
-            if row is None:
-                row = self._delivery[sender]
-            receivers = self._resolve_scalar(sender, row, overlapping)
-        else:
-            # One draw per eligible receiver, in node order: the stream the
-            # scalar loop would consume.
-            delivered = self._random(indices.size) < probabilities
-            if survivable is None:
-                receivers = indices[delivered].tolist()
-            else:
-                survived = delivered & survivable
-                self.collisions += int(delivered.sum()) - int(survived.sum())
-                receivers = indices[survived].tolist()
-            self.receptions += len(receivers)
+        receivers = self._resolve(plan, sender, row, overlapping)
         if self.faults is not None:
             kept = self.faults.filter_receivers(transmission.frame, receivers)
             if len(kept) != len(receivers):
@@ -386,17 +390,18 @@ class WirelessMedium:
 
     def _plan(self, sender: int, row: np.ndarray,
               senders: tuple[int, ...]) -> tuple:
-        """Everything about one frame's reception except the draws.
+        """Everything about one frame's reception except the coins.
 
         ``row`` holds the frame's delivery probabilities and ``senders``
-        the senders of the frames that overlapped it.  Returns
-        ``(indices, probabilities, survivable, capture_possible)``: the
-        eligible receivers in node order (the order the draws are consumed
-        in) and their probabilities; a mask over them of the receivers no
-        audible interferer corrupts (``None`` when none is corrupted); and
-        whether a capture draw could occur, in which case the caller takes
-        :meth:`_resolve_scalar`, because capture draws interleave with the
-        delivery draws.
+        the senders of the frames that overlapped it, in overlap order.
+        Returns ``(receivers, thresholds, survivable, chains)``, all plain
+        lists: the eligible receivers in node order (the order the coins
+        are read in) and their coins' word bounds
+        (:func:`repro.rng.threshold`); a mask over them of the receivers no
+        audible interferer corrupts (``None`` when none is corrupted); and,
+        when a capture draw could occur, each receiver's *capture chain*:
+        one flag per interferer audible at it, in overlap order, saying
+        whether the capture margin holds (``None`` otherwise).
         """
         eligible = row > 0.0
         eligible[sender] = False
@@ -405,24 +410,72 @@ class WirelessMedium:
         eligible[list(senders)] = False
         indices = np.nonzero(eligible)[0]
         probabilities = row[indices]
+        receivers = indices.tolist()
+        thresholds = list(map(threshold, probabilities.tolist()))
         interferers = [other for other in senders if other != sender]
         if not interferers:
-            return indices, probabilities, None, False
+            return receivers, thresholds, None, None
         # levels[m, k]: how audible interferer m is at eligible receiver k.
         levels = self._delivery[interferers][:, indices]
         audible = levels > self.channel.interference_threshold
-        capture_possible = bool((audible & (probabilities - levels
-                                            >= self.channel.capture_margin)).any())
+        capturable = audible & (probabilities - levels
+                                >= self.channel.capture_margin)
+        if capturable.any():
+            chains = [tuple(saved for heard, saved in zip(heard_by, saved_by)
+                            if heard)
+                      for heard_by, saved_by in zip(audible.T.tolist(),
+                                                    capturable.T.tolist())]
+            return receivers, thresholds, None, chains
         corrupted = audible.any(axis=0)
-        survivable = ~corrupted if corrupted.any() else None
-        return indices, probabilities, survivable, capture_possible
+        survivable = (~corrupted).tolist() if corrupted.any() else None
+        return receivers, thresholds, survivable, None
+
+    def _resolve(self, plan: tuple, sender: int, row: np.ndarray | None,
+                 overlapping: list[Transmission]) -> list[int]:
+        """Decide a frame from its plan: the receivers, in node order.
+
+        One coin per eligible receiver, in node order.  A receiver with a
+        capture chain reads its capture coins right after its own coin,
+        one per capturable interferer until the first that fails; an
+        interferer outside the margin corrupts the reception outright.
+        ``sender``, ``row`` (``None`` under a static channel) and
+        ``overlapping`` are what the oracle needs to decide the same frame
+        without the plan.
+        """
+        receivers, thresholds, survivable, chains = plan
+        if chains is None:
+            delivered = map(lt, self._take(len(thresholds)), thresholds)
+            if survivable is None:
+                received = list(compress(receivers, delivered))
+            else:
+                delivered = list(delivered)
+                received = list(compress(receivers, map(and_, delivered, survivable)))
+                self.collisions += sum(delivered) - len(received)
+        else:
+            word = self._word
+            capture = self._capture_threshold
+            received = []
+            for node, bound, chain in zip(receivers, thresholds, chains):
+                if word() >= bound:
+                    continue  # channel loss
+                for capturable in chain:
+                    if not capturable or word() >= capture:
+                        self.collisions += 1
+                        break
+                    self.captures += 1
+                else:
+                    received.append(node)
+        self.receptions += len(received)
+        return received
 
     def _resolve_scalar(self, sender: int, probabilities: np.ndarray,
                         overlapping: list[Transmission]) -> list[int]:
-        """The reference per-node loop: the capture fallback and the oracle.
+        """The reference per-node loop: the tests' oracle.
 
-        It keeps its own half-duplex and interference rules rather than
-        reading a plan, so the tests can hold :meth:`_plan` against it.
+        Nothing at run time calls it.  It keeps its own half-duplex and
+        interference rules and draws ``random()`` on the handed-back
+        generator rather than reading a plan's words, so the tests can hold
+        :meth:`_plan` and :meth:`_resolve` against it.
         """
         receivers: list[int] = []
         # Only the sender's non-zero links, in ascending node order: the

@@ -8,6 +8,7 @@ the absolute throughput scale of the simulator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -58,7 +59,7 @@ class PhyConfig:
 
     def __post_init__(self) -> None:
         # A window of w slots is a draw below w + 1, and the MAC's backoff
-        # draw (repro.rng.bounded_draw) takes spans up to 2**32 - 1.
+        # draw (repro.rng.WordStream.bounded) takes spans up to 2**32 - 1.
         for name, valid, requirement in (
                 ("cw_min", self.cw_min >= 0, ">= 0"),
                 ("cw_max", self.cw_min <= self.cw_max <= 2**32 - 2,
@@ -139,6 +140,19 @@ class ChannelConfig:
     interference_threshold: float = 0.10
     capture_margin: float = 0.35
     capture_probability: float = 0.7
+
+    def __post_init__(self) -> None:
+        # Comparisons with NaN are all False, so a NaN passes neither test
+        # below, and the medium turns capture_probability into an integer
+        # word bound (repro.rng.threshold), which a NaN cannot have.
+        for name in ("sense_threshold", "neighbor_sense_threshold",
+                     "interference_threshold", "capture_probability"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"ChannelConfig.{name} must be finite and in "
+                                 f"[0, 1], got {getattr(self, name)!r}")
+        if not 0.0 <= self.capture_margin < math.inf:
+            raise ValueError("ChannelConfig.capture_margin must be finite and "
+                             f">= 0, got {self.capture_margin!r}")
 
 
 @dataclass

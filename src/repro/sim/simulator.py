@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.rng import bounded_draw
+from repro.rng import WordStream
 from repro.sim.channels import build_channel_model
 from repro.sim.events import EventQueue
 from repro.sim.faults import FaultInjector, build_fault_model
@@ -35,10 +35,9 @@ class Simulator:
         self.topology = topology
         self.config = config if config is not None else SimConfig()
         self.events = EventQueue()
-        self.rng = np.random.default_rng(self.config.seed)
-        #: Every MAC's backoff draw: ``backoff_draw(span)`` reads ``rng`` as
-        #: ``rng.integers(0, span)`` would (:func:`repro.rng.bounded_draw`).
-        self.backoff_draw = bounded_draw(self.rng)
+        #: The main generator's one reader: the medium's reception and
+        #: capture coins and every MAC's backoff draw share it, in call order.
+        self.words = WordStream(np.random.default_rng(self.config.seed))
         # The channel model draws from its own seed-derived stream, so a
         # static-channel simulation consumes the main RNG exactly as before.
         model = build_channel_model(self.config.channel_model,
@@ -56,7 +55,7 @@ class Simulator:
                                         seed=self.config.seed)
         self.faults = (FaultInjector(fault_model, self)
                        if fault_model is not None else None)
-        self.medium = WirelessMedium(topology, self.config.channel, self.rng,
+        self.medium = WirelessMedium(topology, self.config.channel, self.words,
                                      model=model,
                                      mobility=mobility,
                                      faults=self.faults)
@@ -75,6 +74,12 @@ class Simulator:
     # ------------------------------------------------------------------ #
 
     @property
+    def rng(self) -> np.random.Generator:
+        """The main generator, handed back at its logical position
+        (:meth:`repro.rng.WordStream.generator`)."""
+        return self.words.generator()
+
+    @property
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self.events.now
@@ -91,15 +96,21 @@ class Simulator:
         ``StatsCollector.version``) instead of after every scheduler event.
         The stopping event is identical: such a condition cannot change
         value between versions.
+
+        On return the main generator is handed back at its logical
+        position, so no block of its words outlives a run.
         """
         horizon = until if until is not None else self.config.max_duration
         version_source = None
         if (stop_condition is not None
                 and getattr(stop_condition, "__self__", None) is self.stats):
             version_source = self.stats
-        return self.events.run(until=horizon, stop_condition=stop_condition,
-                               max_events=max_events,
-                               version_source=version_source)
+        try:
+            return self.events.run(until=horizon, stop_condition=stop_condition,
+                                   max_events=max_events,
+                                   version_source=version_source)
+        finally:
+            self.words.generator()
 
     # ------------------------------------------------------------------ #
     # Agent management and frame delivery

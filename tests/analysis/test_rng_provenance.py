@@ -60,6 +60,59 @@ def test_main_rng_leak_into_counter_module_is_rejected(tmp_path):
     assert "main" in findings[0].message
 
 
+#: The simulator's shape: its generator is read through one word stream
+#: (``repro.rng.WordStream``), and ``rng`` is a property over that stream.
+STREAM_SIM = ("import numpy as np\n"
+              "class WordStream:\n"
+              "    def __init__(self, generator):\n"
+              "        self._generator = generator\n"
+              "    def bounded(self, span):\n"
+              "        return int(self._generator.integers(0, span))\n"
+              "    def generator(self):\n"
+              "        return self._generator\n"
+              "class Sim:\n"
+              "    def __init__(self, seed):\n"
+              "        self.words = WordStream(np.random.default_rng(seed))\n"
+              "    @property\n"
+              "    def rng(self):\n"
+              "        return self.words.generator()\n")
+
+
+def test_a_draw_through_the_simulators_word_stream_is_rejected(tmp_path):
+    """The main root is the attribute holding the stream: a counter-module
+    draw through it is main-RNG leakage.  Rooted at the ``rng`` property,
+    which nothing assigns, the same draw would pass unseen."""
+    write(tmp_path, "src/repro/sim.py", STREAM_SIM)
+    write(tmp_path, "src/repro/chan.py",
+          "from repro.sim import Sim\n"
+          "class Channel:\n"
+          "    def sample(self, sim: Sim):\n"
+          "        return sim.words.bounded(8)\n")
+    root = AnalysisConfig().rng_main_root[2]
+    findings = run_rules(tmp_path, select=["DET101"], config=det_config(
+        rng_main_root=("src/repro/sim.py", "Sim", root)))
+    assert len(findings) == 1
+    assert findings[0].path == "src/repro/chan.py"
+    assert "`.bounded()` draws from the *main* simulation RNG" in findings[0].message
+    assert run_rules(tmp_path, select=["DET101"], config=det_config(
+        rng_main_root=("src/repro/sim.py", "Sim", "rng"))) == []
+
+
+def test_the_shipped_main_root_is_the_simulators_stream():
+    """The configured root names an attribute ``Simulator`` assigns, and it
+    holds the stream every MAC and the medium read."""
+    from repro.rng import WordStream
+    from repro.sim.simulator import Simulator
+    from repro.topology.generator import chain
+
+    path, class_name, attribute = AnalysisConfig().rng_main_root
+    assert (path, class_name) == ("src/repro/sim/simulator.py", "Simulator")
+    sim = Simulator(chain(2))
+    assert isinstance(vars(sim)[attribute], WordStream)
+    assert sim.medium._words is vars(sim)[attribute]
+    assert sim.nodes[0].mac._draw_slots.__self__ is vars(sim)[attribute]
+
+
 def test_stored_generator_draw_is_query_order_dependent(tmp_path):
     write(tmp_path, "src/repro/sim.py", SIM)
     write(tmp_path, "src/repro/chan.py",

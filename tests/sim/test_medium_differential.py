@@ -1,10 +1,11 @@
-"""Differential tests: the reception plan and its batched draw vs the scalar loop.
+"""Differential tests: the reception plan and its words vs the scalar loop.
 
 The medium resolves a completed frame from a reception plan (the eligible
-receivers in node order, their probabilities, the interference mask) and one
-batched RNG draw over those receivers.  These tests drive the medium and its
-scalar oracle (:class:`ScalarMedium`: every frame forced through
-``WirelessMedium._resolve_scalar``) with identical transmission schedules
+receivers in node order, their coins' word bounds, the interference mask,
+the capture chains) and the main generator's words, read in order.  These
+tests drive the medium and its scalar oracle (:class:`ScalarMedium`: every
+frame decided by ``WirelessMedium._resolve_scalar`` on the handed-back
+generator) with identical transmission schedules
 across several topologies, seeds and channel models — mirroring
 ``tests/coding/test_vectorized_differential.py`` — and assert bit-identical
 behaviour: the same receiver sets, the same statistics counters and the
@@ -40,11 +41,11 @@ TOPOLOGIES = {
 
 
 class ScalarMedium(WirelessMedium):
-    """The oracle: every frame resolved by the reference per-node loop."""
+    """The oracle: every frame decided by the reference per-node loop."""
 
-    def _plan(self, sender, row, senders):
-        # "A capture draw could occur": the frame takes the scalar loop.
-        return (*super()._plan(sender, row, senders)[:3], True)
+    def _resolve(self, plan, sender, row, overlapping):
+        return self._resolve_scalar(
+            sender, self._delivery[sender] if row is None else row, overlapping)
 
 
 #: The medium and its oracle: every test drives both and compares.
@@ -65,7 +66,7 @@ class BranchRecordingMedium(WirelessMedium):
     def _plan(self, sender, row, senders):
         plan = super()._plan(sender, row, senders)
         interferers = set(senders) - {sender}
-        if plan[3]:
+        if plan[3] is not None:
             self.branches.add("capture")
         elif interferers:
             self.branches.add(("one interferer", "two interferers")[len(interferers) - 1])
@@ -128,13 +129,18 @@ def test_vectorized_reception_bit_identical_to_scalar(topology_name, seed):
     assert medium.rng.bit_generator.state == oracle.rng.bit_generator.state
 
 
+def _refuse_the_oracle(*args):
+    raise AssertionError("the medium under test reached the oracle")
+
+
 @pytest.mark.parametrize("seed", SEEDS)
-def test_capture_heavy_schedule_still_identical(seed):
+def test_capture_heavy_schedule_still_identical(seed, monkeypatch):
     """A topology engineered for capture (large delivery margins) agrees too.
 
-    Capture draws interleave with delivery draws, which the batched stream
-    cannot reproduce; the vectorized path must detect this and fall back so
-    the overall behaviour stays bit-identical.
+    Capture coins interleave with reception coins: a receiver whose coin
+    delivers reads one capture coin per capturable interferer before the
+    next receiver's coin.  The medium under test resolves these frames from
+    their plans' capture chains, never from the oracle.
     """
     # Strong wanted links (0.9) vs weak interferers (0.12): every overlap
     # puts the capture margin condition in play.
@@ -151,6 +157,8 @@ def test_capture_heavy_schedule_still_identical(seed):
         medium = medium_class(Topology(delivery),
                               ChannelConfig(capture_probability=0.7),
                               np.random.default_rng(seed))
+        if medium_class is WirelessMedium:
+            monkeypatch.setattr(medium, "_resolve_scalar", _refuse_the_oracle)
         received = []
         clock = 0.0
         for _ in range(80):
@@ -163,6 +171,7 @@ def test_capture_heavy_schedule_still_identical(seed):
                                medium.rng.bit_generator.state)
     assert results[WirelessMedium] == results[ScalarMedium]
     assert results[WirelessMedium][1] > 0  # the schedule actually exercised capture
+    assert results[WirelessMedium][2] > 0  # and captures that failed
 
 
 @pytest.mark.parametrize("seed", (1, 7))

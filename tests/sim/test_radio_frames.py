@@ -83,6 +83,31 @@ class TestPhyTiming:
         assert isinstance(config.channel, ChannelConfig)
 
 
+class TestChannelConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("capture_probability", float("nan")),  # used to run, never capturing
+        ("capture_probability", 1.5),
+        ("capture_probability", -0.1),
+        ("interference_threshold", -1.0),       # used to run: every overlap collided
+        ("interference_threshold", float("inf")),
+        ("sense_threshold", float("nan")),
+        ("sense_threshold", 2.0),
+        ("neighbor_sense_threshold", -0.2),
+        ("capture_margin", -0.1),
+        ("capture_margin", float("nan")),
+        ("capture_margin", float("inf")),
+    ])
+    def test_bad_values_are_refused_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=rf"^ChannelConfig\.{field} must be .*, got "):
+            ChannelConfig(**{field: value})
+
+    def test_edge_values_are_legal(self):
+        ChannelConfig(sense_threshold=0.0, neighbor_sense_threshold=1.0,
+                      interference_threshold=1.0, capture_margin=0.0,
+                      capture_probability=0.0)
+        ChannelConfig(capture_margin=1e9, capture_probability=1.0)
+
+
 class TestFrame:
     def test_broadcast_detection(self):
         frame = Frame(sender=1, receiver=BROADCAST, kind=FrameKind.DATA, flow_id=1,
