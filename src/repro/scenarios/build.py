@@ -50,7 +50,8 @@ PAIR_WORKLOAD_KINDS = ("random_pairs", "spatial_reuse", "explicit")
 WORKLOAD_KINDS = PAIR_WORKLOAD_KINDS + ("multiflow",)
 
 #: How many built meshes :func:`build_topology` keeps (least recently used
-#: goes first): a sweep's consecutive cells share one or two.
+#: goes first): a sweep's consecutive cells share one or two.  It also caps
+#: what a process keeps derived from them (control plans, medium tables).
 TOPOLOGY_CACHE_SIZE = 4
 
 _built: OrderedDict[str, Topology] = OrderedDict()
@@ -63,7 +64,8 @@ def build_topology(spec: TopologySpec) -> Topology:
     :data:`TOPOLOGY_CACHE_SIZE` meshes built in this process are kept, keyed
     on the spec's canonical JSON, and the cells, figure views and flows a
     process runs over one topology section generate it once and share what
-    is derived from it (:meth:`repro.topology.graph.Topology.derived`).
+    is derived from it (:meth:`repro.topology.graph.Topology.derived`: the
+    control plans and the medium's sense rows and reception plans).
     The mesh is therefore shared: to edit one, build a new
     :class:`Topology` from its ``delivery_matrix()``.
     """

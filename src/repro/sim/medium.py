@@ -23,7 +23,7 @@ Gilbert-Elliott loss).  The model:
 
 Every frame resolves the same way: :meth:`WirelessMedium._plan` turns the
 sender's delivery row and the senders of the overlapping frames into a
-*reception plan* — plain lists of the eligible receivers in node order,
+*reception plan* — tuples of the eligible receivers in node order,
 their coins' word bounds, which of them survive the audible interferers,
 and, where a capture draw could occur, each receiver's capture chain — and
 :meth:`WirelessMedium._resolve` decides the frame from it, with no numpy
@@ -34,16 +34,22 @@ capture chain reads one capture coin per capturable interferer right after
 its own coin, as the per-node loop does.  The stream is shared with every
 MAC's backoff draw and read in call order, so the words are those the
 per-call ``random(n) < p`` / ``random() < q`` draws would consume.  Under a
-static channel a plan is a pure function of ``(sender, overlapping
-senders)`` and is memoised per mobility epoch; under Gilbert-Elliott it is
-derived per frame from the model's delivery row.  The scalar loop
+static channel a plan is a pure function of the matrix, the
+:class:`~repro.sim.radio.ChannelConfig` and ``(sender, overlapping
+senders)``, and is memoised; under Gilbert-Elliott it is derived per frame
+from the model's delivery row.  The scalar loop
 (:meth:`WirelessMedium._resolve_scalar`) keeps its own half-duplex and
 interference logic and is only the tests' oracle.
 
 Everything the medium derives from the delivery matrix is built on a
 sender's first use from its own row and column (:func:`sense_row`, the
-plans): a simulator over a 1000-node mesh pays for the dozen nodes that
-transmit, not for N² pairs.
+plans), so a 1000-node mesh costs the dozen nodes that transmit, not N²
+pairs.  Under a static channel with no mobility the sense rows and the plan
+memo live on the topology (:meth:`~repro.topology.graph.Topology.derived`,
+keyed on the ``ChannelConfig``): a process pays once per topology and
+channel, and every simulator over them — every seed, protocol, flow set
+and sweep cell — reads the same tuples.  A mobility epoch or a
+Gilbert-Elliott channel keeps a pair of tables of its own.
 """
 
 from __future__ import annotations
@@ -106,21 +112,42 @@ def sense_row(delivery: np.ndarray, channel: ChannelConfig,
     return row
 
 
-class _PerSender(dict):
-    """``sender -> value``, derived on the sender's first use.
+class _Memo(dict):
+    """``key -> value``, derived on the key's first use.
 
     A hit is a plain dict index (``__missing__`` runs only on a miss), so
-    the per-frame lookups cost what the eager per-node tables did while a
-    simulator only ever pays for the nodes that transmit.
+    the per-frame lookups cost what eager tables would while a process only
+    ever pays for the senders that transmit and the overlaps that occur.
     """
 
-    def __init__(self, derive: Callable[[int], Any]) -> None:
+    def __init__(self, derive: Callable[[Any], Any]) -> None:
         super().__init__()
         self._derive = derive
 
-    def __missing__(self, sender: int) -> Any:
-        value = self[sender] = self._derive(sender)
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self._derive(key)
         return value
+
+
+def _medium_tables(delivery: np.ndarray,
+                   channel: ChannelConfig) -> tuple[_Memo, _Memo]:
+    """The sense rows and the reception-plan memo over ``delivery``.
+
+    Both start empty and fill on first use: ``sender -> sense row`` and
+    ``(sender, overlapping senders) -> plan``.  The closures hold the
+    matrix and the channel and nothing else, so a topology that keeps the
+    pair (:meth:`~repro.topology.graph.Topology.derived`) keeps no medium
+    or simulator alive, and every value is a tuple no reader can edit.
+    """
+    def derive_row(sender: int) -> tuple[bool, ...]:
+        return tuple(sense_row(delivery, channel, sender).tolist())
+
+    def derive_plan(key: tuple[int, tuple[int, ...]]) -> tuple:
+        sender, senders = key
+        return WirelessMedium._plan(delivery, channel, sender,
+                                    delivery[sender], senders)
+
+    return _Memo(derive_row), _Memo(derive_plan)
 
 
 class WirelessMedium:
@@ -178,31 +205,34 @@ class WirelessMedium:
         return self._words.generator()
 
     def _rebuild_channel_state(self) -> None:
-        """Forget everything derived from the channel base.
+        """Adopt the tables derived from the channel base.
 
         Called once at construction and — under a dynamic topology — at
         every epoch boundary: this is the epoch-keyed invalidation of the
         sense rows and the reception-plan memo.  Nothing is derived here;
-        each sender's row and plans are built on their first use in the
-        epoch.
+        each sender's row and plans are built on their first use.  A static
+        channel with no mobility reads the pair its topology keeps for this
+        ``ChannelConfig``, shared by every medium over that topology; an
+        epoch or a Gilbert-Elliott channel gets a pair of its own.
         """
         # Long-run average deliveries: carrier-sense audibility and
         # interference levels track mean signal energy, not the
         # instantaneous fade (for the static model this IS the topology
         # matrix, preserving the original behaviour bit for bit).
-        self._delivery = self.model.mean_matrix()
-        # Plain-python sense rows: the per-transmission carrier-sense probes
-        # are scalar lookups, where list indexing beats numpy scalar
-        # indexing several-fold.
-        self._sense_rows: dict[int, list[bool]] = _PerSender(
-            self._derive_sense_row)
-        # (sender, overlapping senders) -> the frame's reception plan
-        # (see _plan).  Static channel only: there the plan never changes
-        # within an epoch, leaving only the coins per frame.
-        self._plans: dict[tuple[int, tuple[int, ...]], tuple] = {}
-
-    def _derive_sense_row(self, sender: int) -> list[bool]:
-        return sense_row(self._delivery, self.channel, sender).tolist()
+        delivery = self._delivery = self.model.mean_matrix()
+        channel = self.channel
+        if self._static and not self._dynamic:
+            tables = self.topology.derived(
+                ("medium", channel), lambda: _medium_tables(delivery, channel))
+        else:
+            tables = _medium_tables(delivery, channel)
+        # Tuples of plain bools: the per-transmission carrier-sense probes
+        # are scalar lookups, where tuple indexing beats numpy scalar
+        # indexing several-fold.  Plans are read from the memo under a
+        # static channel only: there a plan never changes within an epoch,
+        # leaving only the coins per frame.
+        self._sense_rows: dict[int, tuple[bool, ...]] = tables[0]
+        self._plans: dict[tuple[int, tuple[int, ...]], tuple] = tables[1]
 
     # ------------------------------------------------------------------ #
     # Dynamic topology (mobility / link churn)
@@ -334,6 +364,9 @@ class WirelessMedium:
         # monotonic, so every frame resolves against the epoch state the
         # medium held when it went on the air (or newer, if a later frame
         # began meanwhile).
+        # Off the air first: a frame that is not on it raises here, before
+        # a word is read or a counter moves.
+        self._active.remove(transmission)
         sender = transmission.frame.sender
         # Gather overlapping transmissions without concatenating the
         # active and history lists (the order — active first, then
@@ -354,24 +387,18 @@ class WirelessMedium:
             history.popleft()
         overlapping: list[Transmission] = []
         for other in self._active:
-            if other is not transmission \
-                    and start < other.end and other.start < end:
+            if start < other.end and other.start < end:
                 overlapping.append(other)
         for other in history:
-            if other is not transmission \
-                    and start < other.end and other.start < end:
+            if start < other.end and other.start < end:
                 overlapping.append(other)
         senders = tuple([other.frame.sender for other in overlapping])
         if self._static:
             row = None
-            key = (sender, senders)
-            plan = self._plans.get(key)
-            if plan is None:
-                plan = self._plans[key] = self._plan(
-                    sender, self._delivery[sender], senders)
+            plan = self._plans[sender, senders]
         else:
             row = self.model.delivery_row(sender, start, end)
-            plan = self._plan(sender, row, senders)
+            plan = self._plan(self._delivery, self.channel, sender, row, senders)
         receivers = self._resolve(plan, sender, row, overlapping)
         if self.faults is not None:
             kept = self.faults.filter_receivers(transmission.frame, receivers)
@@ -381,27 +408,27 @@ class WirelessMedium:
                 self.receptions -= len(receivers) - len(kept)
                 receivers = kept
         transmission.receivers = receivers
-        try:
-            self._active.remove(transmission)
-        except ValueError:
-            pass
         history.append(transmission)
         return receivers
 
-    def _plan(self, sender: int, row: np.ndarray,
-              senders: tuple[int, ...]) -> tuple:
+    @staticmethod
+    def _plan(delivery: np.ndarray, channel: ChannelConfig, sender: int,
+              row: np.ndarray, senders: tuple[int, ...]) -> tuple:
         """Everything about one frame's reception except the coins.
 
-        ``row`` holds the frame's delivery probabilities and ``senders``
-        the senders of the frames that overlapped it, in overlap order.
-        Returns ``(receivers, thresholds, survivable, chains)``, all plain
-        lists: the eligible receivers in node order (the order the coins
+        ``delivery`` is the mean matrix the interference levels come from,
+        ``row`` the frame's delivery probabilities and ``senders`` the
+        senders of the frames that overlapped it, in overlap order.
+        Returns ``(receivers, thresholds, survivable, chains)``, all
+        tuples: the eligible receivers in node order (the order the coins
         are read in) and their coins' word bounds
         (:func:`repro.rng.threshold`); a mask over them of the receivers no
         audible interferer corrupts (``None`` when none is corrupted); and,
         when a capture draw could occur, each receiver's *capture chain*:
         one flag per interferer audible at it, in overlap order, saying
-        whether the capture margin holds (``None`` otherwise).
+        whether the capture margin holds (``None`` otherwise).  A pure
+        function of its arguments, so a static channel's plans are shared
+        by every medium over one topology.
         """
         eligible = row > 0.0
         eligible[sender] = False
@@ -410,24 +437,24 @@ class WirelessMedium:
         eligible[list(senders)] = False
         indices = np.nonzero(eligible)[0]
         probabilities = row[indices]
-        receivers = indices.tolist()
-        thresholds = list(map(threshold, probabilities.tolist()))
+        receivers = tuple(indices.tolist())
+        thresholds = tuple(map(threshold, probabilities.tolist()))
         interferers = [other for other in senders if other != sender]
         if not interferers:
             return receivers, thresholds, None, None
         # levels[m, k]: how audible interferer m is at eligible receiver k.
-        levels = self._delivery[interferers][:, indices]
-        audible = levels > self.channel.interference_threshold
+        levels = delivery[interferers][:, indices]
+        audible = levels > channel.interference_threshold
         capturable = audible & (probabilities - levels
-                                >= self.channel.capture_margin)
+                                >= channel.capture_margin)
         if capturable.any():
-            chains = [tuple(saved for heard, saved in zip(heard_by, saved_by)
-                            if heard)
-                      for heard_by, saved_by in zip(audible.T.tolist(),
-                                                    capturable.T.tolist())]
+            chains = tuple(tuple(saved for heard, saved in zip(heard_by, saved_by)
+                                 if heard)
+                           for heard_by, saved_by in zip(audible.T.tolist(),
+                                                         capturable.T.tolist()))
             return receivers, thresholds, None, chains
         corrupted = audible.any(axis=0)
-        survivable = (~corrupted).tolist() if corrupted.any() else None
+        survivable = tuple((~corrupted).tolist()) if corrupted.any() else None
         return receivers, thresholds, survivable, None
 
     def _resolve(self, plan: tuple, sender: int, row: np.ndarray | None,

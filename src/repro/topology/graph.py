@@ -132,13 +132,18 @@ class Topology:
     def derived(self, key: Hashable, derive: Callable[[], T]) -> T:
         """``derive()``, computed once per ``key`` while the matrix stays as it is.
 
-        The one memo of what the control plane derives from a topology's
-        link state alone — the probe-free control view, the link-cost rows,
-        the per-destination distance vectors, the forwarding plans — so
-        every flow, protocol and seed run over this topology reads one
-        copy.  :meth:`set_delivery` drops all of it.  Every caller gets the
-        same object, so the arrays in it are made read-only; a function
-        that hands out a list returns a fresh copy of it.
+        The one memo of what is derived from a topology's link state
+        alone: for the control plane the probe-free control view, the
+        link-cost rows, the per-destination distance vectors and the
+        forwarding plans; for the data plane the medium's carrier-sense
+        rows and reception plans under a static channel, per
+        ``ChannelConfig`` (:mod:`repro.sim.medium`).  Every flow, protocol
+        and seed run over this topology reads one copy.
+        :meth:`set_delivery` drops all of it.  Every caller gets the same
+        object, so the arrays in it are made read-only and the medium's
+        tables hold tuples; a function that hands out a list returns a
+        fresh copy of it.  A value must not hold what uses it (a medium, a
+        simulator): the topology would keep that alive.
         """
         value = self._derived.get(key)
         if value is None:

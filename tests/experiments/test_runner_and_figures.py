@@ -22,6 +22,7 @@ from repro.experiments.runner import (
     run_single_flow,
 )
 from repro.scenarios import build_flow_sets, build_pairs, build_topology, get_preset
+from repro.sim.radio import ChannelConfig
 from repro.topology.estimation import probe_estimated_topology
 from repro.topology.generator import chain, diamond, indoor_testbed, random_geometric
 
@@ -96,11 +97,13 @@ class TestControlPlaneIsDerivedOnce:
 
     def test_probe_free_control_plane_is_shared_across_seeds(self, mesh):
         self._two_flows(mesh, probes=0)
-        # On the mesh: the one control view.  On the view: one link table,
-        # one plan, one Dijkstra per distinct destination (the flow's, and
-        # the source as the batch ACKs' destination).
-        (key,) = mesh._derived
+        # On the mesh: the one control view, and the medium's tables for the
+        # one channel configuration.  On the view: one link table, one plan,
+        # one Dijkstra per distinct destination (the flow's, and the source
+        # as the batch ACKs' destination).
+        key, medium = sorted(mesh._derived, key=lambda each: each[0])
         assert key[0] == "control_view"
+        assert medium == ("medium", ChannelConfig())
         source, destination = self.PAIR
         derived = sorted((kind, *rest[:1]) for kind, *rest in mesh._derived[key]._derived)
         assert derived == [("etx_routes", source), ("etx_routes", destination),
@@ -117,7 +120,8 @@ class TestControlPlaneIsDerivedOnce:
         first, second = views
         assert first is not second
         assert not np.array_equal(first.delivery_view(), second.delivery_view())
-        assert not mesh._derived  # a sampled view is not kept on the mesh ...
+        # A sampled view is not kept on the mesh (the medium's tables are) ...
+        assert list(mesh._derived) == [("medium", ChannelConfig())]
         assert first._derived and second._derived  # ... each plans from its own
 
 

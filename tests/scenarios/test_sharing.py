@@ -1,10 +1,11 @@
 """Sharing must not be observable: a cell is a pure function of spec + seed.
 
 A process keeps the meshes it built (``build_topology``) and, on each
-topology, what the control plane derived from it (``Topology.derived``), so
-consecutive cells, protocols and flows share them.  Whatever a cell finds
-already derived — nothing in a fresh interpreter, its successors' leftovers
-when the sweep runs backwards — its result must be the same bytes.  The
+topology, what the control plane and the medium derived from it
+(``Topology.derived``), so consecutive cells, protocols and flows share
+them.  Whatever a cell finds already derived — nothing in a fresh
+interpreter, its successors' leftovers when the sweep runs backwards — its
+result must be the same bytes.  The
 dynamic variants re-plan mid-flow over per-epoch (mobility) and dead-node
 masked (faults) topologies, which must inherit nothing from the static mesh.
 """

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.medium as medium_module
 from repro.protocols.more import setup_more_flow
+from repro.sim.channels import GilbertElliott
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.medium import WirelessMedium
 from repro.sim.radio import ChannelConfig, SimConfig
 from repro.sim.simulator import Simulator
-from repro.topology.generator import random_geometric
+from repro.topology.generator import indoor_testbed, random_geometric
 from repro.topology.graph import Topology
 from repro.topology.mobility import MarkovLinkChurn
 
@@ -178,7 +184,7 @@ class TestPerSenderTables:
         oracle = WirelessMedium._build_sense_matrix(medium._delivery,
                                                     medium.channel)
         for sender in range(medium.topology.node_count):
-            assert medium._sense_rows[sender] == oracle[sender].tolist()
+            assert medium._sense_rows[sender] == tuple(oracle[sender].tolist())
             for listener in range(medium.topology.node_count):
                 assert medium.can_sense(listener, sender) == oracle[sender, listener]
 
@@ -238,6 +244,216 @@ class TestPerSenderTables:
         assert set(sim.stats.data_transmissions) <= transmitters
         assert 2 <= len(transmitters) <= 12
         # A plan is keyed on its sender and the senders it overlapped.
+        assert {sender for sender, _ in medium._plans} == transmitters
+        assert {node for sender, overlapping in medium._plans
+                for node in (sender, *overlapping)} <= transmitters
+        assert set(medium._sense_rows) <= transmitters
+
+
+class TestLifecycle:
+    def test_second_complete_raises_before_it_draws(self):
+        """A frame that is not on the air is refused before a word is read:
+        the stream position, the counters and the history stay as they were."""
+        medium = WirelessMedium(_testbed(), ChannelConfig(), np.random.default_rng(1))
+        tx = medium.begin(make_frame(0), now=0.0, airtime=0.002)
+        medium.complete(tx, now=0.002)
+        counters = {name: getattr(medium, name) for name in
+                    ("transmissions", "receptions", "collisions", "captures")}
+        state = medium.rng.bit_generator.state
+        history = list(medium._history)
+        with pytest.raises(ValueError):
+            medium.complete(tx, now=0.002)
+        assert medium.rng.bit_generator.state == state
+        assert {name: getattr(medium, name) for name in counters} == counters
+        assert list(medium._history) == history
+
+
+def _counting(monkeypatch) -> dict[str, int]:
+    """Count every call of ``WirelessMedium._plan`` and ``sense_row``."""
+    calls = {"_plan": 0, "sense_row": 0}
+    plan, row = WirelessMedium._plan, medium_module.sense_row
+
+    def counted_plan(*args):
+        calls["_plan"] += 1
+        return plan(*args)
+
+    def counted_row(*args):
+        calls["sense_row"] += 1
+        return row(*args)
+
+    monkeypatch.setattr(WirelessMedium, "_plan", staticmethod(counted_plan))
+    monkeypatch.setattr(medium_module, "sense_row", counted_row)
+    return calls
+
+
+def _testbed() -> Topology:
+    return indoor_testbed(node_count=20, floors=3, seed=7)
+
+
+def _mesh() -> Topology:
+    return random_geometric(node_count=300, area=515.0, seed=5)
+
+
+def _run_testbed(topology: Topology, seed: int) -> Simulator:
+    """Two concurrent MORE flows on the testbed: overlaps, collisions."""
+    sim = Simulator(topology, SimConfig(seed=seed))
+    for flow_seed, (source, destination) in enumerate(((0, 19), (4, 13))):
+        setup_more_flow(sim, topology, source, destination, total_packets=16,
+                        batch_size=8, coding_payload_size=16,
+                        seed=seed + flow_seed)
+    sim.run(until=60.0, stop_condition=sim.stats.all_flows_complete)
+    return sim
+
+
+def _run_mesh(topology: Topology, seed: int) -> Simulator:
+    """One capped MORE flow across the 300-node mesh."""
+    sim = Simulator(topology, SimConfig(seed=seed))
+    setup_more_flow(sim, topology, 17, 250, total_packets=32, batch_size=32,
+                    coding_payload_size=16, max_relays=10, seed=seed)
+    sim.run(until=60.0, stop_condition=sim.stats.all_flows_complete)
+    return sim
+
+
+def _outcome(sim: Simulator) -> tuple:
+    """What a run must not let sharing change: flows, counters, stream."""
+    medium = sim.medium
+    return ([asdict(record) for record in sim.stats.flows.values()], sim.now,
+            medium.transmissions, medium.receptions, medium.collisions,
+            medium.captures, sim.rng.bit_generator.state)
+
+
+def _shared_tables(topology: Topology, channel: ChannelConfig):
+    """The medium tables ``topology`` keeps for ``channel``, or ``None``."""
+    return topology._derived.get(("medium", channel))
+
+
+class TestSharedMediumState:
+    """Under a static channel the sense rows and reception plans live on the
+    topology, and no run can tell whether another ran before it."""
+
+    @pytest.mark.parametrize("build, run", [(_testbed, _run_testbed),
+                                            (_mesh, _run_mesh)],
+                             ids=["testbed", "mesh_300"])
+    def test_runs_equal_runs_over_a_fresh_topology(self, build, run):
+        topology = build()
+        fresh = {seed: _outcome(run(Topology(topology.delivery_matrix()), seed))
+                 for seed in (1, 2)}
+        for order in ((1, 2), (2, 1)):
+            shared = build()
+            for seed in order:
+                assert _outcome(run(shared, seed)) == fresh[seed], (order, seed)
+            assert _shared_tables(shared, ChannelConfig())[1]
+
+    def test_tables_are_per_channel(self):
+        """Another channel configuration over the same topology gets tables
+        of its own, equal to those over a fresh topology."""
+        topology = _testbed()
+        _run_testbed(topology, 1)
+        wide = ChannelConfig(sense_threshold=0.02, neighbor_sense_threshold=0.05)
+        media = [WirelessMedium(each, wide, np.random.default_rng(0))
+                 for each in (topology, Topology(topology.delivery_matrix()))]
+        senses = [[medium.can_sense(listener, sender) for sender in range(20)
+                   for listener in range(20)] for medium in media]
+        assert senses[0] == senses[1]
+        assert media[0]._sense_rows is _shared_tables(topology, wide)[0]
+        assert media[0]._sense_rows is not _shared_tables(topology, ChannelConfig())[0]
+
+    def test_a_repeated_run_derives_nothing(self, monkeypatch):
+        topology = _testbed()
+        calls = _counting(monkeypatch)
+        first = _outcome(_run_testbed(topology, 1))
+        assert calls["_plan"] > 0 and calls["sense_row"] > 0
+        calls.update(_plan=0, sense_row=0)
+        assert _outcome(_run_testbed(topology, 1)) == first
+        assert calls == {"_plan": 0, "sense_row": 0}
+
+    def test_set_delivery_makes_the_next_run_rederive(self, monkeypatch):
+        topology = _testbed()
+        _run_testbed(topology, 1)
+        calls = _counting(monkeypatch)
+        topology.set_delivery(0, 1, 0.5 * topology.delivery(0, 1), symmetric=True)
+        assert _shared_tables(topology, ChannelConfig()) is None
+        edited = _outcome(_run_testbed(topology, 1))
+        assert calls["_plan"] > 0 and calls["sense_row"] > 0
+        assert edited == _outcome(_run_testbed(Topology(topology.delivery_matrix()), 1))
+
+    @pytest.mark.parametrize("variant", ["gilbert_elliott", "link_churn"])
+    def test_other_media_keep_tables_of_their_own(self, variant):
+        """A Gilbert-Elliott or a mobility medium neither reads the shared
+        tables nor adds to them, nor creates them."""
+        channel = ChannelConfig()
+        topology = _testbed()
+
+        def other_medium():
+            if variant == "gilbert_elliott":
+                return WirelessMedium(topology, channel, np.random.default_rng(3),
+                                      model=GilbertElliott(seed=3))
+            return WirelessMedium(topology, channel, np.random.default_rng(3),
+                                  mobility=MarkovLinkChurn(seed=3, epoch_length=1.0))
+
+        def drive(medium):
+            for step, sender in enumerate((0, 4, 0, 13, 19)):
+                first = medium.begin(make_frame(sender), now=step * 0.01,
+                                     airtime=0.002)
+                second = medium.begin(make_frame((sender + 1) % 20),
+                                      now=step * 0.01 + 0.001, airtime=0.002)
+                for listener in range(20):
+                    medium.busy_horizon(listener, second.start)
+                medium.complete(first, now=first.end)
+                medium.complete(second, now=second.end)
+
+        drive(other_medium())
+        assert _shared_tables(topology, channel) is None
+        drive(WirelessMedium(topology, channel, np.random.default_rng(3)))
+        rows, plans = _shared_tables(topology, channel)
+        assert rows and plans
+        before = (dict(rows), dict(plans))
+        medium = other_medium()
+        drive(medium)
+        assert medium._sense_rows is not rows and medium._plans is not plans
+        assert medium._sense_rows
+        assert (dict(rows), dict(plans)) == before
+
+    def test_shared_tables_are_tuples(self):
+        """No run can edit a row or a plan another run reads."""
+        topology = _testbed()
+        _run_testbed(topology, 1)
+        rows, plans = _shared_tables(topology, ChannelConfig())
+        assert all(type(row) is tuple for row in rows.values())
+        for plan in plans.values():
+            assert type(plan) is tuple
+            receivers, thresholds, survivable, chains = plan
+            assert type(receivers) is tuple and type(thresholds) is tuple
+            assert survivable is None or type(survivable) is tuple
+            assert chains is None or (type(chains) is tuple and all(
+                type(chain) is tuple for chain in chains))
+
+    def test_a_finished_simulator_is_collected(self):
+        topology = _testbed()
+        sim = _run_testbed(topology, 1)
+        assert sim.stats.all_flows_complete()
+        simulator, medium = weakref.ref(sim), weakref.ref(sim.medium)
+        del sim
+        gc.collect()
+        assert simulator() is None and medium() is None
+        assert _shared_tables(topology, ChannelConfig())[1]
+
+    def test_the_shared_memo_holds_transmitters_only(self):
+        """As ``test_only_transmitters_get_tables``, after a second run at
+        another seed on the same mesh: the shared memo holds the tables of
+        the nodes that put a frame on the air in either run."""
+        topology = _mesh()
+        transmitters: set[int] = set()
+        for seed in (3, 4):
+            sim = _run_mesh(topology, seed)
+            assert sim.stats.all_flows_complete()
+            transmitters |= {node.node_id for node in sim.nodes
+                             if node.mac.stats.data_transmissions
+                             + node.mac.stats.control_transmissions}
+        medium = sim.medium
+        assert 2 <= len(transmitters) <= 16
+        assert (medium._sense_rows, medium._plans) == _shared_tables(
+            topology, medium.channel)
         assert {sender for sender, _ in medium._plans} == transmitters
         assert {node for sender, overlapping in medium._plans
                 for node in (sender, *overlapping)} <= transmitters

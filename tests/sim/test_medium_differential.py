@@ -57,14 +57,15 @@ PLAN_BRANCHES = {"no interferer", "own frame", "one interferer",
 
 
 class BranchRecordingMedium(WirelessMedium):
-    """The medium under test, noting which kind of plan each frame needed."""
+    """The medium under test, noting which kind of plan each frame was
+    resolved from (plans may be shared, so the frame is what is noted)."""
 
     def __init__(self, *args, **kwargs) -> None:
         self.branches: set[str] = set()
         super().__init__(*args, **kwargs)
 
-    def _plan(self, sender, row, senders):
-        plan = super()._plan(sender, row, senders)
+    def _resolve(self, plan, sender, row, overlapping):
+        senders = [other.frame.sender for other in overlapping]
         interferers = set(senders) - {sender}
         if plan[3] is not None:
             self.branches.add("capture")
@@ -72,7 +73,7 @@ class BranchRecordingMedium(WirelessMedium):
             self.branches.add(("one interferer", "two interferers")[len(interferers) - 1])
         else:
             self.branches.add("own frame" if senders else "no interferer")
-        return plan
+        return super()._resolve(plan, sender, row, overlapping)
 
 
 def _make_frame(sender: int) -> Frame:
