@@ -22,7 +22,7 @@ import pytest
 from repro.coding.buffer import BatchBuffer
 from repro.coding.decoder import BatchDecoder
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder
-from repro.coding.packet import make_batch
+from repro.coding.packet import CodedPacket, make_batch
 from repro.experiments import figures
 from repro.gf.arithmetic import CoefficientStream
 from repro.gf.kernels import gf_vecmat
@@ -53,7 +53,8 @@ def test_batched_coding_at_source(batch):
     packets = encoder.next_packets(K)
     assert len(packets) == K == encoder.payloads_built
     decoder = BatchDecoder(batch_size=K, packet_size=PACKET_SIZE)
-    decoder.add_packets(packets)
+    for packet in packets:
+        decoder.add_packet(packet)
     assert np.array_equal(np.stack([native.payload for native in decoder.decode()]),
                           batch.payload_matrix())
 
@@ -61,9 +62,9 @@ def test_batched_coding_at_source(batch):
 def test_independence_check(batch):
     """The row's probe answers from code vectors alone (Section 3.2.3(b))."""
     packets = SourceEncoder(batch, CoefficientStream(np.random.default_rng(2))).next_packets(K)
-    buffer = BatchBuffer(K, PACKET_SIZE, track_payloads=False)
+    buffer = BatchBuffer(K, 0)
     for packet in packets[: K // 2]:
-        buffer.add(packet)
+        buffer.add(CodedPacket(packet.code_vector, b""))
     assert buffer.rank == K // 2
     assert buffer.is_innovative(packets[-1].code_vector)
     assert not buffer.is_innovative(packets[0].code_vector)
@@ -94,7 +95,8 @@ def test_recode_at_forwarder(batch):
         packet.payload
     assert len(recoded) == K == forwarder.payloads_built
     decoder = BatchDecoder(batch_size=K, packet_size=PACKET_SIZE)
-    decoder.add_packets(packets)
+    for packet in packets:
+        decoder.add_packet(packet)
     natives = np.stack([native.payload for native in decoder.decode()])
     for packet in recoded[:: K // 4]:
         assert np.array_equal(gf_vecmat(packet.code_vector, natives), packet.payload)

@@ -69,31 +69,26 @@ class BatchBuffer:
 
     Args:
         batch_size: K, the number of native packets in the batch.
-        packet_size: payload bytes per packet.  A size of 0 is valid and is
-            how the vector-only simulation mode skips payload arithmetic
-            entirely: rank progression and decoding bookkeeping still work,
-            but every payload is the empty vector.
-        track_payloads: when False only code vectors are stored; forwarders
-            that merely need rank information (e.g. in analytical tests) can
-            avoid the payload memory.
+        packet_size: payload bytes per packet.  A size of 0 is the one way
+            to keep code vectors only: rank progression, innovation checks
+            and decoding bookkeeping work as at any width, over K-byte rows
+            with no transform, and every payload is the empty vector.
     """
 
-    def __init__(self, batch_size: int, packet_size: int,
-                 track_payloads: bool = True) -> None:
+    def __init__(self, batch_size: int, packet_size: int) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         if packet_size < 0:
             raise ValueError("packet_size must be non-negative")
         self.batch_size = batch_size
         self.packet_size = packet_size
-        self.track_payloads = track_payloads
         self.received = 0
         self.innovative = 0
         # A row's bytes: [0, K) the reduced code vector, whose leading
         # non-zero coefficient is a 1 at the row's pivot column; [K, 2K) the
         # transform (coefficients over the raw payloads in admission order),
-        # kept only when payload bytes can ever be asked for.
-        self._with_transform = track_payloads and packet_size > 0
+        # kept only when there are payload bytes.
+        self._with_transform = packet_size > 0
         self._width = 2 * batch_size if self._with_transform else batch_size
         #: The pivot columns present, increasing, and the row of each.
         self._pivots: list[int] = []
@@ -103,8 +98,7 @@ class BatchBuffer:
         #: of every packet re-coded from this buffer.  Slots are append-only
         #: and a flush moves on to fresh ones, so a packet handed out
         #: earlier can build its bytes from them at any later time.
-        self.raw = PayloadRows(np.zeros(
-            (batch_size, packet_size if self._with_transform else 0), dtype=np.uint8))
+        self.raw = PayloadRows(np.zeros((batch_size, packet_size), dtype=np.uint8))
         self._payload_cache: np.ndarray | None = None
 
     @property
@@ -150,7 +144,7 @@ class BatchBuffer:
                 f"packet code vector length {vector.shape[0]} does not match "
                 f"buffer batch size {batch_size}"
             )
-        if self.track_payloads and packet.size != self.packet_size:
+        if packet.size != self.packet_size:
             raise ValueError(
                 f"payload length {packet.size} does not match buffer "
                 f"packet size {self.packet_size}"
@@ -195,16 +189,6 @@ class BatchBuffer:
         self._payload_cache = None
         return True
 
-    def add_packets(self, packets: Iterable[CodedPacket]) -> list[bool]:
-        """Insert a whole reception event's packets; one verdict per packet.
-
-        Payload back-substitution is deferred across the entire event, so N
-        inserts cost N code-vector eliminations and zero payload arithmetic
-        — the payload matrix materialises once, on the first decode or
-        inspection after the event.
-        """
-        return [self.add(packet) for packet in packets]
-
     def is_innovative(self, code_vector: np.ndarray) -> bool:
         """Check whether a code vector would be innovative, without inserting it."""
         vector = np.asarray(code_vector, dtype=np.uint8)
@@ -223,16 +207,6 @@ class BatchBuffer:
                                 for row in self._rows)
         return np.frombuffer(data, dtype=np.uint8).reshape(len(self._rows), stop - start)
 
-    def stored_packets(self) -> list[CodedPacket]:
-        """Return the stored (reduced) packets as :class:`CodedPacket` objects."""
-        vectors = self.coefficient_matrix()
-        if self.track_payloads:
-            payloads = self.payload_matrix()
-        else:
-            payloads = np.zeros((len(vectors), self.packet_size), dtype=np.uint8)
-        return [CodedPacket(code_vector=vector, payload=payload)
-                for vector, payload in zip(vectors, payloads)]
-
     def coefficient_matrix(self) -> np.ndarray:
         """Return the stored code vectors stacked as a rank x K matrix."""
         return self._columns(0, self.batch_size)
@@ -244,8 +218,6 @@ class BatchBuffer:
         payloads are one ``transform @ raw_payloads`` product, computed on
         first request after a rank advance and cached until the next insert.
         """
-        if not self.track_payloads:
-            raise RuntimeError("buffer was created without payload tracking")
         cache = self._payload_cache
         if cache is None:
             cache = self._payload_cache = self._materialize_payloads()
@@ -313,11 +285,8 @@ class BatchBuffer:
             A K x S matrix whose row ``i`` is native packet ``i``.
 
         Raises:
-            RuntimeError: if the buffer is not yet full rank or payloads are
-                not tracked.
+            RuntimeError: if the buffer is not yet full rank.
         """
-        if not self.track_payloads:
-            raise RuntimeError("cannot decode a buffer created without payload tracking")
         if not self.is_full:
             raise RuntimeError(
                 f"cannot decode: rank {self.rank} < batch size {self.batch_size}"

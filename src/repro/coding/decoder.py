@@ -11,18 +11,18 @@ vectors (Section 3.1.3).  Two implementations are provided:
   and :meth:`BatchDecoder.decode` materialises all K native payloads with a
   single batched product.
 * :func:`decode_by_inversion` — the literal matrix-inversion formulation
-  from the paper, used as a cross-check in tests and benchmarks.
+  from the paper: the decode oracle the tests hold :class:`BatchDecoder`
+  to.  Nothing at run time calls it.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable
 
 import numpy as np
 
 from repro.coding.buffer import BatchBuffer
 from repro.coding.packet import CodedPacket, NativePacket
-from repro.gf.matrix import SingularMatrixError, invert, matmul
+from repro.gf.kernels import gf_matmul
+from repro.gf.matrix import invert
 
 
 class BatchDecoder:
@@ -51,16 +51,6 @@ class BatchDecoder:
         """Insert a received packet; returns True iff it was innovative."""
         return self.buffer.add(packet)
 
-    def add_packets(self, packets: Iterable[CodedPacket]) -> list[bool]:
-        """Insert one reception event's packets; one verdict per packet.
-
-        The whole event costs only code-vector eliminations — no payload
-        arithmetic happens until
-        :meth:`decode` (or an explicit payload inspection) materialises the
-        deferred back-substitution in one batched product.
-        """
-        return self.buffer.add_packets(packets)
-
     def decode(self) -> list[NativePacket]:
         """Recover the native packets.
 
@@ -69,10 +59,6 @@ class BatchDecoder:
         """
         payloads = self.buffer.decode()
         return [NativePacket(index=i, payload=payloads[i]) for i in range(self.batch_size)]
-
-    def missing(self) -> int:
-        """Number of additional innovative packets needed to decode."""
-        return self.batch_size - self.rank
 
 
 def decode_by_inversion(packets: list[CodedPacket]) -> np.ndarray:
@@ -98,8 +84,4 @@ def decode_by_inversion(packets: list[CodedPacket]) -> np.ndarray:
         )
     coefficients = np.stack([p.code_vector for p in packets])
     payloads = np.stack([p.payload for p in packets])
-    try:
-        inverse = invert(coefficients)
-    except SingularMatrixError:
-        raise
-    return matmul(inverse, payloads)
+    return gf_matmul(invert(coefficients), payloads)

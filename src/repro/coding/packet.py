@@ -221,10 +221,6 @@ class CodedPacket:
             return int(self._rows.matrix.shape[1])
         return int(payload.shape[0])
 
-    def is_zero(self) -> bool:
-        """True if the code vector is all zeros (carries no information)."""
-        return not bool(self.code_vector.any())
-
     def copy(self) -> "CodedPacket":
         """Return an independent copy of this packet (its bytes built)."""
         # The constructor copies both arrays.

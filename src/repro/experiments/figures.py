@@ -30,7 +30,7 @@ import numpy as np
 from repro.coding.buffer import BatchBuffer
 from repro.coding.decoder import BatchDecoder
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder
-from repro.coding.packet import make_batch
+from repro.coding.packet import CodedPacket, make_batch
 from repro.experiments.stats import median, median_gain, pairwise_gains, summarize
 from repro.gf.arithmetic import CoefficientStream
 from repro.metrics.gap import figure_5_1_gap, gap_survey
@@ -412,10 +412,11 @@ def table_4_1(batch_size: int = 32, packet_size: int = 1500, iterations: int = 5
 
     # The independence check is measured against a half-full buffer — the
     # steady state a forwarder sees mid-batch — using probes that do reduce
-    # against stored rows.
-    check_buffer = BatchBuffer(batch_size, packet_size, track_payloads=False)
+    # against stored rows.  The check never reads payload bytes, so the
+    # buffer keeps none (width 0).
+    check_buffer = BatchBuffer(batch_size, 0)
     for packet in encoder.next_packets(max(1, batch_size // 2)):
-        check_buffer.add(packet)
+        check_buffer.add(CodedPacket(packet.code_vector, b""))
     probes = [packet.code_vector for packet in encoder.next_packets(iterations)]
 
     def measure_check() -> float:

@@ -114,13 +114,12 @@ class RunConfig:
 
     ``vector_only`` enables the payload-free fast path: delivery, rank
     progression and throughput are fully determined by code vectors, so
-    runs that never assert payload bytes can skip all payload arithmetic
-    (MORE codes over zero-length payloads, superseding
-    ``coding_payload_size``; air time still uses ``packet_size``).  Results
-    are bit-identical to a payload-carrying run
-    with the same seeds — empty RNG draws consume no generator state — just
-    faster.  Set it per scenario with ``repro run/sweep --set
-    run.vector_only=true``.
+    runs that never assert payload bytes can skip all payload arithmetic.
+    It is shorthand for ``coding_payload_size=0``, which it supersedes: MORE
+    codes over zero-length payloads (air time still uses ``packet_size``).
+    Results are bit-identical to a payload-carrying run with the same
+    seeds — empty RNG draws consume no generator state — just faster.  Set
+    it per scenario with ``repro run/sweep --set run.vector_only=true``.
     """
 
     total_packets: int = 96
@@ -207,16 +206,15 @@ def _install_flow(sim: Simulator, topology: Topology, protocol: str, source: int
     a later re-plan never consults a config again.
     """
     if protocol == "MORE":
-        # vector_only supersedes the configured coding payload width (the
-        # whole point of the mode is a zero-byte payload).
-        coding_size = None if config.vector_only else config.coding_payload_size
+        # vector_only supersedes the configured coding payload width: it is
+        # width 0, the one way to code without payload bytes.
+        coding_size = 0 if config.vector_only else config.coding_payload_size
         return setup_more_flow(
             sim, topology, source, destination,
             total_packets=config.total_packets,
             batch_size=config.batch_size,
             packet_size=config.packet_size,
             coding_payload_size=coding_size,
-            vector_only=config.vector_only,
             metric=config.more_metric,
             seed=flow_seed,
             control_topology=control_topology,

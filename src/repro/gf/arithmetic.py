@@ -2,34 +2,28 @@
 
 Three layers are provided:
 
-* scalar helpers (``add``, ``mul``, ``div``, ``inv``, ``pow``) operating on
-  Python ints, used by the matrix code and in tests;
-* vectorised kernels operating on numpy ``uint8`` arrays, used on packet
-  payloads, where a 1500-byte packet is a vector of 1500 field elements;
+* scalar helpers (``add``, ``mul``, ``inv``) operating on Python ints, the
+  operations of the scalar reference product the kernels are tested
+  against;
+* row operations on numpy ``uint8`` arrays (``vec_scale``,
+  ``scale_and_add``): scale a row by a coefficient and XOR-accumulate it
+  into another, the elimination step of :mod:`repro.gf.matrix` and the
+  forwarder's pre-code fold;
 * the random coefficients network coding runs on:
   :class:`CoefficientStream`, which reads a node's coding generator in
   blocks, beside the per-draw numpy calls it is held to
   (``random_code_vector``, ``random_nonzero_coefficient``).
-
-The vector kernels implement exactly the operations MORE performs per packet:
-multiply a payload by a coefficient and XOR-accumulate it into a buffer
-(``scale_and_add``), which is the inner loop of both coding and decoding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gf.tables import EXP, FIELD_SIZE, INV, LOG, MUL
+from repro.gf.tables import FIELD_SIZE, INV, MUL
 
 
 def add(a: int, b: int) -> int:
     """Add two field elements (addition in GF(2^8) is XOR)."""
-    return (a ^ b) & 0xFF
-
-
-def sub(a: int, b: int) -> int:
-    """Subtract two field elements (identical to addition in GF(2^8))."""
     return (a ^ b) & 0xFF
 
 
@@ -49,31 +43,6 @@ def inv(a: int) -> int:
     return int(INV[a & 0xFF])
 
 
-def div(a: int, b: int) -> int:
-    """Divide ``a`` by ``b`` in the field."""
-    if b & 0xFF == 0:
-        raise ZeroDivisionError("division by zero in GF(2^8)")
-    if a & 0xFF == 0:
-        return 0
-    return int(EXP[(LOG[a & 0xFF] - LOG[b & 0xFF]) % (FIELD_SIZE - 1)])
-
-
-def power(a: int, exponent: int) -> int:
-    """Raise a field element to an integer power."""
-    a &= 0xFF
-    if exponent == 0:
-        return 1
-    if a == 0:
-        return 0
-    log_total = (int(LOG[a]) * exponent) % (FIELD_SIZE - 1)
-    return int(EXP[log_total])
-
-
-def vec_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise addition of two byte vectors."""
-    return np.bitwise_xor(a, b)
-
-
 def vec_scale(vector: np.ndarray, coefficient: int) -> np.ndarray:
     """Multiply every element of ``vector`` by the scalar ``coefficient``.
 
@@ -91,9 +60,8 @@ def vec_scale(vector: np.ndarray, coefficient: int) -> np.ndarray:
 def scale_and_add(accumulator: np.ndarray, vector: np.ndarray, coefficient: int) -> None:
     """In-place ``accumulator ^= coefficient * vector``.
 
-    This is the hot loop of coding, pre-coding and decoding.  The
-    accumulator is modified in place so forwarders can maintain their
-    pre-coded packet incrementally (Section 3.2.3(c)).
+    The accumulator is modified in place so forwarders can maintain their
+    pre-coded code vector incrementally (Section 3.2.3(c)).
     """
     coefficient &= 0xFF
     if coefficient == 0:
@@ -102,11 +70,6 @@ def scale_and_add(accumulator: np.ndarray, vector: np.ndarray, coefficient: int)
         np.bitwise_xor(accumulator, vector, out=accumulator)
         return
     np.bitwise_xor(accumulator, MUL[coefficient][vector], out=accumulator)
-
-
-def vec_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element-wise product of two byte vectors."""
-    return MUL[a, b]
 
 
 #: count -> bytes(count), filled by :func:`zero_bytes`.
@@ -121,16 +84,6 @@ def zero_bytes(count: int) -> bytes:
     if zero is None:
         zero = _ZERO_BYTES[count] = bytes(count)
     return zero
-
-
-def random_coefficients(count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` random field elements uniformly from GF(2^8).
-
-    Zero coefficients are allowed, matching random linear network coding:
-    the probability that a whole code vector is degenerate is negligible for
-    the batch sizes MORE uses (K >= 8).
-    """
-    return rng.integers(0, FIELD_SIZE, size=count, dtype=np.uint8)
 
 
 def random_nonzero_coefficient(rng: np.random.Generator) -> int:

@@ -11,8 +11,7 @@ without these kernels.)
 
 ``gf_vecmat``
     ``vector @ B`` for one coefficient vector, for any ``B``: the public
-    single-vector product and the oracle the tests hold the buffer's
-    combinations and the packets' bytes to.
+    single-vector product.
 
 ``gf_matmul``
     ``C = A @ B`` over the field.  Materialising a buffer's deferred
@@ -28,7 +27,7 @@ All kernels are exact: GF(2^8) arithmetic has no rounding, so the
 vectorized results are bit-identical to the scalar loops they replace
 (the differential tests in ``tests/coding`` assert exactly that).
 
-Three formulations are used, picked by operand shape:
+Two formulations are used, picked by the width of the rows:
 
 * **MUL-table gather** (single vectors, narrow rows): one fancy index into
   the 64 KiB product table plus one XOR-reduce, no per-operand structure
@@ -36,44 +35,23 @@ Three formulations are used, picked by operand shape:
   ``ShiftedRows.vecmul`` for rows up to ``VEC_GATHER_MAX_WIDTH`` bytes
   (every preset's 16-byte coded payloads), which therefore build nothing.
 
-* **LOG/EXP gather** (small matrix products): ``a * b = EXP[LOG[a] +
-  LOG[b]]`` with a sentinel logarithm for zero, evaluated as one broadcast
-  gather into a 2 KiB table that stays resident in L1 — ``gf_matmul`` for
-  fewer than eight output rows or columns.
-
-* **XOR of shifted rows** (large products): multiplication by a field
-  element is GF(2)-linear, so ``c * row`` is the XOR of ``x^j * row`` over
-  the set bits ``j`` of ``c``.  Stacking the eight polynomial shifts of
-  every row of ``B`` turns each output row into an XOR-reduce of ~4K
-  selected rows, processed eight bytes at a time through a ``uint64``
+* **XOR of shifted rows** (matrix products, wide rows): multiplication by
+  a field element is GF(2)-linear, so ``c * row`` is the XOR of ``x^j *
+  row`` over the set bits ``j`` of ``c``.  Stacking the eight polynomial
+  shifts of every row of ``B`` turns each output row into an XOR-reduce of
+  ~4K selected rows, processed eight bytes at a time through a ``uint64``
   view — roughly an order of magnitude faster than per-byte table lookups
   for batch-sized products.  A row's eight stack lines depend on that row
   alone, so the stack is built once per row: :class:`ShiftedRows` expands
-  only the rows appended since the last product.
+  only the rows appended since the last product.  ``gf_matmul`` always
+  takes it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gf.tables import EXP, FIELD_SIZE, LOG, MUL
-
-#: Upper bound on the intermediate (rows, k, s) tensors of the gather path.
-_CHUNK_BYTES = 1 << 23  # 8 MiB
-
-#: Sentinel "logarithm of zero": any sum involving it lands in the zero
-#: region of the padded antilog table, so zero operands multiply to zero
-#: without masking.
-_LOG_ZERO = 1024
-
-#: int16 log table with the zero sentinel.
-_LOG16 = np.full(FIELD_SIZE, _LOG_ZERO, dtype=np.int16)
-_LOG16[1:] = LOG[1:].astype(np.int16)
-
-#: Antilog table padded so indices up to 2 * _LOG_ZERO resolve (to zero
-#: beyond the genuine 510 exponent entries).
-_EXP_PAD = np.zeros(2 * _LOG_ZERO + 1, dtype=np.uint8)
-_EXP_PAD[:510] = EXP[:510]
+from repro.gf.tables import MUL
 
 #: The reducing polynomial below its x^8 term: what x^8 folds back to.
 _POLY_LOW = 0x1B
@@ -84,21 +62,6 @@ def _as_matrix(array: np.ndarray, name: str) -> np.ndarray:
     if matrix.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {matrix.shape}")
     return matrix
-
-
-def _matmul_gather(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """LOG/EXP formulation: one broadcast gather into the padded antilog."""
-    n, k = left.shape
-    s = right.shape[1]
-    result = np.zeros((n, s), dtype=np.uint8)
-    log_right = _LOG16[right]
-    rows_per_chunk = max(1, _CHUNK_BYTES // max(1, 2 * k * s))
-    for start in range(0, n, rows_per_chunk):
-        stop = min(start + rows_per_chunk, n)
-        exponents = _LOG16[left[start:stop, :, None]] + log_right[None, :, :]
-        np.bitwise_xor.reduce(_EXP_PAD[exponents], axis=1,
-                              out=result[start:stop])
-    return result
 
 
 def _xtimes(matrix: np.ndarray) -> np.ndarray:
@@ -227,27 +190,18 @@ def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     left = _as_matrix(a, "a")
     right = _as_matrix(b, "b")
-    n, k = left.shape
-    if right.shape[0] != k:
+    if right.shape[0] != left.shape[1]:
         raise ValueError(
             f"inner dimensions do not match: {left.shape} @ {right.shape}"
         )
-    s = right.shape[1]
-    if n == 0 or k == 0 or s == 0:
-        return np.zeros((n, s), dtype=np.uint8)
-    # Building the shifted-row stack costs ~8 passes over B; it pays off
-    # once several output rows amortise it.
-    if n >= 8 and s >= 8:
-        return ShiftedRows(right).matmul(left)
-    return _matmul_gather(left, right)
+    return ShiftedRows(right).matmul(left)
 
 
 def gf_vecmat(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """``vector @ matrix`` over GF(2^8) for a 1-D coefficient vector.
 
-    The single-vector form: the gather runs directly (no matmul dispatch,
-    no chunking, no output staging); results are bit-identical to
-    ``gf_matmul(vector[None, :], matrix)[0]``.
+    The single-vector form: one MUL-table gather, with no operand built;
+    results are bit-identical to ``gf_matmul(vector[None, :], matrix)[0]``.
     """
     coefficients = np.asarray(vector, dtype=np.uint8)
     if coefficients.ndim != 1:
@@ -260,19 +214,5 @@ def gf_vecmat(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         )
     if k == 0 or right.shape[1] == 0:
         return np.zeros(right.shape[1], dtype=np.uint8)
-    # Product-table gather: for the single-vector shape, one fancy index
-    # into the 64 KiB MUL table plus one XOR-reduce beats the two-gather
-    # LOG/EXP route (no intermediate int16 tensor).
     return np.bitwise_xor.reduce(MUL[coefficients[:, None], right], axis=0)
 
-
-def gf_vecmat_reference(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """The ``vector @ matrix`` oracle: through :func:`gf_matmul`.
-
-    Nothing at run time calls this: it is the reference the tests hold
-    :func:`gf_vecmat` against, bit for bit.
-    """
-    coefficients = np.asarray(vector, dtype=np.uint8)
-    if coefficients.ndim != 1:
-        raise ValueError(f"vector must be 1-D, got shape {coefficients.shape}")
-    return gf_matmul(coefficients[None, :], matrix)[0]

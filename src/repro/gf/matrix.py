@@ -4,13 +4,13 @@ The destination in MORE decodes a batch by inverting the K x K matrix of
 code vectors (Section 3.1.3).  Forwarders never invert matrices; they only
 need rank / linear-independence checks, which live in
 :mod:`repro.coding.buffer`.  This module provides the general-purpose matrix
-routines used by the decoder and by tests:
+routines of the decode oracle, which the incremental decoder is tested
+against:
 
 * ``row_reduce`` — Gaussian elimination to (reduced) row-echelon form,
 * ``rank`` — matrix rank over the field,
 * ``invert`` — matrix inverse (raises if singular),
-* ``solve`` — solve ``A x = B`` for ``x``,
-* ``is_invertible`` — convenience predicate.
+* ``solve`` — solve ``A x = B`` for ``x``.
 
 All matrices are numpy ``uint8`` arrays interpreted element-wise as field
 elements.
@@ -87,14 +87,6 @@ def rank(matrix: np.ndarray) -> int:
     return len(pivots)
 
 
-def is_invertible(matrix: np.ndarray) -> bool:
-    """Return True if the square matrix is invertible over GF(2^8)."""
-    array = np.asarray(matrix, dtype=np.uint8)
-    if array.ndim != 2 or array.shape[0] != array.shape[1]:
-        return False
-    return rank(array) == array.shape[0]
-
-
 def solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` over GF(2^8).
 
@@ -134,13 +126,3 @@ def invert(matrix: np.ndarray) -> np.ndarray:
     identity = np.eye(a.shape[0], dtype=np.uint8)
     return solve(a, identity)
 
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2^8).
-
-    Delegates to the vectorized :func:`repro.gf.kernels.gf_matmul`; kept
-    here so callers of the matrix API need not know about the kernel layer.
-    """
-    from repro.gf.kernels import gf_matmul
-
-    return gf_matmul(a, b)

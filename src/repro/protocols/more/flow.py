@@ -120,8 +120,7 @@ def _synthetic_batches(total_packets: int, batch_size: int, payload_size: int,
 def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination: int,
                     *, file_bytes: bytes | None = None, total_packets: int | None = None,
                     batch_size: int = 32, packet_size: int = 1500,
-                    coding_payload_size: int | None = None,
-                    vector_only: bool = False, metric: str = "etx",
+                    coding_payload_size: int | None = None, metric: str = "etx",
                     prune: bool = True, bitrate: int | None = None,
                     seed: int = 0,
                     control_topology: Topology | None = None,
@@ -142,13 +141,14 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
         packet_size: native packet size in bytes (air time).
         coding_payload_size: bytes pushed through the coding pipeline; use a
             small value to speed up big simulations (default: packet_size
-            when a real file is given, 16 bytes otherwise).
-        vector_only: run the payload-free fast path — code over zero-length
-            payloads so all payload arithmetic disappears.  Delivery, rank
-            progression and throughput are unchanged (code vectors drive
-            them; empty payload draws consume no RNG state); only
-            ``decoded_payloads()`` becomes vacuous.  Incompatible with
-            ``file_bytes``, whose point is payload verification.
+            when a real file is given, 16 bytes otherwise).  0 is the
+            payload-free fast path: code over zero-length payloads so all
+            payload arithmetic disappears.  Delivery, rank progression and
+            throughput are unchanged (code vectors drive them; empty
+            payload draws consume no RNG state); only
+            ``decoded_payloads()`` becomes vacuous.  A ``file_bytes``
+            transfer, whose point is payload verification, needs a
+            positive width.
         metric: forwarder ordering metric, "etx" (deployed MORE) or "eotx".
         control_topology: the link qualities as the routing control plane
             believes them to be (ETX probe estimates); defaults to the true
@@ -172,23 +172,15 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
     """
     if (file_bytes is None) == (total_packets is None):
         raise ValueError("provide exactly one of file_bytes or total_packets")
-    if vector_only and file_bytes is not None:
-        raise ValueError("vector_only skips payload bytes; it cannot carry file_bytes")
-    if vector_only and coding_payload_size is not None:
-        raise ValueError(
-            "vector_only forces a zero-byte coding payload; do not also pass "
-            "coding_payload_size"
-        )
+    if file_bytes is not None and coding_payload_size == 0:
+        raise ValueError("coding_payload_size must be positive to carry file_bytes")
     flow_id = sim.new_flow_id()
     rng = np.random.default_rng((seed, flow_id))
     if file_bytes is not None:
         coding_size = coding_payload_size if coding_payload_size is not None else packet_size
         batches = split_file(file_bytes, batch_size=batch_size, packet_size=coding_size)
     else:
-        if vector_only:
-            coding_size = 0
-        else:
-            coding_size = coding_payload_size if coding_payload_size is not None else 16
+        coding_size = coding_payload_size if coding_payload_size is not None else 16
         assert total_packets is not None
         batches = _synthetic_batches(total_packets, batch_size, coding_size, rng)
     total = sum(batch.size for batch in batches)

@@ -6,8 +6,10 @@ destination, flow id, batch id) followed by optional fields: the code vector
 
 The paper bounds the header at roughly 70 bytes by limiting the forwarder
 list to 10 entries, hashing node ids to one byte and compressing batch ids;
-this implementation reproduces those choices so the <5% header-overhead
-claim of Section 4.6(c) can be checked against real serialised bytes.
+this implementation reproduces those field widths so the <5% header-overhead
+claim of Section 4.6(c) can be checked against real serialised bytes.  It
+does not hash: :meth:`MoreHeader.pack` refuses a node id or K that does not
+fit its byte.
 """
 
 from __future__ import annotations
@@ -23,6 +25,13 @@ MAX_FORWARDERS = 10
 
 #: Fixed-point scale used to quantise TX credits into one byte (4.4 format).
 CREDIT_SCALE = 16
+
+
+def _one_byte(name: str, value: int) -> int:
+    """``value``, which must fit the one byte the header gives ``name``."""
+    if not 0 <= value <= 0xFF:
+        raise ValueError(f"{name} {value} does not fit the header's one-byte field")
+    return value
 
 
 class MorePacketType(IntEnum):
@@ -102,7 +111,12 @@ class MoreHeader:
     _REQUIRED = struct.Struct("!BIIHBBB")  # type, src, dst, flow, batch, K, n_fwd
 
     def pack(self) -> bytes:
-        """Serialise the header to bytes."""
+        """Serialise the header to bytes.
+
+        Raises:
+            ValueError: if K or a forwarder's node id does not fit its one
+                byte, where it would come back as another value.
+        """
         vector = self.code_vector if self.code_vector is not None else np.zeros(0, np.uint8)
         parts = [
             self._REQUIRED.pack(
@@ -111,13 +125,14 @@ class MoreHeader:
                 self.destination & 0xFFFFFFFF,
                 self.flow_id & 0xFFFF,
                 self.batch_id & 0xFF,
-                len(vector) & 0xFF,
+                _one_byte("K", len(vector)),
                 len(self.forwarders) & 0xFF,
             ),
             vector.tobytes(),
         ]
         for entry in self.forwarders:
-            parts.append(struct.pack("!BB", entry.node_id & 0xFF, entry.quantized_credit()))
+            parts.append(struct.pack("!BB", _one_byte("forwarder node id", entry.node_id),
+                                     entry.quantized_credit()))
         return b"".join(parts)
 
     @classmethod

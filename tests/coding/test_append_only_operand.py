@@ -259,9 +259,8 @@ def test_a_batch_of_precodes_expands_each_row_once(packet_size, rows_per_arrival
     """Insert, hand out and read K times: 7 K rows through ``_xtimes`` (one
     new row, seven shifts, per arrival); none at all for a narrow or
     vector-only payload — nor for a wide one nobody reads.  The eager
-    reference materialises all r reduced payloads for every pre-code, which
-    expands r rows each time once ``gf_matmul`` takes its shifted-row path
-    (r >= 8)."""
+    reference materialises all r reduced payloads for every pre-code, one
+    ``gf_matmul`` that expands all r rows each time."""
     batch_size = 32
     source = SourceEncoder(make_batch(batch_size, packet_size, rng=rng), stream)
     packets = source.next_packets(batch_size)
@@ -280,4 +279,4 @@ def test_a_batch_of_precodes_expands_each_row_once(packet_size, rows_per_arrival
         rows_per_arrival * batch_size
     assert rows_shifted(ForwarderEncoder(batch_size, packet_size, stream), False) == 0
     assert rows_shifted(EagerForwarder(batch_size, packet_size, rng), False) == \
-        (7 * sum(range(8, batch_size + 1)) if packet_size else 0)
+        (7 * sum(range(1, batch_size + 1)) if packet_size else 0)

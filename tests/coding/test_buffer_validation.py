@@ -2,7 +2,7 @@
 
 The property/differential suites drive well-formed streams; these tests
 pin the rejection paths — bad constructor arguments, mismatched operand
-shapes, payload access on payload-free buffers — which must be refused
+shapes, payload bytes handed to a payload-free buffer — which must be refused
 before any state mutation.
 """
 
@@ -76,15 +76,6 @@ def test_mismatched_code_vector_length_is_rejected(make_buffer):
 
 
 @BUFFER
-def test_payload_matrix_requires_payload_tracking(make_buffer):
-    buffer = make_buffer(batch_size=K, packet_size=0, track_payloads=False)
-    with pytest.raises(RuntimeError, match="without payload tracking"):
-        buffer.payload_matrix()
-    with pytest.raises(RuntimeError):
-        buffer.decode()
-
-
-@BUFFER
 def test_decode_before_full_rank_is_an_error(make_buffer):
     buffer = make_buffer(batch_size=K, packet_size=S)
     buffer.add(_packet({0: 1}))
@@ -114,15 +105,25 @@ def test_is_innovative_without_insertion(make_buffer):
 
 
 @BUFFER
-def test_stored_packets_without_payload_tracking_are_zero_padded(make_buffer):
-    buffer = make_buffer(batch_size=K, packet_size=S, track_payloads=False)
-    vector = np.zeros(K, dtype=np.uint8)
-    vector[2] = 7
-    buffer.add(CodedPacket(code_vector=vector,
-                           payload=np.zeros(0, dtype=np.uint8)))
-    (stored,) = buffer.stored_packets()
-    assert stored.payload.shape == (S,)
-    assert not stored.payload.any()
+def test_width_zero_buffer_keeps_code_vectors_only(make_buffer):
+    """Width 0 is the one way to keep no payload bytes: a sized packet is
+    refused in one line, and innovation verdicts match a buffer with bytes."""
+    vectors = np.random.default_rng(5).integers(0, 256, (2 * K, K), dtype=np.uint8)
+    vectors[3] = vectors[1] ^ vectors[2]  # non-innovative, yet non-zero
+    vectors[4] = 0
+    sized = make_buffer(batch_size=K, packet_size=S)
+    bare = make_buffer(batch_size=K, packet_size=0)
+    with pytest.raises(ValueError, match="payload length 16 does not match") as refused:
+        bare.add(CodedPacket(code_vector=vectors[0], payload=np.zeros(S, dtype=np.uint8)))
+    assert "\n" not in str(refused.value)
+    assert (bare.rank, bare.received) == (0, 0)
+    for vector in vectors:
+        assert bare.is_innovative(vector) == sized.is_innovative(vector)
+        assert bare.add(CodedPacket(code_vector=vector, payload=b"")) == \
+            sized.add(CodedPacket(code_vector=vector, payload=np.zeros(S, dtype=np.uint8)))
+    assert bare.rank == sized.rank == K
+    assert bare.payload_matrix().shape == (K, 0)
+    np.testing.assert_array_equal(bare.coefficient_matrix(), sized.coefficient_matrix())
 
 
 def test_code_vector_must_be_one_dimensional():

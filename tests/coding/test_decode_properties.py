@@ -30,7 +30,7 @@ import pytest
 
 from repro.coding.buffer import BatchBuffer
 from repro.coding.packet import CodedPacket
-from repro.gf.kernels import gf_vecmat_reference
+from repro.gf.kernels import gf_vecmat
 from test_vectorized_differential import ScalarBatchBuffer
 
 #: The buffer under test, reported under the id it has always had.
@@ -75,8 +75,8 @@ def _make_stream(rng: np.random.Generator):
             coefficients = np.zeros(dimension, dtype=np.uint8)  # zero vector
         else:
             coefficients = rng.integers(0, 256, size=dimension, dtype=np.uint8)
-        vector = gf_vecmat_reference(coefficients, basis)
-        payload = gf_vecmat_reference(vector, natives)
+        vector = gf_vecmat(coefficients, basis)
+        payload = gf_vecmat(vector, natives)
         packets.append(CodedPacket(code_vector=vector, payload=payload))
     return batch_size, packet_size, natives, packets
 
@@ -117,13 +117,12 @@ def test_engines_bit_identical_on_seeded_random_streams(group):
 
 @BUFFER
 def test_vector_only_engines_track_identical_rank(make_buffer):
-    """track_payloads=False streams: rank trajectories match the reference."""
+    """Width-0 streams: rank trajectories match the reference."""
     for seed in range(12):
         rng = np.random.default_rng((4200, seed))
         batch_size, _, _, packets = _make_stream(rng)
         reference = ScalarBatchBuffer(batch_size, packet_size=0)
-        buffer = make_buffer(batch_size=batch_size, packet_size=0,
-                             track_payloads=False)
+        buffer = make_buffer(batch_size=batch_size, packet_size=0)
         stripped = [CodedPacket(code_vector=p.code_vector,
                                 payload=np.zeros(0, dtype=np.uint8))
                     for p in packets]

@@ -44,11 +44,6 @@ class TestCodedPacket:
         assert packet.batch_size == 3
         assert packet.size == 4
         assert packet.batch_id == 3
-        assert not packet.is_zero()
-
-    def test_zero_vector_detection(self):
-        packet = CodedPacket(code_vector=np.zeros(4, dtype=np.uint8), payload=b"1234")
-        assert packet.is_zero()
 
     def test_copy_is_independent(self):
         packet = CodedPacket(code_vector=np.array([1, 2], dtype=np.uint8), payload=b"xy")

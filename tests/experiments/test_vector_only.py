@@ -55,7 +55,7 @@ def test_vector_only_decoded_payloads_are_empty(lossy_chain):
     sim = Simulator(lossy_chain, SimConfig(phy=PhyConfig(), seed=1))
     handle = setup_more_flow(sim, lossy_chain, 0, lossy_chain.node_count - 1,
                              total_packets=16, batch_size=16,
-                             vector_only=True, seed=1)
+                             coding_payload_size=0, seed=1)
     sim.run(until=60.0, stop_condition=sim.stats.all_flows_complete)
     payloads = handle.decoded_payloads()
     assert len(payloads) == 16
@@ -64,20 +64,12 @@ def test_vector_only_decoded_payloads_are_empty(lossy_chain):
 
 
 def test_vector_only_rejects_file_bytes(lossy_chain):
+    """A file's point is its bytes: width 0 cannot carry one."""
     from repro.sim.radio import PhyConfig, SimConfig
     sim = Simulator(lossy_chain, SimConfig(phy=PhyConfig(), seed=1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coding_payload_size"):
         setup_more_flow(sim, lossy_chain, 0, 1, file_bytes=b"payload",
-                        vector_only=True)
-
-
-def test_vector_only_rejects_explicit_coding_payload_size(lossy_chain):
-    """Forcing zero-byte payloads while asking for N-byte ones is a conflict."""
-    from repro.sim.radio import PhyConfig, SimConfig
-    sim = Simulator(lossy_chain, SimConfig(phy=PhyConfig(), seed=1))
-    with pytest.raises(ValueError):
-        setup_more_flow(sim, lossy_chain, 0, 1, total_packets=16,
-                        coding_payload_size=64, vector_only=True)
+                        coding_payload_size=0)
 
 
 def test_vector_only_supersedes_run_config_payload_size(lossy_chain):

@@ -18,7 +18,6 @@ nonzero_element = st.integers(min_value=1, max_value=255)
 class TestScalarArithmetic:
     def test_add_is_xor(self):
         assert gf.add(0b1010, 0b0110) == 0b1100
-        assert gf.sub(0b1010, 0b0110) == 0b1100
 
     def test_add_identity_and_self_inverse(self):
         for a in range(256):
@@ -30,17 +29,6 @@ class TestScalarArithmetic:
         assert gf.mul(1, 77) == 77
         assert gf.mul(0x57, 0x83) == 0xC1
 
-    def test_div_inverts_mul(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            a = int(rng.integers(0, 256))
-            b = int(rng.integers(1, 256))
-            assert gf.div(gf.mul(a, b), b) == a
-
-    def test_div_by_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            gf.div(5, 0)
-
     def test_inv_of_zero_raises(self):
         with pytest.raises(ZeroDivisionError):
             gf.inv(0)
@@ -48,18 +36,6 @@ class TestScalarArithmetic:
     def test_inv(self):
         for a in range(1, 256):
             assert gf.mul(a, gf.inv(a)) == 1
-
-    def test_power(self):
-        assert gf.power(0, 0) == 1
-        assert gf.power(0, 5) == 0
-        assert gf.power(7, 1) == 7
-        assert gf.power(3, 255) == 1  # group order
-        a = 0x53
-        manual = 1
-        for _ in range(7):
-            manual = gf.mul(manual, a)
-        assert gf.power(a, 7) == manual
-
 
 class TestFieldAxiomsProperties:
     @given(field_element, field_element, field_element)
@@ -82,18 +58,7 @@ class TestFieldAxiomsProperties:
     def test_no_zero_divisors(self, a, b):
         assert gf.mul(a, b) != 0
 
-    @given(field_element, nonzero_element)
-    @settings(max_examples=200, deadline=None)
-    def test_div_then_mul_roundtrip(self, a, b):
-        assert gf.mul(gf.div(a, b), b) == a
-
-
 class TestVectorKernels:
-    def test_vec_add(self, rng):
-        a = rng.integers(0, 256, 64, dtype=np.uint8)
-        b = rng.integers(0, 256, 64, dtype=np.uint8)
-        assert np.array_equal(gf.vec_add(a, b), a ^ b)
-
     def test_vec_scale_matches_scalar(self, rng):
         vector = rng.integers(0, 256, 128, dtype=np.uint8)
         for coefficient in (0, 1, 2, 77, 255):
@@ -125,13 +90,6 @@ class TestVectorKernels:
         gf.scale_and_add(accumulator, rng.integers(0, 256, 64, dtype=np.uint8), 0)
         assert np.array_equal(accumulator, before)
 
-    def test_vec_mul_elementwise(self, rng):
-        a = rng.integers(0, 256, 40, dtype=np.uint8)
-        b = rng.integers(0, 256, 40, dtype=np.uint8)
-        result = gf.vec_mul(a, b)
-        for i in range(40):
-            assert result[i] == gf.mul(int(a[i]), int(b[i]))
-
     @given(st.integers(min_value=1, max_value=64), field_element, field_element)
     @settings(max_examples=60, deadline=None)
     def test_scaling_is_linear(self, length, c1, c2):
@@ -141,14 +99,6 @@ class TestVectorKernels:
         gf.scale_and_add(lhs, v, c2)
         rhs = gf.vec_scale(v, gf.add(c1, c2))
         assert np.array_equal(lhs, rhs)
-
-    def test_random_coefficients_range_and_determinism(self):
-        rng1 = np.random.default_rng(9)
-        rng2 = np.random.default_rng(9)
-        a = gf.random_coefficients(1000, rng1)
-        b = gf.random_coefficients(1000, rng2)
-        assert a.dtype == np.uint8
-        assert np.array_equal(a, b)
 
     def test_random_nonzero_coefficient(self):
         rng = np.random.default_rng(2)

@@ -2,7 +2,8 @@
 
 ``gf_vecmat`` — the MUL-table gather, reported under its historical id
 ``mul`` — computes ``vector @ matrix`` over GF(2^8), so it must be
-**bit-identical** to the ``gf_vecmat_reference`` oracle on every input.
+**bit-identical** on every input to the other formulation, the shifted-row
+stack that ``gf_matmul`` runs on the same vector as a one-row matrix.
 GF arithmetic is exact (no rounding), which is what makes this differential
 harness decisive: any mismatch is a bug, never tolerance noise.
 
@@ -20,10 +21,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gf.kernels import gf_matmul, gf_vecmat, gf_vecmat_reference
+from repro.gf.kernels import gf_matmul, gf_vecmat
 
 KERNELS = {"mul": gf_vecmat}
 KERNEL_NAMES = sorted(KERNELS)
+
+
+def stacked(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``vector @ matrix`` through the shifted-row stack."""
+    return gf_matmul(vector[None, :], matrix)[0]
 
 #: Seeded-random differential cases.
 CASE_COUNT = 70
@@ -56,7 +62,7 @@ def test_kernels_match_reference_on_seeded_random_cases(name):
     for seed in range(CASE_COUNT):
         rng = np.random.default_rng((9000, seed))
         vector, matrix = _random_operands(rng)
-        expected = gf_vecmat_reference(vector, matrix)
+        expected = stacked(vector, matrix)
         actual = kernel(vector, matrix)
         assert actual.dtype == np.uint8
         np.testing.assert_array_equal(
@@ -73,7 +79,7 @@ def test_kernels_match_reference_on_degenerate_shapes(name, m, n):
     matrix = rng.integers(0, 256, size=(m, n), dtype=np.uint8)
     np.testing.assert_array_equal(
         KERNELS[name](vector, matrix),
-        gf_vecmat_reference(vector, matrix))
+        stacked(vector, matrix))
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)
@@ -118,15 +124,6 @@ def test_kernels_validate_operand_shapes(name):
         kernel(np.zeros(3, dtype=np.uint8), np.zeros((4, 5), dtype=np.uint8))
     with pytest.raises(ValueError):
         kernel(np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 5), dtype=np.uint8))
-
-
-def test_reference_kernel_validates_operand_shapes():
-    with pytest.raises(ValueError):
-        gf_vecmat_reference(np.zeros(3, dtype=np.uint8),
-                            np.zeros((4, 5), dtype=np.uint8))
-    with pytest.raises(ValueError):
-        gf_vecmat_reference(np.zeros((2, 2), dtype=np.uint8),
-                            np.zeros((2, 5), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)

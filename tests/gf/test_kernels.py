@@ -32,7 +32,7 @@ class TestGfMatmul:
         assert np.array_equal(gf_matmul(a, b), reference_matmul(a, b))
 
     def test_matches_reference_large_uses_shifted_rows(self, rng):
-        # n >= 8 and s >= 8 routes through the shifted-row formulation.
+        # Many output rows over rows several uint64 words wide.
         a = rng.integers(0, 256, (16, 12), dtype=np.uint8)
         b = rng.integers(0, 256, (12, 33), dtype=np.uint8)
         assert np.array_equal(gf_matmul(a, b), reference_matmul(a, b))
@@ -106,7 +106,8 @@ class TestVectorAndRowKernels:
        st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=1000))
 @settings(max_examples=40, deadline=None)
 def test_property_matmul_matches_reference(n, k, s, seed):
-    """gf_matmul equals the scalar triple loop for every shape, both code paths."""
+    """gf_matmul equals the scalar triple loop for every shape, n < 8 and
+    s < 8 included: one code path, the shifted-row stack."""
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 256, (n, k), dtype=np.uint8)
     b = rng.integers(0, 256, (k, s), dtype=np.uint8)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf import matrix as gfm
+from repro.gf.kernels import gf_matmul
 from repro.gf.matrix import SingularMatrixError
 
 
@@ -54,7 +55,7 @@ class TestRank:
 
     def test_rank_of_linear_combination(self):
         a = random_matrix(2, 5, seed=4)
-        combo = gfm.matmul(np.array([[3, 7]], dtype=np.uint8), a)
+        combo = gf_matmul(np.array([[3, 7]], dtype=np.uint8), a)
         stacked = np.vstack([a, combo])
         assert gfm.rank(stacked) == 2
 
@@ -67,7 +68,7 @@ class TestInvertAndSolve:
     def test_invert_roundtrip(self):
         matrix = random_matrix(6, 6, seed=6)
         inverse = gfm.invert(matrix)
-        product = gfm.matmul(matrix, inverse)
+        product = gf_matmul(matrix, inverse)
         assert np.array_equal(product, np.eye(6, dtype=np.uint8))
 
     def test_invert_singular_raises(self):
@@ -83,14 +84,14 @@ class TestInvertAndSolve:
     def test_solve_vector(self):
         matrix = random_matrix(5, 5, seed=9)
         x = random_matrix(1, 5, seed=10)[0]
-        b = gfm.matmul(matrix, x.reshape(-1, 1))[:, 0]
+        b = gf_matmul(matrix, x.reshape(-1, 1))[:, 0]
         solved = gfm.solve(matrix, b)
         assert np.array_equal(solved, x)
 
     def test_solve_matrix_rhs(self):
         matrix = random_matrix(4, 4, seed=11)
         x = random_matrix(4, 7, seed=12)
-        b = gfm.matmul(matrix, x)
+        b = gf_matmul(matrix, x)
         solved = gfm.solve(matrix, b)
         assert np.array_equal(solved, x)
 
@@ -102,30 +103,6 @@ class TestInvertAndSolve:
         with pytest.raises(ValueError):
             gfm.solve(random_matrix(4, 3), np.zeros(4, dtype=np.uint8))
 
-    def test_is_invertible(self):
-        assert gfm.is_invertible(np.eye(3, dtype=np.uint8))
-        assert not gfm.is_invertible(np.zeros((3, 3), dtype=np.uint8))
-        assert not gfm.is_invertible(random_matrix(2, 3))
-
-
-class TestMatmul:
-    def test_identity(self):
-        matrix = random_matrix(4, 6, seed=13)
-        identity = np.eye(4, dtype=np.uint8)
-        assert np.array_equal(gfm.matmul(identity, matrix), matrix)
-
-    def test_associativity(self):
-        a = random_matrix(3, 4, seed=14)
-        b = random_matrix(4, 5, seed=15)
-        c = random_matrix(5, 2, seed=16)
-        left = gfm.matmul(gfm.matmul(a, b), c)
-        right = gfm.matmul(a, gfm.matmul(b, c))
-        assert np.array_equal(left, right)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            gfm.matmul(random_matrix(3, 4), random_matrix(3, 4))
-
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
@@ -135,5 +112,5 @@ def test_property_invert_random_full_rank(size, seed):
     matrix = np.random.default_rng(seed).integers(0, 256, size=(size, size), dtype=np.uint8)
     if gfm.rank(matrix) < size:
         return
-    product = gfm.matmul(matrix, gfm.invert(matrix))
+    product = gf_matmul(matrix, gfm.invert(matrix))
     assert np.array_equal(product, np.eye(size, dtype=np.uint8))

@@ -2,8 +2,8 @@
 
 A :class:`~repro.gf.kernels.ShiftedRows` that was announced its rows a few
 at a time — with any mix of products in between — answers every later
-product exactly as an operand built over the same rows at once, and as the
-``gf_vecmat_reference`` oracle.  What it has built by then differs (a
+product exactly as an operand built over the same rows at once, and as
+``gf_vecmat``, which builds no operand.  What it has built by then differs (a
 narrow operand has no stack until ``matmul`` is called; a wide one expands
 rows as they are announced); the bytes do not.
 """
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf import kernels
-from repro.gf.kernels import ShiftedRows, gf_vecmat_reference
+from repro.gf.kernels import ShiftedRows, gf_vecmat
 from repro.gf.tables import MUL
 
 #: Zero width, below / at / above one uint64 word, every preset's coded
@@ -29,13 +29,13 @@ def _assert_products_equal_fresh(operand: ShiftedRows, rows: np.ndarray,
     fresh = ShiftedRows(rows.copy())
     if "v" in products:
         vector = rng.integers(0, 256, rows.shape[0], dtype=np.uint8)
-        expected = gf_vecmat_reference(vector, rows)
+        expected = gf_vecmat(vector, rows)
         np.testing.assert_array_equal(operand.vecmul(vector), expected)
         np.testing.assert_array_equal(fresh.vecmul(vector), expected)
     if "m" in products:
         left = rng.integers(0, 256, (int(rng.integers(1, 10)), rows.shape[0]),
                             dtype=np.uint8)
-        expected = np.stack([gf_vecmat_reference(vector, rows) for vector in left])
+        expected = np.stack([gf_vecmat(vector, rows) for vector in left])
         np.testing.assert_array_equal(operand.matmul(left), expected)
         np.testing.assert_array_equal(fresh.matmul(left), expected)
 
@@ -73,7 +73,7 @@ def test_narrow_operand_builds_its_stack_only_for_matmul(rng, shifted_rows):
         _assert_products_equal_fresh(operand, matrix[:rows], rng, "v")
     assert shifted_rows == []
     left = rng.integers(0, 256, (9, 7), dtype=np.uint8)
-    expected = np.stack([gf_vecmat_reference(vector, matrix[:7]) for vector in left])
+    expected = np.stack([gf_vecmat(vector, matrix[:7]) for vector in left])
     np.testing.assert_array_equal(operand.matmul(left), expected)
     assert shifted_rows == [7] * 7
     operand.grow(12)

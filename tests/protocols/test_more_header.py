@@ -60,6 +60,17 @@ class TestPackUnpack:
         with pytest.raises(ValueError):
             MoreHeader.unpack(b"\x00\x01")
 
+    def test_node_id_or_k_beyond_one_byte_rejected(self):
+        """A kilonode forwarder id or K = 256 is refused, not truncated."""
+        header = data_header()
+        header.forwarders[0] = ForwarderEntry(node_id=700, tx_credit=1.0)
+        with pytest.raises(ValueError, match="forwarder node id 700"):
+            header.pack()
+        with pytest.raises(ValueError, match="K 256"):
+            data_header(batch_size=256).pack()
+        header.forwarders[0] = ForwarderEntry(node_id=255, tx_credit=1.0)
+        assert MoreHeader.unpack(header.pack()).forwarder_ids()[0] == 255
+
     def test_size_matches_serialisation(self):
         for batch_size in (8, 32, 128):
             for forwarders in (0, 3, 10):

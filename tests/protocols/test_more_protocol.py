@@ -59,7 +59,7 @@ class TestEndToEndTransfer:
 
         del products[:]
         sim, handle = run_flow(topo, 0, 3, total_packets=24, batch_size=8,
-                               packet_size=1500, vector_only=True)
+                               packet_size=1500, coding_payload_size=0)
         assert sim.stats.flows[handle.flow_id].completed
         encoders = handle.source_agent.source_flows[handle.flow_id].encoders
         assert sum(encoder.packets_generated for encoder in encoders) > 24
