@@ -125,6 +125,16 @@ class TestDecodeViaBuffer:
         with pytest.raises(RuntimeError):
             buffer.decode()
 
+    def test_payload_free_buffer_decodes_to_empty_rows(self):
+        buffer = BatchBuffer(2, 0)
+        buffer.add(coded([1, 0], payload=b""))
+        with pytest.raises(RuntimeError):
+            buffer.decode()
+        buffer.add(coded([3, 1], payload=b""))
+        decoded = buffer.decode()
+        assert decoded.shape == (2, 0) and decoded.dtype == np.uint8
+        np.testing.assert_array_equal(buffer.coefficient_matrix(), np.eye(2, dtype=np.uint8))
+
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=1000))
 @settings(max_examples=40, deadline=None)

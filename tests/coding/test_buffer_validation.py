@@ -126,6 +126,32 @@ def test_width_zero_buffer_keeps_code_vectors_only(make_buffer):
     np.testing.assert_array_equal(bare.coefficient_matrix(), sized.coefficient_matrix())
 
 
+@BUFFER
+def test_payload_free_buffer_refuses_combine_over_empty(make_buffer):
+    buffer = make_buffer(batch_size=K, packet_size=0)
+    with pytest.raises(RuntimeError, match="empty buffer"):
+        buffer.combine_rows(np.zeros(0, dtype=np.uint8))
+    buffer.add(CodedPacket(code_vector=np.eye(K, dtype=np.uint8)[2], payload=b""))
+    with pytest.raises(ValueError, match="expected 1 combination coefficients"):
+        buffer.combine_rows(np.ones(2, dtype=np.uint8))
+    assert (buffer.rank, buffer.received, buffer.innovative) == (1, 1, 1)
+
+
+@BUFFER
+def test_width_zero_combine_rows_has_empty_mix(make_buffer):
+    """At width 0 a re-coded packet is its code vector: the mix over raw
+    payload slots is empty, and so are the bytes it builds."""
+    buffer = make_buffer(batch_size=K, packet_size=0)
+    for unit in (1, 5):
+        buffer.add(CodedPacket(code_vector=np.eye(K, dtype=np.uint8)[unit], payload=b""))
+    combined, mix = buffer.combine_rows(np.array([3, 7], dtype=np.uint8))
+    expected = np.zeros(K, dtype=np.uint8)
+    expected[[1, 5]] = (3, 7)
+    np.testing.assert_array_equal(combined, expected)
+    assert mix.shape == (0,)
+    assert buffer.raw.combine(mix).shape == (0,)
+
+
 def test_code_vector_must_be_one_dimensional():
     with pytest.raises(ValueError, match="1-D"):
         CodedPacket(code_vector=np.zeros((2, 2), dtype=np.uint8),

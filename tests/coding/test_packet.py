@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.coding.buffer import BatchBuffer
 from repro.coding.packet import (
     Batch,
     CodedPacket,
@@ -44,6 +45,15 @@ class TestCodedPacket:
         assert packet.batch_size == 3
         assert packet.size == 4
         assert packet.batch_id == 3
+
+    def test_zero_vector_detection(self):
+        """A zero code vector carries nothing: a buffer counts it received,
+        never innovative, whatever its payload bytes."""
+        packet = CodedPacket(code_vector=np.zeros(4, dtype=np.uint8), payload=b"1234")
+        buffer = BatchBuffer(4, 4)
+        assert not buffer.is_innovative(packet.code_vector)
+        assert buffer.add(packet) is False
+        assert (buffer.rank, buffer.received, buffer.innovative) == (0, 1, 0)
 
     def test_copy_is_independent(self):
         packet = CodedPacket(code_vector=np.array([1, 2], dtype=np.uint8), payload=b"xy")

@@ -28,7 +28,7 @@ from repro.gf.arithmetic import (
     scale_and_add,
     vec_scale,
 )
-from repro.gf.kernels import gf_vecmat
+from repro.gf.kernels import ShiftedRows, gf_vecmat
 from repro.gf.tables import INV
 
 BATCH_SIZES = (8, 16, 32)
@@ -214,7 +214,8 @@ def _awkward_vectors(batch_size: int, rng: np.random.Generator) -> list[np.ndarr
 
 
 @pytest.mark.parametrize("batch_size", (1, 8, 32, 128))
-@pytest.mark.parametrize("packet_size", (0, 16), ids=["vector_only", "payloads"])
+@pytest.mark.parametrize("packet_size", (0, 16, ShiftedRows.VEC_GATHER_MAX_WIDTH + 1),
+                         ids=["vector_only", "payloads", "wide"])
 def test_recycled_buffer_matches_scalar(batch_size, packet_size):
     """Every accessor of a buffer reused across batches agrees with a scalar
     buffer that has never held a row: verdicts, counters, pivots, matrices,

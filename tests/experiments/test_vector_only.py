@@ -72,6 +72,24 @@ def test_vector_only_rejects_file_bytes(lossy_chain):
                         coding_payload_size=0)
 
 
+def test_width_zero_flow_runs_as_a_sized_one(lossy_chain):
+    """Below RunConfig there is no mode to conflict with a width: a flow
+    set up at width 0 runs exactly as one set up at 64 bytes."""
+    from repro.sim.radio import PhyConfig, SimConfig
+    runs = []
+    for width in (0, 64):
+        sim = Simulator(lossy_chain, SimConfig(phy=PhyConfig(), seed=1))
+        handle = setup_more_flow(sim, lossy_chain, 0, lossy_chain.node_count - 1,
+                                 total_packets=16, batch_size=16,
+                                 coding_payload_size=width, seed=1)
+        sim.run(until=60.0, stop_condition=sim.stats.all_flows_complete)
+        assert all(p.size == width for p in handle.decoded_payloads())
+        runs.append((dataclasses.asdict(sim.stats.flows[handle.spec.flow_id]),
+                     sim.stats.total_data_transmissions(), sim.now))
+    assert runs[0] == runs[1]
+    assert runs[0][0]["delivered_packets"] == 16
+
+
 def test_vector_only_supersedes_run_config_payload_size(lossy_chain):
     """Through RunConfig the mode wins over the default payload width."""
     config = RunConfig(total_packets=32, batch_size=16, seed=3,

@@ -31,6 +31,7 @@ def stacked(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """``vector @ matrix`` through the shifted-row stack."""
     return gf_matmul(vector[None, :], matrix)[0]
 
+
 #: Seeded-random differential cases.
 CASE_COUNT = 70
 
@@ -124,6 +125,16 @@ def test_kernels_validate_operand_shapes(name):
         kernel(np.zeros(3, dtype=np.uint8), np.zeros((4, 5), dtype=np.uint8))
     with pytest.raises(ValueError):
         kernel(np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 5), dtype=np.uint8))
+
+
+def test_reference_kernel_validates_operand_shapes():
+    """The stack ``gf_vecmat`` is checked against refuses what it refuses."""
+    with pytest.raises(ValueError):
+        stacked(np.zeros(3, dtype=np.uint8), np.zeros((4, 5), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        gf_matmul(np.zeros(3, dtype=np.uint8), np.zeros((3, 5), dtype=np.uint8))
+    with pytest.raises(ValueError):
+        gf_matmul(np.zeros((2, 2), dtype=np.uint8), np.zeros(2, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)

@@ -103,6 +103,38 @@ class TestInvertAndSolve:
         with pytest.raises(ValueError):
             gfm.solve(random_matrix(4, 3), np.zeros(4, dtype=np.uint8))
 
+    def test_is_invertible(self):
+        """A square matrix inverts exactly when it has full rank."""
+        assert np.array_equal(gfm.invert(np.eye(3, dtype=np.uint8)),
+                              np.eye(3, dtype=np.uint8))
+        zeros = np.zeros((3, 3), dtype=np.uint8)
+        assert gfm.rank(zeros) < 3
+        with pytest.raises(SingularMatrixError):
+            gfm.invert(zeros)
+        with pytest.raises(ValueError):
+            gfm.invert(random_matrix(2, 3))
+
+
+class TestMatmul:
+    """``gf_matmul``, the product the elimination results are checked with."""
+
+    def test_identity(self):
+        matrix = random_matrix(4, 6, seed=13)
+        identity = np.eye(4, dtype=np.uint8)
+        assert np.array_equal(gf_matmul(identity, matrix), matrix)
+
+    def test_associativity(self):
+        a = random_matrix(3, 4, seed=14)
+        b = random_matrix(4, 5, seed=15)
+        c = random_matrix(5, 2, seed=16)
+        left = gf_matmul(gf_matmul(a, b), c)
+        right = gf_matmul(a, gf_matmul(b, c))
+        assert np.array_equal(left, right)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            gf_matmul(random_matrix(3, 4), random_matrix(3, 4))
+
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
