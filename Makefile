@@ -7,14 +7,15 @@ PYTHON  ?= python
 WORKERS ?= 4
 ENV      = PYTHONPATH=src
 
-.PHONY: check lint analyze import-check test test-engine test-coding golden \
-        docs-check sweep-smoke fault-smoke bench-smoke figures examples clean
+.PHONY: check lint analyze import-check test test-engine test-coding test-control \
+        golden docs-check sweep-smoke fault-smoke bench-smoke figures examples clean
 
 # The pre-merge gate: the static analyzer (style rules included, so `lint`
 # is not run again), the import budget, the golden-trace tests (fail fast on
 # a hot-path behaviour change), the coding/GF differentials (fail fast on a
-# coefficient or a row), then the full tier-1 suite.
-check: analyze import-check test-engine test-coding test
+# coefficient or a row), the control-plane differentials (fail fast on a
+# link estimate, a distance or a plan), then the full tier-1 suite.
+check: analyze import-check test-engine test-coding test-control test
 
 # Style lint alone: the analyzer's six style rules (syntax, line length,
 # tabs, trailing whitespace, unused imports), stdlib only.  CI also runs
@@ -70,6 +71,17 @@ golden:
 # selection under pytest-cov.
 test-coding:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/coding tests/gf
+
+# The control-plane gate alone: ETX / EOTX / credits / gap / LP, the probe
+# estimates against their per-link reference, what is derived once per
+# topology, and the link-table control view against the dense matrices it
+# replaced (link rows, distances, next hops, plans, paths, the dead-node
+# mask), bit for bit.
+test-control:
+	$(ENV) $(PYTHON) -m pytest -x -q tests/metrics \
+		tests/topology/test_estimation.py \
+		tests/topology/test_derived.py \
+		tests/topology/test_control_view_differential.py
 
 # Every repro.* name, every `--preset name` and every `run.<field>`
 # referenced in README.md and docs/ must resolve.

@@ -46,7 +46,9 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from repro.topology.graph import Topology
+import numpy as np
+
+from repro.topology.graph import LinkTable, LinkView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.experiments.runner import RunConfig
@@ -68,22 +70,24 @@ _QUEUE_BOUND_FACTOR = 4
 _QUEUE_BOUND_FLOOR = 64
 
 
-def mask_dead_nodes(topology: Topology, dead: frozenset[int]) -> Topology:
+def mask_dead_nodes(topology: LinkView, dead: frozenset[int]) -> LinkView:
     """The control plane's view of a topology with ``dead`` nodes in it.
 
-    A crashed node answers no probes, so every link
-    into or out of it measures as zero — plans computed over the masked
-    view route around the corpse.  Returns ``topology`` itself when
+    A crashed node answers no probes, so every link into or out of it
+    measures as zero — plans computed over the masked view route around
+    the corpse.  The view keeps ``topology``'s other links, in their
+    order, and holds no N×N matrix.  Returns ``topology`` itself when
     nothing is dead.
     """
     if not dead:
         return topology
-    delivery = topology.delivery_matrix()
-    indices = sorted(dead)
-    delivery[indices, :] = 0.0
-    delivery[:, indices] = 0.0
-    return Topology.from_owned(delivery, positions=topology.node_positions(),
-                               names=[node.name for node in topology.nodes])
+    links = topology.link_table()
+    alive = np.ones(topology.node_count, dtype=bool)
+    alive[sorted(dead)] = False
+    kept = alive[links.senders()] & alive[links.receivers]
+    indptr = np.concatenate(([0], np.cumsum(kept)))[links.indptr]
+    return LinkView(list(topology.nodes),
+                    LinkTable(indptr, links.receivers[kept], links.delivery[kept]))
 
 
 def probe_flows(sim: "Simulator") -> dict[int, dict]:
@@ -160,7 +164,7 @@ class _ControlLoop:
         """What, after the run seed, keys this round's probe noise."""
         raise NotImplementedError
 
-    def control_view(self) -> Topology:
+    def control_view(self) -> LinkView:
         """The link-state estimates of this round.
 
         Probes measure the topology *as it stands now*
@@ -258,7 +262,7 @@ class FlowSupervisor(_ControlLoop):
         probes = probe_flows(sim)
         offered = sum(record.total_packets for record in stats.flows.values())
         queue_bound = max(_QUEUE_BOUND_FLOOR, _QUEUE_BOUND_FACTOR * offered)
-        control: Topology | None = None
+        control: LinkView | None = None
         for handle in self.handles:
             probe = probes.get(handle.flow_id)
             if probe is None:

@@ -27,7 +27,7 @@ from repro.topology.estimation import (
     DEFAULT_PROBE_COUNT,
     probe_estimated_topology,
 )
-from repro.topology.graph import Topology
+from repro.topology.graph import LinkView, Topology
 from repro.topology.mobility import MobilitySpec
 
 #: Protocol names accepted by the runner.
@@ -107,10 +107,10 @@ class RunConfig:
     benchmark suite runs in minutes; pass ``total_packets=3495`` (5 MB /
     1500 B) to reproduce the paper's transfer size exactly.
 
-    ``estimation_exponent`` / ``estimation_probes`` control the probe-based
-    link-quality estimates fed to every protocol's control plane (see
-    :mod:`repro.topology.estimation`); set the exponent to 1.0 and probes to
-    0 for a perfectly informed control plane (the ablation case).
+    ``estimation_exponent`` (in (0, 1]) / ``estimation_probes`` control the
+    probe-based link-quality estimates fed to every protocol's control plane
+    (see :mod:`repro.topology.estimation`); set the exponent to 1.0 and
+    probes to 0 for a perfectly informed control plane (the ablation case).
 
     ``vector_only`` enables the payload-free fast path: delivery, rank
     progression and throughput are fully determined by code vectors, so
@@ -168,17 +168,19 @@ class RunConfig:
         for name in ("total_packets", "batch_size", "packet_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        for name in ("max_duration", "estimation_exponent"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.max_duration <= 0:
+            raise ValueError("max_duration must be positive")
+        if not 0.0 < self.estimation_exponent <= 1.0:
+            raise ValueError("estimation_exponent must lie in (0, 1], "
+                             f"got {self.estimation_exponent!r}")
         for name in ("coding_payload_size", "estimation_probes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative")
         if self.max_relays is not None and self.max_relays < 1:
             raise ValueError("max_relays must be at least 1 (None = no cap)")
 
-    def control_view(self, topology: Topology,
-                     seed: int | tuple[int, ...] | None = None) -> Topology:
+    def control_view(self, topology: LinkView,
+                     seed: int | tuple[int, ...] | None = None) -> LinkView:
         """The link-quality estimates the routing control plane works from.
 
         ``seed`` overrides the probe-noise stream (the refresh loop passes
@@ -186,7 +188,7 @@ class RunConfig:
         the run seed is the default, and a perfectly informed control plane
         (exponent 1.0, no probes) returns the topology itself either way.
         """
-        if self.estimation_exponent >= 1.0 and self.estimation_probes == 0:
+        if self.estimation_exponent == 1.0 and self.estimation_probes == 0:
             return topology
         return probe_estimated_topology(
             topology,
@@ -198,7 +200,7 @@ class RunConfig:
 
 def _install_flow(sim: Simulator, topology: Topology, protocol: str, source: int,
                   destination: int, config: RunConfig, flow_seed: int,
-                  control_topology: Topology | None = None):
+                  control_topology: LinkView | None = None):
     """Install one flow of the requested protocol; returns its handle.
 
     The one place the protocol knobs of ``config`` (``more_metric``,

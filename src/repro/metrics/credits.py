@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.metrics.etx import DEFAULT_LINK_THRESHOLD, etx_to_destination
 from repro.metrics.eotx import eotx_dijkstra
-from repro.topology.graph import Topology
+from repro.topology.graph import LinkView
 
 #: Forwarders expected to perform less than this fraction of the total
 #: transmissions are pruned (Section 3.2.1, "Pruning").
@@ -80,7 +80,7 @@ class TransmissionPlan:
         return [n for n in self.participants if n not in (self.source, self.destination)]
 
 
-def _metric_distances(topology: Topology, destination: int, metric: str,
+def _metric_distances(topology: LinkView, destination: int, metric: str,
                       threshold: float) -> np.ndarray:
     """Distance-to-destination vector under the requested metric."""
     if metric == "etx":
@@ -90,7 +90,7 @@ def _metric_distances(topology: Topology, destination: int, metric: str,
     raise ValueError(f"unknown ordering metric {metric!r}; expected 'etx' or 'eotx'")
 
 
-def candidate_forwarders(topology: Topology, source: int, destination: int,
+def candidate_forwarders(topology: LinkView, source: int, destination: int,
                          metric: str = "etx",
                          threshold: float = DEFAULT_LINK_THRESHOLD) -> tuple[list[int], np.ndarray]:
     """Participants of a flow, ordered by increasing distance to the destination.
@@ -117,7 +117,26 @@ def candidate_forwarders(topology: Topology, source: int, destination: int,
     return members, distances
 
 
-def expected_transmissions(topology: Topology, source: int, destination: int,
+def _participant_block(topology: LinkView, order: list[int]) -> np.ndarray:
+    """``delivery[order[a], order[b]]`` for every pair of positions in ``order``.
+
+    The |P|×|P| block of the delivery matrix over the participants, read
+    off the link table one participant's links at a time: what Algorithm 1,
+    Eq. 3.3 and Algorithm 6 consume, without an N×N matrix.
+    """
+    links = topology.link_table()
+    position = np.full(topology.node_count, -1, dtype=np.intp)
+    position[order] = np.arange(len(order))
+    block = np.zeros((len(order), len(order)))
+    for row, sender in enumerate(order):
+        start, stop = links.indptr[sender], links.indptr[sender + 1]
+        columns = position[links.receivers[start:stop]]
+        member = columns >= 0
+        block[row, columns[member]] = links.delivery[start:stop][member]
+    return block
+
+
+def expected_transmissions(topology: LinkView, source: int, destination: int,
                            metric: str = "etx",
                            threshold: float = DEFAULT_LINK_THRESHOLD) -> TransmissionPlan:
     """Algorithm 1: expected per-node transmission counts ``z_i``.
@@ -130,8 +149,8 @@ def expected_transmissions(topology: Topology, source: int, destination: int,
     participants, distances = candidate_forwarders(topology, source, destination,
                                                    metric=metric, threshold=threshold)
     count = topology.node_count
-    delivery = topology.delivery_view()
     order = participants  # order[0] = destination ... order[-1] = source
+    delivery = _participant_block(topology, order)
     n = len(order)
     load = np.zeros(count)
     z = np.zeros(count)
@@ -144,7 +163,7 @@ def expected_transmissions(topology: Topology, source: int, destination: int,
         if load[node] <= 0.0:
             continue
         # eps[node, closer] for every strictly closer node, nearest first.
-        eps = (1.0 - delivery[node, order[:position]]).tolist()
+        eps = (1.0 - delivery[position, :position]).tolist()
         # Probability that at least one strictly closer node hears node's
         # transmission.
         miss_all_closer = 1.0
@@ -178,7 +197,7 @@ def expected_transmissions(topology: Topology, source: int, destination: int,
     )
 
 
-def tx_credits(topology: Topology, order: list[int], z: np.ndarray) -> np.ndarray:
+def tx_credits(topology: LinkView, order: list[int], z: np.ndarray) -> np.ndarray:
     """Equation 3.3: transmissions a node makes per packet heard from upstream.
 
     ``order`` lists participants by increasing distance to the destination;
@@ -187,20 +206,20 @@ def tx_credits(topology: Topology, order: list[int], z: np.ndarray) -> np.ndarra
     credit is left at zero — MORE clocks the source by batch ACKs instead.
     """
     credits = np.zeros(topology.node_count)
-    delivery = topology.delivery_view()
+    delivery = _participant_block(topology, order)
     for position, node in enumerate(order):
         if position == len(order) - 1:
             continue  # the source
         expected_received = 0.0
         for upstream_position in range(position + 1, len(order)):
             upstream = order[upstream_position]
-            expected_received += z[upstream] * delivery[upstream, node]
+            expected_received += z[upstream] * delivery[upstream_position, position]
         if expected_received > 0.0 and z[node] > 0.0:
             credits[node] = z[node] / expected_received
     return credits
 
 
-def prune_forwarders(topology: Topology, plan: TransmissionPlan,
+def prune_forwarders(topology: LinkView, plan: TransmissionPlan,
                      fraction: float = DEFAULT_PRUNING_FRACTION) -> TransmissionPlan:
     """Drop forwarders whose expected transmissions are below ``fraction`` of the total.
 
@@ -223,7 +242,7 @@ def prune_forwarders(topology: Topology, plan: TransmissionPlan,
     return _restricted_plan(topology, plan, keep)
 
 
-def cap_forwarders(topology: Topology, plan: TransmissionPlan,
+def cap_forwarders(topology: LinkView, plan: TransmissionPlan,
                    max_forwarders: int) -> TransmissionPlan:
     """Keep at most ``max_forwarders`` relays: the highest-load ones.
 
@@ -251,7 +270,7 @@ def cap_forwarders(topology: Topology, plan: TransmissionPlan,
     return _restricted_plan(topology, plan, keep)
 
 
-def _restricted_plan(topology: Topology, plan: TransmissionPlan,
+def _restricted_plan(topology: LinkView, plan: TransmissionPlan,
                      keep: list[int]) -> TransmissionPlan:
     """Rebuild a plan over the surviving participants ``keep`` (in order)."""
     kept = set(keep)
@@ -277,7 +296,7 @@ def _restricted_plan(topology: Topology, plan: TransmissionPlan,
     )
 
 
-def load_distribution(topology: Topology, source: int, destination: int,
+def load_distribution(topology: LinkView, source: int, destination: int,
                       threshold: float = DEFAULT_LINK_THRESHOLD) -> TransmissionPlan:
     """Algorithm 6: optimal ``z`` and edge flows ``x`` from the EOTX costs.
 
@@ -288,8 +307,8 @@ def load_distribution(topology: Topology, source: int, destination: int,
     participants, distances = candidate_forwarders(topology, source, destination,
                                                    metric="eotx", threshold=threshold)
     count = topology.node_count
-    delivery = topology.delivery_view()
     order = participants
+    delivery = _participant_block(topology, order)
     n = len(order)
     load = np.zeros(count)
     z = np.zeros(count)
@@ -306,7 +325,7 @@ def load_distribution(topology: Topology, source: int, destination: int,
         shares = []
         for closer_position in range(position):
             closer = order[closer_position]
-            p = delivery[node, closer]
+            p = delivery[position, closer_position]
             q_current = 1.0 - (1.0 - q_previous) * (1.0 - p)
             shares.append((closer, q_current - q_previous))
             q_previous = q_current
@@ -333,7 +352,7 @@ def load_distribution(topology: Topology, source: int, destination: int,
     )
 
 
-def forwarding_plan(topology: Topology, source: int, destination: int,
+def forwarding_plan(topology: LinkView, source: int, destination: int,
                     metric: str = "etx", prune: bool = True,
                     pruning_fraction: float = DEFAULT_PRUNING_FRACTION,
                     threshold: float = DEFAULT_LINK_THRESHOLD,
@@ -352,9 +371,9 @@ def forwarding_plan(topology: Topology, source: int, destination: int,
     today's behaviour bit for bit.
 
     A plan is a function of the link state and these arguments only, so it
-    is derived once per topology (:meth:`Topology.derived`): every flow,
-    protocol and seed planning this pair over the same control view reads
-    one plan.  Its arrays are read-only; the lists are the caller's own.
+    is derived once per view (:meth:`repro.topology.graph.LinkView.derived`):
+    every flow, protocol and seed planning this pair over the same control
+    view reads one plan.  Its arrays are read-only; the lists are the caller's own.
     """
     def derive() -> TransmissionPlan:
         plan = expected_transmissions(topology, source, destination, metric=metric,

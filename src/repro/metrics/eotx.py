@@ -26,16 +26,16 @@ import math
 import numpy as np
 
 from repro.metrics.etx import DEFAULT_LINK_THRESHOLD, link_rows
-from repro.topology.graph import Topology
+from repro.topology.graph import LinkView
 
 
-def _usable_delivery(topology: Topology, threshold: float) -> np.ndarray:
-    """Delivery matrix with sub-threshold links zeroed out."""
-    delivery = topology.delivery_view()
+def _usable_delivery(topology: LinkView, threshold: float) -> np.ndarray:
+    """Delivery matrix with sub-threshold links zeroed out (the oracles' dense form)."""
+    delivery = topology.delivery_matrix()
     return np.where(delivery > threshold, delivery, 0.0)
 
 
-def eotx_dijkstra(topology: Topology, destination: int,
+def eotx_dijkstra(topology: LinkView, destination: int,
                   threshold: float = DEFAULT_LINK_THRESHOLD) -> np.ndarray:
     """EOTX of every node toward ``destination`` (Algorithm 5).
 
@@ -57,7 +57,7 @@ def eotx_dijkstra(topology: Topology, destination: int,
         A read-only vector ``d`` with ``d[destination] == 0`` and ``inf``
         for nodes that cannot reach the destination at all, derived once per
         topology and destination
-        (:meth:`repro.topology.graph.Topology.derived`).
+        (:meth:`repro.topology.graph.LinkView.derived`).
     """
     def derive() -> np.ndarray:
         rows = link_rows(topology, threshold=threshold)
@@ -89,7 +89,7 @@ def eotx_dijkstra(topology: Topology, destination: int,
     return topology.derived(("eotx", destination, threshold), derive)
 
 
-def eotx_bellman_ford(topology: Topology, destination: int,
+def eotx_bellman_ford(topology: LinkView, destination: int,
                       threshold: float = DEFAULT_LINK_THRESHOLD,
                       max_iterations: int | None = None) -> np.ndarray:
     """EOTX via the Bellman–Ford style relaxation (Algorithms 3 and 4)."""
@@ -139,7 +139,7 @@ def eotx_bellman_ford(topology: Topology, destination: int,
     return d
 
 
-def eotx_recursive(topology: Topology, destination: int,
+def eotx_recursive(topology: LinkView, destination: int,
                    threshold: float = DEFAULT_LINK_THRESHOLD) -> np.ndarray:
     """EOTX by direct evaluation of the recursive definition (Eq. 5.14).
 
@@ -190,7 +190,7 @@ def eotx_recursive(topology: Topology, destination: int,
     return d
 
 
-def eotx_order(topology: Topology, destination: int,
+def eotx_order(topology: LinkView, destination: int,
                threshold: float = DEFAULT_LINK_THRESHOLD) -> list[int]:
     """Nodes sorted by increasing EOTX toward ``destination`` (unreachable omitted)."""
     costs = eotx_dijkstra(topology, destination, threshold=threshold)

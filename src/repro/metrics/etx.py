@@ -22,14 +22,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.topology.graph import Topology
+from repro.topology.graph import LinkTable, LinkView
 
 #: Links with delivery probability below this are treated as unusable;
 #: otherwise a 1% link would dominate every metric with an ETX of 100+.
 DEFAULT_LINK_THRESHOLD = 0.05
 
 
-def link_etx(topology: Topology, sender: int, receiver: int, ack_aware: bool = False,
+def link_etx(topology: LinkView, sender: int, receiver: int, ack_aware: bool = False,
              threshold: float = DEFAULT_LINK_THRESHOLD) -> float:
     """ETX of the directed link ``sender -> receiver`` (inf if unusable)."""
     forward = topology.delivery(sender, receiver)
@@ -65,35 +65,55 @@ class LinkRows(NamedTuple):
     cost: np.ndarray
 
 
-def link_rows(topology: Topology, ack_aware: bool = False,
+def link_rows(topology: LinkView, ack_aware: bool = False,
               threshold: float = DEFAULT_LINK_THRESHOLD) -> LinkRows:
     """The usable links of ``topology`` by receiver (derived once per topology).
+
+    Read off the view's link table
+    (:meth:`repro.topology.graph.LinkView.link_table`) by a stable sort on
+    the receiver: O(links), with no N×N mask.
 
     A link is usable when its delivery probability exceeds ``threshold``
     (in both directions if ``ack_aware``); a link that delivers nothing
     has infinite ETX under any threshold and is left out.
     """
     def derive() -> LinkRows:
-        delivery = topology.delivery_view()
-        usable = delivery > max(threshold, 0.0)
+        links = topology.link_table()
+        count = topology.node_count
+        senders = links.senders()
+        usable = links.delivery > max(threshold, 0.0)
         if ack_aware:
-            usable &= usable.T
-        receivers, senders = np.nonzero(usable.T)
-        forward = delivery[senders, receivers]
+            reverse = _reverse_delivery(links, senders, count)
+            usable &= reverse > max(threshold, 0.0)
+        # Receiver-major, senders ascending within a receiver: the usable
+        # links in their row-major order, stably sorted by receiver.
+        index = np.flatnonzero(usable)
+        index = index[np.argsort(links.receivers[index], kind="stable")]
+        forward = links.delivery[index]
         if ack_aware:
             # The product of two tiny probabilities can underflow to zero.
             with np.errstate(divide="ignore"):
-                cost = 1.0 / (forward * delivery[receivers, senders])
+                cost = 1.0 / (forward * reverse[index])
         else:
             cost = 1.0 / forward
-        indptr = np.zeros(topology.node_count + 1, dtype=np.intp)
-        np.cumsum(np.bincount(receivers, minlength=topology.node_count), out=indptr[1:])
-        return LinkRows(indptr, senders, forward, cost)
+        indptr = np.zeros(count + 1, dtype=np.intp)
+        np.cumsum(np.bincount(links.receivers[index], minlength=count), out=indptr[1:])
+        return LinkRows(indptr, senders[index], forward, cost)
 
     return topology.derived(("link_rows", ack_aware, threshold), derive)
 
 
-def _routes_to(topology: Topology, destination: int, ack_aware: bool,
+def _reverse_delivery(links: LinkTable, senders: np.ndarray, count: int) -> np.ndarray:
+    """Delivery of each link's reverse direction, 0 where it has none."""
+    if not senders.size:
+        return np.zeros(0)
+    keys = senders * count + links.receivers  # ascending: the links are row-major
+    wanted = links.receivers * count + senders
+    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return np.where(keys[at] == wanted, links.delivery[at], 0.0)
+
+
+def _routes_to(topology: LinkView, destination: int, ack_aware: bool,
                threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """``(distances, next_hop)`` of every node toward ``destination`` (Dijkstra).
 
@@ -138,19 +158,19 @@ def _routes_to(topology: Topology, destination: int, ack_aware: bool,
     return topology.derived(("etx_routes", destination, ack_aware, threshold), derive)
 
 
-def etx_to_destination(topology: Topology, destination: int, ack_aware: bool = False,
+def etx_to_destination(topology: LinkView, destination: int, ack_aware: bool = False,
                        threshold: float = DEFAULT_LINK_THRESHOLD) -> np.ndarray:
     """Best-path ETX from every node to ``destination``.
 
     Returns:
         A read-only vector ``d`` with ``d[destination] == 0`` and
         ``d[i] == inf`` for nodes with no usable path, shared by every
-        caller (:meth:`repro.topology.graph.Topology.derived`).
+        caller (:meth:`repro.topology.graph.LinkView.derived`).
     """
     return _routes_to(topology, destination, ack_aware, threshold)[0]
 
 
-def best_path(topology: Topology, source: int, destination: int, ack_aware: bool = False,
+def best_path(topology: LinkView, source: int, destination: int, ack_aware: bool = False,
               threshold: float = DEFAULT_LINK_THRESHOLD) -> list[int]:
     """The minimum-ETX path from ``source`` to ``destination``.
 
@@ -169,7 +189,7 @@ def best_path(topology: Topology, source: int, destination: int, ack_aware: bool
     return path
 
 
-def path_etx(topology: Topology, path: list[int], ack_aware: bool = False,
+def path_etx(topology: LinkView, path: list[int], ack_aware: bool = False,
              threshold: float = DEFAULT_LINK_THRESHOLD) -> float:
     """Total ETX of an explicit path (sum of its link ETXs)."""
     total = 0.0
@@ -178,14 +198,14 @@ def path_etx(topology: Topology, path: list[int], ack_aware: bool = False,
     return total
 
 
-def hop_count(topology: Topology, source: int, destination: int,
+def hop_count(topology: LinkView, source: int, destination: int,
               ack_aware: bool = False, threshold: float = DEFAULT_LINK_THRESHOLD) -> int:
     """Number of hops on the best-ETX path between two nodes."""
     return len(best_path(topology, source, destination, ack_aware=ack_aware,
                          threshold=threshold)) - 1
 
 
-def etx_order(topology: Topology, destination: int, ack_aware: bool = False,
+def etx_order(topology: LinkView, destination: int, ack_aware: bool = False,
               threshold: float = DEFAULT_LINK_THRESHOLD) -> list[int]:
     """Nodes sorted by increasing ETX distance to ``destination``.
 

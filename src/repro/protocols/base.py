@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.node import SimNode
     from repro.sim.simulator import Simulator
     from repro.sim.trace import FlowRecord
-    from repro.topology.graph import Topology
+    from repro.topology.graph import LinkView
 
 AgentT = TypeVar("AgentT", bound="ProtocolAgent")
 
@@ -130,7 +130,7 @@ class FlowHandle:
         """The flow's delivery statistics."""
         return self.sim.stats.flows[self.spec.flow_id]
 
-    def replan(self, control: "Topology") -> None:
+    def replan(self, control: "LinkView") -> None:
         """Compute the flow's plan from ``control`` (the link qualities as
         the routing layer believes them to be) and install it.
 

@@ -43,7 +43,7 @@ from repro.metrics.etx import best_path
 from repro.protocols.base import FlowHandle, ProtocolAgent, get_or_create_agent
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.simulator import Simulator
-from repro.topology.graph import Topology
+from repro.topology.graph import LinkView, Topology
 
 #: ExOR per-packet header: addressing + batch map (one byte per packet).
 EXOR_BASE_HEADER_BYTES = 24
@@ -657,7 +657,7 @@ class ExorFlowHandle(FlowHandle):
     #: every re-plan after it.
     prune: bool
 
-    def replan(self, control: Topology) -> None:
+    def replan(self, control: LinkView) -> None:
         """Re-rank the participants by ``control``'s ETX distances and
         recompute the cleanup / ACK routes, in place.
 
@@ -693,7 +693,7 @@ def setup_exor_flow(sim: Simulator, topology: Topology, source: int, destination
                     *, total_packets: int, batch_size: int = 32, packet_size: int = 1500,
                     completion_threshold: float = DEFAULT_COMPLETION_THRESHOLD,
                     bitrate: int | None = None, prune: bool = True,
-                    control_topology: Topology | None = None) -> ExorFlowHandle:
+                    control_topology: LinkView | None = None) -> ExorFlowHandle:
     """Install an ExOR file transfer from ``source`` to ``destination``.
 
     ``control_topology`` carries the link-quality estimates used to build the

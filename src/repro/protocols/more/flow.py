@@ -23,7 +23,7 @@ from repro.protocols.base import FlowHandle, get_or_create_agent
 from repro.protocols.more.agent import MoreAgent, MoreFlowSpec
 from repro.protocols.more.header import ForwarderEntry
 from repro.sim.simulator import Simulator
-from repro.topology.graph import Topology
+from repro.topology.graph import LinkView, Topology
 
 
 @dataclass
@@ -41,7 +41,7 @@ class MoreFlowHandle(FlowHandle):
     prune: bool
     seed: int
 
-    def replan(self, control: Topology) -> None:
+    def replan(self, control: LinkView) -> None:
         """Algorithm 1 + Eq. 3.3 + pruning over ``control``, installed in place.
 
         The :class:`~repro.protocols.more.agent.MoreFlowSpec` is one object
@@ -123,7 +123,7 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
                     coding_payload_size: int | None = None, metric: str = "etx",
                     prune: bool = True, bitrate: int | None = None,
                     seed: int = 0,
-                    control_topology: Topology | None = None,
+                    control_topology: LinkView | None = None,
                     max_relays: int | None = None) -> MoreFlowHandle:
     """Install a MORE file transfer from ``source`` to ``destination``.
 

@@ -26,7 +26,7 @@ from repro.protocols.base import FlowHandle, ProtocolAgent, get_or_create_agent
 from repro.sim.autorate import OnoeRateController
 from repro.sim.frames import Frame, FrameKind
 from repro.sim.simulator import Simulator
-from repro.topology.graph import Topology
+from repro.topology.graph import LinkView, Topology
 
 #: Routing/transport header bytes added to every Srcr data frame.
 SRCR_HEADER_BYTES = 24
@@ -194,7 +194,7 @@ class SrcrFlowHandle(FlowHandle):
     #: Whether the agents this flow creates run the Onoe rate controller.
     use_autorate: bool
 
-    def replan(self, control: Topology) -> None:
+    def replan(self, control: LinkView) -> None:
         """Route over ``control``'s best ETX path; detour stranded relays.
 
         Relays holding queued packets but lying off the new route get
@@ -237,7 +237,7 @@ class SrcrFlowHandle(FlowHandle):
 def setup_srcr_flow(sim: Simulator, topology: Topology, source: int, destination: int,
                     *, total_packets: int, packet_size: int = 1500,
                     use_autorate: bool = False, bitrate: int | None = None,
-                    control_topology: Topology | None = None) -> SrcrFlowHandle:
+                    control_topology: LinkView | None = None) -> SrcrFlowHandle:
     """Install an Srcr file transfer from ``source`` to ``destination``.
 
     ``control_topology`` carries the link-quality estimates the route is

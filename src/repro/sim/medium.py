@@ -55,7 +55,7 @@ Gilbert-Elliott channel keeps a pair of tables of its own.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from operator import and_, lt
 from typing import Any, Callable
@@ -70,15 +70,17 @@ from repro.topology.graph import Topology
 from repro.topology.mobility import MobilityModel
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Transmission:
-    """An in-flight (or recently completed) frame transmission."""
+    """An in-flight (or recently completed) frame transmission.
+
+    Compared by identity: the medium takes one off the air by ``remove``,
+    which should not compare frames field by field.
+    """
 
     frame: Frame
     start: float
     end: float
-    #: Filled in when the transmission completes: node ids that received it.
-    receivers: list[int] = field(default_factory=list)
 
 
 def sense_row(delivery: np.ndarray, channel: ChannelConfig,
@@ -407,7 +409,6 @@ class WirelessMedium:
                 # a live radio", whichever way the frame was resolved.
                 self.receptions -= len(receivers) - len(kept)
                 receivers = kept
-        transmission.receivers = receivers
         history.append(transmission)
         return receivers
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.topology.graph import Topology
+from repro.topology.graph import LinkTable, LinkView
 
 #: Default ratio of probe-frame airtime to data-frame airtime used to derive
 #: the optimism exponent: ETX probes are small control frames at the base
@@ -42,14 +42,25 @@ DEFAULT_OPTIMISM_EXPONENT = 0.45
 DEFAULT_PROBE_COUNT = 100
 
 
-def probe_estimated_topology(topology: Topology,
+def probe_estimated_topology(topology: LinkView,
                              optimism_exponent: float = DEFAULT_OPTIMISM_EXPONENT,
                              probe_count: int = DEFAULT_PROBE_COUNT,
-                             seed: int | tuple[int, ...] = 0) -> Topology:
-    """The topology as the routing control plane believes it to be.
+                             seed: int | tuple[int, ...] = 0) -> LinkView:
+    """The links of ``topology`` as the routing control plane believes them to be.
+
+    Only links are estimated: the result is a read-only
+    :class:`~repro.topology.graph.LinkView` holding ``topology``'s nodes
+    and one :class:`~repro.topology.graph.LinkTable` of estimates, O(links)
+    rather than N×N.  Its links are ``topology``'s, in the same row-major
+    order (the view shares their index arrays); each estimate is
+    ``p ** optimism_exponent``, then ``Binomial(probe_count, ·) /
+    probe_count`` drawn over the links in that order.  A link whose probes
+    all got lost stays in the table at 0.
 
     Args:
-        topology: ground-truth data-frame delivery probabilities.
+        topology: ground-truth data-frame delivery probabilities (a
+            :class:`~repro.topology.graph.Topology`, or a view such as the
+            dead-node mask of :mod:`repro.experiments.refresh`).
         optimism_exponent: exponent applied to the true probability to model
             probes seeing a lower error rate than data frames (1.0 = probes
             behave exactly like data frames, i.e. a perfectly informed
@@ -59,13 +70,14 @@ def probe_estimated_topology(topology: Topology,
         seed: RNG seed for the sampling noise.
 
     Returns:
-        A :class:`Topology` with the estimated delivery probabilities.  With
-        ``probe_count == 0`` nothing is drawn, the view is the same for
-        every seed, and it is derived once per ``topology``
-        (:meth:`Topology.derived`): every such call returns the same
-        object, so the plans derived from it are shared too.  To edit it,
-        build a new :class:`Topology` from its ``delivery_matrix()``.  A
-        sampled view (``probe_count > 0``) is a new object every call.
+        The estimated view.  With ``probe_count == 0`` nothing is drawn,
+        the view is the same for every seed, and it is derived once per
+        ``topology`` (:meth:`~repro.topology.graph.LinkView.derived`):
+        every such call returns the same object, so the plans derived from
+        it are shared too.  A sampled view (``probe_count > 0``) is a new
+        object every call.  To edit one, build a
+        :class:`~repro.topology.graph.Topology` from its
+        ``delivery_matrix()``.
     """
     if not 0.0 < optimism_exponent <= 1.0:
         raise ValueError("optimism_exponent must lie in (0, 1]")
@@ -77,26 +89,19 @@ def probe_estimated_topology(topology: Topology,
     return _estimate(topology, optimism_exponent, probe_count, seed)
 
 
-def _estimate(topology: Topology, optimism_exponent: float, probe_count: int,
-              seed: int | tuple[int, ...]) -> Topology:
-    # One N×N array and no temporary of that size: a zero link stays zero
-    # under the positive exponent, and a link stays non-zero.
-    estimated = topology.delivery_view() ** optimism_exponent
+def _estimate(topology: LinkView, optimism_exponent: float, probe_count: int,
+              seed: int | tuple[int, ...]) -> LinkView:
+    links = topology.link_table()
+    # Every listed link is probed, in row-major order: the stream of
+    # probing the whole matrix, since a link at 0 (unlisted, or listed with
+    # all its probes lost) draws nothing at p = 0.
+    estimated = links.delivery ** optimism_exponent
     if probe_count > 0:
-        # Only the links that exist are probed; a zero link takes no
-        # randomness (binomial draws nothing at p = 0), so the stream is
-        # that of probing the whole matrix in row-major order.
-        links = estimated > 0.0
         rng = np.random.default_rng(seed)
-        estimated[links] = rng.binomial(probe_count, estimated[links]) / probe_count
-    # Carry positions iff every node has one (an explicit all-nodes check:
-    # truthiness of node 0's position alone silently dropped coordinates,
-    # which the mobility layer depends on surviving estimation).
-    positions = topology.node_positions()
-    names = [node.name for node in topology.nodes]
-    return Topology.from_owned(estimated, positions=positions, names=names)
+        estimated = rng.binomial(probe_count, estimated) / probe_count
+    return LinkView(list(topology.nodes), LinkTable(links.indptr, links.receivers, estimated))
 
 
-def perfect_estimates(topology: Topology) -> Topology:
+def perfect_estimates(topology: LinkView) -> LinkView:
     """A control-plane view identical to the ground truth (ablation baseline)."""
     return probe_estimated_topology(topology, optimism_exponent=1.0, probe_count=0)

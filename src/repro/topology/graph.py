@@ -11,6 +11,13 @@ Chapter 5 and the simulator need to know about the network:
 * derived loss probabilities ``eps[i, j] = 1 - p[i, j]`` used by the
   Chapter 3 credit algorithms.
 
+The routing control plane reads less than that: the directed links that
+exist, as a :class:`LinkTable`.  A :class:`LinkView` is a mesh as the
+control plane sees it — its nodes and one link table, O(links) — and a
+:class:`Topology` is the one kind of view that also holds the N×N matrix
+its table is derived from.  The probe-estimated control view
+(:mod:`repro.topology.estimation`) is a plain :class:`LinkView`.
+
 The reception model follows the paper's assumption of *independent*
 receptions across receivers (Section 3.2.1, Section 5.5), which the
 simulator also honours unless an interference event intervenes.
@@ -19,7 +26,7 @@ simulator also honours unless an interference event intervenes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Callable, Hashable, TypeVar
+from typing import Any, Callable, Hashable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -57,7 +64,122 @@ class Node:
             object.__setattr__(self, "name", f"n{self.node_id}")
 
 
-class Topology:
+class LinkTable(NamedTuple):
+    """The directed links of a mesh in row-major order, CSR by sender.
+
+    Row ``s`` — the links *out of* ``s`` — is the slice
+    ``indptr[s]:indptr[s + 1]`` of the two per-link arrays, receivers in
+    ascending order: the order of ``np.nonzero`` over the delivery matrix.
+    A link absent from the table delivers nothing, and so does one listed
+    with delivery 0 (a sampled estimate whose probes all got lost).
+
+    Attributes:
+        indptr: row boundaries, ``node_count + 1`` entries.
+        receivers: receiving node of each link.
+        delivery: delivery probability of each link.
+    """
+
+    indptr: np.ndarray
+    receivers: np.ndarray
+    delivery: np.ndarray
+
+    def senders(self) -> np.ndarray:
+        """Sending node of each link (the row each one sits in)."""
+        return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+
+
+class LinkView:
+    """A mesh as the routing control plane reads it: nodes and a link table.
+
+    Read-only, and O(links): what ETX, EOTX, forwarding plans and best
+    paths are computed from (:mod:`repro.metrics`).  The probe-estimated
+    control view and the dead-node mask are plain views; a
+    :class:`Topology` is a view that also holds its N×N matrix.
+    """
+
+    def __init__(self, nodes: list[Node], table: LinkTable) -> None:
+        _read_only(table)
+        self.nodes = nodes
+        self._table = table
+        self._derived: dict[Hashable, Any] = {}
+
+    @property
+    def node_count(self) -> int:
+        """Number of nodes in the mesh."""
+        return len(self.nodes)
+
+    def link_table(self) -> LinkTable:
+        """The directed links, CSR by sender (read-only, shared)."""
+        return self._table
+
+    def delivery(self, sender: int, receiver: int) -> float:
+        """Delivery probability from ``sender`` to ``receiver``."""
+        table = self.link_table()
+        start, stop = int(table.indptr[sender]), int(table.indptr[sender + 1])
+        index = start + int(np.searchsorted(table.receivers[start:stop], receiver))
+        if index < stop and table.receivers[index] == receiver:
+            return float(table.delivery[index])
+        return 0.0
+
+    def delivery_matrix(self) -> np.ndarray:
+        """The delivery probabilities as a new N×N matrix (for analysis and tests)."""
+        table = self.link_table()
+        matrix = np.zeros((self.node_count, self.node_count))
+        matrix[table.senders(), table.receivers] = table.delivery
+        return matrix
+
+    def derived(self, key: Hashable, derive: Callable[[], T]) -> T:
+        """``derive()``, computed once per ``key`` while the links stay as they are.
+
+        The one memo of what is derived from a mesh's link state alone:
+        for the control plane the link table, the probe-free control view,
+        the link-cost rows, the per-destination distance vectors and the
+        forwarding plans; for the data plane the medium's carrier-sense
+        rows and reception plans under a static channel, per
+        ``ChannelConfig`` (:mod:`repro.sim.medium`).  Every flow, protocol
+        and seed run over this view reads one copy.  A view's links never
+        change; :meth:`Topology.set_delivery` drops all a topology holds.
+        Every caller gets the same object, so the arrays in it are made
+        read-only and the medium's tables hold tuples; a function that
+        hands out a list returns a fresh copy of it.  A value must not hold
+        what uses it (a medium, a simulator): the view would keep that
+        alive.
+        """
+        value = self._derived.get(key)
+        if value is None:
+            value = derive()
+            _read_only(value)
+            self._derived[key] = value
+        return value
+
+    def node_positions(self) -> list[tuple[float, ...]] | None:
+        """Positions of all nodes, or ``None`` unless every node has one.
+
+        The explicit all-nodes check (rather than the truthiness of node
+        0's position) is what consumers that *must not* silently lose
+        coordinates — estimation, subtopologies, the mobility layer —
+        key off: a topology either carries a position for every node or
+        none at all.
+        """
+        positions = [node.position for node in self.nodes]
+        if any(position is None or len(position) == 0 for position in positions):
+            return None
+        return positions
+
+
+def _link_table(matrix: np.ndarray) -> LinkTable:
+    """The non-zero entries of ``matrix`` as a :class:`LinkTable`.
+
+    One index array over the flattened matrix, then the table's two: no
+    N×N temporary, and no per-link sender array.
+    """
+    count = matrix.shape[0]
+    flat = np.flatnonzero(matrix)
+    indptr = np.searchsorted(flat, np.arange(count + 1) * count)
+    return LinkTable(indptr, flat % count, matrix.ravel()[flat])
+
+
+class Topology(LinkView):
     """A wireless mesh described by per-link delivery probabilities."""
 
     def __init__(self, delivery: np.ndarray, positions: list[tuple[float, ...]] | None = None,
@@ -92,7 +214,7 @@ class Topology:
         self._delivery = matrix
         self._view = matrix.view()
         self._view.flags.writeable = False
-        self._derived: dict[Hashable, Any] = {}
+        self._derived = {}
         count = matrix.shape[0]
         if positions is not None and len(positions) != count:
             raise ValueError("positions length must match node count")
@@ -111,10 +233,9 @@ class Topology:
     # Basic accessors
     # ------------------------------------------------------------------ #
 
-    @property
-    def node_count(self) -> int:
-        """Number of nodes in the mesh."""
-        return len(self.nodes)
+    def link_table(self) -> LinkTable:
+        """The matrix's non-zero links, derived once per matrix."""
+        return self.derived(("link_table",), lambda: _link_table(self._delivery))
 
     def delivery_matrix(self) -> np.ndarray:
         """Copy of the full delivery-probability matrix."""
@@ -125,46 +246,10 @@ class Topology:
 
         For readers that only look: the view tracks :meth:`set_delivery`,
         and writing through it raises.  Callers that want to edit the
-        matrix take :meth:`delivery_matrix`'s copy instead.
+        matrix take :meth:`delivery_matrix`'s copy instead.  The data
+        plane reads it; the control plane reads :meth:`link_table`.
         """
         return self._view
-
-    def derived(self, key: Hashable, derive: Callable[[], T]) -> T:
-        """``derive()``, computed once per ``key`` while the matrix stays as it is.
-
-        The one memo of what is derived from a topology's link state
-        alone: for the control plane the probe-free control view, the
-        link-cost rows, the per-destination distance vectors and the
-        forwarding plans; for the data plane the medium's carrier-sense
-        rows and reception plans under a static channel, per
-        ``ChannelConfig`` (:mod:`repro.sim.medium`).  Every flow, protocol
-        and seed run over this topology reads one copy.
-        :meth:`set_delivery` drops all of it.  Every caller gets the same
-        object, so the arrays in it are made read-only and the medium's
-        tables hold tuples; a function that hands out a list returns a
-        fresh copy of it.  A value must not hold what uses it (a medium, a
-        simulator): the topology would keep that alive.
-        """
-        value = self._derived.get(key)
-        if value is None:
-            value = derive()
-            _read_only(value)
-            self._derived[key] = value
-        return value
-
-    def node_positions(self) -> list[tuple[float, ...]] | None:
-        """Positions of all nodes, or ``None`` unless every node has one.
-
-        The explicit all-nodes check (rather than the truthiness of node
-        0's position) is what consumers that *must not* silently lose
-        coordinates — estimation, subtopologies, the mobility layer —
-        key off: a topology either carries a position for every node or
-        none at all.
-        """
-        positions = [node.position for node in self.nodes]
-        if any(position is None or len(position) == 0 for position in positions):
-            return None
-        return positions
 
     def delivery(self, sender: int, receiver: int) -> float:
         """Delivery probability from ``sender`` to ``receiver``."""

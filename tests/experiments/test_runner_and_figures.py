@@ -7,6 +7,7 @@ full-scale versions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +79,14 @@ class TestRunner:
         noisy = RunConfig(total_packets=8, batch_size=8, packet_size=500)
         assert noisy.control_view(topo) is not topo
 
+    @pytest.mark.parametrize("probes", [0, 10])
+    @pytest.mark.parametrize("exponent", [1.5, 0.0, -0.5, math.inf])
+    def test_estimation_exponent_outside_unit_interval_is_refused(self, exponent, probes):
+        """Above 1 ran silently as a perfectly informed control plane without
+        probes, and died mid-run inside the estimator with them."""
+        with pytest.raises(ValueError, match=r"estimation_exponent must lie in \(0, 1\]"):
+            RunConfig(estimation_exponent=exponent, estimation_probes=probes)
+
 
 class TestControlPlaneIsDerivedOnce:
     """Two flows over one mesh at different run seeds: what the control
@@ -97,12 +106,14 @@ class TestControlPlaneIsDerivedOnce:
 
     def test_probe_free_control_plane_is_shared_across_seeds(self, mesh):
         self._two_flows(mesh, probes=0)
-        # On the mesh: the one control view, and the medium's tables for the
-        # one channel configuration.  On the view: one link table, one plan,
-        # one Dijkstra per distinct destination (the flow's, and the source
-        # as the batch ACKs' destination).
-        key, medium = sorted(mesh._derived, key=lambda each: each[0])
+        # On the mesh: its link table, the one control view, and the
+        # medium's tables for the one channel configuration.  On the view:
+        # one set of link rows, one plan, one Dijkstra per distinct
+        # destination (the flow's, and the source as the batch ACKs'
+        # destination).
+        key, table, medium = sorted(mesh._derived, key=lambda each: each[0])
         assert key[0] == "control_view"
+        assert table == ("link_table",)
         assert medium == ("medium", ChannelConfig())
         source, destination = self.PAIR
         derived = sorted((kind, *rest[:1]) for kind, *rest in mesh._derived[key]._derived)
@@ -119,9 +130,11 @@ class TestControlPlaneIsDerivedOnce:
         self._two_flows(mesh, probes=100)
         first, second = views
         assert first is not second
-        assert not np.array_equal(first.delivery_view(), second.delivery_view())
-        # A sampled view is not kept on the mesh (the medium's tables are) ...
-        assert list(mesh._derived) == [("medium", ChannelConfig())]
+        assert not np.array_equal(first.link_table().delivery,
+                                  second.link_table().delivery)
+        # A sampled view is not kept on the mesh (its link table and the
+        # medium's tables are) ...
+        assert set(mesh._derived) == {("link_table",), ("medium", ChannelConfig())}
         assert first._derived and second._derived  # ... each plans from its own
 
 

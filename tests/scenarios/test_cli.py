@@ -240,6 +240,9 @@ def test_no_run_field_shadows_a_scenario_field():
     ("batch_size", 0), ("total_packets", -5), ("packet_size", 0),
     ("max_relays", 0), ("max_duration", -1), ("coding_payload_size", -1),
     ("estimation_probes", -1), ("estimation_exponent", 0),
+    # Above 1 ran as a perfectly informed control plane without probes and
+    # died mid-run inside the estimator with them.
+    ("estimation_exponent", 1.5),
     # Wrong-typed values: these four were a TypeError traceback, exit 1 ...
     ("batch_size", "abc"), ("max_duration", "abc"), ("max_relays", "abc"),
     ("estimation_exponent", "nan"),

@@ -60,7 +60,7 @@ class TestCacheKeys:
         baseline = spec_hash(tiny_sweep.expand()[0])
         # A knob the scenario's own run dict never mentions still feeds the
         # hash, because the *resolved* config is fingerprinted.
-        changed = tiny_sweep.with_overrides({"run.estimation_exponent": 3.5})
+        changed = tiny_sweep.with_overrides({"run.estimation_exponent": 0.9})
         assert spec_hash(changed.expand()[0]) != baseline
 
     def test_code_version_tracks_source_content(self, tmp_path):

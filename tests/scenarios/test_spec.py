@@ -153,7 +153,9 @@ def _another(value):
     if isinstance(value, int):
         return value + 1
     if isinstance(value, float):
-        return value + 1.0 if math.isfinite(value) else 2.0
+        # Halved: every float field is positive, and estimation_exponent
+        # must stay at most 1.
+        return value / 2 if math.isfinite(value) else 2.0
     return {"etx": "eotx", None: 3}[value]  # more_metric, max_relays
 
 

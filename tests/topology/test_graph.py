@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.metrics.etx import link_rows
 from repro.topology.estimation import probe_estimated_topology
 from repro.topology.generator import random_geometric
-from repro.topology.graph import Node, Topology
+from repro.topology.graph import LinkView, Node, Topology
 
 
 def square_matrix(values):
@@ -83,25 +84,63 @@ class TestFromOwned:
         assert Topology.from_owned(np.zeros((0, 0))).node_count == 0
 
 
-def test_mesh_and_control_view_each_hold_one_matrix():
-    """Building a mesh, and its probe-free control view, allocates one N×N
-    float64 each: a copy on top would put the traced peak near 2×."""
+def test_mesh_holds_one_matrix_and_its_control_view_none():
+    """Building a mesh allocates one N×N float64; its probe-free control view
+    and the view's link rows hold O(links).  On a mesh with a tenth of its
+    pairs linked (the kilonode density at 400 nodes) that stays well under
+    one matrix, which a dense copy anywhere on the way could not."""
     count = 400
     matrix_bytes = count * count * 8
     # Warm-up: the first run imports what numpy loads lazily.
-    probe_estimated_topology(random_geometric(node_count=4), probe_count=0)
+    link_rows(probe_estimated_topology(random_geometric(node_count=4), probe_count=0))
     tracemalloc.start()
     try:
-        mesh = random_geometric(node_count=count)
+        mesh = random_geometric(node_count=count, area=595.0, seed=21)
         _, mesh_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        probe_estimated_topology(mesh, probe_count=0)
-        _, view_peak = tracemalloc.get_traced_memory()
+        link_rows(probe_estimated_topology(mesh, probe_count=0))
+        held, view_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert mesh.link_table().receivers.size < 0.15 * count * (count - 1)
     assert mesh_peak < 1.5 * matrix_bytes
-    assert view_peak - before < 1.5 * matrix_bytes
+    assert held - before < 0.75 * matrix_bytes
+    assert view_peak - before < matrix_bytes
+
+
+class TestLinkView:
+    """The control plane's read-only view: nodes and one link table."""
+
+    @pytest.fixture
+    def topo(self):
+        return Topology(square_matrix([[0, 0.5, 0.0], [0.25, 0, 0.75], [0.0, 1.0, 0]]),
+                        positions=[(0, 0), (1, 0), (2, 0)], names=["a", "b", "c"])
+
+    def test_reads_as_the_matrix_it_came_from(self, topo):
+        view = probe_estimated_topology(topo, optimism_exponent=1.0, probe_count=0)
+        assert type(view) is LinkView
+        assert view.node_count == 3 and [node.name for node in view.nodes] == ["a", "b", "c"]
+        assert view.node_positions() == topo.node_positions()
+        assert (view.delivery(1, 2), view.delivery(0, 2), view.delivery(2, 2)) == (0.75, 0, 0)
+        assert view.delivery_matrix().tobytes() == topo.delivery_matrix().tobytes()
+        table = view.link_table()
+        assert table.indptr.tolist() == [0, 1, 3, 4]
+        assert table.receivers.tolist() == [1, 0, 2, 1]
+        assert table.senders().tolist() == [0, 1, 1, 2]
+
+    def test_has_no_dense_or_writing_accessor(self, topo):
+        view = probe_estimated_topology(topo, probe_count=0)
+        assert not hasattr(view, "delivery_view") and not hasattr(view, "set_delivery")
+        for array in view.link_table():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_topology_table_follows_set_delivery(self, topo):
+        first = topo.link_table()
+        assert first is topo.link_table()
+        topo.set_delivery(0, 2, 0.5)
+        assert topo.link_table().receivers.tolist() == [1, 2, 0, 2, 1]
 
 
 class TestAccessors:
