@@ -3,7 +3,7 @@
 ``tests/golden_traces.json`` freezes every observable of a complete
 simulation — the main RNG's exact ``bit_generator.state``, the final clock,
 per-flow statistics, the medium counters and ``events.processed`` — over
-the preset x protocol x seed x fault grid below, and, for three MORE runs,
+the preset x protocol x seed x fault grid below, and, for four MORE runs,
 every code vector put on the air (``CODE_VECTOR_RUNS``).  A trace is set up by
 ``repro.experiments.runner.start_flows``, the one place a run is started,
 so the link-state refresh loop and the progress supervisor are inside what
@@ -58,21 +58,26 @@ REFRESH_PRESETS = ("churn_chain", "mobile_mesh", "node_churn_mesh")
 REFRESH_MULTIFLOW_SEED = 16
 
 #: MORE runs pinned on the coefficients themselves: key -> (preset, seed,
-#: explicit pairs or how many of the preset's own).  Flow results depend on
-#: code vectors only through rank, so these are what holds a coding
-#: generator's draws in place, one entry per way a node's stream is read:
-#: a single flow on the testbed (a source's vectors; each forwarder's
-#: pre-code draws and fold coefficients); two flows of which node 5 sources
-#: the second and forwards the first (one stream, three kinds of draw
-#: interleaved); and the three re-planned ``mobile_mesh`` flows, where node 2
-#: is recruited mid-run into an agent of its own and relays all three.
+#: explicit pairs or how many of the preset's own, ``RunConfig`` overrides).
+#: Flow results depend on code vectors only through rank, so these are what
+#: holds a coding generator's draws in place, one entry per way a node's
+#: stream is read: a single flow on the testbed (a source's vectors; each
+#: forwarder's pre-code draws and fold coefficients); two flows of which
+#: node 5 sources the second and forwards the first (one stream, three kinds
+#: of draw interleaved); and the three re-planned ``mobile_mesh`` flows,
+#: where node 2 is recruited mid-run into an agent of its own and relays all
+#: three.  The K=128 run is the one whose buffers pass rank 32: every
+#: pre-code and pivot clear above it is inside the pinned vectors.
 CODE_VECTOR_RUNS = {
     # Named, not "the preset's first pair": selection is not prefix-stable in
     # the preset's pair count.
-    "code_vectors/fig_4_2/1flow/1": ("fig_4_2", 1, [(14, 0)]),
-    "code_vectors/multiflow_grid/2flows/1": ("multiflow_grid", 1, [(0, 15), (5, 3)]),
+    "code_vectors/fig_4_2/1flow/1": ("fig_4_2", 1, [(14, 0)], {}),
+    "code_vectors/fig_4_2/1flow/K128/1":
+        ("fig_4_2", 1, [(14, 0)], {"batch_size": 128, "total_packets": 256}),
+    "code_vectors/multiflow_grid/2flows/1":
+        ("multiflow_grid", 1, [(0, 15), (5, 3)], {}),
     f"code_vectors/mobile_mesh/3flows/{REFRESH_MULTIFLOW_SEED}":
-        ("mobile_mesh", REFRESH_MULTIFLOW_SEED, 3),
+        ("mobile_mesh", REFRESH_MULTIFLOW_SEED, 3, {}),
 }
 
 #: (preset, protocol, seed, under CHURN) for every single-flow entry.
@@ -170,12 +175,12 @@ def run_code_vector_trace(name: str) -> dict:
     MORE data frame, source's and forwarders' alike, in the order the frames
     went on the air; how many each node sent per flow (flow ids count the
     pairs from 1); and the senders whose agent a re-plan created mid-run."""
-    preset_name, seed, pairs = CODE_VECTOR_RUNS[name]
+    preset_name, seed, pairs, overrides = CODE_VECTOR_RUNS[name]
     spec = get_preset(preset_name)
     topology = build_topology(spec.topology)
     if isinstance(pairs, int):
         pairs = build_pairs(spec.workload, topology, seed)[:pairs]
-    config = spec.run_config(seed)
+    config = replace(spec.run_config(seed), **overrides)
     sim, _ = start_flows(topology, "MORE", pairs, config, spec.environment())
     installed = {node.node_id for node in sim.nodes if node.agent is not None}
     digest = hashlib.sha256()
