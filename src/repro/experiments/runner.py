@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 from repro.experiments.refresh import FlowSupervisor, LinkStateRefresher
 from repro.protocols.exor import setup_exor_flow
 from repro.protocols.more import setup_more_flow
+from repro.protocols.more.header import MAX_BATCH_SIZE
 from repro.protocols.srcr import setup_srcr_flow
 from repro.sim.channels import ChannelSpec
 from repro.sim.faults import FaultSpec
@@ -168,6 +169,9 @@ class RunConfig:
         for name in ("total_packets", "batch_size", "packet_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ValueError(f"batch_size must be at most {MAX_BATCH_SIZE} (the MORE "
+                             f"header carries K in one byte), got {self.batch_size}")
         if self.max_duration <= 0:
             raise ValueError("max_duration must be positive")
         if not 0.0 < self.estimation_exponent <= 1.0:

@@ -23,6 +23,9 @@ import numpy as np
 #: Maximum number of forwarders carried in a header (Section 4.6(c)).
 MAX_FORWARDERS = 10
 
+#: Largest batch size K the header can carry: K has one byte.
+MAX_BATCH_SIZE = 0xFF
+
 #: Fixed-point scale used to quantise TX credits into one byte (4.4 format).
 CREDIT_SCALE = 16
 

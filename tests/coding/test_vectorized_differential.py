@@ -12,6 +12,11 @@ bit-identical behaviour end to end: the same coded packets, the same
 per-arrival innovative verdicts and rank trajectory, and the same decoded
 payloads; and across K in {1, 8, 32, 128} a buffer recycled by ``clear()``,
 with and without payload tracking, fed dependent and half-zero vectors.
+The buffer combines its rows one by one up to
+``BatchBuffer.ROW_LOOP_MAX_RANK`` rows and by nibble buckets above it, so
+the trajectory also runs at K in {48, 64, 128}, and one buffer is checked
+rank by rank from 0 to K on both sides of the crossover and with the
+buckets forced at every rank.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ from repro.gf.kernels import ShiftedRows, gf_vecmat
 from repro.gf.tables import INV
 
 BATCH_SIZES = (8, 16, 32)
+#: Above ``BatchBuffer.ROW_LOOP_MAX_RANK`` (32) stored rows: the buffer's
+#: nibble-bucketed combinations.
+LARGE_BATCH_SIZES = (48, 64, 128)
 PACKET_SIZES = (0, 1, 1500)
 SEEDS = (0, 1, 17)
 
@@ -151,7 +159,7 @@ def test_source_encoder_bit_identical_to_scalar(batch_size, packet_size, seed):
     assert np.array_equal(single.payload, old.payload)
 
 
-@pytest.mark.parametrize("batch_size", BATCH_SIZES)
+@pytest.mark.parametrize("batch_size", BATCH_SIZES + LARGE_BATCH_SIZES)
 @pytest.mark.parametrize("packet_size", PACKET_SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_buffer_trajectory_bit_identical_to_scalar(batch_size, packet_size, seed):
@@ -259,3 +267,76 @@ def test_recycled_buffer_matches_scalar(batch_size, packet_size):
         buffer.clear()
         assert buffer.rank == 0 and buffer.occupied_pivots() == []
         assert buffer.coefficient_matrix().shape == (0, batch_size)
+
+
+@pytest.mark.parametrize("batch_size,loop_max_rank", [
+    (128, BatchBuffer.ROW_LOOP_MAX_RANK),
+    (48, BatchBuffer.ROW_LOOP_MAX_RANK),
+    (32, BatchBuffer.ROW_LOOP_MAX_RANK),
+    # The buckets from the first stored row on.
+    (16, 0),
+], ids=["K128", "K48", "K32", "K16-buckets"])
+@pytest.mark.parametrize("packet_size", (0, 16, 1500))
+def test_buffer_rank_by_rank_matches_scalar(batch_size, loop_max_rank,
+                                            packet_size, monkeypatch):
+    """One buffer filled from rank 0 to K, checked after every arrival: the
+    ``add`` verdict and both matrices against the scalar buffer, the dry-run
+    check on fresh and dependent probes, and ``combine_rows(c)`` against
+    ``c @ coefficient_matrix()`` for the code half and ``c @ transform``
+    for the mix (the transform: each stored row over the raw slots, from a
+    scalar buffer whose payloads are the slots' unit vectors)."""
+    monkeypatch.setattr(BatchBuffer, "ROW_LOOP_MAX_RANK", loop_max_rank)
+    rng = np.random.default_rng(batch_size + packet_size)
+    natives = rng.integers(0, 256, (batch_size, packet_size), dtype=np.uint8)
+    # Slot i's unit vector; a full buffer admits nothing (the zero row).
+    slots = np.eye(batch_size + 1, batch_size, dtype=np.uint8)
+    buffer = BatchBuffer(batch_size, packet_size)
+    scalar = ScalarBatchBuffer(batch_size, packet_size)
+    transform = ScalarBatchBuffer(batch_size, batch_size)
+    raw = np.zeros((batch_size, packet_size), dtype=np.uint8)
+
+    def arrive(vector: np.ndarray) -> bool:
+        packet = CodedPacket(vector, gf_vecmat(vector, natives))
+        expected = scalar.add(packet.copy())
+        assert transform.add(CodedPacket(vector, slots[transform.rank])) == expected
+        assert buffer.is_innovative(vector) == expected
+        assert buffer.add(packet) == expected
+        if expected:
+            raw[scalar.rank - 1] = packet.payload
+        return expected
+
+    while scalar.rank < batch_size:
+        vector = rng.integers(0, 256, batch_size, dtype=np.uint8)
+        vector[rng.random(batch_size) < 0.25] = 0
+        if not arrive(vector):
+            continue
+        rank = scalar.rank
+        stored = scalar.coefficient_matrix()
+        assert buffer.rank == rank
+        assert buffer.coefficient_matrix().tobytes() == stored.tobytes()
+        assert buffer.payload_matrix().tobytes() == scalar.payload_matrix().tobytes()
+        coefficients = rng.integers(0, 256, rank, dtype=np.uint8)
+        coefficients[rng.random(rank) < 0.2] = 0
+        combined, mix = buffer.combine_rows(coefficients)
+        assert combined.tobytes() == gf_vecmat(coefficients, stored).tobytes()
+        if packet_size:
+            assert mix.tobytes() == \
+                gf_vecmat(coefficients, transform.payload_matrix()).tobytes()
+            assert gf_vecmat(mix[:rank], raw[:rank]).tobytes() == \
+                gf_vecmat(coefficients, scalar.payload_matrix()).tobytes()
+        else:
+            assert mix.size == 0
+        # Dependent probes: the combination, and an arrival scaled.
+        assert not buffer.is_innovative(combined)
+        assert not buffer.is_innovative(vec_scale(vector, int(rng.integers(1, 256))))
+        if rank < batch_size:
+            # Fresh: a column no row pivots on, plus the combination.
+            fresh = combined.copy()
+            free = sorted(set(range(batch_size)) - set(buffer.occupied_pivots()))
+            fresh[free[0]] ^= 1
+            assert buffer.is_innovative(fresh)
+        # A dependent arrival at this rank: reduced to zero, never stored.
+        assert not arrive(combined.copy())
+        assert buffer.rank == rank
+    assert buffer.is_full
+    assert buffer.decode().tobytes() == natives.tobytes()

@@ -238,6 +238,8 @@ def test_no_run_field_shadows_a_scenario_field():
 
 @pytest.mark.parametrize("field,value", [
     ("batch_size", 0), ("total_packets", -5), ("packet_size", 0),
+    # Ran to completion although no MORE header can carry K above 255.
+    ("batch_size", 256),
     ("max_relays", 0), ("max_duration", -1), ("coding_payload_size", -1),
     ("estimation_probes", -1), ("estimation_exponent", 0),
     # Above 1 ran as a perfectly informed control plane without probes and
