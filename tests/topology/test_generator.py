@@ -200,8 +200,13 @@ class TestGeneratorGoldens:
         # generator's argument-free entry points.
         (lambda: random_geometric(1000, 940.0, 21),
          "2e4816b3555deea957cd9a2bf767f854a649839731ddc6e5fb3ed8924d9b88c8"),
+        # A layout ``_ensure_connected`` patches (two links), recorded while
+        # the patch still wrote through the built topology.
+        (lambda: random_geometric(30, 400.0, 43),
+         "539c2581363e4a569ddfec05cf5e4e96677b6e7a3b17412ad3df94a0a48ec707"),
     ], ids=["indoor_testbed_s7", "random_geometric_50_s1",
-            "random_geometric_200_s11", "random_geometric_1000_s21"])
+            "random_geometric_200_s11", "random_geometric_1000_s21",
+            "random_geometric_30_s43_patched"])
     def test_seeded_topologies_are_pinned(self, build, expected):
         topology = build()
         assert _digest(topology.delivery_matrix(),
