@@ -78,14 +78,18 @@ test-coding:
 
 # The control-plane gate alone: ETX / EOTX / credits / gap / LP, the probe
 # estimates against their per-link reference, what is derived once per
-# topology, and the link-table control view against the dense matrices it
+# topology, the link-table control view against the dense matrices it
 # replaced (link rows, distances, next hops, plans, paths, the dead-node
-# mask), bit for bit.
+# mask), bit for bit, and the meshes the plans are derived from: read-only
+# from construction (no writer), and the seeded generators pinned, a
+# connectivity-patched layout included.
 test-control:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/metrics \
 		tests/topology/test_estimation.py \
 		tests/topology/test_derived.py \
-		tests/topology/test_control_view_differential.py
+		tests/topology/test_control_view_differential.py \
+		tests/topology/test_graph.py \
+		tests/topology/test_generator.py
 
 # Every repro.* name, every `--preset name` and every `run.<field>`
 # referenced in README.md and docs/ must resolve.

@@ -180,6 +180,11 @@ class RunConfig:
         for name in ("coding_payload_size", "estimation_probes"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must not be negative")
+        if self.coding_payload_size > self.packet_size:
+            raise ValueError(f"coding_payload_size must be at most packet_size "
+                             f"({self.packet_size}), got {self.coding_payload_size}")
+        if self.more_metric not in ("etx", "eotx"):
+            raise ValueError(f"more_metric must be 'etx' or 'eotx', got {self.more_metric!r}")
         if self.max_relays is not None and self.max_relays < 1:
             raise ValueError("max_relays must be at least 1 (None = no cap)")
 

@@ -80,8 +80,9 @@ class ChannelModel:
     def bind(self, topology: Topology) -> None:
         """Attach the model to a topology; called by the medium once.
 
-        The nominal matrix is the topology's own, held read-only rather
-        than copied: the topology is not to be edited under a live medium.
+        The nominal matrix is the topology's own, held rather than
+        copied: a topology's matrix is read-only from construction, so it
+        cannot change under a live medium.
         """
         self._base = topology.delivery_view()
         self._prepare()

@@ -3,7 +3,6 @@
 from repro.topology.estimation import (
     DEFAULT_OPTIMISM_EXPONENT,
     DEFAULT_PROBE_COUNT,
-    perfect_estimates,
     probe_estimated_topology,
 )
 from repro.topology.generator import (
@@ -42,7 +41,6 @@ __all__ = [
     "diamond",
     "grid",
     "indoor_testbed",
-    "perfect_estimates",
     "probe_estimated_topology",
     "random_geometric",
     "random_mesh",

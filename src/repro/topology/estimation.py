@@ -100,8 +100,3 @@ def _estimate(topology: LinkView, optimism_exponent: float, probe_count: int,
         rng = np.random.default_rng(seed)
         estimated = rng.binomial(probe_count, estimated) / probe_count
     return LinkView(list(topology.nodes), LinkTable(links.indptr, links.receivers, estimated))
-
-
-def perfect_estimates(topology: LinkView) -> LinkView:
-    """A control-plane view identical to the ground truth (ablation baseline)."""
-    return probe_estimated_topology(topology, optimism_exponent=1.0, probe_count=0)

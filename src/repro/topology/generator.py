@@ -157,47 +157,54 @@ def indoor_testbed(node_count: int = 20, floors: int = 3, floor_width: float = 9
         z = floor * 4.0
         positions.append((float(x), float(y), float(z)))
 
-    topology = Topology.from_owned(_pairwise_delivery(positions, rng), positions=positions)
-    _ensure_connected(topology, positions, rng)
-    return topology
+    delivery = _pairwise_delivery(positions, rng)
+    _ensure_connected(delivery, positions, rng)
+    return Topology.from_owned(delivery, positions=positions)
 
 
-def _ensure_connected(topology: Topology, positions: list[tuple[float, float, float]],
+def _strong_component(usable: np.ndarray) -> np.ndarray:
+    """The nodes that node 0 reaches and that reach node 0 over ``usable`` links.
+
+    ``usable`` is a boolean N×N mask, ``usable[i, j]`` for a link from ``i``
+    to ``j``; the component is every node exactly when the mesh is strongly
+    connected, so a one-way link joins nothing.  One frontier walk along the
+    links and one along the transpose view, a step being one boolean
+    vector-matrix product: no second N×N mask, and no temporary beyond a row.
+    """
+    component = np.ones(len(usable), dtype=bool)
+    for links in (usable, usable.T):
+        reached = np.zeros(len(usable), dtype=bool)
+        reached[0] = True
+        frontier = reached.copy()
+        while frontier.any():
+            frontier = (frontier @ links) & ~reached
+            reached |= frontier
+        component &= reached
+    return component
+
+
+def _ensure_connected(delivery: np.ndarray, positions: list[tuple[float, float, float]],
                       rng: np.random.Generator) -> None:
-    """Patch in minimum-quality links until the topology is connected.
+    """Patch minimum-quality links into ``delivery`` until it is connected.
 
     Real deployments are connected by construction (operators add relays);
-    the synthetic generator occasionally isolates a node, so we join each
-    isolated component to its geometrically nearest neighbour with a mid
-    quality link rather than re-rolling the whole layout.
+    the synthetic generator occasionally isolates a node, so we join the
+    node outside node 0's component that is geometrically nearest to it
+    with a mid-quality symmetric link, rather than re-rolling the layout.
+    The matrix is patched before it becomes a :class:`Topology`.
     """
-    while not topology.connectivity_check():
-        count = topology.node_count
-        usable = topology.delivery_view() > 0.05
-        reachable = np.zeros(count, dtype=bool)
-        stack = [0]
-        reachable[0] = True
-        while stack:
-            node = stack.pop()
-            for nxt in np.nonzero(usable[node] | usable[:, node])[0]:
-                if not reachable[nxt]:
-                    reachable[nxt] = True
-                    stack.append(int(nxt))
-        inside = np.nonzero(reachable)[0]
-        outside = np.nonzero(~reachable)[0]
-        if outside.size == 0:
-            break
-        best: tuple[float, int, int] | None = None
-        for i in outside:
-            for j in inside:
-                xi, yi, zi = positions[i]
-                xj, yj, zj = positions[j]
-                distance = float(np.hypot(xi - xj, yi - yj) + abs(zi - zj))
-                if best is None or distance < best[0]:
-                    best = (distance, int(i), int(j))
-        assert best is not None
-        probability = float(rng.uniform(0.4, min(0.7, _MAX_DELIVERY)))
-        topology.set_delivery(best[1], best[2], probability, symmetric=True)
+    usable = delivery > _MIN_DELIVERY
+    coords = np.asarray(positions, dtype=float)
+    inside = _strong_component(usable)
+    while not inside.all():
+        near, far = coords[inside], coords[~inside]
+        distance = (np.hypot(far[:, None, 0] - near[:, 0], far[:, None, 1] - near[:, 1])
+                    + np.abs(far[:, None, 2] - near[:, 2]))
+        row, column = np.unravel_index(np.argmin(distance), distance.shape)
+        i, j = np.flatnonzero(~inside)[row], np.flatnonzero(inside)[column]
+        delivery[i, j] = delivery[j, i] = rng.uniform(0.4, min(0.7, _MAX_DELIVERY))
+        usable[i, j] = usable[j, i] = True
+        inside = _strong_component(usable)
 
 
 def random_geometric(node_count: int = 16, area: float = 120.0, seed: int = 0) -> Topology:
@@ -215,9 +222,9 @@ def random_geometric(node_count: int = 16, area: float = 120.0, seed: int = 0) -
     rng = np.random.default_rng(seed)
     positions = [(float(rng.uniform(0.0, area)), float(rng.uniform(0.0, area)), 0.0)
                  for _ in range(node_count)]
-    topology = Topology.from_owned(_pairwise_delivery(positions, rng), positions=positions)
-    _ensure_connected(topology, positions, rng)
-    return topology
+    delivery = _pairwise_delivery(positions, rng)
+    _ensure_connected(delivery, positions, rng)
+    return Topology.from_owned(delivery, positions=positions)
 
 
 def two_hop_relay(source_to_relay: float = 1.0, relay_to_destination: float = 1.0,
@@ -318,9 +325,8 @@ def random_mesh(node_count: int, density: float = 0.4, seed: int = 0,
                 if rng.random() < density:
                     quality = rng.uniform(min_delivery, max_delivery)
                     delivery[i, j] = delivery[j, i] = quality
-        topology = Topology.from_owned(delivery)
-        if node_count <= 1 or topology.connectivity_check(threshold=min_delivery / 2):
-            return topology
+        if node_count <= 1 or _strong_component(delivery > min_delivery / 2).all():
+            return Topology.from_owned(delivery)
     raise RuntimeError("failed to generate a connected random mesh; raise density")
 
 

@@ -7,9 +7,9 @@ Chapter 5 and the simulator need to know about the network:
   testbed generator and by the interference model);
 * the matrix of marginal delivery probabilities ``p[i, j]`` — the probability
   that a single broadcast by ``i`` is successfully received by ``j`` — which
-  is the quantity ETX probing measures (Section 3.1.1);
-* derived loss probabilities ``eps[i, j] = 1 - p[i, j]`` used by the
-  Chapter 3 credit algorithms.
+  is the quantity ETX probing measures (Section 3.1.1).  It is fixed when the
+  mesh is built and read-only from then on; an edited mesh is a new
+  :class:`Topology`.
 
 The routing control plane reads less than that: the directed links that
 exist, as a :class:`LinkTable`.  A :class:`LinkView` is a mesh as the
@@ -138,10 +138,11 @@ class LinkView:
         rows and reception plans under a static channel, per
         ``ChannelConfig`` (:mod:`repro.sim.medium`).  Every flow, protocol
         and seed run over this view reads one copy.  A view's links never
-        change; :meth:`Topology.set_delivery` drops all a topology holds.
-        Every caller gets the same object, so the arrays in it are made
-        read-only and the medium's tables hold tuples; a function that
-        hands out a list returns a fresh copy of it.  A value must not hold
+        change (a :class:`Topology`'s matrix is read-only from
+        construction), so nothing held here goes stale and nothing
+        invalidates it.  Every caller gets the same object, so the arrays
+        in it are made read-only and the medium's tables hold tuples; a
+        function that hands out a list returns a fresh copy of it.  A value must not hold
         what uses it (a medium, a simulator): the view would keep that
         alive.
         """
@@ -157,7 +158,7 @@ class LinkView:
 
         The explicit all-nodes check (rather than the truthiness of node
         0's position) is what consumers that *must not* silently lose
-        coordinates — estimation, subtopologies, the mobility layer —
+        coordinates — estimation and the mobility layer —
         key off: a topology either carries a position for every node or
         none at all.
         """
@@ -180,7 +181,10 @@ def _link_table(matrix: np.ndarray) -> LinkTable:
 
 
 class Topology(LinkView):
-    """A wireless mesh described by per-link delivery probabilities."""
+    """A wireless mesh described by per-link delivery probabilities.
+
+    Immutable once built: the matrix is read-only from construction.
+    """
 
     def __init__(self, delivery: np.ndarray, positions: list[tuple[float, ...]] | None = None,
                  names: list[str] | None = None) -> None:
@@ -193,7 +197,8 @@ class Topology(LinkView):
 
         The caller transfers ownership: ``matrix`` must be float64 and
         referenced by nothing that will read or write it afterwards.  Its
-        diagonal is zeroed in place.  Builders that have just allocated
+        diagonal is zeroed in place, then it is made read-only, so a later
+        write to it raises.  Builders that have just allocated
         the matrix use this, so an N×N mesh exists once rather than twice;
         external callers should use the constructor, which copies.
         """
@@ -211,9 +216,8 @@ class Topology(LinkView):
         if matrix.size and (matrix.min() < 0 or matrix.max() > 1):
             raise ValueError("delivery probabilities must lie in [0, 1]")
         np.fill_diagonal(matrix, 0.0)
+        matrix.flags.writeable = False
         self._delivery = matrix
-        self._view = matrix.view()
-        self._view.flags.writeable = False
         self._derived = {}
         count = matrix.shape[0]
         if positions is not None and len(positions) != count:
@@ -229,10 +233,6 @@ class Topology(LinkView):
             for i in range(count)
         ]
 
-    # ------------------------------------------------------------------ #
-    # Basic accessors
-    # ------------------------------------------------------------------ #
-
     def link_table(self) -> LinkTable:
         """The matrix's non-zero links, derived once per matrix."""
         return self.derived(("link_table",), lambda: _link_table(self._delivery))
@@ -244,119 +244,16 @@ class Topology(LinkView):
     def delivery_view(self) -> np.ndarray:
         """The delivery-probability matrix itself, read-only (no copy).
 
-        For readers that only look: the view tracks :meth:`set_delivery`,
-        and writing through it raises.  Callers that want to edit the
-        matrix take :meth:`delivery_matrix`'s copy instead.  The data
-        plane reads it; the control plane reads :meth:`link_table`.
+        A mesh's links are fixed at construction: writing through the
+        matrix raises.  Callers that want an edited mesh build one from
+        :meth:`delivery_matrix`'s copy.  The data plane reads it; the
+        control plane reads :meth:`link_table`.
         """
-        return self._view
+        return self._delivery
 
     def delivery(self, sender: int, receiver: int) -> float:
         """Delivery probability from ``sender`` to ``receiver``."""
         return float(self._delivery[sender, receiver])
 
-    def loss(self, sender: int, receiver: int) -> float:
-        """Loss probability ``eps`` from ``sender`` to ``receiver``."""
-        return 1.0 - float(self._delivery[sender, receiver])
-
-    def loss_matrix(self) -> np.ndarray:
-        """Matrix of loss probabilities (diagonal forced to 1)."""
-        eps = 1.0 - self._delivery
-        np.fill_diagonal(eps, 1.0)
-        return eps
-
-    def set_delivery(self, sender: int, receiver: int, probability: float,
-                     symmetric: bool = False) -> None:
-        """Set the delivery probability of a directed (or symmetric) link.
-
-        The only writer of the matrix, and so the only thing that
-        invalidates what :meth:`derived` holds.
-        """
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("delivery probability must lie in [0, 1]")
-        if sender == receiver:
-            raise ValueError("self links are not allowed")
-        self._delivery[sender, receiver] = probability
-        if symmetric:
-            self._delivery[receiver, sender] = probability
-        self._derived.clear()
-
-    def neighbors(self, node: int, threshold: float = 0.0) -> list[int]:
-        """Nodes reachable from ``node`` with delivery probability > threshold."""
-        reachable = self._delivery[node] > threshold
-        reachable[node] = False
-        return np.nonzero(reachable)[0].tolist()
-
-    def links(self, threshold: float = 0.0) -> list[tuple[int, int, float]]:
-        """All directed links with delivery probability above ``threshold``."""
-        senders, receivers = np.nonzero(self._delivery > threshold)
-        distinct = senders != receivers
-        senders, receivers = senders[distinct], receivers[distinct]
-        return list(zip(senders.tolist(), receivers.tolist(),
-                        self._delivery[senders, receivers].tolist()))
-
-    # ------------------------------------------------------------------ #
-    # Derived statistics (used to calibrate the synthetic testbed)
-    # ------------------------------------------------------------------ #
-
-    def link_loss_rates(self, threshold: float = 0.05) -> np.ndarray:
-        """Loss rates of all usable links (delivery above ``threshold``)."""
-        rates = [1.0 - p for _, _, p in self.links(threshold)]
-        return np.asarray(rates, dtype=float)
-
-    def average_loss_rate(self, threshold: float = 0.05) -> float:
-        """Mean loss rate over usable links (paper reports about 27%)."""
-        rates = self.link_loss_rates(threshold)
-        return float(rates.mean()) if rates.size else 0.0
-
-    def connectivity_check(self, threshold: float = 0.05) -> bool:
-        """True if the graph of usable links is strongly connected."""
-        count = self.node_count
-        usable = self._delivery > threshold
-        reachable = np.zeros(count, dtype=bool)
-        stack = [0]
-        reachable[0] = True
-        while stack:
-            node = stack.pop()
-            for nxt in np.nonzero(usable[node])[0]:
-                if not reachable[nxt]:
-                    reachable[nxt] = True
-                    stack.append(int(nxt))
-        if not reachable.all():
-            return False
-        # Reverse direction.
-        reachable = np.zeros(count, dtype=bool)
-        stack = [0]
-        reachable[0] = True
-        while stack:
-            node = stack.pop()
-            for nxt in np.nonzero(usable[:, node])[0]:
-                if not reachable[nxt]:
-                    reachable[nxt] = True
-                    stack.append(int(nxt))
-        return bool(reachable.all())
-
-    # ------------------------------------------------------------------ #
-    # Reception sampling (used by expectation-free tests)
-    # ------------------------------------------------------------------ #
-
-    def sample_receivers(self, sender: int, rng: np.random.Generator) -> list[int]:
-        """Sample the set of nodes that receive one broadcast from ``sender``.
-
-        Receptions are independent across receivers per the paper's model.
-        """
-        draws = rng.random(self.node_count)
-        received = np.nonzero(draws < self._delivery[sender])[0]
-        return [int(i) for i in received if i != sender]
-
-    def subtopology(self, node_ids: list[int]) -> "Topology":
-        """Restrict the topology to the given nodes (relabelled densely)."""
-        index = np.asarray(node_ids, dtype=int)
-        matrix = self._delivery[np.ix_(index, index)]
-        all_positions = self.node_positions()
-        positions = [all_positions[i] for i in node_ids] if all_positions else None
-        names = [self.nodes[i].name for i in node_ids]
-        return Topology.from_owned(matrix, positions=positions, names=names)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"Topology(nodes={self.node_count}, links={len(self.links())})"
+    def __repr__(self) -> str:
+        return f"Topology(nodes={self.node_count}, links={self.link_table().receivers.size})"

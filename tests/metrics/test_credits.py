@@ -25,7 +25,7 @@ from repro.topology.graph import Topology
 
 def naive_algorithm_1(topology, order):
     """Literal transcription of Algorithm 1 used as a reference."""
-    eps = topology.loss_matrix()
+    eps = 1.0 - topology.delivery_matrix()  # 1 on the diagonal: no self links
     load = {node: 0.0 for node in order}
     z = {node: 0.0 for node in order}
     load[order[-1]] = 1.0

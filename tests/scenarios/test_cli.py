@@ -253,6 +253,11 @@ def test_no_run_field_shadows_a_scenario_field():
     # from the spec file).
     ("packet_size", "true"), ("total_packets", 1.5), ("vector_only", "maybe"),
     ("refresh_period", float("nan")), ("progress_timeout", float("nan")),
+    # Ran Srcr and ExOR to completion and died only at MORE's plan time.
+    ("more_metric", "foo"),
+    # Coded payloads larger than the frame they ride in (chain_smoke's
+    # packet_size is 256).
+    ("coding_payload_size", 257),
 ])
 def test_out_of_range_run_value_is_a_one_line_error(field, value, capsys, tmp_path,
                                                     deadline):

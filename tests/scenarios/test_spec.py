@@ -192,6 +192,13 @@ class TestRunConfig:
         config = sweep_spec.run_config(seed=3)
         assert config == RunConfig(total_packets=32, batch_size=8, seed=3)
 
+    def test_a_payload_may_fill_its_frame(self):
+        """The bound on ``coding_payload_size`` is inclusive, and both
+        ordering metrics are accepted."""
+        for metric in ("etx", "eotx"):
+            config = RunConfig(packet_size=64, coding_payload_size=64, more_metric=metric)
+            assert (config.coding_payload_size, config.more_metric) == (64, metric)
+
     def test_unknown_field_rejected(self, sweep_spec):
         spec = sweep_spec
         spec.run["bogus_field"] = 1

@@ -367,15 +367,25 @@ class TestSharedMediumState:
         assert _outcome(_run_testbed(topology, 1)) == first
         assert calls == {"_plan": 0, "sense_row": 0}
 
-    def test_set_delivery_makes_the_next_run_rederive(self, monkeypatch):
+    def test_an_edited_mesh_derives_its_own_tables(self, monkeypatch):
+        """A mesh built from an edited matrix shares nothing with the one it
+        was edited from, and that one keeps its tables."""
         topology = _testbed()
-        _run_testbed(topology, 1)
+        original = _outcome(_run_testbed(topology, 1))
+        kept = _shared_tables(topology, ChannelConfig())
+        matrix = topology.delivery_matrix()
+        matrix[0, 1] = matrix[1, 0] = 0.5 * matrix[0, 1]
+        edited = Topology(matrix)
+        assert _shared_tables(edited, ChannelConfig()) is None
         calls = _counting(monkeypatch)
-        topology.set_delivery(0, 1, 0.5 * topology.delivery(0, 1), symmetric=True)
-        assert _shared_tables(topology, ChannelConfig()) is None
-        edited = _outcome(_run_testbed(topology, 1))
+        outcome = _outcome(_run_testbed(edited, 1))
         assert calls["_plan"] > 0 and calls["sense_row"] > 0
-        assert edited == _outcome(_run_testbed(Topology(topology.delivery_matrix()), 1))
+        assert outcome != original
+        assert outcome == _outcome(_run_testbed(Topology(matrix), 1))
+        calls.update(_plan=0, sense_row=0)
+        assert _outcome(_run_testbed(topology, 1)) == original
+        assert calls == {"_plan": 0, "sense_row": 0}
+        assert _shared_tables(topology, ChannelConfig()) is kept
 
     @pytest.mark.parametrize("variant", ["gilbert_elliott", "link_churn"])
     def test_other_media_keep_tables_of_their_own(self, variant):

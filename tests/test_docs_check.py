@@ -1,10 +1,11 @@
 """``scripts/docs_check.py``: the docs name only presets, model kinds and fields that exist.
 
 A doc example naming a deleted preset, a deleted ``--channel`` /
-``--mobility`` / ``--faults`` kind or a deleted ``run.<field>`` fails the
-check; a placeholder (``--channel KIND``, ``run.<field>``), every registered
-kind and every ``RunConfig`` field pass, and the shipped docs (the files
-``make docs-check`` reads) resolve.
+``--mobility`` / ``--faults`` kind, a deleted ``run.<field>`` or a deleted
+method of an exported class (``Class.attr``) fails the check; a placeholder
+(``--channel KIND``, ``run.<field>``), every registered kind and every
+``RunConfig`` field pass, and the shipped docs (the files ``make
+docs-check`` reads) resolve.
 """
 
 from __future__ import annotations
@@ -81,6 +82,20 @@ def test_every_run_field_and_the_placeholder_resolve(tmp_path, capsys):
                    for field in fields(RunConfig))
     text += ("`run.<field>`, `run.*`, `sim.run.now`, a sentence ending in run.\n"
              "python -m repro run --preset chain_smoke\n")
+    assert _check(tmp_path, text) == 0, capsys.readouterr().err
+
+
+def test_class_qualified_name_of_a_missing_method_fails(tmp_path, capsys):
+    assert _check(tmp_path, "edit a mesh with `Topology.set_delivery(0, 1, 0.5)`\n") == 1
+    assert "Topology.set_delivery  (no attribute of Topology)" in capsys.readouterr().err
+
+
+def test_class_qualified_names_resolve(tmp_path, capsys):
+    """A method, a dataclass field without a default, an attribute assigned
+    in ``__init__``; a class no package exports and prose are not checked."""
+    text = ("`Topology.link_table()`, `ChannelConfig.capture_probability`, "
+            "`TopologySpec.kind`, `Simulator.words`, `Missing.anything`\n"
+            "Topology.set_delivery outside a code span\n")
     assert _check(tmp_path, text) == 0, capsys.readouterr().err
 
 

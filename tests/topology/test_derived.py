@@ -3,7 +3,8 @@
 :meth:`repro.topology.graph.Topology.derived` memoises the control plane's
 view of a mesh (probe-free control view, link rows, distance vectors,
 plans) and :func:`repro.scenarios.build.build_topology` keeps the meshes
-themselves.  Sharing is only safe if ``set_delivery`` drops everything, if
+themselves.  Sharing is only safe if a mesh's links never change (its
+matrix is read-only from construction: an edited mesh is a new one), if
 nothing handed out can be written through, and if the mesh cache is keyed
 on what the spec *means*.
 """
@@ -21,22 +22,23 @@ from repro.scenarios import ScenarioSpec, TopologySpec, WorkloadSpec, build_topo
 from repro.scenarios.build import TOPOLOGY_CACHE_SIZE, _built
 from repro.topology.estimation import probe_estimated_topology
 from repro.topology.generator import chain
+from repro.topology.graph import Topology
 
 
 @pytest.fixture
 def skip_chain():
-    """0 - 1 - 2 - 3 with weak two-hop skip links (a private, editable mesh)."""
+    """0 - 1 - 2 - 3 with weak two-hop skip links (a private mesh)."""
     return chain(3, link_delivery=0.7, skip_delivery=0.2)
 
 
 class TestDerivedOnce:
-    def test_same_object_until_the_matrix_changes(self, skip_chain):
+    def test_same_object_per_mesh(self, skip_chain):
         calls = []
         first = skip_chain.derived("k", lambda: calls.append(1) or np.arange(3.0))
         assert skip_chain.derived("k", lambda: calls.append(1) or np.arange(3.0)) is first
         assert len(calls) == 1
-        skip_chain.set_delivery(0, 1, 0.6)
-        assert skip_chain.derived("k", lambda: calls.append(1) or np.arange(3.0)) is not first
+        copy = Topology(skip_chain.delivery_matrix())
+        assert copy.derived("k", lambda: calls.append(1) or np.arange(3.0)) is not first
         assert len(calls) == 2
 
     def test_a_failed_derivation_is_not_remembered(self, skip_chain):
@@ -61,7 +63,18 @@ class TestDerivedOnce:
         assert probe_estimated_topology(skip_chain, probe_count=100, seed=1) is not first
 
 
-class TestSetDeliveryInvalidates:
+def _with_link(topology: Topology, sender: int, receiver: int,
+               delivery: float) -> Topology:
+    """A new mesh: ``topology``'s matrix with one directed link set."""
+    matrix = topology.delivery_matrix()
+    matrix[sender, receiver] = delivery
+    return Topology(matrix)
+
+
+class TestEditedMeshDerivesItsOwn:
+    """A mesh built from an edited matrix derives its own plans, and the
+    original keeps its memo."""
+
     def test_distances_paths_and_plans_follow_the_edit(self, skip_chain):
         assert best_path(skip_chain, 0, 3) == [0, 1, 2, 3]
         before = etx_to_destination(skip_chain, 3)
@@ -69,25 +82,37 @@ class TestSetDeliveryInvalidates:
         assert plan.participants == [3, 2, 1, 0]
         eotx_before = eotx_dijkstra(skip_chain, 3)[0]
 
-        skip_chain.set_delivery(0, 3, 1.0)  # a perfect direct link appears
+        edited = _with_link(skip_chain, 0, 3, 1.0)  # a perfect direct link appears
 
-        assert best_path(skip_chain, 0, 3) == [0, 3]
-        after = etx_to_destination(skip_chain, 3)
+        assert best_path(edited, 0, 3) == [0, 3]
+        after = etx_to_destination(edited, 3)
         assert after[0] == 1.0 < before[0]
-        assert eotx_dijkstra(skip_chain, 3)[0] == 1.0 < eotx_before
-        rows = link_rows(skip_chain)
+        assert eotx_dijkstra(edited, 3)[0] == 1.0 < eotx_before
+        rows = link_rows(edited)
         assert rows.senders[rows.indptr[3]:rows.indptr[4]].tolist() == [0, 1, 2]
-        replanned = forwarding_plan(skip_chain, 0, 3, prune=False)
+        replanned = forwarding_plan(edited, 0, 3, prune=False)
         assert replanned.participants == [3, 0]
         assert replanned.z[0] == 1.0
 
+        assert etx_to_destination(skip_chain, 3) is before
+        assert forwarding_plan(skip_chain, 0, 3, prune=False).z is plan.z
+        assert best_path(skip_chain, 0, 3) == [0, 1, 2, 3]
+
     def test_control_view_follows_the_edit(self, skip_chain):
-        stale = probe_estimated_topology(skip_chain, probe_count=0)
-        skip_chain.set_delivery(0, 1, 0.25)
-        fresh = probe_estimated_topology(skip_chain, probe_count=0)
-        assert fresh is not stale
+        kept = probe_estimated_topology(skip_chain, probe_count=0)
+        edited = _with_link(skip_chain, 0, 1, 0.25)
+        fresh = probe_estimated_topology(edited, probe_count=0)
+        assert fresh is not kept
         assert fresh.delivery(0, 1) == 0.25 ** 0.45
-        assert stale.delivery(0, 1) == 0.7 ** 0.45
+        assert kept.delivery(0, 1) == 0.7 ** 0.45
+        assert probe_estimated_topology(skip_chain, probe_count=0) is kept
+
+    def test_the_mesh_cannot_be_written(self, skip_chain):
+        plan = forwarding_plan(skip_chain, 0, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            skip_chain.delivery_view()[0, 3] = 1.0
+        assert forwarding_plan(skip_chain, 0, 3).z is plan.z
+        assert not hasattr(skip_chain, "set_delivery")
 
 
 class TestHandedOutReadOnly:

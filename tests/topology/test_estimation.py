@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.topology.estimation import (
-    perfect_estimates,
-    probe_estimated_topology,
-)
+from repro.topology.estimation import probe_estimated_topology
 from repro.topology.generator import grid, two_hop_relay
+from repro.topology.graph import Topology
 
 
 class TestProbeEstimates:
@@ -21,18 +19,15 @@ class TestProbeEstimates:
         assert estimated.delivery(0, 2) == pytest.approx(0.3 ** 0.5)
 
     def test_zero_links_stay_zero(self):
-        topo = two_hop_relay(source_to_destination=0.49)
-        topo.set_delivery(0, 2, 0.0, symmetric=True)
+        matrix = two_hop_relay(source_to_destination=0.49).delivery_matrix()
+        matrix[0, 2] = matrix[2, 0] = 0.0
+        topo = Topology(matrix)
         estimated = probe_estimated_topology(topo, probe_count=0)
         assert estimated.delivery(0, 2) == 0.0
 
     def test_exponent_one_without_sampling_is_identity(self, testbed):
         estimated = probe_estimated_topology(testbed, optimism_exponent=1.0, probe_count=0)
         assert np.allclose(estimated.delivery_matrix(), testbed.delivery_matrix())
-
-    def test_perfect_estimates_helper(self, testbed):
-        assert np.allclose(perfect_estimates(testbed).delivery_matrix(),
-                           testbed.delivery_matrix())
 
     def test_sampling_noise_is_bounded_and_deterministic(self, testbed):
         a = probe_estimated_topology(testbed, probe_count=100, seed=3)

@@ -24,6 +24,60 @@ from repro.experiments.workloads import reachable_pairs
 from repro.topology import generator
 
 
+def _strongly_connected(topology) -> bool:
+    """Every node reaches every other over links delivering above 5%."""
+    return bool(generator._strong_component(topology.delivery_view() > 0.05).all())
+
+
+class TestStrongComponent:
+    """The one connectivity walk of the generators."""
+
+    @staticmethod
+    def mask(links, count=3):
+        usable = np.zeros((count, count), dtype=bool)
+        for sender, receiver in links:
+            usable[sender, receiver] = True
+        return usable
+
+    def test_connected_chain(self):
+        assert generator._strong_component(self.mask([(0, 1), (1, 0), (1, 2), (2, 1)])).all()
+
+    def test_disconnected(self):
+        component = generator._strong_component(self.mask([(0, 1), (1, 0)]))
+        assert component.tolist() == [True, True, False]
+
+    def test_one_way_link_is_not_strongly_connected(self):
+        assert generator._strong_component(self.mask([(0, 1)], 2)).tolist() == [True, False]
+        # Reached from node 0 but not reaching it, and the reverse.
+        assert generator._strong_component(self.mask([(0, 1), (1, 2), (2, 1)])).tolist() \
+            == [True, False, False]
+        assert generator._strong_component(self.mask([(1, 0), (1, 2), (2, 1)])).tolist() \
+            == [True, False, False]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda count: st.lists(
+        st.lists(st.booleans(), min_size=count, max_size=count),
+        min_size=count, max_size=count)))
+    def test_matches_the_per_node_search(self, rows):
+        """Node 0's strongly connected component, as a search that follows
+        one link at a time forward and then backward finds it."""
+        usable = np.array(rows, dtype=bool)
+
+        def search(links):
+            reached, stack = {0}, [0]
+            while stack:
+                node = stack.pop()
+                for nxt in np.flatnonzero(links[node]).tolist():
+                    if nxt not in reached:
+                        reached.add(nxt)
+                        stack.append(nxt)
+            return reached
+
+        expected = search(usable) & search(usable.T)
+        component = generator._strong_component(usable)
+        assert set(np.flatnonzero(component).tolist()) == expected
+
+
 class TestTwoHopRelay:
     def test_matches_figure_1_1(self):
         topo = two_hop_relay()
@@ -88,7 +142,7 @@ class TestGrid:
 class TestRandomMesh:
     def test_connected_and_symmetric(self):
         topo = random_mesh(10, density=0.5, seed=1)
-        assert topo.connectivity_check()
+        assert _strongly_connected(topo)
         matrix = topo.delivery_matrix()
         assert np.allclose(matrix, matrix.T)
 
@@ -132,7 +186,7 @@ class TestCostGapTopology:
 class TestIndoorTestbed:
     def test_size_and_connectivity(self, testbed):
         assert testbed.node_count == 20
-        assert testbed.connectivity_check()
+        assert _strongly_connected(testbed)
         assert testbed.nodes[0].position != ()
 
     def test_symmetric_links(self, testbed):
@@ -168,10 +222,26 @@ class TestIndoorTestbed:
         b = indoor_testbed(seed=4)
         assert not np.array_equal(a.delivery_matrix(), b.delivery_matrix())
 
+    def test_patched_layout_is_connected(self):
+        """``random_geometric(30, 400.0, 43)`` leaves two nodes out; the
+        patch joins each with a symmetric mid-quality link."""
+        topo = random_geometric(30, 400.0, 43)
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0)
+        unpatched = generator._pairwise_delivery(topo.node_positions(), rng)
+        assert not generator._strong_component(unpatched > 0.05).all()
+        assert _strongly_connected(topo)
+        senders, receivers = np.nonzero(topo.delivery_view() != unpatched)
+        assert len(senders) == 4 and sorted(zip(senders, receivers)) == \
+            sorted(zip(receivers, senders))
+        patched = topo.delivery_view()[senders, receivers]
+        assert ((0.4 <= patched) & (patched < 0.7)).all()
+
     def test_smaller_testbed_still_connected(self):
         topo = indoor_testbed(node_count=10, floors=2, seed=11)
         assert topo.node_count == 10
-        assert topo.connectivity_check()
+        assert _strongly_connected(topo)
 
 
 def _digest(delivery: np.ndarray, positions=None) -> str:

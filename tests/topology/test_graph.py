@@ -22,7 +22,6 @@ class TestConstruction:
         topo = Topology(square_matrix([[0, 0.5], [0.5, 0]]))
         assert topo.node_count == 2
         assert topo.delivery(0, 1) == 0.5
-        assert topo.loss(0, 1) == 0.5
 
     def test_diagonal_zeroed(self):
         topo = Topology(square_matrix([[0.9, 0.5], [0.5, 0.9]]))
@@ -70,6 +69,13 @@ class TestFromOwned:
         assert matrix[0, 0] == matrix[1, 1] == 0.0
         assert topo.delivery(0, 1) == 0.5
         assert [node.name for node in topo.nodes] == ["a", "b"]
+
+    def test_the_adopted_array_is_read_only(self):
+        matrix = square_matrix([[0, 0.5], [0.5, 0]])
+        topo = Topology.from_owned(matrix)
+        with pytest.raises(ValueError, match="read-only"):
+            matrix[0, 1] = 0.25
+        assert topo.delivery(0, 1) == 0.5
 
     @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros(4),
                                         square_matrix([[0, 1.5], [0.5, 0]]),
@@ -136,116 +142,52 @@ class TestLinkView:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
-    def test_topology_table_follows_set_delivery(self, topo):
+    def test_an_edited_mesh_is_a_new_topology(self, topo):
         first = topo.link_table()
-        assert first is topo.link_table()
-        topo.set_delivery(0, 2, 0.5)
-        assert topo.link_table().receivers.tolist() == [1, 2, 0, 2, 1]
+        edited = topo.delivery_matrix()
+        edited[0, 2] = 0.5
+        assert Topology(edited).link_table().receivers.tolist() == [1, 2, 0, 2, 1]
+        assert topo.link_table() is first
+        assert first.receivers.tolist() == [1, 0, 2, 1]
 
 
 class TestAccessors:
-    def test_loss_matrix_diagonal_is_one(self):
-        topo = Topology(square_matrix([[0, 0.8], [0.8, 0]]))
-        eps = topo.loss_matrix()
-        assert eps[0, 0] == 1.0
-        assert eps[0, 1] == pytest.approx(0.2)
-
-    def test_neighbors_and_links(self):
-        topo = Topology(square_matrix([[0, 0.8, 0.0], [0.8, 0, 0.3], [0.0, 0.3, 0]]))
-        assert topo.neighbors(0) == [1]
-        assert topo.neighbors(1) == [0, 2]
-        links = topo.links(threshold=0.5)
-        assert (0, 1, 0.8) in links and (1, 0, 0.8) in links
-        assert all(p > 0.5 for _, _, p in links)
-
-    def test_set_delivery(self):
-        topo = Topology(np.zeros((3, 3)))
-        topo.set_delivery(0, 2, 0.4, symmetric=True)
-        assert topo.delivery(0, 2) == 0.4
-        assert topo.delivery(2, 0) == 0.4
-        with pytest.raises(ValueError):
-            topo.set_delivery(0, 0, 0.5)
-        with pytest.raises(ValueError):
-            topo.set_delivery(0, 1, 1.5)
-
     def test_delivery_matrix_is_a_copy(self):
         topo = Topology(square_matrix([[0, 0.8], [0.8, 0]]))
         matrix = topo.delivery_matrix()
         matrix[0, 1] = 0.0
         assert topo.delivery(0, 1) == 0.8
+        assert Topology(matrix).delivery(0, 1) == 0.0
 
-    def test_delivery_view_is_read_only_and_live(self):
+    def test_delivery_view_is_the_read_only_matrix(self):
         topo = Topology(square_matrix([[0, 0.8], [0.8, 0]]))
         view = topo.delivery_view()
+        assert view is topo.delivery_view()
         with pytest.raises(ValueError, match="read-only"):
             view[0, 1] = 0.0
         with pytest.raises(ValueError, match="read-only"):
             view[0][1] = 0.0  # rows of the view are read-only too
         assert topo.delivery(0, 1) == 0.8
-        topo.set_delivery(0, 1, 0.5)
-        assert view[0, 1] == 0.5  # no copy: the view tracks the topology
         assert np.array_equal(view, topo.delivery_matrix())
 
-    @pytest.mark.parametrize("threshold", [-1.0, 0.0, 0.3, 1.0])
-    def test_neighbors_and_links_match_the_per_pair_scan(self, threshold):
-        rng = np.random.default_rng(4)
-        matrix = rng.random((9, 9))
-        matrix[rng.random((9, 9)) < 0.4] = 0.0
-        topo = Topology(matrix)
-        count = topo.node_count
-        expected_links = [(i, j, topo.delivery(i, j))
-                          for i in range(count) for j in range(count)
-                          if i != j and topo.delivery(i, j) > threshold]
-        links = topo.links(threshold)
-        assert links == expected_links
-        assert all(type(i) is int and type(j) is int and type(p) is float
-                   for i, j, p in links)
-        for node in range(count):
-            assert topo.neighbors(node, threshold) == [
-                j for i, j, _ in expected_links if i == node]
-
-    def test_average_loss_rate(self):
-        topo = Topology(square_matrix([[0, 0.8, 0], [0.8, 0, 0.6], [0, 0.6, 0]]))
-        assert topo.average_loss_rate() == pytest.approx(0.3)
-        empty = Topology(np.zeros((2, 2)))
-        assert empty.average_loss_rate() == 0.0
+    def test_repr_counts_the_links(self):
+        topo = Topology(square_matrix([[0, 0.8, 0.0], [0.8, 0, 0.3], [0.0, 0.3, 0]]))
+        assert repr(topo) == "Topology(nodes=3, links=4)"
 
 
-class TestConnectivity:
-    def test_connected_chain(self):
-        topo = Topology(square_matrix([[0, 0.9, 0], [0.9, 0, 0.9], [0, 0.9, 0]]))
-        assert topo.connectivity_check()
+class TestImmutable:
+    """A mesh's links are fixed when it is built: nothing writes its matrix."""
 
-    def test_disconnected(self):
-        topo = Topology(square_matrix([[0, 0.9, 0], [0.9, 0, 0], [0, 0, 0]]))
-        assert not topo.connectivity_check()
+    def test_has_no_writer_and_no_dense_query(self):
+        gone = ("set_delivery", "loss", "loss_matrix", "neighbors", "links",
+                "link_loss_rates", "average_loss_rate", "connectivity_check",
+                "sample_receivers", "subtopology")
+        assert [name for name in gone if hasattr(Topology, name)] == []
 
-    def test_one_way_link_is_not_strongly_connected(self):
-        matrix = np.zeros((2, 2))
-        matrix[0, 1] = 0.9
-        assert not Topology(matrix).connectivity_check()
-
-
-class TestSampling:
-    def test_sample_receivers_respects_probabilities(self, rng):
-        topo = Topology(square_matrix([[0, 1.0, 0.0], [1.0, 0, 0], [0.0, 0, 0]]))
-        for _ in range(20):
-            receivers = topo.sample_receivers(0, rng)
-            assert receivers == [1]
-
-    def test_sample_receivers_statistics(self):
-        topo = Topology(square_matrix([[0, 0.5], [0.5, 0]]))
-        rng = np.random.default_rng(0)
-        hits = sum(1 in topo.sample_receivers(0, rng) for _ in range(4000))
-        assert 0.45 < hits / 4000 < 0.55
-
-    def test_subtopology(self):
-        matrix = square_matrix([[0, 0.8, 0.1], [0.8, 0, 0.5], [0.1, 0.5, 0]])
-        topo = Topology(matrix, names=["a", "b", "c"])
-        sub = topo.subtopology([0, 2])
-        assert sub.node_count == 2
-        assert sub.delivery(0, 1) == 0.1
-        assert sub.nodes[1].name == "c"
+    def test_generated_meshes_are_read_only(self):
+        topo = random_geometric(node_count=6, seed=2)
+        with pytest.raises(ValueError, match="read-only"):
+            topo.delivery_view()[0, 1] = 0.5
 
 
 def test_node_default_name():
