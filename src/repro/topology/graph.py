@@ -142,9 +142,9 @@ class LinkView:
         construction), so nothing held here goes stale and nothing
         invalidates it.  Every caller gets the same object, so the arrays
         in it are made read-only and the medium's tables hold tuples; a
-        function that hands out a list returns a fresh copy of it.  A value must not hold
-        what uses it (a medium, a simulator): the view would keep that
-        alive.
+        function that hands out a list returns a fresh copy of it.  A value
+        must not hold what uses it (a medium, a simulator): the view would
+        keep that alive.
         """
         value = self._derived.get(key)
         if value is None:
