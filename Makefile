@@ -13,8 +13,9 @@ ENV      = PYTHONPATH=src
 # The pre-merge gate: the static analyzer (style rules included, so `lint`
 # is not run again), the import budget, the golden-trace tests (fail fast on
 # a hot-path behaviour change), the coding/GF differentials (fail fast on a
-# coefficient or a row), the control-plane differentials (fail fast on a
-# link estimate, a distance or a plan), then the full tier-1 suite.
+# coefficient or a row), the control-plane differentials and re-plan unit
+# tests (fail fast on a link estimate, a distance or a plan), then the full
+# tier-1 suite.
 check: analyze import-check test-engine test-coding test-control test
 
 # Style lint alone: the analyzer's six style rules (syntax, line length,
@@ -80,16 +81,20 @@ test-coding:
 # estimates against their per-link reference, what is derived once per
 # topology, the link-table control view against the dense matrices it
 # replaced (link rows, distances, next hops, plans, paths, the dead-node
-# mask), bit for bit, and the meshes the plans are derived from: read-only
+# mask), bit for bit, the meshes the plans are derived from: read-only
 # from construction (no writer), and the seeded generators pinned, a
-# connectivity-patched layout included.
+# connectivity-patched layout included — and each protocol's re-plan
+# (~2 s): recruits, drops, detours, a plan computed the way the flow was
+# set up, and a failed re-plan that leaves the installed plan and every
+# agent's state untouched.
 test-control:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/metrics \
 		tests/topology/test_estimation.py \
 		tests/topology/test_derived.py \
 		tests/topology/test_control_view_differential.py \
 		tests/topology/test_graph.py \
-		tests/topology/test_generator.py
+		tests/topology/test_generator.py \
+		tests/experiments/test_refresh.py
 
 # Every repro.* name, every `--preset name` and every `run.<field>`
 # referenced in README.md and docs/ must resolve.

@@ -134,11 +134,16 @@ class FlowHandle:
         """Compute the flow's plan from ``control`` (the link qualities as
         the routing layer believes them to be) and install it.
 
+        A plan is one immutable value, built whole before anything changes
+        and installed by a single swap of the spec's ``plan``: every agent
+        of the flow reads it through the spec it shares, so none holds a
+        copy to refresh.  A ``ValueError`` (the endpoints are disconnected
+        in ``control``) is raised before the swap, so the previous plan
+        stays installed, the same object, for the caller to keep.
+
         Idempotent: nodes the plan recruits get per-flow state, nodes
         already in the flow keep their transfer progress, nodes it drops
-        keep what they hold but stop taking part.  Every path computation
-        runs before the first change, so a ``ValueError`` (the endpoints
-        are disconnected in ``control``) leaves the previous plan intact
-        for the caller to keep.
+        keep what they hold but stop taking part.  A re-plan visits only
+        the nodes the flow was installed at, never the whole network.
         """
         raise NotImplementedError

@@ -1,7 +1,8 @@
 """ExOR: opportunistic routing with a strict MAC schedule (the prior art)."""
 
 from repro.protocols.exor.agent import (
-    DEFAULT_COMPLETION_THRESHOLD,
+    COMPLETION_THRESHOLD,
+    TURN_GUARD_TIME,
     ExorAgent,
     ExorControlPayload,
     ExorDataPayload,
@@ -13,7 +14,7 @@ from repro.protocols.exor.agent import (
 )
 
 __all__ = [
-    "DEFAULT_COMPLETION_THRESHOLD",
+    "COMPLETION_THRESHOLD",
     "ExorAgent",
     "ExorControlPayload",
     "ExorDataPayload",
@@ -21,5 +22,6 @@ __all__ = [
     "ExorFlowSpec",
     "ExorMapPayload",
     "ExorScheduler",
+    "TURN_GUARD_TIME",
     "setup_exor_flow",
 ]

@@ -49,7 +49,7 @@ from repro.topology.graph import LinkView, Topology
 EXOR_BASE_HEADER_BYTES = 24
 #: Fraction of a batch the destination must hold before the schedule stops
 #: and the remainder travels over traditional routing (the ExOR design).
-DEFAULT_COMPLETION_THRESHOLD = 0.9
+COMPLETION_THRESHOLD = 0.9
 #: Bytes of a cleanup-request / batch-ACK control frame.
 CONTROL_SIZE_BYTES = 40
 #: Rank assigned to a node dropped from the participant list by a
@@ -65,40 +65,45 @@ INERT_RANK = 1 << 20
 #: "fragile").  Five 802.11 slot-times per expected packet of the previous
 #: fragment is the allowance the ExOR design uses; a flat per-turn guard of a
 #: couple of data-frame times is the equivalent at our abstraction level.
-DEFAULT_TURN_GUARD_TIME = 5e-3
+TURN_GUARD_TIME = 5e-3
+
+
+@dataclass(frozen=True, slots=True)
+class ExorPlan:
+    """One plan of an ExOR flow, built whole by
+    :meth:`ExorFlowHandle.replan` and never changed after.
+
+    Attributes:
+        participants: the prioritised forwarder list, destination first ...
+            source last.
+        ranks: participant -> its position in ``participants`` (0 = the
+            destination = highest priority).
+        forward_route: best ETX path source -> destination (cleanup data).
+        reverse_route: best ETX path destination -> source (cleanup
+            requests and batch ACKs).
+    """
+
+    participants: list[int] = field(default_factory=list)
+    ranks: dict[int, int] = field(default_factory=dict)
+    forward_route: list[int] = field(default_factory=list)
+    reverse_route: list[int] = field(default_factory=list)
 
 
 @dataclass
 class ExorFlowSpec:
-    """Static description of one ExOR flow."""
+    """One ExOR flow: its constants and its current :class:`ExorPlan`
+    (empty until the flow's first re-plan, replaced whole by every later
+    one)."""
 
     flow_id: int
     source: int
     destination: int
     batch_size: int
     packet_size: int
-    participants: list[int]  # destination first ... source last (priority order)
-    forward_route: list[int]  # best ETX path source -> destination (cleanup)
-    reverse_route: list[int]  # best ETX path destination -> source (acks)
     total_packets: int
     batch_count: int
-    completion_threshold: float = DEFAULT_COMPLETION_THRESHOLD
     bitrate: int | None = None
-    _rank_map: dict[int, int] | None = field(default=None, init=False,
-                                             repr=False, compare=False)
-
-    def rank(self, node_id: int) -> int | None:
-        """Priority rank of a node (0 = destination = highest priority)."""
-        ranks = self._rank_map
-        if ranks is None:
-            ranks = self._rank_map = {node: position
-                                      for position, node in enumerate(self.participants)}
-        return ranks.get(node_id)
-
-    def invalidate_plan_caches(self) -> None:
-        """Drop the memoised rank map after a re-plan rebuilt
-        ``participants`` / ``forward_route`` / ``reverse_route`` in place."""
-        self._rank_map = None
+    plan: ExorPlan = field(default_factory=ExorPlan)
 
     def data_frame_size(self) -> int:
         """On-air size of an ExOR data frame (payload + header + batch map)."""
@@ -156,11 +161,9 @@ class ExorScheduler:
     stopped by the destination.
     """
 
-    def __init__(self, spec: ExorFlowSpec, sim: Simulator,
-                 turn_guard_time: float = DEFAULT_TURN_GUARD_TIME) -> None:
+    def __init__(self, spec: ExorFlowSpec, sim: Simulator) -> None:
         self.spec = spec
         self.sim = sim
-        self.turn_guard_time = turn_guard_time
         self.active = False
         self.batch_id = -1
         self.round = 0
@@ -172,7 +175,7 @@ class ExorScheduler:
         self.active = True
         self.batch_id = batch_id
         self.round = 0
-        self._grant(len(self.spec.participants) - 1)  # the source
+        self._grant(len(self.spec.plan.participants) - 1)  # the source
 
     def stop(self) -> None:
         """Stop the scheduled phase (destination reached its threshold)."""
@@ -192,14 +195,14 @@ class ExorScheduler:
             # A full round ended with the destination; start the next round
             # from the node farthest from the destination (the source).
             self.round += 1
-            next_position = len(self.spec.participants) - 1
+            next_position = len(self.spec.plan.participants) - 1
         # The next forwarder cannot start the instant its predecessor stops:
         # it only knows the predecessor's fragment size from batch maps and
         # must pad its timing estimate (the scheduling cost the paper blames
         # for ExOR's lost spatial reuse and fragile utilisation).
         batch_epoch = self.batch_id
         self.sim.events.schedule(
-            self.turn_guard_time,
+            TURN_GUARD_TIME,
             lambda: self._grant_if_current(next_position, batch_epoch))
 
     def _grant_if_current(self, position: int, batch_epoch: int) -> None:
@@ -209,14 +212,15 @@ class ExorScheduler:
 
     def notice_participants_changed(self) -> None:
         """Clamp the schedule position after a refresh resized the list."""
-        self._position = min(self._position, len(self.spec.participants) - 1)
+        self._position = min(self._position, len(self.spec.plan.participants) - 1)
 
     def _grant(self, position: int) -> None:
         # A deferred grant scheduled before a link-state refresh may carry a
         # position beyond the refreshed (shorter) participant list.
-        position = min(position, len(self.spec.participants) - 1)
+        participants = self.spec.plan.participants
+        position = min(position, len(participants) - 1)
         self._position = position
-        self.holder = self.spec.participants[position]
+        self.holder = participants[position]
         agent = self.sim.nodes[self.holder].agent
         if isinstance(agent, ExorAgent) and not agent.turn_has_traffic(self.spec.flow_id):
             # Nothing to send this turn: skip ahead after the guard time
@@ -234,15 +238,16 @@ class _ExorFlowState:
         self.rank = rank
         self.batch_id = 0
         self.received: dict[int, set[int]] = {}
-        self.batch_map = np.full(spec.batch_size, len(spec.participants) - 1, dtype=np.int32)
+        self.batch_map = np.full(spec.batch_size, len(spec.plan.participants) - 1,
+                                 dtype=np.int32)
         self.turn_queue: deque[int] = deque()
         self.map_frame_pending = False
 
     def reset_for_batch(self, batch_id: int) -> None:
         """Start fresh state for a new batch."""
         self.batch_id = batch_id
-        self.batch_map = np.full(self.spec.batch_size, len(self.spec.participants) - 1,
-                                 dtype=np.int32)
+        self.batch_map = np.full(self.spec.batch_size,
+                                 len(self.spec.plan.participants) - 1, dtype=np.int32)
         self.turn_queue.clear()
         self.map_frame_pending = False
 
@@ -268,7 +273,7 @@ class _ExorFlowState:
         transmissions (which ExOR dedups), never a stall.
         """
         self.rank = rank
-        highest = len(self.spec.participants) - 1
+        highest = len(self.spec.plan.participants) - 1
         np.minimum(self.batch_map, highest, out=self.batch_map)
         batch_map = self.batch_map
         for index in self.packets_received(self.batch_id):
@@ -344,7 +349,7 @@ class ExorAgent(ProtocolAgent):
         """
         self.specs[spec.flow_id] = spec
         self.schedulers[spec.flow_id] = scheduler
-        rank = spec.rank(self.node_id)
+        rank = spec.plan.ranks.get(self.node_id)
         state = self.flows.get(spec.flow_id)
         if rank is not None:
             if state is None:
@@ -552,7 +557,7 @@ class ExorAgent(ProtocolAgent):
             scheduler.stop()
             self._queue_batch_ack(spec, batch_id)
             return
-        if have >= spec.completion_threshold * count and \
+        if have >= COMPLETION_THRESHOLD * count and \
                 batch_id not in self.cleanup_requested[spec.flow_id]:
             # Threshold reached: stop the schedule and request the remainder
             # over traditional routing.
@@ -561,15 +566,14 @@ class ExorAgent(ProtocolAgent):
             missing = [i for i in range(count) if i not in state.packets_received(batch_id)]
             self._queue_control(spec, ExorControlPayload(
                 flow_id=spec.flow_id, batch_id=batch_id, control="cleanup_request",
-                route=spec.reverse_route, missing=missing,
+                route=spec.plan.reverse_route, missing=missing,
             ))
 
     # ------------------------------------------------------------------ #
     # Control traffic (cleanup + batch ACKs over traditional routing)
     # ------------------------------------------------------------------ #
 
-    def _queue_control(self, spec: ExorFlowSpec, payload: ExorControlPayload,
-                       size_bytes: int | None = None) -> None:
+    def _queue_control(self, spec: ExorFlowSpec, payload: ExorControlPayload) -> None:
         route = payload.route
         if self.node_id not in route:
             return
@@ -577,11 +581,10 @@ class ExorAgent(ProtocolAgent):
         if position + 1 >= len(route):
             return
         next_hop = route[position + 1]
-        size = size_bytes
-        if size is None:
+        if payload.control == "cleanup_data":
+            size = spec.packet_size + EXOR_BASE_HEADER_BYTES
+        else:
             size = CONTROL_SIZE_BYTES + len(payload.missing)
-            if payload.control == "cleanup_data":
-                size = spec.packet_size + EXOR_BASE_HEADER_BYTES
         frame = Frame(
             sender=self.node_id,
             receiver=next_hop,
@@ -597,7 +600,7 @@ class ExorAgent(ProtocolAgent):
     def _queue_batch_ack(self, spec: ExorFlowSpec, batch_id: int) -> None:
         self._queue_control(spec, ExorControlPayload(
             flow_id=spec.flow_id, batch_id=batch_id, control="batch_ack",
-            route=spec.reverse_route,
+            route=spec.plan.reverse_route,
         ))
 
     def _handle_control(self, payload: ExorControlPayload, now: float) -> None:
@@ -614,7 +617,7 @@ class ExorAgent(ProtocolAgent):
             for index in payload.missing:
                 self._queue_control(spec, ExorControlPayload(
                     flow_id=spec.flow_id, batch_id=payload.batch_id, control="cleanup_data",
-                    route=spec.forward_route, packet_index=index,
+                    route=spec.plan.forward_route, packet_index=index,
                 ))
             return
         if payload.control == "cleanup_data" and self.node_id == spec.destination:
@@ -656,42 +659,38 @@ class ExorFlowHandle(FlowHandle):
     #: Whether the 10% rule prunes the participant list, at set-up and at
     #: every re-plan after it.
     prune: bool
+    #: Every node this flow has installed state at: what a re-plan
+    #: revisits, in node-id order.
+    nodes: set[int] = field(default_factory=set, init=False, repr=False)
 
     def replan(self, control: LinkView) -> None:
-        """Re-rank the participants by ``control``'s ETX distances and
-        recompute the cleanup / ACK routes, in place.
+        """Rank the participants by ``control``'s ETX distances and route
+        the cleanup / ACK traffic, installed as one new :class:`ExorPlan`.
 
         Nodes keep their transfer progress (:meth:`ExorAgent.install_flow`
         is idempotent), nodes dropped from the list go inert, and the strict
         schedule clamps its position into the resized list.
         """
         spec = self.spec
-        # Compute everything that can fail BEFORE the first spec mutation,
-        # so a ValueError (e.g. an asymmetric control view with no reverse
-        # route) leaves the old plan fully intact for the caller to keep.
-        plan = forwarding_plan(control, spec.source, spec.destination,
-                               metric="etx", prune=self.prune)
-        forward_route = best_path(control, spec.source, spec.destination)
-        reverse_route = best_path(control, spec.destination, spec.source)
-        spec.participants = list(plan.participants)  # destination first ... source last
-        spec.forward_route = forward_route
-        spec.reverse_route = reverse_route
-        spec.invalidate_plan_caches()
-        involved = set(spec.participants) | set(forward_route) | set(reverse_route)
-        for node in involved:
+        forwarding = forwarding_plan(control, spec.source, spec.destination,
+                                     metric="etx", prune=self.prune)
+        participants = list(forwarding.participants)
+        spec.plan = ExorPlan(
+            participants=participants,
+            ranks={node: rank for rank, node in enumerate(participants)},
+            forward_route=best_path(control, spec.source, spec.destination),
+            reverse_route=best_path(control, spec.destination, spec.source),
+        )
+        self.nodes.update(participants, spec.plan.forward_route,
+                          spec.plan.reverse_route)
+        for node in sorted(self.nodes):
             get_or_create_agent(self.sim, node, ExorAgent).install_flow(
                 spec, self.scheduler)
-        for sim_node in self.sim.nodes:
-            agent = sim_node.agent
-            if sim_node.node_id not in involved and isinstance(agent, ExorAgent) \
-                    and spec.flow_id in agent.specs:
-                agent.install_flow(spec, self.scheduler)
         self.scheduler.notice_participants_changed()
 
 
 def setup_exor_flow(sim: Simulator, topology: Topology, source: int, destination: int,
                     *, total_packets: int, batch_size: int = 32, packet_size: int = 1500,
-                    completion_threshold: float = DEFAULT_COMPLETION_THRESHOLD,
                     bitrate: int | None = None, prune: bool = True,
                     control_topology: LinkView | None = None) -> ExorFlowHandle:
     """Install an ExOR file transfer from ``source`` to ``destination``.
@@ -703,19 +702,15 @@ def setup_exor_flow(sim: Simulator, topology: Topology, source: int, destination
     """
     flow_id = sim.new_flow_id()
     batch_count = max(1, int(np.ceil(total_packets / batch_size)))
-    # The plan fields are empty until the first replan() below fills them.
+    # The plan is empty until the first replan() below installs one.
     spec = ExorFlowSpec(
         flow_id=flow_id,
         source=source,
         destination=destination,
         batch_size=batch_size,
         packet_size=packet_size,
-        participants=[],
-        forward_route=[],
-        reverse_route=[],
         total_packets=total_packets,
         batch_count=batch_count,
-        completion_threshold=completion_threshold,
         bitrate=bitrate,
     )
     handle = ExorFlowHandle(spec=spec, sim=sim, scheduler=ExorScheduler(spec, sim),

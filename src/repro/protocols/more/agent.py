@@ -29,12 +29,7 @@ from repro.coding.encoder import ForwarderEncoder, SourceEncoder
 from repro.coding.packet import Batch, CodedPacket
 from repro.gf.arithmetic import CoefficientStream
 from repro.protocols.base import ProtocolAgent
-from repro.protocols.more.header import (
-    MAX_FORWARDERS,
-    ForwarderEntry,
-    MoreHeader,
-    MorePacketType,
-)
+from repro.protocols.more.header import ForwarderEntry, MoreHeader
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 
 #: Size in bytes of a serialised batch ACK (header only, no code vector).
@@ -43,9 +38,45 @@ ACK_SIZE_BYTES = 20
 ACK_PRIORITY = 10
 
 
+@dataclass(frozen=True, slots=True)
+class MorePlan:
+    """One forwarding plan of a MORE flow: what the source's control plane
+    (Section 3.1.1, Algorithm 1 + Eq. 3.3) computes and every header carries.
+
+    Built whole by :meth:`~repro.protocols.more.flow.MoreFlowHandle.replan`
+    and never changed after: a re-plan installs a new plan, it does not edit
+    this one.
+
+    Attributes:
+        header_forwarders: the forwarder list with TX credits, closest to
+            the destination first, as the data header carries it (truncated
+            to :data:`~repro.protocols.more.header.MAX_FORWARDERS` by the
+            header itself).
+        frame_size: on-air size of a data frame (native packet plus header).
+        tx_credit: node id -> TX credit (Eq. 3.3), every participant.
+        distances: node id -> ETX distance to the destination, every
+            participant.
+        upstream: listed forwarder -> the senders whose packets count as
+            "from upstream" for it (strictly farther from the destination).
+            Its keys are exactly the node ids ``header_forwarders`` lists: a
+            forwarder the plan drops or the header cuts ignores the flow's
+            data.
+        ack_next_hop: node -> next hop toward the source on the batch-ACK
+            route (the reverse best-ETX path).
+    """
+
+    header_forwarders: list[ForwarderEntry] = field(default_factory=list)
+    frame_size: int = 0
+    tx_credit: dict[int, float] = field(default_factory=dict)
+    distances: dict[int, float] = field(default_factory=dict)
+    upstream: dict[int, frozenset[int]] = field(default_factory=dict)
+    ack_next_hop: dict[int, int] = field(default_factory=dict)
+
+
 @dataclass
 class MoreFlowSpec:
-    """Static description of one MORE flow, shared by all its agents.
+    """One MORE flow, shared by all its agents: its constants and its
+    current :class:`MorePlan`.
 
     Attributes:
         flow_id: unique flow identifier.
@@ -60,18 +91,14 @@ class MoreFlowSpec:
             size of 0 is the vector-only fast path: every payload is the
             empty vector, so coding, buffering and decoding touch code
             vectors alone while delivery and throughput stay identical.
-        forwarders: forwarder-list entries (intermediate nodes, closest to
-            the destination first) with their TX credits.
-        tx_credit: node id -> TX credit (Eq. 3.3).
-        distances: node id -> ETX distance to the destination, used to
-            decide which receptions are "from upstream".
-        ack_route: node list from destination to source used by batch ACKs.
         total_packets: total native packets in the transfer.
         batch_count: number of batches.
         bitrate: optional fixed bit-rate override for this flow's data.
         max_relays: optional cap on the forwarder list length (the
             relay-count axis of the kilonode tier); ``None`` keeps the
             full pruned plan.
+        plan: the current plan; empty until the flow's first re-plan, and
+            replaced whole by every later one.
     """
 
     flow_id: int
@@ -80,85 +107,11 @@ class MoreFlowSpec:
     batch_size: int
     packet_size: int
     coding_payload_size: int
-    forwarders: list[ForwarderEntry]
-    tx_credit: dict[int, float]
-    distances: dict[int, float]
-    ack_route: list[int]
     total_packets: int
     batch_count: int
     bitrate: int | None = None
     max_relays: int | None = None
-    # Per-flow constants, memoised on first use (between re-plans the spec
-    # does not change, and these sit on the per-frame hot path).
-    _header_size: int | None = field(default=None, init=False, repr=False,
-                                     compare=False)
-    _forwarder_id_set: frozenset[int] | None = field(default=None, init=False,
-                                                     repr=False, compare=False)
-    _header_forwarders: list[ForwarderEntry] | None = field(default=None, init=False,
-                                                            repr=False, compare=False)
-
-    def invalidate_plan_caches(self) -> None:
-        """Drop the memoised per-flow constants after a re-plan.
-
-        :meth:`~repro.protocols.more.flow.MoreFlowHandle.replan` rewrites
-        ``forwarders`` / ``tx_credit`` / ``distances`` / ``ack_route`` in
-        place (the spec object is shared by every agent of the flow); the
-        memoised header size and forwarder sets must be recomputed from the
-        new plan.
-        """
-        self._header_size = None
-        self._forwarder_id_set = None
-        self._header_forwarders = None
-
-    def header_size(self) -> int:
-        """Size of the MORE data header for this flow: a representative
-        header is built and measured once."""
-        size = self._header_size
-        if size is None:
-            header = MoreHeader(
-                packet_type=MorePacketType.DATA,
-                source=self.source,
-                destination=self.destination,
-                flow_id=self.flow_id,
-                batch_id=0,
-                code_vector=np.zeros(self.batch_size, dtype=np.uint8),
-                forwarders=self.forwarders,
-            )
-            size = self._header_size = header.size_bytes()
-        return size
-
-    def data_frame_size(self) -> int:
-        """On-air payload size of a MORE data frame."""
-        return self.packet_size + self.header_size()
-
-    def forwarder_id_set(self) -> frozenset[int]:
-        """The node ids a data header of this flow lists as forwarders.
-
-        Matches ``MoreHeader.forwarder_ids()`` exactly, including the
-        :data:`~repro.protocols.more.header.MAX_FORWARDERS` truncation the
-        header applies on construction.
-        """
-        ids = self._forwarder_id_set
-        if ids is None:
-            ids = self._forwarder_id_set = frozenset(
-                entry.node_id for entry in self.forwarders[:MAX_FORWARDERS])
-        return ids
-
-    def header_forwarders(self) -> list[ForwarderEntry]:
-        """The (pre-truncated) forwarder list carried by every data header."""
-        entries = self._header_forwarders
-        if entries is None:
-            entries = self._header_forwarders = self.forwarders[:MAX_FORWARDERS]
-        return entries
-
-    def ack_next_hop(self, node_id: int) -> int | None:
-        """Next hop toward the source on the ACK route, or None."""
-        if node_id not in self.ack_route:
-            return None
-        position = self.ack_route.index(node_id)
-        if position + 1 >= len(self.ack_route):
-            return None
-        return self.ack_route[position + 1]
+    plan: MorePlan = field(default_factory=MorePlan)
 
 
 @dataclass(slots=True)
@@ -203,40 +156,12 @@ class _SourceState:
 class _ForwarderState:
     """Per-flow state held by an intermediate forwarder."""
 
-    def __init__(self, spec: MoreFlowSpec, node_id: int,
-                 stream: CoefficientStream) -> None:
+    def __init__(self, spec: MoreFlowSpec, stream: CoefficientStream) -> None:
         self.spec = spec
-        self.node_id = node_id
         self.stream = stream
         self.credit = 0.0
         self.current_batch = 0
         self.encoder: ForwarderEncoder | None = None
-        self.refresh_from_spec()
-
-    def refresh_from_spec(self) -> None:
-        """(Re)derive the cached per-node plan constants from the spec.
-
-        Called at construction and again by every re-plan, after the
-        shared spec's plan fields were rebuilt.
-        """
-        spec = self.spec
-        node_id = self.node_id
-        self.tx_credit = spec.tx_credit.get(node_id, 0.0)
-        # The senders whose packets count as "from upstream" for this node
-        # (strictly greater ETX distance to the destination) only change
-        # when the plan is refreshed: one frozenset probe replaces two dict
-        # probes plus a float comparison per heard data frame.
-        mine = spec.distances.get(node_id)
-        if mine is None:
-            self.upstream_senders: frozenset[int] = frozenset()
-        else:
-            self.upstream_senders = frozenset(
-                node for node, distance in spec.distances.items()
-                if distance > mine)
-        # Whether this node actually appears in the (truncated) forwarder
-        # list data headers carry — forwarders pruned by the MAX_FORWARDERS
-        # cap keep state but must ignore the flow's data packets.
-        self.listed = node_id in spec.forwarder_id_set()
 
     def _ensure_encoder(self, batch_size: int, batch_id: int) -> ForwarderEncoder:
         if self.encoder is None or self.encoder.buffer.batch_size != batch_size \
@@ -356,8 +281,7 @@ class MoreAgent(ProtocolAgent):
     def install_forwarder(self, spec: MoreFlowSpec) -> None:
         """Install forwarder-side state for a flow this node may relay."""
         self.specs[spec.flow_id] = spec
-        self.forward_flows[spec.flow_id] = _ForwarderState(
-            spec, self.node_id, self.coefficients)
+        self.forward_flows[spec.flow_id] = _ForwarderState(spec, self.coefficients)
         self._refresh_flow_shape()
 
     def _refresh_flow_shape(self) -> None:
@@ -451,51 +375,41 @@ class MoreAgent(ProtocolAgent):
                            state: _SourceState | None = None) -> Frame:
         if state is None:
             state = self.source_flows[flow_id]
-        spec = state.spec
-        encoder = state.encoders[state.current_batch]
-        coded = encoder.next_packet()
-        header = self._make_data_header(spec, flow_id, state.current_batch, coded)
-        self.data_sent += 1
-        return Frame(
-            sender=self.node_id,
-            receiver=BROADCAST,
-            kind=FrameKind.DATA,
-            flow_id=flow_id,
-            size_bytes=spec.data_frame_size(),
-            payload=MoreDataPayload(header=header, coded=coded),
-        )
-
-    def _make_data_header(self, spec: MoreFlowSpec, flow_id: int, batch_id: int,
-                          coded: CodedPacket) -> MoreHeader:
-        """Per-transmission header, built normalisation-free: the code
-        vector is uint8 by construction and the spec's header forwarder
-        list is pre-truncated, so ``__post_init__`` has nothing to do."""
-        return MoreHeader.for_data(spec.source, spec.destination, flow_id,
-                                   batch_id, coded.code_vector,
-                                   spec.header_forwarders())
+        coded = state.encoders[state.current_batch].next_packet()
+        return self._data_frame(state.spec, flow_id, state.current_batch, coded)
 
     def _make_forwarder_frame(self, flow_id: int) -> Frame | None:
         state = self.forward_flows.get(flow_id)
         if state is None or not state.backlogged:
             return None
-        spec = state.spec
         assert state.encoder is not None
         coded = state.encoder.next_packet()
         state.credit -= 1.0
-        header = self._make_data_header(spec, flow_id, state.current_batch, coded)
+        return self._data_frame(state.spec, flow_id, state.current_batch, coded)
+
+    def _data_frame(self, spec: MoreFlowSpec, flow_id: int, batch_id: int,
+                    coded: CodedPacket) -> Frame:
+        """A broadcast data frame of the current plan.  Its header is built
+        normalisation-free: the code vector is uint8 by construction and the
+        plan's forwarder list is the header's own, already truncated, so
+        ``__post_init__`` has nothing to do."""
+        plan = spec.plan
+        header = MoreHeader.for_data(spec.source, spec.destination, flow_id,
+                                     batch_id, coded.code_vector,
+                                     plan.header_forwarders)
         self.data_sent += 1
         return Frame(
             sender=self.node_id,
             receiver=BROADCAST,
             kind=FrameKind.DATA,
             flow_id=flow_id,
-            size_bytes=spec.data_frame_size(),
+            size_bytes=plan.frame_size,
             payload=MoreDataPayload(header=header, coded=coded),
         )
 
     def _queue_ack(self, spec: MoreFlowSpec, batch_id: int) -> None:
         """Queue a batch ACK toward the source (next hop on the ACK route)."""
-        next_hop = spec.ack_next_hop(self.node_id)
+        next_hop = spec.plan.ack_next_hop.get(self.node_id)
         if next_hop is None:
             return
         frame = Frame(
@@ -553,19 +467,19 @@ class MoreAgent(ProtocolAgent):
         # relays, bystanders — fall through and ignore the packet.
         state = self.forward_flows.get(flow_id)
         if state is not None:
-            # Forwarders pruned from the header by the MAX_FORWARDERS cap
-            # must ignore the flow's data (header membership, precomputed
-            # per flow).
-            if not state.listed:
+            # Only forwarders the header lists take part: one the current
+            # plan dropped, or the MAX_FORWARDERS cap cut, ignores the data.
+            plan = state.spec.plan
+            upstream = plan.upstream.get(self.node_id)
+            if upstream is None:
                 return
             batch_id = header.batch_id
-            if batch_id >= state.current_batch \
-                    and frame.sender in state.upstream_senders:
+            if batch_id >= state.current_batch and frame.sender in upstream:
                 # Credit increases for every packet heard from upstream
                 # (Section 3.3.3), before the innovation check.
                 if batch_id > state.current_batch:
                     state.flush(batch_id)
-                state.credit += state.tx_credit
+                state.credit += plan.tx_credit[self.node_id]
             if state.handle_data(header, payload.coded):
                 self.innovative_received += 1
             else:

@@ -20,8 +20,8 @@ from repro.coding.packet import Batch, NativePacket, split_file
 from repro.metrics.credits import forwarding_plan
 from repro.metrics.etx import best_path
 from repro.protocols.base import FlowHandle, get_or_create_agent
-from repro.protocols.more.agent import MoreAgent, MoreFlowSpec
-from repro.protocols.more.header import ForwarderEntry
+from repro.protocols.more.agent import MoreAgent, MoreFlowSpec, MorePlan
+from repro.protocols.more.header import ForwarderEntry, MoreHeader, MorePacketType
 from repro.sim.simulator import Simulator
 from repro.topology.graph import LinkView, Topology
 
@@ -42,16 +42,15 @@ class MoreFlowHandle(FlowHandle):
     seed: int
 
     def replan(self, control: LinkView) -> None:
-        """Algorithm 1 + Eq. 3.3 + pruning over ``control``, installed in place.
+        """Algorithm 1 + Eq. 3.3 + pruning over ``control``, installed as one
+        new :class:`~repro.protocols.more.agent.MorePlan`.
 
         The :class:`~repro.protocols.more.agent.MoreFlowSpec` is one object
-        shared by every agent of the flow, so rewriting its plan fields (and
-        dropping the memoised header constants) retargets all of them at
-        once; recruited forwarders and ACK relays get state installed — an
-        agent created here is seeded like the ones set-up created — and
-        every forwarder, old or new, re-derives its cached credit and
-        upstream set.  A forwarder the plan drops keeps its state but is no
-        longer listed, so it ignores the flow's data.
+        shared by every agent of the flow, so swapping its plan retargets
+        all of them at once.  Recruited forwarders and ACK relays then get
+        state installed — an agent created here is seeded like the ones
+        set-up created.  A forwarder the plan drops keeps its state but is
+        no longer listed, so it ignores the flow's data.
         """
         spec = self.spec
         # A flow set up with a relay cap (kilonode relay-count axis) keeps
@@ -62,14 +61,26 @@ class MoreFlowHandle(FlowHandle):
                                max_forwarders=spec.max_relays)
         ack_route = best_path(control, spec.destination, spec.source)
         intermediates = plan.forwarder_list(include_endpoints=False)
-        spec.forwarders = [
-            ForwarderEntry(node_id=node, tx_credit=float(plan.tx_credit[node]))
-            for node in intermediates
-        ]
-        spec.tx_credit = {node: float(plan.tx_credit[node]) for node in plan.participants}
-        spec.distances = {node: float(plan.distances[node]) for node in plan.participants}
-        spec.ack_route = ack_route
-        spec.invalidate_plan_caches()
+        tx_credit = {node: float(plan.tx_credit[node]) for node in plan.participants}
+        distances = {node: float(plan.distances[node]) for node in plan.participants}
+        # One representative data header decides what every header carries
+        # (its MAX_FORWARDERS truncation included) and how big it is.
+        header = MoreHeader(
+            packet_type=MorePacketType.DATA, source=spec.source,
+            destination=spec.destination, flow_id=spec.flow_id, batch_id=0,
+            code_vector=np.zeros(spec.batch_size, dtype=np.uint8),
+            forwarders=[ForwarderEntry(node_id=node, tx_credit=tx_credit[node])
+                        for node in intermediates])
+        spec.plan = MorePlan(
+            header_forwarders=header.forwarders,
+            frame_size=spec.packet_size + header.size_bytes(),
+            tx_credit=tx_credit,
+            distances=distances,
+            upstream={node: frozenset(other for other, distance in distances.items()
+                                      if distance > distances[node])
+                      for node in header.forwarder_ids()},
+            ack_next_hop=dict(zip(ack_route, ack_route[1:])),
+        )
         for node in intermediates:
             agent = get_or_create_agent(self.sim, node, MoreAgent, seed=self.seed)
             if spec.flow_id not in agent.forward_flows:
@@ -78,12 +89,6 @@ class MoreFlowHandle(FlowHandle):
             agent = get_or_create_agent(self.sim, node, MoreAgent, seed=self.seed)
             if spec.flow_id not in agent.specs:
                 agent.install_ack_relay(spec)
-        for sim_node in self.sim.nodes:
-            agent = sim_node.agent
-            if isinstance(agent, MoreAgent):
-                state = agent.forward_flows.get(spec.flow_id)
-                if state is not None:
-                    state.refresh_from_spec()
 
     def decoded_payloads(self) -> list[np.ndarray]:
         """Native payloads recovered by the destination, in order."""
@@ -185,7 +190,7 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
         batches = _synthetic_batches(total_packets, batch_size, coding_size, rng)
     total = sum(batch.size for batch in batches)
 
-    # The plan fields are empty until the first replan() below fills them.
+    # The plan is empty until the first replan() below installs one.
     spec = MoreFlowSpec(
         flow_id=flow_id,
         source=source,
@@ -193,10 +198,6 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
         batch_size=batch_size,
         packet_size=packet_size,
         coding_payload_size=coding_size,
-        forwarders=[],
-        tx_credit={},
-        distances={},
-        ack_route=[],
         total_packets=total,
         batch_count=len(batches),
         bitrate=bitrate,

@@ -95,7 +95,7 @@ class MoreHeader:
         The per-transmission fast path: callers must pass a ``uint8`` code
         vector and a forwarder list already within
         :data:`MAX_FORWARDERS` entries (both invariants hold for
-        spec-derived inputs), so the ``__post_init__`` checks are skipped.
+        plan-derived inputs), so the ``__post_init__`` checks are skipped.
         """
         header = cls.__new__(cls)
         header.packet_type = MorePacketType.DATA

@@ -32,30 +32,36 @@ from repro.topology.graph import LinkView, Topology
 SRCR_HEADER_BYTES = 24
 
 
+@dataclass(frozen=True, slots=True)
+class SrcrPlan:
+    """One plan of an Srcr flow, built whole by
+    :meth:`SrcrFlowHandle.replan` and never changed after.
+
+    Attributes:
+        route: the best ETX path, source -> destination.
+        next_hop: node -> next hop toward the destination: every hop of
+            ``route`` but the last, plus the detours of relays a re-plan
+            stranded off the route (their own best path, up to where it
+            meets ``route``).  A node without an entry forwards nothing.
+    """
+
+    route: list[int] = field(default_factory=list)
+    next_hop: dict[int, int] = field(default_factory=dict)
+
+
 @dataclass
 class SrcrFlowSpec:
-    """Static description of one Srcr flow."""
+    """One Srcr flow: its constants and its current :class:`SrcrPlan`
+    (empty until the flow's first re-plan, replaced whole by every later
+    one)."""
 
     flow_id: int
     source: int
     destination: int
-    route: list[int]
     packet_size: int
     total_packets: int
     bitrate: int | None = None
-    #: Per-node next hops for relays stranded off the main route by a
-    #: re-plan (node -> next hop toward the destination).  Rebuilt on every
-    #: re-plan; empty for static (planned-once) flows.
-    detours: dict[int, int] = field(default_factory=dict)
-
-    def next_hop(self, node_id: int) -> int | None:
-        """Next hop after ``node_id`` on the route (or its detour), or None."""
-        if node_id not in self.route:
-            return self.detours.get(node_id)
-        index = self.route.index(node_id)
-        if index + 1 >= len(self.route):
-            return None
-        return self.route[index + 1]
+    plan: SrcrPlan = field(default_factory=SrcrPlan)
 
     def frame_size(self) -> int:
         """On-air payload size of an Srcr data frame."""
@@ -122,7 +128,7 @@ class SrcrAgent(ProtocolAgent):
         for offset in range(len(flow_ids)):
             flow_id = flow_ids[(self._round_robin + offset) % len(flow_ids)]
             spec = self.specs[flow_id]
-            next_hop = spec.next_hop(self.node_id)
+            next_hop = spec.plan.next_hop.get(self.node_id)
             if next_hop is None:
                 continue
             sequence = self.queues[flow_id][0]
@@ -193,45 +199,47 @@ class SrcrFlowHandle(FlowHandle):
     spec: SrcrFlowSpec
     #: Whether the agents this flow creates run the Onoe rate controller.
     use_autorate: bool
+    #: Every node this flow has installed state at: what a re-plan
+    #: revisits, in node-id order.
+    nodes: set[int] = field(default_factory=set, init=False, repr=False)
 
     def replan(self, control: LinkView) -> None:
         """Route over ``control``'s best ETX path; detour stranded relays.
 
         Relays holding queued packets but lying off the new route get
-        per-node detour next-hops (their own best path to the destination,
-        spliced onto the new route where they meet it) so in-flight traffic
-        keeps moving — without them the old route's tail would strand
-        packets forever.
+        detour next hops (their own best path to the destination, spliced
+        onto the new route where they meet it) so in-flight traffic keeps
+        moving — without them the old route's tail would strand packets
+        forever.  Route and detours are installed as one new
+        :class:`SrcrPlan`.
         """
         spec = self.spec
         sim = self.sim
-        autorate = self.use_autorate
         route = best_path(control, spec.source, spec.destination)
-        spec.route = route
-        spec.detours = {}
-        for node in route:
-            get_or_create_agent(sim, node, SrcrAgent,
-                                use_autorate=autorate).install_flow(spec)
-        route_set = set(route)
-        for sim_node in sim.nodes:
-            agent = sim_node.agent
-            if not isinstance(agent, SrcrAgent) or not agent.queues.get(spec.flow_id):
+        on_route = set(route)
+        next_hop = dict(zip(route, route[1:]))
+        queued = [node for node in sorted(self.nodes)
+                  if sim.nodes[node].agent.queues.get(spec.flow_id)]
+        for node in queued:
+            if node in next_hop or node == spec.destination:
                 continue
-            node_id = sim_node.node_id
-            if node_id not in route_set and node_id not in spec.detours \
-                    and node_id != spec.destination:
-                try:
-                    path = best_path(control, node_id, spec.destination)
-                except ValueError:
-                    continue  # currently unreachable: strand until the next re-plan
-                for hop, following in zip(path, path[1:]):
-                    if hop in route_set:
-                        break
-                    spec.detours[hop] = following
-                    get_or_create_agent(sim, following, SrcrAgent,
-                                        use_autorate=autorate).install_flow(spec)
+            try:
+                path = best_path(control, node, spec.destination)
+            except ValueError:
+                continue  # currently unreachable: strand until the next re-plan
+            for hop, following in zip(path, path[1:]):
+                if hop in on_route:
+                    break
+                next_hop[hop] = following
+        spec.plan = SrcrPlan(route=route, next_hop=next_hop)
+        recruits = on_route.union(next_hop.values())
+        self.nodes |= recruits
+        for node in sorted(recruits):
+            get_or_create_agent(sim, node, SrcrAgent,
+                                use_autorate=self.use_autorate).install_flow(spec)
+        for node in queued:
             # The next hop may have changed while the node sat idle.
-            sim.trigger_node(node_id)
+            sim.trigger_node(node)
 
 
 def setup_srcr_flow(sim: Simulator, topology: Topology, source: int, destination: int,
@@ -246,12 +254,11 @@ def setup_srcr_flow(sim: Simulator, topology: Topology, source: int, destination
     the same rate control.
     """
     flow_id = sim.new_flow_id()
-    # The route is empty until the first replan() below fills it.
+    # The plan is empty until the first replan() below installs one.
     spec = SrcrFlowSpec(
         flow_id=flow_id,
         source=source,
         destination=destination,
-        route=[],
         packet_size=packet_size,
         total_packets=total_packets,
         bitrate=bitrate,

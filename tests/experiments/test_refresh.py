@@ -1,13 +1,14 @@
 """Online link-state refresh: mid-flow control-plane rebuilds per protocol.
 
 Covers the refresh loop itself (scheduling, the inf no-op, disconnected
-control views) and each protocol's in-place re-plan (``handle.replan``):
-MORE forwarder recruitment + cache invalidation, ExOR participant re-ranking
-without losing transfer progress, Srcr re-routing with detours for stranded
-relays — and that a re-plan is computed the way the flow was set up,
-whatever configuration the refresh loop holds.  The progress watchdog's
-safety checks (credit floor, queue bound) each end a flow with the broken
-invariant named in its abort reason.
+control views) and each protocol's re-plan (``handle.replan``): MORE
+forwarder recruitment with the new plan's upstream sets, ExOR participant
+re-ranking without losing transfer progress, Srcr re-routing with detours
+for stranded relays, a failed re-plan that leaves the installed plan and
+every agent's state as they were — and that a re-plan is computed the way
+the flow was set up, whatever configuration the refresh loop holds.  The
+progress watchdog's safety checks (credit floor, queue bound) each end a
+flow with the broken invariant named in its abort reason.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.experiments.runner import (
     start_flows,
 )
 from repro.metrics.credits import forwarding_plan
-from repro.protocols.exor.agent import setup_exor_flow
+from repro.protocols.exor.agent import ExorAgent, setup_exor_flow
 from repro.protocols.more.agent import MoreAgent
 from repro.protocols.more.flow import setup_more_flow
 from repro.protocols.srcr.agent import SrcrAgent, setup_srcr_flow
@@ -46,6 +47,27 @@ def _diamond_views():
     for a, b in ((0, 2), (2, 0), (2, 3), (3, 2)):
         weak[a, b] = 0.0
     return full, Topology(weak)
+
+
+def _flow_states(sim, flow_id):
+    """What every node holds for ``flow_id``, by node, as comparable values:
+    its agent (by identity), whether it knows the flow, and its per-flow
+    forwarding state."""
+    states = {}
+    for node in sim.nodes:
+        agent = node.agent
+        if isinstance(agent, MoreAgent):
+            state = agent.forward_flows.get(flow_id)
+            held = None if state is None else (
+                state.credit, state.current_batch, state.encoder)
+        elif isinstance(agent, ExorAgent):
+            state = agent.flows.get(flow_id)
+            held = None if state is None else (
+                state.rank, state.batch_id, state.batch_map.tolist())
+        else:
+            continue
+        states[node.node_id] = (agent, flow_id in agent.specs, held)
+    return states
 
 
 class TestRefresherLoop:
@@ -80,13 +102,14 @@ class TestRefresherLoop:
         sim = Simulator(topology, SimConfig(seed=1))
         config = RunConfig(seed=1, refresh_period=0.1)
         handle = setup_srcr_flow(sim, topology, 0, 3, total_packets=4)
-        old_route = list(handle.spec.route)
+        plan = handle.spec.plan
         refresher = LinkStateRefresher(sim, [handle], config)
         # Probes stopped returning: the control view sees no links at all.
         refresher.control_view = lambda: Topology(np.zeros((4, 4)))
         refresher._tick()
         assert refresher.skipped_flows == 1
-        assert handle.spec.route == old_route
+        assert handle.spec.plan is plan
+        assert plan.route == [0, 1, 2, 3]
 
     def test_refresh_uses_fresh_probe_noise_per_round(self):
         topology = chain(3, link_delivery=0.8)
@@ -105,30 +128,34 @@ class TestRefresherLoop:
 
 
 class TestMoreRefresh:
-    def test_recruits_new_forwarder_and_invalidates_caches(self):
+    def test_recruits_new_forwarder_with_the_new_upstream_sets(self):
         full, weak = _diamond_views()
         sim = Simulator(full, SimConfig(seed=1))
         handle = setup_more_flow(sim, full, 0, 3, total_packets=8, batch_size=4,
                                  coding_payload_size=4, control_topology=weak)
         spec = handle.spec
-        assert spec.forwarder_id_set() == {1}
+        old_plan = spec.plan
+        assert old_plan.upstream.keys() == {1}
+        assert old_plan.upstream[1] == frozenset({0})
         assert sim.nodes[2].agent is None
-        old_header_size = spec.header_size()
 
         handle.replan(full)
 
-        assert spec.forwarder_id_set() == {1, 2}
-        assert 2 in spec.tx_credit and 2 in spec.distances
-        # The memoised header constants were rebuilt from the new plan.
-        assert spec.header_size() > old_header_size
+        plan = spec.plan
+        assert plan is not old_plan
+        assert plan.upstream.keys() == {1, 2}
+        assert 2 in plan.tx_credit and 2 in plan.distances
+        # The header lists one more forwarder, so every data frame grows.
+        assert plan.frame_size == old_plan.frame_size + 2
         agent = sim.nodes[2].agent
         assert isinstance(agent, MoreAgent)
-        state = agent.forward_flows[spec.flow_id]
-        assert state.listed and state.tx_credit == spec.tx_credit[2]
-        # The pre-existing forwarder re-derived its cached plan constants.
-        old_forwarder = sim.nodes[1].agent.forward_flows[spec.flow_id]
-        assert old_forwarder.upstream_senders == frozenset({0, 2}) \
-            or 0 in old_forwarder.upstream_senders
+        assert spec.flow_id in agent.forward_flows
+        # The relays are equidistant, so forwarder 1's upstream under the
+        # new distances is the source alone: relay 2 is no farther away.
+        assert plan.distances[1] == plan.distances[2]
+        assert plan.distances[0] > plan.distances[1] > plan.distances[3]
+        assert plan.upstream[1] == frozenset({0})
+        assert plan.upstream[2] == frozenset({0})
 
     def test_dropped_forwarder_stops_accepting_data(self):
         full, weak = _diamond_views()
@@ -136,11 +163,18 @@ class TestMoreRefresh:
         handle = setup_more_flow(sim, full, 0, 3, total_packets=8, batch_size=4,
                                  coding_payload_size=4, control_topology=full)
         spec = handle.spec
-        assert 2 in spec.forwarder_id_set()
+        assert 2 in spec.plan.upstream
         handle.replan(weak)
-        assert spec.forwarder_id_set() == {1}
-        state = sim.nodes[2].agent.forward_flows[spec.flow_id]
-        assert not state.listed  # ignores the flow's data from now on
+        assert spec.plan.upstream.keys() == {1}
+        # The dropped forwarder keeps its state but ignores the flow's data
+        # from now on; the listed one takes the same frame.
+        frame = sim.nodes[0].agent.on_transmit_opportunity(0.0)
+        for node in (1, 2):
+            sim.nodes[node].agent.on_frame_received(frame, 0.0)
+        dropped = sim.nodes[2].agent.forward_flows[spec.flow_id]
+        assert dropped.credit == 0.0 and dropped.encoder is None
+        listed = sim.nodes[1].agent.forward_flows[spec.flow_id]
+        assert listed.credit == spec.plan.tx_credit[1] and listed.encoder is not None
 
 
 class TestExorRefresh:
@@ -150,7 +184,7 @@ class TestExorRefresh:
         handle = setup_exor_flow(sim, full, 0, 3, total_packets=8, batch_size=4,
                                  control_topology=weak)
         spec = handle.spec
-        assert 2 not in spec.participants
+        assert 2 not in spec.plan.participants
         source_agent = sim.nodes[0].agent
         source_agent.source_progress[spec.flow_id] = 1  # mid-transfer
         destination_agent = sim.nodes[3].agent
@@ -158,42 +192,15 @@ class TestExorRefresh:
 
         handle.replan(full)
 
-        assert 2 in spec.participants
-        assert spec.rank(2) is not None
+        assert 2 in spec.plan.participants
         # Newly recruited participant has per-flow state, ranked correctly.
         state = sim.nodes[2].agent.flows[spec.flow_id]
-        assert state.rank == spec.rank(2)
+        assert state.rank == spec.plan.ranks[2]
         # Transfer progress survived the refresh.
         assert source_agent.source_progress[spec.flow_id] == 1
         assert destination_agent.destination_done[spec.flow_id] == {0}
         # The strict schedule stays inside the (resized) participant list.
-        assert handle.scheduler._position <= len(spec.participants) - 1
-
-    def test_asymmetric_control_view_leaves_spec_untouched(self):
-        """Regression: a refresh that fails mid-computation must not leave
-        the flow half-refreshed.
-
-        An asymmetric control view can have a usable forward plan while the
-        reverse (ACK) route is gone; every failing path computation must
-        happen before the first spec mutation so the caller really does
-        keep the stale-but-consistent plan.
-        """
-        full, _ = _diamond_views()
-        sim = Simulator(full, SimConfig(seed=1))
-        handle = setup_exor_flow(sim, full, 0, 3, total_packets=8, batch_size=4,
-                                 control_topology=full)
-        spec = handle.spec
-        before = (list(spec.participants), list(spec.forward_route),
-                  list(spec.reverse_route))
-        rank_before = {node: spec.rank(node) for node in spec.participants}
-        asymmetric = full.delivery_matrix()
-        asymmetric[3, :] = 0.0  # the destination can reach nobody
-        with pytest.raises(ValueError):
-            handle.replan(Topology(asymmetric))
-        assert (list(spec.participants), list(spec.forward_route),
-                list(spec.reverse_route)) == before
-        # The memoised rank map still matches the (unchanged) participants.
-        assert {node: spec.rank(node) for node in spec.participants} == rank_before
+        assert handle.scheduler._position <= len(spec.plan.participants) - 1
 
     def test_holdings_reclaimed_after_rank_shift(self):
         """Regression: a refresh that renumbers ranks must not orphan the
@@ -223,12 +230,47 @@ class TestExorRefresh:
         handle = setup_exor_flow(sim, full, 0, 3, total_packets=8, batch_size=4,
                                  control_topology=full)
         spec = handle.spec
-        assert 2 in spec.participants
+        assert 2 in spec.plan.participants
         handle.replan(weak)
-        assert 2 not in spec.participants
+        assert 2 not in spec.plan.participants
         state = sim.nodes[2].agent.flows[spec.flow_id]
         state.packets_received(state.batch_id).add(0)
         assert state.responsibility() == []  # never claims packets again
+
+
+class TestFailedReplan:
+    @pytest.mark.parametrize("protocol", ("MORE", "ExOR"))
+    def test_asymmetric_control_view_leaves_the_plan_untouched(self, protocol):
+        """Regression: a re-plan that fails part-way must not leave the flow
+        half re-planned.
+
+        The flow is set up without relay 2 and has run a little.  The new
+        view recruits relay 2 and re-ranks the forwarders, but the
+        destination reaches nobody in it, so there is no reverse (ACK)
+        route: the last path computation fails, after a usable forward plan.
+        The caller must keep the stale-but-consistent plan — the same
+        object — and no agent may have been created or changed.
+        """
+        full, weak = _diamond_views()
+        sim = Simulator(full, SimConfig(seed=1))
+        if protocol == "MORE":
+            handle = setup_more_flow(sim, full, 0, 3, total_packets=8, batch_size=4,
+                                     coding_payload_size=4, control_topology=weak)
+        else:
+            handle = setup_exor_flow(sim, full, 0, 3, total_packets=8, batch_size=4,
+                                     control_topology=weak)
+        sim.run(until=0.02)
+        asymmetric = full.delivery_matrix()
+        asymmetric[3, :] = 0.0  # the destination can reach nobody
+        asymmetric = Topology(asymmetric)
+        assert 2 in forwarding_plan(asymmetric, 0, 3).participants
+        plan = handle.spec.plan
+        states = _flow_states(sim, handle.flow_id)
+        assert sim.nodes[2].agent is None
+        with pytest.raises(ValueError):
+            handle.replan(asymmetric)
+        assert handle.spec.plan is plan
+        assert _flow_states(sim, handle.flow_id) == states
 
 
 class TestSrcrRefresh:
@@ -245,17 +287,16 @@ class TestSrcrRefresh:
         sim = Simulator(topology, SimConfig(seed=1))
         handle = setup_srcr_flow(sim, topology, 0, 4, total_packets=8)
         spec = handle.spec
-        assert spec.route == [0, 1, 2, 3, 4]
+        assert spec.plan.route == [0, 1, 2, 3, 4]
         relay = sim.nodes[2].agent
         assert isinstance(relay, SrcrAgent)
         relay.queues[spec.flow_id].extend([3, 4])
 
         handle.replan(control)
 
-        assert spec.route == [0, 1, 3, 4]
-        assert spec.next_hop(2) == 3  # the stranded relay keeps forwarding
-        assert spec.next_hop(1) == 3
-        assert spec.next_hop(0) == 1
+        assert spec.plan.route == [0, 1, 3, 4]
+        # The stranded relay 2 keeps forwarding, onto the new route at 3.
+        assert spec.plan.next_hop == {0: 1, 1: 3, 3: 4, 2: 3}
 
     def test_flow_without_next_hop_does_not_starve_others(self):
         """Regression: a relay holding one detour-less (stranded) flow must
@@ -268,8 +309,12 @@ class TestSrcrRefresh:
         relay = sim.nodes[1].agent
         relay.queues[stranded.flow_id].append(0)
         relay.queues[healthy.flow_id].append(0)
-        # A refresh moved the stranded flow's route off node 1, no detour.
-        stranded.spec.route = [0, 3]
+        # A refresh moves the stranded flow's route off node 1, which the
+        # new view cuts off from the destination: no detour either.
+        direct_only = np.zeros((4, 4))
+        direct_only[0, 3] = direct_only[3, 0] = 0.9
+        stranded.replan(Topology(direct_only))
+        assert stranded.spec.plan.next_hop == {0: 3}
         for _ in range(4):
             frame = relay.on_transmit_opportunity(0.0)
             assert frame is not None
@@ -280,8 +325,8 @@ class TestSrcrRefresh:
         sim = Simulator(topology, SimConfig(seed=1))
         handle = setup_srcr_flow(sim, topology, 0, 3, total_packets=4)
         handle.replan(topology)
-        assert handle.spec.detours == {}
-        assert handle.spec.route == [0, 1, 2, 3]
+        assert handle.spec.plan.route == [0, 1, 2, 3]
+        assert handle.spec.plan.next_hop == {0: 1, 1: 2, 2: 3}  # no detour
 
 
 def _refresh_once(sim, handle, view, **config) -> None:
@@ -306,21 +351,21 @@ class TestFlowKeepsWhatItWasSetUpWith:
         sim = Simulator(testbed, SimConfig(seed=1))
         handle = setup_more_flow(sim, testbed, 17, 2, total_packets=8, batch_size=4,
                                  coding_payload_size=4, prune=False)
-        assert len(handle.spec.tx_credit) == 19
-        before = [entry.node_id for entry in handle.spec.forwarders]
+        assert len(handle.spec.plan.tx_credit) == 19
+        before = [entry.node_id for entry in handle.spec.plan.header_forwarders]
         _refresh_once(sim, handle, testbed)
-        assert [entry.node_id for entry in handle.spec.forwarders] == before
-        assert len(handle.spec.tx_credit) == 19
+        assert [entry.node_id for entry in handle.spec.plan.header_forwarders] == before
+        assert len(handle.spec.plan.tx_credit) == 19
 
     def test_unpruned_exor_flow_stays_unpruned(self):
         testbed = self.TESTBED
         sim = Simulator(testbed, SimConfig(seed=1))
         handle = setup_exor_flow(sim, testbed, 17, 2, total_packets=8, batch_size=4,
                                  prune=False)
-        before = list(handle.spec.participants)
+        before = list(handle.spec.plan.participants)
         assert len(before) == 19
         _refresh_once(sim, handle, testbed)
-        assert handle.spec.participants == before
+        assert handle.spec.plan.participants == before
 
     def test_eotx_flow_replans_with_eotx(self):
         testbed = self.TESTBED
@@ -330,32 +375,32 @@ class TestFlowKeepsWhatItWasSetUpWith:
         sim = Simulator(testbed, SimConfig(seed=1))
         handle = setup_more_flow(sim, testbed, 0, 17, total_packets=8, batch_size=4,
                                  coding_payload_size=4, metric="eotx")
-        assert sorted(handle.spec.tx_credit) == sorted(eotx)
+        assert sorted(handle.spec.plan.tx_credit) == sorted(eotx)
         # The loop's own config says "etx" (the default); the flow wins.
         _refresh_once(sim, handle, testbed, more_metric="etx")
-        assert sorted(handle.spec.tx_credit) == sorted(eotx)
+        assert sorted(handle.spec.plan.tx_credit) == sorted(eotx)
 
     def test_capped_flow_keeps_its_cap(self):
         testbed = self.TESTBED
         sim = Simulator(testbed, SimConfig(seed=1))
         handle = setup_more_flow(sim, testbed, 17, 2, total_packets=8, batch_size=4,
                                  coding_payload_size=4, max_relays=5)
-        assert len(handle.spec.forwarders) == 5
+        assert len(handle.spec.plan.header_forwarders) == 5
         _refresh_once(sim, handle, testbed, max_relays=None)
-        assert len(handle.spec.forwarders) == 5
+        assert len(handle.spec.plan.header_forwarders) == 5
 
     def test_autorate_flow_recruits_autorate_relays(self):
         full, weak = _diamond_views()
         sim = Simulator(full, SimConfig(seed=1))
         handle = setup_srcr_flow(sim, full, 0, 3, total_packets=4,
                                  use_autorate=True, control_topology=weak)
-        assert handle.spec.route == [0, 1, 3]
+        assert handle.spec.plan.route == [0, 1, 3]
         assert sim.nodes[2].agent is None
         other = full.delivery_matrix()
         for a, b in ((0, 1), (1, 0), (1, 3), (3, 1)):
             other[a, b] = 0.0
         _refresh_once(sim, handle, Topology(other), srcr_autorate=False)
-        assert handle.spec.route == [0, 2, 3]
+        assert handle.spec.plan.route == [0, 2, 3]
         recruit = sim.nodes[2].agent
         assert isinstance(recruit, SrcrAgent)
         assert recruit.use_autorate and recruit.rate_controller is not None
@@ -382,19 +427,16 @@ class TestFlowKeepsWhatItWasSetUpWith:
         if protocol == "MORE":
             handle = setup_more_flow(sim, full, 0, 3, total_packets=8, batch_size=4,
                                      coding_payload_size=4)
-            plan_fields = ("forwarders", "tx_credit", "distances", "ack_route")
         elif protocol == "ExOR":
             handle = setup_exor_flow(sim, full, 0, 3, total_packets=8, batch_size=4)
-            plan_fields = ("participants", "forward_route", "reverse_route")
         else:
             handle = setup_srcr_flow(sim, full, 0, 3, total_packets=8)
-            plan_fields = ("route", "detours")
         spec = handle.spec
-        before = {name: copy.deepcopy(getattr(spec, name)) for name in plan_fields}
-        assert all(before[name] for name in plan_fields if name != "detours")
+        before = copy.deepcopy(spec.plan)
+        plan = spec.plan
         with pytest.raises(ValueError):
             handle.replan(Topology(np.zeros((4, 4))))
-        assert {name: getattr(spec, name) for name in plan_fields} == before
+        assert spec.plan is plan and plan == before
 
 
 def _supervised_chain(protocol):

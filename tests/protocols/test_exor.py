@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from repro.protocols.exor import ExorAgent, setup_exor_flow
 from repro.protocols.exor.agent import (
+    COMPLETION_THRESHOLD,
     INERT_RANK,
+    TURN_GUARD_TIME,
     ExorDataPayload,
     ExorFlowSpec,
+    ExorPlan,
     ExorScheduler,
     _ExorFlowState,
 )
@@ -147,8 +150,8 @@ class TestDeferredTurnGrant:
     def _scheduler():
         sim = _SchedulerSim(3)
         # Priority order: destination 2, forwarder 1, source 0.
-        spec = SimpleNamespace(participants=[2, 1, 0], flow_id=0)
-        return sim, ExorScheduler(spec, sim, turn_guard_time=0.5)
+        spec = SimpleNamespace(plan=ExorPlan(participants=[2, 1, 0]), flow_id=0)
+        return sim, ExorScheduler(spec, sim)
 
     def test_turn_passes_after_the_guard_time(self):
         sim, scheduler = self._scheduler()
@@ -156,7 +159,7 @@ class TestDeferredTurnGrant:
         scheduler.finish_turn(0)
         assert scheduler.holder == 0  # the forwarder waits out the guard
         sim.events.run()
-        assert sim.events.now == 0.5
+        assert sim.events.now == TURN_GUARD_TIME
         assert scheduler.holder == 1
         assert sim.triggered == [0, 1]
 
@@ -206,9 +209,8 @@ def test_responsibility_equals_the_per_packet_scan(data):
     short = data.draw(st.integers(0, batch_size - 1), label="short")
     spec = ExorFlowSpec(flow_id=1, source=participants[-1], destination=0,
                         batch_size=batch_size, packet_size=400,
-                        participants=participants, forward_route=[], reverse_route=[],
                         total_packets=batch_size * batch_count - short,
-                        batch_count=batch_count)
+                        batch_count=batch_count, plan=ExorPlan(participants=participants))
     rank = data.draw(st.sampled_from([*participants, INERT_RANK]), label="rank")
     state = _ExorFlowState(spec, rank)
     state.reset_for_batch(data.draw(st.integers(0, batch_count - 1), label="batch_id"))
@@ -226,12 +228,14 @@ def test_responsibility_equals_the_per_packet_scan(data):
 
 class TestCompletionThreshold:
     def test_cleanup_phase_delivers_the_tail(self):
-        """With a 70% threshold the last packets travel via traditional
-        routing and the batch still completes."""
+        """Past the completion threshold the destination stops the schedule
+        and requests the tail over traditional routing; the batch still
+        completes."""
+        assert COMPLETION_THRESHOLD * 16 < 15  # the threshold leaves a tail
         topo = chain(2, link_delivery=0.7)
         sim, handle = run_exor(topo, 0, 2, total_packets=16, batch_size=16,
-                               packet_size=400, completion_threshold=0.7)
+                               packet_size=400)
         record = sim.stats.flows[handle.flow_id]
         assert record.completed
         destination_agent = sim.nodes[2].agent
-        assert handle.flow_id in destination_agent.cleanup_requested
+        assert destination_agent.cleanup_requested[handle.flow_id] == {0}

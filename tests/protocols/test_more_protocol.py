@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.coding.packet import PayloadRows
-from repro.protocols.more import setup_more_flow
+from repro.protocols.more import MAX_FORWARDERS, setup_more_flow
 from repro.sim.radio import SimConfig
 from repro.sim.simulator import Simulator
-from repro.topology.generator import chain, diamond, two_hop_relay
+from repro.topology.generator import chain, diamond, indoor_testbed, two_hop_relay
 
 
 def run_flow(topology, source, destination, seed=1, until=60.0, **flow_kwargs):
@@ -140,10 +140,34 @@ class TestProtocolBehaviour:
         destination = topo.node_count - 1
         sim, handle = run_flow(topo, 0, destination, total_packets=16, batch_size=8,
                                packet_size=200)
-        forwarders = set(handle.spec.distances) | {0}
+        forwarders = set(handle.spec.plan.distances) | {0}
         for node, count in sim.stats.data_transmissions.items():
             assert node in forwarders
             assert node != destination or count == 0
+
+    def test_forwarders_past_the_header_cap_ignore_the_data(self):
+        """An unpruned plan names more relays than a header carries: the
+        ones past MAX_FORWARDERS get state but take neither credit nor
+        packets from the flow's data."""
+        testbed = indoor_testbed(floors=3, seed=7)
+        sim = Simulator(testbed, SimConfig(seed=1))
+        handle = setup_more_flow(sim, testbed, 17, 2, total_packets=8, batch_size=4,
+                                 coding_payload_size=4, prune=False)
+        plan = handle.spec.plan
+        listed = [entry.node_id for entry in plan.header_forwarders]
+        assert len(listed) == MAX_FORWARDERS
+        assert plan.upstream.keys() == set(listed)
+        cut = [node for node in plan.tx_credit if node not in listed and node not in (17, 2)]
+        assert len(cut) == 7
+        frame = sim.nodes[17].agent.on_transmit_opportunity(0.0)
+        for node in listed + cut:
+            sim.nodes[node].agent.on_frame_received(frame, 0.0)
+        for node in cut:
+            state = sim.nodes[node].agent.forward_flows[handle.flow_id]
+            assert state.credit == 0.0 and state.encoder is None
+        for node in listed:  # the source is upstream of every relay
+            state = sim.nodes[node].agent.forward_flows[handle.flow_id]
+            assert state.credit == plan.tx_credit[node] and state.encoder is not None
 
     def test_throughput_positive_and_bounded(self):
         topo = chain(2, link_delivery=0.8)
@@ -191,5 +215,5 @@ class TestFlowSetupValidation:
         handle = setup_more_flow(sim, topo, 0, destination, total_packets=8, batch_size=8,
                                  packet_size=200, control_topology=estimated)
         # Distances in the spec come from the estimated topology.
-        assert handle.spec.distances[0] != pytest.approx(
+        assert handle.spec.plan.distances[0] != pytest.approx(
             float(np.inf), abs=0)  # sanity: finite

@@ -20,15 +20,15 @@ def run_srcr(topology, source, destination, seed=1, until=60.0, **kwargs):
 
 class TestFlowSpec:
     def test_next_hop(self):
-        spec = SrcrFlowSpec(flow_id=1, source=0, destination=3, route=[0, 1, 3],
-                            packet_size=1500, total_packets=10)
-        assert spec.next_hop(0) == 1
-        assert spec.next_hop(1) == 3
-        assert spec.next_hop(3) is None
-        assert spec.next_hop(7) is None
+        topology = chain(3, link_delivery=0.9)
+        sim = Simulator(topology, SimConfig(seed=1))
+        plan = setup_srcr_flow(sim, topology, 0, 3, total_packets=10).spec.plan
+        assert plan.route == [0, 1, 2, 3]
+        # Every hop but the destination, and no node off the route.
+        assert plan.next_hop == {0: 1, 1: 2, 2: 3}
 
     def test_frame_size_includes_header(self):
-        spec = SrcrFlowSpec(flow_id=1, source=0, destination=1, route=[0, 1],
+        spec = SrcrFlowSpec(flow_id=1, source=0, destination=1,
                             packet_size=1500, total_packets=10)
         assert spec.frame_size() > 1500
 
@@ -48,9 +48,9 @@ class TestTransfer:
 
     def test_route_follows_best_etx_path(self, relay_topology):
         sim, handle = run_srcr(relay_topology, 0, 2, total_packets=10, packet_size=500)
-        assert handle.spec.route == best_path(relay_topology, 0, 2)
+        assert handle.spec.plan.route == best_path(relay_topology, 0, 2)
         # Nodes not on the route never transmit data for the flow.
-        assert set(sim.stats.data_transmissions) <= set(handle.spec.route)
+        assert set(sim.stats.data_transmissions) <= set(handle.spec.plan.route)
 
     def test_ignores_overheard_packets(self):
         """Traditional routing discards fortunate receptions (Section 2.1)."""
@@ -115,6 +115,6 @@ class TestControlPlaneEstimates:
         sim = Simulator(true_topo, SimConfig(seed=1))
         handle = setup_srcr_flow(sim, true_topo, 0, 2, total_packets=10, packet_size=500,
                                  control_topology=estimated)
-        assert handle.spec.route == [0, 2]
+        assert handle.spec.plan.route == [0, 2]
         sim.run(until=60, stop_condition=sim.stats.all_flows_complete)
         assert sim.stats.flows[handle.flow_id].completed
