@@ -61,7 +61,7 @@ def main() -> None:
 
     print("\n=== Section 5.7: the gap on the testbed is marginal ===")
     pairs = random_pairs(testbed, 30, seed=5)
-    summary = summarize_gaps(gap_survey(testbed, pairs))
+    summary = summarize_gaps([result.gap for result in gap_survey(testbed, pairs)])
     print(f"  flows unaffected by the ordering: {summary['fraction_unaffected'] * 100:.0f}%")
     print(f"  median gap among affected flows:  {summary['median_gap_affected'] * 100:.2f}%")
     print(f"  worst observed gap:               {(summary['max_gap'] - 1) * 100:.1f}%")

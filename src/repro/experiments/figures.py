@@ -33,7 +33,7 @@ from repro.coding.encoder import ForwarderEncoder, SourceEncoder
 from repro.coding.packet import CodedPacket, make_batch
 from repro.experiments.stats import median, median_gain, pairwise_gains, summarize
 from repro.gf.arithmetic import CoefficientStream
-from repro.metrics.gap import figure_5_1_gap, gap_survey
+from repro.metrics.gap import figure_5_1_gap, gap_survey, summarize_gaps
 from repro.topology.generator import cost_gap_topology
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: scenarios uses workloads
@@ -479,9 +479,7 @@ def figure_5_1(spec: ScenarioSpec, cells: list[CellResult],
         measured[p] = results[0].gap
 
     (testbed,) = _pool_seeds(cells)
-    # As repro.metrics.gap.summarize_gaps has them, from the pooled ratios.
-    gaps = testbed.series["gap"]
-    excess = [gap - 1.0 for gap in gaps if abs(gap - 1.0) > 1e-9]
+    gaps = summarize_gaps(testbed.series["gap"])
 
     series = {
         "bridge_delivery": list(bridge_deliveries),
@@ -490,9 +488,8 @@ def figure_5_1(spec: ScenarioSpec, cells: list[CellResult],
     }
     summary = {
         "max_gap": max(measured.values()),
-        "testbed_fraction_unaffected": ((len(gaps) - len(excess)) / len(gaps)
-                                        if gaps else 1.0),
-        "testbed_median_gap_affected": float(np.median(excess)) if excess else 0.0,
+        "testbed_fraction_unaffected": gaps["fraction_unaffected"],
+        "testbed_median_gap_affected": gaps["median_gap_affected"],
     }
     lines = [f"Figure 5-1: ETX vs EOTX cost gap (k={branch_count} branches)",
              f"{'p':<8}{'analytic':>10}{'measured':>10}"]

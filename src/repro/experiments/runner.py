@@ -47,6 +47,9 @@ class FlowResult:
     delivered_packets: int
     total_packets: int
     completed: bool
+    #: Data frames put on the air in the whole run, every flow's: in a
+    #: multi-flow run each flow reports the same total (the multiflow
+    #: golden traces pin it).
     data_transmissions: int
     #: True when the flow ended as a structured ``FlowAborted`` outcome
     #: (progress timeout under faults) instead of completing or timing out

@@ -1,7 +1,7 @@
 """Routing metrics and the Chapter 5 theory: ETX, EOTX, credits, LP, gaps."""
 
 from repro.metrics.credits import (
-    DEFAULT_PRUNING_FRACTION,
+    PRUNING_FRACTION,
     TransmissionPlan,
     candidate_forwarders,
     expected_transmissions,
@@ -11,7 +11,7 @@ from repro.metrics.credits import (
     tx_credits,
 )
 from repro.metrics.etx import (
-    DEFAULT_LINK_THRESHOLD,
+    LINK_THRESHOLD,
     best_path,
     etx_order,
     etx_to_destination,
@@ -37,10 +37,10 @@ from repro.metrics.gap import (
 from repro.metrics.lp import FlowSolution, solve_min_cost_flow, verify_flow_conservation
 
 __all__ = [
-    "DEFAULT_LINK_THRESHOLD",
-    "DEFAULT_PRUNING_FRACTION",
     "FlowSolution",
     "GapResult",
+    "LINK_THRESHOLD",
+    "PRUNING_FRACTION",
     "TransmissionPlan",
     "best_path",
     "candidate_forwarders",

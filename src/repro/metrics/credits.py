@@ -29,13 +29,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.metrics.etx import DEFAULT_LINK_THRESHOLD, etx_to_destination
+from repro.metrics.etx import etx_to_destination
 from repro.metrics.eotx import eotx_dijkstra
 from repro.topology.graph import LinkView
 
 #: Forwarders expected to perform less than this fraction of the total
 #: transmissions are pruned (Section 3.2.1, "Pruning").
-DEFAULT_PRUNING_FRACTION = 0.10
+PRUNING_FRACTION = 0.10
 
 
 @dataclass
@@ -80,19 +80,17 @@ class TransmissionPlan:
         return [n for n in self.participants if n not in (self.source, self.destination)]
 
 
-def _metric_distances(topology: LinkView, destination: int, metric: str,
-                      threshold: float) -> np.ndarray:
+def _metric_distances(topology: LinkView, destination: int, metric: str) -> np.ndarray:
     """Distance-to-destination vector under the requested metric."""
     if metric == "etx":
-        return etx_to_destination(topology, destination, threshold=threshold)
+        return etx_to_destination(topology, destination)
     if metric == "eotx":
-        return eotx_dijkstra(topology, destination, threshold=threshold)
+        return eotx_dijkstra(topology, destination)
     raise ValueError(f"unknown ordering metric {metric!r}; expected 'etx' or 'eotx'")
 
 
 def candidate_forwarders(topology: LinkView, source: int, destination: int,
-                         metric: str = "etx",
-                         threshold: float = DEFAULT_LINK_THRESHOLD) -> tuple[list[int], np.ndarray]:
+                         metric: str = "etx") -> tuple[list[int], np.ndarray]:
     """Participants of a flow, ordered by increasing distance to the destination.
 
     Only nodes strictly closer to the destination than the source are useful
@@ -102,7 +100,7 @@ def candidate_forwarders(topology: LinkView, source: int, destination: int,
         ``(participants, distances)`` where participants[0] is the
         destination and participants[-1] is the source.
     """
-    distances = _metric_distances(topology, destination, metric, threshold)
+    distances = _metric_distances(topology, destination, metric)
     if math.isinf(distances[source]):
         raise ValueError(f"source {source} cannot reach destination {destination}")
     members = [
@@ -137,8 +135,7 @@ def _participant_block(topology: LinkView, order: list[int]) -> np.ndarray:
 
 
 def expected_transmissions(topology: LinkView, source: int, destination: int,
-                           metric: str = "etx",
-                           threshold: float = DEFAULT_LINK_THRESHOLD) -> TransmissionPlan:
+                           metric: str = "etx") -> TransmissionPlan:
     """Algorithm 1: expected per-node transmission counts ``z_i``.
 
     Nodes are ordered by increasing distance to the destination under
@@ -147,7 +144,7 @@ def expected_transmissions(topology: LinkView, source: int, destination: int,
     destination heard it.
     """
     participants, distances = candidate_forwarders(topology, source, destination,
-                                                   metric=metric, threshold=threshold)
+                                                   metric=metric)
     count = topology.node_count
     order = participants  # order[0] = destination ... order[-1] = source
     delivery = _participant_block(topology, order)
@@ -219,9 +216,9 @@ def tx_credits(topology: LinkView, order: list[int], z: np.ndarray) -> np.ndarra
     return credits
 
 
-def prune_forwarders(topology: LinkView, plan: TransmissionPlan,
-                     fraction: float = DEFAULT_PRUNING_FRACTION) -> TransmissionPlan:
-    """Drop forwarders whose expected transmissions are below ``fraction`` of the total.
+def prune_forwarders(topology: LinkView, plan: TransmissionPlan) -> TransmissionPlan:
+    """Drop forwarders whose expected transmissions are below
+    :data:`PRUNING_FRACTION` of the total (the 10% rule).
 
     The source and destination are never pruned.  Credits are recomputed over
     the surviving participants so the run-time behaviour stays consistent, and
@@ -237,7 +234,7 @@ def prune_forwarders(topology: LinkView, plan: TransmissionPlan,
     for node in plan.participants:
         if node in (plan.source, plan.destination):
             keep.append(node)
-        elif plan.z[node] >= fraction * total:
+        elif plan.z[node] >= PRUNING_FRACTION * total:
             keep.append(node)
     return _restricted_plan(topology, plan, keep)
 
@@ -296,8 +293,7 @@ def _restricted_plan(topology: LinkView, plan: TransmissionPlan,
     )
 
 
-def load_distribution(topology: LinkView, source: int, destination: int,
-                      threshold: float = DEFAULT_LINK_THRESHOLD) -> TransmissionPlan:
+def load_distribution(topology: LinkView, source: int, destination: int) -> TransmissionPlan:
     """Algorithm 6: optimal ``z`` and edge flows ``x`` from the EOTX costs.
 
     Nodes are processed in decreasing EOTX; each node's unit of load is
@@ -305,7 +301,7 @@ def load_distribution(topology: LinkView, source: int, destination: int,
     the cheapest successful recipient ("water filling", Proposition 2).
     """
     participants, distances = candidate_forwarders(topology, source, destination,
-                                                   metric="eotx", threshold=threshold)
+                                                   metric="eotx")
     count = topology.node_count
     order = participants
     delivery = _participant_block(topology, order)
@@ -354,8 +350,6 @@ def load_distribution(topology: LinkView, source: int, destination: int,
 
 def forwarding_plan(topology: LinkView, source: int, destination: int,
                     metric: str = "etx", prune: bool = True,
-                    pruning_fraction: float = DEFAULT_PRUNING_FRACTION,
-                    threshold: float = DEFAULT_LINK_THRESHOLD,
                     max_forwarders: int | None = None) -> TransmissionPlan:
     """Build the forwarder list + credits a MORE source puts in its headers.
 
@@ -376,14 +370,13 @@ def forwarding_plan(topology: LinkView, source: int, destination: int,
     view reads one plan.  Its arrays are read-only; the lists are the caller's own.
     """
     def derive() -> TransmissionPlan:
-        plan = expected_transmissions(topology, source, destination, metric=metric,
-                                      threshold=threshold)
+        plan = expected_transmissions(topology, source, destination, metric=metric)
         if max_forwarders is not None:
             return cap_forwarders(topology, plan, max_forwarders)
         if prune:
-            return prune_forwarders(topology, plan, fraction=pruning_fraction)
+            return prune_forwarders(topology, plan)
         return plan
 
     plan = topology.derived(("forwarding_plan", source, destination, metric, prune,
-                             pruning_fraction, threshold, max_forwarders), derive)
+                             max_forwarders), derive)
     return replace(plan, participants=list(plan.participants), x=dict(plan.x))

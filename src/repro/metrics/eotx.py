@@ -25,18 +25,19 @@ import math
 
 import numpy as np
 
-from repro.metrics.etx import DEFAULT_LINK_THRESHOLD, link_rows
+from repro.metrics.etx import LINK_THRESHOLD, link_rows
 from repro.topology.graph import LinkView
 
 
-def _usable_delivery(topology: LinkView, threshold: float) -> np.ndarray:
-    """Delivery matrix with sub-threshold links zeroed out (the oracles' dense form)."""
+def _usable_delivery(topology: LinkView) -> np.ndarray:
+    """Delivery matrix with the unusable links (at most
+    :data:`~repro.metrics.etx.LINK_THRESHOLD`) zeroed out: the dense form
+    the oracles read."""
     delivery = topology.delivery_matrix()
-    return np.where(delivery > threshold, delivery, 0.0)
+    return np.where(delivery > LINK_THRESHOLD, delivery, 0.0)
 
 
-def eotx_dijkstra(topology: LinkView, destination: int,
-                  threshold: float = DEFAULT_LINK_THRESHOLD) -> np.ndarray:
+def eotx_dijkstra(topology: LinkView, destination: int) -> np.ndarray:
     """EOTX of every node toward ``destination`` (Algorithm 5).
 
     The algorithm visits nodes in increasing cost order.  For every still
@@ -60,7 +61,7 @@ def eotx_dijkstra(topology: LinkView, destination: int,
         (:meth:`repro.topology.graph.LinkView.derived`).
     """
     def derive() -> np.ndarray:
-        rows = link_rows(topology, threshold=threshold)
+        rows = link_rows(topology)
         indptr = rows.indptr.tolist()
         count = topology.node_count
         d = np.full(count, math.inf)
@@ -86,18 +87,16 @@ def eotx_dijkstra(topology: LinkView, destination: int,
                 heapq.heappush(heap, entry)
         return d
 
-    return topology.derived(("eotx", destination, threshold), derive)
+    return topology.derived(("eotx", destination), derive)
 
 
-def eotx_bellman_ford(topology: LinkView, destination: int,
-                      threshold: float = DEFAULT_LINK_THRESHOLD,
-                      max_iterations: int | None = None) -> np.ndarray:
-    """EOTX via the Bellman–Ford style relaxation (Algorithms 3 and 4)."""
-    delivery = _usable_delivery(topology, threshold)
+def eotx_bellman_ford(topology: LinkView, destination: int) -> np.ndarray:
+    """EOTX via the Bellman–Ford style relaxation (Algorithms 3 and 4),
+    at most one round per node."""
+    delivery = _usable_delivery(topology)
     count = topology.node_count
     d = np.full(count, math.inf)
     d[destination] = 0.0
-    iterations = max_iterations if max_iterations is not None else count
 
     def recompute(node: int, costs: np.ndarray) -> float:
         """Procedure Recompute(i): closed form over nodes cheaper than d(i)."""
@@ -123,7 +122,7 @@ def eotx_bellman_ford(topology: LinkView, destination: int,
             return math.inf
         return numerator / q_previous
 
-    for _ in range(iterations):
+    for _ in range(count):
         updated = d.copy()
         for node in range(count):
             if node == destination:
@@ -139,21 +138,20 @@ def eotx_bellman_ford(topology: LinkView, destination: int,
     return d
 
 
-def eotx_recursive(topology: LinkView, destination: int,
-                   threshold: float = DEFAULT_LINK_THRESHOLD) -> np.ndarray:
+def eotx_recursive(topology: LinkView, destination: int) -> np.ndarray:
     """EOTX by direct evaluation of the recursive definition (Eq. 5.14).
 
     Enumerates all reception subsets of each node's neighbourhood, so it is
     exponential in the maximum degree; intended for cross-validation on
     topologies with at most ~12 usable neighbours per node.
     """
-    delivery = _usable_delivery(topology, threshold)
+    delivery = _usable_delivery(topology)
     count = topology.node_count
     # Process nodes in increasing cost order so every min over a reception
     # set only refers to already-final costs; we obtain that order from the
     # Dijkstra implementation and then recompute each cost from scratch via
     # subset enumeration, which keeps the check independent of (5.15).
-    reference = eotx_dijkstra(topology, destination, threshold=threshold)
+    reference = eotx_dijkstra(topology, destination)
     order = sorted(range(count), key=lambda j: (reference[j], j))
     d = np.full(count, math.inf)
     d[destination] = 0.0
@@ -190,9 +188,8 @@ def eotx_recursive(topology: LinkView, destination: int,
     return d
 
 
-def eotx_order(topology: LinkView, destination: int,
-               threshold: float = DEFAULT_LINK_THRESHOLD) -> list[int]:
+def eotx_order(topology: LinkView, destination: int) -> list[int]:
     """Nodes sorted by increasing EOTX toward ``destination`` (unreachable omitted)."""
-    costs = eotx_dijkstra(topology, destination, threshold=threshold)
+    costs = eotx_dijkstra(topology, destination)
     reachable = [i for i in range(topology.node_count) if not math.isinf(costs[i])]
     return sorted(reachable, key=lambda i: (costs[i], i))

@@ -24,20 +24,20 @@ import numpy as np
 
 from repro.topology.graph import LinkTable, LinkView
 
-#: Links with delivery probability below this are treated as unusable;
+#: Links delivering at most this probability are unusable to every metric;
 #: otherwise a 1% link would dominate every metric with an ETX of 100+.
-DEFAULT_LINK_THRESHOLD = 0.05
+LINK_THRESHOLD = 0.05
 
 
-def link_etx(topology: LinkView, sender: int, receiver: int, ack_aware: bool = False,
-             threshold: float = DEFAULT_LINK_THRESHOLD) -> float:
+def link_etx(topology: LinkView, sender: int, receiver: int,
+             ack_aware: bool = False) -> float:
     """ETX of the directed link ``sender -> receiver`` (inf if unusable)."""
     forward = topology.delivery(sender, receiver)
-    if forward <= threshold:
+    if forward <= LINK_THRESHOLD:
         return math.inf
     if ack_aware:
         reverse = topology.delivery(receiver, sender)
-        if reverse <= threshold:
+        if reverse <= LINK_THRESHOLD:
             return math.inf
         return 1.0 / (forward * reverse)
     return 1.0 / forward
@@ -65,26 +65,24 @@ class LinkRows(NamedTuple):
     cost: np.ndarray
 
 
-def link_rows(topology: LinkView, ack_aware: bool = False,
-              threshold: float = DEFAULT_LINK_THRESHOLD) -> LinkRows:
+def link_rows(topology: LinkView, ack_aware: bool = False) -> LinkRows:
     """The usable links of ``topology`` by receiver (derived once per topology).
 
     Read off the view's link table
     (:meth:`repro.topology.graph.LinkView.link_table`) by a stable sort on
     the receiver: O(links), with no N×N mask.
 
-    A link is usable when its delivery probability exceeds ``threshold``
-    (in both directions if ``ack_aware``); a link that delivers nothing
-    has infinite ETX under any threshold and is left out.
+    A link is usable when its delivery probability exceeds
+    :data:`LINK_THRESHOLD` (in both directions if ``ack_aware``).
     """
     def derive() -> LinkRows:
         links = topology.link_table()
         count = topology.node_count
         senders = links.senders()
-        usable = links.delivery > max(threshold, 0.0)
+        usable = links.delivery > LINK_THRESHOLD
         if ack_aware:
             reverse = _reverse_delivery(links, senders, count)
-            usable &= reverse > max(threshold, 0.0)
+            usable &= reverse > LINK_THRESHOLD
         # Receiver-major, senders ascending within a receiver: the usable
         # links in their row-major order, stably sorted by receiver.
         index = np.flatnonzero(usable)
@@ -100,7 +98,7 @@ def link_rows(topology: LinkView, ack_aware: bool = False,
         np.cumsum(np.bincount(links.receivers[index], minlength=count), out=indptr[1:])
         return LinkRows(indptr, senders[index], forward, cost)
 
-    return topology.derived(("link_rows", ack_aware, threshold), derive)
+    return topology.derived(("link_rows", ack_aware), derive)
 
 
 def _reverse_delivery(links: LinkTable, senders: np.ndarray, count: int) -> np.ndarray:
@@ -113,8 +111,8 @@ def _reverse_delivery(links: LinkTable, senders: np.ndarray, count: int) -> np.n
     return np.where(keys[at] == wanted, links.delivery[at], 0.0)
 
 
-def _routes_to(topology: LinkView, destination: int, ack_aware: bool,
-               threshold: float) -> tuple[np.ndarray, np.ndarray]:
+def _routes_to(topology: LinkView, destination: int,
+               ack_aware: bool) -> tuple[np.ndarray, np.ndarray]:
     """``(distances, next_hop)`` of every node toward ``destination`` (Dijkstra).
 
     Derived once per topology and destination.  Settling a node relaxes its
@@ -130,7 +128,7 @@ def _routes_to(topology: LinkView, destination: int, ack_aware: bool,
     over only if its index is lower.
     """
     def derive() -> tuple[np.ndarray, np.ndarray]:
-        rows = link_rows(topology, ack_aware, threshold)
+        rows = link_rows(topology, ack_aware)
         indptr = rows.indptr.tolist()
         count = topology.node_count
         distances = np.full(count, math.inf)
@@ -155,11 +153,11 @@ def _routes_to(topology: LinkView, destination: int, ack_aware: bool,
                     heapq.heappush(heap, entry)
         return distances, next_hop
 
-    return topology.derived(("etx_routes", destination, ack_aware, threshold), derive)
+    return topology.derived(("etx_routes", destination, ack_aware), derive)
 
 
-def etx_to_destination(topology: LinkView, destination: int, ack_aware: bool = False,
-                       threshold: float = DEFAULT_LINK_THRESHOLD) -> np.ndarray:
+def etx_to_destination(topology: LinkView, destination: int,
+                       ack_aware: bool = False) -> np.ndarray:
     """Best-path ETX from every node to ``destination``.
 
     Returns:
@@ -167,11 +165,11 @@ def etx_to_destination(topology: LinkView, destination: int, ack_aware: bool = F
         ``d[i] == inf`` for nodes with no usable path, shared by every
         caller (:meth:`repro.topology.graph.LinkView.derived`).
     """
-    return _routes_to(topology, destination, ack_aware, threshold)[0]
+    return _routes_to(topology, destination, ack_aware)[0]
 
 
-def best_path(topology: LinkView, source: int, destination: int, ack_aware: bool = False,
-              threshold: float = DEFAULT_LINK_THRESHOLD) -> list[int]:
+def best_path(topology: LinkView, source: int, destination: int,
+              ack_aware: bool = False) -> list[int]:
     """The minimum-ETX path from ``source`` to ``destination``.
 
     Returns:
@@ -180,7 +178,7 @@ def best_path(topology: LinkView, source: int, destination: int, ack_aware: bool
     Raises:
         ValueError: if no usable path exists.
     """
-    distances, next_hop = _routes_to(topology, destination, ack_aware, threshold)
+    distances, next_hop = _routes_to(topology, destination, ack_aware)
     if math.isinf(distances[source]):
         raise ValueError(f"no usable path from {source} to {destination}")
     path = [source]
@@ -189,30 +187,26 @@ def best_path(topology: LinkView, source: int, destination: int, ack_aware: bool
     return path
 
 
-def path_etx(topology: LinkView, path: list[int], ack_aware: bool = False,
-             threshold: float = DEFAULT_LINK_THRESHOLD) -> float:
+def path_etx(topology: LinkView, path: list[int], ack_aware: bool = False) -> float:
     """Total ETX of an explicit path (sum of its link ETXs)."""
     total = 0.0
     for sender, receiver in zip(path[:-1], path[1:]):
-        total += link_etx(topology, sender, receiver, ack_aware=ack_aware, threshold=threshold)
+        total += link_etx(topology, sender, receiver, ack_aware=ack_aware)
     return total
 
 
 def hop_count(topology: LinkView, source: int, destination: int,
-              ack_aware: bool = False, threshold: float = DEFAULT_LINK_THRESHOLD) -> int:
+              ack_aware: bool = False) -> int:
     """Number of hops on the best-ETX path between two nodes."""
-    return len(best_path(topology, source, destination, ack_aware=ack_aware,
-                         threshold=threshold)) - 1
+    return len(best_path(topology, source, destination, ack_aware=ack_aware)) - 1
 
 
-def etx_order(topology: LinkView, destination: int, ack_aware: bool = False,
-              threshold: float = DEFAULT_LINK_THRESHOLD) -> list[int]:
+def etx_order(topology: LinkView, destination: int, ack_aware: bool = False) -> list[int]:
     """Nodes sorted by increasing ETX distance to ``destination``.
 
     Unreachable nodes are omitted.  This ordering defines "closer to the
     destination" for MORE and ExOR forwarder lists.
     """
-    distances = etx_to_destination(topology, destination, ack_aware=ack_aware,
-                                   threshold=threshold)
+    distances = etx_to_destination(topology, destination, ack_aware=ack_aware)
     reachable = [i for i in range(topology.node_count) if not math.isinf(distances[i])]
     return sorted(reachable, key=lambda i: (distances[i], i))

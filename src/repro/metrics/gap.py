@@ -17,13 +17,19 @@ Figure 5-1 topology so tests can validate the limit ``gap -> k`` as
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.metrics.credits import expected_transmissions
-from repro.metrics.etx import DEFAULT_LINK_THRESHOLD
 from repro.topology.graph import Topology
+
+
+def _affected(gap: float) -> bool:
+    """True if a pair's cost ratio says the ordering changes its cost
+    measurably: the one rule of an "affected" pair."""
+    return abs(gap - 1.0) > 1e-9
 
 
 @dataclass(frozen=True)
@@ -51,17 +57,15 @@ class GapResult:
 
     @property
     def affected(self) -> bool:
-        """True if the ordering choice changes the total cost measurably."""
-        return abs(self.etx_cost - self.eotx_cost) > 1e-9
+        """True if the ordering choice changes the total cost measurably:
+        ``gap`` differs from 1 by more than 1e-9."""
+        return _affected(self.gap)
 
 
-def cost_gap(topology: Topology, source: int, destination: int,
-             threshold: float = DEFAULT_LINK_THRESHOLD) -> GapResult:
+def cost_gap(topology: Topology, source: int, destination: int) -> GapResult:
     """Compute the ETX-vs-EOTX cost gap for one source-destination pair."""
-    etx_plan = expected_transmissions(topology, source, destination, metric="etx",
-                                      threshold=threshold)
-    eotx_plan = expected_transmissions(topology, source, destination, metric="eotx",
-                                       threshold=threshold)
+    etx_plan = expected_transmissions(topology, source, destination, metric="etx")
+    eotx_plan = expected_transmissions(topology, source, destination, metric="eotx")
     return GapResult(
         source=source,
         destination=destination,
@@ -70,14 +74,14 @@ def cost_gap(topology: Topology, source: int, destination: int,
     )
 
 
-def gap_survey(topology: Topology, pairs: list[tuple[int, int]],
-               threshold: float = DEFAULT_LINK_THRESHOLD) -> list[GapResult]:
+def gap_survey(topology: Topology, pairs: list[tuple[int, int]]) -> list[GapResult]:
     """Compute the gap for a list of source-destination pairs."""
-    return [cost_gap(topology, s, d, threshold=threshold) for s, d in pairs]
+    return [cost_gap(topology, s, d) for s, d in pairs]
 
 
-def summarize_gaps(results: list[GapResult]) -> dict[str, float]:
-    """Summary statistics matching the presentation in Section 5.7.
+def summarize_gaps(gaps: Sequence[float]) -> dict[str, float]:
+    """Summary statistics of the cost ratios ``gaps`` (:attr:`GapResult.gap`
+    of each pair), matching the presentation in Section 5.7.
 
     Returns a dict with:
 
@@ -86,16 +90,16 @@ def summarize_gaps(results: list[GapResult]) -> dict[str, float]:
     * ``median_gap_affected`` — median relative excess cost
       (``gap - 1``) among affected flows (the paper reports about 0.2%);
     * ``max_gap`` — worst observed ratio.
+
+    A pair is affected by the rule of :attr:`GapResult.affected`.
     """
-    if not results:
+    if not gaps:
         return {"fraction_unaffected": 1.0, "median_gap_affected": 0.0, "max_gap": 1.0}
-    unaffected = [r for r in results if not r.affected]
-    affected = [r for r in results if r.affected]
-    median_excess = float(np.median([r.gap - 1.0 for r in affected])) if affected else 0.0
+    excess = [gap - 1.0 for gap in gaps if _affected(gap)]
     return {
-        "fraction_unaffected": len(unaffected) / len(results),
-        "median_gap_affected": median_excess,
-        "max_gap": float(max(r.gap for r in results)),
+        "fraction_unaffected": (len(gaps) - len(excess)) / len(gaps),
+        "median_gap_affected": float(np.median(excess)) if excess else 0.0,
+        "max_gap": float(max(gaps)),
     }
 
 

@@ -32,9 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.metrics.etx import DEFAULT_LINK_THRESHOLD
-from repro.metrics.eotx import eotx_dijkstra
+from repro.metrics.eotx import _usable_delivery, eotx_dijkstra
 from repro.topology.graph import Topology
+
+#: Most usable neighbours a node may have when every reception subset gets
+#: its cost constraint (2^12 constraints for that node).
+MAX_SUBSET_SIZE = 12
 
 
 @dataclass
@@ -64,9 +67,7 @@ def _subset_probability(delivery: np.ndarray, node: int, subset: tuple[int, ...]
 
 def solve_min_cost_flow(topology: Topology, source: int, destination: int,
                         demand: float = 1.0,
-                        threshold: float = DEFAULT_LINK_THRESHOLD,
-                        prefix_constraints_only: bool = False,
-                        max_subset_size: int = 12) -> FlowSolution:
+                        prefix_constraints_only: bool = False) -> FlowSolution:
     """Solve the Section 5.3 LP for a unicast flow.
 
     Args:
@@ -75,11 +76,12 @@ def solve_min_cost_flow(topology: Topology, source: int, destination: int,
         destination: sink node id.
         demand: R, the amount of flow to deliver (the optimum scales
             linearly, Proposition 1).
-        threshold: links below this delivery probability are ignored.
         prefix_constraints_only: keep only the cheapest-prefix cost
             constraints (polynomially many), justified by Propositions 2-3.
-        max_subset_size: safety limit on the neighbourhood size when
-            enumerating all subsets.
+            Without it a node has at most :data:`MAX_SUBSET_SIZE` usable
+            neighbours.
+
+    Links at most :data:`~repro.metrics.etx.LINK_THRESHOLD` are ignored.
 
     Returns:
         A :class:`FlowSolution`.
@@ -96,11 +98,10 @@ def solve_min_cost_flow(topology: Topology, source: int, destination: int,
                           "pip install more-repro[test]") from None
     if source == destination:
         raise ValueError("source and destination must differ")
-    delivery = topology.delivery_matrix()
-    delivery[delivery <= threshold] = 0.0
+    delivery = _usable_delivery(topology)
     count = topology.node_count
 
-    costs = eotx_dijkstra(topology, destination, threshold=threshold)
+    costs = eotx_dijkstra(topology, destination)
     if math.isinf(costs[source]):
         raise ValueError(f"source {source} cannot reach destination {destination}")
 
@@ -148,10 +149,10 @@ def solve_min_cost_flow(topology: Topology, source: int, destination: int,
             ordered = sorted(receivers, key=lambda j: (costs[j], j))
             subsets = [tuple(ordered[: size + 1]) for size in range(len(ordered))]
         else:
-            if len(receivers) > max_subset_size:
+            if len(receivers) > MAX_SUBSET_SIZE:
                 raise ValueError(
                     f"node {node} has {len(receivers)} usable neighbours; full subset "
-                    f"enumeration capped at {max_subset_size} (use prefix_constraints_only)"
+                    f"enumeration capped at {MAX_SUBSET_SIZE} (use prefix_constraints_only)"
                 )
             subsets = [
                 subset
@@ -190,9 +191,9 @@ def solve_min_cost_flow(topology: Topology, source: int, destination: int,
     return FlowSolution(total_cost=float(result.fun), z=z, x=flows, status=result.message)
 
 
-def verify_flow_conservation(solution: FlowSolution, source: int, destination: int,
-                             demand: float = 1.0, tolerance: float = 1e-6) -> bool:
-    """Check Eq. 5.1 on an LP (or algorithmic) solution."""
+def verify_flow_conservation(solution: FlowSolution, source: int, destination: int) -> bool:
+    """Check Eq. 5.1 for one unit of demand, to within 1e-6, on an LP (or
+    algorithmic) solution."""
     nodes = set()
     for (i, j) in solution.x:
         nodes.add(i)
@@ -201,7 +202,7 @@ def verify_flow_conservation(solution: FlowSolution, source: int, destination: i
     for node in nodes:
         outflow = sum(f for (i, _j), f in solution.x.items() if i == node)
         inflow = sum(f for (_i, j), f in solution.x.items() if j == node)
-        expected = demand if node == source else (-demand if node == destination else 0.0)
-        if abs((outflow - inflow) - expected) > tolerance:
+        expected = 1.0 if node == source else (-1.0 if node == destination else 0.0)
+        if abs((outflow - inflow) - expected) > 1e-6:
             return False
     return True

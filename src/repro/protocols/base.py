@@ -70,9 +70,6 @@ class ProtocolAgent:
         """Return the next frame to transmit, or None to pass."""
         return None
 
-    def on_transmission_started(self, frame: Frame, now: float) -> None:
-        """Called the instant a transmission begins (MORE pre-codes here)."""
-
     def on_frame_sent(self, frame: Frame, success: bool, now: float) -> None:
         """Called when the MAC finishes with a frame (success False = unicast drop)."""
 
@@ -80,7 +77,8 @@ class ProtocolAgent:
         """Called for every frame this node successfully decodes."""
 
     def select_bitrate(self, frame: Frame) -> int | None:
-        """Bit-rate override for ``frame`` (None = simulator default)."""
+        """Bit-rate override for ``frame`` (None = the run's fixed rate,
+        :attr:`repro.sim.radio.PhyConfig.bitrate`)."""
         return None
 
 
@@ -112,9 +110,9 @@ class FlowHandle:
     Set-up, the periodic link-state refresh and fault recovery all plan a
     flow through :meth:`replan`.  The protocols subclass this with what
     their plan depends on besides the control view (MORE's metric, pruning
-    and coding seed, ExOR's pruning, Srcr's autorate), remembered from
-    set-up so every re-plan is computed the way the first plan was,
-    whatever configuration the caller holds by then.
+    and coding seed, Srcr's autorate), remembered from set-up so every
+    re-plan is computed the way the first plan was, whatever configuration
+    the caller holds by then.
     """
 
     spec: Any

@@ -102,7 +102,6 @@ class ExorFlowSpec:
     packet_size: int
     total_packets: int
     batch_count: int
-    bitrate: int | None = None
     plan: ExorPlan = field(default_factory=ExorPlan)
 
     def data_frame_size(self) -> int:
@@ -432,12 +431,6 @@ class ExorAgent(ProtocolAgent):
             scheduler.finish_turn(self.node_id)
         return None
 
-    def select_bitrate(self, frame: Frame) -> int | None:
-        spec = self.specs.get(frame.flow_id)
-        if spec is not None:
-            return spec.bitrate
-        return None
-
     def _make_data_frame(self, spec: ExorFlowSpec, state: _ExorFlowState,
                          packet_index: int) -> Frame:
         self.data_sent += 1
@@ -656,9 +649,6 @@ class ExorFlowHandle(FlowHandle):
 
     spec: ExorFlowSpec
     scheduler: ExorScheduler
-    #: Whether the 10% rule prunes the participant list, at set-up and at
-    #: every re-plan after it.
-    prune: bool
     #: Every node this flow has installed state at: what a re-plan
     #: revisits, in node-id order.
     nodes: set[int] = field(default_factory=set, init=False, repr=False)
@@ -672,8 +662,7 @@ class ExorFlowHandle(FlowHandle):
         schedule clamps its position into the resized list.
         """
         spec = self.spec
-        forwarding = forwarding_plan(control, spec.source, spec.destination,
-                                     metric="etx", prune=self.prune)
+        forwarding = forwarding_plan(control, spec.source, spec.destination)
         participants = list(forwarding.participants)
         spec.plan = ExorPlan(
             participants=participants,
@@ -691,14 +680,11 @@ class ExorFlowHandle(FlowHandle):
 
 def setup_exor_flow(sim: Simulator, topology: Topology, source: int, destination: int,
                     *, total_packets: int, batch_size: int = 32, packet_size: int = 1500,
-                    bitrate: int | None = None, prune: bool = True,
                     control_topology: LinkView | None = None) -> ExorFlowHandle:
     """Install an ExOR file transfer from ``source`` to ``destination``.
 
     ``control_topology`` carries the link-quality estimates used to build the
     forwarder list and the cleanup/ACK routes (defaults to the true topology).
-    ``prune`` stays with the flow: every later :meth:`ExorFlowHandle.replan`
-    uses it.
     """
     flow_id = sim.new_flow_id()
     batch_count = max(1, int(np.ceil(total_packets / batch_size)))
@@ -711,10 +697,8 @@ def setup_exor_flow(sim: Simulator, topology: Topology, source: int, destination
         packet_size=packet_size,
         total_packets=total_packets,
         batch_count=batch_count,
-        bitrate=bitrate,
     )
-    handle = ExorFlowHandle(spec=spec, sim=sim, scheduler=ExorScheduler(spec, sim),
-                            prune=prune)
+    handle = ExorFlowHandle(spec=spec, sim=sim, scheduler=ExorScheduler(spec, sim))
     handle.replan(control_topology if control_topology is not None else topology)
     sim.stats.register_flow(flow_id, source, destination, total_packets, packet_size,
                             0.0)

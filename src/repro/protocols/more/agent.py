@@ -93,7 +93,6 @@ class MoreFlowSpec:
             vectors alone while delivery and throughput stay identical.
         total_packets: total native packets in the transfer.
         batch_count: number of batches.
-        bitrate: optional fixed bit-rate override for this flow's data.
         max_relays: optional cap on the forwarder list length (the
             relay-count axis of the kilonode tier); ``None`` keeps the
             full pruned plan.
@@ -109,7 +108,6 @@ class MoreFlowSpec:
     coding_payload_size: int
     total_packets: int
     batch_count: int
-    bitrate: int | None = None
     max_relays: int | None = None
     plan: MorePlan = field(default_factory=MorePlan)
 
@@ -360,12 +358,6 @@ class MoreAgent(ProtocolAgent):
         flows.extend(fid for fid, state in self.forward_flows.items()
                      if state.backlogged and fid not in flows)
         return sorted(flows)
-
-    def select_bitrate(self, frame: Frame) -> int | None:
-        spec = self.specs.get(frame.flow_id)
-        if spec is not None and frame.kind is FrameKind.DATA:
-            return spec.bitrate
-        return None
 
     # ------------------------------------------------------------------ #
     # Frame construction

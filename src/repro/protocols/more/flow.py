@@ -126,8 +126,7 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
                     *, file_bytes: bytes | None = None, total_packets: int | None = None,
                     batch_size: int = 32, packet_size: int = 1500,
                     coding_payload_size: int | None = None, metric: str = "etx",
-                    prune: bool = True, bitrate: int | None = None,
-                    seed: int = 0,
+                    prune: bool = True, seed: int = 0,
                     control_topology: LinkView | None = None,
                     max_relays: int | None = None) -> MoreFlowHandle:
     """Install a MORE file transfer from ``source`` to ``destination``.
@@ -159,7 +158,6 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
             believes them to be (ETX probe estimates); defaults to the true
             ``topology``.
         prune: apply the 10% forwarder pruning rule.
-        bitrate: optional fixed data bit-rate for this flow.
         seed: seed for the per-node coding RNGs and the synthetic payloads.
         max_relays: cap the forwarder list at this many relays — the
             highest-expected-load ones, replacing the 10% pruning rule
@@ -200,7 +198,6 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
         coding_payload_size=coding_size,
         total_packets=total,
         batch_count=len(batches),
-        bitrate=bitrate,
         max_relays=max_relays,
     )
     source_agent = get_or_create_agent(sim, source, MoreAgent, seed=seed)

@@ -60,7 +60,6 @@ class SrcrFlowSpec:
     destination: int
     packet_size: int
     total_packets: int
-    bitrate: int | None = None
     plan: SrcrPlan = field(default_factory=SrcrPlan)
 
     def frame_size(self) -> int:
@@ -143,11 +142,8 @@ class SrcrAgent(ProtocolAgent):
         return None
 
     def select_bitrate(self, frame: Frame) -> int | None:
-        spec = self.specs.get(frame.flow_id)
         if self.rate_controller is not None and frame.kind is FrameKind.DATA:
             return self.rate_controller.current_rate(frame.receiver)
-        if spec is not None:
-            return spec.bitrate
         return None
 
     def on_frame_sent(self, frame: Frame, success: bool, now: float) -> None:
@@ -244,7 +240,7 @@ class SrcrFlowHandle(FlowHandle):
 
 def setup_srcr_flow(sim: Simulator, topology: Topology, source: int, destination: int,
                     *, total_packets: int, packet_size: int = 1500,
-                    use_autorate: bool = False, bitrate: int | None = None,
+                    use_autorate: bool = False,
                     control_topology: LinkView | None = None) -> SrcrFlowHandle:
     """Install an Srcr file transfer from ``source`` to ``destination``.
 
@@ -261,7 +257,6 @@ def setup_srcr_flow(sim: Simulator, topology: Topology, source: int, destination
         destination=destination,
         packet_size=packet_size,
         total_packets=total_packets,
-        bitrate=bitrate,
     )
     handle = SrcrFlowHandle(spec=spec, sim=sim, use_autorate=use_autorate)
     handle.replan(control_topology if control_topology is not None else topology)

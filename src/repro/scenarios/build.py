@@ -16,7 +16,7 @@ from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.experiments.workloads import multiflow_sets, random_pairs, spatial_reuse_pairs
-from repro.params import call_with_params, pop_count
+from repro.params import bad_parameter, call_with_params, pop_count
 from repro.scenarios.spec import TopologySpec, WorkloadSpec
 from repro.topology.generator import (
     chain,
@@ -102,8 +102,7 @@ def build_pairs(spec: WorkloadSpec, topology: Topology,
     params.pop("seed", None)
     seed = _workload_seed(spec, default_seed)
     if spec.kind == "explicit":
-        pairs = params.get("pairs", [])
-        return [(int(source), int(destination)) for source, destination in pairs]
+        return _explicit_pairs(params.get("pairs", []), topology.node_count)
     if spec.kind == "random_pairs":
         return call_with_params("workload", spec.kind, random_pairs, topology,
                                 count=pop_count(spec, params, "count", 10), seed=seed,
@@ -121,6 +120,20 @@ def build_pairs(spec: WorkloadSpec, topology: Topology,
         return pairs
     raise ValueError(f"workload kind {spec.kind!r} does not describe plain pairs; "
                      f"expected one of {PAIR_WORKLOAD_KINDS}")
+
+
+def _explicit_pairs(pairs: Any, node_count: int) -> list[tuple[int, int]]:
+    """The ``explicit`` workload's pairs, each two distinct integer node ids
+    of the mesh; anything else is a one-line :func:`bad_parameter` error."""
+    if not isinstance(pairs, (list, tuple)):
+        raise bad_parameter("workload", "explicit", f"pairs must be a list, got {pairs!r}")
+    for pair in pairs:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and pair[0] != pair[1]
+                and all(type(node) is int and 0 <= node < node_count for node in pair)):
+            raise bad_parameter("workload", "explicit",
+                                f"pair {pair!r} is not two distinct node ids in "
+                                f"[0, {node_count})")
+    return [(source, destination) for source, destination in pairs]
 
 
 def build_flow_sets(spec: WorkloadSpec, topology: Topology,

@@ -170,10 +170,8 @@ def _gap_cell(cell: ScenarioCell) -> CellResult:
     spec = cell.scenario
     topology = build_topology(spec.topology)
     pairs = build_pairs(spec.workload, topology, cell.seed)
-    survey = gap_survey(topology, pairs)
-    gaps = summarize_gaps(survey)
-    series = {"gap": [result.gap for result in survey]}
-    summary = {name: float(value) for name, value in gaps.items()}
+    series = {"gap": [result.gap for result in gap_survey(topology, pairs)]}
+    summary = summarize_gaps(series["gap"])
     return CellResult(scenario=spec.name, mode=spec.mode, seed=cell.seed,
                       axes=dict(cell.axes), key=cell.key(), series=series,
                       summary=summary,

@@ -199,8 +199,6 @@ class CsmaMac:
         else:
             stats.control_transmissions += 1
         stats.busy_time += airtime
-        if agent is not None:
-            agent.on_transmission_started(frame, now)
         self.events.schedule(airtime, self._complete)
 
     def _complete(self) -> None:

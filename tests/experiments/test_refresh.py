@@ -357,16 +357,6 @@ class TestFlowKeepsWhatItWasSetUpWith:
         assert [entry.node_id for entry in handle.spec.plan.header_forwarders] == before
         assert len(handle.spec.plan.tx_credit) == 19
 
-    def test_unpruned_exor_flow_stays_unpruned(self):
-        testbed = self.TESTBED
-        sim = Simulator(testbed, SimConfig(seed=1))
-        handle = setup_exor_flow(sim, testbed, 17, 2, total_packets=8, batch_size=4,
-                                 prune=False)
-        before = list(handle.spec.plan.participants)
-        assert len(before) == 19
-        _refresh_once(sim, handle, testbed)
-        assert handle.spec.plan.participants == before
-
     def test_eotx_flow_replans_with_eotx(self):
         testbed = self.TESTBED
         etx = forwarding_plan(testbed, 0, 17, metric="etx").participants

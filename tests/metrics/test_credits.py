@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.metrics.credits import (
-    DEFAULT_PRUNING_FRACTION,
+    PRUNING_FRACTION,
     candidate_forwarders,
     expected_transmissions,
     forwarding_plan,
@@ -133,12 +133,23 @@ class TestPruning:
         assert 1 not in pruned.forwarder_list()
         assert 0 in pruned.participants and 2 in pruned.participants
 
-    def test_source_and_destination_never_pruned(self, small_mesh):
-        source, destination = small_mesh.node_count - 1, 0
-        plan = expected_transmissions(small_mesh, source, destination)
-        pruned = prune_forwarders(topology=small_mesh, plan=plan, fraction=0.99)
-        assert pruned.participants[0] == destination
-        assert pruned.participants[-1] == source
+    def test_source_and_destination_never_pruned(self):
+        """Twelve relays each hear the source with probability 0.1 and reach
+        the destination surely: the load spreads so thin that no relay
+        carries 10% of the transmissions, and the rule drops every one of
+        them — but never an endpoint."""
+        relays = 12
+        matrix = np.zeros((relays + 2, relays + 2))
+        source, destination = relays + 1, 0
+        matrix[source, 1:source] = 0.1
+        matrix[1:source, destination] = 1.0
+        topo = Topology(matrix)
+        plan = expected_transmissions(topo, source, destination)
+        assert len(plan.forwarder_list()) == relays
+        assert max(plan.z[1:source]) < PRUNING_FRACTION * plan.total_cost
+        pruned = prune_forwarders(topo, plan)
+        assert pruned.forwarder_list() == []
+        assert pruned.participants == [destination, source]
 
     def test_pruned_plan_is_self_consistent(self):
         """Pruned nodes lose z, load AND distance (regression).
@@ -250,4 +261,4 @@ def test_forwarding_plan_on_testbed(testbed):
     unpruned = forwarding_plan(testbed, 17, 2, prune=False)
     assert unpruned.total_cost >= eotx_dijkstra(testbed, 2)[17] - 1e-9
     for node in plan.forwarder_list():
-        assert plan.z[node] >= DEFAULT_PRUNING_FRACTION * unpruned.total_cost
+        assert plan.z[node] >= PRUNING_FRACTION * unpruned.total_cost

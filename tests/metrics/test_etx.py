@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from repro.metrics.etx import (
+    LINK_THRESHOLD,
     best_path,
     etx_order,
     etx_to_destination,
     hop_count,
     link_etx,
+    link_rows,
     path_etx,
 )
 from repro.topology.generator import chain, two_hop_relay
@@ -28,10 +30,24 @@ class TestLinkEtx:
         topo = Topology(np.array([[0, 0.8], [0.5, 0]]))
         assert link_etx(topo, 0, 1, ack_aware=True) == pytest.approx(1 / (0.8 * 0.5))
 
-    def test_unusable_link_is_infinite(self, relay_topology):
-        assert math.isinf(link_etx(relay_topology, 0, 1, threshold=1.1))
+    def test_unusable_link_is_infinite(self):
         topo = Topology(np.zeros((2, 2)))
         assert math.isinf(link_etx(topo, 0, 1))
+
+    def test_link_at_the_cut_is_unusable(self):
+        topo = Topology(np.array([[0, LINK_THRESHOLD], [LINK_THRESHOLD, 0]]))
+        assert math.isinf(link_etx(topo, 0, 1))
+        assert math.isinf(link_etx(topo, 0, 1, ack_aware=True))
+        rows = link_rows(topo)
+        assert rows.senders.size == 0 and list(rows.indptr) == [0, 0, 0]
+
+    def test_link_just_above_the_cut_is_usable(self):
+        above = np.nextafter(LINK_THRESHOLD, 1.0)
+        topo = Topology(np.array([[0, above], [0, 0]]))
+        assert link_etx(topo, 0, 1) == 1.0 / above
+        rows = link_rows(topo)
+        assert list(rows.indptr) == [0, 0, 1]
+        assert list(rows.senders) == [0] and list(rows.cost) == [1.0 / above]
 
 
 class TestEtxToDestination:

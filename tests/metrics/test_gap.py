@@ -68,7 +68,7 @@ class TestMeasuredGap:
         practice (>40% of flows unaffected, median affected gap ~0.2%)."""
         pairs = [(s, d) for s in range(0, 20, 3) for d in range(1, 20, 5) if s != d]
         survey = gap_survey(testbed, pairs)
-        summary = summarize_gaps(survey)
+        summary = summarize_gaps([result.gap for result in survey])
         # The synthetic testbed is somewhat more ordering-sensitive than the
         # paper's (which reports >40% unaffected, 0.2% median gap); the
         # qualitative conclusion — the gap is marginal in practice, nowhere
@@ -86,6 +86,18 @@ class TestSummary:
 
     def test_summary_fields(self, gap_topology):
         destination = gap_topology.node_count - 1
-        summary = summarize_gaps(gap_survey(gap_topology, [(0, destination)]))
+        (result,) = gap_survey(gap_topology, [(0, destination)])
+        summary = summarize_gaps([result.gap])
         assert summary["fraction_unaffected"] == 0.0
         assert summary["max_gap"] > 2.0
+
+    def test_one_affected_rule(self, testbed):
+        """``summarize_gaps`` counts a ratio as affected exactly when the
+        pair's ``GapResult.affected`` does: |gap - 1| > 1e-9."""
+        summary = summarize_gaps([1.0, 1.0 + 1e-10, 1.0 - 1e-10, 1.5, 1.0 + 2e-9])
+        assert summary["fraction_unaffected"] == 3 / 5
+        assert summary["median_gap_affected"] == pytest.approx((0.5 + 2e-9) / 2)
+        pairs = [(s, d) for s in range(0, 20, 3) for d in range(1, 20, 5) if s != d]
+        survey = gap_survey(testbed, pairs)
+        unaffected = sum(not result.affected for result in survey) / len(survey)
+        assert summarize_gaps([r.gap for r in survey])["fraction_unaffected"] == unaffected

@@ -7,8 +7,8 @@ node it closes.  The references below are the implementations they replaced —
 the N×N ``1 / delivery`` cost matrix with the ``excluded``-mask path
 reconstruction, and the scan of every open node per closed node — kept
 verbatim as oracles: distances, paths and hop counts must be equal bit for
-bit, on meshes with ties, asymmetric links and thresholds that disconnect
-nodes.
+bit, on meshes with ties, asymmetric links and links at or below
+:data:`~repro.metrics.etx.LINK_THRESHOLD` that disconnect nodes.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.metrics.etx import (
     best_path,
     etx_to_destination,
     hop_count,
+    LINK_THRESHOLD,
     link_etx,
     link_rows,
 )
@@ -41,9 +42,9 @@ from repro.topology.graph import Topology
 # --------------------------------------------------------------------------- #
 
 
-def _link_cost_matrix(topology, ack_aware, threshold):
+def _link_cost_matrix(topology, ack_aware):
     delivery = topology.delivery_view()
-    usable = delivery > threshold
+    usable = delivery > LINK_THRESHOLD
     if ack_aware:
         usable &= usable.T
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -54,11 +55,10 @@ def _link_cost_matrix(topology, ack_aware, threshold):
     return np.where(usable, cost, math.inf)
 
 
-def reference_etx_to_destination(topology, destination, ack_aware=False, threshold=0.05,
-                                 cost_matrix=None):
+def reference_etx_to_destination(topology, destination, ack_aware=False, cost_matrix=None):
     count = topology.node_count
     cost = cost_matrix if cost_matrix is not None \
-        else _link_cost_matrix(topology, ack_aware, threshold)
+        else _link_cost_matrix(topology, ack_aware)
     distances = np.full(count, math.inf)
     distances[destination] = 0.0
     heap = [(0.0, destination)]
@@ -77,10 +77,10 @@ def reference_etx_to_destination(topology, destination, ack_aware=False, thresho
     return distances
 
 
-def reference_best_path(topology, source, destination, ack_aware=False, threshold=0.05):
-    cost = _link_cost_matrix(topology, ack_aware, threshold)
+def reference_best_path(topology, source, destination, ack_aware=False):
+    cost = _link_cost_matrix(topology, ack_aware)
     distances = reference_etx_to_destination(topology, destination, ack_aware=ack_aware,
-                                             threshold=threshold, cost_matrix=cost)
+                                             cost_matrix=cost)
     if math.isinf(distances[source]):
         raise ValueError(f"no usable path from {source} to {destination}")
     count = topology.node_count
@@ -100,9 +100,9 @@ def reference_best_path(topology, source, destination, ack_aware=False, threshol
     return path
 
 
-def reference_eotx_dijkstra(topology, destination, threshold=0.05):
+def reference_eotx_dijkstra(topology, destination):
     delivery = topology.delivery_matrix()
-    delivery[delivery <= threshold] = 0.0
+    delivery[delivery <= LINK_THRESHOLD] = 0.0
     count = topology.node_count
     d = np.full(count, math.inf)
     T = np.ones(count)
@@ -133,8 +133,9 @@ def reference_eotx_dijkstra(topology, destination, threshold=0.05):
 # Meshes: random asymmetric ones, and grids whose equal links are all ties
 # --------------------------------------------------------------------------- #
 
-#: Few distinct link qualities, so equal-cost paths are common.
-_LEVELS = (0.0, 0.0, 0.04, 0.25, 0.5, 0.5, 1.0)
+#: Few distinct link qualities, so equal-cost paths are common; the first
+#: four are unusable (at or below the cut), so some nodes are disconnected.
+_LEVELS = (0.0, 0.0, 0.04, LINK_THRESHOLD, 0.25, 0.5, 0.5, 1.0)
 
 
 @st.composite
@@ -152,19 +153,15 @@ def meshes(draw) -> Topology:
     return Topology(matrix)
 
 
-thresholds = st.sampled_from((0.05, 0.0, -1.0, 0.3, 0.6))
-
-
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.tobytes() == b.tobytes()
 
 
 class TestRowsAgainstDenseReferences:
     @settings(max_examples=150, deadline=None)
-    @given(meshes(), thresholds, st.booleans())
-    def test_link_rows_are_the_finite_entries_of_the_cost_matrix(self, topology, threshold,
-                                                                 ack_aware):
-        rows = link_rows(topology, ack_aware, threshold)
+    @given(meshes(), st.booleans())
+    def test_link_rows_are_the_finite_entries_of_the_cost_matrix(self, topology, ack_aware):
+        rows = link_rows(topology, ack_aware)
         dense = np.full((topology.node_count,) * 2, math.inf)
         for receiver in range(topology.node_count):
             row = slice(rows.indptr[receiver], rows.indptr[receiver + 1])
@@ -173,37 +170,33 @@ class TestRowsAgainstDenseReferences:
             for sender, delivery, cost in zip(rows.senders[row], rows.delivery[row],
                                               rows.cost[row]):
                 assert delivery == topology.delivery(sender, receiver)
-                assert cost == link_etx(topology, sender, receiver, ack_aware, threshold)
-        assert _same_bits(dense, _link_cost_matrix(topology, ack_aware, threshold))
+                assert cost == link_etx(topology, sender, receiver, ack_aware)
+        assert _same_bits(dense, _link_cost_matrix(topology, ack_aware))
 
     @settings(max_examples=150, deadline=None)
-    @given(meshes(), thresholds, st.booleans())
-    def test_etx_distances_paths_and_hops(self, topology, threshold, ack_aware):
+    @given(meshes(), st.booleans())
+    def test_etx_distances_paths_and_hops(self, topology, ack_aware):
         for destination in range(topology.node_count):
-            expected = reference_etx_to_destination(topology, destination, ack_aware,
-                                                    threshold)
-            assert _same_bits(etx_to_destination(topology, destination, ack_aware,
-                                                 threshold), expected)
+            expected = reference_etx_to_destination(topology, destination, ack_aware)
+            assert _same_bits(etx_to_destination(topology, destination, ack_aware),
+                              expected)
             for source in range(topology.node_count):
                 if math.isinf(expected[source]):
                     with pytest.raises(ValueError, match="no usable path"):
-                        best_path(topology, source, destination, ack_aware, threshold)
+                        best_path(topology, source, destination, ack_aware)
                     continue
-                path = reference_best_path(topology, source, destination, ack_aware,
-                                           threshold)
-                assert best_path(topology, source, destination, ack_aware,
-                                 threshold) == path
-                assert hop_count(topology, source, destination, ack_aware,
-                                 threshold) == len(path) - 1
+                path = reference_best_path(topology, source, destination, ack_aware)
+                assert best_path(topology, source, destination, ack_aware) == path
+                assert hop_count(topology, source, destination,
+                                 ack_aware) == len(path) - 1
 
     @settings(max_examples=150, deadline=None)
-    @given(meshes(), thresholds)
-    def test_eotx_dijkstra(self, topology, threshold):
+    @given(meshes())
+    def test_eotx_dijkstra(self, topology):
         for destination in range(topology.node_count):
-            costs = eotx_dijkstra(topology, destination, threshold)
-            assert _same_bits(costs, reference_eotx_dijkstra(topology, destination,
-                                                             threshold))
-            relaxed = eotx_bellman_ford(topology, destination, threshold)
+            costs = eotx_dijkstra(topology, destination)
+            assert _same_bits(costs, reference_eotx_dijkstra(topology, destination))
+            relaxed = eotx_bellman_ford(topology, destination)
             assert np.allclose(np.nan_to_num(costs, posinf=1e18),
                                np.nan_to_num(relaxed, posinf=1e18), rtol=1e-7, atol=1e-9)
 

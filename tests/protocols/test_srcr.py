@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.metrics.etx import best_path
 from repro.protocols.srcr import SrcrAgent, SrcrFlowSpec, setup_srcr_flow
-from repro.sim.radio import RATE_11MBPS, SimConfig
+from repro.sim.radio import SimConfig
 from repro.sim.simulator import Simulator
 from repro.topology.generator import chain, two_hop_relay
 
@@ -85,17 +85,6 @@ class TestAutorateIntegration:
         agent = sim.nodes[0].agent
         assert isinstance(agent, SrcrAgent)
         assert agent.rate_controller is not None
-
-    def test_fixed_bitrate_override(self):
-        topo = chain(1, link_delivery=0.9)
-        sim = Simulator(topo, SimConfig(seed=1))
-        handle = setup_srcr_flow(sim, topo, 0, 1, total_packets=5, packet_size=500,
-                                 bitrate=RATE_11MBPS)
-        agent = sim.nodes[0].agent
-        frame = None
-        agent.enqueue_source_packets(handle.flow_id)
-        frame = agent.on_transmit_opportunity(0.0)
-        assert agent.select_bitrate(frame) == RATE_11MBPS
 
 
 class TestControlPlaneEstimates:

@@ -370,6 +370,18 @@ def test_workload_kind_error_names_the_plain_pair_kinds(capsys):
     assert "multiflow" not in line
 
 
+@pytest.mark.parametrize("pairs", [
+    "[[0,99]]",  # an IndexError traceback from the agent set-up
+    "[[1,1]]",   # simulated every protocol to max_duration for 0 pkt/s
+    "[[0]]",     # "not enough values to unpack"
+])
+def test_malformed_explicit_pair_is_a_one_line_error(pairs, capsys):
+    line = _one_line_error(capsys, "run", "--preset", "chain_smoke", "--no-cache",
+                           "--set", "workload.kind=explicit", "--set", f"workload.pairs={pairs}")
+    assert line == (f"repro: error: bad parameter for workload 'explicit': pair "
+                    f"{json.loads(pairs)[0]!r} is not two distinct node ids in [0, 4)")
+
+
 @pytest.mark.parametrize("preset", ["chain_batch_sweep", "multiflow_scale", "grid_5x5",
                                     "fading_grid", "trace_random_geometric"])
 def test_deleted_preset_is_an_unknown_preset(preset):

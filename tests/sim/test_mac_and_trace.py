@@ -117,17 +117,6 @@ class TestMacUnicast:
         assert sim.medium.transmissions >= 1
 
 
-class StartRecordingAgent(ScriptedAgent):
-    """Also records when each of its transmissions goes on the air."""
-
-    def __init__(self, node_id, frames=None):
-        super().__init__(node_id, frames)
-        self.starts = []
-
-    def on_transmission_started(self, frame, now):
-        self.starts.append(now)
-
-
 class TestContentionWindows:
     """The per-attempt window table is derived once per ``PhyConfig`` and
     shared; a MAC on any configuration backs off as ``contention_window`` says."""
@@ -136,7 +125,8 @@ class TestContentionWindows:
         (15, [16, 32, 64, 128], 1024),  # capped at cw_max
         (0, [1, 2, 4, 8], 512),         # a one-slot first window draws nothing
     ])
-    def test_backoff_draws_follow_contention_window(self, cw_min, spans, past_table_span):
+    def test_backoff_draws_follow_contention_window(self, cw_min, spans, past_table_span,
+                                                    monkeypatch):
         phy = PhyConfig(cw_min=cw_min, retry_limit=3)
         matrix = np.array([[0, 0.0], [0.0, 0]])
         sim = Simulator(Topology(matrix), SimConfig(phy=phy, seed=0))
@@ -146,8 +136,17 @@ class TestContentionWindows:
         assert mac._windows is sim.nodes[1].mac._windows
         assert mac._turnaround == phy.sifs + phy.ack_airtime()
 
-        sender = StartRecordingAgent(0, [data_frame(0, receiver=1)])
+        sender = ScriptedAgent(0, [data_frame(0, receiver=1)])
         sim.attach_agent(0, sender)
+        # Every attempt goes on the air through the medium: record when.
+        starts = []
+        begin = sim.medium.begin
+
+        def recording_begin(frame, now, airtime):
+            starts.append(now)
+            return begin(frame, now, airtime)
+
+        monkeypatch.setattr(sim.medium, "begin", recording_begin)
         sim.trigger_node(0)
         sim.run(until=5.0)
         # A dead link draws no reception words, so the main generator serves
@@ -157,8 +156,8 @@ class TestContentionWindows:
         twin = np.random.default_rng(0)
         airtime = phy.frame_airtime(data_frame(0).size_bytes)
         contention_began = [0.0] + [start + airtime + phy.ack_turnaround
-                                    for start in sender.starts[:-1]]
-        delays = [start - began for start, began in zip(sender.starts, contention_began)]
+                                    for start in starts[:-1]]
+        delays = [start - began for start, began in zip(starts, contention_began)]
         assert delays == pytest.approx(
             [phy.difs + int(twin.integers(0, span)) * phy.slot_time for span in spans])
         assert sim.rng.bit_generator.state == twin.bit_generator.state

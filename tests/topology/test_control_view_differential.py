@@ -20,7 +20,7 @@ from repro.experiments.refresh import mask_dead_nodes
 from repro.metrics import credits, eotx, etx
 from repro.metrics.credits import forwarding_plan
 from repro.metrics.eotx import eotx_dijkstra
-from repro.metrics.etx import DEFAULT_LINK_THRESHOLD, LinkRows, best_path, link_rows
+from repro.metrics.etx import LINK_THRESHOLD, LinkRows, best_path, link_rows
 from repro.topology.estimation import DEFAULT_OPTIMISM_EXPONENT, probe_estimated_topology
 from repro.topology.generator import indoor_testbed, random_geometric
 from repro.topology.graph import LinkView, Topology
@@ -49,10 +49,9 @@ def dense_mask(matrix: np.ndarray, dead: frozenset[int]) -> np.ndarray:
     return delivery
 
 
-def dense_link_rows(topology: LinkView, ack_aware: bool = False,
-                    threshold: float = DEFAULT_LINK_THRESHOLD) -> LinkRows:
+def dense_link_rows(topology: LinkView, ack_aware: bool = False) -> LinkRows:
     delivery = topology.delivery_matrix()
-    usable = delivery > max(threshold, 0.0)
+    usable = delivery > LINK_THRESHOLD
     if ack_aware:
         usable &= usable.T
     receivers, senders = np.nonzero(usable.T)
@@ -94,8 +93,7 @@ def control_plane(view: LinkView, pairs: list[tuple[int, int]]) -> dict:
         found["link_rows", ack_aware] = [_bits(array) for array in
                                          etx.link_rows(view, ack_aware)]
     for destination in sorted({node for pair in pairs for node in pair}):
-        distances, next_hop = etx._routes_to(view, destination, False,
-                                             DEFAULT_LINK_THRESHOLD)
+        distances, next_hop = etx._routes_to(view, destination, False)
         found["etx", destination] = _bits(distances), _bits(next_hop)
         found["eotx", destination] = _bits(eotx_dijkstra(view, destination))
     for source, destination in pairs:
