@@ -69,12 +69,14 @@ golden:
 # The coding/GF gate alone: the coding buffer, the coefficient stream and
 # the GF kernels against their scalar / numpy oracles (property streams,
 # edge cases, differential suites, the buffer rank by rank across its
-# per-row / nibble-bucket crossover), then the golden code-vector runs —
-# every coefficient put on the air, a K=128 run's included — so a moved
-# coefficient fails here, fast (~20 s).  The CI coverage job runs
-# tests/coding and tests/gf under pytest-cov.
+# per-row / nibble-bucket crossover), the MORE header that carries the
+# code vector's bytes (pack / unpack round trips), then the golden
+# code-vector runs — every coefficient put on the air, a K=128 run's
+# included — so a moved coefficient fails here, fast (~20 s).  The CI
+# coverage job runs tests/coding and tests/gf under pytest-cov.
 test-coding:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/coding tests/gf \
+		tests/protocols/test_more_header.py \
 		tests/sim/test_engine_differential.py::test_code_vectors_bit_identical
 
 # The control-plane gate alone: ETX / EOTX / credits / gap / LP, the probe

@@ -41,7 +41,8 @@ def test_coding_at_source(batch):
     encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(1)))
     packet = encoder.next_packet()
     assert encoder.payloads_built == 0
-    expected = gf_vecmat(packet.code_vector, batch.payload_matrix())
+    expected = gf_vecmat(np.frombuffer(packet.code_vector, dtype=np.uint8),
+                         batch.payload_matrix())
     assert np.array_equal(packet.payload, expected)
     assert np.array_equal(packet.payload, expected)
     assert encoder.payloads_built == 1
@@ -69,8 +70,9 @@ def test_independence_check(batch):
     assert buffer.is_innovative(packets[-1].code_vector)
     assert not buffer.is_innovative(packets[0].code_vector)
     combination = gf_vecmat(np.arange(1, K // 2 + 1, dtype=np.uint8),
-                            np.stack([packet.code_vector for packet in packets[: K // 2]]))
-    assert not buffer.is_innovative(combination)
+                            np.stack([np.frombuffer(packet.code_vector, dtype=np.uint8)
+                                      for packet in packets[: K // 2]]))
+    assert not buffer.is_innovative(combination.tobytes())
     assert buffer.rank == K // 2
 
 
@@ -99,7 +101,8 @@ def test_recode_at_forwarder(batch):
         decoder.add_packet(packet)
     natives = np.stack([native.payload for native in decoder.decode()])
     for packet in recoded[:: K // 4]:
-        assert np.array_equal(gf_vecmat(packet.code_vector, natives), packet.payload)
+        assert np.array_equal(gf_vecmat(np.frombuffer(packet.code_vector, dtype=np.uint8),
+                                        natives), packet.payload)
 
 
 def test_table_4_1_reads_every_payload_it_times(monkeypatch):

@@ -138,7 +138,9 @@ class BatchBuffer:
         # transform (coefficients over the raw payloads in admission order),
         # kept only when there are payload bytes.
         self._with_transform = packet_size > 0
-        self._width = 2 * batch_size if self._with_transform else batch_size
+        #: Bytes per stored row: K, plus K transform bytes when payload
+        #: bytes are kept.
+        self.width = 2 * batch_size if self._with_transform else batch_size
         #: The pivot columns present, increasing, and the row of each.
         self._pivots: list[int] = []
         self._rows: list[int] = []
@@ -170,7 +172,7 @@ class BatchBuffer:
         reduction of an arrival, the dry-run innovation check and a
         forwarder's pre-code."""
         rows = self._rows
-        width = self._width
+        width = self.width
         from_bytes = int.from_bytes
         tables = MUL_ROWS
         if len(rows) <= self.ROW_LOOP_MAX_RANK:
@@ -208,10 +210,10 @@ class BatchBuffer:
         matrix stays in *reduced* row-echelon form.
         """
         batch_size = self.batch_size
-        vector = packet.code_vector
-        if vector.shape[0] != batch_size:
+        code = packet.code_vector
+        if len(code) != batch_size:
             raise ValueError(
-                f"packet code vector length {vector.shape[0]} does not match "
+                f"packet code vector length {len(code)} does not match "
                 f"buffer batch size {batch_size}"
             )
         if packet.size != self.packet_size:
@@ -223,14 +225,13 @@ class BatchBuffer:
         pivots = self._pivots
         rows = self._rows
         slot = len(pivots)
-        code = vector.tobytes()
         extended = int.from_bytes(code, "little")
         if self._with_transform and slot < batch_size:
             # This arrival would occupy raw slot ``slot``; rows carry their
             # combination over admitted arrivals in the transform columns.
             extended |= 1 << (8 * (batch_size + slot))
         extended = self._combination(extended, map(code.__getitem__, pivots))
-        reduced = extended.to_bytes(self._width, "little")
+        reduced = extended.to_bytes(self.width, "little")
         remaining = reduced[:batch_size].lstrip(b"\0")
         if not remaining:
             # Vector reduced to zero: the packet is not innovative; its
@@ -271,20 +272,18 @@ class BatchBuffer:
         self._payload_cache = None
         return True
 
-    def is_innovative(self, code_vector: np.ndarray) -> bool:
+    def is_innovative(self, code_vector: bytes) -> bool:
         """Check whether a code vector would be innovative, without inserting it."""
-        vector = np.asarray(code_vector, dtype=np.uint8)
-        if vector.shape[0] != self.batch_size:
+        if len(code_vector) != self.batch_size:
             raise ValueError("code vector length does not match batch size")
-        code = vector.tobytes()
-        reduced = self._combination(int.from_bytes(code, "little"),
-                                    map(code.__getitem__, self._pivots))
+        reduced = self._combination(int.from_bytes(code_vector, "little"),
+                                    map(code_vector.__getitem__, self._pivots))
         # The code columns are the low K bytes; the rest is transform.
         return bool(reduced & ((1 << (8 * self.batch_size)) - 1))
 
     def _columns(self, start: int, stop: int) -> np.ndarray:
         """Bytes ``[start, stop)`` of every stored row, as a fresh matrix."""
-        width = self._width
+        width = self.width
         data = bytearray().join(row.to_bytes(width, "little")[start:stop]
                                 for row in self._rows)
         return np.frombuffer(data, dtype=np.uint8).reshape(len(self._rows), stop - start)
@@ -314,9 +313,9 @@ class BatchBuffer:
         transform = self._columns(batch_size, batch_size + count)
         return gf_matmul(transform, self.raw.matrix[:count])
 
-    def combine_rows(self, coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One linear combination over the stored rows, as a code vector and
-        a mix over the raw payload slots — no payload byte is touched.
+    def combine_rows(self, coefficients: bytes) -> int:
+        """One linear combination over the stored rows, as one ``[code |
+        mix]`` row — no payload byte is touched.
 
         The forwarder pre-code path: ``coefficients @ [M | T]`` is one
         combination of the stored ``[code | transform]`` rows.  Its code half
@@ -336,25 +335,21 @@ class BatchBuffer:
                 pivot-column order (the order of :meth:`coefficient_matrix`).
 
         Returns:
-            The combined code vector (length K) and the mix (one
-            coefficient per raw slot the buffer can hold, zero beyond the
-            slots filled so far; empty when no payload bytes are kept).
-            Both are views of one freshly owned row.
+            The combined row as an int of :attr:`width` little-endian
+            bytes: bytes ``[0, K)`` the code vector, bytes ``[K, 2K)`` the
+            mix (one coefficient per raw slot the buffer can hold, zero
+            beyond the slots filled so far; absent when no payload bytes
+            are kept).  Full width, so that later arrivals can be folded in
+            at their slots.
         """
         count = self.rank
         if count == 0:
             raise RuntimeError("cannot combine over an empty buffer")
-        if coefficients.shape[0] != count:
+        if len(coefficients) != count:
             raise ValueError(
                 f"expected {count} combination coefficients, "
-                f"got {coefficients.shape[0]}")
-        combined = self._combination(
-            0, np.asarray(coefficients, dtype=np.uint8).tobytes())
-        # Full width, so that later arrivals can be folded in at their slots.
-        row = np.frombuffer(bytearray(combined.to_bytes(self._width, "little")),
-                            dtype=np.uint8)
-        batch_size = self.batch_size
-        return row[:batch_size], row[batch_size:]
+                f"got {len(coefficients)}")
+        return self._combination(0, coefficients)
 
     def decode(self) -> np.ndarray:
         """Recover the K native payloads; requires a full-rank buffer.

@@ -82,6 +82,7 @@ def decode_by_inversion(packets: list[CodedPacket]) -> np.ndarray:
         raise ValueError(
             f"decode_by_inversion needs exactly K={batch_size} packets, got {len(packets)}"
         )
-    coefficients = np.stack([p.code_vector for p in packets])
+    coefficients = np.stack([np.frombuffer(p.code_vector, dtype=np.uint8)
+                             for p in packets])
     payloads = np.stack([p.payload for p in packets])
     return gf_matmul(invert(coefficients), payloads)

@@ -26,15 +26,15 @@ code vector plus the *recipe* for the bytes — the sender's own
 :class:`~repro.coding.packet.PayloadRows` and one coefficient row over them
 — and the product runs when the packet's ``payload`` is first read (a
 packet nobody stores never runs it).  Whenever that is, the bytes equal the
-product taken at the hand-out: the code vector and the coefficient row were
-allocated for this packet and the encoder keeps no reference to them, the
-row covers the rows filled by then, filled rows never change (natives are
-fixed; a forwarder's raw slots are append-only), and a flush continues on
-fresh rows rather than zeroing the ones unread packets still point at.  So
-neither later ``add_packet`` calls, nor hand-outs, nor ``reset`` can reach a
-packet already given to the MAC layer.  Every sender derives bytes from what
-it holds — a forwarder from its raw slots, never from the source's natives
-— so a decoded file verifies the re-coding along the whole path.
+product taken at the hand-out: the code vector and the coefficient row are
+immutable ``bytes``, the row covers the rows filled by then, filled rows
+never change (natives are fixed; a forwarder's raw slots are append-only),
+and a flush continues on fresh rows rather than zeroing the ones unread
+packets still point at.  So neither later ``add_packet`` calls, nor
+hand-outs, nor ``reset`` can reach a packet already given to the MAC layer.
+Every sender derives bytes from what it holds — a forwarder from its raw
+slots, never from the source's natives — so a decoded file verifies the
+re-coding along the whole path.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ import numpy as np
 
 from repro.coding.buffer import BatchBuffer
 from repro.coding.packet import Batch, CodedPacket, PayloadRows
-from repro.gf.arithmetic import CoefficientStream, scale_and_add
+from repro.gf.arithmetic import CoefficientStream
+from repro.gf.tables import MUL_ROWS
 
 
 class SourceEncoder:
@@ -94,17 +95,15 @@ class SourceEncoder:
         """
         if count <= 0:
             raise ValueError("count must be positive")
-        coefficients = np.empty((count, self.batch_size), dtype=np.uint8)
-        for i in range(count):
-            coefficients[i] = self.stream.code_vector(self.batch_size)
-        payloads = self._rows.matmul(coefficients)
+        vectors = [self.stream.code_vector(self.batch_size) for _ in range(count)]
+        coefficients = np.frombuffer(b"".join(vectors), dtype=np.uint8)
+        payloads = self._rows.matmul(coefficients.reshape(count, self.batch_size))
         self.packets_generated += count
-        # Both matrices were allocated for this call alone, so the packets
-        # can own their rows outright — no defensive copy needed.
+        # The payload matrix was allocated for this call alone, so the
+        # packets can own their rows outright — no defensive copy needed.
         return [
-            CodedPacket.from_owned(coefficients[i], payloads[i],
-                                   batch_id=self.batch.batch_id)
-            for i in range(count)
+            CodedPacket.from_owned(vector, payload, batch_id=self.batch.batch_id)
+            for vector, payload in zip(vectors, payloads)
         ]
 
 
@@ -115,9 +114,10 @@ class ForwarderEncoder:
     packet; if it is innovative it is also folded into the pre-coded packet
     so the next transmission reflects everything the node knows.
 
-    The pre-coded packet is kept as the one ``[code | mix]`` row
-    :meth:`BatchBuffer.combine_rows` produces: its code vector, and its
-    bytes as coefficients over the buffer's raw payload slots.
+    The pre-coded packet is kept as the one ``[code | mix]`` int row
+    :meth:`BatchBuffer.combine_rows` produces: its code vector in the low K
+    bytes, and its bytes as coefficients over the buffer's raw payload slots
+    in the K above them.
     """
 
     def __init__(self, batch_size: int, packet_size: int, stream: CoefficientStream,
@@ -125,8 +125,12 @@ class ForwarderEncoder:
         self.buffer = BatchBuffer(batch_size, packet_size)
         self.stream = stream
         self.batch_id = batch_id
-        self._precoded_vector: np.ndarray | None = None
-        self._precoded_mix: np.ndarray | None = None
+        self._precoded: int | None = None
+        #: The code half of a row: its low K bytes.
+        self._code_mask = (1 << (8 * batch_size)) - 1
+        #: Bit offset of raw slot 0 in a row, or None when no payload bytes
+        #: (and so no mix) are kept.
+        self._slot_shift = 8 * batch_size if packet_size else None
         self.packets_generated = 0
 
     @property
@@ -150,20 +154,23 @@ class ForwarderEncoder:
         """
         innovative = self.buffer.add(packet)
         if innovative:
-            vector, mix = self._precoded_vector, self._precoded_mix
-            if vector is None or mix is None:
+            precoded = self._precoded
+            if precoded is None:
                 self._start_precode()
+                return True
+            coefficient = self.stream.nonzero_coefficient()
+            precoded ^= int.from_bytes(
+                packet.code_vector.translate(MUL_ROWS[coefficient]), "little")
+            if self._slot_shift is not None:
+                precoded ^= coefficient << (self._slot_shift + 8 * (self.buffer.rank - 1))
+            if precoded & self._code_mask:
+                self._precoded = precoded
             else:
-                coefficient = self.stream.nonzero_coefficient()
-                scale_and_add(vector, packet.code_vector, coefficient)
-                if mix.shape[0]:
-                    mix[self.buffer.rank - 1] ^= coefficient
-                if not vector.any():
-                    # Degenerate fold: cannot happen when the arrival was
-                    # genuinely innovative (an independent vector never
-                    # cancels the stored combination), but re-code from the
-                    # buffer rather than ever transmitting a zero vector.
-                    self._start_precode()
+                # Degenerate fold: cannot happen when the arrival was
+                # genuinely innovative (an independent vector never cancels
+                # the stored combination), but re-code from the buffer
+                # rather than ever transmitting a zero vector.
+                self._start_precode()
         return innovative
 
     def _start_precode(self) -> None:
@@ -176,12 +183,10 @@ class ForwarderEncoder:
         vector.
         """
         if self.buffer.rank == 0:
-            self._precoded_vector = None
-            self._precoded_mix = None
+            self._precoded = None
             return
         coefficients = self.stream.code_vector(self.buffer.rank)
-        self._precoded_vector, self._precoded_mix = \
-            self.buffer.combine_rows(coefficients)
+        self._precoded = self.buffer.combine_rows(coefficients)
 
     def has_data(self) -> bool:
         """True if the forwarder has anything to transmit."""
@@ -193,21 +198,23 @@ class ForwarderEncoder:
         Raises:
             RuntimeError: if no innovative packet has been buffered yet.
         """
-        if self._precoded_vector is None or self._precoded_mix is None:
+        if self._precoded is None:
             self._start_precode()
-        if self._precoded_vector is None or self._precoded_mix is None:
+        precoded = self._precoded
+        if precoded is None:
             raise RuntimeError("forwarder has no buffered packets to code over")
-        # The pre-coded row was allocated by ``combine_rows`` for this
-        # packet alone; the packet takes it and the encoder drops its
-        # references, so nothing it does afterwards (add_packet folds,
-        # re-coding) can alias the packet now owned by the caller.  The mix
-        # is cut to the raw slots filled so far: what the packet's bytes are
-        # made of, whatever the buffer admits before they are read.
-        packet = CodedPacket.deferred(self._precoded_vector, self.buffer.raw,
-                                      self._precoded_mix[:self.buffer.rank],
+        # The packet's code vector and coefficient row are bytes cut from
+        # the int row, so nothing the encoder does afterwards (add_packet
+        # folds, re-coding) can reach them.  The mix is cut to the raw slots
+        # filled so far: what the packet's bytes are made of, whatever the
+        # buffer admits before they are read.
+        buffer = self.buffer
+        row = precoded.to_bytes(buffer.width, "little")
+        batch_size = buffer.batch_size
+        packet = CodedPacket.deferred(row[:batch_size], buffer.raw,
+                                      row[batch_size:batch_size + buffer.rank],
                                       batch_id=self.batch_id)
-        self._precoded_vector = None
-        self._precoded_mix = None
+        self._precoded = None
         self.packets_generated += 1
         # As soon as the transmission starts, pre-code the next packet
         # (Section 3.3.3, sender side).
@@ -217,7 +224,6 @@ class ForwarderEncoder:
     def reset(self, batch_id: int | None = None) -> None:
         """Flush buffered packets (batch acked or superseded)."""
         self.buffer.clear()
-        self._precoded_vector = None
-        self._precoded_mix = None
+        self._precoded = None
         if batch_id is not None:
             self.batch_id = batch_id

@@ -7,7 +7,9 @@ derived from the natives, plus the combined payload bytes — computed when
 they are first read (:class:`PayloadRows`), because most packets put on the
 air are never stored by anyone.
 
-Payloads are numpy ``uint8`` vectors; every byte is one GF(2^8) element.
+A code vector is ``bytes``, K header bytes as MORE carries them, from the
+draw through the header to the buffer; payloads are numpy ``uint8``
+vectors.  Every byte is one GF(2^8) element.
 """
 
 from __future__ import annotations
@@ -109,17 +111,15 @@ class PayloadRows:
             operand.grow(count)
         return operand
 
-    def combine(self, row: np.ndarray) -> np.ndarray:
+    def combine(self, row: bytes) -> np.ndarray:
         """``row @ matrix[:len(row)]``: the bytes of one coded packet."""
-        count = row.shape[0]
+        count = len(row)
         operand = self._over(count)
         if operand.k > count:
             # A late read: the rows filled since carry coefficient zero.
-            padded = np.zeros(operand.k, dtype=np.uint8)
-            padded[:count] = row
-            row = padded
+            row += bytes(operand.k - count)
         self._built[0] += 1
-        return operand.vecmul(row)
+        return operand.vecmul(np.frombuffer(row, dtype=np.uint8))
 
     def matmul(self, coefficients: np.ndarray) -> np.ndarray:
         """``coefficients @ matrix``, one payload per coefficient row."""
@@ -142,36 +142,36 @@ class CodedPacket:
     not merely equal bytes.
 
     Attributes:
-        code_vector: length-K uint8 vector of combination coefficients.
+        code_vector: the K combination coefficients, one byte each.
         payload: combined payload bytes.
         batch_id: identifier of the batch this packet belongs to.
     """
 
     __slots__ = ("code_vector", "batch_id", "_payload", "_rows", "_row")
 
-    def __init__(self, code_vector: np.ndarray,
-                 payload: np.ndarray | bytes | bytearray, batch_id: int = 0) -> None:
-        vector = np.asarray(code_vector, dtype=np.uint8)
-        if vector.ndim != 1:
-            raise ValueError("code vector must be 1-D")
-        self.code_vector = vector.copy()
+    def __init__(self, code_vector: bytes, payload: np.ndarray | bytes | bytearray,
+                 batch_id: int = 0) -> None:
+        if not isinstance(code_vector, (bytes, bytearray)):
+            raise TypeError(
+                f"code vector must be bytes, got {type(code_vector).__name__}")
+        self.code_vector = bytes(code_vector)
         self.batch_id = batch_id
         self._payload: np.ndarray | None = _as_payload(payload)
         self._rows: PayloadRows | None = None
-        self._row: np.ndarray | None = None
+        self._row: bytes | None = None
 
     @classmethod
-    def from_owned(cls, code_vector: np.ndarray, payload: np.ndarray,
+    def from_owned(cls, code_vector: bytes, payload: np.ndarray,
                    batch_id: int = 0) -> "CodedPacket":
-        """Wrap freshly-created arrays without the defensive copy.
+        """Wrap a code vector and a freshly-created payload without the
+        defensive copy.
 
-        The caller transfers ownership: both arrays must be uint8, 1-D and
-        referenced by nothing that will mutate them afterwards.  Encoders
-        use this on the batched path where the arrays are slices of a
-        matrix allocated for this call alone; external callers should use
-        the normal constructor, which copies.
+        The caller transfers ownership of ``payload`` (uint8, 1-D,
+        referenced by nothing that will mutate it afterwards).  Encoders use
+        this on the batched path where the payloads are rows of a matrix
+        allocated for this call alone; external callers should use the
+        normal constructor, which copies.
         """
-        assert code_vector.dtype == np.uint8 and code_vector.ndim == 1
         assert payload.dtype == np.uint8 and payload.ndim == 1
         packet = cls.__new__(cls)
         packet.code_vector = code_vector
@@ -181,16 +181,13 @@ class CodedPacket:
         return packet
 
     @classmethod
-    def deferred(cls, code_vector: np.ndarray, rows: PayloadRows, row: np.ndarray,
+    def deferred(cls, code_vector: bytes, rows: PayloadRows, row: bytes,
                  batch_id: int = 0) -> "CodedPacket":
         """A packet whose bytes are ``row @ rows.matrix[:len(row)]``, unbuilt.
 
-        The caller transfers ownership of ``code_vector`` and ``row`` (both
-        uint8, 1-D) as for :meth:`from_owned`; ``rows`` stays the sender's,
-        which only ever appends to it.
+        ``row`` holds one coefficient per filled row of ``rows``; ``rows``
+        stays the sender's, which only ever appends to it.
         """
-        assert code_vector.dtype == np.uint8 and code_vector.ndim == 1
-        assert row.dtype == np.uint8 and row.ndim == 1
         packet = cls.__new__(cls)
         packet.code_vector = code_vector
         packet.batch_id = batch_id
@@ -211,7 +208,7 @@ class CodedPacket:
     @property
     def batch_size(self) -> int:
         """K, the length of the code vector."""
-        return int(self.code_vector.shape[0])
+        return len(self.code_vector)
 
     @property
     def size(self) -> int:
@@ -223,7 +220,7 @@ class CodedPacket:
 
     def copy(self) -> "CodedPacket":
         """Return an independent copy of this packet (its bytes built)."""
-        # The constructor copies both arrays.
+        # The constructor copies the payload; the code vector is immutable.
         return CodedPacket(self.code_vector, self.payload, self.batch_id)
 
 

@@ -7,12 +7,12 @@ Three layers are provided:
   against;
 * row operations on numpy ``uint8`` arrays (``vec_scale``,
   ``scale_and_add``): scale a row by a coefficient and XOR-accumulate it
-  into another, the elimination step of :mod:`repro.gf.matrix` and the
-  forwarder's pre-code fold;
+  into another, the elimination step of :mod:`repro.gf.matrix`;
 * the random coefficients network coding runs on:
   :class:`CoefficientStream`, which reads a node's coding generator in
-  blocks, beside the per-draw numpy calls it is held to
-  (``random_code_vector``, ``random_nonzero_coefficient``).
+  blocks and hands out code vectors as ``bytes``, beside the per-draw numpy
+  calls it is held to (``random_code_vector``,
+  ``random_nonzero_coefficient``).
 """
 
 from __future__ import annotations
@@ -58,11 +58,7 @@ def vec_scale(vector: np.ndarray, coefficient: int) -> np.ndarray:
 
 
 def scale_and_add(accumulator: np.ndarray, vector: np.ndarray, coefficient: int) -> None:
-    """In-place ``accumulator ^= coefficient * vector``.
-
-    The accumulator is modified in place so forwarders can maintain their
-    pre-coded code vector incrementally (Section 3.2.3(c)).
-    """
+    """In-place ``accumulator ^= coefficient * vector``."""
     coefficient &= 0xFF
     if coefficient == 0:
         return
@@ -77,9 +73,8 @@ _ZERO_BYTES: dict[int, bytes] = {}
 
 
 def zero_bytes(count: int) -> bytes:
-    """``bytes(count)``, kept: the all-zero image the degenerate-draw guards
-    compare ``ndarray.tobytes()`` against (a raw-bytes compare is ~10x
-    cheaper than ``ndarray.any()`` at K <= 128)."""
+    """``bytes(count)``, kept: the all-zero code vector the degenerate-draw
+    guards compare each draw's bytes against."""
     zero = _ZERO_BYTES.get(count)
     if zero is None:
         zero = _ZERO_BYTES[count] = bytes(count)
@@ -165,9 +160,9 @@ class CoefficientStream:
         self._next = stop
         return start
 
-    def code_vector(self, count: int) -> np.ndarray:
-        """The next random code vector of ``count`` coefficients, as an
-        array of its own; the degenerate all-zero vector is re-drawn."""
+    def code_vector(self, count: int) -> bytes:
+        """The next random code vector of ``count`` coefficients, one byte
+        each; the degenerate all-zero vector is re-drawn."""
         if count < 1:
             raise ValueError(f"a code vector has at least one coefficient, got {count}")
         words = (count + 3) >> 2
@@ -176,7 +171,7 @@ class CoefficientStream:
             start = self._take(words)
             coefficients = self._words[start:start + count]
             if coefficients != zero:
-                return np.frombuffer(bytearray(coefficients), dtype=np.uint8)
+                return coefficients
 
     def nonzero_coefficient(self) -> int:
         """The next single non-zero random field element."""

@@ -382,7 +382,7 @@ class MoreAgent(ProtocolAgent):
     def _data_frame(self, spec: MoreFlowSpec, flow_id: int, batch_id: int,
                     coded: CodedPacket) -> Frame:
         """A broadcast data frame of the current plan.  Its header is built
-        normalisation-free: the code vector is uint8 by construction and the
+        normalisation-free: the code vector is bytes by construction and the
         plan's forwarder list is the header's own, already truncated, so
         ``__post_init__`` has nothing to do."""
         plan = spec.plan

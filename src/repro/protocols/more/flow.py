@@ -68,7 +68,7 @@ class MoreFlowHandle(FlowHandle):
         header = MoreHeader(
             packet_type=MorePacketType.DATA, source=spec.source,
             destination=spec.destination, flow_id=spec.flow_id, batch_id=0,
-            code_vector=np.zeros(spec.batch_size, dtype=np.uint8),
+            code_vector=bytes(spec.batch_size),
             forwarders=[ForwarderEntry(node_id=node, tx_credit=tx_credit[node])
                         for node in intermediates])
         spec.plan = MorePlan(
@@ -105,20 +105,22 @@ class MoreFlowHandle(FlowHandle):
 
 def _synthetic_batches(total_packets: int, batch_size: int, payload_size: int,
                        rng: np.random.Generator) -> list[Batch]:
-    """Build batches with random payload bytes (no real file supplied)."""
+    """Build batches with random payload bytes (no real file supplied).
+
+    One draw per batch.  ``integers(0, 256, dtype=uint8)`` fills its bytes
+    from whole 32-bit words and drops the rest of the last one, so a batch's
+    rows drawn padded to whole words and then cut are the bytes — and leave
+    the generator state — of one draw per native.
+    """
+    padded = 4 * -(-payload_size // 4)
     batches: list[Batch] = []
-    remaining = total_packets
-    batch_id = 0
-    while remaining > 0:
-        count = min(batch_size, remaining)
-        packets = [
-            NativePacket(index=i,
-                         payload=rng.integers(0, 256, size=payload_size, dtype=np.uint8))
-            for i in range(count)
-        ]
-        batches.append(Batch(batch_id=batch_id, packets=packets))
-        remaining -= count
-        batch_id += 1
+    for batch_id, first in enumerate(range(0, total_packets, batch_size)):
+        count = min(batch_size, total_packets - first)
+        payloads = rng.integers(0, 256, size=(count, padded),
+                                dtype=np.uint8)[:, :payload_size]
+        batches.append(Batch(batch_id=batch_id, packets=[
+            NativePacket(index=index, payload=payload)
+            for index, payload in enumerate(payloads)]))
     return batches
 
 

@@ -18,8 +18,6 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 
-import numpy as np
-
 #: Maximum number of forwarders carried in a header (Section 4.6(c)).
 MAX_FORWARDERS = 10
 
@@ -66,7 +64,8 @@ class MoreHeader:
         destination: destination node id of the flow.
         flow_id: flow identifier.
         batch_id: batch the packet belongs to.
-        code_vector: combination coefficients (data packets only).
+        code_vector: combination coefficients, one byte each (data packets
+            only).
         forwarders: the forwarder list with TX credits, ordered by
             increasing distance (ETX) to the destination.
     """
@@ -76,7 +75,7 @@ class MoreHeader:
     destination: int
     flow_id: int
     batch_id: int
-    code_vector: np.ndarray | None = None
+    code_vector: bytes | None = None
     forwarders: list[ForwarderEntry] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -84,15 +83,18 @@ class MoreHeader:
             # Keep the closest-to-destination forwarders (list is ordered).
             self.forwarders = self.forwarders[:MAX_FORWARDERS]
         if self.code_vector is not None:
-            self.code_vector = np.asarray(self.code_vector, dtype=np.uint8)
+            if not isinstance(self.code_vector, (bytes, bytearray)):
+                raise TypeError("code vector must be bytes, "
+                                f"got {type(self.code_vector).__name__}")
+            self.code_vector = bytes(self.code_vector)
 
     @classmethod
     def for_data(cls, source: int, destination: int, flow_id: int, batch_id: int,
-                 code_vector: np.ndarray,
+                 code_vector: bytes,
                  forwarders: list[ForwarderEntry]) -> "MoreHeader":
         """Build a DATA header without re-normalising the inputs.
 
-        The per-transmission fast path: callers must pass a ``uint8`` code
+        The per-transmission fast path: callers must pass a ``bytes`` code
         vector and a forwarder list already within
         :data:`MAX_FORWARDERS` entries (both invariants hold for
         plan-derived inputs), so the ``__post_init__`` checks are skipped.
@@ -120,7 +122,7 @@ class MoreHeader:
             ValueError: if K or a forwarder's node id does not fit its one
                 byte, where it would come back as another value.
         """
-        vector = self.code_vector if self.code_vector is not None else np.zeros(0, np.uint8)
+        vector = self.code_vector if self.code_vector is not None else b""
         parts = [
             self._REQUIRED.pack(
                 int(self.packet_type),
@@ -131,7 +133,7 @@ class MoreHeader:
                 _one_byte("K", len(vector)),
                 len(self.forwarders) & 0xFF,
             ),
-            vector.tobytes(),
+            vector,
         ]
         for entry in self.forwarders:
             parts.append(struct.pack("!BB", _one_byte("forwarder node id", entry.node_id),
@@ -149,7 +151,9 @@ class MoreHeader:
         offset = required_size
         vector = None
         if vector_length:
-            vector = np.frombuffer(data, dtype=np.uint8, count=vector_length, offset=offset).copy()
+            vector = bytes(data[offset:offset + vector_length])
+            if len(vector) != vector_length:
+                raise ValueError("buffer too small for the header's code vector")
             offset += vector_length
         forwarders = []
         for _ in range(forwarder_count):
@@ -168,7 +172,7 @@ class MoreHeader:
 
     def size_bytes(self) -> int:
         """Serialised header size in bytes."""
-        vector_length = 0 if self.code_vector is None else int(self.code_vector.shape[0])
+        vector_length = 0 if self.code_vector is None else len(self.code_vector)
         return self._REQUIRED.size + vector_length + 2 * len(self.forwarders)
 
     def overhead_fraction(self, payload_bytes: int) -> float:

@@ -394,7 +394,10 @@ class WirelessMedium:
         for other in history:
             if start < other.end and other.start < end:
                 overlapping.append(other)
-        senders = tuple([other.frame.sender for other in overlapping])
+        # Most frames overlap nothing: their key is the empty tuple, built
+        # without a comprehension.
+        senders = (tuple([other.frame.sender for other in overlapping])
+                   if overlapping else ())
         if self._static:
             row = None
             plan = self._plans[sender, senders]

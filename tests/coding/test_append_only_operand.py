@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_vectorized_differential import ScalarBatchBuffer
+from test_vectorized_differential import ScalarBatchBuffer, row_halves
 
 from repro.coding.buffer import BatchBuffer
 from repro.coding.encoder import ForwarderEncoder, SourceEncoder
@@ -62,7 +62,8 @@ class EagerForwarder:
                 self._start_precode()
             else:
                 coefficient = random_nonzero_coefficient(self.rng)
-                scale_and_add(self._vector, packet.code_vector, coefficient)
+                scale_and_add(self._vector, np.frombuffer(packet.code_vector, dtype=np.uint8),
+                              coefficient)
                 scale_and_add(self._payload, packet.payload, coefficient)
         return innovative
 
@@ -78,7 +79,7 @@ class EagerForwarder:
     def next_packet(self) -> CodedPacket:
         if self._vector is None:
             self._start_precode()
-        packet = CodedPacket.from_owned(self._vector, self._payload,
+        packet = CodedPacket.from_owned(self._vector.tobytes(), self._payload,
                                         batch_id=self.batch_id)
         self._start_precode()
         return packet
@@ -92,7 +93,7 @@ def _scalar_combination(coefficients: np.ndarray, rows: np.ndarray) -> np.ndarra
 
 
 def _assert_same_packet(actual: CodedPacket, expected: CodedPacket) -> None:
-    assert actual.code_vector.tobytes() == expected.code_vector.tobytes()
+    assert actual.code_vector == expected.code_vector
     assert actual.size == expected.size
     assert actual.payload.tobytes() == expected.payload.tobytes()
     assert actual.batch_id == expected.batch_id
@@ -130,9 +131,9 @@ def test_any_interleaving_matches_both_references(batch_size, packet_size, seed,
                 ScalarBatchBuffer(batch_size, packet_size))
 
     def hand_out(packet: CodedPacket, sender: object, expected: CodedPacket) -> None:
-        assert packet.code_vector.any()
-        for other, _, _, _ in handed_out:
-            assert not np.shares_memory(packet.code_vector, other.code_vector)
+        # Immutable bytes, never the zero vector.
+        assert packet.code_vector.__class__ is bytes
+        assert packet.code_vector != bytes(batch_size)
         handed_out.append((packet, sender, expected, _scalar_combination(
             packet.code_vector, natives).tobytes()))
         unread.append((packet, sender))
@@ -168,14 +169,15 @@ def test_any_interleaving_matches_both_references(batch_size, packet_size, seed,
             if not forwarder.has_data():
                 continue
             coefficients = source_rng.integers(0, 256, forwarder.rank, dtype=np.uint8)
-            vector, mix = forwarder.buffer.combine_rows(coefficients)
+            vector, mix = row_halves(forwarder.buffer,
+                                  forwarder.buffer.combine_rows(coefficients.tobytes()))
             payload = forwarder.buffer.raw.combine(mix[:forwarder.rank])
             combined += 1
             expected_vector, expected_payload = eager.combine_eagerly(coefficients)
-            assert vector.tobytes() == expected_vector.tobytes()
+            assert vector == expected_vector.tobytes()
             assert payload.tobytes() == expected_payload.tobytes()
-            assert not mix[forwarder.rank:].any()
-            assert vector.tobytes() == _scalar_combination(
+            assert not any(mix[forwarder.rank:])
+            assert vector == _scalar_combination(
                 coefficients, scalar.coefficient_matrix()).tobytes()
             assert payload.tobytes() == _scalar_combination(
                 coefficients, scalar.payload_matrix()).tobytes()
@@ -195,12 +197,11 @@ def test_any_interleaving_matches_both_references(batch_size, packet_size, seed,
             natives, source, oracle, scalar = new_batch()
             last = None
             assert forwarder.rank == 0 and not forwarder.has_data()
-        # What the encoder holds now is not what it gave away, and only a
-        # read builds bytes.
-        if forwarder._precoded_vector is not None:
-            for packet, _, _, _ in handed_out:
-                assert not np.shares_memory(packet.code_vector,
-                                            forwarder._precoded_vector)
+        # What the encoder holds now is a pre-code it can put on the air (an
+        # int row: what it gave away are bytes cut from earlier ones), and
+        # only a read builds bytes.
+        if forwarder._precoded is not None:
+            assert forwarder._precoded & ((1 << (8 * batch_size)) - 1)
         for packet, _ in unread:
             assert packet.size == packet_size
         assert forwarder.payloads_built == built_by(forwarder) + combined
@@ -233,11 +234,11 @@ def test_reused_buffer_equals_a_fresh_one(packet_size, rng, stream):
         while not fresh.is_full:
             packet = source.next_packet()
             assert reused.add(packet.copy()) == fresh.add(packet.copy())
-            coefficients = rng.integers(0, 256, fresh.rank, dtype=np.uint8)
-            vector, mix = reused.combine_rows(coefficients)
-            expected_vector, expected_mix = fresh.combine_rows(coefficients)
-            assert vector.tobytes() == expected_vector.tobytes()
-            assert mix.tobytes() == expected_mix.tobytes()
+            coefficients = rng.integers(0, 256, fresh.rank, dtype=np.uint8).tobytes()
+            vector, mix = row_halves(reused, reused.combine_rows(coefficients))
+            expected_vector, expected_mix = row_halves(fresh, fresh.combine_rows(coefficients))
+            assert vector == expected_vector
+            assert mix == expected_mix
             assert reused.raw.combine(mix[:fresh.rank]).tobytes() == \
                 fresh.raw.combine(expected_mix[:fresh.rank]).tobytes()
         reused.clear()
@@ -247,10 +248,10 @@ def test_reused_buffer_equals_a_fresh_one(packet_size, rng, stream):
 def test_combine_rows_rejects_what_it_cannot_combine(rng, stream):
     buffer = BatchBuffer(4, 16)
     with pytest.raises(RuntimeError, match="empty buffer"):
-        buffer.combine_rows(np.zeros(0, dtype=np.uint8))
+        buffer.combine_rows(b"")
     buffer.add(SourceEncoder(make_batch(4, 16, rng=rng), stream).next_packet())
     with pytest.raises(ValueError, match="expected 1 combination coefficients"):
-        buffer.combine_rows(np.ones(2, dtype=np.uint8))
+        buffer.combine_rows(b"\x01\x01")
 
 
 @pytest.mark.parametrize("packet_size,rows_per_arrival", [(1500, 7), (16, 0), (0, 0)])

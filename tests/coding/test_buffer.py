@@ -16,7 +16,8 @@ from repro.gf.matrix import rank
 def coded(vector, payload=None, k=None):
     k = k if k is not None else len(vector)
     payload = payload if payload is not None else np.zeros(4, dtype=np.uint8)
-    return CodedPacket(code_vector=np.asarray(vector, dtype=np.uint8), payload=payload)
+    return CodedPacket(code_vector=np.asarray(vector, dtype=np.uint8).tobytes(),
+                       payload=payload)
 
 
 class TestInnovationCheck:
@@ -59,11 +60,11 @@ class TestInnovationCheck:
     def test_is_innovative_does_not_mutate(self):
         buffer = BatchBuffer(3, 4)
         buffer.add(coded([1, 0, 0]))
-        probe = np.array([0, 1, 0], dtype=np.uint8)
+        probe = bytes([0, 1, 0])
         assert buffer.is_innovative(probe)
         assert buffer.rank == 1
         buffer.add(coded([0, 1, 0]))
-        assert not buffer.is_innovative(np.array([1, 1, 0], dtype=np.uint8))
+        assert not buffer.is_innovative(bytes([1, 1, 0]))
 
     def test_mismatched_vector_length_rejected(self):
         buffer = BatchBuffer(4, 4)
@@ -146,7 +147,8 @@ def test_property_rank_matches_gaussian_elimination(batch_size, seed):
     for _ in range(batch_size + 3):
         vector = rng.integers(0, 256, batch_size, dtype=np.uint8)
         vectors.append(vector)
-        buffer.add(CodedPacket(code_vector=vector, payload=np.zeros(1, dtype=np.uint8)))
+        buffer.add(CodedPacket(code_vector=vector.tobytes(),
+                               payload=np.zeros(1, dtype=np.uint8)))
     assert buffer.rank == rank(np.stack(vectors))
 
 
@@ -159,6 +161,7 @@ def test_property_innovative_count_never_exceeds_k(batch_size, seed):
     admitted = 0
     for _ in range(3 * batch_size):
         vector = rng.integers(0, 2, batch_size, dtype=np.uint8) * rng.integers(0, 256)
-        if buffer.add(CodedPacket(code_vector=vector, payload=np.zeros(1, dtype=np.uint8))):
+        if buffer.add(CodedPacket(code_vector=vector.astype(np.uint8).tobytes(),
+                                  payload=np.zeros(1, dtype=np.uint8))):
             admitted += 1
     assert admitted == buffer.rank <= batch_size

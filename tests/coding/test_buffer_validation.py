@@ -22,11 +22,16 @@ BUFFER = pytest.mark.parametrize("make_buffer", [BatchBuffer], ids=["vectorized"
 
 
 def _packet(vector_bytes, payload_size=S):
-    vector = np.zeros(K, dtype=np.uint8)
+    vector = bytearray(K)
     for index, value in vector_bytes.items():
         vector[index] = value
-    return CodedPacket(code_vector=vector,
+    return CodedPacket(code_vector=bytes(vector),
                        payload=np.arange(payload_size, dtype=np.uint8))
+
+
+def _unit(index):
+    """The code vector of native ``index`` alone."""
+    return bytes(K)[:index] + b"\x01" + bytes(K - index - 1)
 
 
 def test_batch_size_must_be_positive():
@@ -65,7 +70,7 @@ def test_mismatched_payload_length_is_rejected(make_buffer):
 @BUFFER
 def test_mismatched_code_vector_length_is_rejected(make_buffer):
     buffer = make_buffer(batch_size=K, packet_size=S)
-    bad = CodedPacket(code_vector=np.ones(K + 1, dtype=np.uint8),
+    bad = CodedPacket(code_vector=b"\x01" * (K + 1),
                       payload=np.zeros(S, dtype=np.uint8))
     with pytest.raises(ValueError, match="code vector length"):
         buffer.add(bad)
@@ -87,20 +92,19 @@ def test_decode_before_full_rank_is_an_error(make_buffer):
 def test_is_innovative_validates_vector_length(make_buffer):
     buffer = make_buffer(batch_size=K, packet_size=S)
     with pytest.raises(ValueError, match="length"):
-        buffer.is_innovative(np.ones(K + 1, dtype=np.uint8))
+        buffer.is_innovative(b"\x01" * (K + 1))
 
 
 @BUFFER
 def test_is_innovative_without_insertion(make_buffer):
     buffer = make_buffer(batch_size=K, packet_size=S)
-    zero = np.zeros(K, dtype=np.uint8)
-    assert not buffer.is_innovative(zero)
-    assert buffer.is_innovative(np.ones(K, dtype=np.uint8))
+    assert not buffer.is_innovative(bytes(K))
+    assert buffer.is_innovative(b"\x01" * K)
 
     buffer.add(_packet({0: 1}))
-    seen = buffer.coefficient_matrix()[0]
+    seen = buffer.coefficient_matrix()[0].tobytes()
     assert not buffer.is_innovative(seen)
-    assert buffer.is_innovative(np.ones(K, dtype=np.uint8))
+    assert buffer.is_innovative(b"\x01" * K)
     assert buffer.rank == 1  # the probe inserted nothing
 
 
@@ -114,10 +118,11 @@ def test_width_zero_buffer_keeps_code_vectors_only(make_buffer):
     sized = make_buffer(batch_size=K, packet_size=S)
     bare = make_buffer(batch_size=K, packet_size=0)
     with pytest.raises(ValueError, match="payload length 16 does not match") as refused:
-        bare.add(CodedPacket(code_vector=vectors[0], payload=np.zeros(S, dtype=np.uint8)))
+        bare.add(CodedPacket(code_vector=vectors[0].tobytes(),
+                             payload=np.zeros(S, dtype=np.uint8)))
     assert "\n" not in str(refused.value)
     assert (bare.rank, bare.received) == (0, 0)
-    for vector in vectors:
+    for vector in map(np.ndarray.tobytes, vectors):
         assert bare.is_innovative(vector) == sized.is_innovative(vector)
         assert bare.add(CodedPacket(code_vector=vector, payload=b"")) == \
             sized.add(CodedPacket(code_vector=vector, payload=np.zeros(S, dtype=np.uint8)))
@@ -130,29 +135,34 @@ def test_width_zero_buffer_keeps_code_vectors_only(make_buffer):
 def test_payload_free_buffer_refuses_combine_over_empty(make_buffer):
     buffer = make_buffer(batch_size=K, packet_size=0)
     with pytest.raises(RuntimeError, match="empty buffer"):
-        buffer.combine_rows(np.zeros(0, dtype=np.uint8))
-    buffer.add(CodedPacket(code_vector=np.eye(K, dtype=np.uint8)[2], payload=b""))
+        buffer.combine_rows(b"")
+    buffer.add(CodedPacket(code_vector=_unit(2), payload=b""))
     with pytest.raises(ValueError, match="expected 1 combination coefficients"):
-        buffer.combine_rows(np.ones(2, dtype=np.uint8))
+        buffer.combine_rows(b"\x01\x01")
     assert (buffer.rank, buffer.received, buffer.innovative) == (1, 1, 1)
 
 
 @BUFFER
 def test_width_zero_combine_rows_has_empty_mix(make_buffer):
-    """At width 0 a re-coded packet is its code vector: the mix over raw
-    payload slots is empty, and so are the bytes it builds."""
+    """At width 0 a re-coded packet is its code vector: the combined row has
+    no mix half over raw payload slots, and an empty mix builds no bytes."""
     buffer = make_buffer(batch_size=K, packet_size=0)
     for unit in (1, 5):
-        buffer.add(CodedPacket(code_vector=np.eye(K, dtype=np.uint8)[unit], payload=b""))
-    combined, mix = buffer.combine_rows(np.array([3, 7], dtype=np.uint8))
+        buffer.add(CodedPacket(code_vector=_unit(unit), payload=b""))
+    combined = buffer.combine_rows(bytes([3, 7]))
     expected = np.zeros(K, dtype=np.uint8)
     expected[[1, 5]] = (3, 7)
-    np.testing.assert_array_equal(combined, expected)
-    assert mix.shape == (0,)
-    assert buffer.raw.combine(mix).shape == (0,)
+    assert buffer.width == K
+    assert combined.to_bytes(K, "little") == expected.tobytes()
+    assert buffer.raw.combine(b"").shape == (0,)
 
 
-def test_code_vector_must_be_one_dimensional():
-    with pytest.raises(ValueError, match="1-D"):
-        CodedPacket(code_vector=np.zeros((2, 2), dtype=np.uint8),
-                    payload=np.zeros(4, dtype=np.uint8))
+@pytest.mark.parametrize("vector", [np.zeros(4, dtype=np.uint8),
+                                    np.zeros((2, 2), dtype=np.uint8), [0, 1, 2, 3]],
+                         ids=["array", "2-D array", "list"])
+def test_code_vector_must_be_bytes(vector):
+    """A code vector is K header bytes: anything else is refused at the
+    constructor, rather than read through the buffer protocol at another
+    width."""
+    with pytest.raises(TypeError, match="code vector must be bytes"):
+        CodedPacket(code_vector=vector, payload=np.zeros(4, dtype=np.uint8))

@@ -67,7 +67,7 @@ def _make_stream(rng: np.random.Generator):
             # GF-sum of two earlier packets: non-zero yet non-innovative.
             first = packets[int(rng.integers(0, len(packets)))]
             second = packets[int(rng.integers(0, len(packets)))]
-            vector = first.code_vector ^ second.code_vector
+            vector = bytes(a ^ b for a, b in zip(first.code_vector, second.code_vector))
             payload = first.payload ^ second.payload
             packets.append(CodedPacket(code_vector=vector, payload=payload))
             continue
@@ -77,7 +77,7 @@ def _make_stream(rng: np.random.Generator):
             coefficients = rng.integers(0, 256, size=dimension, dtype=np.uint8)
         vector = gf_vecmat(coefficients, basis)
         payload = gf_vecmat(vector, natives)
-        packets.append(CodedPacket(code_vector=vector, payload=payload))
+        packets.append(CodedPacket(code_vector=vector.tobytes(), payload=payload))
     return batch_size, packet_size, natives, packets
 
 

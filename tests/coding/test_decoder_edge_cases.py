@@ -107,16 +107,17 @@ def test_forwarder_precodes_rank_deficient_buffer(make_forwarder):
 
     recoded = forwarder.next_packet()
     heard = forwarder.buffer.coefficient_matrix()
-    stacked = np.vstack([heard, recoded.code_vector])
+    vector = np.frombuffer(recoded.code_vector, dtype=np.uint8)
+    stacked = np.vstack([heard, vector])
     assert matrix_rank(stacked) == len(packets)  # no rank inflation
-    assert recoded.code_vector.any()
+    assert vector.any()
 
     # The payload (combined through the deferred transform) is the one the
     # code vector promises over the natives.  The 64-byte rows are built by
     # the MUL-table gather; the stack, the other formulation, checks them.
     np.testing.assert_array_equal(
         recoded.payload,
-        gf_matmul(recoded.code_vector[None, :], batch.payload_matrix())[0])
+        gf_matmul(vector[None, :], batch.payload_matrix())[0])
 
 
 def test_full_batch_matches_inversion_reference():

@@ -3,9 +3,9 @@
 Two classes of bug are pinned down here:
 
 * **Aliasing**: a packet handed out by an encoder must never change when
-  the encoder's internal state is later updated in place (the forwarder
-  folds new arrivals into its pre-coded ``[code | mix]`` row) — including
-  the bytes a packet has not built yet.
+  the encoder's internal state is later updated (the forwarder folds new
+  arrivals into its pre-coded ``[code | mix]`` int row) — including the
+  bytes a packet has not built yet.
 * **Degenerate draws**: the all-zero coefficient vector must be re-drawn
   wherever random combinations are formed — source coding, forwarder
   pre-coding — via the single shared guard
@@ -47,13 +47,24 @@ def _word(*coefficients: int) -> int:
     return int.from_bytes(bytes(coefficients).ljust(4, b"\0"), "little")
 
 
+def _as_array(vector: bytes) -> np.ndarray:
+    """A code vector as the uint8 array the numpy oracles take."""
+    return np.frombuffer(vector, dtype=np.uint8)
+
+
+def _code_half(forwarder: ForwarderEncoder) -> bytes:
+    """The code vector of a forwarder's pre-coded ``[code | mix]`` row."""
+    buffer = forwarder.buffer
+    return forwarder._precoded.to_bytes(buffer.width, "little")[:buffer.batch_size]
+
+
 class TestRandomCodeVectorGuard:
     def test_redraws_all_zero_vector(self):
-        real = np.array([3, 0, 7, 1], dtype=np.uint8)
+        real = bytes([3, 0, 7, 1])
         stream = CoefficientStream(StubWords([0, 0, _word(*real), _word(8)]))
-        assert np.array_equal(stream.code_vector(4), real)
+        assert stream.code_vector(4) == real
         # Three words went into it: the next draw starts at the fourth.
-        assert stream.code_vector(1).tolist() == [8]
+        assert stream.code_vector(1) == bytes([8])
 
     def test_source_encoder_skips_zero_draw(self, rng):
         batch = make_batch(batch_size=3, packet_size=8, rng=rng)
@@ -61,7 +72,7 @@ class TestRandomCodeVectorGuard:
         stub = StubWords([_word(0, 0, 0, 9), _word(0, 5, 0)])
         encoder = SourceEncoder(batch, CoefficientStream(stub))
         packet = encoder.next_packet()
-        assert packet.code_vector.tolist() == [0, 5, 0]
+        assert packet.code_vector == bytes([0, 5, 0])
 
     def test_forwarder_precode_skips_zero_draw(self, rng, stream):
         batch = make_batch(batch_size=3, packet_size=8, rng=rng)
@@ -75,16 +86,21 @@ class TestRandomCodeVectorGuard:
                                      stream=CoefficientStream(stub))
         assert forwarder.add_packet(first)
         (stored,) = forwarder.buffer.coefficient_matrix()
-        assert np.array_equal(forwarder._precoded_vector, vec_scale(stored, 9))
+        assert _code_half(forwarder) == vec_scale(stored, 9).tobytes()
         recoded = forwarder.next_packet()
-        assert recoded.code_vector.any()
+        assert recoded.code_vector != bytes(3)
+        assert np.array_equal(recoded.payload,
+                              gf_vecmat(_as_array(recoded.code_vector),
+                                        batch.payload_matrix()))
 
     def test_forwarder_fold_guard_recovers_from_cancellation(self, rng, stream):
-        """If an in-place fold ever cancels the combination, it is rebuilt.
+        """If a fold ever cancels the combination's code half, it is rebuilt.
 
         The cancellation cannot arise from a genuinely innovative arrival
-        (independence forbids it), so the internal pre-coded state is
-        forced into the pathological position directly.
+        (independence forbids it), so the internal pre-coded row is forced
+        into the pathological position directly.  The fold still writes its
+        coefficient into the mix half, so the row as a whole stays non-zero:
+        the guard must look at the code half alone.
         """
         batch = make_batch(batch_size=4, packet_size=8, rng=rng)
         source = SourceEncoder(batch, stream)
@@ -99,15 +115,22 @@ class TestRandomCodeVectorGuard:
         word = ((coefficient - 1) << 32) // 255 + 1
         assert CoefficientStream(StubWords([word])).nonzero_coefficient() == coefficient
         forwarder.stream = CoefficientStream(StubWords([word]))
-        forwarder._precoded_vector = vec_scale(incoming.code_vector, coefficient)
-        forwarder._precoded_mix = np.zeros(4, dtype=np.uint8)
+        forwarder._precoded = int.from_bytes(
+            vec_scale(_as_array(incoming.code_vector), coefficient).tobytes(), "little")
         assert forwarder.add_packet(incoming)
-        assert forwarder._precoded_vector is not None
-        assert forwarder._precoded_vector.any()
-        # Re-coded over both stored rows, bytes included.
-        recoded = forwarder.next_packet()
-        assert np.array_equal(recoded.payload,
-                              gf_vecmat(recoded.code_vector, batch.payload_matrix()))
+        # Re-coded over both stored rows: the fold coefficient, then one
+        # fresh combination drawn from the same words.
+        twin = CoefficientStream(StubWords([word]))
+        assert twin.nonzero_coefficient() == coefficient
+        assert forwarder._precoded == forwarder.buffer.combine_rows(twin.code_vector(2))
+        assert _code_half(forwarder) != bytes(4)
+        # No zero vector goes on the air, and the bytes follow the vectors.
+        for _ in range(3):
+            recoded = forwarder.next_packet()
+            assert recoded.code_vector != bytes(4)
+            assert np.array_equal(recoded.payload,
+                                  gf_vecmat(_as_array(recoded.code_vector),
+                                            batch.payload_matrix()))
 
 
 class TestHandedOutPacketsAreImmutable:
@@ -120,9 +143,9 @@ class TestHandedOutPacketsAreImmutable:
 
         handed_out = forwarder.next_packet()
         unread = forwarder.next_packet()
-        vector_snapshot = handed_out.code_vector.copy()
+        vector_snapshot = handed_out.code_vector
         payload_snapshot = handed_out.payload.copy()
-        unread_payload = gf_vecmat(unread.code_vector, batch.payload_matrix())
+        unread_payload = gf_vecmat(_as_array(unread.code_vector), batch.payload_matrix())
 
         # Every subsequent arrival folds into the (new) pre-coded packet in
         # place; none of it may reach the packets already handed out,
@@ -132,7 +155,7 @@ class TestHandedOutPacketsAreImmutable:
         # Built over all four raw slots, before the packet that knows two.
         assert forwarder.next_packet().payload.shape == (16,)
 
-        assert np.array_equal(handed_out.code_vector, vector_snapshot)
+        assert handed_out.code_vector == vector_snapshot
         assert np.array_equal(handed_out.payload, payload_snapshot)
         assert np.array_equal(unread.payload, unread_payload)
 
@@ -141,23 +164,29 @@ class TestHandedOutPacketsAreImmutable:
         source = SourceEncoder(batch, stream)
         forwarder = ForwarderEncoder(batch_size=3, packet_size=8, stream=stream)
         forwarder.add_packet(source.next_packet())
+        precoded = forwarder._precoded.to_bytes(forwarder.buffer.width, "little")
         packet = forwarder.next_packet()
-        # The freshly pre-coded internal row must share nothing with the
-        # one inside the handed-out packet.
-        assert not np.shares_memory(forwarder._precoded_vector, packet.code_vector)
-        assert not np.shares_memory(forwarder._precoded_mix, packet._row)
+        # The packet takes immutable bytes cut from the pre-coded row: its
+        # code half, and its mix over the one raw slot filled.
+        assert packet.code_vector.__class__ is bytes and packet._row.__class__ is bytes
+        assert (packet.code_vector, packet._row) == (precoded[:3], precoded[3:4])
+        # Folds into the fresh pre-code leave the handed-out packet alone.
+        for _ in range(3):
+            forwarder.add_packet(source.next_packet())
+        assert (packet.code_vector, packet._row) == (precoded[:3], precoded[3:4])
 
     def test_source_packets_independent_of_each_other(self, rng, stream):
         batch = make_batch(batch_size=4, packet_size=16, rng=rng)
         encoder = SourceEncoder(batch, stream)
         packets = encoder.next_packets(4)
-        snapshots = [(p.code_vector.copy(), p.payload.copy()) for p in packets]
-        # Mutating one packet's arrays must not leak into its siblings
-        # (they are disjoint rows of per-call matrices).
+        snapshots = [(p.code_vector, p.payload.copy()) for p in packets]
+        # Code vectors are immutable bytes; mutating one packet's payload
+        # must not leak into its siblings (they are disjoint rows of a
+        # per-call matrix).
+        assert all(packet.code_vector.__class__ is bytes for packet in packets)
         packets[0].payload[:] = 0
-        packets[0].code_vector[:] = 0
         for packet, (vector, payload) in zip(packets[1:], snapshots[1:]):
-            assert np.array_equal(packet.code_vector, vector)
+            assert packet.code_vector == vector
             assert np.array_equal(packet.payload, payload)
 
     def test_buffer_does_not_alias_inserted_packets(self, rng, stream):

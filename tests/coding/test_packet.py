@@ -40,8 +40,7 @@ class TestNativePacket:
 
 class TestCodedPacket:
     def test_basic_properties(self):
-        packet = CodedPacket(code_vector=np.array([1, 0, 2], dtype=np.uint8),
-                             payload=b"abcd", batch_id=3)
+        packet = CodedPacket(code_vector=bytes([1, 0, 2]), payload=b"abcd", batch_id=3)
         assert packet.batch_size == 3
         assert packet.size == 4
         assert packet.batch_id == 3
@@ -49,20 +48,22 @@ class TestCodedPacket:
     def test_zero_vector_detection(self):
         """A zero code vector carries nothing: a buffer counts it received,
         never innovative, whatever its payload bytes."""
-        packet = CodedPacket(code_vector=np.zeros(4, dtype=np.uint8), payload=b"1234")
+        packet = CodedPacket(code_vector=bytes(4), payload=b"1234")
         buffer = BatchBuffer(4, 4)
         assert not buffer.is_innovative(packet.code_vector)
         assert buffer.add(packet) is False
         assert (buffer.rank, buffer.received, buffer.innovative) == (0, 1, 0)
 
     def test_copy_is_independent(self):
-        packet = CodedPacket(code_vector=np.array([1, 2], dtype=np.uint8), payload=b"xy")
+        packet = CodedPacket(code_vector=bytes([1, 2]), payload=b"xy")
         clone = packet.copy()
-        clone.code_vector[0] = 9
-        assert packet.code_vector[0] == 1
+        clone.payload[0] = 9
+        assert packet.payload[0] == ord("x")
+        # The code vector is immutable bytes, shared as it is.
+        assert clone.code_vector == packet.code_vector == bytes([1, 2])
 
     def test_compares_and_hashes_by_identity(self):
-        packet = CodedPacket(code_vector=np.array([1, 2], dtype=np.uint8), payload=b"xy")
+        packet = CodedPacket(code_vector=bytes([1, 2]), payload=b"xy")
         assert packet == packet and packet != packet.copy()
         assert len({packet, packet.copy(), packet}) == 2
 

@@ -189,7 +189,7 @@ def run_code_vector_trace(name: str) -> dict:
 
     def recording_begin(frame, now, airtime):
         if frame.payload.__class__ is MoreDataPayload:
-            digest.update(frame.payload.coded.code_vector.tobytes())
+            digest.update(frame.payload.coded.code_vector)
             sent = (frame.sender, frame.flow_id)
             frames[sent] = frames.get(sent, 0) + 1
         return begin(frame, now, airtime)

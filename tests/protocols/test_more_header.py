@@ -23,7 +23,7 @@ def data_header(batch_size=32, forwarders=3):
         destination=9,
         flow_id=42,
         batch_id=7,
-        code_vector=np.arange(batch_size, dtype=np.uint8),
+        code_vector=bytes(range(batch_size)),
         forwarders=[ForwarderEntry(node_id=i + 2, tx_credit=0.5 + i) for i in range(forwarders)],
     )
 
@@ -35,7 +35,8 @@ class TestPackUnpack:
         assert parsed.packet_type is MorePacketType.DATA
         assert parsed.source == 1 and parsed.destination == 9
         assert parsed.flow_id == 42 and parsed.batch_id == 7
-        assert np.array_equal(parsed.code_vector, header.code_vector)
+        assert parsed.code_vector.__class__ is bytes
+        assert parsed.code_vector == header.code_vector == bytes(range(32))
         assert parsed.forwarder_ids() == header.forwarder_ids()
 
     def test_roundtrip_ack_header(self):
@@ -59,6 +60,16 @@ class TestPackUnpack:
     def test_truncated_buffer_rejected(self):
         with pytest.raises(ValueError):
             MoreHeader.unpack(b"\x00\x01")
+        # The fixed fields whole, the code vector cut short.
+        with pytest.raises(ValueError, match="code vector"):
+            MoreHeader.unpack(data_header().pack()[:20])
+
+    def test_code_vector_must_be_bytes(self):
+        """The header carries K bytes: an array is refused, not read
+        through the buffer protocol at another width."""
+        with pytest.raises(TypeError, match="code vector must be bytes"):
+            MoreHeader(packet_type=MorePacketType.DATA, source=1, destination=2,
+                       flow_id=3, batch_id=0, code_vector=np.arange(4))
 
     def test_node_id_or_k_beyond_one_byte_rejected(self):
         """A kilonode forwarder id or K = 256 is refused, not truncated."""
@@ -104,7 +115,7 @@ def test_property_pack_unpack_roundtrip(batch_size, forwarder_count, batch_id, f
         destination=int(rng.integers(0, 2**32 - 1)),
         flow_id=flow_id,
         batch_id=batch_id,
-        code_vector=rng.integers(0, 256, batch_size, dtype=np.uint8),
+        code_vector=rng.integers(0, 256, batch_size, dtype=np.uint8).tobytes(),
         forwarders=[ForwarderEntry(node_id=int(rng.integers(0, 255)),
                                    tx_credit=float(rng.uniform(0, 10)))
                     for _ in range(forwarder_count)],
@@ -112,5 +123,5 @@ def test_property_pack_unpack_roundtrip(batch_size, forwarder_count, batch_id, f
     parsed = MoreHeader.unpack(header.pack())
     assert parsed.flow_id == flow_id
     assert parsed.batch_id == batch_id
-    assert np.array_equal(parsed.code_vector, header.code_vector)
+    assert parsed.code_vector == header.code_vector
     assert len(parsed.forwarders) == forwarder_count

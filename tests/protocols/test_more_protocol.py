@@ -7,6 +7,9 @@ import pytest
 
 from repro.coding.packet import PayloadRows
 from repro.protocols.more import MAX_FORWARDERS, setup_more_flow
+from repro.protocols.more.agent import MoreDataPayload
+from repro.protocols.more.flow import _synthetic_batches
+from repro.protocols.more.header import MoreHeader
 from repro.sim.radio import SimConfig
 from repro.sim.simulator import Simulator
 from repro.topology.generator import chain, diamond, indoor_testbed, two_hop_relay
@@ -38,7 +41,7 @@ class TestEndToEndTransfer:
         combine = PayloadRows.combine
 
         def counting_combine(rows, row):
-            products.append(row.shape[0])
+            products.append(len(row))
             return combine(rows, row)
 
         monkeypatch.setattr(PayloadRows, "combine", counting_combine)
@@ -168,6 +171,54 @@ class TestProtocolBehaviour:
         for node in listed:  # the source is upstream of every relay
             state = sim.nodes[node].agent.forward_flows[handle.flow_id]
             assert state.credit == plan.tx_credit[node] and state.encoder is not None
+
+    def test_code_vectors_are_header_bytes_on_the_air(self):
+        """Every data frame, the source's and the forwarders' alike, carries
+        its code vector as the batch's K bytes — the very object its header
+        holds — and the vector survives the header's pack/unpack unchanged.
+        The last batch is short, so K is read per batch."""
+        topo = diamond(0.5, 0.6, relay_count=3)
+        destination = topo.node_count - 1
+        sim = Simulator(topo, SimConfig(seed=1))
+        handle = setup_more_flow(sim, topo, 0, destination, seed=1, total_packets=40,
+                                 batch_size=16, packet_size=400)
+        sent: list[tuple[int, MoreDataPayload]] = []
+        begin = sim.medium.begin
+
+        def recording_begin(frame, now, airtime):
+            if frame.payload.__class__ is MoreDataPayload:
+                sent.append((frame.sender, frame.payload))
+            return begin(frame, now, airtime)
+
+        sim.medium.begin = recording_begin
+        sim.run(until=60.0, stop_condition=sim.stats.all_flows_complete)
+        assert sim.stats.flows[handle.flow_id].completed
+        assert {sender for sender, _ in sent} > {0}  # relays sent too
+        for _, payload in sent:
+            vector = payload.coded.code_vector
+            assert vector.__class__ is bytes
+            assert len(vector) == (16 if payload.header.batch_id < 2 else 8)
+            assert vector != bytes(len(vector))
+            assert payload.header.code_vector is vector
+            assert MoreHeader.unpack(payload.header.pack()).code_vector == vector
+
+    @pytest.mark.parametrize("payload_size", [0, 1, 3, 15, 16, 17, 1500])
+    def test_synthetic_payloads_are_one_draw_per_native(self, payload_size):
+        """One draw per batch, its rows padded to whole 32-bit words and cut:
+        the payloads, and the generator's final state, of one draw per
+        native on a twin generator."""
+        rng, twin = np.random.default_rng((9, 1)), np.random.default_rng((9, 1))
+        batches = _synthetic_batches(70, 32, payload_size, rng)
+        expected = [twin.integers(0, 256, size=payload_size, dtype=np.uint8)
+                    for _ in range(70)]
+        assert [(batch.batch_id, batch.size) for batch in batches] == \
+            [(0, 32), (1, 32), (2, 6)]
+        assert [packet.index for packet in batches[2].packets] == list(range(6))
+        payloads = [packet.payload for batch in batches for packet in batch.packets]
+        assert all(payload.shape == (payload_size,) for payload in payloads)
+        assert [payload.tobytes() for payload in payloads] == \
+            [payload.tobytes() for payload in expected]
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_throughput_positive_and_bounded(self):
         topo = chain(2, link_delivery=0.8)
