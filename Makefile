@@ -11,8 +11,9 @@ ENV      = PYTHONPATH=src
         golden docs-check sweep-smoke fault-smoke bench-smoke figures examples clean
 
 # The pre-merge gate: the static analyzer (style rules included, so `lint`
-# is not run again), the import budget, the golden-trace tests (fail fast on
-# a hot-path behaviour change), the coding/GF differentials (fail fast on a
+# is not run again), the import budget, the engine gate (fail fast on a
+# hot-path behaviour change or a broken run-time invariant), the coding/GF
+# differentials (fail fast on a
 # coefficient or a row), the control-plane differentials and re-plan unit
 # tests (fail fast on a link estimate, a distance or a plan), then the full
 # tier-1 suite.
@@ -24,9 +25,11 @@ check: analyze import-check test-engine test-coding test-control test
 lint:
 	$(PYTHON) -m repro_check --select SYN001,E501,W191,W291,W293,F401
 
-# repro-check: every rule of the repo-specific static analyzer (determinism,
-# RNG provenance, config threading, stale suppressions, style) plus the strict-mypy typed-core gate when mypy is installed.  Rules
-# and suppression syntax are catalogued in docs/invariants.md.
+# repro-check: every rule of the repo-specific static analyzer (seeded
+# randomness and no wall clock, stale suppressions, style) plus the
+# strict-mypy typed-core gate when mypy is installed.  RNG provenance and
+# config threading are run-time tests (tests/invariants, in test-engine).
+# Rules and suppression syntax are catalogued in docs/invariants.md.
 analyze:
 	$(PYTHON) -m repro_check
 
@@ -50,7 +53,11 @@ test:
 # MAC's unit tests, plus the full-run traces
 # held bit-identical to tests/golden_traces.json — static runs, runs under
 # faults, and the runs whose control plane recurs (the refreshing /
-# supervised presets and three re-planned concurrent flows).
+# supervised presets and three re-planned concurrent flows) — then the
+# run-time invariants: every channel, mobility and fault model replays
+# under any query order, only the medium and the MACs read the main
+# generator (every protocol under every model kind), and every RunConfig
+# field changes a run.
 test-engine:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/sim/test_events.py \
 		tests/sim/test_medium.py \
@@ -59,7 +66,8 @@ test-engine:
 		tests/sim/test_mac_and_trace.py \
 		tests/sim/test_engine_differential.py \
 		tests/sim/test_fault_differential.py \
-		tests/scenarios/test_dynamic_scenarios.py
+		tests/scenarios/test_dynamic_scenarios.py \
+		tests/invariants
 
 # Rewrite tests/golden_traces.json from this tree.  The only way the golden
 # file changes: its diff is a behaviour change to be argued in the PR.

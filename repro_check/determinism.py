@@ -8,7 +8,8 @@ golden-trace tests compare exact ``bit_generator.state``.  One
 unseeded generator — or one wall-clock read leaking into simulated
 behaviour — silently breaks all of that, and the dynamic tests only notice
 once a trace diverges.  This rule rejects the constructs at parse time; the
-flow half of the contract (who may draw from which stream) is DET101's.
+flow half of the contract (who may draw from which stream) is checked on
+running code by the tests under ``tests/invariants``.
 """
 
 from __future__ import annotations

@@ -14,10 +14,9 @@ Three pieces, deliberately small:
   so the CLI (``make analyze``, ``make lint``) and the tests all address
   rules by name through one table.
 
-Where a rule looks (which modules must stay counter-based, where the config
-dataclass lives) is a field of :class:`AnalysisConfig` rather than hard-coded
-in the rule, which is what lets the fixture tests point a rule at a
-known-bad synthetic tree.
+Where a rule looks (which files, which package subtree) is a field of
+:class:`AnalysisConfig` rather than hard-coded in the rule, which is what
+lets the fixture tests point a rule at a known-bad synthetic tree.
 """
 
 from __future__ import annotations
@@ -215,30 +214,8 @@ class AnalysisConfig:
                                       "scripts", "examples", "setup.py")
     #: Maximum source line length (mirrors ``tool.ruff.line-length``).
     line_length: int = 100
-    #: The package subtree the determinism/invariant rules police.
+    #: The package subtree the determinism rule polices.
     src_prefix: str = "src/repro"
-    #: Import root: dotted module names derive from paths under here
-    #: (``src/repro/sim/events.py`` -> ``repro.sim.events``).
-    src_root: str = "src"
-    #: Modules whose realisations must stay counter-based (DET101): a
-    #: channel, mobility or fault realisation is a pure function of
-    #: ``(seed, counter)``, so crash schedules and burst chains are the same
-    #: serial or parallel, first query or hundredth.
-    counter_modules: tuple[str, ...] = (
-        "src/repro/sim/channels.py",
-        "src/repro/topology/mobility.py",
-        "src/repro/sim/faults.py",
-    )
-    #: Where the experiment config dataclass lives (CFG101).
-    config_class: tuple[str, str] = ("src/repro/experiments/runner.py", "RunConfig")
-    #: The attribute holding the main simulation generator's one reader,
-    #: its :class:`repro.rng.WordStream` — DET101's MAIN stream root (path,
-    #: class, attribute).  ``Simulator.rng`` is a property over it that
-    #: nothing assigns, so rooting there would leave the check vacuous.
-    rng_main_root: tuple[str, str, str] = (
-        "src/repro/sim/simulator.py", "Simulator", "words")
-    #: Modules whose public surface seeds CFG101's reachability walk.
-    entry_modules: tuple[str, ...] = ("repro.cli", "repro.experiments.figures")
 
 
 class Rule:

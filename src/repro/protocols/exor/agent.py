@@ -165,7 +165,6 @@ class ExorScheduler:
         self.sim = sim
         self.active = False
         self.batch_id = -1
-        self.round = 0
         self.holder: int | None = None
         self._position = 0
 
@@ -173,7 +172,6 @@ class ExorScheduler:
         """Begin the scheduled phase of a batch with the source's initial turn."""
         self.active = True
         self.batch_id = batch_id
-        self.round = 0
         self._grant(len(self.spec.plan.participants) - 1)  # the source
 
     def stop(self) -> None:
@@ -193,7 +191,6 @@ class ExorScheduler:
         if next_position < 0:
             # A full round ended with the destination; start the next round
             # from the node farthest from the destination (the source).
-            self.round += 1
             next_position = len(self.spec.plan.participants) - 1
         # The next forwarder cannot start the instant its predecessor stops:
         # it only knows the predecessor's fragment size from batch maps and
@@ -330,7 +327,6 @@ class ExorAgent(ProtocolAgent):
         self.schedulers: dict[int, ExorScheduler] = {}
         self.control_queue: deque[Frame] = deque()
         self.source_progress: dict[int, int] = {}  # flow -> current batch at source
-        self.destination_done: dict[int, set[int]] = {}  # flow -> acked batches
         self.cleanup_requested: dict[int, set[int]] = {}
         self.data_sent = 0
 
@@ -364,7 +360,6 @@ class ExorAgent(ProtocolAgent):
         if self.node_id == spec.source:
             self.source_progress.setdefault(spec.flow_id, 0)
         if self.node_id == spec.destination:
-            self.destination_done.setdefault(spec.flow_id, set())
             self.cleanup_requested.setdefault(spec.flow_id, set())
 
     def start_flow(self, flow_id: int) -> None:

@@ -3,7 +3,8 @@
 The channel, mobility and fault layers derive per-(entity, counter)
 uniforms that are a pure function of their inputs — the numpy equivalent of
 a counter-based PRNG — so realisations never depend on query order.  The
-mixer lives here, in one place, so the layers cannot silently diverge.
+mixer and the uniform it makes (:func:`counter_uniform`) live here, in one
+place, so the layers cannot silently diverge.
 
 :class:`WordStream` is the one reader of the main simulation generator: the
 medium's reception and capture coins and every MAC's backoff draw read its
@@ -25,6 +26,22 @@ def splitmix64(values: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
+
+
+def counter_uniform(seed: int, stream: int, entities, counters) -> np.ndarray:
+    """Counter-based uniforms in [0, 1), one per ``(entity, counter)`` pair.
+
+    A pure function of ``(seed, stream, entity, counter)``: the seed mixed
+    with a layer's private ``stream`` constant keys the entity (a link, a
+    node), which keys the counter (a draw index, an epoch), each through
+    :func:`splitmix64`; the top 53 bits of the result make the double, as
+    numpy's ``random()`` makes one from a word.  ``entities`` and
+    ``counters`` broadcast against each other.
+    """
+    key = np.uint64(((seed ^ stream) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
+    mixed = splitmix64(splitmix64(np.asarray(entities, dtype=np.uint64) + key)
+                       + np.asarray(counters, dtype=np.uint64))
+    return (mixed >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 def threshold(probability: float) -> int:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.params import SectionSpec, build_model
-from repro.rng import splitmix64 as _splitmix64
+from repro.rng import counter_uniform
 from repro.topology.graph import Topology
 
 #: Stream key mixed with the cell seed so channel randomness is independent
@@ -147,9 +147,8 @@ class GilbertElliott(ChannelModel):
     the nominal matrix.
 
     The k-th holding time of each link comes from a counter-based uniform
-    (:func:`repro.rng.splitmix64` of ``(seed, link, k)``), so every link's
-    whole
-    trajectory is a pure function of the seed: the state at time ``t``
+    (:func:`repro.rng.counter_uniform` of ``(seed, link, k)``), so every
+    link's whole trajectory is a pure function of the seed: the state at time ``t``
     never depends on how often — or in what interleaving with other
     senders' rows — the model was queried, which keeps back-to-back
     protocol runs at the same seed on the *same* channel realisation.
@@ -178,12 +177,8 @@ class GilbertElliott(ChannelModel):
 
     def _uniform(self, links: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Counter-based uniforms in (0, 1] for the given (link, draw) pairs."""
-        key = np.uint64(((self.seed ^ _CHANNEL_STREAM) * 0x9E3779B97F4A7C15)
-                        & 0xFFFFFFFFFFFFFFFF)
-        mixed = _splitmix64(_splitmix64(links.astype(np.uint64) + key)
-                            + draws.astype(np.uint64))
-        # Map to (0, 1]: never 0, so log() below stays finite.
-        return (mixed >> np.uint64(11)).astype(np.float64) * 2.0 ** -53 + 2.0 ** -54
+        # Shifted to (0, 1]: never 0, so log() below stays finite.
+        return counter_uniform(self.seed, _CHANNEL_STREAM, links, draws) + 2.0 ** -54
 
     def _prepare(self) -> None:
         count = self._base.shape[0]

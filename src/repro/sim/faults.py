@@ -12,8 +12,8 @@ scenario can sweep, mirroring :class:`~repro.sim.channels.ChannelSpec` /
   reproducible "kill node 3 at t=5s" experiment).
 * :class:`CrashRecover` — stochastic per-node up/down alternating renewal
   chains with exponential holding times; each node's k-th holding time is
-  a pure function of ``(seed, node, k)`` via the shared SplitMix64 in
-  :mod:`repro.rng`, so realisations replay exactly regardless of event
+  a pure function of ``(seed, node, k)`` via the shared
+  :func:`repro.rng.counter_uniform`, so realisations replay exactly regardless of event
   interleaving and never touch the simulator's main RNG stream.
 
 A :class:`FaultSpec` is the declarative form (``kind`` + ``params``) that
@@ -25,7 +25,8 @@ the event queue.
 
 Determinism: fault randomness derives from the cell seed mixed with a
 private stream key via *counter-based* draws (no ``Generator`` state is
-ever stored — enforced statically by the DET101 repro-check rule), and a
+ever stored and the main stream is never read, both checked on running
+code by ``tests/invariants/test_random_streams.py``), and a
 ``faults=None`` / kind ``"none"`` run schedules no events and draws no
 randomness: it is bit-identical to a simulator without the subsystem.
 """
@@ -40,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.params import SectionSpec, build_model
-from repro.rng import splitmix64 as _splitmix64
+from repro.rng import counter_uniform
 from repro.sim.frames import Frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -164,11 +165,7 @@ class CrashRecover(FaultModel):
 
     def _uniform(self, node: int, counters: np.ndarray) -> np.ndarray:
         """Counter-based uniforms in (0, 1] for ``(seed, node, counter)``."""
-        key = np.uint64(((self.seed ^ _FAULT_STREAM) * 0x9E3779B97F4A7C15)
-                        & 0xFFFFFFFFFFFFFFFF)
-        node_term = _splitmix64(np.uint64([node]) + key)
-        mixed = _splitmix64(node_term + counters.astype(np.uint64))
-        return (mixed >> np.uint64(11)).astype(np.float64) * 2.0**-53 + 2.0**-54
+        return counter_uniform(self.seed, _FAULT_STREAM, [node], counters) + 2.0 ** -54
 
     def _extend_chain(self, node: int, chain: list[tuple[float, bool]]) -> None:
         """Realise the next block of up/down cycles onto ``chain``."""

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.params import SectionSpec, build_model
-from repro.rng import splitmix64 as _splitmix64
+from repro.rng import counter_uniform
 from repro.topology.generator import margin_to_delivery, path_loss_margin_db
 from repro.topology.graph import Topology
 
@@ -280,11 +280,7 @@ class MarkovLinkChurn(MobilityModel):
 
     def _uniform(self, epoch: int) -> np.ndarray:
         """Counter-based uniforms in [0, 1) for every link at one epoch."""
-        key = np.uint64(((self.seed ^ _MOBILITY_STREAM) * 0x9E3779B97F4A7C15)
-                        & 0xFFFFFFFFFFFFFFFF)
-        mixed = _splitmix64(_splitmix64(self._link_ids + key)
-                            + np.uint64(epoch))
-        return (mixed >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        return counter_uniform(self.seed, _MOBILITY_STREAM, self._link_ids, epoch)
 
     def _prepare(self) -> None:
         count = self._bound_base().shape[0]

@@ -1,4 +1,4 @@
-"""DET001 fixture tests, and the stored-generator fixtures DET101 took over."""
+"""DET001 fixture tests."""
 
 from __future__ import annotations
 
@@ -53,46 +53,3 @@ def test_det001_flags_wallclock_even_via_alias(tmp_path):
 def test_det001_ignores_code_outside_src_prefix(tmp_path):
     write(tmp_path, "scripts/tool.py", "import time\nt = time.time()\n")
     assert run_rules(tmp_path, select=["DET001"]) == []
-
-
-# The reject fixtures of the deleted DET002 (a generator stored on a
-# channel/mobility/fault realisation), drawn from: DET101 is the one rule
-# for the invariant, at the draw that makes the storage harmful.
-
-def det2(tmp_path, body):
-    write(tmp_path, "src/repro/sim/channels.py", body)
-    return run_rules(tmp_path, select=["DET101"])
-
-
-def test_det002_flags_generator_stored_on_self(tmp_path):
-    findings = det2(tmp_path,
-                    "import numpy as np\n"
-                    "class Fading:\n"
-                    "    def __init__(self, seed):\n"
-                    "        self.rng = np.random.default_rng(seed)\n"
-                    "    def sample(self):\n"
-                    "        return self.rng.uniform()\n")
-    assert [f.line for f in findings] == [6]
-    assert "stored on `Fading.rng`" in findings[0].message
-
-
-def test_det002_flags_spawned_children(tmp_path):
-    findings = det2(tmp_path,
-                    "class Fading:\n"
-                    "    def __init__(self, rng):\n"
-                    "        self.child = rng.spawn(1)[0]\n"
-                    "    def sample(self):\n"
-                    "        return self.child.uniform()\n")
-    assert [f.line for f in findings] == [5]
-    assert "stored on `Fading.child`" in findings[0].message
-
-
-def test_det002_accepts_per_query_generators(tmp_path):
-    assert det2(tmp_path,
-                "import numpy as np\n"
-                "class Fading:\n"
-                "    def __init__(self, seed):\n"
-                "        self.seed = seed\n"
-                "    def sample(self, epoch):\n"
-                "        rng = np.random.default_rng((self.seed, epoch))\n"
-                "        return rng.uniform()\n") == []

@@ -82,7 +82,7 @@ def test_standalone_suppression_covers_next_code_line(tmp_path):
 def test_suppression_is_rule_specific(tmp_path):
     write(tmp_path, "src/repro/x.py",
           "import time\n"
-          "t = time.time()  # repro: allow-CFG101\n")
+          "t = time.time()  # repro: allow-E501\n")
     findings = run_rules(tmp_path, select=["DET001"])
     assert [f.rule for f in findings] == ["DET001"]
 
@@ -113,7 +113,6 @@ def test_config_defaults_describe_this_repo():
     assert config.src_prefix == "src/repro"
     root = Path(__file__).resolve().parents[2]
     assert all((root / target).exists() for target in config.style_targets)
-    assert all((root / module).is_file() for module in config.counter_modules)
     # The analyzer lints itself; ruff covers the same files.
     assert "repro_check" in config.style_targets
     assert "repro_check/**/*.py" in (root / "pyproject.toml").read_text()

@@ -22,7 +22,7 @@ def test_cli_exits_zero_on_the_repository(capsys):
 
 
 def test_cli_select_subset(capsys):
-    assert main(["--select", "det001,CFG101"]) == 0
+    assert main(["--select", "det001,sup001"]) == 0
     assert "analyze: clean" in capsys.readouterr().out
 
 

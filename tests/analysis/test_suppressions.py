@@ -31,8 +31,8 @@ def test_file_scope_suppression_covers_the_whole_module(tmp_path):
 
 def test_file_scope_is_still_rule_specific(tmp_path):
     write(tmp_path, "src/repro/x.py",
-          "# repro: allow-CFG101 file\n" + WALLCLOCK)
-    findings = run_rules(tmp_path, select=["DET001", "CFG101"])
+          "# repro: allow-E501 file\n" + WALLCLOCK)
+    findings = run_rules(tmp_path, select=["DET001", "E501"])
     assert [f.rule for f in findings] == ["DET001"]
 
 
@@ -69,12 +69,12 @@ def test_unused_file_scope_suppression_names_its_scope(tmp_path):
 
 
 def test_audit_only_covers_rules_that_ran(tmp_path):
-    # The CFG101 comment is unused, but CFG101 did not run: a partial
+    # The E501 comment is unused, but E501 did not run: a partial
     # --select must not flag comments belonging to rules it skipped.
     write(tmp_path, "src/repro/x.py",
-          "x = 1  # repro: allow-CFG101 legacy path\n")
+          "x = 1  # repro: allow-E501 legacy path\n")
     assert run_rules(tmp_path, select=["DET001", "SUP001"]) == []
-    findings = run_rules(tmp_path, select=["CFG101", "SUP001"])
+    findings = run_rules(tmp_path, select=["E501", "SUP001"])
     assert [f.rule for f in findings] == ["SUP001"]
 
 
@@ -82,12 +82,12 @@ def test_select_sup001_alone_audits_against_all_rules_silently(tmp_path):
     write(tmp_path, "src/repro/x.py",
           WALLCLOCK +                       # a real DET001 finding ...
           "u = time.time()  # repro: allow-DET001 used\n"
-          "y = 2  # repro: allow-CFG101 unused\n")
+          "y = 2  # repro: allow-E501 unused\n")
     findings = run_rules(tmp_path, select=["SUP001"])
     # ... is NOT reported (rules ran only to credit suppressions), the
-    # used DET001 comment is not flagged, the unused CFG101 one is.
+    # used DET001 comment is not flagged, the unused E501 one is.
     assert [f.rule for f in findings] == ["SUP001"]
-    assert "allow-CFG101" in findings[0].message
+    assert "allow-E501" in findings[0].message
 
 
 def test_sup001_findings_can_themselves_be_suppressed(tmp_path):

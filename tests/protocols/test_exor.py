@@ -96,9 +96,20 @@ class TestStrictSchedule:
         sim = Simulator(topo, SimConfig(seed=3))
         handle = setup_exor_flow(sim, topo, 0, 2, total_packets=8, batch_size=8,
                                  packet_size=400)
+        scheduler = handle.scheduler
+        holders = []
+        grant = scheduler._grant
+
+        def recording_grant(position):
+            grant(position)
+            holders.append(scheduler.holder)
+
+        scheduler._grant = recording_grant
         sim.run(until=90.0, stop_condition=sim.stats.all_flows_complete)
-        assert handle.scheduler.round >= 0
-        assert not handle.scheduler.active  # stopped once the batch completed
+        # The turn leaves the source: at least two participants held it.
+        assert len(set(holders)) >= 2
+        assert set(holders) <= set(handle.spec.plan.participants)
+        assert not scheduler.active  # stopped once the batch completed
 
     def test_batch_map_merging(self):
         """Receivers merge heard batch maps element-wise (minimum rank)."""

@@ -100,13 +100,6 @@ class TestCrashRecover:
             assert next_down is (not down)
             clock, down = time, next_down
 
-    def test_query_order_does_not_matter(self):
-        eager = CrashRecover(seed=5)
-        lazy = CrashRecover(seed=5)
-        late = eager.next_transition(0, 500.0)  # forces many chain blocks
-        assert eager.next_transition(0, 0.0) == lazy.next_transition(0, 0.0)
-        assert late == lazy.next_transition(0, 500.0)
-
     def test_nodes_differ_and_seeds_differ(self):
         model = CrashRecover(seed=1)
         assert model.next_transition(0, 0.0) != model.next_transition(1, 0.0)

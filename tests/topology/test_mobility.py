@@ -1,10 +1,12 @@
 """Mobility / link-churn models: determinism, epoch purity, physics sanity.
 
-The load-bearing property (mirroring the PR 3 channel models) is that a
+The load-bearing property (mirroring the channel models) is that a
 realisation is a *pure function of (seed, epoch)*: two instances at one
 seed must agree at every epoch no matter in which order each was queried —
 that is what keeps back-to-back protocol runs on the same dynamic topology
-and parallel sweep cells bit-identical to serial ones.
+and parallel sweep cells bit-identical to serial ones.  It is checked for
+every registered kind, with the channel and fault models, by
+``tests/invariants/test_random_streams.py``.
 """
 
 from __future__ import annotations
@@ -56,17 +58,6 @@ class TestSpec:
 
 @pytest.mark.parametrize("kind", sorted(MOBILITY_MODELS))
 class TestEpochPurity:
-    def test_query_order_does_not_matter(self, kind):
-        sequential = _bound(kind)
-        scattered = _bound(kind)
-        # One instance walks epochs in order, the other jumps around
-        # (including backwards); realisations must match exactly.
-        forward = {epoch: np.array(sequential.delivery_at(epoch))
-                   for epoch in range(9)}
-        for epoch in (7, 2, 8, 0, 5, 2):
-            np.testing.assert_array_equal(scattered.delivery_at(epoch),
-                                          forward[epoch])
-
     def test_seed_changes_realisation(self, kind):
         a = _bound(kind, seed=3)
         b = _bound(kind, seed=4)
