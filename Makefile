@@ -47,7 +47,10 @@ test:
 
 # The engine hot-path gate alone: scheduler unit/property tests, the medium
 # against its scalar oracle and its carrier-sense oracle (plus the per-epoch
-# reception-plan memo), the main generator's word stream (coins, capture
+# reception-plan memo), its sense rows and reception plans read off the
+# mesh's links against the dense rules they replaced (every sender and
+# sampled overlap sets on the testbed, 200- and 1000-node benchmark
+# meshes and a one-way-link mesh), the main generator's word stream (coins, capture
 # coins, backoff draws and hand-backs) against per-call draws on a twin
 # generator, the coin bound against numpy's next_double comparison and the
 # MAC's unit tests, plus the full-run traces
@@ -91,12 +94,14 @@ test-coding:
 # estimates against their per-link reference, what is derived once per
 # topology, the link-table control view against the dense matrices it
 # replaced (link rows, distances, next hops, plans, paths, the dead-node
-# mask), bit for bit, the meshes the plans are derived from: read-only
-# from construction (no writer), and the seeded generators pinned, a
-# connectivity-patched layout included — and each protocol's re-plan
-# (~2 s): recruits, drops, detours, a plan computed the way the flow was
-# set up, and a failed re-plan that leaves the installed plan and every
-# agent's state untouched.
+# mask), bit for bit, the meshes the plans are derived from: their links
+# and nothing N×N (a 400-node build and a flow over it under half a
+# matrix of traced memory), read-only from construction (no writer), and
+# the seeded generators pinned, a connectivity-patched layout included —
+# and each protocol's re-plan (~2 s): recruits, drops, detours, ExOR
+# handing the turn on when a re-plan drops its holder, a plan computed the
+# way the flow was set up, and a failed re-plan that leaves the installed
+# plan and every agent's state untouched.
 test-control:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/metrics \
 		tests/topology/test_estimation.py \

@@ -68,9 +68,9 @@ def spatial_reuse_pairs(topology: Topology, count: int, seed: int = 0,
     run over these pairs use another.
     """
     rng = np.random.default_rng(seed)
-    delivery = topology.delivery_view()
     channel = channel if channel is not None else ChannelConfig()
     candidates = []
+    sensed_by: dict[int, np.ndarray] = {}  # one sense row per source
     for source, destination in reachable_pairs(topology, min_hops=path_hops):
         try:
             path = best_path(topology, source, destination)
@@ -78,7 +78,9 @@ def spatial_reuse_pairs(topology: Topology, count: int, seed: int = 0,
             continue
         if len(path) - 1 != path_hops:
             continue
-        if sense_row(delivery, channel, source)[path[-2]]:
+        if source not in sensed_by:
+            sensed_by[source] = sense_row(topology, channel, source)
+        if sensed_by[source][path[-2]]:
             continue
         candidates.append((source, destination))
     if not candidates:

@@ -68,43 +68,38 @@ class LinkRows(NamedTuple):
 def link_rows(topology: LinkView, ack_aware: bool = False) -> LinkRows:
     """The usable links of ``topology`` by receiver (derived once per topology).
 
-    Read off the view's link table
-    (:meth:`repro.topology.graph.LinkView.link_table`) by a stable sort on
-    the receiver: O(links), with no N×N mask.
+    Read off the view's receiver-major index
+    (:meth:`repro.topology.graph.LinkView.incoming`, which the medium's
+    carrier-sense rule reads too): O(links), with no N×N mask and no sort.
 
     A link is usable when its delivery probability exceeds
     :data:`LINK_THRESHOLD` (in both directions if ``ack_aware``).
     """
     def derive() -> LinkRows:
-        links = topology.link_table()
-        count = topology.node_count
-        senders = links.senders()
-        usable = links.delivery > LINK_THRESHOLD
+        links, incoming = topology.link_table(), topology.incoming()
+        delivery = links.delivery[incoming.links]
+        usable = delivery > LINK_THRESHOLD
         if ack_aware:
-            reverse = _reverse_delivery(links, senders, count)
+            reverse = _reverse_delivery(links, topology.node_count)[incoming.links]
             usable &= reverse > LINK_THRESHOLD
-        # Receiver-major, senders ascending within a receiver: the usable
-        # links in their row-major order, stably sorted by receiver.
-        index = np.flatnonzero(usable)
-        index = index[np.argsort(links.receivers[index], kind="stable")]
-        forward = links.delivery[index]
+        forward = delivery[usable]
         if ack_aware:
             # The product of two tiny probabilities can underflow to zero.
             with np.errstate(divide="ignore"):
-                cost = 1.0 / (forward * reverse[index])
+                cost = 1.0 / (forward * reverse[usable])
         else:
             cost = 1.0 / forward
-        indptr = np.zeros(count + 1, dtype=np.intp)
-        np.cumsum(np.bincount(links.receivers[index], minlength=count), out=indptr[1:])
-        return LinkRows(indptr, senders[index], forward, cost)
+        indptr = np.concatenate(([0], np.cumsum(usable)))[incoming.indptr]
+        return LinkRows(indptr, links.sender_of(incoming.links[usable]), forward, cost)
 
     return topology.derived(("link_rows", ack_aware), derive)
 
 
-def _reverse_delivery(links: LinkTable, senders: np.ndarray, count: int) -> np.ndarray:
+def _reverse_delivery(links: LinkTable, count: int) -> np.ndarray:
     """Delivery of each link's reverse direction, 0 where it has none."""
-    if not senders.size:
+    if not links.receivers.size:
         return np.zeros(0)
+    senders = links.senders()
     keys = senders * count + links.receivers  # ascending: the links are row-major
     wanted = links.receivers * count + senders
     at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)

@@ -207,8 +207,18 @@ class ExorScheduler:
             self._grant(position)
 
     def notice_participants_changed(self) -> None:
-        """Clamp the schedule position after a refresh resized the list."""
-        self._position = min(self._position, len(self.spec.plan.participants) - 1)
+        """Clamp the schedule position after a re-plan resized the list, and
+        re-grant the turn when its holder no longer sits at that position.
+
+        A re-plan can drop the holder (a crashed relay goes inert): left
+        with the turn, it never passes it on, and a later re-plan that
+        re-admits it does not wake it, so the batch stalls for good.
+        :meth:`_grant` wakes the node now at the position, or skips it.
+        """
+        participants = self.spec.plan.participants
+        self._position = min(self._position, len(participants) - 1)
+        if self.active and self.holder != participants[self._position]:
+            self._grant(self._position)
 
     def _grant(self, position: int) -> None:
         # A deferred grant scheduled before a link-state refresh may carry a
@@ -654,7 +664,8 @@ class ExorFlowHandle(FlowHandle):
 
         Nodes keep their transfer progress (:meth:`ExorAgent.install_flow`
         is idempotent), nodes dropped from the list go inert, and the strict
-        schedule clamps its position into the resized list.
+        schedule clamps its position into the resized list, re-granting the
+        turn if its holder moved or was dropped.
         """
         spec = self.spec
         forwarding = forwarding_plan(control, spec.source, spec.destination)

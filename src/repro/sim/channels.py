@@ -3,11 +3,11 @@
 The paper's evaluation rests on realistic link behaviour: lossy, bursty,
 time-varying Roofnet-style links are exactly what gives opportunistic
 routing its edge over best-path routing.  This module trades the medium's
-original hard-coded static Bernoulli matrix for a :class:`ChannelModel`
+original hard-coded static Bernoulli links for a :class:`ChannelModel`
 interface the :class:`~repro.sim.medium.WirelessMedium` queries once per
 completed frame:
 
-* :class:`StaticBernoulli` — the topology's delivery matrix, unchanged in
+* :class:`StaticBernoulli` — the topology's link deliveries, unchanged in
   time (the paper's model, Sections 3.2.1 and 5.3.1; bit-identical to the
   pre-refactor behaviour).
 * :class:`GilbertElliott` — two-state bursty loss per directed link: a
@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.params import SectionSpec, build_model
 from repro.rng import counter_uniform
-from repro.topology.graph import Topology
+from repro.topology.graph import LinkTable, LinkView, link_table_of
 
 #: Stream key mixed with the cell seed so channel randomness is independent
 #: of (and cannot perturb) the simulator's main RNG stream.
@@ -66,25 +66,26 @@ class ChannelModel:
     frame on the air during ``[start, end)`` is decoded by each node.  The
     medium calls :meth:`bind` once with the topology before any query.
 
-    ``mean_matrix`` is the long-run average delivery matrix; the medium
-    derives carrier-sense audibility and interference levels from it (sense
-    range tracks average signal energy, not the instantaneous fade).
+    ``mean_view`` is the long-run average delivery of every link; the
+    medium derives carrier-sense audibility and interference levels from
+    it (sense range tracks average signal energy, not the instantaneous
+    fade).
     """
 
     kind = "static"
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
-        self._base: np.ndarray | None = None
+        self._links: LinkView | None = None
 
-    def bind(self, topology: Topology) -> None:
+    def bind(self, topology: LinkView) -> None:
         """Attach the model to a topology; called by the medium once.
 
-        The nominal matrix is the topology's own, held rather than
-        copied: a topology's matrix is read-only from construction, so it
-        cannot change under a live medium.
+        The nominal links are the topology's own, held rather than
+        copied: a topology's links are read-only from construction, so
+        they cannot change under a live medium.
         """
-        self._base = topology.delivery_view()
+        self._links = topology
         self._prepare()
 
     def _prepare(self) -> None:
@@ -94,11 +95,18 @@ class ChannelModel:
         """Adopt a new nominal matrix mid-run (dynamic-topology hook).
 
         The medium calls this at every mobility epoch boundary with the
-        epoch's effective delivery matrix.  Any per-link channel state
-        (e.g. Gilbert-Elliott chains) keeps running across the update —
-        churn in nominal quality composes with burstiness.
+        epoch's effective delivery matrix; the model keeps its links.  Any
+        per-link channel state (e.g. Gilbert-Elliott chains) keeps running
+        across the update — churn in nominal quality composes with
+        burstiness.
         """
-        self._base = np.asarray(delivery, dtype=float)
+        self._links = LinkView(self._bound().nodes,
+                               link_table_of(np.asarray(delivery, dtype=float)))
+
+    def _bound(self) -> LinkView:
+        """The nominal links (after :meth:`bind`)."""
+        assert self._links is not None, "bind() must be called first"
+        return self._links
 
     def delivery_row(self, sender: int, start: float, end: float) -> np.ndarray:
         """Delivery probabilities from ``sender`` to every node for one frame.
@@ -109,29 +117,27 @@ class ChannelModel:
         """
         raise NotImplementedError
 
-    def mean_matrix(self) -> np.ndarray:
-        """Long-run average delivery matrix (sense / interference levels).
+    def mean_view(self) -> LinkView:
+        """Long-run average delivery of every link (sense / interference levels).
 
-        Read-only: the nominal matrix itself where that is the mean, so
-        the caller must not (and cannot) write to it.
+        The nominal links themselves where that is the mean.
         """
-        assert self._base is not None, "bind() must be called first"
-        mean = self._base.view()
-        mean.flags.writeable = False
-        return mean
+        return self._bound()
 
 
 class StaticBernoulli(ChannelModel):
-    """The paper's model: one static Bernoulli delivery matrix.
+    """The paper's model: one static Bernoulli delivery per link.
 
     Bit-identical to the pre-refactor medium — the delivery row is the
-    topology matrix row and no channel randomness exists at all.
+    topology's links out of the sender and no channel randomness exists
+    at all.  The medium reads the links through :meth:`mean_view`; a row
+    is built only on request.
     """
 
     kind = "static"
 
     def delivery_row(self, sender: int, start: float, end: float) -> np.ndarray:
-        return self._base[sender]
+        return self._bound().link_table().row(sender)
 
 
 class GilbertElliott(ChannelModel):
@@ -181,6 +187,9 @@ class GilbertElliott(ChannelModel):
         return counter_uniform(self.seed, _CHANNEL_STREAM, links, draws) + 2.0 ** -54
 
     def _prepare(self) -> None:
+        # The chains are per directed pair, so a bursty channel is dense:
+        # only a run that asks for one pays for the matrix.
+        self._base = self._bound().delivery_matrix()
         count = self._base.shape[0]
         grid_i, grid_j = np.meshgrid(np.arange(count), np.arange(count),
                                      indexing="ij")
@@ -222,18 +231,25 @@ class GilbertElliott(ChannelModel):
         scale = np.where(self._good[sender], 1.0, self.bad_scale)
         return np.clip(self._base[sender] * scale, 0.0, 1.0)
 
-    def mean_matrix(self) -> np.ndarray:
+    def update_base(self, delivery: np.ndarray) -> None:
+        super().update_base(delivery)
+        self._base = np.asarray(delivery, dtype=float)
+
+    def mean_view(self) -> LinkView:
         """Stationary-average delivery: nominal scaled by the state mix.
 
         Each link spends ``Tg/(Tg+Tb)`` of its time good (at the nominal
         value), the rest bad, so the long-run mean the medium's
-        sense/interference levels should track is the nominal matrix scaled
-        accordingly.
+        sense/interference levels should track is the nominal delivery
+        scaled accordingly, link by link.
         """
         total = self.mean_good_time + self.mean_bad_time
         scale = (self.mean_good_time
                  + self.mean_bad_time * self.bad_scale) / total
-        return np.clip(self._base * scale, 0.0, 1.0)
+        links = self._bound()
+        table = links.link_table()
+        return LinkView(links.nodes, LinkTable(table.indptr, table.receivers,
+                                               np.clip(table.delivery * scale, 0.0, 1.0)))
 
 
 #: Channel models addressable from a :class:`ChannelSpec`.

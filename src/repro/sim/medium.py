@@ -22,7 +22,7 @@ Gilbert-Elliott loss).  The model:
   spatial reuse (distant transmitters do not block each other).
 
 Every frame resolves the same way: :meth:`WirelessMedium._plan` turns the
-sender's delivery row and the senders of the overlapping frames into a
+sender's links and the senders of the overlapping frames into a
 *reception plan* — tuples of the eligible receivers in node order,
 their coins' word bounds, which of them survive the audible interferers,
 and, where a capture draw could occur, each receiver's capture chain — and
@@ -34,22 +34,25 @@ capture chain reads one capture coin per capturable interferer right after
 its own coin, as the per-node loop does.  The stream is shared with every
 MAC's backoff draw and read in call order, so the words are those the
 per-call ``random(n) < p`` / ``random() < q`` draws would consume.  Under a
-static channel a plan is a pure function of the matrix, the
+static channel a plan is a pure function of the links, the
 :class:`~repro.sim.radio.ChannelConfig` and ``(sender, overlapping
 senders)``, and is memoised; under Gilbert-Elliott it is derived per frame
 from the model's delivery row.  The scalar loop
 (:meth:`WirelessMedium._resolve_scalar`) keeps its own half-duplex and
 interference logic and is only the tests' oracle.
 
-Everything the medium derives from the delivery matrix is built on a
-sender's first use from its own row and column (:func:`sense_row`, the
-plans), so a 1000-node mesh costs the dozen nodes that transmit, not N²
-pairs.  Under a static channel with no mobility the sense rows and the plan
-memo live on the topology (:meth:`~repro.topology.graph.Topology.derived`,
-keyed on the ``ChannelConfig``): a process pays once per topology and
-channel, and every simulator over them — every seed, protocol, flow set
-and sweep cell — reads the same tuples.  A mobility epoch or a
-Gilbert-Elliott channel keeps a pair of tables of its own.
+Everything the medium derives is read off the mesh's links — the link
+table by sender and its receiver-major index
+(:meth:`~repro.topology.graph.LinkView.incoming`) — on a sender's first
+use (:func:`sense_row`, the plans), so a 1000-node mesh costs the dozen
+nodes that transmit, and nothing N×N exists.  Under a static channel with
+no mobility the sense rows and the plan memo live on the topology
+(:meth:`~repro.topology.graph.LinkView.derived`, keyed on the
+``ChannelConfig``): a process pays once per topology and channel, and
+every simulator over them — every seed, protocol, flow set and sweep
+cell — reads the same tuples.  A mobility epoch or a Gilbert-Elliott
+channel keeps a pair of tables of its own, over a link view of its dense
+mean matrix.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ from repro.rng import WordStream, threshold
 from repro.sim.channels import ChannelModel, StaticBernoulli
 from repro.sim.frames import Frame
 from repro.sim.radio import ChannelConfig
-from repro.topology.graph import Topology
+from repro.topology.graph import InLinks, LinkTable, LinkView, Topology
 from repro.topology.mobility import MobilityModel
 
 
@@ -83,13 +86,12 @@ class Transmission:
     end: float
 
 
-def sense_row(delivery: np.ndarray, channel: ChannelConfig,
-              sender: int) -> np.ndarray:
+def sense_row(links: LinkView, channel: ChannelConfig, sender: int) -> np.ndarray:
     """Which nodes carrier-sense ``sender`` (a boolean row over all nodes).
 
     Real radios sense energy well below the level needed to decode a
     frame: the carrier-sense range is roughly twice the communication
-    range.  With only a delivery-probability matrix available we model
+    range.  With only per-link delivery probabilities available we model
     that as: ``i`` senses ``j`` if either can decode the other at all
     (delivery above the sense threshold) **or** if both can deliver
     reasonably well to some common neighbour — i.e. they are within two
@@ -101,15 +103,36 @@ def sense_row(delivery: np.ndarray, channel: ChannelConfig,
     This is the one statement of the rule: the medium derives its
     per-sender rows from it, and the Fig 4-4 pair selection
     (:func:`repro.experiments.workloads.spatial_reuse_pairs`) asks it
-    which transmitters can share the air.  The work is the sender's
-    row and column plus one column per good neighbour — no N×N product.
+    which transmitters can share the air.  It reads ``links``' link table
+    and receiver-major index (:meth:`~repro.topology.graph.LinkView.incoming`):
+    the sender's links out and in, plus the links into each good neighbour.
     """
-    outgoing = delivery[sender]
-    row = ((outgoing > channel.sense_threshold)
-           | (delivery[:, sender] > channel.sense_threshold))
-    good_neighbors = outgoing >= channel.neighbor_sense_threshold
-    row |= (delivery[:, good_neighbors]
-            >= channel.neighbor_sense_threshold).any(axis=1)
+    return _sense_row(links.link_table(), links.incoming(), channel, sender)
+
+
+def _sense_row(table: LinkTable, incoming: InLinks, channel: ChannelConfig,
+               sender: int) -> np.ndarray:
+    """:func:`sense_row` over a link table and its receiver-major index."""
+    row = np.zeros(table.indptr.size - 1, dtype=bool)
+    neighbor_threshold = channel.neighbor_sense_threshold
+    if neighbor_threshold <= 0.0:
+        # A missing link delivers 0, which meets a threshold of 0: every
+        # node shares a good neighbour with every other, linked or not.
+        row[:] = True
+    else:
+        start, stop = table.indptr[sender], table.indptr[sender + 1]
+        receivers, outgoing = table.receivers[start:stop], table.delivery[start:stop]
+        row[receivers[outgoing > channel.sense_threshold]] = True
+        into = incoming.links[incoming.indptr[sender]:incoming.indptr[sender + 1]]
+        row[table.sender_of(into[table.delivery[into] > channel.sense_threshold])] = True
+        # The links into every good neighbour, gathered in one index.
+        good = receivers[outgoing >= neighbor_threshold]
+        starts = incoming.indptr[good]
+        lengths = incoming.indptr[good + 1] - starts
+        gathered_at = np.cumsum(lengths) - lengths
+        into = incoming.links[np.arange(lengths.sum())
+                              + np.repeat(starts - gathered_at, lengths)]
+        row[table.sender_of(into[table.delivery[into] >= neighbor_threshold])] = True
     row[sender] = False
     return row
 
@@ -131,23 +154,26 @@ class _Memo(dict):
         return value
 
 
-def _medium_tables(delivery: np.ndarray,
+def _medium_tables(links: LinkView,
                    channel: ChannelConfig) -> tuple[_Memo, _Memo]:
-    """The sense rows and the reception-plan memo over ``delivery``.
+    """The sense rows and the reception-plan memo over ``links``.
 
     Both start empty and fill on first use: ``sender -> sense row`` and
     ``(sender, overlapping senders) -> plan``.  The closures hold the
-    matrix and the channel and nothing else, so a topology that keeps the
-    pair (:meth:`~repro.topology.graph.Topology.derived`) keeps no medium
-    or simulator alive, and every value is a tuple no reader can edit.
+    view's link table, its receiver-major index and the channel and
+    nothing else — not the view — so a topology that keeps the pair
+    (:meth:`~repro.topology.graph.LinkView.derived`) keeps no medium or
+    simulator alive and holds no reference to itself, and every value is
+    a tuple no reader can edit.
     """
+    table, incoming = links.link_table(), links.incoming()
+
     def derive_row(sender: int) -> tuple[bool, ...]:
-        return tuple(sense_row(delivery, channel, sender).tolist())
+        return tuple(_sense_row(table, incoming, channel, sender).tolist())
 
     def derive_plan(key: tuple[int, tuple[int, ...]]) -> tuple:
         sender, senders = key
-        return WirelessMedium._plan(delivery, channel, sender,
-                                    delivery[sender], senders)
+        return WirelessMedium._plan(table, channel, sender, None, senders)
 
     return _Memo(derive_row), _Memo(derive_plan)
 
@@ -219,15 +245,15 @@ class WirelessMedium:
         """
         # Long-run average deliveries: carrier-sense audibility and
         # interference levels track mean signal energy, not the
-        # instantaneous fade (for the static model this IS the topology
-        # matrix, preserving the original behaviour bit for bit).
-        delivery = self._delivery = self.model.mean_matrix()
+        # instantaneous fade (for the static model these ARE the
+        # topology's links, preserving the original behaviour bit for bit).
+        links = self._links = self.model.mean_view()
         channel = self.channel
         if self._static and not self._dynamic:
             tables = self.topology.derived(
-                ("medium", channel), lambda: _medium_tables(delivery, channel))
+                ("medium", channel), lambda: _medium_tables(links, channel))
         else:
-            tables = _medium_tables(delivery, channel)
+            tables = _medium_tables(links, channel)
         # Tuples of plain bools: the per-transmission carrier-sense probes
         # are scalar lookups, where tuple indexing beats numpy scalar
         # indexing several-fold.  Plans are read from the memo under a
@@ -272,8 +298,7 @@ class WirelessMedium:
         else:
             positions = [tuple(float(value) for value in row) for row in coords]
         names = [node.name for node in self.topology.nodes]
-        return Topology.from_owned(np.clip(delivery, 0.0, 1.0), positions=positions,
-                                   names=names)
+        return Topology(np.clip(delivery, 0.0, 1.0), positions=positions, names=names)
 
     @staticmethod
     def _build_sense_matrix(delivery: np.ndarray, channel: ChannelConfig) -> np.ndarray:
@@ -403,7 +428,7 @@ class WirelessMedium:
             plan = self._plans[sender, senders]
         else:
             row = self.model.delivery_row(sender, start, end)
-            plan = self._plan(self._delivery, self.channel, sender, row, senders)
+            plan = self._plan(self._links.link_table(), self.channel, sender, row, senders)
         receivers = self._resolve(plan, sender, row, overlapping)
         if self.faults is not None:
             kept = self.faults.filter_receivers(transmission.frame, receivers)
@@ -416,16 +441,18 @@ class WirelessMedium:
         return receivers
 
     @staticmethod
-    def _plan(delivery: np.ndarray, channel: ChannelConfig, sender: int,
-              row: np.ndarray, senders: tuple[int, ...]) -> tuple:
+    def _plan(table: LinkTable, channel: ChannelConfig, sender: int,
+              row: np.ndarray | None, senders: tuple[int, ...]) -> tuple:
         """Everything about one frame's reception except the coins.
 
-        ``delivery`` is the mean matrix the interference levels come from,
-        ``row`` the frame's delivery probabilities and ``senders`` the
-        senders of the frames that overlapped it, in overlap order.
-        Returns ``(receivers, thresholds, survivable, chains)``, all
-        tuples: the eligible receivers in node order (the order the coins
-        are read in) and their coins' word bounds
+        ``table`` holds the mean links the interference levels come from,
+        ``row`` the frame's delivery probabilities over all nodes (``None``:
+        the table's own, as under a static channel) and ``senders`` the
+        senders of the frames that overlapped it, in overlap order.  Only
+        the sender's links in ``table`` can deliver: a frame's row is never
+        non-zero off them.  Returns ``(receivers, thresholds, survivable,
+        chains)``, all tuples: the eligible receivers in node order (the
+        order the coins are read in) and their coins' word bounds
         (:func:`repro.rng.threshold`); a mask over them of the receivers no
         audible interferer corrupts (``None`` when none is corrupted); and,
         when a capture draw could occur, each receiver's *capture chain*:
@@ -434,20 +461,23 @@ class WirelessMedium:
         function of its arguments, so a static channel's plans are shared
         by every medium over one topology.
         """
-        eligible = row > 0.0
-        eligible[sender] = False
-        # Half duplex: nodes with a frame of their own on the air (the
-        # sender's other frames included) cannot decode this one.
-        eligible[list(senders)] = False
-        indices = np.nonzero(eligible)[0]
-        probabilities = row[indices]
+        start, stop = table.indptr[sender], table.indptr[sender + 1]
+        linked = table.receivers[start:stop]
+        probabilities = table.delivery[start:stop] if row is None else row[linked]
+        eligible = probabilities > 0.0
+        for other in senders:
+            # Half duplex: nodes with a frame of their own on the air (the
+            # sender's other frames included) cannot decode this one.
+            eligible &= linked != other
+        indices = linked[eligible]
+        probabilities = probabilities[eligible]
         receivers = tuple(indices.tolist())
         thresholds = tuple(map(threshold, probabilities.tolist()))
         interferers = [other for other in senders if other != sender]
         if not interferers:
             return receivers, thresholds, None, None
         # levels[m, k]: how audible interferer m is at eligible receiver k.
-        levels = delivery[interferers][:, indices]
+        levels = np.array([table.row(other)[indices] for other in interferers])
         audible = levels > channel.interference_threshold
         capturable = audible & (probabilities - levels
                                 >= channel.capture_margin)
@@ -539,7 +569,7 @@ class WirelessMedium:
                 continue
             if other.frame.sender == self_sender:
                 continue
-            interference = self._delivery[interferer, node]
+            interference = self._links.delivery(interferer, node)
             if interference <= self.channel.interference_threshold:
                 continue
             if wanted_probability - interference >= self.channel.capture_margin:

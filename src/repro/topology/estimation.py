@@ -99,4 +99,7 @@ def _estimate(topology: LinkView, optimism_exponent: float, probe_count: int,
     if probe_count > 0:
         rng = np.random.default_rng(seed)
         estimated = rng.binomial(probe_count, estimated) / probe_count
-    return LinkView(list(topology.nodes), LinkTable(links.indptr, links.receivers, estimated))
+    view = LinkView(list(topology.nodes), LinkTable(links.indptr, links.receivers, estimated))
+    # The same links in the same order: the receiver-major index is shared.
+    view.derived(("incoming",), topology.incoming)
+    return view

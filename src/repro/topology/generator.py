@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.params import bad_parameter
-from repro.topology.graph import Topology
+from repro.topology.graph import LinkTable, Topology
 
 #: Reference distance (m) at which delivery is essentially perfect.
 _REFERENCE_DISTANCE = 5.0
@@ -42,6 +42,8 @@ _MAX_DELIVERY = 0.90
 _AMBIENT_LOSS_MAX = 0.15
 #: Delivery probabilities below this are treated as "no link".
 _MIN_DELIVERY = 0.05
+#: Layouts :func:`random_mesh` draws before it gives up on connecting one.
+_RANDOM_MESH_ATTEMPTS = 200
 
 
 def path_loss_margin_db(distance):
@@ -106,25 +108,61 @@ def _row_delivery(distance: np.ndarray, floors_crossed: np.ndarray,
     return delivery
 
 
-def _pairwise_delivery(positions: list[tuple[float, float, float]],
-                       rng: np.random.Generator) -> np.ndarray:
-    """Symmetric delivery matrix over ``positions`` (4 m between floors).
+def _pairwise_links(positions: list[tuple[float, float, float]],
+                    rng: np.random.Generator) -> LinkTable:
+    """The symmetric links over ``positions`` (4 m between floors).
 
-    Links are drawn pair by pair in ``(i, j > i)`` order; the temporaries
-    are one row long.
+    Links are drawn pair by pair in ``(i, j > i)`` order and each row keeps
+    its non-zero ones; the temporaries are one row long, and nothing is
+    N×N.
     """
     coords = np.asarray(positions, dtype=float)
     x, y, z = coords[:, 0], coords[:, 1], coords[:, 2]
     count = len(positions)
-    delivery = np.zeros((count, count), dtype=float)
+    above: list[np.ndarray] = []
+    delivery: list[np.ndarray] = []
     for i in range(count - 1):
         rest = slice(i + 1, count)
         distance = np.hypot(x[i] - x[rest], y[i] - y[rest])
         floors_crossed = np.rint(np.abs(z[i] - z[rest]) / 4.0)
         row = _row_delivery(distance, floors_crossed, rng)
-        delivery[i, rest] = row
-        delivery[rest, i] = row
-    return delivery
+        linked = np.flatnonzero(row)
+        above.append(linked + (i + 1))
+        delivery.append(row[linked])
+    indptr = np.zeros(count + 1, dtype=np.intp)
+    # The last node has no higher one to link to.
+    np.cumsum([row.size for row in above] + [0], out=indptr[1:])
+    upper = LinkTable(indptr, np.concatenate(above), np.concatenate(delivery))
+    del above, delivery  # freed before the table is mirrored, which doubles it
+    return _symmetric_table(upper)
+
+
+def _symmetric_table(upper: LinkTable) -> LinkTable:
+    """Both directions of the links of ``upper``, whose rows list only higher nodes.
+
+    Row ``s`` of the result lists its links to lower nodes (mirrored from
+    the rows above it, in their order) and then those to higher ones, so
+    receivers ascend.  Each row is filled in place: the temporaries are
+    one index over the links and one row.
+    """
+    count = upper.indptr.size - 1
+    below = np.bincount(upper.receivers, minlength=count)
+    indptr = np.zeros(count + 1, dtype=np.intp)
+    np.cumsum(np.diff(upper.indptr) + below, out=indptr[1:])
+    receivers = np.empty(indptr[-1], dtype=np.intp)
+    delivery = np.empty(indptr[-1])
+    mirrored = np.argsort(upper.receivers, kind="stable")
+    mirrored_at = np.concatenate(([0], np.cumsum(below))).tolist()
+    starts, upper_at = indptr.tolist(), upper.indptr.tolist()
+    for node, start in enumerate(starts[:-1]):
+        middle = start + mirrored_at[node + 1] - mirrored_at[node]
+        links = mirrored[mirrored_at[node]:mirrored_at[node + 1]]
+        receivers[start:middle] = upper.sender_of(links)
+        delivery[start:middle] = upper.delivery[links]
+        own = slice(upper_at[node], upper_at[node + 1])
+        receivers[middle:starts[node + 1]] = upper.receivers[own]
+        delivery[middle:starts[node + 1]] = upper.delivery[own]
+    return LinkTable(indptr, receivers, delivery)
 
 
 def indoor_testbed(node_count: int = 20, floors: int = 3, floor_width: float = 90.0,
@@ -157,54 +195,84 @@ def indoor_testbed(node_count: int = 20, floors: int = 3, floor_width: float = 9
         z = floor * 4.0
         positions.append((float(x), float(y), float(z)))
 
-    delivery = _pairwise_delivery(positions, rng)
-    _ensure_connected(delivery, positions, rng)
-    return Topology.from_owned(delivery, positions=positions)
+    links = _ensure_connected(_pairwise_links(positions, rng), positions, rng)
+    return Topology.from_links(links, positions=positions)
 
 
-def _strong_component(usable: np.ndarray) -> np.ndarray:
-    """The nodes that node 0 reaches and that reach node 0 over ``usable`` links.
+def _strong_component(links: LinkTable, floor: float) -> np.ndarray:
+    """The nodes that node 0 reaches and that reach node 0 over links delivering
+    more than ``floor``.
 
-    ``usable`` is a boolean N×N mask, ``usable[i, j]`` for a link from ``i``
-    to ``j``; the component is every node exactly when the mesh is strongly
-    connected, so a one-way link joins nothing.  One frontier walk along the
-    links and one along the transpose view, a step being one boolean
-    vector-matrix product: no second N×N mask, and no temporary beyond a row.
+    The component is every node exactly when the mesh is strongly
+    connected, so a one-way link joins nothing.  One frontier walk along
+    the links and one against them, a step being one pass over the usable
+    links: O(links) per step, nothing N×N.
     """
-    component = np.ones(len(usable), dtype=bool)
-    for links in (usable, usable.T):
-        reached = np.zeros(len(usable), dtype=bool)
+    count = links.indptr.size - 1
+    usable = links.delivery > floor
+    senders, receivers = links.senders(), links.receivers
+    component = np.ones(count, dtype=bool)
+    for tails, heads in ((senders, receivers), (receivers, senders)):
+        reached = np.zeros(count, dtype=bool)
         reached[0] = True
         frontier = reached.copy()
         while frontier.any():
-            frontier = (frontier @ links) & ~reached
+            step = np.zeros(count, dtype=bool)
+            step[heads[frontier[tails] & usable]] = True
+            frontier = step & ~reached
             reached |= frontier
         component &= reached
     return component
 
 
-def _ensure_connected(delivery: np.ndarray, positions: list[tuple[float, float, float]],
-                      rng: np.random.Generator) -> None:
-    """Patch minimum-quality links into ``delivery`` until it is connected.
+def _ensure_connected(links: LinkTable, positions: list[tuple[float, float, float]],
+                      rng: np.random.Generator) -> LinkTable:
+    """``links``, with minimum-quality links patched in until it is connected.
 
     Real deployments are connected by construction (operators add relays);
     the synthetic generator occasionally isolates a node, so we join the
     node outside node 0's component that is geometrically nearest to it
     with a mid-quality symmetric link, rather than re-rolling the layout.
-    The matrix is patched before it becomes a :class:`Topology`.
+    The links are patched before they become a :class:`Topology`.
     """
-    usable = delivery > _MIN_DELIVERY
     coords = np.asarray(positions, dtype=float)
-    inside = _strong_component(usable)
+    inside = _strong_component(links, _MIN_DELIVERY)
     while not inside.all():
         near, far = coords[inside], coords[~inside]
         distance = (np.hypot(far[:, None, 0] - near[:, 0], far[:, None, 1] - near[:, 1])
                     + np.abs(far[:, None, 2] - near[:, 2]))
         row, column = np.unravel_index(np.argmin(distance), distance.shape)
         i, j = np.flatnonzero(~inside)[row], np.flatnonzero(inside)[column]
-        delivery[i, j] = delivery[j, i] = rng.uniform(0.4, min(0.7, _MAX_DELIVERY))
-        usable[i, j] = usable[j, i] = True
-        inside = _strong_component(usable)
+        links = _with_link(links, min(i, j), max(i, j),
+                           rng.uniform(0.4, min(0.7, _MAX_DELIVERY)))
+        inside = _strong_component(links, _MIN_DELIVERY)
+    return links
+
+
+def _with_link(links: LinkTable, low: int, high: int, quality: float) -> LinkTable:
+    """Symmetric ``links`` with the link between ``low < high`` set to ``quality``."""
+    count = links.indptr.size - 1
+    senders = links.senders()
+    above = senders < links.receivers
+    first, second, delivery = senders[above], links.receivers[above], links.delivery[above]
+    keys = first * count + second
+    at = int(np.searchsorted(keys, low * count + high))
+    if at < keys.size and keys[at] == low * count + high:
+        delivery[at] = quality
+    else:
+        first = np.insert(first, at, low)
+        second = np.insert(second, at, high)
+        delivery = np.insert(delivery, at, quality)
+    return _upper_links(count, first, second, delivery)
+
+
+def _upper_links(count: int, first: np.ndarray, second: np.ndarray,
+                 delivery: np.ndarray) -> LinkTable:
+    """The symmetric table of the links ``first[k] < second[k]``, listed in
+    ``(first, second)`` order."""
+    indptr = np.zeros(count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(first, minlength=count), out=indptr[1:])
+    return _symmetric_table(LinkTable(indptr, second, delivery))
 
 
 def random_geometric(node_count: int = 16, area: float = 120.0, seed: int = 0) -> Topology:
@@ -222,9 +290,8 @@ def random_geometric(node_count: int = 16, area: float = 120.0, seed: int = 0) -
     rng = np.random.default_rng(seed)
     positions = [(float(rng.uniform(0.0, area)), float(rng.uniform(0.0, area)), 0.0)
                  for _ in range(node_count)]
-    delivery = _pairwise_delivery(positions, rng)
-    _ensure_connected(delivery, positions, rng)
-    return Topology.from_owned(delivery, positions=positions)
+    links = _ensure_connected(_pairwise_links(positions, rng), positions, rng)
+    return Topology.from_links(links, positions=positions)
 
 
 def two_hop_relay(source_to_relay: float = 1.0, relay_to_destination: float = 1.0,
@@ -238,7 +305,7 @@ def two_hop_relay(source_to_relay: float = 1.0, relay_to_destination: float = 1.
     delivery[0, 1] = delivery[1, 0] = source_to_relay
     delivery[1, 2] = delivery[2, 1] = relay_to_destination
     delivery[0, 2] = delivery[2, 0] = source_to_destination
-    return Topology.from_owned(delivery, names=["src", "R", "dst"])
+    return Topology(delivery, names=["src", "R", "dst"])
 
 
 def chain(hops: int, link_delivery: float = 0.8, skip_delivery: float = 0.0) -> Topology:
@@ -250,6 +317,8 @@ def chain(hops: int, link_delivery: float = 0.8, skip_delivery: float = 0.0) -> 
     """
     if hops < 1:
         raise ValueError("a chain needs at least one hop")
+    _require("chain", skip_delivery >= 0,
+             f"skip_delivery must not be negative, got {skip_delivery}")
     count = hops + 1
     delivery = np.zeros((count, count))
     for i in range(hops):
@@ -257,7 +326,7 @@ def chain(hops: int, link_delivery: float = 0.8, skip_delivery: float = 0.0) -> 
     if skip_delivery > 0:
         for i in range(count - 2):
             delivery[i, i + 2] = delivery[i + 2, i] = skip_delivery
-    return Topology.from_owned(delivery)
+    return Topology(delivery)
 
 
 def diamond(source_to_relays: float = 0.5, relays_to_destination: float = 0.5,
@@ -277,7 +346,7 @@ def diamond(source_to_relays: float = 0.5, relays_to_destination: float = 0.5,
         delivery[relay, destination] = delivery[destination, relay] = relays_to_destination
     if direct > 0:
         delivery[0, destination] = delivery[destination, 0] = direct
-    return Topology.from_owned(delivery)
+    return Topology(delivery)
 
 
 def grid(rows: int, cols: int, link_delivery: float = 0.7,
@@ -307,7 +376,7 @@ def grid(rows: int, cols: int, link_delivery: float = 0.7,
             if diagonal_delivery > 0 and c > 0 and r + 1 < rows:
                 diag = node + cols - 1
                 delivery[node, diag] = delivery[diag, node] = diagonal_delivery
-    return Topology.from_owned(delivery, positions=positions)
+    return Topology(delivery, positions=positions)
 
 
 def random_mesh(node_count: int, density: float = 0.4, seed: int = 0,
@@ -317,17 +386,30 @@ def random_mesh(node_count: int, density: float = 0.4, seed: int = 0,
     Link qualities are uniform in [min_delivery, max_delivery].  The result
     is re-rolled until connected (bounded number of attempts).
     """
+    _require("random_mesh", node_count >= 2,
+             f"node_count must be at least 2, got {node_count}")
+    _require("random_mesh", 0 < density <= 1, f"density must lie in (0, 1], got {density}")
+    _require("random_mesh", 0 <= min_delivery <= max_delivery <= 1,
+             "need 0 <= min_delivery <= max_delivery <= 1, got "
+             f"{min_delivery} and {max_delivery}")
     rng = np.random.default_rng(seed)
-    for _ in range(200):
-        delivery = np.zeros((node_count, node_count))
+    for _ in range(_RANDOM_MESH_ATTEMPTS):
+        first, second, delivery = [], [], []
         for i in range(node_count):
             for j in range(i + 1, node_count):
                 if rng.random() < density:
                     quality = rng.uniform(min_delivery, max_delivery)
-                    delivery[i, j] = delivery[j, i] = quality
-        if node_count <= 1 or _strong_component(delivery > min_delivery / 2).all():
-            return Topology.from_owned(delivery)
-    raise RuntimeError("failed to generate a connected random mesh; raise density")
+                    if quality > 0:
+                        first.append(i)
+                        second.append(j)
+                        delivery.append(quality)
+        links = _upper_links(node_count, np.array(first, dtype=np.intp),
+                             np.array(second, dtype=np.intp), np.array(delivery))
+        if _strong_component(links, min_delivery / 2).all():
+            return Topology.from_links(links)
+    raise bad_parameter("topology", "random_mesh",
+                        f"no connected mesh in {_RANDOM_MESH_ATTEMPTS} attempts at "
+                        f"density {density}; raise density")
 
 
 def cost_gap_topology(bridge_delivery: float = 0.1, branch_count: int = 8) -> Topology:
@@ -365,4 +447,4 @@ def cost_gap_topology(bridge_delivery: float = 0.1, branch_count: int = 8) -> To
         delivery[node_b, node_c] = delivery[node_c, node_b] = bridge_delivery
         delivery[node_c, destination] = delivery[destination, node_c] = 1.0
     names = ["src", "A", "B"] + [f"C{i + 1}" for i in range(branch_count)] + ["dst"]
-    return Topology.from_owned(delivery, names=names)
+    return Topology(delivery, names=names)

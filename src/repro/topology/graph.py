@@ -5,18 +5,26 @@ Chapter 5 and the simulator need to know about the network:
 
 * the set of nodes (with optional 2-D/3-D positions, used by the synthetic
   testbed generator and by the interference model);
-* the matrix of marginal delivery probabilities ``p[i, j]`` — the probability
-  that a single broadcast by ``i`` is successfully received by ``j`` — which
-  is the quantity ETX probing measures (Section 3.1.1).  It is fixed when the
-  mesh is built and read-only from then on; an edited mesh is a new
+* the marginal delivery probability ``p[i, j]`` of every directed link —
+  the probability that a single broadcast by ``i`` is successfully received
+  by ``j`` — which is the quantity ETX probing measures (Section 3.1.1).  A
+  pair without a link delivers nothing.  The links are fixed when the mesh
+  is built and read-only from then on; an edited mesh is a new
   :class:`Topology`.
 
-The routing control plane reads less than that: the directed links that
-exist, as a :class:`LinkTable`.  A :class:`LinkView` is a mesh as the
-control plane sees it — its nodes and one link table, O(links) — and a
-:class:`Topology` is the one kind of view that also holds the N×N matrix
-its table is derived from.  The probe-estimated control view
-(:mod:`repro.topology.estimation`) is a plain :class:`LinkView`.
+Memory layout: a mesh is its links, O(links) and never N×N.  One
+:class:`LinkTable` holds them CSR by sender (row ``s``: the receivers of
+``s``'s links in ascending order, and their delivery probabilities), and
+one :class:`InLinks` index, derived on first use, holds them CSR by
+receiver.  A :class:`LinkView` is a mesh as the routing control plane sees
+it — its nodes and one link table — and a :class:`Topology` is the ground
+truth the data plane reads, built by the generators straight from their
+links or from a hand-built dense matrix.  The probe-estimated control view
+(:mod:`repro.topology.estimation`) and the dead-node mask are plain
+link views.  :meth:`LinkView.delivery_matrix` builds the dense
+form on request, for the LP, the EOTX oracles, analysis and tests; only
+mobility epochs and the Gilbert-Elliott channel hold dense arrays at run
+time.
 
 The reception model follows the paper's assumption of *independent*
 receptions across receivers (Section 3.2.1, Section 5.5), which the
@@ -71,7 +79,8 @@ class LinkTable(NamedTuple):
     ``indptr[s]:indptr[s + 1]`` of the two per-link arrays, receivers in
     ascending order: the order of ``np.nonzero`` over the delivery matrix.
     A link absent from the table delivers nothing, and so does one listed
-    with delivery 0 (a sampled estimate whose probes all got lost).
+    with delivery 0 (a sampled estimate whose probes all got lost; a
+    :class:`Topology` lists only links that deliver).
 
     Attributes:
         indptr: row boundaries, ``node_count + 1`` entries.
@@ -87,6 +96,17 @@ class LinkTable(NamedTuple):
         """Sending node of each link (the row each one sits in)."""
         return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
 
+    def sender_of(self, links: np.ndarray) -> np.ndarray:
+        """Sending node of the links at positions ``links`` of the table."""
+        return np.searchsorted(self.indptr, links, side="right") - 1
+
+    def row(self, sender: int) -> np.ndarray:
+        """Delivery from ``sender`` to every node, 0 off its links (a new array)."""
+        row = np.zeros(self.indptr.size - 1)
+        start, stop = self.indptr[sender], self.indptr[sender + 1]
+        row[self.receivers[start:stop]] = self.delivery[start:stop]
+        return row
+
 
 class LinkView:
     """A mesh as the routing control plane reads it: nodes and a link table.
@@ -94,7 +114,7 @@ class LinkView:
     Read-only, and O(links): what ETX, EOTX, forwarding plans and best
     paths are computed from (:mod:`repro.metrics`).  The probe-estimated
     control view and the dead-node mask are plain views; a
-    :class:`Topology` is a view that also holds its N×N matrix.
+    :class:`Topology` is the ground-truth view.
     """
 
     def __init__(self, nodes: list[Node], table: LinkTable) -> None:
@@ -136,10 +156,11 @@ class LinkView:
         the link-cost rows, the per-destination distance vectors and the
         forwarding plans; for the data plane the medium's carrier-sense
         rows and reception plans under a static channel, per
-        ``ChannelConfig`` (:mod:`repro.sim.medium`).  Every flow, protocol
+        ``ChannelConfig`` (:mod:`repro.sim.medium`); for both the
+        receiver-major index (:meth:`incoming`).  Every flow, protocol
         and seed run over this view reads one copy.  A view's links never
-        change (a :class:`Topology`'s matrix is read-only from
-        construction), so nothing held here goes stale and nothing
+        change (its link table is read-only from construction), so
+        nothing held here goes stale and nothing
         invalidates it.  Every caller gets the same object, so the arrays
         in it are made read-only and the medium's tables hold tuples; a
         function that hands out a list returns a fresh copy of it.  A value
@@ -167,15 +188,54 @@ class LinkView:
             return None
         return positions
 
+    def incoming(self) -> "InLinks":
+        """The links into each node, CSR by receiver (derived once, read-only).
 
-def _link_table(matrix: np.ndarray) -> LinkTable:
-    """The non-zero entries of ``matrix`` as a :class:`LinkTable`.
+        The one receiver-major index: the control plane's link rows
+        (:func:`repro.metrics.etx.link_rows`) and the medium's
+        carrier-sense rule (:func:`repro.sim.medium.sense_row`) both read
+        it.  It depends on which links exist, not on what they deliver, so
+        a view over the same links (the probe-estimated control view)
+        shares it.
+        """
+        def derive() -> InLinks:
+            table = self.link_table()
+            indptr = np.zeros(self.node_count + 1, dtype=np.intp)
+            np.cumsum(np.bincount(table.receivers, minlength=self.node_count),
+                      out=indptr[1:])
+            return InLinks(indptr, np.argsort(table.receivers, kind="stable"))
+
+        return self.derived(("incoming",), derive)
+
+
+class InLinks(NamedTuple):
+    """The directed links of a mesh grouped by receiver: CSR by receiver.
+
+    Row ``r`` — the links *into* ``r`` — is the slice
+    ``indptr[r]:indptr[r + 1]`` of ``links``, the positions of those links
+    in the mesh's :class:`LinkTable` in ascending order (so their senders
+    ascend too).  What a link delivers is read from the table, so the
+    index holds one integer per link.
+
+    Attributes:
+        indptr: row boundaries, ``node_count + 1`` entries.
+        links: position of each link in the link table.
+    """
+
+    indptr: np.ndarray
+    links: np.ndarray
+
+
+def link_table_of(matrix: np.ndarray) -> LinkTable:
+    """The non-zero off-diagonal entries of a square ``matrix`` as a :class:`LinkTable`.
 
     One index array over the flattened matrix, then the table's two: no
-    N×N temporary, and no per-link sender array.
+    N×N temporary, and no per-link sender array.  The diagonal is left
+    out: a node does not link to itself.
     """
     count = matrix.shape[0]
     flat = np.flatnonzero(matrix)
+    flat = flat[flat % (count + 1) != 0]
     indptr = np.searchsorted(flat, np.arange(count + 1) * count)
     return LinkTable(indptr, flat % count, matrix.ravel()[flat])
 
@@ -183,48 +243,46 @@ def _link_table(matrix: np.ndarray) -> LinkTable:
 class Topology(LinkView):
     """A wireless mesh described by per-link delivery probabilities.
 
-    Immutable once built: the matrix is read-only from construction.
+    It holds its links and nothing N×N: the ground truth the data plane
+    reads.  Immutable once built: the link table is read-only from
+    construction.  ``Topology(matrix)`` converts a hand-built dense matrix
+    (its diagonal ignored); generators hand over a table
+    (:meth:`from_links`).
     """
 
     def __init__(self, delivery: np.ndarray, positions: list[tuple[float, ...]] | None = None,
                  names: list[str] | None = None) -> None:
-        self._adopt(np.array(delivery, dtype=float, order="C"), positions, names)
-
-    @classmethod
-    def from_owned(cls, matrix: np.ndarray, positions: list[tuple[float, ...]] | None = None,
-                   names: list[str] | None = None) -> "Topology":
-        """Wrap a freshly-built delivery matrix without the defensive copy.
-
-        The caller transfers ownership: ``matrix`` must be float64 and
-        referenced by nothing that will read or write it afterwards.  Its
-        diagonal is zeroed in place, then it is made read-only, so a later
-        write to it raises.  Builders that have just allocated
-        the matrix use this, so an N×N mesh exists once rather than twice;
-        external callers should use the constructor, which copies.
-        """
-        assert matrix.dtype == np.float64
-        topology = cls.__new__(cls)
-        topology._adopt(matrix, positions, names)
-        return topology
-
-    def _adopt(self, matrix: np.ndarray, positions: list[tuple[float, ...]] | None,
-               names: list[str] | None) -> None:
+        matrix = np.asarray(delivery, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("delivery matrix must be square")
-        # min/max rather than an elementwise mask: no N×N temporaries, and
-        # a NaN passes exactly as it passes the two comparisons.
-        if matrix.size and (matrix.min() < 0 or matrix.max() > 1):
+        self._adopt_links(link_table_of(matrix), positions, names)
+
+    @classmethod
+    def from_links(cls, table: LinkTable, positions: list[tuple[float, ...]] | None = None,
+                   names: list[str] | None = None) -> "Topology":
+        """A mesh over a freshly built link table, without a copy.
+
+        The caller transfers ownership: the table's arrays are made
+        read-only.  Row ``s`` must list ``s``'s receivers in ascending
+        order, without ``s`` itself.
+        """
+        topology = cls.__new__(cls)
+        topology._adopt_links(table, positions, names)
+        return topology
+
+    def _adopt_links(self, table: LinkTable, positions: list[tuple[float, ...]] | None,
+                     names: list[str] | None) -> None:
+        # min/max rather than an elementwise mask: a NaN passes exactly as
+        # it passes the two comparisons.
+        delivery = table.delivery
+        if delivery.size and (delivery.min() < 0 or delivery.max() > 1):
             raise ValueError("delivery probabilities must lie in [0, 1]")
-        np.fill_diagonal(matrix, 0.0)
-        matrix.flags.writeable = False
-        self._delivery = matrix
-        self._derived = {}
-        count = matrix.shape[0]
+        count = table.indptr.size - 1
         if positions is not None and len(positions) != count:
             raise ValueError("positions length must match node count")
         if names is not None and len(names) != count:
             raise ValueError("names length must match node count")
-        self.nodes = [
+        nodes = [
             Node(
                 node_id=i,
                 name=names[i] if names else f"n{i}",
@@ -232,28 +290,7 @@ class Topology(LinkView):
             )
             for i in range(count)
         ]
-
-    def link_table(self) -> LinkTable:
-        """The matrix's non-zero links, derived once per matrix."""
-        return self.derived(("link_table",), lambda: _link_table(self._delivery))
-
-    def delivery_matrix(self) -> np.ndarray:
-        """Copy of the full delivery-probability matrix."""
-        return self._delivery.copy()
-
-    def delivery_view(self) -> np.ndarray:
-        """The delivery-probability matrix itself, read-only (no copy).
-
-        A mesh's links are fixed at construction: writing through the
-        matrix raises.  Callers that want an edited mesh build one from
-        :meth:`delivery_matrix`'s copy.  The data plane reads it; the
-        control plane reads :meth:`link_table`.
-        """
-        return self._delivery
-
-    def delivery(self, sender: int, receiver: int) -> float:
-        """Delivery probability from ``sender`` to ``receiver``."""
-        return float(self._delivery[sender, receiver])
+        super().__init__(nodes, table)
 
     def __repr__(self) -> str:
         return f"Topology(nodes={self.node_count}, links={self.link_table().receivers.size})"

@@ -48,7 +48,7 @@ import numpy as np
 from repro.params import SectionSpec, build_model
 from repro.rng import counter_uniform
 from repro.topology.generator import margin_to_delivery, path_loss_margin_db
-from repro.topology.graph import Topology
+from repro.topology.graph import LinkView
 
 #: Stream key mixed with the cell seed so mobility randomness is independent
 #: of (and cannot perturb) both the simulator's main RNG stream and the
@@ -89,9 +89,13 @@ class MobilityModel:
         self._base: np.ndarray | None = None
         self._coords0: np.ndarray | None = None
 
-    def bind(self, topology: Topology) -> None:
-        """Attach the process to a topology; called by the medium once."""
-        self._base = topology.delivery_view()
+    def bind(self, topology: LinkView) -> None:
+        """Attach the process to a topology; called by the medium once.
+
+        A dynamic topology is dense: its epochs are N×N matrices, and the
+        nominal one is the topology's own, built here on request.
+        """
+        self._base = topology.delivery_matrix()
         positions = topology.node_positions()
         self._coords0 = None
         if positions is not None:

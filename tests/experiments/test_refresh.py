@@ -32,9 +32,10 @@ from repro.protocols.exor.agent import ExorAgent, setup_exor_flow
 from repro.protocols.more.agent import MoreAgent
 from repro.protocols.more.flow import setup_more_flow
 from repro.protocols.srcr.agent import SrcrAgent, setup_srcr_flow
+from repro.sim.faults import FaultSpec
 from repro.sim.radio import SimConfig
 from repro.sim.simulator import Simulator
-from repro.topology.generator import chain, diamond, indoor_testbed
+from repro.topology.generator import chain, diamond, indoor_testbed, random_geometric
 from repro.topology.graph import Topology
 from repro.topology.mobility import MobilitySpec
 
@@ -233,6 +234,37 @@ class TestExorRefresh:
         state = sim.nodes[2].agent.flows[spec.flow_id]
         state.packets_received(state.batch_id).add(0)
         assert state.responsibility() == []  # never claims packets again
+
+    def test_dropping_the_turn_holder_hands_the_turn_on(self):
+        """Regression: the turn holder dropped by a re-plan kept the turn.
+
+        Relay 5 of the flow 0 -> 3 (participants [3, 5, 0]) crashes at
+        0.05 s holding the turn; the re-plan at 0.1 s drops it, and after
+        its recovery at 0.15 s it had nothing pending, never passed the
+        turn on, and the re-plans that re-admitted it did not wake it: the
+        flow delivered 0 of 48 packets in 5 s.
+        """
+        topology = random_geometric(node_count=10, area=80.0, seed=1)
+        config = RunConfig(total_packets=48, batch_size=16, max_duration=5.0,
+                           refresh_period=0.1)
+        faults = FaultSpec("scheduled", {"downs": {5: [[0.05, 0.15]]}})
+        sim, (handle,) = start_flows(topology, "ExOR", [(0, 3)], config=config,
+                                     environment=Environment(faults=faults))
+        assert handle.spec.plan.participants == [3, 5, 0]
+        holders = []
+        grant = handle.scheduler._grant
+
+        def recorded_grant(position):
+            holders.append((sim.now, handle.spec.plan.participants[
+                min(position, len(handle.spec.plan.participants) - 1)]))
+            grant(position)
+
+        handle.scheduler._grant = recorded_grant
+        sim.run(stop_condition=sim.stats.all_flows_complete)
+        assert (handle.record.delivered_packets, handle.record.completed) == (48, True)
+        assert sim.now < config.max_duration
+        # Node 5 held the turn through its outage, then lost it to the re-plan.
+        assert any(node != 5 and 0.1 <= now < 0.15 for now, node in holders)
 
 
 class TestFailedReplan:

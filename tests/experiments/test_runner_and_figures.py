@@ -106,19 +106,21 @@ class TestControlPlaneIsDerivedOnce:
 
     def test_probe_free_control_plane_is_shared_across_seeds(self, mesh):
         self._two_flows(mesh, probes=0)
-        # On the mesh: its link table, the one control view, and the
-        # medium's tables for the one channel configuration.  On the view:
-        # one set of link rows, one plan, one Dijkstra per distinct
-        # destination (the flow's, and the source as the batch ACKs'
-        # destination).
-        key, table, medium = sorted(mesh._derived, key=lambda each: each[0])
+        # On the mesh: its receiver-major index, the one control view, and
+        # the medium's tables for the one channel configuration.  On the
+        # view: the mesh's index (the same links), one set of link rows,
+        # one plan, one Dijkstra per distinct destination (the flow's, and
+        # the source as the batch ACKs' destination).
+        key, incoming, medium = sorted(mesh._derived, key=lambda each: each[0])
         assert key[0] == "control_view"
-        assert table == ("link_table",)
+        assert incoming == ("incoming",)
         assert medium == ("medium", ChannelConfig())
         source, destination = self.PAIR
-        derived = sorted((kind, *rest[:1]) for kind, *rest in mesh._derived[key]._derived)
+        view = mesh._derived[key]
+        derived = sorted((kind, *rest[:1]) for kind, *rest in view._derived)
         assert derived == [("etx_routes", source), ("etx_routes", destination),
-                           ("forwarding_plan", source), ("link_rows", False)]
+                           ("forwarding_plan", source), ("incoming",), ("link_rows", False)]
+        assert view.incoming() is mesh.incoming()
 
     def test_sampled_control_views_are_per_seed(self, mesh, monkeypatch):
         views = []
@@ -132,9 +134,9 @@ class TestControlPlaneIsDerivedOnce:
         assert first is not second
         assert not np.array_equal(first.link_table().delivery,
                                   second.link_table().delivery)
-        # A sampled view is not kept on the mesh (its link table and the
-        # medium's tables are) ...
-        assert set(mesh._derived) == {("link_table",), ("medium", ChannelConfig())}
+        # A sampled view is not kept on the mesh (its receiver-major index
+        # and the medium's tables are) ...
+        assert set(mesh._derived) == {("incoming",), ("medium", ChannelConfig())}
         assert first._derived and second._derived  # ... each plans from its own
 
 

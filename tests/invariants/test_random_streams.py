@@ -132,6 +132,7 @@ class StoredGeneratorChannel(ChannelModel):
     kind = "stored_window"
 
     def _prepare(self) -> None:
+        self._base = self._bound().delivery_matrix()
         self._rng = np.random.default_rng(self.seed)
 
     def delivery_row(self, sender: int, start: float, end: float) -> np.ndarray:

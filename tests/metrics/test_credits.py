@@ -253,7 +253,7 @@ def test_forwarding_plan_on_testbed(testbed):
     shared plan equals one derived afresh, and every relay it keeps carries
     at least the pruning fraction of the unpruned plan's transmissions."""
     plan = forwarding_plan(testbed, 17, 2)
-    fresh = forwarding_plan(Topology(testbed.delivery_view()), 17, 2)
+    fresh = forwarding_plan(Topology(testbed.delivery_matrix()), 17, 2)
     assert plan.participants == fresh.participants
     assert np.array_equal(plan.z, fresh.z)
     assert np.array_equal(plan.tx_credit, fresh.tx_credit)

@@ -159,7 +159,7 @@ def test_property_eotx_never_exceeds_etx(size, seed):
 
 def _underived(topology: Topology) -> Topology:
     """A copy with nothing derived from it yet (``Topology.derived`` is empty)."""
-    return Topology(topology.delivery_view(), positions=topology.node_positions())
+    return Topology(topology.delivery_matrix(), positions=topology.node_positions())
 
 
 def test_eotx_dijkstra_on_testbed(testbed):

@@ -43,7 +43,7 @@ from repro.topology.graph import Topology
 
 
 def _link_cost_matrix(topology, ack_aware):
-    delivery = topology.delivery_view()
+    delivery = topology.delivery_matrix()
     usable = delivery > LINK_THRESHOLD
     if ack_aware:
         usable &= usable.T

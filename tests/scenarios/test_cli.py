@@ -308,6 +308,43 @@ def test_out_of_range_section_value_is_a_one_line_error(preset, override, messag
     assert message in line
 
 
+def _random_mesh_spec_file(tmp_path, params: dict) -> str:
+    spec = get_preset("chain_smoke").to_dict()
+    spec["topology"] = {"kind": "random_mesh", "params": {"node_count": 6, **params}}
+    spec_file = tmp_path / "scenario.json"
+    spec_file.write_text(json.dumps(spec))
+    return str(spec_file)
+
+
+@pytest.mark.parametrize("params,message", [
+    # One node was a mesh; no nodes died in numpy.
+    ({"node_count": 1}, "node_count must be at least 2"),
+    # 1.5 linked every pair; 0 re-rolled 200 times, then a RuntimeError
+    # traceback left ``repro run``.
+    ({"density": 1.5}, "density must lie in (0, 1], got 1.5"),
+    ({"node_count": 2, "density": 0}, "density must lie in (0, 1], got 0"),
+    # numpy's "high - low < 0", or probabilities outside [0, 1].
+    ({"min_delivery": 0.9, "max_delivery": 0.5},
+     "need 0 <= min_delivery <= max_delivery <= 1, got 0.9 and 0.5"),
+    ({"min_delivery": -0.5}, "need 0 <= min_delivery <= max_delivery <= 1"),
+    ({"max_delivery": 2.0}, "need 0 <= min_delivery <= max_delivery <= 1"),
+    # A density no layout connects at: a RuntimeError traceback before.
+    ({"node_count": 12, "density": 0.01}, "no connected mesh in 200 attempts"),
+])
+def test_bad_random_mesh_is_a_one_line_error(params, message, capsys, tmp_path):
+    line = _one_line_error(capsys, "run", "--spec", _random_mesh_spec_file(tmp_path, params),
+                           "--no-cache")
+    assert "bad parameter for topology 'random_mesh'" in line
+    assert message in line
+
+
+def test_negative_skip_delivery_is_a_one_line_error(capsys):
+    """A negative skip link was silently left out of the chain."""
+    line = _one_line_error(capsys, "run", "--preset", "chain_smoke", "--no-cache",
+                           "--set", "topology.skip_delivery=-0.2")
+    assert "bad parameter for topology 'chain': skip_delivery must not be negative" in line
+
+
 @pytest.mark.parametrize("preset,override,message", [
     # Ran to completion: delivery "probabilities" scaled sevenfold.
     ("bursty_chain", "channel.bad_scale=7",

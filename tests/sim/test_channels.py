@@ -58,7 +58,7 @@ class TestStaticBernoulli:
         for now in (0.0, 1.5, 300.0):
             assert np.array_equal(model.delivery_row(1, now, now + 0.002),
                                   expected[1])
-        assert np.array_equal(model.mean_matrix(), expected)
+        assert model.mean_view() is topology
 
     def test_update_base_replaces_rows_and_mean(self):
         topology = chain(3, link_delivery=0.7)
@@ -67,7 +67,7 @@ class TestStaticBernoulli:
         churned = topology.delivery_matrix() * 0.5
         model.update_base(churned)
         assert np.array_equal(model.delivery_row(1, 0.0, 0.002), churned[1])
-        assert np.array_equal(model.mean_matrix(), churned)
+        assert np.array_equal(model.mean_view().delivery_matrix(), churned)
 
 
 class TestGilbertElliott:
@@ -119,19 +119,19 @@ class TestGilbertElliott:
 
     @pytest.mark.parametrize("name", ["mean_good_time", "mean_bad_time"])
     def test_infinite_sojourn_rejected(self, name):
-        """inf/(inf + T) is NaN: mean_matrix() was all NaN, which switched
+        """inf/(inf + T) is NaN: the mean delivery was all NaN, which switched
         the medium's carrier sense and interference off."""
         with pytest.raises(ValueError, match="positive and finite"):
             GilbertElliott(**{name: float("inf")})
 
-    def test_mean_matrix_is_stationary_average(self):
+    def test_mean_view_is_stationary_average(self):
         topology = chain(2, link_delivery=0.6)
         model = GilbertElliott(seed=1, bad_scale=0.1,
                                mean_good_time=0.1, mean_bad_time=1.0)
         model.bind(topology)
         # Tg/(Tg+Tb) good at scale 1.0, the rest bad at 0.1.
         expected = 0.6 * (0.1 * 1.0 + 1.0 * 0.1) / 1.1
-        assert model.mean_matrix()[0, 1] == pytest.approx(expected)
+        assert model.mean_view().delivery(0, 1) == pytest.approx(expected)
 
     def test_update_base_keeps_the_chains_running(self):
         """A new nominal matrix (a mobility epoch) rescales the row; the

@@ -181,7 +181,7 @@ class TestPerSenderTables:
 
     @staticmethod
     def _assert_rows_match_oracle(medium: WirelessMedium) -> None:
-        oracle = WirelessMedium._build_sense_matrix(medium._delivery,
+        oracle = WirelessMedium._build_sense_matrix(medium._links.delivery_matrix(),
                                                     medium.channel)
         for sender in range(medium.topology.node_count):
             assert medium._sense_rows[sender] == tuple(oracle[sender].tolist())
@@ -269,9 +269,10 @@ class TestLifecycle:
 
 
 def _counting(monkeypatch) -> dict[str, int]:
-    """Count every call of ``WirelessMedium._plan`` and ``sense_row``."""
+    """Count every call of ``WirelessMedium._plan`` and of the sense rule
+    (``_sense_row``, which the medium's tables and ``sense_row`` call)."""
     calls = {"_plan": 0, "sense_row": 0}
-    plan, row = WirelessMedium._plan, medium_module.sense_row
+    plan, row = WirelessMedium._plan, medium_module._sense_row
 
     def counted_plan(*args):
         calls["_plan"] += 1
@@ -282,7 +283,7 @@ def _counting(monkeypatch) -> dict[str, int]:
         return row(*args)
 
     monkeypatch.setattr(WirelessMedium, "_plan", staticmethod(counted_plan))
-    monkeypatch.setattr(medium_module, "sense_row", counted_row)
+    monkeypatch.setattr(medium_module, "_sense_row", counted_row)
     return calls
 
 

@@ -1,4 +1,5 @@
-"""Differential tests: the reception plan and its words vs the scalar loop.
+"""Differential tests: the reception plan and its words vs the scalar loop,
+and the link-derived sense rows and plans vs the dense rules.
 
 The medium resolves a completed frame from a reception plan (the eligible
 receivers in node order, their coins' word bounds, the interference mask,
@@ -18,9 +19,10 @@ import numpy as np
 import pytest
 
 from repro.protocols.more import setup_more_flow
+from repro.rng import threshold
 from repro.sim.channels import GilbertElliott
 from repro.sim.frames import BROADCAST, Frame, FrameKind
-from repro.sim.medium import WirelessMedium
+from repro.sim.medium import WirelessMedium, sense_row
 from repro.sim.radio import ChannelConfig, SimConfig
 from repro.sim.simulator import Simulator
 from repro.topology.generator import (
@@ -29,6 +31,7 @@ from repro.topology.generator import (
     indoor_testbed,
     random_geometric,
 )
+from repro.topology.graph import Topology
 
 SEEDS = (0, 1, 17)
 
@@ -45,7 +48,8 @@ class ScalarMedium(WirelessMedium):
 
     def _resolve(self, plan, sender, row, overlapping):
         return self._resolve_scalar(
-            sender, self._delivery[sender] if row is None else row, overlapping)
+            sender, self.model.delivery_row(sender, 0.0, 0.0) if row is None else row,
+            overlapping)
 
 
 #: The medium and its oracle: every test drives both and compares.
@@ -151,7 +155,6 @@ def test_capture_heavy_schedule_still_identical(seed, monkeypatch):
         [0.9, 0.12, 0.0, 0.5],
         [0.9, 0.12, 0.5, 0.0],
     ])
-    from repro.topology.graph import Topology
 
     results = {}
     for medium_class in MEDIA:
@@ -233,3 +236,127 @@ def test_every_plan_branch_meets_the_oracle(channel, seed):
         if medium_class is BranchRecordingMedium:
             assert medium.branches == PLAN_BRANCHES
     assert results[BranchRecordingMedium] == results[ScalarMedium]
+
+
+# --------------------------------------------------------------------------- #
+# The link-derived tables vs the dense rules they replaced
+# --------------------------------------------------------------------------- #
+
+
+def _dense_plan(delivery: np.ndarray, channel: ChannelConfig, sender: int,
+                row: np.ndarray, senders: tuple[int, ...]) -> tuple:
+    """``WirelessMedium._plan`` as it read the N×N matrix, verbatim."""
+    eligible = row > 0.0
+    eligible[sender] = False
+    eligible[list(senders)] = False
+    indices = np.nonzero(eligible)[0]
+    probabilities = row[indices]
+    receivers = tuple(indices.tolist())
+    thresholds = tuple(map(threshold, probabilities.tolist()))
+    interferers = [other for other in senders if other != sender]
+    if not interferers:
+        return receivers, thresholds, None, None
+    levels = delivery[interferers][:, indices]
+    audible = levels > channel.interference_threshold
+    capturable = audible & (probabilities - levels
+                            >= channel.capture_margin)
+    if capturable.any():
+        chains = tuple(tuple(saved for heard, saved in zip(heard_by, saved_by)
+                             if heard)
+                       for heard_by, saved_by in zip(audible.T.tolist(),
+                                                     capturable.T.tolist()))
+        return receivers, thresholds, None, chains
+    corrupted = audible.any(axis=0)
+    survivable = tuple((~corrupted).tolist()) if corrupted.any() else None
+    return receivers, thresholds, survivable, None
+
+
+def _overlap_sets(delivery: np.ndarray, sender: int,
+                  rng: np.random.Generator) -> list[tuple[int, ...]]:
+    """What can overlap a frame of ``sender``: nothing, its own frame,
+    frames of one or two nodes within two hops of it (where interference is
+    audible), the sender's own among them now and then, and a frame from
+    any node at all."""
+    near = np.flatnonzero(delivery[sender])
+    near = np.union1d(near, np.flatnonzero(delivery[near].any(axis=0)))
+    near = near[near != sender]
+    first, second = (int(node) for node in rng.choice(near, size=2))
+    anywhere = int(rng.integers(0, len(delivery)))
+    return [(), (sender,), (first,), (first, second), (second, sender, first),
+            (anywhere,)]
+
+
+def _plan_kind(plan: tuple, sender: int, senders: tuple[int, ...]) -> str:
+    if plan[3] is not None:
+        return "capture"
+    if plan[2] is not None:
+        return "corrupted"
+    return "interferer" if set(senders) - {sender} else "clear"
+
+
+def _one_way_mesh() -> Topology:
+    """A 60-node mesh with a third of its directed links cut: in a symmetric
+    mesh a node's links in are its links out, and a rule reading the wrong
+    ones would pass."""
+    delivery = random_geometric(60, 250.0, 4).delivery_matrix()
+    delivery[np.random.default_rng(4).random(delivery.shape) < 0.35] = 0.0
+    return Topology(delivery)
+
+
+#: The meshes the benchmark runs on — the testbed, the mesh_seed_sweep mesh
+#: and the kilonode mesh — and an asymmetric one.
+BENCH_MESHES = {
+    "testbed": lambda: indoor_testbed(floors=3, seed=7),
+    "mesh_200": lambda: random_geometric(200, 420.0, 11),
+    "kilonode": lambda: random_geometric(1000, 940.0, 21),
+    "one_way_60": _one_way_mesh,
+}
+
+#: The default rules, and looser ones that make capture and two-hop
+#: sensing common.
+CHANNELS = (ChannelConfig(),
+            ChannelConfig(neighbor_sense_threshold=0.5, interference_threshold=0.05,
+                          capture_margin=0.15))
+
+
+@pytest.mark.parametrize("mesh", sorted(BENCH_MESHES))
+def test_link_tables_equal_the_dense_rules(mesh):
+    """Every sender's sense row and its plans over sampled overlap sets, read
+    off the links, are the tuples the dense rules give."""
+    topology = BENCH_MESHES[mesh]()
+    delivery = topology.delivery_matrix()
+    rng = np.random.default_rng(len(mesh))
+    overlaps = {sender: _overlap_sets(delivery, sender, rng)
+                for sender in range(topology.node_count)}
+    for channel in CHANNELS:
+        medium = WirelessMedium(topology, channel, np.random.default_rng(0))
+        sense = WirelessMedium._build_sense_matrix(delivery, channel)
+        kinds = set()
+        for sender, sets in overlaps.items():
+            assert medium._sense_rows[sender] == tuple(sense[sender].tolist()), sender
+            assert np.array_equal(sense_row(topology, channel, sender), sense[sender])
+            for senders in sets:
+                plan = medium._plans[sender, senders]
+                assert plan == _dense_plan(delivery, channel, sender, delivery[sender],
+                                           senders), (sender, senders)
+                kinds.add(_plan_kind(plan, sender, senders))
+        assert kinds >= {"clear", "corrupted", "capture"}
+
+
+def test_bursty_plans_equal_the_dense_rule():
+    """Under Gilbert-Elliott a plan is built per frame from the model's row
+    and the link view of its mean matrix: the dense rule's tuples again."""
+    topology = BENCH_MESHES["testbed"]()
+    model = GilbertElliott(seed=3, mean_good_time=0.02, mean_bad_time=0.005)
+    medium = WirelessMedium(topology, ChannelConfig(), np.random.default_rng(0), model=model)
+    mean = model.mean_view()
+    dense_mean = mean.delivery_matrix()
+    rng = np.random.default_rng(5)
+    kinds = set()
+    for step, sender in enumerate(rng.integers(0, topology.node_count, size=400).tolist()):
+        row = model.delivery_row(sender, step * 0.001, step * 0.001 + 0.002)
+        for senders in _overlap_sets(dense_mean, sender, rng):
+            plan = medium._plan(mean.link_table(), medium.channel, sender, row, senders)
+            assert plan == _dense_plan(dense_mean, medium.channel, sender, row, senders)
+            kinds.add(_plan_kind(plan, sender, senders))
+    assert kinds >= {"clear", "corrupted", "capture"}

@@ -22,11 +22,17 @@ from repro.topology.generator import (
 )
 from repro.experiments.workloads import reachable_pairs
 from repro.topology import generator
+from repro.topology.graph import Topology, link_table_of
 
 
 def _strongly_connected(topology) -> bool:
     """Every node reaches every other over links delivering above 5%."""
-    return bool(generator._strong_component(topology.delivery_view() > 0.05).all())
+    return bool(generator._strong_component(topology.link_table(), 0.05).all())
+
+
+def _dense(links) -> np.ndarray:
+    """A generator's link table as the N×N matrix it stands for."""
+    return Topology.from_links(links).delivery_matrix()
 
 
 class TestStrongComponent:
@@ -34,24 +40,24 @@ class TestStrongComponent:
 
     @staticmethod
     def mask(links, count=3):
-        usable = np.zeros((count, count), dtype=bool)
+        usable = np.zeros((count, count))
         for sender, receiver in links:
-            usable[sender, receiver] = True
-        return usable
+            usable[sender, receiver] = 1.0
+        return link_table_of(usable), 0.5
 
     def test_connected_chain(self):
-        assert generator._strong_component(self.mask([(0, 1), (1, 0), (1, 2), (2, 1)])).all()
+        assert generator._strong_component(*self.mask([(0, 1), (1, 0), (1, 2), (2, 1)])).all()
 
     def test_disconnected(self):
-        component = generator._strong_component(self.mask([(0, 1), (1, 0)]))
+        component = generator._strong_component(*self.mask([(0, 1), (1, 0)]))
         assert component.tolist() == [True, True, False]
 
     def test_one_way_link_is_not_strongly_connected(self):
-        assert generator._strong_component(self.mask([(0, 1)], 2)).tolist() == [True, False]
+        assert generator._strong_component(*self.mask([(0, 1)], 2)).tolist() == [True, False]
         # Reached from node 0 but not reaching it, and the reverse.
-        assert generator._strong_component(self.mask([(0, 1), (1, 2), (2, 1)])).tolist() \
+        assert generator._strong_component(*self.mask([(0, 1), (1, 2), (2, 1)])).tolist() \
             == [True, False, False]
-        assert generator._strong_component(self.mask([(1, 0), (1, 2), (2, 1)])).tolist() \
+        assert generator._strong_component(*self.mask([(1, 0), (1, 2), (2, 1)])).tolist() \
             == [True, False, False]
 
     @settings(max_examples=60, deadline=None)
@@ -74,7 +80,7 @@ class TestStrongComponent:
             return reached
 
         expected = search(usable) & search(usable.T)
-        component = generator._strong_component(usable)
+        component = generator._strong_component(link_table_of(usable.astype(float)), 0.5)
         assert set(np.flatnonzero(component).tolist()) == expected
 
 
@@ -151,8 +157,25 @@ class TestRandomMesh:
         b = random_mesh(8, density=0.4, seed=5)
         assert np.array_equal(a.delivery_matrix(), b.delivery_matrix())
 
-    def test_single_node(self):
-        assert random_mesh(1, density=0.5).node_count == 1
+    @pytest.mark.parametrize("params, problem", [
+        ({"node_count": 1}, "node_count must be at least 2"),
+        ({"density": 1.5}, "density must lie in"),
+        ({"density": 0.0}, "density must lie in"),
+        ({"min_delivery": 0.8, "max_delivery": 0.5}, "min_delivery <= max_delivery"),
+        ({"min_delivery": -0.1}, "0 <= min_delivery"),
+        ({"max_delivery": 1.5}, "max_delivery <= 1"),
+    ])
+    def test_rejects_out_of_range_input(self, params, problem):
+        """Once a single node was a mesh and 1.5 a density; a bound pair
+        upside down died in numpy."""
+        with pytest.raises(ValueError, match="bad parameter for topology 'random_mesh'") \
+                as raised:
+            random_mesh(**{"node_count": 6, **params})
+        assert problem in str(raised.value)
+
+    def test_a_mesh_that_cannot_connect_is_one_error(self):
+        with pytest.raises(ValueError, match="no connected mesh in 200 attempts"):
+            random_mesh(12, density=0.01)
 
 
 class TestCostGapTopology:
@@ -229,13 +252,14 @@ class TestIndoorTestbed:
         rng = np.random.default_rng(43)
         for _ in range(30):
             rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0)
-        unpatched = generator._pairwise_delivery(topo.node_positions(), rng)
-        assert not generator._strong_component(unpatched > 0.05).all()
+        unpatched = generator._pairwise_links(topo.node_positions(), rng)
+        assert not generator._strong_component(unpatched, 0.05).all()
         assert _strongly_connected(topo)
-        senders, receivers = np.nonzero(topo.delivery_view() != unpatched)
+        delivery = topo.delivery_matrix()
+        senders, receivers = np.nonzero(delivery != _dense(unpatched))
         assert len(senders) == 4 and sorted(zip(senders, receivers)) == \
             sorted(zip(receivers, senders))
-        patched = topo.delivery_view()[senders, receivers]
+        patched = delivery[senders, receivers]
         assert ((0.4 <= patched) & (patched < 0.7)).all()
 
     def test_smaller_testbed_still_connected(self):
@@ -286,7 +310,7 @@ class TestGeneratorGoldens:
         positions = [(0.0, 0.0, 0.0), (10.0, 5.0, 0.0), (10.0, 5.0, 0.0),
                      (30.0, 20.0, 4.0), (55.0, 8.0, 8.0)]
         rng = np.random.default_rng(5)
-        delivery = generator._pairwise_delivery(positions, rng)
+        delivery = _dense(generator._pairwise_links(positions, rng))
         assert delivery[1, 2] == delivery[2, 1] == 1.0
         assert _digest(delivery) == \
             "4cf21a0631fd563dfc69841af41ceb5ec5a5c337c75948467ebb5a8c3e20b23a"
@@ -296,7 +320,7 @@ class TestGeneratorGoldens:
 
 
 def _pairwise_delivery_reference(positions, rng: np.random.Generator) -> np.ndarray:
-    """The loop ``_pairwise_delivery`` replaced, draw expression verbatim:
+    """The loop ``_pairwise_links`` replaced, draw expression verbatim:
     ``normal(0.0, sigma)`` / ``uniform(0.0, a)`` tuples, one pair per link."""
     coords = np.asarray(positions, dtype=float)
     x, y, z = coords[:, 0], coords[:, 1], coords[:, 2]
@@ -337,7 +361,10 @@ def test_pairwise_delivery_matches_the_per_pair_loop(positions, seed):
     """Same bytes out, and the stream left where the loop left it — so
     ``_ensure_connected``'s patch-link draws land where they did."""
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    delivery = generator._pairwise_delivery(positions, rng)
+    links = generator._pairwise_links(positions, rng)
     reference = _pairwise_delivery_reference(positions, reference_rng)
-    assert delivery.tobytes() == reference.tobytes()
+    assert _dense(links).tobytes() == reference.tobytes()
+    # Rows list their receivers in ascending order, and only links that deliver.
+    assert links.receivers.tolist() == np.nonzero(reference)[1].tolist()
+    assert (links.delivery > 0).all()
     assert rng.bit_generator.state == reference_rng.bit_generator.state

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro.metrics.etx import link_rows
+from repro.experiments.runner import RunConfig, run_single_flow
+from repro.sim.radio import ChannelConfig
 from repro.topology.estimation import probe_estimated_topology
 from repro.topology.generator import random_geometric
-from repro.topology.graph import LinkView, Node, Topology
+from repro.topology.graph import LinkTable, LinkView, Node, Topology
 
 
 def square_matrix(values):
@@ -61,58 +63,92 @@ class TestConstruction:
         assert Topology([[0, 1], [1, 0]]).delivery(0, 1) == 1.0  # list, int input
 
 
-class TestFromOwned:
-    def test_keeps_the_array_and_zeroes_its_diagonal(self):
-        matrix = square_matrix([[0.9, 0.5], [0.5, 0.9]])
-        topo = Topology.from_owned(matrix, positions=[(0, 0), (1, 1)], names=["a", "b"])
-        assert np.shares_memory(topo.delivery_view(), matrix)
-        assert matrix[0, 0] == matrix[1, 1] == 0.0
-        assert topo.delivery(0, 1) == 0.5
-        assert [node.name for node in topo.nodes] == ["a", "b"]
+class TestFromLinks:
+    @staticmethod
+    def table():
+        return LinkTable(np.array([0, 1, 2]), np.array([1, 0]), np.array([0.5, 0.25]))
 
-    def test_the_adopted_array_is_read_only(self):
-        matrix = square_matrix([[0, 0.5], [0.5, 0]])
-        topo = Topology.from_owned(matrix)
+    def test_keeps_the_table(self):
+        table = self.table()
+        topo = Topology.from_links(table, positions=[(0, 0), (1, 1)], names=["a", "b"])
+        assert topo.link_table() is table
+        assert (topo.delivery(0, 1), topo.delivery(1, 0), topo.delivery(0, 0)) == (0.5, 0.25, 0)
+        assert [node.name for node in topo.nodes] == ["a", "b"]
+        assert topo.delivery_matrix().tolist() == [[0, 0.5], [0.25, 0]]
+
+    def test_the_adopted_arrays_are_read_only(self):
+        table = self.table()
+        topo = Topology.from_links(table)
         with pytest.raises(ValueError, match="read-only"):
-            matrix[0, 1] = 0.25
+            table.delivery[0] = 0.75
         assert topo.delivery(0, 1) == 0.5
+
+    def test_rejects_out_of_range_probabilities(self):
+        for bad in (1.5, -0.1):
+            with pytest.raises(ValueError):
+                Topology.from_links(LinkTable(np.array([0, 1, 1]), np.array([1]),
+                                              np.array([bad])))
 
     @pytest.mark.parametrize("matrix", [np.zeros((2, 3)), np.zeros(4),
                                         square_matrix([[0, 1.5], [0.5, 0]]),
                                         square_matrix([[0, -0.1], [0.5, 0]])])
-    def test_rejects_what_the_constructor_rejects(self, matrix):
+    def test_constructor_rejects(self, matrix):
         with pytest.raises(ValueError):
             Topology(matrix)
-        with pytest.raises(ValueError):
-            Topology.from_owned(matrix.copy())
 
     def test_empty_topology(self):
-        assert Topology.from_owned(np.zeros((0, 0))).node_count == 0
+        assert Topology(np.zeros((0, 0))).node_count == 0
 
 
-def test_mesh_holds_one_matrix_and_its_control_view_none():
-    """Building a mesh allocates one N×N float64; its probe-free control view
-    and the view's link rows hold O(links).  On a mesh with a tenth of its
-    pairs linked (the kilonode density at 400 nodes) that stays well under
-    one matrix, which a dense copy anywhere on the way could not."""
+def _arrays(value) -> list[np.ndarray]:
+    """Every numpy array reachable from ``value``: attributes, containers
+    and the values derived from it."""
+    found, seen, stack = [], set(), [value]
+    while stack:
+        item = stack.pop()
+        if id(item) in seen or isinstance(item, (str, bytes, int, float, type)):
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, dict):
+            stack.extend(item.keys())
+            stack.extend(item.values())
+        elif isinstance(item, (list, tuple, set, frozenset)):
+            stack.extend(item)
+        elif hasattr(item, "__dict__"):
+            stack.extend(vars(item).values())
+    return found
+
+
+def test_static_mesh_holds_no_matrix():
+    """A generated mesh is its links: no N×N array is reachable from it,
+    before or after a MORE flow ran over it.  On the kilonode density at
+    400 nodes the traced peak of the build, and what the flow leaves held
+    on top of the mesh (its receiver-major index, the medium's sense rows
+    and plans), each stay under half of one float64 matrix, which a dense
+    copy anywhere on the way would exceed."""
     count = 400
-    matrix_bytes = count * count * 8
-    # Warm-up: the first run imports what numpy loads lazily.
-    link_rows(probe_estimated_topology(random_geometric(node_count=4), probe_count=0))
+    half_matrix = 0.5 * count * count * 8
+    config = RunConfig(total_packets=32, batch_size=16, coding_payload_size=16,
+                       max_duration=60.0, max_relays=10, seed=1)
+    # Warm-up: the first run imports what numpy and the run path load lazily.
+    run_single_flow(random_geometric(node_count=6, seed=2), "MORE", 0, 5, config=config)
     tracemalloc.start()
     try:
         mesh = random_geometric(node_count=count, area=595.0, seed=21)
-        _, mesh_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        before, _ = tracemalloc.get_traced_memory()
-        link_rows(probe_estimated_topology(mesh, probe_count=0))
-        held, view_peak = tracemalloc.get_traced_memory()
+        built, build_peak = tracemalloc.get_traced_memory()
+        assert all(array.ndim == 1 for array in _arrays(mesh))
+        result = run_single_flow(mesh, "MORE", 200, 0, config=config)
+        gc.collect()  # the simulator's own reference cycles are not held
+        held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert result.completed and mesh.derived(("medium", ChannelConfig()), dict)
     assert mesh.link_table().receivers.size < 0.15 * count * (count - 1)
-    assert mesh_peak < 1.5 * matrix_bytes
-    assert held - before < 0.75 * matrix_bytes
-    assert view_peak - before < matrix_bytes
+    assert build_peak < half_matrix
+    assert held - built < half_matrix
+    assert all(array.ndim == 1 for array in _arrays(mesh))
 
 
 class TestLinkView:
@@ -159,16 +195,35 @@ class TestAccessors:
         assert topo.delivery(0, 1) == 0.8
         assert Topology(matrix).delivery(0, 1) == 0.0
 
-    def test_delivery_view_is_the_read_only_matrix(self):
-        topo = Topology(square_matrix([[0, 0.8], [0.8, 0]]))
-        view = topo.delivery_view()
-        assert view is topo.delivery_view()
+    def test_a_hand_built_matrix_becomes_links(self):
+        matrix = square_matrix([[0.9, 0.8, 0.0], [0.8, 0, 0.3], [0.0, 0.3, 0]])
+        topo = Topology(matrix)
+        assert not hasattr(topo, "delivery_view") and not hasattr(Topology, "from_owned")
+        assert all(array.ndim == 1 for array in _arrays(topo))
+        table = topo.link_table()
+        assert (table.indptr.tolist(), table.receivers.tolist()) == ([0, 1, 3, 4], [1, 0, 2, 1])
+        assert topo.delivery_matrix().tolist() == [[0, 0.8, 0], [0.8, 0, 0.3], [0, 0.3, 0]]
         with pytest.raises(ValueError, match="read-only"):
-            view[0, 1] = 0.0
+            table.delivery[0] = 0.0
+
+    def test_incoming_is_the_receiver_major_index(self):
+        topo = Topology(square_matrix([[0, 0.5, 0.0], [0.25, 0, 0.75], [0.6, 1.0, 0]]))
+        incoming = topo.incoming()
+        assert incoming is topo.incoming()
+        assert incoming.indptr.tolist() == [0, 2, 4, 5]
+        assert incoming.links.tolist() == [1, 3, 0, 4, 2]
+        table = topo.link_table()
+        assert table.sender_of(incoming.links).tolist() == [1, 2, 0, 2, 1]
+        assert table.receivers[incoming.links].tolist() == [0, 0, 1, 1, 2]
+        assert table.delivery[incoming.links].tolist() == [0.25, 0.6, 0.5, 1.0, 0.75]
         with pytest.raises(ValueError, match="read-only"):
-            view[0][1] = 0.0  # rows of the view are read-only too
-        assert topo.delivery(0, 1) == 0.8
-        assert np.array_equal(view, topo.delivery_matrix())
+            incoming.links[0] = 0
+
+    def test_the_control_view_shares_the_index(self):
+        topo = Topology(square_matrix([[0, 0.5, 0.0], [0.25, 0, 0.75], [0.6, 1.0, 0]]))
+        for probes in (0, 10):
+            view = probe_estimated_topology(topo, probe_count=probes)
+            assert view.incoming() is topo.incoming()
 
     def test_repr_counts_the_links(self):
         topo = Topology(square_matrix([[0, 0.8, 0.0], [0.8, 0, 0.3], [0.0, 0.3, 0]]))
@@ -186,8 +241,9 @@ class TestImmutable:
 
     def test_generated_meshes_are_read_only(self):
         topo = random_geometric(node_count=6, seed=2)
-        with pytest.raises(ValueError, match="read-only"):
-            topo.delivery_view()[0, 1] = 0.5
+        for array in topo.link_table():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
 
 def test_node_default_name():
