@@ -53,7 +53,11 @@ test:
 # meshes and a one-way-link mesh), the main generator's word stream (coins, capture
 # coins, backoff draws and hand-backs) against per-call draws on a twin
 # generator, the coin bound against numpy's next_double comparison and the
-# MAC's unit tests, plus the full-run traces
+# MAC's unit tests; the models the medium resolves frames with — the
+# channel and mobility unit tests, and the per-link Gilbert-Elliott chains
+# and link-table mobility epochs against their dense forms (every link over
+# a time grid, across re-based epochs where links vanish and return, each
+# epoch table equal to the dense epoch's links); plus the full-run traces
 # held bit-identical to tests/golden_traces.json — static runs, runs under
 # faults, and the runs whose control plane recurs (the refreshing /
 # supervised presets and three re-planned concurrent flows) — then the
@@ -65,6 +69,9 @@ test-engine:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/sim/test_events.py \
 		tests/sim/test_medium.py \
 		tests/sim/test_medium_differential.py \
+		tests/sim/test_channels.py \
+		tests/topology/test_mobility.py \
+		tests/sim/test_link_state_differential.py \
 		tests/sim/test_word_stream.py \
 		tests/sim/test_mac_and_trace.py \
 		tests/sim/test_engine_differential.py \
@@ -96,7 +103,8 @@ test-coding:
 # replaced (link rows, distances, next hops, plans, paths, the dead-node
 # mask), bit for bit, the meshes the plans are derived from: their links
 # and nothing N×N (a 400-node build and a flow over it under half a
-# matrix of traced memory), read-only from construction (no writer), and
+# matrix of traced memory, and so a bursty channel and a churn epoch
+# bound to it), read-only from construction (no writer), and
 # the seeded generators pinned, a connectivity-patched layout included —
 # and each protocol's re-plan (~2 s): recruits, drops, detours, ExOR
 # handing the turn on when a re-plan drops its holder, a plan computed the

@@ -15,6 +15,9 @@ completed frame:
   probability, producing the correlated loss bursts measured on real
   802.11 meshes.
 
+A model is O(links) like its topology: a frame's delivery is one entry per
+link of the sender, and Gilbert-Elliott runs one chain per nominal link.
+
 A :class:`ChannelSpec` is the declarative form (``kind`` + ``params``)
 that rides inside :class:`~repro.scenarios.spec.ScenarioSpec` JSON, the
 ``repro run/sweep --channel`` CLI flag and sweepable ``channel.*`` axes;
@@ -39,7 +42,7 @@ import numpy as np
 
 from repro.params import SectionSpec, build_model
 from repro.rng import counter_uniform
-from repro.topology.graph import LinkTable, LinkView, link_table_of
+from repro.topology.graph import LinkTable, LinkView
 
 #: Stream key mixed with the cell seed so channel randomness is independent
 #: of (and cannot perturb) the simulator's main RNG stream.
@@ -63,8 +66,9 @@ class ChannelModel:
     """Per-frame delivery probabilities for the broadcast medium.
 
     Subclasses implement :meth:`delivery_row`, the probability that one
-    frame on the air during ``[start, end)`` is decoded by each node.  The
-    medium calls :meth:`bind` once with the topology before any query.
+    frame on the air during ``[start, end)`` is decoded across each of its
+    sender's links.  The medium calls :meth:`bind` once with the topology
+    before any query.
 
     ``mean_view`` is the long-run average delivery of every link; the
     medium derives carrier-sense audibility and interference levels from
@@ -89,19 +93,18 @@ class ChannelModel:
         self._prepare()
 
     def _prepare(self) -> None:
-        """Subclass hook: build per-link state after ``bind``."""
+        """Subclass hook: fit per-link state to the links, on ``bind`` and ``update_base``."""
 
-    def update_base(self, delivery: np.ndarray) -> None:
-        """Adopt a new nominal matrix mid-run (dynamic-topology hook).
+    def update_base(self, table: LinkTable) -> None:
+        """Adopt new nominal links mid-run (dynamic-topology hook).
 
         The medium calls this at every mobility epoch boundary with the
-        epoch's effective delivery matrix; the model keeps its links.  Any
-        per-link channel state (e.g. Gilbert-Elliott chains) keeps running
-        across the update — churn in nominal quality composes with
-        burstiness.
+        epoch's links.  Per-link channel state (e.g. Gilbert-Elliott
+        chains) keeps running across the update on every link the two
+        tables share — churn in nominal quality composes with burstiness.
         """
-        self._links = LinkView(self._bound().nodes,
-                               link_table_of(np.asarray(delivery, dtype=float)))
+        self._links = LinkView(self._bound().nodes, table)
+        self._prepare()
 
     def _bound(self) -> LinkView:
         """The nominal links (after :meth:`bind`)."""
@@ -109,7 +112,8 @@ class ChannelModel:
         return self._links
 
     def delivery_row(self, sender: int, start: float, end: float) -> np.ndarray:
-        """Delivery probabilities from ``sender`` to every node for one frame.
+        """Delivery probabilities of ``sender``'s links (its row in
+        :meth:`mean_view`, in order) for one frame.
 
         ``start``/``end`` are the frame's time on the air; time-varying
         models evaluate their state at ``start`` (the channel as the frame
@@ -130,14 +134,14 @@ class StaticBernoulli(ChannelModel):
 
     Bit-identical to the pre-refactor medium — the delivery row is the
     topology's links out of the sender and no channel randomness exists
-    at all.  The medium reads the links through :meth:`mean_view`; a row
-    is built only on request.
+    at all.  The medium reads the links through :meth:`mean_view`.
     """
 
     kind = "static"
 
     def delivery_row(self, sender: int, start: float, end: float) -> np.ndarray:
-        return self._bound().link_table().row(sender)
+        table = self._bound().link_table()
+        return table.delivery[table.indptr[sender]:table.indptr[sender + 1]]
 
 
 class GilbertElliott(ChannelModel):
@@ -150,7 +154,7 @@ class GilbertElliott(ChannelModel):
     so loss arrives in bursts
     whose lengths match ``mean_bad_time`` — the correlated-loss structure
     ExOR/MORE measurements report — while the long-run average stays near
-    the nominal matrix.
+    the nominal links.
 
     The k-th holding time of each link comes from a counter-based uniform
     (:func:`repro.rng.counter_uniform` of ``(seed, link, k)``), so every
@@ -180,60 +184,75 @@ class GilbertElliott(ChannelModel):
         self.bad_scale = float(bad_scale)
         self.mean_good_time = float(mean_good_time)
         self.mean_bad_time = float(mean_bad_time)
+        # Per-link chain state, in the nominal table's order: link id, state
+        # (True = good), next flip time and draw counter.
+        self._ids = np.empty(0, dtype=np.uint64)
+        self._good = np.empty(0, dtype=bool)
+        self._next_flip = np.empty(0)
+        self._draws = np.empty(0, dtype=np.uint64)
 
-    def _uniform(self, links: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    def _uniform(self, links: np.ndarray, draws: np.ndarray | int) -> np.ndarray:
         """Counter-based uniforms in (0, 1] for the given (link, draw) pairs."""
         # Shifted to (0, 1]: never 0, so log() below stays finite.
         return counter_uniform(self.seed, _CHANNEL_STREAM, links, draws) + 2.0 ** -54
 
     def _prepare(self) -> None:
-        # The chains are per directed pair, so a bursty channel is dense:
-        # only a run that asks for one pays for the matrix.
-        self._base = self._bound().delivery_matrix()
-        count = self._base.shape[0]
-        grid_i, grid_j = np.meshgrid(np.arange(count), np.arange(count),
-                                     indexing="ij")
-        self._link_ids = (grid_i * count + grid_j).astype(np.uint64)
-        self._draws = np.zeros((count, count), dtype=np.uint64)
+        """One chain per nominal link, id ``sender * N + receiver``: a link
+        the previous links had keeps its chain; a new one starts at draw 0."""
+        table = self._bound().link_table()
+        ids = (table.senders() * (table.indptr.size - 1) + table.receivers).astype(np.uint64)
+        kept = np.isin(ids, self._ids, assume_unique=True)
+        at, fresh = np.searchsorted(self._ids, ids[kept]), ids[~kept]
+        good, next_flip = np.empty(ids.size, dtype=bool), np.empty(ids.size)
+        draws = np.full(ids.size, 2, dtype=np.uint64)
+        good[kept], next_flip[kept], draws[kept] = \
+            self._good[at], self._next_flip[at], self._draws[at]
         # Stationary initial state: P(good) = Tg / (Tg + Tb) per link
-        # (draw 0 of every link decides it).
+        # (draw 0 of every link decides it, draw 1 its first holding time).
         p_good = self.mean_good_time / (self.mean_good_time + self.mean_bad_time)
-        self._good = self._uniform(self._link_ids, self._draws) < p_good
-        self._draws += 1
-        holding = np.where(self._good, self.mean_good_time, self.mean_bad_time)
-        self._next_flip = -holding * np.log(
-            self._uniform(self._link_ids, self._draws))
-        self._draws += 1
+        good[~kept] = started = self._uniform(fresh, 0) < p_good
+        next_flip[~kept] = -np.where(started, self.mean_good_time,
+                                     self.mean_bad_time) * np.log(self._uniform(fresh, 1))
+        self._ids, self._good, self._next_flip, self._draws = ids, good, next_flip, draws
 
-    def _advance_row(self, sender: int, now: float) -> None:
-        """Advance the chains of ``sender``'s outgoing links to time ``now``.
+    def _advance(self, links: slice, now: float) -> None:
+        """Advance the chains of the ``links`` (one sender's row) to time ``now``.
 
-        Flip by flip, vectorised over the links that lag; each flip's
-        holding time is indexed by the link's own draw counter, so the
-        result depends only on (seed, now).
+        A lagging chain draws its next ``block`` holding times at once and
+        keeps the flips up to ``now``; the block doubles while it lags, so a
+        chain started at draw 0 catches up in a few rounds.  Each holding
+        time is indexed by the link's own draw counter and the flip times
+        are summed in order, so the result depends only on (seed, now).
         """
-        state = self._good[sender]
-        flips = self._next_flip[sender]
-        draws = self._draws[sender]
-        links = self._link_ids[sender]
+        state = self._good[links]
+        flips = self._next_flip[links]
+        draws = self._draws[links]
+        ids = self._ids[links]
         lagging = np.nonzero(flips <= now)[0]
+        block = 1
         while lagging.size:
-            state[lagging] = ~state[lagging]
-            holding = np.where(state[lagging], self.mean_good_time,
-                               self.mean_bad_time)
-            flips[lagging] += -holding * np.log(
-                self._uniform(links[lagging], draws[lagging]))
-            draws[lagging] += 1
+            steps = np.arange(block)
+            # Flip i of the block leaves the chain good when i is even and
+            # it was bad before the block, or i is odd and it was good.
+            holding = np.where(state[lagging, None] ^ (steps % 2 == 0),
+                               self.mean_good_time, self.mean_bad_time)
+            drawn = self._uniform(ids[lagging, None],
+                                  draws[lagging, None] + steps.astype(np.uint64))
+            times = np.cumsum(np.concatenate((flips[lagging, None], -holding * np.log(drawn)),
+                                             axis=1), axis=1)[:, 1:]
+            taken = 1 + (times[:, :-1] <= now).sum(axis=1)
+            state[lagging] ^= taken % 2 == 1
+            flips[lagging] = times[np.arange(lagging.size), taken - 1]
+            draws[lagging] += taken.astype(np.uint64)
             lagging = lagging[flips[lagging] <= now]
+            block *= 2
 
     def delivery_row(self, sender: int, start: float, end: float) -> np.ndarray:
-        self._advance_row(sender, start)
-        scale = np.where(self._good[sender], 1.0, self.bad_scale)
-        return np.clip(self._base[sender] * scale, 0.0, 1.0)
-
-    def update_base(self, delivery: np.ndarray) -> None:
-        super().update_base(delivery)
-        self._base = np.asarray(delivery, dtype=float)
+        table = self._bound().link_table()
+        links = slice(table.indptr[sender], table.indptr[sender + 1])
+        self._advance(links, start)
+        scale = np.where(self._good[links], 1.0, self.bad_scale)
+        return np.clip(table.delivery[links] * scale, 0.0, 1.0)
 
     def mean_view(self) -> LinkView:
         """Stationary-average delivery: nominal scaled by the state mix.

@@ -37,7 +37,8 @@ per-call ``random(n) < p`` / ``random() < q`` draws would consume.  Under a
 static channel a plan is a pure function of the links, the
 :class:`~repro.sim.radio.ChannelConfig` and ``(sender, overlapping
 senders)``, and is memoised; under Gilbert-Elliott it is derived per frame
-from the model's delivery row.  The scalar loop
+from the model's delivery on the sender's links
+(:meth:`~repro.sim.channels.ChannelModel.delivery_row`).  The scalar loop
 (:meth:`WirelessMedium._resolve_scalar`) keeps its own half-duplex and
 interference logic and is only the tests' oracle.
 
@@ -50,9 +51,9 @@ no mobility the sense rows and the plan memo live on the topology
 (:meth:`~repro.topology.graph.LinkView.derived`, keyed on the
 ``ChannelConfig``): a process pays once per topology and channel, and
 every simulator over them — every seed, protocol, flow set and sweep
-cell — reads the same tuples.  A mobility epoch or a Gilbert-Elliott
-channel keeps a pair of tables of its own, over a link view of its dense
-mean matrix.
+cell — reads the same tuples.  A mobility epoch (a link table, handed to
+the channel model as its nominal links) or a Gilbert-Elliott channel keeps
+a pair of tables of its own, over the model's mean links.
 """
 
 from __future__ import annotations
@@ -291,14 +292,13 @@ class WirelessMedium:
         if not self._dynamic:
             return self.topology
         epoch = self.mobility.epoch_of(now)
-        delivery = self.mobility.delivery_at(epoch)
         coords = self.mobility.positions_at(epoch)
         if coords is None:
             positions = self.topology.node_positions()
         else:
             positions = [tuple(float(value) for value in row) for row in coords]
         names = [node.name for node in self.topology.nodes]
-        return Topology(np.clip(delivery, 0.0, 1.0), positions=positions, names=names)
+        return Topology.from_links(self.mobility.delivery_at(epoch), positions, names)
 
     @staticmethod
     def _build_sense_matrix(delivery: np.ndarray, channel: ChannelConfig) -> np.ndarray:
@@ -446,24 +446,23 @@ class WirelessMedium:
         """Everything about one frame's reception except the coins.
 
         ``table`` holds the mean links the interference levels come from,
-        ``row`` the frame's delivery probabilities over all nodes (``None``:
-        the table's own, as under a static channel) and ``senders`` the
-        senders of the frames that overlapped it, in overlap order.  Only
-        the sender's links in ``table`` can deliver: a frame's row is never
-        non-zero off them.  Returns ``(receivers, thresholds, survivable,
-        chains)``, all tuples: the eligible receivers in node order (the
-        order the coins are read in) and their coins' word bounds
-        (:func:`repro.rng.threshold`); a mask over them of the receivers no
-        audible interferer corrupts (``None`` when none is corrupted); and,
-        when a capture draw could occur, each receiver's *capture chain*:
-        one flag per interferer audible at it, in overlap order, saying
-        whether the capture margin holds (``None`` otherwise).  A pure
-        function of its arguments, so a static channel's plans are shared
-        by every medium over one topology.
+        ``row`` the frame's delivery probability on each of the sender's
+        links in ``table``, in their order (``None``: the table's own, as
+        under a static channel) and ``senders`` the senders of the frames
+        that overlapped it, in overlap order.  Returns ``(receivers,
+        thresholds, survivable, chains)``, all tuples: the eligible
+        receivers in node order (the order the coins are read in) and their
+        coins' word bounds (:func:`repro.rng.threshold`); a mask over them
+        of the receivers no audible interferer corrupts (``None`` when none
+        is corrupted); and, when a capture draw could occur, each
+        receiver's *capture chain*: one flag per interferer audible at it,
+        in overlap order, saying whether the capture margin holds (``None``
+        otherwise).  A pure function of its arguments, so a static
+        channel's plans are shared by every medium over one topology.
         """
         start, stop = table.indptr[sender], table.indptr[sender + 1]
         linked = table.receivers[start:stop]
-        probabilities = table.delivery[start:stop] if row is None else row[linked]
+        probabilities = table.delivery[start:stop] if row is None else row
         eligible = probabilities > 0.0
         for other in senders:
             # Half duplex: nodes with a frame of their own on the air (the

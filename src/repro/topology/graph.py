@@ -21,10 +21,10 @@ it — its nodes and one link table — and a :class:`Topology` is the ground
 truth the data plane reads, built by the generators straight from their
 links or from a hand-built dense matrix.  The probe-estimated control view
 (:mod:`repro.topology.estimation`) and the dead-node mask are plain
-link views.  :meth:`LinkView.delivery_matrix` builds the dense
-form on request, for the LP, the EOTX oracles, analysis and tests; only
-mobility epochs and the Gilbert-Elliott channel hold dense arrays at run
-time.
+link views, and so is dynamic link state: a mobility epoch is a link
+table, which the channel model adopts as its nominal links.
+:meth:`LinkView.delivery_matrix` builds the dense form on request, for the
+LP, the EOTX oracles, analysis and tests; no run path holds one.
 
 The reception model follows the paper's assumption of *independent*
 receptions across receivers (Section 3.2.1, Section 5.5), which the
@@ -260,11 +260,11 @@ class Topology(LinkView):
     @classmethod
     def from_links(cls, table: LinkTable, positions: list[tuple[float, ...]] | None = None,
                    names: list[str] | None = None) -> "Topology":
-        """A mesh over a freshly built link table, without a copy.
+        """A mesh over a link table, without a copy.
 
-        The caller transfers ownership: the table's arrays are made
-        read-only.  Row ``s`` must list ``s``'s receivers in ascending
-        order, without ``s`` itself.
+        The caller hands over a table no one writes again (a generator's,
+        a mobility epoch's): its arrays are made read-only.  Row ``s`` must
+        list ``s``'s receivers in ascending order, without ``s`` itself.
         """
         topology = cls.__new__(cls)
         topology._adopt_links(table, positions, names)

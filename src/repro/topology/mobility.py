@@ -1,7 +1,7 @@
 """Deterministic mobility and link-churn processes (dynamic topologies).
 
-Everything in the paper's evaluation is frozen at t=0: the delivery matrix
-never drifts, so forwarder plans computed once can never go stale.  The
+Everything in the paper's evaluation is frozen at t=0: the link deliveries
+never drift, so forwarder plans computed once can never go stale.  The
 paper's own argument — MORE's stateless random coding tolerates imprecise,
 *stale* link state better than ExOR's rigid schedule — is only testable when
 the topology actually changes under the protocols.  This module provides the
@@ -25,12 +25,15 @@ replays the identical trajectory — which is what keeps back-to-back
 protocol runs at one seed on the *same* dynamic topology and parallel
 sweep cells bit-identical to serial ones.
 
-:class:`RandomWaypoint` derives each epoch's delivery matrix from the node
-coordinates through the *same* propagation formula the static generators
-use (:func:`repro.topology.generator.path_loss_margin_db` +
+Every epoch is a :class:`~repro.topology.graph.LinkTable` that lists the
+links delivering in it, O(links) like the static mesh it started from.
+:class:`RandomWaypoint` derives it row by row from the node coordinates
+through the *same* propagation formula the static generators use
+(:func:`repro.topology.generator.path_loss_margin_db` +
 :func:`~repro.topology.generator.margin_to_delivery`, no shadowing), so a
 mesh that stops moving stops changing.  :class:`MarkovLinkChurn` instead
-scales the topology's nominal matrix, leaving positions untouched.
+scales the topology's nominal links, one chain per linked pair, leaving
+positions untouched.
 
 A :class:`MobilitySpec` is the declarative form (``kind`` + ``params``)
 that rides inside :class:`~repro.scenarios.spec.ScenarioSpec` JSON and the
@@ -48,7 +51,7 @@ import numpy as np
 from repro.params import SectionSpec, build_model
 from repro.rng import counter_uniform
 from repro.topology.generator import margin_to_delivery, path_loss_margin_db
-from repro.topology.graph import LinkView
+from repro.topology.graph import LinkTable, LinkView
 
 #: Stream key mixed with the cell seed so mobility randomness is independent
 #: of (and cannot perturb) both the simulator's main RNG stream and the
@@ -82,31 +85,20 @@ class MobilityModel:
     kind = "none"
 
     def __init__(self, seed: int = 0, epoch_length: float = 1.0) -> None:
-        if not epoch_length > 0:
-            raise ValueError("epoch_length must be positive")
+        if not 0 < epoch_length < np.inf:
+            raise ValueError("epoch_length must be positive and finite")
         self.seed = int(seed)
         self.epoch_length = float(epoch_length)
-        self._base: np.ndarray | None = None
-        self._coords0: np.ndarray | None = None
 
     def bind(self, topology: LinkView) -> None:
-        """Attach the process to a topology; called by the medium once.
+        """Attach the process to a topology; called by the medium once."""
+        self._epoch = -1
+        self._table: LinkTable | None = None
+        self._prepare(topology)
 
-        A dynamic topology is dense: its epochs are N×N matrices, and the
-        nominal one is the topology's own, built here on request.
-        """
-        self._base = topology.delivery_matrix()
-        positions = topology.node_positions()
-        self._coords0 = None
-        if positions is not None:
-            coords = np.zeros((len(positions), 3))
-            for index, position in enumerate(positions):
-                coords[index, :min(len(position), 3)] = position[:3]
-            self._coords0 = coords
-        self._prepare()
-
-    def _prepare(self) -> None:
-        """Subclass hook: build per-node/per-link state after ``bind``."""
+    def _prepare(self, topology: LinkView) -> None:
+        """Subclass hook: build per-node/per-link state on ``bind``."""
+        raise NotImplementedError
 
     def epoch_of(self, now: float) -> int:
         """The epoch-grid index containing simulated time ``now``."""
@@ -117,15 +109,17 @@ class MobilityModel:
         model does not move nodes.  Must not be mutated by the caller."""
         raise NotImplementedError
 
-    def delivery_at(self, epoch: int) -> np.ndarray:
-        """The effective delivery matrix at ``epoch`` (not to be mutated)."""
-        raise NotImplementedError
+    def delivery_at(self, epoch: int) -> LinkTable:
+        """The links that deliver at ``epoch`` (kept until the next; not to be mutated)."""
+        table = self._table
+        if table is None or epoch != self._epoch:
+            table = self._table = self._links_at(epoch)
+            self._epoch = epoch
+        return table
 
-    def _bound_base(self) -> np.ndarray:
-        """The bound topology's nominal delivery matrix (after :meth:`bind`)."""
-        base = self._base
-        assert base is not None, "mobility model queried before bind()"
-        return base
+    def _links_at(self, epoch: int) -> LinkTable:
+        """Subclass hook: build :meth:`delivery_at`'s table."""
+        raise NotImplementedError
 
 
 class RandomWaypoint(MobilityModel):
@@ -139,9 +133,9 @@ class RandomWaypoint(MobilityModel):
 
     The arena is ``[x0, x1] x [y0, y1]``: the initial positions' bounding
     box unless ``area`` pins a ``[0, area]`` square.  Motion is 2-D; any z
-    coordinate (building floor) is frozen.  Each epoch's delivery matrix
-    comes from the shared log-distance propagation formula evaluated at the
-    epoch's coordinates.
+    coordinate (building floor) is frozen.  Each epoch's links come from
+    the shared log-distance propagation formula evaluated at the epoch's
+    coordinates.
 
     Args:
         epoch_length: seconds per epoch-grid step.
@@ -157,47 +151,40 @@ class RandomWaypoint(MobilityModel):
                  speed_min: float = 0.5, speed_max: float = 2.0,
                  area: float | None = None) -> None:
         super().__init__(seed, epoch_length)
-        if area is not None and not area > 0:
-            raise ValueError("area must be positive")
-        if not 0 < speed_min <= speed_max:
-            raise ValueError("need 0 < speed_min <= speed_max")
+        if area is not None and not 0 < area < np.inf:
+            raise ValueError("area must be positive and finite")
+        if not 0 < speed_min <= speed_max < np.inf:
+            raise ValueError("need 0 < speed_min <= speed_max < inf")
         self.area = None if area is None else float(area)
         self.speed_min = float(speed_min)
         self.speed_max = float(speed_max)
-        self._delivery_epoch = -1
-        self._delivery: np.ndarray | None = None
 
-    def _prepare(self) -> None:
-        if self._coords0 is None:
+    def _prepare(self, topology: LinkView) -> None:
+        positions = topology.node_positions()
+        if positions is None:
             raise ValueError(
                 f"{self.kind} mobility needs node coordinates; this topology "
                 "has none (use a grid / indoor_testbed / random_geometric "
                 "topology, or the position-free link_churn model)")
+        coords = self._coords = np.zeros((len(positions), 3))
+        for index, position in enumerate(positions):
+            coords[index, :min(len(position), 3)] = position[:3]
         if self.area is not None:
             low = np.zeros(2)
             high = np.full(2, self.area)
         else:
-            low = self._coords0[:, :2].min(axis=0)
-            high = self._coords0[:, :2].max(axis=0)
+            low = coords[:, :2].min(axis=0)
+            high = coords[:, :2].max(axis=0)
             span = np.maximum(high - low, 1.0)
             low, high = low - 0.05 * span, high + 0.05 * span
         self._low, self._high = low, high
-        self._delivery_epoch = -1
-        self._delivery = None
-        count = self._coords.shape[0]
+        count = coords.shape[0]
         # Per-node leg lists: (p0, p1, travel_time) plus the cumulative
         # end-of-leg times, extended lazily.
         self._legs: list[list[tuple[np.ndarray, np.ndarray, float]]] = \
             [[] for _ in range(count)]
         self._leg_ends: list[list[float]] = [[] for _ in range(count)]
         self._positions_cache: dict[int, np.ndarray] = {}
-
-    @property
-    def _coords(self) -> np.ndarray:
-        """The bound initial coordinates (:meth:`_prepare` guarantees them)."""
-        coords = self._coords0
-        assert coords is not None, "random_waypoint used before bind()"
-        return coords
 
     def _extend_legs(self, node: int, until: float) -> None:
         legs = self._legs[node]
@@ -233,24 +220,29 @@ class RandomWaypoint(MobilityModel):
             cached = self._positions_cache[epoch] = coords
         return cached
 
-    def delivery_at(self, epoch: int) -> np.ndarray:
-        delivery = self._delivery
-        if delivery is None or epoch != self._delivery_epoch:
-            coords = self.positions_at(epoch)
-            deltas = coords[:, None, :] - coords[None, :, :]
-            distance = np.sqrt((deltas ** 2).sum(axis=2))
-            delivery = margin_to_delivery(path_loss_margin_db(distance))
-            np.fill_diagonal(delivery, 0.0)
-            self._delivery = delivery
-            self._delivery_epoch = epoch
-        return delivery
+    def _links_at(self, epoch: int) -> LinkTable:
+        # Row by row, as the static generators build theirs: the
+        # temporaries are one row long.
+        coords = self.positions_at(epoch)
+        receivers: list[np.ndarray] = []
+        delivery: list[np.ndarray] = []
+        for node in range(coords.shape[0]):
+            deltas = coords[node] - coords
+            row = margin_to_delivery(path_loss_margin_db(np.sqrt((deltas ** 2).sum(axis=1))))
+            row[node] = 0.0
+            linked = np.flatnonzero(row)
+            receivers.append(linked)
+            delivery.append(row[linked])
+        indptr = np.zeros(coords.shape[0] + 1, dtype=np.intp)
+        np.cumsum([linked.size for linked in receivers], out=indptr[1:])
+        return LinkTable(indptr, np.concatenate(receivers), np.concatenate(delivery))
 
 
 class MarkovLinkChurn(MobilityModel):
     """Position-free link flapping: per-link up/down chains on the epoch grid.
 
-    Every directed link runs a two-state Markov chain sampled once per
-    epoch; the per-epoch transition probabilities are the CTMC exposure
+    Every link of the topology runs a two-state Markov chain sampled once
+    per epoch; the per-epoch transition probabilities are the CTMC exposure
     ``1 - exp(-epoch_length / mean_time)``.  A down link's delivery is the
     nominal (topology) value scaled by ``down_scale``.  Epoch 0 draws each
     link's state from the stationary mix, and the flip draw of
@@ -284,16 +276,14 @@ class MarkovLinkChurn(MobilityModel):
 
     def _uniform(self, epoch: int) -> np.ndarray:
         """Counter-based uniforms in [0, 1) for every link at one epoch."""
-        return counter_uniform(self.seed, _MOBILITY_STREAM, self._link_ids, epoch)
+        return counter_uniform(self.seed, _MOBILITY_STREAM, self._pair_ids, epoch)
 
-    def _prepare(self) -> None:
-        count = self._bound_base().shape[0]
-        grid_i, grid_j = np.meshgrid(np.arange(count), np.arange(count),
-                                     indexing="ij")
-        # Both directions of a pair share one chain (one link id).
-        pair_lo = np.minimum(grid_i, grid_j)
-        pair_hi = np.maximum(grid_i, grid_j)
-        self._link_ids = (pair_lo * count + pair_hi).astype(np.uint64)
+    def _prepare(self, topology: LinkView) -> None:
+        table = self._nominal = topology.link_table()
+        senders, receivers = table.senders(), table.receivers
+        # Both directions of a pair share one chain (one pair id).
+        self._pair_ids = (np.minimum(senders, receivers) * (table.indptr.size - 1)
+                          + np.maximum(senders, receivers)).astype(np.uint64)
         total = self.mean_up_time + self.mean_down_time
         self._p_up_stationary = self.mean_up_time / total
         self._p_drop = 1.0 - float(np.exp(-self.epoch_length / self.mean_up_time))
@@ -301,8 +291,6 @@ class MarkovLinkChurn(MobilityModel):
                                              / self.mean_down_time))
         self._state_epoch = -1
         self._up: np.ndarray | None = None
-        self._delivery: np.ndarray | None = None
-        self._delivery_epoch = -1
 
     def _advance_to(self, epoch: int) -> np.ndarray:
         if epoch < self._state_epoch:
@@ -321,22 +309,15 @@ class MarkovLinkChurn(MobilityModel):
         self._up = up
         return up
 
-    def up_mask(self, epoch: int) -> np.ndarray:
-        """Boolean matrix of links that are up at ``epoch``."""
-        return self._advance_to(epoch).copy()
-
     def positions_at(self, epoch: int) -> np.ndarray | None:
         return None  # churn never moves nodes
 
-    def delivery_at(self, epoch: int) -> np.ndarray:
-        delivery = self._delivery
-        if delivery is None or epoch != self._delivery_epoch:
-            up = self._advance_to(epoch)
-            scale = np.where(up, 1.0, self.down_scale)
-            delivery = self._bound_base() * scale
-            self._delivery = delivery
-            self._delivery_epoch = epoch
-        return delivery
+    def _links_at(self, epoch: int) -> LinkTable:
+        nominal = self._nominal
+        delivery = nominal.delivery * np.where(self._advance_to(epoch), 1.0, self.down_scale)
+        kept = np.flatnonzero(delivery)
+        return LinkTable(np.searchsorted(kept, nominal.indptr), nominal.receivers[kept],
+                         delivery[kept])
 
 
 #: Mobility models addressable from a :class:`MobilitySpec`.

@@ -34,6 +34,7 @@ from repro.sim.faults import FAULT_MODELS, FaultModel, FaultSpec
 from repro.sim.medium import WirelessMedium
 from repro.sim.simulator import Simulator
 from repro.topology.generator import random_geometric
+from repro.topology.graph import LinkTable
 from repro.topology.mobility import MOBILITY_MODELS, MobilitySpec
 
 #: A ten-node mesh with coordinates (random waypoint moves them) and a
@@ -95,15 +96,20 @@ LAYERS = {
 MODEL_KINDS = [(layer, kind) for layer in LAYERS for kind in LAYERS[layer].registry]
 
 
+def _comparable(answer):
+    """An answer as a value ``!=`` compares: an array as (shape, bytes), a
+    link table field by field."""
+    if isinstance(answer, np.ndarray):
+        return answer.shape, answer.tobytes()
+    if isinstance(answer, LinkTable):
+        return tuple(map(_comparable, answer))
+    return answer
+
+
 def _answers(model, queries) -> dict:
-    """Each query's answer, arrays as (shape, bytes)."""
-    answers = {}
-    for name, *args in queries:
-        answer = getattr(model, name)(*args)
-        if isinstance(answer, np.ndarray):
-            answer = (answer.shape, answer.tobytes())
-        answers[(name, *args)] = answer
-    return answers
+    """Each query's answer, in a form ``!=`` compares."""
+    return {(name, *args): _comparable(getattr(model, name)(*args))
+            for name, *args in queries}
 
 
 def interleaving_mismatches(layer: str, model_class: type, **params) -> list:
@@ -132,11 +138,12 @@ class StoredGeneratorChannel(ChannelModel):
     kind = "stored_window"
 
     def _prepare(self) -> None:
-        self._base = self._bound().delivery_matrix()
         self._rng = np.random.default_rng(self.seed)
 
     def delivery_row(self, sender: int, start: float, end: float) -> np.ndarray:
-        return self._base[sender] * (self._rng.random(len(self._base)) < 0.8)
+        table = self._bound().link_table()
+        delivery = table.delivery[table.indptr[sender]:table.indptr[sender + 1]]
+        return delivery * (self._rng.random(delivery.size) < 0.8)
 
 
 def test_a_stored_generator_is_rejected():

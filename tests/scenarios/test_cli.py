@@ -369,6 +369,14 @@ def test_negative_skip_delivery_is_a_one_line_error(capsys):
     ("churn_chain", "mobility.mean_up_time=Infinity",
      "mobility 'link_churn': state sojourn times must be positive and finite"),
     ("churn_chain", "mobility.mean_down_time=Infinity", "must be positive and finite"),
+    # Died mid-run: an infinite speed or arena overflowed a waypoint leg
+    # (OverflowError), an infinite epoch indexed past a node's legs
+    # (IndexError).
+    ("mobile_mesh", "mobility.speed_max=Infinity",
+     "mobility 'random_waypoint': need 0 < speed_min <= speed_max < inf"),
+    ("mobile_mesh", "mobility.area=Infinity", "area must be positive and finite"),
+    ("mobile_mesh", "mobility.epoch_length=Infinity",
+     "epoch_length must be positive and finite"),
 ])
 def test_out_of_range_model_value_is_a_one_line_error(preset, override, message, capsys,
                                                       deadline):

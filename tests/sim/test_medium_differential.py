@@ -31,7 +31,7 @@ from repro.topology.generator import (
     indoor_testbed,
     random_geometric,
 )
-from repro.topology.graph import Topology
+from repro.topology.graph import LinkTable, Topology
 
 SEEDS = (0, 1, 17)
 
@@ -43,13 +43,21 @@ TOPOLOGIES = {
 }
 
 
+def _spread(table: LinkTable, sender: int, row: np.ndarray) -> np.ndarray:
+    """A delivery row over ``sender``'s links in ``table``, spread over every node."""
+    dense = np.zeros(table.indptr.size - 1)
+    dense[table.receivers[table.indptr[sender]:table.indptr[sender + 1]]] = row
+    return dense
+
+
 class ScalarMedium(WirelessMedium):
     """The oracle: every frame decided by the reference per-node loop."""
 
     def _resolve(self, plan, sender, row, overlapping):
-        return self._resolve_scalar(
-            sender, self.model.delivery_row(sender, 0.0, 0.0) if row is None else row,
-            overlapping)
+        if row is None:
+            row = self.model.delivery_row(sender, 0.0, 0.0)
+        return self._resolve_scalar(sender, _spread(self._links.link_table(), sender, row),
+                                    overlapping)
 
 
 #: The medium and its oracle: every test drives both and compares.
@@ -344,8 +352,9 @@ def test_link_tables_equal_the_dense_rules(mesh):
 
 
 def test_bursty_plans_equal_the_dense_rule():
-    """Under Gilbert-Elliott a plan is built per frame from the model's row
-    and the link view of its mean matrix: the dense rule's tuples again."""
+    """Under Gilbert-Elliott a plan is built per frame from the model's
+    delivery on the sender's links and its mean links: the dense rule's
+    tuples again."""
     topology = BENCH_MESHES["testbed"]()
     model = GilbertElliott(seed=3, mean_good_time=0.02, mean_bad_time=0.005)
     medium = WirelessMedium(topology, ChannelConfig(), np.random.default_rng(0), model=model)
@@ -357,6 +366,7 @@ def test_bursty_plans_equal_the_dense_rule():
         row = model.delivery_row(sender, step * 0.001, step * 0.001 + 0.002)
         for senders in _overlap_sets(dense_mean, sender, rng):
             plan = medium._plan(mean.link_table(), medium.channel, sender, row, senders)
-            assert plan == _dense_plan(dense_mean, medium.channel, sender, row, senders)
+            assert plan == _dense_plan(dense_mean, medium.channel, sender,
+                                       _spread(mean.link_table(), sender, row), senders)
             kinds.add(_plan_kind(plan, sender, senders))
     assert kinds >= {"clear", "corrupted", "capture"}

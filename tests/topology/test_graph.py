@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 
 from repro.experiments.runner import RunConfig, run_single_flow
+from repro.sim.channels import GilbertElliott
+from repro.sim.frames import BROADCAST, Frame, FrameKind
+from repro.sim.medium import WirelessMedium
 from repro.sim.radio import ChannelConfig
 from repro.topology.estimation import probe_estimated_topology
 from repro.topology.generator import random_geometric
 from repro.topology.graph import LinkTable, LinkView, Node, Topology
+from repro.topology.mobility import MarkovLinkChurn, RandomWaypoint
 
 
 def square_matrix(values):
@@ -149,6 +153,61 @@ def test_static_mesh_holds_no_matrix():
     assert build_peak < half_matrix
     assert held - built < half_matrix
     assert all(array.ndim == 1 for array in _arrays(mesh))
+
+
+def _frames(medium: WirelessMedium, count: int) -> None:
+    """Sixty frames from spread-out senders, 5 ms apart."""
+    for step in range(60):
+        frame = Frame(sender=step * 7 % count, receiver=BROADCAST, kind=FrameKind.DATA,
+                      flow_id=1, size_bytes=1500)
+        medium.complete(medium.begin(frame, now=step * 0.005, airtime=0.002),
+                        now=step * 0.005 + 0.002)
+
+
+def test_dynamic_models_hold_no_matrix():
+    """Dynamic link state is links too.  On the kilonode density at 400
+    nodes a bound Gilbert-Elliott channel, and a churn process after its
+    first epoch, each hold less than half of one float64 matrix of traced
+    memory, which one dense array of their state would exceed; over a
+    medium that ran frames across epochs, no N×N array is reachable from
+    its channel model or its mobility process."""
+    count = 400
+    half_matrix = 0.5 * count * count * 8
+    mesh = random_geometric(node_count=count, area=595.0, seed=21)
+
+    def bound_channel(topology):
+        model = GilbertElliott(seed=1)
+        model.bind(topology)
+        return model
+
+    def first_epoch(topology):
+        model = MarkovLinkChurn(seed=1)
+        model.bind(topology)
+        model.delivery_at(0)
+        return model
+
+    for build in (bound_channel, first_epoch):
+        build(random_geometric(node_count=6, seed=2))  # warm-up: lazy imports
+        gc.collect()
+        tracemalloc.start()
+        try:
+            model = build(mesh)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < half_matrix, (build.__name__, held)
+        del model
+    for mobility in (MarkovLinkChurn(seed=1, epoch_length=0.05),
+                     RandomWaypoint(seed=1, epoch_length=0.05, speed_min=20.0, speed_max=40.0)):
+        medium = WirelessMedium(mesh, ChannelConfig(), np.random.default_rng(1),
+                                model=GilbertElliott(seed=1, mean_good_time=0.02,
+                                                     mean_bad_time=0.01),
+                                mobility=mobility)
+        _frames(medium, count)
+        assert medium.effective_topology(0.32).link_table() is mobility.delivery_at(6)
+        assert all(array.ndim == 1 or array.shape == (count, 3)
+                   for array in _arrays(medium.model) + _arrays(medium.mobility))
 
 
 class TestLinkView:

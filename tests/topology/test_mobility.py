@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.topology.generator import chain, grid, random_geometric
+from repro.topology.graph import LinkTable, LinkView
 from repro.topology.mobility import (
     MOBILITY_KINDS,
     MOBILITY_MODELS,
@@ -23,6 +24,10 @@ from repro.topology.mobility import (
     RandomWaypoint,
     build_mobility_model,
 )
+
+
+def _same_links(a: LinkTable, b: LinkTable) -> bool:
+    return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def _bound(kind: str, seed: int = 3, **params):
@@ -61,15 +66,18 @@ class TestEpochPurity:
     def test_seed_changes_realisation(self, kind):
         a = _bound(kind, seed=3)
         b = _bound(kind, seed=4)
-        assert any(not np.array_equal(a.delivery_at(e), b.delivery_at(e))
+        assert any(not _same_links(a.delivery_at(e), b.delivery_at(e))
                    for e in range(1, 8))
 
     def test_delivery_stays_probability(self, kind):
         model = _bound(kind)
         for epoch in range(6):
-            matrix = model.delivery_at(epoch)
-            assert matrix.min() >= 0.0 and matrix.max() <= 1.0
-            assert np.all(np.diag(matrix) == 0.0)
+            table = model.delivery_at(epoch)
+            assert table.indptr[-1] == table.receivers.size == table.delivery.size
+            assert table.delivery.min() > 0.0 and table.delivery.max() <= 1.0
+            assert not np.any(table.senders() == table.receivers)
+            for start, stop in zip(table.indptr[:-1], table.indptr[1:]):
+                assert np.all(np.diff(table.receivers[start:stop]) > 0)
 
 
 class TestRandomWaypoint:
@@ -102,6 +110,15 @@ class TestRandomWaypoint:
             RandomWaypoint(area=0.0)
         with pytest.raises(ValueError):
             RandomWaypoint(epoch_length=0.0)
+        # Non-finite values used to die mid-run: an infinite speed or arena
+        # overflowed a leg, an infinite epoch indexed past the legs.
+        with pytest.raises(ValueError, match="speed_max < inf"):
+            RandomWaypoint(speed_max=float("inf"))
+        with pytest.raises(ValueError, match="area must be positive and finite"):
+            RandomWaypoint(area=float("inf"))
+        for epoch_length in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="epoch_length must be positive and finite"):
+                RandomWaypoint(epoch_length=epoch_length)
 
 
 class TestMarkovLinkChurn:
@@ -110,30 +127,35 @@ class TestMarkovLinkChurn:
         model = MarkovLinkChurn(seed=2, epoch_length=0.5, mean_up_time=1.0,
                                 mean_down_time=1.0, down_scale=0.25)
         model.bind(topology)
-        base = topology.delivery_matrix()
+        nominal = topology.link_table()
         saw_down = False
         for epoch in range(30):
-            up = model.up_mask(epoch)
-            matrix = model.delivery_at(epoch)
-            expected = base * np.where(up, 1.0, 0.25)
-            np.testing.assert_allclose(matrix, expected)
-            saw_down = saw_down or not up.all()
+            table = model.delivery_at(epoch)
+            np.testing.assert_array_equal(table.indptr, nominal.indptr)
+            np.testing.assert_array_equal(table.receivers, nominal.receivers)
+            scale = table.delivery / nominal.delivery
+            np.testing.assert_allclose(scale[~np.isclose(scale, 1.0)], 0.25)
+            saw_down = saw_down or not np.allclose(scale, 1.0)
         assert saw_down
 
     def test_symmetric_churn_flaps_both_directions_together(self):
+        topology = grid(3, 3)
         model = MarkovLinkChurn(seed=2, epoch_length=0.5, mean_up_time=1.0,
                                 mean_down_time=1.0)
-        model.bind(grid(3, 3))
+        model.bind(topology)
+        assert np.array_equal(topology.delivery_matrix(), topology.delivery_matrix().T)
         for epoch in range(12):
-            up = model.up_mask(epoch)
-            np.testing.assert_array_equal(up, up.T)
+            churned = LinkView(topology.nodes, model.delivery_at(epoch)).delivery_matrix()
+            np.testing.assert_array_equal(churned, churned.T)
 
     def test_stationary_up_fraction(self):
         # Long-run fraction of up time should track Tu / (Tu + Td).
         model = MarkovLinkChurn(seed=7, epoch_length=1.0, mean_up_time=3.0,
                                 mean_down_time=1.0)
-        model.bind(grid(4, 4))
-        samples = [model.up_mask(epoch).mean() for epoch in range(400)]
+        topology = grid(4, 4)
+        model.bind(topology)
+        links = topology.link_table().receivers.size
+        samples = [model.delivery_at(epoch).receivers.size / links for epoch in range(400)]
         assert np.mean(samples) == pytest.approx(0.75, abs=0.08)
 
     def test_positions_unmoved(self):
@@ -145,6 +167,8 @@ class TestMarkovLinkChurn:
             MarkovLinkChurn(mean_up_time=0.0)
         with pytest.raises(ValueError):
             MarkovLinkChurn(down_scale=1.5)
+        with pytest.raises(ValueError, match="epoch_length must be positive and finite"):
+            MarkovLinkChurn(epoch_length=float("inf"))
 
     @pytest.mark.parametrize("name", ["mean_up_time", "mean_down_time"])
     def test_infinite_sojourn_rejected(self, name):
