@@ -56,15 +56,17 @@ test:
 # MAC's unit tests; the models the medium resolves frames with — the
 # channel and mobility unit tests, and the per-link Gilbert-Elliott chains
 # and link-table mobility epochs against their dense forms (every link over
-# a time grid, across re-based epochs where links vanish and return, each
-# epoch table equal to the dense epoch's links); plus the full-run traces
-# held bit-identical to tests/golden_traces.json — static runs, runs under
-# faults, and the runs whose control plane recurs (the refreshing /
-# supervised presets and three re-planned concurrent flows) — then the
-# run-time invariants: every channel, mobility and fault model replays
-# under any query order, only the medium and the MACs read the main
-# generator (every protocol under every model kind), and every RunConfig
-# field changes a run.
+# a time grid, across re-bound epochs where links vanish and return, each
+# epoch table equal to the dense epoch's links); the fault models and the
+# injector, which filters the medium's receivers and gates every MAC, with
+# the fault-free runs held to a simulator without the subsystem; plus the
+# full-run traces held bit-identical to tests/golden_traces.json — static
+# runs, runs under faults, and the runs whose control plane recurs (the
+# refreshing / supervised presets and three re-planned concurrent flows) —
+# then the run-time invariants: every channel, mobility and fault model
+# replays under any query order, only the medium and the MACs read the
+# main generator (every protocol under every model kind), and every
+# RunConfig field changes a run.
 test-engine:
 	$(ENV) $(PYTHON) -m pytest -x -q tests/sim/test_events.py \
 		tests/sim/test_medium.py \
@@ -75,6 +77,7 @@ test-engine:
 		tests/sim/test_word_stream.py \
 		tests/sim/test_mac_and_trace.py \
 		tests/sim/test_engine_differential.py \
+		tests/sim/test_faults.py \
 		tests/sim/test_fault_differential.py \
 		tests/scenarios/test_dynamic_scenarios.py \
 		tests/invariants

@@ -26,7 +26,7 @@ from typing import Any
 
 from repro.experiments.runner import PROTOCOLS, Environment, RunConfig
 from repro.params import SectionSpec, check_kind
-from repro.sim.channels import CHANNEL_MODELS, ChannelSpec
+from repro.sim.channels import CHANNEL_KINDS, ChannelSpec
 from repro.sim.faults import FAULT_KINDS, FaultSpec
 from repro.topology.mobility import MOBILITY_KINDS, MobilitySpec
 
@@ -53,7 +53,7 @@ MIN_BATCHES_PER_TRANSFER = 2
 #: (spec class, accepted kinds).  Drives validation, dotted overrides, the JSON
 #: round trip and the CLI's ``--channel`` / ``--mobility`` / ``--faults``.
 MODEL_SECTIONS: dict[str, tuple[type[SectionSpec], tuple[str, ...]]] = {
-    "channel": (ChannelSpec, tuple(CHANNEL_MODELS)),
+    "channel": (ChannelSpec, CHANNEL_KINDS),
     "mobility": (MobilitySpec, MOBILITY_KINDS),
     "faults": (FaultSpec, FAULT_KINDS),
 }

@@ -2,11 +2,11 @@
 
 from repro.sim.autorate import OnoeRateController
 from repro.sim.channels import (
+    CHANNEL_KINDS,
     CHANNEL_MODELS,
     ChannelModel,
     ChannelSpec,
     GilbertElliott,
-    StaticBernoulli,
     build_channel_model,
 )
 from repro.sim.events import EventQueue
@@ -29,13 +29,13 @@ from repro.sim.trace import FlowRecord, StatsCollector
 
 __all__ = [
     "BROADCAST",
+    "CHANNEL_KINDS",
     "CHANNEL_MODELS",
     "ChannelConfig",
     "ChannelModel",
     "ChannelSpec",
     "CsmaMac",
     "GilbertElliott",
-    "StaticBernoulli",
     "build_channel_model",
     "EventQueue",
     "FlowRecord",

@@ -2,18 +2,17 @@
 
 The paper's evaluation rests on realistic link behaviour: lossy, bursty,
 time-varying Roofnet-style links are exactly what gives opportunistic
-routing its edge over best-path routing.  This module trades the medium's
-original hard-coded static Bernoulli links for a :class:`ChannelModel`
-interface the :class:`~repro.sim.medium.WirelessMedium` queries once per
-completed frame:
+routing its edge over best-path routing.  A channel is one of
+:data:`CHANNEL_KINDS`:
 
-* :class:`StaticBernoulli` — the topology's link deliveries, unchanged in
-  time (the paper's model, Sections 3.2.1 and 5.3.1; bit-identical to the
-  pre-refactor behaviour).
+* ``static`` — the paper's model (Sections 3.2.1 and 5.3.1): one Bernoulli
+  delivery per link, the mesh's own, unchanged in time.  It is no model:
+  the :class:`~repro.sim.medium.WirelessMedium` reads the links it
+  resolves against directly.
 * :class:`GilbertElliott` — two-state bursty loss per directed link: a
   continuous-time good/bad Markov chain scales the nominal delivery
   probability, producing the correlated loss bursts measured on real
-  802.11 meshes.
+  802.11 meshes.  The medium queries it once per completed frame.
 
 A model is O(links) like its topology: a frame's delivery is one entry per
 link of the sender, and Gilbert-Elliott runs one chain per nominal link.
@@ -21,14 +20,14 @@ link of the sender, and Gilbert-Elliott runs one chain per nominal link.
 A :class:`ChannelSpec` is the declarative form (``kind`` + ``params``)
 that rides inside :class:`~repro.scenarios.spec.ScenarioSpec` JSON, the
 ``repro run/sweep --channel`` CLI flag and sweepable ``channel.*`` axes;
-:func:`build_channel_model` turns it into a live model.
+:func:`build_channel_model` turns it into a live model (``None`` for
+``static``).
 
 Determinism: Gilbert-Elliott derives its randomness from the cell seed
 mixed with a private stream key, via *counter-based* draws (SplitMix64
 over ``(seed, link, draw-index)``), so channel randomness never perturbs
-the simulator's main generator (a static-channel run is bit-identical with
-or without the subsystem) and a fixed seed replays the exact same channel
-realisation regardless of how the medium's queries interleave.
+the simulator's main generator and a fixed seed replays the exact same
+channel realisation regardless of how the medium's queries interleave.
 Back-to-back protocol runs at one seed therefore compare against the
 *same* channel trajectory, exactly like the paper's back-to-back testbed
 runs.
@@ -67,8 +66,8 @@ class ChannelModel:
 
     Subclasses implement :meth:`delivery_row`, the probability that one
     frame on the air during ``[start, end)`` is decoded across each of its
-    sender's links.  The medium calls :meth:`bind` once with the topology
-    before any query.
+    sender's links.  The medium calls :meth:`bind` with its links before
+    any query, and again whenever they change (a mobility epoch).
 
     ``mean_view`` is the long-run average delivery of every link; the
     medium derives carrier-sense audibility and interference levels from
@@ -82,29 +81,20 @@ class ChannelModel:
         self.seed = int(seed)
         self._links: LinkView | None = None
 
-    def bind(self, topology: LinkView) -> None:
-        """Attach the model to a topology; called by the medium once.
+    def bind(self, links: LinkView) -> None:
+        """Adopt ``links`` as the nominal links: at set-up and at each epoch.
 
-        The nominal links are the topology's own, held rather than
-        copied: a topology's links are read-only from construction, so
-        they cannot change under a live medium.
+        The links are held rather than copied: a view's links are
+        read-only from construction, so they cannot change under a live
+        medium.  Per-link channel state (Gilbert-Elliott chains) keeps
+        running across a re-bind on every link the two views share — churn
+        in nominal quality composes with burstiness.
         """
-        self._links = topology
+        self._links = links
         self._prepare()
 
     def _prepare(self) -> None:
-        """Subclass hook: fit per-link state to the links, on ``bind`` and ``update_base``."""
-
-    def update_base(self, table: LinkTable) -> None:
-        """Adopt new nominal links mid-run (dynamic-topology hook).
-
-        The medium calls this at every mobility epoch boundary with the
-        epoch's links.  Per-link channel state (e.g. Gilbert-Elliott
-        chains) keeps running across the update on every link the two
-        tables share — churn in nominal quality composes with burstiness.
-        """
-        self._links = LinkView(self._bound().nodes, table)
-        self._prepare()
+        """Subclass hook: fit per-link state to the links, on every :meth:`bind`."""
 
     def _bound(self) -> LinkView:
         """The nominal links (after :meth:`bind`)."""
@@ -127,21 +117,6 @@ class ChannelModel:
         The nominal links themselves where that is the mean.
         """
         return self._bound()
-
-
-class StaticBernoulli(ChannelModel):
-    """The paper's model: one static Bernoulli delivery per link.
-
-    Bit-identical to the pre-refactor medium — the delivery row is the
-    topology's links out of the sender and no channel randomness exists
-    at all.  The medium reads the links through :meth:`mean_view`.
-    """
-
-    kind = "static"
-
-    def delivery_row(self, sender: int, start: float, end: float) -> np.ndarray:
-        table = self._bound().link_table()
-        return table.delivery[table.indptr[sender]:table.indptr[sender + 1]]
 
 
 class GilbertElliott(ChannelModel):
@@ -272,15 +247,13 @@ class GilbertElliott(ChannelModel):
 
 
 #: Channel models addressable from a :class:`ChannelSpec`.
-CHANNEL_MODELS: dict[str, type[ChannelModel]] = {
-    StaticBernoulli.kind: StaticBernoulli,
-    GilbertElliott.kind: GilbertElliott,
-}
+CHANNEL_MODELS: dict[str, type[ChannelModel]] = {GilbertElliott.kind: GilbertElliott}
+
+#: Spec kinds accepted by :func:`build_channel_model` (``static`` = no model).
+CHANNEL_KINDS = ("static",) + tuple(sorted(CHANNEL_MODELS))
 
 
-def build_channel_model(spec: ChannelSpec | None, seed: int = 0) -> ChannelModel:
-    """Instantiate the model a spec describes (``None`` means static); see
-    :func:`repro.params.build_model` for the seeding convention."""
-    # Every channel kind is a model: the registry is also the list of kinds.
-    return (build_model("channel", spec, CHANNEL_MODELS, CHANNEL_MODELS, seed)
-            or StaticBernoulli())
+def build_channel_model(spec: ChannelSpec | None, seed: int = 0) -> ChannelModel | None:
+    """Instantiate the model a spec describes (``None``/static = the mesh's
+    own links); see :func:`repro.params.build_model` for the seeding convention."""
+    return build_model("channel", spec, CHANNEL_MODELS, CHANNEL_KINDS, seed)

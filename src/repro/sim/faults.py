@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.params import SectionSpec, build_model
+from repro.params import SectionSpec, bad_parameter, build_model
 from repro.rng import counter_uniform
 from repro.sim.frames import Frame
 
@@ -76,14 +76,25 @@ class FaultModel:
     """
 
     kind = "none"
+    #: The node ids the model's parameters name.
+    _named: frozenset[int] = frozenset()
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self.node_count = 0
 
     def bind(self, node_count: int) -> None:
-        """Attach the model to a topology size; called by the injector once."""
+        """Attach the model to a topology size; called by the injector once.
+
+        A node id the model names outside ``[0, node_count)`` is a one-line
+        :func:`~repro.params.bad_parameter` error, not a fault that never
+        happens.
+        """
         self.node_count = int(node_count)
+        outside = sorted(node for node in self._named if not 0 <= node < self.node_count)
+        if outside:
+            raise bad_parameter("faults", self.kind, f"node ids {outside} are not in "
+                                                     f"[0, {self.node_count})")
 
     def initial_down(self, node: int) -> bool:
         """True if ``node`` starts the simulation crashed."""
@@ -122,6 +133,7 @@ class ScheduledOutages(FaultModel):
                 previous_end = end
             windows[int(node)] = parsed
         self._windows = windows
+        self._named = frozenset(windows)
 
     def initial_down(self, node: int) -> bool:
         return any(start <= 0.0 < end for start, end in self._windows.get(node, ()))
@@ -160,7 +172,7 @@ class CrashRecover(FaultModel):
         self.mean_downtime = float(mean_downtime)
         if not (self.mean_uptime > 0.0 and self.mean_downtime > 0.0):
             raise ValueError("crash_recover holding-time means must be positive")
-        self._protect = frozenset(int(n) for n in protect)
+        self._protect = self._named = frozenset(int(n) for n in protect)
         self._chains: dict[int, list[tuple[float, bool]]] = {}
 
     def _uniform(self, node: int, counters: np.ndarray) -> np.ndarray:

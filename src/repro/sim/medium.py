@@ -1,9 +1,10 @@
 """The shared broadcast medium: losses, collisions, capture, carrier sense.
 
 The medium decides, for every transmission, which nodes receive it.  Per-link
-delivery probabilities come from a pluggable :class:`~repro.sim.channels.ChannelModel`
-(static Bernoulli by default — the paper's model — or bursty
-Gilbert-Elliott loss).  The model:
+delivery probabilities are the links' own under a static channel (no
+model: the paper's), or come from a
+:class:`~repro.sim.channels.ChannelModel` (bursty Gilbert-Elliott loss).
+The model:
 
 * **Independent losses** — each potential receiver flips a coin with the
   link delivery probability (the paper's model, Sections 3.2.1 and 5.3.1);
@@ -42,18 +43,23 @@ from the model's delivery on the sender's links
 (:meth:`WirelessMedium._resolve_scalar`) keeps its own half-duplex and
 interference logic and is only the tests' oracle.
 
-Everything the medium derives is read off the mesh's links — the link
-table by sender and its receiver-major index
+The medium resolves frames against one view of the links at a time: the
+topology, or under mobility the current epoch's
+:class:`~repro.topology.graph.Topology`
+(:meth:`~repro.topology.mobility.MobilityModel.topology_at`), which a
+Gilbert-Elliott channel is bound to as its nominal links.  Everything the
+medium derives is read off the links of that view, or of the model's mean
+view — the link table by sender and its receiver-major index
 (:meth:`~repro.topology.graph.LinkView.incoming`) — on a sender's first
 use (:func:`sense_row`, the plans), so a 1000-node mesh costs the dozen
-nodes that transmit, and nothing N×N exists.  Under a static channel with
-no mobility the sense rows and the plan memo live on the topology
+nodes that transmit, and nothing N×N exists.  The sense rows and the plan
+memo live on the links they are read from
 (:meth:`~repro.topology.graph.LinkView.derived`, keyed on the
-``ChannelConfig``): a process pays once per topology and channel, and
-every simulator over them — every seed, protocol, flow set and sweep
-cell — reads the same tuples.  A mobility epoch (a link table, handed to
-the channel model as its nominal links) or a Gilbert-Elliott channel keeps
-a pair of tables of its own, over the model's mean links.
+``ChannelConfig``): under a static channel with no mobility a process pays
+once per topology and channel, and every simulator over them — every seed,
+protocol, flow set and sweep cell — reads the same tuples; an epoch keeps
+its pair and drops it with the epoch, and a Gilbert-Elliott mean view is
+new at every bind, so it keeps a pair of its own.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.rng import WordStream, threshold
-from repro.sim.channels import ChannelModel, StaticBernoulli
+from repro.sim.channels import ChannelModel
 from repro.sim.frames import Frame
 from repro.sim.radio import ChannelConfig
 from repro.topology.graph import InLinks, LinkTable, LinkView, Topology
@@ -196,31 +202,29 @@ class WirelessMedium:
         self._take = self._words.take
         self._word = self._words.word
         self._capture_threshold = threshold(channel.capture_probability)
-        self.model = model if model is not None else StaticBernoulli()
-        self.model.bind(topology)
+        #: Channel model (``None`` = static: the links' own deliveries).
+        self.model = model
         #: Fault injector (``None`` = fault-free, today's behaviour bit for
         #: bit).  When present, resolved receivers are filtered *after* the
         #: channel draws so the RNG stream is identical either way.
         self.faults = faults
         #: Dynamic-topology process (``None`` = static, today's behaviour
-        #: bit for bit).  When present, every epoch boundary re-bases the
-        #: channel model and forgets the sense rows and reception plans.
+        #: bit for bit).  When present, every epoch boundary moves the
+        #: medium to the epoch's view, with its sense rows and plans.
         self.mobility = mobility
         self._dynamic = mobility is not None
-        self._epoch = -1
-        if self._dynamic:
-            mobility.bind(topology)
+        self._epoch = 0
         self._active: list[Transmission] = []
         self._history: deque[Transmission] = deque()
         #: Static channel: a reception plan depends on the overlapping
         #: senders alone, so plans are memoised.
-        self._static = type(self.model) is StaticBernoulli
+        self._static = model is None
         self._max_airtime = 0.0
         if self._dynamic:
-            # Adopt the epoch-0 realisation before any caches are built.
-            self.model.update_base(mobility.delivery_at(0))
-            self._epoch = 0
-        self._rebuild_channel_state()
+            mobility.bind(topology)
+            # The epoch-0 realisation, before any tables are derived.
+            topology = mobility.topology_at(0)
+        self._rebuild_channel_state(topology)
         # Statistics.
         self.transmissions = 0
         self.receptions = 0
@@ -233,28 +237,27 @@ class WirelessMedium:
         (:meth:`repro.rng.WordStream.generator`)."""
         return self._words.generator()
 
-    def _rebuild_channel_state(self) -> None:
-        """Adopt the tables derived from the channel base.
+    def _rebuild_channel_state(self, view: Topology) -> None:
+        """Resolve frames against ``view``: the topology or an epoch's.
 
         Called once at construction and — under a dynamic topology — at
         every epoch boundary: this is the epoch-keyed invalidation of the
         sense rows and the reception-plan memo.  Nothing is derived here;
-        each sender's row and plans are built on their first use.  A static
-        channel with no mobility reads the pair its topology keeps for this
-        ``ChannelConfig``, shared by every medium over that topology; an
-        epoch or a Gilbert-Elliott channel gets a pair of its own.
+        each sender's row and plans are built on their first use.  The pair
+        is the one the links keep for this ``ChannelConfig``: shared by
+        every medium over a static topology, dropped with an epoch's view.
         """
         # Long-run average deliveries: carrier-sense audibility and
         # interference levels track mean signal energy, not the
-        # instantaneous fade (for the static model these ARE the
-        # topology's links, preserving the original behaviour bit for bit).
-        links = self._links = self.model.mean_view()
+        # instantaneous fade (under a static channel these ARE the
+        # view's links).
+        links = view
+        if self.model is not None:
+            self.model.bind(view)
+            links = self.model.mean_view()
+        self._links = links
         channel = self.channel
-        if self._static and not self._dynamic:
-            tables = self.topology.derived(
-                ("medium", channel), lambda: _medium_tables(links, channel))
-        else:
-            tables = _medium_tables(links, channel)
+        tables = links.derived(("medium", channel), lambda: _medium_tables(links, channel))
         # Tuples of plain bools: the per-transmission carrier-sense probes
         # are scalar lookups, where tuple indexing beats numpy scalar
         # indexing several-fold.  Plans are read from the memo under a
@@ -279,26 +282,19 @@ class WirelessMedium:
         if epoch <= self._epoch:
             return
         self._epoch = epoch
-        self.model.update_base(self.mobility.delivery_at(epoch))
-        self._rebuild_channel_state()
+        self._rebuild_channel_state(self.mobility.topology_at(epoch))
 
     def effective_topology(self, now: float) -> Topology:
         """The topology as it stands at ``now`` (positions + delivery).
 
-        Static media return the bound topology itself; dynamic media build
-        a snapshot of the current epoch's realisation — this is what the
+        Static media return the bound topology itself; dynamic media the
+        epoch's view (:meth:`~repro.topology.mobility.MobilityModel.topology_at`),
+        the one frames of that epoch resolve against — this is what the
         link-state refresh loop probes against.
         """
         if not self._dynamic:
             return self.topology
-        epoch = self.mobility.epoch_of(now)
-        coords = self.mobility.positions_at(epoch)
-        if coords is None:
-            positions = self.topology.node_positions()
-        else:
-            positions = [tuple(float(value) for value in row) for row in coords]
-        names = [node.name for node in self.topology.nodes]
-        return Topology.from_links(self.mobility.delivery_at(epoch), positions, names)
+        return self.mobility.topology_at(self.mobility.epoch_of(now))
 
     @staticmethod
     def _build_sense_matrix(delivery: np.ndarray, channel: ChannelConfig) -> np.ndarray:

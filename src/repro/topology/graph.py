@@ -21,8 +21,10 @@ it — its nodes and one link table — and a :class:`Topology` is the ground
 truth the data plane reads, built by the generators straight from their
 links or from a hand-built dense matrix.  The probe-estimated control view
 (:mod:`repro.topology.estimation`) and the dead-node mask are plain
-link views, and so is dynamic link state: a mobility epoch is a link
-table, which the channel model adopts as its nominal links.
+link views.  Dynamic link state is a mesh too: a mobility epoch is a
+:class:`Topology` (:meth:`repro.topology.mobility.MobilityModel.topology_at`),
+the one view of it the medium resolves frames against, a channel model
+is bound to and the refresh loop probes.
 :meth:`LinkView.delivery_matrix` builds the dense form on request, for the
 LP, the EOTX oracles, analysis and tests; no run path holds one.
 
@@ -155,8 +157,8 @@ class LinkView:
         for the control plane the link table, the probe-free control view,
         the link-cost rows, the per-destination distance vectors and the
         forwarding plans; for the data plane the medium's carrier-sense
-        rows and reception plans under a static channel, per
-        ``ChannelConfig`` (:mod:`repro.sim.medium`); for both the
+        rows and reception plans over these links, per ``ChannelConfig``
+        (:mod:`repro.sim.medium`); for both the
         receiver-major index (:meth:`incoming`).  Every flow, protocol
         and seed run over this view reads one copy.  A view's links never
         change (its link table is read-only from construction), so

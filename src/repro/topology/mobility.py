@@ -25,11 +25,14 @@ replays the identical trajectory — which is what keeps back-to-back
 protocol runs at one seed on the *same* dynamic topology and parallel
 sweep cells bit-identical to serial ones.
 
-Every epoch is a :class:`~repro.topology.graph.LinkTable` that lists the
-links delivering in it, O(links) like the static mesh it started from.
-:class:`RandomWaypoint` derives it row by row from the node coordinates
-through the *same* propagation formula the static generators use
-(:func:`repro.topology.generator.path_loss_margin_db` +
+Every epoch is a :class:`~repro.topology.graph.Topology`
+(:meth:`MobilityModel.topology_at`): the links delivering in it and the
+node positions, O(links) like the static mesh it started from, and the
+one view of the epoch the medium resolves frames against and the refresh
+loop probes.  A model keeps the current epoch only.
+:class:`RandomWaypoint` derives the links row by row from the node
+coordinates through the *same* propagation formula the static generators
+use (:func:`repro.topology.generator.path_loss_margin_db` +
 :func:`~repro.topology.generator.margin_to_delivery`, no shadowing), so a
 mesh that stops moving stops changing.  :class:`MarkovLinkChurn` instead
 scales the topology's nominal links, one chain per linked pair, leaving
@@ -51,7 +54,7 @@ import numpy as np
 from repro.params import SectionSpec, build_model
 from repro.rng import counter_uniform
 from repro.topology.generator import margin_to_delivery, path_loss_margin_db
-from repro.topology.graph import LinkTable, LinkView
+from repro.topology.graph import LinkTable, LinkView, Topology
 
 #: Stream key mixed with the cell seed so mobility randomness is independent
 #: of (and cannot perturb) both the simulator's main RNG stream and the
@@ -76,8 +79,7 @@ class MobilitySpec(SectionSpec):
 class MobilityModel:
     """A time-varying topology realisation sampled on an epoch grid.
 
-    Subclasses implement :meth:`positions_at` (``None`` for position-free
-    models) and :meth:`delivery_at`; both must be pure functions of
+    Subclasses implement :meth:`_realise`, a pure function of
     ``(seed, epoch)``.  The medium calls :meth:`bind` once before any query
     and then advances epoch by epoch as simulated time passes.
     """
@@ -92,8 +94,9 @@ class MobilityModel:
 
     def bind(self, topology: LinkView) -> None:
         """Attach the process to a topology; called by the medium once."""
+        self._names = [node.name for node in topology.nodes]
         self._epoch = -1
-        self._table: LinkTable | None = None
+        self._view: Topology | None = None
         self._prepare(topology)
 
     def _prepare(self, topology: LinkView) -> None:
@@ -104,21 +107,18 @@ class MobilityModel:
         """The epoch-grid index containing simulated time ``now``."""
         return max(0, int(now / self.epoch_length))
 
-    def positions_at(self, epoch: int) -> np.ndarray | None:
-        """Node coordinates at ``epoch`` (``(n, 3)``), or ``None`` if the
-        model does not move nodes.  Must not be mutated by the caller."""
-        raise NotImplementedError
-
-    def delivery_at(self, epoch: int) -> LinkTable:
-        """The links that deliver at ``epoch`` (kept until the next; not to be mutated)."""
-        table = self._table
-        if table is None or epoch != self._epoch:
-            table = self._table = self._links_at(epoch)
+    def topology_at(self, epoch: int) -> Topology:
+        """The mesh at ``epoch``: the links that deliver in it and the node
+        positions, under the bound mesh's names.  Built once and kept until
+        another epoch is asked for."""
+        view = self._view
+        if view is None or epoch != self._epoch:
+            view = self._view = Topology.from_links(*self._realise(epoch), self._names)
             self._epoch = epoch
-        return table
+        return view
 
-    def _links_at(self, epoch: int) -> LinkTable:
-        """Subclass hook: build :meth:`delivery_at`'s table."""
+    def _realise(self, epoch: int) -> tuple[LinkTable, list[tuple[float, ...]] | None]:
+        """Subclass hook: the links and node positions of :meth:`topology_at`."""
         raise NotImplementedError
 
 
@@ -184,7 +184,6 @@ class RandomWaypoint(MobilityModel):
         self._legs: list[list[tuple[np.ndarray, np.ndarray, float]]] = \
             [[] for _ in range(count)]
         self._leg_ends: list[list[float]] = [[] for _ in range(count)]
-        self._positions_cache: dict[int, np.ndarray] = {}
 
     def _extend_legs(self, node: int, until: float) -> None:
         legs = self._legs[node]
@@ -210,20 +209,13 @@ class RandomWaypoint(MobilityModel):
             return target
         return start + (target - start) * (elapsed / travel)
 
-    def positions_at(self, epoch: int) -> np.ndarray:
-        cached = self._positions_cache.get(epoch)
-        if cached is None:
-            t = epoch * self.epoch_length
-            coords = self._coords.copy()
-            for node in range(coords.shape[0]):
-                coords[node, :2] = self._node_position(node, t)
-            cached = self._positions_cache[epoch] = coords
-        return cached
-
-    def _links_at(self, epoch: int) -> LinkTable:
+    def _realise(self, epoch: int) -> tuple[LinkTable, list[tuple[float, ...]]]:
+        t = epoch * self.epoch_length
+        coords = self._coords.copy()
+        for node in range(coords.shape[0]):
+            coords[node, :2] = self._node_position(node, t)
         # Row by row, as the static generators build theirs: the
         # temporaries are one row long.
-        coords = self.positions_at(epoch)
         receivers: list[np.ndarray] = []
         delivery: list[np.ndarray] = []
         for node in range(coords.shape[0]):
@@ -235,7 +227,8 @@ class RandomWaypoint(MobilityModel):
             delivery.append(row[linked])
         indptr = np.zeros(coords.shape[0] + 1, dtype=np.intp)
         np.cumsum([linked.size for linked in receivers], out=indptr[1:])
-        return LinkTable(indptr, np.concatenate(receivers), np.concatenate(delivery))
+        table = LinkTable(indptr, np.concatenate(receivers), np.concatenate(delivery))
+        return table, list(map(tuple, coords.tolist()))
 
 
 class MarkovLinkChurn(MobilityModel):
@@ -279,6 +272,7 @@ class MarkovLinkChurn(MobilityModel):
         return counter_uniform(self.seed, _MOBILITY_STREAM, self._pair_ids, epoch)
 
     def _prepare(self, topology: LinkView) -> None:
+        self._positions = topology.node_positions()
         table = self._nominal = topology.link_table()
         senders, receivers = table.senders(), table.receivers
         # Both directions of a pair share one chain (one pair id).
@@ -309,15 +303,13 @@ class MarkovLinkChurn(MobilityModel):
         self._up = up
         return up
 
-    def positions_at(self, epoch: int) -> np.ndarray | None:
-        return None  # churn never moves nodes
-
-    def _links_at(self, epoch: int) -> LinkTable:
+    def _realise(self, epoch: int) -> tuple[LinkTable, list[tuple[float, ...]] | None]:
         nominal = self._nominal
         delivery = nominal.delivery * np.where(self._advance_to(epoch), 1.0, self.down_scale)
         kept = np.flatnonzero(delivery)
+        # Churn never moves nodes: the epoch keeps the mesh's positions.
         return LinkTable(np.searchsorted(kept, nominal.indptr), nominal.receivers[kept],
-                         delivery[kept])
+                         delivery[kept]), self._positions
 
 
 #: Mobility models addressable from a :class:`MobilitySpec`.

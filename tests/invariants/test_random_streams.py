@@ -34,7 +34,7 @@ from repro.sim.faults import FAULT_MODELS, FaultModel, FaultSpec
 from repro.sim.medium import WirelessMedium
 from repro.sim.simulator import Simulator
 from repro.topology.generator import random_geometric
-from repro.topology.graph import LinkTable
+from repro.topology.graph import LinkTable, Topology
 from repro.topology.mobility import MOBILITY_MODELS, MobilitySpec
 
 #: A ten-node mesh with coordinates (random waypoint moves them) and a
@@ -82,9 +82,8 @@ LAYERS = {
          for sender in reversed(NODES) for time in TIMES[::3]]),
     "mobility": Layer(
         MOBILITY_MODELS, MobilitySpec, lambda model: model.bind(TOPOLOGY),
-        [(query, epoch) for epoch in range(9) for query in ("positions_at", "delivery_at")],
-        [(query, epoch) for epoch in (7, 2, 8, 0, 5, 2)
-         for query in ("delivery_at", "positions_at")]),
+        [("topology_at", epoch) for epoch in range(9)],
+        [("topology_at", epoch) for epoch in (7, 2, 8, 0, 5, 2)]),
     "faults": Layer(
         FAULT_MODELS, FaultSpec, lambda model: model.bind(TOPOLOGY.node_count),
         [("initial_down", node) for node in NODES]
@@ -98,11 +97,13 @@ MODEL_KINDS = [(layer, kind) for layer in LAYERS for kind in LAYERS[layer].regis
 
 def _comparable(answer):
     """An answer as a value ``!=`` compares: an array as (shape, bytes), a
-    link table field by field."""
+    link table field by field, a mesh by its link table and its positions."""
     if isinstance(answer, np.ndarray):
         return answer.shape, answer.tobytes()
     if isinstance(answer, LinkTable):
         return tuple(map(_comparable, answer))
+    if isinstance(answer, Topology):
+        return _comparable(answer.link_table()), answer.node_positions()
     return answer
 
 

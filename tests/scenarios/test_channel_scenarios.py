@@ -29,7 +29,7 @@ from repro.scenarios import (
     list_presets,
     run_cell,
 )
-from repro.sim.channels import CHANNEL_MODELS, build_channel_model
+from repro.sim.channels import CHANNEL_KINDS, CHANNEL_MODELS, build_channel_model
 from repro.sim.faults import FAULT_MODELS
 from repro.topology.mobility import MOBILITY_MODELS
 
@@ -37,7 +37,7 @@ _REPO = Path(__file__).resolve().parents[2]
 
 #: Every kind a scenario section can name, by section.
 REGISTRIES = {
-    "channel": tuple(CHANNEL_MODELS),
+    "channel": CHANNEL_KINDS,
     "mobility": tuple(MOBILITY_MODELS),
     "faults": tuple(FAULT_MODELS),
     "workload": WORKLOAD_KINDS,
@@ -65,7 +65,7 @@ def _shrink(spec: ScenarioSpec) -> ScenarioSpec:
 
 class TestSpecIntegration:
     def test_every_kind_selectable_via_json(self):
-        for kind in sorted(CHANNEL_MODELS):
+        for kind in CHANNEL_KINDS:
             spec = ScenarioSpec(
                 name=f"json_{kind}",
                 topology=TopologySpec("chain", {"hops": 3}),
@@ -148,6 +148,7 @@ def test_model_constructor_type_hints_resolve(model):
 @pytest.mark.parametrize("module,name", [
     ("repro.sim.channels", "DistanceFading"),
     ("repro.sim.channels", "TraceDriven"),
+    ("repro.sim.channels", "StaticBernoulli"),
     ("repro.topology.mobility", "RandomWalk"),
     ("repro.sim.faults", "AckBlackout"),
     ("repro.sim.faults", "ControlSilence"),
@@ -170,7 +171,7 @@ class TestChannelPresets:
             else:
                 assert f'"{kind}"' in (_REPO / fixture).read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("kind", sorted(CHANNEL_MODELS))
+    @pytest.mark.parametrize("kind", CHANNEL_KINDS)
     def test_preset_runs_and_replays_deterministically(self, kind):
         """Same seed, same cell: byte-identical results on a re-run."""
         spec = _shrink(get_preset(_preset_using("channel", kind)))

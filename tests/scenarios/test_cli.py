@@ -217,6 +217,21 @@ def test_bad_topology_or_workload_parameter_is_a_one_line_error(command, capsys)
     assert "unexpected keyword argument 'bogus'" in line
 
 
+@pytest.mark.parametrize("fault, node", [
+    (("scheduled", 'faults.downs={"99": [[0.0, 5.0]]}'), 99),
+    (("scheduled", 'faults.downs={"-1": [[0.0, 5.0]]}'), -1),
+    (("crash_recover", "faults.protect=[0, 3, 42]"), 42),
+], ids=["scheduled_too_high", "scheduled_negative", "protect_too_high"])
+def test_fault_on_a_node_outside_the_mesh_is_a_one_line_error(fault, node, capsys):
+    """The 4-node chain has no such node: the run stops instead of running
+    without the fault."""
+    kind, assignment = fault
+    line = _one_line_error(capsys, "run", "--preset", "chain_smoke", "--no-cache",
+                           "--faults", kind, "--set", assignment)
+    assert line == (f"repro: error: bad parameter for faults {kind!r}: "
+                    f"node ids [{node}] are not in [0, 4)")
+
+
 @pytest.mark.parametrize("section", ["channel", "mobility", "faults"])
 def test_run_cannot_shadow_a_scenario_section(section, capsys, tmp_path):
     """``run.channel`` used to override the ``channel`` section silently; the

@@ -124,7 +124,7 @@ class TestSpecIntegration:
         model.bind(topology)
         assert model.kind == "random_waypoint"
         assert model.seed == 5
-        assert model.delivery_at(3).indptr.size == topology.node_count + 1
+        assert model.topology_at(3).node_count == topology.node_count
         assert build_mobility_model(MobilitySpec(), seed=5) is None
 
 

@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 
 from repro.sim.channels import (
+    CHANNEL_KINDS,
     CHANNEL_MODELS,
     ChannelSpec,
     GilbertElliott,
-    StaticBernoulli,
     build_channel_model,
 )
 from repro.topology.generator import chain, grid
-from repro.topology.graph import link_table_of
+from repro.topology.graph import Topology
 
 
 class TestChannelSpec:
@@ -32,8 +32,15 @@ class TestChannelSpec:
         with pytest.raises(ValueError, match="unknown channel kind"):
             build_channel_model(ChannelSpec("rayleigh"), seed=1)
 
-    def test_build_none_is_static(self):
-        assert isinstance(build_channel_model(None), StaticBernoulli)
+    @pytest.mark.parametrize("spec", [None, ChannelSpec("static"), ChannelSpec()],
+                             ids=["none", "static", "default"])
+    def test_static_is_no_model(self, spec):
+        """A static channel is the mesh's own links: nothing is built."""
+        assert build_channel_model(spec, seed=3) is None
+
+    def test_static_accepts_no_parameters(self):
+        with pytest.raises(ValueError, match="^channel kind 'static' accepts no parameters$"):
+            build_channel_model(ChannelSpec("static", {"seed": 3}))
 
     def test_build_bad_param_is_one_line_value_error(self):
         # Bad `channel.<param>` overrides must surface as `repro: error: ...`
@@ -42,7 +49,10 @@ class TestChannelSpec:
             build_channel_model(ChannelSpec("gilbert_elliott", {"bogus": 1}))
 
     def test_registry_covers_all_models(self):
-        assert set(CHANNEL_MODELS) == {"static", "gilbert_elliott"}
+        assert set(CHANNEL_MODELS) == {"gilbert_elliott"}
+
+    def test_kinds_are_static_then_the_models(self):
+        assert CHANNEL_KINDS == ("static", "gilbert_elliott")
 
     def test_params_seed_overrides_cell_seed(self):
         model = build_channel_model(
@@ -61,26 +71,6 @@ def _dense_row(model, sender: int, start: float, end: float) -> np.ndarray:
     row = np.zeros(model.mean_view().node_count)
     row[_row_links(model, sender)] = model.delivery_row(sender, start, end)
     return row
-
-
-class TestStaticBernoulli:
-    def test_row_matches_topology_and_never_varies(self):
-        topology = chain(3, link_delivery=0.7, skip_delivery=0.2)
-        model = StaticBernoulli()
-        model.bind(topology)
-        expected = topology.delivery_matrix()
-        for now in (0.0, 1.5, 300.0):
-            assert np.array_equal(_dense_row(model, 1, now, now + 0.002), expected[1])
-        assert model.mean_view() is topology
-
-    def test_update_base_replaces_rows_and_mean(self):
-        topology = chain(3, link_delivery=0.7)
-        model = StaticBernoulli()
-        model.bind(topology)
-        churned = topology.delivery_matrix() * 0.5
-        model.update_base(link_table_of(churned))
-        assert np.array_equal(_dense_row(model, 1, 0.0, 0.002), churned[1])
-        assert np.array_equal(model.mean_view().delivery_matrix(), churned)
 
 
 class TestGilbertElliott:
@@ -144,7 +134,7 @@ class TestGilbertElliott:
         expected = 0.6 * (0.1 * 1.0 + 1.0 * 0.1) / 1.1
         assert model.mean_view().delivery(0, 1) == pytest.approx(expected)
 
-    def test_update_base_keeps_the_chains_running(self):
+    def test_a_second_bind_keeps_the_chains_running(self):
         """New nominal links (a mobility epoch) rescale the row; the
         good/bad states at a given time are unchanged by them."""
         topology = grid(3, 3)
@@ -152,5 +142,8 @@ class TestGilbertElliott:
                                mean_bad_time=0.2)
         model.bind(topology)
         before = model.delivery_row(4, 1.3, 1.302).copy()
-        model.update_base(link_table_of(topology.delivery_matrix() * 0.5))
+        draws = model._draws.copy()
+        model.bind(Topology(topology.delivery_matrix() * 0.5))
+        # Each chain resumes at its draw, not from draw 0.
+        assert np.array_equal(model._draws, draws)
         np.testing.assert_allclose(model.delivery_row(4, 1.3, 1.302), before * 0.5)

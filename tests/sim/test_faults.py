@@ -117,6 +117,29 @@ class TestCrashRecover:
             CrashRecover(mean_uptime=0.0)
 
 
+@pytest.mark.parametrize("node", [4, -1], ids=["too_high", "negative"])
+class TestNodesOutsideTheMesh:
+    """A fault naming a node the 4-node mesh lacks is refused when bound,
+    with the one-line bad-parameter error, not silently never applied."""
+
+    def test_scheduled_outage(self, node):
+        model = ScheduledOutages({str(node): [[0.0, 5.0]], "1": [[0.0, 1.0]]})
+        with pytest.raises(ValueError, match=rf"^bad parameter for faults 'scheduled': "
+                                             rf"node ids \[{node}\] are not in \[0, 4\)$"):
+            model.bind(4)
+
+    def test_crash_recover_protect(self, node):
+        model = CrashRecover(protect=[0, 3, node])
+        with pytest.raises(ValueError, match=rf"^bad parameter for faults 'crash_recover': "
+                                             rf"node ids \[{node}\] are not in \[0, 4\)$"):
+            model.bind(4)
+
+
+def test_nodes_inside_the_mesh_bind():
+    ScheduledOutages({"0": [[0.0, 1.0]], 3: [[1.0, 2.0]]}).bind(4)
+    CrashRecover(protect=[0, 3]).bind(4)
+
+
 # --------------------------------------------------------------------------- #
 # The injector on a live simulator
 # --------------------------------------------------------------------------- #

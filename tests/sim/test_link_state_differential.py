@@ -6,9 +6,9 @@ here, verbatim in what they compute: a Gilbert-Elliott chain per directed
 pair over an N×N base, churn chains per unordered pair over the N×N
 nominal matrix, and a waypoint epoch as the N×N matrix of the propagation
 formula at the epoch's positions.  Every answer must be bit-identical: a
-channel row on every link over a time grid, bound alone and across
-``update_base`` sequences from churn and waypoint epochs (links appear,
-vanish and reappear), and every epoch table equal, field by field, to
+channel row on every link over a time grid, bound alone and re-bound to
+each of a sequence of churn and waypoint epochs (links appear, vanish and
+reappear), and every epoch's link table equal, field by field, to
 :func:`~repro.topology.graph.link_table_of` of the dense epoch.
 """
 
@@ -57,7 +57,8 @@ class DenseGilbertElliott:
         self._next_flip = -holding * np.log(self._uniform(self._link_ids, self._draws))
         self._draws += 1
 
-    def update_base(self, delivery: np.ndarray) -> None:
+    def rebase(self, delivery: np.ndarray) -> None:
+        """New nominal deliveries; every chain keeps running."""
         self._base = delivery
 
     def delivery_row(self, sender: int, start: float) -> np.ndarray:
@@ -91,7 +92,7 @@ def dense_churn(model: MarkovLinkChurn, nominal: np.ndarray, epoch: int) -> np.n
 
 def dense_waypoint(model: RandomWaypoint, epoch: int) -> np.ndarray:
     """The waypoint epoch as the N×N matrix of the propagation formula."""
-    coords = model.positions_at(epoch)
+    coords = np.array(model.topology_at(epoch).node_positions())
     deltas = coords[:, None, :] - coords[None, :, :]
     delivery = margin_to_delivery(path_loss_margin_db(np.sqrt((deltas ** 2).sum(axis=2))))
     np.fill_diagonal(delivery, 0.0)
@@ -148,7 +149,7 @@ def test_epoch_tables_are_the_dense_epochs(kind):
     model = EPOCHS[kind]()
     model.bind(MESH)
     for epoch in list(range(EPOCH_COUNT)) + [7, 3, 11]:
-        table = model.delivery_at(epoch)
+        table = model.topology_at(epoch).link_table()
         expected = link_table_of(_dense_epoch(model, epoch))
         for field, got, want in zip(LinkTable._fields, table, expected):
             assert got.dtype == want.dtype and np.array_equal(got, want), (epoch, field)
@@ -156,7 +157,7 @@ def test_epoch_tables_are_the_dense_epochs(kind):
 
 @pytest.mark.parametrize("kind", sorted(EPOCHS))
 def test_bursty_links_across_epochs(kind):
-    """Re-based at every epoch, the per-link chains answer as the dense ones,
+    """Bound to each epoch in turn, the per-link chains answer as the dense ones,
     and a link kept from one epoch to the next keeps its chain."""
     mobility = EPOCHS[kind]()
     mobility.bind(MESH)
@@ -174,16 +175,17 @@ def test_bursty_links_across_epochs(kind):
     dense.bind(MESH)
     present = [_ids(MESH.link_table())]
     for epoch in range(EPOCH_COUNT):
-        table = mobility.delivery_at(epoch)
-        model.update_base(table)
-        dense.update_base(_dense_epoch(mobility, epoch))
+        view = mobility.topology_at(epoch)
+        table = view.link_table()
+        model.bind(view)
+        dense.rebase(_dense_epoch(mobility, epoch))
         present.append(_ids(table))
         for time in (epoch * 0.05 + offset for offset in (0.0, 0.013, 0.031, 0.049)):
             for sender in range(MESH.node_count):
                 links = table.receivers[table.indptr[sender]:table.indptr[sender + 1]]
                 assert np.array_equal(model.delivery_row(sender, time, time + 0.002),
                                       dense.delivery_row(sender, time)[links]), (epoch, sender)
-    # The sequence exercises what re-basing must survive: links that vanish
+    # The sequence exercises what a re-bind must survive: links that vanish
     # and come back, and links that stay throughout.
     def returns(link: int) -> bool:
         epochs = [at for at, links in enumerate(present) if link in links]

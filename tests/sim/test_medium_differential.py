@@ -54,10 +54,10 @@ class ScalarMedium(WirelessMedium):
     """The oracle: every frame decided by the reference per-node loop."""
 
     def _resolve(self, plan, sender, row, overlapping):
-        if row is None:
-            row = self.model.delivery_row(sender, 0.0, 0.0)
-        return self._resolve_scalar(sender, _spread(self._links.link_table(), sender, row),
-                                    overlapping)
+        # A static channel's frame delivers as the table's row.
+        table = self._links.link_table()
+        dense = table.row(sender) if row is None else _spread(table, sender, row)
+        return self._resolve_scalar(sender, dense, overlapping)
 
 
 #: The medium and its oracle: every test drives both and compares.

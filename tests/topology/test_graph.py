@@ -170,7 +170,8 @@ def test_dynamic_models_hold_no_matrix():
     first epoch, each hold less than half of one float64 matrix of traced
     memory, which one dense array of their state would exceed; over a
     medium that ran frames across epochs, no N×N array is reachable from
-    its channel model or its mobility process."""
+    its channel model or its mobility process, and a waypoint process
+    holds one epoch however many have passed."""
     count = 400
     half_matrix = 0.5 * count * count * 8
     mesh = random_geometric(node_count=count, area=595.0, seed=21)
@@ -183,7 +184,7 @@ def test_dynamic_models_hold_no_matrix():
     def first_epoch(topology):
         model = MarkovLinkChurn(seed=1)
         model.bind(topology)
-        model.delivery_at(0)
+        model.topology_at(0)
         return model
 
     for build in (bound_channel, first_epoch):
@@ -198,6 +199,23 @@ def test_dynamic_models_hold_no_matrix():
             tracemalloc.stop()
         assert held < half_matrix, (build.__name__, held)
         del model
+    # 200 epochs (10 s at 50 ms) retain what the first five did, give or take
+    # a few epochs' coordinates: the held epoch's links drift as the nodes
+    # gather, and numpy's small-buffer cache fills.
+    waypoint, coordinates = RandomWaypoint(seed=1, epoch_length=0.05), count * 3 * 8
+    waypoint.bind(mesh)
+    tracemalloc.start()
+    try:
+        for epoch in range(200):
+            waypoint.topology_at(epoch)
+            if epoch == 4:
+                gc.collect()
+                early, _ = tracemalloc.get_traced_memory()
+        gc.collect()
+        late, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert late - early < 8 * coordinates, (early, late)
     for mobility in (MarkovLinkChurn(seed=1, epoch_length=0.05),
                      RandomWaypoint(seed=1, epoch_length=0.05, speed_min=20.0, speed_max=40.0)):
         medium = WirelessMedium(mesh, ChannelConfig(), np.random.default_rng(1),
@@ -205,7 +223,7 @@ def test_dynamic_models_hold_no_matrix():
                                                      mean_bad_time=0.01),
                                 mobility=mobility)
         _frames(medium, count)
-        assert medium.effective_topology(0.32).link_table() is mobility.delivery_at(6)
+        assert medium.effective_topology(0.32) is mobility.topology_at(6)
         assert all(array.ndim == 1 or array.shape == (count, 3)
                    for array in _arrays(medium.model) + _arrays(medium.mobility))
 

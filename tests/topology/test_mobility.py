@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.topology.generator import chain, grid, random_geometric
-from repro.topology.graph import LinkTable, LinkView
+from repro.topology.graph import LinkTable
 from repro.topology.mobility import (
     MOBILITY_KINDS,
     MOBILITY_MODELS,
@@ -28,6 +28,14 @@ from repro.topology.mobility import (
 
 def _same_links(a: LinkTable, b: LinkTable) -> bool:
     return all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def _links(model, epoch: int) -> LinkTable:
+    return model.topology_at(epoch).link_table()
+
+
+def _positions(model, epoch: int) -> np.ndarray:
+    return np.array(model.topology_at(epoch).node_positions())
 
 
 def _bound(kind: str, seed: int = 3, **params):
@@ -66,13 +74,25 @@ class TestEpochPurity:
     def test_seed_changes_realisation(self, kind):
         a = _bound(kind, seed=3)
         b = _bound(kind, seed=4)
-        assert any(not _same_links(a.delivery_at(e), b.delivery_at(e))
+        assert any(not _same_links(_links(a, e), _links(b, e))
                    for e in range(1, 8))
+
+    def test_an_epoch_is_one_mesh_kept_until_the_next(self, kind):
+        """Asked twice, an epoch is the same object, under the bound mesh's
+        names; asking another epoch drops it."""
+        model = _bound(kind)
+        names = [node.name for node in model.topology_at(0).nodes]
+        epoch = model.topology_at(2)
+        assert model.topology_at(2) is epoch
+        assert [node.name for node in epoch.nodes] == names
+        model.topology_at(3)
+        again = model.topology_at(2)
+        assert again is not epoch and _same_links(again.link_table(), epoch.link_table())
 
     def test_delivery_stays_probability(self, kind):
         model = _bound(kind)
         for epoch in range(6):
-            table = model.delivery_at(epoch)
+            table = _links(model, epoch)
             assert table.indptr[-1] == table.receivers.size == table.delivery.size
             assert table.delivery.min() > 0.0 and table.delivery.max() <= 1.0
             assert not np.any(table.senders() == table.receivers)
@@ -84,11 +104,11 @@ class TestRandomWaypoint:
     def test_positions_move_and_stay_in_arena(self):
         model = _bound("random_waypoint", speed_min=2.0, speed_max=6.0,
                        epoch_length=1.0, area=80.0)
-        first = model.positions_at(0)
-        later = model.positions_at(10)
+        first = _positions(model, 0)
+        later = _positions(model, 10)
         assert not np.allclose(first[:, :2], later[:, :2])
         for epoch in range(12):
-            coords = model.positions_at(epoch)[:, :2]
+            coords = _positions(model, epoch)[:, :2]
             assert coords.min() >= 0.0 and coords.max() <= 80.0
 
     def test_epoch_zero_is_the_initial_layout(self):
@@ -96,7 +116,7 @@ class TestRandomWaypoint:
         model = RandomWaypoint(seed=3)
         model.bind(topology)
         expected = np.array([node.position for node in topology.nodes])
-        np.testing.assert_allclose(model.positions_at(0), expected)
+        np.testing.assert_allclose(_positions(model, 0), expected)
 
     def test_needs_positions(self):
         model = RandomWaypoint(seed=1)
@@ -130,7 +150,7 @@ class TestMarkovLinkChurn:
         nominal = topology.link_table()
         saw_down = False
         for epoch in range(30):
-            table = model.delivery_at(epoch)
+            table = _links(model, epoch)
             np.testing.assert_array_equal(table.indptr, nominal.indptr)
             np.testing.assert_array_equal(table.receivers, nominal.receivers)
             scale = table.delivery / nominal.delivery
@@ -145,7 +165,7 @@ class TestMarkovLinkChurn:
         model.bind(topology)
         assert np.array_equal(topology.delivery_matrix(), topology.delivery_matrix().T)
         for epoch in range(12):
-            churned = LinkView(topology.nodes, model.delivery_at(epoch)).delivery_matrix()
+            churned = model.topology_at(epoch).delivery_matrix()
             np.testing.assert_array_equal(churned, churned.T)
 
     def test_stationary_up_fraction(self):
@@ -155,12 +175,15 @@ class TestMarkovLinkChurn:
         topology = grid(4, 4)
         model.bind(topology)
         links = topology.link_table().receivers.size
-        samples = [model.delivery_at(epoch).receivers.size / links for epoch in range(400)]
+        samples = [_links(model, epoch).receivers.size / links for epoch in range(400)]
         assert np.mean(samples) == pytest.approx(0.75, abs=0.08)
 
-    def test_positions_unmoved(self):
-        model = _bound("link_churn")
-        assert model.positions_at(5) is None
+    @pytest.mark.parametrize("topology", [chain(4), random_geometric(node_count=6, seed=2)],
+                             ids=["no_positions", "positions"])
+    def test_positions_unmoved(self, topology):
+        model = MarkovLinkChurn(seed=3)
+        model.bind(topology)
+        assert model.topology_at(5).node_positions() == topology.node_positions()
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
