@@ -26,10 +26,10 @@ lint:
 	$(PYTHON) -m repro_check --select SYN001,E501,W191,W291,W293,F401
 
 # repro-check: every rule of the repo-specific static analyzer (seeded
-# randomness and no wall clock, stale suppressions, style) plus the
+# randomness and no wall clock outside its timing modules, style) plus the
 # strict-mypy typed-core gate when mypy is installed.  RNG provenance and
 # config threading are run-time tests (tests/invariants, in test-engine).
-# Rules and suppression syntax are catalogued in docs/invariants.md.
+# The rules are catalogued in docs/invariants.md.
 analyze:
 	$(PYTHON) -m repro_check
 

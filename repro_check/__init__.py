@@ -6,24 +6,18 @@ tests under ``tests/invariants`` check that each counter-based model is a
 pure function of its seed, that only the medium and the MACs read the main
 generator and that every ``RunConfig`` knob changes a run.  This package
 states, at ``make analyze`` time, the contracts that are properties of the
-source text (no unseeded generator, no wall clock, no stale suppression,
-the style rules): an AST-walking rule framework with one rule per
-invariant.  It is tooling, not simulator: it lives beside ``src/`` (like
-``bench/``), imports nothing from ``repro`` and nothing in ``repro``
-imports it, so it is neither installed with the package nor part of the
-result store's code key.
+source text (no unseeded generator, no wall clock, the style rules): an
+AST-walking rule framework with one rule per invariant.  It is tooling, not
+simulator: it lives beside ``src/`` (like ``bench/``), imports nothing from
+``repro`` and nothing in ``repro`` imports it, so it is neither installed
+with the package nor part of the result store's code key.
 
 ``DET001``
-    No unseeded ``np.random.default_rng()``, no stdlib ``random``, no
-    legacy ``np.random.*`` global-state draws and no wall clock
-    (``time.time`` / ``perf_counter`` / …) inside ``src/repro``.  The
-    timing harnesses that legitimately measure wall time carry annotated
-    ``# repro: allow-DET001`` exemptions.
-
-``SUP001``
-    Unused-suppression audit (ruff's ``unused-noqa``): every
-    ``# repro: allow-<RULE>`` comment must suppress an actual finding of
-    a rule that ran in the same invocation.
+    No unseeded ``np.random.default_rng()``, no stdlib ``random`` and no
+    legacy ``np.random.*`` global-state draws inside ``src/repro``, and no
+    wall clock (``time.time`` / ``perf_counter`` / …) there outside the
+    three modules that time or watch real work
+    (``repro_check.determinism.CLOCK_MODULES``).
 
 The style rules (``E501``/``W291``/``W293``/``W191``/``F401``/``SYN001``) run
 through the same registry — with no ruff in a hermetic container they are
@@ -31,14 +25,12 @@ the lint — so there is one rule framework and one entry point, run from the
 repository root::
 
     python3 -m repro_check                        # everything + mypy
-    python3 -m repro_check --select DET001,SUP001
+    python3 -m repro_check --select DET001
     make analyze                                  # the pre-merge gate
     make lint                                     # the style rules alone
 
-Findings are suppressed per line with ``# repro: allow-<RULE>`` (same line
-or an immediately preceding comment line) or module-wide with
-``# repro: allow-<RULE> file``; see docs/invariants.md for each rule's
-rationale and the full suppression syntax.
+There is no per-line exemption syntax; see docs/invariants.md for each
+rule's rationale.
 """
 
 from repro_check.framework import (

@@ -10,6 +10,10 @@ behaviour — silently breaks all of that, and the dynamic tests only notice
 once a trace diverges.  This rule rejects the constructs at parse time; the
 flow half of the contract (who may draw from which stream) is checked on
 running code by the tests under ``tests/invariants``.
+
+Three modules time or watch real work and read the host clock by design
+(:data:`CLOCK_MODULES`); the clock half of the rule skips them, the RNG
+half does not.
 """
 
 from __future__ import annotations
@@ -43,14 +47,24 @@ _WALLCLOCK = frozenset({
     "datetime.datetime.utcnow", "datetime.date.today",
 })
 
+#: The modules that measure or watch host time, never simulated behaviour:
+#: the sweep's elapsed time and worker watchdog, the progress display and
+#: ``table_4_1``'s timing loops.  Wall-clock calls in them are no finding.
+CLOCK_MODULES = frozenset({
+    "src/repro/experiments/orchestrator/engine.py",
+    "src/repro/experiments/orchestrator/progress.py",
+    "src/repro/experiments/figures.py",
+})
+
 
 @register
 class UnseededRandomness(Rule):
     """DET001: randomness must be seeded, time must be simulated."""
 
     name = "DET001"
-    description = ("no unseeded default_rng(), stdlib random, legacy "
-                   "np.random.* globals or wall-clock reads in src/repro")
+    description = ("no unseeded default_rng(), stdlib random or legacy "
+                   "np.random.* globals in src/repro, and no wall-clock "
+                   "reads outside its three timing modules")
 
     def check(self, project: Project, config: AnalysisConfig) -> Iterable[Finding]:
         for source in project.under(config.src_prefix):
@@ -84,12 +98,12 @@ class UnseededRandomness(Rule):
         if resolved is None:
             return
         if resolved in _WALLCLOCK:
-            yield Finding(
-                self.name, source.relative, node.lineno,
-                f"wall-clock call `{resolved}()`: simulated behaviour must "
-                "depend on the event clock, not host time (annotate "
-                "measurement harnesses with `# repro: allow-DET001`)",
-            )
+            if source.relative not in CLOCK_MODULES:
+                yield Finding(
+                    self.name, source.relative, node.lineno,
+                    f"wall-clock call `{resolved}()`: simulated behaviour "
+                    "must depend on the event clock, not host time",
+                )
             return
         if resolved.endswith("numpy.random.default_rng") \
                 or resolved == "numpy.random.default_rng":

@@ -376,37 +376,34 @@ def table_4_1(batch_size: int = 32, packet_size: int = 1500, iterations: int = 5
         return min(measure() for _ in range(max(1, rounds))) * 1e6
 
     def measure_coding() -> float:
-        # repro: allow-DET001 — Figure-11 harness measures real CPU cost
         start = time.perf_counter()
         for _ in range(iterations):
             # The bytes are built on first read: time what a radio would
             # put on the air, not the code-vector draw alone.
             encoder.next_packet().payload
-        return (time.perf_counter() - start) / iterations  # repro: allow-DET001
+        return (time.perf_counter() - start) / iterations
 
     coding_us = best_of(measure_coding)
 
     def measure_decoding() -> float:
         decoder = BatchDecoder(batch_size=batch_size, packet_size=packet_size)
         packets = iter(encoder.next_packets(2 * batch_size))
-        # repro: allow-DET001 — Figure-11 harness measures real CPU cost
         start = time.perf_counter()
         while not decoder.is_complete:
             decoder.add_packet(next(packets))
         decoder.decode()
-        return (time.perf_counter() - start) / batch_size  # repro: allow-DET001
+        return (time.perf_counter() - start) / batch_size
 
     decoding_us = best_of(measure_decoding)
 
     def measure_recoding() -> float:
         forwarder = ForwarderEncoder(batch_size, packet_size, stream)
         packets = encoder.next_packets(batch_size)
-        # repro: allow-DET001 — Figure-11 harness measures real CPU cost
         start = time.perf_counter()
         for packet in packets:
             forwarder.add_packet(packet)
             forwarder.next_packet().payload
-        return (time.perf_counter() - start) / batch_size  # repro: allow-DET001
+        return (time.perf_counter() - start) / batch_size
 
     recoding_us = best_of(measure_recoding)
 
@@ -420,11 +417,10 @@ def table_4_1(batch_size: int = 32, packet_size: int = 1500, iterations: int = 5
     probes = [packet.code_vector for packet in encoder.next_packets(iterations)]
 
     def measure_check() -> float:
-        # repro: allow-DET001 — Figure-11 harness measures real CPU cost
         start = time.perf_counter()
         for probe in probes:
             check_buffer.is_innovative(probe)
-        return (time.perf_counter() - start) / len(probes)  # repro: allow-DET001
+        return (time.perf_counter() - start) / len(probes)
 
     independence_us = best_of(measure_check)
 

@@ -67,11 +67,6 @@ _MAX_BATCH = 32
 class SweepError(RuntimeError):
     """A cell exhausted its retries (worker traceback in the message)."""
 
-    def __init__(self, message: str, position: int, attempts: int) -> None:
-        super().__init__(message)
-        self.position = position
-        self.attempts = attempts
-
 
 @dataclass
 class SweepResult:
@@ -84,14 +79,6 @@ class SweepResult:
     workers: int = 1
     axes: list[str] = field(default_factory=list)
     computed_cells: int = 0
-
-    def series(self, name: str) -> dict[tuple, list[float]]:
-        """One named series per cell, keyed by (axis values..., seed)."""
-        out = {}
-        for cell in self.cells:
-            key = tuple(cell.axes.get(axis) for axis in self.axes) + (cell.seed,)
-            out[key] = cell.series.get(name, [])
-        return out
 
     def report(self) -> str:
         """Text report: one block per cell plus a sweep footer."""
@@ -142,7 +129,6 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1,
         A :class:`SweepResult` with cells in deterministic expansion order,
         bit-identical for any worker count.
     """
-    # repro: allow-DET001 — sweep wall-time is reporting only, never behaviour
     started = time.perf_counter()
     cells = spec.expand()
     store = ResultStore(results_dir) if results_dir is not None else None
@@ -179,19 +165,18 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1,
             journal.cell(position, keys[position].render(), status, attempt)
         printer.cell_done("computed", result.summary)
 
+    def fail(position: int, attempt: int) -> None:
+        """Journal the cell whose error ends the sweep (the caller raises)."""
+        if journal is not None:
+            journal.cell(position, keys[position].render(), "failed", attempt)
+
     if pending:
         if workers <= 1 and pool is None:
-            _run_serial(cells, pending, complete)
+            _run_serial(cells, pending, complete, fail)
         else:
-            try:
-                _run_pooled(cells, pending, complete, printer,
-                            pool if pool is not None else shared_pool(max(1, workers)),
-                            retries=retries, cell_timeout=cell_timeout)
-            except SweepError as error:
-                if journal is not None:
-                    journal.cell(error.position, keys[error.position].render(),
-                                 "failed", error.attempts)
-                raise
+            _run_pooled(cells, pending, complete, fail, printer,
+                        pool if pool is not None else shared_pool(max(1, workers)),
+                        retries=retries, cell_timeout=cell_timeout)
 
     printer.finish()
     if journal is not None:
@@ -201,7 +186,7 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1,
         cells=[results[position] for position in range(len(cells))],
         cached_cells=cached,
         computed_cells=len(cells) - cached,
-        elapsed=time.perf_counter() - started,  # repro: allow-DET001
+        elapsed=time.perf_counter() - started,
         workers=max(1, workers),
         axes=list(spec.sweep),
     )
@@ -219,16 +204,21 @@ def run_scenario(spec: ScenarioSpec, seed: int | None = None, workers: int = 1,
 
 
 def _run_serial(cells: list[ScenarioCell], pending: list[int],
-                complete: Any) -> None:
+                complete: Any, fail: Any) -> None:
     """The in-process path — and the bit-identity reference for the pool."""
     from repro.scenarios.execute import run_cell
 
     for position in pending:
-        complete(position, run_cell(cells[position]), 1)
+        try:
+            result = run_cell(cells[position])
+        except Exception:
+            fail(position, 1)
+            raise
+        complete(position, result, 1)
 
 
 def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
-                printer: ProgressPrinter, pool: WorkerPool,
+                fail: Any, printer: ProgressPrinter, pool: WorkerPool,
                 retries: int, cell_timeout: float | None) -> None:
     """Batched dispatch across the pool with retry/timeout/replacement.
 
@@ -240,6 +230,7 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
     raises :class:`SweepError` for the whole sweep — a sweep with holes in
     it is not a result.  A cell that rejects its spec (``ValueError``) is
     not retried: the error is raised here as the serial path raises it.
+    Either way ``fail`` journals the cell before the raise.
     """
     from repro.scenarios.execute import CellResult
 
@@ -265,7 +256,6 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
             attempts[position] += 1
         outstanding[index] = set(batch)
         task_owner[task_id] = index
-        # repro: allow-DET001 — watchdog clock, never simulation behaviour
         last_activity[index] = time.monotonic()
         pool.workers[index].submit(
             task_id, [(position, cell_dicts[position]) for position in batch])
@@ -294,14 +284,14 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
             task_owner.pop(task_id)
         for position in stranded:
             if attempts[position] > retries:
+                fail(position, attempts[position])
                 raise SweepError(
                     f"cell {position} failed after {attempts[position]} attempt(s): "
-                    f"worker {reason}; {diagnosis_note(position)}",
-                    position, attempts[position])
+                    f"worker {reason}; {diagnosis_note(position)}")
             printer.retry(f"{reason}; {diagnosis_note(position)}", position)
             queue.append(position)
         pool.replace(index)
-        last_activity[index] = time.monotonic()  # repro: allow-DET001 — watchdog
+        last_activity[index] = time.monotonic()
 
     for index in range(pool.size):
         dispatch(index)
@@ -311,7 +301,7 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
             tag, task_id, position, payload = pool.result_queue.get(
                 timeout=_POLL_SECONDS)
         except Empty:
-            now = time.monotonic()  # repro: allow-DET001 — watchdog clock
+            now = time.monotonic()
             for index, worker in enumerate(pool.workers):
                 if not outstanding[index]:
                     continue
@@ -327,7 +317,7 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
         owner = task_owner.get(task_id)
         if owner is None:
             continue  # stale message from a worker replaced mid-task
-        last_activity[owner] = time.monotonic()  # repro: allow-DET001 — watchdog
+        last_activity[owner] = time.monotonic()
 
         if tag == MSG_IDLE:
             task_owner.pop(task_id, None)
@@ -339,15 +329,17 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
                 complete(position, CellResult.from_dict(payload),
                          attempts[position])
         elif tag == MSG_INVALID:
+            fail(position, attempts[position])
             raise ValueError(payload)
         elif tag == MSG_ERROR:
             outstanding[owner].discard(position)
             if position in finished:
                 continue
             if attempts[position] > retries:
+                fail(position, attempts[position])
                 raise SweepError(
                     f"cell {position} failed after {attempts[position]} "
-                    f"attempt(s):\n{payload}", position, attempts[position])
+                    f"attempt(s):\n{payload}")
             printer.retry("cell raised", position)
             queue.append(position)
             dispatch(owner)

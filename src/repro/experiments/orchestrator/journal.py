@@ -8,9 +8,10 @@ code version), living beside the store at
   how many cells the store already held, then
 * one ``cell`` record per cell as it completes (``status`` is ``cached``,
   ``computed`` or ``retried``), and finally
-* a ``finish`` record with the computed/cached totals — or, when a cell
-  exhausts its retries, a ``cell`` record with status ``failed`` and its
-  attempt count, after which the sweep raises and writes no ``finish``.
+* a ``finish`` record with the computed/cached totals — or, when a cell's
+  error ends the sweep (it exhausted its retries, or rejected its spec), a
+  ``cell`` record with status ``failed`` and its attempt count, after
+  which the sweep raises and writes no ``finish``.
 
 The *store* is the source of truth for resume — a killed sweep's completed
 cells are found by key lookup, never by replaying the journal — so the

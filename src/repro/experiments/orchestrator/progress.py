@@ -27,7 +27,6 @@ class SweepProgress:
         self.cached = 0
         self.computed = 0
         self.retries = 0
-        # repro: allow-DET001 — progress timing is display only
         self.started = time.perf_counter()
         self._summary_sums: dict[str, float] = {}
         self._summary_counts: dict[str, int] = {}
@@ -49,7 +48,6 @@ class SweepProgress:
 
     def rate(self) -> float:
         """Completed cells per wall second so far."""
-        # repro: allow-DET001 — progress timing is display only
         elapsed = time.perf_counter() - self.started
         return self.completed / elapsed if elapsed > 0 else 0.0
 
@@ -96,7 +94,6 @@ class ProgressPrinter:
     def _maybe_emit(self, force: bool = False) -> None:
         if not self.enabled:
             return
-        # repro: allow-DET001 — throttle clock for terminal output only
         now = time.monotonic()
         done = self.progress.completed >= self.progress.total
         if not force and not done and now - self._last_emit < self.interval:

@@ -292,7 +292,6 @@ class ScenarioSpec:
         axis_paths = list(self.sweep)
         axis_values = [self.sweep[path] for path in axis_paths]
         cells = []
-        index = 0
         for combo in itertools.product(*axis_values):
             axes = dict(zip(axis_paths, combo))
             resolved = self.with_overrides(axes)
@@ -301,8 +300,7 @@ class ScenarioSpec:
                 cell_spec = copy.deepcopy(resolved)
                 cell_spec.seeds = (seed,)
                 cells.append(ScenarioCell(scenario=cell_spec, seed=int(seed),
-                                          axes=dict(axes), index=index))
-                index += 1
+                                          axes=dict(axes)))
         return cells
 
 
@@ -313,7 +311,6 @@ class ScenarioCell:
     scenario: ScenarioSpec
     seed: int
     axes: dict[str, Any] = field(default_factory=dict)
-    index: int = 0
 
     def key(self) -> str:
         """A stable content hash identifying this cell (used as cache key)."""
@@ -325,18 +322,11 @@ class ScenarioCell:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha1(canonical.encode("utf-8")).hexdigest()[:16]
 
-    def label(self) -> str:
-        """Short human label: axis values plus the seed."""
-        parts = [f"{path.split('.')[-1]}={value}" for path, value in self.axes.items()]
-        parts.append(f"seed={self.seed}")
-        return " ".join(parts)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "scenario": self.scenario.to_dict(),
             "seed": self.seed,
             "axes": dict(self.axes),
-            "index": self.index,
         }
 
     @classmethod
@@ -345,5 +335,4 @@ class ScenarioCell:
             scenario=ScenarioSpec.from_dict(data["scenario"]),
             seed=int(data["seed"]),
             axes=dict(data.get("axes", {})),
-            index=int(data.get("index", 0)),
         )

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
+import pytest
+
 from repro_check import run_rules
+from repro_check.determinism import CLOCK_MODULES
 
 
 def write(root, relative, text):
@@ -53,3 +58,44 @@ def test_det001_flags_wallclock_even_via_alias(tmp_path):
 def test_det001_ignores_code_outside_src_prefix(tmp_path):
     write(tmp_path, "scripts/tool.py", "import time\nt = time.time()\n")
     assert run_rules(tmp_path, select=["DET001"]) == []
+
+
+# -- the clock half skips the modules that time real work ------------------- #
+
+def test_clock_modules_are_the_three_timing_modules():
+    assert CLOCK_MODULES == {
+        "src/repro/experiments/orchestrator/engine.py",
+        "src/repro/experiments/orchestrator/progress.py",
+        "src/repro/experiments/figures.py",
+    }
+    # A renamed module must not leave its old path exempt.
+    root = Path(__file__).resolve().parents[2]
+    assert all((root / module).is_file() for module in CLOCK_MODULES)
+
+
+def test_det001_flags_wallclock_outside_clock_modules(tmp_path):
+    write(tmp_path, "src/repro/experiments/orchestrator/store.py",
+          "import time\nt = time.time()\n")
+    findings = run_rules(tmp_path, select=["DET001"])
+    assert [(f.path, f.line) for f in findings] == [
+        ("src/repro/experiments/orchestrator/store.py", 2)]
+    assert "wall-clock" in findings[0].message
+
+
+@pytest.mark.parametrize("module", sorted(CLOCK_MODULES))
+def test_det001_accepts_wallclock_in_clock_modules(tmp_path, module):
+    write(tmp_path, module,
+          "import time\nstart = time.perf_counter()\nnow = time.monotonic()\n")
+    assert run_rules(tmp_path, select=["DET001"]) == []
+
+
+@pytest.mark.parametrize("body, named", [
+    ("import numpy as np\nrng = np.random.default_rng()\n", "unseeded"),
+    ("import random\n", "stdlib"),
+    ("import numpy as np\nx = np.random.rand()\n", "legacy"),
+])
+def test_det001_checks_randomness_in_clock_modules(tmp_path, body, named):
+    write(tmp_path, "src/repro/experiments/figures.py",
+          "import time\nt = time.perf_counter()\n" + body)
+    findings = run_rules(tmp_path, select=["DET001"])
+    assert len(findings) == 1 and named in findings[0].message

@@ -1,4 +1,4 @@
-"""Framework mechanics: registry, suppression semantics, project loading."""
+"""Framework mechanics: registry, project loading, call resolution."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro_check import STYLE_RULES, all_rules, get_rule, run_rules
+from repro_check import STYLE_RULES, all_rules, get_rule
 from repro_check.framework import (
     AnalysisConfig,
     Finding,
@@ -53,45 +53,15 @@ def test_finding_render_is_path_line_rule():
     assert finding.render() == "src/repro/x.py:7: DET001 boom"
 
 
-def test_project_loads_get_and_under(tmp_path):
+def test_project_loads_targets_and_under(tmp_path):
     write(tmp_path, "src/repro/a.py", "x = 1\n")
     write(tmp_path, "src/repro/sub/b.py", "y = 2\n")
     write(tmp_path, "elsewhere/c.py", "z = 3\n")
-    project = Project(tmp_path, ("src",))
-    assert project.get("src/repro/a.py") is not None
-    assert project.get("elsewhere/c.py") is None
+    project = Project(tmp_path, ("src", "src/repro/a.py"))
+    assert [source.relative for source in project.files] \
+        == ["src/repro/a.py", "src/repro/sub/b.py"]
     under = [source.relative for source in project.under("src/repro")]
     assert under == ["src/repro/a.py", "src/repro/sub/b.py"]
-
-
-def test_trailing_suppression_covers_its_line(tmp_path):
-    write(tmp_path, "src/repro/x.py",
-          "import time\n"
-          "t = time.time()  # repro: allow-DET001 harness\n")
-    assert run_rules(tmp_path, select=["DET001"]) == []
-
-
-def test_standalone_suppression_covers_next_code_line(tmp_path):
-    write(tmp_path, "src/repro/x.py",
-          "import time\n"
-          "# repro: allow-DET001 — measurement harness, not simulated time\n"
-          "t = time.time()\n")
-    assert run_rules(tmp_path, select=["DET001"]) == []
-
-
-def test_suppression_is_rule_specific(tmp_path):
-    write(tmp_path, "src/repro/x.py",
-          "import time\n"
-          "t = time.time()  # repro: allow-E501\n")
-    findings = run_rules(tmp_path, select=["DET001"])
-    assert [f.rule for f in findings] == ["DET001"]
-
-
-def test_unsuppressed_wallclock_is_reported(tmp_path):
-    write(tmp_path, "src/repro/x.py", "import time\nt = time.time()\n")
-    findings = run_rules(tmp_path, select=["DET001"])
-    assert len(findings) == 1
-    assert findings[0].line == 2
 
 
 def test_import_aliases_resolve_calls():

@@ -1,11 +1,14 @@
-"""Self-check: the shipped repository passes its own analyzer."""
+"""Self-check: the shipped repository passes its own analyzer; the CLI."""
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro_check import STYLE_RULES, all_rules, run_rules
-from repro_check.__main__ import main
+from repro_check.__main__ import _github_annotation, main
+from repro_check.framework import Finding
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -22,7 +25,7 @@ def test_cli_exits_zero_on_the_repository(capsys):
 
 
 def test_cli_select_subset(capsys):
-    assert main(["--select", "det001,sup001"]) == 0
+    assert main(["--select", "det001"]) == 0
     assert "analyze: clean" in capsys.readouterr().out
 
 
@@ -49,3 +52,45 @@ def test_style_subset_matches_lint_contract():
     makefile = (REPO_ROOT / "Makefile").read_text(encoding="utf-8")
     assert f"-m repro_check --select {','.join(STYLE_RULES)}\n" in makefile
     assert run_rules(REPO_ROOT, select=STYLE_RULES) == []
+
+
+# -- CLI: --select validation, exit codes, output formats ------------------- #
+
+WALLCLOCK = "import time\nt = time.time()\n"
+
+
+def write(root, relative, text):
+    path = root / relative
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_unknown_rule_name_errors_before_running(tmp_path):
+    with pytest.raises(ValueError, match="unknown rule"):
+        run_rules(tmp_path, select=["NOPE999"])
+
+
+def test_cli_exit_codes_clean_and_dirty(tmp_path, capsys):
+    write(tmp_path, "src/repro/x.py", "x = 1\n")
+    assert main(["--root", str(tmp_path), "--select", "DET001"]) == 0
+    assert "clean" in capsys.readouterr().out
+    write(tmp_path, "src/repro/y.py", WALLCLOCK)
+    assert main(["--root", str(tmp_path), "--select", "DET001"]) == 1
+    assert "1 finding(s)" in capsys.readouterr().out
+
+
+def test_cli_github_format_emits_error_annotations(tmp_path, capsys):
+    write(tmp_path, "src/repro/x.py", WALLCLOCK)
+    status = main(["--root", str(tmp_path), "--select", "DET001",
+                   "--format", "github"])
+    out = capsys.readouterr().out
+    assert status == 1
+    assert "::error file=src/repro/x.py,line=2,title=DET001::" in out
+
+
+def test_cli_github_format_escapes_newlines():
+    rendered = _github_annotation(
+        Finding("DET001", "src/repro/x.py", 3, "bad%\nworse"))
+    assert rendered == ("::error file=src/repro/x.py,line=3,"
+                        "title=DET001::bad%25%0Aworse")

@@ -209,6 +209,18 @@ class TestJournal:
         starts = [r for r in journal.records() if r["event"] == "start"]
         assert [record["cached"] for record in starts] == [0, 2]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cell_error_is_journaled_as_failed(self, workers, tmp_path):
+        # A pair naming a node the mesh lacks: the cell rejects its spec.
+        spec = get_preset("chain_smoke").with_overrides(
+            {"workload.kind": "explicit", "workload.pairs": [[0, 999]]})
+        with pytest.raises(ValueError, match="pair"):
+            run_sweep(spec, workers=workers, results_dir=tmp_path)
+        records = SweepJournal(ResultStore(tmp_path), spec).records()
+        assert [record["event"] for record in records] == ["start", "cell"]
+        assert {key: records[-1][key] for key in ("index", "status", "attempt")} \
+            == {"index": 0, "status": "failed", "attempt": 1}
+
 
 def _sweep_command(extra: tuple[str, ...] = ()) -> list[str]:
     return [sys.executable, "-m", "repro", "sweep", "--preset", "chain_smoke",
