@@ -99,3 +99,41 @@ def test_det001_checks_randomness_in_clock_modules(tmp_path, body, named):
           "import time\nt = time.perf_counter()\n" + body)
     findings = run_rules(tmp_path, select=["DET001"])
     assert len(findings) == 1 and named in findings[0].message
+
+
+@pytest.mark.parametrize("module", [
+    "src/repro/sim/engine.py",
+    "src/repro/experiments/progress.py",
+    "src/repro/figures.py",
+])
+def test_det001_exempts_clock_modules_by_path_not_file_name(tmp_path, module):
+    # A module that shares a timing module's file name elsewhere in the
+    # tree is simulation code like any other.
+    write(tmp_path, module, "import time\nt = time.time()\n")
+    findings = run_rules(tmp_path, select=["DET001"])
+    assert [(f.path, f.line) for f in findings] == [(module, 2)]
+
+
+@pytest.mark.parametrize("body", [
+    "from datetime import datetime\nstamp = datetime.now()\n",
+    "import datetime\nday = datetime.date.today()\n",
+])
+def test_det001_flags_datetime_clock_reads(tmp_path, body):
+    findings = det1(tmp_path, body)
+    assert [f.line for f in findings] == [2]
+    assert "wall-clock" in findings[0].message
+
+
+# The per-line exemption comment of earlier versions is an ordinary comment
+# now: wherever it sits, it exempts nothing.
+OLD_DIRECTIVE = "# repro: " + "allow-DET001"
+
+
+@pytest.mark.parametrize("body", [
+    f"import time\nt = time.time()  {OLD_DIRECTIVE}\n",
+    f"import time\n{OLD_DIRECTIVE}\nt = time.time()\n",
+    f"{OLD_DIRECTIVE}-file\nimport time\nt = time.time()\n",
+], ids=["trailing", "standalone", "file"])
+def test_old_exemption_comment_exempts_nothing(tmp_path, body):
+    findings = det1(tmp_path, body)
+    assert len(findings) == 1 and "wall-clock" in findings[0].message

@@ -45,6 +45,28 @@ def test_cli_list_rules_names_every_registered_rule(capsys):
         assert name in out
 
 
+def test_cli_list_rules_is_det001_and_the_style_rules(capsys):
+    assert main(["--list-rules"]) == 0
+    listed = [line.split(":", 1)[0]
+              for line in capsys.readouterr().out.splitlines()]
+    assert listed == sorted({"DET001", *STYLE_RULES})
+
+
+def test_no_exemption_directive_is_left():
+    # DET001's clock half skips whole modules; no file carries a per-line
+    # exemption comment any more.
+    needle = "repro: " + "allow-"
+    holders = [
+        str(path.relative_to(REPO_ROOT))
+        for top in ("src", "repro_check", "tests", "scripts", "benchmarks",
+                    "examples")
+        for path in sorted((REPO_ROOT / top).rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts
+        and needle in path.read_text(encoding="utf-8", errors="ignore")
+    ]
+    assert holders == []
+
+
 def test_style_subset_matches_lint_contract():
     # make lint selects exactly these rules, by name, on the one CLI.
     assert set(STYLE_RULES) == {"SYN001", "E501", "W191", "W291", "W293",

@@ -49,6 +49,16 @@ class TestRoundTrip:
         assert clone == cell
         assert clone.key() == cell.key()
 
+    def test_cell_file_with_an_index_still_loads(self, sweep_spec):
+        # Stored cells written before ScenarioCell lost its ``index`` carry
+        # one; it is ignored, and the cache key does not move.
+        cell = sweep_spec.expand()[1]
+        data = cell.to_dict()
+        assert "index" not in data
+        clone = ScenarioCell.from_dict({**data, "index": 1})
+        assert clone == cell
+        assert clone.key() == cell.key()
+
 
 class TestOverrides:
     def test_run_override(self, sweep_spec):
