@@ -6,7 +6,7 @@
 Runs the full grid of ``tests/golden.py`` — the same helper the
 differential tests call — on this tree and replaces the file.  This is the
 only way the file is rewritten: a diff in it is a behaviour change and
-belongs in the PR that argues for it (``make test-engine`` is the check).
+belongs in the PR that argues for it (tier-1, ``make test``, is the check).
 """
 
 from __future__ import annotations

@@ -116,9 +116,9 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1,
             (``None`` disables the store entirely).
         force: recompute every cell even when stored (overwrites entries).
         retries: extra attempts per cell after a crash, hang or exception
-            before the sweep fails with :class:`SweepError`.
+            before the sweep fails with :class:`SweepError` (at least 0).
         cell_timeout: seconds of per-worker silence before the watchdog
-            kills and replaces it (``None`` = no timeout).
+            kills and replaces it (``None`` = no timeout; otherwise above 0).
         progress: stream cells/s, ETA and a running partial aggregate to
             stderr while the sweep runs.
         pool: an explicit :class:`WorkerPool` (tests inject fault-carrying
@@ -128,7 +128,15 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1,
     Returns:
         A :class:`SweepResult` with cells in deterministic expansion order,
         bit-identical for any worker count.
+
+    Raises:
+        ValueError: a negative ``retries``, or a ``cell_timeout`` that is
+            neither ``None`` nor above 0 (NaN included), before any cell runs.
     """
+    if retries < 0:
+        raise ValueError(f"retries must be at least 0, got {retries}")
+    if cell_timeout is not None and not cell_timeout > 0:
+        raise ValueError(f"cell_timeout must be above 0 seconds, got {cell_timeout}")
     started = time.perf_counter()
     cells = spec.expand()
     store = ResultStore(results_dir) if results_dir is not None else None

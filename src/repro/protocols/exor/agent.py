@@ -257,6 +257,14 @@ class _ExorFlowState:
         self.turn_queue.clear()
         self.map_frame_pending = False
 
+    def load_batch(self, batch_id: int) -> None:
+        """Start ``batch_id`` holding every packet of it, as the source does:
+        the batch map names this node's rank for each."""
+        self.reset_for_batch(batch_id)
+        count = self.spec.batch_packet_count(batch_id)
+        self.packets_received(batch_id).update(range(count))
+        self.batch_map[:count] = self.rank
+
     def packets_received(self, batch_id: int) -> set[int]:
         """Indices of packets of ``batch_id`` this node holds."""
         return self.received.setdefault(batch_id, set())
@@ -338,7 +346,6 @@ class ExorAgent(ProtocolAgent):
         self.control_queue: deque[Frame] = deque()
         self.source_progress: dict[int, int] = {}  # flow -> current batch at source
         self.cleanup_requested: dict[int, set[int]] = {}
-        self.data_sent = 0
 
     # ------------------------------------------------------------------ #
     # Flow installation
@@ -374,12 +381,7 @@ class ExorAgent(ProtocolAgent):
 
     def start_flow(self, flow_id: int) -> None:
         """Source-side kick-off: load batch 0 and start the schedule."""
-        spec = self.specs[flow_id]
-        state = self.flows[flow_id]
-        state.reset_for_batch(0)
-        count = spec.batch_packet_count(0)
-        state.packets_received(0).update(range(count))
-        state.batch_map[:count] = state.rank
+        self.flows[flow_id].load_batch(0)
         self.schedulers[flow_id].start_batch(0)
 
     # ------------------------------------------------------------------ #
@@ -438,7 +440,6 @@ class ExorAgent(ProtocolAgent):
 
     def _make_data_frame(self, spec: ExorFlowSpec, state: _ExorFlowState,
                          packet_index: int) -> Frame:
-        self.data_sent += 1
         return Frame(
             sender=self.node_id,
             receiver=BROADCAST,
@@ -513,11 +514,10 @@ class ExorAgent(ProtocolAgent):
                              spec: ExorFlowSpec) -> None:
         """Move local state to a newer batch if needed."""
         if batch_id > state.batch_id:
-            state.reset_for_batch(batch_id)
             if self.node_id == spec.source:
-                count = spec.batch_packet_count(batch_id)
-                state.packets_received(batch_id).update(range(count))
-                state.batch_map[:count] = state.rank
+                state.load_batch(batch_id)
+            else:
+                state.reset_for_batch(batch_id)
 
     def _handle_data(self, payload: ExorDataPayload, now: float) -> None:
         spec = self.specs.get(payload.flow_id)
@@ -543,11 +543,9 @@ class ExorAgent(ProtocolAgent):
                               batch_id: int, packet_index: int, new: bool,
                               now: float) -> None:
         if not new:
-            if self.sim is not None:
-                self.sim.stats.record_duplicate(spec.flow_id)
+            self.sim.stats.record_duplicate(spec.flow_id)
             return
-        if self.sim is not None:
-            self.sim.stats.record_delivery(spec.flow_id, 1, now)
+        self.sim.stats.record_delivery(spec.flow_id, 1, now)
         count = spec.batch_packet_count(batch_id)
         have = sum(1 for i in state.packets_received(batch_id) if i < count)
         scheduler = self.schedulers[spec.flow_id]
@@ -590,7 +588,6 @@ class ExorAgent(ProtocolAgent):
             flow_id=spec.flow_id,
             size_bytes=size,
             payload=payload,
-            priority=5,
         )
         self.control_queue.append(frame)
         self.notify_pending()
@@ -623,7 +620,7 @@ class ExorAgent(ProtocolAgent):
             assert payload.packet_index is not None
             new = state.note_reception(payload.packet_index, payload.batch_id)
             count = spec.batch_packet_count(payload.batch_id)
-            if new and self.sim is not None:
+            if new:
                 self.sim.stats.record_delivery(spec.flow_id, 1, now)
             have = sum(1 for i in state.packets_received(payload.batch_id) if i < count)
             if have >= count:
@@ -640,11 +637,7 @@ class ExorAgent(ProtocolAgent):
         self.source_progress[spec.flow_id] = next_batch
         if next_batch >= spec.batch_count:
             return  # transfer complete
-        state = self.flows[spec.flow_id]
-        state.reset_for_batch(next_batch)
-        count = spec.batch_packet_count(next_batch)
-        state.packets_received(next_batch).update(range(count))
-        state.batch_map[:count] = state.rank
+        self.flows[spec.flow_id].load_batch(next_batch)
         self.schedulers[spec.flow_id].start_batch(next_batch)
 
 

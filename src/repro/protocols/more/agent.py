@@ -34,8 +34,6 @@ from repro.sim.frames import BROADCAST, Frame, FrameKind
 
 #: Size in bytes of a serialised batch ACK (header only, no code vector).
 ACK_SIZE_BYTES = 20
-#: MAC priority for batch ACKs (served before data).
-ACK_PRIORITY = 10
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,7 +260,6 @@ class MoreAgent(ProtocolAgent):
         self._single_forwarder: tuple[int, _ForwarderState] | None = None
         # Counters for the overhead analysis.
         self.data_sent = 0
-        self.acks_sent = 0
         self.innovative_received = 0
         self.non_innovative_received = 0
 
@@ -411,10 +408,8 @@ class MoreAgent(ProtocolAgent):
             flow_id=spec.flow_id,
             size_bytes=ACK_SIZE_BYTES,
             payload=MoreAckPayload(flow_id=spec.flow_id, batch_id=batch_id),
-            priority=ACK_PRIORITY,
         )
         self._ack_queue.append(frame)
-        self.acks_sent += 1
         self.notify_pending()
 
     # ------------------------------------------------------------------ #
@@ -495,9 +490,8 @@ class MoreAgent(ProtocolAgent):
             self.innovative_received += 1
         else:
             self.non_innovative_received += 1
-            if self.sim is not None:
-                self.sim.stats.record_duplicate(header.flow_id)
-        if completed and self.sim is not None:
+            self.sim.stats.record_duplicate(header.flow_id)
+        if completed:
             batch_packets = coded.batch_size
             self.sim.stats.record_delivery(header.flow_id, batch_packets, now,
                                            batch_complete=True)

@@ -178,9 +178,8 @@ class SrcrAgent(ProtocolAgent):
             seen = self.delivered.setdefault(frame.flow_id, set())
             if sequence not in seen:
                 seen.add(sequence)
-                if self.sim is not None:
-                    self.sim.stats.record_delivery(frame.flow_id, 1, now)
-            elif self.sim is not None:
+                self.sim.stats.record_delivery(frame.flow_id, 1, now)
+            else:
                 self.sim.stats.record_duplicate(frame.flow_id)
             return
         # Relay toward the destination.

@@ -22,14 +22,7 @@ to.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Protocol
-
-
-class VersionSource(Protocol):
-    """Anything exposing a counter that bumps when observable state changes
-    (e.g. :class:`~repro.sim.trace.StatsCollector`)."""
-
-    version: int
+from typing import Callable
 
 
 class EventQueue:
@@ -60,8 +53,7 @@ class EventQueue:
 
     def run(self, until: float | None = None,
             stop_condition: Callable[[], bool] | None = None,
-            max_events: int | None = None,
-            version_source: VersionSource | None = None) -> float:
+            max_events: int | None = None) -> float:
         """Process events in time order.
 
         Args:
@@ -71,14 +63,6 @@ class EventQueue:
                 soon as it returns True.
             max_events: hard cap on processed events (guards against
                 run-away protocols in tests).
-            version_source: optional object with an integer ``version``
-                attribute that increments whenever the state
-                ``stop_condition`` reads changes (e.g. a
-                :class:`~repro.sim.trace.StatsCollector`).  When given, the
-                condition is only evaluated after *state-changing* events —
-                a pure function of that state cannot change value while the
-                version stands still, so the stopping event is identical to
-                evaluating it every time.
 
         Returns:
             The simulation time when processing stopped.
@@ -87,7 +71,6 @@ class EventQueue:
         pop = heapq.heappop
         now = self.now
         processed_here = 0
-        last_version = -1
         try:
             while heap:
                 time = heap[0][0]
@@ -98,16 +81,8 @@ class EventQueue:
                 self.now = now = time
                 callback()
                 processed_here += 1
-                if stop_condition is not None:
-                    if version_source is None:
-                        if stop_condition():
-                            return now
-                    else:
-                        version = version_source.version
-                        if version != last_version:
-                            last_version = version
-                            if stop_condition():
-                                return now
+                if stop_condition is not None and stop_condition():
+                    return now
                 if max_events is not None and processed_here >= max_events:
                     return now
         finally:

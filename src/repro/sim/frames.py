@@ -7,23 +7,20 @@ MAC and the medium; the receiving node's protocol agent interprets them.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
 #: Address meaning "all nodes in radio range" (802.11 broadcast).
 BROADCAST = -1
 
-_frame_counter = itertools.count()
-
 
 class FrameKind(Enum):
-    """Coarse frame classification used for statistics and priorities."""
+    """Coarse frame classification: the MAC and the statistics count data
+    frames apart from the rest."""
 
     DATA = "data"
     BATCH_ACK = "batch_ack"
-    ROUTING = "routing"
     CONTROL = "control"
 
 
@@ -35,13 +32,10 @@ class Frame:
         sender: transmitting node id.
         receiver: intended MAC receiver, or :data:`BROADCAST`.
         kind: frame classification.
-        flow_id: flow the frame belongs to (-1 for control traffic).
+        flow_id: flow the frame belongs to (control frames included).
         size_bytes: payload size including protocol headers (the MAC adds
             its own overhead when computing air time).
         payload: protocol-specific object (opaque to MAC/medium).
-        priority: higher values are served first by the MAC queue; MORE
-            gives batch ACKs priority over data (Section 3.2.2).
-        frame_id: unique id for tracing.
         mac_attempts: filled in by the MAC after the frame is done — the
             number of transmission attempts it took (1 for broadcast).
     """
@@ -52,18 +46,11 @@ class Frame:
     flow_id: int
     size_bytes: int
     payload: Any = None
-    priority: int = 0
-    frame_id: int = field(default_factory=lambda: next(_frame_counter))
     mac_attempts: int = 0
 
-    @property
-    def is_broadcast(self) -> bool:
-        """True if the frame is MAC-broadcast (no link-layer ACK/retry)."""
-        return self.receiver == BROADCAST
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        target = "bcast" if self.is_broadcast else str(self.receiver)
+        target = "bcast" if self.receiver == BROADCAST else str(self.receiver)
         return (
-            f"Frame#{self.frame_id}({self.kind.value} {self.sender}->{target} "
+            f"Frame({self.kind.value} {self.sender}->{target} "
             f"flow={self.flow_id} {self.size_bytes}B)"
         )

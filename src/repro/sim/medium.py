@@ -212,15 +212,11 @@ class WirelessMedium:
         #: bit for bit).  When present, every epoch boundary moves the
         #: medium to the epoch's view, with its sense rows and plans.
         self.mobility = mobility
-        self._dynamic = mobility is not None
         self._epoch = 0
         self._active: list[Transmission] = []
         self._history: deque[Transmission] = deque()
-        #: Static channel: a reception plan depends on the overlapping
-        #: senders alone, so plans are memoised.
-        self._static = model is None
         self._max_airtime = 0.0
-        if self._dynamic:
+        if mobility is not None:
             mobility.bind(topology)
             # The epoch-0 realisation, before any tables are derived.
             topology = mobility.topology_at(0)
@@ -292,7 +288,7 @@ class WirelessMedium:
         the one frames of that epoch resolve against — this is what the
         link-state refresh loop probes against.
         """
-        if not self._dynamic:
+        if self.mobility is None:
             return self.topology
         return self.mobility.topology_at(self.mobility.epoch_of(now))
 
@@ -367,7 +363,7 @@ class WirelessMedium:
 
     def begin(self, frame: Frame, now: float, airtime: float) -> Transmission:
         """Register the start of a transmission; returns its record."""
-        if self._dynamic:
+        if self.mobility is not None:
             self._advance_epoch(now)
         transmission = Transmission(frame=frame, start=now, end=now + airtime)
         self._active.append(transmission)
@@ -419,7 +415,9 @@ class WirelessMedium:
         # without a comprehension.
         senders = (tuple([other.frame.sender for other in overlapping])
                    if overlapping else ())
-        if self._static:
+        if self.model is None:
+            # Static channel: a plan depends on the overlapping senders
+            # alone, so it is read from the memo.
             row = None
             plan = self._plans[sender, senders]
         else:

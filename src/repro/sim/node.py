@@ -28,9 +28,7 @@ class SimNode:
         """Attach a protocol agent to this node."""
         self.agent = agent
         self.mac.agent = agent  # keep the MAC's cached reference in sync
-        agents = getattr(self.sim, "_agents", None)
-        if agents is not None:  # keep the simulator's delivery table in sync
-            agents[self.node_id] = agent
+        self.sim._agents[self.node_id] = agent  # the delivery table
         agent.bind(self)
 
     def notify_pending(self) -> None:

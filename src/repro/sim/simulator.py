@@ -89,26 +89,13 @@ class Simulator:
             max_events: int | None = None) -> float:
         """Run the simulation; see :meth:`EventQueue.run`.
 
-        A ``stop_condition`` that is a bound method of this simulator's
-        :class:`StatsCollector` (``sim.stats.all_flows_complete``, the
-        standard case) is a pure function of the statistics, so it is
-        re-evaluated only after events that changed the stats (tracked by
-        ``StatsCollector.version``) instead of after every scheduler event.
-        The stopping event is identical: such a condition cannot change
-        value between versions.
-
         On return the main generator is handed back at its logical
         position, so no block of its words outlives a run.
         """
         horizon = until if until is not None else self.config.max_duration
-        version_source = None
-        if (stop_condition is not None
-                and getattr(stop_condition, "__self__", None) is self.stats):
-            version_source = self.stats
         try:
             return self.events.run(until=horizon, stop_condition=stop_condition,
-                                   max_events=max_events,
-                                   version_source=version_source)
+                                   max_events=max_events)
         finally:
             self.words.generator()
 

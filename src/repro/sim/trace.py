@@ -61,26 +61,13 @@ class FlowRecord:
         elapsed = max(end - self.start_time, 1e-9)
         return self.delivered_packets / elapsed
 
-    def throughput_bits(self, now: float | None = None) -> float:
-        """Delivered throughput in bits per second."""
-        return self.throughput_pkts(now) * self.packet_size * 8
-
 
 @dataclass
 class StatsCollector:
-    """Aggregates flow records and channel counters for one simulation run.
-
-    ``version`` increments on every mutation.  The simulator uses it to
-    evaluate stats-derived stop conditions (``all_flows_complete``) only
-    after events that actually changed the statistics, instead of after
-    every scheduler event — a pure function of the collector cannot change
-    value while ``version`` stands still.
-    """
+    """Aggregates flow records and channel counters for one simulation run."""
 
     flows: dict[int, FlowRecord] = field(default_factory=dict)
     data_transmissions: dict[int, int] = field(default_factory=dict)
-    #: Bumped on every mutation; see class docstring.
-    version: int = 0
     #: Flows registered but not yet complete — keeps the standard stop
     #: condition O(1) instead of a scan over every flow per evaluation.
     _incomplete: int = 0
@@ -102,7 +89,6 @@ class StatsCollector:
         self.flows[flow_id] = record
         if not record.completed:  # zero-packet flows count as complete
             self._incomplete += 1
-        self.version += 1
         return record
 
     def record_delivery(self, flow_id: int, packets: int, now: float,
@@ -117,7 +103,6 @@ class StatsCollector:
             record.end_time = now
             if not was_complete:  # zero-packet flows were never counted
                 self._incomplete -= 1
-        self.version += 1
 
     def record_abort(self, flow_id: int, now: float, reason: str = "") -> None:
         """Record a structured give-up on ``flow_id`` (a ``FlowAborted``
@@ -130,18 +115,15 @@ class StatsCollector:
             record.abort_reason = reason
             if not record.completed:
                 self._incomplete -= 1
-        self.version += 1
 
     def record_duplicate(self, flow_id: int) -> None:
         """Record a non-innovative / duplicate packet arriving at the destination."""
         if flow_id in self.flows:
             self.flows[flow_id].duplicate_packets += 1
-            self.version += 1
 
     def record_data_transmission(self, node_id: int) -> None:
         """Count a data-frame transmission by ``node_id``."""
         self.data_transmissions[node_id] = self.data_transmissions.get(node_id, 0) + 1
-        self.version += 1
 
     def all_flows_complete(self) -> bool:
         """True when every registered flow reached a terminal state

@@ -134,7 +134,6 @@ def run_trace(preset_name: str, protocol: str, seed: int,
         "stats_flows": flows,
         "data_transmissions": [list(item) for item in
                                sorted(sim.stats.data_transmissions.items())],
-        "stats_version": sim.stats.version,
         "medium": [sim.medium.transmissions, sim.medium.receptions,
                    sim.medium.collisions, sim.medium.captures],
         "events": sim.events.processed,

@@ -467,6 +467,31 @@ def test_fixed_model_parameter_is_a_bad_parameter(preset, override, model, capsy
     assert f"{model}.__init__() got an unexpected keyword argument {name!r}" in line
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    # The watchdog recycled every busy worker at its first poll: a
+    # SweepError traceback, "worker timed out after 0.0s", exit 1.
+    ("--cell-timeout", "0", "cell_timeout must be above 0"),
+    ("--cell-timeout", "-1", "cell_timeout must be above 0"),
+    # Silently never fired.
+    ("--cell-timeout", "nan", "cell_timeout must be above 0"),
+    ("--retries", "-1", "retries must be at least 0"),
+])
+def test_bad_sweep_watchdog_setting_is_a_one_line_error(flag, value, message, capsys):
+    line = _one_line_error(capsys, "sweep", "--preset", "fig_4_4", "--no-cache",
+                           "--workers", "2", flag, value)
+    assert message in line
+
+
+def test_run_seed_pins_one_replication_seed():
+    """``--seed 3`` runs one cell per swept value, every one at seed 3."""
+    proc = repro_cli("run", "--preset", "crash_recover_sweep", "--seed", "3",
+                     "--no-cache", "--json")
+    assert proc.returncode == 0, proc.stderr
+    cells = json.loads(proc.stdout)["cells"]
+    assert [cell["seed"] for cell in cells] == [3, 3, 3]
+    assert [cell["axes"]["faults.mean_uptime"] for cell in cells] == [2, 6, 18]
+
+
 def test_run_without_spec_or_preset_fails():
     proc = repro_cli("run")
     assert proc.returncode != 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -193,51 +195,37 @@ class TestOneEventKind:
         assert not {name for name in public if name.startswith("schedule")}
 
 
-class TestVersionGatedStopCondition:
-    def test_stop_condition_evaluated_only_on_state_change(self):
-        class Versioned:
-            version = 0
-
-        source = Versioned()
+class TestStopCondition:
+    def test_stop_condition_is_evaluated_after_every_event(self):
         queue = EventQueue()
         evaluations = []
-
-        def bump():
-            source.version += 1
-
         for i in range(10):
-            queue.schedule(float(i + 1), bump if i % 3 == 0 else (lambda: None))
+            queue.schedule(float(i + 1), lambda: None)
 
         def stop():
             evaluations.append(queue.now)
             return False
 
-        queue.run(stop_condition=stop, version_source=source)
-        # Bumps happened at t=1, 4, 7, 10: exactly four evaluations.
-        assert evaluations == [1.0, 4.0, 7.0, 10.0]
+        queue.run(stop_condition=stop)
+        assert evaluations == [float(i + 1) for i in range(10)]
 
-    def test_gated_stop_halts_at_the_same_event(self):
-        """Gating must stop at the first event after the condition flips."""
-        class Versioned:
-            version = 0
+    def test_stop_halts_at_the_first_event_after_the_condition_flips(self):
+        queue = EventQueue()
+        state = {"count": 0}
 
-        results = {}
-        for gated in (False, True):
-            source = Versioned()
-            queue = EventQueue()
-            state = {"count": 0}
+        def work():
+            state["count"] += 1
 
-            def work():
-                state["count"] += 1
-                source.version += 1
+        for i in range(10):
+            queue.schedule(float(i + 1), work)
+        end = queue.run(stop_condition=lambda: state["count"] >= 4)
+        assert (end, state["count"], queue.processed) == (4.0, 4, 4)
+        queue.run()
+        assert (state["count"], queue.processed) == (10, 10)
 
-            for i in range(10):
-                queue.schedule(float(i + 1), work)
-            stop = lambda: state["count"] >= 4  # noqa: E731
-            end = queue.run(stop_condition=stop,
-                            version_source=source if gated else None)
-            results[gated] = (end, state["count"], queue.processed)
-        assert results[True] == results[False]
+    def test_run_takes_until_stop_condition_and_max_events_only(self):
+        parameters = list(inspect.signature(EventQueue.run).parameters)
+        assert parameters == ["self", "until", "stop_condition", "max_events"]
 
 
 class TestEngineParity:

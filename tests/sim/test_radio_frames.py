@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.sim.autorate import OnoeRateController
@@ -109,17 +111,20 @@ class TestChannelConfig:
 
 
 class TestFrame:
-    def test_broadcast_detection(self):
-        frame = Frame(sender=1, receiver=BROADCAST, kind=FrameKind.DATA, flow_id=1,
-                      size_bytes=100)
-        assert frame.is_broadcast
-        unicast = Frame(sender=1, receiver=2, kind=FrameKind.DATA, flow_id=1, size_bytes=100)
-        assert not unicast.is_broadcast
+    def test_fields_are_the_seven_that_are_read(self):
+        assert [f.name for f in dataclasses.fields(Frame)] == [
+            "sender", "receiver", "kind", "flow_id", "size_bytes", "payload",
+            "mac_attempts"]
 
-    def test_frame_ids_are_unique(self):
+    def test_frames_built_alike_are_equal(self):
+        """A frame is its fields: no process-global counter tells two
+        frames built alike apart."""
         frames = [Frame(sender=0, receiver=BROADCAST, kind=FrameKind.DATA, flow_id=0,
-                        size_bytes=10) for _ in range(10)]
-        assert len({f.frame_id for f in frames}) == 10
+                        size_bytes=10) for _ in range(2)]
+        assert frames[0] == frames[1]
+
+    def test_kinds_are_data_batch_ack_and_control(self):
+        assert [kind.name for kind in FrameKind] == ["DATA", "BATCH_ACK", "CONTROL"]
 
 
 class TestOnoeAutorate:
