@@ -10,11 +10,18 @@ ENV      = PYTHONPATH=src
 .PHONY: check lint analyze import-check test \
         golden docs-check sweep-smoke fault-smoke bench-smoke figures examples clean
 
+# The twelve costliest imports of a fresh `import repro.cli`, for the log:
+# cumulative microseconds, sorted.
+IMPORT_TABLE = $(ENV) $(PYTHON) -X importtime -c "import repro.cli" 2>&1 \
+	| sort -t'|' -k2 -n | tail -12
+
 # The pre-merge gate: the static analyzer (style rules included, so `lint`
-# is not run again), the import budget, then the full tier-1 suite, which
-# runs every test once — the golden traces, the differential suites and
-# the run-time invariants of tests/invariants among them.
-check: analyze import-check test
+# is not run again), then the full tier-1 suite, which runs every test once
+# — the import budget (tests/test_cold_start.py), the golden traces, the
+# differential suites and the run-time invariants of tests/invariants among
+# them — then the import table.
+check: analyze test
+	$(IMPORT_TABLE)
 
 # Style lint alone: the analyzer's six style rules (syntax, line length,
 # tabs, trailing whitespace, unused imports), stdlib only.  CI also runs
@@ -30,13 +37,13 @@ lint:
 analyze:
 	$(PYTHON) -m repro_check
 
-# The import budget: a fresh interpreter that imports the CLI, the runner,
-# the orchestrator and the scenario layer loads numpy and the stdlib only
-# (no scipy, no test tooling).  The twelve costliest imports are printed for
-# the log: cumulative microseconds, sorted.
+# The import budget alone: a fresh interpreter that imports the CLI, the
+# runner, the orchestrator and the scenario layer loads numpy and the stdlib
+# only (no scipy, no test tooling); then the import table.  `check` runs the
+# same tests inside tier-1.
 import-check:
 	$(ENV) $(PYTHON) -m pytest -q tests/test_cold_start.py
-	$(ENV) $(PYTHON) -X importtime -c "import repro.cli" 2>&1 | sort -t'|' -k2 -n | tail -12
+	$(IMPORT_TABLE)
 
 # Tier-1 verification: the full suite (tests/ + benchmarks/), fail-fast.
 test:

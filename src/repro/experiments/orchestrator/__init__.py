@@ -1,4 +1,4 @@
-"""Sweep orchestration: content-addressed store, persistent workers, resume.
+"""Sweep orchestration: content-addressed store, worker pools, resume.
 
 Public surface:
 
@@ -6,8 +6,9 @@ Public surface:
   result store keyed on ``(spec-hash, seed, code-version)``;
 * :mod:`~repro.experiments.orchestrator.journal` — per-sweep manifest
   journals for resume-after-kill bookkeeping;
-* :mod:`~repro.experiments.orchestrator.workers` — the persistent worker
-  pool (warm across cells and across sweeps) with fault injection for tests;
+* :mod:`~repro.experiments.orchestrator.workers` — the worker pool a
+  sweep starts for itself, one cell per worker at a time, with fault
+  injection for tests;
 * :mod:`~repro.experiments.orchestrator.progress` — streaming cells/s,
   ETA and partial-aggregate display;
 * :mod:`~repro.experiments.orchestrator.engine` — ``run_sweep`` /
@@ -23,7 +24,7 @@ from repro.experiments.orchestrator.engine import (
     run_sweep,
 )
 from repro.experiments.orchestrator.journal import SweepJournal, sweep_id
-from repro.experiments.orchestrator.progress import ProgressPrinter, SweepProgress
+from repro.experiments.orchestrator.progress import ProgressPrinter
 from repro.experiments.orchestrator.store import (
     CellKey,
     ResultStore,
@@ -31,12 +32,7 @@ from repro.experiments.orchestrator.store import (
     config_fingerprint,
     spec_hash,
 )
-from repro.experiments.orchestrator.workers import (
-    WorkerFaultSpec,
-    WorkerPool,
-    shared_pool,
-    shutdown_shared_pools,
-)
+from repro.experiments.orchestrator.workers import WorkerFaultSpec
 
 __all__ = [
     "DEFAULT_RESULTS_DIR",
@@ -46,15 +42,11 @@ __all__ = [
     "ResultStore",
     "SweepError",
     "SweepJournal",
-    "SweepProgress",
     "SweepResult",
-    "WorkerPool",
     "code_version",
     "config_fingerprint",
     "run_scenario",
     "run_sweep",
-    "shared_pool",
-    "shutdown_shared_pools",
     "spec_hash",
     "sweep_id",
 ]

@@ -1,4 +1,4 @@
-"""The sweep engine: content-addressed caching + persistent-worker dispatch.
+"""The sweep engine: content-addressed caching + one worker pool per sweep.
 
 ``run_sweep`` is what ``python -m repro run`` / ``sweep`` and every
 programmatic sweep call.  The flow per sweep:
@@ -8,11 +8,12 @@ programmatic sweep call.  The flow per sweep:
 2. satisfy what the store already holds (unless ``force``) — this is also
    the **resume** path: a killed sweep's completed cells are plain store
    hits on the next run, so only the missing cells execute;
-3. run the rest — in-process when ``workers <= 1`` (the bit-identity
-   reference path), otherwise batched across a persistent
-   :class:`~repro.experiments.orchestrator.workers.WorkerPool` with
-   per-cell retry, a per-worker inactivity timeout, and crashed-worker
-   replacement;
+3. run the rest — in-process when ``workers`` is 1 (the bit-identity
+   reference path), otherwise on a
+   :class:`~repro.experiments.orchestrator.workers.WorkerPool` the sweep
+   starts for itself and stops before it returns, one cell per worker at a
+   time, with per-cell retry, a per-worker inactivity timeout, and
+   crashed-worker replacement;
 4. stream progress + a running partial aggregate to stderr, journal every
    completion, and save each fresh result to the store the moment it lands
    (not at sweep end — that is what makes SIGKILL cheap).
@@ -24,6 +25,7 @@ can leak into a cell's bytes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -36,11 +38,9 @@ from repro.experiments.orchestrator.progress import ProgressPrinter
 from repro.experiments.orchestrator.store import CellKey, ResultStore
 from repro.experiments.orchestrator.workers import (
     MSG_DONE,
-    MSG_ERROR,
-    MSG_IDLE,
     MSG_INVALID,
+    WorkerFaultSpec,
     WorkerPool,
-    shared_pool,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle: scenarios uses workloads
@@ -59,9 +59,6 @@ DEFAULT_CELL_TIMEOUT: float | None = None
 
 #: Result-queue poll period: how often the watchdog gets to look around.
 _POLL_SECONDS = 0.2
-
-#: Upper bound on cells per dispatch message (IPC amortisation cap).
-_MAX_BATCH = 32
 
 
 class SweepError(RuntimeError):
@@ -106,12 +103,14 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1,
               retries: int = DEFAULT_RETRIES,
               cell_timeout: float | None = DEFAULT_CELL_TIMEOUT,
               progress: bool = False,
-              pool: WorkerPool | None = None) -> SweepResult:
-    """Run every cell of ``spec``'s sweep through the store + worker pool.
+              fault: WorkerFaultSpec | None = None) -> SweepResult:
+    """Run every cell of ``spec``'s sweep through the store + a worker pool.
 
     Args:
         spec: the scenario to expand and run.
-        workers: worker processes for uncached cells (1 = in-process serial).
+        workers: worker processes for uncached cells (1 = in-process serial;
+            at least 1).  The pool holds at most one worker per uncached
+            cell and is stopped before this returns or raises.
         results_dir: root of the content-addressed store, read and written
             (``None`` disables the store entirely).
         force: recompute every cell even when stored (overwrites entries).
@@ -121,18 +120,20 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1,
             kills and replaces it (``None`` = no timeout; otherwise above 0).
         progress: stream cells/s, ETA and a running partial aggregate to
             stderr while the sweep runs.
-        pool: an explicit :class:`WorkerPool` (tests inject fault-carrying
-            pools here); by default the process-wide shared pool is used
-            and left warm for the next sweep.
+        fault: test-only: a :class:`WorkerFaultSpec` every pool worker
+            carries (the serial path runs none).
 
     Returns:
         A :class:`SweepResult` with cells in deterministic expansion order,
         bit-identical for any worker count.
 
     Raises:
-        ValueError: a negative ``retries``, or a ``cell_timeout`` that is
-            neither ``None`` nor above 0 (NaN included), before any cell runs.
+        ValueError: a ``workers`` below 1, a negative ``retries``, or a
+            ``cell_timeout`` that is neither ``None`` nor above 0 (NaN
+            included), before any cell runs.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if retries < 0:
         raise ValueError(f"retries must be at least 0, got {retries}")
     if cell_timeout is not None and not cell_timeout > 0:
@@ -178,13 +179,15 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1,
         if journal is not None:
             journal.cell(position, keys[position].render(), "failed", attempt)
 
-    if pending:
-        if workers <= 1 and pool is None:
-            _run_serial(cells, pending, complete, fail)
-        else:
-            _run_pooled(cells, pending, complete, fail, printer,
-                        pool if pool is not None else shared_pool(max(1, workers)),
+    if pending and workers == 1:
+        _run_serial(cells, pending, complete, fail)
+    elif pending:
+        pool = WorkerPool(min(workers, len(pending)), fault)
+        try:
+            _run_pooled(cells, pending, complete, fail, printer, pool,
                         retries=retries, cell_timeout=cell_timeout)
+        finally:
+            pool.shutdown()
 
     printer.finish()
     if journal is not None:
@@ -195,7 +198,7 @@ def run_sweep(spec: ScenarioSpec, workers: int = 1,
         cached_cells=cached,
         computed_cells=len(cells) - cached,
         elapsed=time.perf_counter() - started,
-        workers=max(1, workers),
+        workers=workers,
         axes=list(spec.sweep),
     )
 
@@ -228,45 +231,38 @@ def _run_serial(cells: list[ScenarioCell], pending: list[int],
 def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
                 fail: Any, printer: ProgressPrinter, pool: WorkerPool,
                 retries: int, cell_timeout: float | None) -> None:
-    """Batched dispatch across the pool with retry/timeout/replacement.
+    """One-cell dispatch across the pool with retry/timeout/replacement.
 
-    Bookkeeping invariant: every not-yet-finished position is in exactly one
-    of ``queue`` (waiting) or ``inflight`` (dispatched to a live worker).  A
-    worker that crashes, wedges past ``cell_timeout`` or reports a cell
-    exception moves its positions back to ``queue`` (attempt count bumped)
-    and is replaced; a position that exceeds ``retries`` extra attempts
-    raises :class:`SweepError` for the whole sweep — a sweep with holes in
-    it is not a result.  A cell that rejects its spec (``ValueError``) is
-    not retried: the error is raised here as the serial path raises it.
-    Either way ``fail`` journals the cell before the raise.
+    Bookkeeping invariant: every not-yet-finished position is either in
+    ``queue`` (waiting) or held by exactly one live worker, as the
+    ``(task id, position)`` in its ``held`` slot.  A worker that crashes,
+    wedges past ``cell_timeout`` or reports a cell exception gives its cell
+    back to ``queue`` (attempt count bumped), and a crashed or wedged one is
+    replaced; a position that exceeds ``retries`` extra attempts raises
+    :class:`SweepError` for the whole sweep — a sweep with holes in it is
+    not a result.  A cell that rejects its spec (``ValueError``) is not
+    retried: the error is raised here as the serial path raises it.  Either
+    way ``fail`` journals the cell before the raise.  Task ids are unique
+    within the sweep, so a message a replaced worker sent before it died
+    matches no ``held`` slot and is dropped.
     """
     from repro.scenarios.execute import CellResult
 
     queue = list(pending)
-    cell_dicts = {position: cells[position].to_dict() for position in pending}
     attempts = {position: 0 for position in pending}
-    finished: set[int] = set()
-
-    outstanding: list[set[int]] = [set() for _ in pool.workers]
-    last_activity = [0.0 for _ in pool.workers]
-    task_owner: dict[int, int] = {}
-
-    def batch_size() -> int:
-        share = (len(queue) + pool.size * 4 - 1) // (pool.size * 4)
-        return max(1, min(_MAX_BATCH, share))
+    held: list[tuple[int, int] | None] = [None] * len(pool.workers)
+    last_activity = [0.0] * len(pool.workers)
+    task_ids = itertools.count()
 
     def dispatch(index: int) -> None:
-        if not queue or outstanding[index]:
+        if not queue or held[index] is not None:
             return
-        batch = [queue.pop(0) for _ in range(min(batch_size(), len(queue)))]
-        task_id = pool.next_task_id()
-        for position in batch:
-            attempts[position] += 1
-        outstanding[index] = set(batch)
-        task_owner[task_id] = index
+        position = queue.pop(0)
+        task_id = next(task_ids)
+        attempts[position] += 1
+        held[index] = (task_id, position)
         last_activity[index] = time.monotonic()
-        pool.workers[index].submit(
-            task_id, [(position, cell_dicts[position]) for position in batch])
+        pool.workers[index].submit(task_id, position, cells[position].to_dict())
 
     def diagnosis_note(position: int) -> str:
         """What liveness forensics exist for an externally-killed cell.
@@ -284,70 +280,56 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
         return ("no diagnosis: progress watchdog disabled (rerun with "
                 "run.progress_timeout=SECONDS)")
 
-    def recycle(index: int, reason: str) -> None:
-        """Kill + replace worker ``index``; requeue its unfinished cells."""
-        stranded = sorted(outstanding[index])
-        outstanding[index] = set()
-        for task_id in [tid for tid, owner in task_owner.items() if owner == index]:
-            task_owner.pop(task_id)
-        for position in stranded:
-            if attempts[position] > retries:
-                fail(position, attempts[position])
-                raise SweepError(
-                    f"cell {position} failed after {attempts[position]} attempt(s): "
-                    f"worker {reason}; {diagnosis_note(position)}")
-            printer.retry(f"{reason}; {diagnosis_note(position)}", position)
-            queue.append(position)
-        pool.replace(index)
-        last_activity[index] = time.monotonic()
+    def give_back(position: int, reason: str, detail: str) -> None:
+        """Requeue ``position`` for another attempt, or end the sweep."""
+        if attempts[position] > retries:
+            fail(position, attempts[position])
+            raise SweepError(f"cell {position} failed after {attempts[position]} "
+                             f"attempt(s):{detail}")
+        printer.retry(reason, position)
+        queue.append(position)
 
-    for index in range(pool.size):
+    def recycle(index: int, reason: str) -> None:
+        """Kill + replace worker ``index``; requeue the cell it held."""
+        _, position = held[index]
+        held[index] = None
+        note = f"{reason}; {diagnosis_note(position)}"
+        give_back(position, note, f" worker {note}")
+        pool.replace(index)
+
+    for index in range(len(pool.workers)):
         dispatch(index)
 
-    while len(finished) < len(pending):
+    remaining = len(pending)
+    while remaining:
         try:
             tag, task_id, position, payload = pool.result_queue.get(
                 timeout=_POLL_SECONDS)
         except Empty:
             now = time.monotonic()
             for index, worker in enumerate(pool.workers):
-                if not outstanding[index]:
+                if held[index] is None:
                     continue
                 if not worker.alive():
                     recycle(index, "crashed")
                 elif (cell_timeout is not None
                       and now - last_activity[index] > cell_timeout):
                     recycle(index, f"timed out after {cell_timeout:.1f}s")
-            for index in range(pool.size):
+            for index in range(len(pool.workers)):
                 dispatch(index)
             continue
 
-        owner = task_owner.get(task_id)
+        owner = next((index for index, task in enumerate(held)
+                      if task is not None and task[0] == task_id), None)
         if owner is None:
-            continue  # stale message from a worker replaced mid-task
-        last_activity[owner] = time.monotonic()
-
-        if tag == MSG_IDLE:
-            task_owner.pop(task_id, None)
-            dispatch(owner)
-        elif tag == MSG_DONE:
-            outstanding[owner].discard(position)
-            if position not in finished:
-                finished.add(position)
-                complete(position, CellResult.from_dict(payload),
-                         attempts[position])
+            continue  # sent by a worker replaced mid-cell
+        held[owner] = None
+        if tag == MSG_DONE:
+            remaining -= 1
+            complete(position, CellResult.from_dict(payload), attempts[position])
         elif tag == MSG_INVALID:
             fail(position, attempts[position])
             raise ValueError(payload)
-        elif tag == MSG_ERROR:
-            outstanding[owner].discard(position)
-            if position in finished:
-                continue
-            if attempts[position] > retries:
-                fail(position, attempts[position])
-                raise SweepError(
-                    f"cell {position} failed after {attempts[position]} "
-                    f"attempt(s):\n{payload}")
-            printer.retry("cell raised", position)
-            queue.append(position)
-            dispatch(owner)
+        else:  # MSG_ERROR
+            give_back(position, "cell raised", f"\n{payload}")
+        dispatch(owner)

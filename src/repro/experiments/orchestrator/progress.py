@@ -15,78 +15,54 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Any, TextIO
 
+#: Seconds between two status lines; the line for the last cell always prints.
+_INTERVAL_SECONDS = 0.5
 
-class SweepProgress:
-    """Counters + running aggregate for one sweep (no I/O of its own)."""
-
-    def __init__(self, total: int) -> None:
-        self.total = total
-        self.completed = 0
-        self.cached = 0
-        self.computed = 0
-        self.retries = 0
-        self.started = time.perf_counter()
-        self._summary_sums: dict[str, float] = {}
-        self._summary_counts: dict[str, int] = {}
-
-    def record(self, status: str, summary: dict[str, float] | None = None) -> None:
-        """Count one completed cell (``status``: ``cached`` or ``computed``)."""
-        self.completed += 1
-        if status == "cached":
-            self.cached += 1
-        else:
-            self.computed += 1
-        for name, value in (summary or {}).items():
-            if isinstance(value, (int, float)):
-                self._summary_sums[name] = self._summary_sums.get(name, 0.0) + value
-                self._summary_counts[name] = self._summary_counts.get(name, 0) + 1
-
-    def record_retry(self) -> None:
-        self.retries += 1
-
-    def rate(self) -> float:
-        """Completed cells per wall second so far."""
-        elapsed = time.perf_counter() - self.started
-        return self.completed / elapsed if elapsed > 0 else 0.0
-
-    def eta(self) -> float | None:
-        """Seconds until done at the current rate (``None`` before any data)."""
-        rate = self.rate()
-        if rate <= 0 or self.completed == 0:
-            return None
-        return (self.total - self.completed) / rate
-
-    def partial_summary(self) -> dict[str, float]:
-        """Running mean of every scalar summary metric across completed cells."""
-        return {name: self._summary_sums[name] / self._summary_counts[name]
-                for name in sorted(self._summary_sums)}
+#: Running means shown per status line.
+_SHOWN_MEANS = 2
 
 
 class ProgressPrinter:
-    """Throttled stderr renderer over :class:`SweepProgress`."""
+    """One sweep's counters and running aggregate, printed to stderr.
 
-    def __init__(self, scenario: str, total: int, enabled: bool = True,
-                 stream: TextIO | None = None, interval: float = 0.5) -> None:
+    A disabled printer (``enabled=False``, or a sweep of no cells) counts
+    nothing and prints nothing.
+    """
+
+    def __init__(self, scenario: str, total: int, enabled: bool = True) -> None:
         self.scenario = scenario
-        self.progress = SweepProgress(total)
+        self.total = total
         self.enabled = enabled and total > 0
-        self.stream = stream if stream is not None else sys.stderr
-        self.interval = interval
+        self.completed = 0
+        self.cached = 0
+        self.retries = 0
+        self.started = time.perf_counter()
+        self._sums: dict[str, float] = {}
+        self._counts: dict[str, int] = {}
         self._last_emit = 0.0
         self._last_completed = -1
 
     def cell_done(self, status: str,
                   summary: dict[str, float] | None = None) -> None:
-        self.progress.record(status, summary)
+        """Count one completed cell (``status``: ``cached`` or ``computed``)."""
+        if not self.enabled:
+            return
+        self.completed += 1
+        if status == "cached":
+            self.cached += 1
+        for name, value in (summary or {}).items():
+            if isinstance(value, (int, float)):
+                self._sums[name] = self._sums.get(name, 0.0) + value
+                self._counts[name] = self._counts.get(name, 0) + 1
         self._maybe_emit()
 
     def retry(self, reason: str, position: int) -> None:
-        self.progress.record_retry()
-        if self.enabled:
-            print(f"sweep {self.scenario}: retrying cell {position} ({reason})",
-                  file=self.stream, flush=True)
+        if not self.enabled:
+            return
+        self.retries += 1
+        print(f"sweep {self.scenario}: retrying cell {position} ({reason})",
+              file=sys.stderr, flush=True)
 
     def finish(self) -> None:
         self._maybe_emit(force=True)
@@ -95,30 +71,26 @@ class ProgressPrinter:
         if not self.enabled:
             return
         now = time.monotonic()
-        done = self.progress.completed >= self.progress.total
-        if not force and not done and now - self._last_emit < self.interval:
+        done = self.completed >= self.total
+        if not force and not done and now - self._last_emit < _INTERVAL_SECONDS:
             return
-        if self.progress.completed == self._last_completed:
+        if self.completed == self._last_completed:
             return  # nothing new since the last line (e.g. finish() after done)
         self._last_emit = now
-        self._last_completed = self.progress.completed
-        print(self._line(), file=self.stream, flush=True)
+        self._last_completed = self.completed
+        print(self._line(), file=sys.stderr, flush=True)
 
     def _line(self) -> str:
-        progress = self.progress
-        parts = [f"sweep {self.scenario}: {progress.completed}/{progress.total} cells",
-                 f"{progress.cached} cached",
-                 f"{progress.rate():.1f} cells/s"]
-        eta = progress.eta()
-        if eta is not None and progress.completed < progress.total:
-            parts.append(f"ETA {eta:.0f}s")
-        if progress.retries:
-            parts.append(f"{progress.retries} retried")
-        parts.append(_format_partial(progress.partial_summary()))
+        elapsed = time.perf_counter() - self.started
+        rate = self.completed / elapsed if elapsed > 0 else 0.0
+        parts = [f"sweep {self.scenario}: {self.completed}/{self.total} cells",
+                 f"{self.cached} cached",
+                 f"{rate:.1f} cells/s"]
+        if rate > 0 and self.completed < self.total:
+            parts.append(f"ETA {(self.total - self.completed) / rate:.0f}s")
+        if self.retries:
+            parts.append(f"{self.retries} retried")
+        means = [f"{name}~{self._sums[name] / self._counts[name]:.2f}"
+                 for name in sorted(self._sums)[:_SHOWN_MEANS]]
+        parts.append(" ".join(means))
         return " | ".join(part for part in parts if part)
-
-
-def _format_partial(summary: dict[str, Any], limit: int = 2) -> str:
-    """The first ``limit`` running means, compactly (empty when none)."""
-    shown = [f"{name}~{value:.2f}" for name, value in list(summary.items())[:limit]]
-    return " ".join(shown)

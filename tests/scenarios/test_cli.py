@@ -482,6 +482,30 @@ def test_bad_sweep_watchdog_setting_is_a_one_line_error(flag, value, message, ca
     assert message in line
 
 
+@pytest.mark.parametrize("command", [
+    ("sweep", "--preset", "chain_smoke"),
+    ("run", "--preset", "chain_smoke"),
+    ("figure", "figure_5_1"),
+])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_worker_count_below_one_is_a_one_line_error(command, workers, capsys):
+    """It ran serially, exited 0 and reported "with 1 worker(s)"."""
+    line = _one_line_error(capsys, *command, "--no-cache", "--workers", workers)
+    assert line == f"repro: error: workers must be at least 1, got {workers}"
+
+
+def test_sweep_progress_goes_to_stderr_only(tmp_path):
+    """``--progress --json``: stdout is the JSON alone, stderr the status lines."""
+    proc = repro_cli("sweep", "--preset", "crash_recover_sweep", "--workers", "2",
+                     "--no-cache", "--progress", "--json", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["cells"]) == 3
+    last = proc.stderr.splitlines()[-1].split(" | ")
+    assert last[:2] == ["sweep crash_recover_sweep: 3/3 cells", "0 cached"]
+    assert last[2].endswith(" cells/s")
+    assert len(last) == 4  # the running means; no ETA once done, no retries
+
+
 def test_run_seed_pins_one_replication_seed():
     """``--seed 3`` runs one cell per swept value, every one at seed 3."""
     proc = repro_cli("run", "--preset", "crash_recover_sweep", "--seed", "3",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import shutil
 import signal
@@ -19,7 +20,6 @@ from repro.experiments.orchestrator import (
     ResultStore,
     SweepError,
     SweepJournal,
-    WorkerPool,
     code_version,
     config_fingerprint,
     run_sweep,
@@ -120,13 +120,9 @@ class TestRetryTimeout:
     def test_crashed_worker_is_replaced_and_cell_retried(self, quick_cells, tmp_path):
         reference = run_sweep(quick_cells, workers=1, results_dir=None)
         fault = WorkerFaultSpec(kind="crash", positions=(1,),
-                          marker=str(tmp_path / "crash.marker"))
-        pool = WorkerPool(2, fault=fault)
-        try:
-            result = run_sweep(quick_cells, workers=2, results_dir=None,
-                               pool=pool, cell_timeout=10.0)
-        finally:
-            pool.shutdown()
+                                marker=str(tmp_path / "crash.marker"))
+        result = run_sweep(quick_cells, workers=2, results_dir=None,
+                           fault=fault, cell_timeout=10.0)
         assert (tmp_path / "crash.marker").exists()  # the fault really fired
         assert [c.to_dict() for c in result.cells] \
             == [c.to_dict() for c in reference.cells]
@@ -134,28 +130,20 @@ class TestRetryTimeout:
     def test_hung_worker_is_killed_and_cell_retried(self, quick_cells, tmp_path):
         reference = run_sweep(quick_cells, workers=1, results_dir=None)
         fault = WorkerFaultSpec(kind="hang", positions=(2,),
-                          marker=str(tmp_path / "hang.marker"))
-        pool = WorkerPool(2, fault=fault)
-        try:
-            result = run_sweep(quick_cells, workers=2, results_dir=None,
-                               pool=pool, cell_timeout=1.5)
-        finally:
-            pool.shutdown()
+                                marker=str(tmp_path / "hang.marker"))
+        result = run_sweep(quick_cells, workers=2, results_dir=None,
+                           fault=fault, cell_timeout=1.5)
         assert (tmp_path / "hang.marker").exists()
         assert [c.to_dict() for c in result.cells] \
             == [c.to_dict() for c in reference.cells]
 
     def test_retries_exhausted_raises_sweep_error(self, quick_cells, tmp_path):
         fault = WorkerFaultSpec(kind="crash", positions=(0,),
-                          marker=str(tmp_path / "always.marker"), once=False)
-        pool = WorkerPool(2, fault=fault)
+                                marker=str(tmp_path / "always.marker"), once=False)
         results_dir = tmp_path / "results"
-        try:
-            with pytest.raises(SweepError, match="cell 0"):
-                run_sweep(quick_cells, workers=2, results_dir=results_dir,
-                          pool=pool, cell_timeout=10.0, retries=1)
-        finally:
-            pool.shutdown()
+        with pytest.raises(SweepError, match="cell 0"):
+            run_sweep(quick_cells, workers=2, results_dir=results_dir,
+                      fault=fault, cell_timeout=10.0, retries=1)
         # The journal names the cell that failed and how often it was tried.
         records = SweepJournal(ResultStore(results_dir), quick_cells).records()
         assert records[-1]["event"] == "cell"
@@ -166,20 +154,52 @@ class TestRetryTimeout:
     def test_recovered_cell_is_journaled_as_retried_not_failed(self, quick_cells,
                                                                tmp_path):
         fault = WorkerFaultSpec(kind="crash", positions=(1,),
-                          marker=str(tmp_path / "once.marker"))
-        pool = WorkerPool(2, fault=fault)
+                                marker=str(tmp_path / "once.marker"))
         results_dir = tmp_path / "results"
-        try:
-            run_sweep(quick_cells, workers=2, results_dir=results_dir,
-                      pool=pool, cell_timeout=10.0, retries=1)
-        finally:
-            pool.shutdown()
+        run_sweep(quick_cells, workers=2, results_dir=results_dir,
+                  fault=fault, cell_timeout=10.0, retries=1)
         records = SweepJournal(ResultStore(results_dir), quick_cells).records()
         statuses = {record["index"]: (record["status"], record["attempt"])
                     for record in records if record["event"] == "cell"}
         assert statuses[1] == ("retried", 2)
         assert "failed" not in {status for status, _ in statuses.values()}
         assert records[-1] == {"event": "finish", "computed": 4, "cached": 0}
+
+    def test_retry_shows_in_progress_lines(self, quick_cells, tmp_path, capsys):
+        fault = WorkerFaultSpec(kind="crash", positions=(1,),
+                                marker=str(tmp_path / "crash.marker"))
+        run_sweep(quick_cells, workers=2, results_dir=None, progress=True,
+                  fault=fault, cell_timeout=10.0)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert "sweep chain_smoke: retrying cell 1 (crashed; " in captured.err
+        assert lines[-1].startswith("sweep chain_smoke: 4/4 cells | 0 cached | ")
+        assert " | 1 retried" in lines[-1]
+
+
+class TestPoolLifetime:
+    """A sweep stops the workers it started before it returns or raises."""
+
+    def test_no_worker_outlives_a_sweep(self, quick_cells):
+        run_sweep(quick_cells, workers=2, results_dir=None)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_failed_sweep(self, quick_cells, tmp_path):
+        fault = WorkerFaultSpec(kind="crash", positions=(0,),
+                                marker=str(tmp_path / "always.marker"), once=False)
+        with pytest.raises(SweepError):
+            run_sweep(quick_cells, workers=2, results_dir=None, fault=fault,
+                      retries=0)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_outlives_a_rejected_spec(self):
+        spec = get_preset("chain_smoke").with_overrides(
+            {"workload.kind": "explicit", "workload.pairs": [[0, 999]]})
+        spec.seeds = (1, 2, 3)
+        with pytest.raises(ValueError, match="pair"):
+            run_sweep(spec, workers=2, results_dir=None)
+        assert multiprocessing.active_children() == []
 
 
 class TestJournal:
