@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.params import bad_parameter
+from repro.rng import normal_uniform_pairs
 from repro.topology.graph import LinkTable, Topology
 
 #: Reference distance (m) at which delivery is essentially perfect.
@@ -78,6 +79,15 @@ def _require(kind: str, holds: bool, problem: str) -> None:
         raise bad_parameter("topology", kind, problem)
 
 
+def _require_extent(kind: str, name: str, extent: float) -> None:
+    _require(kind, 0 < extent < np.inf,
+             f"{name} must be positive and finite, got {extent}")
+
+
+def _require_seed(kind: str, seed: int) -> None:
+    _require(kind, seed >= 0, f"seed must not be negative, got {seed}")
+
+
 def _row_delivery(distance: np.ndarray, floors_crossed: np.ndarray,
                   rng: np.random.Generator) -> np.ndarray:
     """Map one node's link distances (and floor separations) to delivery.
@@ -87,19 +97,20 @@ def _row_delivery(distance: np.ndarray, floors_crossed: np.ndarray,
     produces the long tail of intermediate-quality links that Roofnet-style
     measurements (and the paper's testbed) report.
 
-    Each link takes one shadowing and one ambient-loss draw, scalar and in
-    link order — a seed's topology depends on that stream — while the
-    propagation math runs once over the row.  The draws go through the
-    generator's argument-free entry points, at half the cost per call, and
-    are scaled over the row: ``0.0 + sigma * z`` and ``0.0 + a * u`` are what
-    ``normal(0.0, sigma)`` and ``uniform(0.0, a)`` compute, bit for bit.
-    Coincident nodes (``distance <= 0``) deliver perfectly and take no draws.
+    Each link takes one shadowing and one ambient-loss draw, in link order —
+    a seed's topology depends on that stream.  The row's draws are read in
+    one call, :func:`repro.rng.normal_uniform_pairs`, which returns what a
+    ``standard_normal()`` / ``random()`` pair of calls per link would and
+    leaves the generator where they would; they are scaled over the row:
+    ``0.0 + sigma * z`` and ``0.0 + a * u`` are what ``normal(0.0, sigma)``
+    and ``uniform(0.0, a)`` compute, bit for bit.  The propagation math runs
+    once over the row too.  Coincident nodes (``distance <= 0``) deliver
+    perfectly and take no draws.
     """
     apart = distance > 0
-    draws = np.array([draw() for draw in
-                      (rng.standard_normal, rng.random) * int(apart.sum())])
-    shadowing_db = 0.0 + _SHADOWING_SIGMA_DB * draws[0::2]
-    ambient_loss = 0.0 + _AMBIENT_LOSS_MAX * draws[1::2]
+    normals, uniforms = normal_uniform_pairs(rng, int(apart.sum()))
+    shadowing_db = 0.0 + _SHADOWING_SIGMA_DB * normals
+    ambient_loss = 0.0 + _AMBIENT_LOSS_MAX * uniforms
     margin_db = (path_loss_margin_db(distance[apart])
                  - _FLOOR_PENALTY_DB * floors_crossed[apart] + shadowing_db)
     delivery = np.ones(distance.shape)
@@ -184,16 +195,13 @@ def indoor_testbed(node_count: int = 20, floors: int = 3, floor_width: float = 9
              f"node_count must be at least 2, got {node_count}")
     _require("indoor_testbed", floors >= 1, f"floors must be at least 1, got {floors}")
     for name, extent in (("floor_width", floor_width), ("floor_depth", floor_depth)):
-        _require("indoor_testbed", extent > 0, f"{name} must be positive, got {extent}")
+        _require_extent("indoor_testbed", name, extent)
+    _require_seed("indoor_testbed", seed)
     rng = np.random.default_rng(seed)
-    positions: list[tuple[float, float, float]] = []
     per_floor = int(np.ceil(node_count / floors))
-    for index in range(node_count):
-        floor = index // per_floor
-        x = rng.uniform(0.0, floor_width)
-        y = rng.uniform(0.0, floor_depth)
-        z = floor * 4.0
-        positions.append((float(x), float(y), float(z)))
+    # One call draws every node's x then y, the words per-node scalar draws read.
+    xy = rng.uniform(0.0, (floor_width, floor_depth), size=(node_count, 2)).tolist()
+    positions = [(x, y, index // per_floor * 4.0) for index, (x, y) in enumerate(xy)]
 
     links = _ensure_connected(_pairwise_links(positions, rng), positions, rng)
     return Topology.from_links(links, positions=positions)
@@ -286,10 +294,11 @@ def random_geometric(node_count: int = 16, area: float = 120.0, seed: int = 0) -
     """
     _require("random_geometric", node_count >= 2,
              f"node_count must be at least 2, got {node_count}")
-    _require("random_geometric", area > 0, f"area must be positive, got {area}")
+    _require_extent("random_geometric", "area", area)
+    _require_seed("random_geometric", seed)
     rng = np.random.default_rng(seed)
-    positions = [(float(rng.uniform(0.0, area)), float(rng.uniform(0.0, area)), 0.0)
-                 for _ in range(node_count)]
+    positions = [(x, y, 0.0) for x, y in
+                 rng.uniform(0.0, area, size=(node_count, 2)).tolist()]
     links = _ensure_connected(_pairwise_links(positions, rng), positions, rng)
     return Topology.from_links(links, positions=positions)
 
@@ -392,6 +401,7 @@ def random_mesh(node_count: int, density: float = 0.4, seed: int = 0,
     _require("random_mesh", 0 <= min_delivery <= max_delivery <= 1,
              "need 0 <= min_delivery <= max_delivery <= 1, got "
              f"{min_delivery} and {max_delivery}")
+    _require_seed("random_mesh", seed)
     rng = np.random.default_rng(seed)
     for _ in range(_RANDOM_MESH_ATTEMPTS):
         first, second, delivery = [], [], []

@@ -294,6 +294,16 @@ def test_out_of_range_run_value_is_a_one_line_error(field, value, capsys, tmp_pa
     # numpy's "high - low < 0" before; area=0 ran a mesh with every node on one point.
     ("random_geometric_16", "topology.area=-1", "area must be positive"),
     ("random_geometric_16", "topology.area=0", "area must be positive"),
+    # numpy's "high - low range exceeds valid bounds" traceback, exit 1.
+    ("random_geometric_16", "topology.area=Infinity",
+     "'random_geometric': area must be positive and finite, got inf"),
+    ("fig_5_1", "topology.floor_width=Infinity",
+     "'indoor_testbed': floor_width must be positive and finite"),
+    ("fig_5_1", "topology.floor_depth=Infinity", "floor_depth must be positive and finite"),
+    # numpy's bare "expected non-negative integer", naming no parameter.
+    ("random_geometric_16", "topology.seed=-1",
+     "'random_geometric': seed must not be negative, got -1"),
+    ("fig_5_1", "topology.seed=-1", "'indoor_testbed': seed must not be negative"),
     # Ran no flow, printed an empty table and exited 0.
     ("random_geometric_16", "workload.count=0", "count must be at least 1"),
     ("multiflow_grid", "workload.flows_per_set=0", "flows_per_set must be at least 1"),

@@ -178,6 +178,28 @@ class TestRandomMesh:
             random_mesh(12, density=0.01)
 
 
+@pytest.mark.parametrize("build, problem", [
+    (lambda: random_geometric(16, float("inf")),
+     "'random_geometric': area must be positive and finite, got inf"),
+    (lambda: random_geometric(16, float("nan")), "area must be positive and finite, got nan"),
+    (lambda: indoor_testbed(floor_width=float("inf")),
+     "'indoor_testbed': floor_width must be positive and finite, got inf"),
+    (lambda: indoor_testbed(floor_depth=float("inf")), "floor_depth must be positive and finite"),
+    (lambda: random_geometric(16, 120.0, seed=-1),
+     "'random_geometric': seed must not be negative, got -1"),
+    (lambda: indoor_testbed(seed=-1), "'indoor_testbed': seed must not be negative"),
+    (lambda: random_mesh(6, seed=-1), "'random_mesh': seed must not be negative"),
+], ids=["area_inf", "area_nan", "floor_width_inf", "floor_depth_inf",
+        "random_geometric_seed", "indoor_testbed_seed", "random_mesh_seed"])
+def test_rejects_infinite_extents_and_negative_seeds(build, problem):
+    """An infinite extent died in numpy's ``uniform`` ("high - low range
+    exceeds valid bounds"), a negative seed in ``default_rng`` ("expected
+    non-negative integer"), neither naming the parameter."""
+    with pytest.raises(ValueError, match="bad parameter for topology") as raised:
+        build()
+    assert problem in str(raised.value)
+
+
 class TestCostGapTopology:
     def test_structure(self):
         topo = cost_gap_topology(bridge_delivery=0.1, branch_count=4)
@@ -278,9 +300,12 @@ def _digest(delivery: np.ndarray, positions=None) -> str:
 class TestGeneratorGoldens:
     """A seed names one topology, bit for bit.
 
-    Digests of the delivery matrix and positions, recorded before the
-    per-pair propagation math was hoisted to one array expression per row:
-    every link still takes its two scalar draws in ``(i, j > i)`` order.
+    Digests of the delivery matrix and positions, recorded when every node
+    took two scalar ``uniform`` draws and every link, in ``(i, j > i)``
+    order, one scalar ``normal`` and one ``uniform``.  The generators now
+    read those words in blocks — the positions in one ``uniform(size=…)``
+    call, each row's links through ``repro.rng.normal_uniform_pairs`` — and
+    must still give these bytes.
     """
 
     @pytest.mark.parametrize("build, expected", [
