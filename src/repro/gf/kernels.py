@@ -29,32 +29,42 @@ vectorized results are bit-identical to the scalar loops they replace
 
 Two formulations are used, picked by the width of the rows:
 
-* **MUL-table gather** (single vectors, narrow rows): one fancy index into
-  the 64 KiB product table plus one XOR-reduce, no per-operand structure
-  at all.  ``gf_vecmat`` always takes it, and so does
-  ``ShiftedRows.vecmul`` for rows up to ``VEC_GATHER_MAX_WIDTH`` bytes
-  (every preset's 16-byte coded payloads), which therefore build nothing.
+* **MUL-table gather** (narrow rows, and every single vector of
+  ``gf_vecmat``): one fancy index into the 64 KiB product table plus one
+  XOR-reduce, no per-operand structure at all.  A :class:`ShiftedRows`
+  over rows up to ``VEC_GATHER_MAX_WIDTH`` bytes (every preset's 16-byte
+  coded payloads) takes it for both its products, and so builds nothing.
 
-* **XOR of shifted rows** (matrix products, wide rows): multiplication by
-  a field element is GF(2)-linear, so ``c * row`` is the XOR of ``x^j *
-  row`` over the set bits ``j`` of ``c``.  Stacking the eight polynomial
-  shifts of every row of ``B`` turns each output row into an XOR-reduce of
-  ~4K selected rows, processed eight bytes at a time through a ``uint64``
-  view — roughly an order of magnitude faster than per-byte table lookups
-  for batch-sized products.  A row's eight stack lines depend on that row
-  alone, so the stack is built once per row: :class:`ShiftedRows` expands
-  only the rows appended since the last product.  ``gf_matmul`` always
-  takes it.
+* **XOR of shifted rows** (wide rows): multiplication by a field element
+  is GF(2)-linear, so ``c * row`` is the XOR of ``x^j * row`` over the set
+  bits ``j`` of ``c``.  Writing ``c = lo + x^4 hi`` for its two nibbles,
+  ``c * row = lo * row + x^4 (hi * row)``, and both nibble products are
+  XORs of the four shifts ``x^0 .. x^3`` of the row.  Stacking those four
+  lines for every row of ``B`` turns each output row into two XOR-reduces
+  of ~2K selected lines, processed eight bytes at a time through a
+  ``uint64`` view, and one table multiply of the high partial by ``x^4``
+  for all output rows at once — roughly an order of magnitude faster than
+  per-byte table lookups for batch-sized products.  A row's four lines
+  depend on that row alone, so they are built once per row: a
+  :class:`ShiftedRows` expands only the rows appended since the last
+  product.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.gf.tables import MUL
+from repro.gf.tables import MUL, MUL_ROWS
 
-#: The reducing polynomial below its x^8 term: what x^8 folds back to.
-_POLY_LOW = 0x1B
+#: Stack lines kept per row of a wide operand: ``x^0 .. x^3`` times the row,
+#: the shifts one nibble of a coefficient selects from.
+SHIFTS = 4
+
+#: ``bytes.translate`` tables for ``x^1 .. x^3``: the stack lines above the row.
+_SHIFT_TABLES = (MUL_ROWS[2], MUL_ROWS[4], MUL_ROWS[8])
+
+#: Multiplication by ``x^4``, which lifts the high-nibble partial into place.
+_TIMES_X4 = MUL_ROWS[16]
 
 
 def _as_matrix(array: np.ndarray, name: str) -> np.ndarray:
@@ -64,23 +74,28 @@ def _as_matrix(array: np.ndarray, name: str) -> np.ndarray:
     return matrix
 
 
-def _xtimes(matrix: np.ndarray) -> np.ndarray:
-    """Multiply every element by x (the generator polynomial shift).
+def _write_shifts(lines: np.ndarray, rows: np.ndarray) -> None:
+    """Write ``x^j * rows`` into ``lines[:, j]`` for every ``j < SHIFTS``.
 
-    All in ``uint8``: the left shift drops the overflowing x^8 bit, which
-    the second term folds back in as the reducing polynomial's low bits.
+    ``lines`` is ``(m, SHIFTS, s)`` and ``rows`` is ``(m, s)``: one table
+    pass over the rows' bytes per shift above ``x^0``.
     """
-    return (matrix << 1) ^ ((matrix >> 7) * _POLY_LOW)
+    lines[:, 0] = rows
+    data = rows.tobytes()
+    for j, table in enumerate(_SHIFT_TABLES, 1):
+        lines[:, j] = np.frombuffer(data.translate(table),
+                                    dtype=np.uint8).reshape(rows.shape)
 
 
 class ShiftedRows:
     """A right operand ``B`` for repeated products, append-only by rows.
 
-    For each row ``k`` of ``B`` the eight products ``x^j * B[k]`` are
-    stacked (row ``8 k + j``).  ``c * B[k]`` is then the XOR of the stacked
-    rows selected by the set bits of ``c``, and a full ``(N, K) @ B``
-    product is one XOR-reduce per output row over a ``uint64`` view of the
-    stack — no table gathers at all.
+    For each row ``k`` of a wide ``B`` the four products ``x^j * B[k]``
+    are stacked (line ``SHIFTS * k + j``).  ``c * B[k]`` is then the XOR of
+    the lines selected by the low-nibble bits of ``c``, plus ``x^4`` times
+    the XOR of those its high-nibble bits select; a full ``(N, K) @ B``
+    product is two XOR-reduces per output row over a ``uint64`` view of
+    the stack and one table multiply for all rows — no per-byte gathers.
 
     The operand is the first ``rows`` rows of ``matrix`` (all of them by
     default) and keeps reading that ``uint8`` array: a caller that fills
@@ -88,16 +103,15 @@ class ShiftedRows:
     them with :meth:`grow`, and only those rows are expanded.  Rows already
     announced must not change.
 
-    What is built follows from the row width and the product asked for:
-    :meth:`vecmul` serves rows up to ``VEC_GATHER_MAX_WIDTH`` bytes from the
-    matrix itself, so such an operand has no stack until :meth:`matmul` is
-    called; a wider one expands each row as it is announced; a zero-width
-    one never runs a kernel.
+    What is built follows from the row width alone: rows up to
+    ``VEC_GATHER_MAX_WIDTH`` bytes are served from the matrix itself by the
+    MUL-table gather, so such an operand never has a stack; a wider one
+    expands each row as it is announced.
     """
 
-    #: Row widths up to this use the MUL-table gather for single-vector
-    #: products (measured crossover: the gather wins below ~64 bytes, the
-    #: uint64 stack XOR wins for full 1500-byte payloads).
+    #: Row widths up to this use the MUL-table gather for every product
+    #: (measured crossover, for single vectors and K x K products alike:
+    #: the gather wins below ~64 bytes, the uint64 stack XOR above it).
     VEC_GATHER_MAX_WIDTH = 64
 
     def __init__(self, matrix: np.ndarray, rows: int | None = None) -> None:
@@ -126,24 +140,18 @@ class ShiftedRows:
             # Room for every row the matrix can hold, the row width padded
             # to whole words; pages are touched as rows are expanded.
             words = self._words = np.zeros(
-                (self._matrix.shape[0] * 8, (self.s + 7) // 8), dtype=np.uint64)
+                (self._matrix.shape[0] * SHIFTS, (self.s + 7) // 8), dtype=np.uint64)
         start, stop = self._expanded, self.k
         if start < stop:
-            stack = words.view(np.uint8)
-            shifted = self._rows[start:]
-            for j in range(8):
-                stack[8 * start + j:8 * stop:8, :self.s] = shifted
-                if j < 7:
-                    shifted = _xtimes(shifted)
+            lines = words.view(np.uint8).reshape(self._matrix.shape[0], SHIFTS, -1)
+            _write_shifts(lines[start:stop, :, :self.s], self._rows[start:])
             self._expanded = stop
         return words
 
     def vecmul(self, vector: np.ndarray) -> np.ndarray:
         """``vector @ B`` for one 1-D coefficient vector (hot encode path).
 
-        Bit-identical to ``matmul(vector[None, :])[0]``; narrow operands
-        take one MUL-table gather plus one XOR-reduce (no per-call operand
-        prep), wide ones the stacked-XOR formulation.
+        Bit-identical to ``matmul(vector[None, :])[0]``.
         """
         if self.s > self.VEC_GATHER_MAX_WIDTH:
             return self.matmul(vector.reshape(1, -1))[0]
@@ -152,8 +160,6 @@ class ShiftedRows:
                 f"inner dimensions do not match: ({vector.shape[0]},) @ "
                 f"({self.k}, {self.s})"
             )
-        if not self.s:
-            return np.zeros(0, dtype=np.uint8)
         return np.bitwise_xor.reduce(MUL[vector[:, None], self._rows], axis=0)
 
     def matmul(self, a: np.ndarray) -> np.ndarray:
@@ -164,17 +170,27 @@ class ShiftedRows:
             raise ValueError(
                 f"inner dimensions do not match: {left.shape} @ ({self.k}, {self.s})"
             )
-        if n == 0 or self.k == 0 or self.s == 0:
+        if self.s <= self.VEC_GATHER_MAX_WIDTH:
+            return np.bitwise_xor.reduce(MUL[left[:, :, None], self._rows], axis=1)
+        if n == 0 or self.k == 0:
             return np.zeros((n, self.s), dtype=np.uint8)
         words = self._expand()
-        bits = np.unpackbits(left[:, :, None], axis=2,
-                             bitorder="little").reshape(n, self.k * 8)
-        out = np.zeros((n, words.shape[1]), dtype=np.uint64)
-        for i in range(n):
-            selected = np.nonzero(bits[i])[0]
-            if selected.size:
-                np.bitwise_xor.reduce(words[selected], axis=0, out=out[i])
-        return out.view(np.uint8)[:, : self.s]
+        # Half 0 of output row i selects the stack lines its coefficients'
+        # low-nibble bits pick, half 1 those their high-nibble bits pick.
+        bits = np.unpackbits(left[:, :, None], axis=2, bitorder="little")
+        halves = bits.reshape(n, self.k, 2, SHIFTS).transpose(2, 0, 1, 3) \
+            .reshape(2, n, self.k * SHIFTS)
+        partials = np.zeros((2, n, words.shape[1]), dtype=np.uint64)
+        for half in range(2):
+            for i in range(n):
+                selected = np.flatnonzero(halves[half, i])
+                if selected.size:
+                    np.bitwise_xor.reduce(words.take(selected, axis=0), axis=0,
+                                          out=partials[half, i])
+        low = partials[0].view(np.uint8)
+        high = np.frombuffer(partials[1].tobytes().translate(_TIMES_X4),
+                             dtype=np.uint8).reshape(low.shape)
+        return (low ^ high)[:, : self.s]
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -212,7 +228,5 @@ def gf_vecmat(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"inner dimensions do not match: (1, {k}) @ {right.shape}"
         )
-    if k == 0 or right.shape[1] == 0:
-        return np.zeros(right.shape[1], dtype=np.uint8)
     return np.bitwise_xor.reduce(MUL[coefficients[:, None], right], axis=0)
 

@@ -3,9 +3,9 @@
 One :class:`MoreAgent` runs on every participating node and multiplexes any
 number of flows, holding the per-flow state of Section 3.3.2:
 
-* the **source** keeps one :class:`~repro.coding.encoder.SourceEncoder` per
-  batch and keeps transmitting coded packets of the current batch until the
-  batch ACK arrives;
+* the **source** keeps a :class:`~repro.coding.encoder.SourceEncoder` for
+  the current batch only and keeps transmitting coded packets of that batch
+  until the batch ACK arrives;
 * a **forwarder** keeps a batch buffer of innovative packets, a credit
   counter incremented by its TX credit on every packet heard from upstream
   and decremented on every transmission, and a pre-coded packet that is
@@ -127,25 +127,55 @@ class MoreAckPayload:
 
 
 class _SourceState:
-    """Per-flow state held by the source node."""
+    """Per-flow state held by the source node.
+
+    Only the current batch has an encoder, and with it the operand of the
+    batch's payloads: it is built when its batch becomes current and dropped
+    once that batch is acked (construction draws nothing).
+    """
 
     def __init__(self, spec: MoreFlowSpec, batches: list[Batch],
                  stream: CoefficientStream) -> None:
         self.spec = spec
-        self.encoders = [SourceEncoder(batch, stream) for batch in batches]
         self.batches = batches
+        self.stream = stream
         self.current_batch = 0
+        self.encoder: SourceEncoder | None = SourceEncoder(batches[0], stream)
         self.acked: set[int] = set()
+        # The counts of the encoders already dropped.
+        self._generated = 0
+        self._built = 0
         #: True once every batch of the transfer has been acknowledged
         #: (maintained by :meth:`handle_ack`; polled on every MAC poll).
         self.done = False
 
+    @property
+    def packets_generated(self) -> int:
+        """Coded packets generated for the flow so far, every batch's."""
+        encoder = self.encoder
+        return self._generated + (encoder.packets_generated if encoder is not None else 0)
+
+    @property
+    def payloads_built(self) -> int:
+        """How many of the flow's generated packets had their bytes computed."""
+        encoder = self.encoder
+        return self._built + (encoder.payloads_built if encoder is not None else 0)
+
     def handle_ack(self, batch_id: int) -> None:
         """Record a batch ACK and advance to the next batch."""
         self.acked.add(batch_id)
-        while self.current_batch < len(self.encoders) and self.current_batch in self.acked:
-            self.current_batch += 1
-        if len(self.acked) >= len(self.encoders):
+        current = self.current_batch
+        while current < len(self.batches) and current in self.acked:
+            current += 1
+        if current != self.current_batch:
+            encoder = self.encoder
+            assert encoder is not None
+            self._generated += encoder.packets_generated
+            self._built += encoder.payloads_built
+            self.current_batch = current
+            self.encoder = (SourceEncoder(self.batches[current], self.stream)
+                            if current < len(self.batches) else None)
+        if len(self.acked) >= len(self.batches):
             self.done = True
 
 
@@ -364,7 +394,8 @@ class MoreAgent(ProtocolAgent):
                            state: _SourceState | None = None) -> Frame:
         if state is None:
             state = self.source_flows[flow_id]
-        coded = state.encoders[state.current_batch].next_packet()
+        assert state.encoder is not None
+        coded = state.encoder.next_packet()
         return self._data_frame(state.spec, flow_id, state.current_batch, coded)
 
     def _make_forwarder_frame(self, flow_id: int) -> Frame | None:

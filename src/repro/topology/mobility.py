@@ -61,6 +61,9 @@ from repro.topology.graph import LinkTable, LinkView, Topology
 #: channel-model streams.
 _MOBILITY_STREAM = 0x0B171E5
 
+#: Node pairs a :class:`RandomWaypoint` epoch evaluates per numpy pass.
+_BLOCK_PAIRS = 1 << 14
+
 
 @dataclass
 class MobilitySpec(SectionSpec):
@@ -214,19 +217,27 @@ class RandomWaypoint(MobilityModel):
         coords = self._coords.copy()
         for node in range(coords.shape[0]):
             coords[node, :2] = self._node_position(node, t)
-        # Row by row, as the static generators build theirs: the
-        # temporaries are one row long.
+        # A block of rows per pass: few numpy calls per epoch, and the
+        # temporaries stay about _BLOCK_PAIRS long, far from N×N.
+        count = coords.shape[0]
+        step = max(1, _BLOCK_PAIRS // count)
+        x, y, z = np.array(coords.T)
         receivers: list[np.ndarray] = []
         delivery: list[np.ndarray] = []
-        for node in range(coords.shape[0]):
-            deltas = coords[node] - coords
-            row = margin_to_delivery(path_loss_margin_db(np.sqrt((deltas ** 2).sum(axis=1))))
-            row[node] = 0.0
-            linked = np.flatnonzero(row)
+        indptr = np.zeros(count + 1, dtype=np.intp)
+        for first in range(0, count, step):
+            senders = np.arange(first, min(first + step, count))
+            near = senders[:, None]
+            # Summed left to right, as ``(deltas ** 2).sum(axis=-1)`` sums:
+            # the same bits as the dense form.
+            squared = (x[near] - x) ** 2 + (y[near] - y) ** 2 + (z[near] - z) ** 2
+            block = margin_to_delivery(path_loss_margin_db(np.sqrt(squared)))
+            block[senders - first, senders] = 0.0
+            rows, linked = np.nonzero(block)
+            indptr[senders + 1] = np.bincount(rows, minlength=senders.size)
             receivers.append(linked)
-            delivery.append(row[linked])
-        indptr = np.zeros(coords.shape[0] + 1, dtype=np.intp)
-        np.cumsum([linked.size for linked in receivers], out=indptr[1:])
+            delivery.append(block[rows, linked])
+        np.cumsum(indptr, out=indptr)
         table = LinkTable(indptr, np.concatenate(receivers), np.concatenate(delivery))
         return table, list(map(tuple, coords.tolist()))
 

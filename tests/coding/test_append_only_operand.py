@@ -26,6 +26,9 @@ the hand-out:
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -254,14 +257,14 @@ def test_combine_rows_rejects_what_it_cannot_combine(rng, stream):
         buffer.combine_rows(b"\x01\x01")
 
 
-@pytest.mark.parametrize("packet_size,rows_per_arrival", [(1500, 7), (16, 0), (0, 0)])
+@pytest.mark.parametrize("packet_size,rows_per_arrival", [(1500, 1), (16, 0), (0, 0)])
 def test_a_batch_of_precodes_expands_each_row_once(packet_size, rows_per_arrival,
                                                    rng, stream, shifted_rows):
-    """Insert, hand out and read K times: 7 K rows through ``_xtimes`` (one
-    new row, seven shifts, per arrival); none at all for a narrow or
-    vector-only payload — nor for a wide one nobody reads.  The eager
-    reference materialises all r reduced payloads for every pre-code, one
-    ``gf_matmul`` that expands all r rows each time."""
+    """Insert, hand out and read K times: K rows expanded into the stack
+    (one new row per arrival); none at all for a narrow or vector-only
+    payload — nor for a wide one nobody reads.  The eager reference
+    materialises all r reduced payloads for every pre-code, one
+    ``gf_matmul`` that expands all r rows of a wide payload each time."""
     batch_size = 32
     source = SourceEncoder(make_batch(batch_size, packet_size, rng=rng), stream)
     packets = source.next_packets(batch_size)
@@ -280,4 +283,30 @@ def test_a_batch_of_precodes_expands_each_row_once(packet_size, rows_per_arrival
         rows_per_arrival * batch_size
     assert rows_shifted(ForwarderEncoder(batch_size, packet_size, stream), False) == 0
     assert rows_shifted(EagerForwarder(batch_size, packet_size, rng), False) == \
-        (7 * sum(range(1, batch_size + 1)) if packet_size else 0)
+        (sum(range(1, batch_size + 1)) if rows_per_arrival else 0)
+
+
+def test_a_wide_forwarder_holds_under_five_times_its_raw_rows(rng, stream):
+    """A K = 128 forwarder of 1500-byte payloads that admitted K arrivals
+    and had each hand-out read holds, beyond its raw payload rows, less
+    than five times those rows in traced memory: the four stack lines per
+    row and the coefficient rows.  Eight lines per row would exceed it."""
+    batch_size, packet_size = 128, 1500
+    packets = SourceEncoder(make_batch(batch_size, packet_size, rng=rng),
+                            stream).next_packets(batch_size)
+    ForwarderEncoder(4, packet_size, stream)  # warm-up: lazy imports
+    gc.collect()
+    tracemalloc.start()
+    try:
+        forwarder = ForwarderEncoder(batch_size, packet_size, stream)
+        for packet in packets:
+            forwarder.add_packet(packet)
+            forwarder.next_packet().payload
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    raw = batch_size * packet_size
+    assert forwarder.rank == batch_size
+    assert forwarder.buffer.raw.matrix.nbytes == raw
+    assert held - raw < 5 * raw

@@ -49,17 +49,17 @@ def stream() -> CoefficientStream:
 
 @pytest.fixture
 def shifted_rows(monkeypatch) -> list[int]:
-    """Row counts of every ``repro.gf.kernels._xtimes`` call: what a
-    :class:`~repro.gf.kernels.ShiftedRows` expands (seven calls per
-    expansion, one per polynomial shift)."""
+    """Row counts of every ``repro.gf.kernels._write_shifts`` call: the rows
+    a :class:`~repro.gf.kernels.ShiftedRows` expands into its stack (one
+    call per expansion)."""
     calls: list[int] = []
-    original = kernels._xtimes
+    original = kernels._write_shifts
 
-    def counting(matrix: np.ndarray) -> np.ndarray:
-        calls.append(matrix.shape[0])
-        return original(matrix)
+    def counting(lines: np.ndarray, rows: np.ndarray) -> None:
+        calls.append(rows.shape[0])
+        original(lines, rows)
 
-    monkeypatch.setattr(kernels, "_xtimes", counting)
+    monkeypatch.setattr(kernels, "_write_shifts", counting)
     return calls
 
 

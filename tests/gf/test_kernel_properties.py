@@ -2,8 +2,9 @@
 
 ``gf_vecmat`` — the MUL-table gather, reported under its historical id
 ``mul`` — computes ``vector @ matrix`` over GF(2^8), so it must be
-**bit-identical** on every input to the other formulation, the shifted-row
-stack that ``gf_matmul`` runs on the same vector as a one-row matrix.
+**bit-identical** on every input to ``gf_matmul`` run on the same vector as
+a one-row matrix — the other formulation, the shifted-row stack, for rows
+wider than ``ShiftedRows.VEC_GATHER_MAX_WIDTH``.
 GF arithmetic is exact (no rounding), which is what makes this differential
 harness decisive: any mismatch is a bug, never tolerance noise.
 
@@ -28,7 +29,8 @@ KERNEL_NAMES = sorted(KERNELS)
 
 
 def stacked(vector: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """``vector @ matrix`` through the shifted-row stack."""
+    """``vector @ matrix`` through ``gf_matmul`` (the shifted-row stack for
+    wide rows)."""
     return gf_matmul(vector[None, :], matrix)[0]
 
 

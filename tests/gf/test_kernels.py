@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_operand_growth import WIDTHS
 
 from repro.gf.arithmetic import add, mul
-from repro.gf.kernels import ShiftedRows, gf_matmul, gf_vecmat
+from repro.gf.kernels import SHIFTS, ShiftedRows, gf_matmul, gf_vecmat
 
 
 def reference_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -32,9 +33,10 @@ class TestGfMatmul:
         assert np.array_equal(gf_matmul(a, b), reference_matmul(a, b))
 
     def test_matches_reference_large_uses_shifted_rows(self, rng):
-        # Many output rows over rows several uint64 words wide.
+        # Many output rows over rows several uint64 words wide, wider than
+        # VEC_GATHER_MAX_WIDTH.
         a = rng.integers(0, 256, (16, 12), dtype=np.uint8)
-        b = rng.integers(0, 256, (12, 33), dtype=np.uint8)
+        b = rng.integers(0, 256, (12, 65), dtype=np.uint8)
         assert np.array_equal(gf_matmul(a, b), reference_matmul(a, b))
 
     def test_identity(self, rng):
@@ -72,7 +74,7 @@ class TestShiftedRows:
 
     def test_reuse_after_matmul(self, rng):
         """The cached stack survives (and is not corrupted by) repeated use."""
-        b = rng.integers(0, 256, (4, 17), dtype=np.uint8)
+        b = rng.integers(0, 256, (4, 70), dtype=np.uint8)
         operand = ShiftedRows(b)
         a = rng.integers(0, 256, (8, 4), dtype=np.uint8)
         first = operand.matmul(a)
@@ -107,7 +109,7 @@ class TestVectorAndRowKernels:
 @settings(max_examples=40, deadline=None)
 def test_property_matmul_matches_reference(n, k, s, seed):
     """gf_matmul equals the scalar triple loop for every shape, n < 8 and
-    s < 8 included: one code path, the shifted-row stack."""
+    s < 8 included (rows this narrow take the MUL-table gather)."""
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 256, (n, k), dtype=np.uint8)
     b = rng.integers(0, 256, (k, s), dtype=np.uint8)
@@ -121,3 +123,38 @@ def test_gf_vecmat_kernel():
     vector = rng.integers(0, 256, 32, dtype=np.uint8)
     matrix = rng.integers(0, 256, (32, 65), dtype=np.uint8)
     assert np.array_equal(gf_vecmat(vector, matrix), reference_matmul(vector[None, :], matrix)[0])
+
+
+#: Coefficient rows made of one value: a low nibble alone, a high nibble
+#: alone (a swapped or dropped nibble shows), and x^4 itself (a lost x^4
+#: scaling of the high partial shows).
+NIBBLE_COEFFICIENTS = (0x0F, 0xF0, 0x10)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("k", (1, 3, 32, 128))
+def test_products_match_the_gather_oracle(width, k):
+    """Both products of an operand, and ``gf_matmul``, equal row-by-row
+    ``gf_vecmat`` — the MUL-table gather, which builds nothing — on
+    uniform-nibble and random coefficient rows; and on the small shapes
+    the scalar triple loop as well."""
+    rng = np.random.default_rng(1000 * width + k)
+    b = rng.integers(0, 256, (k, width), dtype=np.uint8)
+    uniform = np.repeat(np.array(NIBBLE_COEFFICIENTS, dtype=np.uint8)[:, None], k, axis=1)
+    a = np.vstack([uniform, rng.integers(0, 256, (5, k), dtype=np.uint8)])
+    expected = np.stack([gf_vecmat(row, b) for row in a])
+    operand = ShiftedRows(b)
+    np.testing.assert_array_equal(operand.matmul(a), expected)
+    np.testing.assert_array_equal(gf_matmul(a, b), expected)
+    for row, product in zip(a, expected):
+        np.testing.assert_array_equal(operand.vecmul(row), product)
+    if a.size * width <= 4096:
+        np.testing.assert_array_equal(expected, reference_matmul(a, b))
+
+
+@pytest.mark.parametrize("rows,width", [(1, 65), (4, 100), (32, 1500), (128, 1500)])
+def test_wide_stack_keeps_four_lines_per_row_of_capacity(rows, width):
+    operand = ShiftedRows(np.zeros((rows, width), dtype=np.uint8), 1)
+    assert SHIFTS == 4
+    assert operand._words.nbytes == 4 * rows * 8 * -(-width // 8)
+

@@ -4,8 +4,8 @@ A :class:`~repro.gf.kernels.ShiftedRows` that was announced its rows a few
 at a time — with any mix of products in between — answers every later
 product exactly as an operand built over the same rows at once, and as
 ``gf_vecmat``, which builds no operand.  What it has built by then differs (a
-narrow operand has no stack until ``matmul`` is called; a wide one expands
-rows as they are announced); the bytes do not.
+narrow operand never has a stack; a wide one expands rows as they are
+announced); the bytes do not.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gf import kernels
 from repro.gf.kernels import ShiftedRows, gf_vecmat
-from repro.gf.tables import MUL
 
 #: Zero width, below / at / above one uint64 word, every preset's coded
 #: payload, both sides of ``VEC_GATHER_MAX_WIDTH``, and a full packet.
@@ -65,20 +63,16 @@ def test_grown_operand_equals_a_fresh_one(capacity, width, seed, schedule):
     _assert_products_equal_fresh(operand, matrix[:rows], rng, "vm")
 
 
-def test_narrow_operand_builds_its_stack_only_for_matmul(rng, shifted_rows):
+def test_narrow_operand_never_builds_a_stack(rng, shifted_rows):
     matrix = rng.integers(0, 256, (12, 16), dtype=np.uint8)
     operand = ShiftedRows(matrix, 3)
     for rows in (3, 7):
         operand.grow(rows)
-        _assert_products_equal_fresh(operand, matrix[:rows], rng, "v")
-    assert shifted_rows == []
-    left = rng.integers(0, 256, (9, 7), dtype=np.uint8)
-    expected = np.stack([gf_vecmat(vector, matrix[:7]) for vector in left])
-    np.testing.assert_array_equal(operand.matmul(left), expected)
-    assert shifted_rows == [7] * 7
+        _assert_products_equal_fresh(operand, matrix[:rows], rng, "vm")
     operand.grow(12)
     _assert_products_equal_fresh(operand, matrix, rng, "vm")
-    assert shifted_rows[:14] == [7] * 7 + [5] * 7  # only the appended rows
+    assert shifted_rows == []
+    assert operand._words is None
 
 
 def test_wide_operand_expands_each_row_once(rng, shifted_rows):
@@ -88,7 +82,7 @@ def test_wide_operand_expands_each_row_once(rng, shifted_rows):
     operand.grow(9)
     operand.vecmul(rng.integers(0, 256, 9, dtype=np.uint8))
     operand.matmul(rng.integers(0, 256, (3, 9), dtype=np.uint8))
-    assert shifted_rows == [4] * 7 + [5] * 7
+    assert shifted_rows == [4, 5]  # only the appended rows
 
 
 def test_zero_width_operand_runs_no_kernel(rng, shifted_rows):
@@ -109,10 +103,3 @@ def test_operand_only_grows_within_its_matrix():
         operand.grow(5)
     with pytest.raises(ValueError, match="cannot grow"):
         ShiftedRows(np.zeros((4, 8), dtype=np.uint8), 5)
-
-
-def test_xtimes_is_multiplication_by_two():
-    every_byte = np.arange(256, dtype=np.uint8).reshape(1, -1)
-    shifted = kernels._xtimes(every_byte)
-    assert shifted.dtype == np.uint8
-    np.testing.assert_array_equal(shifted[0], MUL[2])

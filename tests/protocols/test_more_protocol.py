@@ -2,17 +2,40 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import numpy as np
 import pytest
 
+from repro.coding.encoder import SourceEncoder
 from repro.coding.packet import PayloadRows
+from repro.gf.kernels import ShiftedRows
 from repro.protocols.more import MAX_FORWARDERS, setup_more_flow
-from repro.protocols.more.agent import MoreDataPayload
+from repro.protocols.more.agent import MoreDataPayload, _SourceState
 from repro.protocols.more.flow import _synthetic_batches
 from repro.protocols.more.header import MoreHeader
 from repro.sim.radio import SimConfig
 from repro.sim.simulator import Simulator
 from repro.topology.generator import chain, diamond, indoor_testbed, two_hop_relay
+
+
+def _operands_held(root) -> int:
+    """The payload operands reachable from ``root`` through plain data:
+    containers and instances, not modules, classes or functions."""
+    seen = {id(root)}
+    pending = [root]
+    operands = 0
+    while pending:
+        obj = pending.pop()
+        operands += isinstance(obj, ShiftedRows)
+        for child in gc.get_referents(obj):
+            if id(child) in seen or isinstance(child, (type, types.ModuleType,
+                                                        types.FunctionType)):
+                continue
+            seen.add(id(child))
+            pending.append(child)
+    return operands
 
 
 def run_flow(topology, source, destination, seed=1, until=60.0, **flow_kwargs):
@@ -45,29 +68,65 @@ class TestEndToEndTransfer:
             return combine(rows, row)
 
         monkeypatch.setattr(PayloadRows, "combine", counting_combine)
+        # The source builds each batch's encoder when the batch comes up and
+        # drops it once acked: keep them here to read their counts.
+        encoders: list[SourceEncoder] = []
+        build = SourceEncoder.__init__
+
+        def recording_init(encoder, *args):
+            build(encoder, *args)
+            encoders.append(encoder)
+
+        monkeypatch.setattr(SourceEncoder, "__init__", recording_init)
         topo = chain(3, link_delivery=0.6, skip_delivery=0.2)
         data = rng.integers(0, 256, 24 * 1500, dtype=np.uint8).tobytes()
         sim, handle = run_flow(topo, 0, 3, file_bytes=data, batch_size=8, packet_size=1500)
         assert sim.stats.flows[handle.flow_id].completed
         assert handle.decoded_bytes()[: len(data)] == data
-        encoders = handle.source_agent.source_flows[handle.flow_id].encoders
-        generated = sum(encoder.packets_generated for encoder in encoders)
-        built = sum(encoder.payloads_built for encoder in encoders)
+        state = handle.source_agent.source_flows[handle.flow_id]
+        generated, built = state.packets_generated, state.payloads_built
         assert len(encoders) == 3 and all(encoder.payloads_built for encoder in encoders)
+        assert generated == sum(encoder.packets_generated for encoder in encoders)
+        assert built == sum(encoder.payloads_built for encoder in encoders)
         assert 24 <= built < generated
         # Forwarders re-code from their own raw slots, and likewise only
         # for a listener that stores the packet.
         sent = sum(node.agent.data_sent for node in sim.nodes if node.agent is not None)
         assert built < len(products) < sent
 
-        del products[:]
+        del products[:], encoders[:]
         sim, handle = run_flow(topo, 0, 3, total_packets=24, batch_size=8,
                                packet_size=1500, coding_payload_size=0)
         assert sim.stats.flows[handle.flow_id].completed
-        encoders = handle.source_agent.source_flows[handle.flow_id].encoders
-        assert sum(encoder.packets_generated for encoder in encoders) > 24
-        assert not any(encoder.payloads_built for encoder in encoders)
+        state = handle.source_agent.source_flows[handle.flow_id]
+        assert state.packets_generated > 24
+        assert state.payloads_built == 0
+        assert len(encoders) == 3 and not any(encoder.payloads_built for encoder in encoders)
         assert products == []
+
+    def test_source_holds_only_its_live_batch_operand(self, rng, monkeypatch):
+        """A source builds a batch's encoder, and so its payload operand,
+        when the batch comes up, and drops it once the batch is acked: over
+        a 10-batch transfer of 1500-byte payloads it never holds two."""
+        held: list[int] = []
+        handle_ack = _SourceState.handle_ack
+
+        def counting_ack(state, batch_id):
+            held.append(_operands_held(state))
+            handle_ack(state, batch_id)
+            held.append(_operands_held(state))
+
+        monkeypatch.setattr(_SourceState, "handle_ack", counting_ack)
+        topo = chain(2, link_delivery=0.8, skip_delivery=0.3)
+        data = rng.integers(0, 256, 40 * 1500, dtype=np.uint8).tobytes()
+        sim, handle = run_flow(topo, 0, 2, file_bytes=data, batch_size=4, packet_size=1500)
+        assert sim.stats.flows[handle.flow_id].completed
+        assert handle.decoded_bytes()[: len(data)] == data
+        # The run stops once the file is decoded, perhaps before the last
+        # ACK is back at the source.
+        assert handle.spec.batch_count == 10 and len(held) >= 2 * 9
+        assert max(held) == 1 and held[-1] == 0
+        assert _operands_held(handle.source_agent.source_flows[handle.flow_id]) <= 1
 
     def test_one_hop_flow(self):
         topo = chain(1, link_delivery=0.8)
