@@ -17,17 +17,20 @@ paper's decoder does).
 Payload arithmetic leaves the per-insert path entirely.  Each stored row
 is the code vector *augmented with a transform row*: the row's linear
 combination over the raw payloads admitted so far.  Inserts eliminate over
-the ``2K``-byte combined rows (code columns + transform columns) and stash
-the raw payload untouched; the reduced payload matrix is materialised
-lazily — one ``(rank, rank) @ (rank, S)`` product, cached until the next
-insert — when a decode or inspection actually needs the bytes.  A pre-code
+the ``2K``-byte combined rows (code columns + transform columns) and write
+the raw payload, untouched, into its slot of :attr:`BatchBuffer.raw` —
+which, for wide payloads, is line ``x^0`` of the slots' own
+:class:`~repro.gf.kernels.ShiftedRows` stack, so each row is stored once.
+The reduced payloads are computed only when a decode needs the bytes: one
+``(K, K) @ (K, S)`` product of the transform through that same operand,
+written into the one ``K x S`` matrix the natives are rows of.  A pre-code
 never does (:meth:`BatchBuffer.combine_rows` returns coefficients over the
 raw slots, and the packet coded from them builds its bytes only if a
 listener stores it), and neither does an arrival that turns out not to be
 innovative: ``add`` reads a packet's payload in its innovative branch only.
 Deferring the back-substitution this way is what turns per-packet payload
 elimination (two O(K * S) row passes per arrival) into a single batched
-product per rank advance/batch completion.  GF(2^8) arithmetic is exact,
+product per batch completion.  GF(2^8) arithmetic is exact,
 so the deferred form produces the same bytes as the per-row Python-loop
 Gauss–Jordan it is tested against (``ScalarBatchBuffer`` in
 ``tests/coding/test_vectorized_differential.py``).
@@ -149,7 +152,7 @@ class BatchBuffer:
         #: of every packet re-coded from this buffer.  Slots are append-only
         #: and a flush moves on to fresh ones, so a packet handed out
         #: earlier can build its bytes from them at any later time.
-        self.raw = PayloadRows(np.zeros((batch_size, packet_size), dtype=np.uint8))
+        self.raw = PayloadRows(batch_size, packet_size)
         self._payload_cache: np.ndarray | None = None
 
     @property
@@ -292,26 +295,27 @@ class BatchBuffer:
         """Return the stored code vectors stacked as a rank x K matrix."""
         return self._columns(0, self.batch_size)
 
+    def _transform(self) -> np.ndarray:
+        """The stored rows' transform columns: ``(rank, rank)``, row ``i``
+        the reduced payload ``i`` over the raw slots filled so far."""
+        batch_size = self.batch_size
+        return self._columns(batch_size, batch_size + self.rank)
+
     def payload_matrix(self) -> np.ndarray:
         """Return the stored payloads stacked as a rank x S matrix.
 
-        This is where the deferred back-substitution lands: the reduced
-        payloads are one ``transform @ raw_payloads`` product, computed on
-        first request after a rank advance and cached until the next insert.
+        An inspection, off every run path: the reduced payloads are one
+        ``transform @ raw`` product by a one-shot
+        :func:`~repro.gf.kernels.gf_matmul`, which leaves :attr:`raw`'s own
+        operand as it was, cached until the next insert.
         """
         cache = self._payload_cache
         if cache is None:
-            cache = self._payload_cache = self._materialize_payloads()
+            cache = self._payload_cache = (
+                gf_matmul(self._transform(), self.raw.matrix[:self.rank])
+                if self._with_transform
+                else np.zeros((self.rank, 0), dtype=np.uint8))
         return cache.copy()
-
-    def _materialize_payloads(self) -> np.ndarray:
-        """Reduce the admitted raw payloads through the stored transform."""
-        count = self.rank
-        if not self._with_transform or count == 0:
-            return np.zeros((count, self.packet_size), dtype=np.uint8)
-        batch_size = self.batch_size
-        transform = self._columns(batch_size, batch_size + count)
-        return gf_matmul(transform, self.raw.matrix[:count])
 
     def combine_rows(self, coefficients: bytes) -> int:
         """One linear combination over the stored rows, as one ``[code |
@@ -358,6 +362,11 @@ class BatchBuffer:
         once rank reaches K the stored coefficient matrix is the identity and
         the stored payloads *are* the native packets, in order.
 
+        This is where the deferred back-substitution lands: the natives are
+        ``transform @ raw``, one product through :attr:`raw`'s own operand
+        (the raw slots are its rows), written into the one fresh matrix
+        returned.
+
         Returns:
             A K x S matrix whose row ``i`` is native packet ``i``.
 
@@ -368,7 +377,9 @@ class BatchBuffer:
             raise RuntimeError(
                 f"cannot decode: rank {self.rank} < batch size {self.batch_size}"
             )
-        return self.payload_matrix()
+        if not self._with_transform:
+            return np.zeros((self.batch_size, 0), dtype=np.uint8)
+        return self.raw.matmul(self._transform())
 
     def clear(self) -> None:
         """Drop all stored state (used when a batch is flushed)."""

@@ -9,7 +9,8 @@ vectors (Section 3.1.3).  Two implementations are provided:
   Gauss–Jordan elimination per arrival.  The payload back-substitution is
   deferred: inserts touch code vectors (plus the transform columns) only,
   and :meth:`BatchDecoder.decode` materialises all K native payloads with a
-  single batched product.
+  single batched product through the raw slots' own operand, into one
+  matrix whose rows the natives own.
 * :func:`decode_by_inversion` — the literal matrix-inversion formulation
   from the paper: the decode oracle the tests hold :class:`BatchDecoder`
   to.  Nothing at run time calls it.
@@ -57,8 +58,9 @@ class BatchDecoder:
         Raises:
             RuntimeError: if fewer than K innovative packets were received.
         """
-        payloads = self.buffer.decode()
-        return [NativePacket(index=i, payload=payloads[i]) for i in range(self.batch_size)]
+        # Each native owns its row of the one decoded matrix.
+        return [NativePacket.from_owned(index, payload)
+                for index, payload in enumerate(self.buffer.decode())]
 
 
 def decode_by_inversion(packets: list[CodedPacket]) -> np.ndarray:

@@ -59,6 +59,20 @@ class NativePacket:
         """Payload length in bytes."""
         return int(self.payload.shape[0])
 
+    @classmethod
+    def from_owned(cls, index: int, payload: np.ndarray) -> "NativePacket":
+        """Wrap a freshly-created payload without the defensive copy.
+
+        The caller transfers ownership of ``payload`` (uint8, 1-D, a row of
+        an array nothing else will mutate): the decoder hands out the rows
+        of the one matrix its product wrote.
+        """
+        assert payload.dtype == np.uint8 and payload.ndim == 1 and index >= 0
+        packet = cls.__new__(cls)
+        object.__setattr__(packet, "index", index)
+        object.__setattr__(packet, "payload", payload)
+        return packet
+
     def to_bytes(self) -> bytes:
         """Return the payload as immutable bytes."""
         return self.payload.tobytes()
@@ -71,19 +85,21 @@ class PayloadRows:
     raw payloads of its innovative arrivals, one slot per arrival in
     admission order.  Rows are append-only: a filled row never changes, and
     a sender that starts over (a flushed batch) continues on a
-    :meth:`successor` with a fresh matrix, so a product over the first ``n``
+    :meth:`successor` with fresh rows, so a product over the first ``n``
     rows means the same bytes whenever it is asked for.
 
-    Nothing is built until a product is: the
-    :class:`~repro.gf.kernels.ShiftedRows` operand is created by the first
-    one and grown to the rows each later one reaches.
+    :attr:`matrix` is the rows of the :class:`~repro.gf.kernels.ShiftedRows`
+    operand itself — line 0 of its stack for wide rows — so a row is
+    written once, where the products read it.  Nothing is expanded until a
+    product is: each product grows the operand to the rows it reaches.
     """
 
     __slots__ = ("matrix", "_operand", "_built")
 
-    def __init__(self, matrix: np.ndarray) -> None:
-        self.matrix = matrix
-        self._operand: ShiftedRows | None = None
+    def __init__(self, count: int, width: int) -> None:
+        self._operand = ShiftedRows.empty(count, width)
+        #: ``(count, width)`` ``uint8`` rows, zero until filled in place.
+        self.matrix = self._operand.matrix
         # One count per sender, shared along the chain of successors.
         self._built = [0]
 
@@ -98,16 +114,14 @@ class PayloadRows:
         This object stays as the packets handed out before the flush know
         it; only the count of built payloads carries over.
         """
-        rows = PayloadRows(np.zeros_like(self.matrix))
+        rows = PayloadRows(*self.matrix.shape)
         rows._built = self._built
         return rows
 
     def _over(self, count: int) -> ShiftedRows:
         """The operand, covering at least the first ``count`` rows."""
         operand = self._operand
-        if operand is None:
-            operand = self._operand = ShiftedRows(self.matrix, count)
-        elif operand.k < count:
+        if operand.k < count:
             operand.grow(count)
         return operand
 
@@ -122,9 +136,14 @@ class PayloadRows:
         return operand.vecmul(np.frombuffer(row, dtype=np.uint8))
 
     def matmul(self, coefficients: np.ndarray) -> np.ndarray:
-        """``coefficients @ matrix``, one payload per coefficient row."""
+        """``coefficients @ matrix[:n]`` for ``(m, n)`` coefficients: ``m``
+        payloads, as one fresh ``(m, width)`` array.
+
+        ``n`` is every filled row: a source's eager batch, a destination's
+        decode.
+        """
         self._built[0] += coefficients.shape[0]
-        return self._over(self.matrix.shape[0]).matmul(coefficients)
+        return self._over(coefficients.shape[1]).matmul(coefficients)
 
 
 class CodedPacket:

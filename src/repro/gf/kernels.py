@@ -14,8 +14,10 @@ without these kernels.)
     single-vector product.
 
 ``gf_matmul``
-    ``C = A @ B`` over the field.  Materialising a buffer's deferred
-    payloads is one ``(r, r) @ (r, S)`` product.
+    ``C = A @ B`` over the field, one-shot: ``B`` is written into a fresh
+    operand's rows.  Kept rows are multiplied through their own operand
+    instead (a destination's decode is one ``(K, K) @ (K, S)`` product
+    through its raw slots').
 
 ``ShiftedRows``
     A right operand kept for repeated products against the *same* rows: the
@@ -43,11 +45,14 @@ Two formulations are used, picked by the width of the rows:
   lines for every row of ``B`` turns each output row into two XOR-reduces
   of ~2K selected lines, processed eight bytes at a time through a
   ``uint64`` view, and one table multiply of the high partial by ``x^4``
-  for all output rows at once — roughly an order of magnitude faster than
-  per-byte table lookups for batch-sized products.  A row's four lines
-  depend on that row alone, so they are built once per row: a
-  :class:`ShiftedRows` expands only the rows appended since the last
-  product.
+  per output row — roughly an order of magnitude faster than per-byte table
+  lookups for batch-sized products.  Line ``x^0`` is the row itself, and
+  the stack is where the row is stored: a wide :class:`ShiftedRows`
+  keeps no separate matrix, and its rows are written straight into line
+  0 (a forwarder's raw slots, a source's natives, the ``b`` of a one-shot
+  ``gf_matmul``).  Lines ``x^1 .. x^3`` depend on that row alone, so they
+  are built once per row: an operand expands only the rows appended since
+  the last product.
 """
 
 from __future__ import annotations
@@ -74,13 +79,13 @@ def _as_matrix(array: np.ndarray, name: str) -> np.ndarray:
     return matrix
 
 
-def _write_shifts(lines: np.ndarray, rows: np.ndarray) -> None:
-    """Write ``x^j * rows`` into ``lines[:, j]`` for every ``j < SHIFTS``.
+def _write_shifts(lines: np.ndarray) -> None:
+    """Write ``x^j * lines[:, 0]`` into ``lines[:, j]`` for ``1 <= j < SHIFTS``.
 
-    ``lines`` is ``(m, SHIFTS, s)`` and ``rows`` is ``(m, s)``: one table
-    pass over the rows' bytes per shift above ``x^0``.
+    ``lines`` is ``(m, SHIFTS, s)``, and line 0 of each of its ``m`` rows is
+    the row itself: one table pass over the rows' bytes per shift above it.
     """
-    lines[:, 0] = rows
+    rows = lines[:, 0]
     data = rows.tobytes()
     for j, table in enumerate(_SHIFT_TABLES, 1):
         lines[:, j] = np.frombuffer(data.translate(table),
@@ -93,20 +98,21 @@ class ShiftedRows:
     For each row ``k`` of a wide ``B`` the four products ``x^j * B[k]``
     are stacked (line ``SHIFTS * k + j``).  ``c * B[k]`` is then the XOR of
     the lines selected by the low-nibble bits of ``c``, plus ``x^4`` times
-    the XOR of those its high-nibble bits select; a full ``(N, K) @ B``
-    product is two XOR-reduces per output row over a ``uint64`` view of
-    the stack and one table multiply for all rows — no per-byte gathers.
+    the XOR of those its high-nibble bits select; each output row of an
+    ``(N, K) @ B`` product is two XOR-reduces over a ``uint64`` view of
+    the stack and one table multiply — no per-byte gathers.
 
-    The operand is the first ``rows`` rows of ``matrix`` (all of them by
-    default) and keeps reading that ``uint8`` array: a caller that fills
-    further rows in place — a forwarder's raw payload slots — announces
-    them with :meth:`grow`, and only those rows are expanded.  Rows already
-    announced must not change.
+    The operand's rows are its own :attr:`matrix`.  Rows up to
+    ``VEC_GATHER_MAX_WIDTH`` bytes are served from a plain ``uint8`` matrix
+    by the MUL-table gather, so such an operand never has a stack.  A wider
+    one stores each row once, as line 0 of its stack: :attr:`matrix` is
+    the strided ``uint8`` view of those lines, and building the operand
+    expands only ``x^1 .. x^3``.
 
-    What is built follows from the row width alone: rows up to
-    ``VEC_GATHER_MAX_WIDTH`` bytes are served from the matrix itself by the
-    MUL-table gather, so such an operand never has a stack; a wider one
-    expands each row as it is announced.
+    The operand is the first :attr:`k` rows of :attr:`matrix`.  A caller
+    that fills further rows in place — a forwarder's raw payload slots —
+    announces them with :meth:`grow`, and only those rows are expanded.
+    Rows already announced must not change.
     """
 
     #: Row widths up to this use the MUL-table gather for every product
@@ -114,46 +120,62 @@ class ShiftedRows:
     #: the gather wins below ~64 bytes, the uint64 stack XOR above it).
     VEC_GATHER_MAX_WIDTH = 64
 
+    # Kept small: every sender's rows hold one operand from the start,
+    # used or not.
+    __slots__ = ("k", "s", "matrix", "_rows", "_words", "_lines")
+
     def __init__(self, matrix: np.ndarray, rows: int | None = None) -> None:
-        self._matrix = _as_matrix(matrix, "matrix")
+        """An operand over the first ``rows`` rows of ``matrix`` (all by
+        default).  A narrow matrix becomes :attr:`matrix` itself; a wide
+        one is copied, every row of it, into the stack's line 0."""
+        source = _as_matrix(matrix, "matrix")
+        self._hold(*source.shape, source)
+        self.grow(source.shape[0] if rows is None else rows)
+
+    @classmethod
+    def empty(cls, capacity: int, width: int) -> "ShiftedRows":
+        """An operand of no rows, with room for ``capacity`` rows of
+        ``width`` bytes: fill rows of :attr:`matrix`, then :meth:`grow`."""
+        operand = cls.__new__(cls)
+        operand._hold(capacity, width, None)
+        return operand
+
+    def _hold(self, capacity: int, width: int, source: np.ndarray | None) -> None:
         self.k = 0
-        self.s = self._matrix.shape[1]
-        self._words: np.ndarray | None = None
-        self._expanded = 0
-        self.grow(self._matrix.shape[0] if rows is None else rows)
+        self.s = width
+        if width <= self.VEC_GATHER_MAX_WIDTH:
+            self._words: np.ndarray | None = None
+            self.matrix = (source if source is not None
+                           else np.zeros((capacity, width), dtype=np.uint8))
+        else:
+            # Every line padded to whole words; a row's lines are adjacent.
+            line_words = (width + 7) // 8
+            words = self._words = np.zeros((capacity * SHIFTS, line_words),
+                                           dtype=np.uint64)
+            self._lines = words.view(np.uint8) \
+                .reshape(capacity, SHIFTS, 8 * line_words)[:, :, :width]
+            self.matrix = self._lines[:, 0]
+            if source is not None:
+                self.matrix[:] = source
+        self._rows = self.matrix[:0]
 
     def grow(self, rows: int) -> None:
-        """The operand is now the first ``rows`` rows of its matrix."""
-        if not self.k <= rows <= self._matrix.shape[0]:
+        """The operand is now the first ``rows`` rows of :attr:`matrix`."""
+        if not self.k <= rows <= self.matrix.shape[0]:
             raise ValueError(
-                f"an operand of {self.k} rows over a {self._matrix.shape} matrix "
+                f"an operand of {self.k} rows over a {self.matrix.shape} matrix "
                 f"cannot grow to {rows}")
-        self.k = rows
-        self._rows = self._matrix[:rows]
-        if self.s > self.VEC_GATHER_MAX_WIDTH:
-            self._expand()
-
-    def _expand(self) -> np.ndarray:
-        """The ``uint64`` stack, with every announced row's shifts in it."""
-        words = self._words
-        if words is None:
-            # Room for every row the matrix can hold, the row width padded
-            # to whole words; pages are touched as rows are expanded.
-            words = self._words = np.zeros(
-                (self._matrix.shape[0] * SHIFTS, (self.s + 7) // 8), dtype=np.uint64)
-        start, stop = self._expanded, self.k
-        if start < stop:
-            lines = words.view(np.uint8).reshape(self._matrix.shape[0], SHIFTS, -1)
-            _write_shifts(lines[start:stop, :, :self.s], self._rows[start:])
-            self._expanded = stop
-        return words
+        start, self.k = self.k, rows
+        self._rows = self.matrix[:rows]
+        if self._words is not None and start < rows:
+            _write_shifts(self._lines[start:rows])
 
     def vecmul(self, vector: np.ndarray) -> np.ndarray:
         """``vector @ B`` for one 1-D coefficient vector (hot encode path).
 
         Bit-identical to ``matmul(vector[None, :])[0]``.
         """
-        if self.s > self.VEC_GATHER_MAX_WIDTH:
+        if self._words is not None:
             return self.matmul(vector.reshape(1, -1))[0]
         if vector.shape[0] != self.k:
             raise ValueError(
@@ -163,34 +185,39 @@ class ShiftedRows:
         return np.bitwise_xor.reduce(MUL[vector[:, None], self._rows], axis=0)
 
     def matmul(self, a: np.ndarray) -> np.ndarray:
-        """``a @ B`` over GF(2^8) for an ``(n, k)`` coefficient matrix."""
+        """``a @ B`` over GF(2^8) for an ``(n, k)`` coefficient matrix, as a
+        fresh ``(n, s)`` array."""
         left = _as_matrix(a, "a")
         n = left.shape[0]
         if left.shape[1] != self.k:
             raise ValueError(
                 f"inner dimensions do not match: {left.shape} @ ({self.k}, {self.s})"
             )
-        if self.s <= self.VEC_GATHER_MAX_WIDTH:
+        words = self._words
+        if words is None:
             return np.bitwise_xor.reduce(MUL[left[:, :, None], self._rows], axis=1)
+        out = np.zeros((n, self.s), dtype=np.uint8)
         if n == 0 or self.k == 0:
-            return np.zeros((n, self.s), dtype=np.uint8)
-        words = self._expand()
+            return out
         # Half 0 of output row i selects the stack lines its coefficients'
         # low-nibble bits pick, half 1 those their high-nibble bits pick.
-        bits = np.unpackbits(left[:, :, None], axis=2, bitorder="little")
-        halves = bits.reshape(n, self.k, 2, SHIFTS).transpose(2, 0, 1, 3) \
-            .reshape(2, n, self.k * SHIFTS)
-        partials = np.zeros((2, n, words.shape[1]), dtype=np.uint64)
-        for half in range(2):
-            for i in range(n):
-                selected = np.flatnonzero(halves[half, i])
+        halves = np.unpackbits(left[:, :, None], axis=2, bitorder="little") \
+            .reshape(n, self.k, 2, SHIFTS).transpose(0, 2, 1, 3) \
+            .reshape(n, 2, self.k * SHIFTS)
+        partials = np.zeros((2, words.shape[1]), dtype=np.uint64)
+        low = partials[0].view(np.uint8)[:self.s]
+        for i in range(n):
+            for half in range(2):
+                selected = np.flatnonzero(halves[i, half])
                 if selected.size:
                     np.bitwise_xor.reduce(words.take(selected, axis=0), axis=0,
-                                          out=partials[half, i])
-        low = partials[0].view(np.uint8)
-        high = np.frombuffer(partials[1].tobytes().translate(_TIMES_X4),
-                             dtype=np.uint8).reshape(low.shape)
-        return (low ^ high)[:, : self.s]
+                                          out=partials[half])
+                else:
+                    partials[half] = 0
+            high = np.frombuffer(partials[1].tobytes().translate(_TIMES_X4),
+                                 dtype=np.uint8)
+            np.bitwise_xor(low, high[:self.s], out=out[i])
+        return out
 
 
 def gf_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

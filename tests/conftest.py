@@ -50,14 +50,14 @@ def stream() -> CoefficientStream:
 @pytest.fixture
 def shifted_rows(monkeypatch) -> list[int]:
     """Row counts of every ``repro.gf.kernels._write_shifts`` call: the rows
-    a :class:`~repro.gf.kernels.ShiftedRows` expands into its stack (one
-    call per expansion)."""
+    a :class:`~repro.gf.kernels.ShiftedRows` expands in its stack (one call
+    per expansion, over the rows' lines)."""
     calls: list[int] = []
     original = kernels._write_shifts
 
-    def counting(lines: np.ndarray, rows: np.ndarray) -> None:
-        calls.append(rows.shape[0])
-        original(lines, rows)
+    def counting(lines: np.ndarray) -> None:
+        calls.append(lines.shape[0])
+        original(lines)
 
     monkeypatch.setattr(kernels, "_write_shifts", counting)
     return calls

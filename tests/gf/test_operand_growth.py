@@ -51,8 +51,13 @@ def test_grown_operand_equals_a_fresh_one(capacity, width, seed, schedule):
     rows = 0
     for target, products in sorted(schedule):
         target = min(target, capacity)
-        # Rows are appended in place, exactly as BatchBuffer fills raw slots.
-        matrix[rows:target] = rng.integers(0, 256, (target - rows, width), dtype=np.uint8)
+        appended = rng.integers(0, 256, (target - rows, width), dtype=np.uint8)
+        matrix[rows:target] = appended
+        if operand is not None:
+            # Rows are appended in place, exactly as BatchBuffer fills raw
+            # slots: into the operand's own rows (a wide operand copied the
+            # matrix it was built from into its stack).
+            operand.matrix[rows:target] = appended
         rows = target
         if operand is None:
             operand = ShiftedRows(matrix, rows)

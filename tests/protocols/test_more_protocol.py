@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 
+from repro.coding import buffer as buffer_module
 from repro.coding.encoder import SourceEncoder
 from repro.coding.packet import PayloadRows
 from repro.gf.kernels import ShiftedRows
@@ -54,6 +55,29 @@ class TestEndToEndTransfer:
         record = sim.stats.flows[handle.flow_id]
         assert record.completed
         assert handle.decoded_bytes()[: len(data)] == data
+
+    def test_file_integrity_at_k128_with_full_packets(self, rng, monkeypatch):
+        """Fig 4-7's largest batch with 1500-byte packets over a multi-hop
+        chain: every forwarder keeps its raw slots in a wide operand and
+        eliminates above ``BatchBuffer.ROW_LOOP_MAX_RANK`` rows (the nibble
+        buckets), the destination decodes through its raw operand, and the
+        file arrives intact, a partial last batch included."""
+        bucketed: list[int] = []
+        bit_planes = buffer_module._bit_planes
+
+        def counting_bit_planes(buckets):
+            bucketed.append(1)
+            return bit_planes(buckets)
+
+        monkeypatch.setattr(buffer_module, "_bit_planes", counting_bit_planes)
+        topo = chain(3, link_delivery=0.8, skip_delivery=0.2)
+        data = rng.integers(0, 256, 160 * 1500 - 700, dtype=np.uint8).tobytes()
+        sim, handle = run_flow(topo, 0, 3, file_bytes=data, batch_size=128,
+                               packet_size=1500)
+        assert handle.spec.batch_count == 2
+        assert sim.stats.flows[handle.flow_id].completed
+        assert handle.decoded_bytes()[: len(data)] == data
+        assert bucketed
 
     def test_payloads_are_built_only_for_packets_somebody_stores(self, rng, monkeypatch):
         """Full-size payloads over a lossy multi-hop chain: the file arrives
@@ -107,7 +131,8 @@ class TestEndToEndTransfer:
     def test_source_holds_only_its_live_batch_operand(self, rng, monkeypatch):
         """A source builds a batch's encoder, and so its payload operand,
         when the batch comes up, and drops it once the batch is acked: over
-        a 10-batch transfer of 1500-byte payloads it never holds two."""
+        a 10-batch transfer of 1500-byte payloads it never holds two, and
+        after the last ACK it heard it holds the live batch's alone."""
         held: list[int] = []
         handle_ack = _SourceState.handle_ack
 
@@ -125,8 +150,9 @@ class TestEndToEndTransfer:
         # The run stops once the file is decoded, perhaps before the last
         # ACK is back at the source.
         assert handle.spec.batch_count == 10 and len(held) >= 2 * 9
-        assert max(held) == 1 and held[-1] == 0
-        assert _operands_held(handle.source_agent.source_flows[handle.flow_id]) <= 1
+        state = handle.source_agent.source_flows[handle.flow_id]
+        assert max(held) == 1 and held[-1] == (state.encoder is not None)
+        assert _operands_held(state) == held[-1]
 
     def test_one_hop_flow(self):
         topo = chain(1, link_delivery=0.8)
