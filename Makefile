@@ -10,16 +10,22 @@ ENV      = PYTHONPATH=src
 .PHONY: check lint analyze import-check test \
         golden docs-check sweep-smoke fault-smoke bench-smoke figures examples clean
 
-# The twelve costliest imports of a fresh `import repro.cli`, for the log:
-# cumulative microseconds, sorted.
-IMPORT_TABLE = $(ENV) $(PYTHON) -X importtime -c "import repro.cli" 2>&1 \
-	| sort -t'|' -k2 -n | tail -12
+# The twelve costliest imports of two fresh interpreters, for the log:
+# cumulative microseconds, sorted.  One imports the CLI, the other the run
+# path (what a run or benchmark process imports: no sweep engine, figures,
+# presets or LP).
+RUN_PATH     = repro.experiments.runner, repro.scenarios.spec, repro.experiments.orchestrator
+IMPORT_TABLE = for modules in repro.cli "$(RUN_PATH)"; do \
+	echo "import $$modules"; \
+	$(ENV) $(PYTHON) -X importtime -c "import $$modules" 2>&1 \
+		| sort -t'|' -k2 -n | tail -12; \
+	done
 
 # The pre-merge gate: the static analyzer (style rules included, so `lint`
 # is not run again), then the full tier-1 suite, which runs every test once
 # — the import budget (tests/test_cold_start.py), the golden traces, the
 # differential suites and the run-time invariants of tests/invariants among
-# them — then the import table.
+# them — then the import tables.
 check: analyze test
 	$(IMPORT_TABLE)
 
@@ -39,8 +45,9 @@ analyze:
 
 # The import budget alone: a fresh interpreter that imports the CLI, the
 # runner, the orchestrator and the scenario layer loads numpy and the stdlib
-# only (no scipy, no test tooling); then the import table.  `check` runs the
-# same tests inside tier-1.
+# only (no scipy, no test tooling), and one that runs a flow loads none of
+# the sweep, figure, preset or LP layers; then the import tables.  `check`
+# runs the same tests inside tier-1.
 import-check:
 	$(ENV) $(PYTHON) -m pytest -q tests/test_cold_start.py
 	$(IMPORT_TABLE)

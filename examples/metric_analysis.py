@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.experiments import random_pairs
+from repro.experiments.workloads import random_pairs
 from repro.metrics import (
     cost_gap,
     eotx_dijkstra,

@@ -52,8 +52,8 @@ from repro.experiments.orchestrator.engine import (
 )
 from repro.experiments.orchestrator.store import ResultStore
 from repro.experiments.stats import summarize
-from repro.scenarios import ScenarioSpec, get_preset, list_presets
-from repro.scenarios.spec import MODEL_SECTIONS
+from repro.scenarios.presets import get_preset, list_presets
+from repro.scenarios.spec import MODEL_SECTIONS, ScenarioSpec
 
 
 def _parse_value(text: str) -> Any:

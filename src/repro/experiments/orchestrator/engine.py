@@ -30,7 +30,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from queue import Empty
 from typing import TYPE_CHECKING, Any
 
 from repro.experiments.orchestrator.journal import SweepJournal
@@ -246,6 +245,8 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
     within the sweep, so a message a replaced worker sent before it died
     matches no ``held`` slot and is dropped.
     """
+    from queue import Empty
+
     from repro.scenarios.execute import CellResult
 
     queue = list(pending)

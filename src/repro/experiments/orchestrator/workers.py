@@ -36,13 +36,13 @@ worker internals.  It is inert unless explicitly passed to ``run_sweep``.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.context
 import os
 import time
 from dataclasses import dataclass
-from queue import Empty
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # loaded when a pool starts: a serial sweep never needs it
+    import multiprocessing.context
 
 #: Queue message tags streamed back by workers, one per cell.
 MSG_DONE = "done"
@@ -91,6 +91,7 @@ def _worker_main(task_queue: Any, result_queue: Any,
     """One worker's lifetime: import once, then run one cell per message
     until killed or until the pool's process (``pool_pid``) is gone."""
     import traceback
+    from queue import Empty
 
     from repro.scenarios.execute import run_cell_dict
 
@@ -119,6 +120,8 @@ def _worker_main(task_queue: Any, result_queue: Any,
 
 def _pool_context() -> multiprocessing.context.BaseContext:
     """Fork when available (warm parent imports for free), spawn otherwise."""
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 

@@ -21,7 +21,7 @@ from repro.protocols.more.header import MAX_BATCH_SIZE
 from repro.protocols.srcr import setup_srcr_flow
 from repro.sim.channels import ChannelSpec
 from repro.sim.faults import FaultSpec
-from repro.sim.radio import RATE_5_5MBPS, PhyConfig, SimConfig
+from repro.sim.radio import RATE_5_5MBPS, SUPPORTED_RATES, PhyConfig, SimConfig
 from repro.sim.simulator import Simulator
 from repro.topology.estimation import (
     DEFAULT_OPTIMISM_EXPONENT,
@@ -169,6 +169,11 @@ class RunConfig:
             raise ValueError("refresh_period must be positive (inf = never)")
         if self.progress_timeout <= 0:
             raise ValueError("progress_timeout must be positive (inf = never)")
+        if self.bitrate not in SUPPORTED_RATES:
+            raise ValueError(f"bitrate must be an 802.11b rate in b/s, one of "
+                             f"{SUPPORTED_RATES}, got {self.bitrate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must not be negative, got {self.seed}")
         for name in ("total_packets", "batch_size", "packet_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

@@ -98,11 +98,11 @@ def build_pairs(spec: WorkloadSpec, topology: Topology,
     workload params pin their own ``seed``: one seed covers both selection
     and simulation.
     """
+    if spec.kind == "explicit":
+        return _explicit_pairs(spec.params, topology.node_count)
     params: dict[str, Any] = dict(spec.params)
     params.pop("seed", None)
     seed = _workload_seed(spec, default_seed)
-    if spec.kind == "explicit":
-        return _explicit_pairs(params.get("pairs", []), topology.node_count)
     if spec.kind == "random_pairs":
         return call_with_params("workload", spec.kind, random_pairs, topology,
                                 count=pop_count(spec, params, "count", 10), seed=seed,
@@ -122,11 +122,19 @@ def build_pairs(spec: WorkloadSpec, topology: Topology,
                      f"expected one of {PAIR_WORKLOAD_KINDS}")
 
 
-def _explicit_pairs(pairs: Any, node_count: int) -> list[tuple[int, int]]:
-    """The ``explicit`` workload's pairs, each two distinct integer node ids
-    of the mesh; anything else is a one-line :func:`bad_parameter` error."""
-    if not isinstance(pairs, (list, tuple)):
-        raise bad_parameter("workload", "explicit", f"pairs must be a list, got {pairs!r}")
+def _explicit_pairs(params: dict[str, Any], node_count: int) -> list[tuple[int, int]]:
+    """The ``explicit`` workload's one parameter, ``pairs``: a non-empty list
+    whose every pair is two distinct integer node ids of the mesh.  Anything
+    else, an unknown parameter included (``seed`` too: nothing is drawn), is
+    a one-line :func:`bad_parameter` error."""
+    for name in params:
+        if name != "pairs":
+            raise bad_parameter("workload", "explicit",
+                                f"unknown parameter {name!r}; it takes only 'pairs'")
+    pairs = params.get("pairs")
+    if not isinstance(pairs, (list, tuple)) or not pairs:
+        raise bad_parameter("workload", "explicit",
+                            f"pairs must be a non-empty list, got {pairs!r}")
     for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and pair[0] != pair[1]
                 and all(type(node) is int and 0 <= node < node_count for node in pair)):

@@ -15,7 +15,6 @@ from typing import Any
 
 from repro.experiments.runner import RunConfig, run_flows, run_single_flow
 from repro.experiments.stats import median_gain, summarize
-from repro.metrics.gap import gap_survey, summarize_gaps
 from repro.scenarios.build import build_flow_sets, build_pairs, build_topology
 from repro.scenarios.spec import PROTOCOL_TOKENS, ScenarioCell
 
@@ -167,6 +166,8 @@ def _multiflow_cell(cell: ScenarioCell) -> CellResult:
 
 
 def _gap_cell(cell: ScenarioCell) -> CellResult:
+    from repro.metrics.gap import gap_survey, summarize_gaps  # theory layer: gap cells only
+
     spec = cell.scenario
     topology = build_topology(spec.topology)
     pairs = build_pairs(spec.workload, topology, cell.seed)

@@ -273,6 +273,10 @@ def test_no_run_field_shadows_a_scenario_field():
     # Coded payloads larger than the frame they ride in (chain_smoke's
     # packet_size is 256).
     ("coding_payload_size", 257),
+    # No 802.11b rate: ran every protocol at 0.00 pkt/s and printed a "nanx" gain.
+    ("bitrate", 3),
+    # numpy's bare "expected non-negative integer", naming no field.
+    ("seed", -1),
 ])
 def test_out_of_range_run_value_is_a_one_line_error(field, value, capsys, tmp_path,
                                                     deadline):
@@ -320,6 +324,13 @@ def test_out_of_range_run_value_is_a_one_line_error(field, value, capsys, tmp_pa
      "'random_geometric': node_count must be at least 2"),
     ("multiflow_grid", "topology.rows=0", "'grid': rows must be at least 1"),
     ("multiflow_grid", "topology.cols=-1", "cols must be at least 1"),
+    # The explicit workload read `pairs` alone: these ran unchanged ...
+    ("chain_smoke", "workload.count=0",
+     "'explicit': unknown parameter 'count'; it takes only 'pairs'"),
+    ("chain_smoke", "workload.bogus=1", "'explicit': unknown parameter 'bogus'"),
+    # ... and no pairs ran a cell with n=0 that reported nan series.
+    ("chain_smoke", "workload.pairs=[]",
+     "'explicit': pairs must be a non-empty list, got []"),
 ])
 def test_out_of_range_section_value_is_a_one_line_error(preset, override, message,
                                                         capsys):

@@ -16,6 +16,7 @@ from repro.scenarios import (
     TopologySpec,
     WorkloadSpec,
 )
+from repro.sim.radio import SUPPORTED_RATES
 
 
 @pytest.fixture
@@ -156,8 +157,10 @@ class TestExpansion:
         assert base.key() != other.key()
 
 
-def _another(value):
-    """A valid value of ``value``'s type that is not ``value``."""
+def _another(name, value):
+    """A valid value of field ``name``, of ``value``'s type, that is not ``value``."""
+    if name == "bitrate":  # one of the 802.11b rates
+        return next(rate for rate in SUPPORTED_RATES if rate != value)
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
@@ -175,7 +178,7 @@ class TestRunConfig:
             self, name, sweep_spec):
         """What makes a new ``RunConfig`` field sweepable, resumable and safe to
         cache with no edit elsewhere — or fails here, naming it."""
-        value = _another(getattr(sweep_spec.run_config(), name))
+        value = _another(name, getattr(sweep_spec.run_config(), name))
         changed = sweep_spec.with_overrides({f"run.{name}": value})
         assert getattr(changed.run_config(), name) == value
         reloaded = ScenarioSpec.from_json(changed.to_json())
