@@ -40,7 +40,7 @@ def test_ablation_forwarder_pruning(testbed, run_config):
     """The 10% pruning rule trades a little transmission diversity for less
     contention; it must not cripple throughput."""
     from repro.protocols.more import setup_more_flow
-    from repro.sim.radio import PhyConfig, SimConfig
+    from repro.sim.radio import SimConfig
     from repro.sim.simulator import Simulator
 
     pairs = random_pairs(testbed, 4, seed=12)
@@ -48,7 +48,7 @@ def test_ablation_forwarder_pruning(testbed, run_config):
     def run_variant(prune: bool) -> float:
         throughputs = []
         for source, destination in pairs:
-            sim = Simulator(testbed, SimConfig(phy=PhyConfig(), seed=3))
+            sim = Simulator(testbed, SimConfig(seed=3))
             handle = setup_more_flow(
                 sim, testbed, source, destination,
                 total_packets=run_config.total_packets,

@@ -240,7 +240,9 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
     replaced; a position that exceeds ``retries`` extra attempts raises
     :class:`SweepError` for the whole sweep — a sweep with holes in it is
     not a result.  A cell that rejects its spec (``ValueError``) is not
-    retried: the error is raised here as the serial path raises it.  Either
+    retried: the error is raised here as the serial path raises it, from the
+    first such cell in cell order, once every cell before it has finished,
+    whichever worker reported first; no cell after it is dispatched.  Either
     way ``fail`` journals the cell before the raise.  Task ids are unique
     within the sweep, so a message a replaced worker sent before it died
     matches no ``held`` slot and is dropped.
@@ -252,6 +254,7 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
     queue = list(pending)
     attempts = {position: 0 for position in pending}
     held: list[tuple[int, int] | None] = [None] * len(pool.workers)
+    invalid: dict[int, str] = {}  # position -> the spec error it reported
     last_activity = [0.0] * len(pool.workers)
     task_ids = itertools.count()
 
@@ -329,8 +332,15 @@ def _run_pooled(cells: list[ScenarioCell], pending: list[int], complete: Any,
             remaining -= 1
             complete(position, CellResult.from_dict(payload), attempts[position])
         elif tag == MSG_INVALID:
-            fail(position, attempts[position])
-            raise ValueError(payload)
+            invalid[position] = payload
         else:  # MSG_ERROR
             give_back(position, "cell raised", f"\n{payload}")
+        if invalid:
+            # The serial path stops at the first invalid cell: run only the
+            # cells before it, and raise once none of them is left.
+            first = min(invalid)
+            queue[:] = [waiting for waiting in queue if waiting < first]
+            if not queue and all(task is None or task[1] > first for task in held):
+                fail(first, attempts[first])
+                raise ValueError(invalid[first])
         dispatch(owner)

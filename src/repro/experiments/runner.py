@@ -21,7 +21,7 @@ from repro.protocols.more.header import MAX_BATCH_SIZE
 from repro.protocols.srcr import setup_srcr_flow
 from repro.sim.channels import ChannelSpec
 from repro.sim.faults import FaultSpec
-from repro.sim.radio import RATE_5_5MBPS, SUPPORTED_RATES, PhyConfig, SimConfig
+from repro.sim.radio import RATE_5_5MBPS, SUPPORTED_RATES, SimConfig
 from repro.sim.simulator import Simulator
 from repro.topology.estimation import (
     DEFAULT_OPTIMISM_EXPONENT,
@@ -273,7 +273,7 @@ def start_flows(topology: Topology, protocol: str, pairs: list[tuple[int, int]],
     if environment is None:
         environment = Environment()
     sim = Simulator(topology, SimConfig(
-        phy=PhyConfig(bitrate=run_config.bitrate), seed=run_config.seed,
+        bitrate=run_config.bitrate, seed=run_config.seed,
         max_duration=run_config.max_duration,
         channel_model=environment.channel, mobility=environment.mobility,
         faults=environment.faults))

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.metrics.etx import best_path, etx_to_destination, hop_count
 from repro.sim.medium import sense_row
-from repro.sim.radio import ChannelConfig
 from repro.topology.graph import Topology
 
 
@@ -55,20 +54,16 @@ def random_pairs(topology: Topology, count: int, seed: int = 0,
 
 
 def spatial_reuse_pairs(topology: Topology, count: int, seed: int = 0,
-                        path_hops: int = 4,
-                        channel: ChannelConfig | None = None) -> list[tuple[int, int]]:
+                        path_hops: int = 4) -> list[tuple[int, int]]:
     """Pairs whose best path has ``path_hops`` hops and whose first and last
     hop transmitters can transmit concurrently (Fig 4-4's selection).
 
     The first-hop transmitter is the source; the last-hop transmitter is the
     next-to-last node of the best path.  Concurrency requires that the two
     cannot carrier-sense each other, decided by the medium's own rule
-    (:func:`repro.sim.medium.sense_row`) under ``channel`` — the default
-    :class:`~repro.sim.radio.ChannelConfig` unless the simulations to be
-    run over these pairs use another.
+    (:func:`repro.sim.medium.sense_row`).
     """
     rng = np.random.default_rng(seed)
-    channel = channel if channel is not None else ChannelConfig()
     candidates = []
     sensed_by: dict[int, np.ndarray] = {}  # one sense row per source
     for source, destination in reachable_pairs(topology, min_hops=path_hops):
@@ -79,7 +74,7 @@ def spatial_reuse_pairs(topology: Topology, count: int, seed: int = 0,
         if len(path) - 1 != path_hops:
             continue
         if source not in sensed_by:
-            sensed_by[source] = sense_row(topology, channel, source)
+            sensed_by[source] = sense_row(topology, source)
         if sensed_by[source][path[-2]]:
             continue
         candidates.append((source, destination))

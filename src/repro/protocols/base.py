@@ -78,7 +78,7 @@ class ProtocolAgent:
 
     def select_bitrate(self, frame: Frame) -> int | None:
         """Bit-rate override for ``frame`` (None = the run's fixed rate,
-        :attr:`repro.sim.radio.PhyConfig.bitrate`)."""
+        :attr:`repro.sim.radio.SimConfig.bitrate`)."""
         return None
 
 

@@ -64,14 +64,34 @@ def _protocol_tokens(value: str | tuple | list) -> tuple[str, ...]:
 
     A bare string means one protocol, not a tuple of its characters.  An
     unknown token dies here — when the spec is built or overridden — and
-    not after the cells of the tokens listed before it have run.
+    not after the cells of the tokens listed before it have run; so does an
+    empty list (an empty table) and a repeated token (one series simulated
+    twice).
     """
     tokens = (value,) if isinstance(value, str) else tuple(value)
-    for token in tokens:
+    if not tokens:
+        raise ValueError("protocols must name at least one protocol, got []")
+    for index, token in enumerate(tokens):
         if token not in PROTOCOL_TOKENS:
             raise ValueError(f"unknown protocol {token!r}; expected one of "
                              f"{tuple(PROTOCOL_TOKENS)}")
+        if token in tokens[:index]:
+            raise ValueError(f"protocol {token!r} is listed twice in protocols")
     return tokens
+
+
+def _distinct(values: tuple, what: str) -> tuple:
+    """``values`` when it is non-empty and lists no value twice.
+
+    Cells made from a repeated value share one store key and would be
+    pooled as one sample; no value makes no cell.
+    """
+    if not values:
+        raise ValueError(f"{what} must list at least one value, got []")
+    for index, value in enumerate(values):
+        if value in values[:index]:
+            raise ValueError(f"{what} lists {value!r} twice")
+    return values
 
 
 def _apply_dotted(spec: "ScenarioSpec", path: str, value: Any) -> None:
@@ -287,16 +307,21 @@ class ScenarioSpec:
 
         The cell order (axes in insertion order, seeds innermost) and each
         cell's content depend only on the spec, which is what makes result
-        caching and parallel execution deterministic.
+        caching and parallel execution deterministic.  The seeds and each
+        axis must list at least one value and none twice: this is the one
+        place cells are made, and the CLI sets ``seeds`` and ``sweep`` after
+        the spec is built.
         """
+        seeds = _distinct(self.seeds, "seeds")
         axis_paths = list(self.sweep)
-        axis_values = [self.sweep[path] for path in axis_paths]
+        axis_values = [_distinct(self.sweep[path], f"sweep axis {path!r}")
+                       for path in axis_paths]
         cells = []
         for combo in itertools.product(*axis_values):
             axes = dict(zip(axis_paths, combo))
             resolved = self.with_overrides(axes)
             resolved.sweep = {}
-            for seed in self.seeds:
+            for seed in seeds:
                 cell_spec = copy.deepcopy(resolved)
                 cell_spec.seeds = (seed,)
                 cells.append(ScenarioCell(scenario=cell_spec, seed=int(seed),

@@ -20,8 +20,6 @@ from repro.sim.radio import (
     RATE_5_5MBPS,
     RATE_11MBPS,
     SUPPORTED_RATES,
-    ChannelConfig,
-    PhyConfig,
     SimConfig,
 )
 from repro.sim.simulator import Simulator
@@ -31,7 +29,6 @@ __all__ = [
     "BROADCAST",
     "CHANNEL_KINDS",
     "CHANNEL_MODELS",
-    "ChannelConfig",
     "ChannelModel",
     "ChannelSpec",
     "CsmaMac",
@@ -43,7 +40,6 @@ __all__ = [
     "FrameKind",
     "MacState",
     "OnoeRateController",
-    "PhyConfig",
     "RATE_11MBPS",
     "RATE_1MBPS",
     "RATE_2MBPS",

@@ -26,9 +26,10 @@ The transmit path runs once per frame in every simulation, so it is written
 allocation-free: completion and ARQ-turnaround callbacks are bound methods
 (the in-flight :class:`~repro.sim.medium.Transmission` rides in a slot on
 the MAC rather than in a per-frame closure), frame kinds dispatch on enum
-identity, and the event queue / medium / PHY / agent references are cached
-at construction instead of being re-resolved through the simulator on every
-call.
+identity, the event queue / medium / agent references are cached at
+construction instead of being re-resolved through the simulator on every
+call, and the 802.11b timing is read from :mod:`repro.sim.radio`'s
+constants.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ from typing import TYPE_CHECKING
 
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.medium import Transmission
+from repro.sim.radio import (
+    ACK_TURNAROUND,
+    CONTENTION_WINDOWS,
+    DIFS,
+    RETRY_LIMIT,
+    SLOT_TIME,
+    frame_airtime,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.simulator import Simulator
@@ -70,7 +79,8 @@ class CsmaMac:
     def __init__(self, node_id: int, simulator: "Simulator") -> None:
         self.node_id = node_id
         self.sim = simulator
-        self.phy = simulator.config.phy
+        #: The run's bit-rate: every frame's unless the agent overrides it.
+        self.bitrate = simulator.config.bitrate
         # Hot-path collaborators, resolved once (the simulator builds its
         # event queue, word stream and medium before any node/MAC exists).
         self.events = simulator.events
@@ -86,16 +96,6 @@ class CsmaMac:
         self._attempt = 0
         self._inflight: Transmission | None = None
         self._finish_success = False
-        # Per-attempt contention windows and PHY timing constants, so that
-        # no backoff pays the exponentiation in ``contention_window`` or a
-        # frozen dataclass field lookup.  The table and the turnaround are
-        # derived once per ``PhyConfig`` and shared by every MAC built on it.
-        phy = self.phy
-        self._windows = phy.contention_windows
-        self._window_count = len(self._windows)
-        self._difs = phy.difs
-        self._slot_time = phy.slot_time
-        self._turnaround = phy.ack_turnaround
         self._draw_slots = simulator.words.bounded
         # (size_bytes, bitrate) -> airtime; flows reuse a handful of sizes.
         self._airtimes: dict[tuple[int, int], float] = {}
@@ -136,12 +136,9 @@ class CsmaMac:
         events = self.events
         if now is None:
             now = events.now
-        # The per-attempt window is precomputed and the PHY timing
-        # constants are cached floats.
-        attempt = self._attempt
-        window = self._windows[attempt] if attempt < self._window_count \
-            else self.phy.contention_window(attempt)
-        delay = self._difs + self._draw_slots(window + 1) * self._slot_time
+        # A contention runs at attempts 0 .. RETRY_LIMIT: _complete gives
+        # up on a frame before its attempt count passes the table.
+        delay = DIFS + self._draw_slots(CONTENTION_WINDOWS[self._attempt] + 1) * SLOT_TIME
         if horizon is None:
             horizon = self.medium.busy_horizon(self.node_id, now)
         if horizon > now:
@@ -185,12 +182,11 @@ class CsmaMac:
         if agent is not None:
             bitrate = agent.select_bitrate(frame)
         if bitrate is None:
-            bitrate = self.phy.bitrate
+            bitrate = self.bitrate
         key = (frame.size_bytes, bitrate)
         airtime = self._airtimes.get(key)
         if airtime is None:
-            airtime = self._airtimes[key] = self.phy.frame_airtime(
-                frame.size_bytes, bitrate)
+            airtime = self._airtimes[key] = frame_airtime(frame.size_bytes, bitrate)
         now = self.events.now
         self._inflight = self.medium.begin(frame, now, airtime)
         stats = self.stats
@@ -221,16 +217,16 @@ class CsmaMac:
         if frame.receiver in receivers:
             self.stats.unicast_successes += 1
             self._finish_success = True
-            self.events.schedule(self._turnaround, self._finish_inflight)
+            self.events.schedule(ACK_TURNAROUND, self._finish_inflight)
             return
         # No MAC ACK: retry with a larger contention window or give up.
         self.stats.retries += 1
-        if self._attempt > self.phy.retry_limit:
+        if self._attempt > RETRY_LIMIT:
             self.stats.unicast_drops += 1
             self._finish_success = False
-            self.events.schedule(self._turnaround, self._finish_inflight)
+            self.events.schedule(ACK_TURNAROUND, self._finish_inflight)
             return
-        self.events.schedule(self._turnaround, self._start_contention)
+        self.events.schedule(ACK_TURNAROUND, self._start_contention)
 
     def _finish_inflight(self) -> None:
         """Bound-method ARQ-finish callback (no per-frame closure)."""

@@ -15,9 +15,9 @@ The model:
   interferer is audible at the receiver (delivery probability above the
   interference threshold), the reception is corrupted ...
 * **Capture effect** — ... unless the wanted signal is sufficiently stronger
-  than the interferer, in which case the frame survives with the configured
-  capture probability (Section 4.2.3 credits capture for part of MORE's gain
-  on short paths).
+  than the interferer, in which case the frame survives with the capture
+  probability (Section 4.2.3 credits capture for part of MORE's gain on
+  short paths).
 * **Carrier sense** — a node senses the medium busy if any ongoing
   transmission is audible above the sense threshold; this is what enables
   spatial reuse (distant transmitters do not block each other).
@@ -35,10 +35,9 @@ capture chain reads one capture coin per capturable interferer right after
 its own coin, as the per-node loop does.  The stream is shared with every
 MAC's backoff draw and read in call order, so the words are those the
 per-call ``random(n) < p`` / ``random() < q`` draws would consume.  Under a
-static channel a plan is a pure function of the links, the
-:class:`~repro.sim.radio.ChannelConfig` and ``(sender, overlapping
-senders)``, and is memoised; under Gilbert-Elliott it is derived per frame
-from the model's delivery on the sender's links
+static channel a plan is a pure function of the links and ``(sender,
+overlapping senders)``, and is memoised; under Gilbert-Elliott it is
+derived per frame from the model's delivery on the sender's links
 (:meth:`~repro.sim.channels.ChannelModel.delivery_row`).  The scalar loop
 (:meth:`WirelessMedium._resolve_scalar`) keeps its own half-duplex and
 interference logic and is only the tests' oracle.
@@ -54,12 +53,15 @@ view — the link table by sender and its receiver-major index
 use (:func:`sense_row`, the plans), so a 1000-node mesh costs the dozen
 nodes that transmit, and nothing N×N exists.  The sense rows and the plan
 memo live on the links they are read from
-(:meth:`~repro.topology.graph.LinkView.derived`, keyed on the
-``ChannelConfig``): under a static channel with no mobility a process pays
-once per topology and channel, and every simulator over them — every seed,
-protocol, flow set and sweep cell — reads the same tuples; an epoch keeps
-its pair and drops it with the epoch, and a Gilbert-Elliott mean view is
-new at every bind, so it keeps a pair of its own.
+(:meth:`~repro.topology.graph.LinkView.derived`): under a static channel
+with no mobility a process pays once per topology, and every simulator over
+it — every seed, protocol, flow set and sweep cell — reads the same tuples;
+an epoch keeps its pair and drops it with the epoch, and a Gilbert-Elliott
+mean view is new at every bind, so it keeps a pair of its own.
+
+The thresholds, the capture margin and the capture probability are the
+constants of :mod:`repro.sim.radio`: modelling choices of the medium, not
+run parameters.
 """
 
 from __future__ import annotations
@@ -75,9 +77,18 @@ import numpy as np
 from repro.rng import WordStream, threshold
 from repro.sim.channels import ChannelModel
 from repro.sim.frames import Frame
-from repro.sim.radio import ChannelConfig
+from repro.sim.radio import (
+    CAPTURE_MARGIN,
+    CAPTURE_PROBABILITY,
+    INTERFERENCE_THRESHOLD,
+    NEIGHBOR_SENSE_THRESHOLD,
+    SENSE_THRESHOLD,
+)
 from repro.topology.graph import InLinks, LinkTable, LinkView, Topology
 from repro.topology.mobility import MobilityModel
+
+#: A capture coin's word bound (:func:`repro.rng.threshold`).
+_CAPTURE_BOUND = threshold(CAPTURE_PROBABILITY)
 
 
 @dataclass(slots=True, eq=False)
@@ -93,7 +104,7 @@ class Transmission:
     end: float
 
 
-def sense_row(links: LinkView, channel: ChannelConfig, sender: int) -> np.ndarray:
+def sense_row(links: LinkView, sender: int) -> np.ndarray:
     """Which nodes carrier-sense ``sender`` (a boolean row over all nodes).
 
     Real radios sense energy well below the level needed to decode a
@@ -114,32 +125,25 @@ def sense_row(links: LinkView, channel: ChannelConfig, sender: int) -> np.ndarra
     and receiver-major index (:meth:`~repro.topology.graph.LinkView.incoming`):
     the sender's links out and in, plus the links into each good neighbour.
     """
-    return _sense_row(links.link_table(), links.incoming(), channel, sender)
+    return _sense_row(links.link_table(), links.incoming(), sender)
 
 
-def _sense_row(table: LinkTable, incoming: InLinks, channel: ChannelConfig,
-               sender: int) -> np.ndarray:
+def _sense_row(table: LinkTable, incoming: InLinks, sender: int) -> np.ndarray:
     """:func:`sense_row` over a link table and its receiver-major index."""
     row = np.zeros(table.indptr.size - 1, dtype=bool)
-    neighbor_threshold = channel.neighbor_sense_threshold
-    if neighbor_threshold <= 0.0:
-        # A missing link delivers 0, which meets a threshold of 0: every
-        # node shares a good neighbour with every other, linked or not.
-        row[:] = True
-    else:
-        start, stop = table.indptr[sender], table.indptr[sender + 1]
-        receivers, outgoing = table.receivers[start:stop], table.delivery[start:stop]
-        row[receivers[outgoing > channel.sense_threshold]] = True
-        into = incoming.links[incoming.indptr[sender]:incoming.indptr[sender + 1]]
-        row[table.sender_of(into[table.delivery[into] > channel.sense_threshold])] = True
-        # The links into every good neighbour, gathered in one index.
-        good = receivers[outgoing >= neighbor_threshold]
-        starts = incoming.indptr[good]
-        lengths = incoming.indptr[good + 1] - starts
-        gathered_at = np.cumsum(lengths) - lengths
-        into = incoming.links[np.arange(lengths.sum())
-                              + np.repeat(starts - gathered_at, lengths)]
-        row[table.sender_of(into[table.delivery[into] >= neighbor_threshold])] = True
+    start, stop = table.indptr[sender], table.indptr[sender + 1]
+    receivers, outgoing = table.receivers[start:stop], table.delivery[start:stop]
+    row[receivers[outgoing > SENSE_THRESHOLD]] = True
+    into = incoming.links[incoming.indptr[sender]:incoming.indptr[sender + 1]]
+    row[table.sender_of(into[table.delivery[into] > SENSE_THRESHOLD])] = True
+    # The links into every good neighbour, gathered in one index.
+    good = receivers[outgoing >= NEIGHBOR_SENSE_THRESHOLD]
+    starts = incoming.indptr[good]
+    lengths = incoming.indptr[good + 1] - starts
+    gathered_at = np.cumsum(lengths) - lengths
+    into = incoming.links[np.arange(lengths.sum())
+                          + np.repeat(starts - gathered_at, lengths)]
+    row[table.sender_of(into[table.delivery[into] >= NEIGHBOR_SENSE_THRESHOLD])] = True
     row[sender] = False
     return row
 
@@ -161,14 +165,13 @@ class _Memo(dict):
         return value
 
 
-def _medium_tables(links: LinkView,
-                   channel: ChannelConfig) -> tuple[_Memo, _Memo]:
+def _medium_tables(links: LinkView) -> tuple[_Memo, _Memo]:
     """The sense rows and the reception-plan memo over ``links``.
 
     Both start empty and fill on first use: ``sender -> sense row`` and
     ``(sender, overlapping senders) -> plan``.  The closures hold the
-    view's link table, its receiver-major index and the channel and
-    nothing else — not the view — so a topology that keeps the pair
+    view's link table and its receiver-major index and nothing else — not
+    the view — so a topology that keeps the pair
     (:meth:`~repro.topology.graph.LinkView.derived`) keeps no medium or
     simulator alive and holds no reference to itself, and every value is
     a tuple no reader can edit.
@@ -176,11 +179,11 @@ def _medium_tables(links: LinkView,
     table, incoming = links.link_table(), links.incoming()
 
     def derive_row(sender: int) -> tuple[bool, ...]:
-        return tuple(_sense_row(table, incoming, channel, sender).tolist())
+        return tuple(_sense_row(table, incoming, sender).tolist())
 
     def derive_plan(key: tuple[int, tuple[int, ...]]) -> tuple:
         sender, senders = key
-        return WirelessMedium._plan(table, channel, sender, None, senders)
+        return WirelessMedium._plan(table, sender, None, senders)
 
     return _Memo(derive_row), _Memo(derive_plan)
 
@@ -188,20 +191,17 @@ def _medium_tables(links: LinkView,
 class WirelessMedium:
     """Shared-channel model deciding receptions, collisions and carrier sense."""
 
-    def __init__(self, topology: Topology, channel: ChannelConfig,
-                 rng: np.random.Generator | WordStream,
+    def __init__(self, topology: Topology, rng: np.random.Generator | WordStream,
                  model: ChannelModel | None = None,
                  mobility: MobilityModel | None = None,
                  faults=None) -> None:
         self.topology = topology
-        self.channel = channel
         #: The main generator's words: the simulator's stream, shared with
         #: its MACs, or a stream of its own over a bare generator.
         self._words = rng if isinstance(rng, WordStream) else WordStream(rng)
         # Bound readers: complete() runs once per frame.
         self._take = self._words.take
         self._word = self._words.word
-        self._capture_threshold = threshold(channel.capture_probability)
         #: Channel model (``None`` = static: the links' own deliveries).
         self.model = model
         #: Fault injector (``None`` = fault-free, today's behaviour bit for
@@ -240,8 +240,8 @@ class WirelessMedium:
         every epoch boundary: this is the epoch-keyed invalidation of the
         sense rows and the reception-plan memo.  Nothing is derived here;
         each sender's row and plans are built on their first use.  The pair
-        is the one the links keep for this ``ChannelConfig``: shared by
-        every medium over a static topology, dropped with an epoch's view.
+        is the one the links keep: shared by every medium over a static
+        topology, dropped with an epoch's view.
         """
         # Long-run average deliveries: carrier-sense audibility and
         # interference levels track mean signal energy, not the
@@ -252,8 +252,7 @@ class WirelessMedium:
             self.model.bind(view)
             links = self.model.mean_view()
         self._links = links
-        channel = self.channel
-        tables = links.derived(("medium", channel), lambda: _medium_tables(links, channel))
+        tables = links.derived(("medium",), lambda: _medium_tables(links))
         # Tuples of plain bools: the per-transmission carrier-sense probes
         # are scalar lookups, where tuple indexing beats numpy scalar
         # indexing several-fold.  Plans are read from the memo under a
@@ -293,15 +292,15 @@ class WirelessMedium:
         return self.mobility.topology_at(self.mobility.epoch_of(now))
 
     @staticmethod
-    def _build_sense_matrix(delivery: np.ndarray, channel: ChannelConfig) -> np.ndarray:
+    def _build_sense_matrix(delivery: np.ndarray) -> np.ndarray:
         """Dense all-pairs form of :func:`sense_row` (an N×N product).
 
         Nothing at run time calls this: it is the reference the tests hold
         the per-sender rows against, row for row.
         """
-        audible = delivery > channel.sense_threshold
-        common = (delivery >= channel.neighbor_sense_threshold) @ \
-                 (delivery >= channel.neighbor_sense_threshold).T
+        audible = delivery > SENSE_THRESHOLD
+        common = (delivery >= NEIGHBOR_SENSE_THRESHOLD) @ \
+                 (delivery >= NEIGHBOR_SENSE_THRESHOLD).T
         sense = audible | audible.T | (common > 0)
         np.fill_diagonal(sense, False)
         return sense
@@ -422,7 +421,7 @@ class WirelessMedium:
             plan = self._plans[sender, senders]
         else:
             row = self.model.delivery_row(sender, start, end)
-            plan = self._plan(self._links.link_table(), self.channel, sender, row, senders)
+            plan = self._plan(self._links.link_table(), sender, row, senders)
         receivers = self._resolve(plan, sender, row, overlapping)
         if self.faults is not None:
             kept = self.faults.filter_receivers(transmission.frame, receivers)
@@ -435,8 +434,8 @@ class WirelessMedium:
         return receivers
 
     @staticmethod
-    def _plan(table: LinkTable, channel: ChannelConfig, sender: int,
-              row: np.ndarray | None, senders: tuple[int, ...]) -> tuple:
+    def _plan(table: LinkTable, sender: int, row: np.ndarray | None,
+              senders: tuple[int, ...]) -> tuple:
         """Everything about one frame's reception except the coins.
 
         ``table`` holds the mean links the interference levels come from,
@@ -471,9 +470,8 @@ class WirelessMedium:
             return receivers, thresholds, None, None
         # levels[m, k]: how audible interferer m is at eligible receiver k.
         levels = np.array([table.row(other)[indices] for other in interferers])
-        audible = levels > channel.interference_threshold
-        capturable = audible & (probabilities - levels
-                                >= channel.capture_margin)
+        audible = levels > INTERFERENCE_THRESHOLD
+        capturable = audible & (probabilities - levels >= CAPTURE_MARGIN)
         if capturable.any():
             chains = tuple(tuple(saved for heard, saved in zip(heard_by, saved_by)
                                  if heard)
@@ -507,13 +505,12 @@ class WirelessMedium:
                 self.collisions += sum(delivered) - len(received)
         else:
             word = self._word
-            capture = self._capture_threshold
             received = []
             for node, bound, chain in zip(receivers, thresholds, chains):
                 if word() >= bound:
                     continue  # channel loss
                 for capturable in chain:
-                    if not capturable or word() >= capture:
+                    if not capturable or word() >= _CAPTURE_BOUND:
                         self.collisions += 1
                         break
                     self.captures += 1
@@ -563,10 +560,10 @@ class WirelessMedium:
             if other.frame.sender == self_sender:
                 continue
             interference = self._links.delivery(interferer, node)
-            if interference <= self.channel.interference_threshold:
+            if interference <= INTERFERENCE_THRESHOLD:
                 continue
-            if wanted_probability - interference >= self.channel.capture_margin:
-                if self.rng.random() < self.channel.capture_probability:
+            if wanted_probability - interference >= CAPTURE_MARGIN:
+                if self.rng.random() < CAPTURE_PROBABILITY:
                     self.captures += 1
                     continue
             return True

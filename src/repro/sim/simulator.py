@@ -55,10 +55,8 @@ class Simulator:
                                         seed=self.config.seed)
         self.faults = (FaultInjector(fault_model, self)
                        if fault_model is not None else None)
-        self.medium = WirelessMedium(topology, self.config.channel, self.words,
-                                     model=model,
-                                     mobility=mobility,
-                                     faults=self.faults)
+        self.medium = WirelessMedium(topology, self.words, model=model,
+                                     mobility=mobility, faults=self.faults)
         # node id -> attached agent (or None); the flat list saves the
         # per-receiver node-object indirection on the delivery hot path and
         # is kept in sync by SimNode.attach.

@@ -157,17 +157,16 @@ class LinkView:
         for the control plane the link table, the probe-free control view,
         the link-cost rows, the per-destination distance vectors and the
         forwarding plans; for the data plane the medium's carrier-sense
-        rows and reception plans over these links, per ``ChannelConfig``
-        (:mod:`repro.sim.medium`); for both the
-        receiver-major index (:meth:`incoming`).  Every flow, protocol
-        and seed run over this view reads one copy.  A view's links never
-        change (its link table is read-only from construction), so
-        nothing held here goes stale and nothing
-        invalidates it.  Every caller gets the same object, so the arrays
-        in it are made read-only and the medium's tables hold tuples; a
-        function that hands out a list returns a fresh copy of it.  A value
-        must not hold what uses it (a medium, a simulator): the view would
-        keep that alive.
+        rows and reception plans over these links (:mod:`repro.sim.medium`,
+        whose reception constants are fixed, so one pair serves every run);
+        for both the receiver-major index (:meth:`incoming`).  Every flow,
+        protocol and seed run over this view reads one copy.  A view's
+        links never change (its link table is read-only from construction),
+        so nothing held here goes stale and nothing invalidates it.  Every
+        caller gets the same object, so the arrays in it are made read-only
+        and the medium's tables hold tuples; a function that hands out a
+        list returns a fresh copy of it.  A value must not hold what uses it
+        (a medium, a simulator): the view would keep that alive.
         """
         value = self._derived.get(key)
         if value is None:

@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     run_single_flow,
 )
 from repro.scenarios import build_flow_sets, build_pairs, build_topology, get_preset
-from repro.sim.radio import ChannelConfig
 from repro.topology.estimation import probe_estimated_topology
 from repro.topology.generator import chain, diamond, indoor_testbed, random_geometric
 
@@ -107,14 +106,14 @@ class TestControlPlaneIsDerivedOnce:
     def test_probe_free_control_plane_is_shared_across_seeds(self, mesh):
         self._two_flows(mesh, probes=0)
         # On the mesh: its receiver-major index, the one control view, and
-        # the medium's tables for the one channel configuration.  On the
+        # the medium's tables.  On the
         # view: the mesh's index (the same links), one set of link rows,
         # one plan, one Dijkstra per distinct destination (the flow's, and
         # the source as the batch ACKs' destination).
         key, incoming, medium = sorted(mesh._derived, key=lambda each: each[0])
         assert key[0] == "control_view"
         assert incoming == ("incoming",)
-        assert medium == ("medium", ChannelConfig())
+        assert medium == ("medium",)
         source, destination = self.PAIR
         view = mesh._derived[key]
         derived = sorted((kind, *rest[:1]) for kind, *rest in view._derived)
@@ -136,7 +135,7 @@ class TestControlPlaneIsDerivedOnce:
                                   second.link_table().delivery)
         # A sampled view is not kept on the mesh (its receiver-major index
         # and the medium's tables are) ...
-        assert set(mesh._derived) == {("incoming",), ("medium", ChannelConfig())}
+        assert set(mesh._derived) == {("incoming",), ("medium",)}
         assert first._derived and second._derived  # ... each plans from its own
 
 

@@ -23,7 +23,6 @@ from repro.experiments.workloads import (
 )
 from repro.metrics.etx import best_path
 from repro.sim.medium import WirelessMedium
-from repro.sim.radio import ChannelConfig
 from repro.topology.generator import chain
 
 
@@ -98,23 +97,18 @@ class TestWorkloads:
             assert testbed.delivery(source, last_hop_sender) <= 0.10
 
     def test_spatial_reuse_pairs_follow_the_medium_sense_rule(self, testbed):
-        """Pair selection and the medium share one carrier-sense rule, so a
-        threshold change moves both together."""
-        four_hop = [(source, destination, best_path(testbed, source, destination))
-                    for source, destination in reachable_pairs(testbed, min_hops=4)]
-        selected = {}
-        for channel in (ChannelConfig(),
-                        ChannelConfig(sense_threshold=0.3,
-                                      neighbor_sense_threshold=0.6)):
-            medium = WirelessMedium(testbed, channel, np.random.default_rng(0))
-            selected[channel] = set(spatial_reuse_pairs(testbed, 1000,
-                                                        channel=channel))
-            assert selected[channel] == {
-                (source, destination) for source, destination, path in four_hop
-                if len(path) - 1 == 4 and not medium.can_sense(path[-2], source)}
-        default, deafer = selected.values()
-        assert default == set(spatial_reuse_pairs(testbed, 1000))
-        assert default and default < deafer
+        """Pair selection and the medium share one carrier-sense rule: the
+        selected pairs are the 4-hop pairs whose last-hop sender the medium
+        does not let sense the source."""
+        four_hop = {(source, destination): best_path(testbed, source, destination)
+                    for source, destination in reachable_pairs(testbed, min_hops=4)}
+        four_hop = {pair: path for pair, path in four_hop.items() if len(path) - 1 == 4}
+        medium = WirelessMedium(testbed, np.random.default_rng(0))
+        selected = set(spatial_reuse_pairs(testbed, 1000))
+        assert selected == {(source, destination)
+                            for (source, destination), path in four_hop.items()
+                            if not medium.can_sense(path[-2], source)}
+        assert selected and selected < set(four_hop)
 
     def test_multiflow_sets_shape(self, testbed):
         sets = multiflow_sets(testbed, flows_per_set=3, set_count=5, seed=2)

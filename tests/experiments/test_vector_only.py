@@ -51,8 +51,8 @@ def test_vector_only_scenario_cell_identical():
 
 
 def test_vector_only_decoded_payloads_are_empty(lossy_chain):
-    from repro.sim.radio import PhyConfig, SimConfig
-    sim = Simulator(lossy_chain, SimConfig(phy=PhyConfig(), seed=1))
+    from repro.sim.radio import SimConfig
+    sim = Simulator(lossy_chain, SimConfig(seed=1))
     handle = setup_more_flow(sim, lossy_chain, 0, lossy_chain.node_count - 1,
                              total_packets=16, batch_size=16,
                              coding_payload_size=0, seed=1)
@@ -65,8 +65,8 @@ def test_vector_only_decoded_payloads_are_empty(lossy_chain):
 
 def test_vector_only_rejects_file_bytes(lossy_chain):
     """A file's point is its bytes: width 0 cannot carry one."""
-    from repro.sim.radio import PhyConfig, SimConfig
-    sim = Simulator(lossy_chain, SimConfig(phy=PhyConfig(), seed=1))
+    from repro.sim.radio import SimConfig
+    sim = Simulator(lossy_chain, SimConfig(seed=1))
     with pytest.raises(ValueError, match="coding_payload_size"):
         setup_more_flow(sim, lossy_chain, 0, 1, file_bytes=b"payload",
                         coding_payload_size=0)
@@ -75,10 +75,10 @@ def test_vector_only_rejects_file_bytes(lossy_chain):
 def test_width_zero_flow_runs_as_a_sized_one(lossy_chain):
     """Below RunConfig there is no mode to conflict with a width: a flow
     set up at width 0 runs exactly as one set up at 64 bytes."""
-    from repro.sim.radio import PhyConfig, SimConfig
+    from repro.sim.radio import SimConfig
     runs = []
     for width in (0, 64):
-        sim = Simulator(lossy_chain, SimConfig(phy=PhyConfig(), seed=1))
+        sim = Simulator(lossy_chain, SimConfig(seed=1))
         handle = setup_more_flow(sim, lossy_chain, 0, lossy_chain.node_count - 1,
                                  total_packets=16, batch_size=16,
                                  coding_payload_size=width, seed=1)

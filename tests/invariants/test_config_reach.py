@@ -8,7 +8,10 @@ base config's and a small scenario in which that value must change the
 run's signature — the flows' results, the number of events the simulator
 processed and every flow's installed spec and plan.  A field without a
 row fails :func:`test_every_field_has_a_row`, so a new knob arrives with a
-scenario showing that it does something.
+scenario showing that it does something.  One level down, the run path sets
+every :class:`~repro.sim.radio.SimConfig` field
+(:func:`test_start_flows_sets_every_sim_config_field`): a field it leaves at
+its default is one only tests can set.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.runner import RunConfig, run_flows
-from repro.sim.radio import RATE_11MBPS
+from repro.sim.radio import RATE_11MBPS, SimConfig
 from repro.topology.generator import chain, diamond
 
 #: The config every row changes one field of: a short transfer.
@@ -103,6 +106,21 @@ def test_field_reaches_the_run(name):
     assert reaches_run(RunConfig, name, value, scenario), (
         f"RunConfig.{name}={value!r} changes nothing in the {scenario} run: "
         "no code on the run path reads it")
+
+
+def test_start_flows_sets_every_sim_config_field(monkeypatch):
+    passed = []
+
+    def recording(*args, **kwargs):
+        assert not args
+        passed.append(kwargs)
+        return SimConfig(**kwargs)
+
+    monkeypatch.setattr(runner, "SimConfig", recording)
+    make_topology, protocol, pairs = SCENARIOS["more_diamond"]
+    runner.start_flows(make_topology(), protocol, list(pairs), BASE)
+    (kwargs,) = passed
+    assert set(kwargs) == {spec.name for spec in fields(SimConfig)}
 
 
 def test_the_base_run_is_deterministic():

@@ -173,23 +173,69 @@ def test_no_cache_reaches_the_orchestrator_as_no_results_dir(verb, entry, tmp_pa
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", [
-    ("show", "--preset", "random_geometric_16", "--set", 'protocols=["Bogus"]'),
-    ("run", "--preset", "random_geometric_16", "--no-cache",
-     "--set", 'protocols=["MORE","Bogus"]'),
-    ("run", "--preset", "chain_smoke", "--no-cache", "--set", "protocols=Bogus"),
+_UNKNOWN_PROTOCOL = ("unknown protocol 'Bogus'; expected one of "
+                     "('MORE', 'ExOR', 'Srcr', 'Srcr/auto')")
+
+
+@pytest.mark.parametrize("command, message", [
+    (("show", "--preset", "random_geometric_16", "--set", 'protocols=["Bogus"]'),
+     _UNKNOWN_PROTOCOL),
+    (("run", "--preset", "random_geometric_16", "--no-cache",
+      "--set", 'protocols=["MORE","Bogus"]'), _UNKNOWN_PROTOCOL),
+    (("run", "--preset", "chain_smoke", "--no-cache", "--set", "protocols=Bogus"),
+     _UNKNOWN_PROTOCOL),
     # Default worker count: caught while the sweep expands, before any worker starts.
-    ("sweep", "--preset", "chain_smoke", "--no-cache", "--axis", "protocols=MORE,Bogus"),
-], ids=["show", "run_after_a_good_token", "bare_string", "sweep_axis"])
-def test_unknown_protocol_token_is_a_one_line_error(command, capsys, monkeypatch):
+    (("sweep", "--preset", "chain_smoke", "--no-cache", "--axis", "protocols=MORE,Bogus"),
+     _UNKNOWN_PROTOCOL),
+    # Simulated MORE twice for one series.
+    (("run", "--preset", "chain_smoke", "--no-cache", "--set", 'protocols=["MORE","MORE"]'),
+     "protocol 'MORE' is listed twice in protocols"),
+    (("show", "--preset", "chain_smoke", "--set", 'protocols=["Srcr","Srcr/auto","Srcr"]'),
+     "protocol 'Srcr' is listed twice in protocols"),
+    # Printed an empty table and exited 0.
+    (("sweep", "--preset", "chain_smoke", "--no-cache", "--workers", "1",
+      "--set", "protocols=[]"), "protocols must name at least one protocol, got []"),
+], ids=["show", "run_after_a_good_token", "bare_string", "sweep_axis", "repeated",
+        "repeated_show", "empty"])
+def test_unknown_protocol_token_is_a_one_line_error(command, message, capsys, monkeypatch):
     """``show`` used to print the spec and exit 0; ``run`` ran every MORE flow
     first and only then named the token, from a list without ``Srcr/auto``."""
     def no_run(*args, **kwargs):
         raise AssertionError("a flow ran before the token was rejected")
     monkeypatch.setattr("repro.scenarios.execute.run_single_flow", no_run)
     line = _one_line_error(capsys, *command)
-    assert "unknown protocol 'Bogus'" in line
-    assert "expected one of ('MORE', 'ExOR', 'Srcr', 'Srcr/auto')" in line
+    assert line == f"repro: error: {message}"
+
+
+@pytest.mark.parametrize("arguments, spec_change, message", [
+    # Two cells under one store key, which a figure pools as one sample.
+    (("--seeds", "1,1"), {}, "seeds lists 1 twice"),
+    (("--axis", "run.batch_size=8,8"), {}, "sweep axis 'run.batch_size' lists 8 twice"),
+    ((), {"seeds": [2, 3, 2]}, "seeds lists 2 twice"),
+    (("--axis", "protocols=MORE,Srcr,MORE"), {}, "sweep axis 'protocols' lists 'MORE' twice"),
+    (("--channel", "gilbert_elliott", "--axis", "channel.bad_scale=0.2,0.2"), {},
+     "sweep axis 'channel.bad_scale' lists 0.2 twice"),
+    # Reported "0 cells" and exited 0.
+    ((), {"seeds": []}, "seeds must list at least one value, got []"),
+    ((), {"sweep": {"run.batch_size": []}},
+     "sweep axis 'run.batch_size' must list at least one value, got []"),
+], ids=["seeds_flag", "axis_flag", "spec_seeds", "protocols_axis", "model_axis",
+        "no_seeds", "empty_axis"])
+def test_empty_or_repeated_seeds_and_axis_values_are_a_one_line_error(
+        arguments, spec_change, message, capsys, monkeypatch, tmp_path):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a cell ran before the sweep was rejected")
+    monkeypatch.setattr("repro.scenarios.execute.run_single_flow", no_run)
+    spec = get_preset("chain_smoke").to_dict()
+    spec.update(spec_change)
+    spec_file = tmp_path / "scenario.json"
+    spec_file.write_text(json.dumps(spec))
+    line = _one_line_error(capsys, "sweep", "--spec", str(spec_file), "--no-cache",
+                           "--workers", "1", *arguments)
+    assert line == f"repro: error: {message}"
+    if not arguments:
+        line = _one_line_error(capsys, "run", "--spec", str(spec_file), "--no-cache")
+        assert line == f"repro: error: {message}"
 
 
 def test_unknown_protocol_token_is_rejected_in_a_spec_file(capsys, tmp_path):
@@ -331,6 +377,9 @@ def test_out_of_range_run_value_is_a_one_line_error(field, value, capsys, tmp_pa
     # ... and no pairs ran a cell with n=0 that reported nan series.
     ("chain_smoke", "workload.pairs=[]",
      "'explicit': pairs must be a non-empty list, got []"),
+    # An AttributeError traceback, exit 1: the pair selection took it for a
+    # channel configuration.
+    ("fig_4_4", "workload.channel=1", "bad parameter for workload 'spatial_reuse'"),
 ])
 def test_out_of_range_section_value_is_a_one_line_error(preset, override, message,
                                                         capsys):

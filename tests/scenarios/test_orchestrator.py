@@ -151,6 +151,20 @@ class TestRetryTimeout:
             == {"index": 0, "status": "failed", "attempt": 2}
         assert "finish" not in [record["event"] for record in records]
 
+    def test_a_rejected_spec_is_reported_in_cell_order(self, tmp_path):
+        """The pool reports the first cell in cell order that rejects its
+        spec, as the serial path does, whichever worker reports first: here
+        cell 0's worker crashes once, so cell 1 is rejected before it."""
+        spec = get_preset("chain_smoke").with_overrides({"workload.kind": "explicit"})
+        spec.sweep = {"workload.pairs": ([], [[0, 99]])}
+        fault = WorkerFaultSpec(kind="crash", positions=(0,),
+                                marker=str(tmp_path / "crash.marker"))
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=r"pairs must be a non-empty list"):
+                run_sweep(spec, workers=workers, results_dir=None, fault=fault,
+                          cell_timeout=10.0)
+        assert (tmp_path / "crash.marker").exists()  # the fault really fired
+
     def test_recovered_cell_is_journaled_as_retried_not_failed(self, quick_cells,
                                                                tmp_path):
         fault = WorkerFaultSpec(kind="crash", positions=(1,),

@@ -150,6 +150,17 @@ class TestExpansion:
         assert first == second
         assert len(set(first)) == len(first)  # keys distinguish every cell
 
+    def test_a_repeated_list_value_is_refused(self, sweep_spec):
+        """Axis values may be lists (pair sets): a repeat is found by
+        equality, with no hashing."""
+        sweep_spec.sweep = {"workload.pairs": ([[0, 3]], [[0, 2]], [[0, 3]])}
+        with pytest.raises(ValueError, match=r"^sweep axis 'workload.pairs' lists "
+                                             r"\[\[0, 3\]\] twice$"):
+            sweep_spec.expand()
+        sweep_spec.sweep = {"workload.pairs": ([[0, 3]], [[0, 2]])}
+        assert [cell.axes for cell in sweep_spec.expand()[::2]] == [
+            {"workload.pairs": [[0, 3]]}, {"workload.pairs": [[0, 2]]}]
+
     def test_key_changes_with_content(self, sweep_spec):
         base = sweep_spec.expand()[0]
         other_spec = sweep_spec.with_overrides({"run.total_packets": 48})

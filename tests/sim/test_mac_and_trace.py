@@ -10,7 +10,18 @@ import pytest
 from repro.protocols.base import ProtocolAgent
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.mac import MacState
-from repro.sim.radio import PhyConfig, SimConfig
+from repro.sim.radio import (
+    ACK_TURNAROUND,
+    CONTENTION_WINDOWS,
+    DIFS,
+    RATE_1MBPS,
+    RATE_11MBPS,
+    RETRY_LIMIT,
+    SLOT_TIME,
+    SUPPORTED_RATES,
+    SimConfig,
+    frame_airtime,
+)
 from repro.sim.simulator import Simulator
 from repro.sim.trace import FlowRecord, StatsCollector
 from repro.topology.graph import Topology
@@ -103,10 +114,9 @@ class TestMacUnicast:
         sim.trigger_node(0)
         sim.run(until=5.0)
         assert sender.sent[0][1] is False
-        retry_limit = sim.config.phy.retry_limit
-        assert sim.medium.transmissions == retry_limit + 1
+        assert sim.medium.transmissions == RETRY_LIMIT + 1
         assert sim.nodes[0].mac.stats.unicast_drops == 1
-        assert sender.sent[0][0].mac_attempts == retry_limit + 1
+        assert sender.sent[0][0].mac_attempts == RETRY_LIMIT + 1
 
     def test_unicast_lossy_link_eventually_succeeds(self):
         sim = two_node_sim(delivery=0.5, seed=3)
@@ -119,59 +129,98 @@ class TestMacUnicast:
         assert sim.medium.transmissions >= 1
 
 
+class RateAgent(ScriptedAgent):
+    """A scripted agent that sends every frame at ``rate``."""
+
+    def __init__(self, node_id, frames, rate):
+        super().__init__(node_id, frames)
+        self.rate = rate
+
+    def select_bitrate(self, frame):
+        return self.rate
+
+
+def _on_air(sim, monkeypatch) -> list[tuple[float, float]]:
+    """Record ``(start, airtime)`` of every frame the medium is handed."""
+    frames = []
+    begin = sim.medium.begin
+
+    def recording_begin(frame, now, airtime):
+        frames.append((now, airtime))
+        return begin(frame, now, airtime)
+
+    monkeypatch.setattr(sim.medium, "begin", recording_begin)
+    return frames
+
+
+class TestFrameTiming:
+    @pytest.mark.parametrize("rate", SUPPORTED_RATES)
+    def test_a_frame_holds_the_air_for_its_airtime_at_the_run_rate(self, rate,
+                                                                   monkeypatch):
+        sim = Simulator(Topology(np.array([[0, 1.0], [1.0, 0]])),
+                        SimConfig(bitrate=rate, seed=0))
+        on_air = _on_air(sim, monkeypatch)
+        sim.attach_agent(0, ScriptedAgent(0, [data_frame(0, size=1500)]))
+        sim.trigger_node(0)
+        sim.run(until=1.0)
+        ((_, airtime),) = on_air
+        assert airtime == frame_airtime(1500, rate)
+        assert sim.nodes[0].mac.stats.busy_time == airtime
+
+    def test_an_agent_rate_overrides_the_run_rate(self, monkeypatch):
+        sim = Simulator(Topology(np.array([[0, 1.0], [1.0, 0]])),
+                        SimConfig(bitrate=RATE_11MBPS, seed=0))
+        on_air = _on_air(sim, monkeypatch)
+        sim.attach_agent(0, RateAgent(0, [data_frame(0), data_frame(0)], RATE_1MBPS))
+        sim.attach_agent(1, ScriptedAgent(1, [data_frame(1)]))
+        sim.trigger_node(0)
+        sim.trigger_node(1)
+        sim.run(until=1.0)
+        assert sorted(airtime for _, airtime in on_air) == [frame_airtime(500, RATE_11MBPS)] + [
+            frame_airtime(500, RATE_1MBPS)] * 2
+
+    def test_a_unicast_success_holds_the_mac_for_the_ack_turnaround(self, monkeypatch):
+        sim = two_node_sim()
+        on_air = _on_air(sim, monkeypatch)
+        done = []
+        sender = ScriptedAgent(0, [data_frame(0, receiver=1)])
+        sender.on_frame_sent = lambda frame, success, now: done.append((success, now))
+        sim.attach_agent(0, sender)
+        sim.attach_agent(1, ScriptedAgent(1))
+        sim.trigger_node(0)
+        sim.run(until=1.0)
+        ((start, airtime),) = on_air
+        assert airtime == frame_airtime(500, sim.config.bitrate)
+        assert done == [(True, pytest.approx(start + airtime + ACK_TURNAROUND, abs=1e-12))]
+
+
 class TestContentionWindows:
-    """The per-attempt window table is derived once per ``PhyConfig`` and
-    shared; a MAC on any configuration backs off as ``contention_window`` says."""
+    """A unicast frame on a dead link contends at every attempt
+    ``0 .. RETRY_LIMIT``, each over its window in ``CONTENTION_WINDOWS``."""
 
-    @pytest.mark.parametrize("cw_min, spans, past_table_span", [
-        (15, [16, 32, 64, 128], 1024),  # capped at cw_max
-        (0, [1, 2, 4, 8], 512),         # a one-slot first window draws nothing
-    ])
-    def test_backoff_draws_follow_contention_window(self, cw_min, spans, past_table_span,
-                                                    monkeypatch):
-        phy = PhyConfig(cw_min=cw_min, retry_limit=3)
+    def test_backoff_draws_follow_contention_window(self, monkeypatch):
         matrix = np.array([[0, 0.0], [0.0, 0]])
-        sim = Simulator(Topology(matrix), SimConfig(phy=phy, seed=0))
-        mac = sim.nodes[0].mac
-        assert mac._windows == tuple(phy.contention_window(attempt)
-                                     for attempt in range(phy.retry_limit + 2))
-        assert mac._windows is sim.nodes[1].mac._windows
-        assert mac._turnaround == phy.sifs + phy.ack_airtime()
-
+        sim = Simulator(Topology(matrix), SimConfig(seed=0))
         sender = ScriptedAgent(0, [data_frame(0, receiver=1)])
         sim.attach_agent(0, sender)
         # Every attempt goes on the air through the medium: record when.
-        starts = []
-        begin = sim.medium.begin
-
-        def recording_begin(frame, now, airtime):
-            starts.append(now)
-            return begin(frame, now, airtime)
-
-        monkeypatch.setattr(sim.medium, "begin", recording_begin)
+        on_air = _on_air(sim, monkeypatch)
         sim.trigger_node(0)
         sim.run(until=5.0)
         # A dead link draws no reception words, so the main generator serves
         # the backoffs alone: each attempt waits DIFS plus a draw from its
         # window, as ``integers`` gives it on a twin generator.
         assert sender.sent[0][1] is False
+        starts = [start for start, _ in on_air]
+        assert len(starts) == RETRY_LIMIT + 1
         twin = np.random.default_rng(0)
-        airtime = phy.frame_airtime(data_frame(0).size_bytes)
-        contention_began = [0.0] + [start + airtime + phy.ack_turnaround
+        airtime = frame_airtime(data_frame(0).size_bytes, sim.config.bitrate)
+        contention_began = [0.0] + [start + airtime + ACK_TURNAROUND
                                     for start in starts[:-1]]
         delays = [start - began for start, began in zip(starts, contention_began)]
         assert delays == pytest.approx(
-            [phy.difs + int(twin.integers(0, span)) * phy.slot_time for span in spans])
-        assert sim.rng.bit_generator.state == twin.bit_generator.state
-
-        # Past the table (no ARQ gets there): computed, not indexed.
-        mac._attempt = len(mac._windows) + 4
-        assert phy.contention_window(mac._attempt) + 1 == past_table_span
-        began = sim.now
-        mac._start_contention()
-        fired = sim.run(max_events=1)
-        assert fired - began == pytest.approx(
-            phy.difs + int(twin.integers(0, past_table_span)) * phy.slot_time)
+            [DIFS + int(twin.integers(0, window + 1)) * SLOT_TIME
+             for window in CONTENTION_WINDOWS])
         assert sim.rng.bit_generator.state == twin.bit_generator.state
 
 

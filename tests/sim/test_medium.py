@@ -16,7 +16,14 @@ from repro.protocols.more import setup_more_flow
 from repro.sim.channels import GilbertElliott
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.medium import WirelessMedium
-from repro.sim.radio import ChannelConfig, SimConfig
+from repro.sim.radio import (
+    CAPTURE_MARGIN,
+    CAPTURE_PROBABILITY,
+    INTERFERENCE_THRESHOLD,
+    NEIGHBOR_SENSE_THRESHOLD,
+    SENSE_THRESHOLD,
+    SimConfig,
+)
 from repro.sim.simulator import Simulator
 from repro.topology.generator import indoor_testbed, random_geometric
 from repro.topology.graph import Topology
@@ -28,10 +35,9 @@ def make_frame(sender, receiver=BROADCAST, flow=1):
                  size_bytes=1500)
 
 
-def make_medium(matrix, seed=0, **channel_kwargs):
+def make_medium(matrix, seed=0):
     topo = Topology(np.asarray(matrix, dtype=float))
-    channel = ChannelConfig(**channel_kwargs)
-    return WirelessMedium(topo, channel, np.random.default_rng(seed)), topo
+    return WirelessMedium(topo, np.random.default_rng(seed)), topo
 
 
 class TestLossModel:
@@ -114,9 +120,9 @@ class TestCarrierSense:
 class TestCollisions:
     def test_overlapping_comparable_signals_collide(self):
         """Two overlapping transmissions of similar strength at the receiver
-        destroy each other (no capture)."""
+        destroy each other (the margin rules capture out)."""
         matrix = [[0, 0.0, 0.6], [0.0, 0, 0.6], [0.6, 0.6, 0]]
-        medium, _ = make_medium(matrix, seed=1, capture_probability=0.0)
+        medium, _ = make_medium(matrix, seed=1)
         tx_a = medium.begin(make_frame(0), now=0.0, airtime=0.002)
         tx_b = medium.begin(make_frame(1), now=0.001, airtime=0.002)
         received_a = medium.complete(tx_a, now=0.002)
@@ -125,20 +131,21 @@ class TestCollisions:
         assert medium.collisions >= 1
 
     def test_capture_saves_much_stronger_frame(self):
-        """With a large delivery margin the stronger frame survives (capture)."""
-        matrix = [[0, 0.0, 0.9], [0.0, 0, 0.12], [0.9, 0.12, 0]]
-        medium, _ = make_medium(matrix, seed=3, capture_probability=1.0,
-                                capture_margin=0.35)
+        """With a large delivery margin the stronger frame survives an audible
+        interferer as often as the capture coin says; the weaker one never."""
+        matrix = [[0, 0.0, 1.0], [0.0, 0, 0.12], [1.0, 0.12, 0]]
+        medium, _ = make_medium(matrix, seed=3)
         captured = 0
-        for i in range(50):
+        trials = 400
+        for i in range(trials):
             start = i * 0.01
             tx_a = medium.begin(make_frame(0), now=start, airtime=0.002)
             tx_b = medium.begin(make_frame(1), now=start + 0.0005, airtime=0.002)
             if 2 in medium.complete(tx_a, now=start + 0.002):
                 captured += 1
-            medium.complete(tx_b, now=start + 0.0025)
-        assert captured > 30
-        assert medium.captures > 0
+            assert medium.complete(tx_b, now=start + 0.0025) == []
+        assert abs(captured / trials - CAPTURE_PROBABILITY) < 0.07
+        assert medium.captures == captured
 
     def test_half_duplex_receiver(self):
         """A node transmitting cannot simultaneously receive."""
@@ -151,29 +158,93 @@ class TestCollisions:
 
     def test_non_overlapping_transmissions_do_not_interfere(self):
         matrix = [[0, 0.0, 1.0], [0.0, 0, 1.0], [1.0, 1.0, 0]]
-        medium, _ = make_medium(matrix, interference_threshold=0.05)
+        medium, _ = make_medium(matrix)
         tx_a = medium.begin(make_frame(0), now=0.0, airtime=0.002)
         assert medium.complete(tx_a, now=0.002) == [2]
         tx_b = medium.begin(make_frame(1), now=0.003, airtime=0.002)
         assert medium.complete(tx_b, now=0.005) == [2]
 
-    def test_weak_interferer_below_threshold_ignored(self):
-        matrix = [[0, 0.0, 1.0], [0.0, 0, 0.04], [1.0, 0.04, 0]]
-        medium, _ = make_medium(matrix, interference_threshold=0.05)
+    @pytest.mark.parametrize("level", [0.04, INTERFERENCE_THRESHOLD])
+    def test_weak_interferer_at_or_below_threshold_ignored(self, level):
+        matrix = [[0, 0.0, 1.0], [0.0, 0, level], [1.0, level, 0]]
+        medium, _ = make_medium(matrix)
         tx_a = medium.begin(make_frame(0), now=0.0, airtime=0.002)
         medium.begin(make_frame(1), now=0.0005, airtime=0.002)
         assert medium.complete(tx_a, now=0.002) == [2]
+        assert medium.collisions == 0
 
 
-def _random_mesh_matrix(node_count: int, density: float, seed: int) -> np.ndarray:
-    """An asymmetric random delivery matrix with about ``density`` links."""
+class TestThresholdEdges:
+    """Which side of each reception constant a delivery at it falls on."""
+
+    @pytest.mark.parametrize("direction", ["out", "in"])
+    @pytest.mark.parametrize("delivery, sensed", [
+        (SENSE_THRESHOLD, False),
+        (np.nextafter(SENSE_THRESHOLD, 1.0), True),
+    ])
+    def test_direct_sense_needs_more_than_the_sense_threshold(self, delivery, sensed,
+                                                              direction):
+        """One link, either way: both ends sense each other above it."""
+        matrix = np.zeros((2, 2))
+        matrix[(0, 1) if direction == "out" else (1, 0)] = delivery
+        medium, _ = make_medium(matrix)
+        assert medium.can_sense(1, 0) is sensed and medium.can_sense(0, 1) is sensed
+
+    @pytest.mark.parametrize("delivery, sensed", [
+        (NEIGHBOR_SENSE_THRESHOLD, True),
+        (np.nextafter(NEIGHBOR_SENSE_THRESHOLD, 0.0), False),
+    ])
+    def test_two_hop_sense_needs_the_neighbor_threshold(self, delivery, sensed):
+        """Nodes 0 and 2 share node 1 and no link: they sense each other
+        when both deliver to it at the threshold or better."""
+        matrix = [[0, delivery, 0.0], [0.5, 0, 0.5], [0.0, delivery, 0]]
+        medium, _ = make_medium(matrix)
+        assert medium.can_sense(2, 0) is sensed and medium.can_sense(0, 2) is sensed
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_capture_needs_the_margin(self, below):
+        """A wanted link exactly the margin above the interferer's may be
+        captured (one capture coin); one just short of it is corrupted."""
+        interference = 0.25
+        wanted = interference + CAPTURE_MARGIN
+        assert wanted - interference >= CAPTURE_MARGIN
+        if below:
+            wanted = np.nextafter(wanted, 0.0)
+        matrix = [[0, 0.0, wanted], [0.0, 0, interference], [wanted, interference, 0]]
+        medium, _ = make_medium(matrix)
+        receivers, _, survivable, chains = medium._plans[0, (1,)]
+        assert receivers == (2,)
+        if below:
+            assert (survivable, chains) == ((False,), None)
+        else:
+            assert (survivable, chains) == (None, ((True,),))
+
+    def test_an_interferer_just_above_the_threshold_corrupts(self):
+        level = np.nextafter(INTERFERENCE_THRESHOLD, 1.0)
+        matrix = [[0, 0.0, 0.4], [0.0, 0, level], [0.4, level, 0]]
+        medium, _ = make_medium(matrix)
+        assert medium._plans[0, (1,)][2:] == ((False,), None)
+
+
+#: Deliveries at and just below the sense rule's two thresholds.
+_EDGE_DELIVERIES = (SENSE_THRESHOLD, NEIGHBOR_SENSE_THRESHOLD,
+                    np.nextafter(SENSE_THRESHOLD, 0.0),
+                    np.nextafter(NEIGHBOR_SENSE_THRESHOLD, 0.0))
+
+
+def _random_mesh_matrix(node_count: int, density: float, seed: int,
+                        edge_share: float) -> np.ndarray:
+    """An asymmetric random delivery matrix with about ``density`` links, of
+    which about ``edge_share`` deliver at or just below a sense threshold."""
     rng = np.random.default_rng(seed)
     matrix = rng.random((node_count, node_count))
+    at_edge = rng.random((node_count, node_count)) < edge_share
+    matrix[at_edge] = rng.choice(_EDGE_DELIVERIES, size=int(at_edge.sum()))
     matrix[rng.random((node_count, node_count)) >= density] = 0.0
     return matrix
 
 
-_thresholds = st.floats(min_value=0.0, max_value=1.0)
+_edge_shares = st.floats(min_value=0.0, max_value=1.0)
 
 
 class TestPerSenderTables:
@@ -181,8 +252,7 @@ class TestPerSenderTables:
 
     @staticmethod
     def _assert_rows_match_oracle(medium: WirelessMedium) -> None:
-        oracle = WirelessMedium._build_sense_matrix(medium._links.delivery_matrix(),
-                                                    medium.channel)
+        oracle = WirelessMedium._build_sense_matrix(medium._links.delivery_matrix())
         for sender in range(medium.topology.node_count):
             assert medium._sense_rows[sender] == tuple(oracle[sender].tolist())
             for listener in range(medium.topology.node_count):
@@ -191,30 +261,26 @@ class TestPerSenderTables:
     @given(node_count=st.integers(min_value=2, max_value=12),
            density=st.floats(min_value=0.0, max_value=1.0),
            seed=st.integers(min_value=0, max_value=10_000),
-           sense=_thresholds, neighbor=_thresholds)
+           edge_share=_edge_shares)
     @settings(max_examples=60, deadline=None)
     def test_sense_rows_equal_dense_oracle(self, node_count, density, seed,
-                                           sense, neighbor):
-        topology = Topology(_random_mesh_matrix(node_count, density, seed))
-        channel = ChannelConfig(sense_threshold=sense,
-                                neighbor_sense_threshold=neighbor)
-        medium = WirelessMedium(topology, channel, np.random.default_rng(0))
+                                           edge_share):
+        topology = Topology(_random_mesh_matrix(node_count, density, seed,
+                                                edge_share))
+        medium = WirelessMedium(topology, np.random.default_rng(0))
         assert not medium._sense_rows  # nothing derived at build time
         self._assert_rows_match_oracle(medium)
 
     @given(node_count=st.integers(min_value=3, max_value=10),
            seed=st.integers(min_value=0, max_value=10_000),
-           sense=_thresholds, neighbor=_thresholds)
+           edge_share=_edge_shares)
     @settings(max_examples=30, deadline=None)
     def test_rows_are_rederived_after_an_epoch_advance(self, node_count, seed,
-                                                       sense, neighbor):
-        topology = Topology(_random_mesh_matrix(node_count, 0.7, seed))
-        channel = ChannelConfig(sense_threshold=sense,
-                                neighbor_sense_threshold=neighbor)
+                                                       edge_share):
+        topology = Topology(_random_mesh_matrix(node_count, 0.7, seed, edge_share))
         churn = MarkovLinkChurn(seed=seed, epoch_length=1.0, mean_up_time=1.0,
                                 mean_down_time=1.0)
-        medium = WirelessMedium(topology, channel, np.random.default_rng(0),
-                                mobility=churn)
+        medium = WirelessMedium(topology, np.random.default_rng(0), mobility=churn)
         self._assert_rows_match_oracle(medium)
         tx = medium.begin(make_frame(0), now=0.5, airtime=0.002)
         medium.complete(tx, now=0.502)
@@ -254,7 +320,7 @@ class TestLifecycle:
     def test_second_complete_raises_before_it_draws(self):
         """A frame that is not on the air is refused before a word is read:
         the stream position, the counters and the history stay as they were."""
-        medium = WirelessMedium(_testbed(), ChannelConfig(), np.random.default_rng(1))
+        medium = WirelessMedium(_testbed(), np.random.default_rng(1))
         tx = medium.begin(make_frame(0), now=0.0, airtime=0.002)
         medium.complete(tx, now=0.002)
         counters = {name: getattr(medium, name) for name in
@@ -323,9 +389,9 @@ def _outcome(sim: Simulator) -> tuple:
             medium.captures, sim.rng.bit_generator.state)
 
 
-def _shared_tables(topology: Topology, channel: ChannelConfig):
-    """The medium tables ``topology`` keeps for ``channel``, or ``None``."""
-    return topology._derived.get(("medium", channel))
+def _shared_tables(topology: Topology):
+    """The medium tables ``topology`` keeps, or ``None``."""
+    return topology._derived.get(("medium",))
 
 
 class TestSharedMediumState:
@@ -343,21 +409,7 @@ class TestSharedMediumState:
             shared = build()
             for seed in order:
                 assert _outcome(run(shared, seed)) == fresh[seed], (order, seed)
-            assert _shared_tables(shared, ChannelConfig())[1]
-
-    def test_tables_are_per_channel(self):
-        """Another channel configuration over the same topology gets tables
-        of its own, equal to those over a fresh topology."""
-        topology = _testbed()
-        _run_testbed(topology, 1)
-        wide = ChannelConfig(sense_threshold=0.02, neighbor_sense_threshold=0.05)
-        media = [WirelessMedium(each, wide, np.random.default_rng(0))
-                 for each in (topology, Topology(topology.delivery_matrix()))]
-        senses = [[medium.can_sense(listener, sender) for sender in range(20)
-                   for listener in range(20)] for medium in media]
-        assert senses[0] == senses[1]
-        assert media[0]._sense_rows is _shared_tables(topology, wide)[0]
-        assert media[0]._sense_rows is not _shared_tables(topology, ChannelConfig())[0]
+            assert _shared_tables(shared)[1]
 
     def test_a_repeated_run_derives_nothing(self, monkeypatch):
         topology = _testbed()
@@ -373,11 +425,11 @@ class TestSharedMediumState:
         was edited from, and that one keeps its tables."""
         topology = _testbed()
         original = _outcome(_run_testbed(topology, 1))
-        kept = _shared_tables(topology, ChannelConfig())
+        kept = _shared_tables(topology)
         matrix = topology.delivery_matrix()
         matrix[0, 1] = matrix[1, 0] = 0.5 * matrix[0, 1]
         edited = Topology(matrix)
-        assert _shared_tables(edited, ChannelConfig()) is None
+        assert _shared_tables(edited) is None
         calls = _counting(monkeypatch)
         outcome = _outcome(_run_testbed(edited, 1))
         assert calls["_plan"] > 0 and calls["sense_row"] > 0
@@ -386,20 +438,19 @@ class TestSharedMediumState:
         calls.update(_plan=0, sense_row=0)
         assert _outcome(_run_testbed(topology, 1)) == original
         assert calls == {"_plan": 0, "sense_row": 0}
-        assert _shared_tables(topology, ChannelConfig()) is kept
+        assert _shared_tables(topology) is kept
 
     @pytest.mark.parametrize("variant", ["gilbert_elliott", "link_churn"])
     def test_other_media_keep_tables_of_their_own(self, variant):
         """A Gilbert-Elliott or a mobility medium neither reads the shared
         tables nor adds to them, nor creates them."""
-        channel = ChannelConfig()
         topology = _testbed()
 
         def other_medium():
             if variant == "gilbert_elliott":
-                return WirelessMedium(topology, channel, np.random.default_rng(3),
+                return WirelessMedium(topology, np.random.default_rng(3),
                                       model=GilbertElliott(seed=3))
-            return WirelessMedium(topology, channel, np.random.default_rng(3),
+            return WirelessMedium(topology, np.random.default_rng(3),
                                   mobility=MarkovLinkChurn(seed=3, epoch_length=1.0))
 
         def drive(medium):
@@ -414,9 +465,9 @@ class TestSharedMediumState:
                 medium.complete(second, now=second.end)
 
         drive(other_medium())
-        assert _shared_tables(topology, channel) is None
-        drive(WirelessMedium(topology, channel, np.random.default_rng(3)))
-        rows, plans = _shared_tables(topology, channel)
+        assert _shared_tables(topology) is None
+        drive(WirelessMedium(topology, np.random.default_rng(3)))
+        rows, plans = _shared_tables(topology)
         assert rows and plans
         before = (dict(rows), dict(plans))
         medium = other_medium()
@@ -429,7 +480,7 @@ class TestSharedMediumState:
         """No run can edit a row or a plan another run reads."""
         topology = _testbed()
         _run_testbed(topology, 1)
-        rows, plans = _shared_tables(topology, ChannelConfig())
+        rows, plans = _shared_tables(topology)
         assert all(type(row) is tuple for row in rows.values())
         for plan in plans.values():
             assert type(plan) is tuple
@@ -447,7 +498,7 @@ class TestSharedMediumState:
         del sim
         gc.collect()
         assert simulator() is None and medium() is None
-        assert _shared_tables(topology, ChannelConfig())[1]
+        assert _shared_tables(topology)[1]
 
     def test_the_shared_memo_holds_transmitters_only(self):
         """As ``test_only_transmitters_get_tables``, after a second run at
@@ -463,8 +514,7 @@ class TestSharedMediumState:
                              + node.mac.stats.control_transmissions}
         medium = sim.medium
         assert 2 <= len(transmitters) <= 16
-        assert (medium._sense_rows, medium._plans) == _shared_tables(
-            topology, medium.channel)
+        assert (medium._sense_rows, medium._plans) == _shared_tables(topology)
         assert {sender for sender, _ in medium._plans} == transmitters
         assert {node for sender, overlapping in medium._plans
                 for node in (sender, *overlapping)} <= transmitters

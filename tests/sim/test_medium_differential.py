@@ -23,7 +23,12 @@ from repro.rng import threshold
 from repro.sim.channels import GilbertElliott
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.medium import WirelessMedium, sense_row
-from repro.sim.radio import ChannelConfig, SimConfig
+from repro.sim.radio import (
+    CAPTURE_MARGIN,
+    INTERFERENCE_THRESHOLD,
+    SENSE_THRESHOLD,
+    SimConfig,
+)
 from repro.sim.simulator import Simulator
 from repro.topology.generator import (
     chain,
@@ -128,8 +133,7 @@ def _drive_schedule(medium: WirelessMedium, schedule_rng: np.random.Generator,
 def test_vectorized_reception_bit_identical_to_scalar(topology_name, seed):
     """Same schedule, same seed: identical receivers, counters, RNG position."""
     topology = TOPOLOGIES[topology_name]()
-    medium, oracle = (medium_class(topology, ChannelConfig(),
-                                   np.random.default_rng(seed))
+    medium, oracle = (medium_class(topology, np.random.default_rng(seed))
                       for medium_class in MEDIA)
     outcomes = [_drive_schedule(each, np.random.default_rng(seed + 5000),
                                 topology.node_count)
@@ -166,9 +170,7 @@ def test_capture_heavy_schedule_still_identical(seed, monkeypatch):
 
     results = {}
     for medium_class in MEDIA:
-        medium = medium_class(Topology(delivery),
-                              ChannelConfig(capture_probability=0.7),
-                              np.random.default_rng(seed))
+        medium = medium_class(Topology(delivery), np.random.default_rng(seed))
         if medium_class is WirelessMedium:
             monkeypatch.setattr(medium, "_resolve_scalar", _refuse_the_oracle)
         received = []
@@ -216,7 +218,7 @@ def test_vectorized_identity_holds_under_nonstatic_channel(seed):
     outcomes = {}
     for medium_class in MEDIA:
         medium = medium_class(
-            topology, ChannelConfig(), np.random.default_rng(seed),
+            topology, np.random.default_rng(seed),
             model=GilbertElliott(seed=seed, mean_good_time=0.02,
                                  mean_bad_time=0.005))
         outcomes[medium_class] = _drive_schedule(
@@ -235,8 +237,7 @@ def test_every_plan_branch_meets_the_oracle(channel, seed):
     for medium_class in (BranchRecordingMedium, ScalarMedium):
         model = None if channel == "static" else GilbertElliott(
             seed=seed, mean_good_time=0.02, mean_bad_time=0.005)
-        medium = medium_class(topology, ChannelConfig(), np.random.default_rng(seed),
-                              model=model)
+        medium = medium_class(topology, np.random.default_rng(seed), model=model)
         outcomes = _drive_schedule(medium, np.random.default_rng(seed + 100),
                                    topology.node_count, rounds=200)
         results[medium_class] = (outcomes, medium.receptions, medium.collisions,
@@ -251,8 +252,8 @@ def test_every_plan_branch_meets_the_oracle(channel, seed):
 # --------------------------------------------------------------------------- #
 
 
-def _dense_plan(delivery: np.ndarray, channel: ChannelConfig, sender: int,
-                row: np.ndarray, senders: tuple[int, ...]) -> tuple:
+def _dense_plan(delivery: np.ndarray, sender: int, row: np.ndarray,
+                senders: tuple[int, ...]) -> tuple:
     """``WirelessMedium._plan`` as it read the N×N matrix, verbatim."""
     eligible = row > 0.0
     eligible[sender] = False
@@ -265,9 +266,8 @@ def _dense_plan(delivery: np.ndarray, channel: ChannelConfig, sender: int,
     if not interferers:
         return receivers, thresholds, None, None
     levels = delivery[interferers][:, indices]
-    audible = levels > channel.interference_threshold
-    capturable = audible & (probabilities - levels
-                            >= channel.capture_margin)
+    audible = levels > INTERFERENCE_THRESHOLD
+    capturable = audible & (probabilities - levels >= CAPTURE_MARGIN)
     if capturable.any():
         chains = tuple(tuple(saved for heard, saved in zip(heard_by, saved_by)
                              if heard)
@@ -320,35 +320,32 @@ BENCH_MESHES = {
     "one_way_60": _one_way_mesh,
 }
 
-#: The default rules, and looser ones that make capture and two-hop
-#: sensing common.
-CHANNELS = (ChannelConfig(),
-            ChannelConfig(neighbor_sense_threshold=0.5, interference_threshold=0.05,
-                          capture_margin=0.15))
-
 
 @pytest.mark.parametrize("mesh", sorted(BENCH_MESHES))
 def test_link_tables_equal_the_dense_rules(mesh):
     """Every sender's sense row and its plans over sampled overlap sets, read
-    off the links, are the tuples the dense rules give."""
+    off the links, are the tuples the dense rules give.  Each mesh meets
+    both halves of the sense rule and every plan shape."""
     topology = BENCH_MESHES[mesh]()
     delivery = topology.delivery_matrix()
     rng = np.random.default_rng(len(mesh))
     overlaps = {sender: _overlap_sets(delivery, sender, rng)
                 for sender in range(topology.node_count)}
-    for channel in CHANNELS:
-        medium = WirelessMedium(topology, channel, np.random.default_rng(0))
-        sense = WirelessMedium._build_sense_matrix(delivery, channel)
-        kinds = set()
-        for sender, sets in overlaps.items():
-            assert medium._sense_rows[sender] == tuple(sense[sender].tolist()), sender
-            assert np.array_equal(sense_row(topology, channel, sender), sense[sender])
-            for senders in sets:
-                plan = medium._plans[sender, senders]
-                assert plan == _dense_plan(delivery, channel, sender, delivery[sender],
-                                           senders), (sender, senders)
-                kinds.add(_plan_kind(plan, sender, senders))
-        assert kinds >= {"clear", "corrupted", "capture"}
+    medium = WirelessMedium(topology, np.random.default_rng(0))
+    sense = WirelessMedium._build_sense_matrix(delivery)
+    kinds = set()
+    for sender, sets in overlaps.items():
+        assert medium._sense_rows[sender] == tuple(sense[sender].tolist()), sender
+        assert np.array_equal(sense_row(topology, sender), sense[sender])
+        for senders in sets:
+            plan = medium._plans[sender, senders]
+            assert plan == _dense_plan(delivery, sender, delivery[sender],
+                                       senders), (sender, senders)
+            kinds.add(_plan_kind(plan, sender, senders))
+    assert kinds >= {"clear", "corrupted", "capture"}
+    # Some pairs sense each other through a common neighbour alone.
+    audible = delivery > SENSE_THRESHOLD
+    assert (sense & ~(audible | audible.T)).any()
 
 
 def test_bursty_plans_equal_the_dense_rule():
@@ -357,7 +354,7 @@ def test_bursty_plans_equal_the_dense_rule():
     tuples again."""
     topology = BENCH_MESHES["testbed"]()
     model = GilbertElliott(seed=3, mean_good_time=0.02, mean_bad_time=0.005)
-    medium = WirelessMedium(topology, ChannelConfig(), np.random.default_rng(0), model=model)
+    medium = WirelessMedium(topology, np.random.default_rng(0), model=model)
     mean = model.mean_view()
     dense_mean = mean.delivery_matrix()
     rng = np.random.default_rng(5)
@@ -365,8 +362,8 @@ def test_bursty_plans_equal_the_dense_rule():
     for step, sender in enumerate(rng.integers(0, topology.node_count, size=400).tolist()):
         row = model.delivery_row(sender, step * 0.001, step * 0.001 + 0.002)
         for senders in _overlap_sets(dense_mean, sender, rng):
-            plan = medium._plan(mean.link_table(), medium.channel, sender, row, senders)
-            assert plan == _dense_plan(dense_mean, medium.channel, sender,
+            plan = medium._plan(mean.link_table(), sender, row, senders)
+            assert plan == _dense_plan(dense_mean, sender,
                                        _spread(mean.link_table(), sender, row), senders)
             kinds.add(_plan_kind(plan, sender, senders))
     assert kinds >= {"clear", "corrupted", "capture"}

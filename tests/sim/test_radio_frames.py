@@ -8,106 +8,58 @@ import pytest
 
 from repro.sim.autorate import OnoeRateController
 from repro.sim.frames import BROADCAST, Frame, FrameKind
+from repro.sim import radio
 from repro.sim.radio import (
+    ACK_TURNAROUND,
+    CONTENTION_WINDOWS,
     RATE_1MBPS,
     RATE_5_5MBPS,
     RATE_11MBPS,
+    RETRY_LIMIT,
     SUPPORTED_RATES,
-    ChannelConfig,
-    PhyConfig,
     SimConfig,
+    frame_airtime,
 )
 
 
 class TestPhyTiming:
-    def test_frame_airtime_scales_with_size_and_rate(self):
-        phy = PhyConfig()
-        small = phy.frame_airtime(100)
-        large = phy.frame_airtime(1500)
-        assert large > small
-        fast = phy.frame_airtime(1500, bitrate=RATE_11MBPS)
-        assert fast < large
+    def test_the_802_11b_values(self):
+        """DSSS long-preamble timing: the window of every attempt a
+        contention runs at, the ACK turnaround (SIFS, then a 14-byte ACK at
+        1 Mb/s) and a data frame's airtime at each rate."""
+        assert CONTENTION_WINDOWS == (31, 63, 127, 255, 511, 1023, 1023, 1023)
+        assert len(CONTENTION_WINDOWS) == RETRY_LIMIT + 1
+        # SIFS is added to the ACK's airtime: this order is the float every
+        # golden trace was recorded with.
+        assert ACK_TURNAROUND == 10e-6 + (192e-6 + 14 * 8 / 1e6)
+        assert ACK_TURNAROUND == pytest.approx(314e-6)
+        for rate in SUPPORTED_RATES:
+            assert frame_airtime(1500, rate) == 192e-6 + (1500 + 34) * 8 / rate
+        # The absolute throughput scale of the simulator.
+        assert frame_airtime(1500, RATE_5_5MBPS) == pytest.approx(2.4233e-3, abs=1e-7)
+        assert frame_airtime(100, RATE_5_5MBPS) < frame_airtime(1500, RATE_11MBPS)
 
-    def test_airtime_formula(self):
-        phy = PhyConfig(bitrate=RATE_5_5MBPS)
-        expected = phy.preamble_time + (1500 + phy.mac_overhead_bytes) * 8 / RATE_5_5MBPS
-        assert phy.frame_airtime(1500) == pytest.approx(expected)
+    def test_the_reception_constants(self):
+        """The medium's modelling choices, as every golden trace and figure
+        report was recorded with them."""
+        assert (radio.SENSE_THRESHOLD, radio.NEIGHBOR_SENSE_THRESHOLD,
+                radio.INTERFERENCE_THRESHOLD, radio.CAPTURE_MARGIN,
+                radio.CAPTURE_PROBABILITY) == (0.10, 0.20, 0.10, 0.35, 0.7)
 
-    def test_1500b_at_5_5mbps_is_about_2_4ms(self):
-        """Sanity-anchor the absolute throughput scale of the simulator."""
-        phy = PhyConfig()
-        assert 2.0e-3 < phy.frame_airtime(1500) < 3.0e-3
 
-    def test_ack_airtime(self):
-        phy = PhyConfig()
-        assert phy.ack_airtime() == pytest.approx(
-            phy.preamble_time + phy.ack_bytes * 8 / phy.ack_bitrate)
-
-    def test_invalid_bitrate(self):
-        with pytest.raises(ValueError):
-            PhyConfig().frame_airtime(100, bitrate=0)
-
-    def test_contention_window_doubles_and_caps(self):
-        phy = PhyConfig(cw_min=31, cw_max=1023)
-        assert phy.contention_window(0) == 31
-        assert phy.contention_window(1) == 63
-        assert phy.contention_window(10) == 1023
-
-    def test_backoff_time(self):
-        phy = PhyConfig()
-        assert phy.backoff_time(3) == pytest.approx(3 * phy.slot_time)
-
-    @pytest.mark.parametrize("field, value", [
-        ("cw_min", -1),             # used to die at the first contention
-        ("cw_max", 15),             # below cw_min: every window silently cw_max
-        ("cw_max", 2**32 - 1),      # a window the backoff draw cannot span
-        ("retry_limit", -3),        # used to run with an empty window table
-        ("slot_time", 0.0),
-        ("slot_time", -20e-6),      # used to die mid-run, scheduling in the past
-        ("slot_time", float("nan")),
-        ("difs", -50e-6),
-        ("sifs", -1e-6),
-        ("preamble_time", -1.0),
-        ("bitrate", 0),
-        ("ack_bitrate", -1),
-    ])
-    def test_bad_values_are_refused_at_construction(self, field, value):
-        with pytest.raises(ValueError, match=rf"^PhyConfig\.{field} must be .*, got "):
-            PhyConfig(**{field: value})
-
-    def test_a_one_slot_first_window_is_legal(self):
-        phy = PhyConfig(cw_min=0, cw_max=0, retry_limit=0, difs=0.0, sifs=0.0)
-        assert phy.contention_windows == (0, 0)
-
+class TestSimConfig:
     def test_sim_config_defaults(self):
-        config = SimConfig()
-        assert config.phy.bitrate == RATE_5_5MBPS
-        assert isinstance(config.channel, ChannelConfig)
+        assert [field.name for field in dataclasses.fields(SimConfig)] == [
+            "bitrate", "seed", "max_duration", "channel_model", "mobility", "faults"]
+        assert SimConfig().bitrate == RATE_5_5MBPS
 
-
-class TestChannelConfig:
-    @pytest.mark.parametrize("field, value", [
-        ("capture_probability", float("nan")),  # used to run, never capturing
-        ("capture_probability", 1.5),
-        ("capture_probability", -0.1),
-        ("interference_threshold", -1.0),       # used to run: every overlap collided
-        ("interference_threshold", float("inf")),
-        ("sense_threshold", float("nan")),
-        ("sense_threshold", 2.0),
-        ("neighbor_sense_threshold", -0.2),
-        ("capture_margin", -0.1),
-        ("capture_margin", float("nan")),
-        ("capture_margin", float("inf")),
-    ])
-    def test_bad_values_are_refused_at_construction(self, field, value):
-        with pytest.raises(ValueError, match=rf"^ChannelConfig\.{field} must be .*, got "):
-            ChannelConfig(**{field: value})
-
-    def test_edge_values_are_legal(self):
-        ChannelConfig(sense_threshold=0.0, neighbor_sense_threshold=1.0,
-                      interference_threshold=1.0, capture_margin=0.0,
-                      capture_probability=0.0)
-        ChannelConfig(capture_margin=1e9, capture_probability=1.0)
+    @pytest.mark.parametrize("bitrate", [0, 3, -RATE_11MBPS, 54_000_000])
+    def test_a_rate_outside_802_11b_is_refused(self, bitrate):
+        """Not a ``ZeroDivisionError`` (or a run at a rate the PHY lacks)
+        at the first frame."""
+        with pytest.raises(ValueError, match=r"^bitrate must be an 802\.11b rate in "
+                                             r"b/s, one of \(1000000, .*\), got "):
+            SimConfig(bitrate=bitrate)
 
 
 class TestFrame:

@@ -93,7 +93,7 @@ def test_class_qualified_name_of_a_missing_method_fails(tmp_path, capsys):
 def test_class_qualified_names_resolve(tmp_path, capsys):
     """A method, a dataclass field without a default, an attribute assigned
     in ``__init__``; a class no package exports and prose are not checked."""
-    text = ("`Topology.link_table()`, `ChannelConfig.capture_probability`, "
+    text = ("`Topology.link_table()`, `SimConfig.max_duration`, "
             "`TopologySpec.kind`, `Simulator.words`, `Missing.anything`\n"
             "Topology.set_delivery outside a code span\n")
     assert _check(tmp_path, text) == 0, capsys.readouterr().err

@@ -12,7 +12,6 @@ from repro.experiments.runner import RunConfig, run_single_flow
 from repro.sim.channels import GilbertElliott
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.medium import WirelessMedium
-from repro.sim.radio import ChannelConfig
 from repro.topology.estimation import probe_estimated_topology
 from repro.topology.generator import random_geometric
 from repro.topology.graph import LinkTable, LinkView, Node, Topology
@@ -148,7 +147,7 @@ def test_static_mesh_holds_no_matrix():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.completed and mesh.derived(("medium", ChannelConfig()), dict)
+    assert result.completed and mesh.derived(("medium",), dict)
     assert mesh.link_table().receivers.size < 0.15 * count * (count - 1)
     assert build_peak < half_matrix
     assert held - built < half_matrix
@@ -218,7 +217,7 @@ def test_dynamic_models_hold_no_matrix():
     assert late - early < 8 * coordinates, (early, late)
     for mobility in (MarkovLinkChurn(seed=1, epoch_length=0.05),
                      RandomWaypoint(seed=1, epoch_length=0.05, speed_min=20.0, speed_max=40.0)):
-        medium = WirelessMedium(mesh, ChannelConfig(), np.random.default_rng(1),
+        medium = WirelessMedium(mesh, np.random.default_rng(1),
                                 model=GilbertElliott(seed=1, mean_good_time=0.02,
                                                      mean_bad_time=0.01),
                                 mobility=mobility)
