@@ -42,7 +42,7 @@ def test_coding_at_source(batch):
     packet = encoder.next_packet()
     assert encoder.payloads_built == 0
     expected = gf_vecmat(np.frombuffer(packet.code_vector, dtype=np.uint8),
-                         batch.payload_matrix())
+                         batch.payloads)
     assert np.array_equal(packet.payload, expected)
     assert np.array_equal(packet.payload, expected)
     assert encoder.payloads_built == 1
@@ -56,8 +56,7 @@ def test_batched_coding_at_source(batch):
     decoder = BatchDecoder(batch_size=K, packet_size=PACKET_SIZE)
     for packet in packets:
         decoder.add_packet(packet)
-    assert np.array_equal(np.stack([native.payload for native in decoder.decode()]),
-                          batch.payload_matrix())
+    assert np.array_equal(decoder.decode(), batch.payloads)
 
 
 def test_independence_check(batch):
@@ -82,9 +81,7 @@ def test_decoding_per_packet(batch):
     decoder = BatchDecoder(batch_size=K, packet_size=PACKET_SIZE)
     for packet in packets:
         decoder.add_packet(packet)
-    natives = decoder.decode()
-    assert np.array_equal(np.stack([native.payload for native in natives]),
-                          batch.payload_matrix())
+    assert np.array_equal(decoder.decode(), batch.payloads)
 
 
 def test_recode_at_forwarder(batch):
@@ -99,7 +96,7 @@ def test_recode_at_forwarder(batch):
     decoder = BatchDecoder(batch_size=K, packet_size=PACKET_SIZE)
     for packet in packets:
         decoder.add_packet(packet)
-    natives = np.stack([native.payload for native in decoder.decode()])
+    natives = decoder.decode()
     for packet in recoded[:: K // 4]:
         assert np.array_equal(gf_vecmat(np.frombuffer(packet.code_vector, dtype=np.uint8),
                                         natives), packet.payload)

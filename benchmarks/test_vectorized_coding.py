@@ -50,7 +50,7 @@ def test_batched_encoding_bit_identical():
                        rng=np.random.default_rng(0))
     encoder = SourceEncoder(batch, CoefficientStream(np.random.default_rng(7)))
     batched = encoder.next_packets(K)
-    reference = _encode_scalar(batch.payload_matrix(), np.random.default_rng(7), K)
+    reference = _encode_scalar(batch.payloads, np.random.default_rng(7), K)
     for new, old in zip(batched, reference):
         assert new.code_vector == old.code_vector
         assert np.array_equal(new.payload, old.payload)

@@ -95,7 +95,11 @@ def _load_spec(args: argparse.Namespace) -> ScenarioSpec:
         path, values = _parse_assignment(assignment)
         spec.sweep[path] = tuple(_parse_value(item) for item in values.split(","))
     if getattr(args, "seeds", None):
-        spec.seeds = tuple(int(seed) for seed in args.seeds.split(","))
+        try:
+            spec.seeds = tuple(int(seed) for seed in args.seeds.split(","))
+        except ValueError:
+            raise ValueError("--seeds must be comma-separated integers, "
+                             f"got {args.seeds!r}") from None
     return spec
 
 

@@ -8,7 +8,6 @@ from repro.coding.packet import (
     DEFAULT_PACKET_SIZE,
     Batch,
     CodedPacket,
-    NativePacket,
     make_batch,
     split_file,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "DEFAULT_PACKET_SIZE",
     "ForwarderEncoder",
-    "NativePacket",
     "SourceEncoder",
     "decode_by_inversion",
     "make_batch",

@@ -10,7 +10,7 @@ vectors (Section 3.1.3).  Two implementations are provided:
   deferred: inserts touch code vectors (plus the transform columns) only,
   and :meth:`BatchDecoder.decode` materialises all K native payloads with a
   single batched product through the raw slots' own operand, into one
-  matrix whose rows the natives own.
+  ``(K, S)`` matrix.
 * :func:`decode_by_inversion` — the literal matrix-inversion formulation
   from the paper: the decode oracle the tests hold :class:`BatchDecoder`
   to.  Nothing at run time calls it.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.coding.buffer import BatchBuffer
-from repro.coding.packet import CodedPacket, NativePacket
+from repro.coding.packet import CodedPacket
 from repro.gf.kernels import gf_matmul
 from repro.gf.matrix import invert
 
@@ -52,15 +52,14 @@ class BatchDecoder:
         """Insert a received packet; returns True iff it was innovative."""
         return self.buffer.add(packet)
 
-    def decode(self) -> list[NativePacket]:
-        """Recover the native packets.
+    def decode(self) -> np.ndarray:
+        """Recover the native packets: the batch's ``(K, S)`` payload matrix,
+        row ``i`` native packet ``i``.
 
         Raises:
             RuntimeError: if fewer than K innovative packets were received.
         """
-        # Each native owns its row of the one decoded matrix.
-        return [NativePacket.from_owned(index, payload)
-                for index, payload in enumerate(self.buffer.decode())]
+        return self.buffer.decode()
 
 
 def decode_by_inversion(packets: list[CodedPacket]) -> np.ndarray:

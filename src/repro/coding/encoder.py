@@ -58,7 +58,7 @@ class SourceEncoder:
         # The batch payloads never change: every packet's bytes are one
         # product against these rows, whenever it is asked for.
         self._rows = PayloadRows(batch.size, batch.packet_size)
-        np.stack([native.payload for native in batch.packets], out=self._rows.matrix)
+        self._rows.matrix[:] = batch.payloads
         self.packets_generated = 0
 
     @property

@@ -14,7 +14,7 @@ vectors.  Every byte is one GF(2^8) element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,47 +35,6 @@ def _as_payload(data: np.ndarray | bytes | bytearray) -> np.ndarray:
     if array.ndim != 1:
         raise ValueError(f"payload must be 1-D, got shape {array.shape}")
     return array.copy()
-
-
-@dataclass(frozen=True)
-class NativePacket:
-    """One uncoded packet of a batch.
-
-    Attributes:
-        index: position of the packet within its batch (0 .. K-1).
-        payload: packet bytes as a uint8 vector.
-    """
-
-    index: int
-    payload: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "payload", _as_payload(self.payload))
-        if self.index < 0:
-            raise ValueError("native packet index must be non-negative")
-
-    @property
-    def size(self) -> int:
-        """Payload length in bytes."""
-        return int(self.payload.shape[0])
-
-    @classmethod
-    def from_owned(cls, index: int, payload: np.ndarray) -> "NativePacket":
-        """Wrap a freshly-created payload without the defensive copy.
-
-        The caller transfers ownership of ``payload`` (uint8, 1-D, a row of
-        an array nothing else will mutate): the decoder hands out the rows
-        of the one matrix its product wrote.
-        """
-        assert payload.dtype == np.uint8 and payload.ndim == 1 and index >= 0
-        packet = cls.__new__(cls)
-        object.__setattr__(packet, "index", index)
-        object.__setattr__(packet, "payload", payload)
-        return packet
-
-    def to_bytes(self) -> bytes:
-        """Return the payload as immutable bytes."""
-        return self.payload.tobytes()
 
 
 class PayloadRows:
@@ -243,33 +202,26 @@ class CodedPacket:
         return CodedPacket(self.code_vector, self.payload, self.batch_id)
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Batch:
-    """A batch of K native packets produced by splitting a file.
+    """A batch of K native packets: the rows of one ``(K, S)`` ``uint8``
+    matrix, row ``i`` native packet ``i``.
 
     The source codes over one batch at a time (Section 3.1.1).
     """
 
     batch_id: int
-    packets: list[NativePacket] = field(default_factory=list)
+    payloads: np.ndarray
 
     @property
     def size(self) -> int:
         """Number of native packets K in the batch."""
-        return len(self.packets)
+        return int(self.payloads.shape[0])
 
     @property
     def packet_size(self) -> int:
         """Payload size of the packets in this batch (bytes)."""
-        if not self.packets:
-            return 0
-        return self.packets[0].size
-
-    def payload_matrix(self) -> np.ndarray:
-        """Stack the native payloads into a K x S matrix."""
-        if not self.packets:
-            return np.zeros((0, 0), dtype=np.uint8)
-        return np.stack([p.payload for p in self.packets])
+        return int(self.payloads.shape[1])
 
 
 def split_file(
@@ -295,24 +247,13 @@ def split_file(
         raise ValueError("batch_size must be positive")
     if packet_size <= 0:
         raise ValueError("packet_size must be positive")
-    buffer = np.asarray(
-        np.frombuffer(bytes(data), dtype=np.uint8)
-        if isinstance(data, (bytes, bytearray))
-        else np.asarray(data, dtype=np.uint8)
-    )
-    total_packets = max(1, int(np.ceil(buffer.size / packet_size))) if buffer.size else 0
-    batches: list[Batch] = []
-    for start in range(0, total_packets, batch_size):
-        batch = Batch(batch_id=len(batches))
-        for index in range(start, min(start + batch_size, total_packets)):
-            chunk = buffer[index * packet_size : (index + 1) * packet_size]
-            if chunk.size < packet_size:
-                padded = np.zeros(packet_size, dtype=np.uint8)
-                padded[: chunk.size] = chunk
-                chunk = padded
-            batch.packets.append(NativePacket(index=index - start, payload=chunk))
-        batches.append(batch)
-    return batches
+    flat = (np.frombuffer(data, dtype=np.uint8) if isinstance(data, (bytes, bytearray))
+            else np.asarray(data, dtype=np.uint8).reshape(-1))
+    # The whole file, padded once: every batch is a block of its rows.
+    packets = np.zeros((-(-flat.size // packet_size), packet_size), dtype=np.uint8)
+    packets.reshape(-1)[:flat.size] = flat
+    return [Batch(batch_id, packets[start:start + batch_size])
+            for batch_id, start in enumerate(range(0, len(packets), batch_size))]
 
 
 def make_batch(
@@ -321,10 +262,14 @@ def make_batch(
     rng: np.random.Generator | None = None,
     batch_id: int = 0,
 ) -> Batch:
-    """Create a batch filled with random payload bytes (for tests/benchmarks)."""
+    """Create a batch filled with random payload bytes.
+
+    One draw.  ``integers(0, 256, dtype=uint8)`` fills its bytes from whole
+    32-bit words and drops the rest of the last one, so rows drawn padded to
+    whole words and then cut are the bytes — and leave the generator state —
+    of one draw per native.
+    """
     generator = rng if rng is not None else np.random.default_rng(0)
-    packets = [
-        NativePacket(index=i, payload=generator.integers(0, 256, size=packet_size, dtype=np.uint8))
-        for i in range(batch_size)
-    ]
-    return Batch(batch_id=batch_id, packets=packets)
+    padded = 4 * -(-packet_size // 4)
+    payloads = generator.integers(0, 256, size=(batch_size, padded), dtype=np.uint8)
+    return Batch(batch_id, payloads[:, :packet_size])

@@ -103,6 +103,12 @@ def get_or_create_agent(sim: "Simulator", node_id: int, agent_class: type[AgentT
     return existing
 
 
+def check_total_packets(total_packets: int) -> None:
+    """Refuse a transfer of nothing, before a flow id is handed out."""
+    if total_packets < 1:
+        raise ValueError(f"total_packets must be at least 1, got {total_packets}")
+
+
 @dataclass
 class FlowHandle:
     """One installed flow: its spec, its simulator and its control plane.

@@ -40,7 +40,12 @@ import numpy as np
 
 from repro.metrics.credits import forwarding_plan
 from repro.metrics.etx import best_path
-from repro.protocols.base import FlowHandle, ProtocolAgent, get_or_create_agent
+from repro.protocols.base import (
+    FlowHandle,
+    ProtocolAgent,
+    check_total_packets,
+    get_or_create_agent,
+)
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 from repro.sim.simulator import Simulator
 from repro.topology.graph import LinkView, Topology
@@ -685,8 +690,9 @@ def setup_exor_flow(sim: Simulator, topology: Topology, source: int, destination
     ``control_topology`` carries the link-quality estimates used to build the
     forwarder list and the cleanup/ACK routes (defaults to the true topology).
     """
+    check_total_packets(total_packets)
     flow_id = sim.new_flow_id()
-    batch_count = max(1, int(np.ceil(total_packets / batch_size)))
+    batch_count = -(-total_packets // batch_size)
     # The plan is empty until the first replan() below installs one.
     spec = ExorFlowSpec(
         flow_id=flow_id,

@@ -3,7 +3,6 @@
 from repro.protocols.more.agent import (
     MoreAckPayload,
     MoreAgent,
-    MoreDataPayload,
     MoreFlowSpec,
 )
 from repro.protocols.more.flow import MoreFlowHandle, setup_more_flow
@@ -21,7 +20,6 @@ __all__ = [
     "MAX_FORWARDERS",
     "MoreAckPayload",
     "MoreAgent",
-    "MoreDataPayload",
     "MoreFlowHandle",
     "MoreFlowSpec",
     "MoreHeader",

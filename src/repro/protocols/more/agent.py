@@ -29,7 +29,7 @@ from repro.coding.encoder import ForwarderEncoder, SourceEncoder
 from repro.coding.packet import Batch, CodedPacket
 from repro.gf.arithmetic import CoefficientStream
 from repro.protocols.base import ProtocolAgent
-from repro.protocols.more.header import ForwarderEntry, MoreHeader
+from repro.protocols.more.header import ForwarderEntry
 from repro.sim.frames import BROADCAST, Frame, FrameKind
 
 #: Size in bytes of a serialised batch ACK (header only, no code vector).
@@ -108,14 +108,6 @@ class MoreFlowSpec:
     batch_count: int
     max_relays: int | None = None
     plan: MorePlan = field(default_factory=MorePlan)
-
-
-@dataclass(slots=True)
-class MoreDataPayload:
-    """Payload attached to MORE data frames."""
-
-    header: MoreHeader
-    coded: CodedPacket
 
 
 @dataclass(slots=True)
@@ -206,13 +198,14 @@ class _ForwarderState:
         self.credit = 0.0
         self.encoder = None
 
-    def handle_data(self, header: MoreHeader, coded: CodedPacket) -> bool:
+    def handle_data(self, coded: CodedPacket) -> bool:
         """Process a data packet heard for this flow; return True if buffered."""
-        if header.batch_id < self.current_batch:
+        batch_id = coded.batch_id
+        if batch_id < self.current_batch:
             return False
-        if header.batch_id > self.current_batch:
-            self.flush(header.batch_id)
-        encoder = self._ensure_encoder(coded.batch_size, header.batch_id)
+        if batch_id > self.current_batch:
+            self.flush(batch_id)
+        encoder = self._ensure_encoder(coded.batch_size, batch_id)
         if encoder.buffer.is_full:
             # Full rank: no vector can be innovative, and a non-innovative
             # insert draws no randomness — skip the GF elimination outright.
@@ -234,7 +227,9 @@ class _DestinationState:
         self.current_batch = 0
         self.decoder: BatchDecoder | None = None
         self.completed: set[int] = set()
-        self.decoded_payloads: list[np.ndarray] = []
+        #: The decoded ``(K, S)`` payload matrix of every completed batch,
+        #: in completion order.
+        self.decoded: list[np.ndarray] = []
 
     def _ensure_decoder(self, batch_size: int, batch_id: int) -> BatchDecoder:
         if self.decoder is None or self.decoder.batch_id != batch_id \
@@ -246,9 +241,9 @@ class _DestinationState:
             )
         return self.decoder
 
-    def handle_data(self, header: MoreHeader, coded: CodedPacket) -> tuple[bool, bool]:
+    def handle_data(self, coded: CodedPacket) -> tuple[bool, bool]:
         """Process a data packet; returns (innovative, batch_just_completed)."""
-        batch_id = header.batch_id
+        batch_id = coded.batch_id
         if batch_id in self.completed or batch_id < self.current_batch:
             return False, False
         if batch_id > self.current_batch:
@@ -258,8 +253,7 @@ class _DestinationState:
         innovative = decoder.add_packet(coded)
         if decoder.is_complete and batch_id not in self.completed:
             self.completed.add(batch_id)
-            for native in decoder.decode():
-                self.decoded_payloads.append(native.payload)
+            self.decoded.append(decoder.decode())
             return innovative, True
         return innovative, False
 
@@ -357,11 +351,11 @@ class MoreAgent(ProtocolAgent):
         # it, so skip building and sorting the flow-id list.
         single = self._single_source
         if single is not None:
-            flow_id, state = single
+            state = single[1]
             if state.done:
                 return None
             self._round_robin = 0
-            return self._make_source_frame(flow_id, state)
+            return self._make_source_frame(state)
         single = self._single_forwarder
         if single is not None:
             flow_id, state = single
@@ -377,7 +371,7 @@ class MoreAgent(ProtocolAgent):
         flow_id = flows[self._round_robin]
         source_state = self.source_flows.get(flow_id)
         if source_state is not None and not source_state.done:
-            return self._make_source_frame(flow_id, source_state)
+            return self._make_source_frame(source_state)
         return self._make_forwarder_frame(flow_id)
 
     def _backlogged_flow_ids(self) -> list[int]:
@@ -390,41 +384,30 @@ class MoreAgent(ProtocolAgent):
     # Frame construction
     # ------------------------------------------------------------------ #
 
-    def _make_source_frame(self, flow_id: int,
-                           state: _SourceState | None = None) -> Frame:
-        if state is None:
-            state = self.source_flows[flow_id]
+    def _make_source_frame(self, state: _SourceState) -> Frame:
         assert state.encoder is not None
-        coded = state.encoder.next_packet()
-        return self._data_frame(state.spec, flow_id, state.current_batch, coded)
+        return self._data_frame(state.spec, state.encoder.next_packet())
 
     def _make_forwarder_frame(self, flow_id: int) -> Frame | None:
         state = self.forward_flows.get(flow_id)
         if state is None or not state.backlogged:
             return None
         assert state.encoder is not None
-        coded = state.encoder.next_packet()
         state.credit -= 1.0
-        return self._data_frame(state.spec, flow_id, state.current_batch, coded)
+        return self._data_frame(state.spec, state.encoder.next_packet())
 
-    def _data_frame(self, spec: MoreFlowSpec, flow_id: int, batch_id: int,
-                    coded: CodedPacket) -> Frame:
-        """A broadcast data frame of the current plan.  Its header is built
-        normalisation-free: the code vector is bytes by construction and the
-        plan's forwarder list is the header's own, already truncated, so
-        ``__post_init__`` has nothing to do."""
-        plan = spec.plan
-        header = MoreHeader.for_data(spec.source, spec.destination, flow_id,
-                                     batch_id, coded.code_vector,
-                                     plan.header_forwarders)
+    def _data_frame(self, spec: MoreFlowSpec, coded: CodedPacket) -> Frame:
+        """A broadcast data frame of the current plan, carrying ``coded``:
+        the frame holds the flow id, the packet its batch id and code
+        vector, and the plan the header's size and forwarder list."""
         self.data_sent += 1
         return Frame(
             sender=self.node_id,
             receiver=BROADCAST,
             kind=FrameKind.DATA,
-            flow_id=flow_id,
-            size_bytes=plan.frame_size,
-            payload=MoreDataPayload(header=header, coded=coded),
+            flow_id=spec.flow_id,
+            size_bytes=spec.plan.frame_size,
+            payload=coded,
         )
 
     def _queue_ack(self, spec: MoreFlowSpec, batch_id: int) -> None:
@@ -452,7 +435,7 @@ class MoreAgent(ProtocolAgent):
         kind = frame.kind
         if kind is FrameKind.DATA:
             payload = frame.payload
-            if payload.__class__ is MoreDataPayload:
+            if payload.__class__ is CodedPacket:
                 self._handle_data(frame, payload, now)
             return
         if kind is FrameKind.BATCH_ACK and isinstance(frame.payload, MoreAckPayload):
@@ -476,9 +459,8 @@ class MoreAgent(ProtocolAgent):
         # Relay the ACK one hop closer to the source.
         self._queue_ack(spec, ack.batch_id)
 
-    def _handle_data(self, frame: Frame, payload: MoreDataPayload, now: float) -> None:
-        header = payload.header
-        flow_id = header.flow_id
+    def _handle_data(self, frame: Frame, coded: CodedPacket, now: float) -> None:
+        flow_id = frame.flow_id
         # Per-flow roles are disjoint (a node sources, forwards or decodes a
         # given flow), so dispatch straight off the role tables; nodes with
         # neither role for this flow — the source hearing itself, ACK-route
@@ -491,42 +473,37 @@ class MoreAgent(ProtocolAgent):
             upstream = plan.upstream.get(self.node_id)
             if upstream is None:
                 return
-            batch_id = header.batch_id
+            batch_id = coded.batch_id
             if batch_id >= state.current_batch and frame.sender in upstream:
                 # Credit increases for every packet heard from upstream
                 # (Section 3.3.3), before the innovation check.
                 if batch_id > state.current_batch:
                     state.flush(batch_id)
                 state.credit += plan.tx_credit[self.node_id]
-            if state.handle_data(header, payload.coded):
+            if state.handle_data(coded):
                 self.innovative_received += 1
             else:
                 self.non_innovative_received += 1
             if state.backlogged:
                 self.notify_pending()
             return
-        destination_state = self.destination_flows.get(flow_id)
-        if destination_state is not None:
-            spec = self.specs.get(flow_id)
-            if spec is not None:
-                self._handle_data_at_destination(spec, header, payload.coded, now)
+        destination = self.destination_flows.get(flow_id)
+        if destination is not None:
+            self._handle_data_at_destination(destination, coded, now)
 
-    def _handle_data_at_destination(self, spec: MoreFlowSpec, header: MoreHeader,
-                                    coded: CodedPacket, now: float) -> None:
-        state = self.destination_flows.get(header.flow_id)
-        if state is None:
-            return
-        innovative, completed = state.handle_data(header, coded)
+    def _handle_data_at_destination(self, state: _DestinationState, coded: CodedPacket,
+                                    now: float) -> None:
+        innovative, completed = state.handle_data(coded)
+        flow_id = state.spec.flow_id
         if innovative:
             self.innovative_received += 1
         else:
             self.non_innovative_received += 1
-            self.sim.stats.record_duplicate(header.flow_id)
+            self.sim.stats.record_duplicate(flow_id)
         if completed:
-            batch_packets = coded.batch_size
-            self.sim.stats.record_delivery(header.flow_id, batch_packets, now,
+            self.sim.stats.record_delivery(flow_id, coded.batch_size, now,
                                            batch_complete=True)
-            self._queue_ack(spec, header.batch_id)
+            self._queue_ack(state.spec, coded.batch_id)
 
     # ------------------------------------------------------------------ #
     # MAC completion callbacks

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.coding.packet import Batch, NativePacket, split_file
+from repro.coding.packet import make_batch, split_file
 from repro.metrics.credits import forwarding_plan
 from repro.metrics.etx import best_path
-from repro.protocols.base import FlowHandle, get_or_create_agent
+from repro.protocols.base import FlowHandle, check_total_packets, get_or_create_agent
 from repro.protocols.more.agent import MoreAgent, MoreFlowSpec, MorePlan
 from repro.protocols.more.header import ForwarderEntry, MoreHeader, MorePacketType
 from repro.sim.simulator import Simulator
@@ -90,38 +90,17 @@ class MoreFlowHandle(FlowHandle):
             if spec.flow_id not in agent.specs:
                 agent.install_ack_relay(spec)
 
+    def _decoded(self) -> list[np.ndarray]:
+        """The destination's decoded ``(K, S)`` batch matrices, in order."""
+        return self.destination_agent.destination_flows[self.spec.flow_id].decoded
+
     def decoded_payloads(self) -> list[np.ndarray]:
         """Native payloads recovered by the destination, in order."""
-        state = self.destination_agent.destination_flows[self.spec.flow_id]
-        return list(state.decoded_payloads)
+        return [payload for batch in self._decoded() for payload in batch]
 
     def decoded_bytes(self) -> bytes:
         """Concatenated decoded payload bytes."""
-        payloads = self.decoded_payloads()
-        if not payloads:
-            return b""
-        return b"".join(p.tobytes() for p in payloads)
-
-
-def _synthetic_batches(total_packets: int, batch_size: int, payload_size: int,
-                       rng: np.random.Generator) -> list[Batch]:
-    """Build batches with random payload bytes (no real file supplied).
-
-    One draw per batch.  ``integers(0, 256, dtype=uint8)`` fills its bytes
-    from whole 32-bit words and drops the rest of the last one, so a batch's
-    rows drawn padded to whole words and then cut are the bytes — and leave
-    the generator state — of one draw per native.
-    """
-    padded = 4 * -(-payload_size // 4)
-    batches: list[Batch] = []
-    for batch_id, first in enumerate(range(0, total_packets, batch_size)):
-        count = min(batch_size, total_packets - first)
-        payloads = rng.integers(0, 256, size=(count, padded),
-                                dtype=np.uint8)[:, :payload_size]
-        batches.append(Batch(batch_id=batch_id, packets=[
-            NativePacket(index=index, payload=payload)
-            for index, payload in enumerate(payloads)]))
-    return batches
+        return b"".join(batch.tobytes() for batch in self._decoded())
 
 
 def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination: int,
@@ -177,17 +156,23 @@ def setup_more_flow(sim: Simulator, topology: Topology, source: int, destination
     """
     if (file_bytes is None) == (total_packets is None):
         raise ValueError("provide exactly one of file_bytes or total_packets")
-    if file_bytes is not None and coding_payload_size == 0:
+    if total_packets is not None:
+        check_total_packets(total_packets)
+    elif not file_bytes:
+        raise ValueError("file_bytes must not be empty")
+    elif coding_payload_size == 0:
         raise ValueError("coding_payload_size must be positive to carry file_bytes")
     flow_id = sim.new_flow_id()
-    rng = np.random.default_rng((seed, flow_id))
     if file_bytes is not None:
         coding_size = coding_payload_size if coding_payload_size is not None else packet_size
         batches = split_file(file_bytes, batch_size=batch_size, packet_size=coding_size)
     else:
         coding_size = coding_payload_size if coding_payload_size is not None else 16
         assert total_packets is not None
-        batches = _synthetic_batches(total_packets, batch_size, coding_size, rng)
+        rng = np.random.default_rng((seed, flow_id))
+        batches = [make_batch(min(batch_size, total_packets - first), coding_size, rng,
+                              batch_id)
+                   for batch_id, first in enumerate(range(0, total_packets, batch_size))]
     total = sum(batch.size for batch in batches)
 
     # The plan is empty until the first replan() below installs one.

@@ -10,6 +10,12 @@ this implementation reproduces those field widths so the <5% header-overhead
 claim of Section 4.6(c) can be checked against real serialised bytes.  It
 does not hash: :meth:`MoreHeader.pack` refuses a node id or K that does not
 fit its byte.
+
+The simulator builds no header per frame: a data frame carries its
+:class:`~repro.coding.packet.CodedPacket` (code vector and batch id) and
+its flow id, and a plan's one representative header
+(:meth:`~repro.protocols.more.flow.MoreFlowHandle.replan`) decides the
+forwarder list every frame would carry and the frame's size.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ class ForwarderEntry:
 
 @dataclass(slots=True)
 class MoreHeader:
-    """The MORE header carried in front of every data packet and batch ACK.
+    """The MORE header of a data packet or batch ACK, as it goes on the wire.
 
     Attributes:
         packet_type: DATA or ACK.
@@ -87,27 +93,6 @@ class MoreHeader:
                 raise TypeError("code vector must be bytes, "
                                 f"got {type(self.code_vector).__name__}")
             self.code_vector = bytes(self.code_vector)
-
-    @classmethod
-    def for_data(cls, source: int, destination: int, flow_id: int, batch_id: int,
-                 code_vector: bytes,
-                 forwarders: list[ForwarderEntry]) -> "MoreHeader":
-        """Build a DATA header without re-normalising the inputs.
-
-        The per-transmission fast path: callers must pass a ``bytes`` code
-        vector and a forwarder list already within
-        :data:`MAX_FORWARDERS` entries (both invariants hold for
-        plan-derived inputs), so the ``__post_init__`` checks are skipped.
-        """
-        header = cls.__new__(cls)
-        header.packet_type = MorePacketType.DATA
-        header.source = source
-        header.destination = destination
-        header.flow_id = flow_id
-        header.batch_id = batch_id
-        header.code_vector = code_vector
-        header.forwarders = forwarders
-        return header
 
     # ------------------------------------------------------------------ #
     # Serialisation

@@ -22,7 +22,12 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.metrics.etx import best_path
-from repro.protocols.base import FlowHandle, ProtocolAgent, get_or_create_agent
+from repro.protocols.base import (
+    FlowHandle,
+    ProtocolAgent,
+    check_total_packets,
+    get_or_create_agent,
+)
 from repro.sim.autorate import OnoeRateController
 from repro.sim.frames import Frame, FrameKind
 from repro.sim.simulator import Simulator
@@ -248,6 +253,7 @@ def setup_srcr_flow(sim: Simulator, topology: Topology, source: int, destination
     with the flow: relays a later :meth:`SrcrFlowHandle.replan` recruits run
     the same rate control.
     """
+    check_total_packets(total_packets)
     flow_id = sim.new_flow_id()
     # The plan is empty until the first replan() below installs one.
     spec = SrcrFlowSpec(

@@ -118,7 +118,7 @@ class TestDecodeViaBuffer:
         while not buffer.is_full:
             buffer.add(encoder.next_packet())
         decoded = buffer.decode()
-        assert np.array_equal(decoded, batch.payload_matrix())
+        assert np.array_equal(decoded, batch.payloads)
 
     def test_decode_before_full_raises(self):
         buffer = BatchBuffer(3, 4)

@@ -66,16 +66,16 @@ def test_insertion_after_full_rank_is_rejected(make_decoder):
     for coded in packets[:K]:
         decoder.add_packet(coded)
     assert decoder.is_complete
-    decoded_before = np.stack([p.payload for p in decoder.decode()])
+    decoded_before = decoder.decode()
 
     for coded in packets[K:]:
         assert decoder.add_packet(coded) is False
     assert decoder.rank == K
     assert decoder.batch_size - decoder.rank == 0
     assert decoder.buffer.received == K + 4
-    decoded_after = np.stack([p.payload for p in decoder.decode()])
+    decoded_after = decoder.decode()
     np.testing.assert_array_equal(decoded_after, decoded_before)
-    np.testing.assert_array_equal(decoded_after, batch.payload_matrix())
+    np.testing.assert_array_equal(decoded_after, batch.payloads)
 
 
 @DECODER
@@ -86,9 +86,7 @@ def test_vector_only_decode_at_k64(make_decoder):
     verdicts = [decoder.add_packet(packet) for packet in packets]
     assert all(verdicts)
     assert decoder.is_complete
-    natives = decoder.decode()
-    assert len(natives) == 64
-    assert all(p.payload.size == 0 for p in natives)
+    assert decoder.decode().shape == (64, 0)
     # The coefficient matrix still fully reduced to the identity.
     np.testing.assert_array_equal(decoder.buffer.coefficient_matrix(),
                                   np.eye(64, dtype=np.uint8))
@@ -117,7 +115,7 @@ def test_forwarder_precodes_rank_deficient_buffer(make_forwarder):
     # the MUL-table gather; the stack, the other formulation, checks them.
     np.testing.assert_array_equal(
         recoded.payload,
-        gf_matmul(vector[None, :], batch.payload_matrix())[0])
+        gf_matmul(vector[None, :], batch.payloads)[0])
 
 
 def test_full_batch_matches_inversion_reference():
@@ -126,6 +124,6 @@ def test_full_batch_matches_inversion_reference():
     decoder = BatchDecoder(batch_size=K, packet_size=PACKET_SIZE)
     for packet in packets:
         decoder.add_packet(packet)
-    incremental = np.stack([p.payload for p in decoder.decode()])
+    incremental = decoder.decode()
     np.testing.assert_array_equal(incremental, decode_by_inversion(packets))
-    np.testing.assert_array_equal(incremental, batch.payload_matrix())
+    np.testing.assert_array_equal(incremental, batch.payloads)

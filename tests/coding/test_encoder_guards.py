@@ -91,7 +91,7 @@ class TestRandomCodeVectorGuard:
         assert recoded.code_vector != bytes(3)
         assert np.array_equal(recoded.payload,
                               gf_vecmat(_as_array(recoded.code_vector),
-                                        batch.payload_matrix()))
+                                        batch.payloads))
 
     def test_forwarder_fold_guard_recovers_from_cancellation(self, rng, stream):
         """If a fold ever cancels the combination's code half, it is rebuilt.
@@ -130,7 +130,7 @@ class TestRandomCodeVectorGuard:
             assert recoded.code_vector != bytes(4)
             assert np.array_equal(recoded.payload,
                                   gf_vecmat(_as_array(recoded.code_vector),
-                                            batch.payload_matrix()))
+                                            batch.payloads))
 
 
 class TestHandedOutPacketsAreImmutable:
@@ -145,7 +145,7 @@ class TestHandedOutPacketsAreImmutable:
         unread = forwarder.next_packet()
         vector_snapshot = handed_out.code_vector
         payload_snapshot = handed_out.payload.copy()
-        unread_payload = gf_vecmat(_as_array(unread.code_vector), batch.payload_matrix())
+        unread_payload = gf_vecmat(_as_array(unread.code_vector), batch.payloads)
 
         # Every subsequent arrival folds into the (new) pre-coded packet in
         # place; none of it may reach the packets already handed out,

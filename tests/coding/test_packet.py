@@ -9,33 +9,37 @@ from repro.coding.buffer import BatchBuffer
 from repro.coding.packet import (
     Batch,
     CodedPacket,
-    NativePacket,
     make_batch,
     split_file,
 )
 
+#: K and S of the split edge cases, and the file lengths around them: one
+#: byte, one byte short of a packet, one packet, one byte over, one batch,
+#: one byte over.
+K, S = 4, 64
+EDGE_LENGTHS = [1, S - 1, S, S + 1, K * S, K * S + 1]
 
-class TestNativePacket:
-    def test_accepts_bytes_and_arrays(self):
-        from_bytes = NativePacket(index=0, payload=b"\x01\x02\x03")
-        from_array = NativePacket(index=0, payload=np.array([1, 2, 3], dtype=np.uint8))
-        assert np.array_equal(from_bytes.payload, from_array.payload)
-        assert from_bytes.size == 3
-        assert from_bytes.to_bytes() == b"\x01\x02\x03"
 
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValueError):
-            NativePacket(index=-1, payload=b"x")
+def split_per_packet(data: bytes, batch_size: int, packet_size: int) -> list[np.ndarray]:
+    """The per-packet split ``split_file`` replaced, as the oracle: each
+    batch's natives cut one at a time and the last one zero-padded."""
+    buffer = np.frombuffer(data, dtype=np.uint8)
+    total_packets = int(np.ceil(buffer.size / packet_size))
+    batches = []
+    for start in range(0, total_packets, batch_size):
+        natives = []
+        for index in range(start, min(start + batch_size, total_packets)):
+            chunk = buffer[index * packet_size : (index + 1) * packet_size]
+            padded = np.zeros(packet_size, dtype=np.uint8)
+            padded[: chunk.size] = chunk
+            natives.append(padded)
+        batches.append(np.stack(natives))
+    return batches
 
-    def test_payload_is_copied(self):
-        data = np.array([1, 2, 3], dtype=np.uint8)
-        packet = NativePacket(index=0, payload=data)
-        data[0] = 99
-        assert packet.payload[0] == 1
 
-    def test_rejects_non_1d_payload(self):
-        with pytest.raises(ValueError):
-            NativePacket(index=0, payload=np.zeros((2, 2), dtype=np.uint8))
+def _edge_cases(first: tuple[int, int, int]) -> list[tuple[int, int, int]]:
+    """``(length, K, S)``: a test's own case, then the edge lengths."""
+    return [first] + [(length, K, S) for length in EDGE_LENGTHS]
 
 
 class TestCodedPacket:
@@ -44,6 +48,22 @@ class TestCodedPacket:
         assert packet.batch_size == 3
         assert packet.size == 4
         assert packet.batch_id == 3
+
+    def test_accepts_bytes_and_arrays(self):
+        from_bytes = CodedPacket(bytes([1]), b"\x01\x02\x03")
+        from_array = CodedPacket(bytes([1]), np.array([1, 2, 3], dtype=np.uint8))
+        assert np.array_equal(from_bytes.payload, from_array.payload)
+        assert from_bytes.payload.tobytes() == b"\x01\x02\x03"
+
+    def test_payload_is_copied(self):
+        data = np.array([1, 2, 3], dtype=np.uint8)
+        packet = CodedPacket(bytes([1]), data)
+        data[0] = 99
+        assert packet.payload[0] == 1
+
+    def test_rejects_non_1d_payload(self):
+        with pytest.raises(ValueError):
+            CodedPacket(bytes([1]), np.zeros((2, 2), dtype=np.uint8))
 
     def test_zero_vector_detection(self):
         """A zero code vector carries nothing: a buffer counts it received,
@@ -69,18 +89,17 @@ class TestCodedPacket:
 
 
 class TestBatch:
-    def test_payload_matrix_shape(self, rng):
+    def test_payloads_shape(self, rng):
         batch = make_batch(batch_size=4, packet_size=10, rng=rng)
-        matrix = batch.payload_matrix()
-        assert matrix.shape == (4, 10)
+        assert batch.payloads.shape == (4, 10)
+        assert batch.payloads.dtype == np.uint8
         assert batch.size == 4
         assert batch.packet_size == 10
 
     def test_empty_batch(self):
-        batch = Batch(batch_id=0)
+        batch = Batch(0, np.zeros((0, 5), dtype=np.uint8))
         assert batch.size == 0
-        assert batch.packet_size == 0
-        assert batch.payload_matrix().shape == (0, 0)
+        assert batch.packet_size == 5
 
 
 class TestSplitFile:
@@ -91,24 +110,38 @@ class TestSplitFile:
         assert all(batch.size == 4 for batch in batches)
         assert sum(batch.size for batch in batches) == 12
 
-    def test_padding_of_last_packet(self):
-        data = b"\xaa" * 100
-        batches = split_file(data, batch_size=8, packet_size=64)
-        assert len(batches) == 1
-        assert batches[0].size == 2
-        assert batches[0].packets[1].size == 64
-        assert batches[0].packets[1].payload[36:].sum() == 0  # zero padding
+    @pytest.mark.parametrize("length, batch_size, packet_size", _edge_cases((100, 8, 64)))
+    def test_padding_of_last_packet(self, length, batch_size, packet_size):
+        data = b"\xaa" * length
+        batches = split_file(data, batch_size=batch_size, packet_size=packet_size)
+        expected = split_per_packet(data, batch_size, packet_size)
+        assert [batch.payloads.tobytes() for batch in batches] == \
+            [natives.tobytes() for natives in expected]
+        last = batches[-1].payloads[-1]
+        assert last.shape == (packet_size,) and last.dtype == np.uint8
+        used = (length - 1) % packet_size + 1
+        assert (last[:used] == 0xAA).all()
+        assert not last[used:].any()  # zero padding
 
-    def test_roundtrip_content(self):
-        data = np.random.default_rng(0).integers(0, 256, 1000, dtype=np.uint8).tobytes()
-        batches = split_file(data, batch_size=4, packet_size=100)
-        joined = b"".join(p.to_bytes() for batch in batches for p in batch.packets)
+    @pytest.mark.parametrize("length, batch_size, packet_size", _edge_cases((1000, 4, 100)))
+    def test_roundtrip_content(self, length, batch_size, packet_size):
+        data = np.random.default_rng(0).integers(0, 256, length, dtype=np.uint8).tobytes()
+        batches = split_file(data, batch_size=batch_size, packet_size=packet_size)
+        joined = b"".join(batch.payloads.tobytes() for batch in batches)
         assert joined[: len(data)] == data
+        assert joined == b"".join(natives.tobytes()
+                                  for natives in split_per_packet(data, batch_size,
+                                                                  packet_size))
 
-    def test_last_batch_may_be_short(self):
-        data = b"z" * (128 * 10)
-        batches = split_file(data, batch_size=4, packet_size=128)
-        assert [b.size for b in batches] == [4, 4, 2]
+    @pytest.mark.parametrize("length, batch_size, packet_size", _edge_cases((1280, 4, 128)))
+    def test_last_batch_may_be_short(self, length, batch_size, packet_size):
+        data = b"z" * length
+        batches = split_file(data, batch_size=batch_size, packet_size=packet_size)
+        assert [b.payloads.shape for b in batches] == \
+            [natives.shape for natives in split_per_packet(data, batch_size, packet_size)]
+        packets = -(-length // packet_size)
+        assert [b.size for b in batches] == \
+            [min(batch_size, packets - first) for first in range(0, packets, batch_size)]
 
     def test_batch_ids_are_sequential(self):
         data = b"q" * 1000
@@ -129,4 +162,4 @@ class TestMakeBatch:
     def test_deterministic_with_seed(self):
         a = make_batch(batch_size=3, packet_size=16, rng=np.random.default_rng(5))
         b = make_batch(batch_size=3, packet_size=16, rng=np.random.default_rng(5))
-        assert np.array_equal(a.payload_matrix(), b.payload_matrix())
+        assert np.array_equal(a.payloads, b.payloads)

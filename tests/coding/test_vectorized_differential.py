@@ -125,7 +125,7 @@ def _mixed_packet_stream(batch_size: int, packet_size: int,
     """Coded packets with duplicates, scalings and zero vectors mixed in."""
     rng = np.random.default_rng(seed)
     batch = make_batch(batch_size=batch_size, packet_size=packet_size, rng=rng)
-    fresh = scalar_source_packets(batch.payload_matrix(), rng,
+    fresh = scalar_source_packets(batch.payloads, rng,
                                   batch_size + 4)
     stream: list[CodedPacket] = []
     for index, packet in enumerate(fresh):
@@ -154,7 +154,7 @@ def test_source_encoder_bit_identical_to_scalar(batch_size, packet_size, seed):
     reference_rng = np.random.default_rng(seed + 1000)
 
     batched = encoder.next_packets(batch_size + 3)
-    reference = scalar_source_packets(batch.payload_matrix(), reference_rng,
+    reference = scalar_source_packets(batch.payloads, reference_rng,
                                       batch_size + 3)
     for new, old in zip(batched, reference):
         assert new.code_vector == old.code_vector
@@ -162,7 +162,7 @@ def test_source_encoder_bit_identical_to_scalar(batch_size, packet_size, seed):
 
     # Interleaving single-packet calls continues the identical stream.
     single = encoder.next_packet()
-    old = scalar_source_packets(batch.payload_matrix(), reference_rng, 1)[0]
+    old = scalar_source_packets(batch.payloads, reference_rng, 1)[0]
     assert single.code_vector == old.code_vector
     assert np.array_equal(single.payload, old.payload)
 
@@ -203,7 +203,7 @@ def test_decode_recovers_natives_for_all_sizes(batch_size, seed):
             assert attempts < 20 * batch_size + 50
         decoded = buffer.decode()
         assert decoded.shape == (batch_size, packet_size)
-        assert np.array_equal(decoded, batch.payload_matrix())
+        assert np.array_equal(decoded, batch.payloads)
 
 
 def _awkward_vectors(batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:

@@ -24,8 +24,8 @@ from pathlib import Path
 
 from dataclasses import replace
 
+from repro.coding.packet import CodedPacket
 from repro.experiments.runner import PROTOCOLS, run_flows, start_flows
-from repro.protocols.more.agent import MoreDataPayload
 from repro.scenarios import build_pairs, build_topology, get_preset
 from repro.sim.faults import FaultSpec
 
@@ -187,8 +187,8 @@ def run_code_vector_trace(name: str) -> dict:
     begin = sim.medium.begin
 
     def recording_begin(frame, now, airtime):
-        if frame.payload.__class__ is MoreDataPayload:
-            digest.update(frame.payload.coded.code_vector)
+        if frame.payload.__class__ is CodedPacket:
+            digest.update(frame.payload.code_vector)
             sent = (frame.sender, frame.flow_id)
             frames[sent] = frames.get(sent, 0) + 1
         return begin(frame, now, airtime)

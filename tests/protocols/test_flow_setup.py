@@ -7,6 +7,8 @@ by the :class:`~repro.sim.simulator.Simulator`, 1, 2, ... per run.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.protocols.exor import setup_exor_flow
 from repro.protocols.more import setup_more_flow
 from repro.protocols.srcr import setup_srcr_flow
@@ -55,3 +57,23 @@ def test_flow_ids_are_distinct_across_protocols_in_one_simulator():
     again = Simulator(topology, SimConfig(seed=1))
     assert setup_exor_flow(again, topology, 0, 1, total_packets=4,
                            batch_size=4).flow_id == 1
+
+
+@pytest.mark.parametrize("setup, transfer, message", [
+    *[(setup, {"total_packets": count}, f"total_packets must be at least 1, got {count}")
+      for setup in (setup_more_flow, setup_exor_flow, setup_srcr_flow) for count in (0, -3)],
+    (setup_more_flow, {"file_bytes": b""}, "file_bytes must not be empty"),
+], ids=[f"{name}-{count}" for name in ("more", "exor", "srcr") for count in (0, -3)]
+    + ["more-empty_file"])
+def test_an_empty_transfer_is_refused_at_set_up(setup, transfer, message):
+    """MORE died in its source state with an ``IndexError``; ExOR and Srcr
+    "completed" a transfer of nothing at t = 0."""
+    topology = chain(2, link_delivery=0.9)
+    sim = Simulator(topology, SimConfig(seed=1))
+    with pytest.raises(ValueError) as error:
+        setup(sim, topology, 0, 2, **transfer)
+    assert str(error.value) == message
+    # Refused before a flow id was handed out or anything was installed.
+    assert sim.stats.flows == {}
+    assert all(node.agent is None for node in sim.nodes)
+    assert setup(sim, topology, 0, 2, total_packets=1).flow_id == 1

@@ -10,12 +10,12 @@ import pytest
 
 from repro.coding import buffer as buffer_module
 from repro.coding.encoder import SourceEncoder
-from repro.coding.packet import PayloadRows
+from repro.coding.packet import CodedPacket, PayloadRows, make_batch
 from repro.gf.kernels import ShiftedRows
 from repro.protocols.more import MAX_FORWARDERS, setup_more_flow
-from repro.protocols.more.agent import MoreDataPayload, _SourceState
-from repro.protocols.more.flow import _synthetic_batches
-from repro.protocols.more.header import MoreHeader
+from repro.protocols.more.agent import _SourceState
+from repro.protocols.more.header import MoreHeader, MorePacketType
+from repro.sim.frames import FrameKind
 from repro.sim.radio import SimConfig
 from repro.sim.simulator import Simulator
 from repro.topology.generator import chain, diamond, indoor_testbed, two_hop_relay
@@ -259,51 +259,83 @@ class TestProtocolBehaviour:
 
     def test_code_vectors_are_header_bytes_on_the_air(self):
         """Every data frame, the source's and the forwarders' alike, carries
-        its code vector as the batch's K bytes — the very object its header
-        holds — and the vector survives the header's pack/unpack unchanged.
-        The last batch is short, so K is read per batch."""
+        the sender's coded packet itself: its code vector is the batch's K
+        non-zero bytes, and a header built from the plan and that vector
+        survives pack/unpack unchanged.  The last batch is short, so K is
+        read per batch."""
         topo = diamond(0.5, 0.6, relay_count=3)
         destination = topo.node_count - 1
         sim = Simulator(topo, SimConfig(seed=1))
         handle = setup_more_flow(sim, topo, 0, destination, seed=1, total_packets=40,
                                  batch_size=16, packet_size=400)
-        sent: list[tuple[int, MoreDataPayload]] = []
+        spec = handle.spec
+        handed_out = []
+        for node in {0, *spec.plan.upstream}:
+            agent = sim.nodes[node].agent
+            data_frame = agent._data_frame
+
+            def recording_data_frame(flow_spec, coded, data_frame=data_frame):
+                handed_out.append(coded)
+                return data_frame(flow_spec, coded)
+
+            agent._data_frame = recording_data_frame
+        sent = []
         begin = sim.medium.begin
 
         def recording_begin(frame, now, airtime):
-            if frame.payload.__class__ is MoreDataPayload:
-                sent.append((frame.sender, frame.payload))
+            if frame.kind is FrameKind.DATA:
+                sent.append(frame)
             return begin(frame, now, airtime)
 
         sim.medium.begin = recording_begin
         sim.run(until=60.0, stop_condition=sim.stats.all_flows_complete)
         assert sim.stats.flows[handle.flow_id].completed
-        assert {sender for sender, _ in sent} > {0}  # relays sent too
-        for _, payload in sent:
-            vector = payload.coded.code_vector
+        assert {frame.sender for frame in sent} > {0}  # relays sent too
+        handed = {id(coded) for coded in handed_out}
+        for frame in sent:
+            coded = frame.payload
+            assert coded.__class__ is CodedPacket and id(coded) in handed
+            assert frame.flow_id == spec.flow_id
+            vector = coded.code_vector
             assert vector.__class__ is bytes
-            assert len(vector) == (16 if payload.header.batch_id < 2 else 8)
+            assert len(vector) == (16 if coded.batch_id < 2 else 8)
             assert vector != bytes(len(vector))
-            assert payload.header.code_vector is vector
-            assert MoreHeader.unpack(payload.header.pack()).code_vector == vector
+            header = MoreHeader(packet_type=MorePacketType.DATA, source=spec.source,
+                                destination=spec.destination, flow_id=frame.flow_id,
+                                batch_id=coded.batch_id, code_vector=vector,
+                                forwarders=spec.plan.header_forwarders)
+            if len(vector) == spec.batch_size:  # the plan sizes frames at full K
+                assert frame.size_bytes == spec.packet_size + header.size_bytes()
+            parsed = MoreHeader.unpack(header.pack())
+            assert parsed.code_vector == vector
+            assert (parsed.flow_id, parsed.batch_id) == (frame.flow_id, coded.batch_id)
+            assert parsed.forwarder_ids() == header.forwarder_ids()
 
     @pytest.mark.parametrize("payload_size", [0, 1, 3, 15, 16, 17, 1500])
     def test_synthetic_payloads_are_one_draw_per_native(self, payload_size):
-        """One draw per batch, its rows padded to whole 32-bit words and cut:
-        the payloads, and the generator's final state, of one draw per
-        native on a twin generator."""
+        """A synthetic flow's batches are one ``make_batch`` draw each, its
+        rows padded to whole 32-bit words and cut: the payloads, and the
+        generator's final state, of one draw per native on a twin
+        generator."""
         rng, twin = np.random.default_rng((9, 1)), np.random.default_rng((9, 1))
-        batches = _synthetic_batches(70, 32, payload_size, rng)
+        batches = [make_batch(size, payload_size, rng, batch_id)
+                   for batch_id, size in enumerate((32, 32, 6))]
         expected = [twin.integers(0, 256, size=payload_size, dtype=np.uint8)
                     for _ in range(70)]
-        assert [(batch.batch_id, batch.size) for batch in batches] == \
-            [(0, 32), (1, 32), (2, 6)]
-        assert [packet.index for packet in batches[2].packets] == list(range(6))
-        payloads = [packet.payload for batch in batches for packet in batch.packets]
-        assert all(payload.shape == (payload_size,) for payload in payloads)
-        assert [payload.tobytes() for payload in payloads] == \
-            [payload.tobytes() for payload in expected]
+        assert [batch.payloads.shape for batch in batches] == \
+            [(32, payload_size), (32, payload_size), (6, payload_size)]
+        assert b"".join(batch.payloads.tobytes() for batch in batches) == \
+            b"".join(payload.tobytes() for payload in expected)
         assert rng.bit_generator.state == twin.bit_generator.state
+        # The flow's source draws them from its (seed, flow id) generator.
+        topo = chain(1)
+        sim = Simulator(topo, SimConfig())
+        handle = setup_more_flow(sim, topo, 0, 1, total_packets=70, batch_size=32,
+                                 coding_payload_size=payload_size, seed=9)
+        assert handle.flow_id == 1
+        source = handle.source_agent.source_flows[handle.flow_id]
+        assert [(batch.batch_id, batch.payloads.tobytes()) for batch in source.batches] == \
+            [(batch.batch_id, batch.payloads.tobytes()) for batch in batches]
 
     def test_throughput_positive_and_bounded(self):
         topo = chain(2, link_delivery=0.8)

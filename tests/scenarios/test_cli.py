@@ -219,8 +219,11 @@ def test_unknown_protocol_token_is_a_one_line_error(command, message, capsys, mo
     ((), {"seeds": []}, "seeds must list at least one value, got []"),
     ((), {"sweep": {"run.batch_size": []}},
      "sweep axis 'run.batch_size' must list at least one value, got []"),
+    # Printed int()'s "invalid literal for int() with base 10: 'a'".
+    (("--seeds", "a"), {}, "--seeds must be comma-separated integers, got 'a'"),
+    (("--seeds", "1,,2"), {}, "--seeds must be comma-separated integers, got '1,,2'"),
 ], ids=["seeds_flag", "axis_flag", "spec_seeds", "protocols_axis", "model_axis",
-        "no_seeds", "empty_axis"])
+        "no_seeds", "empty_axis", "seeds_not_integers", "seeds_empty_item"])
 def test_empty_or_repeated_seeds_and_axis_values_are_a_one_line_error(
         arguments, spec_change, message, capsys, monkeypatch, tmp_path):
     def no_run(*args, **kwargs):
