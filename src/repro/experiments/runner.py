@@ -266,8 +266,9 @@ def start_flows(topology: Topology, protocol: str, pairs: list[tuple[int, int]],
     Builds the simulator, installs one ``protocol`` flow per pair (flow
     ``index`` is seeded ``config.seed + index``) and arms the online control
     plane; returns the simulator and the flow handles, in pair order.
-    :func:`run_flows` runs it and collects the results; callers that need
-    the finished simulator itself (the golden traces) run it themselves.
+    :func:`run_flows` runs it, collects the results and closes it; callers
+    that need the whole finished simulator (the golden traces, a decoded
+    file, a step-wise test) run it themselves and keep it open.
     """
     run_config = config if config is not None else RunConfig()
     if environment is None:
@@ -302,6 +303,11 @@ def run_flows(topology: Topology, protocol: str, pairs: list[tuple[int, int]],
 
     ``environment`` defaults to the static, immobile, fault-free world.
     Returns one :class:`FlowResult` per pair, in order.
+
+    The simulator is closed (:meth:`~repro.sim.simulator.Simulator.close`)
+    once the results are built: whoever still holds it reads the run's
+    record (statistics, clock, event count, MAC and medium counters), not
+    its agents, coding buffers or frames, and nothing holds it in a cycle.
     """
     sim, handles = start_flows(topology, protocol, pairs, config, environment)
     # The simulator's own horizon is the config's max_duration.
@@ -326,6 +332,7 @@ def run_flows(topology: Topology, protocol: str, pairs: list[tuple[int, int]],
             aborted=record.aborted,
             abort_reason=record.abort_reason,
         ))
+    sim.close()
     return results
 
 

@@ -53,6 +53,13 @@ class ProtocolAgent:
             # Subclasses that override notify_pending keep their override.
             self.notify_pending = node.notify_pending
 
+    def unbind(self) -> None:
+        """Called when the run ends (:meth:`repro.sim.simulator.Simulator.close`):
+        drop the node, the simulator and the shadowing bound method, so the
+        agent and its node no longer hold each other."""
+        self.node = self.sim = None
+        self.__dict__.pop("notify_pending", None)
+
     def notify_pending(self) -> None:
         """Wake the MAC because new traffic became available."""
         if self.node is not None:

@@ -46,6 +46,11 @@ class EventQueue:
         clamped to now)."""
         self.schedule(max(0.0, time - self.now), callback)
 
+    def clear(self) -> None:
+        """Drop every pending event (the run has ended); the clock and
+        :attr:`processed` stay."""
+        self._heap.clear()
+
     @property
     def empty(self) -> bool:
         """True if no pending events remain."""

@@ -64,6 +64,9 @@ class MacState(Enum):
 class MacStats:
     """Per-node MAC counters."""
 
+    __slots__ = ("data_transmissions", "control_transmissions", "unicast_successes",
+                 "unicast_drops", "retries", "busy_time")
+
     def __init__(self) -> None:
         self.data_transmissions = 0
         self.control_transmissions = 0
@@ -75,6 +78,10 @@ class MacStats:
 
 class CsmaMac:
     """One node's CSMA/CA transmit path."""
+
+    __slots__ = ("node_id", "sim", "bitrate", "events", "medium", "faults", "agent",
+                 "state", "stats", "_current_frame", "_attempt", "_inflight",
+                 "_finish_success", "_draw_slots", "_airtimes")
 
     def __init__(self, node_id: int, simulator: "Simulator") -> None:
         self.node_id = node_id
@@ -97,8 +104,16 @@ class CsmaMac:
         self._inflight: Transmission | None = None
         self._finish_success = False
         self._draw_slots = simulator.words.bounded
-        # (size_bytes, bitrate) -> airtime; flows reuse a handful of sizes.
-        self._airtimes: dict[tuple[int, int], float] = {}
+        # (size_bytes, bitrate) -> airtime, the simulator's one table: flows
+        # reuse a handful of sizes.
+        self._airtimes = simulator.airtimes
+
+    def close(self) -> None:
+        """Drop the run's machinery, keep :attr:`stats`
+        (:meth:`repro.sim.simulator.Simulator.close`): the agent, the frame
+        being sent and its transmission, and the back-reference to the
+        simulator."""
+        self.sim = self.agent = self._current_frame = self._inflight = None
 
     # ------------------------------------------------------------------ #
     # Agent-facing API

@@ -360,6 +360,12 @@ class WirelessMedium:
     # Transmission lifecycle
     # ------------------------------------------------------------------ #
 
+    def clear(self) -> None:
+        """Take every frame off the air and out of the overlap history (the
+        run has ended): the frames carry their payloads.  The counters stay."""
+        self._active.clear()
+        self._history.clear()
+
     def begin(self, frame: Frame, now: float, airtime: float) -> Transmission:
         """Register the start of a transmission; returns its record."""
         if self.mobility is not None:

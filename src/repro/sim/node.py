@@ -18,6 +18,8 @@ class SimNode:
     itself may multiplex several flows, as MORE forwarders do).
     """
 
+    __slots__ = ("node_id", "sim", "mac", "agent")
+
     def __init__(self, node_id: int, simulator: "Simulator") -> None:
         self.node_id = node_id
         self.sim = simulator
@@ -30,6 +32,16 @@ class SimNode:
         self.mac.agent = agent  # keep the MAC's cached reference in sync
         self.sim._agents[self.node_id] = agent  # the delivery table
         agent.bind(self)
+
+    def close(self) -> None:
+        """Detach the agent and cut the node's and its MAC's references to
+        the simulator (:meth:`repro.sim.simulator.Simulator.close`); the
+        MAC keeps its counters."""
+        if self.agent is not None:
+            self.agent.unbind()
+            self.agent = None
+        self.mac.close()
+        self.sim = None
 
     def notify_pending(self) -> None:
         """Tell the MAC that the agent (may) have new frames queued."""

@@ -61,9 +61,13 @@ class Simulator:
         # per-receiver node-object indirection on the delivery hot path and
         # is kept in sync by SimNode.attach.
         self._agents: list = [None] * topology.node_count
+        #: ``(size_bytes, bitrate) -> airtime``, shared by every MAC: a pure
+        #: function of its key, and flows reuse a handful of sizes.
+        self.airtimes: dict[tuple[int, int], float] = {}
         self.nodes = [SimNode(i, self) for i in range(topology.node_count)]
         self.stats = StatsCollector()
         self._flow_ids = itertools.count(1)
+        self.closed = False
         if self.faults is not None:
             self.faults.install()
 
@@ -90,12 +94,41 @@ class Simulator:
         On return the main generator is handed back at its logical
         position, so no block of its words outlives a run.
         """
+        if self.closed:
+            raise RuntimeError("the simulator is closed: its run has ended")
         horizon = until if until is not None else self.config.max_duration
         try:
             return self.events.run(until=horizon, stop_condition=stop_condition,
                                    max_events=max_events)
         finally:
             self.words.generator()
+
+    def close(self) -> None:
+        """End the run: keep its record, drop its machinery.
+
+        What stays is what a finished run is read for: :attr:`stats`,
+        :attr:`now`, ``events.processed``, every node's ``mac.stats`` and
+        the medium's and the fault injector's counters.  What goes is
+        what only a running simulation needs: every agent (detached from
+        its node, its MAC and the delivery table, with the coding state it
+        holds), the pending events, the frames on the air and in the
+        medium's overlap history, each MAC's current frame, and the
+        references back to the simulator that would hold it in a cycle
+        (nodes, MACs, the fault injector).  A closed simulator is freed by
+        reference counting alone once its last holder lets go.
+
+        Idempotent; :meth:`run` refuses a closed simulator.
+        """
+        if self.closed:
+            return
+        self.closed = True
+        for node in self.nodes:
+            node.close()
+        self._agents = [None] * len(self.nodes)
+        self.events.clear()
+        self.medium.clear()
+        if self.faults is not None:
+            self.faults.sim = None
 
     # ------------------------------------------------------------------ #
     # Agent management and frame delivery

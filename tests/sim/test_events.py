@@ -186,9 +186,21 @@ class TestOneEventKind:
         assert getattr(queue, method)(1.0, lambda: None) is None
         assert not queue.empty
 
-    def test_public_surface_is_two_schedulers_run_and_empty(self):
+    def test_public_surface_is_two_schedulers_run_empty_and_clear(self):
         public = {name for name in dir(EventQueue) if not name.startswith("_")}
-        assert public == {"schedule", "schedule_at", "run", "empty"}
+        assert public == {"schedule", "schedule_at", "run", "empty", "clear"}
+
+    def test_clear_ends_the_queue_not_an_event(self):
+        """``clear`` drops every pending event at once (a finished run's
+        queue), keeping the clock and the count of events processed."""
+        queue = EventQueue()
+        fired = []
+        for delay in (1.0, 2.0, 3.0):
+            queue.schedule(delay, lambda delay=delay: fired.append(delay))
+        queue.run(max_events=1)
+        queue.clear()
+        assert queue.empty and (queue.now, queue.processed) == (1.0, 1)
+        assert queue.run() == 1.0 and fired == [1.0]
 
     def test_simulator_schedules_through_its_queue_only(self):
         public = {name for name in dir(Simulator) if not name.startswith("_")}

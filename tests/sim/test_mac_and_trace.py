@@ -193,6 +193,21 @@ class TestFrameTiming:
         assert airtime == frame_airtime(500, sim.config.bitrate)
         assert done == [(True, pytest.approx(start + airtime + ACK_TURNAROUND, abs=1e-12))]
 
+    def test_per_node_objects_are_slotted_and_share_one_airtime_table(self):
+        """A simulator builds a node, a MAC and its counters per node id: none
+        carries an instance dict, and the MACs read the simulator's one
+        airtime table, which both senders' frames filled."""
+        sim = two_node_sim()
+        for node in (0, 1):
+            sim.attach_agent(node, ScriptedAgent(node, [data_frame(node, size=300 + node)]))
+            sim.trigger_node(node)
+        sim.run(until=1.0)
+        for node in sim.nodes:
+            assert not any(hasattr(part, "__dict__")
+                           for part in (node, node.mac, node.mac.stats))
+            assert node.mac._airtimes is sim.airtimes
+        assert sorted(sim.airtimes) == [(300, sim.config.bitrate), (301, sim.config.bitrate)]
+
 
 class TestContentionWindows:
     """A unicast frame on a dead link contends at every attempt
